@@ -365,10 +365,9 @@ fn main() {
         n => format!(" batch_size={n}"),
     };
     let pool_note = match opts.pool_mb {
-        Some(mb) => format!(
-            " pool_mb={mb} policy={}",
-            opts.pool_policy.as_deref().unwrap_or("clock")
-        ),
+        Some(mb) => {
+            format!(" pool_mb={mb} policy={}", opts.pool_policy.as_deref().unwrap_or("clock"))
+        }
         None => String::new(),
     };
     for t in &mut tables {

@@ -166,6 +166,71 @@ struct TableIndexes {
     ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
 }
 
+/// What a table's indexes are built from, gathered row by row: by a heap
+/// scan (`CREATE INDEX`), or while the rows of a snapshot go by (every
+/// index of the table in the one pass that places them, no scan at all).
+pub(crate) struct IndexSeeds {
+    /// Per indexed geometry column, the bulk load's input.
+    spatial: Vec<(usize, Vec<(Envelope, RowId)>)>,
+    ordered: Vec<(usize, OrderedIndex<Key, RowId>)>,
+}
+
+impl IndexSeeds {
+    /// Empty seeds, with room for `rows` rows, for a spatial index on
+    /// each of `spatial_cols` and an ordered one on each of
+    /// `ordered_cols`; [`EngineError::Index`] when a column cannot carry
+    /// its index.
+    pub(crate) fn new(
+        t: &Table,
+        spatial_cols: &[usize],
+        ordered_cols: &[usize],
+        rows: usize,
+    ) -> crate::Result<IndexSeeds> {
+        let column = |col: usize| {
+            t.schema().columns().get(col).ok_or_else(|| {
+                EngineError::Index(format!("'{}' has no column number {col}", t.name))
+            })
+        };
+        for &col in spatial_cols {
+            let c = column(col)?;
+            if c.ty != DataType::Geometry {
+                return Err(EngineError::Index(format!(
+                    "column '{}' of '{}' is not a geometry",
+                    c.name, t.name
+                )));
+            }
+        }
+        for &col in ordered_cols {
+            let c = column(col)?;
+            if !matches!(c.ty, DataType::Int | DataType::Text) {
+                return Err(EngineError::Index(format!(
+                    "ordered index unsupported on {} column '{}'",
+                    c.ty.sql_name(),
+                    c.name
+                )));
+            }
+        }
+        Ok(IndexSeeds {
+            spatial: spatial_cols.iter().map(|&c| (c, Vec::with_capacity(rows))).collect(),
+            ordered: ordered_cols.iter().map(|&c| (c, OrderedIndex::new())).collect(),
+        })
+    }
+
+    /// Adds `row`'s entries.
+    pub(crate) fn add(&mut self, id: RowId, row: &Row) {
+        for (col, items) in &mut self.spatial {
+            if let Some(Value::Geom(g)) = row.get(*col) {
+                items.push((g.envelope(), id));
+            }
+        }
+        for (col, idx) in &mut self.ordered {
+            if let Some(k) = row.get(*col).and_then(Key::from_value) {
+                idx.insert(k, id);
+            }
+        }
+    }
+}
+
 /// File name of the atomic snapshot inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.jkpn";
 /// File name of the write-ahead log inside a durability directory.
@@ -198,7 +263,12 @@ type FingerprintEntry = (u64, Arc<str>, Arc<AtomicU64>);
 pub struct SpatialDb {
     profile: EngineProfile,
     catalog: Catalog,
-    indexes: RwLock<HashMap<String, TableIndexes>>,
+    /// Behind its own `Arc` (like `metrics` and `commit_gen`) because
+    /// cached plans hold table adapters that probe it: an adapter that
+    /// held the engine itself would make `plan_cache` → plan → adapter →
+    /// engine a cycle, and an engine that had run one cached SELECT
+    /// would never be freed.
+    indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
     use_spatial_index: RwLock<bool>,
     /// Prepared-plan cache keyed by SQL text. Entries are stamped with
     /// the DDL generation they were planned under and lazily discarded
@@ -263,7 +333,7 @@ pub struct SpatialDb {
     /// applies its changes stamped `commit_gen + 1` and *publishes* them
     /// by storing the new value — one atomic store makes the whole
     /// statement visible, so readers never observe half a statement.
-    commit_gen: AtomicU64,
+    commit_gen: Arc<AtomicU64>,
     /// The writer lock: one mutating statement at a time. Readers never
     /// take it — they pin a snapshot generation instead.
     ///
@@ -347,7 +417,7 @@ impl SpatialDb {
         SpatialDb {
             profile,
             catalog: Catalog::new(),
-            indexes: RwLock::new(HashMap::new()),
+            indexes: Arc::new(RwLock::new(HashMap::new())),
             use_spatial_index: RwLock::new(true),
             plan_cache: RwLock::new(HashMap::new()),
             plan_cache_enabled: RwLock::new(true),
@@ -366,7 +436,7 @@ impl SpatialDb {
             prepared_enabled: RwLock::new(true),
             vectorized_enabled: std::sync::atomic::AtomicBool::new(true),
             batch_size: std::sync::atomic::AtomicUsize::new(0),
-            commit_gen: AtomicU64::new(0),
+            commit_gen: Arc::new(AtomicU64::new(0)),
             txn: Mutex::new(()),
             snapshots: Mutex::new(HashMap::new()),
             pending_reclaim: Mutex::new(Vec::new()),
@@ -379,11 +449,17 @@ impl SpatialDb {
     }
 
     /// Opens (or creates) a crash-safe database under `dir`: loads the
-    /// atomic snapshot if one exists, replays every intact write-ahead-log
-    /// record on top of it, then checkpoints — folding the replayed tail
-    /// into a fresh snapshot and truncating the log — so recovery is
-    /// idempotent. `profile` is used only when the directory holds no
-    /// snapshot yet; otherwise the stored profile wins.
+    /// atomic snapshot if one exists and replays every intact
+    /// write-ahead-log record on top of it. When replay applied a record,
+    /// or the directory held no snapshot, it then checkpoints — folding
+    /// the replayed tail into a fresh snapshot and truncating the log —
+    /// so recovery is idempotent. When there was nothing to fold (a log
+    /// with no intact record, no log, a torn log header, or a stale log
+    /// of another generation) the snapshot on disk already *is* the
+    /// state: it is kept as it is, not rewritten, and a fresh log is
+    /// created at its generation. `profile` is used only when the
+    /// directory holds no snapshot yet; otherwise the stored profile
+    /// wins.
     ///
     /// A crash at *any* byte offset of a snapshot save or WAL append
     /// leaves this returning a consistent state: the snapshot is replaced
@@ -401,23 +477,34 @@ impl SpatialDb {
         std::fs::create_dir_all(dir)
             .map_err(|e| EngineError::Persist(format!("create durability dir: {e}")))?;
         let snap = dir.join(SNAPSHOT_FILE);
-        let (db, snap_gen) = if snap.exists() {
+        let had_snapshot = snap.exists();
+        let (db, snap_gen) = if had_snapshot {
             SpatialDb::open_gen(&snap)?
         } else {
             (Arc::new(SpatialDb::new(profile)), 0)
         };
         let replay = Wal::replay(dir.join(WAL_FILE))?;
-        if replay.generation == snap_gen {
+        let fold = replay.generation == snap_gen && !replay.records.is_empty();
+        if fold {
             for rec in replay.records {
                 db.apply_wal_record(rec)?;
             }
         }
-        // Checkpoint: replayed writes become part of the snapshot and
-        // the log restarts empty. The snapshot (at the next generation)
-        // lands first, so a crash before the fresh WAL exists leaves a
-        // stale log whose generation no longer matches — harmless.
-        let gen = snap_gen.max(replay.generation) + 1;
-        db.save_gen(&snap, gen)?;
+        let gen = if had_snapshot && !fold {
+            snap_gen
+        } else {
+            // Checkpoint: replayed writes become part of the snapshot and
+            // the log restarts empty. The snapshot (at the next
+            // generation) lands first, so a crash before the fresh WAL
+            // exists leaves a stale log whose generation no longer
+            // matches — harmless.
+            let gen = snap_gen.max(replay.generation) + 1;
+            db.save_gen(&snap, gen)?;
+            gen
+        };
+        // Truncates whatever log was there. Every crash state of this
+        // (empty file, partial header) replays to zero records, which
+        // the next open again reads as "nothing to fold".
         let mut wal = Wal::create(dir.join(WAL_FILE), opts.sync_each_append, gen)?;
         wal.set_metrics(db.metrics.clone());
         *db.durability.write() =
@@ -524,24 +611,23 @@ impl SpatialDb {
         Ok(())
     }
 
-    /// Replays a logged delete. The victim is matched by encoded row
-    /// bytes — row ids are assigned afresh on snapshot load, so they are
-    /// not stable across restarts, but the byte encoding is canonical
-    /// (and makes NaN coordinates compare equal). A missing match means
-    /// the record's effect is already in the snapshot; replay tolerates
-    /// it, keeping recovery idempotent.
+    /// Replays a logged v3 delete. The victim is matched by its stored
+    /// tuple bytes — v3 logs predate stable row ids, but the byte
+    /// encoding is canonical (and makes NaN coordinates compare equal).
+    /// A missing match means the record's effect is already in the
+    /// snapshot; replay tolerates it, keeping recovery idempotent.
     fn replay_delete(&self, table: &str, row: &Row) -> crate::Result<()> {
         let t = self.catalog.table(table)?;
         let target = Value::encode_row(row);
         let mut found: Option<RowId> = None;
-        t.heap.scan(|id, r| {
-            if found.is_none() && Value::encode_row(r) == target {
+        t.heap.scan_tuples(&t.heap.row_ids(), |id, tuple| {
+            if found.is_none() && tuple == target {
                 found = Some(id);
             }
+            Ok::<(), EngineError>(())
         })?;
         if let Some(id) = found {
-            let victim = t.heap.get(id)?;
-            self.index_remove_entries(table, id, &victim);
+            self.index_remove_entries(table, id, row);
             t.heap.delete(id);
         }
         Ok(())
@@ -569,15 +655,6 @@ impl SpatialDb {
             self.index_remove_entries(table, id, &victim);
             t.heap.delete(id);
         }
-        Ok(())
-    }
-
-    /// Places a row at its recorded heap address during snapshot load
-    /// (format v4). Unlogged, visible-everywhere — the reload analogue
-    /// of [`SpatialDb::insert_row`] minus id allocation.
-    pub(crate) fn place_row(&self, table: &str, id: RowId, row: Row) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        t.heap.place_at(row, id, 0)?;
         Ok(())
     }
 
@@ -996,31 +1073,82 @@ impl SpatialDb {
     /// Builds a spatial index on a geometry column. Uses R\*-tree STR
     /// bulk loading or grid construction depending on the profile.
     pub fn create_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.create_index(table, column, true)
+    }
+
+    /// Builds an ordered (attribute) index on an integer or text column.
+    pub fn create_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.create_index(table, column, false)
+    }
+
+    /// `CREATE INDEX` of either kind: seeds gathered by one heap scan,
+    /// installed, logged.
+    fn create_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
         let durability = self.durability.read();
         let (_txn, waited) = self.txn.lock_timed();
         self.metrics.record_txn_wait(TxnSite::Ddl, waited);
         let t = self.catalog.table(table)?;
-        let col = t.schema().column_index(column)?;
-        if t.schema().columns()[col].ty != DataType::Geometry {
-            return Err(EngineError::Index(format!(
-                "column '{column}' of '{table}' is not a geometry"
-            )));
+        let col = [t.schema().column_index(column)?];
+        let (spatial_cols, ordered_cols): (&[usize], &[usize]) =
+            if spatial { (&col, &[]) } else { (&[], &col) };
+        let mut seeds = IndexSeeds::new(&t, spatial_cols, ordered_cols, t.heap.len())?;
+        // Every physically-present row, logically-deleted ones included:
+        // an older pinned snapshot that still sees such a row must be
+        // able to find it through the new index (probes post-filter by
+        // visibility).
+        t.heap.scan_any(|id, row| seeds.add(id, row))?;
+        self.install_indexes(&t, seeds)?;
+        if let Some(d) = durability.as_ref() {
+            let (table, column) = (table.to_string(), column.to_string());
+            d.wal.append(&if spatial {
+                WalRecord::CreateSpatialIndex { table, column }
+            } else {
+                WalRecord::CreateOrderedIndex { table, column }
+            })?;
         }
-        // Gather (envelope, id) pairs over every physically-present row,
-        // logically-deleted ones included: an older pinned snapshot that
-        // still sees such a row must be able to find it through the new
-        // index (probes post-filter by visibility).
-        let mut items: Vec<(Envelope, RowId)> = Vec::with_capacity(t.heap.len());
-        let mut extent = Envelope::EMPTY;
-        t.heap.scan_any(|id, row| {
-            if let Some(Value::Geom(g)) = row.get(col) {
-                let e = g.envelope();
-                extent.expand_to_include(&e);
-                items.push((e, id));
-            }
-        })?;
+        Ok(())
+    }
 
-        let idx = if self.profile.uses_grid_index() {
+    /// Builds an index from each of `seeds` (the bulk path) and registers
+    /// them on `t`.
+    pub(crate) fn install_indexes(&self, t: &Table, seeds: IndexSeeds) -> crate::Result<()> {
+        let built: Vec<(usize, SpatialIdx)> = seeds
+            .spatial
+            .into_iter()
+            .map(|(col, items)| (col, self.build_spatial_index(&t.name, col, items)))
+            .collect();
+        let exists = |kind: &str, col: usize| {
+            let column = &t.schema().columns()[col].name;
+            EngineError::Index(format!("{kind} index on '{}.{column}' already exists", t.name))
+        };
+        let mut indexes = self.indexes.write();
+        let ti = indexes.entry(t.name.to_ascii_lowercase()).or_default();
+        for (col, idx) in built {
+            if ti.spatial.insert(col, idx).is_some() {
+                return Err(exists("spatial", col));
+            }
+        }
+        for (col, idx) in seeds.ordered {
+            if ti.ordered.insert(col, idx).is_some() {
+                return Err(exists("ordered", col));
+            }
+        }
+        drop(indexes);
+        self.bump_ddl_gen();
+        Ok(())
+    }
+
+    fn build_spatial_index(
+        &self,
+        table: &str,
+        col: usize,
+        items: Vec<(Envelope, RowId)>,
+    ) -> SpatialIdx {
+        if self.profile.uses_grid_index() {
+            let mut extent = Envelope::EMPTY;
+            for (e, _) in &items {
+                extent.expand_to_include(e);
+            }
             let cells = ((items.len() as f64).sqrt().ceil() as usize).clamp(16, 256);
             let extent = if extent.is_empty() {
                 Envelope::new(0.0, 0.0, 1.0, 1.0)
@@ -1044,65 +1172,7 @@ impl SpatialDb {
                 tree.spill_leaves();
             }
             SpatialIdx::Rtree(tree)
-        };
-
-        let mut indexes = self.indexes.write();
-        let ti = indexes.entry(table.to_ascii_lowercase()).or_default();
-        if ti.spatial.insert(col, idx).is_some() {
-            return Err(EngineError::Index(format!(
-                "spatial index on '{table}.{column}' already exists"
-            )));
         }
-        drop(indexes);
-        self.bump_ddl_gen();
-        if let Some(d) = durability.as_ref() {
-            d.wal.append(&WalRecord::CreateSpatialIndex {
-                table: table.to_string(),
-                column: column.to_string(),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Builds an ordered (attribute) index on an integer or text column.
-    pub fn create_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        let durability = self.durability.read();
-        let (_txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Ddl, waited);
-        let t = self.catalog.table(table)?;
-        let col = t.schema().column_index(column)?;
-        match t.schema().columns()[col].ty {
-            DataType::Int | DataType::Text => {}
-            other => {
-                return Err(EngineError::Index(format!(
-                    "ordered index unsupported on {} column '{column}'",
-                    other.sql_name()
-                )))
-            }
-        }
-        let mut idx: OrderedIndex<Key, RowId> = OrderedIndex::new();
-        // Include logically-deleted rows; see create_spatial_index.
-        t.heap.scan_any(|id, row| {
-            if let Some(k) = row.get(col).and_then(Key::from_value) {
-                idx.insert(k, id);
-            }
-        })?;
-        let mut indexes = self.indexes.write();
-        let ti = indexes.entry(table.to_ascii_lowercase()).or_default();
-        if ti.ordered.insert(col, idx).is_some() {
-            return Err(EngineError::Index(format!(
-                "ordered index on '{table}.{column}' already exists"
-            )));
-        }
-        drop(indexes);
-        self.bump_ddl_gen();
-        if let Some(d) = durability.as_ref() {
-            d.wal.append(&WalRecord::CreateOrderedIndex {
-                table: table.to_string(),
-                column: column.to_string(),
-            })?;
-        }
-        Ok(())
     }
 
     /// Drops the spatial index on `table.column`. Errors if no such
@@ -1762,10 +1832,7 @@ impl SpatialDb {
                     if bounded {
                         if !tree.has_pager() {
                             let file = pool.register(&leaf_file_name(tname, *col));
-                            tree.attach_pager(Arc::new(PoolLeafPager {
-                                pool: pool.clone(),
-                                file,
-                            }));
+                            tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file }));
                         }
                         tree.spill_leaves();
                     } else {
@@ -1948,7 +2015,9 @@ impl CatalogProvider for DbCatalogAdapter {
         }
         let table = self.db.catalog.table(name).map_err(SqlError::from)?;
         Ok(Arc::new(DbTableAdapter {
-            db: self.db.clone(),
+            metrics: self.db.metrics.clone(),
+            indexes: self.db.indexes.clone(),
+            commit_gen: self.db.commit_gen.clone(),
             key: name.to_ascii_lowercase(),
             table,
             pinned: None,
@@ -1956,8 +2025,13 @@ impl CatalogProvider for DbCatalogAdapter {
     }
 }
 
+/// One table as the planner and executor see it. Plans holding these
+/// sit in the engine's plan cache, so an adapter shares the parts of the
+/// engine it reads — never the engine (see [`SpatialDb`]'s `indexes`).
 struct DbTableAdapter {
-    db: Arc<SpatialDb>,
+    metrics: Arc<EngineMetrics>,
+    indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
+    commit_gen: Arc<AtomicU64>,
     key: String,
     table: Arc<Table>,
     /// When set, every read observes exactly the rows visible at this
@@ -1972,7 +2046,7 @@ impl DbTableAdapter {
     fn gen(&self) -> u64 {
         match &self.pinned {
             Some(s) => s.generation(),
-            None => self.db.commit_gen.load(Ordering::Acquire),
+            None => self.commit_gen.load(Ordering::Acquire),
         }
     }
 }
@@ -1987,7 +2061,7 @@ impl TableProvider for DbTableAdapter {
     }
 
     fn fetch(&self, id: RowId) -> jackpine_sqlmini::Result<Arc<Row>> {
-        self.db.metrics.heap_rows_fetched.incr();
+        self.metrics.heap_rows_fetched.incr();
         self.table.heap.get(id).map_err(SqlError::from)
     }
 
@@ -1995,10 +2069,10 @@ impl TableProvider for DbTableAdapter {
         // Epoch before the probe: a vacuum racing the probe must be
         // visible to the visibility filter below.
         let epoch = self.table.heap.reclaim_epoch();
-        let indexes = self.db.indexes.read();
+        let indexes = self.indexes.read();
         let ti = indexes.get(&self.key)?;
         let (mut ids, stats) = ti.spatial.get(&col)?.window_probe(env);
-        let m = &self.db.metrics;
+        let m = &self.metrics;
         m.index_probes.incr();
         m.index_candidates.add(stats.candidates);
         m.index_nodes_visited.add(stats.nodes_visited);
@@ -2012,12 +2086,12 @@ impl TableProvider for DbTableAdapter {
 
     fn ordered_candidates(&self, col: usize, key: &Value) -> Option<Vec<RowId>> {
         let epoch = self.table.heap.reclaim_epoch();
-        let indexes = self.db.indexes.read();
+        let indexes = self.indexes.read();
         let ti = indexes.get(&self.key)?;
         let idx = ti.ordered.get(&col)?;
         let k = Key::from_value(key)?;
         let mut ids = idx.get(&k).to_vec();
-        let m = &self.db.metrics;
+        let m = &self.metrics;
         m.index_probes.incr();
         m.index_candidates.add(ids.len() as u64);
         self.table.heap.retain_visible(&mut ids, self.gen(), epoch);
@@ -2026,10 +2100,10 @@ impl TableProvider for DbTableAdapter {
 
     fn nearest(&self, col: usize, query: Coord, k: usize) -> Option<Vec<RowId>> {
         let gen = self.gen();
-        let indexes = self.db.indexes.read();
+        let indexes = self.indexes.read();
         let ti = indexes.get(&self.key)?;
         let idx = ti.spatial.get(&col)?;
-        let m = &self.db.metrics;
+        let m = &self.metrics;
         // The index can surface rows this snapshot cannot see; when the
         // visible set comes up short of k, re-probe with a doubled
         // budget until it fills or the index is exhausted. Visibility
@@ -2054,7 +2128,9 @@ impl TableProvider for DbTableAdapter {
 
     fn pin_snapshot(&self, snap: &Arc<dyn SnapshotHandle>) -> Option<Arc<dyn TableProvider>> {
         Some(Arc::new(DbTableAdapter {
-            db: self.db.clone(),
+            metrics: self.metrics.clone(),
+            indexes: self.indexes.clone(),
+            commit_gen: self.commit_gen.clone(),
             key: self.key.clone(),
             table: self.table.clone(),
             pinned: Some(snap.clone()),
@@ -2522,6 +2598,44 @@ mod plan_cache_tests {
         let (h1, _) = db.plan_cache_stats();
         assert_eq!(r1, r2);
         assert_eq!(h1, h0 + 1, "second execution must hit the cache");
+    }
+
+    #[test]
+    fn an_engine_that_ran_cached_selects_is_freed_on_drop() {
+        // Regression: cached plans held table adapters that held the
+        // engine, so one cached SELECT kept it alive for the life of the
+        // process — heaps, WAL handle, spill files and all.
+        let spill = std::env::temp_dir().join(format!("jackpine-leak-{}", std::process::id()));
+        std::fs::remove_dir_all(&spill).ok();
+        std::fs::create_dir_all(&spill).unwrap();
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE g (id BIGINT, pad TEXT, geom GEOMETRY)").unwrap();
+        db.table("g").unwrap().heap.pool().set_spill_dir(Some(spill.clone()));
+        db.set_pool_bytes(2 * jackpine_storage::PAGE_SIZE);
+        let pad = "x".repeat(900);
+        for i in 0..40 {
+            db.execute(&format!(
+                "INSERT INTO g VALUES ({i}, '{pad}', ST_GeomFromText('POINT ({i} {i})'))"
+            ))
+            .unwrap();
+        }
+        db.create_spatial_index("g", "geom").unwrap();
+        let window = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
+                      ST_MakeEnvelope(0, 0, 9.5, 9.5))";
+        for _ in 0..2 {
+            assert_eq!(db.execute(window).unwrap().scalar().unwrap().to_string(), "10");
+        }
+        assert!(db.plan_cache_stats().0 >= 1, "the plan is cached and was hit");
+        db.execute(&format!("EXPLAIN ANALYZE {window}")).unwrap();
+        db.execute("SELECT COUNT(*) FROM g").unwrap();
+        db.execute("SELECT name, value FROM jp_metrics").unwrap();
+        assert!(std::fs::read_dir(&spill).unwrap().count() > 0, "two frames must spill");
+
+        let weak = Arc::downgrade(&db);
+        drop(db);
+        assert!(weak.upgrade().is_none(), "something still holds the engine");
+        assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0, "spill files outlived it");
+        std::fs::remove_dir_all(&spill).ok();
     }
 
     #[test]

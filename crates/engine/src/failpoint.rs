@@ -9,7 +9,7 @@
 //! back with either the pre-crash or the post-crash consistent state —
 //! never a panic, an OOM-sized allocation, or a silently short table.
 
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 
 /// The fault a [`FailpointFile`] injects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,6 +94,16 @@ impl<W: Write> Write for FailpointFile<W> {
     }
 }
 
+/// Seeking moves the inner writer and nothing else: fault offsets count
+/// bytes in the order they are *written*, so a header field the snapshot
+/// writer patches after seeking back is the tail of the stream, and a
+/// crash can be injected into the patch like anywhere else.
+impl<W: Write + Seek> Seek for FailpointFile<W> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
 /// Convenience for tests: the result of pushing `bytes` through a
 /// failpoint into an in-memory buffer — the exact content a real file
 /// would hold after the fault.
@@ -128,6 +138,26 @@ mod tests {
         assert_eq!(got.len(), 32);
         assert_eq!(got[9], 1 << 3);
         assert!(got.iter().enumerate().all(|(i, &b)| i == 9 || b == 0));
+    }
+
+    #[test]
+    fn faults_count_bytes_in_write_order_across_a_seek() {
+        // Eight bytes, then a two-byte patch at offset 2: the patch is
+        // stream bytes 8 and 9, wherever it lands in the file.
+        let run = |failpoint| {
+            let mut fp = FailpointFile::new(std::io::Cursor::new(Vec::new()), failpoint);
+            let result = fp
+                .write_all(&[0u8; 8])
+                .and_then(|()| fp.seek(SeekFrom::Start(2)).map(|_| ()))
+                .and_then(|()| fp.write_all(&[7, 7]));
+            (result.is_ok(), fp.into_inner().into_inner())
+        };
+        assert_eq!(run(Failpoint::Truncate { offset: 9 }), (false, vec![0, 0, 7, 0, 0, 0, 0, 0]));
+        assert_eq!(run(Failpoint::Truncate { offset: 10 }), (true, vec![0, 0, 7, 7, 0, 0, 0, 0]));
+        assert_eq!(
+            run(Failpoint::BitFlip { offset: 9, bit: 0 }),
+            (true, vec![0, 0, 7, 6, 0, 0, 0, 0])
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Database persistence: save a [`SpatialDb`] to a single file and open
-//! it again, rebuilding indexes.
+//! Database persistence: one streaming writer that saves a [`SpatialDb`]
+//! to a single file and one streaming reader that opens it again,
+//! rebuilding indexes.
 //!
 //! Format v4 (all little-endian):
 //!
@@ -19,68 +20,75 @@
 //!   per row: page u32 | slot u32 | u32 len + row bytes (the heap codec)
 //! ```
 //!
-//! v4 records each row's heap address (`RowId`) and reload places rows
-//! back into their original slots, so row ids are **stable across
-//! recovery** — the property WAL v4's `InsertAt`/`DeleteId` records
-//! rely on. v3 blocks are identical except that rows carry no address
-//! and are re-appended in scan order on load.
+//! Each row carries its heap address (`RowId`) and reload places it back
+//! into its original slot, so row ids are **stable across recovery** —
+//! the property the WAL's `InsertAt`/`DeleteId` records rely on. Indexes
+//! are stored as *definitions* and rebuilt on open (bulk loads are fast
+//! and the format stays independent of index internals).
 //!
-//! Durability rules:
+//! **The writer** ([`SpatialDb::snapshot_to`]; `save`, `checkpoint`,
+//! `set_durability`, `open_durable` and `snapshot_bytes` all go through
+//! it) never holds the image. It first fixes each table's row set
+//! (`HeapFile::row_ids`: latest committed state; rows awaiting vacuum are
+//! skipped, so truncating their pending WAL `DeleteId` records at the
+//! same cut is harmless) and sizes every block from the pages' slot
+//! directories: each count and length is written in place and equals
+//! what is streamed, whatever inserts run beside it. Then it copies each
+//! tuple straight out of its pinned heap page — a page holds exactly
+//! `Value::encode_row`, so nothing is decoded, re-encoded or cached —
+//! through a fixed buffer into the sink, folding the bytes into the block
+//! and file checksums as they pass. The file checksum sits in the header,
+//! in front of the bytes it covers: it alone is patched by a seek when
+//! the stream ends. Memory: the buffer plus the id lists (8 bytes a row).
 //!
-//! * **Atomic replacement** — [`SpatialDb::save`] writes to a uniquely
-//!   named temp sibling, fsyncs it, then renames over the destination
-//!   (and fsyncs the directory). A crash at any point leaves either the
-//!   old file or the new one, never a torn hybrid; concurrent saves to
-//!   the same path never share a temp file.
-//! * **Checksums** — the header carries a CRC32 of its own fields plus
-//!   the whole body, and each table block carries its own;
-//!   [`SpatialDb::open`] verifies both before trusting a byte, so
-//!   truncation and bit rot surface as [`EngineError::Persist`], never
-//!   as a panic or a silently short table.
+//! **The reader** ([`SpatialDb::open_from`]; `open`, `open_bytes` and
+//! `open_durable` go through it) mirrors it: a buffered stream, checksums
+//! folded as the bytes pass, each row decoded once and handed to the heap
+//! with the tuple bytes it came from. Memory: the buffer plus the largest
+//! row. Rows are thus parsed *before* their checksum is known. That is
+//! safe because every length is checked against the bytes its block has
+//! left, buffers grow only as bytes arrive, counts clamp their
+//! `with_capacity`, nothing sweeps the heap before the block checksum
+//! matched, every decode or placement error becomes
+//! [`EngineError::Persist`], and the half-built engine is dropped unless
+//! every block checksum, the file checksum and the exact body length
+//! check out — truncation and bit rot never panic, never allocate
+//! gigabytes and never load a silently short table.
+//!
+//! * **Atomic replacement** — [`SpatialDb::save`] streams into a uniquely
+//!   named temp sibling, fsyncs it, renames it over the destination and
+//!   fsyncs the directory. A crash at any point, the checksum patch
+//!   included, leaves the old file or the new one, never a hybrid;
+//!   concurrent saves to one path never share a temp file.
 //! * **Generations** — the header's generation number ties the snapshot
 //!   to the write-ahead log cut against it (the WAL header stores the
-//!   same value). Recovery replays a WAL only when the generations
-//!   match, so a crash between a checkpoint's snapshot rename and its
-//!   log truncation can never replay stale records over the new
-//!   snapshot.
-//! * **Consistent counts** — row payloads are streamed into the block
-//!   first and the row count written from what was actually streamed, so
-//!   a concurrent insert cannot produce a count/payload mismatch. The
-//!   stream walks the latest committed state only: logically-deleted
-//!   rows awaiting vacuum are skipped, so truncating their pending WAL
-//!   `Delete` records at the same cut is harmless — the snapshot never
-//!   contained the victims, and recovery cannot resurrect them. (The
-//!   checkpoint holds the writer lock, so no statement is mid-publish.)
-//! * **Bounded allocation** — every `with_capacity` on a count read from
-//!   the file is clamped by the bytes remaining, so a corrupt count
-//!   cannot pre-allocate gigabytes before validation catches it.
-//!
-//! Version-1 (no checksums) and version-2 (no generation) files are
-//! still readable. Indexes are stored
-//! as *definitions* and rebuilt on open (bulk loads are fast and this
-//! keeps the file format independent of index internals — the same
-//! trade-off SQLite's `REINDEX`-on-restore makes).
+//!   same value). Recovery replays a WAL only when the two match, so a
+//!   crash between a checkpoint's snapshot rename and its log truncation
+//!   can never replay stale records over the new snapshot.
 
-use crate::checksum::{crc32, Crc32};
+use crate::checksum::Crc32;
+use crate::db::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
-use jackpine_storage::{ColumnDef, DataType, Value};
-use std::io::{Read, Write};
+use jackpine_storage::{ColumnDef, DataType, RowId, Table, Value};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"JKPN";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
-const VERSION_V3: u32 = 3;
 const VERSION: u32 = 4;
-/// v3/v4: profile + generation + table count + body len (the header
-/// bytes the file checksum covers).
+/// Profile + generation + table count + body len (the header bytes the
+/// file checksum covers).
 const META_LEN: usize = 1 + 8 + 4 + 8;
-/// v3/v4: magic + version + covered meta + file crc.
+/// Magic + version + covered meta + file crc.
 const HEADER_LEN: usize = 4 + 4 + META_LEN + 4;
-/// v2: magic + version + profile + table count + body len + body crc.
-const HEADER_LEN_V2: usize = 4 + 4 + 1 + 4 + 8 + 4;
+/// Where the file crc sits.
+const CRC_OFFSET: usize = HEADER_LEN - 4;
+/// Per row in front of its tuple: page u32 + slot u32 + len u32.
+const ROW_HEAD_LEN: usize = 12;
+/// The writer's and the reader's stream buffer, and the step by which
+/// the reader's row buffer grows towards a length it read from the file.
+const BUF_LEN: usize = 64 * 1024;
 
 fn io_err(e: std::io::Error) -> EngineError {
     EngineError::Persist(format!("persistence I/O: {e}"))
@@ -131,142 +139,168 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(data: &mut &[u8]) -> Result<String> {
-    if data.remaining() < 4 {
-        return Err(corrupt("truncated string length"));
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() < len {
-        return Err(corrupt("truncated string payload"));
-    }
-    let s = std::str::from_utf8(&data[..len]).map_err(|_| corrupt("invalid UTF-8"))?.to_string();
-    data.advance(len);
-    Ok(s)
+/// One table as the writer fixed it before the first byte went out.
+struct Block {
+    table: Arc<Table>,
+    /// Name, columns, index definitions and row count, encoded.
+    head: Vec<u8>,
+    /// The rows that will be streamed, in storage order.
+    ids: Vec<RowId>,
+    /// Encoded length of the whole block: head plus every framed row.
+    len: u64,
 }
 
-/// Writes `bytes` to `path` atomically: temp sibling, fsync, rename,
-/// directory fsync. Readers of `path` see either the old content or the
-/// new content, whatever the crash timing. The temp name is unique per
-/// call (pid + counter), so concurrent saves to the same path each
-/// stage a private file and the last complete rename wins — two writers
-/// can never interleave into one temp image.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
-    static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        // The rename must not be reordered before the data reaches disk.
-        if let Err(e) = f.write_all(bytes).and_then(|_| f.sync_all()) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(io_err(e));
-        }
+/// The writer's output side: a fixed buffer in front of the sink and the
+/// two checksums the bytes are folded into as they pass.
+struct Sink<W: Write> {
+    out: BufWriter<W>,
+    file_crc: Crc32,
+    block_crc: Crc32,
+}
+
+impl<W: Write> Sink<W> {
+    /// Body bytes around a block (its length prefix, its checksum): the
+    /// file checksum covers them, the block's does not.
+    fn framing(&mut self, bytes: &[u8]) -> Result<()> {
+        self.file_crc.update(bytes);
+        self.out.write_all(bytes).map_err(io_err)
     }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(io_err(e));
+
+    /// Bytes of a block.
+    fn block(&mut self, bytes: &[u8]) -> Result<()> {
+        self.block_crc.update(bytes);
+        self.framing(bytes)
     }
-    // Persist the rename itself. Directory fsync is not supported on
-    // every platform/filesystem; failure to sync is not failure to save.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 impl SpatialDb {
     /// Serializes every table (schema, index definitions, rows) to the
-    /// complete format-v3 byte image, checksums included, at generation
+    /// complete format-v4 byte image, checksums included, at generation
     /// 0 (the standalone-snapshot generation; checkpoints stamp real
-    /// ones via [`SpatialDb::snapshot_bytes_gen`]).
+    /// ones). The in-memory sink of [`SpatialDb::snapshot_to`].
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
-        self.snapshot_bytes_gen(0)
+        let mut image = std::io::Cursor::new(Vec::new());
+        self.snapshot_to(&mut image)?;
+        Ok(image.into_inner())
     }
 
-    /// [`SpatialDb::snapshot_bytes`] with an explicit generation stamp.
-    pub(crate) fn snapshot_bytes_gen(&self, generation: u64) -> Result<Vec<u8>> {
-        let names = self.table_names();
-        let mut body: Vec<u8> = Vec::with_capacity(1 << 16);
-        for name in &names {
-            let table = self.table(name)?;
-            let schema = table.schema().clone();
-            let mut block: Vec<u8> = Vec::with_capacity(1 << 12);
-            put_str(&mut block, &table.name);
-            block.put_u32_le(schema.arity() as u32);
-            for col in schema.columns() {
-                put_str(&mut block, &col.name);
-                block.put_u8(type_tag(col.ty));
-            }
-            let (spatial_cols, ordered_cols) = self.index_definitions(name);
-            block.put_u32_le(spatial_cols.len() as u32);
-            for c in spatial_cols {
-                block.put_u32_le(c as u32);
-            }
-            block.put_u32_le(ordered_cols.len() as u32);
-            for c in ordered_cols {
-                block.put_u32_le(c as u32);
-            }
+    /// Streams the format-v4 image at generation 0 into `sink` — what
+    /// [`SpatialDb::save`] does to its temp file, for callers (and fault
+    /// injectors) that bring their own sink. The sink needs `Seek` for
+    /// one patch: the file checksum in the header, written last.
+    pub fn snapshot_to(&self, sink: impl Write + Seek) -> Result<()> {
+        self.snapshot_to_gen(sink, 0)
+    }
 
-            // One consistent view: stream the rows first, then write the
-            // count of rows actually streamed. Reading `heap.len()` up
-            // front would race with concurrent inserts and produce a
-            // file that `open()` must reject.
-            let mut rows_buf: Vec<u8> = Vec::with_capacity(1 << 12);
-            let mut nrows: u64 = 0;
-            table.heap.scan(|id, row| {
-                let bytes = Value::encode_row(row);
-                rows_buf.put_u32_le(id.page);
-                rows_buf.put_u32_le(u32::from(id.slot));
-                rows_buf.put_u32_le(bytes.len() as u32);
-                rows_buf.put_slice(&bytes);
-                nrows += 1;
+    /// [`SpatialDb::snapshot_to`] with an explicit generation stamp.
+    fn snapshot_to_gen(&self, sink: impl Write + Seek, generation: u64) -> Result<()> {
+        // Fix every table's row set and size its block (slot directories
+        // only): what is written below is then what is streamed.
+        let mut blocks = Vec::new();
+        for name in self.table_names() {
+            let table = self.table(&name)?;
+            let mut head: Vec<u8> = Vec::with_capacity(256);
+            put_str(&mut head, &table.name);
+            head.put_u32_le(table.schema().arity() as u32);
+            for col in table.schema().columns() {
+                put_str(&mut head, &col.name);
+                head.put_u8(type_tag(col.ty));
+            }
+            let (spatial_cols, ordered_cols) = self.index_definitions(&name);
+            for cols in [spatial_cols, ordered_cols] {
+                head.put_u32_le(cols.len() as u32);
+                for c in cols {
+                    head.put_u32_le(c as u32);
+                }
+            }
+            let ids = table.heap.row_ids();
+            head.put_u64_le(ids.len() as u64);
+            let mut len = (head.len() + ROW_HEAD_LEN * ids.len()) as u64;
+            table.heap.scan_tuples(&ids, |_, tuple| {
+                len += tuple.len() as u64;
+                Ok::<(), EngineError>(())
             })?;
-            block.put_u64_le(nrows);
-            block.put_slice(&rows_buf);
-
-            body.put_u32_le(block.len() as u32);
-            let block_crc = crc32(&block);
-            body.put_slice(&block);
-            body.put_u32_le(block_crc);
+            blocks.push(Block { table, head, ids, len });
         }
 
-        // The file checksum covers the header's own fields (profile,
-        // generation, counts) as well as the body, so a bit flip
-        // anywhere in the file is detected.
         let mut meta: Vec<u8> = Vec::with_capacity(META_LEN);
         meta.put_u8(profile_tag(self.profile()));
         meta.put_u64_le(generation);
-        meta.put_u32_le(names.len() as u32);
-        meta.put_u64_le(body.len() as u64);
-        let mut crc = Crc32::new();
-        crc.update(&meta);
-        crc.update(&body);
+        meta.put_u32_le(blocks.len() as u32);
+        meta.put_u64_le(blocks.iter().map(|b| 4 + b.len + 4).sum());
+        let mut sink = Sink {
+            out: BufWriter::with_capacity(BUF_LEN, sink),
+            file_crc: Crc32::new(),
+            block_crc: Crc32::new(),
+        };
+        sink.out.write_all(MAGIC).map_err(io_err)?;
+        sink.out.write_all(&VERSION.to_le_bytes()).map_err(io_err)?;
+        sink.framing(&meta)?;
+        sink.out.write_all(&[0; 4]).map_err(io_err)?; // the file crc, patched below
 
-        let mut out: Vec<u8> = Vec::with_capacity(HEADER_LEN + body.len());
-        out.put_slice(MAGIC);
-        out.put_u32_le(VERSION);
-        out.put_slice(&meta);
-        out.put_u32_le(crc.finish());
-        out.put_slice(&body);
-        Ok(out)
+        for b in &blocks {
+            let len = u32::try_from(b.len)
+                .map_err(|_| corrupt(&format!("table '{}' exceeds 4 GiB", b.table.name)))?;
+            sink.framing(&len.to_le_bytes())?;
+            sink.block_crc = Crc32::new();
+            sink.block(&b.head)?;
+            b.table.heap.scan_tuples(&b.ids, |id, tuple| {
+                let mut row_head = [0u8; ROW_HEAD_LEN];
+                row_head[..4].copy_from_slice(&id.page.to_le_bytes());
+                row_head[4..8].copy_from_slice(&u32::from(id.slot).to_le_bytes());
+                row_head[8..].copy_from_slice(&(tuple.len() as u32).to_le_bytes());
+                sink.block(&row_head)?;
+                sink.block(tuple)
+            })?;
+            let block_crc = sink.block_crc.finish();
+            sink.framing(&block_crc.to_le_bytes())?;
+        }
+
+        let file_crc = sink.file_crc.finish();
+        sink.out.seek(SeekFrom::Start(CRC_OFFSET as u64)).map_err(io_err)?;
+        sink.out.write_all(&file_crc.to_le_bytes()).map_err(io_err)?;
+        sink.out.flush().map_err(io_err)
     }
 
-    /// Serializes every table to `path`, atomically: the bytes go to a
-    /// uniquely named temp sibling, are fsynced, and are renamed into
+    /// Serializes every table to `path`, atomically: the bytes stream to
+    /// a uniquely named temp sibling, are fsynced, and are renamed into
     /// place. A crash mid-save leaves the previous file untouched.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         self.save_gen(path, 0)
     }
 
     /// [`SpatialDb::save`] with an explicit generation stamp (used by
-    /// checkpoints to tie the snapshot to the WAL cut against it).
+    /// checkpoints to tie the snapshot to the WAL cut against it). The
+    /// temp name is unique per call (pid + counter), so concurrent saves
+    /// to the same path each stage a private file and the last complete
+    /// rename wins — two writers can never interleave into one image.
     pub(crate) fn save_gen(&self, path: impl AsRef<Path>, generation: u64) -> Result<()> {
-        let bytes = self.snapshot_bytes_gen(generation)?;
-        atomic_write(path.as_ref(), &bytes)
+        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let path = path.as_ref();
+        let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
+        let tmp = std::path::PathBuf::from(tmp);
+        let staged = std::fs::File::create(&tmp)
+            .map_err(io_err)
+            .and_then(|file| {
+                self.snapshot_to_gen(&file, generation)?;
+                // The rename must not be reordered before the data reaches disk.
+                file.sync_all().map_err(io_err)
+            })
+            .and_then(|()| std::fs::rename(&tmp, path).map_err(io_err));
+        if staged.is_err() {
+            std::fs::remove_file(&tmp).ok();
+            return staged;
+        }
+        // Persist the rename itself. Directory fsync is not supported on
+        // every platform/filesystem; failure to sync is not failure to save.
+        if let Some(dir) = path.parent() {
+            if let Ok(d) = std::fs::File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
     }
 
     /// Opens a database saved with [`SpatialDb::save`], verifying
@@ -278,268 +312,232 @@ impl SpatialDb {
         Self::open_gen(path).map(|(db, _)| db)
     }
 
-    /// Opens a snapshot file, also returning its generation stamp (0 for
-    /// v1/v2 files, which predate generations).
+    /// Opens a snapshot file, also returning its generation stamp.
     pub(crate) fn open_gen(path: impl AsRef<Path>) -> Result<(Arc<SpatialDb>, u64)> {
-        let mut raw = Vec::new();
-        std::fs::File::open(path).map_err(io_err)?.read_to_end(&mut raw).map_err(io_err)?;
-        Self::open_bytes_gen(&raw)
+        Self::open_from_gen(std::fs::File::open(path).map_err(io_err)?)
     }
 
     /// Opens a database from an in-memory snapshot image (the content of
     /// a [`SpatialDb::save`] file).
     pub fn open_bytes(raw: &[u8]) -> Result<Arc<SpatialDb>> {
-        Self::open_bytes_gen(raw).map(|(db, _)| db)
+        Self::open_from(raw)
     }
 
-    /// [`SpatialDb::open_bytes`], also returning the generation stamp.
-    pub(crate) fn open_bytes_gen(raw: &[u8]) -> Result<(Arc<SpatialDb>, u64)> {
-        let mut data: &[u8] = raw;
-        if data.remaining() < 9 || &data[..4] != MAGIC {
+    /// Opens a database from any byte stream holding a snapshot image,
+    /// which must end where the image ends. The engine is returned only
+    /// after every block checksum, the file checksum and the exact body
+    /// length have checked out.
+    pub fn open_from(source: impl Read) -> Result<Arc<SpatialDb>> {
+        Self::open_from_gen(source).map(|(db, _)| db)
+    }
+
+    /// [`SpatialDb::open_from`], also returning the generation stamp.
+    fn open_from_gen(source: impl Read) -> Result<(Arc<SpatialDb>, u64)> {
+        let mut src = Source {
+            inp: BufReader::with_capacity(BUF_LEN, source),
+            file_crc: Crc32::new(),
+            block_crc: Crc32::new(),
+            left: HEADER_LEN as u64,
+        };
+        // Whatever a flipped bit makes of a row parsed before its checksum
+        // — undecodable, misfit, its slot taken — is corruption of this
+        // file, not a storage or SQL error of the caller's.
+        src.load().map_err(|e| match e {
+            EngineError::Persist(_) => e,
+            other => corrupt(&format!("unloadable snapshot: {other}")),
+        })
+    }
+
+    /// The generation stamp of the snapshot at `path`, without loading
+    /// its tables. Best effort: a missing or unreadable file reports
+    /// generation 0.
+    pub(crate) fn peek_snapshot_generation(path: impl AsRef<Path>) -> u64 {
+        let mut head = [0u8; 4 + 4 + 1 + 8];
+        let read = std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut head));
+        if read.is_err() || &head[..4] != MAGIC || head[4..8] != VERSION.to_le_bytes() {
+            return 0;
+        }
+        u64::from_le_bytes(head[9..].try_into().expect("eight bytes"))
+    }
+}
+
+/// The reader's input side: a fixed buffer behind the source, the two
+/// checksums, and how many bytes the enclosing length field (the header,
+/// the body, a table block) still allows to be taken.
+struct Source<R: Read> {
+    inp: BufReader<R>,
+    file_crc: Crc32,
+    block_crc: Crc32,
+    left: u64,
+}
+
+impl<R: Read> Source<R> {
+    /// Fills `buf` from the stream, folding it into both checksums.
+    fn take(&mut self, buf: &mut [u8]) -> Result<()> {
+        if buf.len() as u64 > self.left {
+            return Err(corrupt("a field runs past the end of its block"));
+        }
+        self.inp.read_exact(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => corrupt("truncated file"),
+            _ => io_err(e),
+        })?;
+        self.left -= buf.len() as u64;
+        self.file_crc.update(buf);
+        self.block_crc.update(buf);
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut b = [0u8; N];
+        self.take(&mut b)?;
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads `len` bytes into `buf`, replacing its content. `len` comes
+    /// from the file and may be garbage: it is checked against what the
+    /// block has left, and the buffer grows a step at a time as bytes
+    /// actually arrive, so it can never outgrow the source.
+    fn bytes(&mut self, len: usize, buf: &mut Vec<u8>) -> Result<()> {
+        if len as u64 > self.left {
+            return Err(corrupt("a field runs past the end of its block"));
+        }
+        buf.clear();
+        while buf.len() < len {
+            let at = buf.len();
+            buf.resize(len.min(at + BUF_LEN), 0);
+            self.take(&mut buf[at..])?;
+        }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<String> {
+        let len = self.u32()? as usize;
+        let mut buf = Vec::new();
+        self.bytes(len, &mut buf)?;
+        String::from_utf8(buf).map_err(|_| corrupt("invalid UTF-8"))
+    }
+
+    /// Reads a whole image: header, `table count` checksummed blocks,
+    /// and nothing after them.
+    fn load(&mut self) -> Result<(Arc<SpatialDb>, u64)> {
+        let head: [u8; HEADER_LEN] = self.array()?;
+        let mut data: &[u8] = &head;
+        if &data[..4] != MAGIC {
             return Err(corrupt("bad magic"));
         }
         data.advance(4);
         let version = data.get_u32_le();
-        match version {
-            VERSION_V1 => Ok((Self::open_v1(data)?, 0)),
-            VERSION_V2 => Ok((Self::open_v2(data)?, 0)),
-            VERSION_V3 => Self::open_v34(data, false),
-            VERSION => Self::open_v34(data, true),
-            other => Err(corrupt(&format!("unsupported version {other}"))),
+        if version != VERSION {
+            return Err(corrupt(&format!("unsupported version {version}")));
         }
-    }
-
-    /// The generation stamp of the snapshot at `path`, without loading
-    /// its tables. Best effort: a missing, legacy, or unreadable file
-    /// reports generation 0.
-    pub(crate) fn peek_snapshot_generation(path: impl AsRef<Path>) -> u64 {
-        let mut head = [0u8; 4 + 4 + 1 + 8];
-        let Ok(mut f) = std::fs::File::open(path) else { return 0 };
-        if f.read_exact(&mut head).is_err() {
-            return 0;
-        }
-        let mut data: &[u8] = &head;
-        if &data[..4] != MAGIC {
-            return 0;
-        }
-        data.advance(4);
-        if !(VERSION_V3..=VERSION).contains(&data.get_u32_le()) {
-            return 0;
-        }
-        data.advance(1); // profile
-        data.get_u64_le()
-    }
-
-    /// Formats v3 and v4: generation-stamped header whose checksum
-    /// covers both the header fields and the framed table blocks. v4
-    /// rows carry their heap address (`with_ids`).
-    fn open_v34(mut data: &[u8], with_ids: bool) -> Result<(Arc<SpatialDb>, u64)> {
-        if data.remaining() < HEADER_LEN - 8 {
-            return Err(corrupt("truncated header"));
-        }
-        let meta = &data[..META_LEN];
+        // The file checksum covers the header's own fields (profile,
+        // generation, counts) as well as the body, so a bit flip
+        // anywhere in the file is detected.
+        self.file_crc = Crc32::new();
+        self.file_crc.update(&data[..META_LEN]);
         let profile = tag_profile(data.get_u8()).ok_or_else(|| corrupt("unknown profile tag"))?;
         let generation = data.get_u64_le();
         let ntables = data.get_u32_le();
         let body_len = data.get_u64_le();
         let file_crc = data.get_u32_le();
-        // The byte count is exact: truncation and appended garbage both
-        // fail here, before any content is inspected.
-        if data.remaining() as u64 != body_len {
-            return Err(corrupt(&format!(
-                "body length mismatch: header says {body_len}, file holds {}",
-                data.remaining()
-            )));
-        }
-        let mut crc = Crc32::new();
-        crc.update(meta);
-        crc.update(data);
-        if crc.finish() != file_crc {
-            return Err(corrupt("file checksum mismatch"));
-        }
-        Ok((Self::load_blocks(data, profile, ntables, with_ids)?, generation))
-    }
 
-    /// Format v2: checksummed header + framed table blocks, no
-    /// generation (the body checksum does not cover the header fields).
-    fn open_v2(mut data: &[u8]) -> Result<Arc<SpatialDb>> {
-        if data.remaining() < HEADER_LEN_V2 - 8 {
-            return Err(corrupt("truncated header"));
-        }
-        let profile = tag_profile(data.get_u8()).ok_or_else(|| corrupt("unknown profile tag"))?;
-        let ntables = data.get_u32_le();
-        let body_len = data.get_u64_le();
-        let body_crc = data.get_u32_le();
-        if data.remaining() as u64 != body_len {
-            return Err(corrupt(&format!(
-                "body length mismatch: header says {body_len}, file holds {}",
-                data.remaining()
-            )));
-        }
-        if crc32(data) != body_crc {
-            return Err(corrupt("file checksum mismatch"));
-        }
-        Self::load_blocks(data, profile, ntables, false)
-    }
-
-    /// Parses `ntables` checksummed table blocks (the v2/v3/v4 body).
-    fn load_blocks(
-        mut data: &[u8],
-        profile: EngineProfile,
-        ntables: u32,
-        with_ids: bool,
-    ) -> Result<Arc<SpatialDb>> {
         let db = Arc::new(SpatialDb::new(profile));
+        self.left = body_len;
         for _ in 0..ntables {
-            if data.remaining() < 4 {
-                return Err(corrupt("truncated table block length"));
-            }
-            let block_len = data.get_u32_le() as usize;
-            if data.remaining() < block_len + 4 {
-                return Err(corrupt("truncated table block"));
-            }
-            let block = &data[..block_len];
-            data.advance(block_len);
-            let want_crc = data.get_u32_le();
-            if crc32(block) != want_crc {
-                return Err(corrupt("table block checksum mismatch"));
-            }
-            let mut cursor = block;
-            load_table(&db, &mut cursor, with_ids)?;
-            if cursor.remaining() != 0 {
+            let block_len = u64::from(self.u32()?);
+            // What the body holds after this block and its checksum.
+            let after = self
+                .left
+                .checked_sub(block_len + 4)
+                .ok_or_else(|| corrupt("table block runs past the body"))?;
+            self.left = block_len;
+            self.block_crc = Crc32::new();
+            let (table, seeds) = self.load_table(&db)?;
+            if self.left != 0 {
                 return Err(corrupt("trailing bytes in table block"));
             }
+            let block_crc = self.block_crc.finish();
+            self.left = after + 4;
+            if self.u32()? != block_crc {
+                return Err(corrupt("table block checksum mismatch"));
+            }
+            // The entries are the saved ones: build now and let them go.
+            db.install_indexes(&table, seeds)?;
         }
-        if data.remaining() != 0 {
+        // The byte count is exact: truncation failed above, and garbage
+        // after the last block fails here, inside the body or past it.
+        if self.left != 0 {
             return Err(corrupt("trailing bytes after last table"));
         }
-        Ok(db)
+        match self.inp.read_exact(&mut [0u8; 1]) {
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
+            Err(e) => return Err(io_err(e)),
+            Ok(()) => return Err(corrupt("body length mismatch: bytes follow the body")),
+        }
+        if self.file_crc.finish() != file_crc {
+            return Err(corrupt("file checksum mismatch"));
+        }
+        Ok((db, generation))
     }
 
-    /// Legacy format v1: no checksums, one continuous stream.
-    fn open_v1(mut data: &[u8]) -> Result<Arc<SpatialDb>> {
-        if data.remaining() < 1 {
-            return Err(corrupt("truncated profile tag"));
+    /// Parses one table block and loads it into `db`: each row is decoded
+    /// once and placed, with the tuple bytes it came from, back into its
+    /// slot, leaving its index entries in the seeds on the way — the
+    /// caller bulk-builds the table's indexes from those once the block's
+    /// checksum has matched, instead of scanning the heap once per index.
+    fn load_table(&mut self, db: &Arc<SpatialDb>) -> Result<(Arc<Table>, IndexSeeds)> {
+        let name = self.string()?;
+        let ncols = self.u32()? as usize;
+        // Clamp: a column needs ≥ 5 encoded bytes, so a corrupt count cannot
+        // pre-allocate more than the block could possibly hold.
+        let mut cols = Vec::with_capacity(ncols.min(self.left as usize / 5 + 1));
+        for _ in 0..ncols {
+            let cname = self.string()?;
+            let [tag] = self.array()?;
+            let ty = tag_type(tag).ok_or_else(|| corrupt("unknown type tag"))?;
+            cols.push(ColumnDef::new(&cname, ty));
         }
-        let profile = tag_profile(data.get_u8()).ok_or_else(|| corrupt("unknown profile tag"))?;
-        let db = Arc::new(SpatialDb::new(profile));
-        if data.remaining() < 4 {
-            return Err(corrupt("truncated table count"));
-        }
-        let ntables = data.get_u32_le();
-        for _ in 0..ntables {
-            load_table(&db, &mut data, false)?;
-        }
-        // Legacy files are exactly consumed; leftovers mean the bytes
-        // were never a v1 image (e.g. a v3 file whose version byte was
-        // flipped so that its generation field reads as a table count).
-        if data.remaining() != 0 {
-            return Err(corrupt("trailing bytes after last table"));
-        }
-        Ok(db)
-    }
-}
+        db.create_table(&name, cols)?;
+        let table = db.table(&name)?;
 
-/// Parses one serialized table (schema, index definitions, rows) from
-/// `data` and loads it into `db`, rebuilding the indexes at the end (the
-/// bulk path). Shared by every format reader and by WAL recovery. With
-/// `with_ids` (v4), each row carries its heap address and is placed back
-/// into its original slot, keeping row ids stable across the reload.
-fn load_table(db: &Arc<SpatialDb>, data: &mut &[u8], with_ids: bool) -> Result<()> {
-    let name = get_str(data)?;
-    if data.remaining() < 4 {
-        return Err(corrupt("truncated column count"));
-    }
-    let ncols = data.get_u32_le() as usize;
-    // Clamp: a column needs ≥ 5 encoded bytes, so a corrupt count cannot
-    // pre-allocate more than the data could possibly hold.
-    let mut cols = Vec::with_capacity(ncols.min(data.remaining() / 5 + 1));
-    for _ in 0..ncols {
-        let cname = get_str(data)?;
-        if data.remaining() < 1 {
-            return Err(corrupt("truncated column type"));
-        }
-        let ty = tag_type(data.get_u8()).ok_or_else(|| corrupt("unknown type tag"))?;
-        cols.push(ColumnDef::new(&cname, ty));
-    }
-    let schema_cols = cols.clone();
-    db.create_table(&name, cols)?;
-
-    let read_cols = |data: &mut &[u8]| -> Result<Vec<usize>> {
-        if data.remaining() < 4 {
-            return Err(corrupt("truncated index count"));
-        }
-        let n = data.get_u32_le() as usize;
-        let mut out = Vec::with_capacity(n.min(data.remaining() / 4 + 1));
-        for _ in 0..n {
-            if data.remaining() < 4 {
-                return Err(corrupt("truncated index column"));
+        let mut index_cols = [Vec::new(), Vec::new()];
+        for out in &mut index_cols {
+            let n = self.u32()? as usize;
+            out.reserve(n.min(self.left as usize / 4 + 1));
+            for _ in 0..n {
+                out.push(self.u32()? as usize);
             }
-            out.push(data.get_u32_le() as usize);
         }
-        Ok(out)
-    };
-    let spatial_cols = read_cols(data)?;
-    let ordered_cols = read_cols(data)?;
-
-    if data.remaining() < 8 {
-        return Err(corrupt("truncated row count"));
-    }
-    let nrows = data.get_u64_le();
-    for _ in 0..nrows {
-        let id = if with_ids {
-            if data.remaining() < 8 {
-                return Err(corrupt("truncated row id"));
-            }
+        let nrows = u64::from_le_bytes(self.array()?);
+        // Clamp: a row needs its head, so a corrupt count cannot reserve
+        // more entries than the block could possibly hold rows.
+        let room = nrows.min(self.left / ROW_HEAD_LEN as u64) as usize;
+        let mut seeds = IndexSeeds::new(&table, &index_cols[0], &index_cols[1], room)?;
+        let mut tuple = Vec::new();
+        for _ in 0..nrows {
+            let row_head: [u8; ROW_HEAD_LEN] = self.array()?;
+            let mut data: &[u8] = &row_head;
             let page = data.get_u32_le();
             let slot = u16::try_from(data.get_u32_le())
                 .map_err(|_| corrupt("row id slot out of range"))?;
-            Some(jackpine_storage::RowId { page, slot })
-        } else {
-            None
-        };
-        if data.remaining() < 4 {
-            return Err(corrupt("truncated row length"));
+            let id = RowId { page, slot };
+            self.bytes(data.get_u32_le() as usize, &mut tuple)?;
+            let row = Value::decode_row(&tuple)?;
+            seeds.add(id, &row);
+            table.heap.place_tuple(&tuple, row, id, 0)?;
         }
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < len {
-            return Err(corrupt("truncated row payload"));
-        }
-        let row = Value::decode_row(&data[..len])?;
-        data.advance(len);
-        match id {
-            Some(id) => {
-                db.place_row(&name, id, row)?;
-            }
-            None => {
-                db.insert_row(&name, row)?;
-            }
-        }
+        Ok((table, seeds))
     }
-
-    // Rebuild indexes from their definitions (bulk path).
-    for c in spatial_cols {
-        let col_name = schema_cols
-            .get(c)
-            .ok_or_else(|| corrupt("spatial index column out of range"))?
-            .name
-            .clone();
-        db.create_spatial_index(&name, &col_name)?;
-    }
-    for c in ordered_cols {
-        let col_name = schema_cols
-            .get(c)
-            .ok_or_else(|| corrupt("ordered index column out of range"))?
-            .name
-            .clone();
-        db.create_ordered_index(&name, &col_name)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::crc32;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -586,6 +584,9 @@ mod tests {
         // NULL row survived.
         let r = restored.execute("SELECT COUNT(*) FROM pois WHERE name IS NULL").unwrap();
         assert_eq!(r.scalar().unwrap().to_string(), "1");
+        // The restored heap holds the very tuples that were saved, at the
+        // very addresses: saving it again gives the same image.
+        assert_eq!(restored.snapshot_bytes().unwrap(), db.snapshot_bytes().unwrap());
     }
 
     #[test]
@@ -597,6 +598,22 @@ mod tests {
         assert!(SpatialDb::open(&path).is_err());
         std::fs::remove_file(&path).ok();
         assert!(SpatialDb::open("/nonexistent/dir/x.db").is_err());
+    }
+
+    #[test]
+    fn only_format_v4_opens() {
+        // The v1–v3 readers are gone: their version numbers, like any
+        // other, are a persistence error whatever follows the header.
+        let image = SpatialDb::new(EngineProfile::ExactRtree).snapshot_bytes().unwrap();
+        assert!(SpatialDb::open_bytes(&image).is_ok());
+        for version in [0u32, 1, 2, 3, 5, u32::MAX] {
+            let mut other = image.clone();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            match SpatialDb::open_bytes(&other) {
+                Err(EngineError::Persist(m)) => assert!(m.contains("unsupported version"), "{m}"),
+                other => panic!("version {version}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]
@@ -629,71 +646,12 @@ mod tests {
                 "temp file {name} survived a save"
             );
         }
+        // The file is the streamed image, byte for byte.
+        assert_eq!(std::fs::read(&path).unwrap(), db.snapshot_bytes().unwrap());
         let restored = SpatialDb::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let r = restored.execute("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.scalar().unwrap().to_string(), "2");
-    }
-
-    #[test]
-    fn legacy_v1_files_still_open() {
-        // Hand-build a minimal v1 image: one table, one row, no indexes.
-        let mut buf: Vec<u8> = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V1);
-        buf.put_u8(profile_tag(EngineProfile::ExactRtree));
-        buf.put_u32_le(1); // one table
-        put_str(&mut buf, "t");
-        buf.put_u32_le(1); // one column
-        put_str(&mut buf, "id");
-        buf.put_u8(type_tag(DataType::Int));
-        buf.put_u32_le(0); // no spatial indexes
-        buf.put_u32_le(0); // no ordered indexes
-        buf.put_u64_le(1); // one row
-        let row = Value::encode_row(&[Value::Int(42)]);
-        buf.put_u32_le(row.len() as u32);
-        buf.put_slice(&row);
-
-        let db = SpatialDb::open_bytes(&buf).unwrap();
-        let r = db.execute("SELECT id FROM t").unwrap();
-        assert_eq!(r.rows[0][0].to_string(), "42");
-    }
-
-    #[test]
-    fn legacy_v2_files_still_open() {
-        // Hand-build a minimal v2 image (pre-generation: body-only file
-        // checksum): one table, one row, no indexes.
-        let mut block: Vec<u8> = Vec::new();
-        put_str(&mut block, "t");
-        block.put_u32_le(1); // one column
-        put_str(&mut block, "id");
-        block.put_u8(type_tag(DataType::Int));
-        block.put_u32_le(0); // no spatial indexes
-        block.put_u32_le(0); // no ordered indexes
-        block.put_u64_le(1); // one row
-        let row = Value::encode_row(&[Value::Int(43)]);
-        block.put_u32_le(row.len() as u32);
-        block.put_slice(&row);
-
-        let mut body: Vec<u8> = Vec::new();
-        body.put_u32_le(block.len() as u32);
-        let block_crc = crc32(&block);
-        body.put_slice(&block);
-        body.put_u32_le(block_crc);
-
-        let mut buf: Vec<u8> = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V2);
-        buf.put_u8(profile_tag(EngineProfile::ExactRtree));
-        buf.put_u32_le(1); // one table
-        buf.put_u64_le(body.len() as u64);
-        buf.put_u32_le(crc32(&body));
-        buf.put_slice(&body);
-
-        let (db, generation) = SpatialDb::open_bytes_gen(&buf).unwrap();
-        assert_eq!(generation, 0, "v2 predates generations");
-        let r = db.execute("SELECT id FROM t").unwrap();
-        assert_eq!(r.rows[0][0].to_string(), "43");
     }
 
     #[test]
@@ -710,19 +668,127 @@ mod tests {
         assert_eq!(SpatialDb::peek_snapshot_generation(&path), 0);
     }
 
+    /// A one-table v4 image around `block`, with both checksums right.
+    fn image_around(block: &[u8]) -> Vec<u8> {
+        let mut body: Vec<u8> = Vec::new();
+        body.put_u32_le(block.len() as u32);
+        body.put_slice(block);
+        body.put_u32_le(crc32(block));
+        let mut meta: Vec<u8> = Vec::new();
+        meta.put_u8(profile_tag(EngineProfile::ExactRtree));
+        meta.put_u64_le(0);
+        meta.put_u32_le(1);
+        meta.put_u64_le(body.len() as u64);
+        let mut crc = Crc32::new();
+        crc.update(&meta);
+        crc.update(&body);
+        let mut image: Vec<u8> = Vec::new();
+        image.put_slice(MAGIC);
+        image.put_u32_le(VERSION);
+        image.put_slice(&meta);
+        image.put_u32_le(crc.finish());
+        image.put_slice(&body);
+        image
+    }
+
     #[test]
     fn corrupt_count_cannot_preallocate() {
-        // A v1 file claiming 4 billion columns must fail fast on the
-        // clamped path, not allocate gigabytes first.
-        let mut buf: Vec<u8> = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V1);
-        buf.put_u8(profile_tag(EngineProfile::ExactRtree));
-        buf.put_u32_le(1);
-        put_str(&mut buf, "t");
-        buf.put_u32_le(u32::MAX); // absurd column count
-        let err = SpatialDb::open_bytes(&buf).err().expect("must fail");
-        assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
+        // Checksum-valid images claiming 4 billion columns, index
+        // columns, or rows of 4 GB must fail fast on the clamped paths,
+        // not allocate gigabytes first.
+        let mut block: Vec<u8> = Vec::new();
+        put_str(&mut block, "t");
+        let mut absurd_columns = block.clone();
+        absurd_columns.put_u32_le(u32::MAX);
+
+        block.put_u32_le(1); // one column
+        put_str(&mut block, "id");
+        block.put_u8(type_tag(DataType::Int));
+        let mut absurd_index_columns = block.clone();
+        absurd_index_columns.put_u32_le(u32::MAX);
+
+        block.put_u32_le(0); // no spatial indexes
+        block.put_u32_le(0); // no ordered indexes
+        let mut absurd_row = block.clone();
+        absurd_row.put_u64_le(u64::MAX); // rows
+        absurd_row.put_u32_le(0); // page
+        absurd_row.put_u32_le(0); // slot
+        absurd_row.put_u32_le(u32::MAX); // row length
+
+        for (what, block) in [
+            ("columns", absurd_columns),
+            ("index columns", absurd_index_columns),
+            ("row", absurd_row),
+        ] {
+            let err = SpatialDb::open_bytes(&image_around(&block)).err().expect("must fail");
+            assert!(matches!(err, EngineError::Persist(_)), "{what}: got {err:?}");
+        }
+
+        // And the hand-built frame itself is sound: a good block opens.
+        block.put_u64_le(1);
+        block.put_u32_le(0);
+        block.put_u32_le(0);
+        let row = Value::encode_row(&[Value::Int(42)]);
+        block.put_u32_le(row.len() as u32);
+        block.put_slice(&row);
+        let db = SpatialDb::open_bytes(&image_around(&block)).unwrap();
+        assert_eq!(db.execute("SELECT id FROM t").unwrap().rows[0][0].to_string(), "42");
+    }
+
+    #[test]
+    fn checksum_valid_nonsense_is_a_persistence_error() {
+        // What the checksums cannot catch — a writer bug, a crafted file —
+        // still comes back as Persist, not as a storage or SQL error: a
+        // row that does not fit its schema, a slot filled twice, a table
+        // named twice, an index on a column that cannot carry one.
+        let mut head: Vec<u8> = Vec::new();
+        put_str(&mut head, "t");
+        head.put_u32_le(1);
+        put_str(&mut head, "id");
+        head.put_u8(type_tag(DataType::Int));
+        let row_at = |block: &mut Vec<u8>, slot: u32, row: &[Value]| {
+            let bytes = Value::encode_row(row);
+            block.put_u32_le(0);
+            block.put_u32_le(slot);
+            block.put_u32_le(bytes.len() as u32);
+            block.put_slice(&bytes);
+        };
+
+        let mut misfit = head.clone();
+        misfit.put_u32_le(0);
+        misfit.put_u32_le(0);
+        misfit.put_u64_le(1);
+        row_at(&mut misfit, 0, &[Value::Text("not an int".into())]);
+
+        let mut twice = head.clone();
+        twice.put_u32_le(0);
+        twice.put_u32_le(0);
+        twice.put_u64_le(2);
+        row_at(&mut twice, 3, &[Value::Int(1)]);
+        row_at(&mut twice, 3, &[Value::Int(2)]);
+
+        let mut bad_index = head.clone();
+        bad_index.put_u32_le(1); // a spatial index...
+        bad_index.put_u32_le(0); // ...on the BIGINT column
+        bad_index.put_u32_le(0);
+        bad_index.put_u64_le(0);
+
+        let mut reserved: Vec<u8> = Vec::new();
+        put_str(&mut reserved, "jp_metrics");
+        reserved.put_u32_le(0);
+        reserved.put_u32_le(0);
+        reserved.put_u32_le(0);
+        reserved.put_u64_le(0);
+
+        for (what, block) in [
+            ("misfit row", misfit),
+            ("slot filled twice", twice),
+            ("index on a scalar", bad_index),
+            ("reserved table name", reserved),
+        ] {
+            let err = SpatialDb::open_bytes(&image_around(&block)).err().expect("must fail");
+            assert!(matches!(err, EngineError::Persist(_)), "{what}: got {err:?}");
+        }
     }
 
     #[test]

@@ -144,8 +144,7 @@ fn get_row_id(data: &mut &[u8]) -> Result<RowId> {
     }
     let page = data.get_u32_le();
     let slot = data.get_u32_le();
-    let slot =
-        u16::try_from(slot).map_err(|_| persist_err("WAL: row id slot out of range"))?;
+    let slot = u16::try_from(slot).map_err(|_| persist_err("WAL: row id slot out of range"))?;
     Ok(RowId { page, slot })
 }
 

@@ -202,11 +202,16 @@ pub struct RTree<T: Clone> {
     spilled: HashSet<usize>,
     /// Decoder captured (monomorphized) at spill time, so query paths
     /// need no `T: LeafPayload` bound.
-    decoder: Option<fn(&[u8]) -> Option<Vec<(Envelope, T)>>>,
+    decoder: Option<LeafDecoder<T>>,
     /// Decoded-leaf cache: warm probes of a spilled leaf cost one
     /// `Arc` clone; the benchmark's cold switch clears it.
-    leaf_cache: Mutex<HashMap<usize, Arc<Vec<(Envelope, T)>>>>,
+    leaf_cache: Mutex<HashMap<usize, Arc<LeafEntries<T>>>>,
 }
+
+/// The entries of one leaf.
+type LeafEntries<T> = Vec<(Envelope, T)>;
+/// Decodes a spilled leaf's page image.
+type LeafDecoder<T> = fn(&[u8]) -> Option<LeafEntries<T>>;
 
 impl<T: Clone> Clone for RTree<T> {
     fn clone(&self) -> Self {

@@ -24,9 +24,9 @@
 //! [`HeapFile::settle`] prunes entries the visibility horizon has
 //! passed, restoring the metadata-free fast path. Slots are never
 //! reused by normal inserts (deletes tombstone, inserts append), so a
-//! `RowId` names one row version forever; only WAL replay and snapshot
-//! load ([`HeapFile::place_at`]) write to explicit slots, reproducing
-//! ids recorded on disk.
+//! `RowId` names one row version forever; only WAL replay
+//! ([`HeapFile::place_at`]) and snapshot load ([`HeapFile::place_tuple`])
+//! write to explicit slots, reproducing ids recorded on disk.
 //!
 //! # Lock order
 //!
@@ -251,8 +251,17 @@ impl HeapFile {
     /// [`StorageError::Corrupt`] when the slot holds a *different* live
     /// row; schema errors as for [`HeapFile::insert`].
     pub fn place_at(&self, row: Row, id: RowId, born: u64) -> Result<()> {
-        self.schema.check_row(&row)?;
         let bytes = Value::encode_row(&row);
+        self.place_tuple(&bytes, row, id, born)
+    }
+
+    /// [`HeapFile::place_at`] for a caller that already holds the row's
+    /// stored form: `bytes` go into the slot as they are and `row`, which
+    /// the caller decoded from exactly those bytes, warms the row cache.
+    /// Snapshot load uses it to put back the tuple it read instead of
+    /// re-encoding the row it validated.
+    pub fn place_tuple(&self, bytes: &[u8], row: Row, id: RowId, born: u64) -> Result<()> {
+        self.schema.check_row(&row)?;
         let _append = self.append.lock();
         if self.npages.load(Ordering::Relaxed) <= id.page {
             self.npages.store(id.page + 1, Ordering::Relaxed);
@@ -261,7 +270,7 @@ impl HeapFile {
         {
             let mut guard = pin.write();
             if let Ok(existing) = guard.get(id.slot) {
-                if existing == bytes.as_slice() {
+                if existing == bytes {
                     return Ok(()); // already applied
                 }
                 return Err(StorageError::Corrupt(format!(
@@ -269,7 +278,7 @@ impl HeapFile {
                     id.page, id.slot
                 )));
             }
-            guard.place(id.slot, &bytes)?;
+            guard.place(id.slot, bytes)?;
             if born > 0 {
                 self.meta.write().insert(id, (born, LIVE));
             }
@@ -576,12 +585,33 @@ impl HeapFile {
         self.present_ids()
     }
 
-    /// Full scan over the latest committed state: calls `visit` with
-    /// every live row.
-    pub fn scan(&self, mut visit: impl FnMut(RowId, &Arc<Row>)) -> Result<()> {
-        for id in self.row_ids() {
-            let row = self.get(id)?;
-            visit(id, &row);
+    /// Raw tuple scan: calls `visit` with the stored bytes — exactly
+    /// [`Value::encode_row`] of the row — of every id in `ids`, which
+    /// must be in storage order (as [`HeapFile::row_ids`] returns them).
+    /// Each page is pinned once per run of ids on it and `visit` runs
+    /// under the pin; nothing is decoded and the row cache is not
+    /// touched. Stops at the first error, `visit`'s or a
+    /// [`StorageError::RowNotFound`] for an id reclaimed since it was
+    /// collected.
+    pub fn scan_tuples<E: From<StorageError>>(
+        &self,
+        ids: &[RowId],
+        mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let npages = self.npages.load(Ordering::Relaxed);
+        for run in ids.chunk_by(|a, b| a.page == b.page) {
+            let page = run[0].page;
+            if page >= npages {
+                return Err(StorageError::RowNotFound { page, slot: run[0].slot }.into());
+            }
+            let pin = self.pool.pin(self.file, page);
+            let guard = pin.read();
+            for &id in run {
+                let bytes = guard
+                    .get(id.slot)
+                    .map_err(|_| StorageError::RowNotFound { page, slot: id.slot })?;
+                visit(id, bytes)?;
+            }
         }
         Ok(())
     }
@@ -743,11 +773,68 @@ mod tests {
         assert!(h.get(a).is_err());
         assert_eq!(h.len(), 1);
         let mut seen = Vec::new();
-        h.scan(|id, row| {
+        h.scan_any(|id, row| {
             seen.push((id, row[0].clone()));
         })
         .unwrap();
         assert_eq!(seen, vec![(b, Value::Int(2))]);
+    }
+
+    #[test]
+    fn tuple_scan_hands_out_the_stored_encoding_without_decoding() {
+        let h = heap();
+        let long = "z".repeat(3000);
+        let rows: Vec<Row> =
+            (0..12).map(|i| vec![Value::Int(i), Value::Text(long.clone())]).collect();
+        for row in &rows {
+            h.insert(row.clone()).unwrap();
+        }
+        let dead = h.row_ids()[3];
+        assert!(h.mark_deleted(dead, 1), "a row awaiting vacuum is not in row_ids");
+        h.clear_cache();
+        let ids = h.row_ids();
+        assert!(ids.last().unwrap().page > 1, "rows span pages");
+        let mut seen = Vec::new();
+        h.scan_tuples(&ids, |id, bytes| {
+            seen.push((id, bytes.to_vec()));
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        let want: Vec<(RowId, Vec<u8>)> =
+            ids.iter().map(|&id| (id, Value::encode_row(&h.get(id).unwrap()))).collect();
+        assert_eq!(h.stats().cache_misses, ids.len() as u64, "only the `get`s above decoded");
+        assert_eq!(seen, want);
+        assert_eq!(seen.len(), 11);
+
+        // An id reclaimed after it was collected is an error, and so is
+        // one the visitor raises.
+        h.reclaim(dead);
+        let gone = h.scan_tuples(&[dead], |_, _| Ok::<(), StorageError>(()));
+        assert!(matches!(gone, Err(StorageError::RowNotFound { .. })), "got {gone:?}");
+        let stop = h.scan_tuples(&ids, |_, _| Err(StorageError::Corrupt("stop".into())));
+        assert_eq!(stop, Err(StorageError::Corrupt("stop".into())));
+    }
+
+    #[test]
+    fn place_tuple_stores_the_given_bytes_and_caches_the_row() {
+        let h = heap();
+        let row = vec![Value::Int(7), Value::Text("seven".into())];
+        let bytes = Value::encode_row(&row);
+        let id = RowId { page: 2, slot: 5 };
+        h.place_tuple(&bytes, row.clone(), id, 0).unwrap();
+        assert_eq!(*h.get(id).unwrap(), row);
+        assert_eq!(h.stats().cache_misses, 0, "placement warmed the row cache");
+        let mut stored = Vec::new();
+        h.scan_tuples(&[id], |_, b| {
+            stored = b.to_vec();
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        assert_eq!(stored, bytes);
+        // Same idempotence and schema rules as place_at.
+        h.place_at(row, id, 0).unwrap();
+        assert_eq!(h.len(), 1);
+        assert!(h.place_tuple(&bytes, vec![Value::Int(7)], id, 0).is_err());
     }
 
     #[test]

@@ -359,10 +359,10 @@ impl BufferPool {
     /// Lazily creates (or fetches) the backing store for `file`,
     /// consulting the spill directory at creation time.
     fn ensure_store(&self, inner: &mut PoolInner, file: u64) -> Arc<dyn PageStore> {
-        let slot = inner.files.entry(file).or_insert_with(|| FileSlot {
-            name: format!("anon{file}"),
-            store: None,
-        });
+        let slot = inner
+            .files
+            .entry(file)
+            .or_insert_with(|| FileSlot { name: format!("anon{file}"), store: None });
         if let Some(store) = &slot.store {
             return store.clone();
         }

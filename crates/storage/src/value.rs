@@ -158,7 +158,9 @@ impl Value {
             return Err(StorageError::Corrupt("truncated row header".into()));
         }
         let n = data.get_u16_le() as usize;
-        let mut row = Vec::with_capacity(n);
+        // Clamp: a value needs at least its tag byte, so a corrupt count
+        // cannot pre-allocate more than the payload could hold.
+        let mut row = Vec::with_capacity(n.min(data.remaining()));
         for _ in 0..n {
             row.push(Value::decode(&mut data)?);
         }

@@ -46,6 +46,9 @@ cargo test -q -p jackpine --test concurrency --offline
 echo "== out-of-core gate (paged heap == unbounded, all pools/policies/workers)"
 cargo test -q -p jackpine --test pool_equivalence --offline
 
+echo "== benchmark package (unit tests + smoke run of all four workloads against the engine)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== repro --trace smoke (every micro query emits a trace)"
 cargo run --release --offline -p jackpine-bench --bin repro -- \
   --scale 0.01 --quick --trace --metrics-json /tmp/jackpine_metrics.json \

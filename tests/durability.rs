@@ -16,7 +16,7 @@ use jackpine::engine::{
     DurabilityOptions, EngineError, EngineProfile, SpatialDb, SNAPSHOT_FILE, WAL_FILE,
 };
 use jackpine::storage::{ColumnDef, DataType, Value};
-use std::io::Write;
+use std::io::Read;
 use std::sync::Arc;
 
 /// A unique scratch path under the system temp dir.
@@ -68,19 +68,55 @@ fn sample_db() -> Arc<SpatialDb> {
 // Snapshot faults
 // ---------------------------------------------------------------------------
 
+/// A byte source that hands out its content a few bytes at a time (1 to
+/// 13, cycling), the way a pipe or a socket may: the streaming reader has
+/// to refill its buffer in the middle of every kind of field.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.step = self.step % 13 + 1;
+        let n = self.step.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Opens an image through both entrances of the streaming reader: the
+/// slice (`open_bytes`) and a stream that trickles. They must agree.
+fn open_image(image: &[u8]) -> Result<Arc<SpatialDb>, EngineError> {
+    let from_slice = SpatialDb::open_bytes(image);
+    let from_stream = SpatialDb::open_from(Trickle { bytes: image, step: image.len() % 13 });
+    assert_eq!(
+        from_slice.as_ref().map(|_| ()),
+        from_stream.as_ref().map(|_| ()),
+        "slice and stream disagree on a {}-byte image",
+        image.len()
+    );
+    from_stream
+}
+
 #[test]
 fn every_strict_prefix_of_a_snapshot_is_rejected() {
     let bytes = sample_db().snapshot_bytes().unwrap();
-    assert!(SpatialDb::open_bytes(&bytes).is_ok(), "the full image must load");
+    assert!(open_image(&bytes).is_ok(), "the full image must load");
     for offset in (0..bytes.len()).step_by(sweep_step()) {
         let torn = apply_failpoint(&bytes, Failpoint::Truncate { offset: offset as u64 });
         assert_eq!(torn.len(), offset);
-        match SpatialDb::open_bytes(&torn) {
+        match open_image(&torn) {
             Err(EngineError::Persist(_)) => {}
             Err(other) => panic!("prefix {offset}: wrong error kind {other:?}"),
             Ok(_) => panic!("prefix {offset} of {} loaded as a database", bytes.len()),
         }
     }
+    // Bytes after the image are as wrong as bytes missing from it.
+    let mut longer = bytes.clone();
+    longer.push(0);
+    assert!(matches!(open_image(&longer), Err(EngineError::Persist(_))));
 }
 
 #[test]
@@ -97,7 +133,7 @@ fn every_bit_flip_in_a_snapshot_is_rejected() {
             let flipped =
                 apply_failpoint(&bytes, Failpoint::BitFlip { offset: offset as u64, bit });
             assert_eq!(flipped.len(), bytes.len());
-            match SpatialDb::open_bytes(&flipped) {
+            match open_image(&flipped) {
                 Err(EngineError::Persist(_)) => {}
                 Err(other) => panic!("flip at {offset}.{bit}: wrong error kind {other:?}"),
                 Ok(_) => panic!("flip at byte {offset} bit {bit} went undetected"),
@@ -116,24 +152,42 @@ fn crash_during_save_never_shadows_the_previous_file() {
     a.save(&path).unwrap();
     let a_count = a.execute("SELECT COUNT(*) FROM pois").unwrap();
 
-    // State B's save "crashes" at assorted offsets: the torn bytes only
-    // ever reach the temp sibling, exactly as SpatialDb::save stages
-    // them, so the real file must still open as state A.
+    // State B's save "crashes" at assorted offsets of what the real
+    // writer puts out — the image in file order, then the four checksum
+    // bytes it patches into the header last. The torn bytes only ever
+    // reach the temp sibling, exactly as SpatialDb::save stages them, so
+    // the real file must still open as state A; and the sibling itself
+    // must never pass for a database before its last byte has landed.
     let b = Arc::new(SpatialDb::new(EngineProfile::ExactGrid));
     b.execute("CREATE TABLE pois (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
     b.execute("INSERT INTO pois VALUES (1, 'only', NULL)").unwrap();
     let b_bytes = b.snapshot_bytes().unwrap();
+    let stream_len = b_bytes.len() as u64 + 4;
     let tmp = dir.join("db.jkpn.tmp");
-    for offset in [0u64, 1, 9, 25, 26, b_bytes.len() as u64 / 2, b_bytes.len() as u64 - 1] {
-        let mut fp = FailpointFile::new(
+    let mut offsets: Vec<u64> = (0..stream_len).step_by(sweep_step()).collect();
+    offsets.extend([1, 25, 26, 29, 33, stream_len - 5, stream_len - 4, stream_len - 1]);
+    for offset in offsets {
+        let fp = FailpointFile::new(
             std::fs::File::create(&tmp).unwrap(),
             Failpoint::Truncate { offset },
         );
-        assert!(fp.write_all(&b_bytes).is_err(), "failpoint must fire");
+        assert!(b.snapshot_to(fp).is_err(), "failpoint at {offset} must fire");
+        let torn = std::fs::read(&tmp).unwrap();
+        assert!(
+            torn == b_bytes || SpatialDb::open(&tmp).is_err(),
+            "a save torn at {offset} of {stream_len} opens as a database"
+        );
         let restored = SpatialDb::open(&path).expect("previous file intact");
         let count = restored.execute("SELECT COUNT(*) FROM pois").unwrap();
         assert_eq!(count, a_count, "crash at {offset} corrupted the visible file");
     }
+    // With the failpoint out of reach the same call writes the image.
+    let fp = FailpointFile::new(
+        std::fs::File::create(&tmp).unwrap(),
+        Failpoint::Truncate { offset: stream_len },
+    );
+    b.snapshot_to(fp).unwrap();
+    assert_eq!(std::fs::read(&tmp).unwrap(), b_bytes);
 
     // A completed save replaces the file: now state B is visible.
     b.save(&path).unwrap();
@@ -142,6 +196,89 @@ fn crash_during_save_never_shadows_the_previous_file() {
     let count = restored.execute("SELECT COUNT(*) FROM pois").unwrap();
     assert_eq!(count.scalar().unwrap().to_string(), "1");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a, 64 bits: the digest the image below is pinned by.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn streamed_image_is_the_materialised_one_byte_for_byte() {
+    // A seeded engine holding everything the writer has a case for: NULL
+    // geometries and NULL texts, an empty table, one row too large for a
+    // page, slots tombstoned by an earlier vacuum, rows deleted but
+    // still awaiting vacuum behind a pinned snapshot, and both index
+    // kinds. Its image was recorded from the writer this one replaced
+    // (rows decoded, re-encoded and assembled in memory): the format
+    // did not move by a byte, and the file and the in-memory sink of the
+    // streaming writer are the same bytes.
+    let mut rng = common::test_rng("pinned-image");
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    db.execute("CREATE TABLE shapes (id BIGINT, name TEXT, score DOUBLE, geom GEOMETRY)").unwrap();
+    db.execute("CREATE TABLE nothing (k TEXT)").unwrap();
+    db.execute("CREATE TABLE tags (k TEXT, v BIGINT)").unwrap();
+    for i in 0..400i64 {
+        let geom = match i % 7 {
+            0 => Value::Null,
+            1 | 2 => Value::Geom(common::linestring(&mut rng)),
+            _ => Value::Geom(common::point(&mut rng)),
+        };
+        let name = if i % 11 == 0 { Value::Null } else { Value::Text(format!("shape-{i}")) };
+        let score = Value::Float(rng.gen_range(0.0..100.0f64));
+        db.insert_row("shapes", vec![Value::Int(i), name, score, geom]).unwrap();
+    }
+    let huge = Value::Text("g".repeat(20_000));
+    db.insert_row("shapes", vec![Value::Int(1000), huge, Value::Null, Value::Null]).unwrap();
+    for i in 400..420i64 {
+        let geom = Value::Geom(common::point(&mut rng));
+        db.insert_row("shapes", vec![Value::Int(i), Value::Null, Value::Float(1.0), geom]).unwrap();
+    }
+    for i in 0..40i64 {
+        db.insert_row("tags", vec![Value::Text(format!("k{}", i % 9)), Value::Int(i)]).unwrap();
+    }
+    db.create_spatial_index("shapes", "geom").unwrap();
+    db.create_ordered_index("shapes", "name").unwrap();
+    db.create_ordered_index("tags", "v").unwrap();
+    // Vacuumed tombstones: these deletes are reclaimed by the next write.
+    db.execute("DELETE FROM shapes WHERE id >= 100 AND id < 130").unwrap();
+    db.execute("UPDATE tags SET k = 'moved' WHERE v < 5").unwrap();
+    assert_eq!(db.pending_reclaim_len(), 5, "the update's own victims");
+    // Pending ones: a reader pinned before the delete still sees them.
+    let reader = db.pin_snapshot_handle();
+    db.execute("DELETE FROM shapes WHERE id >= 300 AND id < 320").unwrap();
+    db.execute("DELETE FROM tags WHERE v >= 30").unwrap();
+    assert!(db.pending_reclaim_len() >= 30, "rows await vacuum while the reader is pinned");
+
+    let image = db.snapshot_bytes().unwrap();
+    let path = scratch("pinned-image.jkpn");
+    db.save(&path).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(file == image, "save() and snapshot_bytes() wrote different images");
+    assert_eq!(
+        (image.len(), fnv64(&image)),
+        (52_993, 2_570_481_330_706_177_284),
+        "format v4 image moved"
+    );
+    drop(reader);
+
+    // And it loads to the latest committed state.
+    let restored = SpatialDb::open_bytes(&image).unwrap();
+    for (sql, want) in [
+        ("SELECT COUNT(*) FROM shapes", "371"),
+        ("SELECT COUNT(*) FROM shapes WHERE geom IS NULL", "52"),
+        ("SELECT COUNT(*) FROM nothing", "0"),
+        ("SELECT COUNT(*) FROM tags", "30"),
+        ("SELECT COUNT(*) FROM tags WHERE k = 'moved'", "5"),
+        ("SELECT id FROM shapes WHERE name = 'shape-7'", "7"),
+    ] {
+        assert_eq!(db.execute(sql).unwrap().scalar().unwrap().to_string(), want, "{sql}");
+        assert_eq!(restored.execute(sql).unwrap().scalar().unwrap().to_string(), want, "{sql}");
+    }
+    assert_eq!(restored.table_row_ids("shapes").unwrap(), db.table_row_ids("shapes").unwrap());
 }
 
 #[test]
@@ -390,6 +527,108 @@ fn stale_wal_surviving_a_checkpoint_crash_is_not_replayed() {
 }
 
 #[test]
+fn a_clean_open_keeps_the_snapshot_and_a_replaying_open_recuts_it() {
+    // Opening a directory whose log has nothing to fold must not rewrite
+    // (and fsync) the whole snapshot: same bytes, same generation, same
+    // file. One applied record, and the open checkpoints as it always
+    // did.
+    use jackpine::engine::wal::Wal;
+    let dir = scratch_dir("clean-open");
+    let snap = dir.join(SNAPSHOT_FILE);
+    let open = || {
+        SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
+            .unwrap()
+    };
+    let generation = |bytes: &[u8]| u64::from_le_bytes(bytes[9..17].try_into().unwrap());
+    #[cfg(unix)]
+    let inode = |p: &std::path::Path| {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(p).unwrap().ino()
+    };
+    #[cfg(not(unix))]
+    let inode = |_: &std::path::Path| 0u64;
+
+    // No snapshot yet: the first open cuts one (generation 1).
+    let db = open();
+    db.execute("CREATE TABLE t (id BIGINT, name TEXT)").unwrap();
+    for i in 0..6 {
+        db.execute(&format!("INSERT INTO t VALUES ({i}, 'x{i}')")).unwrap();
+    }
+    db.checkpoint().unwrap();
+    drop(db);
+    let cut = std::fs::read(&snap).unwrap();
+    let (cut_gen, cut_inode) = (generation(&cut), inode(&snap));
+    assert_eq!(cut_gen, 2);
+
+    // Nothing to fold, four ways: an empty log of the same generation, no
+    // log, a torn log header, a stale log of another generation.
+    let stale = {
+        let mut bytes = wal_header(cut_gen - 1);
+        let row = vec![Value::Int(99), Value::Text("stale".into())];
+        bytes.extend_from_slice(&WalRecord::Insert { table: "t".into(), row }.frame());
+        bytes
+    };
+    let logs: [(&str, Option<Vec<u8>>); 4] = [
+        ("empty log", Some(wal_header(cut_gen))),
+        ("no log", None),
+        ("torn log header", Some(wal_header(cut_gen)[..11].to_vec())),
+        ("stale log", Some(stale)),
+    ];
+    for (what, log) in logs {
+        std::fs::remove_file(dir.join(WAL_FILE)).ok();
+        if let Some(bytes) = log {
+            std::fs::write(dir.join(WAL_FILE), bytes).unwrap();
+        }
+        let db = open();
+        assert!(std::fs::read(&snap).unwrap() == cut, "{what}: the snapshot was rewritten");
+        assert_eq!(inode(&snap), cut_inode, "{what}: the snapshot was replaced");
+        assert_eq!(Wal::peek_generation(dir.join(WAL_FILE)), cut_gen, "{what}: log generation");
+        let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(r.scalar().unwrap().to_string(), "6", "{what}");
+        drop(db);
+    }
+
+    // The kept snapshot and the fresh log still make a working pair: a
+    // write logged after a clean open is replayed by the next open,
+    // which then has something to fold and re-cuts.
+    let db = open();
+    db.execute("INSERT INTO t VALUES (6, 'logged')").unwrap();
+    drop(db);
+    assert!(std::fs::read(&snap).unwrap() == cut, "an INSERT does not touch the snapshot");
+    let db = open();
+    let r = db.execute("SELECT name FROM t WHERE id = 6").unwrap();
+    assert_eq!(r.rows[0][0], Value::Text("logged".into()));
+    drop(db);
+    let recut = std::fs::read(&snap).unwrap();
+    assert_eq!(generation(&recut), cut_gen + 1, "a replaying open checkpoints");
+    assert_eq!(Wal::peek_generation(dir.join(WAL_FILE)), cut_gen + 1);
+    assert!(SpatialDb::open_bytes(&recut).is_ok());
+
+    // A standalone image (generation 0) dropped into an empty directory
+    // is adopted as it is, and the log cut against it replays over it.
+    let adopted = scratch_dir("clean-open-adopted");
+    sample_db().save(adopted.join(SNAPSHOT_FILE)).unwrap();
+    let image = std::fs::read(adopted.join(SNAPSHOT_FILE)).unwrap();
+    let open_adopted = || {
+        SpatialDb::open_durable(&adopted, EngineProfile::ExactGrid, DurabilityOptions::default())
+            .unwrap()
+    };
+    let db = open_adopted();
+    assert_eq!(db.profile(), EngineProfile::ExactRtree, "the stored profile wins");
+    assert!(std::fs::read(adopted.join(SNAPSHOT_FILE)).unwrap() == image);
+    assert_eq!(Wal::peek_generation(adopted.join(WAL_FILE)), 0);
+    db.execute("INSERT INTO tags VALUES ('c', '3')").unwrap();
+    drop(db);
+    let db = open_adopted();
+    let r = db.execute("SELECT COUNT(*) FROM tags").unwrap();
+    assert_eq!(r.scalar().unwrap().to_string(), "3");
+    drop(db);
+    assert_eq!(generation(&std::fs::read(adopted.join(SNAPSHOT_FILE)).unwrap()), 1);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&adopted).ok();
+}
+
+#[test]
 fn failed_dml_rolls_back_atomically() {
     // DML statements are atomic: an UPDATE that errors — here a type
     // error the schema check catches — leaves memory, the WAL and the
@@ -560,7 +799,10 @@ fn torn_or_flipped_wal_recovery_is_identical_through_a_tiny_pool() {
         assert!(db.pool_stats().evictions > 0, "two frames must evict across 60 padded rows");
         // Copy the durable pair while the engine is live — detaching
         // checkpoints, and the sweep needs the raw log.
-        (std::fs::read(src.join(SNAPSHOT_FILE)).unwrap(), std::fs::read(src.join(WAL_FILE)).unwrap())
+        (
+            std::fs::read(src.join(SNAPSHOT_FILE)).unwrap(),
+            std::fs::read(src.join(WAL_FILE)).unwrap(),
+        )
     };
     std::fs::remove_dir_all(&src).ok();
 

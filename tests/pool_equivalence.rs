@@ -66,7 +66,8 @@ fn corpus_identical_across_pool_configs() {
                 db.clear_caches();
                 let got = run_corpus(&db, &data);
                 assert_eq!(
-                    reference, got,
+                    reference,
+                    got,
                     "corpus differs at pool_bytes={bytes}, policy={}, workers={workers}",
                     policy.name()
                 );

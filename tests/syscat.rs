@@ -285,9 +285,8 @@ fn wal_table_tracks_durability_state() {
 #[test]
 fn buffer_pool_table_tracks_pool_state() {
     let db = tiny_db();
-    let r = db
-        .execute("SELECT policy, capacity_frames, pinned_frames FROM jp_buffer_pool")
-        .unwrap();
+    let r =
+        db.execute("SELECT policy, capacity_frames, pinned_frames FROM jp_buffer_pool").unwrap();
     assert_eq!(r.rows.len(), 1, "jp_buffer_pool is single-row");
     assert_eq!(r.rows[0][0], Value::Text("clock".into()));
     assert_eq!(r.rows[0][1], Value::Int(0), "default pool is unbounded");
@@ -297,9 +296,7 @@ fn buffer_pool_table_tracks_pool_state() {
     SpatialDb::set_replacement_policy(&db, jackpine::storage::ReplacementPolicy::LruK);
     db.clear_caches();
     db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    let r = db
-        .execute("SELECT policy, capacity_frames, cold_pins FROM jp_buffer_pool")
-        .unwrap();
+    let r = db.execute("SELECT policy, capacity_frames, cold_pins FROM jp_buffer_pool").unwrap();
     assert_eq!(r.rows[0][0], Value::Text("lruk".into()));
     assert_eq!(r.rows[0][1], Value::Int(1024), "8 MiB of 8 KiB frames");
     let Value::Int(cold) = r.rows[0][2] else { panic!("cold_pins must be integer") };
