@@ -5,9 +5,7 @@
 //! repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W]
 //!       [--csv DIR] [--persist DIR] [--wal on|off] [--trace]
 //!       [--metrics-json FILE] [--trace-export FILE] [--top-queries K]
-//!       [--bench-out FILE] [--recorder on|off] [--prepared on|off]
-//!       [--vectorized on|off] [--batch-size N] [--prom FILE]
-//!       [--slow-ms N] [--pool-mb N] [--pool-policy clock|lru-k]
+//!       [--bench-out FILE] [--prom FILE] [--slow-ms N] [--pool-mb N]
 //!       [--cold] [--warm] <experiment>...
 //! experiments: t1 t2 t3 f1..f8 all bench-json
 //! ```
@@ -39,26 +37,15 @@
 //!
 //! `--top-queries K` prints the top K statement shapes by execution
 //! count from the flight recorder's fingerprint table after the run.
-//! `--recorder off` disables retrospective recording (flight recorder,
-//! slow-query log, fingerprint stats) — the overhead-ablation switch.
-//! `--prepared off` disables the prepared-geometry refine fast path
-//! (monotone-chain indexes + per-table preparation cache) — the
-//! ablation switch for the indexed DE-9IM kernels. `bench-json` always
-//! measures both settings on its refine-heavy polygon-polygon entries.
-//! `--vectorized off` disables the vectorized batch executor (columnar
-//! MBR prefilter + selection-vector refine) and `--batch-size N` sets
-//! its rows-per-batch (0 = executor default); `bench-json` always
-//! measures the row path vs. the batch path plus a batch-size sweep on
-//! its refine-heaviest micro. `--reps` defaults to 10 timed repetitions
-//! after one warmup; `--quick` drops to a single repetition for smoke
-//! runs (CI tier 1), where confidence intervals are not needed.
+//! `--reps` defaults to 10 timed repetitions after one warmup; `--quick`
+//! drops to a single repetition for smoke runs (CI tier 1), where
+//! confidence intervals are not needed.
 //! `--bench-out FILE` redirects the `bench-json` output file (default
 //! `BENCH_1.json`).
 //!
 //! `--pool-mb N` bounds every engine's buffer pool at N MiB (rows page
 //! out through pinned frames, R-tree leaves demand-load; 0 = unbounded,
-//! the default) and `--pool-policy` picks the frame-replacement policy
-//! (`clock` second-chance or `lru-k`). `bench-json` always adds a
+//! the default). `bench-json` always adds a
 //! cold/warm out-of-core section against a bounded pool: `--cold` drops
 //! the pool between repetitions (every page faults back in from the
 //! backing store, so the entries report honest cold-cache latency plus
@@ -100,14 +87,9 @@ struct Options {
     trace_export: Option<String>,
     top_queries: Option<usize>,
     bench_out: String,
-    recorder: bool,
-    prepared: bool,
-    vectorized: bool,
-    batch_size: usize,
     prom: Option<String>,
     slow_ms: Option<u64>,
     pool_mb: Option<usize>,
-    pool_policy: Option<String>,
     cold: bool,
     warm: bool,
     experiments: Vec<String>,
@@ -140,14 +122,9 @@ fn parse_args() -> Options {
         trace_export: None,
         top_queries: None,
         bench_out: "BENCH_1.json".to_string(),
-        recorder: true,
-        prepared: true,
-        vectorized: true,
-        batch_size: 0,
         prom: None,
         slow_ms: None,
         pool_mb: None,
-        pool_policy: None,
         cold: false,
         warm: false,
         experiments: Vec::new(),
@@ -176,39 +153,9 @@ fn parse_args() -> Options {
                 opts.top_queries = Some(expect_num(args.next(), "--top-queries") as usize)
             }
             "--bench-out" => opts.bench_out = args.next().unwrap_or_else(|| usage()),
-            "--recorder" => {
-                opts.recorder = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--prepared" => {
-                opts.prepared = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--vectorized" => {
-                opts.vectorized = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--batch-size" => opts.batch_size = expect_num(args.next(), "--batch-size") as usize,
             "--prom" => opts.prom = Some(args.next().unwrap_or_else(|| usage())),
             "--slow-ms" => opts.slow_ms = Some(expect_num(args.next(), "--slow-ms") as u64),
             "--pool-mb" => opts.pool_mb = Some(expect_num(args.next(), "--pool-mb") as usize),
-            "--pool-policy" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                if jackpine_storage::ReplacementPolicy::parse(&name).is_none() {
-                    eprintln!("unknown replacement policy: {name} (clock, lru-k)");
-                    std::process::exit(2);
-                }
-                opts.pool_policy = Some(name);
-            }
             "--cold" => opts.cold = true,
             "--warm" => opts.warm = true,
             "--help" | "-h" => {
@@ -242,9 +189,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W] [--csv DIR] \
          [--persist DIR] [--wal on|off] [--trace] [--metrics-json FILE] \
-         [--trace-export FILE] [--top-queries K] [--bench-out FILE] [--recorder on|off] \
-         [--prepared on|off] [--vectorized on|off] [--batch-size N] [--prom FILE] \
-         [--slow-ms N] [--pool-mb N] [--pool-policy clock|lru-k] [--cold] [--warm] \
+         [--trace-export FILE] [--top-queries K] [--bench-out FILE] [--prom FILE] \
+         [--slow-ms N] [--pool-mb N] [--cold] [--warm] \
          <t1|t2|t3|f1..f8|all|bench-json>..."
     );
     std::process::exit(2)
@@ -264,15 +210,8 @@ fn main() {
     let engines = all_engines(&data);
     for e in &engines {
         e.set_workers(opts.workers);
-        e.set_flight_recorder(opts.recorder);
-        e.set_prepared(opts.prepared);
-        e.set_vectorized(opts.vectorized);
-        e.set_batch_size(opts.batch_size);
         if let Some(ms) = opts.slow_ms {
             e.set_slow_query_threshold(std::time::Duration::from_millis(ms));
-        }
-        if let Some(policy) = &opts.pool_policy {
-            SpatialConnector::set_replacement_policy(e, policy);
         }
         if let Some(mb) = opts.pool_mb {
             e.set_pool_bytes(mb * 1024 * 1024);
@@ -358,23 +297,12 @@ fn main() {
         None => "persist=off".to_string(),
     };
     let trace_note = if opts.trace { " trace=on" } else { "" };
-    let prepared_note = if opts.prepared { "" } else { " prepared=off" };
-    let vectorized_note = if opts.vectorized { "" } else { " vectorized=off" };
-    let batch_note = match opts.batch_size {
-        0 => String::new(),
-        n => format!(" batch_size={n}"),
-    };
     let pool_note = match opts.pool_mb {
-        Some(mb) => {
-            format!(" pool_mb={mb} policy={}", opts.pool_policy.as_deref().unwrap_or("clock"))
-        }
+        Some(mb) => format!(" pool_mb={mb}"),
         None => String::new(),
     };
     for t in &mut tables {
-        t.context = format!(
-            "workers={workers} {persist_note}{trace_note}{prepared_note}{vectorized_note}\
-             {batch_note}{pool_note}"
-        );
+        t.context = format!("workers={workers} {persist_note}{trace_note}{pool_note}");
     }
 
     if opts.experiments.iter().any(|x| x == "bench-json") {
@@ -725,9 +653,7 @@ fn f7_drilldown(data: &TigerDataset, engines: &[Arc<SpatialDb>], sessions: usize
 /// Times the spatial-join micros (T02/T05/T08/T10) and the join-heavy
 /// macro scenarios (M4 flood risk, M6 toxic spill) at `workers=1` vs. the
 /// configured worker count, asserting identical results, plus two
-/// refine-heavy polygon-polygon joins (PP1/PP2) with the prepared
-/// fast path off vs. on, a vectorized-executor ablation (row path vs.
-/// batch path plus a batch-size sweep on T10), an out-of-core section
+/// refine-heavy polygon-polygon joins (PP1/PP2), an out-of-core section
 /// (cold vs. warm repetitions against a bounded buffer pool, with the
 /// pool's miss/eviction deltas as counter entries and a deliberately
 /// undersized 1 MiB probe that must evict), and writes a schema-v2
@@ -741,10 +667,6 @@ fn bench_json(data: &TigerDataset, opts: &Options) {
     use jackpine_core::benchreport::{BenchEntry, BenchRun, BENCH_SCHEMA_VERSION};
     let db = engine_with_data(EngineProfile::ExactRtree, data);
     db.set_workers(opts.workers);
-    db.set_flight_recorder(opts.recorder);
-    db.set_prepared(opts.prepared);
-    db.set_vectorized(opts.vectorized);
-    db.set_batch_size(opts.batch_size);
     let workers = db.workers();
     let driver = Driver { repetitions: opts.reps, warmup: 1, cache_mode: CacheMode::Warm };
     let mut entries: Vec<BenchEntry> = Vec::new();
@@ -796,12 +718,13 @@ fn bench_json(data: &TigerDataset, opts: &Options) {
         }
     }
 
-    // Refine-heavy polygon-polygon joins, measured with the prepared
-    // fast path off and on. Adjacent county polygons (and the landmarks
-    // inside them) have envelopes that all pass the index prefilter, so
-    // nearly every candidate pair reaches the DE-9IM refine stage —
-    // exactly the work prepared geometries accelerate. Run serially so
-    // the ratio isolates the refine kernels from scheduling effects.
+    // Refine-heavy polygon-polygon joins. Adjacent county polygons (and
+    // the landmarks inside them) have envelopes that all pass the index
+    // prefilter, so nearly every candidate pair reaches the DE-9IM refine
+    // stage — the work prepared geometries accelerate. Run serially so
+    // the entries isolate the refine kernels from scheduling effects.
+    // The `prepared=on` suffix dates from the retired on/off comparison;
+    // it stays so `bench-diff` pairs the entries with BENCH_5 onwards.
     let refine_heavy = [
         (
             "PP1",
@@ -812,94 +735,15 @@ fn bench_json(data: &TigerDataset, opts: &Options) {
     ];
     db.set_workers(1);
     for (id, sql) in refine_heavy {
-        db.set_prepared(false);
-        let naive_rows = db.execute(sql).expect("naive run");
-        let naive = driver.run_query(&db, id, sql).expect("naive timing");
-        db.set_prepared(true);
-        let prepared_rows = db.execute(sql).expect("prepared run");
-        let prepared = driver.run_query(&db, id, sql).expect("prepared timing");
-        assert_eq!(naive_rows, prepared_rows, "{id}: prepared on/off disagree");
-        let ratio = prepared.stats.mean_ms / naive.stats.mean_ms;
-        println!(
-            "micro {id}: prepared=off {} ms, prepared=on {} ms ({:.2}x speedup)",
-            fmt_ms(naive.stats.mean_ms),
-            fmt_ms(prepared.stats.mean_ms),
-            1.0 / ratio
-        );
-        entries.push(BenchEntry {
-            name: format!("micro/{id} prepared=off"),
-            value: naive.stats.mean_ms,
-            unit: "ms".into(),
-            stats: Some(naive.stats),
-        });
+        let m = driver.run_query(&db, id, sql).expect("refine-heavy timing");
+        println!("micro {id}: {} ms", fmt_ms(m.stats.mean_ms));
         entries.push(BenchEntry {
             name: format!("micro/{id} prepared=on"),
-            value: prepared.stats.mean_ms,
-            unit: "ms".into(),
-            stats: Some(prepared.stats),
-        });
-        entries.push(BenchEntry {
-            name: format!("micro/{id} prepared_over_naive"),
-            value: ratio,
-            unit: "ratio".into(),
-            stats: None,
-        });
-    }
-    // Vectorized-executor ablation on the refine-heaviest micro: the
-    // row-at-a-time filter vs. batch execution, then a batch-size sweep.
-    // Serial with the prepared cache on, so the comparison isolates the
-    // columnar MBR prefilter and the batch-amortized prepared probes
-    // from scheduling effects.
-    let t10 = suite.iter().find(|q| q.id == "T10").expect("T10 exists");
-    db.set_prepared(true);
-    db.set_vectorized(false);
-    let row_rows = db.execute(&t10.sql).expect("row-path run");
-    let row = driver.run_query(&db, "T10", &t10.sql).expect("row-path timing");
-    db.set_vectorized(true);
-    let vectorized_rows = db.execute(&t10.sql).expect("vectorized run");
-    let vectorized = driver.run_query(&db, "T10", &t10.sql).expect("vectorized timing");
-    assert_eq!(row_rows, vectorized_rows, "T10: vectorized on/off disagree");
-    let ratio = vectorized.stats.mean_ms / row.stats.mean_ms;
-    println!(
-        "micro T10: vectorized=off {} ms, vectorized=on {} ms ({:.2}x speedup)",
-        fmt_ms(row.stats.mean_ms),
-        fmt_ms(vectorized.stats.mean_ms),
-        1.0 / ratio
-    );
-    entries.push(BenchEntry {
-        name: "micro/T10 vectorized=off".into(),
-        value: row.stats.mean_ms,
-        unit: "ms".into(),
-        stats: Some(row.stats),
-    });
-    entries.push(BenchEntry {
-        name: "micro/T10 vectorized=on".into(),
-        value: vectorized.stats.mean_ms,
-        unit: "ms".into(),
-        stats: Some(vectorized.stats),
-    });
-    entries.push(BenchEntry {
-        name: "micro/T10 vectorized_over_row".into(),
-        value: ratio,
-        unit: "ratio".into(),
-        stats: None,
-    });
-    for bs in [128usize, 1024, 4096] {
-        db.set_batch_size(bs);
-        let rows = db.execute(&t10.sql).expect("batch-size run");
-        assert_eq!(rows, row_rows, "T10: batch_size={bs} disagrees");
-        let m = driver.run_query(&db, "T10", &t10.sql).expect("batch-size timing");
-        println!("micro T10: batch_size={bs} {} ms", fmt_ms(m.stats.mean_ms));
-        entries.push(BenchEntry {
-            name: format!("micro/T10 batch_size={bs}"),
             value: m.stats.mean_ms,
             unit: "ms".into(),
             stats: Some(m.stats),
         });
     }
-    db.set_batch_size(opts.batch_size);
-    db.set_vectorized(opts.vectorized);
-    db.set_prepared(opts.prepared);
     db.set_workers(workers);
 
     let config = ScenarioConfig { seed: 0xbead, sessions: opts.sessions };
@@ -1027,12 +871,8 @@ fn bench_json(data: &TigerDataset, opts: &Options) {
     // engine bit-for-bit — paging is invisible to query semantics.
     let pool_mb = opts.pool_mb.filter(|&mb| mb > 0).unwrap_or(8);
     let pdb = engine_with_data(EngineProfile::ExactRtree, data);
-    if let Some(policy) = &opts.pool_policy {
-        SpatialConnector::set_replacement_policy(&pdb, policy);
-    }
     pdb.set_pool_bytes(pool_mb * 1024 * 1024);
     pdb.set_workers(1);
-    pdb.set_flight_recorder(opts.recorder);
     let cold_driver = Driver { repetitions: opts.reps, warmup: 1, cache_mode: CacheMode::Cold };
     for q in suite.iter().filter(|q| ["T02", "T10"].contains(&q.id)) {
         let bounded_rows = pdb.execute(&q.sql).expect("bounded-pool run");
@@ -1089,7 +929,7 @@ fn bench_json(data: &TigerDataset, opts: &Options) {
         // unbounded pool, then bound the pool to *half* of it. T10 is
         // a two-table join, so the working set is always at least two
         // pages and the half-sized pool must cycle frames through the
-        // replacement policy at every --scale.
+        // clock sweep at every --scale.
         let t10 = suite.iter().find(|q| q.id == "T10").expect("T10 exists");
         pdb.set_pool_bytes(4096 * PAGE_SIZE);
         pdb.clear_caches();

@@ -1,19 +1,16 @@
 //! The portability layer: Jackpine drives any backend through this trait,
 //! the way the original harness drove any database with a JDBC driver.
+//! It varies exactly what the paper varies through that layer — the
+//! statement, spatial index on/off, cold/warm cache — and nothing else;
+//! engine-specific tuning and introspection are inherent methods of the
+//! engine ([`SpatialDb`]), not part of the comparison surface.
 //!
-//! Sessions: a connector is `Send + Sync` and every method is `&self`,
-//! so each benchmark client thread simply shares the connector — the
-//! engine gives every SELECT an MVCC snapshot (readers never block on
-//! writers) and serializes DML statements through its internal writer
-//! lock with group-committed WAL fsyncs, so multi-session scenarios
-//! (F4/F8 and the `mvcc/` bench entries) need no per-thread connection
-//! objects or external locking.
+//! A connector is `Send + Sync` and every method is `&self`, so benchmark
+//! client threads share one connector.
 
 use crate::{EngineProfile, Result, SpatialDb};
-use jackpine_obs::{FingerprintStats, MetricsSnapshot, QueryTrace};
 use jackpine_sqlmini::ResultSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A benchmarkable spatial database connection.
 ///
@@ -35,86 +32,6 @@ pub trait SpatialConnector: Send + Sync {
 
     /// Turns use of spatial indexes on or off, where the system allows it.
     fn set_use_spatial_index(&self, on: bool);
-
-    /// Sets the intra-query worker count, where the system allows it
-    /// (`0` = system default, `1` = serial). Systems without intra-query
-    /// parallelism ignore the call.
-    fn set_workers(&self, _workers: usize) {}
-
-    /// The intra-query worker count currently in effect.
-    fn workers(&self) -> usize {
-        1
-    }
-
-    /// Enables crash-safe durability (atomic snapshot + write-ahead log
-    /// under `dir`, fsync per append when `sync`), or disables it with
-    /// `None`. Systems without a durable path ignore the call.
-    fn set_durability(&self, _dir: Option<&std::path::Path>, _sync: bool) -> Result<()> {
-        Ok(())
-    }
-
-    /// The active durability directory, if durability is enabled.
-    fn durability_dir(&self) -> Option<std::path::PathBuf> {
-        None
-    }
-
-    /// Executes one SQL statement and returns its query trace (per-stage
-    /// timings plus the engine-counter delta) alongside the result.
-    /// Systems without tracing return `None` for the trace.
-    fn execute_traced(&self, sql: &str) -> Result<(ResultSet, Option<QueryTrace>)> {
-        self.execute(sql).map(|r| (r, None))
-    }
-
-    /// A point-in-time copy of the system's engine metrics, when it
-    /// exposes any.
-    fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        None
-    }
-
-    /// Prometheus text-exposition (`/metrics`-style) rendering of the
-    /// system's metrics, when it exposes any.
-    fn prometheus_text(&self) -> Option<String> {
-        None
-    }
-
-    /// The most recent completed query traces from the system's flight
-    /// recorder, oldest first. Systems without one return nothing.
-    fn recent_traces(&self) -> Vec<Arc<QueryTrace>> {
-        Vec::new()
-    }
-
-    /// Retained slow-query traces, oldest first.
-    fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        Vec::new()
-    }
-
-    /// Sets the slow-query threshold, where the system has a slow log.
-    fn set_slow_query_threshold(&self, _threshold: Duration) {}
-
-    /// Top `k` statement shapes by execution count with per-fingerprint
-    /// rolling stats, where the system fingerprints statements.
-    fn query_stats(&self, _k: usize) -> Vec<FingerprintStats> {
-        Vec::new()
-    }
-
-    /// Turns retrospective recording (flight recorder, slow log,
-    /// fingerprint stats) on or off, where the system supports it.
-    fn set_flight_recorder(&self, _on: bool) {}
-
-    /// Sizes the system's buffer pool in bytes (`0` = unbounded), for
-    /// out-of-core runs. Systems without a pool ignore the call.
-    fn set_pool_bytes(&self, _bytes: usize) {}
-
-    /// Selects the pool's frame-replacement policy by name (`"clock"`,
-    /// `"lru-k"`), where the system has one. Unknown names are ignored.
-    fn set_replacement_policy(&self, _policy: &str) {}
-
-    /// Releases the connection's resources: flushes buffered state and
-    /// reclaims deferred work (e.g. a final index vacuum). Idempotent;
-    /// a default-noop for systems without buffered state.
-    fn close(&self) -> Result<()> {
-        Ok(())
-    }
 }
 
 impl SpatialConnector for Arc<SpatialDb> {
@@ -136,68 +53,6 @@ impl SpatialConnector for Arc<SpatialDb> {
 
     fn set_use_spatial_index(&self, on: bool) {
         SpatialDb::set_use_spatial_index(self, on)
-    }
-
-    fn set_workers(&self, workers: usize) {
-        SpatialDb::set_workers(self, workers)
-    }
-
-    fn workers(&self) -> usize {
-        SpatialDb::workers(self)
-    }
-
-    fn set_durability(&self, dir: Option<&std::path::Path>, sync: bool) -> Result<()> {
-        SpatialDb::set_durability(self, dir, crate::DurabilityOptions { sync_each_append: sync })
-    }
-
-    fn durability_dir(&self) -> Option<std::path::PathBuf> {
-        SpatialDb::durability_dir(self)
-    }
-
-    fn execute_traced(&self, sql: &str) -> Result<(ResultSet, Option<QueryTrace>)> {
-        SpatialDb::execute_traced(self, sql).map(|(r, t)| (r, Some(t)))
-    }
-
-    fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        Some(SpatialDb::metrics_snapshot(self))
-    }
-
-    fn prometheus_text(&self) -> Option<String> {
-        Some(SpatialDb::prometheus_text(self))
-    }
-
-    fn recent_traces(&self) -> Vec<Arc<QueryTrace>> {
-        SpatialDb::recent_traces(self)
-    }
-
-    fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        SpatialDb::slow_queries(self)
-    }
-
-    fn set_slow_query_threshold(&self, threshold: Duration) {
-        SpatialDb::set_slow_query_threshold(self, threshold)
-    }
-
-    fn query_stats(&self, k: usize) -> Vec<FingerprintStats> {
-        SpatialDb::query_stats(self, k)
-    }
-
-    fn set_flight_recorder(&self, on: bool) {
-        SpatialDb::set_flight_recorder(self, on)
-    }
-
-    fn set_pool_bytes(&self, bytes: usize) {
-        SpatialDb::set_pool_bytes(self, bytes)
-    }
-
-    fn set_replacement_policy(&self, policy: &str) {
-        if let Some(p) = jackpine_storage::ReplacementPolicy::parse(policy) {
-            SpatialDb::set_replacement_policy(self, p)
-        }
-    }
-
-    fn close(&self) -> Result<()> {
-        SpatialDb::close(self)
     }
 }
 

@@ -17,8 +17,8 @@ use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider}
 use jackpine_sqlmini::{exec, parser, plan, PreparedCache, ResultSet, SqlError};
 use jackpine_storage::sync::{Mutex, RwLock};
 use jackpine_storage::{
-    BufferPool, Catalog, ColumnDef, DataType, PoolStats, ReplacementPolicy, Row, RowId, Schema,
-    StorageError, Table, Value,
+    BufferPool, Catalog, ColumnDef, DataType, PoolStats, Row, RowId, Schema, StorageError, Table,
+    Value,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -276,9 +276,6 @@ pub struct SpatialDb {
     /// instead of coarsely cleared). Mirrors the prepared-statement
     /// caches of the systems under benchmark.
     plan_cache: RwLock<HashMap<String, (u64, Arc<jackpine_sqlmini::plan::PlannedSelect>)>>,
-    plan_cache_enabled: RwLock<bool>,
-    plan_cache_hits: std::sync::atomic::AtomicU64,
-    plan_cache_misses: std::sync::atomic::AtomicU64,
     /// Intra-query worker threads for the morsel executor and parallel
     /// index builds. Defaults to the machine's available parallelism;
     /// `1` means fully serial execution.
@@ -298,10 +295,6 @@ pub struct SpatialDb {
     slow_log: SlowQueryLog,
     /// Per-fingerprint rolling statistics (`pg_stat_statements`-style).
     query_stats: QueryStatsTable,
-    /// Master switch for retrospective recording (recorder + slow log +
-    /// fingerprint stats). On by default; the off position is the
-    /// overhead-ablation setting.
-    recording: std::sync::atomic::AtomicBool,
     /// Raw-text → `(fingerprint, normalized shape, last-hit tick)` cache
     /// so repeat executions of the same statement text skip
     /// re-tokenization — benchmark loops re-run statements with multi-KB
@@ -319,16 +312,6 @@ pub struct SpatialDb {
     /// only cleared on index/table drops (memory hygiene) and explicit
     /// cold runs.
     prepared_cache: Arc<PreparedCache>,
-    /// Master switch for the prepared-geometry fast path (the
-    /// `--prepared off` ablation). On by default.
-    prepared_enabled: RwLock<bool>,
-    /// Master switch for the vectorized batch executor (columnar MBR
-    /// prefilter + selection-vector refine). On by default; off restores
-    /// the row-at-a-time filter path for ablations and equivalence runs.
-    vectorized_enabled: std::sync::atomic::AtomicBool,
-    /// Rows per batch on the vectorized path; `0` means the executor
-    /// default ([`jackpine_sqlmini::batch::DEFAULT_BATCH_SIZE`]).
-    batch_size: std::sync::atomic::AtomicUsize,
     /// The newest published commit generation. A write transaction
     /// applies its changes stamped `commit_gen + 1` and *publishes* them
     /// by storing the new value — one atomic store makes the whole
@@ -420,22 +403,15 @@ impl SpatialDb {
             indexes: Arc::new(RwLock::new(HashMap::new())),
             use_spatial_index: RwLock::new(true),
             plan_cache: RwLock::new(HashMap::new()),
-            plan_cache_enabled: RwLock::new(true),
-            plan_cache_hits: std::sync::atomic::AtomicU64::new(0),
-            plan_cache_misses: std::sync::atomic::AtomicU64::new(0),
             workers: std::sync::atomic::AtomicUsize::new(default_workers()),
             durability: RwLock::new(None),
             metrics: Arc::new(EngineMetrics::new()),
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD),
             query_stats: QueryStatsTable::new(QUERY_STATS_CAPACITY),
-            recording: std::sync::atomic::AtomicBool::new(true),
             fingerprint_cache: RwLock::new(HashMap::new()),
             fingerprint_tick: AtomicU64::new(0),
             prepared_cache: Arc::new(PreparedCache::new()),
-            prepared_enabled: RwLock::new(true),
-            vectorized_enabled: std::sync::atomic::AtomicBool::new(true),
-            batch_size: std::sync::atomic::AtomicUsize::new(0),
             commit_gen: Arc::new(AtomicU64::new(0)),
             txn: Mutex::new(()),
             snapshots: Mutex::new(HashMap::new()),
@@ -672,54 +648,12 @@ impl SpatialDb {
     }
 
     fn exec_options(&self) -> exec::ExecOptions {
-        let prepared =
-            if *self.prepared_enabled.read() { Some(self.prepared_cache.clone()) } else { None };
         exec::ExecOptions {
             workers: self.workers(),
             metrics: Some(self.metrics.clone()),
-            prepared,
-            vectorized: self.vectorized_enabled(),
-            batch_size: self.batch_size(),
+            prepared: self.prepared_cache.clone(),
             snapshot: None,
         }
-    }
-
-    /// Enables or disables the vectorized batch executor (ablation
-    /// switch). Results are bit-identical either way — only the filter
-    /// execution strategy changes.
-    pub fn set_vectorized(&self, on: bool) {
-        self.vectorized_enabled.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the vectorized batch executor is on.
-    pub fn vectorized_enabled(&self) -> bool {
-        self.vectorized_enabled.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Sets the vectorized path's rows-per-batch. `0` restores the
-    /// executor default. Results are bit-identical at any setting.
-    pub fn set_batch_size(&self, rows: usize) {
-        self.batch_size.store(rows, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// The current rows-per-batch setting.
-    pub fn batch_size(&self) -> usize {
-        match self.batch_size.load(std::sync::atomic::Ordering::Relaxed) {
-            0 => jackpine_sqlmini::batch::DEFAULT_BATCH_SIZE,
-            n => n,
-        }
-    }
-
-    /// Enables or disables the prepared-geometry fast path (ablation
-    /// switch). Disabling also drops every cached preparation.
-    pub fn set_prepared(&self, on: bool) {
-        *self.prepared_enabled.write() = on;
-        self.prepared_cache.clear();
-    }
-
-    /// Whether the prepared-geometry fast path is on.
-    pub fn prepared_enabled(&self) -> bool {
-        *self.prepared_enabled.read()
     }
 
     /// Live entries in the prepared-geometry cache (invalidation tests).
@@ -814,12 +748,6 @@ impl SpatialDb {
         self.bump_ddl_gen();
     }
 
-    /// Enables or disables the prepared-plan cache (ablation switch).
-    pub fn set_plan_cache(&self, on: bool) {
-        *self.plan_cache_enabled.write() = on;
-        self.plan_cache.write().clear();
-    }
-
     /// Advances the DDL generation, lazily invalidating every cached
     /// plan stamped under an older one.
     fn bump_ddl_gen(&self) {
@@ -828,11 +756,7 @@ impl SpatialDb {
 
     /// `(hits, misses)` of the plan cache since creation.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.plan_cache_hits.load(Ordering::Relaxed),
-            self.plan_cache_misses.load(Ordering::Relaxed),
-        )
+        (self.metrics.plan_cache_hits.get(), self.metrics.plan_cache_misses.get())
     }
 
     /// Creates a table programmatically. Names with the `jp_` prefix are
@@ -1220,14 +1144,10 @@ impl SpatialDb {
         self.checkpoint()
     }
 
-    /// Runs one SQL statement. With recording on (the default), the
-    /// completed statement lands in the flight recorder, the slow-query
-    /// log (if slow enough) and the fingerprint stats table.
+    /// Runs one SQL statement. The completed statement lands in the
+    /// flight recorder, the slow-query log (if slow enough) and the
+    /// fingerprint stats table.
     pub fn execute(self: &Arc<Self>, sql: &str) -> crate::Result<ResultSet> {
-        use std::sync::atomic::Ordering;
-        if !self.recording.load(Ordering::Relaxed) {
-            return self.execute_unrecorded(sql);
-        }
         let _session = self.register_session(sql);
         let before = self.metrics.query_snapshot();
         let t0 = Instant::now();
@@ -1316,19 +1236,6 @@ impl SpatialDb {
         self.execute_statement(stmt, Some(sql))
     }
 
-    /// Enables or disables retrospective recording (flight recorder,
-    /// slow-query log, fingerprint stats). On by default; the off
-    /// position exists for the overhead ablation and leaves previously
-    /// recorded traces in place.
-    pub fn set_flight_recorder(&self, on: bool) {
-        self.recording.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether retrospective recording is currently on.
-    pub fn flight_recorder_enabled(&self) -> bool {
-        self.recording.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// The flight recorder itself (capacity/eviction accounting).
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.recorder
@@ -1395,9 +1302,8 @@ impl SpatialDb {
             // the providers it was planned against, and a jp_* provider
             // is a point-in-time materialization that must be rebuilt
             // per statement.
-            let cache_on = *self.plan_cache_enabled.read()
-                && sql.is_some()
-                && !select.from.iter().any(|t| syscat::is_system_table(&t.table));
+            let cache_on =
+                sql.is_some() && !select.from.iter().any(|t| syscat::is_system_table(&t.table));
             let stamp = self.ddl_gen.load(Ordering::SeqCst);
             if cache_on {
                 // A hit counts only when the entry's DDL stamp is
@@ -1405,13 +1311,11 @@ impl SpatialDb {
                 // or went) are lazily replaced below.
                 if let Some((s, planned)) = self.plan_cache.read().get(sql.unwrap()).cloned() {
                     if s == stamp {
-                        self.plan_cache_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         self.metrics.plan_cache_hits.incr();
                         return Ok(planned);
                     }
                 }
             }
-            self.plan_cache_misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.metrics.plan_cache_misses.incr();
             let opts = PlanOptions {
                 mode: self.profile.function_mode(),
@@ -1805,19 +1709,9 @@ impl SpatialDb {
         self.respill_indexes();
     }
 
-    /// Selects the pool's frame-replacement policy (clock or LRU-K).
-    pub fn set_replacement_policy(&self, policy: ReplacementPolicy) {
-        self.catalog.pool().set_policy(policy);
-    }
-
     /// A point-in-time copy of the buffer pool's counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.catalog.pool().stats()
-    }
-
-    /// The pool's current replacement policy.
-    pub fn pool_policy(&self) -> ReplacementPolicy {
-        self.catalog.pool().policy()
     }
 
     /// Brings every R-tree's leaf residency in line with the pool
@@ -1843,8 +1737,7 @@ impl SpatialDb {
         }
     }
 
-    /// Flushes dirty pool frames and reclaims what no snapshot needs —
-    /// the engine half of `SpatialConnector::close`.
+    /// Flushes dirty pool frames and reclaims what no snapshot needs.
     pub fn close(&self) -> crate::Result<()> {
         {
             let (_txn, waited) = self.txn.lock_timed();
@@ -2655,11 +2548,6 @@ mod plan_cache_tests {
             .unwrap();
         let plan: String = r.rows.iter().map(|row| row[0].to_string()).collect();
         assert!(plan.contains("SpatialIndexScan"), "stale plan survived DDL: {plan}");
-        // And the cached execution path agrees with a fresh one.
-        let with_cache = db.execute(sql).unwrap();
-        db.set_plan_cache(false);
-        let without = db.execute(sql).unwrap();
-        assert_eq!(with_cache, without);
     }
 
     #[test]
@@ -2706,21 +2594,12 @@ mod prepared_cache_tests {
     const JOIN: &str = "SELECT COUNT(*) FROM lots a, lots b WHERE ST_Intersects(a.geom, b.geom)";
 
     #[test]
-    fn join_populates_cache_and_prepared_path_agrees_with_naive() {
+    fn join_populates_cache() {
         let db = db_with_polys();
-        let with = db.execute(JOIN).unwrap();
+        db.execute(JOIN).unwrap();
         assert!(db.prepared_cache_len() > 0, "spatial join must populate the cache");
         let m = db.metrics_snapshot();
         assert!(m.counter("prepared_cache_hits") > 0, "inner geometries must be reused");
-
-        db.set_prepared(false);
-        assert_eq!(db.prepared_cache_len(), 0, "disabling drops preparations");
-        let before = db.metrics_snapshot();
-        let without = db.execute(JOIN).unwrap();
-        assert_eq!(with, without, "prepared fast path must not change answers");
-        let delta = db.metrics_snapshot().delta_since(&before);
-        assert_eq!(delta.counter("prepared_cache_misses"), 0, "disabled path must not prepare");
-        assert_eq!(db.prepared_cache_len(), 0);
     }
 
     #[test]
@@ -2754,19 +2633,6 @@ mod prepared_cache_tests {
         // Still correct (and repopulating) without the index.
         populate(&db);
     }
-
-    #[test]
-    fn results_match_across_predicates_with_and_without_prepared() {
-        let db = db_with_polys();
-        for pred in ["ST_Intersects", "ST_Touches", "ST_Overlaps", "ST_Within", "ST_Equals"] {
-            let sql = format!("SELECT COUNT(*) FROM lots a, lots b WHERE {pred}(a.geom, b.geom)");
-            db.set_prepared(true);
-            let on = db.execute(&sql).unwrap();
-            db.set_prepared(false);
-            let off = db.execute(&sql).unwrap();
-            assert_eq!(on, off, "{pred}: prepared on/off must agree");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2788,35 +2654,6 @@ mod vectorized_tests {
         db.create_spatial_index("lots", "geom").unwrap();
         db.set_workers(1);
         db
-    }
-
-    #[test]
-    fn knobs_round_trip() {
-        let db = db_with_polys();
-        assert!(db.vectorized_enabled(), "vectorized path is on by default");
-        assert_eq!(db.batch_size(), jackpine_sqlmini::batch::DEFAULT_BATCH_SIZE);
-        db.set_batch_size(7);
-        assert_eq!(db.batch_size(), 7);
-        db.set_batch_size(0); // restores the default
-        assert_eq!(db.batch_size(), jackpine_sqlmini::batch::DEFAULT_BATCH_SIZE);
-        db.set_vectorized(false);
-        assert!(!db.vectorized_enabled());
-    }
-
-    #[test]
-    fn vectorized_on_off_and_batch_sizes_agree() {
-        let db = db_with_polys();
-        let sql = "SELECT COUNT(*) FROM lots a, lots b WHERE ST_Intersects(a.geom, b.geom)";
-        db.set_vectorized(true);
-        let on = db.execute(sql).unwrap();
-        db.set_vectorized(false);
-        let off = db.execute(sql).unwrap();
-        assert_eq!(on, off, "vectorized on/off must agree");
-        db.set_vectorized(true);
-        for bs in [1, 3, 4096] {
-            db.set_batch_size(bs);
-            assert_eq!(db.execute(sql).unwrap(), on, "batch_size={bs} must agree");
-        }
     }
 
     #[test]

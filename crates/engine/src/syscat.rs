@@ -300,12 +300,11 @@ fn wal(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
     VirtualTable::new(schema, vec![row])
 }
 
-/// `jp_buffer_pool`: one row of buffer-pool state under the active
-/// replacement policy. `capacity_frames` is 0 when the pool is
+/// `jp_buffer_pool`: one row of buffer-pool state. `capacity_frames` is
+/// 0 when the pool is
 /// unbounded (every page stays resident and nothing evicts).
 fn buffer_pool(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
     let schema = cols(&[
-        ("policy", DataType::Text),
         ("capacity_frames", DataType::Int),
         ("resident_frames", DataType::Int),
         ("pinned_frames", DataType::Int),
@@ -316,7 +315,6 @@ fn buffer_pool(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
     ])?;
     let stats = db.pool_stats();
     let row = vec![
-        Value::Text(db.pool_policy().name().to_string()),
         int(stats.capacity_frames),
         int(stats.resident_frames),
         int(stats.pinned_frames),

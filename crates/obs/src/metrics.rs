@@ -186,7 +186,7 @@ pub struct EngineMetrics {
     /// matrix.
     pub refine_short_circuits: Counter,
     /// Rows decided by the vectorized envelope prefilter (no refine
-    /// needed). Zero on the row-at-a-time path.
+    /// needed). Zero for filters the generic evaluator runs.
     pub prefilter_rejects: Counter,
     /// Selection-vector entries that survived the prefilter and entered
     /// batch refinement. `prefilter_rejects + selvec_survivors ==

@@ -24,28 +24,22 @@ use crate::{Result, SqlError};
 use jackpine_geom::{Envelope, Geometry};
 use jackpine_obs::{EngineMetrics, Stage};
 use jackpine_storage::{Row, Value};
-use jackpine_topo::{PredicateKind, PredicateOutcome, PreparedGeometry};
+use jackpine_topo::{PredicateKind, PreparedGeometry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Rows per morsel claimed by one worker at a time — at non-default
-/// batch sizes, rounded to a whole number of batches so batch boundaries
-/// are identical at every worker count.
-pub const MORSEL_SIZE: usize = 1024;
+/// Rows per morsel claimed by one worker at a time: exactly one filter
+/// batch, so batch boundaries are a pure function of row position —
+/// identical at every worker count.
+pub const MORSEL_SIZE: usize = DEFAULT_BATCH_SIZE;
 
-/// Batches per input at or below which dispatch stays serial, regardless
-/// of the worker setting: thread spawn plus result stitching costs more
-/// than the parallel win on small inputs. At the default batch size this
-/// reproduces the historical 4096-row cutoff (a few-thousand-row filter
-/// is measurably *slower* at 4 workers than at 1).
-pub const MIN_PARALLEL_BATCHES: usize = 4;
-
-/// The historical row-count cutoff, equal to
-/// `MIN_PARALLEL_BATCHES * DEFAULT_BATCH_SIZE`; kept for doc links and
-/// ablation scripts.
-pub const MIN_PARALLEL_ROWS: usize = MIN_PARALLEL_BATCHES * DEFAULT_BATCH_SIZE;
+/// Input rows at or below which dispatch stays serial, regardless of the
+/// worker setting: thread spawn plus result stitching costs more than
+/// the parallel win on small inputs (a few-thousand-row filter is
+/// measurably *slower* at 4 workers than at 1).
+pub const MIN_PARALLEL_ROWS: usize = 4 * MORSEL_SIZE;
 
 /// Upper bound on speculative `Vec` capacity hints (rows). Join outputs
 /// can legitimately exceed this; it only caps the *pre-allocation*, so a
@@ -82,41 +76,23 @@ impl ResultSet {
 }
 
 /// Executor knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Worker threads for morsel dispatch; `0` and `1` = serial execution.
     pub workers: usize,
     /// Metrics registry to record stage timings, refine counters and
     /// morsel dispatch into; `None` executes uninstrumented.
     pub metrics: Option<Arc<EngineMetrics>>,
-    /// Prepared-geometry cache for the refine stage; `None` disables the
-    /// prepared fast path (the `--prepared off` ablation).
-    pub prepared: Option<Arc<PreparedCache>>,
-    /// Vectorized batch execution of spatial filters (columnar MBR
-    /// prefilter + selection-vector refine). `false` restores the
-    /// row-at-a-time path — the `set_vectorized(off)` ablation.
-    pub vectorized: bool,
-    /// Rows per batch on the vectorized path; clamped to at least 1.
-    pub batch_size: usize,
+    /// Prepared-geometry cache for the refine stage. The engine passes
+    /// its long-lived cache; the default is an empty one that lives for
+    /// the statement.
+    pub prepared: Arc<PreparedCache>,
     /// The statement snapshot, when the engine pinned one. Every
     /// snapshot-capable provider in the plan is resolved to a pinned
     /// copy before execution starts, so all reads — scans, index
     /// probes, join-side fetches — observe one commit generation.
     /// `None` reads providers live (tests and embedded use).
     pub snapshot: Option<Arc<dyn SnapshotHandle>>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            workers: 0,
-            metrics: None,
-            prepared: None,
-            vectorized: true,
-            batch_size: DEFAULT_BATCH_SIZE,
-            snapshot: None,
-        }
-    }
 }
 
 /// Executes a planned `SELECT` serially (one worker).
@@ -131,8 +107,6 @@ pub fn execute_with(plan: &PlannedSelect, opts: &ExecOptions) -> Result<ResultSe
         workers: opts.workers.max(1),
         metrics: opts.metrics.clone(),
         prepared: opts.prepared.clone(),
-        vectorized: opts.vectorized,
-        batch_size: opts.batch_size.max(1),
         pins: build_pins(&plan.root, opts.snapshot.as_ref()),
     };
     let lazy = run(&plan.root, &ctx)?;
@@ -286,9 +260,7 @@ struct ExecCtx {
     mode: FunctionMode,
     workers: usize,
     metrics: Option<Arc<EngineMetrics>>,
-    prepared: Option<Arc<PreparedCache>>,
-    vectorized: bool,
-    batch_size: usize,
+    prepared: Arc<PreparedCache>,
     /// Plan-provider identity (thin `Arc` pointer) → its snapshot-pinned
     /// replacement. Built once per statement; empty when executing
     /// without a snapshot. Cached plans hold live providers, so pinning
@@ -349,19 +321,11 @@ impl ExecCtx {
         }
     }
 
-    /// Rows per morsel: the smallest multiple of the batch size at or
-    /// above [`MORSEL_SIZE`] (just `MORSEL_SIZE` at default settings).
-    /// Morsels being whole batches makes global batch boundaries a pure
-    /// function of position — identical at every worker count.
-    fn morsel_rows(&self) -> usize {
-        (MORSEL_SIZE / self.batch_size).max(1) * self.batch_size
-    }
-
     /// Applies `f` to morsels of `items`, concatenating outputs in morsel
-    /// order. With one worker — or at most [`MIN_PARALLEL_BATCHES`]
-    /// batches of items, where dispatch overhead beats the win — this is
-    /// a single direct call on the current thread; otherwise morsels are
-    /// claimed by scoped worker threads off a shared counter. Morsel
+    /// order. With one worker — or at most [`MIN_PARALLEL_ROWS`] items,
+    /// where dispatch overhead beats the win — this is a single direct
+    /// call on the current thread; otherwise morsels are claimed by
+    /// scoped worker threads off a shared counter. Morsel
     /// boundaries depend only on morsel size, and outputs are stitched by
     /// morsel index, so results are identical for any worker count.
     fn parallel_morsels<I, O>(
@@ -388,11 +352,10 @@ impl ExecCtx {
         I: Sync,
         O: Send,
     {
-        if self.workers <= 1 || items.len() <= MIN_PARALLEL_BATCHES * self.batch_size {
+        if self.workers <= 1 || items.len() <= MIN_PARALLEL_ROWS {
             return f(0, items);
         }
-        let morsel_rows = self.morsel_rows();
-        let morsels: Vec<&[I]> = items.chunks(morsel_rows).collect();
+        let morsels: Vec<&[I]> = items.chunks(MORSEL_SIZE).collect();
         let nworkers = self.workers.min(morsels.len());
         let counter = AtomicUsize::new(0);
         let metrics = self.metrics.as_deref();
@@ -416,7 +379,7 @@ impl ExecCtx {
                                         as u64,
                                 );
                             }
-                            local.push((idx, f(idx * morsel_rows, morsel)));
+                            local.push((idx, f(idx * MORSEL_SIZE, morsel)));
                         }
                         local
                     })
@@ -432,10 +395,10 @@ impl ExecCtx {
         Ok(out)
     }
 
-    /// Recognizes the filter shapes both fast paths (prepared row path
-    /// and vectorized batch path) accelerate: a top-level `pred(x, y)`
-    /// where `pred` is a named DE-9IM predicate under exact semantics and
-    /// `x`/`y` are geometry columns or constant geometry expressions.
+    /// Recognizes the filter shape the vectorized path accelerates: a
+    /// top-level `pred(x, y)` where `pred` is a named DE-9IM predicate
+    /// under exact semantics and `x`/`y` are geometry columns or
+    /// constant geometry expressions.
     /// Anything else returns `None` and evaluates generically.
     fn spatial_shape(&self, predicate: &BoundExpr) -> Option<SpatialShape> {
         if self.mode != FunctionMode::Exact {
@@ -463,26 +426,6 @@ impl ExecCtx {
         };
         Some(SpatialShape { kind, a: operand(a)?, b: operand(b)? })
     }
-
-    /// Binds a recognized shape to the row-at-a-time prepared fast path —
-    /// requires a cache.
-    fn prepared_filter(&self, predicate: &BoundExpr) -> Option<PreparedFilter<'_>> {
-        let cache = self.prepared.as_deref()?;
-        let shape = self.spatial_shape(predicate)?;
-        let operand = |o: ShapeOperand| match o {
-            ShapeOperand::Column(i) => PreparedOperand::Column(i),
-            ShapeOperand::Constant(g) => {
-                PreparedOperand::Constant(Arc::new(PreparedGeometry::new(&g)))
-            }
-        };
-        Some(PreparedFilter {
-            kind: shape.kind,
-            a: operand(shape.a),
-            b: operand(shape.b),
-            cache,
-            metrics: self.metrics.as_deref(),
-        })
-    }
 }
 
 /// A recognized top-level spatial predicate: `kind(a, b)` over columns
@@ -498,62 +441,6 @@ enum ShapeOperand {
     Column(usize),
     /// Constant geometry, evaluated once at recognition.
     Constant(Geometry),
-}
-
-/// A refine predicate bound to the prepared fast path: constant operands
-/// prepared once up front, column operands prepared per distinct heap
-/// row through the shared cache.
-struct PreparedFilter<'a> {
-    kind: PredicateKind,
-    a: PreparedOperand,
-    b: PreparedOperand,
-    cache: &'a PreparedCache,
-    metrics: Option<&'a EngineMetrics>,
-}
-
-enum PreparedOperand {
-    /// Tuple column offset.
-    Column(usize),
-    /// Constant geometry, prepared at filter construction.
-    Constant(Arc<PreparedGeometry>),
-}
-
-impl PreparedFilter<'_> {
-    /// The prepared geometry for one operand of one row; `None` when the
-    /// value is not a geometry (NULL or type mismatch), sending the row
-    /// to the generic evaluator.
-    fn operand(&self, op: &PreparedOperand, row: &LazyRow) -> Option<Arc<PreparedGeometry>> {
-        match op {
-            PreparedOperand::Constant(p) => Some(Arc::clone(p)),
-            PreparedOperand::Column(i) => match row.col_part(*i) {
-                Some((part, off)) => match &part[off] {
-                    Value::Geom(g) => Some(self.cache.get_or_prepare(part, off, g, self.metrics)),
-                    _ => None,
-                },
-                // Owned tuple: no stable identity to cache under, so
-                // prepare fresh. Still a miss — the work was done.
-                None => match row.col(*i) {
-                    Some(Value::Geom(g)) => {
-                        if let Some(m) = self.metrics {
-                            m.prepared_cache_misses.incr();
-                        }
-                        Some(Arc::new(PreparedGeometry::new(g)))
-                    }
-                    _ => None,
-                },
-            },
-        }
-    }
-
-    /// Evaluates the predicate for one row. `Ok(None)` means an operand
-    /// was not a plain geometry — the caller falls back to the generic
-    /// evaluator, which reproduces exact naive errors and semantics.
-    fn eval_row(&self, row: &LazyRow) -> Result<Option<PredicateOutcome>> {
-        let (Some(a), Some(b)) = (self.operand(&self.a, row), self.operand(&self.b, row)) else {
-            return Ok(None);
-        };
-        Ok(Some(jackpine_topo::evaluate(self.kind, &a, &b)?))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -603,38 +490,24 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
             }
         }
         PlanNode::Filter { input, predicate } => {
-            if ctx.vectorized {
-                if let Some(shape) = ctx.spatial_shape(predicate) {
-                    return vectorized_filter(input, predicate, shape, ctx);
-                }
+            if let Some(shape) = ctx.spatial_shape(predicate) {
+                return vectorized_filter(input, predicate, shape, ctx);
             }
+            // Not a recognized spatial shape: the generic evaluator
+            // decides every row.
             let rows = run(input, ctx)?;
             let metrics = ctx.metrics.as_deref();
-            let fast = ctx.prepared_filter(predicate);
             ctx.parallel_morsels(&rows, |chunk| {
                 let t0 = metrics.map(|_| Instant::now());
                 let mut out = Vec::with_capacity(chunk.len());
-                let mut short_circuits = 0u64;
                 for row in chunk {
-                    let keep = match fast.as_ref().map(|f| f.eval_row(row)).transpose()?.flatten() {
-                        Some(outcome) => {
-                            short_circuits += u64::from(outcome.short_circuit);
-                            outcome.value
-                        }
-                        // Not the fast-path shape, or an operand wasn't a
-                        // plain geometry value: the generic evaluator
-                        // decides, reproducing exact errors and NULL
-                        // semantics.
-                        None => truthy(&eval_view(predicate, row, mode)?),
-                    };
-                    if keep {
+                    if truthy(&eval_view(predicate, row, mode)?) {
                         out.push(row.clone());
                     }
                 }
                 if let (Some(m), Some(t0)) = (metrics, t0) {
                     m.refine_candidates.add(chunk.len() as u64);
                     m.refine_hits.add(out.len() as u64);
-                    m.refine_short_circuits.add(short_circuits);
                     m.record_stage(Stage::Refine, t0.elapsed());
                 }
                 Ok(out)
@@ -840,8 +713,7 @@ struct VecOperand {
     col: Option<usize>,
     /// Constant operand's envelope quad.
     const_quad: Option<MbrQuad>,
-    /// Constant operand's preparation — built only when a cache is
-    /// attached, i.e. the refine stage takes the prepared path.
+    /// Constant operand's preparation, built once at bind time.
     const_prepared: Option<Arc<PreparedGeometry>>,
     /// MBR quads for every input row in global row order, gathered from
     /// the heap's quad cache when the filter sits directly on a table
@@ -916,7 +788,8 @@ fn resolve_prepared(
             let ptr = Arc::as_ptr(part) as usize;
             if let Some((p, prepared)) = &memo.last {
                 if *p == ptr {
-                    // The row path would have probed the cache and hit.
+                    // Counted as the cache hit a fresh probe would be,
+                    // so hit/miss totals do not depend on run lengths.
                     if let Some(m) = metrics {
                         m.prepared_cache_hits.incr();
                     }
@@ -991,14 +864,15 @@ fn gather_column(
 /// prefilter writing decided rows straight into the keep mask, and a
 /// refine pass over the surviving selection-vector entries.
 ///
-/// Decision semantics mirror the row path bit for bit. The prefilter
-/// applies only the *unconditional* envelope gate — the one both
+/// Decision semantics mirror the generic evaluator (`eval_view`) bit
+/// for bit. The prefilter applies only the *unconditional* envelope
+/// gate — the one both
 /// `topo::evaluate` and the naive SQL predicates apply before any other
 /// work, even for unsupported geometry types: an env-disjoint valid pair
 /// is decided `false` (`true` for Disjoint) with no error possible.
-/// Every other row runs the same refine code as the row path, in
-/// ascending row order, so result rows, error choice and NULL semantics
-/// are identical at any batch size and worker count.
+/// Every other row is refined in ascending row order, so result rows,
+/// error choice and NULL semantics are those of evaluating the predicate
+/// row by row, at any worker count.
 fn vectorized_filter(
     input: &PlanNode,
     predicate: &BoundExpr,
@@ -1041,7 +915,7 @@ fn vectorized_filter(
             ShapeOperand::Constant(g) => VecOperand {
                 col: None,
                 const_quad: Some(quad_of(&g)),
-                const_prepared: ctx.prepared.is_some().then(|| Arc::new(PreparedGeometry::new(&g))),
+                const_prepared: Some(Arc::new(PreparedGeometry::new(&g))),
                 pregathered: None,
             },
         }
@@ -1050,8 +924,8 @@ fn vectorized_filter(
     let b = bind(b);
 
     let metrics = ctx.metrics.as_deref();
-    let cache = ctx.prepared.as_deref();
-    let bs = ctx.batch_size;
+    let cache = &*ctx.prepared;
+    let bs = DEFAULT_BATCH_SIZE;
     let mode = ctx.mode;
     ctx.parallel_morsels_indexed(&rows, |base, chunk| {
         let mut out = Vec::with_capacity(chunk.len());
@@ -1112,31 +986,30 @@ fn vectorized_filter(
             }
 
             // Refine: exact evaluation over the selection vector, in
-            // ascending row order (error ordering matches the row path).
+            // ascending row order (so the first failing row's error is
+            // the one that surfaces).
             let t1 = metrics.map(|_| Instant::now());
             for &i in &sel {
                 let i = i as usize;
                 let row = &batch[i];
                 let valid = a.valid_at(&col_a, i) && b.valid_at(&col_b, i);
-                keep[i] = match (valid, cache) {
-                    (true, Some(c)) => {
-                        match (
-                            resolve_prepared(&a, row, c, metrics, &mut prep_a),
-                            resolve_prepared(&b, row, c, metrics, &mut prep_b),
-                        ) {
-                            (Some(pa), Some(pb)) => {
-                                let outcome = jackpine_topo::evaluate(kind, &pa, &pb)?;
-                                short_circuits += u64::from(outcome.short_circuit);
-                                outcome.value
-                            }
-                            _ => truthy(&eval_view(predicate, row, mode)?),
-                        }
+                let prepared =
+                    if valid {
+                        resolve_prepared(&a, row, cache, metrics, &mut prep_a)
+                            .zip(resolve_prepared(&b, row, cache, metrics, &mut prep_b))
+                    } else {
+                        None
+                    };
+                keep[i] = match prepared {
+                    Some((pa, pb)) => {
+                        let outcome = jackpine_topo::evaluate(kind, &pa, &pb)?;
+                        short_circuits += u64::from(outcome.short_circuit);
+                        outcome.value
                     }
-                    // No cache (the `--prepared off` ablation) or a
-                    // non-geometry operand: the generic evaluator
+                    // A non-geometry operand: the generic evaluator
                     // decides, reproducing exact naive errors and NULL
                     // semantics.
-                    _ => truthy(&eval_view(predicate, row, mode)?),
+                    None => truthy(&eval_view(predicate, row, mode)?),
                 };
             }
             if let Some(t1) = t1 {
@@ -1156,15 +1029,9 @@ fn vectorized_filter(
             m.prefilter_rejects.add(rejects);
             m.selvec_survivors.add(survivors);
             m.batches_dispatched.add(batches);
-            // Short-circuit accounting stays comparable with the row
-            // path: with the prepared path active, each envelope reject
-            // is exactly the short-circuit `evaluate` would have
-            // reported; with it off the row path records none there.
-            m.refine_short_circuits.add(if cache.is_some() {
-                rejects + short_circuits
-            } else {
-                short_circuits
-            });
+            // Each envelope reject is exactly the short-circuit
+            // `evaluate` would have reported had the row reached it.
+            m.refine_short_circuits.add(rejects + short_circuits);
             m.record_stage(Stage::Prefilter, prefilter_time);
             m.record_stage(Stage::Refine, refine_time);
         }
@@ -1532,9 +1399,7 @@ mod tests {
             mode: FunctionMode::Exact,
             workers: 4,
             metrics: None,
-            prepared: None,
-            vectorized: true,
-            batch_size: DEFAULT_BATCH_SIZE,
+            prepared: Arc::default(),
             pins: HashMap::new(),
         };
         let items: Vec<usize> = (0..10_000).collect();

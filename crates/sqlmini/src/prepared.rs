@@ -13,8 +13,9 @@
 //! the address cannot be reused by a different row. A deleted row's
 //! entry is merely dead weight (its row never flows through the executor
 //! again), and an updated row is a delete-plus-reinsert that arrives
-//! under a fresh `Arc` — a guaranteed miss. The engine still clears the
-//! cache wholesale on DML and index drops to bound that dead weight.
+//! under a fresh `Arc` — a guaranteed miss. So DML leaves the cache
+//! alone; the engine clears it only on index and table drops and on
+//! explicit cold runs, to bound that dead weight.
 //!
 //! The cache is capacity-bounded. Overflow used to clear the map
 //! wholesale, which dumps hot preparations under churn (a join whose
@@ -54,8 +55,8 @@ struct Entry {
 
 /// A concurrent, capacity-bounded cache of [`PreparedGeometry`]s keyed
 /// by heap-row identity. Shared by reference between the engine (which
-/// invalidates it on DML) and the executor (which populates it during
-/// refine).
+/// clears it on index and table drops) and the executor (which populates
+/// it during refine).
 #[derive(Default)]
 pub struct PreparedCache {
     map: RwLock<HashMap<(usize, usize), Entry>>,
@@ -77,7 +78,7 @@ impl PreparedCache {
         PreparedCache::default()
     }
 
-    /// Drops every cached preparation (DML / index-drop invalidation).
+    /// Drops every cached preparation (index or table drop, cold run).
     pub fn clear(&self) {
         self.map.write().clear();
     }

@@ -1,8 +1,8 @@
 //! Materialized read-only virtual tables.
 //!
 //! A [`VirtualTable`] adapts a vector of in-memory rows to the
-//! [`TableProvider`](crate::provider::TableProvider) trait, which is all
-//! the planner and executor ever see — so a virtual table flows through
+//! [`TableProvider`] trait, which is all the planner and executor ever
+//! see — so a virtual table flows through
 //! the *normal* SELECT pipeline (WHERE, ORDER BY, LIMIT, aggregates,
 //! even `EXPLAIN ANALYZE`) with zero special cases. The engine uses it
 //! for the `jp_*` system catalog: each introspection query materializes

@@ -30,7 +30,7 @@ pub use catalog::{Catalog, Table, TableId};
 pub use error::StorageError;
 pub use heap::{HeapFile, HeapStats, RowId};
 pub use page::PAGE_SIZE;
-pub use pool::{BufferPool, PageStore, PinnedPage, PoolStats, ReplacementPolicy};
+pub use pool::{BufferPool, PageStore, PinnedPage, PoolStats};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use value::{Row, Value};
 

@@ -7,10 +7,8 @@
 //! eviction sweep must skip it, so a page can never be stolen out from
 //! under an in-flight scan. When the resident frame count exceeds the
 //! configured capacity, unpinned frames are evicted — dirty ones are
-//! first written back to the file's backing [`PageStore`] — under a
-//! pluggable replacement policy: **clock** (second chance, the default)
-//! or **LRU-K** (`K = 2`, evicts the frame whose second-most-recent
-//! access is oldest, which resists sequential-scan pollution).
+//! first written back to the file's backing [`PageStore`] — by a
+//! **clock** (second-chance) sweep.
 //!
 //! Backing stores are created lazily on first write-back: in-memory by
 //! default, or real page files under a spill directory when one is set
@@ -30,40 +28,6 @@ use std::io::{Read as _, Seek as _, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
-
-/// How the pool picks an eviction victim among unpinned frames.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Second-chance clock sweep (the default).
-    #[default]
-    Clock,
-    /// LRU-K with `K = 2`: evict the frame whose K-th most recent
-    /// access is oldest. Frames touched fewer than K times look
-    /// infinitely old, so one sequential scan cannot flush the pool.
-    LruK,
-}
-
-impl ReplacementPolicy {
-    /// Parses a policy name (`"clock"` or `"lruk"`/`"lru-k"`).
-    pub fn parse(s: &str) -> Option<ReplacementPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "clock" => Some(ReplacementPolicy::Clock),
-            "lruk" | "lru-k" | "lru_k" => Some(ReplacementPolicy::LruK),
-            _ => None,
-        }
-    }
-
-    /// Canonical name, as reported by `jp_buffer_pool`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReplacementPolicy::Clock => "clock",
-            ReplacementPolicy::LruK => "lruk",
-        }
-    }
-}
-
-/// Access-history depth for LRU-K.
-const LRU_K: usize = 2;
 
 /// Pool-level counters and occupancy, snapshotted by
 /// [`BufferPool::stats`].
@@ -207,35 +171,16 @@ struct Frame {
     dirty: AtomicBool,
     /// Clock reference bit: set on every pin, cleared by the sweep.
     referenced: AtomicBool,
-    /// Most-recent-first access ticks for LRU-K (0 = never).
-    history: Mutex<[u64; LRU_K]>,
 }
 
 impl Frame {
-    fn new(page: Page, dirty: bool, tick: u64) -> Frame {
-        let mut history = [0u64; LRU_K];
-        history[0] = tick;
+    fn new(page: Page, dirty: bool) -> Frame {
         Frame {
             page: RwLock::new(page),
             pins: AtomicU32::new(0),
             dirty: AtomicBool::new(dirty),
             referenced: AtomicBool::new(true),
-            history: Mutex::new(history),
         }
-    }
-
-    fn touch(&self, tick: u64) {
-        let mut h = self.history.lock();
-        for i in (1..LRU_K).rev() {
-            h[i] = h[i - 1];
-        }
-        h[0] = tick;
-    }
-
-    /// The K-th most recent access tick (0 when touched fewer than K
-    /// times — infinitely old, evicted first under LRU-K).
-    fn kth_tick(&self) -> u64 {
-        self.history.lock()[LRU_K - 1]
     }
 }
 
@@ -291,9 +236,7 @@ pub struct BufferPool {
     inner: Mutex<PoolInner>,
     /// Capacity in frames; 0 = unbounded.
     capacity: AtomicUsize,
-    policy: Mutex<ReplacementPolicy>,
     spill_dir: Mutex<Option<PathBuf>>,
-    tick: AtomicU64,
     pin_hits: AtomicU64,
     cold_pins: AtomicU64,
     evictions: AtomicU64,
@@ -301,7 +244,7 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates an unbounded pool (clock policy, in-memory stores).
+    /// Creates an unbounded pool (in-memory stores).
     pub fn new() -> BufferPool {
         BufferPool::default()
     }
@@ -321,12 +264,10 @@ impl BufferPool {
     /// empty page otherwise). May push the pool over capacity when
     /// every other frame is pinned; the overflow drains on later pins.
     pub fn pin(&self, file: u64, page: u32) -> PinnedPage {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut inner = self.inner.lock();
         if let Some(frame) = inner.frames.get(&(file, page)).cloned() {
             frame.pins.fetch_add(1, Ordering::SeqCst);
             frame.referenced.store(true, Ordering::Relaxed);
-            frame.touch(tick);
             self.pin_hits.fetch_add(1, Ordering::Relaxed);
             return PinnedPage { frame };
         }
@@ -348,7 +289,7 @@ impl BufferPool {
             ),
             None => (Page::new(), true),
         };
-        let frame = Arc::new(Frame::new(pg, dirty, tick));
+        let frame = Arc::new(Frame::new(pg, dirty));
         frame.pins.store(1, Ordering::SeqCst);
         inner.frames.insert((file, page), frame.clone());
         inner.ring.push((file, page));
@@ -396,31 +337,24 @@ impl BufferPool {
         if cap == 0 {
             return;
         }
-        let policy = *self.policy.lock();
         while inner.frames.len() > cap {
-            let victim = match policy {
-                ReplacementPolicy::Clock => self.clock_victim(inner),
-                ReplacementPolicy::LruK => self.lruk_victim(inner),
-            };
-            let Some(key) = victim else { break }; // everything pinned
-            let frame = inner.frames.get(&key).cloned().expect("victim frame resident");
+            // `None`: everything is pinned.
+            let Some(idx) = self.clock_victim(inner) else { break };
+            // The hand rests on the victim, so removing it leaves the
+            // hand on its successor.
+            let key = inner.ring.remove(idx);
+            let frame = inner.frames.remove(&key).expect("victim frame resident");
             if frame.dirty.load(Ordering::SeqCst) {
                 self.write_back(inner, key, &frame);
-            }
-            inner.frames.remove(&key);
-            if let Some(pos) = inner.ring.iter().position(|k| *k == key) {
-                inner.ring.remove(pos);
-                if inner.hand > pos {
-                    inner.hand -= 1;
-                }
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Second-chance sweep: skip pinned frames, clear set reference
-    /// bits, evict the first frame found unreferenced.
-    fn clock_victim(&self, inner: &mut PoolInner) -> Option<(u64, u32)> {
+    /// bits, stop on the first frame found unreferenced and return its
+    /// ring index.
+    fn clock_victim(&self, inner: &mut PoolInner) -> Option<usize> {
         let n = inner.ring.len();
         if n == 0 {
             return None;
@@ -439,21 +373,9 @@ impl BufferPool {
                 continue;
             }
             inner.hand = idx;
-            return Some(key);
+            return Some(idx);
         }
         None
-    }
-
-    /// LRU-K victim: the unpinned frame whose K-th most recent access
-    /// is oldest (ties broken by key for determinism).
-    fn lruk_victim(&self, inner: &PoolInner) -> Option<(u64, u32)> {
-        inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.pins.load(Ordering::SeqCst) == 0)
-            .map(|(k, f)| (f.kth_tick(), *k))
-            .min()
-            .map(|(_, k)| k)
     }
 
     /// Sets the pool capacity in bytes (frames of [`PAGE_SIZE`]; 0 =
@@ -469,16 +391,6 @@ impl BufferPool {
         self.capacity.load(Ordering::Relaxed)
     }
 
-    /// Switches the replacement policy (applies to future evictions).
-    pub fn set_policy(&self, policy: ReplacementPolicy) {
-        *self.policy.lock() = policy;
-    }
-
-    /// The current replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        *self.policy.lock()
-    }
-
     /// Directory for real spill files. Applies to stores created after
     /// the call (stores materialize on first write-back).
     pub fn set_spill_dir(&self, dir: Option<PathBuf>) {
@@ -486,7 +398,7 @@ impl BufferPool {
     }
 
     /// Writes every dirty frame back to its store without evicting —
-    /// `SpatialConnector::close` uses this.
+    /// the engine's `close` uses this.
     pub fn flush(&self) {
         let mut inner = self.inner.lock();
         let dirty: Vec<((u64, u32), Arc<Frame>)> = inner
@@ -646,35 +558,27 @@ mod tests {
     }
 
     #[test]
-    fn lruk_prefers_once_touched_victims() {
+    fn clock_gives_a_repinned_frame_its_second_chance() {
         let pool = BufferPool::new();
-        pool.set_policy(ReplacementPolicy::LruK);
+        pool.set_capacity_bytes(3 * PAGE_SIZE);
         let f = pool.register("t");
-        fill(&pool, f, 0, b"hot");
-        assert_eq!(first_tuple(&pool, f, 0), b"hot"); // second touch
-        fill(&pool, f, 1, b"cold-a");
-        fill(&pool, f, 2, b"cold-b");
-        pool.set_capacity_bytes(2 * PAGE_SIZE);
-        // Page 0 has two accesses; pages 1 and 2 only one, so they look
-        // infinitely old to LRU-K and go first.
-        let resident: Vec<bool> = (0..3)
-            .map(|p| {
-                let before = pool.stats().pin_hits;
-                let _pin = pool.pin(f, p);
-                pool.stats().pin_hits > before
-            })
-            .collect();
-        assert!(resident[0], "twice-touched page survived");
-    }
-
-    #[test]
-    fn policy_parse_roundtrip() {
-        assert_eq!(ReplacementPolicy::parse("clock"), Some(ReplacementPolicy::Clock));
-        assert_eq!(ReplacementPolicy::parse("LRU-K"), Some(ReplacementPolicy::LruK));
-        assert_eq!(ReplacementPolicy::parse("lruk"), Some(ReplacementPolicy::LruK));
-        assert_eq!(ReplacementPolicy::parse("fifo"), None);
-        assert_eq!(ReplacementPolicy::Clock.name(), "clock");
-        assert_eq!(ReplacementPolicy::LruK.name(), "lruk");
+        // The fourth fill sweeps every reference bit clear and evicts
+        // page 0, leaving the hand on page 1.
+        for p in 0..4u32 {
+            fill(&pool, f, p, b"x");
+        }
+        // Page 1 is pinned again; page 2 behind it stays untouched.
+        assert_eq!(first_tuple(&pool, f, 1), b"x");
+        // The hand meets page 1 first, spares it, and takes page 2.
+        fill(&pool, f, 4, b"x");
+        assert_eq!(pool.stats().evictions, 2);
+        let resident = |p: u32| {
+            let before = pool.stats().pin_hits;
+            let _pin = pool.pin(f, p);
+            pool.stats().pin_hits > before
+        };
+        assert!(resident(1), "the re-pinned page survived the sweep");
+        assert!(!resident(2), "the untouched page behind it was evicted");
     }
 
     #[test]

@@ -12,6 +12,9 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings (no intra-doc link left pointing at a deleted item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== cargo build --release"
 cargo build --release --offline
 
@@ -36,14 +39,14 @@ cargo test -q -p jackpine --test proptest_fingerprint --offline
 echo "== prepared-geometry gate (prepared == naive DE-9IM equivalence corpus)"
 cargo test -q -p jackpine --test prepared_equivalence --offline
 
-echo "== vectorized-executor gate (batch path == row path, all batch shapes)"
+echo "== vectorized-executor gate (batch filter == generic evaluator, across batch and morsel boundaries)"
 cargo test -q -p jackpine --test vectorized_equivalence --offline
 
 echo "== interleaving gate (MVCC snapshot isolation + group-commit accounting)"
 cargo test -q -p jackpine --test interleaving --offline
 cargo test -q -p jackpine --test concurrency --offline
 
-echo "== out-of-core gate (paged heap == unbounded, all pools/policies/workers)"
+echo "== out-of-core gate (paged heap == unbounded, all pool sizes and worker counts)"
 cargo test -q -p jackpine --test pool_equivalence --offline
 
 echo "== benchmark package (unit tests + smoke run of all four workloads against the engine)"

@@ -147,12 +147,11 @@ fn slow_log_respects_threshold_under_concurrency() {
     assert!(log.recent().iter().all(|t| t.total >= Duration::from_micros(500)));
 }
 
-/// The engine records every executed statement into its flight recorder
-/// by default, bounded by the recorder capacity, oldest evicted first.
+/// The engine records every executed statement into its flight
+/// recorder, bounded by the recorder capacity, oldest evicted first.
 #[test]
 fn engine_records_statements_and_bounds_capacity() {
     let db = tiny_db();
-    assert!(db.flight_recorder_enabled(), "recorder must be on by default");
     // CREATE + 20 INSERTs already recorded; run SELECTs past capacity.
     let already = db.flight_recorder().recorded();
     let extra = FLIGHT_RECORDER_CAPACITY as u64 + 10 - already;
@@ -280,27 +279,4 @@ fn engine_query_stats_aggregate_by_shape() {
     assert!(stats.iter().position(|s| s.normalized == count_shape.normalized).unwrap() <= 1);
     // top-k truncates.
     assert_eq!(db.query_stats(2).len(), 2);
-}
-
-/// The off switch: no recording into ring, slow log, or stats while
-/// disabled; re-enabling resumes. Existing traces are preserved.
-#[test]
-fn recorder_off_switch_stops_recording() {
-    let db = tiny_db();
-    db.set_slow_query_threshold(Duration::ZERO);
-    db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    let ring_before = db.flight_recorder().recorded();
-    let slow_before = db.slow_queries().len();
-    let shapes_before = db.query_stats(1000).len();
-
-    db.set_flight_recorder(false);
-    assert!(!db.flight_recorder_enabled());
-    db.execute("SELECT id FROM pts WHERE id = 1").unwrap();
-    assert_eq!(db.flight_recorder().recorded(), ring_before);
-    assert_eq!(db.slow_queries().len(), slow_before);
-    assert_eq!(db.query_stats(1000).len(), shapes_before);
-
-    db.set_flight_recorder(true);
-    db.execute("SELECT id FROM pts WHERE id = 2").unwrap();
-    assert_eq!(db.flight_recorder().recorded(), ring_before + 1);
 }

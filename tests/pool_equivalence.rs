@@ -2,9 +2,9 @@
 //! semantics. The same corpus answered through a bounded buffer pool
 //! (heap pages faulting in and out of pinned frames, R-tree leaves
 //! demand-loaded) must be **bit-identical** to the unbounded in-memory
-//! run — same rows in the same order — across pool sizes, replacement
-//! policies, and worker counts, and must stay that way while concurrent
-//! writers churn the heap under pinned MVCC snapshots.
+//! run — same rows in the same order — across pool sizes and worker
+//! counts, and must stay that way while concurrent writers churn the
+//! heap under pinned MVCC snapshots.
 //!
 //! The sweep reconfigures one live engine (unbounded → 8 MiB → back),
 //! so it also exercises the spill/unspill transitions: bounding the
@@ -16,7 +16,6 @@ use jackpine::bench::micro::{analysis_suite, topo_suite};
 use jackpine::datagen::{TigerConfig, TigerDataset};
 use jackpine::engine::{EngineProfile, SpatialDb};
 use jackpine::sql::ResultSet;
-use jackpine::storage::ReplacementPolicy;
 use std::sync::Arc;
 
 const MIB: usize = 1024 * 1024;
@@ -26,9 +25,8 @@ const MIB: usize = 1024 * 1024;
 const POOL_BYTES: [usize; 3] = [0, 8 * MIB, TINY];
 
 /// Eight frames: far smaller than any corpus here, so every scan
-/// cycles pages through the replacement policy.
+/// cycles pages through the clock sweep.
 const TINY: usize = 64 * 1024;
-const POLICIES: [ReplacementPolicy; 2] = [ReplacementPolicy::Clock, ReplacementPolicy::LruK];
 const WORKERS: [usize; 2] = [1, 4];
 
 fn tiger_db() -> (TigerDataset, Arc<SpatialDb>) {
@@ -48,7 +46,7 @@ fn run_corpus(db: &Arc<SpatialDb>, data: &TigerDataset) -> Vec<ResultSet> {
         .collect()
 }
 
-/// Every (pool size, policy, worker count) combination answers the full
+/// Every (pool size, worker count) combination answers the full
 /// corpus bit-identically to the unbounded serial reference, with the
 /// caches dropped first so bounded runs actually fault pages in.
 #[test]
@@ -58,26 +56,18 @@ fn corpus_identical_across_pool_configs() {
     let reference = run_corpus(&db, &data);
 
     for bytes in POOL_BYTES {
-        for policy in POLICIES {
-            for workers in WORKERS {
-                db.set_replacement_policy(policy);
-                db.set_pool_bytes(bytes);
-                db.set_workers(workers);
-                db.clear_caches();
-                let got = run_corpus(&db, &data);
-                assert_eq!(
-                    reference,
-                    got,
-                    "corpus differs at pool_bytes={bytes}, policy={}, workers={workers}",
-                    policy.name()
+        for workers in WORKERS {
+            db.set_pool_bytes(bytes);
+            db.set_workers(workers);
+            db.clear_caches();
+            let got = run_corpus(&db, &data);
+            assert_eq!(reference, got, "corpus differs at pool_bytes={bytes}, workers={workers}");
+            if bytes != 0 {
+                let stats = db.pool_stats();
+                assert!(
+                    stats.cold_pins > 0,
+                    "bounded run (pool_bytes={bytes}) never faulted a page"
                 );
-                if bytes != 0 {
-                    let stats = db.pool_stats();
-                    assert!(
-                        stats.cold_pins > 0,
-                        "bounded run (pool_bytes={bytes}) never faulted a page"
-                    );
-                }
             }
         }
     }

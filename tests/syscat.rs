@@ -5,7 +5,7 @@
 //! wait-state/gauge surfaces behind `jp_metrics`. Assertions are about
 //! shapes and counts — never about timings.
 
-use jackpine::engine::{EngineProfile, SpatialConnector, SpatialDb};
+use jackpine::engine::{EngineProfile, SpatialDb};
 use jackpine::obs::{lint_prometheus_text, DETERMINISTIC_COUNTERS, GAUGES, SCHEDULING_COUNTERS};
 use jackpine::storage::Value;
 use std::sync::Arc;
@@ -94,7 +94,6 @@ fn system_table_schemas_are_golden() {
         (
             "jp_buffer_pool",
             &[
-                "policy",
                 "capacity_frames",
                 "resident_frames",
                 "pinned_frames",
@@ -280,26 +279,22 @@ fn wal_table_tracks_durability_state() {
 }
 
 /// `jp_buffer_pool` reflects pool state: unbounded by default, and once
-/// bounded it reports the active policy, the frame budget, and live
-/// pin/eviction counters that a cold re-scan advances.
+/// bounded it reports the frame budget and live pin/eviction counters
+/// that a cold re-scan advances.
 #[test]
 fn buffer_pool_table_tracks_pool_state() {
     let db = tiny_db();
-    let r =
-        db.execute("SELECT policy, capacity_frames, pinned_frames FROM jp_buffer_pool").unwrap();
+    let r = db.execute("SELECT capacity_frames, pinned_frames FROM jp_buffer_pool").unwrap();
     assert_eq!(r.rows.len(), 1, "jp_buffer_pool is single-row");
-    assert_eq!(r.rows[0][0], Value::Text("clock".into()));
-    assert_eq!(r.rows[0][1], Value::Int(0), "default pool is unbounded");
-    assert_eq!(r.rows[0][2], Value::Int(0), "no pins held between statements");
+    assert_eq!(r.rows[0][0], Value::Int(0), "default pool is unbounded");
+    assert_eq!(r.rows[0][1], Value::Int(0), "no pins held between statements");
 
     db.set_pool_bytes(8 * 1024 * 1024);
-    SpatialDb::set_replacement_policy(&db, jackpine::storage::ReplacementPolicy::LruK);
     db.clear_caches();
     db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    let r = db.execute("SELECT policy, capacity_frames, cold_pins FROM jp_buffer_pool").unwrap();
-    assert_eq!(r.rows[0][0], Value::Text("lruk".into()));
-    assert_eq!(r.rows[0][1], Value::Int(1024), "8 MiB of 8 KiB frames");
-    let Value::Int(cold) = r.rows[0][2] else { panic!("cold_pins must be integer") };
+    let r = db.execute("SELECT capacity_frames, cold_pins FROM jp_buffer_pool").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(1024), "8 MiB of 8 KiB frames");
+    let Value::Int(cold) = r.rows[0][1] else { panic!("cold_pins must be integer") };
     assert!(cold > 0, "the cold scan faulted pages in");
 }
 
@@ -325,18 +320,17 @@ fn create_table_rejects_the_jp_prefix() {
     assert!(db.execute("SELECT * FROM jp_no_such_table").is_err());
 }
 
-/// The connector surfaces Prometheus text, and the export lints clean —
+/// The engine surfaces Prometheus text, and the export lints clean —
 /// the same check `prom-lint` runs over `repro --prom` output in CI.
 #[test]
 fn connector_prometheus_text_lints_clean() {
     let db = tiny_db();
-    let conn: &dyn SpatialConnector = &db;
-    let text = conn.prometheus_text().expect("engine exports metrics");
+    let text = db.prometheus_text();
     assert!(text.contains("# TYPE jackpine_queries_total counter"), "{text}");
     assert!(text.contains("jackpine_txn_wait_insert_ns_count"), "wait histograms export");
     assert!(text.contains("# TYPE jackpine_active_snapshots gauge"), "gauges export");
     assert!(text.contains("# TYPE jackpine_pool_capacity_frames gauge"), "pool gauges export");
     assert!(text.contains("jackpine_pool_cold_pins"), "pool counters surface as gauges");
     let errors = lint_prometheus_text(&text);
-    assert!(errors.is_empty(), "connector export must lint clean: {errors:?}");
+    assert!(errors.is_empty(), "engine export must lint clean: {errors:?}");
 }
