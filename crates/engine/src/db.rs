@@ -92,7 +92,7 @@ impl LeafPager for PoolLeafPager {
     fn write(&self, leaf: u64, bytes: &[u8]) {
         let pin = self.pool.pin(self.file, leaf as u32);
         let mut guard = pin.write();
-        *guard = jackpine_storage::page::Page::new();
+        guard.clear();
         guard.insert(bytes);
     }
 
@@ -100,6 +100,12 @@ impl LeafPager for PoolLeafPager {
         let pin = self.pool.pin(self.file, leaf as u32);
         let guard = pin.read();
         guard.get(0).ok().map(|b| b.to_vec())
+    }
+}
+
+impl Drop for PoolLeafPager {
+    fn drop(&mut self) {
+        self.pool.unregister(self.file);
     }
 }
 
@@ -691,6 +697,7 @@ impl SpatialDb {
         self.metrics.pool_capacity_frames.set(pool.capacity_frames);
         self.metrics.pool_resident_frames.set(pool.resident_frames);
         self.metrics.pool_pinned_frames.set(pool.pinned_frames);
+        self.metrics.pool_decoded_rows.set(pool.decoded_rows);
         self.metrics.pool_pin_hits.set(pool.pin_hits);
         self.metrics.pool_cold_pins.set(pool.cold_pins);
         self.metrics.pool_evictions.set(pool.evictions);
@@ -1391,8 +1398,12 @@ impl SpatialDb {
                     self.indexes.write().remove(&name.to_ascii_lowercase());
                 }
                 // Readers pinned before the drop keep their Arc'd heap
-                // and finish against it; only the name is gone.
+                // and finish against it; only the name is gone. Every
+                // cached plan is stale after the bump, and one planned
+                // against this table would keep its heap, and the heap
+                // its pool frames, until the cache next overflowed.
                 self.bump_ddl_gen();
+                self.plan_cache.write().clear();
                 self.prepared_cache.clear();
                 self.checkpoint()?;
                 Ok(affected(0))
@@ -1674,16 +1685,16 @@ impl SpatialDb {
         }
     }
 
-    /// Evicts all decoded-row caches (cold-run support). Also drops
-    /// cached geometry preparations: they pin the decoded rows they were
-    /// built from, which a cold run must not retain. The plan and
-    /// fingerprint caches go too — a cold run that skipped them would
-    /// still be warm where it counts for short queries. The buffer pool
-    /// writes back its dirty frames and drops every unpinned one, and
-    /// spilled R-tree leaves lose their decoded images — so the next
-    /// probe of any page or leaf genuinely goes back to the page store.
+    /// Drops everything a cold run must not find warm. The buffer pool
+    /// writes back its dirty frames, drops every unpinned one, and with
+    /// them every row and quad decoded from a page (a frame that stays
+    /// pinned loses those too); spilled R-tree leaves lose their decoded
+    /// images — so the next probe of any page or leaf genuinely goes
+    /// back to the page store. Cached geometry preparations go as well:
+    /// they hold the decoded rows they were built from. So do the plan
+    /// and fingerprint caches — a cold run that skipped them would still
+    /// be warm where it counts for short queries.
     pub fn clear_caches(&self) {
-        self.catalog.clear_all_caches();
         self.prepared_cache.clear();
         self.plan_cache.write().clear();
         self.fingerprint_cache.write().clear();
@@ -1744,8 +1755,7 @@ impl SpatialDb {
             self.metrics.record_txn_wait(TxnSite::Checkpoint, waited);
             self.vacuum_locked();
         }
-        self.catalog.pool().flush();
-        Ok(())
+        self.catalog.pool().flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
     }
 
     /// Live row ids of `table`, in heap order (diagnostics and tests —
@@ -2031,7 +2041,7 @@ impl TableProvider for DbTableAdapter {
     }
 
     fn fetch_mbrs(&self, col: usize, ids: &[RowId]) -> Option<Vec<Option<[f64; 4]>>> {
-        // Served from the heap's per-(row, column) quad cache. Not
+        // Served from the quads kept in the rows' pool frames. Not
         // counted as heap row fetches: the rows themselves were already
         // fetched (and counted) by the scan feeding the filter. Any
         // storage error falls back to the executor's row-walk gather,
@@ -2670,6 +2680,89 @@ mod vectorized_tests {
             delta.counter("refine_candidates"),
             "every candidate is either MBR-decided or refined"
         );
+    }
+}
+
+#[cfg(test)]
+mod out_of_core_tests {
+    use super::*;
+
+    fn files_in(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect()
+    }
+
+    #[test]
+    fn drop_table_releases_its_frames_and_spill_file() {
+        let spill = std::env::temp_dir().join(format!("jackpine-drop-{}", std::process::id()));
+        std::fs::remove_dir_all(&spill).ok();
+        std::fs::create_dir_all(&spill).unwrap();
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE gone (id BIGINT, pad TEXT)").unwrap();
+        db.execute("CREATE TABLE kept (id BIGINT, pad TEXT)").unwrap();
+        db.table("kept").unwrap().heap.pool().set_spill_dir(Some(spill.clone()));
+        db.set_pool_bytes(2 * jackpine_storage::PAGE_SIZE);
+        let pad = "x".repeat(900);
+        for i in 0..40 {
+            db.execute(&format!("INSERT INTO gone VALUES ({i}, '{pad}')")).unwrap();
+            db.execute(&format!("INSERT INTO kept VALUES ({i}, '{pad}')")).unwrap();
+        }
+        assert_eq!(files_in(&spill).len(), 2, "two frames: both heaps spilled");
+        db.set_pool_bytes(0);
+        // Everything resident and decoded again, and a cached plan on
+        // the table about to go.
+        for table in ["gone", "kept"] {
+            let all = format!("SELECT COUNT(*) FROM {table} WHERE id >= 0");
+            assert_eq!(db.execute(&all).unwrap().scalar(), Some(&Value::Int(40)));
+        }
+        let pages = |table: &str| u64::from(db.table(table).unwrap().heap.page_count());
+        let (gone, kept) = (pages("gone"), pages("kept"));
+        let before = db.pool_stats();
+        assert_eq!((before.resident_frames, before.decoded_rows), (gone + kept, 80));
+
+        db.execute("DROP TABLE gone").unwrap();
+        let after = db.pool_stats();
+        assert_eq!((after.resident_frames, after.decoded_rows), (kept, 40), "only kept's remain");
+        assert_eq!(files_in(&spill).len(), 1, "the dropped heap's spill file went with it");
+        let all = "SELECT COUNT(*) FROM kept WHERE id >= 0";
+        assert_eq!(db.execute(all).unwrap().scalar(), Some(&Value::Int(40)));
+        drop(db);
+        std::fs::remove_dir_all(&spill).ok();
+    }
+
+    #[test]
+    fn a_truncated_spill_file_is_an_error_not_fewer_rows() {
+        let spill = std::env::temp_dir().join(format!("jackpine-trunc-{}", std::process::id()));
+        std::fs::remove_dir_all(&spill).ok();
+        std::fs::create_dir_all(&spill).unwrap();
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE g (id BIGINT, pad TEXT, geom GEOMETRY)").unwrap();
+        db.table("g").unwrap().heap.pool().set_spill_dir(Some(spill.clone()));
+        db.set_pool_bytes(2 * jackpine_storage::PAGE_SIZE);
+        let pad = "x".repeat(900);
+        for i in 0..40 {
+            db.execute(&format!(
+                "INSERT INTO g VALUES ({i}, '{pad}', ST_GeomFromText('POINT ({i} {i})'))"
+            ))
+            .unwrap();
+        }
+        db.create_spatial_index("g", "geom").unwrap();
+        let window = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
+                      ST_MakeEnvelope(0, 0, 100, 100))";
+        assert_eq!(db.execute(window).unwrap().scalar(), Some(&Value::Int(40)));
+
+        // Every page written back and dropped; then the heap's file
+        // loses its second half. The index leaves' file is left alone.
+        db.clear_caches();
+        let heap_file = files_in(&spill)
+            .into_iter()
+            .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("heap-"))
+            .expect("the heap spilled");
+        let len = std::fs::metadata(&heap_file).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&heap_file).unwrap().set_len(len / 2).unwrap();
+        let err = db.execute(window).expect_err("half the rows cannot be read back");
+        assert!(err.to_string().contains("cannot be read back"), "unexpected error: {err}");
+        drop(db);
+        std::fs::remove_dir_all(&spill).ok();
     }
 }
 

@@ -20,7 +20,7 @@
 //! | `jp_sessions` | in-flight statement | the session registry |
 //! | `jp_snapshots` | pinned generation | the MVCC snapshot registry |
 //! | `jp_wal` | engine (single row) | WAL + group-commit state |
-//! | `jp_buffer_pool` | engine (single row) | buffer-pool frames + counters |
+//! | `jp_buffer_pool` | engine (single row) | buffer-pool frames, decoded rows + counters |
 //!
 //! Schemas are documented in DESIGN.md ("System catalog"). Tables are
 //! read-only by construction: DML never resolves through the SQL
@@ -302,12 +302,15 @@ fn wal(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
 
 /// `jp_buffer_pool`: one row of buffer-pool state. `capacity_frames` is
 /// 0 when the pool is
-/// unbounded (every page stays resident and nothing evicts).
+/// unbounded (every page stays resident and nothing evicts);
+/// `decoded_rows` is what the resident frames hold decoded, the part of
+/// the budget that is not page bytes.
 fn buffer_pool(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
     let schema = cols(&[
         ("capacity_frames", DataType::Int),
         ("resident_frames", DataType::Int),
         ("pinned_frames", DataType::Int),
+        ("decoded_rows", DataType::Int),
         ("pin_hits", DataType::Int),
         ("cold_pins", DataType::Int),
         ("evictions", DataType::Int),
@@ -318,6 +321,7 @@ fn buffer_pool(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
         int(stats.capacity_frames),
         int(stats.resident_frames),
         int(stats.pinned_frames),
+        int(stats.decoded_rows),
         int(stats.pin_hits),
         int(stats.cold_pins),
         int(stats.evictions),

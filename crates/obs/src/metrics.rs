@@ -139,13 +139,14 @@ pub const SCHEDULING_COUNTERS: [&str; 9] = [
 /// `pool_*` entries mirror the buffer pool's state and lifetime
 /// counters (mirrored as gauges because the pool owns the live values
 /// and the engine copies them at snapshot points).
-pub const GAUGES: [&str; 10] = [
+pub const GAUGES: [&str; 11] = [
     "active_snapshots",
     "pending_reclaim_rows",
     "oldest_snapshot_age_us",
     "pool_capacity_frames",
     "pool_resident_frames",
     "pool_pinned_frames",
+    "pool_decoded_rows",
     "pool_pin_hits",
     "pool_cold_pins",
     "pool_evictions",
@@ -247,6 +248,8 @@ pub struct EngineMetrics {
     pub pool_resident_frames: Gauge,
     /// Frames currently pinned (refcount > 0).
     pub pool_pinned_frames: Gauge,
+    /// Rows currently decoded in resident frames.
+    pub pool_decoded_rows: Gauge,
     /// Lifetime pins satisfied by a resident frame.
     pub pool_pin_hits: Gauge,
     /// Lifetime pins that had to materialize a frame (page-store read
@@ -294,6 +297,7 @@ impl EngineMetrics {
             "pool_capacity_frames" => &self.pool_capacity_frames,
             "pool_resident_frames" => &self.pool_resident_frames,
             "pool_pinned_frames" => &self.pool_pinned_frames,
+            "pool_decoded_rows" => &self.pool_decoded_rows,
             "pool_pin_hits" => &self.pool_pin_hits,
             "pool_cold_pins" => &self.pool_cold_pins,
             "pool_evictions" => &self.pool_evictions,

@@ -716,8 +716,8 @@ struct VecOperand {
     /// Constant operand's preparation, built once at bind time.
     const_prepared: Option<Arc<PreparedGeometry>>,
     /// MBR quads for every input row in global row order, gathered from
-    /// the heap's quad cache when the filter sits directly on a table
-    /// scan. `None` falls back to the per-chunk memoized gather.
+    /// the quads the heap keeps beside its decoded rows when the filter
+    /// sits directly on a table scan. `None` falls back to the per-chunk memoized gather.
     pregathered: Option<Vec<Option<MbrQuad>>>,
 }
 

@@ -102,13 +102,6 @@ impl Catalog {
         names.sort();
         names
     }
-
-    /// Evicts every table's decoded-row cache (cold-run support).
-    pub fn clear_all_caches(&self) {
-        for table in self.tables.read().values() {
-            table.heap.clear_cache();
-        }
-    }
 }
 
 #[cfg(test)]

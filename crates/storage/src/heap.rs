@@ -1,15 +1,19 @@
-//! Heap files: unordered collections of rows in slotted pages pinned
-//! through the shared [`BufferPool`], with a decoded-row cache that the
-//! benchmark's cold mode can evict.
+//! Heap files: unordered collections of rows in slotted pages of the
+//! shared [`BufferPool`], each resident page carrying the rows decoded
+//! from it.
 //!
 //! # Out-of-core layout
 //!
 //! Rows live in slotted 8 KiB pages registered as one page file in the
-//! heap's buffer pool. Every page access goes through
-//! [`BufferPool::pin`]; a bounded pool evicts cold pages (writing dirty
-//! ones back to the backing store) and reloads them on demand, so the
-//! heap no longer has to fit in memory. All readers copy rows out while
-//! holding the pin, so no reference ever outlives a frame.
+//! heap's buffer pool, and every access goes through that file's page
+//! table: a bounded pool evicts cold pages (writing dirty ones back to
+//! the backing store) and reloads them on demand, so the heap does not
+//! have to fit in memory. The pool's frame is also the only cache of
+//! decoded rows and MBR quads — [`HeapFile::get`] is "find the frame,
+//! read the slot", decoding on first use — so a row shares its page's
+//! fate: evicted with it, changed only under its lock. Readers clone the
+//! `Arc<Row>` out while holding the frame, so nothing they keep can
+//! dangle into an evicted one.
 //!
 //! # Row visibility (MVCC)
 //!
@@ -30,17 +34,18 @@
 //!
 //! # Lock order
 //!
-//! The append path holds a page **write** guard while publishing the
-//! row's visibility entry (meta lock), so the meta lock nests *inside*
-//! page pins. Readers must therefore never hold the meta lock while
-//! pinning a page: scan paths first collect physically-present ids
-//! under individual pins, drop them, and only then consult the meta
-//! table — any row whose bytes they observed has its entry published
-//! by the time the page guard was released.
+//! Page table (lock-free) → frame lock → visibility metadata. The
+//! append path holds a frame's **write** guard while publishing the
+//! row's visibility entry, so the meta lock nests *inside* frame locks.
+//! Readers must therefore never hold the meta lock while touching a
+//! page: scan paths first collect physically-present ids under one
+//! frame lock at a time, drop it, and only then consult the meta table
+//! — any row whose bytes they observed has its entry published by the
+//! time the frame's guard was released.
 
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, PageFile, PageRead, PageWrite};
 use crate::sync::{Mutex, RwLock};
-use crate::{Result, Row, Schema, StorageError, Value};
+use crate::{DataType, Result, Row, Schema, StorageError, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,50 +59,37 @@ pub struct RowId {
     pub slot: u16,
 }
 
-/// Cache and access counters, for the benchmark's instrumentation.
+/// Access counters, for the benchmark's instrumentation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HeapStats {
-    /// Row fetches served from the decoded-row cache.
+    /// Row fetches served from a slot's decoded row.
     pub cache_hits: u64,
     /// Row fetches that had to decode from the page bytes.
     pub cache_misses: u64,
 }
 
-/// Shards in the decoded-row cache. The morsel executor fetches rows
-/// from many worker threads at once; sharding the cache lock by row id
-/// keeps those fetches from serializing on one mutex.
-const CACHE_SHARDS: usize = 16;
-
-/// One shard of the row cache.
-type RowCacheShard = Mutex<HashMap<RowId, Arc<Row>>>;
-/// One shard of the MBR quad cache, keyed by `(row, column)`.
-type MbrCacheShard = Mutex<HashMap<(RowId, usize), Option<[f64; 4]>>>;
-
-/// A heap file: buffer-pool-resident pages of serialized rows plus a
-/// decoded-row cache.
+/// A heap file: pages of serialized rows in the buffer pool.
 ///
 /// All methods take `&self`; interior locks make the heap shareable across
 /// the benchmark driver's worker threads.
 #[derive(Debug)]
 pub struct HeapFile {
     schema: Arc<Schema>,
-    /// The pool every page access pins through. Shared with the rest of
-    /// the engine when constructed via [`HeapFile::with_pool`].
+    /// The pool whose frames hold this heap's pages. Shared with the
+    /// rest of the engine when constructed via [`HeapFile::with_pool`].
     pool: Arc<BufferPool>,
-    /// This heap's page-file id within the pool.
-    file: u64,
+    /// This heap's page file within the pool; unregistered on drop.
+    file: Arc<PageFile>,
     /// Pages materialized so far (monotone; scans iterate `0..npages`).
     npages: AtomicU32,
     /// Serializes appends: the page-full check and new-page creation
     /// must be atomic with respect to other appenders.
     append: Mutex<()>,
-    cache: [RowCacheShard; CACHE_SHARDS],
-    /// Per-(row, column) geometry MBR quads, gathered batch-wise by the
-    /// vectorized executor. Computing an envelope walks every coordinate
-    /// of the geometry, so caching the 32-byte quad here turns the
-    /// executor's MBR-column gather into an O(1) copy per row. Sharded
-    /// like the row cache; invalidated with it.
-    mbr_cache: [MbrCacheShard; CACHE_SHARDS],
+    /// The geometry columns: the ones a frame keeps MBR quads of.
+    /// Computing an envelope walks every coordinate of the geometry, so
+    /// the cached 32-byte quad turns the vectorized executor's
+    /// MBR-column gather into a copy per row.
+    geom_cols: Box<[usize]>,
     /// Per-row `(born, died)` visibility generations. Absent = visible
     /// at every generation. Kept small by [`HeapFile::settle`]: when
     /// empty, every visibility query takes the metadata-free fast path.
@@ -119,6 +111,16 @@ pub struct HeapFile {
 /// `died` value of a live row: visible to every future generation.
 const LIVE: u64 = u64::MAX;
 
+/// A page reports a missing slot without knowing its own number.
+fn located(e: StorageError, id: RowId) -> StorageError {
+    match e {
+        StorageError::RowNotFound { .. } => {
+            StorageError::RowNotFound { page: id.page, slot: id.slot }
+        }
+        e => e,
+    }
+}
+
 impl HeapFile {
     /// Creates an empty heap for rows of `schema`, backed by a private
     /// unbounded pool (tests and standalone use; engines share one pool
@@ -129,15 +131,17 @@ impl HeapFile {
 
     /// Creates an empty heap whose pages live in `pool`.
     pub fn with_pool(schema: Arc<Schema>, pool: Arc<BufferPool>) -> HeapFile {
-        let file = pool.register("heap");
+        let file = pool.open("heap", None);
+        let geom_cols = (0..schema.columns().len())
+            .filter(|&c| schema.columns()[c].ty == DataType::Geometry)
+            .collect();
         HeapFile {
             schema,
             pool,
             file,
             npages: AtomicU32::new(1),
             append: Mutex::new(()),
-            cache: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            mbr_cache: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            geom_cols,
             meta: RwLock::new(HashMap::new()),
             row_count: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -147,7 +151,7 @@ impl HeapFile {
         }
     }
 
-    /// The buffer pool this heap pins pages through.
+    /// The buffer pool this heap's pages live in.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }
@@ -157,27 +161,25 @@ impl HeapFile {
         self.npages.load(Ordering::Relaxed)
     }
 
-    fn cache_shard(&self, id: RowId) -> &RowCacheShard {
-        // Consecutive slots land in different shards, so a scan's worker
-        // threads spread their lock traffic.
-        &self.cache
-            [(id.page as usize).wrapping_mul(31).wrapping_add(id.slot as usize) % CACHE_SHARDS]
+    /// Shared access to a page, faulting it in first if need be.
+    fn read(&self, page: u32) -> Result<PageRead<'_>> {
+        self.pool.read(&self.file, page)
     }
 
-    fn mbr_shard(&self, id: RowId) -> &MbrCacheShard {
-        &self.mbr_cache
-            [(id.page as usize).wrapping_mul(31).wrapping_add(id.slot as usize) % CACHE_SHARDS]
+    /// Exclusive access to a page, faulting it in first if need be.
+    fn write(&self, page: u32) -> Result<PageWrite<'_>> {
+        self.pool.write(&self.file, page)
     }
 
-    /// Drops any cached MBR quads for `id`. Slots are never reused by
-    /// appends, so only deletion and replay-time placement must
-    /// invalidate.
-    fn invalidate_mbrs(&self, id: RowId) {
-        let ncols = self.schema.columns().len();
-        let mut shard = self.mbr_shard(id).lock();
-        for col in 0..ncols {
-            shard.remove(&(id, col));
-        }
+    /// [`HeapFile::read`] for the methods with no error to return: a
+    /// page that cannot be read back panics, as [`BufferPool::pin`] does.
+    fn page(&self, page: u32) -> PageRead<'_> {
+        self.read(page).unwrap_or_else(|e| panic!("heap: {e}"))
+    }
+
+    /// [`HeapFile::write`] under the policy of [`HeapFile::page`].
+    fn page_mut(&self, page: u32) -> PageWrite<'_> {
+        self.write(page).unwrap_or_else(|e| panic!("heap: {e}"))
     }
 
     /// The row schema.
@@ -210,35 +212,29 @@ impl HeapFile {
         self.schema.check_row(&row)?;
         let bytes = Value::encode_row(&row);
         let _append = self.append.lock();
-        let last = self.npages.load(Ordering::Relaxed).saturating_sub(1);
-        let mut target = last;
-        let mut pin = self.pool.pin(self.file, target);
-        if !pin.read().fits(bytes.len()) {
-            drop(pin);
-            target = last + 1;
+        let mut target = self.npages.load(Ordering::Relaxed).saturating_sub(1);
+        let mut page = self.write(target)?;
+        if !page.fits(bytes.len()) {
+            drop(page);
+            target += 1;
             self.npages.store(target + 1, Ordering::Relaxed);
-            pin = self.pool.pin(self.file, target);
+            page = self.write(target)?;
         }
-        let id = {
-            let mut guard = pin.write();
-            let slot = guard.insert(&bytes);
-            let id = RowId { page: target, slot };
-            if born > 0 {
-                // Publish the visibility entry while still holding the
-                // page write guard (lock order: pins before meta): a
-                // concurrent scan can only observe the new bytes after
-                // this guard drops, by which time the entry gating them
-                // is in place — an unpublished row can never leak into
-                // an older snapshot.
-                self.meta.write().insert(id, (born, LIVE));
-            }
-            id
-        };
-        drop(pin);
+        let slot = page.insert(&bytes);
+        // The slot starts out decoded: its row is at hand.
+        page.keep_row(slot, Arc::new(row));
+        let id = RowId { page: target, slot };
+        if born > 0 {
+            // Publish the visibility entry while still holding the
+            // frame's write guard (lock order: frames before meta): a
+            // concurrent scan can only observe the new bytes after
+            // this guard drops, by which time the entry gating them
+            // is in place — an unpublished row can never leak into
+            // an older snapshot.
+            self.meta.write().insert(id, (born, LIVE));
+        }
+        drop(page);
         self.row_count.fetch_add(1, Ordering::Relaxed);
-        // Slots are never reused by appends, so no stale cache entry can
-        // exist for this id; just warm the row cache.
-        self.cache_shard(id).lock().insert(id, Arc::new(row));
         Ok(id)
     }
 
@@ -257,36 +253,32 @@ impl HeapFile {
 
     /// [`HeapFile::place_at`] for a caller that already holds the row's
     /// stored form: `bytes` go into the slot as they are and `row`, which
-    /// the caller decoded from exactly those bytes, warms the row cache.
-    /// Snapshot load uses it to put back the tuple it read instead of
-    /// re-encoding the row it validated.
+    /// the caller decoded from exactly those bytes, becomes the slot's
+    /// decoded row. Snapshot load uses it to put back the tuple it read
+    /// instead of re-encoding the row it validated.
     pub fn place_tuple(&self, bytes: &[u8], row: Row, id: RowId, born: u64) -> Result<()> {
         self.schema.check_row(&row)?;
         let _append = self.append.lock();
         if self.npages.load(Ordering::Relaxed) <= id.page {
             self.npages.store(id.page + 1, Ordering::Relaxed);
         }
-        let pin = self.pool.pin(self.file, id.page);
-        {
-            let mut guard = pin.write();
-            if let Ok(existing) = guard.get(id.slot) {
-                if existing == bytes {
-                    return Ok(()); // already applied
-                }
-                return Err(StorageError::Corrupt(format!(
-                    "place_at: slot {}/{} holds a different row",
-                    id.page, id.slot
-                )));
+        let mut page = self.write(id.page)?;
+        if let Ok(existing) = page.get(id.slot) {
+            if existing == bytes {
+                return Ok(()); // already applied
             }
-            guard.place(id.slot, bytes)?;
-            if born > 0 {
-                self.meta.write().insert(id, (born, LIVE));
-            }
+            return Err(StorageError::Corrupt(format!(
+                "place_at: slot {}/{} holds a different row",
+                id.page, id.slot
+            )));
         }
-        drop(pin);
+        page.place(id.slot, bytes)?;
+        page.keep_row(id.slot, Arc::new(row));
+        if born > 0 {
+            self.meta.write().insert(id, (born, LIVE));
+        }
+        drop(page);
         self.row_count.fetch_add(1, Ordering::Relaxed);
-        self.invalidate_mbrs(id);
-        self.cache_shard(id).lock().insert(id, Arc::new(row));
         Ok(())
     }
 
@@ -294,15 +286,7 @@ impl HeapFile {
     /// before `died` keep seeing it; the bytes stay in place until
     /// [`HeapFile::reclaim`]. Returns whether a live row existed.
     pub fn mark_deleted(&self, id: RowId, died: u64) -> bool {
-        if id.page >= self.npages.load(Ordering::Relaxed) {
-            return false;
-        }
-        let live = {
-            let pin = self.pool.pin(self.file, id.page);
-            let present = pin.read().get(id.slot).is_ok();
-            present
-        };
-        if !live {
+        if !self.slot_present(id) {
             return false;
         }
         let mut meta = self.meta.write();
@@ -345,20 +329,17 @@ impl HeapFile {
     /// [`HeapFile::mark_deleted`].
     ///
     /// Step order is a contract lock-free readers rely on: the epoch
-    /// counters bracket everything (see the field note), the cache
-    /// entry goes first (so a cache hit always implies the slot is
-    /// still present), the slot second, and the visibility entry last
-    /// (so a metadata-free id whose reclaim has finished is guaranteed
-    /// to have lost its slot — see [`HeapFile::retain_visible`]).
+    /// counters bracket everything (see the field note), the slot goes
+    /// first — and its decoded row with it, under the same guard — and
+    /// the visibility entry last (so a metadata-free id whose reclaim
+    /// has finished is guaranteed to have lost its slot — see
+    /// [`HeapFile::retain_visible`]).
     pub fn reclaim(&self, id: RowId) {
         self.reclaims_started.fetch_add(1, Ordering::SeqCst);
-        self.cache_shard(id).lock().remove(&id);
         if id.page < self.npages.load(Ordering::Relaxed) {
-            let pin = self.pool.pin(self.file, id.page);
-            pin.write().delete(id.slot);
+            self.page_mut(id.page).delete(id.slot);
         }
         self.meta.write().remove(&id);
-        self.invalidate_mbrs(id);
         self.reclaims_finished.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -422,33 +403,25 @@ impl HeapFile {
         }
         if self.reclaim_overlapped(epoch) {
             // The presence checks run with no metadata lock held: the
-            // metadata lock is never held across a page pin (see the
-            // lock-order note above). Visible survivors are present by
+            // metadata lock is never held while touching a page (see
+            // the lock-order note above). Visible survivors are present by
             // definition (a pinned reader's rows cannot be reclaimed),
             // so this only ever drops concurrently-reclaimed ids.
             ids.retain(|id| self.slot_present(*id));
         }
     }
 
-    /// Whether `id` physically holds row bytes right now: decoded-row
-    /// cache hit, or a live slot on its page. Readers use this to
-    /// separate settled rows from concurrently-reclaimed ones.
+    /// Whether `id` physically holds row bytes right now. Readers use
+    /// this to separate settled rows from concurrently-reclaimed ones.
     fn slot_present(&self, id: RowId) -> bool {
-        if self.cache_shard(id).lock().get(&id).is_some() {
-            return true;
-        }
-        if id.page >= self.npages.load(Ordering::Relaxed) {
-            return false;
-        }
-        let pin = self.pool.pin(self.file, id.page);
-        let present = pin.read().get(id.slot).is_ok();
-        present
+        id.page < self.npages.load(Ordering::Relaxed) && self.page(id.page).get(id.slot).is_ok()
     }
 
     /// Whether `id` is visible to a reader pinned at `gen`.
     pub fn is_visible(&self, id: RowId, gen: u64) -> bool {
         // Copy the entry out before touching pages: the meta lock must
-        // never be held across a pin (see the lock-order note above).
+        // never be held while touching one (see the lock-order note
+        // above).
         let entry = self.meta.read().get(&id).copied();
         if let Some((born, died)) = entry {
             return born <= gen && died > gen;
@@ -457,28 +430,21 @@ impl HeapFile {
         self.slot_present(id)
     }
 
-    /// Fetches a row, consulting the decoded-row cache first.
+    /// Fetches a row: its slot's decoded row if the frame has one,
+    /// decoded from the slot's bytes (and kept there) otherwise.
     pub fn get(&self, id: RowId) -> Result<Arc<Row>> {
-        if let Some(row) = self.cache_shard(id).lock().get(&id).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(row);
+        let known = id.page < self.npages.load(Ordering::Relaxed);
+        if known {
+            if let Some(row) = self.read(id.page)?.row(id.slot) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(row.clone());
+            }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if id.page >= self.npages.load(Ordering::Relaxed) {
+        if !known {
             return Err(StorageError::RowNotFound { page: id.page, slot: id.slot });
         }
-        let row = {
-            let pin = self.pool.pin(self.file, id.page);
-            let guard = pin.read();
-            let bytes = guard
-                .get(id.slot)
-                .map_err(|_| StorageError::RowNotFound { page: id.page, slot: id.slot })?;
-            // Decode while pinned, then copy out: nothing we hand to the
-            // caller can dangle into an evicted frame.
-            Arc::new(Value::decode_row(bytes)?)
-        };
-        self.cache_shard(id).lock().insert(id, row.clone());
-        Ok(row)
+        self.write(id.page)?.decode(id.slot).map_err(|e| located(e, id))
     }
 
     /// Immediately and physically deletes a row (single-session paths
@@ -492,32 +458,22 @@ impl HeapFile {
         // paths physically remove rows while lock-free readers may be
         // mid-sweep, and the epoch check is what keeps them honest.
         self.reclaims_started.fetch_add(1, Ordering::SeqCst);
-        self.cache_shard(id).lock().remove(&id);
-        let deleted = {
-            let pin = self.pool.pin(self.file, id.page);
-            let removed = pin.write().delete(id.slot);
-            removed
-        };
+        let deleted = self.page_mut(id.page).delete(id.slot);
         if deleted {
             self.meta.write().remove(&id);
             self.row_count.fetch_sub(1, Ordering::Relaxed);
-            self.invalidate_mbrs(id);
         }
         self.reclaims_finished.fetch_add(1, Ordering::SeqCst);
         deleted
     }
 
     /// Every physically-present row id, in storage order, collected
-    /// under per-page pins with no other lock held.
+    /// one page at a time with no other lock held.
     fn present_ids(&self) -> Vec<RowId> {
         let npages = self.npages.load(Ordering::Relaxed);
         let mut out = Vec::with_capacity(self.len());
         for p in 0..npages {
-            let pin = self.pool.pin(self.file, p);
-            let guard = pin.read();
-            for (slot, _) in guard.iter() {
-                out.push(RowId { page: p, slot });
-            }
+            out.extend(self.page(p).iter().map(|(slot, _)| RowId { page: p, slot }));
         }
         out
     }
@@ -526,10 +482,10 @@ impl HeapFile {
     /// order. Excludes logically-deleted rows awaiting reclaim.
     pub fn row_ids(&self) -> Vec<RowId> {
         // Collect physical ids first, then filter under one meta read:
-        // the meta lock is never held across a pin. Any row *written*
-        // mid-sweep whose bytes we observed has its entry published
-        // (the writer publishes before releasing the page write
-        // guard), so the later meta read cannot miss it. A row
+        // the meta lock is never held while touching a page. Any row
+        // *written* mid-sweep whose bytes we observed has its entry
+        // published (the writer publishes before releasing the frame's
+        // write guard), so the later meta read cannot miss it. A row
         // *reclaimed* mid-sweep would be misread — its entry is gone
         // by the time we filter — so the sweep retries when the epoch
         // check reports an overlapping reclaim (rare: vacuum only).
@@ -588,9 +544,9 @@ impl HeapFile {
     /// Raw tuple scan: calls `visit` with the stored bytes — exactly
     /// [`Value::encode_row`] of the row — of every id in `ids`, which
     /// must be in storage order (as [`HeapFile::row_ids`] returns them).
-    /// Each page is pinned once per run of ids on it and `visit` runs
-    /// under the pin; nothing is decoded and the row cache is not
-    /// touched. Stops at the first error, `visit`'s or a
+    /// Each page is locked once per run of ids on it and `visit` runs
+    /// under the lock; nothing is decoded and no decoded row is kept.
+    /// Stops at the first error: `visit`'s, an unreadable page's, or a
     /// [`StorageError::RowNotFound`] for an id reclaimed since it was
     /// collected.
     pub fn scan_tuples<E: From<StorageError>>(
@@ -604,8 +560,7 @@ impl HeapFile {
             if page >= npages {
                 return Err(StorageError::RowNotFound { page, slot: run[0].slot }.into());
             }
-            let pin = self.pool.pin(self.file, page);
-            let guard = pin.read();
+            let guard = self.read(page)?;
             for &id in run {
                 let bytes = guard
                     .get(id.slot)
@@ -626,16 +581,23 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Cached MBR quad of `row[col]` (see [`Value::mbr`]); computes and
-    /// caches on miss. `None` when the column holds a non-geometry.
+    /// MBR quad of `row[col]` (see [`Value::mbr`]), kept in the row's
+    /// frame beside the decoded row once computed. `None` when the
+    /// column holds a non-geometry.
     pub fn mbr(&self, id: RowId, col: usize) -> Result<Option<[f64; 4]>> {
-        if let Some(m) = self.mbr_shard(id).lock().get(&(id, col)) {
-            return Ok(*m);
+        let Some(k) = self.geom_cols.iter().position(|&c| c == col) else {
+            return Ok(self.get(id)?.get(col).and_then(Value::mbr));
+        };
+        if id.page < self.npages.load(Ordering::Relaxed) {
+            if let Some(quads) = self.read(id.page)?.quads(id.slot) {
+                return Ok(quads[k]);
+            }
         }
-        let row = self.get(id)?;
-        let m = row.get(col).and_then(Value::mbr);
-        self.mbr_shard(id).lock().insert((id, col), m);
-        Ok(m)
+        // Counted like any other fetch; it leaves the row decoded in
+        // its slot, which is what the quads are computed from.
+        self.get(id)?;
+        let mut page = self.write(id.page)?;
+        Ok(page.quads(id.slot, &self.geom_cols).map_err(|e| located(e, id))?[k])
     }
 
     /// Batch MBR gather: one quad per id, in input order — the
@@ -644,16 +606,11 @@ impl HeapFile {
         ids.iter().map(|&id| self.mbr(id, col)).collect()
     }
 
-    /// Drops the decoded-row cache — the benchmark's cold-run switch
-    /// for decoded state. (The buffer pool itself is cleared separately
-    /// via [`BufferPool::clear`] on the shared pool.)
+    /// Drops this heap's decoded rows and quads, keeping its frames —
+    /// the benchmark's cold-run switch for decoded state. (The frames
+    /// themselves go with [`BufferPool::clear`] on the shared pool.)
     pub fn clear_cache(&self) {
-        for shard in &self.cache {
-            shard.lock().clear();
-        }
-        for shard in &self.mbr_cache {
-            shard.lock().clear();
-        }
+        self.file.drop_decoded(self.npages.load(Ordering::Relaxed));
     }
 
     /// Cache counters.
@@ -662,6 +619,12 @@ impl HeapFile {
             cache_hits: self.hits.load(Ordering::Relaxed),
             cache_misses: self.misses.load(Ordering::Relaxed),
         }
+    }
+}
+
+impl Drop for HeapFile {
+    fn drop(&mut self) {
+        self.pool.unregister(self.file.id);
     }
 }
 
@@ -732,7 +695,7 @@ mod tests {
             ids.push(h.insert(vec![Value::Int(i), Value::Text(long.clone())]).unwrap());
         }
         assert!(pool.stats().evictions > 0, "2-frame pool must evict");
-        h.clear_cache(); // force page reads, not decoded-cache hits
+        h.clear_cache(); // force decodes from page bytes, not decoded-slot hits
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(h.get(*id).unwrap()[0], Value::Int(i as i64));
         }
@@ -816,14 +779,14 @@ mod tests {
     }
 
     #[test]
-    fn place_tuple_stores_the_given_bytes_and_caches_the_row() {
+    fn place_tuple_stores_the_given_bytes_and_keeps_the_row() {
         let h = heap();
         let row = vec![Value::Int(7), Value::Text("seven".into())];
         let bytes = Value::encode_row(&row);
         let id = RowId { page: 2, slot: 5 };
         h.place_tuple(&bytes, row.clone(), id, 0).unwrap();
         assert_eq!(*h.get(id).unwrap(), row);
-        assert_eq!(h.stats().cache_misses, 0, "placement warmed the row cache");
+        assert_eq!(h.stats().cache_misses, 0, "placement left the slot decoded");
         let mut stored = Vec::new();
         h.scan_tuples(&[id], |_, b| {
             stored = b.to_vec();
@@ -841,7 +804,7 @@ mod tests {
     fn cold_cache_counts_misses() {
         let h = heap();
         let id = h.insert(vec![Value::Int(1), Value::Text("warm".into())]).unwrap();
-        h.get(id).unwrap(); // hit (insert warms the cache)
+        h.get(id).unwrap(); // hit (insert leaves the slot decoded)
         let s1 = h.stats();
         assert_eq!(s1.cache_hits, 1);
         assert_eq!(s1.cache_misses, 0);
@@ -853,35 +816,81 @@ mod tests {
         assert_eq!(s2.cache_hits, 2);
     }
 
-    #[test]
-    fn mbr_cache_round_trip_and_invalidation() {
+    fn geom_heap(pool: Arc<BufferPool>) -> HeapFile {
         let schema = Arc::new(
             Schema::new(vec![
                 ColumnDef::new("id", DataType::Int),
                 ColumnDef::new("geom", DataType::Geometry),
+                ColumnDef::new("also", DataType::Geometry),
             ])
             .unwrap(),
         );
-        let h = HeapFile::new(schema);
-        let g = jackpine_geom::wkt::parse("LINESTRING (0 0, 4 2)").unwrap();
-        let id = h.insert(vec![Value::Int(1), Value::Geom(g)]).unwrap();
+        HeapFile::with_pool(schema, pool)
+    }
+
+    fn geom(wkt: &str) -> Value {
+        Value::Geom(jackpine_geom::wkt::parse(wkt).unwrap())
+    }
+
+    #[test]
+    fn quads_round_trip_and_follow_their_slot() {
+        let h = geom_heap(Arc::new(BufferPool::new()));
+        let id = h.insert(vec![Value::Int(1), geom("LINESTRING (0 0, 4 2)"), Value::Null]).unwrap();
 
         assert_eq!(h.mbr(id, 1).unwrap(), Some([0.0, 0.0, 4.0, 2.0]));
         assert_eq!(h.mbr(id, 0).unwrap(), None, "non-geometry column has no MBR");
+        assert_eq!(h.mbr(id, 2).unwrap(), None, "nor has a NULL geometry");
         // Batch accessor agrees with the scalar one and preserves order.
         assert_eq!(h.mbrs(1, &[id, id]).unwrap(), vec![Some([0.0, 0.0, 4.0, 2.0]); 2]);
 
-        // Delete then insert again (slots are never reused, so the new
-        // row gets a fresh id and cannot see the old quad).
+        // Delete, then put another row into the very slot (as replay
+        // does): neither the old row nor its quads may be served.
         assert!(h.delete(id));
-        let g2 = jackpine_geom::wkt::parse("POINT (9 9)").unwrap();
-        let id2 = h.insert(vec![Value::Int(2), Value::Geom(g2)]).unwrap();
-        assert_eq!(h.mbr(id2, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
+        assert!(h.mbr(id, 1).is_err());
+        h.place_at(vec![Value::Int(2), geom("POINT (9 9)"), geom("POINT (1 2)")], id, 0).unwrap();
+        assert_eq!(h.get(id).unwrap()[0], Value::Int(2));
+        assert_eq!(h.mbr(id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
+        assert_eq!(h.mbr(id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
 
-        // clear_cache drops MBR quads too (cold-run switch), and the
-        // value is recomputed identically from page bytes.
+        // clear_cache drops quads too (cold-run switch), and the value
+        // is recomputed identically from page bytes.
         h.clear_cache();
-        assert_eq!(h.mbr(id2, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
+        assert_eq!(h.pool().stats().decoded_rows, 0);
+        assert_eq!(h.mbr(id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
+        assert_eq!(h.pool().stats().decoded_rows, 1, "the quads' row is decoded beside them");
+    }
+
+    #[test]
+    fn decoded_rows_leave_with_their_frame_and_with_their_heap() {
+        let pool = Arc::new(BufferPool::new());
+        let (a, b) = (geom_heap(pool.clone()), geom_heap(pool.clone()));
+        let point = geom("POINT (1 1)");
+        let mut ids = Vec::new();
+        for i in 0..400 {
+            ids.push(a.insert(vec![Value::Int(i), point.clone(), Value::Null]).unwrap());
+            b.insert(vec![Value::Int(i), point.clone(), Value::Null]).unwrap();
+        }
+        assert!(a.page_count() > 2);
+        assert_eq!(pool.stats().decoded_rows, 800, "inserts leave their rows decoded");
+        let kept = Arc::clone(&a.get(ids[0]).unwrap());
+
+        pool.set_capacity_bytes(crate::page::PAGE_SIZE);
+        let s = pool.stats();
+        assert_eq!(s.resident_frames, 1);
+        assert!(s.decoded_rows <= 400 / (u64::from(a.page_count()) - 1), "one frame's rows: {s:?}");
+        assert_eq!(kept[0], Value::Int(0), "a handle given out outlives the frame");
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(a.get(*id).unwrap()[0], Value::Int(i as i64));
+        }
+
+        pool.set_capacity_bytes(0);
+        a.row_ids().iter().for_each(|id| drop(a.get(*id).unwrap()));
+        b.row_ids().iter().for_each(|id| drop(b.get(*id).unwrap()));
+        assert_eq!(pool.stats().decoded_rows, 800);
+        let frames = pool.stats().resident_frames;
+        drop(a);
+        let s = pool.stats();
+        assert_eq!((s.decoded_rows, s.resident_frames), (400, frames / 2), "a's went with it");
     }
 
     #[test]

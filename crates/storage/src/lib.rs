@@ -2,17 +2,21 @@
 //!
 //! Row storage for the Jackpine spatial engines: typed values with a
 //! compact binary codec ([`Value`]), table schemas ([`Schema`]), slotted
-//! pages ([`page::Page`]), heap files ([`HeapFile`]) and a catalog
+//! pages ([`page::Page`]) in the frames of a buffer pool
+//! ([`BufferPool`]), heap files ([`HeapFile`]) and a catalog
 //! ([`Catalog`]).
 //!
 //! ## Cold vs. warm runs
 //!
-//! Rows are stored *serialized* in pages (geometries as WKB). Each heap
-//! keeps a decoded-row cache; a cache miss pays the full decode cost —
-//! the in-process analogue of a buffer-pool miss plus detoasting in the
-//! systems Jackpine originally measured. The benchmark driver's cold mode
-//! calls [`HeapFile::clear_cache`] between queries, so cold numbers
-//! genuinely include that work rather than a simulated sleep.
+//! Rows are stored *serialized* in pages (geometries as WKB). The pool
+//! frame that holds a page also holds the rows decoded from it, so there
+//! is one cache with one budget: a fetch from a resident, decoded slot
+//! costs a lock and a clone; one from a resident page pays the decode —
+//! the in-process analogue of detoasting in the systems Jackpine
+//! originally measured — and one from an evicted page pays the read from
+//! the page store first. The engine's cold mode drops the frames
+//! ([`BufferPool::clear`]) between queries, so cold numbers genuinely
+//! include that work rather than a simulated sleep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,7 +16,10 @@ const SLOT_BYTES: usize = 8; // u32 offset + u32 length
 /// A slotted page.
 #[derive(Clone, Debug)]
 pub struct Page {
+    /// The tuples, from `base` on. A page read back from a store keeps
+    /// its whole image here and skips the directory in front of them.
     data: Vec<u8>,
+    base: usize,
     /// (offset, len) per slot; len == 0 marks a tombstone.
     slots: Vec<(u32, u32)>,
 }
@@ -30,12 +33,16 @@ impl Default for Page {
 impl Page {
     /// Creates an empty page.
     pub fn new() -> Page {
-        Page { data: Vec::with_capacity(PAGE_SIZE), slots: Vec::new() }
+        Page { data: Vec::with_capacity(PAGE_SIZE), base: 0, slots: Vec::new() }
+    }
+
+    fn tuples(&self) -> &[u8] {
+        &self.data[self.base..]
     }
 
     /// Bytes used by tuples plus slot directory.
     pub fn used(&self) -> usize {
-        self.data.len() + self.slots.len() * SLOT_BYTES
+        self.tuples().len() + self.slots.len() * SLOT_BYTES
     }
 
     /// `true` when `tuple_len` more bytes (plus a slot) would overflow the
@@ -55,7 +62,7 @@ impl Page {
 
     /// Appends a tuple, returning its slot number.
     pub fn insert(&mut self, tuple: &[u8]) -> u16 {
-        let offset = self.data.len() as u32;
+        let offset = self.tuples().len() as u32;
         self.data.extend_from_slice(tuple);
         self.slots.push((offset, tuple.len() as u32));
         (self.slots.len() - 1) as u16
@@ -68,7 +75,7 @@ impl Page {
     pub fn get(&self, slot: u16) -> Result<&[u8]> {
         match self.slots.get(slot as usize) {
             Some(&(off, len)) if len > 0 => {
-                Ok(&self.data[off as usize..off as usize + len as usize])
+                Ok(&self.tuples()[off as usize..off as usize + len as usize])
             }
             _ => Err(StorageError::RowNotFound { page: u32::MAX, slot }),
         }
@@ -88,7 +95,9 @@ impl Page {
     /// Iterates the live tuples as `(slot, bytes)`.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
         self.slots.iter().enumerate().filter(|&(_i, &(_off, len))| len > 0).map(
-            |(i, &(off, len))| (i as u16, &self.data[off as usize..off as usize + len as usize]),
+            |(i, &(off, len))| {
+                (i as u16, &self.tuples()[off as usize..off as usize + len as usize])
+            },
         )
     }
 
@@ -107,7 +116,7 @@ impl Page {
         if self.slots[idx].1 > 0 {
             return Err(StorageError::Corrupt(format!("slot {slot} already occupied")));
         }
-        let offset = self.data.len() as u32;
+        let offset = self.tuples().len() as u32;
         self.data.extend_from_slice(tuple);
         self.slots[idx] = (offset, tuple.len() as u32);
         Ok(())
@@ -117,46 +126,51 @@ impl Page {
     /// `slot count u32 | (offset u32, len u32)* | data len u32 | data`,
     /// all little-endian.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.slots.len() * SLOT_BYTES + self.data.len());
+        let tuples = self.tuples();
+        let mut out = Vec::with_capacity(8 + self.slots.len() * SLOT_BYTES + tuples.len());
         out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
         for &(off, len) in &self.slots {
             out.extend_from_slice(&off.to_le_bytes());
             out.extend_from_slice(&len.to_le_bytes());
         }
-        out.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.data);
+        out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+        out.extend_from_slice(tuples);
         out
     }
 
-    /// Deserializes a page written by [`Page::to_bytes`].
+    /// Deserializes a page written by [`Page::to_bytes`], keeping the
+    /// image as the page's buffer rather than copying the tuples out.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the bytes are truncated or a slot
     /// points outside the data area.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Page> {
+    pub fn from_bytes(mut bytes: Vec<u8>) -> Result<Page> {
         let corrupt = || StorageError::Corrupt("page image truncated".into());
         let take_u32 = |b: &[u8], at: usize| -> Result<u32> {
             let raw: [u8; 4] = b.get(at..at + 4).ok_or_else(corrupt)?.try_into().unwrap();
             Ok(u32::from_le_bytes(raw))
         };
-        let nslots = take_u32(bytes, 0)? as usize;
+        let nslots = take_u32(&bytes, 0)? as usize;
         let mut slots = Vec::with_capacity(nslots.min(bytes.len() / SLOT_BYTES + 1));
         let mut at = 4;
         for _ in 0..nslots {
-            let off = take_u32(bytes, at)?;
-            let len = take_u32(bytes, at + 4)?;
+            let off = take_u32(&bytes, at)?;
+            let len = take_u32(&bytes, at + 4)?;
             slots.push((off, len));
             at += SLOT_BYTES;
         }
-        let dlen = take_u32(bytes, at)? as usize;
+        let dlen = take_u32(&bytes, at)? as usize;
         at += 4;
-        let data = bytes.get(at..at + dlen).ok_or_else(corrupt)?.to_vec();
+        if bytes.len() - at < dlen {
+            return Err(corrupt());
+        }
+        bytes.truncate(at + dlen);
         for &(off, len) in &slots {
-            if len > 0 && (off as usize + len as usize) > data.len() {
+            if len > 0 && (off as usize + len as usize) > dlen {
                 return Err(StorageError::Corrupt("page slot out of bounds".into()));
             }
         }
-        Ok(Page { data, slots })
+        Ok(Page { data: bytes, base: at, slots })
     }
 }
 
@@ -198,7 +212,7 @@ mod tests {
         p.insert(b"gamma");
         p.delete(s1);
         let img = p.to_bytes();
-        let q = Page::from_bytes(&img).unwrap();
+        let q = Page::from_bytes(img.clone()).unwrap();
         assert_eq!(q.slot_count(), 3);
         assert_eq!(q.get(0).unwrap(), b"alpha");
         assert!(q.get(1).is_err(), "tombstone survives the roundtrip");
@@ -208,8 +222,8 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_garbage() {
-        assert!(Page::from_bytes(&[]).is_err());
-        assert!(Page::from_bytes(&[9, 0, 0, 0, 1]).is_err());
+        assert!(Page::from_bytes(vec![]).is_err());
+        assert!(Page::from_bytes(vec![9, 0, 0, 0, 1]).is_err());
         // Slot pointing past the data area.
         let mut bad = Vec::new();
         bad.extend_from_slice(&1u32.to_le_bytes()); // 1 slot
@@ -217,7 +231,7 @@ mod tests {
         bad.extend_from_slice(&8u32.to_le_bytes()); // len 8
         bad.extend_from_slice(&2u32.to_le_bytes()); // data len 2
         bad.extend_from_slice(b"xy");
-        assert!(Page::from_bytes(&bad).is_err());
+        assert!(Page::from_bytes(bad).is_err());
     }
 
     #[test]

@@ -1,33 +1,49 @@
-//! A pinned buffer pool: the fixed-capacity frame table through which
-//! every heap page (and demand-loaded R-tree leaf) is read and written.
+//! The buffer pool: one frame budget over every page file of an engine,
+//! and the only place a page — and what was decoded from it — is cached.
 //!
-//! The pool owns a map from `(file, page)` to in-memory frames. Callers
-//! [`BufferPool::pin`] a page and receive a [`PinnedPage`] RAII guard;
-//! while any guard is alive the frame's pin count is nonzero and the
-//! eviction sweep must skip it, so a page can never be stolen out from
-//! under an in-flight scan. When the resident frame count exceeds the
-//! configured capacity, unpinned frames are evicted — dirty ones are
-//! first written back to the file's backing [`PageStore`] — by a
-//! **clock** (second-chance) sweep.
+//! Each registered file has its own **page table**, a grow-only radix
+//! tree over the four bytes of a page number: finding a page takes no
+//! lock and no hash. A table entry is permanent once its page was
+//! touched and holds the page's frame while it is resident. The
+//! frame carries the slotted bytes and, per slot, the row decoded from
+//! them and its MBR quads, so one eviction drops all three and a slot's
+//! decoded form can change only under the lock its bytes change under.
 //!
-//! Backing stores are created lazily on first write-back: in-memory by
-//! default, or real page files under a spill directory when one is set
-//! ([`BufferPool::set_spill_dir`]). Spill files are scratch — crash
-//! durability is the WAL/snapshot's job, so a store that cannot be
-//! created on disk silently degrades to memory.
+//! A frame is kept from eviction in two ways. [`BufferPool::pin`] hands
+//! out a [`PinnedPage`], counted in the entry, for callers that take the
+//! page lock more than once; the heap's own accesses hold the frame's
+//! lock for their whole duration, and a held lock is a pin too — the
+//! eviction sweep only `try_write`s. When more frames are resident than
+//! the capacity allows, a **clock** (second-chance) sweep over all files
+//! evicts unpinned ones, writing dirty ones back to the file's
+//! [`PageStore`] first. Store reads and write-backs happen under the
+//! lock of the one frame concerned and no other.
 //!
-//! Counters (pin hits, cold pins, evictions, dirty write-backs) are
-//! first-class: the benchmark reports them per cold/warm run and they
-//! surface in the `jp_buffer_pool` system-catalog table.
+//! Lock order: page table (lock-free) → frame lock → clock ring; the
+//! sweep holds the ring and only *tries* frame locks.
+//!
+//! Backing stores are created lazily on first write-back: in memory by
+//! default, real page files once a caller names a directory with
+//! [`BufferPool::set_spill_dir`]. Spill files are scratch — crash
+//! durability is the WAL/snapshot's job — so a store that cannot be
+//! created on disk degrades to memory; a page that cannot be *read back*
+//! is an error ([`BufferPool::try_pin`]), and one that cannot be written
+//! back stays resident and dirty.
+//!
+//! Counters (pin hits, cold pins, evictions, dirty write-backs) and
+//! levels (resident frames, decoded rows) surface in the `jp_buffer_pool`
+//! system-catalog table and the benchmark's cold/warm entries.
 
 use crate::page::{Page, PAGE_SIZE};
 use crate::sync::{Mutex, RwLock};
-use std::collections::HashMap;
+use crate::{Result, Row, StorageError, Value};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{Read as _, Seek as _, Write as _};
+use std::io::{self, Read as _, Seek as _, Write as _};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Pool-level counters and occupancy, snapshotted by
 /// [`BufferPool::stats`].
@@ -39,6 +55,8 @@ pub struct PoolStats {
     pub resident_frames: u64,
     /// Resident frames with a nonzero pin count.
     pub pinned_frames: u64,
+    /// Rows currently decoded in resident frames.
+    pub decoded_rows: u64,
     /// Pins served by an already-resident frame.
     pub pin_hits: u64,
     /// Pins that had to materialize a frame (fresh page or store read).
@@ -52,10 +70,11 @@ pub struct PoolStats {
 /// Backing storage for one page file: where evicted pages go and where
 /// cold pins reload them from.
 pub trait PageStore: Send + Sync + fmt::Debug {
-    /// Reads the serialized image of `page`, if one was ever written.
-    fn read_page(&self, page: u32) -> Option<Vec<u8>>;
+    /// Reads the serialized image of `page`; `None` if none was ever
+    /// written. An image that was written and cannot be read is an error.
+    fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>>;
     /// Writes (or overwrites) the serialized image of `page`.
-    fn write_page(&self, page: u32, bytes: &[u8]);
+    fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()>;
     /// Re-opens any OS handles — the cold-run switch, so a cold rep
     /// pays the open() as a real disk-backed restart would.
     fn reopen(&self);
@@ -68,12 +87,13 @@ struct MemStore {
 }
 
 impl PageStore for MemStore {
-    fn read_page(&self, page: u32) -> Option<Vec<u8>> {
-        self.pages.lock().get(&page).cloned()
+    fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.pages.lock().get(&page).cloned())
     }
 
-    fn write_page(&self, page: u32, bytes: &[u8]) {
+    fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()> {
         self.pages.lock().insert(page, bytes.to_vec());
+        Ok(())
     }
 
     fn reopen(&self) {}
@@ -81,19 +101,20 @@ impl PageStore for MemStore {
 
 /// A real page file on disk. Pages are written append-only with
 /// in-place overwrite when the new image fits the old extent; the
-/// `(offset, len)` directory lives in memory (the file is scratch and
-/// dies with the pool — durability belongs to the WAL/snapshot).
+/// directory of extents lives in memory (the file is scratch and dies
+/// with the pool — durability belongs to the WAL/snapshot).
 #[derive(Debug)]
 struct FileStore {
     path: PathBuf,
     file: Mutex<Option<std::fs::File>>,
-    /// Page -> (offset, capacity) extents within the file.
-    dir: Mutex<HashMap<u32, (u64, u32)>>,
+    /// Page -> (offset, capacity, image length) of its extent, which
+    /// holds the length as a `u32` and then the image.
+    dir: Mutex<HashMap<u32, (u64, u32, u32)>>,
     end: AtomicU64,
 }
 
 impl FileStore {
-    fn create(path: PathBuf) -> std::io::Result<FileStore> {
+    fn create(path: PathBuf) -> io::Result<FileStore> {
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -108,46 +129,42 @@ impl FileStore {
         })
     }
 
-    fn with_file<R>(&self, f: impl FnOnce(&mut std::fs::File) -> std::io::Result<R>) -> Option<R> {
+    fn with_file<R>(&self, f: impl FnOnce(&mut std::fs::File) -> io::Result<R>) -> io::Result<R> {
         let mut slot = self.file.lock();
         if slot.is_none() {
             // Lazy re-open after a cold switch.
-            *slot = std::fs::OpenOptions::new().read(true).write(true).open(&self.path).ok();
+            *slot = Some(std::fs::OpenOptions::new().read(true).write(true).open(&self.path)?);
         }
-        slot.as_mut().and_then(|file| f(file).ok())
+        f(slot.as_mut().expect("opened above"))
     }
 }
 
 impl PageStore for FileStore {
-    fn read_page(&self, page: u32) -> Option<Vec<u8>> {
-        let (off, _cap) = *self.dir.lock().get(&page)?;
+    fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>> {
+        let Some((off, _cap, len)) = self.dir.lock().get(&page).copied() else { return Ok(None) };
         self.with_file(|file| {
-            file.seek(std::io::SeekFrom::Start(off))?;
-            let mut len = [0u8; 4];
-            file.read_exact(&mut len)?;
-            let mut buf = vec![0u8; u32::from_le_bytes(len) as usize];
+            // The directory knows the length: one read, past the prefix.
+            file.seek(io::SeekFrom::Start(off + 4))?;
+            let mut buf = vec![0u8; len as usize];
             file.read_exact(&mut buf)?;
-            Ok(buf)
+            Ok(Some(buf))
         })
     }
 
-    fn write_page(&self, page: u32, bytes: &[u8]) {
-        let need = bytes.len() as u32 + 4;
+    fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()> {
+        let len = bytes.len() as u32;
         let mut dir = self.dir.lock();
-        let off = match dir.get(&page) {
-            Some(&(off, cap)) if cap >= need => off,
-            _ => {
-                let off = self.end.fetch_add(need as u64, Ordering::Relaxed);
-                dir.insert(page, (off, need));
-                off
-            }
+        let (off, cap) = match dir.get(&page) {
+            Some(&(off, cap, _)) if cap >= len + 4 => (off, cap),
+            _ => (self.end.fetch_add(len as u64 + 4, Ordering::Relaxed), len + 4),
         };
+        dir.insert(page, (off, cap, len));
         drop(dir);
         self.with_file(|file| {
-            file.seek(std::io::SeekFrom::Start(off))?;
-            file.write_all(&(bytes.len() as u32).to_le_bytes())?;
+            file.seek(io::SeekFrom::Start(off))?;
+            file.write_all(&len.to_le_bytes())?;
             file.write_all(bytes)
-        });
+        })
     }
 
     fn reopen(&self) {
@@ -163,24 +180,253 @@ impl Drop for FileStore {
     }
 }
 
-/// One resident page.
+/// MBR quad of one geometry column of a row (see [`Value::mbr`]).
+type Quad = Option<[f64; 4]>;
+
+/// Levels the pool reads without a sweep. Every frame holds a handle
+/// and subtracts itself when it drops, wherever that happens: eviction,
+/// [`BufferPool::clear`], or its file going away.
+#[derive(Debug, Default)]
+struct Gauges {
+    resident: AtomicUsize,
+    decoded_rows: AtomicU64,
+}
+
+/// One resident page: its slotted bytes and what was decoded from them.
 #[derive(Debug)]
 struct Frame {
-    page: RwLock<Page>,
-    pins: AtomicU32,
-    dirty: AtomicBool,
-    /// Clock reference bit: set on every pin, cleared by the sweep.
-    referenced: AtomicBool,
+    page: Page,
+    /// The row decoded from each slot's current bytes, indexed by slot.
+    /// Grown to the slot directory's length when a row is first kept, so
+    /// leaf files and never-read pages carry none.
+    rows: Vec<Option<Arc<Row>>>,
+    /// Beside each row, one quad per geometry column, computed from the
+    /// row on first use; empty until then.
+    quads: Vec<Option<Box<[Quad]>>>,
+    dirty: bool,
+    gauges: Arc<Gauges>,
 }
 
 impl Frame {
-    fn new(page: Page, dirty: bool) -> Frame {
-        Frame {
-            page: RwLock::new(page),
-            pins: AtomicU32::new(0),
-            dirty: AtomicBool::new(dirty),
-            referenced: AtomicBool::new(true),
+    /// Forgets what was decoded from `slot`. Every change to a slot's
+    /// bytes ends here, under the same write guard.
+    fn reset(&mut self, slot: u16) {
+        if self.rows.get_mut(slot as usize).and_then(Option::take).is_some() {
+            self.gauges.decoded_rows.fetch_sub(1, Ordering::Relaxed);
         }
+        if let Some(quads) = self.quads.get_mut(slot as usize) {
+            *quads = None;
+        }
+    }
+
+    fn drop_decoded(&mut self) {
+        let rows = self.rows.iter().flatten().count();
+        self.gauges.decoded_rows.fetch_sub(rows as u64, Ordering::Relaxed);
+        (self.rows, self.quads) = (Vec::new(), Vec::new());
+    }
+
+    fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
+        let at = slot as usize;
+        if self.rows.len() <= at {
+            self.rows.resize(self.page.slot_count().max(at + 1), None);
+        }
+        if self.rows[at].replace(row).is_none() {
+            self.gauges.decoded_rows.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        self.drop_decoded();
+        self.gauges.resident.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Set in [`Entry::state`] while the entry holds a frame; the bits below
+/// it count the live [`PinnedPage`]s.
+const RESIDENT: u32 = 1 << 31;
+
+/// One page's permanent place in its file's page table.
+#[derive(Debug, Default)]
+struct Entry {
+    /// `None` while the page is not resident. Loading, write-back and
+    /// eviction happen under this lock and no other.
+    frame: RwLock<Option<Box<Frame>>>,
+    /// One word, so that "resident and unpinned" can be tested and
+    /// revoked in a single compare-exchange: a pin that finds
+    /// [`RESIDENT`] set needs no lock, and eviction cannot win against
+    /// it.
+    state: AtomicU32,
+    /// Clock reference bit: set on every access, cleared by the sweep.
+    referenced: AtomicBool,
+}
+
+impl Entry {
+    /// Closes a resident, unpinned entry to pins — the first step of
+    /// taking its frame away. `false` if it is pinned or not resident.
+    fn claim(&self) -> bool {
+        self.state.compare_exchange(RESIDENT, 0, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+    }
+}
+
+/// One level of a page table: 256 children, made on first touch.
+type Level<T> = Box<[OnceLock<T>; 256]>;
+
+fn level<T>() -> Level<T> {
+    Box::new(std::array::from_fn(|_| OnceLock::new()))
+}
+
+/// One registered page file: its backing store and its page table.
+pub(crate) struct PageFile {
+    /// What [`BufferPool::pin`] and [`BufferPool::unregister`] know this
+    /// file by.
+    pub(crate) id: u64,
+    name: String,
+    store: OnceLock<Box<dyn PageStore>>,
+    /// Radix tree over the bytes of a page number, most significant
+    /// first. Grow-only, so lookups are lock-free, and a sparse page
+    /// number (a corrupt `RowId` read before its checksum) costs three
+    /// nodes, not a table as long as the number.
+    pages: Level<Level<Level<Box<[Entry; 256]>>>>,
+}
+
+impl fmt::Debug for PageFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PageFile({}-{})", self.name, self.id)
+    }
+}
+
+impl PageFile {
+    fn entry(&self, page: u32) -> &Entry {
+        let [a, b, c, d] = page.to_be_bytes().map(usize::from);
+        let leaf = self.pages[a].get_or_init(level)[b].get_or_init(level)[c]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| Entry::default())));
+        &leaf[d]
+    }
+
+    /// Drops every decoded row and quad of pages `0..pages`, keeping
+    /// their frames.
+    pub(crate) fn drop_decoded(&self, pages: u32) {
+        for page in 0..pages {
+            if let Some(frame) = self.entry(page).frame.write().as_mut() {
+                frame.drop_decoded();
+            }
+        }
+    }
+}
+
+fn resident(frame: &Option<Box<Frame>>) -> &Frame {
+    frame.as_deref().expect("a pinned or just-loaded page is resident")
+}
+
+/// Shared access to a resident page, from [`PinnedPage::read`].
+#[derive(Debug)]
+pub struct PageRead<'a>(RwLockReadGuard<'a, Option<Box<Frame>>>);
+
+impl Deref for PageRead<'_> {
+    type Target = Page;
+    fn deref(&self) -> &Page {
+        &resident(&self.0).page
+    }
+}
+
+impl PageRead<'_> {
+    /// The row decoded from `slot`'s current bytes, if one is cached.
+    pub(crate) fn row(&self, slot: u16) -> Option<&Arc<Row>> {
+        resident(&self.0).rows.get(slot as usize)?.as_ref()
+    }
+
+    /// The cached quads of `slot`'s row, one per geometry column.
+    pub(crate) fn quads(&self, slot: u16) -> Option<&[Quad]> {
+        resident(&self.0).quads.get(slot as usize)?.as_deref()
+    }
+}
+
+/// Exclusive access to a resident page, from [`PinnedPage::write`].
+/// Reads go through `Deref`; the page changes only through the methods
+/// here, each of which marks the frame dirty and forgets what was
+/// decoded from the slots it touches.
+#[derive(Debug)]
+pub struct PageWrite<'a>(RwLockWriteGuard<'a, Option<Box<Frame>>>);
+
+impl Deref for PageWrite<'_> {
+    type Target = Page;
+    fn deref(&self) -> &Page {
+        &resident(&self.0).page
+    }
+}
+
+impl PageWrite<'_> {
+    fn frame(&mut self) -> &mut Frame {
+        self.0.as_deref_mut().expect("a pinned or just-loaded page is resident")
+    }
+
+    /// [`Page::insert`].
+    pub fn insert(&mut self, tuple: &[u8]) -> u16 {
+        let frame = self.frame();
+        frame.dirty = true;
+        let slot = frame.page.insert(tuple);
+        frame.reset(slot);
+        slot
+    }
+
+    /// [`Page::place`].
+    pub fn place(&mut self, slot: u16, tuple: &[u8]) -> Result<()> {
+        let frame = self.frame();
+        frame.page.place(slot, tuple)?;
+        frame.dirty = true;
+        frame.reset(slot);
+        Ok(())
+    }
+
+    /// [`Page::delete`].
+    pub fn delete(&mut self, slot: u16) -> bool {
+        let frame = self.frame();
+        let removed = frame.page.delete(slot);
+        if removed {
+            frame.dirty = true;
+            frame.reset(slot);
+        }
+        removed
+    }
+
+    /// Empties the page: no slot, no tuple.
+    pub fn clear(&mut self) {
+        let frame = self.frame();
+        frame.page = Page::new();
+        frame.dirty = true;
+        frame.drop_decoded();
+    }
+
+    /// Keeps `row` as the decoded form of `slot`. The caller vouches
+    /// that the slot's bytes are `Value::encode_row(&row)`.
+    pub(crate) fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
+        self.frame().keep_row(slot, row);
+    }
+
+    /// The row in `slot`: the one kept there, or else decoded from the
+    /// slot's bytes now and kept from now on.
+    pub(crate) fn decode(&mut self, slot: u16) -> Result<Arc<Row>> {
+        let frame = self.frame();
+        if let Some(Some(row)) = frame.rows.get(slot as usize) {
+            return Ok(row.clone());
+        }
+        let row = Arc::new(Value::decode_row(frame.page.get(slot)?)?);
+        frame.keep_row(slot, row.clone());
+        Ok(row)
+    }
+
+    /// The quads of columns `cols` of the row in `slot`, computed from
+    /// the decoded row (see [`PageWrite::decode`]) on first use.
+    pub(crate) fn quads(&mut self, slot: u16, cols: &[usize]) -> Result<&[Quad]> {
+        let row = self.decode(slot)?;
+        let frame = self.frame();
+        if frame.quads.len() < frame.rows.len() {
+            frame.quads.resize(frame.rows.len(), None);
+        }
+        let quads = &mut frame.quads[slot as usize];
+        Ok(&quads.get_or_insert_with(|| cols.iter().map(|&c| row.get(c)?.mbr()).collect())[..])
     }
 }
 
@@ -189,55 +435,53 @@ impl Frame {
 /// taking a write guard marks the frame dirty.
 #[derive(Debug)]
 pub struct PinnedPage {
-    frame: Arc<Frame>,
+    file: Arc<PageFile>,
+    page: u32,
 }
 
 impl PinnedPage {
     /// Shared read access to the page.
-    pub fn read(&self) -> RwLockReadGuard<'_, Page> {
-        self.frame.page.read()
+    pub fn read(&self) -> PageRead<'_> {
+        PageRead(self.file.entry(self.page).frame.read())
     }
 
     /// Exclusive write access; marks the frame dirty.
-    pub fn write(&self) -> RwLockWriteGuard<'_, Page> {
-        self.frame.dirty.store(true, Ordering::SeqCst);
-        self.frame.page.write()
+    pub fn write(&self) -> PageWrite<'_> {
+        let mut guard = PageWrite(self.file.entry(self.page).frame.write());
+        guard.frame().dirty = true;
+        guard
     }
 }
 
 impl Drop for PinnedPage {
     fn drop(&mut self) {
-        self.frame.pins.fetch_sub(1, Ordering::SeqCst);
+        self.file.entry(self.page).state.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// One registered page file.
-#[derive(Debug)]
-struct FileSlot {
-    name: String,
-    store: Option<Arc<dyn PageStore>>,
-}
-
+/// Pin hits are counted in one of these by page number, so that two
+/// workers fetching from different pages do not share a cache line.
 #[derive(Debug, Default)]
-struct PoolInner {
-    frames: HashMap<(u64, u32), Arc<Frame>>,
-    /// Clock order: insertion-ordered keys, swept by `hand`.
-    ring: Vec<(u64, u32)>,
-    hand: usize,
-    files: HashMap<u64, FileSlot>,
-    next_file: u64,
-}
+#[repr(align(64))]
+struct HitCounter(AtomicU64);
 
 /// The shared buffer pool. One per [`crate::Catalog`] (so per engine);
 /// every heap and demand-loaded index file in that engine pins pages
 /// through it, sharing one capacity budget.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    inner: Mutex<PoolInner>,
+    /// Registered files by id; ids are never reused.
+    files: RwLock<Vec<Option<Arc<PageFile>>>>,
+    /// Clock order over all files: the front is under the hand, loads
+    /// and spared frames go to the back. Holds every resident frame's
+    /// key except one being evicted right now; keys of files since
+    /// unregistered are dropped when the hand meets them.
+    ring: Mutex<VecDeque<(u64, u32)>>,
     /// Capacity in frames; 0 = unbounded.
     capacity: AtomicUsize,
     spill_dir: Mutex<Option<PathBuf>>,
-    pin_hits: AtomicU64,
+    gauges: Arc<Gauges>,
+    pin_hits: [HitCounter; 16],
     cold_pins: AtomicU64,
     evictions: AtomicU64,
     dirty_writebacks: AtomicU64,
@@ -252,138 +496,227 @@ impl BufferPool {
     /// Registers a new page file, returning its id. `name` seeds the
     /// spill file name; uniqueness comes from the id.
     pub fn register(&self, name: &str) -> u64 {
-        let mut inner = self.inner.lock();
-        let id = inner.next_file;
-        inner.next_file += 1;
-        inner.files.insert(id, FileSlot { name: name.to_string(), store: None });
-        id
+        self.open(name, None).id
+    }
+
+    /// [`BufferPool::register`] for a caller that keeps the file's
+    /// handle and so skips the lookup by id on every access; `store`
+    /// replaces the lazily created backing store (tests).
+    pub(crate) fn open(&self, name: &str, store: Option<Box<dyn PageStore>>) -> Arc<PageFile> {
+        let mut files = self.files.write();
+        let file = Arc::new(PageFile {
+            id: files.len() as u64,
+            name: name.to_string(),
+            store: store.map(OnceLock::from).unwrap_or_default(),
+            pages: level(),
+        });
+        files.push(Some(file.clone()));
+        file
+    }
+
+    /// Forgets a registered file: its frames, its store's images and its
+    /// spill file go as soon as the last handle to it does (at once for
+    /// a caller of [`BufferPool::register`]).
+    pub fn unregister(&self, file: u64) {
+        if let Some(slot) = self.files.write().get_mut(file as usize) {
+            *slot = None;
+        }
+    }
+
+    fn file(&self, id: u64) -> Option<Arc<PageFile>> {
+        self.files.read().get(id as usize)?.clone()
     }
 
     /// Pins `page` of `file`, materializing the frame on a miss (from
     /// the backing store when the page was evicted before, as a fresh
     /// empty page otherwise). May push the pool over capacity when
     /// every other frame is pinned; the overflow drains on later pins.
+    ///
+    /// # Errors
+    /// [`StorageError::Corrupt`] when the store lists the page and
+    /// cannot produce a decodable image of it, or `file` is not
+    /// registered.
+    pub fn try_pin(&self, file: u64, page: u32) -> Result<PinnedPage> {
+        let file = self
+            .file(file)
+            .ok_or_else(|| StorageError::Corrupt(format!("page file {file} is not registered")))?;
+        self.pin_entry(&file, page)?;
+        Ok(PinnedPage { file, page })
+    }
+
+    /// [`BufferPool::try_pin`] for callers with no error path: a page
+    /// that cannot be read back panics, as an undecodable one always
+    /// has.
     pub fn pin(&self, file: u64, page: u32) -> PinnedPage {
-        let mut inner = self.inner.lock();
-        if let Some(frame) = inner.frames.get(&(file, page)).cloned() {
-            frame.pins.fetch_add(1, Ordering::SeqCst);
-            frame.referenced.store(true, Ordering::Relaxed);
-            self.pin_hits.fetch_add(1, Ordering::Relaxed);
-            return PinnedPage { frame };
+        self.try_pin(file, page).unwrap_or_else(|e| panic!("buffer pool: {e}"))
+    }
+
+    /// Shared access to a page for the length of the guard, which is
+    /// all the pin such an access needs.
+    pub(crate) fn read<'a>(&self, file: &'a Arc<PageFile>, page: u32) -> Result<PageRead<'a>> {
+        let entry = file.entry(page);
+        let guard = entry.frame.read();
+        if guard.is_some() {
+            self.hit(entry, page);
+            return Ok(PageRead(guard));
         }
-        self.cold_pins.fetch_add(1, Ordering::Relaxed);
-        let loaded = inner
-            .files
-            .get(&file)
-            .and_then(|slot| slot.store.as_ref())
-            .and_then(|store| store.read_page(page));
-        let (pg, dirty) = match loaded {
-            // A store image exists only because this pool wrote it, so a
-            // decode failure is an in-process invariant violation, not
-            // user-visible corruption.
-            Some(bytes) => (
-                Page::from_bytes(&bytes).unwrap_or_else(|e| {
-                    panic!("buffer pool: undecodable page image {file}/{page}: {e}")
-                }),
-                false,
-            ),
+        drop(guard);
+        // Pinned across the load, so that the frame is still there when
+        // the lock is taken again.
+        self.pin_entry(file, page)?;
+        let guard = entry.frame.read();
+        entry.state.fetch_sub(1, Ordering::SeqCst);
+        Ok(PageRead(guard))
+    }
+
+    /// Exclusive access to a page; see [`BufferPool::read`].
+    pub(crate) fn write<'a>(&self, file: &'a Arc<PageFile>, page: u32) -> Result<PageWrite<'a>> {
+        let entry = file.entry(page);
+        let guard = entry.frame.write();
+        if guard.is_some() {
+            self.hit(entry, page);
+            return Ok(PageWrite(guard));
+        }
+        drop(guard);
+        self.pin_entry(file, page)?;
+        let guard = entry.frame.write();
+        entry.state.fetch_sub(1, Ordering::SeqCst);
+        Ok(PageWrite(guard))
+    }
+
+    fn hit(&self, entry: &Entry, page: u32) {
+        if !entry.referenced.load(Ordering::Relaxed) {
+            entry.referenced.store(true, Ordering::Relaxed);
+        }
+        self.pin_hits[page as usize % self.pin_hits.len()].0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a pin on `page` and makes it resident; the caller owes the
+    /// matching decrement of `state` unless this fails.
+    fn pin_entry(&self, file: &Arc<PageFile>, page: u32) -> Result<()> {
+        let entry = file.entry(page);
+        if entry.state.fetch_add(1, Ordering::SeqCst) & RESIDENT != 0 {
+            self.hit(entry, page);
+            return Ok(());
+        }
+        self.load(file, entry, page).inspect_err(|_| {
+            entry.state.fetch_sub(1, Ordering::SeqCst);
+        })
+    }
+
+    fn load(&self, file: &Arc<PageFile>, entry: &Entry, page: u32) -> Result<()> {
+        let mut guard = entry.frame.write();
+        if guard.is_some() {
+            // Loaded by another thread, or an eviction was called off,
+            // while this one waited for the lock.
+            self.hit(entry, page);
+            return Ok(());
+        }
+        let unreadable = |why: &dyn fmt::Display| {
+            StorageError::Corrupt(format!(
+                "page {page} of file {file:?} cannot be read back: {why}"
+            ))
+        };
+        let image = match file.store.get() {
+            Some(store) => store.read_page(page).map_err(|e| unreadable(&e))?,
+            None => None,
+        };
+        // A page no store holds yet starts empty, and owes a write-back.
+        let (content, dirty) = match image {
+            Some(bytes) => (Page::from_bytes(bytes).map_err(|e| unreadable(&e))?, false),
             None => (Page::new(), true),
         };
-        let frame = Arc::new(Frame::new(pg, dirty));
-        frame.pins.store(1, Ordering::SeqCst);
-        inner.frames.insert((file, page), frame.clone());
-        inner.ring.push((file, page));
-        self.evict_overflow(&mut inner);
-        PinnedPage { frame }
+        self.gauges.resident.fetch_add(1, Ordering::Relaxed);
+        *guard = Some(Box::new(Frame {
+            page: content,
+            rows: Vec::new(),
+            quads: Vec::new(),
+            dirty,
+            gauges: self.gauges.clone(),
+        }));
+        entry.referenced.store(true, Ordering::Relaxed);
+        entry.state.fetch_or(RESIDENT, Ordering::SeqCst);
+        self.cold_pins.fetch_add(1, Ordering::Relaxed);
+        self.ring.lock().push_back((file.id, page));
+        drop(guard);
+        self.evict_overflow();
+        Ok(())
     }
 
-    /// Lazily creates (or fetches) the backing store for `file`,
-    /// consulting the spill directory at creation time.
-    fn ensure_store(&self, inner: &mut PoolInner, file: u64) -> Arc<dyn PageStore> {
-        let slot = inner
-            .files
-            .entry(file)
-            .or_insert_with(|| FileSlot { name: format!("anon{file}"), store: None });
-        if let Some(store) = &slot.store {
-            return store.clone();
-        }
-        let store: Arc<dyn PageStore> = match self.spill_dir.lock().as_ref() {
-            Some(dir) => {
-                let path = dir.join(format!("{}-{file}.jkpg", slot.name));
-                match FileStore::create(path) {
-                    Ok(fs) => Arc::new(fs),
-                    // Scratch storage: degrade to memory if the disk
-                    // path is unusable.
-                    Err(_) => Arc::new(MemStore::default()),
-                }
+    /// Consults the spill directory when a file's store is first needed.
+    fn new_store(&self, file: &PageFile) -> Box<dyn PageStore> {
+        if let Some(dir) = self.spill_dir.lock().as_ref() {
+            // Scratch storage: degrade to memory if the disk path is
+            // unusable.
+            if let Ok(store) =
+                FileStore::create(dir.join(format!("{}-{}.jkpg", file.name, file.id)))
+            {
+                return Box::new(store);
             }
-            None => Arc::new(MemStore::default()),
-        };
-        slot.store = Some(store.clone());
-        store
+        }
+        Box::new(MemStore::default())
     }
 
-    fn write_back(&self, inner: &mut PoolInner, key: (u64, u32), frame: &Frame) {
-        let store = self.ensure_store(inner, key.0);
-        store.write_page(key.1, &frame.page.read().to_bytes());
-        frame.dirty.store(false, Ordering::SeqCst);
+    /// Writes `frame` to its file's store; it stays dirty if that fails.
+    fn write_back(&self, file: &PageFile, page: u32, frame: &mut Frame) -> io::Result<()> {
+        let store = file.store.get_or_init(|| self.new_store(file));
+        store.write_page(page, &frame.page.to_bytes())?;
+        frame.dirty = false;
         self.dirty_writebacks.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Evicts unpinned frames until the pool is back under capacity (or
     /// only pinned frames remain).
-    fn evict_overflow(&self, inner: &mut PoolInner) {
+    fn evict_overflow(&self) {
         let cap = self.capacity.load(Ordering::Relaxed);
-        if cap == 0 {
-            return;
-        }
-        while inner.frames.len() > cap {
-            // `None`: everything is pinned.
-            let Some(idx) = self.clock_victim(inner) else { break };
-            // The hand rests on the victim, so removing it leaves the
-            // hand on its successor.
-            let key = inner.ring.remove(idx);
-            let frame = inner.frames.remove(&key).expect("victim frame resident");
-            if frame.dirty.load(Ordering::SeqCst) {
-                self.write_back(inner, key, &frame);
+        while cap != 0 && self.gauges.resident.load(Ordering::Relaxed) > cap && self.evict_one() {}
+    }
+
+    /// Second-chance sweep: frames that are pinned, in use (a held lock
+    /// is a pin too) or referenced since the hand last passed go to the
+    /// back of the ring, the last with their bit cleared; the first
+    /// frame found otherwise is evicted. `false` when two turns of the
+    /// ring found none, or the victim's write-back failed.
+    fn evict_one(&self) -> bool {
+        let mut ring = self.ring.lock();
+        // Two full turns: the first may only clear reference bits.
+        for _ in 0..2 * ring.len() {
+            let Some(key @ (id, page)) = ring.pop_front() else { break };
+            let Some(file) = self.file(id) else { continue };
+            let entry = file.entry(page);
+            if entry.state.load(Ordering::SeqCst) != RESIDENT
+                || entry.referenced.swap(false, Ordering::Relaxed)
+            {
+                ring.push_back(key);
+                continue;
             }
+            let Some(mut guard) = entry.frame.try_write().filter(|_| entry.claim()) else {
+                ring.push_back(key);
+                continue;
+            };
+            // Out of the ring and closed to pins: what follows happens
+            // under this frame's lock alone.
+            drop(ring);
+            let frame = guard.as_deref_mut().expect("a resident entry holds a frame");
+            if frame.dirty && self.write_back(&file, page, frame).is_err() {
+                entry.state.fetch_or(RESIDENT, Ordering::SeqCst);
+                self.ring.lock().push_back(key);
+                return false;
+            }
+            *guard = None;
             self.evictions.fetch_add(1, Ordering::Relaxed);
+            return true;
         }
+        false
     }
 
-    /// Second-chance sweep: skip pinned frames, clear set reference
-    /// bits, stop on the first frame found unreferenced and return its
-    /// ring index.
-    fn clock_victim(&self, inner: &mut PoolInner) -> Option<usize> {
-        let n = inner.ring.len();
-        if n == 0 {
-            return None;
-        }
-        // Two full sweeps: the first may only clear reference bits.
-        for _ in 0..(2 * n) {
-            let idx = inner.hand % inner.ring.len();
-            let key = inner.ring[idx];
-            let frame = &inner.frames[&key];
-            if frame.pins.load(Ordering::SeqCst) > 0 {
-                inner.hand = idx + 1;
-                continue;
-            }
-            if frame.referenced.swap(false, Ordering::Relaxed) {
-                inner.hand = idx + 1;
-                continue;
-            }
-            inner.hand = idx;
-            return Some(idx);
-        }
-        None
-    }
-
-    /// Sets the pool capacity in bytes (frames of [`PAGE_SIZE`]; 0 =
-    /// unbounded) and evicts down to it immediately.
+    /// Sets the pool capacity in bytes (frames of [`PAGE_SIZE`], a
+    /// smaller non-zero request rounded up to one; 0 = unbounded) and
+    /// evicts down to it immediately.
     pub fn set_capacity_bytes(&self, bytes: usize) {
-        self.capacity.store(bytes / PAGE_SIZE, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        self.evict_overflow(&mut inner);
+        self.capacity.store((bytes / PAGE_SIZE).max(usize::from(bytes > 0)), Ordering::Relaxed);
+        self.evict_overflow();
     }
 
     /// Capacity in frames (0 = unbounded).
@@ -398,40 +731,42 @@ impl BufferPool {
     }
 
     /// Writes every dirty frame back to its store without evicting —
-    /// the engine's `close` uses this.
-    pub fn flush(&self) {
-        let mut inner = self.inner.lock();
-        let dirty: Vec<((u64, u32), Arc<Frame>)> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty.load(Ordering::SeqCst))
-            .map(|(k, f)| (*k, f.clone()))
-            .collect();
-        for (key, frame) in dirty {
-            self.write_back(&mut inner, key, &frame);
+    /// the engine's `close` uses this. Stops at the first store error.
+    pub fn flush(&self) -> io::Result<()> {
+        let keys: Vec<(u64, u32)> = self.ring.lock().iter().copied().collect();
+        for (id, page) in keys {
+            let Some(file) = self.file(id) else { continue };
+            let mut guard = file.entry(page).frame.write();
+            if let Some(frame) = guard.as_deref_mut().filter(|frame| frame.dirty) {
+                self.write_back(&file, page, frame)?;
+            }
         }
+        Ok(())
     }
 
     /// The cold-run switch: writes every dirty frame back, drops all
-    /// unpinned frames, and re-opens the backing stores, so the next
-    /// pin of any page is a genuine cold pin through the store.
+    /// unpinned frames and every decoded row, and re-opens the backing
+    /// stores, so the next pin of any page is a genuine cold pin through
+    /// the store. A frame whose write-back fails stays, like a pinned one.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let keys: Vec<(u64, u32)> = inner.frames.keys().copied().collect();
-        for key in keys {
-            let frame = inner.frames[&key].clone();
-            if frame.dirty.load(Ordering::SeqCst) {
-                self.write_back(&mut inner, key, &frame);
-            }
-            if frame.pins.load(Ordering::SeqCst) == 0 {
-                inner.frames.remove(&key);
+        let keys = std::mem::take(&mut *self.ring.lock());
+        let mut kept = Vec::new();
+        for key @ (id, page) in keys {
+            let Some(file) = self.file(id) else { continue };
+            let entry = file.entry(page);
+            let mut guard = entry.frame.write();
+            let Some(frame) = guard.as_deref_mut() else { continue };
+            let clean = !frame.dirty || self.write_back(&file, page, frame).is_ok();
+            if clean && entry.claim() {
+                *guard = None;
+            } else {
+                frame.drop_decoded();
+                kept.push(key);
             }
         }
-        let PoolInner { frames, ring, hand, files, .. } = &mut *inner;
-        ring.retain(|k| frames.contains_key(k));
-        *hand = 0;
-        for slot in files.values() {
-            if let Some(store) = &slot.store {
+        self.ring.lock().extend(kept);
+        for file in self.files.read().iter().flatten() {
+            if let Some(store) = file.store.get() {
                 store.reopen();
             }
         }
@@ -439,14 +774,18 @@ impl BufferPool {
 
     /// Counter and occupancy snapshot.
     pub fn stats(&self) -> PoolStats {
-        let inner = self.inner.lock();
-        let pinned =
-            inner.frames.values().filter(|f| f.pins.load(Ordering::SeqCst) > 0).count() as u64;
+        let ring = self.ring.lock();
+        let files = self.files.read();
+        let pinned = |&&(id, page): &&(u64, u32)| {
+            let file = files.get(id as usize).and_then(Option::as_ref);
+            file.is_some_and(|f| f.entry(page).state.load(Ordering::SeqCst) > RESIDENT)
+        };
         PoolStats {
             capacity_frames: self.capacity.load(Ordering::Relaxed) as u64,
-            resident_frames: inner.frames.len() as u64,
-            pinned_frames: pinned,
-            pin_hits: self.pin_hits.load(Ordering::Relaxed),
+            resident_frames: self.gauges.resident.load(Ordering::Relaxed) as u64,
+            pinned_frames: ring.iter().filter(pinned).count() as u64,
+            decoded_rows: self.gauges.decoded_rows.load(Ordering::Relaxed),
+            pin_hits: self.pin_hits.iter().map(|c| c.0.load(Ordering::Relaxed)).sum(),
             cold_pins: self.cold_pins.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             dirty_writebacks: self.dirty_writebacks.load(Ordering::Relaxed),
@@ -605,5 +944,287 @@ mod tests {
                 assert_eq!(first_tuple(&pool, f, t * 16 + p), format!("{t}/{p}").as_bytes());
             }
         }
+    }
+
+    #[test]
+    fn a_request_below_one_frame_still_bounds_the_pool() {
+        let pool = BufferPool::new();
+        pool.set_capacity_bytes(PAGE_SIZE / 2);
+        assert_eq!(pool.capacity_frames(), 1, "0 is the unbounded sentinel, not a rounding result");
+        pool.set_capacity_bytes(3 * PAGE_SIZE + 1);
+        assert_eq!(pool.capacity_frames(), 3);
+        pool.set_capacity_bytes(0);
+        assert_eq!(pool.capacity_frames(), 0);
+    }
+
+    #[test]
+    fn unregister_releases_frames_images_and_the_spill_file() {
+        let dir = std::env::temp_dir().join(format!("jackpine-unreg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pool = BufferPool::new();
+        pool.set_spill_dir(Some(dir.clone()));
+        pool.set_capacity_bytes(4 * PAGE_SIZE);
+        let (gone, kept) = (pool.register("gone"), pool.register("kept"));
+        for p in 0..6u32 {
+            fill(&pool, gone, p, b"g");
+            fill(&pool, kept, p, b"k");
+        }
+        pool.set_capacity_bytes(0);
+        for p in 0..6u32 {
+            first_tuple(&pool, gone, p);
+            first_tuple(&pool, kept, p);
+        }
+        let spilled = |name: &str| {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with(name))
+                .count()
+        };
+        assert_eq!((spilled("gone"), spilled("kept")), (1, 1));
+        assert_eq!(pool.stats().resident_frames, 12);
+
+        pool.unregister(gone);
+        assert_eq!(pool.stats().resident_frames, 6, "its frames went with it");
+        assert_eq!((spilled("gone"), spilled("kept")), (0, 1), "and its spill file");
+        assert!(pool.try_pin(gone, 0).is_err(), "the id is not reused and no longer pins");
+        // The ring still lists the dropped file's pages; the sweep skips them.
+        pool.set_capacity_bytes(2 * PAGE_SIZE);
+        assert_eq!(pool.stats().resident_frames, 2);
+        for p in 0..6u32 {
+            assert_eq!(first_tuple(&pool, kept, p), b"k");
+        }
+        drop(pool);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store whose reads of one page wait at two barriers, and whose
+    /// reads and writes can be made to fail.
+    #[derive(Debug)]
+    struct GatedStore {
+        pages: MemStore,
+        gated: u32,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+        reads: AtomicU64,
+        fail_reads: AtomicBool,
+        fail_writes: AtomicBool,
+    }
+
+    impl GatedStore {
+        fn new(gated: u32) -> Arc<GatedStore> {
+            Arc::new(GatedStore {
+                pages: MemStore::default(),
+                gated,
+                entered: std::sync::Barrier::new(2),
+                release: std::sync::Barrier::new(2),
+                reads: AtomicU64::new(0),
+                fail_reads: AtomicBool::new(false),
+                fail_writes: AtomicBool::new(false),
+            })
+        }
+    }
+
+    fn injected(fail: &AtomicBool) -> io::Result<()> {
+        match fail.load(Ordering::SeqCst) {
+            true => Err(io::Error::other("injected")),
+            false => Ok(()),
+        }
+    }
+
+    impl PageStore for Arc<GatedStore> {
+        fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>> {
+            injected(&self.fail_reads)?;
+            if page == self.gated {
+                self.reads.fetch_add(1, Ordering::SeqCst);
+                self.entered.wait();
+                self.release.wait();
+            }
+            self.pages.read_page(page)
+        }
+
+        fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()> {
+            injected(&self.fail_writes)?;
+            self.pages.write_page(page, bytes)
+        }
+
+        fn reopen(&self) {}
+    }
+
+    fn image(text: &[u8]) -> Vec<u8> {
+        let mut page = Page::new();
+        page.insert(text);
+        page.to_bytes()
+    }
+
+    #[test]
+    fn a_load_blocks_neither_hits_nor_a_second_load_of_its_page() {
+        const A: u32 = 7;
+        const B: u32 = 8;
+        let store = GatedStore::new(A);
+        store.pages.write_page(A, &image(b"a")).unwrap();
+        store.pages.write_page(B, &image(b"b")).unwrap();
+        let pool = BufferPool::new();
+        let file = pool.open("gated", Some(Box::new(store.clone())));
+        assert_eq!(first_tuple(&pool, file.id, B), b"b");
+        let before = pool.stats();
+
+        std::thread::scope(|s| {
+            let first = s.spawn(|| first_tuple(&pool, file.id, A));
+            store.entered.wait(); // `first` is inside read_page(A), holding A's frame lock
+            assert_eq!(
+                first_tuple(&pool, file.id, B),
+                b"b",
+                "a hit on B does not wait for A's read"
+            );
+            assert_eq!(pool.read(&file, B).unwrap().get(0).unwrap(), b"b");
+            let second = s.spawn(|| first_tuple(&pool, file.id, A));
+            // Two pins counted and nothing resident: `second` is past the
+            // point where it could have hit, so it must wait for the load.
+            while file.entry(A).state.load(Ordering::SeqCst) != 2 {
+                std::thread::yield_now();
+            }
+            store.release.wait();
+            assert_eq!(first.join().unwrap(), b"a");
+            assert_eq!(second.join().unwrap(), b"a");
+        });
+        let after = pool.stats();
+        assert_eq!(after.cold_pins, before.cold_pins + 1, "two misses on A, one load");
+        assert_eq!(store.reads.load(Ordering::SeqCst), 1);
+        assert_eq!(after.pin_hits, before.pin_hits + 3, "B twice, and the pin that waited for A");
+    }
+
+    #[test]
+    fn store_errors_surface_and_lose_nothing() {
+        let store = GatedStore::new(u32::MAX);
+        let pool = BufferPool::new();
+        let file = pool.open("flaky", Some(Box::new(store.clone())));
+        pool.set_capacity_bytes(2 * PAGE_SIZE);
+        fill(&pool, file.id, 0, b"zero");
+        fill(&pool, file.id, 1, b"one");
+
+        // Write-backs fail: the frames stay, dirty, and the pool runs
+        // over capacity instead of dropping them.
+        store.fail_writes.store(true, Ordering::SeqCst);
+        fill(&pool, file.id, 2, b"two");
+        let s = pool.stats();
+        assert_eq!((s.resident_frames, s.evictions, s.dirty_writebacks), (3, 0, 0));
+        assert!(pool.flush().is_err());
+        pool.clear();
+        assert_eq!(pool.stats().resident_frames, 3, "clear() keeps what it could not write");
+
+        // The store recovers: everything is written and read back.
+        store.fail_writes.store(false, Ordering::SeqCst);
+        pool.clear();
+        assert_eq!(pool.stats().resident_frames, 0);
+        assert_eq!(first_tuple(&pool, file.id, 0), b"zero");
+
+        // Reads fail: a page the store holds is an error, not an empty page.
+        pool.clear();
+        store.fail_reads.store(true, Ordering::SeqCst);
+        let err = pool.try_pin(file.id, 1).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains("page 1") && m.contains("flaky")),
+            "{err}"
+        );
+        assert!(pool.read(&file, 2).is_err());
+        assert_eq!(pool.stats().resident_frames, 0);
+        assert_eq!(pool.stats().pinned_frames, 0);
+        store.fail_reads.store(false, Ordering::SeqCst);
+        assert_eq!(first_tuple(&pool, file.id, 1), b"one");
+    }
+
+    #[test]
+    fn random_operations_agree_with_a_model() {
+        type Slots = Vec<Option<Vec<u8>>>;
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let pool = BufferPool::new();
+        let mut files: Vec<Arc<PageFile>> =
+            (0..3).map(|i| pool.open(&format!("f{i}"), None)).collect();
+        let mut model: HashMap<(usize, u32), Slots> = HashMap::new();
+        let mut capacity = 0u64;
+        for step in 0..3000i64 {
+            let (f, p) = (next(3) as usize, next(5) as u32);
+            let slots = model.entry((f, p)).or_default();
+            let text = Value::Text("x".repeat(next(600) as usize));
+            let tuple = Value::encode_row(&[Value::Int(step), text]);
+            match next(16) {
+                0 => pool.clear(),
+                1 => {
+                    capacity = next(5);
+                    pool.set_capacity_bytes(capacity as usize * PAGE_SIZE);
+                }
+                2 => {
+                    pool.unregister(files[f].id);
+                    files[f] = pool.open(&format!("f{f}"), None);
+                    model.retain(|key, _| key.0 != f);
+                }
+                3..=6 => {
+                    let slot = pool.write(&files[f], p).unwrap().insert(&tuple);
+                    assert_eq!(slot as usize, slots.len());
+                    slots.push(Some(tuple));
+                }
+                7..=8 if !slots.is_empty() => {
+                    let slot = next(slots.len() as u64) as usize;
+                    let removed = pool.write(&files[f], p).unwrap().delete(slot as u16);
+                    assert_eq!(removed, slots[slot].take().is_some());
+                }
+                9..=10 => {
+                    let slot = next(slots.len() as u64 + 2) as usize;
+                    let placed = pool.write(&files[f], p).unwrap().place(slot as u16, &tuple);
+                    let free = slots.get(slot).is_none_or(Option::is_none);
+                    assert_eq!(placed.is_ok(), free);
+                    if free {
+                        slots.resize(slots.len().max(slot + 1), None);
+                        slots[slot] = Some(tuple);
+                    }
+                }
+                _ if !slots.is_empty() => {
+                    // Through the public pin on odd steps, so that both
+                    // ways in are exercised.
+                    let slot = next(slots.len() as u64) as u16;
+                    let _pin = (step % 2 == 1).then(|| pool.pin(files[f].id, p));
+                    let row = pool.write(&files[f], p).unwrap().decode(slot);
+                    let want = slots[slot as usize].as_ref().map(|b| Value::decode_row(b).unwrap());
+                    assert_eq!(row.ok().map(|r| (*r).clone()), want);
+                }
+                _ => {}
+            }
+
+            let mut decoded = 0;
+            for (&(f, p), slots) in &model {
+                let page = pool.read(&files[f], p).unwrap();
+                assert_eq!(page.slot_count(), slots.len(), "step {step}: page {f}/{p}");
+                for (slot, want) in slots.iter().enumerate() {
+                    assert_eq!(page.get(slot as u16).ok(), want.as_deref(), "step {step}");
+                    if let Some(row) = page.row(slot as u16) {
+                        decoded += 1;
+                        let bytes = Value::encode_row(row);
+                        assert_eq!(
+                            Some(&bytes),
+                            want.as_ref(),
+                            "step {step}: a row outlived its bytes"
+                        );
+                    }
+                }
+            }
+            let stats = pool.stats();
+            assert_eq!(stats.pinned_frames, 0);
+            if capacity == 0 {
+                assert_eq!(
+                    stats.decoded_rows, decoded,
+                    "step {step}: nothing evicts, so the count is exact"
+                );
+                assert_eq!(stats.resident_frames, model.len() as u64);
+            } else {
+                assert!(stats.resident_frames <= capacity, "step {step}: {stats:?}");
+            }
+        }
+        assert!(pool.stats().evictions > 1000 && pool.stats().dirty_writebacks > 100);
     }
 }

@@ -66,6 +66,17 @@ impl<T> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// The write guard if no one holds the lock right now, ignoring
+    /// poisoning — the buffer pool's eviction sweep must never wait for
+    /// a frame that is in use.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.0.try_write() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
 }
 
 /// A condition variable whose waits ignore poisoning, pairing with

@@ -46,8 +46,9 @@ echo "== interleaving gate (MVCC snapshot isolation + group-commit accounting)"
 cargo test -q -p jackpine --test interleaving --offline
 cargo test -q -p jackpine --test concurrency --offline
 
-echo "== out-of-core gate (paged heap == unbounded, all pool sizes and worker counts)"
+echo "== out-of-core gate (paged heap == unbounded, all pool sizes and worker counts; a bounded pool bounds pages and decoded rows)"
 cargo test -q -p jackpine --test pool_equivalence --offline
+cargo test -q -p jackpine --test pool_memory --offline
 
 echo "== benchmark package (unit tests + smoke run of all four workloads against the engine)"
 cargo test --offline --manifest-path benchmark/Cargo.toml

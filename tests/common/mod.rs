@@ -4,6 +4,8 @@
 
 #![allow(dead_code)]
 
+pub mod alloc;
+
 use jackpine::datagen::rng::Rng;
 use jackpine::geom::{Coord, Geometry, LineString, Point, Polygon, Ring};
 

@@ -8,52 +8,11 @@
 
 use jackpine::engine::{DurabilityOptions, EngineProfile, SpatialDb, SNAPSHOT_FILE};
 use jackpine::storage::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every request goes to `System` unchanged and its result is
-// returned unchanged; the counters beside it touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's contract for `alloc`, passed on as is.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this layout, as the caller's contract for `dealloc` says.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller's contract for `realloc`, passed on as is.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                grew(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        p
-    }
-}
+mod common;
+use common::alloc::{Counting, LIVE, PEAK};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;

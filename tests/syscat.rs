@@ -97,6 +97,7 @@ fn system_table_schemas_are_golden() {
                 "capacity_frames",
                 "resident_frames",
                 "pinned_frames",
+                "decoded_rows",
                 "pin_hits",
                 "cold_pins",
                 "evictions",
@@ -296,6 +297,25 @@ fn buffer_pool_table_tracks_pool_state() {
     assert_eq!(r.rows[0][0], Value::Int(1024), "8 MiB of 8 KiB frames");
     let Value::Int(cold) = r.rows[0][1] else { panic!("cold_pins must be integer") };
     assert!(cold > 0, "the cold scan faulted pages in");
+
+    // Decoded rows live in frames: a fetch decodes some, and dropping
+    // the frames drops every one of them.
+    db.execute("SELECT id FROM pts WHERE id >= 0").unwrap();
+    let decoded = "SELECT decoded_rows, resident_frames FROM jp_buffer_pool";
+    let r = db.execute(decoded).unwrap();
+    assert!(matches!(r.rows[0][0], Value::Int(n) if n > 0), "the scan decoded rows: {r:?}");
+    assert!(matches!(r.rows[0][1], Value::Int(n) if n > 0), "into resident frames: {r:?}");
+    db.clear_caches();
+    let r = db.execute(decoded).unwrap();
+    assert_eq!(r.rows[0], vec![Value::Int(0), Value::Int(0)], "no frame, no decoded row");
+
+    // Less than a frame is one frame, not the unbounded sentinel.
+    db.set_pool_bytes(4096);
+    let r = db.execute("SELECT capacity_frames FROM jp_buffer_pool").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(1), "a request below 8 KiB still bounds the pool");
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM pts WHERE id >= 0"), 20);
+    let r = db.execute("SELECT resident_frames FROM jp_buffer_pool").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(1), "and the bound holds between statements");
 }
 
 /// EXPLAIN ANALYZE works on introspection queries: the catalog resolves
@@ -331,6 +351,7 @@ fn connector_prometheus_text_lints_clean() {
     assert!(text.contains("# TYPE jackpine_active_snapshots gauge"), "gauges export");
     assert!(text.contains("# TYPE jackpine_pool_capacity_frames gauge"), "pool gauges export");
     assert!(text.contains("jackpine_pool_cold_pins"), "pool counters surface as gauges");
+    assert!(text.contains("# TYPE jackpine_pool_decoded_rows gauge"), "the pool's levels too");
     let errors = lint_prometheus_text(&text);
     assert!(errors.is_empty(), "engine export must lint clean: {errors:?}");
 }
