@@ -5,25 +5,22 @@
 //! repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W]
 //!       [--csv DIR] [--persist DIR] [--wal on|off] [--trace]
 //!       [--metrics-json FILE] [--trace-export FILE] [--top-queries K]
-//!       [--bench-out FILE] [--prom FILE] [--slow-ms N] [--pool-mb N]
-//!       [--cold] [--warm] <experiment>...
-//! experiments: t1 t2 t3 f1..f8 all bench-json
+//!       [--prom FILE] [--slow-ms N] [--pool-mb N] <experiment>...
+//! experiments: t1 t2 t3 f1..f9 all
 //! ```
 //!
 //! `--workers 0` (the default) uses the machine's available parallelism;
 //! `--workers 1` forces serial execution. The worker count in effect is
-//! recorded under every report header.
+//! recorded under every report header. `f9` times the spatial-join
+//! micros and the join-heavy macro scenarios at `workers=1` vs. that
+//! count (at least 2), checking that both settings return identical
+//! results.
 //!
 //! `--persist DIR` runs every engine with crash-safe durability attached:
 //! an atomic snapshot plus write-ahead log under `DIR/<engine>/`, so the
 //! scenario insert traffic exercises the WAL append path. `--wal off`
 //! keeps the snapshot but detaches the log (snapshot-only durability).
 //! Both knobs are recorded under every report header.
-//!
-//! `bench-json` times the spatial-join micros and the join-heavy macro
-//! scenarios at `workers=1` vs. the configured worker count and writes
-//! `BENCH_1.json` (github-action-benchmark `customSmallerIsBetter`
-//! entries), checking that both settings return identical results.
 //!
 //! `--trace` prints an EXPLAIN ANALYZE-style trace (per-stage timings
 //! plus engine counters) for every micro-benchmark query on the
@@ -40,18 +37,11 @@
 //! `--reps` defaults to 10 timed repetitions after one warmup; `--quick`
 //! drops to a single repetition for smoke runs (CI tier 1), where
 //! confidence intervals are not needed.
-//! `--bench-out FILE` redirects the `bench-json` output file (default
-//! `BENCH_1.json`).
 //!
 //! `--pool-mb N` bounds every engine's buffer pool at N MiB (rows page
 //! out through pinned frames, R-tree leaves demand-load; 0 = unbounded,
-//! the default). `bench-json` always adds a
-//! cold/warm out-of-core section against a bounded pool: `--cold` drops
-//! the pool between repetitions (every page faults back in from the
-//! backing store, so the entries report honest cold-cache latency plus
-//! the pool's miss/eviction deltas), `--warm` keeps it resident. Each
-//! flag restricts the section to that mode; by default both run, and
-//! cold/warm result sets are asserted identical.
+//! the default). `f2`'s cold repetitions then fault every page back in
+//! from the backing store.
 //!
 //! `--prom FILE` writes every engine's final metrics in the Prometheus
 //! text-exposition format (one file, series labeled `engine="..."`) —
@@ -71,7 +61,6 @@ use jackpine_core::report::{fmt_ms, fmt_qps, Table};
 use jackpine_core::Stats;
 use jackpine_datagen::{TigerConfig, TigerDataset};
 use jackpine_engine::{DurabilityOptions, EngineProfile, SpatialConnector, SpatialDb};
-use jackpine_storage::PAGE_SIZE;
 use std::sync::Arc;
 
 struct Options {
@@ -86,26 +75,10 @@ struct Options {
     metrics_json: Option<String>,
     trace_export: Option<String>,
     top_queries: Option<usize>,
-    bench_out: String,
     prom: Option<String>,
     slow_ms: Option<u64>,
     pool_mb: Option<usize>,
-    cold: bool,
-    warm: bool,
     experiments: Vec<String>,
-}
-
-impl Options {
-    /// Whether the bench-json out-of-core section runs cold repetitions.
-    /// Neither `--cold` nor `--warm` selects both modes.
-    fn cold_runs(&self) -> bool {
-        self.cold || !self.warm
-    }
-
-    /// Whether the bench-json out-of-core section runs warm repetitions.
-    fn warm_runs(&self) -> bool {
-        self.warm || !self.cold
-    }
 }
 
 fn parse_args() -> Options {
@@ -121,12 +94,9 @@ fn parse_args() -> Options {
         metrics_json: None,
         trace_export: None,
         top_queries: None,
-        bench_out: "BENCH_1.json".to_string(),
         prom: None,
         slow_ms: None,
         pool_mb: None,
-        cold: false,
-        warm: false,
         experiments: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -152,12 +122,9 @@ fn parse_args() -> Options {
             "--top-queries" => {
                 opts.top_queries = Some(expect_num(args.next(), "--top-queries") as usize)
             }
-            "--bench-out" => opts.bench_out = args.next().unwrap_or_else(|| usage()),
             "--prom" => opts.prom = Some(args.next().unwrap_or_else(|| usage())),
             "--slow-ms" => opts.slow_ms = Some(expect_num(args.next(), "--slow-ms") as u64),
             "--pool-mb" => opts.pool_mb = Some(expect_num(args.next(), "--pool-mb") as usize),
-            "--cold" => opts.cold = true,
-            "--warm" => opts.warm = true,
             "--help" | "-h" => {
                 usage();
             }
@@ -168,7 +135,7 @@ fn parse_args() -> Options {
         opts.experiments.push("all".to_string());
     }
     const KNOWN: &[&str] =
-        &["t1", "t2", "t3", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "all", "bench-json"];
+        &["t1", "t2", "t3", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "all"];
     for exp in &opts.experiments {
         if !KNOWN.contains(&exp.as_str()) {
             eprintln!("unknown experiment: {exp}");
@@ -189,9 +156,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W] [--csv DIR] \
          [--persist DIR] [--wal on|off] [--trace] [--metrics-json FILE] \
-         [--trace-export FILE] [--top-queries K] [--bench-out FILE] [--prom FILE] \
-         [--slow-ms N] [--pool-mb N] [--cold] [--warm] \
-         <t1|t2|t3|f1..f8|all|bench-json>..."
+         [--trace-export FILE] [--top-queries K] [--prom FILE] [--slow-ms N] [--pool-mb N] \
+         <t1|t2|t3|f1..f9|all>..."
     );
     std::process::exit(2)
 }
@@ -290,6 +256,9 @@ fn main() {
     if want("f8") {
         tables.push(f8_concurrency(&data, &engines, opts.sessions));
     }
+    if want("f9") {
+        tables.push(f9_workers(&data, workers, opts.reps, opts.sessions));
+    }
 
     // Record run context under every table header.
     let persist_note = match &opts.persist_dir {
@@ -303,10 +272,6 @@ fn main() {
     };
     for t in &mut tables {
         t.context = format!("workers={workers} {persist_note}{trace_note}{pool_note}");
-    }
-
-    if opts.experiments.iter().any(|x| x == "bench-json") {
-        bench_json(&data, &opts);
     }
 
     if opts.trace {
@@ -328,7 +293,7 @@ fn main() {
     if let Some(path) = &opts.metrics_json {
         let mut json = format!(
             "{{\n  \"schema_version\": {},\n  \"engines\": {{\n",
-            jackpine_core::benchreport::BENCH_SCHEMA_VERSION
+            jackpine_obs::METRICS_JSON_SCHEMA_VERSION
         );
         for (i, e) in engines.iter().enumerate() {
             json.push_str(&format!(
@@ -647,345 +612,6 @@ fn f7_drilldown(data: &TigerDataset, engines: &[Arc<SpatialDb>], sessions: usize
 }
 
 // ---------------------------------------------------------------------------
-// bench-json: serial vs. parallel timings for CI tracking
-// ---------------------------------------------------------------------------
-
-/// Times the spatial-join micros (T02/T05/T08/T10) and the join-heavy
-/// macro scenarios (M4 flood risk, M6 toxic spill) at `workers=1` vs. the
-/// configured worker count, asserting identical results, plus two
-/// refine-heavy polygon-polygon joins (PP1/PP2), an out-of-core section
-/// (cold vs. warm repetitions against a bounded buffer pool, with the
-/// pool's miss/eviction deltas as counter entries and a deliberately
-/// undersized 1 MiB probe that must evict), and writes a schema-v2
-/// bench file (default `BENCH_1.json`, see `--bench-out`).
-/// The `value` fields keep the github-action-benchmark
-/// `customSmallerIsBetter` meaning; timed entries additionally carry
-/// per-sample statistics so `bench-diff` can apply confidence intervals.
-/// Ratio entries are parallel-over-serial, so smaller is better there
-/// too (0.5 = a 2x speedup).
-fn bench_json(data: &TigerDataset, opts: &Options) {
-    use jackpine_core::benchreport::{BenchEntry, BenchRun, BENCH_SCHEMA_VERSION};
-    let db = engine_with_data(EngineProfile::ExactRtree, data);
-    db.set_workers(opts.workers);
-    let workers = db.workers();
-    let driver = Driver { repetitions: opts.reps, warmup: 1, cache_mode: CacheMode::Warm };
-    let mut entries: Vec<BenchEntry> = Vec::new();
-
-    let suite = topo_suite(data);
-    let picks = ["T02", "T05", "T08", "T10"];
-    for q in suite.iter().filter(|q| picks.contains(&q.id)) {
-        db.set_workers(1);
-        let serial_rows = db.execute(&q.sql).expect("serial run");
-        let serial = driver.run_query(&db, q.id, &q.sql).expect("serial timing");
-        println!("micro {}: workers=1 {} ms", q.id, fmt_ms(serial.stats.mean_ms));
-        entries.push(BenchEntry {
-            name: format!("micro/{} workers=1", q.id),
-            value: serial.stats.mean_ms,
-            unit: "ms".into(),
-            stats: Some(serial.stats),
-        });
-        // On a single-core host the "parallel" configuration is the
-        // serial one; emitting it would duplicate the entry name and
-        // break bench-diff's pairing-by-name.
-        if workers > 1 {
-            db.set_workers(workers);
-            let parallel_rows = db.execute(&q.sql).expect("parallel run");
-            let parallel = driver.run_query(&db, q.id, &q.sql).expect("parallel timing");
-            assert_eq!(
-                serial_rows, parallel_rows,
-                "{}: workers=1 and workers={workers} disagree",
-                q.id
-            );
-            let ratio = parallel.stats.mean_ms / serial.stats.mean_ms;
-            println!(
-                "micro {}: workers={workers} {} ms ({:.2}x speedup)",
-                q.id,
-                fmt_ms(parallel.stats.mean_ms),
-                1.0 / ratio
-            );
-            entries.push(BenchEntry {
-                name: format!("micro/{} workers={workers}", q.id),
-                value: parallel.stats.mean_ms,
-                unit: "ms".into(),
-                stats: Some(parallel.stats),
-            });
-            entries.push(BenchEntry {
-                name: format!("micro/{} parallel_over_serial", q.id),
-                value: ratio,
-                unit: "ratio".into(),
-                stats: None,
-            });
-        }
-    }
-
-    // Refine-heavy polygon-polygon joins. Adjacent county polygons (and
-    // the landmarks inside them) have envelopes that all pass the index
-    // prefilter, so nearly every candidate pair reaches the DE-9IM refine
-    // stage — the work prepared geometries accelerate. Run serially so
-    // the entries isolate the refine kernels from scheduling effects.
-    // The `prepared=on` suffix dates from the retired on/off comparison;
-    // it stays so `bench-diff` pairs the entries with BENCH_5 onwards.
-    let refine_heavy = [
-        (
-            "PP1",
-            "SELECT COUNT(*) FROM county a JOIN county b ON ST_Intersects(a.geom, b.geom) \
-             WHERE a.id < b.id",
-        ),
-        ("PP2", "SELECT COUNT(*) FROM county c JOIN arealm a ON ST_Contains(c.geom, a.geom)"),
-    ];
-    db.set_workers(1);
-    for (id, sql) in refine_heavy {
-        let m = driver.run_query(&db, id, sql).expect("refine-heavy timing");
-        println!("micro {id}: {} ms", fmt_ms(m.stats.mean_ms));
-        entries.push(BenchEntry {
-            name: format!("micro/{id} prepared=on"),
-            value: m.stats.mean_ms,
-            unit: "ms".into(),
-            stats: Some(m.stats),
-        });
-    }
-    db.set_workers(workers);
-
-    let config = ScenarioConfig { seed: 0xbead, sessions: opts.sessions };
-    let scenarios = all_scenarios(data, &config);
-    for s in scenarios.iter().filter(|s| s.id == "M4" || s.id == "M6") {
-        db.set_workers(1);
-        let serial = run_scenario(&db, s).expect("serial scenario");
-        let serial_ms = 1e3 / serial.throughput_qps();
-        println!("macro {}: workers=1 {} ms/query", s.id, fmt_ms(serial_ms));
-        entries.push(BenchEntry {
-            name: format!("macro/{} workers=1", s.id),
-            value: serial_ms,
-            unit: "ms/query".into(),
-            stats: None,
-        });
-        if workers > 1 {
-            db.set_workers(workers);
-            let parallel = run_scenario(&db, s).expect("parallel scenario");
-            let parallel_ms = 1e3 / parallel.throughput_qps();
-            let ratio = parallel_ms / serial_ms;
-            println!(
-                "macro {}: workers={workers} {} ms/query ({:.2}x speedup)",
-                s.id,
-                fmt_ms(parallel_ms),
-                1.0 / ratio
-            );
-            entries.push(BenchEntry {
-                name: format!("macro/{} workers={workers}", s.id),
-                value: parallel_ms,
-                unit: "ms/query".into(),
-                stats: None,
-            });
-            entries.push(BenchEntry {
-                name: format!("macro/{} parallel_over_serial", s.id),
-                value: ratio,
-                unit: "ratio".into(),
-                stats: None,
-            });
-        }
-    }
-
-    // Multi-session write throughput: open-loop single-row INSERTs from
-    // concurrent sessions against one durable engine with per-commit
-    // fsync, a fixed total statement count, so the entry measures the
-    // commit path (MVCC publish + group-committed WAL) rather than data
-    // volume. Sessions share the fsync cost through the group-commit
-    // pipeline, so per-statement latency should not grow linearly with
-    // the session count.
-    let total_inserts = 2000usize;
-    let mut serial_insert_ms = None;
-    for sessions in [1usize, 4] {
-        let dir = std::env::temp_dir()
-            .join(format!("jackpine-bench-mvcc-{}-{sessions}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create bench persist dir");
-        let wdb = SpatialDb::open_durable(
-            &dir,
-            EngineProfile::ExactRtree,
-            DurabilityOptions { sync_each_append: true },
-        )
-        .expect("open durable bench engine");
-        wdb.execute("CREATE TABLE writes (id BIGINT, geom GEOMETRY)").expect("create");
-        let per_session = total_inserts / sessions;
-        let mut samples = Vec::with_capacity(opts.reps);
-        for rep in 0..opts.reps.max(1) {
-            let t0 = std::time::Instant::now();
-            std::thread::scope(|s| {
-                for w in 0..sessions {
-                    let wdb = wdb.clone();
-                    s.spawn(move || {
-                        let base = (rep * sessions + w) * per_session;
-                        for i in 0..per_session {
-                            let id = base + i;
-                            wdb.execute(&format!(
-                                "INSERT INTO writes VALUES ({id}, \
-                                 ST_GeomFromText('POINT ({} {})'))",
-                                id % 100,
-                                id / 100
-                            ))
-                            .expect("open-loop insert");
-                        }
-                    });
-                }
-            });
-            samples.push(t0.elapsed());
-        }
-        let stats = Stats::from_durations(&samples);
-        let per_stmt_ms = stats.mean_ms / total_inserts as f64;
-        println!(
-            "mvcc insert: sessions={sessions} {} ms for {total_inserts} statements \
-             ({:.4} ms/stmt)",
-            fmt_ms(stats.mean_ms),
-            per_stmt_ms
-        );
-        entries.push(BenchEntry {
-            name: format!("mvcc/insert-2000 sessions={sessions}"),
-            value: stats.mean_ms,
-            unit: "ms".into(),
-            stats: Some(stats),
-        });
-        if sessions == 1 {
-            serial_insert_ms = Some(stats.mean_ms);
-        } else if let Some(serial) = serial_insert_ms {
-            entries.push(BenchEntry {
-                name: format!("mvcc/insert-2000 multi_over_single sessions={sessions}"),
-                value: stats.mean_ms / serial,
-                unit: "ratio".into(),
-                stats: None,
-            });
-        }
-        drop(wdb);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // Out-of-core: cold vs. warm repetitions against a bounded buffer
-    // pool (default 8 MiB, see --pool-mb). The same data and queries run
-    // on a separate engine whose heap pages and R-tree leaves live
-    // behind the pool; warm repetitions reuse resident frames, cold
-    // repetitions drop the pool first (the driver's cold mode calls
-    // clear_caches, which writes back and empties the frame table), so
-    // every page faults back in from the backing store. The pool's
-    // cold-pin and eviction deltas ride along as counter entries, and a
-    // deliberately undersized 1 MiB probe guarantees a nonzero eviction
-    // count regardless of scale. Results must match the unbounded
-    // engine bit-for-bit — paging is invisible to query semantics.
-    let pool_mb = opts.pool_mb.filter(|&mb| mb > 0).unwrap_or(8);
-    let pdb = engine_with_data(EngineProfile::ExactRtree, data);
-    pdb.set_pool_bytes(pool_mb * 1024 * 1024);
-    pdb.set_workers(1);
-    let cold_driver = Driver { repetitions: opts.reps, warmup: 1, cache_mode: CacheMode::Cold };
-    for q in suite.iter().filter(|q| ["T02", "T10"].contains(&q.id)) {
-        let bounded_rows = pdb.execute(&q.sql).expect("bounded-pool run");
-        let unbounded_rows = db.execute(&q.sql).expect("unbounded rerun");
-        assert_eq!(bounded_rows, unbounded_rows, "{}: pool_mb={pool_mb} changes results", q.id);
-        if opts.warm_runs() {
-            let warm = driver.run_query(&pdb, q.id, &q.sql).expect("warm pool timing");
-            println!("pool {}: warm pool_mb={pool_mb} {} ms", q.id, fmt_ms(warm.stats.mean_ms));
-            entries.push(BenchEntry {
-                name: format!("pool/{} warm pool_mb={pool_mb}", q.id),
-                value: warm.stats.mean_ms,
-                unit: "ms".into(),
-                stats: Some(warm.stats),
-            });
-        }
-        if opts.cold_runs() {
-            let before = pdb.pool_stats();
-            let cold = cold_driver.run_query(&pdb, q.id, &q.sql).expect("cold pool timing");
-            let after = pdb.pool_stats();
-            let cold_pins = after.cold_pins - before.cold_pins;
-            let evictions = after.evictions - before.evictions;
-            assert!(cold_pins > 0, "{}: cold repetitions must fault pages back in", q.id);
-            println!(
-                "pool {}: cold pool_mb={pool_mb} {} ms ({cold_pins} cold pins, \
-                 {evictions} evictions)",
-                q.id,
-                fmt_ms(cold.stats.mean_ms)
-            );
-            entries.push(BenchEntry {
-                name: format!("pool/{} cold pool_mb={pool_mb}", q.id),
-                value: cold.stats.mean_ms,
-                unit: "ms".into(),
-                stats: Some(cold.stats),
-            });
-            entries.push(BenchEntry {
-                name: format!("pool/{} cold cold_pins", q.id),
-                value: cold_pins as f64,
-                unit: "count".into(),
-                stats: None,
-            });
-            entries.push(BenchEntry {
-                name: format!("pool/{} cold evictions", q.id),
-                value: evictions as f64,
-                unit: "count".into(),
-                stats: None,
-            });
-        }
-    }
-    if opts.cold_runs() {
-        // The eviction probe. A fixed tiny capacity cannot guarantee
-        // evictions (at small --scale a query's whole working set can
-        // fit in a handful of frames), so calibrate: measure the
-        // query's cold working set in pages through an effectively
-        // unbounded pool, then bound the pool to *half* of it. T10 is
-        // a two-table join, so the working set is always at least two
-        // pages and the half-sized pool must cycle frames through the
-        // clock sweep at every --scale.
-        let t10 = suite.iter().find(|q| q.id == "T10").expect("T10 exists");
-        pdb.set_pool_bytes(4096 * PAGE_SIZE);
-        pdb.clear_caches();
-        let before = pdb.pool_stats();
-        pdb.execute(&t10.sql).expect("calibration run");
-        let working_set = (pdb.pool_stats().cold_pins - before.cold_pins) as usize;
-        assert!(working_set >= 2, "T10 joins two heaps; it must touch at least two pages");
-        let frames = (working_set / 2).max(1);
-        pdb.set_pool_bytes(frames * PAGE_SIZE);
-        let probe_rows = pdb.execute(&t10.sql).expect("undersized-pool run");
-        assert_eq!(
-            probe_rows,
-            db.execute(&t10.sql).expect("unbounded rerun"),
-            "T10: an undersized pool changes results"
-        );
-        let before = pdb.pool_stats();
-        let tiny = Driver { repetitions: 1, warmup: 0, cache_mode: CacheMode::Cold };
-        let m = tiny.run_query(&pdb, "T10", &t10.sql).expect("undersized-pool timing");
-        let after = pdb.pool_stats();
-        let evictions = after.evictions - before.evictions;
-        assert!(
-            evictions > 0,
-            "a pool of {frames} frames must evict during cold T10 ({working_set}-page \
-             working set)"
-        );
-        println!(
-            "pool T10: cold undersized ({frames} of {working_set} frames) {} ms \
-             ({evictions} evictions)",
-            fmt_ms(m.stats.mean_ms)
-        );
-        entries.push(BenchEntry {
-            name: "pool/T10 cold undersized".into(),
-            value: m.stats.mean_ms,
-            unit: "ms".into(),
-            stats: Some(m.stats),
-        });
-        entries.push(BenchEntry {
-            name: "pool/T10 cold evictions undersized".into(),
-            value: evictions as f64,
-            unit: "count".into(),
-            stats: None,
-        });
-    }
-
-    let run = BenchRun { schema_version: BENCH_SCHEMA_VERSION, entries };
-    std::fs::write(&opts.bench_out, run.to_json())
-        .unwrap_or_else(|e| panic!("write {}: {e}", opts.bench_out));
-    println!(
-        "wrote {} (schema v{}, {} entries)\n",
-        opts.bench_out,
-        BENCH_SCHEMA_VERSION,
-        run.entries.len()
-    );
-}
-
-// ---------------------------------------------------------------------------
 // --trace: per-query stage timings and engine counters
 // ---------------------------------------------------------------------------
 
@@ -1109,6 +735,74 @@ fn f8_concurrency(data: &TigerDataset, engines: &[Arc<SpatialDb>], sessions: usi
         }
         t.push_row(row);
         eprint!(".");
+    }
+    eprintln!();
+    t
+}
+
+// ---------------------------------------------------------------------------
+// F9: intra-query worker scaling
+// ---------------------------------------------------------------------------
+
+/// Times the spatial-join micros (T02/T05/T08/T10) and the join-heavy
+/// macro scenarios (M4 flood risk, M6 toxic spill) on one exact-rtree
+/// engine at `workers=1` and at the configured worker count — at least
+/// 2, so a single-core host reports dispatch overhead rather than a
+/// table comparing a setting with itself — and asserts that both
+/// settings return the same results.
+fn f9_workers(data: &TigerDataset, workers: usize, reps: usize, sessions: usize) -> Table {
+    let workers = workers.max(2);
+    let db = engine_with_data(EngineProfile::ExactRtree, data);
+    let driver = Driver { repetitions: reps, warmup: 1, cache_mode: CacheMode::Warm };
+    let parallel_header = format!("workers={workers} ms");
+    let mut t = Table::new(
+        "F9  Intra-query worker scaling (exact-rtree, mean ms per query)",
+        &["id", "query", "workers=1 ms", &parallel_header, "speedup"],
+    );
+    let mut push = |id: &str, name: &str, serial_ms: f64, parallel_ms: f64| {
+        t.push_row(vec![
+            id.to_string(),
+            name.to_string(),
+            fmt_ms(serial_ms),
+            fmt_ms(parallel_ms),
+            format!("{:.2}x", serial_ms / parallel_ms),
+        ]);
+        eprint!(".");
+    };
+
+    let picks = ["T02", "T05", "T08", "T10"];
+    for q in topo_suite(data).iter().filter(|q| picks.contains(&q.id)) {
+        let [serial, parallel] = [1, workers].map(|w| {
+            db.set_workers(w);
+            driver.run_query(&db, q.id, &q.sql).expect("F9 micro run")
+        });
+        assert_eq!(
+            (serial.rows, &serial.scalar),
+            (parallel.rows, &parallel.scalar),
+            "{}: workers=1 and workers={workers} disagree",
+            q.id
+        );
+        push(q.id, q.name, serial.stats.mean_ms, parallel.stats.mean_ms);
+    }
+
+    let config = ScenarioConfig { seed: 0xbead, sessions };
+    for s in all_scenarios(data, &config).iter().filter(|s| s.id == "M4" || s.id == "M6") {
+        let [(serial_ms, serial_rows), (parallel_ms, parallel_rows)] = [1, workers].map(|w| {
+            db.set_workers(w);
+            let run = || driver.run_session(&db, &s.steps).expect("F9 scenario run");
+            // One untimed session warms the caches; its row counts are
+            // the result the two settings must agree on.
+            let rows: Vec<(String, usize)> =
+                run().per_step.into_iter().map(|(label, _, n)| (label, n)).collect();
+            let totals: Vec<_> = (0..reps.max(1)).map(|_| run().total).collect();
+            (Stats::from_durations(&totals).mean_ms / s.steps.len() as f64, rows)
+        });
+        assert_eq!(
+            serial_rows, parallel_rows,
+            "{}: workers=1 and workers={workers} disagree",
+            s.id
+        );
+        push(s.id, s.name, serial_ms, parallel_ms);
     }
     eprintln!();
     t

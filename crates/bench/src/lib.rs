@@ -1,14 +1,11 @@
 //! # jackpine-bench
 //!
-//! The Jackpine benchmark harness: shared setup helpers used by the
-//! timed benches ([`timer`]) and by the `repro` binary, which regenerates
-//! every table and figure of the paper's evaluation (see DESIGN.md's
-//! experiment index).
+//! The Jackpine benchmark harness: shared setup helpers for the `repro`
+//! binary, which regenerates every table and figure of the paper's
+//! evaluation (see DESIGN.md's experiment index).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod timer;
 
 use jackpine_core::load_dataset;
 use jackpine_datagen::{TigerConfig, TigerDataset};

@@ -2,24 +2,6 @@
 
 use std::time::Duration;
 
-/// Two-sided 95% Student-t critical value for `df` degrees of freedom.
-/// Exact table through 30 df, then the asymptotic normal value — the
-/// interpolation error above 30 df is under 0.5%, far below benchmark
-/// noise. `df == 0` (fewer than two samples) returns infinity: no
-/// variance estimate, no finite interval.
-pub fn t95(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    match df {
-        0 => f64::INFINITY,
-        d if d <= TABLE.len() => TABLE[d - 1],
-        _ => 1.960,
-    }
-}
-
 /// Summary statistics of a sample of durations, in milliseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Stats {
@@ -77,16 +59,6 @@ impl Stats {
             max_ms: ms[n - 1],
         }
     }
-
-    /// Half-width of the 95% confidence interval around the mean
-    /// (`t95(n-1) * s / sqrt(n)`). Infinite for n < 2, where the sample
-    /// carries no variance information.
-    pub fn ci95_halfwidth(&self) -> f64 {
-        if self.n < 2 {
-            return f64::INFINITY;
-        }
-        t95(self.n - 1) * self.std_ms / (self.n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -131,25 +103,5 @@ mod tests {
         assert_eq!(s.min_ms, 10.0);
         assert_eq!(s.max_ms, 50.0);
         assert_eq!(s.p50_ms, 30.0);
-    }
-
-    #[test]
-    fn t_table_decreases_toward_normal() {
-        assert!((t95(1) - 12.706).abs() < 1e-9);
-        assert!((t95(30) - 2.042).abs() < 1e-9);
-        assert!((t95(31) - 1.960).abs() < 1e-9);
-        assert!(t95(0).is_infinite());
-        for df in 1..40 {
-            assert!(t95(df) >= t95(df + 1), "t95 must be non-increasing at df={df}");
-        }
-    }
-
-    #[test]
-    fn ci_halfwidth() {
-        let s = Stats::from_durations(&ms(&[10, 20, 30, 40, 50]));
-        // t95(4) * sqrt(250) / sqrt(5) = 2.776 * 7.0710678...
-        let expect = 2.776 * 250.0f64.sqrt() / 5.0f64.sqrt();
-        assert!((s.ci95_halfwidth() - expect).abs() < 1e-9);
-        assert!(Stats::from_durations(&ms(&[7])).ci95_halfwidth().is_infinite());
     }
 }

@@ -550,8 +550,7 @@ impl SpatialDb {
             // out of the snapshot; the durability write lock above
             // already excludes committed-but-unsynced frames, since
             // committing sessions hold the read side end to end.
-            let (_txn, waited) = self.txn.lock_timed();
-            self.metrics.record_txn_wait(TxnSite::Checkpoint, waited);
+            let _txn = self.lock_writers();
             // A checkpoint is a natural vacuum point: any row whose
             // death no pinned snapshot can still see is reclaimed now,
             // so the snapshot being cut never re-persists it.
@@ -562,6 +561,16 @@ impl SpatialDb {
             d.generation = gen;
         }
         Ok(())
+    }
+
+    /// The writer lock with its wait charged to the checkpoint site, for
+    /// whoever cuts a snapshot or vacuums outside a statement: while it
+    /// is held no DELETE publishes and no vacuum reclaims, so every id a
+    /// cut lists is still there when the cut streams it.
+    pub(crate) fn lock_writers(&self) -> std::sync::MutexGuard<'_, ()> {
+        let (txn, waited) = self.txn.lock_timed();
+        self.metrics.record_txn_wait(TxnSite::Checkpoint, waited);
+        txn
     }
 
     /// Applies one replayed WAL record. Replay runs before a WAL is
@@ -1751,8 +1760,7 @@ impl SpatialDb {
     /// Flushes dirty pool frames and reclaims what no snapshot needs.
     pub fn close(&self) -> crate::Result<()> {
         {
-            let (_txn, waited) = self.txn.lock_timed();
-            self.metrics.record_txn_wait(TxnSite::Checkpoint, waited);
+            let _txn = self.lock_writers();
             self.vacuum_locked();
         }
         self.catalog.pool().flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))

@@ -187,8 +187,10 @@ impl SpatialDb {
     /// Streams the format-v4 image at generation 0 into `sink` — what
     /// [`SpatialDb::save`] does to its temp file, for callers (and fault
     /// injectors) that bring their own sink. The sink needs `Seek` for
-    /// one patch: the file checksum in the header, written last.
+    /// one patch: the file checksum in the header, written last. Holds
+    /// the writer lock for the cut, as [`SpatialDb::checkpoint`] does.
     pub fn snapshot_to(&self, sink: impl Write + Seek) -> Result<()> {
+        let _txn = self.lock_writers();
         self.snapshot_to_gen(sink, 0)
     }
 
@@ -265,7 +267,10 @@ impl SpatialDb {
     /// Serializes every table to `path`, atomically: the bytes stream to
     /// a uniquely named temp sibling, are fsynced, and are renamed into
     /// place. A crash mid-save leaves the previous file untouched.
+    /// Holds the writer lock for the cut, as [`SpatialDb::checkpoint`]
+    /// does, so a save beside live DML is a whole-statement image.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
+        let _txn = self.lock_writers();
         self.save_gen(path, 0)
     }
 

@@ -119,15 +119,12 @@ pub struct RTreeConfig {
     pub min_entries: usize,
     /// Entries removed and reinserted on first overflow (R\*-tree `p`).
     pub reinsert_count: usize,
-    /// Disable forced reinsertion entirely (ablation switch; falls back to
-    /// split-on-overflow like a classic quadratic R-tree).
-    pub forced_reinsert: bool,
 }
 
 impl Default for RTreeConfig {
     fn default() -> Self {
         // M = 16, m = 40 % M, p = 30 % M — the classic R*-tree settings.
-        RTreeConfig { max_entries: 16, min_entries: 6, reinsert_count: 5, forced_reinsert: true }
+        RTreeConfig { max_entries: 16, min_entries: 6, reinsert_count: 5 }
     }
 }
 
@@ -494,7 +491,7 @@ impl<T: Clone> RTree<T> {
                 return;
             }
             let is_root = node_id == self.root;
-            if self.config.forced_reinsert && !is_root && !reinserted[level] {
+            if !is_root && !reinserted[level] {
                 reinserted[level] = true;
                 self.forced_reinsert(node_id, &path, level, reinserted);
                 return;
@@ -1321,23 +1318,6 @@ mod tests {
         let hits = t.window(&Envelope::new(2.5, 2.5, 2.6, 2.6));
         assert_eq!(hits.len(), 2);
         assert!(hits.contains(&"big") && hits.contains(&"small"));
-    }
-
-    #[test]
-    fn forced_reinsert_ablation_still_correct() {
-        let cfg = RTreeConfig { forced_reinsert: false, ..RTreeConfig::default() };
-        let mut t: RTree<usize> = RTree::new(cfg);
-        let items = cloud(600);
-        for (e, v) in &items {
-            t.insert(*e, *v);
-        }
-        let window = Envelope::new(200.0, 200.0, 400.0, 400.0);
-        let mut got = t.window(&window);
-        got.sort_unstable();
-        let mut want: Vec<usize> =
-            items.iter().filter(|(e, _)| window.intersects(e)).map(|(_, v)| *v).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
     }
 
     #[test]

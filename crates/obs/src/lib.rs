@@ -54,7 +54,7 @@ pub use histogram::{bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
 pub use history::{HistoryPoint, MetricsHistory};
 pub use metrics::{
     EngineMetrics, MetricsSnapshot, Stage, TxnSite, DETERMINISTIC_COUNTERS, GAUGES,
-    SCHEDULING_COUNTERS, WAIT_HISTOGRAMS,
+    METRICS_JSON_SCHEMA_VERSION, SCHEDULING_COUNTERS, WAIT_HISTOGRAMS,
 };
 pub use ring::{FlightRecorder, SlowQueryLog};
 pub use trace::QueryTrace;

@@ -371,6 +371,11 @@ impl EngineMetrics {
     }
 }
 
+/// `schema_version` of the envelope `repro --metrics-json` wraps around
+/// one [`MetricsSnapshot::to_json`] object per engine; bump it when that
+/// object's shape changes.
+pub const METRICS_JSON_SCHEMA_VERSION: u64 = 2;
+
 /// A point-in-time copy of an [`EngineMetrics`], used both as the
 /// machine-readable API surface and as the subtrahend for per-query
 /// deltas.

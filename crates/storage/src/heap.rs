@@ -97,13 +97,16 @@ pub struct HeapFile {
     row_count: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Reclaim begin/end counters. Lock-free readers capture
-    /// [`HeapFile::reclaim_epoch`] before collecting row ids, take the
-    /// cheap metadata-only classification pass, and re-check both
-    /// counters afterwards: equality proves no reclaim overlapped the
-    /// read, so no id can have lost its metadata entry (and thereby
-    /// misread as settled-visible) mid-pass. Vacuum is rare, so the
-    /// expensive re-verification almost never runs.
+    /// Physical removals begun and ended (`started >= finished` always).
+    /// Lock-free readers capture `finished` ([`HeapFile::reclaim_epoch`])
+    /// before collecting row ids, take the cheap metadata-only
+    /// classification pass, and compare `started` with the capture
+    /// afterwards. No removal overlapped `[capture, check]` iff the
+    /// removals started by the end equal the removals finished at the
+    /// beginning: equality says none was in flight at the capture and
+    /// none began since, so no id can have lost its metadata entry (and
+    /// thereby misread as settled-visible) mid-pass. Vacuum is rare, so
+    /// the expensive re-verification almost never runs.
     reclaims_started: AtomicU64,
     reclaims_finished: AtomicU64,
 }
@@ -335,7 +338,17 @@ impl HeapFile {
     /// has finished is guaranteed to have lost its slot — see
     /// [`HeapFile::retain_visible`]).
     pub fn reclaim(&self, id: RowId) {
+        self.begin_removal();
+        self.finish_reclaim(id);
+    }
+
+    /// Opens a physical removal's bracket (see the field note).
+    fn begin_removal(&self) {
         self.reclaims_started.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The rest of [`HeapFile::reclaim`]: slot, entry, closing bracket.
+    fn finish_reclaim(&self, id: RowId) {
         if id.page < self.npages.load(Ordering::Relaxed) {
             self.page_mut(id.page).delete(id.slot);
         }
@@ -343,24 +356,23 @@ impl HeapFile {
         self.reclaims_finished.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The reclaim counter to capture *before* collecting row ids from
-    /// an index probe or page sweep; pass it to
+    /// The count of finished removals, to capture *before* collecting
+    /// row ids from an index probe or page sweep; pass it to
     /// [`HeapFile::retain_visible`] so a vacuum overlapping the
     /// collection is detected rather than misread.
     pub fn reclaim_epoch(&self) -> u64 {
-        self.reclaims_started.load(Ordering::SeqCst)
+        self.reclaims_finished.load(Ordering::SeqCst)
     }
 
-    /// Whether any [`HeapFile::reclaim`] began after `epoch` was
-    /// captured, or is still in flight now. When this is false, no
-    /// metadata entry can have been dropped by a reclaim since the
-    /// capture, so a metadata-free id observed since then is a settled
-    /// always-visible row — and a row fully reclaimed *before* the
-    /// capture was removed from every index first, so it cannot have
-    /// been collected at all.
+    /// Whether a physical removal was in flight when `epoch` was
+    /// captured or has begun since: the removals started by now differ
+    /// from the removals that had finished then. When this is false, no
+    /// metadata entry can have been dropped since the capture, so a
+    /// metadata-free id observed since then is a settled always-visible
+    /// row — and a row fully reclaimed *before* the capture was removed
+    /// from every index first, so it cannot have been collected at all.
     fn reclaim_overlapped(&self, epoch: u64) -> bool {
-        let started = self.reclaims_started.load(Ordering::SeqCst);
-        started != epoch || self.reclaims_finished.load(Ordering::SeqCst) != started
+        self.reclaims_started.load(Ordering::SeqCst) != epoch
     }
 
     /// Prunes visibility entries the horizon has passed: a row born at
@@ -390,7 +402,7 @@ impl HeapFile {
     /// verify survivors by physical presence ([`HeapFile::reclaim`]
     /// drops a row's slot before its entry, so a reclaimed row that
     /// lost its entry has verifiably lost its slot too). The common
-    /// settled case stays one is-empty check plus two atomic loads.
+    /// settled case stays one is-empty check plus one atomic load.
     pub fn retain_visible(&self, ids: &mut Vec<RowId>, gen: u64, epoch: u64) {
         {
             let meta = self.meta.read();
@@ -457,7 +469,7 @@ impl HeapFile {
         // Bracketed by the same epoch counters as reclaim: rollback
         // paths physically remove rows while lock-free readers may be
         // mid-sweep, and the epoch check is what keeps them honest.
-        self.reclaims_started.fetch_add(1, Ordering::SeqCst);
+        self.begin_removal();
         let deleted = self.page_mut(id.page).delete(id.slot);
         if deleted {
             self.meta.write().remove(&id);
@@ -964,6 +976,24 @@ mod tests {
         assert_eq!(h.meta_len(), 1);
         assert!(!h.is_visible(a, 10));
         assert!(h.is_visible(b, 0));
+    }
+
+    #[test]
+    fn an_epoch_captured_inside_a_reclaim_reports_the_overlap() {
+        // A reader that captures its epoch while a reclaim is in flight
+        // and checks after that reclaim completes collected the dead
+        // row's id before the slot went and reads the metadata after
+        // the entry went: only the epoch can tell it the id is stale.
+        let h = heap();
+        let x = h.insert(vec![Value::Int(1), Value::Null]).unwrap();
+        assert!(h.mark_deleted(x, 2));
+        h.begin_removal();
+        let epoch = h.reclaim_epoch();
+        let mut ids = vec![x];
+        h.finish_reclaim(x);
+        h.retain_visible(&mut ids, 5, epoch);
+        assert_eq!(ids, vec![], "a reclaimed row passed for settled-visible");
+        assert!(h.reclaim_overlapped(epoch));
     }
 
     #[test]

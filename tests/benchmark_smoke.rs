@@ -91,3 +91,48 @@ fn cold_mode_is_slower_than_warm_on_scan_heavy_query() {
     assert_eq!(warm.scalar, cold.scalar, "cold and warm answers differ");
     assert!(cold.stats.mean_ms > 0.0 && warm.stats.mean_ms > 0.0);
 }
+
+#[test]
+fn worker_scaling_runs_equal_at_one_and_two_workers() {
+    // `repro f9` at smoke size: the join micros and the join-heavy
+    // scenarios through the driver at workers = 1 vs 2, the same
+    // results from both, one table row per query.
+    let data = TigerDataset::generate(&TigerConfig { seed: 123, scale: 0.02 });
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    load_dataset(&db, &data).expect("load");
+    let driver = Driver { repetitions: 1, warmup: 0, cache_mode: CacheMode::Warm };
+    let mut t = Table::new("F9 smoke", &["id", "workers=1 ms", "workers=2 ms"]);
+
+    let picks = ["T02", "T05", "T08", "T10"];
+    for q in topo_suite(&data).iter().filter(|q| picks.contains(&q.id)) {
+        let [serial, parallel] = [1, 2].map(|w| {
+            db.set_workers(w);
+            driver.run_query(&db, q.id, &q.sql).expect("micro runs")
+        });
+        assert!(serial.scalar.is_some(), "{} counts", q.id);
+        assert_eq!((serial.rows, &serial.scalar), (parallel.rows, &parallel.scalar), "{}", q.id);
+        t.push_row(vec![
+            q.id.to_string(),
+            serial.stats.mean_ms.to_string(),
+            parallel.stats.mean_ms.to_string(),
+        ]);
+    }
+    let scenarios = all_scenarios(&data, &ScenarioConfig { seed: 9, sessions: 1 });
+    for s in scenarios.iter().filter(|s| s.id == "M4" || s.id == "M6") {
+        let [serial, parallel] = [1, 2].map(|w| {
+            db.set_workers(w);
+            driver.run_session(&db, &s.steps).expect("scenario runs")
+        });
+        let rows = |m: &jackpine::bench::driver::SessionMeasurement| -> Vec<(String, usize)> {
+            m.per_step.iter().map(|(label, _, n)| (label.clone(), *n)).collect()
+        };
+        assert_eq!(rows(&serial).len(), s.steps.len(), "{}", s.id);
+        assert_eq!(rows(&serial), rows(&parallel), "{}", s.id);
+        t.push_row(vec![
+            s.id.to_string(),
+            (serial.total.as_secs_f64() * 1e3).to_string(),
+            (parallel.total.as_secs_f64() * 1e3).to_string(),
+        ]);
+    }
+    assert_eq!(t.to_csv().lines().count(), 1 + 6, "a header and one row per query");
+}

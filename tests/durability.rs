@@ -320,6 +320,49 @@ fn concurrent_inserts_never_produce_an_unloadable_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_snapshot_beside_insert_delete_churn_is_a_whole_statement_image() {
+    // A DELETE plus the next statement's vacuum reclaims rows; a snapshot
+    // that listed them first must still find them. The writer starts each
+    // burst of churn on a rendezvous with the snapshotting thread, so
+    // every image is cut beside live DML (and either side failing closes
+    // the channel under the other instead of leaving it waiting).
+    const BATCH: usize = 7;
+    const STANDING: usize = 200;
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    db.execute("CREATE TABLE churn (tag BIGINT, seq BIGINT)").unwrap();
+    let batch = |tag: usize| {
+        let vals: Vec<String> = (0..BATCH).map(|j| format!("({tag}, {j})")).collect();
+        format!("INSERT INTO churn VALUES {}", vals.join(", "))
+    };
+    for tag in 0..STANDING {
+        db.execute(&batch(tag)).unwrap();
+    }
+    std::thread::scope(|s| {
+        let (db, batch) = (&db, &batch);
+        let (go, bursts) = std::sync::mpsc::sync_channel::<usize>(0);
+        s.spawn(move || {
+            for round in bursts {
+                for step in 0..8 {
+                    let tag = STANDING + round * 8 + step;
+                    db.execute(&batch(tag)).expect("batch insert");
+                    db.execute(&format!("DELETE FROM churn WHERE tag = {}", tag - STANDING))
+                        .expect("batch delete");
+                }
+            }
+        });
+        for round in 0..common::cases(60) {
+            go.send(round).expect("writer is alive");
+            let image = db
+                .snapshot_bytes()
+                .unwrap_or_else(|e| panic!("round {round}: snapshot beside churn: {e}"));
+            let restored = SpatialDb::open_bytes(&image).expect("image reopens");
+            let n = restored.table("churn").unwrap().heap.len();
+            assert_eq!(n % BATCH, 0, "round {round}: half a statement in the image ({n} rows)");
+        }
+    });
+}
+
 // ---------------------------------------------------------------------------
 // WAL faults
 // ---------------------------------------------------------------------------
