@@ -1,7 +1,7 @@
 //! Group commit: amortizes WAL fsyncs across concurrent sessions.
 //!
 //! A committing session first stages its frames into the log file
-//! ([`crate::wal::Wal::write_frames`] — one `write_all`, no fsync), then
+//! ([`crate::wal::Wal`]'s batch write — one `write_all`, no fsync), then
 //! asks the pipeline to make them durable. The pipeline hands out
 //! monotonically increasing tickets; the first waiter whose ticket is
 //! not yet durable becomes the **leader**, runs one `sync_data` covering
@@ -19,7 +19,6 @@
 use crate::{EngineError, Result};
 use jackpine_obs::EngineMetrics;
 use jackpine_storage::sync::{Condvar, Mutex};
-use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Debug)]
@@ -136,13 +135,11 @@ impl CommitPipeline {
     }
 }
 
-/// Shared handle alias used by the engine.
-pub type SharedPipeline = Arc<CommitPipeline>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn single_commit_syncs_once() {

@@ -1,8 +1,8 @@
 //! The `SpatialDb` facade: catalog + heaps + indexes + SQL, under one
 //! engine profile.
 
-use crate::commit::CommitPipeline;
 use crate::syscat;
+use crate::txn::{SnapshotGuard, Transactions, WriteTxn};
 use crate::wal::{Wal, WalRecord};
 use crate::EngineProfile;
 use jackpine_geom::{Coord, Envelope};
@@ -255,8 +255,8 @@ pub struct DurabilityOptions {
 /// in, and the current generation — the stamp shared by the snapshot
 /// and the WAL cut against it. (The fsync policy lives inside the
 /// [`Wal`].)
-struct DurabilityState {
-    wal: Wal,
+pub(crate) struct DurabilityState {
+    pub(crate) wal: Wal,
     dir: PathBuf,
     generation: u64,
 }
@@ -269,7 +269,7 @@ type FingerprintEntry = (u64, Arc<str>, Arc<AtomicU64>);
 pub struct SpatialDb {
     profile: EngineProfile,
     catalog: Catalog,
-    /// Behind its own `Arc` (like `metrics` and `commit_gen`) because
+    /// Behind its own `Arc` (like `metrics` and `txn`) because
     /// cached plans hold table adapters that probe it: an adapter that
     /// held the engine itself would make `plan_cache` → plan → adapter →
     /// engine a cycle, and an engine that had run one cached SELECT
@@ -290,7 +290,7 @@ pub struct SpatialDb {
     ///
     /// Lock order: this lock is always taken *before* `indexes`, the
     /// plan cache, or any heap lock, never after.
-    durability: RwLock<Option<DurabilityState>>,
+    pub(crate) durability: RwLock<Option<DurabilityState>>,
     /// Engine-wide observability registry: every counter and stage
     /// histogram this instance records into, shared with the executor,
     /// the WAL, and the provider adapters.
@@ -318,30 +318,15 @@ pub struct SpatialDb {
     /// only cleared on index/table drops (memory hygiene) and explicit
     /// cold runs.
     prepared_cache: Arc<PreparedCache>,
-    /// The newest published commit generation. A write transaction
-    /// applies its changes stamped `commit_gen + 1` and *publishes* them
-    /// by storing the new value — one atomic store makes the whole
-    /// statement visible, so readers never observe half a statement.
-    commit_gen: Arc<AtomicU64>,
-    /// The writer lock: one mutating statement at a time. Readers never
-    /// take it — they pin a snapshot generation instead.
+    /// Commit generation, writer lock, snapshot registry, reclaim queue
+    /// and group commit: everything a write transaction goes through.
     ///
-    /// Lock order: `durability` (read) before `txn` before
-    /// `snapshots`/`indexes`/heap locks.
-    txn: Mutex<()>,
-    /// Pinned snapshot generations → reader refcount plus first-pin
-    /// time. The minimum key is the vacuum horizon: no logically-deleted
-    /// row younger than it can be physically reclaimed.
-    snapshots: Mutex<HashMap<u64, SnapshotEntry>>,
-    /// Logically-deleted rows awaiting physical reclaim (index-entry
-    /// removal + heap tombstone) once every snapshot that could see them
-    /// is gone. Drained at the start of the next write transaction.
-    pending_reclaim: Mutex<Vec<PendingReclaim>>,
+    /// Lock order: `durability` (read) before the writer lock before
+    /// `indexes`/heap locks.
+    pub(crate) txn: Arc<Transactions>,
     /// Bumped by every DDL change (create/drop table or index, planner
     /// toggles); stamps plan-cache entries.
     ddl_gen: AtomicU64,
-    /// Group-commit pipeline batching WAL fsyncs across sessions.
-    commit_pipeline: CommitPipeline,
     /// In-flight statements, keyed by a monotone session id — the rows
     /// of `jp_sessions`. Entries are registered for the duration of one
     /// recorded `execute` call.
@@ -353,29 +338,12 @@ pub struct SpatialDb {
     history: MetricsHistory,
 }
 
-/// Book-keeping for one pinned snapshot generation.
-struct SnapshotEntry {
-    /// Live reader pins on this generation.
-    readers: usize,
-    /// When the generation was first pinned; drives the
-    /// oldest-snapshot-age gauge and `jp_snapshots.age_ms`.
-    first_pinned: Instant,
-}
-
 /// One in-flight statement in the session registry.
 struct SessionInfo {
     /// Statement text, truncated to [`SESSION_SQL_MAX`] bytes.
     sql: String,
     /// When execution began.
     started: Instant,
-}
-
-/// A logically-deleted row whose physical storage (heap bytes + index
-/// entries) survives until no snapshot can see it.
-struct PendingReclaim {
-    table: String,
-    id: RowId,
-    died: u64,
 }
 
 /// Traces retained by the default flight recorder.
@@ -403,6 +371,7 @@ const FINGERPRINT_EVICT_DENOMINATOR: usize = 4;
 impl SpatialDb {
     /// Creates an empty database under the given profile.
     pub fn new(profile: EngineProfile) -> SpatialDb {
+        let metrics = Arc::new(EngineMetrics::new());
         SpatialDb {
             profile,
             catalog: Catalog::new(),
@@ -411,19 +380,15 @@ impl SpatialDb {
             plan_cache: RwLock::new(HashMap::new()),
             workers: std::sync::atomic::AtomicUsize::new(default_workers()),
             durability: RwLock::new(None),
-            metrics: Arc::new(EngineMetrics::new()),
+            txn: Arc::new(Transactions::new(metrics.clone())),
+            metrics,
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD),
             query_stats: QueryStatsTable::new(QUERY_STATS_CAPACITY),
             fingerprint_cache: RwLock::new(HashMap::new()),
             fingerprint_tick: AtomicU64::new(0),
             prepared_cache: Arc::new(PreparedCache::new()),
-            commit_gen: Arc::new(AtomicU64::new(0)),
-            txn: Mutex::new(()),
-            snapshots: Mutex::new(HashMap::new()),
-            pending_reclaim: Mutex::new(Vec::new()),
             ddl_gen: AtomicU64::new(0),
-            commit_pipeline: CommitPipeline::new(),
             sessions: Mutex::new(HashMap::new()),
             session_seq: AtomicU64::new(0),
             history: MetricsHistory::new(METRICS_HISTORY_CAPACITY, METRICS_HISTORY_INTERVAL),
@@ -550,27 +515,17 @@ impl SpatialDb {
             // out of the snapshot; the durability write lock above
             // already excludes committed-but-unsynced frames, since
             // committing sessions hold the read side end to end.
-            let _txn = self.lock_writers();
+            let writers = self.txn.lock_writers(TxnSite::Checkpoint);
             // A checkpoint is a natural vacuum point: any row whose
             // death no pinned snapshot can still see is reclaimed now,
             // so the snapshot being cut never re-persists it.
-            self.vacuum_locked();
+            self.vacuum(&writers)?;
             let gen = d.generation + 1;
             self.save_gen(d.dir.join(SNAPSHOT_FILE), gen)?;
             d.wal.reset(gen)?;
             d.generation = gen;
         }
         Ok(())
-    }
-
-    /// The writer lock with its wait charged to the checkpoint site, for
-    /// whoever cuts a snapshot or vacuums outside a statement: while it
-    /// is held no DELETE publishes and no vacuum reclaims, so every id a
-    /// cut lists is still there when the cut streams it.
-    pub(crate) fn lock_writers(&self) -> std::sync::MutexGuard<'_, ()> {
-        let (txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Checkpoint, waited);
-        txn
     }
 
     /// Applies one replayed WAL record. Replay runs before a WAL is
@@ -580,8 +535,6 @@ impl SpatialDb {
     fn apply_wal_record(self: &Arc<Self>, rec: WalRecord) -> crate::Result<()> {
         match rec {
             WalRecord::CreateTable { name, columns } => self.create_table(&name, columns),
-            WalRecord::Insert { table, row } => self.replay_insert(&table, row),
-            WalRecord::Delete { table, row } => self.replay_delete(&table, &row),
             WalRecord::CreateSpatialIndex { table, column } => {
                 self.create_spatial_index(&table, &column)
             }
@@ -591,62 +544,6 @@ impl SpatialDb {
             WalRecord::InsertAt { table, id, row } => self.replay_insert_at(&table, id, row),
             WalRecord::DeleteId { table, id } => self.replay_delete_id(&table, id),
         }
-    }
-
-    /// Replays a logged insert: heap + indexes, no WAL, no generation
-    /// stamp.
-    fn replay_insert(&self, table: &str, row: Row) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        let id = t.heap.insert(row.clone())?;
-        self.index_insert_entries(table, id, &row);
-        Ok(())
-    }
-
-    /// Replays a logged v3 delete. The victim is matched by its stored
-    /// tuple bytes — v3 logs predate stable row ids, but the byte
-    /// encoding is canonical (and makes NaN coordinates compare equal).
-    /// A missing match means the record's effect is already in the
-    /// snapshot; replay tolerates it, keeping recovery idempotent.
-    fn replay_delete(&self, table: &str, row: &Row) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        let target = Value::encode_row(row);
-        let mut found: Option<RowId> = None;
-        t.heap.scan_tuples(&t.heap.row_ids(), |id, tuple| {
-            if found.is_none() && tuple == target {
-                found = Some(id);
-            }
-            Ok::<(), EngineError>(())
-        })?;
-        if let Some(id) = found {
-            self.index_remove_entries(table, id, row);
-            t.heap.delete(id);
-        }
-        Ok(())
-    }
-
-    /// Replays a v4 logged insert: the row returns to the exact heap
-    /// slot it occupied when logged, so later `DeleteId` records (and
-    /// index entries) address the right row even when the table holds
-    /// byte-identical duplicates. The snapshot the WAL was cut against
-    /// is a v4 image, so every pre-existing row already sits at its
-    /// recorded address.
-    fn replay_insert_at(&self, table: &str, id: RowId, row: Row) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        t.heap.place_at(row.clone(), id, 0)?;
-        self.index_insert_entries(table, id, &row);
-        Ok(())
-    }
-
-    /// Replays a v4 logged delete by heap address. A missing row means
-    /// the record's effect is already reflected; replay tolerates it,
-    /// keeping recovery idempotent.
-    fn replay_delete_id(&self, table: &str, id: RowId) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        if let Ok(victim) = t.heap.get(id) {
-            self.index_remove_entries(table, id, &victim);
-            t.heap.delete(id);
-        }
-        Ok(())
     }
 
     /// Sets the intra-query worker count. `0` restores the default
@@ -694,14 +591,11 @@ impl SpatialDb {
     /// age of the oldest pin, and the buffer pool's frame occupancy and
     /// lifetime counters. Two short mutex acquisitions.
     fn refresh_gauges(&self) {
-        self.metrics.pending_reclaim_rows.set(self.pending_reclaim.lock().len() as u64);
-        let snapshots = self.snapshots.lock();
-        self.metrics.active_snapshots.set(snapshots.len() as u64);
-        let oldest = snapshots.values().map(|e| e.first_pinned).min();
-        drop(snapshots);
-        self.metrics
-            .oldest_snapshot_age_us
-            .set(oldest.map(|t| t.elapsed().as_micros().min(u64::MAX as u128) as u64).unwrap_or(0));
+        self.metrics.pending_reclaim_rows.set(self.txn.pending_reclaim_len() as u64);
+        let pins = self.txn.snapshot_pins();
+        self.metrics.active_snapshots.set(pins.len() as u64);
+        let oldest = pins.iter().map(|(.., age)| *age).max().unwrap_or_default();
+        self.metrics.oldest_snapshot_age_us.set(oldest.as_micros().min(u64::MAX as u128) as u64);
         let pool = self.catalog.pool().stats();
         self.metrics.pool_capacity_frames.set(pool.capacity_frames);
         self.metrics.pool_resident_frames.set(pool.resident_frames);
@@ -787,8 +681,7 @@ impl SpatialDb {
         // its snapshot between the two (which would replay this create
         // twice after a crash).
         let durability = self.durability.read();
-        let (_txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Ddl, waited);
+        let _writers = self.txn.lock_writers(TxnSite::Ddl);
         let logged = durability.as_ref().map(|_| columns.clone());
         let schema = Schema::new(columns)?;
         self.catalog.create_table(name, schema)?;
@@ -804,201 +697,62 @@ impl SpatialDb {
     /// single-row write transaction: staged to the WAL before it is
     /// published, fsynced through the group-commit pipeline.
     pub fn insert_row(&self, table: &str, row: Row) -> crate::Result<RowId> {
-        Ok(self.insert_rows_txn(table, &[row])?[0])
+        let mut txn = WriteTxn::begin(self, TxnSite::Insert, table)?;
+        let id = txn.insert(row)?;
+        txn.commit()?;
+        Ok(id)
     }
 
-    /// The write path for inserts: applies every row stamped with the
-    /// next commit generation, stages one WAL record per row with a
-    /// single frame write, and only then publishes the generation. A WAL
-    /// failure rolls the whole statement back — heap and indexes — so
-    /// the in-memory state never holds a phantom row the log missed.
-    /// The fsync (when the WAL is in sync mode) batches with concurrent
-    /// sessions through the commit pipeline, after the writer lock is
-    /// released.
-    fn insert_rows_txn(&self, table: &str, rows: &[Row]) -> crate::Result<Vec<RowId>> {
-        let durability = self.durability.read();
-        let (txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Insert, waited);
-        self.vacuum_locked();
-        let t = self.catalog.table(table)?;
-        let gen = self.commit_gen.load(Ordering::Acquire) + 1;
-        let mut inserted: Vec<RowId> = Vec::with_capacity(rows.len());
-        let mut result: crate::Result<()> = Ok(());
-        for row in rows {
-            match t.heap.insert_at(row.clone(), gen) {
-                Ok(id) => {
-                    self.index_insert_entries(table, id, row);
-                    inserted.push(id);
-                }
-                Err(e) => {
-                    result = Err(e.into());
-                    break;
-                }
-            }
-        }
-        if result.is_ok() {
-            if let Some(d) = durability.as_ref() {
-                let staged: Vec<WalRecord> = inserted
-                    .iter()
-                    .zip(rows)
-                    .map(|(id, r)| WalRecord::InsertAt {
-                        table: table.to_string(),
-                        id: *id,
-                        row: r.clone(),
-                    })
-                    .collect();
-                result = d.wal.write_frames(&staged);
-            }
-        }
-        match result {
-            Ok(()) => {
-                self.commit_gen.store(gen, Ordering::Release);
-                self.settle_after_publish(&t, gen);
-                drop(txn);
-                self.group_commit(durability.as_ref())?;
-                Ok(inserted)
-            }
-            Err(e) => {
-                // Unpublished, so no reader ever saw these rows; undo in
-                // reverse apply order.
-                for (id, row) in inserted.into_iter().zip(rows).rev() {
-                    self.index_remove_entries(table, id, row);
-                    t.heap.delete(id);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Adds `row`'s entries to every index on `table`.
-    fn index_insert_entries(&self, table: &str, id: RowId, row: &Row) {
+    /// Adds `row`'s entries to every index on `table` (`present`), or
+    /// removes them: one walk, so what a rollback or a vacuum strips is
+    /// what the insert put there.
+    pub(crate) fn set_index_entries(&self, table: &str, id: RowId, row: &Row, present: bool) {
         let mut indexes = self.indexes.write();
-        if let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) {
-            for (col, idx) in ti.spatial.iter_mut() {
-                if let Some(Value::Geom(g)) = row.get(*col) {
-                    idx.insert(g.envelope(), id);
-                }
-            }
-            for (col, idx) in ti.ordered.iter_mut() {
-                if let Some(k) = row.get(*col).and_then(Key::from_value) {
-                    idx.insert(k, id);
-                }
+        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return };
+        for (col, idx) in ti.spatial.iter_mut() {
+            match row.get(*col) {
+                Some(Value::Geom(g)) if present => idx.insert(g.envelope(), id),
+                Some(Value::Geom(g)) => idx.remove(&g.envelope(), id),
+                _ => {}
             }
         }
-    }
-
-    /// Removes `row`'s entries from every index on `table`.
-    fn index_remove_entries(&self, table: &str, id: RowId, row: &Row) {
-        let mut indexes = self.indexes.write();
-        if let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) {
-            for (col, idx) in ti.spatial.iter_mut() {
-                if let Some(Value::Geom(g)) = row.get(*col) {
-                    idx.remove(&g.envelope(), id);
-                }
-            }
-            for (col, idx) in ti.ordered.iter_mut() {
-                if let Some(k) = row.get(*col).and_then(Key::from_value) {
-                    idx.remove(&k, |v| *v == id);
-                }
+        for (col, idx) in ti.ordered.iter_mut() {
+            match row.get(*col).and_then(Key::from_value) {
+                Some(k) if present => idx.insert(k, id),
+                Some(k) => drop(idx.remove(&k, |v| *v == id)),
+                None => {}
             }
         }
-    }
-
-    /// Vacuum, called with the writer lock held: physically reclaims
-    /// logically-deleted rows no snapshot can see (index entries first,
-    /// then the heap bytes — probe-side visibility filtering depends on
-    /// that order).
-    fn vacuum_locked(&self) {
-        let mut pending = self.pending_reclaim.lock();
-        if pending.is_empty() {
-            return;
-        }
-        // A row that died at generation d is invisible to every snapshot
-        // pinned at or after d; new pins always take the current commit
-        // generation, which is >= every recorded death.
-        let horizon = snapshot_horizon(&self.snapshots.lock()).unwrap_or(u64::MAX);
-        let mut keep = Vec::new();
-        for pr in pending.drain(..) {
-            if pr.died > horizon {
-                keep.push(pr);
-                continue;
-            }
-            // A dropped table's heap died with its catalog entry; the
-            // pending entry just evaporates.
-            if let Ok(t) = self.catalog.table(&pr.table) {
-                if let Ok(row) = t.heap.get(pr.id) {
-                    self.index_remove_entries(&pr.table, pr.id, &row);
-                }
-                t.heap.reclaim(pr.id);
-            }
-        }
-        *pending = keep;
-    }
-
-    /// Prunes visibility metadata the statement just published, when no
-    /// older snapshot still needs it — keeps the settled (metadata-free)
-    /// fast path hot under single-session DML streams.
-    fn settle_after_publish(&self, t: &Table, gen: u64) {
-        let horizon = snapshot_horizon(&self.snapshots.lock()).unwrap_or(gen).min(gen);
-        t.heap.settle(horizon);
-    }
-
-    /// Completes a commit's durability: when the WAL fsyncs, the wait is
-    /// batched with concurrent committers through the group pipeline.
-    /// Call *after* dropping the writer lock — followers block on their
-    /// batch leader — but with the durability read guard still held, so
-    /// a checkpoint cannot truncate staged-but-unsynced frames.
-    fn group_commit(&self, durability: Option<&DurabilityState>) -> crate::Result<()> {
-        if let Some(d) = durability {
-            if d.wal.sync_enabled() {
-                return self.commit_pipeline.commit(|| d.wal.sync(), Some(&self.metrics));
-            }
-        }
-        Ok(())
     }
 
     /// The newest published commit generation (diagnostics and tests).
     pub fn commit_generation(&self) -> u64 {
-        self.commit_gen.load(Ordering::Acquire)
+        self.txn.generation()
     }
 
     /// Currently pinned reader snapshots (diagnostics and tests).
     pub fn active_snapshot_count(&self) -> usize {
-        self.snapshots.lock().values().map(|e| e.readers).sum()
+        self.txn.snapshot_pins().iter().map(|(_, readers, _)| readers).sum()
     }
 
     /// Currently pinned snapshot generations as `(generation, readers,
     /// age)` triples sorted by generation — the rows of `jp_snapshots`.
     pub fn snapshot_pins(&self) -> Vec<(u64, usize, Duration)> {
-        let snapshots = self.snapshots.lock();
-        let mut out: Vec<(u64, usize, Duration)> =
-            snapshots.iter().map(|(gen, e)| (*gen, e.readers, e.first_pinned.elapsed())).collect();
-        drop(snapshots);
-        out.sort_unstable_by_key(|(gen, ..)| *gen);
-        out
+        self.txn.snapshot_pins()
     }
 
     /// Logically-deleted rows awaiting physical reclaim (diagnostics and
     /// tests).
     pub fn pending_reclaim_len(&self) -> usize {
-        self.pending_reclaim.lock().len()
+        self.txn.pending_reclaim_len()
     }
 
-    /// Pins the current commit generation for one statement. The
-    /// returned handle holds the generation's refcount in
-    /// `self.snapshots` until dropped; vacuum never reclaims a row any
-    /// live handle can still see. Readers never take the writer lock —
-    /// pinning is one short mutex on the refcount map.
+    /// Pins the current commit generation for one statement; vacuum
+    /// never reclaims a row any live handle can still see. Readers never
+    /// take the writer lock — pinning is one short mutex on the refcount
+    /// map.
     pub fn pin_snapshot_handle(self: &Arc<Self>) -> Arc<SnapshotGuard> {
-        let pinned = Instant::now();
-        let mut snapshots = self.snapshots.lock();
-        let gen = self.commit_gen.load(Ordering::Acquire);
-        snapshots
-            .entry(gen)
-            .or_insert_with(|| SnapshotEntry { readers: 0, first_pinned: pinned })
-            .readers += 1;
-        drop(snapshots);
-        Arc::new(SnapshotGuard { db: Arc::clone(self), gen, pinned })
+        self.txn.pin()
     }
 
     /// Test-only fault injection: makes every subsequent WAL append (and
@@ -1025,8 +779,7 @@ impl SpatialDb {
     /// installed, logged.
     fn create_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
         let durability = self.durability.read();
-        let (_txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Ddl, waited);
+        let _writers = self.txn.lock_writers(TxnSite::Ddl);
         let t = self.catalog.table(table)?;
         let col = [t.schema().column_index(column)?];
         let (spatial_cols, ordered_cols): (&[usize], &[usize]) =
@@ -1120,40 +873,35 @@ impl SpatialDb {
     /// snapshot, so recovery cannot resurrect the index from a logged
     /// `CREATE INDEX` record.
     pub fn drop_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        let col = t.schema().column_index(column)?;
-        let removed = {
-            let (_txn, waited) = self.txn.lock_timed();
-            self.metrics.record_txn_wait(TxnSite::Ddl, waited);
-            self.indexes
-                .write()
-                .get_mut(&table.to_ascii_lowercase())
-                .and_then(|ti| ti.spatial.remove(&col))
-        };
-        if removed.is_none() {
-            return Err(EngineError::Index(format!("no spatial index on '{table}.{column}'")));
-        }
-        self.bump_ddl_gen();
-        self.prepared_cache.clear();
-        self.checkpoint()
+        self.drop_index(table, column, true)
     }
 
     /// Drops the ordered index on `table.column`. Errors if no such
     /// index exists. Same invalidation rules as
     /// [`SpatialDb::drop_spatial_index`].
     pub fn drop_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.drop_index(table, column, false)
+    }
+
+    /// `DROP INDEX` of either kind.
+    fn drop_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
         let t = self.catalog.table(table)?;
         let col = t.schema().column_index(column)?;
+        // Both kinds' slots, so the index is freed after the locks are.
         let removed = {
-            let (_txn, waited) = self.txn.lock_timed();
-            self.metrics.record_txn_wait(TxnSite::Ddl, waited);
-            self.indexes
-                .write()
-                .get_mut(&table.to_ascii_lowercase())
-                .and_then(|ti| ti.ordered.remove(&col))
+            let _writers = self.txn.lock_writers(TxnSite::Ddl);
+            let mut indexes = self.indexes.write();
+            indexes.get_mut(&table.to_ascii_lowercase()).map(|ti| {
+                if spatial {
+                    (ti.spatial.remove(&col), None)
+                } else {
+                    (None, ti.ordered.remove(&col))
+                }
+            })
         };
-        if removed.is_none() {
-            return Err(EngineError::Index(format!("no ordered index on '{table}.{column}'")));
+        if !matches!(removed, Some((Some(_), _) | (_, Some(_)))) {
+            let kind = if spatial { "spatial" } else { "ordered" };
+            return Err(EngineError::Index(format!("no {kind} index on '{table}.{column}'")));
         }
         self.bump_ddl_gen();
         self.prepared_cache.clear();
@@ -1390,16 +1138,11 @@ impl SpatialDb {
                 Ok(affected(0))
             }
             Statement::Delete { table, filters } => {
-                // One logged write transaction: victims are marked
-                // deleted at the next generation, Delete records reach
-                // the WAL before the generation publishes, and a log
-                // failure rolls the statement back. No checkpoint.
-                Ok(affected(self.delete_where(&table, &filters)?))
+                Ok(affected(self.delete_or_update(&table, None, &filters)?))
             }
             Statement::DropTable { name } => {
                 {
-                    let (_txn, waited) = self.txn.lock_timed();
-                    self.metrics.record_txn_wait(TxnSite::Ddl, waited);
+                    let _writers = self.txn.lock_writers(TxnSite::Ddl);
                     let existed = self.catalog.drop_table(&name);
                     if !existed {
                         return Err(EngineError::Storage(StorageError::NoSuchTable(name)));
@@ -1418,12 +1161,7 @@ impl SpatialDb {
                 Ok(affected(0))
             }
             Statement::Update { table, assignments, filters } => {
-                // One logged write transaction: each victim becomes a
-                // Delete+Insert record pair in the same WAL frame batch,
-                // so UPDATE durability no longer depends on an immediate
-                // checkpoint. Statement-atomic: any failure rolls back
-                // every applied pair.
-                Ok(affected(self.update_where(&table, &assignments, &filters)?))
+                Ok(affected(self.delete_or_update(&table, Some(&assignments), &filters)?))
             }
             Statement::Explain(inner) => match *inner {
                 Statement::Select(select) => {
@@ -1476,222 +1214,77 @@ impl SpatialDb {
                     staged.push(row);
                 }
                 let n = staged.len();
-                self.insert_rows_txn(&table, &staged)?;
+                let mut txn = WriteTxn::begin(self, TxnSite::Insert, &table)?;
+                for row in staged {
+                    txn.insert(row)?;
+                }
+                txn.commit()?;
                 Ok(affected(n))
             }
         }
     }
 
-    /// Deletes the rows of `table` matching the conjunction of `filters`.
-    /// One logged write transaction: victims are marked dead at the next
-    /// commit generation (index entries stay for older snapshots and are
-    /// reclaimed by vacuum once no pin can see them), `DeleteId`
-    /// records hit the WAL before the generation publishes, and a WAL
-    /// failure revives every victim. Returns the number of rows removed.
-    fn delete_where(
+    /// DELETE (`assignments` absent) and UPDATE: one write transaction
+    /// that kills every row of `table` for which each term of `filters`
+    /// holds (the WHERE conjunction; no terms means every row) and, for
+    /// an UPDATE, inserts its replacement — the assignments applied,
+    /// right-hand sides reading the old row — at the same generation, so
+    /// readers observe the old row or the new one, never both and never
+    /// neither. Returns the number of rows acted on.
+    fn delete_or_update(
         &self,
         table: &str,
+        assignments: Option<&[(String, jackpine_sqlmini::ast::Expr)]>,
         filters: &[jackpine_sqlmini::ast::Expr],
     ) -> crate::Result<usize> {
-        let t = self.catalog.table(table)?;
-        let schema = t.schema().clone();
-        let columns: Vec<(String, String)> =
-            schema.columns().iter().map(|c| (table.to_string(), c.name.clone())).collect();
         let mode = self.profile.function_mode();
-        let bound: Vec<_> = filters
+        let site = if assignments.is_some() { TxnSite::Update } else { TxnSite::Delete };
+        let mut txn = WriteTxn::begin(self, site, table)?;
+        let schema = txn.table().schema().clone();
+        let scope: Vec<(String, String)> =
+            schema.columns().iter().map(|c| (table.to_string(), c.name.clone())).collect();
+        let filters: Vec<_> = filters
             .iter()
-            .map(|f| plan::bind_columns(columns.clone(), f))
+            .map(|f| plan::bind_columns(scope.clone(), f))
             .collect::<std::result::Result<_, _>>()?;
+        let replacement: Vec<(usize, _)> = assignments
+            .unwrap_or_default()
+            .iter()
+            .map(|(col, e)| Ok((schema.column_index(col)?, plan::bind_columns(scope.clone(), e)?)))
+            .collect::<crate::Result<_>>()?;
 
-        let durability = self.durability.read();
-        let (txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Delete, waited);
-        self.vacuum_locked();
-
-        // Find victims first (cannot mutate while scanning; an eval
-        // error here leaves the table untouched). Only rows visible at
-        // the current generation qualify — rows a concurrent pinned
-        // snapshot still sees but that are already dead stay dead.
-        let cur = self.commit_gen.load(Ordering::Acquire);
+        // Victims first, so a WHERE that cannot be evaluated touches
+        // nothing. Only rows visible at the published generation qualify:
+        // one some pinned snapshot still sees but that is already dead
+        // stays dead.
         let mut victims: Vec<(RowId, Arc<Row>)> = Vec::new();
-        for id in t.heap.row_ids_visible(cur) {
-            let row = t.heap.get(id)?;
-            // A row is deleted when EVERY filter term holds (the WHERE
-            // conjunction); no filters means delete everything.
-            let mut matches = true;
-            for p in &bound {
-                let v = jackpine_sqlmini::exec::eval(p, &row, mode)?;
-                if !jackpine_sqlmini::exec::truthy(&v) {
-                    matches = false;
+        for id in txn.table().heap.row_ids_visible(self.txn.generation()) {
+            let row = txn.table().heap.get(id)?;
+            let mut holds = true;
+            for p in &filters {
+                if !exec::truthy(&exec::eval(p, &row, mode)?) {
+                    holds = false;
                     break;
                 }
             }
-            if matches {
+            if holds {
                 victims.push((id, row));
             }
         }
-
-        let gen = cur + 1;
-        for (id, _) in &victims {
-            t.heap.mark_deleted(*id, gen);
-        }
-        let mut result: crate::Result<()> = Ok(());
-        if let Some(d) = durability.as_ref() {
-            let staged: Vec<WalRecord> = victims
-                .iter()
-                .map(|(id, _)| WalRecord::DeleteId { table: table.to_string(), id: *id })
-                .collect();
-            result = d.wal.write_frames(&staged);
-        }
-        match result {
-            Ok(()) => {
-                {
-                    let mut pending = self.pending_reclaim.lock();
-                    pending.extend(victims.iter().map(|(id, _)| PendingReclaim {
-                        table: table.to_string(),
-                        id: *id,
-                        died: gen,
-                    }));
+        // A replacement that cannot be computed, or does not fit the
+        // schema, rolls back the pairs before it.
+        for (id, old) in &victims {
+            txn.kill(*id);
+            if assignments.is_some() {
+                let mut new: Row = old.as_ref().clone();
+                for (col, e) in &replacement {
+                    new[*col] = exec::eval(e, old, mode)?;
                 }
-                self.commit_gen.store(gen, Ordering::Release);
-                self.settle_after_publish(&t, gen);
-                drop(txn);
-                self.group_commit(durability.as_ref())?;
-                Ok(victims.len())
-            }
-            Err(e) => {
-                // Unpublished: no reader saw the deaths. Undo them.
-                for (id, _) in victims.iter().rev() {
-                    t.heap.revive(*id);
-                }
-                Err(e)
+                txn.insert(new)?;
             }
         }
-    }
-
-    /// Updates the rows of `table` matching `filters`, applying the
-    /// assignments (right-hand sides may reference the old row). Each
-    /// victim becomes a logical delete plus a fresh insert stamped with
-    /// the same commit generation, so readers observe either the old row
-    /// or the new one, never both and never neither. The
-    /// `DeleteId`+`InsertAt` record pairs reach the WAL in one frame
-    /// batch before the
-    /// generation publishes; a WAL failure rolls every pair back.
-    /// Returns the number of rows updated.
-    fn update_where(
-        &self,
-        table: &str,
-        assignments: &[(String, jackpine_sqlmini::ast::Expr)],
-        filters: &[jackpine_sqlmini::ast::Expr],
-    ) -> crate::Result<usize> {
-        let t = self.catalog.table(table)?;
-        let schema = t.schema().clone();
-        let columns: Vec<(String, String)> =
-            schema.columns().iter().map(|c| (table.to_string(), c.name.clone())).collect();
-        let mode = self.profile.function_mode();
-        let bound_filters: Vec<_> = filters
-            .iter()
-            .map(|f| plan::bind_columns(columns.clone(), f))
-            .collect::<std::result::Result<_, _>>()?;
-        let bound_assignments: Vec<(usize, _)> = assignments
-            .iter()
-            .map(|(col, e)| {
-                Ok((schema.column_index(col)?, plan::bind_columns(columns.clone(), e)?))
-            })
-            .collect::<crate::Result<_>>()?;
-
-        let durability = self.durability.read();
-        let (txn, waited) = self.txn.lock_timed();
-        self.metrics.record_txn_wait(TxnSite::Update, waited);
-        self.vacuum_locked();
-
-        // Compute every replacement row before touching anything: an
-        // eval or type error leaves the table untouched.
-        let cur = self.commit_gen.load(Ordering::Acquire);
-        let mut victims: Vec<(RowId, Arc<Row>, Row)> = Vec::new();
-        for id in t.heap.row_ids_visible(cur) {
-            let row = t.heap.get(id)?;
-            let mut matches = true;
-            for p in &bound_filters {
-                let v = jackpine_sqlmini::exec::eval(p, &row, mode)?;
-                if !jackpine_sqlmini::exec::truthy(&v) {
-                    matches = false;
-                    break;
-                }
-            }
-            if !matches {
-                continue;
-            }
-            let mut new_row: Row = row.as_ref().clone();
-            for (col, e) in &bound_assignments {
-                new_row[*col] = jackpine_sqlmini::exec::eval(e, &row, mode)?;
-            }
-            schema.check_row(&new_row)?;
-            victims.push((id, row, new_row));
-        }
-
-        // Apply: old row dies at `gen`, new row is born at `gen`. Both
-        // transitions publish atomically with the commit_gen store.
-        let gen = cur + 1;
-        let mut applied: Vec<(RowId, RowId)> = Vec::with_capacity(victims.len());
-        let mut result: crate::Result<()> = Ok(());
-        for (old_id, _, new_row) in &victims {
-            t.heap.mark_deleted(*old_id, gen);
-            match t.heap.insert_at(new_row.clone(), gen) {
-                Ok(new_id) => {
-                    self.index_insert_entries(table, new_id, new_row);
-                    applied.push((*old_id, new_id));
-                }
-                Err(e) => {
-                    t.heap.revive(*old_id);
-                    result = Err(e.into());
-                    break;
-                }
-            }
-        }
-        if result.is_ok() {
-            if let Some(d) = durability.as_ref() {
-                let mut staged: Vec<WalRecord> = Vec::with_capacity(applied.len() * 2);
-                for ((old_id, new_id), (_, _, new_row)) in applied.iter().zip(victims.iter()) {
-                    staged.push(WalRecord::DeleteId { table: table.to_string(), id: *old_id });
-                    staged.push(WalRecord::InsertAt {
-                        table: table.to_string(),
-                        id: *new_id,
-                        row: new_row.clone(),
-                    });
-                }
-                result = d.wal.write_frames(&staged);
-            }
-        }
-        match result {
-            Ok(()) => {
-                {
-                    let mut pending = self.pending_reclaim.lock();
-                    pending.extend(applied.iter().map(|(old_id, _)| PendingReclaim {
-                        table: table.to_string(),
-                        id: *old_id,
-                        died: gen,
-                    }));
-                }
-                self.commit_gen.store(gen, Ordering::Release);
-                self.settle_after_publish(&t, gen);
-                drop(txn);
-                self.group_commit(durability.as_ref())?;
-                Ok(victims.len())
-            }
-            Err(e) => {
-                // Unpublished: undo each applied pair in reverse.
-                // applied[i] pairs with victims[i], whose replacement
-                // row carries the index entries to strip.
-                for ((old_id, new_id), (_, _, new_row)) in applied.iter().zip(victims.iter()).rev()
-                {
-                    self.index_remove_entries(table, *new_id, new_row);
-                    t.heap.delete(*new_id);
-                    t.heap.revive(*old_id);
-                }
-                Err(e)
-            }
-        }
+        txn.commit()?;
+        Ok(victims.len())
     }
 
     /// Drops everything a cold run must not find warm. The buffer pool
@@ -1760,8 +1353,8 @@ impl SpatialDb {
     /// Flushes dirty pool frames and reclaims what no snapshot needs.
     pub fn close(&self) -> crate::Result<()> {
         {
-            let _txn = self.lock_writers();
-            self.vacuum_locked();
+            let writers = self.txn.lock_writers(TxnSite::Checkpoint);
+            self.vacuum(&writers)?;
         }
         self.catalog.pool().flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
     }
@@ -1796,12 +1389,6 @@ impl SpatialDb {
             None => (Vec::new(), Vec::new()),
         }
     }
-}
-
-/// The vacuum horizon: the oldest pinned snapshot generation, `None`
-/// when nothing is pinned.
-fn snapshot_horizon(snapshots: &HashMap<u64, SnapshotEntry>) -> Option<u64> {
-    snapshots.keys().copied().min()
 }
 
 /// Default intra-query worker count: the machine's available parallelism.
@@ -1853,47 +1440,6 @@ fn eval_const_expr(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot guard
-// ---------------------------------------------------------------------------
-
-/// A statement-scoped snapshot pin. Holds one refcount on its commit
-/// generation in the engine's snapshot registry; while any guard for a
-/// generation is alive, vacuum will not physically reclaim rows that
-/// generation can see.
-pub struct SnapshotGuard {
-    db: Arc<SpatialDb>,
-    gen: u64,
-    /// When this pin was taken; its lifetime feeds the
-    /// `snapshot_pin_ns` wait histogram on drop.
-    pinned: Instant,
-}
-
-impl SnapshotHandle for SnapshotGuard {
-    fn generation(&self) -> u64 {
-        self.gen
-    }
-}
-
-impl std::fmt::Debug for SnapshotGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotGuard").field("gen", &self.gen).finish()
-    }
-}
-
-impl Drop for SnapshotGuard {
-    fn drop(&mut self) {
-        self.db.metrics.record_snapshot_pin(self.pinned.elapsed());
-        let mut snapshots = self.db.snapshots.lock();
-        if let Some(e) = snapshots.get_mut(&self.gen) {
-            e.readers -= 1;
-            if e.readers == 0 {
-                snapshots.remove(&self.gen);
-            }
-        }
-    }
-}
-
 /// RAII registration of one in-flight statement in the session registry
 /// (`jp_sessions`); deregisters on drop, so error paths and panics
 /// unwind cleanly.
@@ -1928,7 +1474,7 @@ impl CatalogProvider for DbCatalogAdapter {
         Ok(Arc::new(DbTableAdapter {
             metrics: self.db.metrics.clone(),
             indexes: self.db.indexes.clone(),
-            commit_gen: self.db.commit_gen.clone(),
+            txn: self.db.txn.clone(),
             key: name.to_ascii_lowercase(),
             table,
             pinned: None,
@@ -1942,7 +1488,7 @@ impl CatalogProvider for DbCatalogAdapter {
 struct DbTableAdapter {
     metrics: Arc<EngineMetrics>,
     indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
-    commit_gen: Arc<AtomicU64>,
+    txn: Arc<Transactions>,
     key: String,
     table: Arc<Table>,
     /// When set, every read observes exactly the rows visible at this
@@ -1957,7 +1503,7 @@ impl DbTableAdapter {
     fn gen(&self) -> u64 {
         match &self.pinned {
             Some(s) => s.generation(),
-            None => self.commit_gen.load(Ordering::Acquire),
+            None => self.txn.generation(),
         }
     }
 }
@@ -2041,7 +1587,7 @@ impl TableProvider for DbTableAdapter {
         Some(Arc::new(DbTableAdapter {
             metrics: self.metrics.clone(),
             indexes: self.indexes.clone(),
-            commit_gen: self.commit_gen.clone(),
+            txn: self.txn.clone(),
             key: self.key.clone(),
             table: self.table.clone(),
             pinned: Some(snap.clone()),
@@ -2737,9 +2283,10 @@ mod out_of_core_tests {
         std::fs::remove_dir_all(&spill).ok();
     }
 
-    #[test]
-    fn a_truncated_spill_file_is_an_error_not_fewer_rows() {
-        let spill = std::env::temp_dir().join(format!("jackpine-trunc-{}", std::process::id()));
+    /// Forty 900-byte rows with a spatial index behind a two-frame pool
+    /// that spills into the returned directory.
+    fn spilled_db(name: &str) -> (Arc<SpatialDb>, std::path::PathBuf) {
+        let spill = std::env::temp_dir().join(format!("jackpine-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&spill).ok();
         std::fs::create_dir_all(&spill).unwrap();
         let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -2754,21 +2301,57 @@ mod out_of_core_tests {
             .unwrap();
         }
         db.create_spatial_index("g", "geom").unwrap();
-        let window = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
-                      ST_MakeEnvelope(0, 0, 100, 100))";
-        assert_eq!(db.execute(window).unwrap().scalar(), Some(&Value::Int(40)));
+        (db, spill)
+    }
 
-        // Every page written back and dropped; then the heap's file
-        // loses its second half. The index leaves' file is left alone.
+    /// Every page written back and dropped; then the heap's file loses
+    /// its second half. The index leaves' file is left alone.
+    fn lose_half_the_heap(db: &SpatialDb, spill: &std::path::Path) {
         db.clear_caches();
-        let heap_file = files_in(&spill)
+        let heap_file = files_in(spill)
             .into_iter()
             .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("heap-"))
             .expect("the heap spilled");
         let len = std::fs::metadata(&heap_file).unwrap().len();
         std::fs::OpenOptions::new().write(true).open(&heap_file).unwrap().set_len(len / 2).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_spill_file_is_an_error_not_fewer_rows() {
+        let (db, spill) = spilled_db("trunc");
+        let window = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
+                      ST_MakeEnvelope(0, 0, 100, 100))";
+        assert_eq!(db.execute(window).unwrap().scalar(), Some(&Value::Int(40)));
+        lose_half_the_heap(&db, &spill);
         let err = db.execute(window).expect_err("half the rows cannot be read back");
         assert!(err.to_string().contains("cannot be read back"), "unexpected error: {err}");
+        drop(db);
+        std::fs::remove_dir_all(&spill).ok();
+    }
+
+    #[test]
+    fn a_vacuum_that_cannot_read_a_dead_row_says_so_and_keeps_it_queued() {
+        // The dead row's index entries can only be found through the row.
+        // Unreadable is not gone: reclaiming the slot anyway would leave
+        // the entries behind with nothing to say so.
+        let (db, spill) = spilled_db("trunc-vacuum");
+        let pin = db.pin_snapshot_handle();
+        db.execute("DELETE FROM g WHERE id = 39").unwrap();
+        drop(pin);
+        assert_eq!(db.pending_reclaim_len(), 1);
+        lose_half_the_heap(&db, &spill);
+        let unreadable = |what: &str, result: crate::Result<()>| match result {
+            Err(EngineError::Storage(StorageError::Corrupt(m))) => {
+                assert!(m.contains("cannot be read back"), "{what}: {m}")
+            }
+            other => panic!("{what}: expected a storage error, got {other:?}"),
+        };
+        let insert = "INSERT INTO g VALUES (40, 'y', ST_GeomFromText('POINT (1 1)'))";
+        unreadable("INSERT", db.execute(insert).map(drop));
+        unreadable("insert_row", db.insert_row("g", vec![Value::Null; 3]).map(drop));
+        unreadable("close", db.close());
+        assert_eq!(db.pending_reclaim_len(), 1, "the death is still queued");
+        assert_eq!(db.commit_generation(), 41, "nothing was applied behind the failed vacuum");
         drop(db);
         std::fs::remove_dir_all(&spill).ok();
     }

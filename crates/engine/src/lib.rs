@@ -23,6 +23,7 @@ pub mod failpoint;
 mod persist;
 mod profile;
 mod syscat;
+mod txn;
 pub mod wal;
 
 pub use connector::{all_profiles, SpatialConnector};

@@ -70,6 +70,7 @@ use crate::checksum::Crc32;
 use crate::db::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
+use jackpine_obs::TxnSite;
 use jackpine_storage::{ColumnDef, DataType, RowId, Table, Value};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -190,7 +191,7 @@ impl SpatialDb {
     /// one patch: the file checksum in the header, written last. Holds
     /// the writer lock for the cut, as [`SpatialDb::checkpoint`] does.
     pub fn snapshot_to(&self, sink: impl Write + Seek) -> Result<()> {
-        let _txn = self.lock_writers();
+        let _writers = self.txn.lock_writers(TxnSite::Checkpoint);
         self.snapshot_to_gen(sink, 0)
     }
 
@@ -270,7 +271,7 @@ impl SpatialDb {
     /// Holds the writer lock for the cut, as [`SpatialDb::checkpoint`]
     /// does, so a save beside live DML is a whole-statement image.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let _txn = self.lock_writers();
+        let _writers = self.txn.lock_writers(TxnSite::Checkpoint);
         self.save_gen(path, 0)
     }
 

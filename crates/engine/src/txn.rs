@@ -1,0 +1,337 @@
+//! The write seam: one writer at a time, readers on pinned generations.
+//!
+//! [`Transactions`] is the engine's MVCC state — the published commit
+//! generation, the writer lock, the registry of pinned snapshots, the
+//! queue of dead rows awaiting reclaim, the group-commit pipeline — and
+//! [`WriteTxn`] is the one path every INSERT, UPDATE and DELETE takes
+//! through it:
+//!
+//! 1. [`WriteTxn::begin`] takes the durability read guard, then the
+//!    writer lock (its wait charged to the statement's site), vacuums,
+//!    and fixes `gen = commit_gen + 1`.
+//! 2. [`WriteTxn::insert`] and [`WriteTxn::kill`] apply to heap and
+//!    indexes stamped `gen` — which no reader is pinned at yet, so none
+//!    sees them — and remember what they did as the WAL records to stage.
+//! 3. [`WriteTxn::commit`] stages those records with one frame write,
+//!    queues the deaths for reclaim, publishes `gen` with one store,
+//!    settles, releases the writer lock and *only then* waits for the
+//!    group fsync (followers park behind their batch leader; a parked
+//!    writer lock would serialise them), the durability guard still
+//!    held, so no checkpoint truncates staged-but-unsynced frames.
+//! 4. Dropping an uncommitted `WriteTxn` — any `?` on the way there —
+//!    undoes what was applied, newest first, *before* the writer lock is
+//!    released: the next writer never finds half a statement.
+//!
+//! Lock order: `durability` (read) → writer lock → `snapshots` /
+//! `pending_reclaim` / `indexes` / heap locks.
+
+use crate::commit::CommitPipeline;
+use crate::db::{DurabilityState, SpatialDb};
+use crate::wal::WalRecord;
+use crate::Result;
+use jackpine_obs::{EngineMetrics, TxnSite};
+use jackpine_sqlmini::provider::SnapshotHandle;
+use jackpine_storage::sync::Mutex;
+use jackpine_storage::{Row, RowId, StorageError, Table};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, MutexGuard, RwLockReadGuard};
+use std::time::{Duration, Instant};
+
+/// Book-keeping for one pinned snapshot generation.
+struct SnapshotEntry {
+    /// Live reader pins on this generation.
+    readers: usize,
+    /// When the generation was first pinned; drives the
+    /// oldest-snapshot-age gauge and `jp_snapshots.age_ms`.
+    first_pinned: Instant,
+}
+
+/// A logically-deleted row whose physical storage (heap bytes + index
+/// entries) survives until no snapshot can see it.
+struct PendingReclaim {
+    table: String,
+    id: RowId,
+    died: u64,
+}
+
+/// The engine's transaction state (see the module note). Behind an `Arc`
+/// in the engine: snapshot guards and the table adapters of cached plans
+/// share it, and must not hold the engine.
+pub(crate) struct Transactions {
+    /// The newest published commit generation. One atomic store makes a
+    /// whole statement visible, so readers never observe half of one.
+    commit_gen: AtomicU64,
+    /// The writer lock: one mutating statement at a time. Readers never
+    /// take it — they pin a generation instead.
+    writers: Mutex<()>,
+    /// Pinned snapshot generations. The minimum key is the vacuum
+    /// horizon: no logically-deleted row younger than it can be
+    /// physically reclaimed.
+    snapshots: Mutex<HashMap<u64, SnapshotEntry>>,
+    /// Drained by [`SpatialDb::vacuum`] at the head of every write
+    /// transaction, checkpoint and close.
+    pending_reclaim: Mutex<Vec<PendingReclaim>>,
+    /// Batches WAL fsyncs across sessions.
+    pipeline: CommitPipeline,
+    metrics: Arc<EngineMetrics>,
+}
+
+impl Transactions {
+    pub(crate) fn new(metrics: Arc<EngineMetrics>) -> Transactions {
+        Transactions {
+            commit_gen: AtomicU64::new(0),
+            writers: Mutex::new(()),
+            snapshots: Mutex::new(HashMap::new()),
+            pending_reclaim: Mutex::new(Vec::new()),
+            pipeline: CommitPipeline::new(),
+            metrics,
+        }
+    }
+
+    /// The newest published commit generation.
+    pub(crate) fn generation(&self) -> u64 {
+        self.commit_gen.load(Ordering::Acquire)
+    }
+
+    /// `(generation, readers, age)` per pinned generation, sorted by
+    /// generation.
+    pub(crate) fn snapshot_pins(&self) -> Vec<(u64, usize, Duration)> {
+        let snapshots = self.snapshots.lock();
+        let mut out: Vec<(u64, usize, Duration)> =
+            snapshots.iter().map(|(gen, e)| (*gen, e.readers, e.first_pinned.elapsed())).collect();
+        drop(snapshots);
+        out.sort_unstable_by_key(|(gen, ..)| *gen);
+        out
+    }
+
+    /// Logically-deleted rows awaiting physical reclaim.
+    pub(crate) fn pending_reclaim_len(&self) -> usize {
+        self.pending_reclaim.lock().len()
+    }
+
+    /// Pins the current commit generation until the guard drops.
+    pub(crate) fn pin(self: &Arc<Self>) -> Arc<SnapshotGuard> {
+        let pinned = Instant::now();
+        let mut snapshots = self.snapshots.lock();
+        let gen = self.generation();
+        snapshots
+            .entry(gen)
+            .or_insert_with(|| SnapshotEntry { readers: 0, first_pinned: pinned })
+            .readers += 1;
+        drop(snapshots);
+        Arc::new(SnapshotGuard { txn: self.clone(), gen, pinned })
+    }
+
+    /// The writer lock, its wait charged to `site` — the crate's only
+    /// acquisition. While it is held no statement applies or publishes
+    /// and no vacuum reclaims, so every id a snapshot cut lists is still
+    /// there when the cut streams it.
+    pub(crate) fn lock_writers(&self, site: TxnSite) -> MutexGuard<'_, ()> {
+        let (writers, waited) = self.writers.lock_timed();
+        self.metrics.record_txn_wait(site, waited);
+        writers
+    }
+
+    /// The vacuum horizon: the oldest pinned generation, if any.
+    fn horizon(&self) -> Option<u64> {
+        self.snapshots.lock().keys().copied().min()
+    }
+}
+
+/// A statement-scoped snapshot pin. Holds one refcount on its commit
+/// generation in the snapshot registry; while any guard for a generation
+/// is alive, vacuum will not physically reclaim rows that generation can
+/// see.
+pub struct SnapshotGuard {
+    txn: Arc<Transactions>,
+    gen: u64,
+    /// When this pin was taken; its lifetime feeds the
+    /// `snapshot_pin_ns` wait histogram on drop.
+    pinned: Instant,
+}
+
+impl SnapshotHandle for SnapshotGuard {
+    fn generation(&self) -> u64 {
+        self.gen
+    }
+}
+
+impl std::fmt::Debug for SnapshotGuard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SnapshotGuard").field("gen", &self.gen).finish()
+    }
+}
+
+impl Drop for SnapshotGuard {
+    fn drop(&mut self) {
+        self.txn.metrics.record_snapshot_pin(self.pinned.elapsed());
+        let mut snapshots = self.txn.snapshots.lock();
+        if let Some(e) = snapshots.get_mut(&self.gen) {
+            e.readers -= 1;
+            if e.readers == 0 {
+                snapshots.remove(&self.gen);
+            }
+        }
+    }
+}
+
+impl SpatialDb {
+    /// Physically reclaims the logically-deleted rows no snapshot can
+    /// see: index entries first, then the heap bytes — probe-side
+    /// visibility filtering depends on that order. `_writers` is the
+    /// proof the writer lock is held. A row that cannot be read keeps
+    /// its queue entry, and everything behind it theirs.
+    pub(crate) fn vacuum(&self, _writers: &MutexGuard<'_, ()>) -> Result<()> {
+        let mut pending = self.txn.pending_reclaim.lock();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        // A row that died at generation d is invisible to every snapshot
+        // pinned at or after d; new pins always take the current commit
+        // generation, which is >= every recorded death.
+        let horizon = self.txn.horizon().unwrap_or(u64::MAX);
+        let mut result = Ok(());
+        pending.retain(|pr| {
+            if pr.died > horizon || result.is_err() {
+                return true;
+            }
+            // A dropped table's heap died with its catalog entry; the
+            // pending entry just evaporates.
+            let Ok(t) = self.table(&pr.table) else { return false };
+            result = self.remove_index_entries(&t, pr.id).map(|()| t.heap.reclaim(pr.id));
+            result.is_err()
+        });
+        result
+    }
+
+    /// Strips the index entries of the row at `id`, read back from the
+    /// heap. Only a row that is not there counts as already done; a row
+    /// that cannot be read is an error, not a row without entries.
+    fn remove_index_entries(&self, t: &Table, id: RowId) -> Result<()> {
+        match t.heap.get(id) {
+            Ok(row) => self.set_index_entries(&t.name, id, &row, false),
+            Err(StorageError::RowNotFound { .. }) => {}
+            Err(e) => return Err(e.into()),
+        }
+        Ok(())
+    }
+
+    /// Replays a logged insert: the row returns to the exact heap slot
+    /// it occupied when logged, so later `DeleteId` records (and index
+    /// entries) address the right row even among byte-identical
+    /// duplicates. Replay runs before a WAL is attached and before any
+    /// session exists, so rows are reborn visible at every generation.
+    pub(crate) fn replay_insert_at(&self, table: &str, id: RowId, row: Row) -> Result<()> {
+        let t = self.table(table)?;
+        t.heap.place_at(row.clone(), id, 0)?;
+        self.set_index_entries(table, id, &row, true);
+        Ok(())
+    }
+
+    /// Replays a logged delete by heap address. A missing row means the
+    /// record's effect is already there: recovery stays idempotent.
+    pub(crate) fn replay_delete_id(&self, table: &str, id: RowId) -> Result<()> {
+        let t = self.table(table)?;
+        self.remove_index_entries(&t, id)?;
+        t.heap.delete(id);
+        Ok(())
+    }
+}
+
+/// One mutating statement on one table (see the module note).
+pub(crate) struct WriteTxn<'a> {
+    db: &'a SpatialDb,
+    /// `None` once [`WriteTxn::commit`] has released it.
+    writers: Option<MutexGuard<'a, ()>>,
+    durability: RwLockReadGuard<'a, Option<DurabilityState>>,
+    /// The table as the statement spelled it, which is how it is logged.
+    name: &'a str,
+    table: Arc<Table>,
+    gen: u64,
+    /// What was applied, in order, as the records `commit` stages and
+    /// `drop` undoes: `InsertAt` and `DeleteId` only.
+    applied: Vec<WalRecord>,
+}
+
+impl<'a> WriteTxn<'a> {
+    /// Opens the statement. The table is looked up under the writer
+    /// lock, which DROP TABLE takes too: a table that is found is there
+    /// until this transaction ends.
+    pub(crate) fn begin(db: &'a SpatialDb, site: TxnSite, name: &'a str) -> Result<Self> {
+        let durability = db.durability.read();
+        let writers = db.txn.lock_writers(site);
+        db.vacuum(&writers)?;
+        let table = db.table(name)?;
+        let (gen, applied) = (db.txn.generation() + 1, Vec::new());
+        Ok(WriteTxn { db, writers: Some(writers), durability, name, table, gen, applied })
+    }
+
+    /// The statement's table.
+    pub(crate) fn table(&self) -> &Table {
+        &self.table
+    }
+
+    /// Inserts `row`, born at this transaction's generation.
+    pub(crate) fn insert(&mut self, row: Row) -> Result<RowId> {
+        let id = self.table.heap.insert_at(row.clone(), self.gen)?;
+        self.db.set_index_entries(self.name, id, &row, true);
+        self.applied.push(WalRecord::InsertAt { table: self.name.to_string(), id, row });
+        Ok(id)
+    }
+
+    /// Marks the row at `id` dead at this transaction's generation. Its
+    /// bytes and index entries stay for the snapshots that still see it,
+    /// until vacuum.
+    pub(crate) fn kill(&mut self, id: RowId) {
+        self.table.heap.mark_deleted(id, self.gen);
+        self.applied.push(WalRecord::DeleteId { table: self.name.to_string(), id });
+    }
+
+    /// Logs, publishes, and makes durable what was applied. A log write
+    /// that fails rolls the statement back (by `drop`); an fsync that
+    /// fails is reported after the statement is visible.
+    pub(crate) fn commit(mut self) -> Result<()> {
+        let txn = &self.db.txn;
+        if let Some(d) = self.durability.as_ref() {
+            d.wal.write_frames(&self.applied)?;
+        }
+        let gen = self.gen;
+        let deaths = std::mem::take(&mut self.applied).into_iter().filter_map(|rec| match rec {
+            WalRecord::DeleteId { table, id } => Some(PendingReclaim { table, id, died: gen }),
+            _ => None,
+        });
+        txn.pending_reclaim.lock().extend(deaths);
+        txn.commit_gen.store(gen, Ordering::Release);
+        // Settle: prune the visibility metadata just published when no
+        // older snapshot still needs it — keeps the metadata-free fast
+        // path hot under single-session DML streams.
+        self.table.heap.settle(txn.horizon().map_or(gen, |h| h.min(gen)));
+        drop(self.writers.take());
+        match self.durability.as_ref() {
+            Some(d) if d.wal.sync_enabled() => {
+                txn.pipeline.commit(|| d.wal.sync(), Some(&txn.metrics))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Drop for WriteTxn<'_> {
+    /// Rollback: nothing applied was published, so no reader saw it;
+    /// undone newest first, the writer lock (a field) still held.
+    fn drop(&mut self) {
+        for rec in std::mem::take(&mut self.applied).into_iter().rev() {
+            match rec {
+                WalRecord::InsertAt { id, row, .. } => {
+                    self.db.set_index_entries(self.name, id, &row, false);
+                    self.table.heap.delete(id);
+                }
+                WalRecord::DeleteId { id, .. } => {
+                    self.table.heap.revive(id);
+                }
+                _ => {}
+            }
+        }
+    }
+}

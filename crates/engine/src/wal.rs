@@ -34,15 +34,10 @@ use std::path::{Path, PathBuf};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 4] = b"JKWL";
-/// WAL format version (2 added the generation field; 3 added logical
-/// `Delete` records so DML no longer forces a checkpoint; 4 added
-/// `InsertAt`/`DeleteId`, which address rows by `RowId` — v3's
-/// byte-matching `Delete` removes the *wrong* row when a table holds
-/// duplicate rows).
+/// WAL format version, the only one read or written: rows are logged by
+/// `RowId` ([`WalRecord::InsertAt`], [`WalRecord::DeleteId`]), against a
+/// snapshot that restores every row to its recorded slot.
 pub const WAL_VERSION: u32 = 4;
-/// Oldest version replay still accepts. Versions 2 and 3 contain strict
-/// subsets of version 4's record kinds, so they replay unchanged.
-pub const WAL_MIN_VERSION: u32 = 2;
 /// Bytes of file header before the first record frame.
 pub const WAL_HEADER_LEN: usize = 16;
 /// Bytes of framing (length + checksum) per record.
@@ -66,13 +61,6 @@ pub enum WalRecord {
         /// Column definitions, in schema order.
         columns: Vec<ColumnDef>,
     },
-    /// One inserted row.
-    Insert {
-        /// Destination table.
-        table: String,
-        /// The row values.
-        row: Row,
-    },
     /// `CREATE INDEX` (spatial) on one geometry column.
     CreateSpatialIndex {
         /// Indexed table.
@@ -87,28 +75,17 @@ pub enum WalRecord {
         /// Indexed column name.
         column: String,
     },
-    /// Legacy (v3) logical delete, identifying the row by its full
-    /// encoded value. Kept for replaying v3 logs only — byte matching
-    /// deletes an *arbitrary* copy when a table holds duplicate rows,
-    /// which is wrong whenever later records address rows by id. New
-    /// logs write [`WalRecord::DeleteId`] instead.
-    Delete {
-        /// Source table.
-        table: String,
-        /// The deleted row's values.
-        row: Row,
-    },
-    /// One logically deleted row, addressed by its `RowId` (v4+).
-    /// Row ids are stable across recovery because v4 snapshots record
-    /// each row's id and reload restores rows to their original slots.
+    /// One logically deleted row, addressed by its `RowId`. Row ids are
+    /// stable across recovery because snapshots record each row's id and
+    /// reload restores rows to their original slots.
     DeleteId {
         /// Source table.
         table: String,
         /// The deleted row's heap address.
         id: RowId,
     },
-    /// One inserted row together with the heap slot it landed in (v4+),
-    /// so replay reproduces the exact same `RowId` the live run handed
+    /// One inserted row together with the heap slot it landed in, so
+    /// replay reproduces the exact same `RowId` the live run handed
     /// to indexes and later `DeleteId` records.
     InsertAt {
         /// Destination table.
@@ -120,11 +97,10 @@ pub enum WalRecord {
     },
 }
 
+// 1 and 4 belonged to retired record kinds and are not reused.
 const KIND_CREATE_TABLE: u8 = 0;
-const KIND_INSERT: u8 = 1;
 const KIND_SPATIAL_INDEX: u8 = 2;
 const KIND_ORDERED_INDEX: u8 = 3;
-const KIND_DELETE: u8 = 4;
 const KIND_DELETE_ID: u8 = 5;
 const KIND_INSERT_AT: u8 = 6;
 
@@ -177,11 +153,6 @@ impl WalRecord {
                     buf.put_u8(type_tag(col.ty));
                 }
             }
-            WalRecord::Insert { table, row } => {
-                buf.put_u8(KIND_INSERT);
-                put_str(&mut buf, table);
-                buf.put_slice(&Value::encode_row(row));
-            }
             WalRecord::CreateSpatialIndex { table, column } => {
                 buf.put_u8(KIND_SPATIAL_INDEX);
                 put_str(&mut buf, table);
@@ -191,11 +162,6 @@ impl WalRecord {
                 buf.put_u8(KIND_ORDERED_INDEX);
                 put_str(&mut buf, table);
                 put_str(&mut buf, column);
-            }
-            WalRecord::Delete { table, row } => {
-                buf.put_u8(KIND_DELETE);
-                put_str(&mut buf, table);
-                buf.put_slice(&Value::encode_row(row));
             }
             WalRecord::DeleteId { table, id } => {
                 buf.put_u8(KIND_DELETE_ID);
@@ -239,11 +205,6 @@ impl WalRecord {
                 }
                 Ok(WalRecord::CreateTable { name, columns })
             }
-            KIND_INSERT => {
-                let table = get_str(&mut data)?;
-                let row = Value::decode_row(data)?;
-                Ok(WalRecord::Insert { table, row })
-            }
             KIND_SPATIAL_INDEX => {
                 let table = get_str(&mut data)?;
                 let column = get_str(&mut data)?;
@@ -253,11 +214,6 @@ impl WalRecord {
                 let table = get_str(&mut data)?;
                 let column = get_str(&mut data)?;
                 Ok(WalRecord::CreateOrderedIndex { table, column })
-            }
-            KIND_DELETE => {
-                let table = get_str(&mut data)?;
-                let row = Value::decode_row(data)?;
-                Ok(WalRecord::Delete { table, row })
             }
             KIND_DELETE_ID => {
                 let table = get_str(&mut data)?;
@@ -292,6 +248,21 @@ pub fn wal_header(generation: u64) -> Vec<u8> {
     buf.put_u32_le(WAL_VERSION);
     buf.put_u64_le(generation);
     buf
+}
+
+/// The generation a complete header is stamped with — or why it is not a
+/// header this version reads. The one place a log's version is judged.
+fn header_generation(head: &[u8; WAL_HEADER_LEN]) -> Result<u64> {
+    let mut data: &[u8] = head;
+    if &data[..4] != WAL_MAGIC {
+        return Err(persist_err("WAL: bad magic"));
+    }
+    data.advance(4);
+    let version = data.get_u32_le();
+    if version != WAL_VERSION {
+        return Err(persist_err(format!("WAL: unsupported version {version}")));
+    }
+    Ok(data.get_u64_le())
 }
 
 /// What a replay recovered.
@@ -449,7 +420,8 @@ impl Wal {
     }
 
     /// The generation stamp of the log at `path`, without replaying it.
-    /// Best effort: a missing, legacy, or unreadable header reports 0.
+    /// Best effort: a missing or unreadable header, or one of another
+    /// version, reports 0.
     pub fn peek_generation(path: impl AsRef<Path>) -> u64 {
         use std::io::Read;
         let mut head = [0u8; WAL_HEADER_LEN];
@@ -457,16 +429,7 @@ impl Wal {
         if f.read_exact(&mut head).is_err() {
             return 0;
         }
-        let mut data: &[u8] = &head;
-        if &data[..4] != WAL_MAGIC {
-            return 0;
-        }
-        data.advance(4);
-        let version = data.get_u32_le();
-        if !(WAL_MIN_VERSION..=WAL_VERSION).contains(&version) {
-            return 0;
-        }
-        data.get_u64_le()
+        header_generation(&head).unwrap_or(0)
     }
 
     /// Scans the log at `path`, returning every intact record, the log's
@@ -485,7 +448,7 @@ impl Wal {
             Err(e) => return Err(io_err(e)),
         };
         let mut data: &[u8] = &raw;
-        if data.remaining() < WAL_HEADER_LEN {
+        let Some((head, body)) = data.split_first_chunk::<WAL_HEADER_LEN>() else {
             // Short header: torn create if it is a prefix of a valid
             // header (the generation bytes, 8.., may hold any value),
             // corruption otherwise.
@@ -499,16 +462,9 @@ impl Wal {
                 ignored_tail: data.remaining(),
                 generation: 0,
             });
-        }
-        if &data[..4] != WAL_MAGIC {
-            return Err(persist_err("WAL: bad magic"));
-        }
-        data.advance(4);
-        let version = data.get_u32_le();
-        if !(WAL_MIN_VERSION..=WAL_VERSION).contains(&version) {
-            return Err(persist_err(format!("WAL: unsupported version {version}")));
-        }
-        let generation = data.get_u64_le();
+        };
+        let generation = header_generation(head)?;
+        data = body;
         let mut records = Vec::new();
         while data.remaining() >= FRAME_OVERHEAD {
             let tail = data.remaining();
@@ -560,14 +516,18 @@ mod tests {
                     ColumnDef::new("name", DataType::Text),
                 ],
             },
-            WalRecord::Insert {
+            WalRecord::InsertAt {
                 table: "t".into(),
+                id: RowId { page: 0, slot: 0 },
                 row: vec![Value::Int(7), Value::Text("x".into())],
             },
-            WalRecord::Insert { table: "t".into(), row: vec![Value::Int(8), Value::Null] },
+            WalRecord::InsertAt {
+                table: "t".into(),
+                id: RowId { page: 0, slot: 1 },
+                row: vec![Value::Int(8), Value::Null],
+            },
             WalRecord::CreateOrderedIndex { table: "t".into(), column: "name".into() },
             WalRecord::CreateSpatialIndex { table: "t".into(), column: "geom".into() },
-            WalRecord::Delete { table: "t".into(), row: vec![Value::Int(7), Value::Null] },
             WalRecord::InsertAt {
                 table: "t".into(),
                 id: RowId { page: 3, slot: 41 },
@@ -658,58 +618,39 @@ mod tests {
     }
 
     #[test]
-    fn v2_logs_still_replay() {
-        let path = temp_path("v2");
-        let wal = Wal::create(&path, false, 4).unwrap();
-        // v2 record kinds only (Delete is v3-new; InsertAt/DeleteId v4).
-        let recs: Vec<WalRecord> = sample_records()
-            .into_iter()
-            .filter(|r| {
-                !matches!(
-                    r,
-                    WalRecord::Delete { .. }
-                        | WalRecord::DeleteId { .. }
-                        | WalRecord::InsertAt { .. }
-                )
-            })
-            .collect();
-        for rec in &recs {
-            wal.append(rec).unwrap();
-        }
-        drop(wal);
-        // Restamp the header version to 2.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let replay = Wal::replay(&path).unwrap();
-        assert_eq!(replay.records, recs);
-        assert_eq!(replay.generation, 4);
-        assert_eq!(Wal::peek_generation(&path), 4);
-        std::fs::remove_file(&path).ok();
-    }
+    fn retired_versions_are_refused_not_read_as_empty() {
+        // Versions 2 and 3 logged rows by value; nothing reads them any
+        // more. A log stamped with one must stop recovery, not pass for
+        // a log with nothing in it.
+        for version in [2u32, 3] {
+            let dir = std::env::temp_dir()
+                .join(format!("jackpine-wal-retired-v{version}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(crate::WAL_FILE);
+            let wal = Wal::create(&path, false, 0).unwrap();
+            wal.write_frames(&sample_records()).unwrap();
+            drop(wal);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
 
-    #[test]
-    fn v3_logs_with_byte_matching_deletes_still_replay() {
-        let path = temp_path("v3");
-        let wal = Wal::create(&path, false, 9).unwrap();
-        // v3 record kinds only (InsertAt/DeleteId are v4-new).
-        let recs: Vec<WalRecord> = sample_records()
-            .into_iter()
-            .filter(|r| !matches!(r, WalRecord::DeleteId { .. } | WalRecord::InsertAt { .. }))
-            .collect();
-        assert!(recs.iter().any(|r| matches!(r, WalRecord::Delete { .. })));
-        for rec in &recs {
-            wal.append(rec).unwrap();
+            let refused = |err: EngineError| match err {
+                EngineError::Persist(m) => {
+                    assert!(m.contains(&format!("unsupported version {version}")), "{m}")
+                }
+                other => panic!("v{version}: unexpected error {other:?}"),
+            };
+            refused(Wal::replay(&path).expect_err("replay"));
+            assert_eq!(Wal::peek_generation(&path), 0);
+            let opts = crate::DurabilityOptions::default();
+            match crate::SpatialDb::open_durable(&dir, crate::EngineProfile::ExactRtree, opts) {
+                Ok(_) => panic!("v{version}: opened, with the log's writes lost"),
+                Err(e) => refused(e),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "the refused log is left as it is");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(wal);
-        // Restamp the header version to 3.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let replay = Wal::replay(&path).unwrap();
-        assert_eq!(replay.records, recs);
-        assert_eq!(replay.generation, 9);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, lints, docs, release build, every test binary
-# once, the two concurrency suites again under contention, the repro
+# once, the suites that race writers again under contention, the repro
 # smokes, the benchmark package's tests — all offline.
 # Run from anywhere; works with no network and no crates registry.
 set -euo pipefail
@@ -27,11 +27,18 @@ cargo test -q --workspace --offline
 grep -q '#!\[forbid(unsafe_code)\]' crates/obs/src/lib.rs \
   || { echo "crates/obs must forbid unsafe_code"; exit 1; }
 
-echo "== concurrency suites under contention (nproc + 1 busy loops, 50 runs each, 0 failures)"
-# A race that needs a busy host never shows on a quiet one.
-suites=$(cargo test --no-run --offline --test interleaving --test concurrency 2>&1 \
+echo "== suites that race writers, under contention (nproc + 1 busy loops, 0 failures)"
+# A race that needs a busy host never shows on a quiet one. interleaving
+# and concurrency run whole, 50 times each. Of durability only the two
+# tests that race sessions against a snapshot cut (the durability ->
+# writer lock order) run, 20 times: beside the busy loops one run of the
+# pair takes 4-6 s on the 2-vCPU host, so 50 would add about four
+# minutes and 20 add under two.
+racing="concurrent_inserts_never_produce_an_unloadable_snapshot \
+a_snapshot_beside_insert_delete_churn_is_a_whole_statement_image"
+suites=$(cargo test --no-run --offline --test interleaving --test concurrency --test durability 2>&1 \
   | sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
-[ "$(echo "$suites" | wc -l)" -eq 2 ] || { echo "expected two test binaries, got: $suites"; exit 1; }
+[ "$(echo "$suites" | wc -l)" -eq 3 ] || { echo "expected three test binaries, got: $suites"; exit 1; }
 spinners=()
 trap 'kill "${spinners[@]}" 2>/dev/null || true' EXIT
 for _ in $(seq $(($(nproc) + 1))); do
@@ -39,12 +46,17 @@ for _ in $(seq $(($(nproc) + 1))); do
   spinners+=($!)
 done
 for suite in $suites; do
+  case "$(basename "$suite")" in
+    durability-*) filter=$racing; expect="ok. 2 passed"; runs=20 ;;
+    *) filter=""; expect="ok. "; runs=50 ;;
+  esac
   failures=0
-  for run in $(seq 50); do
-    "$suite" -q > "$out/contention.txt" 2>&1 \
+  for run in $(seq "$runs"); do
+    # $filter unquoted: one test name per word.
+    { "$suite" -q $filter > "$out/contention.txt" 2>&1 && grep -q "$expect" "$out/contention.txt"; } \
       || { failures=$((failures + 1)); cp "$out/contention.txt" "$out/contention_failed_$run.txt"; }
   done
-  echo "$(basename "$suite"): $failures failures in 50 runs"
+  echo "$(basename "$suite"): $failures failures in $runs runs"
   [ "$failures" -eq 0 ] || { echo "see $out/contention_failed_*.txt"; exit 1; }
 done
 kill "${spinners[@]}"

@@ -15,7 +15,7 @@ use jackpine::engine::wal::{wal_header, WalRecord};
 use jackpine::engine::{
     DurabilityOptions, EngineError, EngineProfile, SpatialDb, SNAPSHOT_FILE, WAL_FILE,
 };
-use jackpine::storage::{ColumnDef, DataType, Value};
+use jackpine::storage::{ColumnDef, DataType, RowId, Value};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -410,8 +410,9 @@ fn wal_image(inserts: usize) -> (Vec<u8>, Vec<(usize, bool)>) {
         columns: vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)],
     }];
     for i in 0..inserts {
-        records.push(WalRecord::Insert {
+        records.push(WalRecord::InsertAt {
             table: "pts".into(),
+            id: RowId { page: 0, slot: i as u16 },
             row: vec![Value::Int(i as i64), Value::Text(format!("n{i}"))],
         });
     }
@@ -424,7 +425,7 @@ fn wal_image(inserts: usize) -> (Vec<u8>, Vec<(usize, bool)>) {
     let mut frames = Vec::new();
     for rec in &records {
         bytes.extend_from_slice(&rec.frame());
-        frames.push((bytes.len(), matches!(rec, WalRecord::Insert { .. })));
+        frames.push((bytes.len(), matches!(rec, WalRecord::InsertAt { .. })));
     }
     (bytes, frames)
 }
@@ -608,7 +609,8 @@ fn a_clean_open_keeps_the_snapshot_and_a_replaying_open_recuts_it() {
     let stale = {
         let mut bytes = wal_header(cut_gen - 1);
         let row = vec![Value::Int(99), Value::Text("stale".into())];
-        bytes.extend_from_slice(&WalRecord::Insert { table: "t".into(), row }.frame());
+        let id = RowId { page: 0, slot: 99 };
+        bytes.extend_from_slice(&WalRecord::InsertAt { table: "t".into(), id, row }.frame());
         bytes
     };
     let logs: [(&str, Option<Vec<u8>>); 4] = [
@@ -700,44 +702,101 @@ fn failed_dml_rolls_back_atomically() {
 
 #[test]
 fn wal_append_failure_leaves_no_phantom_rows() {
-    // Regression: the insert path used to apply to heap + indexes before
-    // appending to the WAL, so an append failure left a phantom row that
-    // was visible in memory but lost on restart. The write transaction
-    // now stages WAL frames before publishing and rolls the statement
-    // back when the log write fails.
-    let dir = scratch_dir("wal-append-fails");
-    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
-        .unwrap();
-    db.execute("CREATE TABLE t (id BIGINT, geom GEOMETRY)").unwrap();
-    db.execute("INSERT INTO t VALUES (1, ST_GeomFromText('POINT (1 1)'))").unwrap();
-    db.create_spatial_index("t", "geom").unwrap();
+    // A statement that fails after it began applying — its log write
+    // fails, or a later row of it fails the schema check with earlier
+    // rows already in heap and indexes — leaves nothing behind: not in
+    // the heap, not in either index, not in the reclaim queue, not in the
+    // commit generation, not in the log, and not after a reopen.
+    // (Regression: the insert path once applied before it logged, so an
+    // append failure left a row that was visible in memory and lost on
+    // restart.)
+    let point = |i: i64| format!("ST_GeomFromText('POINT ({i} {i})')");
+    // (what, the log refuses the write, the statement)
+    let cases = [
+        ("INSERT, log fails", true, format!("INSERT INTO t VALUES (7, 'n7', {})", point(7))),
+        ("DELETE, log fails", true, "DELETE FROM t WHERE id >= 1".to_string()),
+        ("UPDATE, log fails", true, "UPDATE t SET id = id + 10, name = 'n8' WHERE id >= 1".into()),
+        (
+            "INSERT, third row has the wrong type",
+            false,
+            format!(
+                "INSERT INTO t VALUES (7, 'n7', {}), (8, 'n8', {}), ('nine', 'n9', {})",
+                point(7),
+                point(8),
+                point(9)
+            ),
+        ),
+        (
+            // id 1 becomes 1 / 0 = NULL, which fits; id 2 becomes the
+            // float 2 / 1, which does not fit a BIGINT.
+            "UPDATE, second victim's replacement fails the schema check",
+            false,
+            "UPDATE t SET id = id / (id - 1), name = 'n8' WHERE id >= 1".to_string(),
+        ),
+    ];
+    // Everything a statement could have left a trace in. Rows a failed
+    // statement would have written sit inside the window and under the
+    // probed names, so an index entry it left behind shows (or fails the
+    // fetch).
+    let observe = |db: &Arc<SpatialDb>, dir: &std::path::Path| {
+        let rows = |sql: &str| db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
+        (
+            db.table_row_ids("t").unwrap(),
+            rows("SELECT id, name FROM t WHERE ST_Within(geom, ST_MakeEnvelope(-1, -1, 99, 99))"),
+            ["n1", "n2", "n7", "n8", "n9"]
+                .map(|name| rows(&format!("SELECT id FROM t WHERE name = '{name}'"))),
+            db.pending_reclaim_len(),
+            db.commit_generation(),
+            std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
+        )
+    };
+    let open = |dir: &std::path::Path, profile| {
+        SpatialDb::open_durable(dir, profile, DurabilityOptions::default()).unwrap()
+    };
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+        let dir = scratch_dir("wal-append-fails");
+        let copy = scratch_dir("wal-append-fails-copy");
+        let db = open(&dir, profile);
+        db.execute("CREATE TABLE t (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
+        for i in 0..3 {
+            db.execute(&format!("INSERT INTO t VALUES ({i}, 'n{i}', {})", point(i))).unwrap();
+        }
+        db.create_spatial_index("t", "geom").unwrap();
+        db.create_ordered_index("t", "name").unwrap();
+        // One death the pin keeps queued: the vacuum at the head of every
+        // statement below must leave it, and no failed statement may add
+        // to it.
+        let pin = db.pin_snapshot_handle();
+        db.execute("DELETE FROM t WHERE id = 0").unwrap();
+        assert_eq!((db.commit_generation(), db.pending_reclaim_len()), (4, 1));
 
-    db.fail_wal_appends(true);
-    assert!(
-        db.execute("INSERT INTO t VALUES (2, ST_GeomFromText('POINT (2 2)'))").is_err(),
-        "append failure must surface"
-    );
-    assert!(db.execute("DELETE FROM t WHERE id = 1").is_err());
-    assert!(db.execute("UPDATE t SET id = 3 WHERE id = 1").is_err());
-    db.fail_wal_appends(false);
-
-    // In-memory state never showed any of the failed statements, through
-    // the scan path or the index path.
-    let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
-    assert_eq!(r.scalar().unwrap().to_string(), "1", "phantom row visible after failed append");
-    let r = db
-        .execute("SELECT COUNT(*) FROM t WHERE ST_Within(geom, ST_MakeEnvelope(0, 0, 9, 9))")
-        .unwrap();
-    assert_eq!(r.scalar().unwrap().to_string(), "1", "index retains entries of rolled-back DML");
-
-    // And recovery agrees.
-    drop(db);
-    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
-        .unwrap();
-    let r = db.execute("SELECT id FROM t").unwrap();
-    assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0], Value::Int(1));
-    std::fs::remove_dir_all(&dir).ok();
+        for (what, log_fails, sql) in &cases {
+            let before = observe(&db, &dir);
+            db.fail_wal_appends(*log_fails);
+            let err = db.execute(sql).expect_err(what);
+            db.fail_wal_appends(false);
+            match err {
+                EngineError::Persist(_) if *log_fails => {}
+                EngineError::Storage(_) if !*log_fails => {}
+                other => panic!("{profile:?}, {what}: unexpected error {other:?}"),
+            }
+            assert_eq!(observe(&db, &dir), before, "{profile:?}, {what}");
+            // And recovery agrees: the directory as it is now reopens to
+            // the same rows.
+            for f in [SNAPSHOT_FILE, WAL_FILE] {
+                std::fs::copy(dir.join(f), copy.join(f)).unwrap();
+            }
+            let all = "SELECT id, name FROM t";
+            assert_eq!(
+                open(&copy, profile).execute(all).unwrap().rows,
+                db.execute(all).unwrap().rows,
+                "{profile:?}, {what}: reopened"
+            );
+        }
+        drop(pin);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&copy).ok();
+    }
 }
 
 #[test]
@@ -783,7 +842,6 @@ fn duplicate_rows_replay_deletes_by_row_id_not_bytes() {
     // copy and kill a survivor. v4 logs DeleteId/InsertAt by row id.
     // Three byte-identical rows at slots 0..2, delete the middle one:
     // recovery must keep exactly slots 0 and 2.
-    use jackpine::storage::RowId;
     let dup = vec![Value::Int(7), Value::Text("dup".into())];
     let records = vec![
         WalRecord::CreateTable {
