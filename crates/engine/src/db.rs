@@ -17,8 +17,8 @@ use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider}
 use jackpine_sqlmini::{exec, parser, plan, PreparedCache, ResultSet, SqlError};
 use jackpine_storage::sync::{Mutex, RwLock};
 use jackpine_storage::{
-    BufferPool, Catalog, ColumnDef, DataType, PoolStats, Row, RowId, Schema, StorageError, Table,
-    Value,
+    BufferPool, Catalog, ColumnDef, DataType, Field, PoolStats, Row, RowId, Schema, StorageError,
+    Table, Value,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -163,6 +163,27 @@ impl Key {
             _ => None,
         }
     }
+
+    /// [`Key::from_value`] of a column still in its tuple's bytes.
+    fn from_field(f: Field<'_>) -> Option<Key> {
+        match f {
+            Field::Int(i) => Some(Key::Int(i)),
+            Field::Text(s) => Some(Key::Text(s.to_string())),
+            _ => None,
+        }
+    }
+}
+
+/// The spatial-index entry column `col` of an encoded row makes: its
+/// geometry's envelope, read off the WKB — bit-identical to the decoded
+/// geometry's, so an entry found this way is the entry inserted.
+fn tuple_envelope(tuple: &[u8], col: usize) -> crate::Result<Option<Envelope>> {
+    Ok(Field::of(tuple, col)?.map_or(Ok(None), |f| f.envelope())?)
+}
+
+/// The ordered-index key column `col` of an encoded row makes.
+fn tuple_key(tuple: &[u8], col: usize) -> crate::Result<Option<Key>> {
+    Ok(Field::of(tuple, col)?.and_then(Key::from_field))
 }
 
 /// Per-table index bookkeeping.
@@ -222,18 +243,20 @@ impl IndexSeeds {
         })
     }
 
-    /// Adds `row`'s entries.
-    pub(crate) fn add(&mut self, id: RowId, row: &Row) {
+    /// Adds the entries of the row stored as `tuple`, read straight off
+    /// its bytes: nothing is decoded.
+    pub(crate) fn add(&mut self, id: RowId, tuple: &[u8]) -> crate::Result<()> {
         for (col, items) in &mut self.spatial {
-            if let Some(Value::Geom(g)) = row.get(*col) {
-                items.push((g.envelope(), id));
+            if let Some(env) = tuple_envelope(tuple, *col)? {
+                items.push((env, id));
             }
         }
         for (col, idx) in &mut self.ordered {
-            if let Some(k) = row.get(*col).and_then(Key::from_value) {
+            if let Some(k) = tuple_key(tuple, *col)? {
                 idx.insert(k, id);
             }
         }
+        Ok(())
     }
 }
 
@@ -704,8 +727,8 @@ impl SpatialDb {
     }
 
     /// Adds `row`'s entries to every index on `table` (`present`), or
-    /// removes them: one walk, so what a rollback or a vacuum strips is
-    /// what the insert put there.
+    /// removes them: one walk, so what a rollback strips is what the
+    /// insert put there.
     pub(crate) fn set_index_entries(&self, table: &str, id: RowId, row: &Row, present: bool) {
         let mut indexes = self.indexes.write();
         let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return };
@@ -723,6 +746,24 @@ impl SpatialDb {
                 None => {}
             }
         }
+    }
+
+    /// Removes the index entries of the row at `id`, stored as `tuple`,
+    /// taking them off its bytes as [`IndexSeeds::add`] does.
+    pub(crate) fn unindex_tuple(&self, table: &str, id: RowId, tuple: &[u8]) -> crate::Result<()> {
+        let mut indexes = self.indexes.write();
+        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return Ok(()) };
+        for (col, idx) in ti.spatial.iter_mut() {
+            if let Some(env) = tuple_envelope(tuple, *col)? {
+                idx.remove(&env, id);
+            }
+        }
+        for (col, idx) in ti.ordered.iter_mut() {
+            if let Some(k) = tuple_key(tuple, *col)? {
+                idx.remove(&k, |v| *v == id);
+            }
+        }
+        Ok(())
     }
 
     /// The newest published commit generation (diagnostics and tests).
@@ -788,8 +829,8 @@ impl SpatialDb {
         // Every physically-present row, logically-deleted ones included:
         // an older pinned snapshot that still sees such a row must be
         // able to find it through the new index (probes post-filter by
-        // visibility).
-        t.heap.scan_any(|id, row| seeds.add(id, row))?;
+        // visibility). From the tuple bytes: a build decodes no row.
+        t.heap.scan_tuples(&t.heap.row_ids_any(), |id, tuple| seeds.add(id, tuple))?;
         self.install_indexes(&t, seeds)?;
         if let Some(d) = durability.as_ref() {
             let (table, column) = (table.to_string(), column.to_string());
@@ -1520,6 +1561,11 @@ impl TableProvider for DbTableAdapter {
     fn fetch(&self, id: RowId) -> jackpine_sqlmini::Result<Arc<Row>> {
         self.metrics.heap_rows_fetched.incr();
         self.table.heap.get(id).map_err(SqlError::from)
+    }
+
+    fn fetch_many(&self, ids: &[RowId]) -> jackpine_sqlmini::Result<Vec<Arc<Row>>> {
+        self.metrics.heap_rows_fetched.add(ids.len() as u64);
+        self.table.heap.get_many(ids).map_err(SqlError::from)
     }
 
     fn spatial_candidates(&self, col: usize, env: &Envelope) -> Option<Vec<RowId>> {

@@ -533,7 +533,7 @@ impl<R: Read> Source<R> {
             let id = RowId { page, slot };
             self.bytes(data.get_u32_le() as usize, &mut tuple)?;
             let row = Value::decode_row(&tuple)?;
-            seeds.add(id, &row);
+            seeds.add(id, &tuple)?;
             table.heap.place_tuple(&tuple, row, id, 0)?;
         }
         Ok((table, seeds))

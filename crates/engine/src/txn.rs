@@ -205,23 +205,29 @@ impl SpatialDb {
         result
     }
 
-    /// Strips the index entries of the row at `id`, read back from the
-    /// heap. Only a row that is not there counts as already done; a row
-    /// that cannot be read is an error, not a row without entries.
+    /// Strips the index entries of the row at `id`, taken off its tuple
+    /// bytes — a dead row is not decoded. The bytes are copied out so
+    /// that no page lock is held while the index lock is taken. Only a
+    /// row that is not there counts as already done; a row that cannot
+    /// be read is an error, not a row without entries.
     fn remove_index_entries(&self, t: &Table, id: RowId) -> Result<()> {
-        match t.heap.get(id) {
-            Ok(row) => self.set_index_entries(&t.name, id, &row, false),
-            Err(StorageError::RowNotFound { .. }) => {}
-            Err(e) => return Err(e.into()),
+        let mut tuple = Vec::new();
+        match t.heap.scan_tuples(&[id], |_, bytes| {
+            tuple.extend_from_slice(bytes);
+            Ok::<(), StorageError>(())
+        }) {
+            Ok(()) => self.unindex_tuple(&t.name, id, &tuple),
+            Err(StorageError::RowNotFound { .. }) => Ok(()),
+            Err(e) => Err(e.into()),
         }
-        Ok(())
     }
 
     /// Replays a logged insert: the row returns to the exact heap slot
     /// it occupied when logged, so later `DeleteId` records (and index
     /// entries) address the right row even among byte-identical
     /// duplicates. Replay runs before a WAL is attached and before any
-    /// session exists, so rows are reborn visible at every generation.
+    /// session exists, so rows are reborn visible at every generation,
+    /// and the slot keeps the row the log handed over (restore's rule).
     pub(crate) fn replay_insert_at(&self, table: &str, id: RowId, row: Row) -> Result<()> {
         let t = self.table(table)?;
         t.heap.place_at(row.clone(), id, 0)?;
@@ -274,7 +280,7 @@ impl<'a> WriteTxn<'a> {
 
     /// Inserts `row`, born at this transaction's generation.
     pub(crate) fn insert(&mut self, row: Row) -> Result<RowId> {
-        let id = self.table.heap.insert_at(row.clone(), self.gen)?;
+        let id = self.table.heap.insert_at(&row, self.gen)?;
         self.db.set_index_entries(self.name, id, &row, true);
         self.applied.push(WalRecord::InsertAt { table: self.name.to_string(), id, row });
         Ok(id)

@@ -8,8 +8,8 @@
 use crate::codec::{PutBytes, TakeBytes};
 use crate::polygon::Ring;
 use crate::{
-    Coord, GeomError, Geometry, GeometryCollection, LineString, MultiLineString, MultiPoint,
-    MultiPolygon, Point, Polygon, Result,
+    Coord, Envelope, GeomError, Geometry, GeometryCollection, LineString, MultiLineString,
+    MultiPoint, MultiPolygon, Point, Polygon, Result,
 };
 
 /// Encodes a geometry as little-endian WKB.
@@ -26,6 +26,21 @@ pub fn decode(mut data: &[u8]) -> Result<Geometry> {
         return Err(GeomError::WkbDecode(format!("{} trailing bytes", data.len())));
     }
     Ok(g)
+}
+
+/// The envelope of a WKB geometry, read off its bytes without building
+/// it: bit-identical to `decode(data)?.envelope()` — the same
+/// coordinates folded in the same order, so a polygon's holes are
+/// stepped over unread, as [`Polygon::envelope`] ignores them. Framing
+/// is checked as [`decode`] checks it (lengths, counts, member kinds,
+/// finite coordinates read, no trailing bytes); ring closure and vertex
+/// counts are not, since only decodable geometries are ever stored.
+pub fn envelope(mut data: &[u8]) -> Result<Envelope> {
+    let e = envelope_of(&mut data, None)?;
+    if !data.is_empty() {
+        return Err(GeomError::WkbDecode(format!("{} trailing bytes", data.len())));
+    }
+    Ok(e)
 }
 
 fn estimate_size(g: &Geometry) -> usize {
@@ -240,6 +255,90 @@ fn get_polygon_body(data: &mut &[u8], little: bool) -> Result<Polygon> {
         holes.push(Ring::new(get_coord_seq(data, little)?)?);
     }
     Ok(Polygon::new(exterior, holes))
+}
+
+// ---------------------------------------------------------------------------
+// Envelope walk (no allocation)
+// ---------------------------------------------------------------------------
+
+/// [`envelope`] of the geometry at the front of `data`, whose type code
+/// must be `member` when it is given (a multi-geometry's members).
+fn envelope_of(data: &mut &[u8], member: Option<u32>) -> Result<Envelope> {
+    if data.remaining() < 5 {
+        return Err(GeomError::WkbDecode("truncated header".into()));
+    }
+    let little = match data.get_u8() {
+        0 => false,
+        1 => true,
+        other => return Err(GeomError::WkbDecode(format!("bad byte-order mark {other}"))),
+    };
+    let code = get_u32(data, little)?;
+    if member.is_some_and(|want| want != code) {
+        return Err(GeomError::WkbDecode(format!("multi-geometry member has code {code}")));
+    }
+    match code {
+        1 => {
+            let c = get_coord(data, little)?;
+            if c.x.is_nan() && c.y.is_nan() {
+                return Ok(Envelope::EMPTY);
+            }
+            Point::from_coord(c)?;
+            Ok(Envelope::from_coord(c))
+        }
+        2 => coord_seq_envelope(data, little),
+        3 => {
+            let nrings = get_count(data, little)?;
+            if nrings == 0 {
+                return Err(GeomError::WkbDecode("polygon with zero rings".into()));
+            }
+            let exterior = coord_seq_envelope(data, little)?;
+            for _ in 1..nrings {
+                let n = get_count(data, little)?;
+                if (data.remaining() as u64) < n as u64 * 16 {
+                    return Err(GeomError::WkbDecode("hole longer than buffer".into()));
+                }
+                data.advance(n as usize * 16);
+            }
+            Ok(exterior)
+        }
+        4..=7 => {
+            let member = (code != 7).then_some(code - 3);
+            let n = get_count(data, little)?;
+            let mut e = Envelope::EMPTY;
+            for _ in 0..n {
+                e.expand_to_include(&envelope_of(data, member)?);
+            }
+            Ok(e)
+        }
+        other => Err(GeomError::WkbDecode(format!("unknown geometry code {other}"))),
+    }
+}
+
+/// [`Envelope::from_coords`] of the coordinate sequence at the front of
+/// `data`, its length checked once up front.
+fn coord_seq_envelope(data: &mut &[u8], little: bool) -> Result<Envelope> {
+    let len = get_count(data, little)? as usize * 16;
+    let Some(coords) = data.get(..len) else {
+        return Err(GeomError::WkbDecode("coordinate sequence longer than buffer".into()));
+    };
+    let f64_at = |b: &[u8]| {
+        let b = b.try_into().expect("chunks of 16 split in halves of 8");
+        if little {
+            f64::from_le_bytes(b)
+        } else {
+            f64::from_be_bytes(b)
+        }
+    };
+    let mut e = Envelope::EMPTY;
+    for xy in coords.chunks_exact(16) {
+        let c = Coord::new(f64_at(&xy[..8]), f64_at(&xy[8..]));
+        if !c.is_finite() {
+            return Err(GeomError::WkbDecode("non-finite coordinate".into()));
+        }
+        e.expand_to_coord(c);
+    }
+    data.advance(len);
+    Ok(e)
 }
 
 #[cfg(test)]

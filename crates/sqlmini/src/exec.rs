@@ -554,8 +554,8 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                         // right table for this probe.
                         None => right.row_ids(),
                     };
-                    for id in ids {
-                        out.push(lr.join_handle(right.fetch(id)?));
+                    for row in right.fetch_many(&ids)? {
+                        out.push(lr.join_handle(row));
                     }
                 }
                 if let (Some(m), Some(t0)) = (metrics, t0) {
@@ -687,19 +687,16 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
     }
 }
 
-/// Fetches `ids` from `table` as row handles, morsel-parallel, without
-/// copying row values (the handles share the heap's `Arc<Row>`s).
+/// Fetches `ids` from `table` as row handles, morsel-parallel, one
+/// [`TableProvider::fetch_many`] per morsel, without copying row values
+/// (the handles share the heap's `Arc<Row>`s).
 fn fetch_rows(
     table: &Arc<dyn TableProvider>,
     ids: Vec<jackpine_storage::RowId>,
     ctx: &ExecCtx,
 ) -> Result<Vec<LazyRow>> {
     ctx.parallel_morsels(&ids, |chunk| {
-        let mut out = Vec::with_capacity(chunk.len());
-        for id in chunk {
-            out.push(LazyRow::one(table.fetch(*id)?));
-        }
-        Ok(out)
+        Ok(table.fetch_many(chunk)?.into_iter().map(LazyRow::one).collect())
     })
 }
 

@@ -32,6 +32,14 @@ pub trait TableProvider: Send + Sync {
     /// Fetches one row.
     fn fetch(&self, id: RowId) -> Result<Arc<Row>>;
 
+    /// Fetches every row of `ids`, in input order; the first error wins.
+    /// The executor calls this once per morsel (and once per join
+    /// probe), so a paged provider can read a run of ids on one page
+    /// under one lock and decode the run's rows back to back.
+    fn fetch_many(&self, ids: &[RowId]) -> Result<Vec<Arc<Row>>> {
+        ids.iter().map(|&id| self.fetch(id)).collect()
+    }
+
     /// Candidate rows whose geometry envelope (column `col`) intersects
     /// `env`, served by a spatial index. `None` when no usable index
     /// exists (the planner then falls back to a scan).

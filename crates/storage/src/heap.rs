@@ -10,10 +10,13 @@
 //! the backing store) and reloads them on demand, so the heap does not
 //! have to fit in memory. The pool's frame is also the only cache of
 //! decoded rows and MBR quads — [`HeapFile::get`] is "find the frame,
-//! read the slot", decoding on first use — so a row shares its page's
-//! fate: evicted with it, changed only under its lock. Readers clone the
-//! `Arc<Row>` out while holding the frame, so nothing they keep can
-//! dangle into an evicted one.
+//! read the slot", decoding on first use, and [`HeapFile::get_many`]
+//! does the same a page run at a time — so a row shares its page's
+//! fate: evicted with it, changed only under its lock. Only reads (and
+//! restore, which decodes to validate) fill it: an insert stores bytes,
+//! and quads are computed from the bytes. Readers clone the `Arc<Row>`
+//! out while holding the frame, so nothing they keep can dangle into an
+//! evicted one.
 //!
 //! # Row visibility (MVCC)
 //!
@@ -64,7 +67,8 @@ pub struct RowId {
 pub struct HeapStats {
     /// Row fetches served from a slot's decoded row.
     pub cache_hits: u64,
-    /// Row fetches that had to decode from the page bytes.
+    /// Row fetches that had to read the page bytes: to decode the row,
+    /// or to compute MBR quads from them.
     pub cache_misses: u64,
 }
 
@@ -203,17 +207,18 @@ impl HeapFile {
     /// Validates and appends a row visible at every generation; returns
     /// its id.
     pub fn insert(&self, row: Row) -> Result<RowId> {
-        self.insert_at(row, 0)
+        self.insert_at(&row, 0)
     }
 
     /// Validates and appends a row born at generation `born` (`0` =
     /// visible since the beginning); returns its id. The row is
     /// invisible to snapshot readers pinned before `born` and becomes
     /// visible to later snapshots once the owning transaction publishes
-    /// that generation.
-    pub fn insert_at(&self, row: Row, born: u64) -> Result<RowId> {
-        self.schema.check_row(&row)?;
-        let bytes = Value::encode_row(&row);
+    /// that generation. Only its bytes are stored: the slot is decoded
+    /// when a read first asks for it.
+    pub fn insert_at(&self, row: &Row, born: u64) -> Result<RowId> {
+        self.schema.check_row(row)?;
+        let bytes = Value::encode_row(row);
         let _append = self.append.lock();
         let mut target = self.npages.load(Ordering::Relaxed).saturating_sub(1);
         let mut page = self.write(target)?;
@@ -224,8 +229,6 @@ impl HeapFile {
             page = self.write(target)?;
         }
         let slot = page.insert(&bytes);
-        // The slot starts out decoded: its row is at hand.
-        page.keep_row(slot, Arc::new(row));
         let id = RowId { page: target, slot };
         if born > 0 {
             // Publish the visibility entry while still holding the
@@ -258,7 +261,9 @@ impl HeapFile {
     /// stored form: `bytes` go into the slot as they are and `row`, which
     /// the caller decoded from exactly those bytes, becomes the slot's
     /// decoded row. Snapshot load uses it to put back the tuple it read
-    /// instead of re-encoding the row it validated.
+    /// instead of re-encoding the row it validated — and keeps the row
+    /// its validation decoded anyway, like replay, which has the row in
+    /// hand: the only decoded rows a write leaves behind.
     pub fn place_tuple(&self, bytes: &[u8], row: Row, id: RowId, born: u64) -> Result<()> {
         self.schema.check_row(&row)?;
         let _append = self.append.lock();
@@ -459,6 +464,39 @@ impl HeapFile {
         self.write(id.page)?.decode(id.slot).map_err(|e| located(e, id))
     }
 
+    /// [`HeapFile::get`] of every id, in input order, a page run at a
+    /// time: each run of consecutive ids on one page takes that page's
+    /// lock once — shared when every row of the run is decoded, exclusive
+    /// otherwise, and then the run's missing rows are decoded back to
+    /// back. Hits and misses are counted per row, exactly as that many
+    /// `get`s would count them, up to and including the first error in
+    /// input order, which is the one returned.
+    pub fn get_many(&self, ids: &[RowId]) -> Result<Vec<Arc<Row>>> {
+        let npages = self.npages.load(Ordering::Relaxed);
+        let mut out = Vec::with_capacity(ids.len());
+        for run in ids.chunk_by(|a, b| a.page == b.page) {
+            let page = run[0].page;
+            if page >= npages {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return Err(StorageError::RowNotFound { page, slot: run[0].slot });
+            }
+            let shared = self.read(page)?;
+            if run.iter().all(|id| shared.row(id.slot).is_some()) {
+                out.extend(run.iter().filter_map(|id| shared.row(id.slot).cloned()));
+                self.hits.fetch_add(run.len() as u64, Ordering::Relaxed);
+                continue;
+            }
+            drop(shared);
+            let mut page = self.write(page)?;
+            for &id in run {
+                let counter = if page.row(id.slot).is_some() { &self.hits } else { &self.misses };
+                counter.fetch_add(1, Ordering::Relaxed);
+                out.push(page.decode(id.slot).map_err(|e| located(e, id))?);
+            }
+        }
+        Ok(out)
+    }
+
     /// Immediately and physically deletes a row (single-session paths
     /// and vacuum). Returns whether it existed. Snapshot-aware deletes
     /// go through [`HeapFile::mark_deleted`] instead.
@@ -583,31 +621,28 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Full scan over every physically-present row, including
-    /// logically-deleted ones (index builds).
-    pub fn scan_any(&self, mut visit: impl FnMut(RowId, &Arc<Row>)) -> Result<()> {
-        for id in self.row_ids_any() {
-            let row = self.get(id)?;
-            visit(id, &row);
-        }
-        Ok(())
-    }
-
-    /// MBR quad of `row[col]` (see [`Value::mbr`]), kept in the row's
-    /// frame beside the decoded row once computed. `None` when the
-    /// column holds a non-geometry.
+    /// MBR quad of `row[col]` (see [`Value::mbr`]), computed from the
+    /// slot's bytes and kept in its frame once computed; the row is not
+    /// decoded. `None` when the column holds a non-geometry.
     pub fn mbr(&self, id: RowId, col: usize) -> Result<Option<[f64; 4]>> {
-        let Some(k) = self.geom_cols.iter().position(|&c| c == col) else {
-            return Ok(self.get(id)?.get(col).and_then(Value::mbr));
-        };
-        if id.page < self.npages.load(Ordering::Relaxed) {
-            if let Some(quads) = self.read(id.page)?.quads(id.slot) {
-                return Ok(quads[k]);
-            }
+        if id.page >= self.npages.load(Ordering::Relaxed) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Err(StorageError::RowNotFound { page: id.page, slot: id.slot });
         }
-        // Counted like any other fetch; it leaves the row decoded in
-        // its slot, which is what the quads are computed from.
-        self.get(id)?;
+        let k = self.geom_cols.iter().position(|&c| c == col);
+        let page = self.read(id.page)?;
+        if let (Some(k), Some(quads)) = (k, page.quads(id.slot)) {
+            return Ok(quads[k]);
+        }
+        // Counted like a fetch: a hit when the slot's row is decoded, a
+        // miss when the quads come from its bytes.
+        let counter = if page.row(id.slot).is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let Some(k) = k else {
+            page.get(id.slot).map_err(|e| located(e, id))?;
+            return Ok(None);
+        };
+        drop(page);
         let mut page = self.write(id.page)?;
         Ok(page.quads(id.slot, &self.geom_cols).map_err(|e| located(e, id))?[k])
     }
@@ -748,8 +783,9 @@ mod tests {
         assert!(h.get(a).is_err());
         assert_eq!(h.len(), 1);
         let mut seen = Vec::new();
-        h.scan_any(|id, row| {
-            seen.push((id, row[0].clone()));
+        h.scan_tuples(&h.row_ids_any(), |id, bytes| {
+            seen.push((id, Value::decode_row(bytes)?[0].clone()));
+            Ok::<(), StorageError>(())
         })
         .unwrap();
         assert_eq!(seen, vec![(b, Value::Int(2))]);
@@ -816,16 +852,60 @@ mod tests {
     fn cold_cache_counts_misses() {
         let h = heap();
         let id = h.insert(vec![Value::Int(1), Value::Text("warm".into())]).unwrap();
-        h.get(id).unwrap(); // hit (insert leaves the slot decoded)
+        assert_eq!(h.pool().stats().decoded_rows, 0, "an insert stores bytes only");
+        h.get(id).unwrap(); // miss: the first read decodes
+        h.get(id).unwrap(); // hit: and keeps
         let s1 = h.stats();
-        assert_eq!(s1.cache_hits, 1);
-        assert_eq!(s1.cache_misses, 0);
+        assert_eq!((s1.cache_hits, s1.cache_misses), (1, 1));
         h.clear_cache();
         h.get(id).unwrap(); // miss: decode from page
         h.get(id).unwrap(); // hit again
         let s2 = h.stats();
-        assert_eq!(s2.cache_misses, 1);
-        assert_eq!(s2.cache_hits, 2);
+        assert_eq!((s2.cache_hits, s2.cache_misses), (2, 2));
+    }
+
+    #[test]
+    fn get_many_agrees_with_one_get_per_id() {
+        // Two heaps with identical contents; one is read with `get_many`,
+        // the other with a `get` per id stopping at the first error.
+        let fill = || {
+            let h = heap();
+            let long = "w".repeat(900);
+            for i in 0..40 {
+                h.insert(vec![Value::Int(i), Value::Text(long.clone())]).unwrap();
+            }
+            let dead = h.row_ids()[13];
+            h.mark_deleted(dead, 1);
+            h.reclaim(dead);
+            h.get(h.row_ids()[2]).unwrap(); // one row decoded beforehand
+            (h, dead)
+        };
+        let ((many, reclaimed), (one, _)) = (fill(), fill());
+        let all = many.row_ids();
+        assert!(all.last().unwrap().page > 3, "rows span pages");
+        let beyond = RowId { page: many.page_count() + 4, slot: 0 };
+        let mut shuffled = all.clone();
+        shuffled.reverse();
+        shuffled.swap(3, 30);
+        let cases: Vec<Vec<RowId>> = vec![
+            all.clone(),
+            shuffled,
+            vec![all[5], all[5], all[6], all[5], all[0], all[0]],
+            vec![all[1], all[38], all[2], all[37]],
+            vec![all[3], all[4], reclaimed, all[5]],
+            vec![all[7], beyond, reclaimed],
+            vec![all[8], reclaimed, beyond],
+            vec![],
+        ];
+        for ids in cases {
+            let got = many.get_many(&ids);
+            let want: Result<Vec<Arc<Row>>> = ids.iter().map(|&id| one.get(id)).collect();
+            assert_eq!(got, want, "{ids:?}");
+            let (s, t) = (many.stats(), one.stats());
+            assert_eq!((s.cache_hits, s.cache_misses), (t.cache_hits, t.cache_misses), "{ids:?}");
+            let (p, q) = (many.pool().stats(), one.pool().stats());
+            assert_eq!(p.decoded_rows, q.decoded_rows, "{ids:?}");
+        }
     }
 
     fn geom_heap(pool: Arc<BufferPool>) -> HeapFile {
@@ -865,11 +945,17 @@ mod tests {
         assert_eq!(h.mbr(id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
 
         // clear_cache drops quads too (cold-run switch), and the value
-        // is recomputed identically from page bytes.
+        // is recomputed identically from page bytes — which is all the
+        // quads need: the row stays undecoded.
         h.clear_cache();
         assert_eq!(h.pool().stats().decoded_rows, 0);
         assert_eq!(h.mbr(id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
-        assert_eq!(h.pool().stats().decoded_rows, 1, "the quads' row is decoded beside them");
+        assert_eq!(h.mbr(id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
+        assert_eq!(h.pool().stats().decoded_rows, 0, "quads come from the bytes");
+        let misses = h.stats().cache_misses;
+        h.get(id).unwrap();
+        assert_eq!(h.mbr(id, 0).unwrap(), None);
+        assert_eq!(h.stats().cache_misses, misses + 1, "a decoded row's column reads as a hit");
     }
 
     #[test]
@@ -883,7 +969,10 @@ mod tests {
             b.insert(vec![Value::Int(i), point.clone(), Value::Null]).unwrap();
         }
         assert!(a.page_count() > 2);
-        assert_eq!(pool.stats().decoded_rows, 800, "inserts leave their rows decoded");
+        assert_eq!(pool.stats().decoded_rows, 0, "inserts decode nothing");
+        a.get_many(&ids).unwrap();
+        b.get_many(&b.row_ids()).unwrap();
+        assert_eq!(pool.stats().decoded_rows, 800, "reads keep what they decoded");
         let kept = Arc::clone(&a.get(ids[0]).unwrap());
 
         pool.set_capacity_bytes(crate::page::PAGE_SIZE);
@@ -909,7 +998,7 @@ mod tests {
     fn visibility_generations_gate_readers() {
         let h = heap();
         let a = h.insert(vec![Value::Int(1), Value::Null]).unwrap(); // born 0
-        let b = h.insert_at(vec![Value::Int(2), Value::Null], 5).unwrap();
+        let b = h.insert_at(&vec![Value::Int(2), Value::Null], 5).unwrap();
         assert_eq!(h.len(), 2, "len counts latest state, not a snapshot");
 
         // A snapshot pinned before b's birth sees only a.
@@ -949,7 +1038,7 @@ mod tests {
     fn revive_rolls_back_logical_delete() {
         let h = heap();
         let a = h.insert(vec![Value::Int(1), Value::Null]).unwrap();
-        let b = h.insert_at(vec![Value::Int(2), Value::Null], 3).unwrap();
+        let b = h.insert_at(&vec![Value::Int(2), Value::Null], 3).unwrap();
         assert!(h.mark_deleted(a, 9));
         assert!(h.mark_deleted(b, 9));
         assert_eq!(h.len(), 0);
@@ -967,8 +1056,8 @@ mod tests {
     #[test]
     fn settle_keeps_unreachable_births_and_pending_deletes() {
         let h = heap();
-        let a = h.insert_at(vec![Value::Int(1), Value::Null], 4).unwrap();
-        let b = h.insert_at(vec![Value::Int(2), Value::Null], 8).unwrap();
+        let a = h.insert_at(&vec![Value::Int(1), Value::Null], 4).unwrap();
+        let b = h.insert_at(&vec![Value::Int(2), Value::Null], 8).unwrap();
         assert!(h.mark_deleted(a, 9));
         h.settle(8);
         // a is logically deleted (must keep its entry until reclaim);

@@ -9,7 +9,11 @@
 //! ## Cold vs. warm runs
 //!
 //! Rows are stored *serialized* in pages (geometries as WKB). The pool
-//! frame that holds a page also holds the rows decoded from it, so there
+//! frame that holds a page also holds the rows decoded from it — filled
+//! on read, never on insert: a row is decoded when a statement first
+//! reads it (a run of ids on one page at a time, [`HeapFile::get_many`])
+//! or when restore had to decode it anyway, while loads, index builds,
+//! vacuum and MBR quads work from the tuple bytes ([`Field`]). So there
 //! is one cache with one budget: a fetch from a resident, decoded slot
 //! costs a lock and a clone; one from a resident page pays the decode —
 //! the in-process analogue of detoasting in the systems Jackpine
@@ -36,7 +40,7 @@ pub use heap::{HeapFile, HeapStats, RowId};
 pub use page::PAGE_SIZE;
 pub use pool::{BufferPool, PageStore, PinnedPage, PoolStats};
 pub use schema::{ColumnDef, DataType, Schema};
-pub use value::{Row, Value};
+pub use value::{Field, Row, Value};
 
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;

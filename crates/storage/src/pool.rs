@@ -36,11 +36,12 @@
 
 use crate::page::{Page, PAGE_SIZE};
 use crate::sync::{Mutex, RwLock};
-use crate::{Result, Row, StorageError, Value};
+use crate::{Field, Result, Row, StorageError, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{self, Read as _, Seek as _, Write as _};
+use std::io;
 use std::ops::Deref;
+use std::os::unix::fs::FileExt as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLockReadGuard, RwLockWriteGuard};
@@ -106,7 +107,10 @@ impl PageStore for MemStore {
 #[derive(Debug)]
 struct FileStore {
     path: PathBuf,
-    file: Mutex<Option<std::fs::File>>,
+    /// Pages are read and written at their offsets (`pread`/`pwrite`), so
+    /// I/O shares the handle; only the lazy re-open after
+    /// [`PageStore::reopen`] takes this lock exclusively.
+    file: RwLock<Option<std::fs::File>>,
     /// Page -> (offset, capacity, image length) of its extent, which
     /// holds the length as a `u32` and then the image.
     dir: Mutex<HashMap<u32, (u64, u32, u32)>>,
@@ -123,19 +127,23 @@ impl FileStore {
             .open(&path)?;
         Ok(FileStore {
             path,
-            file: Mutex::new(Some(file)),
+            file: RwLock::new(Some(file)),
             dir: Mutex::new(HashMap::new()),
             end: AtomicU64::new(0),
         })
     }
 
-    fn with_file<R>(&self, f: impl FnOnce(&mut std::fs::File) -> io::Result<R>) -> io::Result<R> {
-        let mut slot = self.file.lock();
-        if slot.is_none() {
-            // Lazy re-open after a cold switch.
-            *slot = Some(std::fs::OpenOptions::new().read(true).write(true).open(&self.path)?);
+    fn with_file<R>(&self, f: impl FnOnce(&std::fs::File) -> io::Result<R>) -> io::Result<R> {
+        loop {
+            if let Some(file) = self.file.read().as_ref() {
+                return f(file);
+            }
+            let mut slot = self.file.write();
+            if slot.is_none() {
+                // Lazy re-open after a cold switch.
+                *slot = Some(std::fs::OpenOptions::new().read(true).write(true).open(&self.path)?);
+            }
         }
-        f(slot.as_mut().expect("opened above"))
     }
 }
 
@@ -144,9 +152,8 @@ impl PageStore for FileStore {
         let Some((off, _cap, len)) = self.dir.lock().get(&page).copied() else { return Ok(None) };
         self.with_file(|file| {
             // The directory knows the length: one read, past the prefix.
-            file.seek(io::SeekFrom::Start(off + 4))?;
             let mut buf = vec![0u8; len as usize];
-            file.read_exact(&mut buf)?;
+            file.read_exact_at(&mut buf, off + 4)?;
             Ok(Some(buf))
         })
     }
@@ -161,16 +168,15 @@ impl PageStore for FileStore {
         dir.insert(page, (off, cap, len));
         drop(dir);
         self.with_file(|file| {
-            file.seek(io::SeekFrom::Start(off))?;
-            file.write_all(&len.to_le_bytes())?;
-            file.write_all(bytes)
+            file.write_all_at(&len.to_le_bytes(), off)?;
+            file.write_all_at(bytes, off + 4)
         })
     }
 
     fn reopen(&self) {
         // Drop the handle; the next access re-opens the file, so a cold
         // rep pays the open() syscall like a real restart.
-        *self.file.lock() = None;
+        *self.file.write() = None;
     }
 }
 
@@ -196,12 +202,13 @@ struct Gauges {
 #[derive(Debug)]
 struct Frame {
     page: Page,
-    /// The row decoded from each slot's current bytes, indexed by slot.
+    /// The row decoded from each slot's current bytes, indexed by slot:
+    /// kept by a read that decoded it, or by restore, never by an insert.
     /// Grown to the slot directory's length when a row is first kept, so
     /// leaf files and never-read pages carry none.
     rows: Vec<Option<Arc<Row>>>,
-    /// Beside each row, one quad per geometry column, computed from the
-    /// row on first use; empty until then.
+    /// Per slot, one quad per geometry column, computed from the slot's
+    /// bytes on first use and grown like `rows`; empty until then.
     quads: Vec<Option<Box<[Quad]>>>,
     dirty: bool,
     gauges: Arc<Gauges>,
@@ -399,10 +406,16 @@ impl PageWrite<'_> {
         frame.drop_decoded();
     }
 
-    /// Keeps `row` as the decoded form of `slot`. The caller vouches
-    /// that the slot's bytes are `Value::encode_row(&row)`.
+    /// Keeps `row` as the decoded form of `slot` — restore's way in, for
+    /// a row it decoded anyway. The caller vouches that the slot's bytes
+    /// are `Value::encode_row(&row)`.
     pub(crate) fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
         self.frame().keep_row(slot, row);
+    }
+
+    /// [`PageRead::row`].
+    pub(crate) fn row(&self, slot: u16) -> Option<&Arc<Row>> {
+        resident(&self.0).rows.get(slot as usize)?.as_ref()
     }
 
     /// The row in `slot`: the one kept there, or else decoded from the
@@ -417,16 +430,23 @@ impl PageWrite<'_> {
         Ok(row)
     }
 
-    /// The quads of columns `cols` of the row in `slot`, computed from
-    /// the decoded row (see [`PageWrite::decode`]) on first use.
+    /// The quads of columns `cols` of the tuple in `slot`, computed from
+    /// its bytes ([`Field::mbr`]) on first use — the row is not decoded.
     pub(crate) fn quads(&mut self, slot: u16, cols: &[usize]) -> Result<&[Quad]> {
-        let row = self.decode(slot)?;
         let frame = self.frame();
-        if frame.quads.len() < frame.rows.len() {
-            frame.quads.resize(frame.rows.len(), None);
+        let at = slot as usize;
+        if frame.quads.get(at).is_none_or(Option::is_none) {
+            let tuple = frame.page.get(slot)?;
+            let quads = cols
+                .iter()
+                .map(|&c| Field::of(tuple, c)?.map_or(Ok(None), |f| f.mbr()))
+                .collect::<Result<_>>()?;
+            if frame.quads.len() <= at {
+                frame.quads.resize(frame.page.slot_count().max(at + 1), None);
+            }
+            frame.quads[at] = Some(quads);
         }
-        let quads = &mut frame.quads[slot as usize];
-        Ok(&quads.get_or_insert_with(|| cols.iter().map(|&c| row.get(c)?.mbr()).collect())[..])
+        Ok(frame.quads[at].as_deref().expect("computed above"))
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::{Result, StorageError};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
-use jackpine_geom::{wkb, Geometry};
+use jackpine_geom::{wkb, Envelope, Geometry};
 use std::fmt;
 
 /// A single SQL value.
@@ -69,13 +69,7 @@ impl Value {
     /// like `Envelope::intersects` on an empty envelope. `None` for
     /// non-geometry values.
     pub fn mbr(&self) -> Option<[f64; 4]> {
-        let g = self.as_geom()?;
-        let e = g.envelope();
-        if e.is_empty() {
-            Some([f64::NAN; 4])
-        } else {
-            Some([e.min_x, e.min_y, e.max_x, e.max_y])
-        }
+        self.as_geom().map(|g| quad(&g.envelope()))
     }
 
     /// Serializes the value into `buf` (tag byte + payload).
@@ -168,6 +162,97 @@ impl Value {
     }
 }
 
+/// One column of an encoded row, borrowed from its bytes: what
+/// [`Value::decode`] would build, before anything is built.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Field<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Text(&'a str),
+    /// A geometry's WKB.
+    Geom(&'a [u8]),
+}
+
+impl Field<'_> {
+    /// Column `col` of the encoded row `tuple` ([`Value::encode_row`]),
+    /// reached by stepping over the columns before it — their tags and
+    /// lengths, nothing else — so nothing is decoded or allocated. `None`
+    /// past the row's last column.
+    pub fn of(tuple: &[u8], col: usize) -> Result<Option<Field<'_>>> {
+        let Some((arity, mut rest)) = tuple.split_first_chunk() else {
+            return Err(StorageError::Corrupt("truncated row header".into()));
+        };
+        if col >= u16::from_le_bytes(*arity) as usize {
+            return Ok(None);
+        }
+        for _ in 0..col {
+            rest = split_value(rest)?.2;
+        }
+        let (tag, body, _) = split_value(rest)?;
+        let number = || body.try_into().expect("split_value cuts numbers at 8 bytes");
+        Ok(Some(match tag {
+            0 => Field::Null,
+            1 => Field::Int(i64::from_le_bytes(number())),
+            2 => Field::Float(f64::from_le_bytes(number())),
+            3 => Field::Text(
+                std::str::from_utf8(body)
+                    .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?,
+            ),
+            _ => Field::Geom(body),
+        }))
+    }
+
+    /// The envelope of a geometry field, read off its WKB by
+    /// [`wkb::envelope`] without decoding the geometry; `None` for any
+    /// other field.
+    pub fn envelope(&self) -> Result<Option<Envelope>> {
+        let Field::Geom(wkb) = self else { return Ok(None) };
+        Ok(Some(wkb::envelope(wkb)?))
+    }
+
+    /// [`Value::mbr`] of the value this field decodes to, from
+    /// [`Field::envelope`].
+    pub fn mbr(&self) -> Result<Option<[f64; 4]>> {
+        Ok(self.envelope()?.as_ref().map(quad))
+    }
+}
+
+/// The encoded value at the front of `data` ([`Value::encode`]) as its
+/// tag, its payload (a string's or geometry's without the length) and
+/// the bytes after it — plain slice splits, checked, nothing read.
+fn split_value(data: &[u8]) -> Result<(u8, &[u8], &[u8])> {
+    let Some((&tag, rest)) = data.split_first() else {
+        return Err(StorageError::Corrupt("empty value payload".into()));
+    };
+    let (width, rest) = match tag {
+        0 => (0, rest),
+        1 | 2 => (8, rest),
+        3 | 4 => match rest.split_first_chunk() {
+            Some((len, rest)) => (u32::from_le_bytes(*len) as usize, rest),
+            None => return Err(StorageError::Corrupt("truncated length".into())),
+        },
+        t => return Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
+    };
+    match rest.split_at_checked(width) {
+        Some((body, rest)) => Ok((tag, body, rest)),
+        None => Err(StorageError::Corrupt("length exceeds payload".into())),
+    }
+}
+
+/// The packed quad of an envelope (see [`Value::mbr`]).
+fn quad(e: &Envelope) -> [f64; 4] {
+    if e.is_empty() {
+        [f64::NAN; 4]
+    } else {
+        [e.min_x, e.min_y, e.max_x, e.max_y]
+    }
+}
+
 fn get_len(data: &mut &[u8]) -> Result<usize> {
     if data.remaining() < 4 {
         return Err(StorageError::Corrupt("truncated length".into()));
@@ -222,6 +307,13 @@ mod tests {
         assert!(Value::decode_row(&bad).is_err());
         // Unknown tag.
         assert!(Value::decode_row(&[1, 0, 99]).is_err());
+        // The column cursor rejects what the decoder rejects, read or
+        // stepped over.
+        assert!(Field::of(&[], 0).is_err());
+        assert!(Field::of(&[1, 0, 99], 0).is_err());
+        assert!(Field::of(&[2, 0, 99, 0], 1).is_err());
+        assert!(Field::of(&bad, 0).is_err());
+        assert_eq!(Field::of(&[1, 0, 0], 1), Ok(None), "past the last column");
     }
 
     #[test]

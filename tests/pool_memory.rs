@@ -1,5 +1,5 @@
 //! A bounded pool bounds memory: rows decoded from a page live in its
-//! frame and leave with it.
+//! frame and leave with it — and only a read decodes them.
 //!
 //! A counting `#[global_allocator]` (`tests/common/alloc.rs`) measures
 //! the live heap. One test function in this file, so that no other
@@ -49,7 +49,15 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
     let pages = table.heap.page_count() as usize;
     let max_slots = (PAGE_SIZE / Value::encode_row(&row(0)).len()) as u64;
     assert!(pages > 8 * FRAMES, "the table must dwarf the bound: {pages} pages");
-    assert!(heap_bytes > 3 * pages * PAGE_SIZE, "pages and decoded rows: {heap_bytes}");
+    // Fill on read, never on insert: neither the inserts nor the index
+    // builds decoded a row, so what is live is the pages and the indexes.
+    assert_eq!(db.pool_stats().decoded_rows, 0, "a load decodes nothing");
+    let loaded = live() - base;
+    let pages_only = pages * PAGE_SIZE + index_bytes + 2 * MIB;
+    assert!(loaded < pages_only, "{loaded} bytes live after the load, bound {pages_only}");
+    let all = db.execute("SELECT COUNT(*) FROM pts WHERE id >= 0").unwrap();
+    assert_eq!(all.scalar(), Some(&Value::Int(ROWS)));
+    assert_eq!(db.pool_stats().decoded_rows, ROWS as u64, "a scan keeps what it decoded");
 
     // What the bound allows above the pre-load level: the indexes as
     // they were when fully resident (spilled leaves come back through

@@ -3,13 +3,18 @@
 
 mod common;
 
-use common::{cases, geometry, point, polygon, star_polygon, test_rng};
+use common::{cases, coord, geometry, linestring, point, polygon, star_polygon, test_rng};
+use jackpine::datagen::rng::Rng;
 use jackpine::geom::algorithms::locate::{locate_in_polygon, Location};
 use jackpine::geom::algorithms::orientation::{orient2d, Orientation};
 use jackpine::geom::algorithms::{
     area, buffer, convex_hull, difference, distance, intersection, simplify, union,
 };
-use jackpine::geom::{wkb, wkt, Coord, Geometry};
+use jackpine::geom::{
+    wkb, wkt, Coord, Envelope, Geometry, GeometryCollection, LineString, MultiLineString,
+    MultiPoint, MultiPolygon, Point, Polygon, Ring,
+};
+use jackpine::storage::{DataType, Field, Value};
 
 // ----- serialization roundtrips ------------------------------------
 
@@ -34,6 +39,156 @@ fn wkb_roundtrip() {
         let bytes = wkb::encode(&g);
         let back = wkb::decode(&bytes).expect("encoded WKB must decode");
         assert_eq!(g, back);
+    }
+}
+
+// ----- envelopes off the bytes ----------------------------------------
+
+/// Any of the seven geometry kinds: empties, polygons with holes (one of
+/// them outside the exterior's envelope, which must not count) and
+/// collections nested up to three deep.
+fn any_geometry(rng: &mut Rng, depth: usize) -> Geometry {
+    let n = rng.gen_range(0..4usize);
+    match rng.gen_range(0..9usize) {
+        0 => point(rng),
+        1 => linestring(rng),
+        2 => polygon(rng),
+        3 => {
+            let p = star_polygon(rng);
+            let c = p.envelope().center().expect("a star has area");
+            let hole = |dx: f64| {
+                let tri = [(dx - 0.2, -0.1), (dx + 0.2, -0.1), (dx, 0.2), (dx - 0.2, -0.1)];
+                Ring::new(tri.iter().map(|&(x, y)| Coord::new(c.x + x, c.y + y)).collect())
+                    .expect("a triangle is a ring")
+            };
+            Geometry::Polygon(Polygon::new(p.exterior().clone(), vec![hole(0.0), hole(50.0)]))
+        }
+        4 => Geometry::MultiPoint(MultiPoint(
+            (0..n)
+                .map(|_| match rng.gen_range(0..4usize) {
+                    0 => Point::empty(),
+                    _ => Point::from_coord(coord(rng)).expect("finite coord"),
+                })
+                .collect(),
+        )),
+        5 => Geometry::MultiLineString(MultiLineString(
+            (0..n)
+                .map(|_| match linestring(rng) {
+                    Geometry::LineString(l) if rng.gen_range(0..4usize) > 0 => l,
+                    _ => LineString::empty(),
+                })
+                .collect(),
+        )),
+        6 => Geometry::MultiPolygon(MultiPolygon((0..n).map(|_| star_polygon(rng)).collect())),
+        7 if depth < 3 => Geometry::GeometryCollection(GeometryCollection(
+            (0..n).map(|_| any_geometry(rng, depth + 1)).collect(),
+        )),
+        _ => match rng.gen_range(0..3usize) {
+            0 => Geometry::Point(Point::empty()),
+            1 => Geometry::LineString(LineString::empty()),
+            _ => Geometry::GeometryCollection(GeometryCollection(Vec::new())),
+        },
+    }
+}
+
+fn bits(e: Envelope) -> [u64; 4] {
+    [e.min_x, e.min_y, e.max_x, e.max_y].map(f64::to_bits)
+}
+
+#[test]
+fn wkb_envelope_is_the_decoded_envelope_bit_for_bit() {
+    let mut rng = test_rng("wkb_envelope");
+    let mut kinds = std::collections::HashSet::new();
+    for _ in 0..cases(256) {
+        let g = any_geometry(&mut rng, 0);
+        kinds.insert(g.geometry_type());
+        let bytes = wkb::encode(&g);
+        let walked = wkb::envelope(&bytes).expect("encoded WKB must walk");
+        assert_eq!(bits(walked), bits(g.envelope()), "{}", wkt::write(&g));
+        // A prefix is missing bytes some count promised; a suffix is
+        // trailing garbage. Neither is an envelope, and neither panics.
+        for cut in 0..bytes.len() {
+            assert!(wkb::envelope(&bytes[..cut]).is_err(), "{cut}-byte prefix of {g:?}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(wkb::envelope(&longer).is_err());
+    }
+    assert_eq!(kinds.len(), 7, "all seven kinds were drawn: {kinds:?}");
+    let empty = wkb::envelope(&wkb::encode(&Geometry::Point(Point::empty()))).unwrap();
+    assert_eq!(bits(empty), bits(Envelope::EMPTY), "POINT EMPTY is NaN on the wire");
+}
+
+#[test]
+fn wkb_envelope_reads_big_endian_images() {
+    // MULTIPOLYGON (((0 0, 4 0, 4 3, 0 0), (9 9, 8 9, 8 8, 9 9))) and a
+    // big-endian LINESTRING (1 -2, -3 4), built by hand.
+    use jackpine::geom::codec::PutBytes;
+    let ring = |buf: &mut Vec<u8>, pts: &[(f64, f64)]| {
+        buf.put_u32(pts.len() as u32);
+        for &(x, y) in pts {
+            buf.put_f64(x);
+            buf.put_f64(y);
+        }
+    };
+    let mut mpoly = vec![0];
+    mpoly.put_u32(6);
+    mpoly.put_u32(1);
+    mpoly.push(0);
+    mpoly.put_u32(3);
+    mpoly.put_u32(2);
+    ring(&mut mpoly, &[(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 0.0)]);
+    ring(&mut mpoly, &[(9.0, 9.0), (8.0, 9.0), (8.0, 8.0), (9.0, 9.0)]);
+    let mut line = vec![0];
+    line.put_u32(2);
+    ring(&mut line, &[(1.0, -2.0), (-3.0, 4.0)]);
+    for (image, want) in [(mpoly, [0.0, 0.0, 4.0, 3.0]), (line, [-3.0, -2.0, 1.0, 4.0])] {
+        let decoded = wkb::decode(&image).expect("a valid big-endian image");
+        let walked = wkb::envelope(&image).unwrap();
+        assert_eq!(bits(walked), bits(decoded.envelope()));
+        assert_eq!([walked.min_x, walked.min_y, walked.max_x, walked.max_y], want);
+    }
+}
+
+#[test]
+fn a_tuple_column_reads_as_its_decoded_value() {
+    // Every column of the five benchmark schemas, with NULL in each
+    // position in turn (and nowhere).
+    let mut rng = test_rng("tuple_field");
+    for (table, cols) in jackpine::bench::dataset::table_schemas() {
+        for null_at in 0..=cols.len() {
+            let row: Vec<Value> = cols
+                .iter()
+                .enumerate()
+                .map(|(c, def)| match def.ty {
+                    _ if c == null_at => Value::Null,
+                    DataType::Int => Value::Int(rng.gen_range(-1000..1000i64)),
+                    DataType::Float => Value::Float(rng.gen_range(-1.0..1.0f64)),
+                    DataType::Text => Value::Text(format!("{table}-{c}-é")),
+                    DataType::Geometry => Value::Geom(any_geometry(&mut rng, 0)),
+                })
+                .collect();
+            let tuple = Value::encode_row(&row);
+            let decoded = Value::decode_row(&tuple).unwrap();
+            for (c, want) in decoded.iter().enumerate() {
+                let field = Field::of(&tuple, c).unwrap().expect("within the row");
+                let got = match field {
+                    Field::Null => Value::Null,
+                    Field::Int(i) => Value::Int(i),
+                    Field::Float(f) => Value::Float(f),
+                    Field::Text(s) => Value::Text(s.to_string()),
+                    Field::Geom(bytes) => Value::Geom(wkb::decode(bytes).unwrap()),
+                };
+                assert_eq!(&got, want, "{table} column {c}");
+                let mbr = field.mbr().unwrap().map(|q| q.map(f64::to_bits));
+                assert_eq!(mbr, want.mbr().map(|q| q.map(f64::to_bits)), "{table} column {c}");
+            }
+            assert_eq!(Field::of(&tuple, cols.len()).unwrap(), None, "past the last column");
+            for cut in 0..tuple.len() {
+                let short = (0..cols.len()).any(|c| Field::of(&tuple[..cut], c).is_err());
+                assert!(short, "{table}: a {cut}-byte prefix read as a whole row");
+            }
+        }
     }
 }
 

@@ -285,6 +285,8 @@ fn wal_table_tracks_durability_state() {
 #[test]
 fn buffer_pool_table_tracks_pool_state() {
     let db = tiny_db();
+    let r = db.execute("SELECT decoded_rows FROM jp_buffer_pool").unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(0), "inserts and an index build decode no row");
     let r = db.execute("SELECT capacity_frames, pinned_frames FROM jp_buffer_pool").unwrap();
     assert_eq!(r.rows.len(), 1, "jp_buffer_pool is single-row");
     assert_eq!(r.rows[0][0], Value::Int(0), "default pool is unbounded");
