@@ -11,8 +11,9 @@
 //!
 //! The kernel is slicing-by-8: eight bytes fold into the state per step
 //! through eight independent table lookups, instead of eight dependent
-//! ones. It matters because a snapshot save and a snapshot open each pass
-//! every byte through two checksums (block and file).
+//! ones. It matters because a snapshot save and a snapshot open pass every
+//! byte through it once; [`Crc32::append`] then folds each finished block
+//! checksum into the file checksum without a second pass.
 
 /// `TABLES[0]` is the classic one-byte table; `TABLES[k][b]` is the CRC
 /// of byte `b` followed by `k` zero bytes, which is what lets eight
@@ -78,10 +79,62 @@ impl Crc32 {
         self.state = crc;
     }
 
+    /// Extends the checksum as if the `len` bytes whose digest is `crc`
+    /// had been fed with [`Crc32::update`], without seeing them again
+    /// (zlib's `crc32_combine`): O(log `len`), not O(`len`).
+    pub fn append(&mut self, crc: u32, len: u64) {
+        // crc(A ‖ B) = crc(A) · x^(8·|B|) + crc(B) over GF(2), modulo the
+        // polynomial; the pre- and post-inversions cancel in the sum.
+        let shifted = mul_mod(x_pow_8n(len), self.finish());
+        self.state = (shifted ^ crc) ^ 0xFFFF_FFFF;
+    }
+
     /// Finishes and returns the digest.
     pub fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected bit order
+/// (bit 31 is x⁰).
+const fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let (mut product, mut m) = (0, 1u32 << 31);
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ 0xEDB8_8320 } else { b >> 1 };
+        m >>= 1;
+    }
+    product
+}
+
+/// `X2N[k]` is x^(2^k) modulo the polynomial. The order of x divides
+/// 2³² − 1, so the table repeats after 32 entries.
+const X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1 << 30; // x¹
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mul_mod(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// x^(8·n) modulo the polynomial: the shift `n` bytes of input apply.
+fn x_pow_8n(mut n: u64) -> u32 {
+    let mut p = 1 << 31; // x⁰
+    let mut k = 3; // 8 = 2³
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod(X2N[k % 32], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 impl Default for Crc32 {
@@ -147,6 +200,26 @@ mod tests {
             c.update(&big[cut..]);
             assert_eq!(c.finish(), bytewise(&big), "len {len} cut {cut}");
         }
+    }
+
+    #[test]
+    fn append_equals_the_checksum_of_the_concatenation() {
+        let data: Vec<u8> =
+            (0..1000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let len = data.len();
+        for split in [0, 1, 7, 8, 100, len - 1, len] {
+            let (a, b) = data.split_at(split);
+            let mut c = Crc32::new();
+            c.update(a);
+            c.append(crc32(b), b.len() as u64);
+            assert_eq!(c.finish(), crc32(&data), "split at {split}");
+        }
+        // Appending onto a fresh state is the appended checksum itself.
+        let mut c = Crc32::new();
+        c.append(crc32(&data), len as u64);
+        assert_eq!(c.finish(), crc32(&data));
+        // x^(2^32) = x: lengths of 2^29 bytes and more may wrap the table.
+        assert_eq!(mul_mod(X2N[31], X2N[31]), X2N[0]);
     }
 
     #[test]

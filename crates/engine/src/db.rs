@@ -889,11 +889,7 @@ impl SpatialDb {
             } else {
                 extent.expanded_by(extent.margin() * 0.001 + 1e-9)
             };
-            let mut g = GridIndex::new(extent, cells, cells);
-            for (e, id) in items {
-                g.insert(e, id);
-            }
-            SpatialIdx::Grid(g)
+            SpatialIdx::Grid(GridIndex::bulk_load(extent, cells, cells, items))
         } else {
             let mut tree = RTree::bulk_load_parallel(RTreeConfig::default(), items, self.workers());
             // Under a bounded pool, leaves page through it from the

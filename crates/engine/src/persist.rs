@@ -37,9 +37,11 @@
 //! tuple straight out of its pinned heap page — a page holds exactly
 //! `Value::encode_row`, so nothing is decoded, re-encoded or cached —
 //! through a fixed buffer into the sink, folding the bytes into the block
-//! and file checksums as they pass. The file checksum sits in the header,
-//! in front of the bytes it covers: it alone is patched by a seek when
-//! the stream ends. Memory: the buffer plus the id lists (8 bytes a row).
+//! checksum as they pass and each block's checksum into the file checksum
+//! where the block ends, so each byte is checksummed once. The file
+//! checksum sits in the header, in front of the bytes it covers: it alone
+//! is patched by a seek when the stream ends. Memory: the buffer plus the
+//! id lists (8 bytes a row).
 //!
 //! **The reader** ([`SpatialDb::open_from`]; `open`, `open_bytes` and
 //! `open_durable` go through it) mirrors it: a buffered stream, checksums
@@ -152,7 +154,8 @@ struct Block {
 }
 
 /// The writer's output side: a fixed buffer in front of the sink and the
-/// two checksums the bytes are folded into as they pass.
+/// two checksums the bytes are folded into as they pass — each byte into
+/// one of them; a finished block's checksum is appended to the file's.
 struct Sink<W: Write> {
     out: BufWriter<W>,
     file_crc: Crc32,
@@ -167,10 +170,11 @@ impl<W: Write> Sink<W> {
         self.out.write_all(bytes).map_err(io_err)
     }
 
-    /// Bytes of a block.
+    /// Bytes of a block: the file checksum takes them with the block's
+    /// ([`Crc32::append`]) where the block ends.
     fn block(&mut self, bytes: &[u8]) -> Result<()> {
         self.block_crc.update(bytes);
-        self.framing(bytes)
+        self.out.write_all(bytes).map_err(io_err)
     }
 }
 
@@ -256,6 +260,7 @@ impl SpatialDb {
                 sink.block(tuple)
             })?;
             let block_crc = sink.block_crc.finish();
+            sink.file_crc.append(block_crc, b.len);
             sink.framing(&block_crc.to_le_bytes())?;
         }
 
@@ -378,8 +383,8 @@ struct Source<R: Read> {
 }
 
 impl<R: Read> Source<R> {
-    /// Fills `buf` from the stream, folding it into both checksums.
-    fn take(&mut self, buf: &mut [u8]) -> Result<()> {
+    /// Fills `buf` from the stream, within what `left` allows.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<()> {
         if buf.len() as u64 > self.left {
             return Err(corrupt("a field runs past the end of its block"));
         }
@@ -388,9 +393,24 @@ impl<R: Read> Source<R> {
             _ => io_err(e),
         })?;
         self.left -= buf.len() as u64;
-        self.file_crc.update(buf);
+        Ok(())
+    }
+
+    /// Fills `buf` with bytes of a block, folding them into its checksum
+    /// (the file checksum takes them with it where the block ends).
+    fn take(&mut self, buf: &mut [u8]) -> Result<()> {
+        self.fill(buf)?;
         self.block_crc.update(buf);
         Ok(())
+    }
+
+    /// A u32 of the body around a block (its length, its checksum): the
+    /// file checksum covers it, the block's does not.
+    fn framing_u32(&mut self) -> Result<u32> {
+        let mut b = [0u8; 4];
+        self.fill(&mut b)?;
+        self.file_crc.update(&b);
+        Ok(u32::from_le_bytes(b))
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
@@ -430,7 +450,8 @@ impl<R: Read> Source<R> {
     /// Reads a whole image: header, `table count` checksummed blocks,
     /// and nothing after them.
     fn load(&mut self) -> Result<(Arc<SpatialDb>, u64)> {
-        let head: [u8; HEADER_LEN] = self.array()?;
+        let mut head = [0u8; HEADER_LEN];
+        self.fill(&mut head)?;
         let mut data: &[u8] = &head;
         if &data[..4] != MAGIC {
             return Err(corrupt("bad magic"));
@@ -454,7 +475,7 @@ impl<R: Read> Source<R> {
         let db = Arc::new(SpatialDb::new(profile));
         self.left = body_len;
         for _ in 0..ntables {
-            let block_len = u64::from(self.u32()?);
+            let block_len = u64::from(self.framing_u32()?);
             // What the body holds after this block and its checksum.
             let after = self
                 .left
@@ -467,8 +488,9 @@ impl<R: Read> Source<R> {
                 return Err(corrupt("trailing bytes in table block"));
             }
             let block_crc = self.block_crc.finish();
+            self.file_crc.append(block_crc, block_len);
             self.left = after + 4;
-            if self.u32()? != block_crc {
+            if self.framing_u32()? != block_crc {
                 return Err(corrupt("table block checksum mismatch"));
             }
             // The entries are the saved ones: build now and let them go.

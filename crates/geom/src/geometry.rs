@@ -116,6 +116,10 @@ pub enum Geometry {
     GeometryCollection(GeometryCollection),
 }
 
+// Every decoded row and result row holds its geometries by value: 32 is
+// the widest payload (a 24-byte `Polygon`) plus the discriminant.
+const _: () = assert!(size_of::<Geometry>() == 32);
+
 impl Geometry {
     /// The type discriminant.
     pub fn geometry_type(&self) -> GeometryType {

@@ -8,7 +8,9 @@ use crate::{Coord, Envelope, GeomError, LineString, Result};
 /// (exterior counter-clockwise, holes clockwise).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ring {
-    coords: Vec<Coord>,
+    /// A boxed slice, not a `Vec`: a ring never grows, and the 8 bytes
+    /// of capacity it saves are what bring [`Polygon`] to 24.
+    coords: Box<[Coord]>,
 }
 
 impl Ring {
@@ -36,7 +38,7 @@ impl Ring {
         if coords.iter().any(|c| !c.is_finite()) {
             return Err(GeomError::NonFiniteCoordinate);
         }
-        let ring = Ring { coords };
+        let ring = Ring { coords: coords.into_boxed_slice() };
         if ring.signed_area() == 0.0 {
             return Err(GeomError::InvalidGeometry("ring has zero area".into()));
         }
@@ -111,7 +113,7 @@ impl Ring {
     /// The ring as a closed [`LineString`] (used for boundary extraction).
     pub fn to_linestring(&self) -> LineString {
         // Invariant: a valid ring is always a valid linestring.
-        LineString::new(self.coords.clone()).expect("valid ring is a valid linestring")
+        LineString::new(self.coords.to_vec()).expect("valid ring is a valid linestring")
     }
 }
 
@@ -124,16 +126,24 @@ impl Ring {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Polygon {
     exterior: Ring,
-    holes: Vec<Ring>,
+    /// Behind one thin pointer, `None` for the common hole-free polygon:
+    /// never `Some` of an empty list, which would allocate for nothing.
+    #[allow(clippy::box_collection)] // one word, where a `Box<[Ring]>` takes two
+    holes: Option<Box<Vec<Ring>>>,
 }
+
+// A polygon is the widest payload of `Geometry` and so of every decoded
+// `Value`: a field that widens it widens every row the engine holds.
+const _: () = assert!(size_of::<Polygon>() == 24);
 
 impl Polygon {
     /// Builds a polygon from an exterior ring and holes, normalizing the
     /// winding of each ring.
     pub fn new(exterior: Ring, holes: Vec<Ring>) -> Polygon {
         let exterior = if exterior.is_ccw() { exterior } else { exterior.reversed() };
-        let holes = holes.into_iter().map(|h| if h.is_ccw() { h.reversed() } else { h }).collect();
-        Polygon { exterior, holes }
+        let holes: Vec<Ring> =
+            holes.into_iter().map(|h| if h.is_ccw() { h.reversed() } else { h }).collect();
+        Polygon { exterior, holes: (!holes.is_empty()).then(|| Box::new(holes)) }
     }
 
     /// Builds a hole-free polygon from `(x, y)` pairs.
@@ -166,18 +176,18 @@ impl Polygon {
     /// The interior rings (always clockwise).
     #[inline]
     pub fn holes(&self) -> &[Ring] {
-        &self.holes
+        self.holes.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Enclosed area: exterior area minus hole areas.
     pub fn area(&self) -> f64 {
-        let holes: f64 = self.holes.iter().map(Ring::area).sum();
+        let holes: f64 = self.holes().iter().map(Ring::area).sum();
         (self.exterior.area() - holes).max(0.0)
     }
 
     /// Total boundary length (exterior plus holes).
     pub fn perimeter(&self) -> f64 {
-        self.exterior.perimeter() + self.holes.iter().map(Ring::perimeter).sum::<f64>()
+        self.exterior.perimeter() + self.holes().iter().map(Ring::perimeter).sum::<f64>()
     }
 
     /// Minimum bounding rectangle (the exterior's).
@@ -187,7 +197,7 @@ impl Polygon {
 
     /// All rings: exterior first, then holes.
     pub fn rings(&self) -> impl Iterator<Item = &Ring> {
-        std::iter::once(&self.exterior).chain(self.holes.iter())
+        std::iter::once(&self.exterior).chain(self.holes())
     }
 }
 
@@ -245,6 +255,15 @@ mod tests {
         let p = Polygon::new(outer, vec![hole]);
         assert_eq!(p.area(), 15.0);
         assert_eq!(p.perimeter(), 16.0 + 4.0);
+    }
+
+    #[test]
+    fn hole_free_polygons_keep_no_hole_list() {
+        assert!(unit_square().holes.is_none());
+        let outer = Ring::from_xy(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]).unwrap();
+        assert!(Polygon::new(outer.clone(), Vec::new()).holes.is_none());
+        let hole = Ring::from_xy(&[(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]).unwrap();
+        assert_eq!(Polygon::new(outer, vec![hole]).holes.map(|h| h.len()), Some(1));
     }
 
     #[test]

@@ -65,6 +65,38 @@ impl<T: Clone> GridIndex<T> {
         }
     }
 
+    /// Builds a grid holding `items`, as one [`GridIndex::insert`] per item
+    /// in order would — the same ids, ascending in every cell — but with
+    /// every cell sized exactly from a counting pass, and `items` kept as
+    /// the entry storage without a copy.
+    ///
+    /// # Panics
+    /// As [`GridIndex::new`].
+    pub fn bulk_load(
+        extent: Envelope,
+        cols: usize,
+        rows: usize,
+        items: Vec<(Envelope, T)>,
+    ) -> GridIndex<T> {
+        let mut g = GridIndex::new(extent, cols, rows);
+        let mut counts = vec![0usize; cols * rows];
+        for (env, _) in &items {
+            g.cells_of(env).for_each(|cell| counts[cell] += 1);
+        }
+        for (cell, n) in g.cells.iter_mut().zip(counts) {
+            cell.reserve_exact(n);
+        }
+        for (id, (env, _)) in items.iter().enumerate() {
+            for cell in g.cells_of(env) {
+                g.cells[cell].push(id as u32);
+            }
+        }
+        g.dead = vec![false; items.len()];
+        g.stamps = std::sync::Mutex::new((0, vec![0; items.len()]));
+        g.entries = items;
+        g
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.dead.iter().filter(|d| !**d).count()
@@ -109,15 +141,19 @@ impl<T: Clone> GridIndex<T> {
         )
     }
 
+    /// The positions in `cells` of every cell `env` overlaps, row-major.
+    fn cells_of(&self, env: &Envelope) -> impl Iterator<Item = usize> {
+        let (c0, c1, r0, r1) = self.cell_range(env);
+        let cols = self.cols;
+        (r0..=r1).flat_map(move |r| (c0..=c1).map(move |c| r * cols + c))
+    }
+
     /// Inserts an entry, assigning it to every overlapped cell.
     pub fn insert(&mut self, env: Envelope, value: T) {
         let id = self.entries.len() as u32;
         self.entries.push((env, value));
-        let (c0, c1, r0, r1) = self.cell_range(&env);
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                self.cells[r * self.cols + c].push(id);
-            }
+        for cell in self.cells_of(&env) {
+            self.cells[cell].push(id);
         }
         self.dead.push(false);
         self.stamps.lock().expect("stamp lock").1.push(0);
@@ -170,15 +206,12 @@ impl<T: Clone> GridIndex<T> {
     /// by tombstoning it (cells keep the id; queries skip dead entries).
     /// Returns the removed payload, if any.
     pub fn remove(&mut self, env: &Envelope, pred: impl Fn(&T) -> bool) -> Option<T> {
-        let (c0, c1, r0, r1) = self.cell_range(env);
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                for &id in &self.cells[r * self.cols + c] {
-                    let (e, v) = &self.entries[id as usize];
-                    if e == env && !self.dead[id as usize] && pred(v) {
-                        self.dead[id as usize] = true;
-                        return Some(self.entries[id as usize].1.clone());
-                    }
+        for cell in self.cells_of(env) {
+            for &id in &self.cells[cell] {
+                let (e, v) = &self.entries[id as usize];
+                if e == env && !self.dead[id as usize] && pred(v) {
+                    self.dead[id as usize] = true;
+                    return Some(self.entries[id as usize].1.clone());
                 }
             }
         }
@@ -399,6 +432,41 @@ mod tests {
         assert_eq!(nn.len(), 8);
         assert_eq!(nn_stats.candidates, 8);
         assert!(nn_stats.nodes_visited >= 1);
+    }
+
+    #[test]
+    fn bulk_load_equals_the_insert_loop() {
+        let extent = Envelope::new(0.0, 0.0, 1010.0, 1010.0);
+        let mut items = cloud(1500);
+        // Multi-cell entries, and entries past every side of the extent.
+        items.push((Envelope::new(5.0, 5.0, 995.0, 40.0), 1500));
+        items.push((Envelope::new(200.0, 100.0, 700.0, 900.0), 1501));
+        items.push((Envelope::new(1500.0, 1500.0, 1600.0, 1600.0), 1502));
+        items.push((Envelope::new(-90.0, 400.0, -80.0, 410.0), 1503));
+        items.push((Envelope::new(-50.0, -50.0, 2000.0, 2000.0), 1504));
+        let mut looped = GridIndex::new(extent, 32, 32);
+        for (e, v) in &items {
+            looped.insert(*e, *v);
+        }
+        let bulk = GridIndex::bulk_load(extent, 32, 32, items);
+        assert_eq!(bulk.cells, looped.cells, "same ids, in the same order, in every cell");
+        assert!(bulk.cells.iter().all(|c| c.len() == c.capacity()), "every cell sized exactly");
+        assert_eq!(bulk.stats(), looped.stats());
+        for window in [
+            Envelope::new(0.0, 0.0, 100.0, 100.0),
+            Envelope::new(500.0, 200.0, 800.0, 300.0),
+            Envelope::new(1400.0, 1400.0, 1700.0, 1700.0),
+            Envelope::new(-100.0, 390.0, -70.0, 420.0),
+            Envelope::new(0.0, 0.0, 1010.0, 1010.0),
+        ] {
+            assert_eq!(bulk.window(&window), looped.window(&window), "window {window:?}");
+        }
+        for (q, k) in
+            [((473.0, 519.0), 8), ((0.0, 0.0), 3), ((1550.0, 1550.0), 2), ((-85.0, 405.0), 5)]
+        {
+            let q = Coord::new(q.0, q.1);
+            assert_eq!(bulk.nearest(q, k), looped.nearest(q, k), "nearest {k} to {q:?}");
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@ pub enum Value {
     Geom(Geometry),
 }
 
+// The widest variant is an inline 32-byte `Geometry`. A decoded row pays
+// one slot per column, so a wider variant would cost every row.
+const _: () = assert!(size_of::<Value>() == 32);
+
 /// A tuple of values, ordered per the table schema.
 pub type Row = Vec<Value>;
 

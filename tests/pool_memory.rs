@@ -1,5 +1,6 @@
 //! A bounded pool bounds memory: rows decoded from a page live in its
-//! frame and leave with it — and only a read decodes them.
+//! frame and leave with it — and only a read decodes them, each at the
+//! width of its 32-byte values.
 //!
 //! A counting `#[global_allocator]` (`tests/common/alloc.rs`) measures
 //! the live heap. One test function in this file, so that no other
@@ -58,6 +59,11 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
     let all = db.execute("SELECT COUNT(*) FROM pts WHERE id >= 0").unwrap();
     assert_eq!(all.scalar(), Some(&Value::Int(ROWS)));
     assert_eq!(db.pool_stats().decoded_rows, ROWS as u64, "a scan keeps what it decoded");
+    // What one decoded row costs: its `Arc<Row>` (40 B), three value
+    // slots, the text's 100 B and the frame's bookkeeping: 244 B with
+    // 32-byte values, 292 B with 48-byte ones. The bound sits between.
+    let per_row = (live() - base - loaded) / ROWS as usize;
+    assert!(per_row < 268, "{per_row} live bytes per decoded row");
 
     // What the bound allows above the pre-load level: the indexes as
     // they were when fully resident (spilled leaves come back through

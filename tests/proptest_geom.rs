@@ -42,6 +42,51 @@ fn wkb_roundtrip() {
     }
 }
 
+/// A star polygon with `holes` small triangles near its centre, wound
+/// either way before `Polygon::new` normalizes them.
+fn holed_polygon(rng: &mut Rng, holes: usize) -> Polygon {
+    let p = star_polygon(rng);
+    let c = p.envelope().center().expect("a star has area");
+    let holes = (0..holes)
+        .map(|k| {
+            let (dx, dy) = (0.1 * k as f64, 0.05 * k as f64);
+            let mut tri: Vec<Coord> = [(-0.04, -0.02), (0.04, -0.02), (0.0, 0.04), (-0.04, -0.02)]
+                .iter()
+                .map(|&(x, y)| Coord::new(c.x + dx + x, c.y + dy + y))
+                .collect();
+            if rng.gen_range(0..2usize) == 0 {
+                tri.reverse();
+            }
+            Ring::new(tri).expect("a triangle is a ring")
+        })
+        .collect();
+    Polygon::new(p.exterior().clone(), holes)
+}
+
+#[test]
+fn polygons_with_and_without_holes_roundtrip() {
+    let mut rng = test_rng("polygon_holes_roundtrip");
+    for _ in 0..cases(32) {
+        let polys: Vec<Polygon> = [0, 1, 4].map(|n| holed_polygon(&mut rng, n)).into();
+        let mut shapes: Vec<Geometry> = polys.iter().cloned().map(Geometry::Polygon).collect();
+        shapes.push(Geometry::MultiPolygon(MultiPolygon(polys.clone())));
+        shapes.push(Geometry::MultiPolygon(MultiPolygon(vec![polys[0].clone()])));
+        for g in &shapes {
+            assert_eq!(&wkb::decode(&wkb::encode(g)).unwrap(), g, "WKB {}", wkt::write(g));
+            assert_eq!(&wkt::parse(&wkt::write(g)).unwrap(), g, "WKT {}", wkt::write(g));
+        }
+        for (p, n) in polys.iter().zip([0, 1, 4]) {
+            assert_eq!(p.holes().len(), n);
+            assert_eq!(p.rings().count(), n + 1);
+            assert_eq!(p.rings().next(), Some(p.exterior()), "the exterior comes first");
+        }
+        // No holes, however spelled, is one polygon: the one decoding builds.
+        let bare = Polygon::new(polys[0].exterior().clone(), vec![]);
+        assert!(bare.holes().is_empty());
+        assert_eq!(wkb::decode(&wkb::encode(&shapes[0])).unwrap(), Geometry::Polygon(bare));
+    }
+}
+
 // ----- envelopes off the bytes ----------------------------------------
 
 /// Any of the seven geometry kinds: empties, polygons with holes (one of
