@@ -1,6 +1,7 @@
 //! The `SpatialDb` facade: catalog + heaps + indexes + SQL, under one
 //! engine profile.
 
+use crate::statement::StatementCache;
 use crate::syscat;
 use crate::txn::{SnapshotGuard, Transactions, WriteTxn};
 use crate::wal::{Wal, WalRecord};
@@ -8,13 +9,11 @@ use crate::EngineProfile;
 use jackpine_geom::{Coord, Envelope};
 use jackpine_index::{GridIndex, LeafPager, OrderedIndex, ProbeStats, RTree, RTreeConfig};
 use jackpine_obs::{
-    digest, EngineMetrics, FingerprintStats, FlightRecorder, HistoryPoint, MetricsHistory,
-    MetricsSnapshot, QueryStatsTable, QueryTrace, SlowQueryLog, Stage, TxnSite,
+    EngineMetrics, FingerprintStats, FlightRecorder, HistoryPoint, MetricsHistory, MetricsSnapshot,
+    QueryStatsTable, QueryTrace, SlowQueryLog, TxnSite,
 };
-use jackpine_sqlmini::ast::Statement;
-use jackpine_sqlmini::plan::PlanOptions;
 use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider};
-use jackpine_sqlmini::{exec, parser, plan, PreparedCache, ResultSet, SqlError};
+use jackpine_sqlmini::{PreparedCache, SqlError};
 use jackpine_storage::sync::{Mutex, RwLock};
 use jackpine_storage::{
     BufferPool, Catalog, ColumnDef, DataType, Field, PoolStats, Row, RowId, Schema, StorageError,
@@ -188,7 +187,7 @@ fn tuple_key(tuple: &[u8], col: usize) -> crate::Result<Option<Key>> {
 
 /// Per-table index bookkeeping.
 #[derive(Default)]
-struct TableIndexes {
+pub(crate) struct TableIndexes {
     spatial: HashMap<usize, SpatialIdx>,
     ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
 }
@@ -284,27 +283,22 @@ pub(crate) struct DurabilityState {
     generation: u64,
 }
 
-/// Fingerprint-cache entry: `(fingerprint, normalized shape, last-hit
-/// tick)` for one raw statement text.
-type FingerprintEntry = (u64, Arc<str>, Arc<AtomicU64>);
-
 /// An embedded spatial database instance under one [`EngineProfile`].
 pub struct SpatialDb {
     profile: EngineProfile,
-    catalog: Catalog,
+    pub(crate) catalog: Catalog,
     /// Behind its own `Arc` (like `metrics` and `txn`) because
     /// cached plans hold table adapters that probe it: an adapter that
-    /// held the engine itself would make `plan_cache` → plan → adapter →
+    /// held the engine itself would make `statements` → plan → adapter →
     /// engine a cycle, and an engine that had run one cached SELECT
     /// would never be freed.
-    indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
-    use_spatial_index: RwLock<bool>,
-    /// Prepared-plan cache keyed by SQL text. Entries are stamped with
-    /// the DDL generation they were planned under and lazily discarded
-    /// when it moves on — DML never touches the cache (generation-keyed
-    /// instead of coarsely cleared). Mirrors the prepared-statement
-    /// caches of the systems under benchmark.
-    plan_cache: RwLock<HashMap<String, (u64, Arc<jackpine_sqlmini::plan::PlannedSelect>)>>,
+    pub(crate) indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
+    pub(crate) use_spatial_index: RwLock<bool>,
+    /// Raw statement text → fingerprint, normalized shape and, for a
+    /// SELECT, its plan stamped with the DDL generation it was planned
+    /// under (see [`crate::statement`]). Consulted before parsing. DML
+    /// never clears it; a DDL change lazily stales every plan.
+    pub(crate) statements: StatementCache,
     /// Intra-query worker threads for the morsel executor and parallel
     /// index builds. Defaults to the machine's available parallelism;
     /// `1` means fully serial execution.
@@ -312,35 +306,25 @@ pub struct SpatialDb {
     /// Crash-safe durability (snapshot + WAL), when attached.
     ///
     /// Lock order: this lock is always taken *before* `indexes`, the
-    /// plan cache, or any heap lock, never after.
+    /// statement cache, or any heap lock, never after.
     pub(crate) durability: RwLock<Option<DurabilityState>>,
     /// Engine-wide observability registry: every counter and stage
     /// histogram this instance records into, shared with the executor,
     /// the WAL, and the provider adapters.
-    metrics: Arc<EngineMetrics>,
+    pub(crate) metrics: Arc<EngineMetrics>,
     /// Always-on flight recorder: the last N completed query traces.
-    recorder: FlightRecorder,
+    pub(crate) recorder: FlightRecorder,
     /// Threshold-gated view of the same stream: only slow queries.
-    slow_log: SlowQueryLog,
+    pub(crate) slow_log: SlowQueryLog,
     /// Per-fingerprint rolling statistics (`pg_stat_statements`-style).
-    query_stats: QueryStatsTable,
-    /// Raw-text → `(fingerprint, normalized shape, last-hit tick)` cache
-    /// so repeat executions of the same statement text skip
-    /// re-tokenization — benchmark loops re-run statements with multi-KB
-    /// WKT literals. Keyed by an FNV-1a hash of the raw text; bounded by
-    /// evicting the least-recently-hit quarter when full (the
-    /// [`PreparedCache`] idiom), so a benchmark's hot statements survive
-    /// a burst of one-off texts.
-    fingerprint_cache: RwLock<HashMap<u64, FingerprintEntry>>,
-    /// Monotone tick feeding the fingerprint cache's eviction stamps.
-    fingerprint_tick: AtomicU64,
+    pub(crate) query_stats: QueryStatsTable,
     /// Prepared-geometry cache shared with the executor's refine stage,
     /// keyed by heap-row identity. Row slots are never reused and
     /// entries pin the rows they were built from, so DML cannot
     /// invalidate them — the cache survives INSERT/UPDATE/DELETE and is
     /// only cleared on index/table drops (memory hygiene) and explicit
     /// cold runs.
-    prepared_cache: Arc<PreparedCache>,
+    pub(crate) prepared_cache: Arc<PreparedCache>,
     /// Commit generation, writer lock, snapshot registry, reclaim queue
     /// and group commit: everything a write transaction goes through.
     ///
@@ -348,25 +332,17 @@ pub struct SpatialDb {
     /// `indexes`/heap locks.
     pub(crate) txn: Arc<Transactions>,
     /// Bumped by every DDL change (create/drop table or index, planner
-    /// toggles); stamps plan-cache entries.
-    ddl_gen: AtomicU64,
+    /// toggles); stamps cached plans.
+    pub(crate) ddl_gen: AtomicU64,
     /// In-flight statements, keyed by a monotone session id — the rows
-    /// of `jp_sessions`. Entries are registered for the duration of one
-    /// recorded `execute` call.
-    sessions: Mutex<HashMap<u64, SessionInfo>>,
+    /// of `jp_sessions`: the text (its first 512 bytes) and when it
+    /// began. Entries live for the duration of one `execute` call.
+    pub(crate) sessions: Mutex<HashMap<u64, (String, Instant)>>,
     /// Monotone id feeding the session registry.
-    session_seq: AtomicU64,
+    pub(crate) session_seq: AtomicU64,
     /// Time-series ring of whole-engine metrics snapshots sampled at a
     /// configurable minimum interval — the rows of `jp_metrics_history`.
-    history: MetricsHistory,
-}
-
-/// One in-flight statement in the session registry.
-struct SessionInfo {
-    /// Statement text, truncated to [`SESSION_SQL_MAX`] bytes.
-    sql: String,
-    /// When execution began.
-    started: Instant,
+    pub(crate) history: MetricsHistory,
 }
 
 /// Traces retained by the default flight recorder.
@@ -383,13 +359,6 @@ pub const QUERY_STATS_CAPACITY: usize = 512;
 pub const METRICS_HISTORY_CAPACITY: usize = 64;
 /// Default minimum interval between metrics-history points.
 pub const METRICS_HISTORY_INTERVAL: Duration = Duration::from_secs(1);
-/// Longest statement text retained per session-registry entry.
-const SESSION_SQL_MAX: usize = 512;
-/// Raw statement texts cached for fingerprint reuse.
-const FINGERPRINT_CACHE_CAPACITY: usize = 1024;
-/// When the fingerprint cache fills, the least-recently-hit
-/// `1/FINGERPRINT_EVICT_DENOMINATOR` of its entries is dropped.
-const FINGERPRINT_EVICT_DENOMINATOR: usize = 4;
 
 impl SpatialDb {
     /// Creates an empty database under the given profile.
@@ -400,7 +369,7 @@ impl SpatialDb {
             catalog: Catalog::new(),
             indexes: Arc::new(RwLock::new(HashMap::new())),
             use_spatial_index: RwLock::new(true),
-            plan_cache: RwLock::new(HashMap::new()),
+            statements: StatementCache::default(),
             workers: std::sync::atomic::AtomicUsize::new(default_workers()),
             durability: RwLock::new(None),
             txn: Arc::new(Transactions::new(metrics.clone())),
@@ -408,8 +377,6 @@ impl SpatialDb {
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD),
             query_stats: QueryStatsTable::new(QUERY_STATS_CAPACITY),
-            fingerprint_cache: RwLock::new(HashMap::new()),
-            fingerprint_tick: AtomicU64::new(0),
             prepared_cache: Arc::new(PreparedCache::new()),
             ddl_gen: AtomicU64::new(0),
             sessions: Mutex::new(HashMap::new()),
@@ -582,20 +549,6 @@ impl SpatialDb {
         self.workers.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn exec_options(&self) -> exec::ExecOptions {
-        exec::ExecOptions {
-            workers: self.workers(),
-            metrics: Some(self.metrics.clone()),
-            prepared: self.prepared_cache.clone(),
-            snapshot: None,
-        }
-    }
-
-    /// Live entries in the prepared-geometry cache (invalidation tests).
-    pub fn prepared_cache_len(&self) -> usize {
-        self.prepared_cache.len()
-    }
-
     /// The engine's observability registry (shared, always-on).
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.metrics
@@ -613,7 +566,7 @@ impl SpatialDb {
     /// backlog, the number of distinct pinned snapshot generations, the
     /// age of the oldest pin, and the buffer pool's frame occupancy and
     /// lifetime counters. Two short mutex acquisitions.
-    fn refresh_gauges(&self) {
+    pub(crate) fn refresh_gauges(&self) {
         self.metrics.pending_reclaim_rows.set(self.txn.pending_reclaim_len() as u64);
         let pins = self.txn.snapshot_pins();
         self.metrics.active_snapshots.set(pins.len() as u64);
@@ -651,17 +604,6 @@ impl SpatialDb {
         self.history.set_interval(interval);
     }
 
-    /// In-flight statements as `(session id, statement text, elapsed)`
-    /// triples sorted by id — the rows of `jp_sessions`.
-    pub fn active_sessions(&self) -> Vec<(u64, String, Duration)> {
-        let sessions = self.sessions.lock();
-        let mut out: Vec<(u64, String, Duration)> =
-            sessions.iter().map(|(id, s)| (*id, s.sql.clone(), s.started.elapsed())).collect();
-        drop(sessions);
-        out.sort_unstable_by_key(|(id, ..)| *id);
-        out
-    }
-
     /// WAL status when durability is attached: `(generation,
     /// sync_each_append)` — the scalar half of `jp_wal`.
     pub fn wal_status(&self) -> Option<(u64, bool)> {
@@ -683,13 +625,8 @@ impl SpatialDb {
 
     /// Advances the DDL generation, lazily invalidating every cached
     /// plan stamped under an older one.
-    fn bump_ddl_gen(&self) {
+    pub(crate) fn bump_ddl_gen(&self) {
         self.ddl_gen.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// `(hits, misses)` of the plan cache since creation.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (self.metrics.plan_cache_hits.get(), self.metrics.plan_cache_misses.get())
     }
 
     /// Creates a table programmatically. Names with the `jp_` prefix are
@@ -945,98 +882,6 @@ impl SpatialDb {
         self.checkpoint()
     }
 
-    /// Runs one SQL statement. The completed statement lands in the
-    /// flight recorder, the slow-query log (if slow enough) and the
-    /// fingerprint stats table.
-    pub fn execute(self: &Arc<Self>, sql: &str) -> crate::Result<ResultSet> {
-        let _session = self.register_session(sql);
-        let before = self.metrics.query_snapshot();
-        let t0 = Instant::now();
-        let result = self.execute_unrecorded(sql);
-        let total = t0.elapsed();
-        let (fp, normalized) = self.fingerprint_of(sql);
-        match &result {
-            Ok(r) => {
-                self.query_stats.record(fp, &normalized, total, r.rows.len() as u64, false);
-                let delta = self.metrics.query_snapshot().delta_since(&before);
-                let trace = Arc::new(QueryTrace::new(sql, total, r.rows.len(), delta));
-                self.recorder.push(trace.clone());
-                self.slow_log.offer(&trace);
-            }
-            // Failed statements have no meaningful counter delta or row
-            // count; they are visible through the error column of the
-            // fingerprint table instead of the trace ring.
-            Err(_) => self.query_stats.record(fp, &normalized, total, 0, true),
-        }
-        // Feed the time-series ring; rate-limited inside, so this is a
-        // clock read and one short lock on the fast path.
-        self.history.maybe_record(|| {
-            self.refresh_gauges();
-            self.metrics.snapshot()
-        });
-        result
-    }
-
-    /// Registers one in-flight statement for `jp_sessions`; the returned
-    /// slot deregisters it when dropped.
-    fn register_session(self: &Arc<Self>, sql: &str) -> SessionSlot {
-        let id = self.session_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut text = sql.to_string();
-        if text.len() > SESSION_SQL_MAX {
-            let mut end = SESSION_SQL_MAX;
-            while !text.is_char_boundary(end) {
-                end -= 1;
-            }
-            text.truncate(end);
-        }
-        self.sessions.lock().insert(id, SessionInfo { sql: text, started: Instant::now() });
-        SessionSlot { db: Arc::clone(self), id }
-    }
-
-    /// The statement's fingerprint and normalized shape, served from the
-    /// raw-text cache when the same text has executed before. A 64-bit
-    /// collision between distinct raw texts would merge their stats; at
-    /// cache scale (≤ [`FINGERPRINT_CACHE_CAPACITY`] live entries) that
-    /// is vanishingly unlikely and only affects reporting, never results.
-    fn fingerprint_of(&self, sql: &str) -> (u64, Arc<str>) {
-        let raw = digest(sql);
-        let tick = self.fingerprint_tick.fetch_add(1, Ordering::Relaxed);
-        if let Some((fp, norm, last_hit)) = self.fingerprint_cache.read().get(&raw) {
-            last_hit.store(tick, Ordering::Relaxed);
-            return (*fp, Arc::clone(norm));
-        }
-        let normalized: Arc<str> = jackpine_sqlmini::fingerprint::normalize(sql).into();
-        let fp = digest(&normalized);
-        let mut cache = self.fingerprint_cache.write();
-        if cache.len() >= FINGERPRINT_CACHE_CAPACITY {
-            // Evict the least-recently-hit quarter (the PreparedCache
-            // idiom) instead of clearing wholesale: a benchmark's hot
-            // loop statements survive a burst of one-off texts.
-            let target = (cache.len() / FINGERPRINT_EVICT_DENOMINATOR).max(1);
-            let mut stamps: Vec<u64> =
-                cache.values().map(|(_, _, l)| l.load(Ordering::Relaxed)).collect();
-            let (_, threshold, _) = stamps.select_nth_unstable(target - 1);
-            let threshold = *threshold;
-            cache.retain(|_, (_, _, l)| l.load(Ordering::Relaxed) > threshold);
-        }
-        cache.insert(raw, (fp, Arc::clone(&normalized), Arc::new(AtomicU64::new(tick))));
-        (fp, normalized)
-    }
-
-    /// Live fingerprint-cache entries (eviction tests).
-    pub fn fingerprint_cache_len(&self) -> usize {
-        self.fingerprint_cache.read().len()
-    }
-
-    /// The execution path itself, with no retrospective recording.
-    fn execute_unrecorded(self: &Arc<Self>, sql: &str) -> crate::Result<ResultSet> {
-        self.metrics.queries.incr();
-        let t0 = Instant::now();
-        let stmt = parser::parse(sql)?;
-        self.metrics.record_stage(Stage::Parse, t0.elapsed());
-        self.execute_statement(stmt, Some(sql))
-    }
-
     /// The flight recorder itself (capacity/eviction accounting).
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.recorder
@@ -1074,269 +919,18 @@ impl SpatialDb {
         self.query_stats.top(k)
     }
 
-    /// Runs one SQL statement and returns the per-query trace alongside
-    /// the result: per-stage timings and the engine-counter delta
-    /// attributable to this statement. Concurrent statements on the same
-    /// instance bleed into each other's deltas — trace under a single
-    /// client connection, the way EXPLAIN ANALYZE is used.
-    pub fn execute_traced(self: &Arc<Self>, sql: &str) -> crate::Result<(ResultSet, QueryTrace)> {
-        let before = self.metrics.query_snapshot();
-        let t0 = Instant::now();
-        let result = self.execute(sql)?;
-        let total = t0.elapsed();
-        let delta = self.metrics.query_snapshot().delta_since(&before);
-        let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
-        Ok((result, trace))
-    }
-
-    /// Plans a SELECT, consulting the plan cache when `sql` carries the
-    /// statement's cache key (`None` — used by EXPLAIN ANALYZE — always
-    /// plans fresh). Records plan-stage time and cache hit/miss counters.
-    fn plan_or_cached(
-        self: &Arc<Self>,
-        select: &jackpine_sqlmini::ast::Select,
-        sql: Option<&str>,
-    ) -> crate::Result<Arc<jackpine_sqlmini::plan::PlannedSelect>> {
-        let t0 = Instant::now();
-        let result = (|| {
-            // System-catalog FROMs bypass the cache: a cached plan holds
-            // the providers it was planned against, and a jp_* provider
-            // is a point-in-time materialization that must be rebuilt
-            // per statement.
-            let cache_on =
-                sql.is_some() && !select.from.iter().any(|t| syscat::is_system_table(&t.table));
-            let stamp = self.ddl_gen.load(Ordering::SeqCst);
-            if cache_on {
-                // A hit counts only when the entry's DDL stamp is
-                // current; stale entries (planned before an index came
-                // or went) are lazily replaced below.
-                if let Some((s, planned)) = self.plan_cache.read().get(sql.unwrap()).cloned() {
-                    if s == stamp {
-                        self.metrics.plan_cache_hits.incr();
-                        return Ok(planned);
-                    }
-                }
-            }
-            self.metrics.plan_cache_misses.incr();
-            let opts = PlanOptions {
-                mode: self.profile.function_mode(),
-                use_spatial_index: *self.use_spatial_index.read(),
-            };
-            let adapter = DbCatalogAdapter { db: self.clone() };
-            let planned = Arc::new(plan::plan_select(&adapter, select, &opts)?);
-            if cache_on {
-                let mut cache = self.plan_cache.write();
-                // Bound the cache: macro scenarios generate many
-                // one-off statements; cap like a real statement cache.
-                if cache.len() >= 512 {
-                    cache.clear();
-                }
-                cache.insert(sql.unwrap().to_string(), (stamp, planned.clone()));
-            }
-            Ok(planned)
-        })();
-        self.metrics.record_stage(Stage::Plan, t0.elapsed());
-        result
-    }
-
-    /// Runs one parsed statement. `sql` is the statement's text when it
-    /// came through [`SpatialDb::execute`] (used as the plan-cache key);
-    /// `None` bypasses the cache.
-    fn execute_statement(
-        self: &Arc<Self>,
-        stmt: Statement,
-        sql: Option<&str>,
-    ) -> crate::Result<ResultSet> {
-        match stmt {
-            Statement::Select(select) => {
-                let planned = self.plan_or_cached(&select, sql)?;
-                // Pin one commit generation for the whole statement:
-                // every snapshot-capable provider in the plan resolves
-                // to a copy reading exactly that generation, so the
-                // statement never observes a concurrent writer's
-                // half-applied changes — and never blocks on one.
-                let mut opts = self.exec_options();
-                opts.snapshot = Some(self.pin_snapshot_handle());
-                Ok(exec::execute_with(&planned, &opts)?)
-            }
-            Statement::CreateTable { name, columns } => {
-                let cols = columns
-                    .into_iter()
-                    .map(|(n, ty)| {
-                        Ok(ColumnDef::new(
-                            &n,
-                            parse_type(&ty).ok_or_else(|| {
-                                EngineError::Sql(SqlError::Type(format!("unknown type '{ty}'")))
-                            })?,
-                        ))
-                    })
-                    .collect::<crate::Result<Vec<_>>>()?;
-                self.create_table(&name, cols)?;
-                Ok(affected(0))
-            }
-            Statement::Delete { table, filters } => {
-                Ok(affected(self.delete_or_update(&table, None, &filters)?))
-            }
-            Statement::DropTable { name } => {
-                {
-                    let _writers = self.txn.lock_writers(TxnSite::Ddl);
-                    let existed = self.catalog.drop_table(&name);
-                    if !existed {
-                        return Err(EngineError::Storage(StorageError::NoSuchTable(name)));
-                    }
-                    self.indexes.write().remove(&name.to_ascii_lowercase());
-                }
-                // Readers pinned before the drop keep their Arc'd heap
-                // and finish against it; only the name is gone. Every
-                // cached plan is stale after the bump, and one planned
-                // against this table would keep its heap, and the heap
-                // its pool frames, until the cache next overflowed.
-                self.bump_ddl_gen();
-                self.plan_cache.write().clear();
-                self.prepared_cache.clear();
-                self.checkpoint()?;
-                Ok(affected(0))
-            }
-            Statement::Update { table, assignments, filters } => {
-                Ok(affected(self.delete_or_update(&table, Some(&assignments), &filters)?))
-            }
-            Statement::Explain(inner) => match *inner {
-                Statement::Select(select) => {
-                    let opts = PlanOptions {
-                        mode: self.profile.function_mode(),
-                        use_spatial_index: *self.use_spatial_index.read(),
-                    };
-                    let adapter = DbCatalogAdapter { db: self.clone() };
-                    let planned = plan::plan_select(&adapter, &select, &opts)?;
-                    let rows = planned
-                        .root
-                        .describe()
-                        .lines()
-                        .map(|l| vec![Value::Text(l.to_string())])
-                        .collect();
-                    Ok(ResultSet { columns: vec!["plan".into()], rows })
-                }
-                _ => Err(EngineError::Sql(SqlError::Type("EXPLAIN supports only SELECT".into()))),
-            },
-            Statement::ExplainAnalyze(inner) => {
-                if !matches!(*inner, Statement::Select(_)) {
-                    return Err(EngineError::Sql(SqlError::Type(
-                        "EXPLAIN ANALYZE supports only SELECT".into(),
-                    )));
-                }
-                // Execute the inner SELECT for real (bypassing the plan
-                // cache so the plan stage is always exercised), bracketed
-                // by metric snapshots; the delta is this query's trace.
-                let before = self.metrics.query_snapshot();
-                let t0 = Instant::now();
-                let result = self.execute_statement(*inner, None)?;
-                let total = t0.elapsed();
-                let delta = self.metrics.query_snapshot().delta_since(&before);
-                let trace = QueryTrace::new(sql.unwrap_or(""), total, result.rows.len(), delta);
-                let rows =
-                    trace.render().lines().map(|l| vec![Value::Text(l.to_string())]).collect();
-                Ok(ResultSet { columns: vec!["analyze".into()], rows })
-            }
-            Statement::Insert { table, rows } => {
-                // Evaluate every VALUES tuple up front, then apply the
-                // whole statement as one write transaction: a multi-row
-                // INSERT publishes all rows atomically or none.
-                let mode = self.profile.function_mode();
-                let mut staged: Vec<Row> = Vec::with_capacity(rows.len());
-                for exprs in rows {
-                    let mut row = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        row.push(eval_const_expr(&e, mode)?);
-                    }
-                    staged.push(row);
-                }
-                let n = staged.len();
-                let mut txn = WriteTxn::begin(self, TxnSite::Insert, &table)?;
-                for row in staged {
-                    txn.insert(row)?;
-                }
-                txn.commit()?;
-                Ok(affected(n))
-            }
-        }
-    }
-
-    /// DELETE (`assignments` absent) and UPDATE: one write transaction
-    /// that kills every row of `table` for which each term of `filters`
-    /// holds (the WHERE conjunction; no terms means every row) and, for
-    /// an UPDATE, inserts its replacement — the assignments applied,
-    /// right-hand sides reading the old row — at the same generation, so
-    /// readers observe the old row or the new one, never both and never
-    /// neither. Returns the number of rows acted on.
-    fn delete_or_update(
-        &self,
-        table: &str,
-        assignments: Option<&[(String, jackpine_sqlmini::ast::Expr)]>,
-        filters: &[jackpine_sqlmini::ast::Expr],
-    ) -> crate::Result<usize> {
-        let mode = self.profile.function_mode();
-        let site = if assignments.is_some() { TxnSite::Update } else { TxnSite::Delete };
-        let mut txn = WriteTxn::begin(self, site, table)?;
-        let schema = txn.table().schema().clone();
-        let scope: Vec<(String, String)> =
-            schema.columns().iter().map(|c| (table.to_string(), c.name.clone())).collect();
-        let filters: Vec<_> = filters
-            .iter()
-            .map(|f| plan::bind_columns(scope.clone(), f))
-            .collect::<std::result::Result<_, _>>()?;
-        let replacement: Vec<(usize, _)> = assignments
-            .unwrap_or_default()
-            .iter()
-            .map(|(col, e)| Ok((schema.column_index(col)?, plan::bind_columns(scope.clone(), e)?)))
-            .collect::<crate::Result<_>>()?;
-
-        // Victims first, so a WHERE that cannot be evaluated touches
-        // nothing. Only rows visible at the published generation qualify:
-        // one some pinned snapshot still sees but that is already dead
-        // stays dead.
-        let mut victims: Vec<(RowId, Arc<Row>)> = Vec::new();
-        for id in txn.table().heap.row_ids_visible(self.txn.generation()) {
-            let row = txn.table().heap.get(id)?;
-            let mut holds = true;
-            for p in &filters {
-                if !exec::truthy(&exec::eval(p, &row, mode)?) {
-                    holds = false;
-                    break;
-                }
-            }
-            if holds {
-                victims.push((id, row));
-            }
-        }
-        // A replacement that cannot be computed, or does not fit the
-        // schema, rolls back the pairs before it.
-        for (id, old) in &victims {
-            txn.kill(*id);
-            if assignments.is_some() {
-                let mut new: Row = old.as_ref().clone();
-                for (col, e) in &replacement {
-                    new[*col] = exec::eval(e, old, mode)?;
-                }
-                txn.insert(new)?;
-            }
-        }
-        txn.commit()?;
-        Ok(victims.len())
-    }
-
     /// Drops everything a cold run must not find warm. The buffer pool
     /// writes back its dirty frames, drops every unpinned one, and with
     /// them every row and quad decoded from a page (a frame that stays
     /// pinned loses those too); spilled R-tree leaves lose their decoded
     /// images — so the next probe of any page or leaf genuinely goes
     /// back to the page store. Cached geometry preparations go as well:
-    /// they hold the decoded rows they were built from. So do the plan
-    /// and fingerprint caches — a cold run that skipped them would still
-    /// be warm where it counts for short queries.
+    /// they hold the decoded rows they were built from. So does the
+    /// statement cache — a cold run that skipped it would still be warm
+    /// where it counts for short queries.
     pub fn clear_caches(&self) {
         self.prepared_cache.clear();
-        self.plan_cache.write().clear();
-        self.fingerprint_cache.write().clear();
+        self.statements.clear();
         let indexes = self.indexes.read();
         for ti in indexes.values() {
             for idx in ti.spatial.values() {
@@ -1433,70 +1027,12 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-fn affected(n: usize) -> ResultSet {
-    ResultSet { columns: vec!["rows_affected".into()], rows: vec![vec![Value::Int(n as i64)]] }
-}
-
-fn parse_type(ty: &str) -> Option<DataType> {
-    match ty.to_ascii_uppercase().as_str() {
-        "BIGINT" | "INT" | "INTEGER" => Some(DataType::Int),
-        "DOUBLE" | "FLOAT" | "REAL" => Some(DataType::Float),
-        "TEXT" | "VARCHAR" | "STRING" => Some(DataType::Text),
-        "GEOMETRY" => Some(DataType::Geometry),
-        _ => None,
-    }
-}
-
-/// Evaluates a column-free expression (INSERT values).
-fn eval_const_expr(
-    e: &jackpine_sqlmini::ast::Expr,
-    mode: jackpine_sqlmini::FunctionMode,
-) -> crate::Result<Value> {
-    use jackpine_sqlmini::ast::Expr;
-    Ok(match e {
-        Expr::Literal(v) => v.clone(),
-        Expr::Neg(inner) => match eval_const_expr(inner, mode)? {
-            Value::Int(i) => Value::Int(-i),
-            Value::Float(f) => Value::Float(-f),
-            other => {
-                return Err(EngineError::Sql(SqlError::Type(format!("cannot negate {other:?}"))))
-            }
-        },
-        Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_const_expr(a, mode)?);
-            }
-            jackpine_sqlmini::functions::call(mode, name, &vals)?
-        }
-        other => {
-            return Err(EngineError::Sql(SqlError::Type(format!(
-                "INSERT values must be constants, got {other:?}"
-            ))))
-        }
-    })
-}
-
-/// RAII registration of one in-flight statement in the session registry
-/// (`jp_sessions`); deregisters on drop, so error paths and panics
-/// unwind cleanly.
-struct SessionSlot {
-    db: Arc<SpatialDb>,
-    id: u64,
-}
-
-impl Drop for SessionSlot {
-    fn drop(&mut self) {
-        self.db.sessions.lock().remove(&self.id);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Provider adapters
 // ---------------------------------------------------------------------------
 
-struct DbCatalogAdapter {
-    db: Arc<SpatialDb>,
+pub(crate) struct DbCatalogAdapter {
+    pub(crate) db: Arc<SpatialDb>,
 }
 
 impl CatalogProvider for DbCatalogAdapter {
@@ -1520,7 +1056,7 @@ impl CatalogProvider for DbCatalogAdapter {
 }
 
 /// One table as the planner and executor see it. Plans holding these
-/// sit in the engine's plan cache, so an adapter shares the parts of the
+/// sit in the engine's statement cache, so an adapter shares the parts of the
 /// engine it reads — never the engine (see [`SpatialDb`]'s `indexes`).
 struct DbTableAdapter {
     metrics: Arc<EngineMetrics>,
@@ -2082,99 +1618,6 @@ mod update_tests {
 }
 
 #[cfg(test)]
-mod plan_cache_tests {
-    use super::*;
-
-    #[test]
-    fn cache_hits_on_repeated_statements() {
-        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
-        db.execute("CREATE TABLE t (id BIGINT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-        let sql = "SELECT COUNT(*) FROM t WHERE id > 1";
-        let r1 = db.execute(sql).unwrap();
-        let (h0, _) = db.plan_cache_stats();
-        let r2 = db.execute(sql).unwrap();
-        let (h1, _) = db.plan_cache_stats();
-        assert_eq!(r1, r2);
-        assert_eq!(h1, h0 + 1, "second execution must hit the cache");
-    }
-
-    #[test]
-    fn an_engine_that_ran_cached_selects_is_freed_on_drop() {
-        // Regression: cached plans held table adapters that held the
-        // engine, so one cached SELECT kept it alive for the life of the
-        // process — heaps, WAL handle, spill files and all.
-        let spill = std::env::temp_dir().join(format!("jackpine-leak-{}", std::process::id()));
-        std::fs::remove_dir_all(&spill).ok();
-        std::fs::create_dir_all(&spill).unwrap();
-        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
-        db.execute("CREATE TABLE g (id BIGINT, pad TEXT, geom GEOMETRY)").unwrap();
-        db.table("g").unwrap().heap.pool().set_spill_dir(Some(spill.clone()));
-        db.set_pool_bytes(2 * jackpine_storage::PAGE_SIZE);
-        let pad = "x".repeat(900);
-        for i in 0..40 {
-            db.execute(&format!(
-                "INSERT INTO g VALUES ({i}, '{pad}', ST_GeomFromText('POINT ({i} {i})'))"
-            ))
-            .unwrap();
-        }
-        db.create_spatial_index("g", "geom").unwrap();
-        let window = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
-                      ST_MakeEnvelope(0, 0, 9.5, 9.5))";
-        for _ in 0..2 {
-            assert_eq!(db.execute(window).unwrap().scalar().unwrap().to_string(), "10");
-        }
-        assert!(db.plan_cache_stats().0 >= 1, "the plan is cached and was hit");
-        db.execute(&format!("EXPLAIN ANALYZE {window}")).unwrap();
-        db.execute("SELECT COUNT(*) FROM g").unwrap();
-        db.execute("SELECT name, value FROM jp_metrics").unwrap();
-        assert!(std::fs::read_dir(&spill).unwrap().count() > 0, "two frames must spill");
-
-        let weak = Arc::downgrade(&db);
-        drop(db);
-        assert!(weak.upgrade().is_none(), "something still holds the engine");
-        assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0, "spill files outlived it");
-        std::fs::remove_dir_all(&spill).ok();
-    }
-
-    #[test]
-    fn ddl_invalidates_cache() {
-        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
-        db.execute("CREATE TABLE g (id BIGINT, geom GEOMETRY)").unwrap();
-        db.execute("INSERT INTO g VALUES (1, ST_GeomFromText('POINT (1 1)'))").unwrap();
-        let sql = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
-                   ST_MakeEnvelope(0, 0, 2, 2))";
-        db.execute(sql).unwrap(); // cached with SeqScan (no index yet)
-        db.create_spatial_index("g", "geom").unwrap(); // must invalidate
-        let r = db
-            .execute(
-                "EXPLAIN SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
-                   ST_MakeEnvelope(0, 0, 2, 2))",
-            )
-            .unwrap();
-        let plan: String = r.rows.iter().map(|row| row[0].to_string()).collect();
-        assert!(plan.contains("SpatialIndexScan"), "stale plan survived DDL: {plan}");
-    }
-
-    #[test]
-    fn toggling_index_use_invalidates() {
-        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
-        db.execute("CREATE TABLE g (id BIGINT, geom GEOMETRY)").unwrap();
-        for i in 0..5 {
-            db.execute(&format!("INSERT INTO g VALUES ({i}, ST_GeomFromText('POINT ({i} 0)'))"))
-                .unwrap();
-        }
-        db.create_spatial_index("g", "geom").unwrap();
-        let sql = "SELECT COUNT(*) FROM g WHERE ST_DWithin(geom, \
-                   ST_GeomFromText('POINT (2 0)'), 1.5)";
-        let a = db.execute(sql).unwrap();
-        db.set_use_spatial_index(false);
-        let b = db.execute(sql).unwrap();
-        assert_eq!(a, b, "answers must not depend on the plan-cache state");
-    }
-}
-
-#[cfg(test)]
 mod prepared_cache_tests {
     use super::*;
 
@@ -2203,7 +1646,7 @@ mod prepared_cache_tests {
     fn join_populates_cache() {
         let db = db_with_polys();
         db.execute(JOIN).unwrap();
-        assert!(db.prepared_cache_len() > 0, "spatial join must populate the cache");
+        assert!(!db.prepared_cache.is_empty(), "spatial join must populate the cache");
         let m = db.metrics_snapshot();
         assert!(m.counter("prepared_cache_hits") > 0, "inner geometries must be reused");
     }
@@ -2213,28 +1656,28 @@ mod prepared_cache_tests {
         let db = db_with_polys();
         let populate = |db: &Arc<SpatialDb>| {
             db.execute(JOIN).unwrap();
-            assert!(db.prepared_cache_len() > 0, "query must repopulate the cache");
+            assert!(!db.prepared_cache.is_empty(), "query must repopulate the cache");
         };
 
         // Row ids are never reused, and UPDATE reinserts under a fresh
         // id, so cached preparations stay valid across every DML shape
         // — the cache must survive, not be wiped.
         populate(&db);
-        let warm = db.prepared_cache_len();
+        let warm = db.prepared_cache.len();
         db.execute("INSERT INTO lots VALUES (100, ST_GeomFromText('POINT (50 50)'))").unwrap();
-        assert_eq!(db.prepared_cache_len(), warm, "INSERT must not clear the cache");
+        assert_eq!(db.prepared_cache.len(), warm, "INSERT must not clear the cache");
 
         db.execute("UPDATE lots SET geom = ST_Translate(geom, 20, 0) WHERE id = 100").unwrap();
-        assert_eq!(db.prepared_cache_len(), warm, "UPDATE must not clear the cache");
+        assert_eq!(db.prepared_cache.len(), warm, "UPDATE must not clear the cache");
 
         db.execute("DELETE FROM lots WHERE id = 100").unwrap();
-        assert_eq!(db.prepared_cache_len(), warm, "DELETE must not clear the cache");
+        assert_eq!(db.prepared_cache.len(), warm, "DELETE must not clear the cache");
 
         // Results stay correct against the surviving cache.
         populate(&db);
 
         db.drop_spatial_index("lots", "geom").unwrap();
-        assert_eq!(db.prepared_cache_len(), 0, "index drop must invalidate");
+        assert_eq!(db.prepared_cache.len(), 0, "index drop must invalidate");
 
         // Still correct (and repopulating) without the index.
         populate(&db);

@@ -22,6 +22,7 @@ mod db;
 pub mod failpoint;
 mod persist;
 mod profile;
+mod statement;
 mod syscat;
 mod txn;
 pub mod wal;

@@ -1,0 +1,644 @@
+//! The statement path: SQL text in, result set out, recorded.
+//!
+//! A statement's raw text is looked up in the [`StatementCache`] before
+//! anything is tokenized. A hit whose plan was made under the current
+//! DDL generation goes straight to the executor; its `parse` stage is the
+//! lookup and its `plan` stage the stamp check. Anything else parses, and
+//! a SELECT on no `jp_*` table keeps its plan. The same entry holds the
+//! text's fingerprint and shape, so `jp_stat_statements` never
+//! re-normalizes a text. A failed text keeps no plan, so it fails the
+//! same way every time. Keyed by the text, not a digest: no collision can
+//! hand one statement another's plan.
+
+use crate::db::{DbCatalogAdapter, EngineError, SpatialDb};
+use crate::syscat;
+use crate::txn::WriteTxn;
+use jackpine_obs::{digest, QueryTrace, Stage, TxnSite};
+use jackpine_sqlmini::ast::{Expr, Select, Statement};
+use jackpine_sqlmini::plan::{PlanOptions, PlannedSelect};
+use jackpine_sqlmini::prepared::evict_coldest_quarter;
+use jackpine_sqlmini::{exec, parser, plan, FunctionMode, ResultSet, SqlError};
+use jackpine_storage::sync::RwLock;
+use jackpine_storage::{ColumnDef, DataType, Row, RowId, StorageError, Value};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Statement texts the cache keeps. A full cache drops its coldest
+/// quarter, so hot statements survive a burst of one-off texts.
+const STATEMENT_CACHE_CAPACITY: usize = 512;
+/// Longest statement text retained per session-registry entry.
+const SESSION_SQL_MAX: usize = 512;
+
+/// A SELECT's plan and the DDL generation it was planned under.
+type StampedPlan = (u64, Arc<PlannedSelect>);
+
+/// What the engine knows of one statement text. Immutable but for its
+/// hit stamp: keeping a new plan replaces the entry.
+struct CachedStatement {
+    fingerprint: u64,
+    /// The normalized text `fingerprint` digests.
+    shape: Arc<str>,
+    plan: Option<StampedPlan>,
+    /// Tick of the last hit (or the insert), stamped under the read lock.
+    last_hit: AtomicU64,
+}
+
+/// The engine's one statement cache: raw text → [`CachedStatement`].
+#[derive(Default)]
+pub(crate) struct StatementCache {
+    map: RwLock<HashMap<Arc<str>, Arc<CachedStatement>>>,
+    /// Monotone tick feeding the eviction stamps.
+    tick: AtomicU64,
+}
+
+impl StatementCache {
+    /// Forgets every text (DROP TABLE, cold runs).
+    pub(crate) fn clear(&self) {
+        self.map.write().clear();
+    }
+
+    /// The entry for `sql`, stamped as hit.
+    fn get(&self, sql: &str) -> Option<Arc<CachedStatement>> {
+        let entry = self.map.read().get(sql).cloned()?;
+        entry.last_hit.store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+        Some(entry)
+    }
+
+    /// The entry `sql` ends a run with: `known`, or when a plan was made,
+    /// a new entry carrying it and `known`'s (or a new) fingerprint.
+    fn keep(
+        &self,
+        sql: &str,
+        known: Option<Arc<CachedStatement>>,
+        planned: Option<StampedPlan>,
+    ) -> Arc<CachedStatement> {
+        let (fingerprint, shape) = match (known, &planned) {
+            (Some(entry), None) => return entry,
+            (Some(entry), Some(_)) => (entry.fingerprint, Arc::clone(&entry.shape)),
+            (None, _) => {
+                let shape: Arc<str> = jackpine_sqlmini::fingerprint::normalize(sql).into();
+                (digest(&shape), shape)
+            }
+        };
+        let entry = Arc::new(CachedStatement {
+            fingerprint,
+            shape,
+            plan: planned,
+            last_hit: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
+        });
+        let mut map = self.map.write();
+        if map.len() >= STATEMENT_CACHE_CAPACITY && !map.contains_key(sql) {
+            evict_coldest_quarter(&mut map, |e| e.last_hit.load(Ordering::Relaxed));
+        }
+        map.insert(sql.into(), Arc::clone(&entry));
+        entry
+    }
+}
+
+/// One in-flight statement's registration in `jp_sessions`; deregisters
+/// on drop, so error paths and panics unwind cleanly.
+struct SessionSlot {
+    db: Arc<SpatialDb>,
+    id: u64,
+}
+
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        self.db.sessions.lock().remove(&self.id);
+    }
+}
+
+impl SpatialDb {
+    /// Runs one SQL statement. The completed statement lands in the
+    /// flight recorder, the slow-query log (if slow enough) and the
+    /// fingerprint stats table.
+    pub fn execute(self: &Arc<Self>, sql: &str) -> crate::Result<ResultSet> {
+        let _session = self.register_session(sql);
+        let before = self.metrics.query_snapshot();
+        let t0 = Instant::now();
+        let (result, known, planned) = self.execute_unrecorded(sql);
+        let total = t0.elapsed();
+        let entry = self.statements.keep(sql, known, planned);
+        let (fp, shape) = (entry.fingerprint, &entry.shape);
+        match &result {
+            Ok(r) => {
+                self.query_stats.record(fp, shape, total, r.rows.len() as u64, false);
+                let delta = self.metrics.query_snapshot().delta_since(&before);
+                let trace = Arc::new(QueryTrace::new(sql, total, r.rows.len(), delta));
+                self.recorder.push(trace.clone());
+                self.slow_log.offer(&trace);
+            }
+            // Failed statements have no meaningful counter delta or row
+            // count; they are visible through the error column of the
+            // fingerprint table instead of the trace ring.
+            Err(_) => self.query_stats.record(fp, shape, total, 0, true),
+        }
+        // Feed the time-series ring; rate-limited inside, so this is a
+        // clock read and one short lock on the fast path.
+        self.history.maybe_record(|| {
+            self.refresh_gauges();
+            self.metrics.snapshot()
+        });
+        result
+    }
+
+    /// Runs one SQL statement and returns the per-query trace alongside
+    /// the result: per-stage timings and the engine-counter delta
+    /// attributable to this statement. Concurrent statements on the same
+    /// instance bleed into each other's deltas — trace under a single
+    /// client connection, the way EXPLAIN ANALYZE is used.
+    pub fn execute_traced(self: &Arc<Self>, sql: &str) -> crate::Result<(ResultSet, QueryTrace)> {
+        let before = self.metrics.query_snapshot();
+        let t0 = Instant::now();
+        let result = self.execute(sql)?;
+        let total = t0.elapsed();
+        let delta = self.metrics.query_snapshot().delta_since(&before);
+        let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
+        Ok((result, trace))
+    }
+
+    /// In-flight statements as `(session id, statement text, elapsed)`
+    /// triples sorted by id — the rows of `jp_sessions`.
+    pub(crate) fn active_sessions(&self) -> Vec<(u64, String, Duration)> {
+        let sessions = self.sessions.lock();
+        let mut out: Vec<(u64, String, Duration)> = sessions
+            .iter()
+            .map(|(id, (sql, started))| (*id, sql.clone(), started.elapsed()))
+            .collect();
+        drop(sessions);
+        out.sort_unstable_by_key(|(id, ..)| *id);
+        out
+    }
+
+    /// Registers one in-flight statement for `jp_sessions`; the returned
+    /// slot deregisters it when dropped.
+    fn register_session(self: &Arc<Self>, sql: &str) -> SessionSlot {
+        let id = self.session_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let text = sql[..sql.floor_char_boundary(SESSION_SQL_MAX)].to_string();
+        self.sessions.lock().insert(id, (text, Instant::now()));
+        SessionSlot { db: Arc::clone(self), id }
+    }
+
+    /// The execution path itself, with no retrospective recording.
+    /// Returns, beside the result, the cache entry the text had and the
+    /// plan this run made for it, if one is worth keeping.
+    fn execute_unrecorded(
+        self: &Arc<Self>,
+        sql: &str,
+    ) -> (crate::Result<ResultSet>, Option<Arc<CachedStatement>>, Option<StampedPlan>) {
+        self.metrics.queries.incr();
+        let t0 = Instant::now();
+        let known = self.statements.get(sql);
+        let looked_up = Instant::now();
+        if let Some((stamp, planned)) = known.as_ref().and_then(|e| e.plan.as_ref()) {
+            // A plan counts only under the DDL generation it was made
+            // in; a stale one (an index came or went) is replanned below.
+            if *stamp == self.ddl_gen.load(Ordering::SeqCst) {
+                self.metrics.record_stage(Stage::Parse, looked_up - t0);
+                self.metrics.plan_cache_hits.incr();
+                self.metrics.record_stage(Stage::Plan, looked_up.elapsed());
+                let result = self.execute_plan(planned);
+                return (result, known, None);
+            }
+        }
+        let stmt = match parser::parse(sql) {
+            Ok(stmt) => stmt,
+            Err(e) => return (Err(e.into()), known, None),
+        };
+        self.metrics.record_stage(Stage::Parse, t0.elapsed());
+        match stmt {
+            // System-catalog FROMs are never kept: a plan holds the
+            // providers it was planned against, and a jp_* provider is a
+            // point-in-time materialization rebuilt per statement.
+            Statement::Select(select)
+                if !select.from.iter().any(|t| syscat::is_system_table(&t.table)) =>
+            {
+                let stamp = self.ddl_gen.load(Ordering::SeqCst);
+                match self.plan_fresh(&select) {
+                    Ok(planned) => (self.execute_plan(&planned), known, Some((stamp, planned))),
+                    Err(e) => (Err(e), known, None),
+                }
+            }
+            stmt => (self.execute_statement(stmt, sql), known, None),
+        }
+    }
+
+    /// Plans a SELECT, recording plan-stage time and a plan-cache miss.
+    fn plan_fresh(self: &Arc<Self>, select: &Select) -> crate::Result<Arc<PlannedSelect>> {
+        let t0 = Instant::now();
+        self.metrics.plan_cache_misses.incr();
+        let result = self.plan_select(select).map(Arc::new);
+        self.metrics.record_stage(Stage::Plan, t0.elapsed());
+        result
+    }
+
+    /// Plans a SELECT under the engine's current planner settings.
+    fn plan_select(self: &Arc<Self>, select: &Select) -> crate::Result<PlannedSelect> {
+        let opts = PlanOptions {
+            mode: self.profile().function_mode(),
+            use_spatial_index: *self.use_spatial_index.read(),
+        };
+        let adapter = DbCatalogAdapter { db: self.clone() };
+        Ok(plan::plan_select(&adapter, select, &opts)?)
+    }
+
+    /// Runs a planned SELECT. One commit generation is pinned for the
+    /// whole statement: every snapshot-capable provider in the plan
+    /// resolves to a copy reading exactly that generation, so the
+    /// statement never observes a concurrent writer's half-applied
+    /// changes — and never blocks on one.
+    fn execute_plan(self: &Arc<Self>, planned: &PlannedSelect) -> crate::Result<ResultSet> {
+        let opts = exec::ExecOptions {
+            workers: self.workers(),
+            metrics: Some(self.metrics.clone()),
+            prepared: self.prepared_cache.clone(),
+            snapshot: Some(self.pin_snapshot_handle()),
+        };
+        Ok(exec::execute_with(planned, &opts)?)
+    }
+
+    /// Runs one parsed statement; `sql` is its text (EXPLAIN ANALYZE's
+    /// trace label). A SELECT here is planned fresh and not kept.
+    fn execute_statement(self: &Arc<Self>, stmt: Statement, sql: &str) -> crate::Result<ResultSet> {
+        match stmt {
+            Statement::Select(select) => {
+                let planned = self.plan_fresh(&select)?;
+                self.execute_plan(&planned)
+            }
+            Statement::CreateTable { name, columns } => {
+                let cols = columns
+                    .into_iter()
+                    .map(|(n, ty)| {
+                        Ok(ColumnDef::new(
+                            &n,
+                            parse_type(&ty).ok_or_else(|| {
+                                EngineError::Sql(SqlError::Type(format!("unknown type '{ty}'")))
+                            })?,
+                        ))
+                    })
+                    .collect::<crate::Result<Vec<_>>>()?;
+                self.create_table(&name, cols)?;
+                Ok(affected(0))
+            }
+            Statement::Delete { table, filters } => {
+                Ok(affected(self.delete_or_update(&table, None, &filters)?))
+            }
+            Statement::DropTable { name } => {
+                {
+                    let _writers = self.txn.lock_writers(TxnSite::Ddl);
+                    let existed = self.catalog.drop_table(&name);
+                    if !existed {
+                        return Err(EngineError::Storage(StorageError::NoSuchTable(name)));
+                    }
+                    self.indexes.write().remove(&name.to_ascii_lowercase());
+                }
+                // Readers pinned before the drop keep their Arc'd heap
+                // and finish against it; only the name is gone. Every
+                // cached plan is stale after the bump, and one planned
+                // against this table would keep its heap, and the heap
+                // its pool frames, until its entry was evicted.
+                self.bump_ddl_gen();
+                self.statements.clear();
+                self.prepared_cache.clear();
+                self.checkpoint()?;
+                Ok(affected(0))
+            }
+            Statement::Update { table, assignments, filters } => {
+                Ok(affected(self.delete_or_update(&table, Some(&assignments), &filters)?))
+            }
+            Statement::Explain(inner) => match *inner {
+                Statement::Select(select) => {
+                    let planned = self.plan_select(&select)?;
+                    let rows = planned
+                        .root
+                        .describe()
+                        .lines()
+                        .map(|l| vec![Value::Text(l.to_string())])
+                        .collect();
+                    Ok(ResultSet { columns: vec!["plan".into()], rows })
+                }
+                _ => Err(EngineError::Sql(SqlError::Type("EXPLAIN supports only SELECT".into()))),
+            },
+            Statement::ExplainAnalyze(inner) => {
+                if !matches!(*inner, Statement::Select(_)) {
+                    return Err(EngineError::Sql(SqlError::Type(
+                        "EXPLAIN ANALYZE supports only SELECT".into(),
+                    )));
+                }
+                // Execute the inner SELECT for real (planned fresh, so
+                // the plan stage is always exercised), bracketed by
+                // metric snapshots; the delta is this query's trace.
+                let before = self.metrics.query_snapshot();
+                let t0 = Instant::now();
+                let result = self.execute_statement(*inner, sql)?;
+                let total = t0.elapsed();
+                let delta = self.metrics.query_snapshot().delta_since(&before);
+                let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
+                let rows =
+                    trace.render().lines().map(|l| vec![Value::Text(l.to_string())]).collect();
+                Ok(ResultSet { columns: vec!["analyze".into()], rows })
+            }
+            Statement::Insert { table, rows } => {
+                // Evaluate every VALUES tuple up front, then apply the
+                // whole statement as one write transaction: a multi-row
+                // INSERT publishes all rows atomically or none.
+                let mode = self.profile().function_mode();
+                let mut staged: Vec<Row> = Vec::with_capacity(rows.len());
+                for exprs in rows {
+                    let mut row = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        row.push(eval_const_expr(&e, mode)?);
+                    }
+                    staged.push(row);
+                }
+                let n = staged.len();
+                let mut txn = WriteTxn::begin(self, TxnSite::Insert, &table)?;
+                for row in staged {
+                    txn.insert(row)?;
+                }
+                txn.commit()?;
+                Ok(affected(n))
+            }
+        }
+    }
+
+    /// DELETE (`assignments` absent) and UPDATE: one write transaction
+    /// that kills every row of `table` for which each term of `filters`
+    /// holds (the WHERE conjunction; no terms means every row) and, for
+    /// an UPDATE, inserts its replacement — the assignments applied,
+    /// right-hand sides reading the old row — at the same generation, so
+    /// readers observe the old row or the new one, never both and never
+    /// neither. Returns the number of rows acted on.
+    fn delete_or_update(
+        &self,
+        table: &str,
+        assignments: Option<&[(String, Expr)]>,
+        filters: &[Expr],
+    ) -> crate::Result<usize> {
+        let mode = self.profile().function_mode();
+        let site = if assignments.is_some() { TxnSite::Update } else { TxnSite::Delete };
+        let mut txn = WriteTxn::begin(self, site, table)?;
+        let schema = txn.table().schema().clone();
+        let scope: Vec<(String, String)> =
+            schema.columns().iter().map(|c| (table.to_string(), c.name.clone())).collect();
+        let filters: Vec<_> = filters
+            .iter()
+            .map(|f| plan::bind_columns(scope.clone(), f))
+            .collect::<std::result::Result<_, _>>()?;
+        let replacement: Vec<(usize, _)> = assignments
+            .unwrap_or_default()
+            .iter()
+            .map(|(col, e)| Ok((schema.column_index(col)?, plan::bind_columns(scope.clone(), e)?)))
+            .collect::<crate::Result<_>>()?;
+
+        // Victims first, so a WHERE that cannot be evaluated touches
+        // nothing. Only rows visible at the published generation qualify:
+        // one some pinned snapshot still sees but that is already dead
+        // stays dead.
+        let mut victims: Vec<(RowId, Arc<Row>)> = Vec::new();
+        for id in txn.table().heap.row_ids_visible(self.txn.generation()) {
+            let row = txn.table().heap.get(id)?;
+            let mut holds = true;
+            for p in &filters {
+                if !exec::truthy(&exec::eval(p, &row, mode)?) {
+                    holds = false;
+                    break;
+                }
+            }
+            if holds {
+                victims.push((id, row));
+            }
+        }
+        // A replacement that cannot be computed, or does not fit the
+        // schema, rolls back the pairs before it.
+        for (id, old) in &victims {
+            txn.kill(*id);
+            if assignments.is_some() {
+                let mut new: Row = old.as_ref().clone();
+                for (col, e) in &replacement {
+                    new[*col] = exec::eval(e, old, mode)?;
+                }
+                txn.insert(new)?;
+            }
+        }
+        txn.commit()?;
+        Ok(victims.len())
+    }
+}
+
+fn affected(n: usize) -> ResultSet {
+    ResultSet { columns: vec!["rows_affected".into()], rows: vec![vec![Value::Int(n as i64)]] }
+}
+
+fn parse_type(ty: &str) -> Option<DataType> {
+    match ty.to_ascii_uppercase().as_str() {
+        "BIGINT" | "INT" | "INTEGER" => Some(DataType::Int),
+        "DOUBLE" | "FLOAT" | "REAL" => Some(DataType::Float),
+        "TEXT" | "VARCHAR" | "STRING" => Some(DataType::Text),
+        "GEOMETRY" => Some(DataType::Geometry),
+        _ => None,
+    }
+}
+
+/// Evaluates a column-free expression (INSERT values).
+fn eval_const_expr(e: &Expr, mode: FunctionMode) -> crate::Result<Value> {
+    Ok(match e {
+        Expr::Literal(v) => v.clone(),
+        Expr::Neg(inner) => match eval_const_expr(inner, mode)? {
+            Value::Int(i) => Value::Int(-i),
+            Value::Float(f) => Value::Float(-f),
+            other => {
+                return Err(EngineError::Sql(SqlError::Type(format!("cannot negate {other:?}"))))
+            }
+        },
+        Expr::Func { name, args } => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(eval_const_expr(a, mode)?);
+            }
+            jackpine_sqlmini::functions::call(mode, name, &vals)?
+        }
+        other => {
+            return Err(EngineError::Sql(SqlError::Type(format!(
+                "INSERT values must be constants, got {other:?}"
+            ))))
+        }
+    })
+}
+
+#[cfg(test)]
+mod plan_cache_tests {
+    use super::*;
+    use crate::EngineProfile;
+
+    fn hits(db: &SpatialDb) -> u64 {
+        db.metrics().plan_cache_hits.get()
+    }
+
+    #[test]
+    fn cache_hits_on_repeated_statements() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        let sql = "SELECT COUNT(*) FROM t WHERE id > 1";
+        let r1 = db.execute(sql).unwrap();
+        let h0 = hits(&db);
+        let r2 = db.execute(sql).unwrap();
+        assert_eq!(r1, r2);
+        assert_eq!(hits(&db), h0 + 1, "second execution must hit the cache");
+    }
+
+    #[test]
+    fn an_engine_that_ran_cached_selects_is_freed_on_drop() {
+        // Regression: cached plans held table adapters that held the
+        // engine, so one cached SELECT kept it alive for the life of the
+        // process — heaps, WAL handle, spill files and all.
+        let spill = std::env::temp_dir().join(format!("jackpine-leak-{}", std::process::id()));
+        std::fs::remove_dir_all(&spill).ok();
+        std::fs::create_dir_all(&spill).unwrap();
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE g (id BIGINT, pad TEXT, geom GEOMETRY)").unwrap();
+        db.table("g").unwrap().heap.pool().set_spill_dir(Some(spill.clone()));
+        db.set_pool_bytes(2 * jackpine_storage::PAGE_SIZE);
+        let pad = "x".repeat(900);
+        for i in 0..40 {
+            db.execute(&format!(
+                "INSERT INTO g VALUES ({i}, '{pad}', ST_GeomFromText('POINT ({i} {i})'))"
+            ))
+            .unwrap();
+        }
+        db.create_spatial_index("g", "geom").unwrap();
+        let window = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
+                      ST_MakeEnvelope(0, 0, 9.5, 9.5))";
+        for _ in 0..2 {
+            assert_eq!(db.execute(window).unwrap().scalar().unwrap().to_string(), "10");
+        }
+        assert!(hits(&db) >= 1, "the plan is cached and was hit");
+        db.execute(&format!("EXPLAIN ANALYZE {window}")).unwrap();
+        db.execute("SELECT COUNT(*) FROM g").unwrap();
+        db.execute("SELECT name, value FROM jp_metrics").unwrap();
+        assert!(std::fs::read_dir(&spill).unwrap().count() > 0, "two frames must spill");
+
+        let weak = Arc::downgrade(&db);
+        drop(db);
+        assert!(weak.upgrade().is_none(), "something still holds the engine");
+        assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0, "spill files outlived it");
+        std::fs::remove_dir_all(&spill).ok();
+    }
+
+    /// `(index probes, plan-cache hits, plan-cache misses)` of one run.
+    fn probes_hits_misses(db: &Arc<SpatialDb>, sql: &str) -> (u64, u64, u64) {
+        let (_, t) = db.execute_traced(sql).unwrap();
+        (t.counter("index_probes"), t.counter("plan_cache_hits"), t.counter("plan_cache_misses"))
+    }
+
+    #[test]
+    fn ddl_invalidates_cache() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE g (id BIGINT, geom GEOMETRY)").unwrap();
+        db.execute("INSERT INTO g VALUES (1, ST_GeomFromText('POINT (1 1)'))").unwrap();
+        let sql = "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
+                   ST_MakeEnvelope(0, 0, 2, 2))";
+        // Cached with a SeqScan: there is no index yet.
+        assert_eq!(probes_hits_misses(&db, sql), (0, 0, 1));
+        assert_eq!(probes_hits_misses(&db, sql), (0, 1, 0));
+        db.create_spatial_index("g", "geom").unwrap();
+        // The cached text is replanned, and the new plan probes.
+        let (probes, hits, misses) = probes_hits_misses(&db, sql);
+        assert!(probes > 0, "stale SeqScan plan survived CREATE INDEX");
+        assert_eq!((hits, misses), (0, 1));
+        assert_eq!(probes_hits_misses(&db, sql).1, 1, "the new plan is cached");
+    }
+
+    #[test]
+    fn toggling_index_use_invalidates() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE g (id BIGINT, geom GEOMETRY)").unwrap();
+        for i in 0..5 {
+            db.execute(&format!("INSERT INTO g VALUES ({i}, ST_GeomFromText('POINT ({i} 0)'))"))
+                .unwrap();
+        }
+        db.create_spatial_index("g", "geom").unwrap();
+        let sql = "SELECT COUNT(*) FROM g WHERE ST_DWithin(geom, \
+                   ST_GeomFromText('POINT (2 0)'), 1.5)";
+        let a = db.execute(sql).unwrap();
+        assert!(probes_hits_misses(&db, sql).0 > 0, "the cached plan probes the index");
+        db.set_use_spatial_index(false);
+        assert_eq!(probes_hits_misses(&db, sql), (0, 0, 1), "stale index plan survived");
+        let b = db.execute(sql).unwrap();
+        assert_eq!(a, b, "answers must not depend on the plan-cache state");
+    }
+
+    #[test]
+    fn a_hot_statement_survives_a_burst_of_one_off_texts() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        let hot = "SELECT COUNT(*) FROM t WHERE id > 1";
+        for i in 0..600 {
+            if i % 100 == 0 {
+                db.execute(hot).unwrap();
+            }
+            db.execute(&format!("SELECT COUNT(*) FROM t WHERE id > {}", i + 1000)).unwrap();
+        }
+        assert!(db.statements.map.read().len() <= STATEMENT_CACHE_CAPACITY);
+        let (_, t) = db.execute_traced(hot).unwrap();
+        assert_eq!(t.counter("plan_cache_hits"), 1, "the hot plan was evicted");
+        assert_eq!(t.counter("plan_cache_misses"), 0);
+    }
+
+    #[test]
+    fn errors_are_not_cached() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        // One that fails to parse, one that fails to plan.
+        for bad in ["SELECT id FROM t WHERE", "SELECT nocolumn FROM t"] {
+            let first = db.execute(bad).unwrap_err().to_string();
+            let misses = db.metrics().plan_cache_misses.get();
+            assert_eq!(db.execute(bad).unwrap_err().to_string(), first, "{bad}");
+            assert_eq!(hits(&db), 0, "{bad}: a failed statement hit the cache");
+            let planned = u64::from(bad.contains("nocolumn"));
+            assert_eq!(db.metrics().plan_cache_misses.get(), misses + planned, "{bad}");
+        }
+        let failed: Vec<_> = db.query_stats(10).into_iter().filter(|s| s.errors > 0).collect();
+        assert_eq!(failed.len(), 2, "one fingerprint per failing text: {failed:?}");
+        assert!(failed.iter().all(|s| (s.count, s.errors) == (0, 2)), "{failed:?}");
+    }
+
+    #[test]
+    fn a_hit_skips_parsing() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE g (id BIGINT, geom GEOMETRY)").unwrap();
+        db.execute("INSERT INTO g VALUES (1, ST_GeomFromText('POINT (1 1)'))").unwrap();
+        // A 512-vertex ring: a literal of several KB.
+        let ring: Vec<String> = (0..=512)
+            .map(|i| {
+                let a = std::f64::consts::TAU * f64::from(i % 512) / 512.0;
+                format!("{:.9} {:.9}", 1.0 + a.cos(), 1.0 + a.sin())
+            })
+            .collect();
+        let sql = format!(
+            "SELECT COUNT(*) FROM g WHERE ST_Intersects(geom, \
+             ST_GeomFromText('POLYGON (({}))'))",
+            ring.join(", ")
+        );
+        assert!(sql.len() > 8 * 1024, "{}", sql.len());
+        let (first, miss) = db.execute_traced(&sql).unwrap();
+        assert_eq!(miss.counter("plan_cache_misses"), 1);
+        let mut fastest_hit = u64::MAX;
+        for _ in 0..3 {
+            let (again, hit) = db.execute_traced(&sql).unwrap();
+            assert_eq!(first, again);
+            assert_eq!(hit.counter("plan_cache_hits"), 1);
+            assert_eq!(hit.counter("plan_cache_misses"), 0);
+            assert!(hit.stage_names().starts_with(&["parse", "plan"]), "{:?}", hit.stage_names());
+            fastest_hit = fastest_hit.min(hit.stage_ns("parse"));
+        }
+        // A lookup hashes the text once; a parse tokenizes it. At least
+        // a 2x margin, so a hit that still parses cannot pass on noise.
+        let parse = miss.stage_ns("parse");
+        assert!(fastest_hit * 2 < parse, "the hit parsed: {fastest_hit} ns vs {parse} ns");
+    }
+}

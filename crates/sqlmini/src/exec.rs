@@ -95,11 +95,6 @@ pub struct ExecOptions {
     pub snapshot: Option<Arc<dyn SnapshotHandle>>,
 }
 
-/// Executes a planned `SELECT` serially (one worker).
-pub fn execute(plan: &PlannedSelect) -> Result<ResultSet> {
-    execute_with(plan, &ExecOptions::default())
-}
-
 /// Executes a planned `SELECT` with explicit executor options.
 pub fn execute_with(plan: &PlannedSelect, opts: &ExecOptions) -> Result<ResultSet> {
     let ctx = ExecCtx {

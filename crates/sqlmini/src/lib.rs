@@ -31,7 +31,7 @@ pub mod token;
 pub mod virt;
 
 pub use error::SqlError;
-pub use exec::{execute, ResultSet};
+pub use exec::ResultSet;
 pub use functions::FunctionMode;
 pub use plan::{plan_select, PlanNode, PlanOptions};
 pub use prepared::PreparedCache;

@@ -37,10 +37,6 @@ use std::sync::Arc;
 /// Prepared geometries retained before eviction kicks in.
 pub const PREPARED_CACHE_CAPACITY: usize = 1024;
 
-/// Denominator of the eviction fraction: a full cache drops the
-/// least-recently-hit `1/EVICT_DENOMINATOR` of its entries.
-const EVICT_DENOMINATOR: usize = 4;
-
 /// One cached preparation, pinning the heap row whose address keys it.
 struct Entry {
     /// Keeps the row allocation alive so the keying address cannot be
@@ -128,7 +124,7 @@ impl PreparedCache {
         let prepared = Arc::new(PreparedGeometry::new(g));
         let mut map = self.map.write();
         if map.len() >= PREPARED_CACHE_CAPACITY {
-            let dropped = evict_least_recently_hit(&mut map);
+            let dropped = evict_coldest_quarter(&mut map, |e| e.last_hit.load(Ordering::Relaxed));
             self.evicted.fetch_add(dropped, Ordering::Relaxed);
             if let Some(m) = metrics {
                 m.prepared_cache_evictions.add(dropped);
@@ -143,16 +139,16 @@ impl PreparedCache {
     }
 }
 
-/// Drops the coldest `1/EVICT_DENOMINATOR` of the map by hit stamp and
-/// returns how many entries left. Stamps are unique (one tick per hit or
-/// insert), so the quantile cut is exact.
-fn evict_least_recently_hit(map: &mut HashMap<(usize, usize), Entry>) -> u64 {
-    let target = (map.len() / EVICT_DENOMINATOR).max(1);
-    let mut stamps: Vec<u64> = map.values().map(|e| e.last_hit.load(Ordering::Relaxed)).collect();
-    let (_, threshold, _) = stamps.select_nth_unstable(target - 1);
-    let threshold = *threshold;
+/// Drops the coldest quarter of `map` — the entries whose `stamp` (the
+/// tick of their last hit) is lowest — and returns how many left. With
+/// unique stamps (one tick per hit or insert) the quantile cut is exact.
+/// The eviction of every least-recently-hit cache in the workspace.
+pub fn evict_coldest_quarter<K, V>(map: &mut HashMap<K, V>, stamp: impl Fn(&V) -> u64) -> u64 {
+    let target = (map.len() / 4).max(1);
+    let mut stamps: Vec<u64> = map.values().map(&stamp).collect();
+    let threshold = *stamps.select_nth_unstable(target - 1).1;
     let before = map.len();
-    map.retain(|_, e| e.last_hit.load(Ordering::Relaxed) > threshold);
+    map.retain(|_, v| stamp(v) > threshold);
     (before - map.len()) as u64
 }
 
