@@ -177,7 +177,7 @@ fn main() {
     for e in &engines {
         e.set_workers(opts.workers);
         if let Some(ms) = opts.slow_ms {
-            e.set_slow_query_threshold(std::time::Duration::from_millis(ms));
+            e.slow_log().set_threshold(std::time::Duration::from_millis(ms));
         }
         if let Some(mb) = opts.pool_mb {
             e.set_pool_bytes(mb * 1024 * 1024);

@@ -1,30 +1,26 @@
-//! The `SpatialDb` facade: catalog + heaps + indexes + SQL, under one
-//! engine profile.
+//! The `SpatialDb` facade: one engine profile over a catalog of heaps,
+//! their indexes, and the state every statement shares.
+//!
+//! The engine's seams live beside it, each an `impl SpatialDb` of its
+//! own: DDL and the index catalog ([`crate::indexes`]), the statement
+//! path ([`crate::statement`]), the write transaction ([`crate::txn`]),
+//! durability ([`crate::durable`]) over the snapshot format
+//! ([`crate::persist`]), and introspection ([`crate::syscat`]).
 
-use crate::statement::StatementCache;
-use crate::syscat;
+use crate::durable::DurabilityState;
+use crate::indexes::TableIndexes;
+use crate::statement::{Sessions, StatementCache};
+use crate::syscat::Introspection;
 use crate::txn::{SnapshotGuard, Transactions, WriteTxn};
-use crate::wal::{Wal, WalRecord};
 use crate::EngineProfile;
-use jackpine_geom::{Coord, Envelope};
-use jackpine_index::{GridIndex, LeafPager, OrderedIndex, ProbeStats, RTree, RTreeConfig};
-use jackpine_obs::{
-    EngineMetrics, FingerprintStats, FlightRecorder, HistoryPoint, MetricsHistory, MetricsSnapshot,
-    QueryStatsTable, QueryTrace, SlowQueryLog, TxnSite,
-};
-use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider};
+use jackpine_obs::{EngineMetrics, TxnSite};
 use jackpine_sqlmini::{PreparedCache, SqlError};
-use jackpine_storage::sync::{Mutex, RwLock};
-use jackpine_storage::{
-    BufferPool, Catalog, ColumnDef, DataType, Field, PoolStats, Row, RowId, Schema, StorageError,
-    Table, Value,
-};
+use jackpine_storage::sync::RwLock;
+use jackpine_storage::{Catalog, PoolStats, Row, RowId, StorageError, Table};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Errors surfaced by [`SpatialDb`].
 #[derive(Clone, Debug, PartialEq)]
@@ -66,223 +62,6 @@ impl From<StorageError> for EngineError {
     }
 }
 
-/// A spatial index over one geometry column.
-enum SpatialIdx {
-    Rtree(RTree<RowId>),
-    Grid(GridIndex<RowId>),
-}
-
-/// [`LeafPager`] backed by the engine's shared buffer pool: each R-tree
-/// leaf serializes into slot 0 of its own pool page, so spilled leaves
-/// compete for frames with heap pages under one capacity budget (and
-/// show up in the same pin/eviction counters).
-#[derive(Debug)]
-struct PoolLeafPager {
-    pool: Arc<BufferPool>,
-    file: u64,
-}
-
-/// Pool page-file name for a spatial index's spilled leaves.
-fn leaf_file_name(table: &str, col: usize) -> String {
-    format!("idx-{}-{col}", table.to_ascii_lowercase())
-}
-
-impl LeafPager for PoolLeafPager {
-    fn write(&self, leaf: u64, bytes: &[u8]) {
-        let pin = self.pool.pin(self.file, leaf as u32);
-        let mut guard = pin.write();
-        guard.clear();
-        guard.insert(bytes);
-    }
-
-    fn read(&self, leaf: u64) -> Option<Vec<u8>> {
-        let pin = self.pool.pin(self.file, leaf as u32);
-        let guard = pin.read();
-        guard.get(0).ok().map(|b| b.to_vec())
-    }
-}
-
-impl Drop for PoolLeafPager {
-    fn drop(&mut self) {
-        self.pool.unregister(self.file);
-    }
-}
-
-impl SpatialIdx {
-    fn insert(&mut self, env: Envelope, id: RowId) {
-        match self {
-            SpatialIdx::Rtree(t) => t.insert(env, id),
-            SpatialIdx::Grid(g) => g.insert(env, id),
-        }
-    }
-
-    /// Window query that also reports how much work the probe did
-    /// (nodes/cells inspected, candidates emitted).
-    fn window_probe(&self, env: &Envelope) -> (Vec<RowId>, ProbeStats) {
-        let mut out = Vec::new();
-        let stats = match self {
-            SpatialIdx::Rtree(t) => t.query_window_probe(env, |_, v| out.push(*v)),
-            SpatialIdx::Grid(g) => g.query_window_probe(env, |_, v| out.push(*v)),
-        };
-        (out, stats)
-    }
-
-    fn nearest_probe(&self, q: Coord, k: usize) -> (Vec<RowId>, ProbeStats) {
-        let (hits, stats) = match self {
-            SpatialIdx::Rtree(t) => t.nearest_probe(q, k),
-            SpatialIdx::Grid(g) => g.nearest_probe(q, k),
-        };
-        (hits.into_iter().map(|(_, v)| v).collect(), stats)
-    }
-
-    fn remove(&mut self, env: &Envelope, id: RowId) {
-        match self {
-            SpatialIdx::Rtree(t) => {
-                t.remove(env, |v| *v == id);
-            }
-            SpatialIdx::Grid(g) => {
-                g.remove(env, |v| *v == id);
-            }
-        }
-    }
-}
-
-/// Ordered-index key: the orderable subset of [`Value`].
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Key {
-    Int(i64),
-    Text(String),
-}
-
-impl Key {
-    fn from_value(v: &Value) -> Option<Key> {
-        match v {
-            Value::Int(i) => Some(Key::Int(*i)),
-            Value::Text(s) => Some(Key::Text(s.clone())),
-            _ => None,
-        }
-    }
-
-    /// [`Key::from_value`] of a column still in its tuple's bytes.
-    fn from_field(f: Field<'_>) -> Option<Key> {
-        match f {
-            Field::Int(i) => Some(Key::Int(i)),
-            Field::Text(s) => Some(Key::Text(s.to_string())),
-            _ => None,
-        }
-    }
-}
-
-/// The spatial-index entry column `col` of an encoded row makes: its
-/// geometry's envelope, read off the WKB — bit-identical to the decoded
-/// geometry's, so an entry found this way is the entry inserted.
-fn tuple_envelope(tuple: &[u8], col: usize) -> crate::Result<Option<Envelope>> {
-    Ok(Field::of(tuple, col)?.map_or(Ok(None), |f| f.envelope())?)
-}
-
-/// The ordered-index key column `col` of an encoded row makes.
-fn tuple_key(tuple: &[u8], col: usize) -> crate::Result<Option<Key>> {
-    Ok(Field::of(tuple, col)?.and_then(Key::from_field))
-}
-
-/// Per-table index bookkeeping.
-#[derive(Default)]
-pub(crate) struct TableIndexes {
-    spatial: HashMap<usize, SpatialIdx>,
-    ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
-}
-
-/// What a table's indexes are built from, gathered row by row: by a heap
-/// scan (`CREATE INDEX`), or while the rows of a snapshot go by (every
-/// index of the table in the one pass that places them, no scan at all).
-pub(crate) struct IndexSeeds {
-    /// Per indexed geometry column, the bulk load's input.
-    spatial: Vec<(usize, Vec<(Envelope, RowId)>)>,
-    ordered: Vec<(usize, OrderedIndex<Key, RowId>)>,
-}
-
-impl IndexSeeds {
-    /// Empty seeds, with room for `rows` rows, for a spatial index on
-    /// each of `spatial_cols` and an ordered one on each of
-    /// `ordered_cols`; [`EngineError::Index`] when a column cannot carry
-    /// its index.
-    pub(crate) fn new(
-        t: &Table,
-        spatial_cols: &[usize],
-        ordered_cols: &[usize],
-        rows: usize,
-    ) -> crate::Result<IndexSeeds> {
-        let column = |col: usize| {
-            t.schema().columns().get(col).ok_or_else(|| {
-                EngineError::Index(format!("'{}' has no column number {col}", t.name))
-            })
-        };
-        for &col in spatial_cols {
-            let c = column(col)?;
-            if c.ty != DataType::Geometry {
-                return Err(EngineError::Index(format!(
-                    "column '{}' of '{}' is not a geometry",
-                    c.name, t.name
-                )));
-            }
-        }
-        for &col in ordered_cols {
-            let c = column(col)?;
-            if !matches!(c.ty, DataType::Int | DataType::Text) {
-                return Err(EngineError::Index(format!(
-                    "ordered index unsupported on {} column '{}'",
-                    c.ty.sql_name(),
-                    c.name
-                )));
-            }
-        }
-        Ok(IndexSeeds {
-            spatial: spatial_cols.iter().map(|&c| (c, Vec::with_capacity(rows))).collect(),
-            ordered: ordered_cols.iter().map(|&c| (c, OrderedIndex::new())).collect(),
-        })
-    }
-
-    /// Adds the entries of the row stored as `tuple`, read straight off
-    /// its bytes: nothing is decoded.
-    pub(crate) fn add(&mut self, id: RowId, tuple: &[u8]) -> crate::Result<()> {
-        for (col, items) in &mut self.spatial {
-            if let Some(env) = tuple_envelope(tuple, *col)? {
-                items.push((env, id));
-            }
-        }
-        for (col, idx) in &mut self.ordered {
-            if let Some(k) = tuple_key(tuple, *col)? {
-                idx.insert(k, id);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// File name of the atomic snapshot inside a durability directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.jkpn";
-/// File name of the write-ahead log inside a durability directory.
-pub const WAL_FILE: &str = "wal.jkwl";
-
-/// Tuning knobs for crash-safe durability.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DurabilityOptions {
-    /// fsync the write-ahead log after every append. Off by default:
-    /// the benchmark's crash model is torn files, not lost page cache,
-    /// and per-append fsync dominates insert latency.
-    pub sync_each_append: bool,
-}
-
-/// Attached durability: the open WAL, the directory its snapshot lives
-/// in, and the current generation — the stamp shared by the snapshot
-/// and the WAL cut against it. (The fsync policy lives inside the
-/// [`Wal`].)
-pub(crate) struct DurabilityState {
-    pub(crate) wal: Wal,
-    dir: PathBuf,
-    generation: u64,
-}
-
 /// An embedded spatial database instance under one [`EngineProfile`].
 pub struct SpatialDb {
     profile: EngineProfile,
@@ -302,22 +81,17 @@ pub struct SpatialDb {
     /// Intra-query worker threads for the morsel executor and parallel
     /// index builds. Defaults to the machine's available parallelism;
     /// `1` means fully serial execution.
-    workers: std::sync::atomic::AtomicUsize,
-    /// Crash-safe durability (snapshot + WAL), when attached.
-    ///
-    /// Lock order: this lock is always taken *before* `indexes`, the
-    /// statement cache, or any heap lock, never after.
+    workers: AtomicUsize,
+    /// Crash-safe durability (snapshot + WAL), when attached. Taken
+    /// before any other lock (see [`crate::durable`]).
     pub(crate) durability: RwLock<Option<DurabilityState>>,
     /// Engine-wide observability registry: every counter and stage
     /// histogram this instance records into, shared with the executor,
     /// the WAL, and the provider adapters.
     pub(crate) metrics: Arc<EngineMetrics>,
-    /// Always-on flight recorder: the last N completed query traces.
-    pub(crate) recorder: FlightRecorder,
-    /// Threshold-gated view of the same stream: only slow queries.
-    pub(crate) slow_log: SlowQueryLog,
-    /// Per-fingerprint rolling statistics (`pg_stat_statements`-style).
-    pub(crate) query_stats: QueryStatsTable,
+    /// Where completed statements are recorded: flight recorder,
+    /// slow-query log, fingerprint stats, metrics history.
+    pub(crate) introspection: Introspection,
     /// Prepared-geometry cache shared with the executor's refine stage,
     /// keyed by heap-row identity. Row slots are never reused and
     /// entries pin the rows they were built from, so DML cannot
@@ -327,38 +101,13 @@ pub struct SpatialDb {
     pub(crate) prepared_cache: Arc<PreparedCache>,
     /// Commit generation, writer lock, snapshot registry, reclaim queue
     /// and group commit: everything a write transaction goes through.
-    ///
-    /// Lock order: `durability` (read) before the writer lock before
-    /// `indexes`/heap locks.
     pub(crate) txn: Arc<Transactions>,
     /// Bumped by every DDL change (create/drop table or index, planner
     /// toggles); stamps cached plans.
     pub(crate) ddl_gen: AtomicU64,
-    /// In-flight statements, keyed by a monotone session id — the rows
-    /// of `jp_sessions`: the text (its first 512 bytes) and when it
-    /// began. Entries live for the duration of one `execute` call.
-    pub(crate) sessions: Mutex<HashMap<u64, (String, Instant)>>,
-    /// Monotone id feeding the session registry.
-    pub(crate) session_seq: AtomicU64,
-    /// Time-series ring of whole-engine metrics snapshots sampled at a
-    /// configurable minimum interval — the rows of `jp_metrics_history`.
-    pub(crate) history: MetricsHistory,
+    /// In-flight statements — the rows of `jp_sessions`.
+    pub(crate) sessions: Sessions,
 }
-
-/// Traces retained by the default flight recorder.
-pub const FLIGHT_RECORDER_CAPACITY: usize = 256;
-/// Slow traces retained by the default slow-query log.
-pub const SLOW_LOG_CAPACITY: usize = 64;
-/// Default slow-query threshold. Warm micro queries run in microseconds
-/// to low milliseconds, so 100 ms marks genuinely pathological
-/// statements without admitting ordinary cold-cache noise.
-pub const SLOW_QUERY_THRESHOLD: Duration = Duration::from_millis(100);
-/// Distinct statement shapes tracked by the fingerprint stats table.
-pub const QUERY_STATS_CAPACITY: usize = 512;
-/// Metrics snapshots retained by the `jp_metrics_history` ring.
-pub const METRICS_HISTORY_CAPACITY: usize = 64;
-/// Default minimum interval between metrics-history points.
-pub const METRICS_HISTORY_INTERVAL: Duration = Duration::from_secs(1);
 
 impl SpatialDb {
     /// Creates an empty database under the given profile.
@@ -367,172 +116,17 @@ impl SpatialDb {
         SpatialDb {
             profile,
             catalog: Catalog::new(),
-            indexes: Arc::new(RwLock::new(HashMap::new())),
+            indexes: Arc::default(),
             use_spatial_index: RwLock::new(true),
             statements: StatementCache::default(),
-            workers: std::sync::atomic::AtomicUsize::new(default_workers()),
-            durability: RwLock::new(None),
+            workers: AtomicUsize::new(default_workers()),
+            durability: RwLock::default(),
             txn: Arc::new(Transactions::new(metrics.clone())),
             metrics,
-            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
-            slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD),
-            query_stats: QueryStatsTable::new(QUERY_STATS_CAPACITY),
+            introspection: Introspection::default(),
             prepared_cache: Arc::new(PreparedCache::new()),
             ddl_gen: AtomicU64::new(0),
-            sessions: Mutex::new(HashMap::new()),
-            session_seq: AtomicU64::new(0),
-            history: MetricsHistory::new(METRICS_HISTORY_CAPACITY, METRICS_HISTORY_INTERVAL),
-        }
-    }
-
-    /// Opens (or creates) a crash-safe database under `dir`: loads the
-    /// atomic snapshot if one exists and replays every intact
-    /// write-ahead-log record on top of it. When replay applied a record,
-    /// or the directory held no snapshot, it then checkpoints — folding
-    /// the replayed tail into a fresh snapshot and truncating the log —
-    /// so recovery is idempotent. When there was nothing to fold (a log
-    /// with no intact record, no log, a torn log header, or a stale log
-    /// of another generation) the snapshot on disk already *is* the
-    /// state: it is kept as it is, not rewritten, and a fresh log is
-    /// created at its generation. `profile` is used only when the
-    /// directory holds no snapshot yet; otherwise the stored profile
-    /// wins.
-    ///
-    /// A crash at *any* byte offset of a snapshot save or WAL append
-    /// leaves this returning a consistent state: the snapshot is replaced
-    /// atomically (old or new, never torn), a torn or bit-flipped WAL
-    /// tail is detected by its checksum and dropped, and a WAL whose
-    /// generation does not match the snapshot's (a crash between a
-    /// checkpoint's snapshot rename and its log truncation) is discarded
-    /// rather than replayed — its records are already in the snapshot.
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        profile: EngineProfile,
-        opts: DurabilityOptions,
-    ) -> crate::Result<Arc<SpatialDb>> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| EngineError::Persist(format!("create durability dir: {e}")))?;
-        let snap = dir.join(SNAPSHOT_FILE);
-        let had_snapshot = snap.exists();
-        let (db, snap_gen) = if had_snapshot {
-            SpatialDb::open_gen(&snap)?
-        } else {
-            (Arc::new(SpatialDb::new(profile)), 0)
-        };
-        let replay = Wal::replay(dir.join(WAL_FILE))?;
-        let fold = replay.generation == snap_gen && !replay.records.is_empty();
-        if fold {
-            for rec in replay.records {
-                db.apply_wal_record(rec)?;
-            }
-        }
-        let gen = if had_snapshot && !fold {
-            snap_gen
-        } else {
-            // Checkpoint: replayed writes become part of the snapshot and
-            // the log restarts empty. The snapshot (at the next
-            // generation) lands first, so a crash before the fresh WAL
-            // exists leaves a stale log whose generation no longer
-            // matches — harmless.
-            let gen = snap_gen.max(replay.generation) + 1;
-            db.save_gen(&snap, gen)?;
-            gen
-        };
-        // Truncates whatever log was there. Every crash state of this
-        // (empty file, partial header) replays to zero records, which
-        // the next open again reads as "nothing to fold".
-        let mut wal = Wal::create(dir.join(WAL_FILE), opts.sync_each_append, gen)?;
-        wal.set_metrics(db.metrics.clone());
-        *db.durability.write() =
-            Some(DurabilityState { wal, dir: dir.to_path_buf(), generation: gen });
-        Ok(db)
-    }
-
-    /// Attaches durability to an already-loaded database: writes a
-    /// snapshot under `dir` and opens a fresh WAL that every subsequent
-    /// `CREATE TABLE`, `INSERT` and `CREATE INDEX` appends to. `None`
-    /// detaches, returning the instance to purely in-memory operation.
-    pub fn set_durability(&self, dir: Option<&Path>, opts: DurabilityOptions) -> crate::Result<()> {
-        match dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| EngineError::Persist(format!("create durability dir: {e}")))?;
-                // Take the write lock first so no write sneaks between
-                // the snapshot and the fresh log.
-                let mut guard = self.durability.write();
-                // Stamp past anything already in the directory, so that
-                // a crash between the snapshot and the fresh WAL cannot
-                // leave a stale log whose generation collides with the
-                // new snapshot's.
-                let snap = dir.join(SNAPSHOT_FILE);
-                let gen = SpatialDb::peek_snapshot_generation(&snap)
-                    .max(Wal::peek_generation(dir.join(WAL_FILE)))
-                    + 1;
-                self.save_gen(&snap, gen)?;
-                let mut wal = Wal::create(dir.join(WAL_FILE), opts.sync_each_append, gen)?;
-                wal.set_metrics(self.metrics.clone());
-                *guard = Some(DurabilityState { wal, dir: dir.to_path_buf(), generation: gen });
-            }
-            None => *self.durability.write() = None,
-        }
-        Ok(())
-    }
-
-    /// The durability directory, when durability is attached.
-    pub fn durability_dir(&self) -> Option<PathBuf> {
-        self.durability.read().as_ref().map(|d| d.dir.clone())
-    }
-
-    /// Folds all logged writes into a fresh atomic snapshot and truncates
-    /// the WAL. A no-op without attached durability.
-    ///
-    /// Runs automatically after `DROP TABLE` and index drops: drops have
-    /// no WAL record shape, so the snapshot is re-cut instead. (DML no
-    /// longer needs this — `INSERT`, `DELETE` and `UPDATE` all log
-    /// records and commit through the group pipeline.)
-    ///
-    /// Crash-atomic: the new snapshot carries the next generation and
-    /// replaces the old one atomically *before* the log is truncated to
-    /// that same generation. A crash between the two leaves the new
-    /// snapshot next to the old log — whose generation no longer
-    /// matches, so recovery discards it instead of replaying records
-    /// the snapshot already contains.
-    pub fn checkpoint(&self) -> crate::Result<()> {
-        let mut guard = self.durability.write();
-        if let Some(d) = guard.as_mut() {
-            // The writer lock keeps a mid-apply (unpublished) statement
-            // out of the snapshot; the durability write lock above
-            // already excludes committed-but-unsynced frames, since
-            // committing sessions hold the read side end to end.
-            let writers = self.txn.lock_writers(TxnSite::Checkpoint);
-            // A checkpoint is a natural vacuum point: any row whose
-            // death no pinned snapshot can still see is reclaimed now,
-            // so the snapshot being cut never re-persists it.
-            self.vacuum(&writers)?;
-            let gen = d.generation + 1;
-            self.save_gen(d.dir.join(SNAPSHOT_FILE), gen)?;
-            d.wal.reset(gen)?;
-            d.generation = gen;
-        }
-        Ok(())
-    }
-
-    /// Applies one replayed WAL record. Replay runs before a WAL is
-    /// attached and before any concurrent session exists, so records
-    /// apply through unlogged, generation-free paths (rows are reborn
-    /// visible-everywhere; the snapshot that follows settles them).
-    fn apply_wal_record(self: &Arc<Self>, rec: WalRecord) -> crate::Result<()> {
-        match rec {
-            WalRecord::CreateTable { name, columns } => self.create_table(&name, columns),
-            WalRecord::CreateSpatialIndex { table, column } => {
-                self.create_spatial_index(&table, &column)
-            }
-            WalRecord::CreateOrderedIndex { table, column } => {
-                self.create_ordered_index(&table, &column)
-            }
-            WalRecord::InsertAt { table, id, row } => self.replay_insert_at(&table, id, row),
-            WalRecord::DeleteId { table, id } => self.replay_delete_id(&table, id),
+            sessions: Sessions::default(),
         }
     }
 
@@ -541,73 +135,12 @@ impl SpatialDb {
     /// bit-identical at any setting — only wall-clock changes.
     pub fn set_workers(&self, workers: usize) {
         let w = if workers == 0 { default_workers() } else { workers };
-        self.workers.store(w, std::sync::atomic::Ordering::Relaxed);
+        self.workers.store(w, Ordering::Relaxed);
     }
 
     /// The current intra-query worker count.
     pub fn workers(&self) -> usize {
-        self.workers.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The engine's observability registry (shared, always-on).
-    pub fn metrics(&self) -> &Arc<EngineMetrics> {
-        &self.metrics
-    }
-
-    /// A point-in-time copy of every engine counter, gauge and
-    /// histogram. Gauges (vacuum backlog, pinned snapshots, oldest-pin
-    /// age) are refreshed from engine state first.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.refresh_gauges();
-        self.metrics.snapshot()
-    }
-
-    /// Refreshes the point-in-time gauges from engine state: the vacuum
-    /// backlog, the number of distinct pinned snapshot generations, the
-    /// age of the oldest pin, and the buffer pool's frame occupancy and
-    /// lifetime counters. Two short mutex acquisitions.
-    pub(crate) fn refresh_gauges(&self) {
-        self.metrics.pending_reclaim_rows.set(self.txn.pending_reclaim_len() as u64);
-        let pins = self.txn.snapshot_pins();
-        self.metrics.active_snapshots.set(pins.len() as u64);
-        let oldest = pins.iter().map(|(.., age)| *age).max().unwrap_or_default();
-        self.metrics.oldest_snapshot_age_us.set(oldest.as_micros().min(u64::MAX as u128) as u64);
-        let pool = self.catalog.pool().stats();
-        self.metrics.pool_capacity_frames.set(pool.capacity_frames);
-        self.metrics.pool_resident_frames.set(pool.resident_frames);
-        self.metrics.pool_pinned_frames.set(pool.pinned_frames);
-        self.metrics.pool_decoded_rows.set(pool.decoded_rows);
-        self.metrics.pool_pin_hits.set(pool.pin_hits);
-        self.metrics.pool_cold_pins.set(pool.cold_pins);
-        self.metrics.pool_evictions.set(pool.evictions);
-        self.metrics.pool_dirty_writebacks.set(pool.dirty_writebacks);
-    }
-
-    /// Prometheus text-exposition rendering of the current metrics
-    /// (gauges refreshed), with every series labeled by the engine
-    /// profile name. The output passes
-    /// [`jackpine_obs::lint_prometheus_text`].
-    pub fn prometheus_text(&self) -> String {
-        jackpine_obs::prometheus_text(&[(self.profile.name(), &self.metrics_snapshot())])
-    }
-
-    /// The retained metrics-history points, oldest first — the rows of
-    /// `jp_metrics_history`. Points are sampled after recorded
-    /// statements, at most one per history interval.
-    pub fn metrics_history(&self) -> Vec<HistoryPoint> {
-        self.history.recent()
-    }
-
-    /// Sets the minimum interval between metrics-history points.
-    /// `Duration::ZERO` samples after every recorded statement.
-    pub fn set_metrics_history_interval(&self, interval: Duration) {
-        self.history.set_interval(interval);
-    }
-
-    /// WAL status when durability is attached: `(generation,
-    /// sync_each_append)` — the scalar half of `jp_wal`.
-    pub fn wal_status(&self) -> Option<(u64, bool)> {
-        self.durability.read().as_ref().map(|d| (d.generation, d.wal.sync_enabled()))
+        self.workers.load(Ordering::Relaxed)
     }
 
     /// The engine profile.
@@ -629,30 +162,6 @@ impl SpatialDb {
         self.ddl_gen.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Creates a table programmatically. Names with the `jp_` prefix are
-    /// reserved for the system catalog.
-    pub fn create_table(&self, name: &str, columns: Vec<ColumnDef>) -> crate::Result<()> {
-        if syscat::is_system_table(name) {
-            return Err(EngineError::Storage(StorageError::TableExists(format!(
-                "{name} (the jp_ prefix is reserved for the system catalog)"
-            ))));
-        }
-        // Held across apply + log so a concurrent checkpoint cannot cut
-        // its snapshot between the two (which would replay this create
-        // twice after a crash).
-        let durability = self.durability.read();
-        let _writers = self.txn.lock_writers(TxnSite::Ddl);
-        let logged = durability.as_ref().map(|_| columns.clone());
-        let schema = Schema::new(columns)?;
-        self.catalog.create_table(name, schema)?;
-        self.indexes.write().insert(name.to_ascii_lowercase(), TableIndexes::default());
-        self.bump_ddl_gen();
-        if let (Some(d), Some(columns)) = (durability.as_ref(), logged) {
-            d.wal.append(&WalRecord::CreateTable { name: name.to_string(), columns })?;
-        }
-        Ok(())
-    }
-
     /// Inserts a row programmatically, maintaining any indexes. One
     /// single-row write transaction: staged to the WAL before it is
     /// published, fsynced through the group-commit pipeline.
@@ -663,46 +172,6 @@ impl SpatialDb {
         Ok(id)
     }
 
-    /// Adds `row`'s entries to every index on `table` (`present`), or
-    /// removes them: one walk, so what a rollback strips is what the
-    /// insert put there.
-    pub(crate) fn set_index_entries(&self, table: &str, id: RowId, row: &Row, present: bool) {
-        let mut indexes = self.indexes.write();
-        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return };
-        for (col, idx) in ti.spatial.iter_mut() {
-            match row.get(*col) {
-                Some(Value::Geom(g)) if present => idx.insert(g.envelope(), id),
-                Some(Value::Geom(g)) => idx.remove(&g.envelope(), id),
-                _ => {}
-            }
-        }
-        for (col, idx) in ti.ordered.iter_mut() {
-            match row.get(*col).and_then(Key::from_value) {
-                Some(k) if present => idx.insert(k, id),
-                Some(k) => drop(idx.remove(&k, |v| *v == id)),
-                None => {}
-            }
-        }
-    }
-
-    /// Removes the index entries of the row at `id`, stored as `tuple`,
-    /// taking them off its bytes as [`IndexSeeds::add`] does.
-    pub(crate) fn unindex_tuple(&self, table: &str, id: RowId, tuple: &[u8]) -> crate::Result<()> {
-        let mut indexes = self.indexes.write();
-        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return Ok(()) };
-        for (col, idx) in ti.spatial.iter_mut() {
-            if let Some(env) = tuple_envelope(tuple, *col)? {
-                idx.remove(&env, id);
-            }
-        }
-        for (col, idx) in ti.ordered.iter_mut() {
-            if let Some(k) = tuple_key(tuple, *col)? {
-                idx.remove(&k, |v| *v == id);
-            }
-        }
-        Ok(())
-    }
-
     /// The newest published commit generation (diagnostics and tests).
     pub fn commit_generation(&self) -> u64 {
         self.txn.generation()
@@ -711,12 +180,6 @@ impl SpatialDb {
     /// Currently pinned reader snapshots (diagnostics and tests).
     pub fn active_snapshot_count(&self) -> usize {
         self.txn.snapshot_pins().iter().map(|(_, readers, _)| readers).sum()
-    }
-
-    /// Currently pinned snapshot generations as `(generation, readers,
-    /// age)` triples sorted by generation — the rows of `jp_snapshots`.
-    pub fn snapshot_pins(&self) -> Vec<(u64, usize, Duration)> {
-        self.txn.snapshot_pins()
     }
 
     /// Logically-deleted rows awaiting physical reclaim (diagnostics and
@@ -733,267 +196,9 @@ impl SpatialDb {
         self.txn.pin()
     }
 
-    /// Test-only fault injection: makes every subsequent WAL append (and
-    /// staged frame write) fail, to exercise commit rollback.
-    #[doc(hidden)]
-    pub fn fail_wal_appends(&self, fail: bool) {
-        if let Some(d) = self.durability.read().as_ref() {
-            d.wal.set_fail_appends(fail);
-        }
-    }
-
-    /// Builds a spatial index on a geometry column. Uses R\*-tree STR
-    /// bulk loading or grid construction depending on the profile.
-    pub fn create_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        self.create_index(table, column, true)
-    }
-
-    /// Builds an ordered (attribute) index on an integer or text column.
-    pub fn create_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        self.create_index(table, column, false)
-    }
-
-    /// `CREATE INDEX` of either kind: seeds gathered by one heap scan,
-    /// installed, logged.
-    fn create_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
-        let durability = self.durability.read();
-        let _writers = self.txn.lock_writers(TxnSite::Ddl);
-        let t = self.catalog.table(table)?;
-        let col = [t.schema().column_index(column)?];
-        let (spatial_cols, ordered_cols): (&[usize], &[usize]) =
-            if spatial { (&col, &[]) } else { (&[], &col) };
-        let mut seeds = IndexSeeds::new(&t, spatial_cols, ordered_cols, t.heap.len())?;
-        // Every physically-present row, logically-deleted ones included:
-        // an older pinned snapshot that still sees such a row must be
-        // able to find it through the new index (probes post-filter by
-        // visibility). From the tuple bytes: a build decodes no row.
-        t.heap.scan_tuples(&t.heap.row_ids_any(), |id, tuple| seeds.add(id, tuple))?;
-        self.install_indexes(&t, seeds)?;
-        if let Some(d) = durability.as_ref() {
-            let (table, column) = (table.to_string(), column.to_string());
-            d.wal.append(&if spatial {
-                WalRecord::CreateSpatialIndex { table, column }
-            } else {
-                WalRecord::CreateOrderedIndex { table, column }
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Builds an index from each of `seeds` (the bulk path) and registers
-    /// them on `t`.
-    pub(crate) fn install_indexes(&self, t: &Table, seeds: IndexSeeds) -> crate::Result<()> {
-        let built: Vec<(usize, SpatialIdx)> = seeds
-            .spatial
-            .into_iter()
-            .map(|(col, items)| (col, self.build_spatial_index(&t.name, col, items)))
-            .collect();
-        let exists = |kind: &str, col: usize| {
-            let column = &t.schema().columns()[col].name;
-            EngineError::Index(format!("{kind} index on '{}.{column}' already exists", t.name))
-        };
-        let mut indexes = self.indexes.write();
-        let ti = indexes.entry(t.name.to_ascii_lowercase()).or_default();
-        for (col, idx) in built {
-            if ti.spatial.insert(col, idx).is_some() {
-                return Err(exists("spatial", col));
-            }
-        }
-        for (col, idx) in seeds.ordered {
-            if ti.ordered.insert(col, idx).is_some() {
-                return Err(exists("ordered", col));
-            }
-        }
-        drop(indexes);
-        self.bump_ddl_gen();
-        Ok(())
-    }
-
-    fn build_spatial_index(
-        &self,
-        table: &str,
-        col: usize,
-        items: Vec<(Envelope, RowId)>,
-    ) -> SpatialIdx {
-        if self.profile.uses_grid_index() {
-            let mut extent = Envelope::EMPTY;
-            for (e, _) in &items {
-                extent.expand_to_include(e);
-            }
-            let cells = ((items.len() as f64).sqrt().ceil() as usize).clamp(16, 256);
-            let extent = if extent.is_empty() {
-                Envelope::new(0.0, 0.0, 1.0, 1.0)
-            } else {
-                extent.expanded_by(extent.margin() * 0.001 + 1e-9)
-            };
-            SpatialIdx::Grid(GridIndex::bulk_load(extent, cells, cells, items))
-        } else {
-            let mut tree = RTree::bulk_load_parallel(RTreeConfig::default(), items, self.workers());
-            // Under a bounded pool, leaves page through it from the
-            // start: inner nodes stay resident, leaf probes pin pool
-            // pages and show up in the pool's hit/miss counters.
-            let pool = self.catalog.pool();
-            if pool.capacity_frames() != 0 {
-                let file = pool.register(&leaf_file_name(table, col));
-                tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file }));
-                tree.spill_leaves();
-            }
-            SpatialIdx::Rtree(tree)
-        }
-    }
-
-    /// Drops the spatial index on `table.column`. Errors if no such
-    /// index exists. Invalidates cached plans and re-cuts the durable
-    /// snapshot, so recovery cannot resurrect the index from a logged
-    /// `CREATE INDEX` record.
-    pub fn drop_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        self.drop_index(table, column, true)
-    }
-
-    /// Drops the ordered index on `table.column`. Errors if no such
-    /// index exists. Same invalidation rules as
-    /// [`SpatialDb::drop_spatial_index`].
-    pub fn drop_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        self.drop_index(table, column, false)
-    }
-
-    /// `DROP INDEX` of either kind.
-    fn drop_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
-        let t = self.catalog.table(table)?;
-        let col = t.schema().column_index(column)?;
-        // Both kinds' slots, so the index is freed after the locks are.
-        let removed = {
-            let _writers = self.txn.lock_writers(TxnSite::Ddl);
-            let mut indexes = self.indexes.write();
-            indexes.get_mut(&table.to_ascii_lowercase()).map(|ti| {
-                if spatial {
-                    (ti.spatial.remove(&col), None)
-                } else {
-                    (None, ti.ordered.remove(&col))
-                }
-            })
-        };
-        if !matches!(removed, Some((Some(_), _) | (_, Some(_)))) {
-            let kind = if spatial { "spatial" } else { "ordered" };
-            return Err(EngineError::Index(format!("no {kind} index on '{table}.{column}'")));
-        }
-        self.bump_ddl_gen();
-        self.prepared_cache.clear();
-        self.checkpoint()
-    }
-
-    /// The flight recorder itself (capacity/eviction accounting).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// The most recent completed traces, oldest first, up to the
-    /// recorder capacity. Traces stay in the ring.
-    pub fn recent_traces(&self) -> Vec<Arc<QueryTrace>> {
-        self.recorder.recent()
-    }
-
-    /// Removes and returns every retained trace, oldest first.
-    pub fn drain_traces(&self) -> Vec<Arc<QueryTrace>> {
-        self.recorder.drain()
-    }
-
-    /// Retained slow-query traces, oldest first.
-    pub fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        self.slow_log.recent()
-    }
-
-    /// The current slow-query threshold.
-    pub fn slow_query_threshold(&self) -> Duration {
-        self.slow_log.threshold()
-    }
-
-    /// Sets the slow-query threshold. `Duration::ZERO` logs everything.
-    pub fn set_slow_query_threshold(&self, threshold: Duration) {
-        self.slow_log.set_threshold(threshold);
-    }
-
-    /// The top `k` statement shapes by execution count, with rolling
-    /// latency/row/error statistics per fingerprint.
-    pub fn query_stats(&self, k: usize) -> Vec<FingerprintStats> {
-        self.query_stats.top(k)
-    }
-
-    /// Drops everything a cold run must not find warm. The buffer pool
-    /// writes back its dirty frames, drops every unpinned one, and with
-    /// them every row and quad decoded from a page (a frame that stays
-    /// pinned loses those too); spilled R-tree leaves lose their decoded
-    /// images — so the next probe of any page or leaf genuinely goes
-    /// back to the page store. Cached geometry preparations go as well:
-    /// they hold the decoded rows they were built from. So does the
-    /// statement cache — a cold run that skipped it would still be warm
-    /// where it counts for short queries.
-    pub fn clear_caches(&self) {
-        self.prepared_cache.clear();
-        self.statements.clear();
-        let indexes = self.indexes.read();
-        for ti in indexes.values() {
-            for idx in ti.spatial.values() {
-                if let SpatialIdx::Rtree(tree) = idx {
-                    tree.clear_leaf_cache();
-                }
-            }
-        }
-        drop(indexes);
-        self.catalog.pool().clear();
-    }
-
-    /// Sizes the shared buffer pool: heaps and spilled index leaves
-    /// compete for `bytes / PAGE_SIZE` frames (`0` = unbounded, the
-    /// default). Shrinking evicts unpinned frames immediately; R-tree
-    /// leaves are spilled into (or faulted back out of) the pool to
-    /// match the new budget.
-    pub fn set_pool_bytes(&self, bytes: usize) {
-        self.catalog.pool().set_capacity_bytes(bytes);
-        self.respill_indexes();
-    }
-
     /// A point-in-time copy of the buffer pool's counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.catalog.pool().stats()
-    }
-
-    /// Brings every R-tree's leaf residency in line with the pool
-    /// budget: spilled under a bounded pool, fully resident otherwise.
-    fn respill_indexes(&self) {
-        let pool = self.catalog.pool().clone();
-        let bounded = pool.capacity_frames() != 0;
-        let mut indexes = self.indexes.write();
-        for (tname, ti) in indexes.iter_mut() {
-            for (col, idx) in ti.spatial.iter_mut() {
-                if let SpatialIdx::Rtree(tree) = idx {
-                    if bounded {
-                        if !tree.has_pager() {
-                            let file = pool.register(&leaf_file_name(tname, *col));
-                            tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file }));
-                        }
-                        tree.spill_leaves();
-                    } else {
-                        tree.unspill();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flushes dirty pool frames and reclaims what no snapshot needs.
-    pub fn close(&self) -> crate::Result<()> {
-        {
-            let writers = self.txn.lock_writers(TxnSite::Checkpoint);
-            self.vacuum(&writers)?;
-        }
-        self.catalog.pool().flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
-    }
-
-    /// Live row ids of `table`, in heap order (diagnostics and tests —
-    /// recovery equivalence asserts on these).
-    pub fn table_row_ids(&self, table: &str) -> crate::Result<Vec<RowId>> {
-        Ok(self.catalog.table(table)?.heap.row_ids())
     }
 
     /// The underlying catalog table (for loaders and tests).
@@ -1005,21 +210,6 @@ impl SpatialDb {
     pub fn table_names(&self) -> Vec<String> {
         self.catalog.table_names()
     }
-
-    /// Column indices carrying a (spatial, ordered) index on `table`.
-    pub(crate) fn index_definitions(&self, table: &str) -> (Vec<usize>, Vec<usize>) {
-        let indexes = self.indexes.read();
-        match indexes.get(&table.to_ascii_lowercase()) {
-            Some(ti) => {
-                let mut s: Vec<usize> = ti.spatial.keys().copied().collect();
-                let mut o: Vec<usize> = ti.ordered.keys().copied().collect();
-                s.sort_unstable();
-                o.sort_unstable();
-                (s, o)
-            }
-            None => (Vec::new(), Vec::new()),
-        }
-    }
 }
 
 /// Default intra-query worker count: the machine's available parallelism.
@@ -1027,164 +217,10 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-// ---------------------------------------------------------------------------
-// Provider adapters
-// ---------------------------------------------------------------------------
-
-pub(crate) struct DbCatalogAdapter {
-    pub(crate) db: Arc<SpatialDb>,
-}
-
-impl CatalogProvider for DbCatalogAdapter {
-    fn table(&self, name: &str) -> jackpine_sqlmini::Result<Arc<dyn TableProvider>> {
-        // System-catalog names resolve to point-in-time virtual tables;
-        // unknown jp_* names fall through to the ordinary not-found
-        // error below.
-        if let Some(provider) = syscat::provider(&self.db, name) {
-            return provider;
-        }
-        let table = self.db.catalog.table(name).map_err(SqlError::from)?;
-        Ok(Arc::new(DbTableAdapter {
-            metrics: self.db.metrics.clone(),
-            indexes: self.db.indexes.clone(),
-            txn: self.db.txn.clone(),
-            key: name.to_ascii_lowercase(),
-            table,
-            pinned: None,
-        }))
-    }
-}
-
-/// One table as the planner and executor see it. Plans holding these
-/// sit in the engine's statement cache, so an adapter shares the parts of the
-/// engine it reads — never the engine (see [`SpatialDb`]'s `indexes`).
-struct DbTableAdapter {
-    metrics: Arc<EngineMetrics>,
-    indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
-    txn: Arc<Transactions>,
-    key: String,
-    table: Arc<Table>,
-    /// When set, every read observes exactly the rows visible at this
-    /// handle's generation. `None` reads live (newest published state
-    /// per call) — correct for single-statement uses like DML scans that
-    /// run under the writer lock.
-    pinned: Option<Arc<dyn SnapshotHandle>>,
-}
-
-impl DbTableAdapter {
-    /// The generation this adapter reads at.
-    fn gen(&self) -> u64 {
-        match &self.pinned {
-            Some(s) => s.generation(),
-            None => self.txn.generation(),
-        }
-    }
-}
-
-impl TableProvider for DbTableAdapter {
-    fn schema(&self) -> Arc<Schema> {
-        self.table.schema().clone()
-    }
-
-    fn row_ids(&self) -> Vec<RowId> {
-        self.table.heap.row_ids_visible(self.gen())
-    }
-
-    fn fetch(&self, id: RowId) -> jackpine_sqlmini::Result<Arc<Row>> {
-        self.metrics.heap_rows_fetched.incr();
-        self.table.heap.get(id).map_err(SqlError::from)
-    }
-
-    fn fetch_many(&self, ids: &[RowId]) -> jackpine_sqlmini::Result<Vec<Arc<Row>>> {
-        self.metrics.heap_rows_fetched.add(ids.len() as u64);
-        self.table.heap.get_many(ids).map_err(SqlError::from)
-    }
-
-    fn spatial_candidates(&self, col: usize, env: &Envelope) -> Option<Vec<RowId>> {
-        // Epoch before the probe: a vacuum racing the probe must be
-        // visible to the visibility filter below.
-        let epoch = self.table.heap.reclaim_epoch();
-        let indexes = self.indexes.read();
-        let ti = indexes.get(&self.key)?;
-        let (mut ids, stats) = ti.spatial.get(&col)?.window_probe(env);
-        let m = &self.metrics;
-        m.index_probes.incr();
-        m.index_candidates.add(stats.candidates);
-        m.index_nodes_visited.add(stats.nodes_visited);
-        // Indexes may hold entries for rows this snapshot cannot see
-        // (not yet born, or dead but unreclaimed); filter them out
-        // after counting raw candidates, so index stats stay a property
-        // of the index, not of concurrent write traffic.
-        self.table.heap.retain_visible(&mut ids, self.gen(), epoch);
-        Some(ids)
-    }
-
-    fn ordered_candidates(&self, col: usize, key: &Value) -> Option<Vec<RowId>> {
-        let epoch = self.table.heap.reclaim_epoch();
-        let indexes = self.indexes.read();
-        let ti = indexes.get(&self.key)?;
-        let idx = ti.ordered.get(&col)?;
-        let k = Key::from_value(key)?;
-        let mut ids = idx.get(&k).to_vec();
-        let m = &self.metrics;
-        m.index_probes.incr();
-        m.index_candidates.add(ids.len() as u64);
-        self.table.heap.retain_visible(&mut ids, self.gen(), epoch);
-        Some(ids)
-    }
-
-    fn nearest(&self, col: usize, query: Coord, k: usize) -> Option<Vec<RowId>> {
-        let gen = self.gen();
-        let indexes = self.indexes.read();
-        let ti = indexes.get(&self.key)?;
-        let idx = ti.spatial.get(&col)?;
-        let m = &self.metrics;
-        // The index can surface rows this snapshot cannot see; when the
-        // visible set comes up short of k, re-probe with a doubled
-        // budget until it fills or the index is exhausted. Visibility
-        // filtering preserves the probe's distance order, so truncating
-        // still yields the k nearest visible rows.
-        let mut want = k;
-        loop {
-            let epoch = self.table.heap.reclaim_epoch();
-            let (mut ids, stats) = idx.nearest_probe(query, want);
-            m.index_probes.incr();
-            m.index_candidates.add(stats.candidates);
-            m.index_nodes_visited.add(stats.nodes_visited);
-            let exhausted = ids.len() < want;
-            self.table.heap.retain_visible(&mut ids, gen, epoch);
-            if ids.len() >= k || exhausted {
-                ids.truncate(k);
-                return Some(ids);
-            }
-            want = want.saturating_mul(2);
-        }
-    }
-
-    fn pin_snapshot(&self, snap: &Arc<dyn SnapshotHandle>) -> Option<Arc<dyn TableProvider>> {
-        Some(Arc::new(DbTableAdapter {
-            metrics: self.metrics.clone(),
-            indexes: self.indexes.clone(),
-            txn: self.txn.clone(),
-            key: self.key.clone(),
-            table: self.table.clone(),
-            pinned: Some(snap.clone()),
-        }))
-    }
-
-    fn fetch_mbrs(&self, col: usize, ids: &[RowId]) -> Option<Vec<Option<[f64; 4]>>> {
-        // Served from the quads kept in the rows' pool frames. Not
-        // counted as heap row fetches: the rows themselves were already
-        // fetched (and counted) by the scan feeding the filter. Any
-        // storage error falls back to the executor's row-walk gather,
-        // which surfaces errors through the normal fetch path.
-        self.table.heap.mbrs(col, ids).ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jackpine_storage::Value;
 
     fn db(profile: EngineProfile) -> Arc<SpatialDb> {
         let db = Arc::new(SpatialDb::new(profile));
@@ -1354,6 +390,7 @@ mod tests {
 #[cfg(test)]
 mod dml_tests {
     use super::*;
+    use jackpine_storage::Value;
 
     fn db_with_rows(profile: EngineProfile) -> Arc<SpatialDb> {
         let db = Arc::new(SpatialDb::new(profile));
@@ -1469,6 +506,7 @@ mod dml_tests {
 #[cfg(test)]
 mod group_by_tests {
     use super::*;
+    use jackpine_storage::Value;
 
     fn db() -> Arc<SpatialDb> {
         let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -1544,6 +582,7 @@ mod group_by_tests {
 #[cfg(test)]
 mod update_tests {
     use super::*;
+    use jackpine_storage::Value;
 
     fn db() -> Arc<SpatialDb> {
         let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -1725,6 +764,7 @@ mod vectorized_tests {
 #[cfg(test)]
 mod out_of_core_tests {
     use super::*;
+    use jackpine_storage::Value;
 
     fn files_in(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
         std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect()
@@ -1845,6 +885,7 @@ mod out_of_core_tests {
 #[cfg(test)]
 mod drop_table_tests {
     use super::*;
+    use jackpine_storage::Value;
 
     #[test]
     fn drop_removes_table_and_invalidates_plans() {

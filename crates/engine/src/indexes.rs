@@ -1,0 +1,636 @@
+//! DDL and the index catalog: tables, the indexes over them, and the
+//! adapters through which the planner and executor read both.
+//!
+//! Every table has a [`TableIndexes`] entry: its spatial indexes
+//! (R\*-tree or grid, by profile) and its ordered ones, keyed by column.
+//! An index is built by one bulk load from [`IndexSeeds`] taken off tuple
+//! bytes — by a heap scan for `CREATE INDEX`, or while a snapshot's rows
+//! go by on open — and then kept in step by the write transaction
+//! ([`SpatialDb::set_index_entries`]) and by vacuum
+//! ([`SpatialDb::unindex_tuple`]). Under a bounded pool an R-tree's leaves
+//! page through the pool ([`PoolLeafPager`]), attached in one place.
+
+use crate::db::{EngineError, SpatialDb};
+use crate::syscat;
+use crate::txn::Transactions;
+use crate::wal::WalRecord;
+use jackpine_geom::{Coord, Envelope};
+use jackpine_index::{GridIndex, LeafPager, OrderedIndex, ProbeStats, RTree, RTreeConfig};
+use jackpine_obs::{EngineMetrics, TxnSite};
+use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider};
+use jackpine_sqlmini::SqlError;
+use jackpine_storage::sync::RwLock;
+use jackpine_storage::{
+    BufferPool, ColumnDef, DataType, Field, Row, RowId, Schema, StorageError, Table, Value,
+};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// A spatial index over one geometry column.
+enum SpatialIdx {
+    Rtree(RTree<RowId>),
+    Grid(GridIndex<RowId>),
+}
+
+/// [`LeafPager`] backed by the engine's shared buffer pool: each R-tree
+/// leaf serializes into slot 0 of its own pool page, so spilled leaves
+/// compete for frames with heap pages under one capacity budget (and
+/// show up in the same pin/eviction counters).
+#[derive(Debug)]
+struct PoolLeafPager {
+    pool: Arc<BufferPool>,
+    file: u64,
+}
+
+impl LeafPager for PoolLeafPager {
+    fn write(&self, leaf: u64, bytes: &[u8]) {
+        let pin = self.pool.pin(self.file, leaf as u32);
+        let mut guard = pin.write();
+        guard.clear();
+        guard.insert(bytes);
+    }
+
+    fn read(&self, leaf: u64) -> Option<Vec<u8>> {
+        let pin = self.pool.pin(self.file, leaf as u32);
+        let guard = pin.read();
+        guard.get(0).ok().map(|b| b.to_vec())
+    }
+}
+
+impl Drop for PoolLeafPager {
+    fn drop(&mut self) {
+        self.pool.unregister(self.file);
+    }
+}
+
+/// Pages `tree`'s leaves out through `pool`, attaching its pager — the
+/// pool page file of `table`'s column `col` — on first use. Inner nodes
+/// stay resident; leaf probes pin pool pages and show up in the pool's
+/// hit/miss counters.
+fn spill_through_pool(tree: &mut RTree<RowId>, pool: &Arc<BufferPool>, table: &str, col: usize) {
+    if !tree.has_pager() {
+        let file = pool.register(&format!("idx-{}-{col}", table.to_ascii_lowercase()));
+        tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file }));
+    }
+    tree.spill_leaves();
+}
+
+impl SpatialIdx {
+    fn insert(&mut self, env: Envelope, id: RowId) {
+        match self {
+            SpatialIdx::Rtree(t) => t.insert(env, id),
+            SpatialIdx::Grid(g) => g.insert(env, id),
+        }
+    }
+
+    /// Window query that also reports how much work the probe did
+    /// (nodes/cells inspected, candidates emitted).
+    fn window_probe(&self, env: &Envelope) -> (Vec<RowId>, ProbeStats) {
+        let mut out = Vec::new();
+        let stats = match self {
+            SpatialIdx::Rtree(t) => t.query_window_probe(env, |_, v| out.push(*v)),
+            SpatialIdx::Grid(g) => g.query_window_probe(env, |_, v| out.push(*v)),
+        };
+        (out, stats)
+    }
+
+    fn nearest_probe(&self, q: Coord, k: usize) -> (Vec<RowId>, ProbeStats) {
+        let (hits, stats) = match self {
+            SpatialIdx::Rtree(t) => t.nearest_probe(q, k),
+            SpatialIdx::Grid(g) => g.nearest_probe(q, k),
+        };
+        (hits.into_iter().map(|(_, v)| v).collect(), stats)
+    }
+
+    fn remove(&mut self, env: &Envelope, id: RowId) {
+        match self {
+            SpatialIdx::Rtree(t) => drop(t.remove(env, |v| *v == id)),
+            SpatialIdx::Grid(g) => drop(g.remove(env, |v| *v == id)),
+        }
+    }
+}
+
+/// Ordered-index key: the orderable subset of [`Value`].
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Int(i64),
+    Text(String),
+}
+
+impl Key {
+    fn from_value(v: &Value) -> Option<Key> {
+        match v {
+            Value::Int(i) => Some(Key::Int(*i)),
+            Value::Text(s) => Some(Key::Text(s.clone())),
+            _ => None,
+        }
+    }
+
+    /// [`Key::from_value`] of a column still in its tuple's bytes.
+    fn from_field(f: Field<'_>) -> Option<Key> {
+        match f {
+            Field::Int(i) => Some(Key::Int(i)),
+            Field::Text(s) => Some(Key::Text(s.to_string())),
+            _ => None,
+        }
+    }
+}
+
+/// The spatial-index entry column `col` of an encoded row makes: its
+/// geometry's envelope, read off the WKB — bit-identical to the decoded
+/// geometry's, so an entry found this way is the entry inserted.
+fn tuple_envelope(tuple: &[u8], col: usize) -> crate::Result<Option<Envelope>> {
+    Ok(Field::of(tuple, col)?.map_or(Ok(None), |f| f.envelope())?)
+}
+
+/// The ordered-index key column `col` of an encoded row makes.
+fn tuple_key(tuple: &[u8], col: usize) -> crate::Result<Option<Key>> {
+    Ok(Field::of(tuple, col)?.and_then(Key::from_field))
+}
+
+/// Per-table index bookkeeping.
+#[derive(Default)]
+pub(crate) struct TableIndexes {
+    spatial: HashMap<usize, SpatialIdx>,
+    ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
+}
+
+/// What a table's indexes are built from, gathered row by row: by a heap
+/// scan (`CREATE INDEX`), or while the rows of a snapshot go by (every
+/// index of the table in the one pass that places them, no scan at all).
+pub(crate) struct IndexSeeds {
+    /// Per indexed geometry column, the bulk load's input.
+    spatial: Vec<(usize, Vec<(Envelope, RowId)>)>,
+    ordered: Vec<(usize, OrderedIndex<Key, RowId>)>,
+}
+
+impl IndexSeeds {
+    /// Empty seeds, with room for `rows` rows, for a spatial index on
+    /// each of `spatial_cols` and an ordered one on each of
+    /// `ordered_cols`; [`EngineError::Index`] when a column cannot carry
+    /// its index.
+    pub(crate) fn new(
+        t: &Table,
+        spatial_cols: &[usize],
+        ordered_cols: &[usize],
+        rows: usize,
+    ) -> crate::Result<IndexSeeds> {
+        let column = |col: usize| {
+            t.schema().columns().get(col).ok_or_else(|| {
+                EngineError::Index(format!("'{}' has no column number {col}", t.name))
+            })
+        };
+        for &col in spatial_cols {
+            let c = column(col)?;
+            if c.ty != DataType::Geometry {
+                return Err(EngineError::Index(format!(
+                    "column '{}' of '{}' is not a geometry",
+                    c.name, t.name
+                )));
+            }
+        }
+        for &col in ordered_cols {
+            let c = column(col)?;
+            if !matches!(c.ty, DataType::Int | DataType::Text) {
+                return Err(EngineError::Index(format!(
+                    "ordered index unsupported on {} column '{}'",
+                    c.ty.sql_name(),
+                    c.name
+                )));
+            }
+        }
+        Ok(IndexSeeds {
+            spatial: spatial_cols.iter().map(|&c| (c, Vec::with_capacity(rows))).collect(),
+            ordered: ordered_cols.iter().map(|&c| (c, OrderedIndex::new())).collect(),
+        })
+    }
+
+    /// Adds the entries of the row stored as `tuple`, read straight off
+    /// its bytes: nothing is decoded.
+    pub(crate) fn add(&mut self, id: RowId, tuple: &[u8]) -> crate::Result<()> {
+        for (col, items) in &mut self.spatial {
+            if let Some(env) = tuple_envelope(tuple, *col)? {
+                items.push((env, id));
+            }
+        }
+        for (col, idx) in &mut self.ordered {
+            if let Some(k) = tuple_key(tuple, *col)? {
+                idx.insert(k, id);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl SpatialDb {
+    /// Creates a table programmatically. Names with the `jp_` prefix are
+    /// reserved for the system catalog.
+    pub fn create_table(&self, name: &str, columns: Vec<ColumnDef>) -> crate::Result<()> {
+        if syscat::is_system_table(name) {
+            return Err(EngineError::Storage(StorageError::TableExists(format!(
+                "{name} (the jp_ prefix is reserved for the system catalog)"
+            ))));
+        }
+        // Held across apply + log so a concurrent checkpoint cannot cut
+        // its snapshot between the two (which would replay this create
+        // twice after a crash).
+        let durability = self.durability.read();
+        let _writers = self.txn.lock_writers(TxnSite::Ddl);
+        let logged = durability.as_ref().map(|_| columns.clone());
+        let schema = Schema::new(columns)?;
+        self.catalog.create_table(name, schema)?;
+        self.indexes.write().insert(name.to_ascii_lowercase(), TableIndexes::default());
+        self.bump_ddl_gen();
+        if let (Some(d), Some(columns)) = (durability.as_ref(), logged) {
+            d.wal.append(&WalRecord::CreateTable { name: name.to_string(), columns })?;
+        }
+        Ok(())
+    }
+
+    /// Adds `row`'s entries to every index on `table` (`present`), or
+    /// removes them: one walk, so what a rollback strips is what the
+    /// insert put there.
+    pub(crate) fn set_index_entries(&self, table: &str, id: RowId, row: &Row, present: bool) {
+        let mut indexes = self.indexes.write();
+        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return };
+        for (col, idx) in ti.spatial.iter_mut() {
+            match row.get(*col) {
+                Some(Value::Geom(g)) if present => idx.insert(g.envelope(), id),
+                Some(Value::Geom(g)) => idx.remove(&g.envelope(), id),
+                _ => {}
+            }
+        }
+        for (col, idx) in ti.ordered.iter_mut() {
+            match row.get(*col).and_then(Key::from_value) {
+                Some(k) if present => idx.insert(k, id),
+                Some(k) => drop(idx.remove(&k, |v| *v == id)),
+                None => {}
+            }
+        }
+    }
+
+    /// Removes the index entries of the row at `id`, stored as `tuple`,
+    /// taking them off its bytes as [`IndexSeeds::add`] does.
+    pub(crate) fn unindex_tuple(&self, table: &str, id: RowId, tuple: &[u8]) -> crate::Result<()> {
+        let mut indexes = self.indexes.write();
+        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return Ok(()) };
+        for (col, idx) in ti.spatial.iter_mut() {
+            if let Some(env) = tuple_envelope(tuple, *col)? {
+                idx.remove(&env, id);
+            }
+        }
+        for (col, idx) in ti.ordered.iter_mut() {
+            if let Some(k) = tuple_key(tuple, *col)? {
+                idx.remove(&k, |v| *v == id);
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds a spatial index on a geometry column. Uses R\*-tree STR
+    /// bulk loading or grid construction depending on the profile.
+    pub fn create_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.create_index(table, column, true)
+    }
+
+    /// Builds an ordered (attribute) index on an integer or text column.
+    pub fn create_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.create_index(table, column, false)
+    }
+
+    /// `CREATE INDEX` of either kind: seeds gathered by one heap scan,
+    /// installed, logged.
+    fn create_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
+        let durability = self.durability.read();
+        let _writers = self.txn.lock_writers(TxnSite::Ddl);
+        let t = self.catalog.table(table)?;
+        let col = [t.schema().column_index(column)?];
+        let (spatial_cols, ordered_cols): (&[usize], &[usize]) =
+            if spatial { (&col, &[]) } else { (&[], &col) };
+        let mut seeds = IndexSeeds::new(&t, spatial_cols, ordered_cols, t.heap.len())?;
+        // Every physically-present row, logically-deleted ones included:
+        // an older pinned snapshot that still sees such a row must be
+        // able to find it through the new index (probes post-filter by
+        // visibility). From the tuple bytes: a build decodes no row.
+        t.heap.scan_tuples(&t.heap.row_ids_any(), |id, tuple| seeds.add(id, tuple))?;
+        self.install_indexes(&t, seeds)?;
+        if let Some(d) = durability.as_ref() {
+            let (table, column) = (table.to_string(), column.to_string());
+            d.wal.append(&if spatial {
+                WalRecord::CreateSpatialIndex { table, column }
+            } else {
+                WalRecord::CreateOrderedIndex { table, column }
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Builds an index from each of `seeds` (the bulk path) and registers
+    /// them on `t`.
+    pub(crate) fn install_indexes(&self, t: &Table, seeds: IndexSeeds) -> crate::Result<()> {
+        let built: Vec<(usize, SpatialIdx)> = seeds
+            .spatial
+            .into_iter()
+            .map(|(col, items)| (col, self.build_spatial_index(&t.name, col, items)))
+            .collect();
+        let exists = |kind: &str, col: usize| {
+            let column = &t.schema().columns()[col].name;
+            EngineError::Index(format!("{kind} index on '{}.{column}' already exists", t.name))
+        };
+        let mut indexes = self.indexes.write();
+        let ti = indexes.entry(t.name.to_ascii_lowercase()).or_default();
+        for (col, idx) in built {
+            if ti.spatial.insert(col, idx).is_some() {
+                return Err(exists("spatial", col));
+            }
+        }
+        for (col, idx) in seeds.ordered {
+            if ti.ordered.insert(col, idx).is_some() {
+                return Err(exists("ordered", col));
+            }
+        }
+        drop(indexes);
+        self.bump_ddl_gen();
+        Ok(())
+    }
+
+    fn build_spatial_index(
+        &self,
+        table: &str,
+        col: usize,
+        items: Vec<(Envelope, RowId)>,
+    ) -> SpatialIdx {
+        if self.profile().uses_grid_index() {
+            let mut extent = Envelope::EMPTY;
+            for (e, _) in &items {
+                extent.expand_to_include(e);
+            }
+            let cells = ((items.len() as f64).sqrt().ceil() as usize).clamp(16, 256);
+            let extent = if extent.is_empty() {
+                Envelope::new(0.0, 0.0, 1.0, 1.0)
+            } else {
+                extent.expanded_by(extent.margin() * 0.001 + 1e-9)
+            };
+            SpatialIdx::Grid(GridIndex::bulk_load(extent, cells, cells, items))
+        } else {
+            let mut tree = RTree::bulk_load_parallel(RTreeConfig::default(), items, self.workers());
+            // Under a bounded pool, leaves page through it from the start.
+            let pool = self.catalog.pool();
+            if pool.capacity_frames() != 0 {
+                spill_through_pool(&mut tree, pool, table, col);
+            }
+            SpatialIdx::Rtree(tree)
+        }
+    }
+
+    /// Drops the spatial index on `table.column`. Errors if no such
+    /// index exists. Invalidates cached plans and re-cuts the durable
+    /// snapshot, so recovery cannot resurrect the index from a logged
+    /// `CREATE INDEX` record.
+    pub fn drop_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.drop_index(table, column, true)
+    }
+
+    /// Drops the ordered index on `table.column`. Errors if no such
+    /// index exists. Same invalidation rules as
+    /// [`SpatialDb::drop_spatial_index`].
+    pub fn drop_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
+        self.drop_index(table, column, false)
+    }
+
+    /// `DROP INDEX` of either kind.
+    fn drop_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
+        let t = self.catalog.table(table)?;
+        let col = t.schema().column_index(column)?;
+        // Both kinds' slots, so the index is freed after the locks are.
+        let removed = {
+            let _writers = self.txn.lock_writers(TxnSite::Ddl);
+            let mut indexes = self.indexes.write();
+            indexes.get_mut(&table.to_ascii_lowercase()).map(|ti| {
+                if spatial {
+                    (ti.spatial.remove(&col), None)
+                } else {
+                    (None, ti.ordered.remove(&col))
+                }
+            })
+        };
+        if !matches!(removed, Some((Some(_), _) | (_, Some(_)))) {
+            let kind = if spatial { "spatial" } else { "ordered" };
+            return Err(EngineError::Index(format!("no {kind} index on '{table}.{column}'")));
+        }
+        self.bump_ddl_gen();
+        self.prepared_cache.clear();
+        self.checkpoint()
+    }
+
+    /// Drops everything a cold run must not find warm. The buffer pool
+    /// writes back its dirty frames, drops every unpinned one, and with
+    /// them every row and quad decoded from a page (a frame that stays
+    /// pinned loses those too); spilled R-tree leaves lose their decoded
+    /// images — so the next probe of any page or leaf genuinely goes
+    /// back to the page store. Cached geometry preparations go as well:
+    /// they hold the decoded rows they were built from. So does the
+    /// statement cache — a cold run that skipped it would still be warm
+    /// where it counts for short queries.
+    pub fn clear_caches(&self) {
+        self.prepared_cache.clear();
+        self.statements.clear();
+        let indexes = self.indexes.read();
+        for ti in indexes.values() {
+            for idx in ti.spatial.values() {
+                if let SpatialIdx::Rtree(tree) = idx {
+                    tree.clear_leaf_cache();
+                }
+            }
+        }
+        drop(indexes);
+        self.catalog.pool().clear();
+    }
+
+    /// Sizes the shared buffer pool: heaps and spilled index leaves
+    /// compete for `bytes / PAGE_SIZE` frames (`0` = unbounded, the
+    /// default). Shrinking evicts unpinned frames immediately; every
+    /// R-tree's leaves are then spilled into the pool under a bound, or
+    /// faulted back out of it without one.
+    pub fn set_pool_bytes(&self, bytes: usize) {
+        let pool = self.catalog.pool();
+        pool.set_capacity_bytes(bytes);
+        let bounded = pool.capacity_frames() != 0;
+        let mut indexes = self.indexes.write();
+        for (tname, ti) in indexes.iter_mut() {
+            for (col, idx) in ti.spatial.iter_mut() {
+                match idx {
+                    SpatialIdx::Rtree(tree) if bounded => {
+                        spill_through_pool(tree, pool, tname, *col)
+                    }
+                    SpatialIdx::Rtree(tree) => tree.unspill(),
+                    SpatialIdx::Grid(_) => {}
+                }
+            }
+        }
+    }
+
+    /// Column indices carrying a (spatial, ordered) index on `table`.
+    pub(crate) fn index_definitions(&self, table: &str) -> (Vec<usize>, Vec<usize>) {
+        let indexes = self.indexes.read();
+        match indexes.get(&table.to_ascii_lowercase()) {
+            Some(ti) => {
+                let mut s: Vec<usize> = ti.spatial.keys().copied().collect();
+                let mut o: Vec<usize> = ti.ordered.keys().copied().collect();
+                s.sort_unstable();
+                o.sort_unstable();
+                (s, o)
+            }
+            None => (Vec::new(), Vec::new()),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Provider adapters
+// ---------------------------------------------------------------------------
+
+pub(crate) struct DbCatalogAdapter {
+    pub(crate) db: Arc<SpatialDb>,
+}
+
+impl CatalogProvider for DbCatalogAdapter {
+    fn table(&self, name: &str) -> jackpine_sqlmini::Result<Arc<dyn TableProvider>> {
+        // System-catalog names resolve to point-in-time virtual tables;
+        // unknown jp_* names fall through to the ordinary not-found
+        // error below.
+        if let Some(provider) = syscat::provider(&self.db, name) {
+            return provider;
+        }
+        let table = self.db.catalog.table(name).map_err(SqlError::from)?;
+        Ok(Arc::new(DbTableAdapter {
+            metrics: self.db.metrics.clone(),
+            indexes: self.db.indexes.clone(),
+            txn: self.db.txn.clone(),
+            key: name.to_ascii_lowercase(),
+            table,
+            pinned: None,
+        }))
+    }
+}
+
+/// One table as the planner and executor see it. Plans holding these
+/// sit in the engine's statement cache, so an adapter shares the parts of the
+/// engine it reads — never the engine (see [`SpatialDb`]'s `indexes`).
+#[derive(Clone)]
+struct DbTableAdapter {
+    metrics: Arc<EngineMetrics>,
+    indexes: Arc<RwLock<HashMap<String, TableIndexes>>>,
+    txn: Arc<Transactions>,
+    key: String,
+    table: Arc<Table>,
+    /// When set, every read observes exactly the rows visible at this
+    /// handle's generation. `None` reads live (newest published state
+    /// per call) — correct for single-statement uses like DML scans that
+    /// run under the writer lock.
+    pinned: Option<Arc<dyn SnapshotHandle>>,
+}
+
+impl DbTableAdapter {
+    /// The generation this adapter reads at.
+    fn gen(&self) -> u64 {
+        match &self.pinned {
+            Some(s) => s.generation(),
+            None => self.txn.generation(),
+        }
+    }
+}
+
+impl TableProvider for DbTableAdapter {
+    fn schema(&self) -> Arc<Schema> {
+        self.table.schema().clone()
+    }
+
+    fn row_ids(&self) -> Vec<RowId> {
+        self.table.heap.row_ids_visible(self.gen())
+    }
+
+    fn fetch(&self, id: RowId) -> jackpine_sqlmini::Result<Arc<Row>> {
+        self.metrics.heap_rows_fetched.incr();
+        self.table.heap.get(id).map_err(SqlError::from)
+    }
+
+    fn fetch_many(&self, ids: &[RowId]) -> jackpine_sqlmini::Result<Vec<Arc<Row>>> {
+        self.metrics.heap_rows_fetched.add(ids.len() as u64);
+        self.table.heap.get_many(ids).map_err(SqlError::from)
+    }
+
+    fn spatial_candidates(&self, col: usize, env: &Envelope) -> Option<Vec<RowId>> {
+        // Epoch before the probe: a vacuum racing the probe must be
+        // visible to the visibility filter below.
+        let epoch = self.table.heap.reclaim_epoch();
+        let indexes = self.indexes.read();
+        let ti = indexes.get(&self.key)?;
+        let (mut ids, stats) = ti.spatial.get(&col)?.window_probe(env);
+        let m = &self.metrics;
+        m.index_probes.incr();
+        m.index_candidates.add(stats.candidates);
+        m.index_nodes_visited.add(stats.nodes_visited);
+        // Indexes may hold entries for rows this snapshot cannot see
+        // (not yet born, or dead but unreclaimed); filter them out
+        // after counting raw candidates, so index stats stay a property
+        // of the index, not of concurrent write traffic.
+        self.table.heap.retain_visible(&mut ids, self.gen(), epoch);
+        Some(ids)
+    }
+
+    fn ordered_candidates(&self, col: usize, key: &Value) -> Option<Vec<RowId>> {
+        let epoch = self.table.heap.reclaim_epoch();
+        let indexes = self.indexes.read();
+        let ti = indexes.get(&self.key)?;
+        let idx = ti.ordered.get(&col)?;
+        let k = Key::from_value(key)?;
+        let mut ids = idx.get(&k).to_vec();
+        let m = &self.metrics;
+        m.index_probes.incr();
+        m.index_candidates.add(ids.len() as u64);
+        self.table.heap.retain_visible(&mut ids, self.gen(), epoch);
+        Some(ids)
+    }
+
+    fn nearest(&self, col: usize, query: Coord, k: usize) -> Option<Vec<RowId>> {
+        let gen = self.gen();
+        let indexes = self.indexes.read();
+        let ti = indexes.get(&self.key)?;
+        let idx = ti.spatial.get(&col)?;
+        let m = &self.metrics;
+        // The index can surface rows this snapshot cannot see; when the
+        // visible set comes up short of k, re-probe with a doubled
+        // budget until it fills or the index is exhausted. Visibility
+        // filtering preserves the probe's distance order, so truncating
+        // still yields the k nearest visible rows.
+        let mut want = k;
+        loop {
+            let epoch = self.table.heap.reclaim_epoch();
+            let (mut ids, stats) = idx.nearest_probe(query, want);
+            m.index_probes.incr();
+            m.index_candidates.add(stats.candidates);
+            m.index_nodes_visited.add(stats.nodes_visited);
+            let exhausted = ids.len() < want;
+            self.table.heap.retain_visible(&mut ids, gen, epoch);
+            if ids.len() >= k || exhausted {
+                ids.truncate(k);
+                return Some(ids);
+            }
+            want = want.saturating_mul(2);
+        }
+    }
+
+    fn pin_snapshot(&self, snap: &Arc<dyn SnapshotHandle>) -> Option<Arc<dyn TableProvider>> {
+        Some(Arc::new(DbTableAdapter { pinned: Some(snap.clone()), ..self.clone() }))
+    }
+
+    fn fetch_mbrs(&self, col: usize, ids: &[RowId]) -> Option<Vec<Option<[f64; 4]>>> {
+        // Served from the quads kept in the rows' pool frames. Not
+        // counted as heap row fetches: the rows themselves were already
+        // fetched (and counted) by the scan feeding the filter. Any
+        // storage error falls back to the executor's row-walk gather,
+        // which surfaces errors through the normal fetch path.
+        self.table.heap.mbrs(col, ids).ok()
+    }
+}

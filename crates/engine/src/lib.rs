@@ -15,11 +15,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checksum;
-pub mod commit;
+mod checksum;
+mod commit;
 mod connector;
 mod db;
+mod durable;
 pub mod failpoint;
+mod indexes;
 mod persist;
 mod profile;
 mod statement;
@@ -28,12 +30,10 @@ mod txn;
 pub mod wal;
 
 pub use connector::{all_profiles, SpatialConnector};
-pub use db::{
-    DurabilityOptions, EngineError, SpatialDb, FLIGHT_RECORDER_CAPACITY, METRICS_HISTORY_CAPACITY,
-    METRICS_HISTORY_INTERVAL, QUERY_STATS_CAPACITY, SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD,
-    SNAPSHOT_FILE, WAL_FILE,
-};
+pub use db::{EngineError, SpatialDb};
+pub use durable::{DurabilityOptions, SNAPSHOT_FILE, WAL_FILE};
 pub use profile::EngineProfile;
+pub use syscat::FLIGHT_RECORDER_CAPACITY;
 
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;

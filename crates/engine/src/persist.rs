@@ -26,12 +26,13 @@
 //! are stored as *definitions* and rebuilt on open (bulk loads are fast
 //! and the format stays independent of index internals).
 //!
-//! **The writer** ([`SpatialDb::snapshot_to`]; `save`, `checkpoint`,
-//! `set_durability`, `open_durable` and `snapshot_bytes` all go through
-//! it) never holds the image. It first fixes each table's row set
-//! (`HeapFile::row_ids`: latest committed state; rows awaiting vacuum are
-//! skipped, so truncating their pending WAL `DeleteId` records at the
-//! same cut is harmless) and sizes every block from the pages' slot
+//! **The writer** ([`SpatialDb::snapshot_to`]; `save`, `snapshot_bytes`
+//! and [`crate::durable`]'s one snapshot cut — every checkpoint, attach
+//! and replaying open — all go through it) never holds the image. It
+//! first fixes each table's row set (`HeapFile::row_ids`: latest
+//! committed state; rows awaiting vacuum are skipped, so truncating
+//! their pending WAL `DeleteId` records at the same cut is harmless) and
+//! sizes every block from the pages' slot
 //! directories: each count and length is written in place and equals
 //! what is streamed, whatever inserts run beside it. Then it copies each
 //! tuple straight out of its pinned heap page — a page holds exactly
@@ -43,10 +44,10 @@
 //! is patched by a seek when the stream ends. Memory: the buffer plus the
 //! id lists (8 bytes a row).
 //!
-//! **The reader** ([`SpatialDb::open_from`]; `open`, `open_bytes` and
-//! `open_durable` go through it) mirrors it: a buffered stream, checksums
-//! folded as the bytes pass, each row decoded once and handed to the heap
-//! with the tuple bytes it came from. Memory: the buffer plus the largest
+//! **The reader** ([`SpatialDb::open_from`]; `open` and `open_durable`
+//! go through it) mirrors it: a buffered stream, checksums folded as the
+//! bytes pass, each row decoded once and handed to the heap with the
+//! tuple bytes it came from. Memory: the buffer plus the largest
 //! row. Rows are thus parsed *before* their checksum is known. That is
 //! safe because every length is checked against the bytes its block has
 //! left, buffers grow only as bytes arrive, counts clamp their
@@ -69,7 +70,7 @@
 //!   can never replay stale records over the new snapshot.
 
 use crate::checksum::Crc32;
-use crate::db::IndexSeeds;
+use crate::indexes::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_obs::TxnSite;
@@ -328,16 +329,10 @@ impl SpatialDb {
         Self::open_from_gen(std::fs::File::open(path).map_err(io_err)?)
     }
 
-    /// Opens a database from an in-memory snapshot image (the content of
-    /// a [`SpatialDb::save`] file).
-    pub fn open_bytes(raw: &[u8]) -> Result<Arc<SpatialDb>> {
-        Self::open_from(raw)
-    }
-
-    /// Opens a database from any byte stream holding a snapshot image,
-    /// which must end where the image ends. The engine is returned only
-    /// after every block checksum, the file checksum and the exact body
-    /// length have checked out.
+    /// Opens a database from any byte stream holding a snapshot image —
+    /// an in-memory one is `&bytes[..]` — which must end where the image
+    /// ends. The engine is returned only after every block checksum, the
+    /// file checksum and the exact body length have checked out.
     pub fn open_from(source: impl Read) -> Result<Arc<SpatialDb>> {
         Self::open_from_gen(source).map(|(db, _)| db)
     }
@@ -633,11 +628,11 @@ mod tests {
         // The v1–v3 readers are gone: their version numbers, like any
         // other, are a persistence error whatever follows the header.
         let image = SpatialDb::new(EngineProfile::ExactRtree).snapshot_bytes().unwrap();
-        assert!(SpatialDb::open_bytes(&image).is_ok());
+        assert!(SpatialDb::open_from(&image[..]).is_ok());
         for version in [0u32, 1, 2, 3, 5, u32::MAX] {
             let mut other = image.clone();
             other[4..8].copy_from_slice(&version.to_le_bytes());
-            match SpatialDb::open_bytes(&other) {
+            match SpatialDb::open_from(&other[..]) {
                 Err(EngineError::Persist(m)) => assert!(m.contains("unsupported version"), "{m}"),
                 other => panic!("version {version}: {:?}", other.map(|_| ())),
             }
@@ -748,7 +743,7 @@ mod tests {
             ("index columns", absurd_index_columns),
             ("row", absurd_row),
         ] {
-            let err = SpatialDb::open_bytes(&image_around(&block)).err().expect("must fail");
+            let err = SpatialDb::open_from(&image_around(&block)[..]).err().expect("must fail");
             assert!(matches!(err, EngineError::Persist(_)), "{what}: got {err:?}");
         }
 
@@ -759,7 +754,7 @@ mod tests {
         let row = Value::encode_row(&[Value::Int(42)]);
         block.put_u32_le(row.len() as u32);
         block.put_slice(&row);
-        let db = SpatialDb::open_bytes(&image_around(&block)).unwrap();
+        let db = SpatialDb::open_from(&image_around(&block)[..]).unwrap();
         assert_eq!(db.execute("SELECT id FROM t").unwrap().rows[0][0].to_string(), "42");
     }
 
@@ -814,7 +809,7 @@ mod tests {
             ("index on a scalar", bad_index),
             ("reserved table name", reserved),
         ] {
-            let err = SpatialDb::open_bytes(&image_around(&block)).err().expect("must fail");
+            let err = SpatialDb::open_from(&image_around(&block)[..]).err().expect("must fail");
             assert!(matches!(err, EngineError::Persist(_)), "{what}: got {err:?}");
         }
     }
@@ -823,7 +818,7 @@ mod tests {
     fn persistence_errors_are_persist_variant() {
         let err = SpatialDb::open("/nonexistent/dir/x.db").err().expect("must fail");
         assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
-        let err = SpatialDb::open_bytes(b"garbage!!").err().expect("must fail");
+        let err = SpatialDb::open_from(&b"garbage!!"[..]).err().expect("must fail");
         assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
     }
 }

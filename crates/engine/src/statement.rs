@@ -10,7 +10,8 @@
 //! same way every time. Keyed by the text, not a digest: no collision can
 //! hand one statement another's plan.
 
-use crate::db::{DbCatalogAdapter, EngineError, SpatialDb};
+use crate::db::{EngineError, SpatialDb};
+use crate::indexes::DbCatalogAdapter;
 use crate::syscat;
 use crate::txn::WriteTxn;
 use jackpine_obs::{digest, QueryTrace, Stage, TxnSite};
@@ -18,7 +19,7 @@ use jackpine_sqlmini::ast::{Expr, Select, Statement};
 use jackpine_sqlmini::plan::{PlanOptions, PlannedSelect};
 use jackpine_sqlmini::prepared::evict_coldest_quarter;
 use jackpine_sqlmini::{exec, parser, plan, FunctionMode, ResultSet, SqlError};
-use jackpine_storage::sync::RwLock;
+use jackpine_storage::sync::{Mutex, RwLock};
 use jackpine_storage::{ColumnDef, DataType, Row, RowId, StorageError, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,16 +98,47 @@ impl StatementCache {
     }
 }
 
+/// In-flight statements, keyed by a monotone session id — the rows of
+/// `jp_sessions`: the text (its first 512 bytes) and when it began.
+/// Entries live for the duration of one `execute` call.
+#[derive(Default)]
+pub(crate) struct Sessions {
+    live: Mutex<HashMap<u64, (String, Instant)>>,
+    seq: AtomicU64,
+}
+
+impl Sessions {
+    /// Registers one in-flight statement; the returned slot deregisters
+    /// it when dropped.
+    fn register(&self, sql: &str) -> SessionSlot<'_> {
+        let id = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let text = sql[..sql.floor_char_boundary(SESSION_SQL_MAX)].to_string();
+        self.live.lock().insert(id, (text, Instant::now()));
+        SessionSlot { sessions: self, id }
+    }
+
+    /// In-flight statements as `(session id, statement text, elapsed)`
+    /// triples sorted by id.
+    pub(crate) fn active(&self) -> Vec<(u64, String, Duration)> {
+        let live = self.live.lock();
+        let mut out: Vec<(u64, String, Duration)> =
+            live.iter().map(|(id, (sql, started))| (*id, sql.clone(), started.elapsed())).collect();
+        drop(live);
+        out.sort_unstable_by_key(|(id, ..)| *id);
+        out
+    }
+}
+
 /// One in-flight statement's registration in `jp_sessions`; deregisters
 /// on drop, so error paths and panics unwind cleanly.
-struct SessionSlot {
-    db: Arc<SpatialDb>,
+struct SessionSlot<'a> {
+    sessions: &'a Sessions,
     id: u64,
 }
 
-impl Drop for SessionSlot {
+impl Drop for SessionSlot<'_> {
     fn drop(&mut self) {
-        self.db.sessions.lock().remove(&self.id);
+        self.sessions.live.lock().remove(&self.id);
     }
 }
 
@@ -115,32 +147,13 @@ impl SpatialDb {
     /// flight recorder, the slow-query log (if slow enough) and the
     /// fingerprint stats table.
     pub fn execute(self: &Arc<Self>, sql: &str) -> crate::Result<ResultSet> {
-        let _session = self.register_session(sql);
+        let _session = self.sessions.register(sql);
         let before = self.metrics.query_snapshot();
         let t0 = Instant::now();
         let (result, known, planned) = self.execute_unrecorded(sql);
         let total = t0.elapsed();
         let entry = self.statements.keep(sql, known, planned);
-        let (fp, shape) = (entry.fingerprint, &entry.shape);
-        match &result {
-            Ok(r) => {
-                self.query_stats.record(fp, shape, total, r.rows.len() as u64, false);
-                let delta = self.metrics.query_snapshot().delta_since(&before);
-                let trace = Arc::new(QueryTrace::new(sql, total, r.rows.len(), delta));
-                self.recorder.push(trace.clone());
-                self.slow_log.offer(&trace);
-            }
-            // Failed statements have no meaningful counter delta or row
-            // count; they are visible through the error column of the
-            // fingerprint table instead of the trace ring.
-            Err(_) => self.query_stats.record(fp, shape, total, 0, true),
-        }
-        // Feed the time-series ring; rate-limited inside, so this is a
-        // clock read and one short lock on the fast path.
-        self.history.maybe_record(|| {
-            self.refresh_gauges();
-            self.metrics.snapshot()
-        });
+        self.record(sql, (entry.fingerprint, &entry.shape), total, &result, &before);
         result
     }
 
@@ -150,35 +163,23 @@ impl SpatialDb {
     /// instance bleed into each other's deltas — trace under a single
     /// client connection, the way EXPLAIN ANALYZE is used.
     pub fn execute_traced(self: &Arc<Self>, sql: &str) -> crate::Result<(ResultSet, QueryTrace)> {
+        self.traced(sql, || self.execute(sql))
+    }
+
+    /// Runs `run`, bracketed by metric snapshots: its result and its
+    /// trace, labeled `sql`.
+    fn traced(
+        &self,
+        sql: &str,
+        run: impl FnOnce() -> crate::Result<ResultSet>,
+    ) -> crate::Result<(ResultSet, QueryTrace)> {
         let before = self.metrics.query_snapshot();
         let t0 = Instant::now();
-        let result = self.execute(sql)?;
+        let result = run()?;
         let total = t0.elapsed();
         let delta = self.metrics.query_snapshot().delta_since(&before);
         let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
         Ok((result, trace))
-    }
-
-    /// In-flight statements as `(session id, statement text, elapsed)`
-    /// triples sorted by id — the rows of `jp_sessions`.
-    pub(crate) fn active_sessions(&self) -> Vec<(u64, String, Duration)> {
-        let sessions = self.sessions.lock();
-        let mut out: Vec<(u64, String, Duration)> = sessions
-            .iter()
-            .map(|(id, (sql, started))| (*id, sql.clone(), started.elapsed()))
-            .collect();
-        drop(sessions);
-        out.sort_unstable_by_key(|(id, ..)| *id);
-        out
-    }
-
-    /// Registers one in-flight statement for `jp_sessions`; the returned
-    /// slot deregisters it when dropped.
-    fn register_session(self: &Arc<Self>, sql: &str) -> SessionSlot {
-        let id = self.session_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let text = sql[..sql.floor_char_boundary(SESSION_SQL_MAX)].to_string();
-        self.sessions.lock().insert(id, (text, Instant::now()));
-        SessionSlot { db: Arc::clone(self), id }
     }
 
     /// The execution path itself, with no retrospective recording.
@@ -328,14 +329,8 @@ impl SpatialDb {
                     )));
                 }
                 // Execute the inner SELECT for real (planned fresh, so
-                // the plan stage is always exercised), bracketed by
-                // metric snapshots; the delta is this query's trace.
-                let before = self.metrics.query_snapshot();
-                let t0 = Instant::now();
-                let result = self.execute_statement(*inner, sql)?;
-                let total = t0.elapsed();
-                let delta = self.metrics.query_snapshot().delta_since(&before);
-                let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
+                // the plan stage is always exercised).
+                let (_, trace) = self.traced(sql, || self.execute_statement(*inner, sql))?;
                 let rows =
                     trace.render().lines().map(|l| vec![Value::Text(l.to_string())]).collect();
                 Ok(ResultSet { columns: vec!["analyze".into()], rows })
@@ -474,7 +469,7 @@ mod plan_cache_tests {
     use crate::EngineProfile;
 
     fn hits(db: &SpatialDb) -> u64 {
-        db.metrics().plan_cache_hits.get()
+        db.metrics.plan_cache_hits.get()
     }
 
     #[test]
@@ -596,11 +591,11 @@ mod plan_cache_tests {
         // One that fails to parse, one that fails to plan.
         for bad in ["SELECT id FROM t WHERE", "SELECT nocolumn FROM t"] {
             let first = db.execute(bad).unwrap_err().to_string();
-            let misses = db.metrics().plan_cache_misses.get();
+            let misses = db.metrics.plan_cache_misses.get();
             assert_eq!(db.execute(bad).unwrap_err().to_string(), first, "{bad}");
             assert_eq!(hits(&db), 0, "{bad}: a failed statement hit the cache");
             let planned = u64::from(bad.contains("nocolumn"));
-            assert_eq!(db.metrics().plan_cache_misses.get(), misses + planned, "{bad}");
+            assert_eq!(db.metrics.plan_cache_misses.get(), misses + planned, "{bad}");
         }
         let failed: Vec<_> = db.query_stats(10).into_iter().filter(|s| s.errors > 0).collect();
         assert_eq!(failed.len(), 2, "one fingerprint per failing text: {failed:?}");

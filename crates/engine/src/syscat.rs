@@ -25,14 +25,148 @@
 //! Schemas are documented in DESIGN.md ("System catalog"). Tables are
 //! read-only by construction: DML never resolves through the SQL
 //! catalog-provider path, and `CREATE TABLE` rejects the `jp_` prefix.
+//!
+//! The four rings and tables a completed statement lands in are one
+//! [`Introspection`] sink, fed by one [`SpatialDb::record`] call per
+//! statement.
 
 use crate::SpatialDb;
-use jackpine_obs::{MetricsSnapshot, QueryTrace, Stage};
+use jackpine_obs::{
+    FingerprintStats, FlightRecorder, MetricsHistory, MetricsSnapshot, QueryStatsTable, QueryTrace,
+    SlowQueryLog, Stage,
+};
 use jackpine_sqlmini::provider::TableProvider;
 use jackpine_sqlmini::virt::VirtualTable;
+use jackpine_sqlmini::ResultSet;
 use jackpine_storage::{ColumnDef, DataType, Row, Schema, Value};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Traces retained by the default flight recorder.
+pub const FLIGHT_RECORDER_CAPACITY: usize = 256;
+/// Slow traces retained by the default slow-query log.
+const SLOW_LOG_CAPACITY: usize = 64;
+/// Default slow-query threshold. Warm micro queries run in microseconds
+/// to low milliseconds, so 100 ms marks genuinely pathological
+/// statements without admitting ordinary cold-cache noise.
+const SLOW_QUERY_THRESHOLD: Duration = Duration::from_millis(100);
+/// Distinct statement shapes tracked by the fingerprint stats table.
+const QUERY_STATS_CAPACITY: usize = 512;
+/// Metrics snapshots retained by the `jp_metrics_history` ring.
+const METRICS_HISTORY_CAPACITY: usize = 64;
+/// Default minimum interval between metrics-history points.
+const METRICS_HISTORY_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Where completed statements are recorded.
+pub(crate) struct Introspection {
+    /// Always-on flight recorder: the last N completed query traces.
+    recorder: FlightRecorder,
+    /// Threshold-gated view of the same stream: only slow queries.
+    slow_log: SlowQueryLog,
+    /// Per-fingerprint rolling statistics (`pg_stat_statements`-style).
+    query_stats: QueryStatsTable,
+    /// Time-series ring of whole-engine metrics snapshots sampled at a
+    /// configurable minimum interval.
+    history: MetricsHistory,
+}
+
+impl Default for Introspection {
+    fn default() -> Self {
+        Introspection {
+            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
+            slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD),
+            query_stats: QueryStatsTable::new(QUERY_STATS_CAPACITY),
+            history: MetricsHistory::new(METRICS_HISTORY_CAPACITY, METRICS_HISTORY_INTERVAL),
+        }
+    }
+}
+
+impl SpatialDb {
+    /// Records one completed statement: its fingerprint's stats; for a
+    /// success, its trace — `total` and the counter delta since `before`
+    /// — in the flight recorder and, if slow enough, the slow-query log;
+    /// then a metrics-history point when one is due. A failed statement
+    /// has no meaningful delta or row count: it shows in the error
+    /// column of its fingerprint instead of the trace rings.
+    pub(crate) fn record(
+        &self,
+        sql: &str,
+        (fingerprint, shape): (u64, &str),
+        total: Duration,
+        result: &crate::Result<ResultSet>,
+        before: &MetricsSnapshot,
+    ) {
+        let sink = &self.introspection;
+        match result {
+            Ok(r) => {
+                sink.query_stats.record(fingerprint, shape, total, r.rows.len() as u64, false);
+                let delta = self.metrics.query_snapshot().delta_since(before);
+                let trace = Arc::new(QueryTrace::new(sql, total, r.rows.len(), delta));
+                sink.recorder.push(trace.clone());
+                sink.slow_log.offer(&trace);
+            }
+            Err(_) => sink.query_stats.record(fingerprint, shape, total, 0, true),
+        }
+        // Rate-limited inside: on the fast path a clock read and one
+        // short lock.
+        sink.history.maybe_record(|| self.metrics_snapshot());
+    }
+
+    /// A point-in-time copy of every engine counter, gauge and
+    /// histogram. The gauges are refreshed from engine state first: the
+    /// vacuum backlog, the number of distinct pinned snapshot
+    /// generations, the age of the oldest pin, and the buffer pool's
+    /// frame occupancy and lifetime counters.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let m = &self.metrics;
+        m.pending_reclaim_rows.set(self.txn.pending_reclaim_len() as u64);
+        let pins = self.txn.snapshot_pins();
+        m.active_snapshots.set(pins.len() as u64);
+        let oldest = pins.iter().map(|(.., age)| *age).max().unwrap_or_default();
+        m.oldest_snapshot_age_us.set(oldest.as_micros().min(u64::MAX as u128) as u64);
+        let pool = self.catalog.pool().stats();
+        m.pool_capacity_frames.set(pool.capacity_frames);
+        m.pool_resident_frames.set(pool.resident_frames);
+        m.pool_pinned_frames.set(pool.pinned_frames);
+        m.pool_decoded_rows.set(pool.decoded_rows);
+        m.pool_pin_hits.set(pool.pin_hits);
+        m.pool_cold_pins.set(pool.cold_pins);
+        m.pool_evictions.set(pool.evictions);
+        m.pool_dirty_writebacks.set(pool.dirty_writebacks);
+        m.snapshot()
+    }
+
+    /// Prometheus text-exposition rendering of the current metrics
+    /// (gauges refreshed), with every series labeled by the engine
+    /// profile name. The output passes
+    /// [`jackpine_obs::lint_prometheus_text`].
+    pub fn prometheus_text(&self) -> String {
+        jackpine_obs::prometheus_text(&[(self.profile().name(), &self.metrics_snapshot())])
+    }
+
+    /// Sets the minimum interval between metrics-history points.
+    /// `Duration::ZERO` samples after every recorded statement.
+    pub fn set_metrics_history_interval(&self, interval: Duration) {
+        self.introspection.history.set_interval(interval);
+    }
+
+    /// The flight recorder: the last completed traces, oldest first.
+    pub fn flight_recorder(&self) -> &FlightRecorder {
+        &self.introspection.recorder
+    }
+
+    /// The slow-query log: the completed traces over its threshold
+    /// (`Duration::ZERO` admits everything), oldest first.
+    pub fn slow_log(&self) -> &SlowQueryLog {
+        &self.introspection.slow_log
+    }
+
+    /// The top `k` statement shapes by execution count, with rolling
+    /// latency/row/error statistics per fingerprint.
+    pub fn query_stats(&self, k: usize) -> Vec<FingerprintStats> {
+        self.introspection.query_stats.top(k)
+    }
+}
 
 /// Whether `name` is reserved for the system catalog (the `jp_` prefix,
 /// case-insensitive).
@@ -49,8 +183,8 @@ pub(crate) fn provider(
 ) -> Option<jackpine_sqlmini::Result<Arc<dyn TableProvider>>> {
     let table = match name.to_ascii_lowercase().as_str() {
         "jp_stat_statements" => stat_statements(db),
-        "jp_flight_recorder" => trace_ring(db.recent_traces()),
-        "jp_slow_queries" => trace_ring(db.slow_queries()),
+        "jp_flight_recorder" => trace_ring(db.flight_recorder().recent()),
+        "jp_slow_queries" => trace_ring(db.slow_log().recent()),
         "jp_metrics" => metrics(&db.metrics_snapshot()),
         "jp_metrics_history" => metrics_history(db),
         "jp_sessions" => sessions(db),
@@ -159,11 +293,8 @@ fn metrics(snap: &MetricsSnapshot) -> jackpine_sqlmini::Result<VirtualTable> {
         ("p99", DataType::Int),
     ])?;
     let mut rows: Vec<Row> = Vec::new();
-    for (name, v) in &snap.counters {
-        rows.push(scalar_row(name, "counter", *v));
-    }
-    for (name, v) in &snap.gauges {
-        rows.push(scalar_row(name, "gauge", *v));
+    for (kind, series) in [("counter", &snap.counters), ("gauge", &snap.gauges)] {
+        rows.extend(series.iter().map(|(name, v)| scalar_row(name, kind, *v)));
     }
     for (stage, h) in &snap.stages {
         rows.push(histogram_row(&format!("stage_{}_ns", stage.name()), h));
@@ -213,25 +344,14 @@ fn metrics_history(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable
         ("value", DataType::Int),
     ])?;
     let mut rows: Vec<Row> = Vec::new();
-    for point in db.metrics_history() {
+    for point in db.introspection.history.recent() {
         let age = ms(point.at.elapsed());
-        for (name, v) in &point.snapshot.counters {
-            rows.push(vec![
-                int(point.seq),
-                age.clone(),
-                Value::Text(name.to_string()),
-                Value::Text("counter".to_string()),
-                int(*v),
-            ]);
-        }
-        for (name, v) in &point.snapshot.gauges {
-            rows.push(vec![
-                int(point.seq),
-                age.clone(),
-                Value::Text(name.to_string()),
-                Value::Text("gauge".to_string()),
-                int(*v),
-            ]);
+        let snap = &point.snapshot;
+        for (kind, series) in [("counter", &snap.counters), ("gauge", &snap.gauges)] {
+            for (name, v) in series {
+                let (name, kind) = (Value::Text(name.to_string()), Value::Text(kind.to_string()));
+                rows.push(vec![int(point.seq), age.clone(), name, kind, int(*v)]);
+            }
         }
     }
     VirtualTable::new(schema, rows)
@@ -246,7 +366,8 @@ fn sessions(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
         ("elapsed_ms", DataType::Float),
     ])?;
     let rows: Vec<Row> = db
-        .active_sessions()
+        .sessions
+        .active()
         .into_iter()
         .map(|(id, sql, elapsed)| vec![int(id), Value::Text(sql), ms(elapsed)])
         .collect();
@@ -263,6 +384,7 @@ fn snapshots(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
         ("age_ms", DataType::Float),
     ])?;
     let rows: Vec<Row> = db
+        .txn
         .snapshot_pins()
         .into_iter()
         .map(|(gen, readers, age)| vec![int(gen), int(readers as u64), ms(age)])
@@ -284,7 +406,8 @@ fn wal(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
         ("group_commit_size", DataType::Int),
     ])?;
     let snap = db.metrics_snapshot();
-    let (attached, generation, sync) = match db.wal_status() {
+    let status = db.durability.read().as_ref().map(|d| (d.generation, d.wal.sync_enabled()));
+    let (attached, generation, sync) = match status {
         Some((gen, sync)) => (Value::Int(1), int(gen), Value::Int(sync as i64)),
         None => (Value::Int(0), Value::Null, Value::Null),
     };

@@ -26,7 +26,8 @@
 //! `pending_reclaim` / `indexes` / heap locks.
 
 use crate::commit::CommitPipeline;
-use crate::db::{DurabilityState, SpatialDb};
+use crate::db::SpatialDb;
+use crate::durable::DurabilityState;
 use crate::wal::WalRecord;
 use crate::Result;
 use jackpine_obs::{EngineMetrics, TxnSite};
@@ -210,7 +211,7 @@ impl SpatialDb {
     /// that no page lock is held while the index lock is taken. Only a
     /// row that is not there counts as already done; a row that cannot
     /// be read is an error, not a row without entries.
-    fn remove_index_entries(&self, t: &Table, id: RowId) -> Result<()> {
+    pub(crate) fn remove_index_entries(&self, t: &Table, id: RowId) -> Result<()> {
         let mut tuple = Vec::new();
         match t.heap.scan_tuples(&[id], |_, bytes| {
             tuple.extend_from_slice(bytes);
@@ -220,28 +221,6 @@ impl SpatialDb {
             Err(StorageError::RowNotFound { .. }) => Ok(()),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Replays a logged insert: the row returns to the exact heap slot
-    /// it occupied when logged, so later `DeleteId` records (and index
-    /// entries) address the right row even among byte-identical
-    /// duplicates. Replay runs before a WAL is attached and before any
-    /// session exists, so rows are reborn visible at every generation,
-    /// and the slot keeps the row the log handed over (restore's rule).
-    pub(crate) fn replay_insert_at(&self, table: &str, id: RowId, row: Row) -> Result<()> {
-        let t = self.table(table)?;
-        t.heap.place_at(row.clone(), id, 0)?;
-        self.set_index_entries(table, id, &row, true);
-        Ok(())
-    }
-
-    /// Replays a logged delete by heap address. A missing row means the
-    /// record's effect is already there: recovery stays idempotent.
-    pub(crate) fn replay_delete_id(&self, table: &str, id: RowId) -> Result<()> {
-        let t = self.table(table)?;
-        self.remove_index_entries(&t, id)?;
-        t.heap.delete(id);
-        Ok(())
     }
 }
 

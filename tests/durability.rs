@@ -87,9 +87,9 @@ impl Read for Trickle<'_> {
 }
 
 /// Opens an image through both entrances of the streaming reader: the
-/// slice (`open_bytes`) and a stream that trickles. They must agree.
+/// whole slice and a stream that trickles. They must agree.
 fn open_image(image: &[u8]) -> Result<Arc<SpatialDb>, EngineError> {
-    let from_slice = SpatialDb::open_bytes(image);
+    let from_slice = SpatialDb::open_from(image);
     let from_stream = SpatialDb::open_from(Trickle { bytes: image, step: image.len() % 13 });
     assert_eq!(
         from_slice.as_ref().map(|_| ()),
@@ -266,7 +266,7 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
     drop(reader);
 
     // And it loads to the latest committed state.
-    let restored = SpatialDb::open_bytes(&image).unwrap();
+    let restored = SpatialDb::open_from(&image[..]).unwrap();
     for (sql, want) in [
         ("SELECT COUNT(*) FROM shapes", "371"),
         ("SELECT COUNT(*) FROM shapes WHERE geom IS NULL", "52"),
@@ -278,7 +278,10 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
         assert_eq!(db.execute(sql).unwrap().scalar().unwrap().to_string(), want, "{sql}");
         assert_eq!(restored.execute(sql).unwrap().scalar().unwrap().to_string(), want, "{sql}");
     }
-    assert_eq!(restored.table_row_ids("shapes").unwrap(), db.table_row_ids("shapes").unwrap());
+    assert_eq!(
+        restored.table("shapes").unwrap().heap.row_ids(),
+        db.table("shapes").unwrap().heap.row_ids()
+    );
 }
 
 #[test]
@@ -356,7 +359,7 @@ fn a_snapshot_beside_insert_delete_churn_is_a_whole_statement_image() {
             let image = db
                 .snapshot_bytes()
                 .unwrap_or_else(|e| panic!("round {round}: snapshot beside churn: {e}"));
-            let restored = SpatialDb::open_bytes(&image).expect("image reopens");
+            let restored = SpatialDb::open_from(&image[..]).expect("image reopens");
             let n = restored.table("churn").unwrap().heap.len();
             assert_eq!(n % BATCH, 0, "round {round}: half a statement in the image ({n} rows)");
         }
@@ -647,7 +650,7 @@ fn a_clean_open_keeps_the_snapshot_and_a_replaying_open_recuts_it() {
     let recut = std::fs::read(&snap).unwrap();
     assert_eq!(generation(&recut), cut_gen + 1, "a replaying open checkpoints");
     assert_eq!(Wal::peek_generation(dir.join(WAL_FILE)), cut_gen + 1);
-    assert!(SpatialDb::open_bytes(&recut).is_ok());
+    assert!(SpatialDb::open_from(&recut[..]).is_ok());
 
     // A standalone image (generation 0) dropped into an empty directory
     // is adopted as it is, and the log cut against it replays over it.
@@ -741,7 +744,7 @@ fn wal_append_failure_leaves_no_phantom_rows() {
     let observe = |db: &Arc<SpatialDb>, dir: &std::path::Path| {
         let rows = |sql: &str| db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
         (
-            db.table_row_ids("t").unwrap(),
+            db.table("t").unwrap().heap.row_ids(),
             rows("SELECT id, name FROM t WHERE ST_Within(geom, ST_MakeEnvelope(-1, -1, 99, 99))"),
             ["n1", "n2", "n7", "n8", "n9"]
                 .map(|name| rows(&format!("SELECT id FROM t WHERE name = '{name}'"))),
@@ -866,7 +869,7 @@ fn duplicate_rows_replay_deletes_by_row_id_not_bytes() {
         .unwrap();
     let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.scalar().unwrap().to_string(), "2", "exactly one duplicate was deleted");
-    let mut survivors = db.table_row_ids("t").unwrap();
+    let mut survivors = db.table("t").unwrap().heap.row_ids();
     survivors.sort_unstable_by_key(|id| (id.page, id.slot));
     assert_eq!(
         survivors,
@@ -1037,8 +1040,47 @@ fn set_durability_attaches_and_detaches() {
 }
 
 #[test]
+fn set_durability_beside_create_drop_table_churn() {
+    // An attach cuts its snapshot under the writer lock, which DROP
+    // TABLE takes too: a table listed for the cut is still there when
+    // the cut streams it. The churn runs until the attaching side hangs
+    // up, which a panic on that side does as well.
+    let dir = scratch_dir("attach-churn");
+    let db = sample_db();
+    // Sorts ahead of every churned `tN`: the cut spends a while on it
+    // after listing the tables, and that is when a drop lands.
+    db.execute("CREATE TABLE a_wide (id BIGINT, pad TEXT)").unwrap();
+    let pad = "x".repeat(100);
+    let rows: Vec<String> = (0..500).map(|i| format!("({i}, '{pad}')")).collect();
+    db.execute(&format!("INSERT INTO a_wide VALUES {}", rows.join(", "))).unwrap();
+    let (attaching, hung_up) = std::sync::mpsc::channel::<()>();
+    let failed: Vec<String> = std::thread::scope(|s| {
+        let churn_db = db.clone();
+        s.spawn(move || {
+            let mut n = 0u64;
+            while let Err(std::sync::mpsc::TryRecvError::Empty) = hung_up.try_recv() {
+                churn_db.execute(&format!("CREATE TABLE t{n} (id BIGINT)")).expect("create");
+                churn_db.execute(&format!("DROP TABLE t{n}")).expect("drop");
+                n += 1;
+            }
+        });
+        let failed = (0..common::cases(60))
+            .filter_map(|_| {
+                let attached = db.set_durability(Some(&dir), DurabilityOptions::default());
+                db.set_durability(None, DurabilityOptions::default()).unwrap();
+                attached.err().map(|e| e.to_string())
+            })
+            .collect();
+        drop(attaching);
+        failed
+    });
+    assert!(failed.is_empty(), "{} attaches failed beside the churn: {failed:?}", failed.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn persistence_and_index_errors_are_distinct_variants() {
-    let err = SpatialDb::open_bytes(b"definitely not a database").err().expect("must fail");
+    let err = SpatialDb::open_from(&b"definitely not a database"[..]).err().expect("must fail");
     assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
     let db = sample_db();
     let err = db.create_spatial_index("pois", "name").expect_err("must fail");

@@ -159,19 +159,19 @@ fn engine_records_statements_and_bounds_capacity() {
         db.execute(&format!("SELECT COUNT(*) FROM pts WHERE id >= {i}")).unwrap();
     }
     assert_eq!(db.flight_recorder().recorded(), already + extra);
-    assert_eq!(db.recent_traces().len(), FLIGHT_RECORDER_CAPACITY);
+    assert_eq!(db.flight_recorder().recent().len(), FLIGHT_RECORDER_CAPACITY);
     assert!(db.flight_recorder().evicted() > 0);
     // The newest trace is the last statement executed.
-    let last = db.recent_traces().last().cloned().unwrap();
+    let last = db.flight_recorder().recent().last().cloned().unwrap();
     assert_eq!(last.sql, format!("SELECT COUNT(*) FROM pts WHERE id >= {}", extra - 1));
     assert_eq!(last.rows, 1);
     assert_eq!(last.counter("queries"), 1);
 
     // Draining empties the ring; subsequent statements refill it.
-    assert_eq!(db.drain_traces().len(), FLIGHT_RECORDER_CAPACITY);
-    assert!(db.recent_traces().is_empty());
+    assert_eq!(db.flight_recorder().drain().len(), FLIGHT_RECORDER_CAPACITY);
+    assert!(db.flight_recorder().recent().is_empty());
     db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    assert_eq!(db.recent_traces().len(), 1);
+    assert_eq!(db.flight_recorder().recent().len(), 1);
 }
 
 /// Concurrency at the engine level: sessions executing on a shared
@@ -180,7 +180,7 @@ fn engine_records_statements_and_bounds_capacity() {
 #[test]
 fn engine_concurrent_execution_with_reader() {
     let db = tiny_db();
-    db.drain_traces();
+    db.flight_recorder().drain();
     // `recorded`/`evicted` are lifetime counters; measure from here.
     let recorded_base = db.flight_recorder().recorded();
     let evicted_base = db.flight_recorder().evicted();
@@ -192,15 +192,15 @@ fn engine_concurrent_execution_with_reader() {
         std::thread::spawn(move || {
             let mut drained = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                assert!(db.recent_traces().len() <= FLIGHT_RECORDER_CAPACITY);
-                for t in db.drain_traces() {
+                assert!(db.flight_recorder().recent().len() <= FLIGHT_RECORDER_CAPACITY);
+                for t in db.flight_recorder().drain() {
                     assert!(t.sql.starts_with("SELECT COUNT(*) FROM pts"), "torn sql: {}", t.sql);
                     assert_eq!(t.rows, 1, "COUNT(*) returns one row");
                     drained += 1;
                 }
                 std::thread::yield_now();
             }
-            drained + db.drain_traces().len()
+            drained + db.flight_recorder().drain().len()
         })
     };
 
@@ -232,17 +232,17 @@ fn engine_concurrent_execution_with_reader() {
 #[test]
 fn engine_slow_query_log_thresholds() {
     let db = tiny_db();
-    assert!(db.slow_queries().is_empty(), "µs-scale statements are not slow by default");
+    assert!(db.slow_log().recent().is_empty(), "µs-scale statements are not slow by default");
 
-    db.set_slow_query_threshold(Duration::ZERO);
-    assert_eq!(db.slow_query_threshold(), Duration::ZERO);
+    db.slow_log().set_threshold(Duration::ZERO);
+    assert_eq!(db.slow_log().threshold(), Duration::ZERO);
     db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    assert_eq!(db.slow_queries().len(), 1);
-    assert_eq!(db.slow_queries()[0].sql, "SELECT COUNT(*) FROM pts");
+    assert_eq!(db.slow_log().recent().len(), 1);
+    assert_eq!(db.slow_log().recent()[0].sql, "SELECT COUNT(*) FROM pts");
 
-    db.set_slow_query_threshold(Duration::from_secs(3600));
+    db.slow_log().set_threshold(Duration::from_secs(3600));
     db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    assert_eq!(db.slow_queries().len(), 1, "fast statement must not be admitted");
+    assert_eq!(db.slow_log().recent().len(), 1, "fast statement must not be admitted");
 }
 
 /// Fingerprint stats through the engine: same-shape statements with

@@ -73,9 +73,10 @@ fn corpus_identical_across_pool_configs() {
     }
 }
 
-/// Bounding the pool spills index leaves; unbounding pulls them back.
-/// Both transitions preserve results, and the eight-frame bound
-/// (smaller than the dataset's heap) must evict.
+/// Bounding the pool spills index leaves; unbounding pulls them back;
+/// bounding it again re-spills them through the pagers already attached.
+/// Every transition preserves results, and the eight-frame bound
+/// (smaller than the dataset's heap) must evict each time.
 #[test]
 fn resize_transitions_preserve_results_and_evict_when_undersized() {
     let (data, db) = tiger_db();
@@ -91,6 +92,16 @@ fn resize_transitions_preserve_results_and_evict_when_undersized() {
 
     db.set_pool_bytes(0);
     assert_eq!(reference, run_corpus(&db, &data), "unbounding changes results");
+
+    // Bounded again: the trees keep the pagers the first bound attached,
+    // and their leaves spill through them once more.
+    let before = db.pool_stats();
+    db.set_pool_bytes(TINY);
+    db.clear_caches();
+    assert_eq!(reference, run_corpus(&db, &data), "re-bounding changes results");
+    let after = db.pool_stats();
+    assert_eq!(after.capacity_frames, stats.capacity_frames);
+    assert!(after.evictions > before.evictions, "the re-bounded pool must evict again");
 }
 
 /// Concurrent writers churn an indexed table through a deliberately

@@ -197,7 +197,7 @@ fn flight_recorder_and_slow_log_answer_sql() {
     let traces = count(&db, "SELECT COUNT(*) FROM jp_flight_recorder");
     assert!(traces > 0, "tiny_db left traces in the ring");
 
-    db.set_slow_query_threshold(Duration::ZERO);
+    db.slow_log().set_threshold(Duration::ZERO);
     db.execute("SELECT COUNT(*) FROM pts").unwrap();
     let r = db
         .execute("SELECT statement, total_ms FROM jp_slow_queries ORDER BY seq DESC LIMIT 1")
