@@ -5,7 +5,7 @@ use crate::{ctx, Result};
 use jackpine_datagen::TigerDataset;
 use jackpine_engine::SpatialDb;
 use jackpine_geom::Geometry;
-use jackpine_storage::{ColumnDef, DataType, Value};
+use jackpine_storage::{ColumnDef, DataType, Row, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,86 +79,73 @@ pub fn table_schemas() -> Vec<(&'static str, Vec<ColumnDef>)> {
     ]
 }
 
-/// Loads `data` into `db`: creates the five tables, inserts every record,
-/// then builds a spatial index on each geometry column plus the ordered
-/// indexes the geocoding scenarios rely on (`roads.name`, `roads.zip`,
-/// `arealm.id`, `county.name`).
+/// Rows per load transaction. A batch commits far fewer times than one
+/// transaction per row, and its rows go in as bytes, one encoding each.
+/// It stays bounded because every row of an open transaction keeps a
+/// visibility entry in its heap until the commit settles it, and that
+/// map keeps the capacity it grew to: one transaction for a whole table
+/// would leave it sized for every row.
+const LOAD_BATCH: usize = 1024;
+
+/// Inserts one row per item of `items`, built by `row`, into `table`,
+/// [`LOAD_BATCH`] rows per transaction.
+fn load<T>(db: &SpatialDb, table: &str, items: &[T], row: impl Fn(&T) -> Row) -> Result<()> {
+    for batch in items.chunks(LOAD_BATCH) {
+        ctx(db.insert_rows(table, batch.iter().map(&row)), format!("loading {table}"))?;
+    }
+    Ok(())
+}
+
+/// Loads `data` into `db`: creates the five tables, inserts every record
+/// in transactions of 1,024 rows, then builds a spatial index on each
+/// geometry column plus the ordered indexes the geocoding scenarios rely
+/// on (`roads.name`, `roads.zip`, `arealm.id`, `county.name`).
 pub fn load_dataset(db: &Arc<SpatialDb>, data: &TigerDataset) -> Result<LoadSummary> {
     for (name, cols) in table_schemas() {
         ctx(db.create_table(name, cols), format!("creating table {name}"))?;
     }
 
     let start = Instant::now();
-    for c in &data.counties {
-        ctx(
-            db.insert_row(
-                "county",
-                vec![
-                    Value::Int(c.id),
-                    Value::Text(c.name.clone()),
-                    Value::Geom(Geometry::Polygon(c.geom.clone())),
-                ],
-            ),
-            "loading county",
-        )?;
-    }
-    for r in &data.roads {
-        ctx(
-            db.insert_row(
-                "roads",
-                vec![
-                    Value::Int(r.id),
-                    Value::Text(r.name.clone()),
-                    Value::Int(r.zip),
-                    Value::Int(r.from_addr),
-                    Value::Int(r.to_addr),
-                    Value::Geom(Geometry::LineString(r.geom.clone())),
-                ],
-            ),
-            "loading roads",
-        )?;
-    }
-    for a in &data.arealm {
-        ctx(
-            db.insert_row(
-                "arealm",
-                vec![
-                    Value::Int(a.id),
-                    Value::Text(a.name.clone()),
-                    Value::Text(a.category.clone()),
-                    Value::Geom(Geometry::Polygon(a.geom.clone())),
-                ],
-            ),
-            "loading arealm",
-        )?;
-    }
-    for p in &data.pointlm {
-        ctx(
-            db.insert_row(
-                "pointlm",
-                vec![
-                    Value::Int(p.id),
-                    Value::Text(p.name.clone()),
-                    Value::Text(p.category.clone()),
-                    Value::Geom(Geometry::Point(p.geom)),
-                ],
-            ),
-            "loading pointlm",
-        )?;
-    }
-    for w in &data.areawater {
-        ctx(
-            db.insert_row(
-                "areawater",
-                vec![
-                    Value::Int(w.id),
-                    Value::Text(w.name.clone()),
-                    Value::Geom(Geometry::Polygon(w.geom.clone())),
-                ],
-            ),
-            "loading areawater",
-        )?;
-    }
+    load(db, "county", &data.counties, |c| {
+        vec![
+            Value::Int(c.id),
+            Value::Text(c.name.clone()),
+            Value::Geom(Geometry::Polygon(c.geom.clone())),
+        ]
+    })?;
+    load(db, "roads", &data.roads, |r| {
+        vec![
+            Value::Int(r.id),
+            Value::Text(r.name.clone()),
+            Value::Int(r.zip),
+            Value::Int(r.from_addr),
+            Value::Int(r.to_addr),
+            Value::Geom(Geometry::LineString(r.geom.clone())),
+        ]
+    })?;
+    load(db, "arealm", &data.arealm, |a| {
+        vec![
+            Value::Int(a.id),
+            Value::Text(a.name.clone()),
+            Value::Text(a.category.clone()),
+            Value::Geom(Geometry::Polygon(a.geom.clone())),
+        ]
+    })?;
+    load(db, "pointlm", &data.pointlm, |p| {
+        vec![
+            Value::Int(p.id),
+            Value::Text(p.name.clone()),
+            Value::Text(p.category.clone()),
+            Value::Geom(Geometry::Point(p.geom)),
+        ]
+    })?;
+    load(db, "areawater", &data.areawater, |w| {
+        vec![
+            Value::Int(w.id),
+            Value::Text(w.name.clone()),
+            Value::Geom(Geometry::Polygon(w.geom.clone())),
+        ]
+    })?;
     let load_time = start.elapsed();
 
     let start = Instant::now();

@@ -11,12 +11,12 @@ use crate::durable::DurabilityState;
 use crate::indexes::TableIndexes;
 use crate::statement::{Sessions, StatementCache};
 use crate::syscat::Introspection;
-use crate::txn::{SnapshotGuard, Transactions, WriteTxn};
+use crate::txn::{SnapshotGuard, Transactions};
 use crate::EngineProfile;
-use jackpine_obs::{EngineMetrics, TxnSite};
+use jackpine_obs::EngineMetrics;
 use jackpine_sqlmini::{PreparedCache, SqlError};
 use jackpine_storage::sync::RwLock;
-use jackpine_storage::{Catalog, PoolStats, Row, RowId, StorageError, Table};
+use jackpine_storage::{Catalog, PoolStats, StorageError, Table};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -160,16 +160,6 @@ impl SpatialDb {
     /// plan stamped under an older one.
     pub(crate) fn bump_ddl_gen(&self) {
         self.ddl_gen.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Inserts a row programmatically, maintaining any indexes. One
-    /// single-row write transaction: staged to the WAL before it is
-    /// published, fsynced through the group-commit pipeline.
-    pub fn insert_row(&self, table: &str, row: Row) -> crate::Result<RowId> {
-        let mut txn = WriteTxn::begin(self, TxnSite::Insert, table)?;
-        let id = txn.insert(row)?;
-        txn.commit()?;
-        Ok(id)
     }
 
     /// The newest published commit generation (diagnostics and tests).

@@ -22,6 +22,7 @@ use crate::db::{EngineError, SpatialDb};
 use crate::wal::{Wal, WalRecord};
 use crate::{EngineProfile, Result};
 use jackpine_obs::TxnSite;
+use jackpine_storage::Value;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -202,11 +203,12 @@ impl SpatialDb {
             // Back into the exact slot it was logged at, so later
             // `DeleteId` records (and index entries) address the right
             // row even among byte-identical duplicates; the slot keeps
-            // the row the log handed over (restore's rule).
+            // the row the log handed over (restore's rule), and the row is
+            // encoded once for the slot and the index entries.
             WalRecord::InsertAt { table, id, row } => {
-                self.table(&table)?.heap.place_at(row.clone(), id, 0)?;
-                self.set_index_entries(&table, id, &row, true);
-                Ok(())
+                let tuple = Value::encode_row(&row);
+                self.table(&table)?.heap.place_tuple(&tuple, row, id, 0)?;
+                self.index_tuple(&table.to_ascii_lowercase(), id, &tuple, true)
             }
             // A missing row means the record's effect is already there:
             // recovery stays idempotent.

@@ -5,10 +5,10 @@
 //! (R\*-tree or grid, by profile) and its ordered ones, keyed by column.
 //! An index is built by one bulk load from [`IndexSeeds`] taken off tuple
 //! bytes — by a heap scan for `CREATE INDEX`, or while a snapshot's rows
-//! go by on open — and then kept in step by the write transaction
-//! ([`SpatialDb::set_index_entries`]) and by vacuum
-//! ([`SpatialDb::unindex_tuple`]). Under a bounded pool an R-tree's leaves
-//! page through the pool ([`PoolLeafPager`]), attached in one place.
+//! go by on open — and then kept in step, off the same bytes, by the
+//! write transaction, its rollback and vacuum ([`SpatialDb::index_tuple`]).
+//! Under a bounded pool an R-tree's leaves page through the pool
+//! ([`PoolLeafPager`]), attached in one place.
 
 use crate::db::{EngineError, SpatialDb};
 use crate::syscat;
@@ -111,7 +111,7 @@ impl SpatialIdx {
 }
 
 /// Ordered-index key: the orderable subset of [`Value`].
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Key {
     Int(i64),
     Text(String),
@@ -161,7 +161,11 @@ pub(crate) struct TableIndexes {
 pub(crate) struct IndexSeeds {
     /// Per indexed geometry column, the bulk load's input.
     spatial: Vec<(usize, Vec<(Envelope, RowId)>)>,
-    ordered: Vec<(usize, OrderedIndex<Key, RowId>)>,
+    /// Per ordered column, its entries grouped by key as they arrive,
+    /// each group in storage order: the build sorts only the distinct
+    /// keys ([`OrderedIndex::from_groups`]), and no key is held once per
+    /// row.
+    ordered: Vec<(usize, HashMap<Key, Vec<RowId>>)>,
 }
 
 impl IndexSeeds {
@@ -201,7 +205,7 @@ impl IndexSeeds {
         }
         Ok(IndexSeeds {
             spatial: spatial_cols.iter().map(|&c| (c, Vec::with_capacity(rows))).collect(),
-            ordered: ordered_cols.iter().map(|&c| (c, OrderedIndex::new())).collect(),
+            ordered: ordered_cols.iter().map(|&c| (c, HashMap::new())).collect(),
         })
     }
 
@@ -213,9 +217,9 @@ impl IndexSeeds {
                 items.push((env, id));
             }
         }
-        for (col, idx) in &mut self.ordered {
+        for (col, groups) in &mut self.ordered {
             if let Some(k) = tuple_key(tuple, *col)? {
-                idx.insert(k, id);
+                groups.entry(k).or_default().push(id);
             }
         }
         Ok(())
@@ -247,41 +251,33 @@ impl SpatialDb {
         Ok(())
     }
 
-    /// Adds `row`'s entries to every index on `table` (`present`), or
-    /// removes them: one walk, so what a rollback strips is what the
-    /// insert put there.
-    pub(crate) fn set_index_entries(&self, table: &str, id: RowId, row: &Row, present: bool) {
+    /// Adds the entries of the row at `id`, stored as `tuple`, to every
+    /// index on the table keyed `key` (its lowercased name) when
+    /// `present`, or removes them — read off the bytes as
+    /// [`IndexSeeds::add`] reads them, so what a rollback or a vacuum
+    /// strips is what the insert put there. An error leaves the entries
+    /// of the columns before the one that failed applied.
+    pub(crate) fn index_tuple(
+        &self,
+        key: &str,
+        id: RowId,
+        tuple: &[u8],
+        present: bool,
+    ) -> crate::Result<()> {
         let mut indexes = self.indexes.write();
-        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return };
+        let Some(ti) = indexes.get_mut(key) else { return Ok(()) };
         for (col, idx) in ti.spatial.iter_mut() {
-            match row.get(*col) {
-                Some(Value::Geom(g)) if present => idx.insert(g.envelope(), id),
-                Some(Value::Geom(g)) => idx.remove(&g.envelope(), id),
-                _ => {}
-            }
-        }
-        for (col, idx) in ti.ordered.iter_mut() {
-            match row.get(*col).and_then(Key::from_value) {
-                Some(k) if present => idx.insert(k, id),
-                Some(k) => drop(idx.remove(&k, |v| *v == id)),
+            match tuple_envelope(tuple, *col)? {
+                Some(env) if present => idx.insert(env, id),
+                Some(env) => idx.remove(&env, id),
                 None => {}
             }
         }
-    }
-
-    /// Removes the index entries of the row at `id`, stored as `tuple`,
-    /// taking them off its bytes as [`IndexSeeds::add`] does.
-    pub(crate) fn unindex_tuple(&self, table: &str, id: RowId, tuple: &[u8]) -> crate::Result<()> {
-        let mut indexes = self.indexes.write();
-        let Some(ti) = indexes.get_mut(&table.to_ascii_lowercase()) else { return Ok(()) };
-        for (col, idx) in ti.spatial.iter_mut() {
-            if let Some(env) = tuple_envelope(tuple, *col)? {
-                idx.remove(&env, id);
-            }
-        }
         for (col, idx) in ti.ordered.iter_mut() {
-            if let Some(k) = tuple_key(tuple, *col)? {
-                idx.remove(&k, |v| *v == id);
+            match tuple_key(tuple, *col)? {
+                Some(k) if present => idx.insert(k, id),
+                Some(k) => drop(idx.remove(&k, |v| *v == id)),
+                None => {}
             }
         }
         Ok(())
@@ -328,10 +324,15 @@ impl SpatialDb {
     /// Builds an index from each of `seeds` (the bulk path) and registers
     /// them on `t`.
     pub(crate) fn install_indexes(&self, t: &Table, seeds: IndexSeeds) -> crate::Result<()> {
-        let built: Vec<(usize, SpatialIdx)> = seeds
+        let spatial: Vec<(usize, SpatialIdx)> = seeds
             .spatial
             .into_iter()
             .map(|(col, items)| (col, self.build_spatial_index(&t.name, col, items)))
+            .collect();
+        let ordered: Vec<(usize, OrderedIndex<Key, RowId>)> = seeds
+            .ordered
+            .into_iter()
+            .map(|(col, groups)| (col, OrderedIndex::from_groups(groups)))
             .collect();
         let exists = |kind: &str, col: usize| {
             let column = &t.schema().columns()[col].name;
@@ -339,12 +340,12 @@ impl SpatialDb {
         };
         let mut indexes = self.indexes.write();
         let ti = indexes.entry(t.name.to_ascii_lowercase()).or_default();
-        for (col, idx) in built {
+        for (col, idx) in spatial {
             if ti.spatial.insert(col, idx).is_some() {
                 return Err(exists("spatial", col));
             }
         }
-        for (col, idx) in seeds.ordered {
+        for (col, idx) in ordered {
             if ti.ordered.insert(col, idx).is_some() {
                 return Err(exists("ordered", col));
             }

@@ -348,13 +348,7 @@ impl SpatialDb {
                     }
                     staged.push(row);
                 }
-                let n = staged.len();
-                let mut txn = WriteTxn::begin(self, TxnSite::Insert, &table)?;
-                for row in staged {
-                    txn.insert(row)?;
-                }
-                txn.commit()?;
-                Ok(affected(n))
+                Ok(affected(self.insert_rows(&table, staged)?.len()))
             }
         }
     }

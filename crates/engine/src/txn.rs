@@ -11,8 +11,10 @@
 //!    and fixes `gen = commit_gen + 1`.
 //! 2. [`WriteTxn::insert`] and [`WriteTxn::kill`] apply to heap and
 //!    indexes stamped `gen` — which no reader is pinned at yet, so none
-//!    sees them — and remember what they did as the WAL records to stage.
-//! 3. [`WriteTxn::commit`] stages those records with one frame write,
+//!    sees them — and remember what they did as ids and the bytes they
+//!    wrote: an inserted row is encoded once, and that tuple goes to the
+//!    heap, the indexes and (framed in place) the log. No `Row` is kept.
+//! 3. [`WriteTxn::commit`] stages those frames with one write,
 //!    queues the deaths for reclaim, publishes `gen` with one store,
 //!    settles, releases the writer lock and *only then* waits for the
 //!    group fsync (followers park behind their batch leader; a parked
@@ -20,7 +22,9 @@
 //!    held, so no checkpoint truncates staged-but-unsynced frames.
 //! 4. Dropping an uncommitted `WriteTxn` — any `?` on the way there —
 //!    undoes what was applied, newest first, *before* the writer lock is
-//!    released: the next writer never finds half a statement.
+//!    released: the next writer never finds half a statement. An
+//!    inserted row's index entries come off the transaction's own copy
+//!    of its bytes, never off a page a bounded pool may have evicted.
 //!
 //! Lock order: `durability` (read) → writer lock → `snapshots` /
 //! `pending_reclaim` / `indexes` / heap locks.
@@ -28,13 +32,14 @@
 use crate::commit::CommitPipeline;
 use crate::db::SpatialDb;
 use crate::durable::DurabilityState;
-use crate::wal::WalRecord;
+use crate::wal;
 use crate::Result;
 use jackpine_obs::{EngineMetrics, TxnSite};
 use jackpine_sqlmini::provider::SnapshotHandle;
 use jackpine_storage::sync::Mutex;
-use jackpine_storage::{Row, RowId, StorageError, Table};
+use jackpine_storage::{Row, RowId, StorageError, Table, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard, RwLockReadGuard};
 use std::time::{Duration, Instant};
@@ -178,6 +183,28 @@ impl Drop for SnapshotGuard {
 }
 
 impl SpatialDb {
+    /// Inserts `rows` into `table` programmatically, maintaining any
+    /// indexes, as one write transaction: readers, the log and a snapshot
+    /// cut see all of them or none. Each row is encoded as it arrives and
+    /// dropped, so an open batch holds its rows' bytes, not the rows.
+    /// Returns their ids, in order.
+    pub fn insert_rows(
+        &self,
+        table: &str,
+        rows: impl IntoIterator<Item = Row>,
+    ) -> Result<Vec<RowId>> {
+        let mut txn = WriteTxn::begin(self, TxnSite::Insert, table)?;
+        let ids = rows.into_iter().map(|row| txn.insert(row)).collect::<Result<_>>()?;
+        txn.commit()?;
+        Ok(ids)
+    }
+
+    /// [`SpatialDb::insert_rows`] of one row: staged to the WAL before it
+    /// is published, fsynced through the group-commit pipeline.
+    pub fn insert_row(&self, table: &str, row: Row) -> Result<RowId> {
+        Ok(self.insert_rows(table, [row])?[0])
+    }
+
     /// Physically reclaims the logically-deleted rows no snapshot can
     /// see: index entries first, then the heap bytes — probe-side
     /// visibility filtering depends on that order. `_writers` is the
@@ -217,11 +244,19 @@ impl SpatialDb {
             tuple.extend_from_slice(bytes);
             Ok::<(), StorageError>(())
         }) {
-            Ok(()) => self.unindex_tuple(&t.name, id, &tuple),
+            Ok(()) => self.index_tuple(&t.name.to_ascii_lowercase(), id, &tuple, false),
             Err(StorageError::RowNotFound { .. }) => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
+}
+
+/// One change a [`WriteTxn`] applied, as its rollback undoes it.
+enum Applied {
+    /// A row inserted at `id`, its tuple bytes at `staged[tuple]`.
+    Insert { id: RowId, tuple: Range<usize> },
+    /// The row at this id marked dead.
+    Kill(RowId),
 }
 
 /// One mutating statement on one table (see the module note).
@@ -232,11 +267,16 @@ pub(crate) struct WriteTxn<'a> {
     durability: RwLockReadGuard<'a, Option<DurabilityState>>,
     /// The table as the statement spelled it, which is how it is logged.
     name: &'a str,
+    /// `name` lowercased: the key of the table's indexes.
+    key: String,
     table: Arc<Table>,
     gen: u64,
-    /// What was applied, in order, as the records `commit` stages and
-    /// `drop` undoes: `InsertAt` and `DeleteId` only.
-    applied: Vec<WalRecord>,
+    /// The transaction's own copy of what it wrote. With a log attached,
+    /// the frames `commit` stages, one per applied change, each insert's
+    /// tuple the tail of its frame; without one, each insert's tuple.
+    staged: Vec<u8>,
+    /// What was applied, in order: what `drop` undoes.
+    applied: Vec<Applied>,
 }
 
 impl<'a> WriteTxn<'a> {
@@ -248,8 +288,17 @@ impl<'a> WriteTxn<'a> {
         let writers = db.txn.lock_writers(site);
         db.vacuum(&writers)?;
         let table = db.table(name)?;
-        let (gen, applied) = (db.txn.generation() + 1, Vec::new());
-        Ok(WriteTxn { db, writers: Some(writers), durability, name, table, gen, applied })
+        Ok(WriteTxn {
+            db,
+            writers: Some(writers),
+            durability,
+            name,
+            key: name.to_ascii_lowercase(),
+            table,
+            gen: db.txn.generation() + 1,
+            staged: Vec::new(),
+            applied: Vec::new(),
+        })
     }
 
     /// The statement's table.
@@ -257,11 +306,22 @@ impl<'a> WriteTxn<'a> {
         &self.table
     }
 
-    /// Inserts `row`, born at this transaction's generation.
+    /// Inserts `row`, born at this transaction's generation. The row is
+    /// checked, encoded once and dropped: heap, indexes and log all take
+    /// the same bytes.
     pub(crate) fn insert(&mut self, row: Row) -> Result<RowId> {
-        let id = self.table.heap.insert_at(&row, self.gen)?;
-        self.db.set_index_entries(self.name, id, &row, true);
-        self.applied.push(WalRecord::InsertAt { table: self.name.to_string(), id, row });
+        self.table.schema().check_row(&row)?;
+        let tuple = Value::encode_row(&row);
+        drop(row);
+        let id = self.table.heap.insert_tuple(&tuple, self.gen)?;
+        if self.durability.is_some() {
+            wal::frame_insert_at(&mut self.staged, self.name, id, &tuple);
+        } else {
+            self.staged.extend_from_slice(&tuple);
+        }
+        let end = self.staged.len();
+        self.applied.push(Applied::Insert { id, tuple: end - tuple.len()..end });
+        self.db.index_tuple(&self.key, id, &tuple, true)?;
         Ok(id)
     }
 
@@ -270,7 +330,10 @@ impl<'a> WriteTxn<'a> {
     /// until vacuum.
     pub(crate) fn kill(&mut self, id: RowId) {
         self.table.heap.mark_deleted(id, self.gen);
-        self.applied.push(WalRecord::DeleteId { table: self.name.to_string(), id });
+        if self.durability.is_some() {
+            wal::frame_delete_id(&mut self.staged, self.name, id);
+        }
+        self.applied.push(Applied::Kill(id));
     }
 
     /// Logs, publishes, and makes durable what was applied. A log write
@@ -279,12 +342,12 @@ impl<'a> WriteTxn<'a> {
     pub(crate) fn commit(mut self) -> Result<()> {
         let txn = &self.db.txn;
         if let Some(d) = self.durability.as_ref() {
-            d.wal.write_frames(&self.applied)?;
+            d.wal.write_framed(&self.staged, self.applied.len() as u64)?;
         }
-        let gen = self.gen;
-        let deaths = std::mem::take(&mut self.applied).into_iter().filter_map(|rec| match rec {
-            WalRecord::DeleteId { table, id } => Some(PendingReclaim { table, id, died: gen }),
-            _ => None,
+        let (gen, name) = (self.gen, self.name);
+        let deaths = std::mem::take(&mut self.applied).into_iter().filter_map(|a| match a {
+            Applied::Kill(id) => Some(PendingReclaim { table: name.to_string(), id, died: gen }),
+            Applied::Insert { .. } => None,
         });
         txn.pending_reclaim.lock().extend(deaths);
         txn.commit_gen.store(gen, Ordering::Release);
@@ -306,16 +369,22 @@ impl Drop for WriteTxn<'_> {
     /// Rollback: nothing applied was published, so no reader saw it;
     /// undone newest first, the writer lock (a field) still held.
     fn drop(&mut self) {
-        for rec in std::mem::take(&mut self.applied).into_iter().rev() {
-            match rec {
-                WalRecord::InsertAt { id, row, .. } => {
-                    self.db.set_index_entries(self.name, id, &row, false);
+        for change in std::mem::take(&mut self.applied).into_iter().rev() {
+            match change {
+                Applied::Insert { id, tuple } => {
+                    // The entries come off the transaction's own copy of
+                    // the row, never its page: under a bounded pool the
+                    // page may be evicted by now, and a read-back that
+                    // failed here would have nowhere to go. The insert
+                    // read these bytes the same way, so this can only
+                    // fail where the insert's own `index_tuple` did —
+                    // having removed every entry that one added.
+                    let _ = self.db.index_tuple(&self.key, id, &self.staged[tuple], false);
                     self.table.heap.delete(id);
                 }
-                WalRecord::DeleteId { id, .. } => {
+                Applied::Kill(id) => {
                     self.table.heap.revive(id);
                 }
-                _ => {}
             }
         }
     }

@@ -139,43 +139,82 @@ fn get_str(data: &mut &[u8]) -> Result<String> {
     Ok(s)
 }
 
+/// The one [`WalRecord::InsertAt`] payload encoder, given the row as it
+/// is stored (`tuple`, [`Value::encode_row`] of it): the record ends with
+/// exactly those bytes.
+fn put_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
+    buf.put_u8(KIND_INSERT_AT);
+    put_str(buf, table);
+    put_row_id(buf, id);
+    buf.put_slice(tuple);
+}
+
+/// The [`WalRecord::DeleteId`] payload encoder.
+fn put_delete_id(buf: &mut Vec<u8>, table: &str, id: RowId) {
+    buf.put_u8(KIND_DELETE_ID);
+    put_str(buf, table);
+    put_row_id(buf, id);
+}
+
+/// Appends one frame to `buf` — `len | crc | payload` — with the payload
+/// written in place by `payload`.
+fn put_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let head = buf.len();
+    buf.put_slice(&[0; FRAME_OVERHEAD]);
+    payload(buf);
+    let body = &buf[head + FRAME_OVERHEAD..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    buf[head..head + 4].copy_from_slice(&len.to_le_bytes());
+    buf[head + 4..head + FRAME_OVERHEAD].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Appends the frame of `InsertAt { table, id, row }` to `buf`, given
+/// `tuple`, the row as it is stored — byte for byte the record's
+/// [`WalRecord::frame`], with no second encoding of the row. The tuple
+/// is the frame's last `tuple.len()` bytes.
+pub(crate) fn frame_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
+    put_frame(buf, |b| put_insert_at(b, table, id, tuple));
+}
+
+/// Appends the frame of `DeleteId { table, id }` to `buf`.
+pub(crate) fn frame_delete_id(buf: &mut Vec<u8>, table: &str, id: RowId) {
+    put_frame(buf, |b| put_delete_id(b, table, id));
+}
+
 impl WalRecord {
     /// Serializes the record payload (no framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::CreateTable { name, columns } => {
                 buf.put_u8(KIND_CREATE_TABLE);
-                put_str(&mut buf, name);
+                put_str(buf, name);
                 buf.put_u32_le(columns.len() as u32);
                 for col in columns {
-                    put_str(&mut buf, &col.name);
+                    put_str(buf, &col.name);
                     buf.put_u8(type_tag(col.ty));
                 }
             }
             WalRecord::CreateSpatialIndex { table, column } => {
                 buf.put_u8(KIND_SPATIAL_INDEX);
-                put_str(&mut buf, table);
-                put_str(&mut buf, column);
+                put_str(buf, table);
+                put_str(buf, column);
             }
             WalRecord::CreateOrderedIndex { table, column } => {
                 buf.put_u8(KIND_ORDERED_INDEX);
-                put_str(&mut buf, table);
-                put_str(&mut buf, column);
+                put_str(buf, table);
+                put_str(buf, column);
             }
-            WalRecord::DeleteId { table, id } => {
-                buf.put_u8(KIND_DELETE_ID);
-                put_str(&mut buf, table);
-                put_row_id(&mut buf, *id);
-            }
+            WalRecord::DeleteId { table, id } => put_delete_id(buf, table, *id),
             WalRecord::InsertAt { table, id, row } => {
-                buf.put_u8(KIND_INSERT_AT);
-                put_str(&mut buf, table);
-                put_row_id(&mut buf, *id);
-                buf.put_slice(&Value::encode_row(row));
+                put_insert_at(buf, table, *id, &Value::encode_row(row))
             }
         }
-        buf
     }
 
     /// Decodes one record payload produced by [`WalRecord::encode`].
@@ -232,11 +271,8 @@ impl WalRecord {
 
     /// The record as a complete on-disk frame: `len | crc | payload`.
     pub fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        out.put_u32_le(payload.len() as u32);
-        out.put_u32_le(crc32(&payload));
-        out.put_slice(&payload);
+        let mut out = Vec::with_capacity(64 + FRAME_OVERHEAD);
+        put_frame(&mut out, |b| self.encode_into(b));
         out
     }
 }
@@ -366,24 +402,32 @@ impl Wal {
     }
 
     /// Appends a batch of framed records with a single `write_all` and
-    /// **no fsync** — the commit pipeline's staging write. A crash can
-    /// tear at most the batch's own tail, which replay drops; durability
-    /// arrives with the next [`Wal::sync`]. Counts one `wal_appends` per
-    /// record.
+    /// **no fsync** — the commit pipeline's staging write, which a write
+    /// transaction makes with the frames it built as it applied. A crash
+    /// can tear at most the batch's own tail, which replay drops;
+    /// durability arrives with the next [`Wal::sync`]. Counts one
+    /// `wal_appends` per record.
     pub fn write_frames(&self, records: &[WalRecord]) -> Result<()> {
-        if records.is_empty() {
+        let mut buf = Vec::with_capacity(records.len() * 64);
+        for rec in records {
+            put_frame(&mut buf, |b| rec.encode_into(b));
+        }
+        self.write_framed(&buf, records.len() as u64)
+    }
+
+    /// [`Wal::write_frames`] of `count` records already framed back to
+    /// back in `frames` — how a write transaction stages the frames it
+    /// built as it applied.
+    pub(crate) fn write_framed(&self, frames: &[u8], count: u64) -> Result<()> {
+        if count == 0 {
             return Ok(());
         }
         self.check_fail()?;
-        let mut buf = Vec::with_capacity(records.len() * 64);
-        for rec in records {
-            buf.extend_from_slice(&rec.frame());
-        }
         let mut file = self.file.lock();
-        file.write_all(&buf).map_err(io_err)?;
+        file.write_all(frames).map_err(io_err)?;
         drop(file);
         if let Some(m) = &self.metrics {
-            m.wal_appends.add(records.len() as u64);
+            m.wal_appends.add(count);
         }
         Ok(())
     }
@@ -666,6 +710,66 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(replay.records, recs);
         assert_eq!(replay.ignored_tail, 0);
+    }
+
+    #[test]
+    fn a_transaction_stages_the_frames_its_records_would_make() {
+        // Every value kind, and every geometry kind: point, line, a
+        // polygon with a hole, each multi-kind, a collection, empties.
+        let geoms = [
+            "POINT (1 2)",
+            "LINESTRING (0 0, 3 4, 5 1)",
+            "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))",
+            "MULTIPOINT ((1 1), (2 3))",
+            "MULTILINESTRING ((0 0, 1 1), (2 2, 3 5))",
+            "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 9 5, 9 9, 5 9, 5 5), (6 6, 7 6, 7 7, 6 6)))",
+            "GEOMETRYCOLLECTION (POINT (4 4), LINESTRING (0 1, 1 0))",
+            "MULTIPOINT EMPTY",
+        ];
+        let mut rows: Vec<Row> = vec![vec![Value::Null, Value::Null, Value::Null, Value::Null]];
+        for (i, wkt) in geoms.iter().enumerate() {
+            let g = jackpine_geom::wkt::parse(wkt).unwrap();
+            let name = Value::Text(format!("row {i} · {wkt}"));
+            rows.push(vec![
+                Value::Int(-(i as i64)),
+                Value::Float(i as f64 / 3.0),
+                name,
+                Value::Geom(g),
+            ]);
+        }
+        let dir = std::env::temp_dir().join(format!("jackpine-wal-staged-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let opts = crate::DurabilityOptions::default();
+        let db =
+            crate::SpatialDb::open_durable(&dir, crate::EngineProfile::ExactRtree, opts).unwrap();
+        db.execute("CREATE TABLE Kinds (i BIGINT, f DOUBLE, t TEXT, g GEOMETRY)").unwrap();
+        db.create_spatial_index("kinds", "g").unwrap();
+        db.create_ordered_index("kinds", "t").unwrap();
+        let path = dir.join(crate::WAL_FILE);
+        let logged = std::fs::read(&path).unwrap().len();
+        let ids = db.insert_rows("Kinds", rows.clone()).unwrap();
+        db.execute("DELETE FROM Kinds WHERE i = -3").unwrap();
+
+        let mut want: Vec<WalRecord> = ids
+            .iter()
+            .zip(&rows)
+            .map(|(&id, row)| WalRecord::InsertAt { table: "Kinds".into(), id, row: row.clone() })
+            .collect();
+        want.push(WalRecord::DeleteId { table: "Kinds".into(), id: ids[4] });
+        let staged = std::fs::read(&path).unwrap()[logged..].to_vec();
+        let framed: Vec<u8> = want.iter().flat_map(WalRecord::frame).collect();
+        assert!(staged == framed, "staged frames differ from the records' own");
+        let replay = Wal::replay(&path).unwrap();
+        assert_eq!(replay.records[replay.records.len() - want.len()..], want[..]);
+        // The helper the transaction frames with, one record at a time.
+        for (rec, (&id, row)) in want.iter().zip(ids.iter().zip(&rows)) {
+            let mut buf = vec![0xAB];
+            frame_insert_at(&mut buf, "Kinds", id, &Value::encode_row(row));
+            assert_eq!(buf[1..], rec.frame()[..]);
+            assert_eq!(&WalRecord::decode(&buf[1 + FRAME_OVERHEAD..]).unwrap(), rec);
+        }
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -24,6 +24,26 @@ impl<K: Ord + Clone, T: Clone> OrderedIndex<K, T> {
         Self::default()
     }
 
+    /// Builds an index from entries already grouped by key: each group's
+    /// payloads keep their order, as one [`OrderedIndex::insert`] per
+    /// entry would leave them. The keys are sorted once and the map is
+    /// bulk-built from them. A key given twice has its groups joined in
+    /// the order they came; empty groups add nothing.
+    pub fn from_groups(groups: impl IntoIterator<Item = (K, Vec<T>)>) -> Self {
+        let mut groups: Vec<(K, Vec<T>)> =
+            groups.into_iter().filter(|(_, payloads)| !payloads.is_empty()).collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        groups.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1.append(&mut later.1);
+                true
+            }
+        });
+        let len = groups.iter().map(|(_, payloads)| payloads.len()).sum();
+        // Sorted and distinct: collecting builds the tree bottom-up.
+        OrderedIndex { map: groups.into_iter().collect(), len }
+    }
+
     /// Number of stored entries (not distinct keys).
     pub fn len(&self) -> usize {
         self.len
@@ -129,6 +149,54 @@ mod tests {
         assert_eq!(hits, vec![1, 2]);
         assert_eq!(idx.prefix("Z"), Vec::<usize>::new());
         assert_eq!(idx.prefix("").len(), 4);
+    }
+
+    #[test]
+    fn grouped_build_equals_one_insert_per_entry() {
+        // Keys drawn from a few distinct values (many duplicates) and
+        // from many (few); grouped as they arrive, as a loader groups
+        // them, in a hash map whose iteration order is arbitrary.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for distinct in [1u64, 7, 300, 5_000] {
+            let entries: Vec<(String, usize)> =
+                (0..4_000).map(|i| (format!("K{:04}", next() % distinct), i)).collect();
+            let mut one_by_one = OrderedIndex::new();
+            let mut groups: std::collections::HashMap<String, Vec<usize>> = Default::default();
+            for (k, v) in &entries {
+                one_by_one.insert(k.clone(), *v);
+                groups.entry(k.clone()).or_default().push(*v);
+            }
+            let grouped = OrderedIndex::from_groups(groups);
+            assert_eq!(grouped.len(), one_by_one.len(), "{distinct} keys");
+            assert_eq!(grouped.key_count(), one_by_one.key_count(), "{distinct} keys");
+            assert_eq!(grouped.map, one_by_one.map, "keys and per-key payload order");
+            for (lo, hi) in [("K0000", "K9999"), ("K0003", "K0003"), ("K0100", "K0250"), ("Z", "Z")]
+            {
+                let (lo, hi) = (lo.to_string(), hi.to_string());
+                assert_eq!(grouped.range(&lo, &hi), one_by_one.range(&lo, &hi));
+            }
+            for prefix in ["", "K", "K00", "K001", "K4", "X"] {
+                assert_eq!(grouped.prefix(prefix), one_by_one.prefix(prefix), "{prefix:?}");
+            }
+        }
+        // A key given twice is joined in order; an empty group adds
+        // nothing, not an empty bucket.
+        let joined = OrderedIndex::from_groups([
+            (5, vec!['a', 'b']),
+            (2, vec![]),
+            (1, vec!['c']),
+            (5, vec!['d']),
+        ]);
+        assert_eq!((joined.len(), joined.key_count()), (4, 2));
+        assert_eq!(joined.get(&5), &['a', 'b', 'd']);
+        assert!(joined.get(&2).is_empty());
+        assert_eq!(joined.range(&0, &9), vec!['c', 'a', 'b', 'd']);
     }
 
     #[test]

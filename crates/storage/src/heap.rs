@@ -31,9 +31,9 @@
 //! [`HeapFile::settle`] prunes entries the visibility horizon has
 //! passed, restoring the metadata-free fast path. Slots are never
 //! reused by normal inserts (deletes tombstone, inserts append), so a
-//! `RowId` names one row version forever; only WAL replay
-//! ([`HeapFile::place_at`]) and snapshot load ([`HeapFile::place_tuple`])
-//! write to explicit slots, reproducing ids recorded on disk.
+//! `RowId` names one row version forever; only WAL replay and snapshot
+//! load ([`HeapFile::place_tuple`]) write to explicit slots, reproducing
+//! ids recorded on disk.
 //!
 //! # Lock order
 //!
@@ -218,7 +218,15 @@ impl HeapFile {
     /// when a read first asks for it.
     pub fn insert_at(&self, row: &Row, born: u64) -> Result<RowId> {
         self.schema.check_row(row)?;
-        let bytes = Value::encode_row(row);
+        self.insert_tuple(&Value::encode_row(row), born)
+    }
+
+    /// [`HeapFile::insert_at`] for a caller that already holds the row's
+    /// stored form: `bytes` must be [`Value::encode_row`] of a row that
+    /// passed [`Schema::check_row`], and go into the slot as they are. A
+    /// write transaction encodes each row once and hands the same bytes
+    /// to the heap, the indexes and the log.
+    pub fn insert_tuple(&self, bytes: &[u8], born: u64) -> Result<RowId> {
         let _append = self.append.lock();
         let mut target = self.npages.load(Ordering::Relaxed).saturating_sub(1);
         let mut page = self.write(target)?;
@@ -228,7 +236,7 @@ impl HeapFile {
             self.npages.store(target + 1, Ordering::Relaxed);
             page = self.write(target)?;
         }
-        let slot = page.insert(&bytes);
+        let slot = page.insert(bytes);
         let id = RowId { page: target, slot };
         if born > 0 {
             // Publish the visibility entry while still holding the
@@ -246,24 +254,16 @@ impl HeapFile {
 
     /// Writes a row into a *specific* slot — WAL replay and snapshot
     /// load, which must reproduce `RowId`s recorded on disk exactly.
+    /// `bytes`, [`Value::encode_row`] of `row`, go into the slot as they
+    /// are, and `row` becomes the slot's decoded row: snapshot load keeps
+    /// the row its validation decoded anyway, and replay the row the log
+    /// handed it — the only decoded rows a write leaves behind.
     /// Idempotent: re-placing the identical bytes at the same id is a
     /// no-op, so a crash between replay and checkpoint replays cleanly.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the slot holds a *different* live
     /// row; schema errors as for [`HeapFile::insert`].
-    pub fn place_at(&self, row: Row, id: RowId, born: u64) -> Result<()> {
-        let bytes = Value::encode_row(&row);
-        self.place_tuple(&bytes, row, id, born)
-    }
-
-    /// [`HeapFile::place_at`] for a caller that already holds the row's
-    /// stored form: `bytes` go into the slot as they are and `row`, which
-    /// the caller decoded from exactly those bytes, becomes the slot's
-    /// decoded row. Snapshot load uses it to put back the tuple it read
-    /// instead of re-encoding the row it validated — and keeps the row
-    /// its validation decoded anyway, like replay, which has the row in
-    /// hand: the only decoded rows a write leaves behind.
     pub fn place_tuple(&self, bytes: &[u8], row: Row, id: RowId, born: u64) -> Result<()> {
         self.schema.check_row(&row)?;
         let _append = self.append.lock();
@@ -276,7 +276,7 @@ impl HeapFile {
                 return Ok(()); // already applied
             }
             return Err(StorageError::Corrupt(format!(
-                "place_at: slot {}/{} holds a different row",
+                "place_tuple: slot {}/{} holds a different row",
                 id.page, id.slot
             )));
         }
@@ -755,22 +755,27 @@ mod tests {
         }
     }
 
+    /// Places `row` at `id` as replay does: encoded, bytes and row both.
+    fn place(h: &HeapFile, row: Row, id: RowId) -> Result<()> {
+        h.place_tuple(&Value::encode_row(&row), row, id, 0)
+    }
+
     #[test]
-    fn place_at_reproduces_recorded_row_ids() {
+    fn place_tuple_reproduces_recorded_row_ids() {
         let h = heap();
         let a = RowId { page: 0, slot: 0 };
         let b = RowId { page: 0, slot: 2 };
         let c = RowId { page: 1, slot: 1 };
-        h.place_at(vec![Value::Int(1), Value::Null], a, 0).unwrap();
-        h.place_at(vec![Value::Int(2), Value::Null], b, 0).unwrap();
-        h.place_at(vec![Value::Int(3), Value::Null], c, 0).unwrap();
+        place(&h, vec![Value::Int(1), Value::Null], a).unwrap();
+        place(&h, vec![Value::Int(2), Value::Null], b).unwrap();
+        place(&h, vec![Value::Int(3), Value::Null], c).unwrap();
         assert_eq!(h.row_ids(), vec![a, b, c]);
         assert_eq!(h.get(b).unwrap()[0], Value::Int(2));
         assert_eq!(h.len(), 3);
         // Idempotent for identical bytes, an error for different ones.
-        h.place_at(vec![Value::Int(2), Value::Null], b, 0).unwrap();
+        place(&h, vec![Value::Int(2), Value::Null], b).unwrap();
         assert_eq!(h.len(), 3, "re-place of identical row is a no-op");
-        assert!(h.place_at(vec![Value::Int(9), Value::Null], b, 0).is_err());
+        assert!(place(&h, vec![Value::Int(9), Value::Null], b).is_err());
     }
 
     #[test]
@@ -842,8 +847,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(stored, bytes);
-        // Same idempotence and schema rules as place_at.
-        h.place_at(row, id, 0).unwrap();
+        // Idempotent for the same bytes; the row must fit the schema.
+        h.place_tuple(&bytes, row, id, 0).unwrap();
         assert_eq!(h.len(), 1);
         assert!(h.place_tuple(&bytes, vec![Value::Int(7)], id, 0).is_err());
     }
@@ -939,7 +944,7 @@ mod tests {
         // does): neither the old row nor its quads may be served.
         assert!(h.delete(id));
         assert!(h.mbr(id, 1).is_err());
-        h.place_at(vec![Value::Int(2), geom("POINT (9 9)"), geom("POINT (1 2)")], id, 0).unwrap();
+        place(&h, vec![Value::Int(2), geom("POINT (9 9)"), geom("POINT (1 2)")], id).unwrap();
         assert_eq!(h.get(id).unwrap()[0], Value::Int(2));
         assert_eq!(h.mbr(id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
         assert_eq!(h.mbr(id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));

@@ -103,6 +103,54 @@ fn readers_race_writers_without_corruption() {
     assert_eq!(r.rows[0][0], Value::Int(400));
 }
 
+/// `insert_rows` is one transaction however many rows it carries: a
+/// reader counting by scan or through the spatial index sees whole
+/// batches or nothing of them, never part of one, and never fewer rows
+/// than it saw before. The readers stop when the writer hangs up, which a
+/// panicking writer does too.
+#[test]
+fn readers_see_whole_insert_rows_batches() {
+    const BATCH: i64 = 256;
+    const BATCHES: i64 = 30;
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    db.execute("CREATE TABLE loaded (id BIGINT, geom GEOMETRY)").unwrap();
+    db.create_spatial_index("loaded", "geom").unwrap();
+    let counts = [
+        "SELECT COUNT(*) FROM loaded",
+        "SELECT COUNT(*) FROM loaded WHERE ST_Intersects(geom, ST_MakeEnvelope(-1, -1, 17, 17))",
+    ];
+    let (hang_ups, listeners): (Vec<_>, Vec<_>) =
+        (0..2).map(|_| std::sync::mpsc::channel::<()>()).unzip();
+    thread::scope(|s| {
+        let writer_db = &db;
+        s.spawn(move || {
+            let _hang_ups = hang_ups;
+            for b in 0..BATCHES {
+                let rows = (0..BATCH).map(|j| {
+                    let at = format!("POINT ({} {})", j % 16, j / 16);
+                    let geom = jackpine::geom::wkt::parse(&at).unwrap();
+                    vec![Value::Int(b * BATCH + j), Value::Geom(geom)]
+                });
+                writer_db.insert_rows("loaded", rows).expect("batch insert");
+            }
+        });
+        for (listener, sql) in listeners.into_iter().zip(counts) {
+            let db = &db;
+            s.spawn(move || {
+                let mut seen = 0;
+                while let Err(std::sync::mpsc::TryRecvError::Empty) = listener.try_recv() {
+                    let n = db.execute(sql).expect("read").scalar().unwrap().as_i64().unwrap();
+                    assert_eq!(n % BATCH, 0, "{sql}: part of a batch ({n} rows)");
+                    assert!(n >= seen, "{sql}: {n} rows after {seen}");
+                    seen = n;
+                }
+            });
+        }
+    });
+    let all = db.execute(counts[1]).unwrap();
+    assert_eq!(all.scalar(), Some(&Value::Int(BATCH * BATCHES)));
+}
+
 /// A seeded multi-session sweep: writers racing readers across every
 /// DML shape plus index DDL, with three invariants a snapshot reader
 /// must never see broken:

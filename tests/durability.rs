@@ -366,6 +366,59 @@ fn a_snapshot_beside_insert_delete_churn_is_a_whole_statement_image() {
     });
 }
 
+#[test]
+fn insert_rows_beside_checkpoints_reopens_to_whole_batches() {
+    // An `insert_rows` batch is one transaction: the snapshot a checkpoint
+    // cuts beside it holds all of its rows or none, and so does the
+    // directory reopened from that snapshot and the log after it. Each
+    // checkpoint runs beside a burst of batches (a rendezvous starts the
+    // burst; either side failing closes the channel under the other).
+    const BATCH: usize = 256;
+    const BURST: usize = 2;
+    let (dir, copy) = (scratch_dir("batches-beside-checkpoints"), scratch_dir("batches-copy"));
+    let opts = DurabilityOptions::default();
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, opts).unwrap();
+    db.execute("CREATE TABLE loaded (id BIGINT, name TEXT)").unwrap();
+    let reopened_rows = |files: &[&str]| {
+        std::fs::remove_dir_all(&copy).ok();
+        std::fs::create_dir_all(&copy).unwrap();
+        for f in files {
+            std::fs::copy(dir.join(f), copy.join(f)).unwrap();
+        }
+        let reopened = SpatialDb::open_durable(&copy, EngineProfile::ExactRtree, opts).unwrap();
+        let n = reopened.table("loaded").unwrap().heap.len();
+        assert_eq!(n % BATCH, 0, "{files:?}: part of a batch reopened ({n} rows)");
+        n
+    };
+    let rounds = common::cases(12);
+    std::thread::scope(|s| {
+        let writer_db = &db;
+        let (go, bursts) = std::sync::mpsc::sync_channel::<usize>(0);
+        s.spawn(move || {
+            for round in bursts {
+                for b in 0..BURST {
+                    let first = (round * BURST + b) * BATCH;
+                    let rows = (first..first + BATCH)
+                        .map(|i| vec![Value::Int(i as i64), Value::Text(format!("row {i}"))]);
+                    writer_db.insert_rows("loaded", rows).expect("batch insert");
+                }
+            }
+        });
+        for round in 0..rounds {
+            go.send(round).expect("writer is alive");
+            db.checkpoint().unwrap_or_else(|e| panic!("round {round}: checkpoint: {e}"));
+            // The log is being appended to; the snapshot is settled.
+            reopened_rows(&[SNAPSHOT_FILE]);
+        }
+    });
+    let all = rounds * BURST * BATCH;
+    assert_eq!(db.table("loaded").unwrap().heap.len(), all);
+    assert_eq!(reopened_rows(&[SNAPSHOT_FILE, WAL_FILE]), all, "snapshot plus log");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}
+
 // ---------------------------------------------------------------------------
 // WAL faults
 // ---------------------------------------------------------------------------
@@ -712,40 +765,72 @@ fn wal_append_failure_leaves_no_phantom_rows() {
     // commit generation, not in the log, and not after a reopen.
     // (Regression: the insert path once applied before it logged, so an
     // append failure left a row that was visible in memory and lost on
-    // restart.)
+    // restart.) The two 1,024-row batches run once more behind a
+    // two-frame pool with a spill directory, where the batch's first
+    // pages are evicted long before its rollback: the rollback must take
+    // the rows' index entries from its own copy of their bytes.
+    type Statement = Box<dyn Fn(&Arc<SpatialDb>) -> Result<(), EngineError>>;
+    let sql = |sql: String| -> Statement { Box::new(move |db| db.execute(&sql).map(drop)) };
+    // Rows inside the window, under the probed names; `bad` has a text id.
+    let batch = |bad: Option<usize>| -> Statement {
+        Box::new(move |db| {
+            let rows = (0..1024).map(|i| {
+                let id = match bad {
+                    Some(b) if b == i => Value::Text("bad".into()),
+                    _ => Value::Int(100 + i as i64),
+                };
+                let at = i % 90;
+                let geom = jackpine::geom::wkt::parse(&format!("POINT ({at} {at})")).unwrap();
+                vec![id, Value::Text(format!("n{}", 7 + i % 3)), Value::Geom(geom)]
+            });
+            db.insert_rows("t", rows).map(drop)
+        })
+    };
     let point = |i: i64| format!("ST_GeomFromText('POINT ({i} {i})')");
     // (what, the log refuses the write, the statement)
-    let cases = [
-        ("INSERT, log fails", true, format!("INSERT INTO t VALUES (7, 'n7', {})", point(7))),
-        ("DELETE, log fails", true, "DELETE FROM t WHERE id >= 1".to_string()),
-        ("UPDATE, log fails", true, "UPDATE t SET id = id + 10, name = 'n8' WHERE id >= 1".into()),
+    let cases: [(&str, bool, Statement); 5] = [
+        ("INSERT, log fails", true, sql(format!("INSERT INTO t VALUES (7, 'n7', {})", point(7)))),
+        ("DELETE, log fails", true, sql("DELETE FROM t WHERE id >= 1".to_string())),
+        (
+            "UPDATE, log fails",
+            true,
+            sql("UPDATE t SET id = id + 10, name = 'n8' WHERE id >= 1".into()),
+        ),
         (
             "INSERT, third row has the wrong type",
             false,
-            format!(
+            sql(format!(
                 "INSERT INTO t VALUES (7, 'n7', {}), (8, 'n8', {}), ('nine', 'n9', {})",
                 point(7),
                 point(8),
                 point(9)
-            ),
+            )),
         ),
         (
             // id 1 becomes 1 / 0 = NULL, which fits; id 2 becomes the
             // float 2 / 1, which does not fit a BIGINT.
             "UPDATE, second victim's replacement fails the schema check",
             false,
-            "UPDATE t SET id = id / (id - 1), name = 'n8' WHERE id >= 1".to_string(),
+            sql("UPDATE t SET id = id / (id - 1), name = 'n8' WHERE id >= 1".to_string()),
         ),
+    ];
+    let batches: [(&str, bool, Statement); 2] = [
+        ("1,024-row insert_rows, log fails", true, batch(None)),
+        ("1,024-row insert_rows, row 600 has the wrong type", false, batch(Some(600))),
     ];
     // Everything a statement could have left a trace in. Rows a failed
     // statement would have written sit inside the window and under the
     // probed names, so an index entry it left behind shows (or fails the
-    // fetch).
+    // fetch). The window's rows are sorted: an R-tree that took and gave
+    // back a batch's entries holds the same entries, not the same shape.
     let observe = |db: &Arc<SpatialDb>, dir: &std::path::Path| {
         let rows = |sql: &str| db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
         (
             db.table("t").unwrap().heap.row_ids(),
-            rows("SELECT id, name FROM t WHERE ST_Within(geom, ST_MakeEnvelope(-1, -1, 99, 99))"),
+            rows(
+                "SELECT id, name FROM t WHERE ST_Within(geom, ST_MakeEnvelope(-1, -1, 99, 99)) \
+                 ORDER BY id",
+            ),
             ["n1", "n2", "n7", "n8", "n9"]
                 .map(|name| rows(&format!("SELECT id FROM t WHERE name = '{name}'"))),
             db.pending_reclaim_len(),
@@ -756,9 +841,15 @@ fn wal_append_failure_leaves_no_phantom_rows() {
     let open = |dir: &std::path::Path, profile| {
         SpatialDb::open_durable(dir, profile, DurabilityOptions::default()).unwrap()
     };
-    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+    let configs = [
+        (EngineProfile::ExactRtree, false),
+        (EngineProfile::ExactGrid, false),
+        (EngineProfile::ExactRtree, true),
+    ];
+    for (profile, bounded) in configs {
         let dir = scratch_dir("wal-append-fails");
         let copy = scratch_dir("wal-append-fails-copy");
+        let spill = scratch_dir("wal-append-fails-spill");
         let db = open(&dir, profile);
         db.execute("CREATE TABLE t (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
         for i in 0..3 {
@@ -766,6 +857,10 @@ fn wal_append_failure_leaves_no_phantom_rows() {
         }
         db.create_spatial_index("t", "geom").unwrap();
         db.create_ordered_index("t", "name").unwrap();
+        if bounded {
+            db.table("t").unwrap().heap.pool().set_spill_dir(Some(spill.clone()));
+            db.set_pool_bytes(2 * jackpine::storage::PAGE_SIZE);
+        }
         // One death the pin keeps queued: the vacuum at the head of every
         // statement below must leave it, and no failed statement may add
         // to it.
@@ -773,17 +868,27 @@ fn wal_append_failure_leaves_no_phantom_rows() {
         db.execute("DELETE FROM t WHERE id = 0").unwrap();
         assert_eq!((db.commit_generation(), db.pending_reclaim_len()), (4, 1));
 
-        for (what, log_fails, sql) in &cases {
+        let run: Vec<_> =
+            if bounded { batches.iter().collect() } else { cases.iter().chain(&batches).collect() };
+        for (what, log_fails, statement) in run {
+            let what = format!("{profile:?}{}, {what}", if bounded { " bounded" } else { "" });
             let before = observe(&db, &dir);
+            let evictions = db.pool_stats().evictions;
             db.fail_wal_appends(*log_fails);
-            let err = db.execute(sql).expect_err(what);
+            let err = statement(&db).expect_err(&what);
             db.fail_wal_appends(false);
             match err {
                 EngineError::Persist(_) if *log_fails => {}
                 EngineError::Storage(_) if !*log_fails => {}
-                other => panic!("{profile:?}, {what}: unexpected error {other:?}"),
+                other => panic!("{what}: unexpected error {other:?}"),
             }
-            assert_eq!(observe(&db, &dir), before, "{profile:?}, {what}");
+            if bounded {
+                assert!(
+                    db.pool_stats().evictions > evictions + 4,
+                    "{what}: the batch's pages stayed"
+                );
+            }
+            assert_eq!(observe(&db, &dir), before, "{what}");
             // And recovery agrees: the directory as it is now reopens to
             // the same rows.
             for f in [SNAPSHOT_FILE, WAL_FILE] {
@@ -793,12 +898,13 @@ fn wal_append_failure_leaves_no_phantom_rows() {
             assert_eq!(
                 open(&copy, profile).execute(all).unwrap().rows,
                 db.execute(all).unwrap().rows,
-                "{profile:?}, {what}: reopened"
+                "{what}: reopened"
             );
         }
-        drop(pin);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&copy).ok();
+        drop((pin, db));
+        for d in [dir, copy, spill] {
+            std::fs::remove_dir_all(d).ok();
+        }
     }
 }
 
