@@ -99,7 +99,8 @@ fn load<T>(db: &SpatialDb, table: &str, items: &[T], row: impl Fn(&T) -> Row) ->
 /// Loads `data` into `db`: creates the five tables, inserts every record
 /// in transactions of 1,024 rows, then builds a spatial index on each
 /// geometry column plus the ordered indexes the geocoding scenarios rely
-/// on (`roads.name`, `roads.zip`, `arealm.id`, `county.name`).
+/// on (`roads.name`, `roads.zip`, `arealm.id`, `county.name`), one
+/// `create_indexes` — one heap scan — per table.
 pub fn load_dataset(db: &Arc<SpatialDb>, data: &TigerDataset) -> Result<LoadSummary> {
     for (name, cols) in table_schemas() {
         ctx(db.create_table(name, cols), format!("creating table {name}"))?;
@@ -149,13 +150,15 @@ pub fn load_dataset(db: &Arc<SpatialDb>, data: &TigerDataset) -> Result<LoadSumm
     let load_time = start.elapsed();
 
     let start = Instant::now();
-    for table in ["county", "roads", "arealm", "pointlm", "areawater"] {
-        ctx(db.create_spatial_index(table, "geom"), format!("indexing {table}.geom"))?;
+    for (table, ordered) in [
+        ("county", &["name"][..]),
+        ("roads", &["name", "zip"]),
+        ("arealm", &["id"]),
+        ("pointlm", &[]),
+        ("areawater", &[]),
+    ] {
+        ctx(db.create_indexes(table, &["geom"], ordered), format!("indexing {table}"))?;
     }
-    ctx(db.create_ordered_index("roads", "name"), "indexing roads.name")?;
-    ctx(db.create_ordered_index("roads", "zip"), "indexing roads.zip")?;
-    ctx(db.create_ordered_index("arealm", "id"), "indexing arealm.id")?;
-    ctx(db.create_ordered_index("county", "name"), "indexing county.name")?;
     let index_time = start.elapsed();
 
     Ok(LoadSummary {

@@ -4,13 +4,15 @@
 //! Every table has a [`TableIndexes`] entry: its spatial indexes
 //! (R\*-tree or grid, by profile) and its ordered ones, keyed by column.
 //! An index is built by one bulk load from [`IndexSeeds`] taken off tuple
-//! bytes — by a heap scan for `CREATE INDEX`, or while a snapshot's rows
-//! go by on open — and then kept in step, off the same bytes, by the
-//! write transaction, its rollback and vacuum ([`SpatialDb::index_tuple`]).
+//! bytes — by one heap scan for all of a `CREATE INDEX` batch's indexes
+//! ([`SpatialDb::create_indexes`]), or while a snapshot's rows go by on
+//! open — and then kept in step, off the same bytes, by the write
+//! transaction, its rollback and vacuum ([`SpatialDb::index_tuple`]).
 //! Under a bounded pool an R-tree's leaves page through the pool
 //! ([`PoolLeafPager`]), attached in one place.
 
 use crate::db::{EngineError, SpatialDb};
+use crate::seeds::{IndexSeeds, Seed};
 use crate::syscat;
 use crate::txn::Transactions;
 use crate::wal::WalRecord;
@@ -21,7 +23,7 @@ use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider}
 use jackpine_sqlmini::SqlError;
 use jackpine_storage::sync::RwLock;
 use jackpine_storage::{
-    BufferPool, ColumnDef, DataType, Field, Row, RowId, Schema, StorageError, Table, Value,
+    BufferPool, ColumnDef, Field, Row, RowId, Schema, StorageError, Table, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,16 +138,14 @@ impl Key {
     }
 }
 
-/// The spatial-index entry column `col` of an encoded row makes: its
-/// geometry's envelope, read off the WKB — bit-identical to the decoded
-/// geometry's, so an entry found this way is the entry inserted.
-fn tuple_envelope(tuple: &[u8], col: usize) -> crate::Result<Option<Envelope>> {
-    Ok(Field::of(tuple, col)?.map_or(Ok(None), |f| f.envelope())?)
-}
-
-/// The ordered-index key column `col` of an encoded row makes.
-fn tuple_key(tuple: &[u8], col: usize) -> crate::Result<Option<Key>> {
-    Ok(Field::of(tuple, col)?.and_then(Key::from_field))
+/// Column `col` of an encoded row, `None` past its last.
+fn tuple_field(tuple: &[u8], col: usize) -> crate::Result<Option<Field<'_>>> {
+    let mut field = None;
+    Field::of(tuple, &[col], |_, f| {
+        field = Some(f);
+        Ok::<(), EngineError>(())
+    })?;
+    Ok(field)
 }
 
 /// Per-table index bookkeeping.
@@ -153,77 +153,6 @@ fn tuple_key(tuple: &[u8], col: usize) -> crate::Result<Option<Key>> {
 pub(crate) struct TableIndexes {
     spatial: HashMap<usize, SpatialIdx>,
     ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
-}
-
-/// What a table's indexes are built from, gathered row by row: by a heap
-/// scan (`CREATE INDEX`), or while the rows of a snapshot go by (every
-/// index of the table in the one pass that places them, no scan at all).
-pub(crate) struct IndexSeeds {
-    /// Per indexed geometry column, the bulk load's input.
-    spatial: Vec<(usize, Vec<(Envelope, RowId)>)>,
-    /// Per ordered column, its entries grouped by key as they arrive,
-    /// each group in storage order: the build sorts only the distinct
-    /// keys ([`OrderedIndex::from_groups`]), and no key is held once per
-    /// row.
-    ordered: Vec<(usize, HashMap<Key, Vec<RowId>>)>,
-}
-
-impl IndexSeeds {
-    /// Empty seeds, with room for `rows` rows, for a spatial index on
-    /// each of `spatial_cols` and an ordered one on each of
-    /// `ordered_cols`; [`EngineError::Index`] when a column cannot carry
-    /// its index.
-    pub(crate) fn new(
-        t: &Table,
-        spatial_cols: &[usize],
-        ordered_cols: &[usize],
-        rows: usize,
-    ) -> crate::Result<IndexSeeds> {
-        let column = |col: usize| {
-            t.schema().columns().get(col).ok_or_else(|| {
-                EngineError::Index(format!("'{}' has no column number {col}", t.name))
-            })
-        };
-        for &col in spatial_cols {
-            let c = column(col)?;
-            if c.ty != DataType::Geometry {
-                return Err(EngineError::Index(format!(
-                    "column '{}' of '{}' is not a geometry",
-                    c.name, t.name
-                )));
-            }
-        }
-        for &col in ordered_cols {
-            let c = column(col)?;
-            if !matches!(c.ty, DataType::Int | DataType::Text) {
-                return Err(EngineError::Index(format!(
-                    "ordered index unsupported on {} column '{}'",
-                    c.ty.sql_name(),
-                    c.name
-                )));
-            }
-        }
-        Ok(IndexSeeds {
-            spatial: spatial_cols.iter().map(|&c| (c, Vec::with_capacity(rows))).collect(),
-            ordered: ordered_cols.iter().map(|&c| (c, HashMap::new())).collect(),
-        })
-    }
-
-    /// Adds the entries of the row stored as `tuple`, read straight off
-    /// its bytes: nothing is decoded.
-    pub(crate) fn add(&mut self, id: RowId, tuple: &[u8]) -> crate::Result<()> {
-        for (col, items) in &mut self.spatial {
-            if let Some(env) = tuple_envelope(tuple, *col)? {
-                items.push((env, id));
-            }
-        }
-        for (col, groups) in &mut self.ordered {
-            if let Some(k) = tuple_key(tuple, *col)? {
-                groups.entry(k).or_default().push(id);
-            }
-        }
-        Ok(())
-    }
 }
 
 impl SpatialDb {
@@ -267,14 +196,14 @@ impl SpatialDb {
         let mut indexes = self.indexes.write();
         let Some(ti) = indexes.get_mut(key) else { return Ok(()) };
         for (col, idx) in ti.spatial.iter_mut() {
-            match tuple_envelope(tuple, *col)? {
+            match tuple_field(tuple, *col)?.map_or(Ok(None), |f| f.envelope())? {
                 Some(env) if present => idx.insert(env, id),
                 Some(env) => idx.remove(&env, id),
                 None => {}
             }
         }
         for (col, idx) in ti.ordered.iter_mut() {
-            match tuple_key(tuple, *col)? {
+            match tuple_field(tuple, *col)?.and_then(Key::from_field) {
                 Some(k) if present => idx.insert(k, id),
                 Some(k) => drop(idx.remove(&k, |v| *v == id)),
                 None => {}
@@ -286,70 +215,84 @@ impl SpatialDb {
     /// Builds a spatial index on a geometry column. Uses R\*-tree STR
     /// bulk loading or grid construction depending on the profile.
     pub fn create_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        self.create_index(table, column, true)
+        self.create_indexes(table, &[column], &[])
     }
 
     /// Builds an ordered (attribute) index on an integer or text column.
     pub fn create_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
-        self.create_index(table, column, false)
+        self.create_indexes(table, &[], &[column])
     }
 
-    /// `CREATE INDEX` of either kind: seeds gathered by one heap scan,
-    /// installed, logged.
-    fn create_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
+    /// `CREATE INDEX` of a spatial index on each of the geometry columns
+    /// `spatial` and an ordered one on each of the integer or text columns
+    /// `ordered` of `table`, all gathered by one heap scan, installed
+    /// together and logged as one transaction. On any error none of them
+    /// is installed.
+    pub fn create_indexes(
+        &self,
+        table: &str,
+        spatial: &[&str],
+        ordered: &[&str],
+    ) -> crate::Result<()> {
         let durability = self.durability.read();
         let _writers = self.txn.lock_writers(TxnSite::Ddl);
         let t = self.catalog.table(table)?;
-        let col = [t.schema().column_index(column)?];
-        let (spatial_cols, ordered_cols): (&[usize], &[usize]) =
-            if spatial { (&col, &[]) } else { (&[], &col) };
-        let mut seeds = IndexSeeds::new(&t, spatial_cols, ordered_cols, t.heap.len())?;
-        // Every physically-present row, logically-deleted ones included:
-        // an older pinned snapshot that still sees such a row must be
-        // able to find it through the new index (probes post-filter by
-        // visibility). From the tuple bytes: a build decodes no row.
-        t.heap.scan_tuples(&t.heap.row_ids_any(), |id, tuple| seeds.add(id, tuple))?;
+        let cols = |names: &[&str]| -> crate::Result<Vec<usize>> {
+            Ok(names.iter().map(|c| t.schema().column_index(c)).collect::<Result<_, _>>()?)
+        };
+        let seeds = self.scan_seeds(&t, &cols(spatial)?, &cols(ordered)?)?;
         self.install_indexes(&t, seeds)?;
         if let Some(d) = durability.as_ref() {
-            let (table, column) = (table.to_string(), column.to_string());
-            d.wal.append(&if spatial {
-                WalRecord::CreateSpatialIndex { table, column }
-            } else {
-                WalRecord::CreateOrderedIndex { table, column }
-            })?;
+            let mut records = Vec::new();
+            for c in spatial {
+                let (table, column) = (table.to_string(), c.to_string());
+                records.push(WalRecord::CreateSpatialIndex { table, column });
+            }
+            for c in ordered {
+                let (table, column) = (table.to_string(), c.to_string());
+                records.push(WalRecord::CreateOrderedIndex { table, column });
+            }
+            d.wal.append_txn(&records)?;
         }
         Ok(())
     }
 
     /// Builds an index from each of `seeds` (the bulk path) and registers
-    /// them on `t`.
+    /// them on `t`: all of them, or none when one is there already. The
+    /// caller holds the writer lock, or owns the engine as restore does,
+    /// so no index is installed between the check and the install.
     pub(crate) fn install_indexes(&self, t: &Table, seeds: IndexSeeds) -> crate::Result<()> {
-        let spatial: Vec<(usize, SpatialIdx)> = seeds
-            .spatial
-            .into_iter()
-            .map(|(col, items)| (col, self.build_spatial_index(&t.name, col, items)))
-            .collect();
-        let ordered: Vec<(usize, OrderedIndex<Key, RowId>)> = seeds
-            .ordered
-            .into_iter()
-            .map(|(col, groups)| (col, OrderedIndex::from_groups(groups)))
-            .collect();
-        let exists = |kind: &str, col: usize| {
-            let column = &t.schema().columns()[col].name;
-            EngineError::Index(format!("{kind} index on '{}.{column}' already exists", t.name))
-        };
+        let key = t.name.to_ascii_lowercase();
+        if let Some(ti) = self.indexes.read().get(&key) {
+            let taken = seeds.cols.iter().zip(&seeds.seeds).find_map(|(col, seed)| match seed {
+                Seed::Spatial(_) => ti.spatial.contains_key(col).then_some(("spatial", col)),
+                Seed::Ordered(..) => ti.ordered.contains_key(col).then_some(("ordered", col)),
+            });
+            if let Some((kind, &col)) = taken {
+                let column = &t.schema().columns()[col].name;
+                return Err(EngineError::Index(format!(
+                    "{kind} index on '{}.{column}' already exists",
+                    t.name
+                )));
+            }
+        }
+        let (mut spatial, mut ordered) = (Vec::new(), Vec::new());
+        for (col, seed) in seeds.cols.into_iter().zip(seeds.seeds) {
+            match seed {
+                Seed::Spatial(items) => {
+                    spatial.push((col, self.build_spatial_index(&t.name, col, items)))
+                }
+                Seed::Ordered(ints, texts) => {
+                    let ints = ints.into_iter().map(|(k, ids)| (Key::Int(k), ids));
+                    let texts = texts.into_iter().map(|(k, ids)| (Key::Text(k), ids));
+                    ordered.push((col, OrderedIndex::from_groups(ints.chain(texts))));
+                }
+            }
+        }
         let mut indexes = self.indexes.write();
-        let ti = indexes.entry(t.name.to_ascii_lowercase()).or_default();
-        for (col, idx) in spatial {
-            if ti.spatial.insert(col, idx).is_some() {
-                return Err(exists("spatial", col));
-            }
-        }
-        for (col, idx) in ordered {
-            if ti.ordered.insert(col, idx).is_some() {
-                return Err(exists("ordered", col));
-            }
-        }
+        let ti = indexes.entry(key).or_default();
+        ti.spatial.extend(spatial);
+        ti.ordered.extend(ordered);
         drop(indexes);
         self.bump_ddl_gen();
         Ok(())
@@ -374,7 +317,7 @@ impl SpatialDb {
             };
             SpatialIdx::Grid(GridIndex::bulk_load(extent, cells, cells, items))
         } else {
-            let mut tree = RTree::bulk_load_parallel(RTreeConfig::default(), items, self.workers());
+            let mut tree = RTree::bulk_load(RTreeConfig::default(), items);
             // Under a bounded pool, leaves page through it from the start.
             let pool = self.catalog.pool();
             if pool.capacity_frames() != 0 {
@@ -633,5 +576,163 @@ impl TableProvider for DbTableAdapter {
         // storage error falls back to the executor's row-walk gather,
         // which surfaces errors through the normal fetch path.
         self.table.heap.mbrs(col, ids).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineProfile;
+    use jackpine_geom::{wkt, Geometry};
+    use jackpine_sqlmini::exec::MIN_PARALLEL_ROWS;
+    use jackpine_storage::DataType;
+    use std::sync::atomic::Ordering;
+
+    /// Rows past the serial cutoff: ids, 97 repeating names, NULLs here
+    /// and there, points and small squares.
+    fn rows(n: usize) -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                let (x, y) = ((i * 37 % 1000) as f64, (i * 91 % 1000) as f64);
+                let g = match i % 3 {
+                    0 => wkt::parse(&format!("POINT ({x} {y})")).unwrap(),
+                    1 => wkt::parse(&format!(
+                        "POLYGON (({x} {y}, {} {y}, {} {}, {x} {y}))",
+                        x + 2.0,
+                        x + 2.0,
+                        y + 2.0
+                    ))
+                    .unwrap(),
+                    _ => Geometry::Point(jackpine_geom::Point::empty()),
+                };
+                let name =
+                    if i % 11 == 0 { Value::Null } else { Value::Text(format!("n{}", i % 97)) };
+                let g = if i % 13 == 0 { Value::Null } else { Value::Geom(g) };
+                vec![Value::Int((i % 41) as i64), name, g]
+            })
+            .collect()
+    }
+
+    fn table_of(db: &SpatialDb, name: &str, n: usize) -> Arc<Table> {
+        let columns = [("id", DataType::Int), ("name", DataType::Text), ("g", DataType::Geometry)];
+        db.create_table(name, columns.iter().map(|&(c, ty)| ColumnDef::new(c, ty)).collect())
+            .unwrap();
+        db.insert_rows(name, rows(n)).unwrap();
+        db.table(name).unwrap()
+    }
+
+    /// What the indexes on `t` answer, in the order they answer it: the
+    /// spatial index's whole-extent probe (entries in tree order, nodes
+    /// visited), its shape, and every ordered group in key order.
+    fn answers(db: &SpatialDb, t: &str) -> Vec<String> {
+        let indexes = db.indexes.read();
+        let ti = &indexes[t];
+        let everything = Envelope::new(-1e9, -1e9, 1e9, 1e9);
+        let mut out = Vec::new();
+        for (col, idx) in &ti.spatial {
+            let mut seen = Vec::new();
+            let visit = |e: &Envelope, v: &RowId| {
+                seen.push(([e.min_x, e.min_y, e.max_x, e.max_y].map(f64::to_bits), *v))
+            };
+            let (stats, shape) = match idx {
+                SpatialIdx::Rtree(r) => (r.query_window_probe(&everything, visit), r.stats()),
+                SpatialIdx::Grid(g) => (g.query_window_probe(&everything, visit), g.stats()),
+            };
+            out.push(format!("spatial {col}: {shape:?} {stats:?} {seen:?}"));
+        }
+        for (col, idx) in &ti.ordered {
+            let all = idx.range(&Key::Int(i64::MIN), &Key::Text("\u{10FFFF}".into()));
+            out.push(format!("ordered {col}: {} keys {all:?}", idx.key_count()));
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn a_split_scan_builds_what_one_scan_builds() {
+        for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+            let db = SpatialDb::new(profile);
+            let t = table_of(&db, "t", MIN_PARALLEL_ROWS + 904);
+            let mut built = Vec::new();
+            for workers in [1, 2, 7] {
+                db.set_workers(workers);
+                let seeds = db.scan_seeds(&t, &[2], &[0, 1]).unwrap();
+                for seed in &seeds.seeds {
+                    // Storage order is ascending (page, slot).
+                    let in_order = |ids: &Vec<RowId>| {
+                        ids.windows(2).all(|w| (w[0].page, w[0].slot) < (w[1].page, w[1].slot))
+                    };
+                    match seed {
+                        Seed::Spatial(items) => {
+                            assert!(in_order(&items.iter().map(|(_, id)| *id).collect()))
+                        }
+                        Seed::Ordered(ints, texts) => {
+                            assert!(ints.values().chain(texts.values()).all(in_order))
+                        }
+                    }
+                }
+                db.create_indexes("t", &["g"], &["id", "name"]).unwrap();
+                built.push((workers, seeds, answers(&db, "t")));
+                db.drop_spatial_index("t", "g").unwrap();
+                db.drop_ordered_index("t", "id").unwrap();
+                db.drop_ordered_index("t", "name").unwrap();
+            }
+            let (_, seeds, answers) = &built[0];
+            assert_eq!(answers.len(), 3);
+            for (workers, other_seeds, other_answers) in &built[1..] {
+                assert!(other_seeds == seeds, "{profile}: seeds differ at workers={workers}");
+                assert!(other_answers == answers, "{profile}: indexes differ at workers={workers}");
+            }
+        }
+    }
+
+    /// A tuple whose geometry has byte-order mark `mark`: its envelope
+    /// cannot be read.
+    fn corrupt(mark: u8) -> Vec<u8> {
+        let g = Value::Geom(wkt::parse("POINT (1 2)").unwrap());
+        let mut tuple = Value::encode_row(&[Value::Int(1), Value::Text("x".into()), g]);
+        // Row arity, the integer, the text, the geometry's tag and length.
+        tuple[2 + 9 + 6 + 5] = mark;
+        tuple
+    }
+
+    #[test]
+    fn a_failed_split_scan_installs_nothing() {
+        let db = SpatialDb::new(EngineProfile::ExactRtree);
+        // `last`: one bad tuple, at the end, in the last run. `both`: one
+        // in an early run and one in the last; the first in id order is
+        // the one reported.
+        let last = table_of(&db, "last", MIN_PARALLEL_ROWS + 700);
+        last.heap.insert_tuple(&corrupt(7), 0).unwrap();
+        let both = table_of(&db, "both", 700);
+        both.heap.insert_tuple(&corrupt(8), 0).unwrap();
+        db.insert_rows("both", rows(MIN_PARALLEL_ROWS)).unwrap();
+        both.heap.insert_tuple(&corrupt(9), 0).unwrap();
+        for (table, mark) in [("last", 7), ("both", 8)] {
+            let mut errors = Vec::new();
+            for workers in [1, 2, 7] {
+                db.set_workers(workers);
+                let stamp = db.ddl_gen.load(Ordering::SeqCst);
+                let err = db.create_indexes(table, &["g"], &["name"]).unwrap_err();
+                assert!(err.to_string().contains(&format!("byte-order mark {mark}")), "{err}");
+                assert_eq!(db.index_definitions(table), (vec![], vec![]), "{table}");
+                assert_eq!(db.ddl_gen.load(Ordering::SeqCst), stamp, "{table}: DDL stamp moved");
+                errors.push(format!("{err:?}"));
+            }
+            assert!(errors.iter().all(|e| *e == errors[0]), "{table}: {errors:?}");
+        }
+        // Nothing is installed unless everything is: a column named twice,
+        // or one index of the batch already there.
+        let t = table_of(&db, "t", 100);
+        assert!(db.create_indexes("t", &["g", "g"], &[]).is_err());
+        db.create_spatial_index("t", "g").unwrap();
+        let stamp = db.ddl_gen.load(Ordering::SeqCst);
+        let before = answers(&db, "t");
+        let err = db.create_indexes("t", &["g"], &["name"]).unwrap_err();
+        assert!(err.to_string().contains("already exists"), "{err}");
+        assert_eq!(db.index_definitions("t"), (vec![2], vec![]));
+        assert_eq!(db.ddl_gen.load(Ordering::SeqCst), stamp);
+        assert_eq!(answers(&db, "t"), before);
+        drop(t);
     }
 }

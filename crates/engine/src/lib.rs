@@ -24,6 +24,7 @@ pub mod failpoint;
 mod indexes;
 mod persist;
 mod profile;
+mod seeds;
 mod statement;
 mod syscat;
 mod txn;

@@ -70,7 +70,7 @@
 //!   can never replay stale records over the new snapshot.
 
 use crate::checksum::Crc32;
-use crate::indexes::IndexSeeds;
+use crate::seeds::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_obs::TxnSite;

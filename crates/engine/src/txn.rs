@@ -13,13 +13,14 @@
 //!    indexes stamped `gen` — which no reader is pinned at yet, so none
 //!    sees them — and remember what they did as ids and the bytes they
 //!    wrote: an inserted row is encoded once, and that tuple goes to the
-//!    heap, the indexes and (framed in place) the log. No `Row` is kept.
-//! 3. [`WriteTxn::commit`] stages those frames with one write,
-//!    queues the deaths for reclaim, publishes `gen` with one store,
-//!    settles, releases the writer lock and *only then* waits for the
-//!    group fsync (followers park behind their batch leader; a parked
-//!    writer lock would serialise them), the durability guard still
-//!    held, so no checkpoint truncates staged-but-unsynced frames.
+//!    heap, the indexes and (as the tail of its record, in place) the
+//!    log. No `Row` is kept.
+//! 3. [`WriteTxn::commit`] stages those records as one WAL frame, with
+//!    one write, queues the deaths for reclaim, publishes `gen` with one
+//!    store, settles, releases the writer lock and *only then* waits for
+//!    the group fsync (followers park behind their batch leader; a
+//!    parked writer lock would serialise them), the durability guard
+//!    still held, so no checkpoint truncates staged-but-unsynced frames.
 //! 4. Dropping an uncommitted `WriteTxn` — any `?` on the way there —
 //!    undoes what was applied, newest first, *before* the writer lock is
 //!    released: the next writer never finds half a statement. An
@@ -272,8 +273,9 @@ pub(crate) struct WriteTxn<'a> {
     table: Arc<Table>,
     gen: u64,
     /// The transaction's own copy of what it wrote. With a log attached,
-    /// the frames `commit` stages, one per applied change, each insert's
-    /// tuple the tail of its frame; without one, each insert's tuple.
+    /// the one frame `commit` stages: room for its header, then a record
+    /// per applied change, each insert's tuple the tail of its record;
+    /// without one, each insert's tuple.
     staged: Vec<u8>,
     /// What was applied, in order: what `drop` undoes.
     applied: Vec<Applied>,
@@ -288,6 +290,10 @@ impl<'a> WriteTxn<'a> {
         let writers = db.txn.lock_writers(site);
         db.vacuum(&writers)?;
         let table = db.table(name)?;
+        let staged = match *durability {
+            Some(_) => vec![0; wal::FRAME_OVERHEAD],
+            None => Vec::new(),
+        };
         Ok(WriteTxn {
             db,
             writers: Some(writers),
@@ -296,7 +302,7 @@ impl<'a> WriteTxn<'a> {
             key: name.to_ascii_lowercase(),
             table,
             gen: db.txn.generation() + 1,
-            staged: Vec::new(),
+            staged,
             applied: Vec::new(),
         })
     }
@@ -315,7 +321,7 @@ impl<'a> WriteTxn<'a> {
         drop(row);
         let id = self.table.heap.insert_tuple(&tuple, self.gen)?;
         if self.durability.is_some() {
-            wal::frame_insert_at(&mut self.staged, self.name, id, &tuple);
+            wal::put_insert_at(&mut self.staged, self.name, id, &tuple);
         } else {
             self.staged.extend_from_slice(&tuple);
         }
@@ -331,7 +337,7 @@ impl<'a> WriteTxn<'a> {
     pub(crate) fn kill(&mut self, id: RowId) {
         self.table.heap.mark_deleted(id, self.gen);
         if self.durability.is_some() {
-            wal::frame_delete_id(&mut self.staged, self.name, id);
+            wal::put_delete_id(&mut self.staged, self.name, id);
         }
         self.applied.push(Applied::Kill(id));
     }
@@ -342,7 +348,7 @@ impl<'a> WriteTxn<'a> {
     pub(crate) fn commit(mut self) -> Result<()> {
         let txn = &self.db.txn;
         if let Some(d) = self.durability.as_ref() {
-            d.wal.write_framed(&self.staged, self.applied.len() as u64)?;
+            d.wal.write_txn(&mut self.staged, self.applied.len() as u64)?;
         }
         let (gen, name) = (self.gen, self.name);
         let deaths = std::mem::take(&mut self.applied).into_iter().filter_map(|a| match a {

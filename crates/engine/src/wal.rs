@@ -1,20 +1,25 @@
 //! Append-only write-ahead log: every mutating operation since the last
-//! snapshot is recorded as a length- and checksum-framed record, so
-//! [`crate::SpatialDb::open_durable`] can replay writes that a crash
-//! would otherwise lose.
+//! snapshot is recorded, one length- and checksum-framed frame per
+//! transaction, so [`crate::SpatialDb::open_durable`] can replay writes
+//! that a crash would otherwise lose.
 //!
 //! File layout (all little-endian):
 //!
 //! ```text
 //! magic "JKWL" | version u32 | generation u64
-//! per record: payload len u32 | crc32(payload) u32 | payload
+//! per transaction: payload len u32 | crc32(payload) u32 | payload
+//! payload: its records back to back, each self-delimiting
 //! ```
 //!
-//! Replay trusts a record only when its frame is complete *and* its
-//! checksum matches; the first torn or corrupt frame ends the log — a
-//! crash mid-append can only lose the suffix it was writing, never
-//! resurrect garbage. That is the same tail-scan rule PostgreSQL and
-//! SQLite's WAL use.
+//! Replay trusts a frame only when it is complete *and* its checksum
+//! matches; the first torn or corrupt frame ends the log — a crash
+//! mid-append can only lose the suffix it was writing, never resurrect
+//! garbage. That is the same tail-scan rule PostgreSQL and SQLite's WAL
+//! use, with the transaction as the unit: the frame's checksum is its
+//! commit mark, so a torn write drops whole statements — never an
+//! UPDATE's delete without its reinsert, or half of a multi-row INSERT.
+//! A checksum-valid payload must decode exactly to its end. A frame of
+//! one record is byte for byte what version 4 wrote for that record.
 //!
 //! The header's generation number ties the log to the snapshot it was
 //! cut against: a checkpoint writes the new snapshot (stamped with the
@@ -34,13 +39,14 @@ use std::path::{Path, PathBuf};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 4] = b"JKWL";
-/// WAL format version, the only one read or written: rows are logged by
-/// `RowId` ([`WalRecord::InsertAt`], [`WalRecord::DeleteId`]), against a
-/// snapshot that restores every row to its recorded slot.
-pub const WAL_VERSION: u32 = 4;
+/// WAL format version, the only one read or written: one frame per
+/// transaction, rows logged by `RowId` ([`WalRecord::InsertAt`],
+/// [`WalRecord::DeleteId`]), against a snapshot that restores every row to
+/// its recorded slot.
+pub const WAL_VERSION: u32 = 5;
 /// Bytes of file header before the first record frame.
 pub const WAL_HEADER_LEN: usize = 16;
-/// Bytes of framing (length + checksum) per record.
+/// Bytes of framing (length + checksum) per frame, i.e. per transaction.
 pub const FRAME_OVERHEAD: usize = 8;
 
 fn persist_err(msg: impl Into<String>) -> EngineError {
@@ -142,7 +148,7 @@ fn get_str(data: &mut &[u8]) -> Result<String> {
 /// The one [`WalRecord::InsertAt`] payload encoder, given the row as it
 /// is stored (`tuple`, [`Value::encode_row`] of it): the record ends with
 /// exactly those bytes.
-fn put_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
+pub(crate) fn put_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
     buf.put_u8(KIND_INSERT_AT);
     put_str(buf, table);
     put_row_id(buf, id);
@@ -150,7 +156,7 @@ fn put_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
 }
 
 /// The [`WalRecord::DeleteId`] payload encoder.
-fn put_delete_id(buf: &mut Vec<u8>, table: &str, id: RowId) {
+pub(crate) fn put_delete_id(buf: &mut Vec<u8>, table: &str, id: RowId) {
     buf.put_u8(KIND_DELETE_ID);
     put_str(buf, table);
     put_row_id(buf, id);
@@ -162,23 +168,39 @@ fn put_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let head = buf.len();
     buf.put_slice(&[0; FRAME_OVERHEAD]);
     payload(buf);
-    let body = &buf[head + FRAME_OVERHEAD..];
-    let (len, crc) = (body.len() as u32, crc32(body));
-    buf[head..head + 4].copy_from_slice(&len.to_le_bytes());
-    buf[head + 4..head + FRAME_OVERHEAD].copy_from_slice(&crc.to_le_bytes());
+    seal_frame(&mut buf[head..]);
 }
 
-/// Appends the frame of `InsertAt { table, id, row }` to `buf`, given
-/// `tuple`, the row as it is stored — byte for byte the record's
-/// [`WalRecord::frame`], with no second encoding of the row. The tuple
-/// is the frame's last `tuple.len()` bytes.
-pub(crate) fn frame_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
-    put_frame(buf, |b| put_insert_at(b, table, id, tuple));
+/// Writes `frame`'s length and checksum into its first
+/// [`FRAME_OVERHEAD`] bytes, over the payload after them.
+fn seal_frame(frame: &mut [u8]) {
+    let (head, body) = frame.split_at_mut(FRAME_OVERHEAD);
+    head[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(body).to_le_bytes());
 }
 
-/// Appends the frame of `DeleteId { table, id }` to `buf`.
-pub(crate) fn frame_delete_id(buf: &mut Vec<u8>, table: &str, id: RowId) {
-    put_frame(buf, |b| put_delete_id(b, table, id));
+/// One frame holding `records` back to back: a transaction as it is
+/// logged.
+fn transaction_frame(records: &[WalRecord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(FRAME_OVERHEAD + records.len() * 64);
+    put_frame(&mut buf, |b| records.iter().for_each(|rec| rec.encode_into(b)));
+    buf
+}
+
+/// Reads a row laid out as [`Value::encode_row`] lays it out off the
+/// front of `data`, advancing past it: rows, like every record, delimit
+/// themselves.
+fn get_row(data: &mut &[u8]) -> Result<Row> {
+    if data.remaining() < 2 {
+        return Err(persist_err("WAL: truncated row header"));
+    }
+    let n = data.get_u16_le() as usize;
+    // Clamp: a value needs at least its tag byte.
+    let mut row = Vec::with_capacity(n.min(data.remaining()));
+    for _ in 0..n {
+        row.push(Value::decode(data)?);
+    }
+    Ok(row)
 }
 
 impl WalRecord {
@@ -217,15 +239,24 @@ impl WalRecord {
         }
     }
 
-    /// Decodes one record payload produced by [`WalRecord::encode`].
-    pub fn decode(data: &[u8]) -> Result<WalRecord> {
-        let mut data = data;
+    /// Decodes one record payload produced by [`WalRecord::encode`], which
+    /// must end where the record does.
+    pub fn decode(mut data: &[u8]) -> Result<WalRecord> {
+        let rec = WalRecord::decode_next(&mut data)?;
+        if !data.is_empty() {
+            return Err(persist_err(format!("WAL: {} bytes after the record", data.len())));
+        }
+        Ok(rec)
+    }
+
+    /// Decodes the record at the front of `data`, advancing past it.
+    fn decode_next(data: &mut &[u8]) -> Result<WalRecord> {
         if data.remaining() < 1 {
             return Err(persist_err("WAL: empty record"));
         }
         match data.get_u8() {
             KIND_CREATE_TABLE => {
-                let name = get_str(&mut data)?;
+                let name = get_str(data)?;
                 if data.remaining() < 4 {
                     return Err(persist_err("WAL: truncated column count"));
                 }
@@ -234,7 +265,7 @@ impl WalRecord {
                 // column needs at least 5 bytes on the wire.
                 let mut columns = Vec::with_capacity(ncols.min(data.remaining() / 5 + 1));
                 for _ in 0..ncols {
-                    let cname = get_str(&mut data)?;
+                    let cname = get_str(data)?;
                     if data.remaining() < 1 {
                         return Err(persist_err("WAL: truncated column type"));
                     }
@@ -245,35 +276,34 @@ impl WalRecord {
                 Ok(WalRecord::CreateTable { name, columns })
             }
             KIND_SPATIAL_INDEX => {
-                let table = get_str(&mut data)?;
-                let column = get_str(&mut data)?;
+                let table = get_str(data)?;
+                let column = get_str(data)?;
                 Ok(WalRecord::CreateSpatialIndex { table, column })
             }
             KIND_ORDERED_INDEX => {
-                let table = get_str(&mut data)?;
-                let column = get_str(&mut data)?;
+                let table = get_str(data)?;
+                let column = get_str(data)?;
                 Ok(WalRecord::CreateOrderedIndex { table, column })
             }
             KIND_DELETE_ID => {
-                let table = get_str(&mut data)?;
-                let id = get_row_id(&mut data)?;
+                let table = get_str(data)?;
+                let id = get_row_id(data)?;
                 Ok(WalRecord::DeleteId { table, id })
             }
             KIND_INSERT_AT => {
-                let table = get_str(&mut data)?;
-                let id = get_row_id(&mut data)?;
-                let row = Value::decode_row(data)?;
+                let table = get_str(data)?;
+                let id = get_row_id(data)?;
+                let row = get_row(data)?;
                 Ok(WalRecord::InsertAt { table, id, row })
             }
             other => Err(persist_err(format!("WAL: unknown record kind {other}"))),
         }
     }
 
-    /// The record as a complete on-disk frame: `len | crc | payload`.
+    /// The record as a complete on-disk frame, a transaction of one
+    /// record: `len | crc | payload`.
     pub fn frame(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + FRAME_OVERHEAD);
-        put_frame(&mut out, |b| self.encode_into(b));
-        out
+        transaction_frame(std::slice::from_ref(self))
     }
 }
 
@@ -304,7 +334,7 @@ fn header_generation(head: &[u8; WAL_HEADER_LEN]) -> Result<u64> {
 /// What a replay recovered.
 #[derive(Debug)]
 pub struct Replay {
-    /// Every record with an intact frame, in append order.
+    /// Every record of every intact frame, in append order.
     pub records: Vec<WalRecord>,
     /// Bytes of torn or corrupt tail that were ignored (0 for a clean log).
     pub ignored_tail: usize,
@@ -381,50 +411,46 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one framed record. The frame is written with a single
-    /// `write_all`, so a crash leaves at worst one torn frame at the tail
-    /// — which replay detects and drops.
+    /// Appends `record` as a transaction of its own, fsynced when every
+    /// append is.
     pub fn append(&self, record: &WalRecord) -> Result<()> {
-        self.check_fail()?;
-        let frame = record.frame();
-        let mut file = self.file.lock();
-        file.write_all(&frame).map_err(io_err)?;
+        self.append_txn(std::slice::from_ref(record))
+    }
+
+    /// Appends `records` as one transaction — [`Wal::write_frames`] —
+    /// fsynced when every append is.
+    pub(crate) fn append_txn(&self, records: &[WalRecord]) -> Result<()> {
+        self.write_frames(records)?;
         if self.sync {
-            file.sync_data().map_err(io_err)?;
-        }
-        if let Some(m) = &self.metrics {
-            m.wal_appends.incr();
-            if self.sync {
-                m.wal_fsyncs.incr();
-            }
+            self.sync()?;
         }
         Ok(())
     }
 
-    /// Appends a batch of framed records with a single `write_all` and
-    /// **no fsync** — the commit pipeline's staging write, which a write
-    /// transaction makes with the frames it built as it applied. A crash
-    /// can tear at most the batch's own tail, which replay drops;
+    /// Appends `records` as one transaction frame with a single
+    /// `write_all` and **no fsync** — the commit pipeline's staging write.
+    /// A crash tears at most this frame, which replay then drops whole;
     /// durability arrives with the next [`Wal::sync`]. Counts one
     /// `wal_appends` per record.
     pub fn write_frames(&self, records: &[WalRecord]) -> Result<()> {
-        let mut buf = Vec::with_capacity(records.len() * 64);
-        for rec in records {
-            put_frame(&mut buf, |b| rec.encode_into(b));
+        if records.is_empty() {
+            return Ok(());
         }
-        self.write_framed(&buf, records.len() as u64)
+        self.write_txn(&mut transaction_frame(records), records.len() as u64)
     }
 
-    /// [`Wal::write_frames`] of `count` records already framed back to
-    /// back in `frames` — how a write transaction stages the frames it
-    /// built as it applied.
-    pub(crate) fn write_framed(&self, frames: &[u8], count: u64) -> Result<()> {
+    /// [`Wal::write_frames`] of the `count` records a write transaction
+    /// staged as it applied, back to back in `frame` after
+    /// [`FRAME_OVERHEAD`] bytes left for the header, which is written
+    /// here. Nothing is written for no records.
+    pub(crate) fn write_txn(&self, frame: &mut [u8], count: u64) -> Result<()> {
         if count == 0 {
             return Ok(());
         }
         self.check_fail()?;
+        seal_frame(frame);
         let mut file = self.file.lock();
-        file.write_all(frames).map_err(io_err)?;
+        file.write_all(frame).map_err(io_err)?;
         drop(file);
         if let Some(m) = &self.metrics {
             m.wal_appends.add(count);
@@ -476,13 +502,14 @@ impl Wal {
         header_generation(&head).unwrap_or(0)
     }
 
-    /// Scans the log at `path`, returning every intact record, the log's
-    /// generation, and the size of any ignored torn tail. A missing file
-    /// replays to nothing, and so does a strict prefix of a valid header
-    /// (a crash while [`Wal::create`] was writing it). Header bytes that
-    /// could *not* have come from a torn header write — wrong magic or
-    /// version — are rejected: that is corruption of the log head, which
-    /// no crash during create or append can produce.
+    /// Scans the log at `path`, returning the records of every intact
+    /// frame, the log's generation, and the size of any ignored torn
+    /// tail. A missing file replays to nothing, and so does a strict
+    /// prefix of a valid header (a crash while [`Wal::create`] was
+    /// writing it). Header bytes that could *not* have come from a torn
+    /// header write — wrong magic or version — are rejected: that is
+    /// corruption of the log head, which no crash during create or
+    /// append can produce.
     pub fn replay(path: impl AsRef<Path>) -> Result<Replay> {
         let raw = match std::fs::read(path.as_ref()) {
             Ok(b) => b,
@@ -525,15 +552,22 @@ impl Wal {
                 return Ok(Replay { records, ignored_tail: tail, generation });
             }
             // The checksum passed, so these are the bytes that were
-            // appended — if they do not parse, that is a format bug or
-            // version skew, not a torn write. Silently dropping this
-            // record (and every committed record behind it) would be
-            // data loss, so fail loudly instead.
-            let rec = WalRecord::decode(&peek[..len]).map_err(|e| {
-                persist_err(format!("WAL: checksum-valid record failed to decode: {e}"))
-            })?;
-            records.push(rec);
-            data = &peek[len..];
+            // appended — if they do not parse, exactly to the frame's
+            // end, that is a format bug or version skew, not a torn
+            // write. Silently dropping this transaction (and every
+            // committed one behind it) would be data loss, so fail
+            // loudly instead.
+            let (mut payload, rest) = peek.split_at(len);
+            loop {
+                let rec = WalRecord::decode_next(&mut payload).map_err(|e| {
+                    persist_err(format!("WAL: checksum-valid record failed to decode: {e}"))
+                })?;
+                records.push(rec);
+                if payload.is_empty() {
+                    break;
+                }
+            }
+            data = rest;
         }
         let ignored_tail = data.remaining();
         Ok(Replay { records, ignored_tail, generation })
@@ -663,10 +697,10 @@ mod tests {
 
     #[test]
     fn retired_versions_are_refused_not_read_as_empty() {
-        // Versions 2 and 3 logged rows by value; nothing reads them any
-        // more. A log stamped with one must stop recovery, not pass for
-        // a log with nothing in it.
-        for version in [2u32, 3] {
+        // Versions 2 and 3 logged rows by value, version 4 a frame per
+        // record; nothing reads them any more. A log stamped with one
+        // must stop recovery, not pass for a log with nothing in it.
+        for version in [2u32, 3, 4] {
             let dir = std::env::temp_dir()
                 .join(format!("jackpine-wal-retired-v{version}-{}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
@@ -756,18 +790,25 @@ mod tests {
             .map(|(&id, row)| WalRecord::InsertAt { table: "Kinds".into(), id, row: row.clone() })
             .collect();
         want.push(WalRecord::DeleteId { table: "Kinds".into(), id: ids[4] });
+        // Two transactions, two frames: the batch's, then the DELETE's.
         let staged = std::fs::read(&path).unwrap()[logged..].to_vec();
-        let framed: Vec<u8> = want.iter().flat_map(WalRecord::frame).collect();
+        let (batch, delete) = want.split_at(rows.len());
+        let framed = [transaction_frame(batch), transaction_frame(delete)].concat();
         assert!(staged == framed, "staged frames differ from the records' own");
         let replay = Wal::replay(&path).unwrap();
         assert_eq!(replay.records[replay.records.len() - want.len()..], want[..]);
-        // The helper the transaction frames with, one record at a time.
+        // The encoder the transaction stages with, one record at a time.
         for (rec, (&id, row)) in want.iter().zip(ids.iter().zip(&rows)) {
             let mut buf = vec![0xAB];
-            frame_insert_at(&mut buf, "Kinds", id, &Value::encode_row(row));
-            assert_eq!(buf[1..], rec.frame()[..]);
-            assert_eq!(&WalRecord::decode(&buf[1 + FRAME_OVERHEAD..]).unwrap(), rec);
+            put_insert_at(&mut buf, "Kinds", id, &Value::encode_row(row));
+            assert_eq!(buf[1..], rec.encode()[..]);
+            assert_eq!(&WalRecord::decode(&buf[1..]).unwrap(), rec);
         }
+        // A transaction of one record is framed as version 4 framed a
+        // record: `len | crc | payload`.
+        let payload = delete[0].encode();
+        let v4 = [(payload.len() as u32).to_le_bytes(), crc32(&payload).to_le_bytes()].concat();
+        assert_eq!(delete[0].frame(), [v4, payload].concat());
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -803,6 +844,19 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = Wal::replay(&path).expect_err("must fail, not silently drop");
         assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
+        // So is a payload that does not decode exactly to its end: a
+        // record and a byte, or a record and a truncated second one.
+        let two = [sample_records()[1].encode(), sample_records()[2].encode()].concat();
+        let one = sample_records()[1].encode().len();
+        for payload in [&[&two[..one], &[0][..]].concat(), &two[..two.len() - 1]] {
+            let mut bytes = wal_header(0);
+            bytes.put_u32_le(payload.len() as u32);
+            bytes.put_u32_le(crc32(payload));
+            bytes.put_slice(payload);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Wal::replay(&path).expect_err("a payload with bytes left over");
+            assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

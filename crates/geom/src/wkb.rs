@@ -8,8 +8,8 @@
 use crate::codec::{PutBytes, TakeBytes};
 use crate::polygon::Ring;
 use crate::{
-    Coord, Envelope, GeomError, Geometry, GeometryCollection, LineString, MultiLineString,
-    MultiPoint, MultiPolygon, Point, Polygon, Result,
+    Coord, Envelope, GeomError, Geometry, GeometryCollection, GeometryType, LineString,
+    MultiLineString, MultiPoint, MultiPolygon, Point, Polygon, Result,
 };
 
 /// Encodes a geometry as little-endian WKB.
@@ -43,7 +43,10 @@ pub fn envelope(mut data: &[u8]) -> Result<Envelope> {
     Ok(e)
 }
 
-fn estimate_size(g: &Geometry) -> usize {
+/// The bytes [`encode`] reserves for `g`: 16 a coordinate plus 64, which
+/// covers the headers and counts of every geometry but a multi-geometry
+/// or collection of many members.
+pub fn estimate_size(g: &Geometry) -> usize {
     16 * g.num_coords() + 64
 }
 
@@ -51,9 +54,11 @@ fn estimate_size(g: &Geometry) -> usize {
 // Encoding (always little-endian)
 // ---------------------------------------------------------------------------
 
-fn encode_into(g: &Geometry, buf: &mut Vec<u8>) {
-    buf.put_u8(1); // little-endian
-    buf.put_u32_le(g.geometry_type().wkb_code());
+/// Appends the little-endian WKB of `g` to `buf`: [`encode`] into a buffer
+/// the caller owns, so a geometry inside a larger record is written in
+/// place.
+pub fn encode_into(g: &Geometry, buf: &mut Vec<u8>) {
+    put_header(g.geometry_type().wkb_code(), buf);
     match g {
         Geometry::Point(p) => match p.coord() {
             Some(c) => put_coord(c, buf),
@@ -70,16 +75,20 @@ fn encode_into(g: &Geometry, buf: &mut Vec<u8>) {
                 encode_into(&Geometry::Point(*p), buf);
             }
         }
+        // Members are written where they are, not cloned into a
+        // `Geometry` of their own.
         Geometry::MultiLineString(m) => {
             buf.put_u32_le(m.0.len() as u32);
             for l in &m.0 {
-                encode_into(&Geometry::LineString(l.clone()), buf);
+                put_header(GeometryType::LineString.wkb_code(), buf);
+                put_coord_seq(l.coords(), buf);
             }
         }
         Geometry::MultiPolygon(m) => {
             buf.put_u32_le(m.0.len() as u32);
             for p in &m.0 {
-                encode_into(&Geometry::Polygon(p.clone()), buf);
+                put_header(GeometryType::Polygon.wkb_code(), buf);
+                put_polygon_body(p, buf);
             }
         }
         Geometry::GeometryCollection(c) => {
@@ -89,6 +98,12 @@ fn encode_into(g: &Geometry, buf: &mut Vec<u8>) {
             }
         }
     }
+}
+
+/// A geometry's byte-order mark (little-endian) and type code.
+fn put_header(code: u32, buf: &mut Vec<u8>) {
+    buf.put_u8(1);
+    buf.put_u32_le(code);
 }
 
 fn put_coord(c: Coord, buf: &mut Vec<u8>) {

@@ -134,10 +134,6 @@ enum Node<T> {
     Leaf { entries: Vec<(Envelope, T)> },
 }
 
-/// One packer thread's share of bulk-load work: `(slice index, slice)`
-/// pairs, each slice an exclusive borrow of a run of input items.
-type SliceBatch<'a, T> = Vec<(usize, &'a mut [(Envelope, T)])>;
-
 impl<T> Node<T> {
     fn len(&self) -> usize {
         match self {
@@ -571,7 +567,10 @@ impl<T: Clone> RTree<T> {
     // Bulk load
     // ------------------------------------------------------------------
 
-    /// Builds a tree from scratch with Sort-Tile-Recursive packing.
+    /// Builds a tree from scratch with Sort-Tile-Recursive packing: each
+    /// level is sorted by center x, tiled into vertical slices, each slice
+    /// sorted by center y and packed into nodes of `max_entries`, until
+    /// one node remains.
     pub fn bulk_load(config: RTreeConfig, mut items: Vec<(Envelope, T)>) -> RTree<T> {
         if items.is_empty() {
             return RTree::new(config);
@@ -588,213 +587,22 @@ impl<T: Clone> RTree<T> {
             decoder: None,
             leaf_cache: Mutex::new(HashMap::new()),
         };
-
-        // Leaf level: sort by x, tile into vertical slices, sort each slice
-        // by y, pack runs of `cap`.
-        let n = items.len();
-        let leaf_count = n.div_ceil(cap);
-        let slice_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let slice_size = n.div_ceil(slice_count);
-        items.sort_by(|a, b| center_x(&a.0).total_cmp(&center_x(&b.0)));
-
         let mut level_ids: Vec<usize> = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let end = (i + slice_size).min(n);
-            let slice = &mut items[i..end];
-            slice.sort_by(|a, b| center_y(&a.0).total_cmp(&center_y(&b.0)));
-            let mut j = 0;
-            while j < slice.len() {
-                let chunk_end = (j + cap).min(slice.len());
-                let entries: Vec<(Envelope, T)> = slice[j..chunk_end].to_vec();
-                level_ids.push(tree.nodes.len());
-                tree.nodes.push(Node::Leaf { entries });
-                j = chunk_end;
-            }
-            i = end;
-        }
-
-        // Build internal levels the same way until one node remains.
-        let mut height = 0;
+        str_pack(&mut items, cap, |entries| {
+            level_ids.push(tree.nodes.len());
+            tree.nodes.push(Node::Leaf { entries });
+        });
         while level_ids.len() > 1 {
-            height += 1;
+            tree.height += 1;
             let mut upper: Vec<(Envelope, usize)> =
                 level_ids.iter().map(|&id| (tree.nodes[id].envelope(), id)).collect();
-            upper.sort_by(|a, b| center_x(&a.0).total_cmp(&center_x(&b.0)));
-            let count = upper.len().div_ceil(cap);
-            let slices = (count as f64).sqrt().ceil() as usize;
-            let per_slice = upper.len().div_ceil(slices);
-            let mut next_ids: Vec<usize> = Vec::new();
-            let mut i = 0;
-            while i < upper.len() {
-                let end = (i + per_slice).min(upper.len());
-                let slice = &mut upper[i..end];
-                slice.sort_by(|a, b| center_y(&a.0).total_cmp(&center_y(&b.0)));
-                let mut j = 0;
-                while j < slice.len() {
-                    let chunk_end = (j + cap).min(slice.len());
-                    next_ids.push(tree.nodes.len());
-                    tree.nodes.push(Node::Internal { entries: slice[j..chunk_end].to_vec() });
-                    j = chunk_end;
-                }
-                i = end;
-            }
-            level_ids = next_ids;
-        }
-        tree.root = level_ids[0];
-        tree.height = height;
-        tree
-    }
-
-    /// [`RTree::bulk_load`] with the sort and leaf-packing phases spread
-    /// over `workers` scoped threads.
-    ///
-    /// Produces a tree with exactly the same structure as the serial STR
-    /// path: the x-sort is a stable chunked merge sort and slices are
-    /// packed in slice order, so node layout is independent of worker
-    /// count. `workers <= 1` (or a small input) falls back to the serial
-    /// path directly.
-    pub fn bulk_load_parallel(
-        config: RTreeConfig,
-        items: Vec<(Envelope, T)>,
-        workers: usize,
-    ) -> RTree<T>
-    where
-        T: Send,
-    {
-        /// Below this many items the spawn overhead beats the speedup.
-        const PARALLEL_CUTOFF: usize = 8 * 1024;
-
-        let n = items.len();
-        let workers = workers.min(n / (PARALLEL_CUTOFF / 2).max(1)).max(1);
-        if workers <= 1 || n < PARALLEL_CUTOFF {
-            return RTree::bulk_load(config, items);
-        }
-        let cap = config.max_entries;
-        let mut tree = RTree {
-            nodes: Vec::new(),
-            root: 0,
-            height: 0,
-            len: n,
-            config,
-            pager: None,
-            spilled: HashSet::new(),
-            decoder: None,
-            leaf_cache: Mutex::new(HashMap::new()),
-        };
-
-        // Phase 1 — stable parallel sort by center x: sort contiguous
-        // chunks concurrently, then k-way merge preferring the earliest
-        // chunk on ties (the merge of a stable merge sort).
-        let chunk_len = n.div_ceil(workers);
-        let mut parts: Vec<Vec<(Envelope, T)>> = Vec::with_capacity(workers);
-        let mut rest = items;
-        while rest.len() > chunk_len {
-            let tail = rest.split_off(chunk_len);
-            parts.push(rest);
-            rest = tail;
-        }
-        parts.push(rest);
-        std::thread::scope(|scope| {
-            for part in &mut parts {
-                scope.spawn(|| part.sort_by(|a, b| center_x(&a.0).total_cmp(&center_x(&b.0))));
-            }
-        });
-        let mut heads: Vec<_> = parts.into_iter().map(|p| p.into_iter().peekable()).collect();
-        let mut items: Vec<(Envelope, T)> = Vec::with_capacity(n);
-        loop {
-            let mut best: Option<(usize, f64)> = None;
-            for (p, head) in heads.iter_mut().enumerate() {
-                if let Some((env, _)) = head.peek() {
-                    let key = center_x(env);
-                    // total_cmp matches the chunk sorts' comparator, so
-                    // NaN centers merge exactly where serial sort puts
-                    // them; strict Less keeps the earliest chunk on ties.
-                    let better = match best {
-                        None => true,
-                        Some((_, bk)) => key.total_cmp(&bk) == std::cmp::Ordering::Less,
-                    };
-                    if better {
-                        best = Some((p, key));
-                    }
-                }
-            }
-            match best {
-                Some((p, _)) => items.push(heads[p].next().expect("peeked non-empty")),
-                None => break,
-            }
-        }
-
-        // Phase 2 — tile into vertical slices and pack each slice's
-        // leaves concurrently; slices are independent and their leaves
-        // are appended in slice order afterwards, keeping ids identical
-        // to the serial layout.
-        let leaf_count = n.div_ceil(cap);
-        let slice_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let slice_size = n.div_ceil(slice_count);
-        let mut assigned: Vec<SliceBatch<'_, T>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, slice) in items.chunks_mut(slice_size).enumerate() {
-            assigned[i % workers].push((i, slice));
-        }
-        let mut packed: Vec<(usize, Vec<Node<T>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assigned
-                .into_iter()
-                .map(|batch| {
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, Vec<Node<T>>)> = Vec::new();
-                        for (idx, slice) in batch {
-                            slice.sort_by(|a, b| center_y(&a.0).total_cmp(&center_y(&b.0)));
-                            let leaves: Vec<Node<T>> = slice
-                                .chunks(cap)
-                                .map(|run| Node::Leaf { entries: run.to_vec() })
-                                .collect();
-                            out.push((idx, leaves));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("packer panicked")).collect()
-        });
-        packed.sort_by_key(|(idx, _)| *idx);
-        let mut level_ids: Vec<usize> = Vec::new();
-        for (_, leaves) in packed {
-            for leaf in leaves {
+            level_ids.clear();
+            str_pack(&mut upper, cap, |entries| {
                 level_ids.push(tree.nodes.len());
-                tree.nodes.push(leaf);
-            }
-        }
-
-        // Phase 3 — internal levels hold ~1/cap of the entries per level;
-        // building them serially is cheap and identical to bulk_load.
-        let mut height = 0;
-        while level_ids.len() > 1 {
-            height += 1;
-            let mut upper: Vec<(Envelope, usize)> =
-                level_ids.iter().map(|&id| (tree.nodes[id].envelope(), id)).collect();
-            upper.sort_by(|a, b| center_x(&a.0).total_cmp(&center_x(&b.0)));
-            let count = upper.len().div_ceil(cap);
-            let slices = (count as f64).sqrt().ceil() as usize;
-            let per_slice = upper.len().div_ceil(slices);
-            let mut next_ids: Vec<usize> = Vec::new();
-            let mut i = 0;
-            while i < upper.len() {
-                let end = (i + per_slice).min(upper.len());
-                let slice = &mut upper[i..end];
-                slice.sort_by(|a, b| center_y(&a.0).total_cmp(&center_y(&b.0)));
-                let mut j = 0;
-                while j < slice.len() {
-                    let chunk_end = (j + cap).min(slice.len());
-                    next_ids.push(tree.nodes.len());
-                    tree.nodes.push(Node::Internal { entries: slice[j..chunk_end].to_vec() });
-                    j = chunk_end;
-                }
-                i = end;
-            }
-            level_ids = next_ids;
+                tree.nodes.push(Node::Internal { entries });
+            });
         }
         tree.root = level_ids[0];
-        tree.height = height;
         tree
     }
 
@@ -1041,6 +849,33 @@ fn center_y(e: &Envelope) -> f64 {
     (e.min_y + e.max_y) * 0.5
 }
 
+/// `f64::total_cmp` as a key: the same bit transform, so two keys compare
+/// as their floats do under it — NaNs and signed zeros included — and a
+/// sort is computed once per item instead of once per comparison.
+fn total_order_key(f: f64) -> i64 {
+    let bits = f.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// One STR level: sorts `items` by center x, tiles them into about
+/// `sqrt(len / cap)` vertical slices, sorts each slice by center y and
+/// hands each run of `cap` to `pack`, in order. Both sorts are stable.
+fn str_pack<E: Clone>(
+    items: &mut [(Envelope, E)],
+    cap: usize,
+    mut pack: impl FnMut(Vec<(Envelope, E)>),
+) {
+    let slices = (items.len().div_ceil(cap) as f64).sqrt().ceil() as usize;
+    let per_slice = items.len().div_ceil(slices);
+    items.sort_by_cached_key(|(e, _)| total_order_key(center_x(e)));
+    for slice in items.chunks_mut(per_slice) {
+        slice.sort_by_cached_key(|(e, _)| total_order_key(center_y(e)));
+        for run in slice.chunks(cap) {
+            pack(run.to_vec());
+        }
+    }
+}
+
 fn sort_by_center_distance_leaf<T>(entries: &mut [(Envelope, T)], center: Coord) {
     entries.sort_by(|a, b| {
         let da = a.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
@@ -1209,34 +1044,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_bulk_load_matches_serial_structure() {
-        // Above the parallel cutoff, every worker count must reproduce
-        // the serial tree node-for-node (same ids, same entries).
-        let items = cloud(20_000);
-        let serial = RTree::bulk_load(RTreeConfig::default(), items.clone());
-        for workers in [1, 2, 3, 4, 7] {
-            let par = RTree::bulk_load_parallel(RTreeConfig::default(), items.clone(), workers);
-            assert_eq!(par.len(), serial.len(), "workers={workers}");
-            assert_eq!(par.root, serial.root, "workers={workers}");
-            assert_eq!(par.height, serial.height, "workers={workers}");
-            assert_eq!(par.nodes.len(), serial.nodes.len(), "workers={workers}");
-            for (i, (a, b)) in par.nodes.iter().zip(&serial.nodes).enumerate() {
-                match (a, b) {
-                    (Node::Leaf { entries: ea }, Node::Leaf { entries: eb }) => {
-                        assert_eq!(ea, eb, "leaf {i} differs at workers={workers}")
-                    }
-                    (Node::Internal { entries: ea }, Node::Internal { entries: eb }) => {
-                        assert_eq!(ea, eb, "internal {i} differs at workers={workers}")
-                    }
-                    _ => panic!("node {i} kind differs at workers={workers}"),
-                }
+    /// The STR build as it sorted before its keys: `sort_by` on
+    /// `total_cmp`, once per comparison — the reference `bulk_load` must
+    /// match node for node.
+    fn bulk_load_by_comparator(mut items: Vec<(Envelope, usize)>) -> RTree<usize> {
+        fn level<E: Clone>(items: &mut [(Envelope, E)], cap: usize) -> Vec<Vec<(Envelope, E)>> {
+            let slices = (items.len().div_ceil(cap) as f64).sqrt().ceil() as usize;
+            let per_slice = items.len().div_ceil(slices);
+            items.sort_by(|a, b| center_x(&a.0).total_cmp(&center_x(&b.0)));
+            let mut runs = Vec::new();
+            for slice in items.chunks_mut(per_slice) {
+                slice.sort_by(|a, b| center_y(&a.0).total_cmp(&center_y(&b.0)));
+                runs.extend(slice.chunks(cap).map(<[_]>::to_vec));
+            }
+            runs
+        }
+        let mut tree = RTree::new(RTreeConfig::default());
+        tree.nodes.clear();
+        tree.len = items.len();
+        let cap = tree.config.max_entries;
+        let mut ids: Vec<usize> = Vec::new();
+        for entries in level(&mut items, cap) {
+            ids.push(tree.nodes.len());
+            tree.nodes.push(Node::Leaf { entries });
+        }
+        while ids.len() > 1 {
+            tree.height += 1;
+            let mut upper: Vec<(Envelope, usize)> =
+                ids.iter().map(|&id| (tree.nodes[id].envelope(), id)).collect();
+            ids.clear();
+            for entries in level(&mut upper, cap) {
+                ids.push(tree.nodes.len());
+                tree.nodes.push(Node::Internal { entries });
             }
         }
-        // Tiny inputs take the serial path but must still answer queries.
-        let small = cloud(100);
-        let t = RTree::bulk_load_parallel(RTreeConfig::default(), small.clone(), 8);
-        assert_eq!(t.len(), 100);
+        tree.root = ids[0];
+        tree
+    }
+
+    /// A node as bits, so that NaN envelopes compare equal to themselves.
+    fn node_bits(node: &Node<usize>) -> (bool, Vec<([u64; 4], usize)>) {
+        let bits = |(e, v): &(Envelope, usize)| {
+            ([e.min_x, e.min_y, e.max_x, e.max_y].map(f64::to_bits), *v)
+        };
+        match node {
+            Node::Leaf { entries } => (true, entries.iter().map(bits).collect()),
+            Node::Internal { entries } => (false, entries.iter().map(bits).collect()),
+        }
+    }
+
+    #[test]
+    fn keyed_str_matches_the_total_cmp_comparator_node_for_node() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.5,
+            -1.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in specials {
+            for b in specials {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} against {b:?}"
+                );
+            }
+        }
+        // A cloud, with NaN centers of either sign (empty envelopes), both
+        // signed zeros, and long runs of equal centers whose payloads show
+        // whether the sorts kept them in input order.
+        let mut items = cloud(20_000);
+        let nan = Envelope { min_x: f64::NAN, min_y: f64::NAN, max_x: f64::NAN, max_y: f64::NAN };
+        let neg_nan =
+            Envelope { min_x: -f64::NAN, min_y: -f64::NAN, max_x: -f64::NAN, max_y: -f64::NAN };
+        for i in 0..600 {
+            let env = match i % 6 {
+                0 => Envelope::EMPTY,
+                1 => nan,
+                2 => neg_nan,
+                3 => pt_env(-0.0, 0.0),
+                4 => pt_env(0.0, -0.0),
+                _ => pt_env(500.0, 500.0),
+            };
+            items.insert(i * 31 % items.len(), (env, 1_000_000 + i));
+        }
+        for n in [1, 15, 17, 300, items.len()] {
+            let keyed = RTree::bulk_load(RTreeConfig::default(), items[..n].to_vec());
+            let reference = bulk_load_by_comparator(items[..n].to_vec());
+            assert_eq!(keyed.len(), reference.len(), "n={n}");
+            assert_eq!(keyed.root, reference.root, "n={n}");
+            assert_eq!(keyed.height, reference.height, "n={n}");
+            assert_eq!(keyed.nodes.len(), reference.nodes.len(), "n={n}");
+            for (i, (a, b)) in keyed.nodes.iter().zip(&reference.nodes).enumerate() {
+                assert!(node_bits(a) == node_bits(b), "node {i} differs at n={n}");
+            }
+        }
     }
 
     #[test]

@@ -437,14 +437,12 @@ impl PageWrite<'_> {
         let at = slot as usize;
         if frame.quads.get(at).is_none_or(Option::is_none) {
             let tuple = frame.page.get(slot)?;
-            let quads = cols
-                .iter()
-                .map(|&c| Field::of(tuple, c)?.map_or(Ok(None), |f| f.mbr()))
-                .collect::<Result<_>>()?;
+            let mut quads = vec![None; cols.len()];
+            Field::of(tuple, cols, |k, f| f.mbr().map(|q| quads[k] = q))?;
             if frame.quads.len() <= at {
                 frame.quads.resize(frame.page.slot_count().max(at + 1), None);
             }
-            frame.quads[at] = Some(quads);
+            frame.quads[at] = Some(quads.into());
         }
         Ok(frame.quads[at].as_deref().expect("computed above"))
     }

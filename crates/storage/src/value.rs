@@ -94,11 +94,25 @@ impl Value {
                 buf.put_slice(s.as_bytes());
             }
             Value::Geom(g) => {
+                // Straight into `buf`: its length is patched in after.
                 buf.put_u8(4);
-                let bytes = wkb::encode(g);
-                buf.put_u32_le(bytes.len() as u32);
-                buf.put_slice(&bytes);
+                let at = buf.len();
+                buf.put_u32_le(0);
+                wkb::encode_into(g, buf);
+                let len = (buf.len() - at - 4) as u32;
+                buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
             }
+        }
+    }
+
+    /// About how many bytes [`Value::encode`] writes: exact but for a
+    /// geometry, which counts [`wkb::estimate_size`].
+    fn encoded_size(&self) -> usize {
+        match self {
+            Value::Null => 1,
+            Value::Int(_) | Value::Float(_) => 9,
+            Value::Text(s) => 5 + s.len(),
+            Value::Geom(g) => 5 + wkb::estimate_size(g),
         }
     }
 
@@ -142,7 +156,7 @@ impl Value {
 
     /// Serializes a whole row.
     pub fn encode_row(row: &[Value]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
+        let mut buf = Vec::with_capacity(2 + row.iter().map(Value::encoded_size).sum::<usize>());
         buf.put_u16_le(row.len() as u16);
         for v in row {
             v.encode(&mut buf);
@@ -182,33 +196,54 @@ pub enum Field<'a> {
     Geom(&'a [u8]),
 }
 
-impl Field<'_> {
-    /// Column `col` of the encoded row `tuple` ([`Value::encode_row`]),
-    /// reached by stepping over the columns before it — their tags and
-    /// lengths, nothing else — so nothing is decoded or allocated. `None`
-    /// past the row's last column.
-    pub fn of(tuple: &[u8], col: usize) -> Result<Option<Field<'_>>> {
+impl<'a> Field<'a> {
+    /// Columns `cols` of the encoded row `tuple` ([`Value::encode_row`]),
+    /// each handed to `visit` with its position in `cols`, in one walk of
+    /// the row: the columns between are stepped over by their tags and
+    /// lengths, and nothing is decoded or allocated. A column past the
+    /// row's last is not visited. Stops at the first error, `visit`'s or
+    /// the walk's.
+    ///
+    /// # Panics
+    ///
+    /// If `cols` is not strictly ascending.
+    pub fn of<E: From<StorageError>>(
+        tuple: &'a [u8],
+        cols: &[usize],
+        mut visit: impl FnMut(usize, Field<'a>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         let Some((arity, mut rest)) = tuple.split_first_chunk() else {
-            return Err(StorageError::Corrupt("truncated row header".into()));
+            return Err(StorageError::Corrupt("truncated row header".into()).into());
         };
-        if col >= u16::from_le_bytes(*arity) as usize {
-            return Ok(None);
+        let arity = u16::from_le_bytes(*arity) as usize;
+        // The number of the column `rest` starts at.
+        let mut next = 0;
+        for (i, &col) in cols.iter().enumerate() {
+            assert!(col >= next, "columns {cols:?} are not ascending");
+            if col >= arity {
+                break;
+            }
+            for _ in next..col {
+                rest = split_value(rest)?.2;
+            }
+            let (tag, body, after) = split_value(rest)?;
+            (rest, next) = (after, col + 1);
+            let number = || body.try_into().expect("split_value cuts numbers at 8 bytes");
+            visit(
+                i,
+                match tag {
+                    0 => Field::Null,
+                    1 => Field::Int(i64::from_le_bytes(number())),
+                    2 => Field::Float(f64::from_le_bytes(number())),
+                    3 => Field::Text(
+                        std::str::from_utf8(body)
+                            .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?,
+                    ),
+                    _ => Field::Geom(body),
+                },
+            )?;
         }
-        for _ in 0..col {
-            rest = split_value(rest)?.2;
-        }
-        let (tag, body, _) = split_value(rest)?;
-        let number = || body.try_into().expect("split_value cuts numbers at 8 bytes");
-        Ok(Some(match tag {
-            0 => Field::Null,
-            1 => Field::Int(i64::from_le_bytes(number())),
-            2 => Field::Float(f64::from_le_bytes(number())),
-            3 => Field::Text(
-                std::str::from_utf8(body)
-                    .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?,
-            ),
-            _ => Field::Geom(body),
-        }))
+        Ok(())
     }
 
     /// The envelope of a geometry field, read off its WKB by
@@ -283,7 +318,7 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jackpine_geom::wkt;
+    use jackpine_geom::{wkt, Geometry};
 
     #[test]
     fn roundtrip_scalars() {
@@ -313,11 +348,111 @@ mod tests {
         assert!(Value::decode_row(&[1, 0, 99]).is_err());
         // The column cursor rejects what the decoder rejects, read or
         // stepped over.
-        assert!(Field::of(&[], 0).is_err());
-        assert!(Field::of(&[1, 0, 99], 0).is_err());
-        assert!(Field::of(&[2, 0, 99, 0], 1).is_err());
-        assert!(Field::of(&bad, 0).is_err());
-        assert_eq!(Field::of(&[1, 0, 0], 1), Ok(None), "past the last column");
+        fn of(tuple: &[u8], col: usize) -> Result<Option<Field<'_>>> {
+            let mut got = None;
+            Field::of(tuple, &[col], |_, f| {
+                got = Some(f);
+                Ok::<(), StorageError>(())
+            })?;
+            Ok(got)
+        }
+        assert!(of(&[], 0).is_err());
+        assert!(of(&[1, 0, 99], 0).is_err());
+        assert!(of(&[2, 0, 99, 0], 1).is_err());
+        assert!(of(&bad, 0).is_err());
+        assert_eq!(of(&[1, 0, 0], 1), Ok(None), "past the last column");
+    }
+
+    #[test]
+    fn one_walk_visits_the_asked_columns_in_order() {
+        let row = vec![
+            Value::Int(-3),
+            Value::Null,
+            Value::Text("Oak St".into()),
+            Value::Float(0.5),
+            Value::Geom(wkt::parse("POINT (1 2)").unwrap()),
+        ];
+        let tuple = Value::encode_row(&row);
+        let mut seen = Vec::new();
+        Field::of(&tuple, &[0, 2, 3, 9], |i, f| {
+            seen.push((i, f));
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        let want = vec![(0, Field::Int(-3)), (1, Field::Text("Oak St")), (2, Field::Float(0.5))];
+        assert_eq!(seen, want, "column 9 is past the row");
+        let mut geom = None;
+        Field::of(&tuple, &[4], |_, f| {
+            geom = f.envelope()?;
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        assert_eq!(geom, Some(Envelope::new(1.0, 2.0, 1.0, 2.0)));
+    }
+
+    /// [`Value::encode_row`] as it was before geometries were encoded in
+    /// place: each geometry's WKB into a `Vec` of its own, then copied —
+    /// and each member of a multi-geometry encoded on its own, as the
+    /// cloning arms of the WKB encoder did.
+    fn encode_row_by_copy(row: &[Value]) -> Vec<u8> {
+        fn wkb_by_copy(g: &Geometry) -> Vec<u8> {
+            let members: Vec<Geometry> = match g {
+                Geometry::MultiLineString(m) => {
+                    m.0.iter().cloned().map(Geometry::LineString).collect()
+                }
+                Geometry::MultiPolygon(m) => m.0.iter().cloned().map(Geometry::Polygon).collect(),
+                _ => return wkb::encode(g),
+            };
+            let mut out = vec![1];
+            out.put_u32_le(g.geometry_type().wkb_code());
+            out.put_u32_le(members.len() as u32);
+            for m in &members {
+                out.extend(wkb_by_copy(m));
+            }
+            out
+        }
+        let mut buf = Vec::new();
+        buf.put_u16_le(row.len() as u16);
+        for v in row {
+            match v {
+                Value::Geom(g) => {
+                    let bytes = wkb_by_copy(g);
+                    buf.put_u8(4);
+                    buf.put_u32_le(bytes.len() as u32);
+                    buf.put_slice(&bytes);
+                }
+                other => other.encode(&mut buf),
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn encode_row_writes_the_bytes_a_copied_wkb_would() {
+        for text in [
+            "POINT (1 2)",
+            "POINT EMPTY",
+            "LINESTRING (0 0, 3 4, 5 1)",
+            "LINESTRING EMPTY",
+            "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))",
+            "MULTIPOINT ((1 1), (2 3))",
+            "MULTIPOINT EMPTY",
+            "MULTILINESTRING ((0 0, 1 1), (2 2, 3 5, 4 4))",
+            "MULTILINESTRING EMPTY",
+            "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), \
+             ((5 5, 9 5, 9 9, 5 9, 5 5), (6 6, 7 6, 7 7, 6 6)))",
+            "MULTIPOLYGON EMPTY",
+            "GEOMETRYCOLLECTION (POINT (4 4), MULTILINESTRING ((0 1, 1 0)), \
+             POLYGON ((0 0, 1 0, 1 1, 0 0)))",
+            "GEOMETRYCOLLECTION EMPTY",
+        ] {
+            let g = wkt::parse(text).unwrap();
+            let row = vec![Value::Int(1), Value::Geom(g.clone()), Value::Null, Value::Geom(g)];
+            assert!(
+                Value::encode_row(&row) == encode_row_by_copy(&row),
+                "{text}: encoded in place, the bytes differ"
+            );
+        }
     }
 
     #[test]

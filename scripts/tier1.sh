@@ -10,18 +10,27 @@ export CARGO_NET_OFFLINE=true
 out=target/tier1
 mkdir -p "$out"
 
-echo "== non-test lines per engine source file (lines before the first #[cfg(test)])"
-# Two ratchets: no engine source file grows past FILE_MAX, and the facade
-# (db.rs) never grows back past DB_RS_MAX. Lower DB_RS_MAX when something
-# moves out of it.
+echo "== non-test lines per workspace source file (lines before the first #[cfg(test)])"
+# One ratchet: no source file under crates/*/src grows past FILE_MAX but
+# the named exceptions, each held at its count when it was named. Lower
+# an exception when its file shrinks; the facade (db.rs) is held below
+# FILE_MAX so that nothing moves back into it.
 FILE_MAX=700
-DB_RS_MAX=209
+declare -A ratchet=(
+  [crates/engine/src/db.rs]=209
+  [crates/sqlmini/src/exec.rs]=1326
+  [crates/index/src/rtree.rs]=986
+  [crates/sqlmini/src/plan.rs]=955
+  [crates/storage/src/pool.rs]=813
+  [crates/storage/src/heap.rs]=677
+  [crates/bench/src/bin/repro.rs]=809
+)
+shopt -s globstar
 over=0
-for f in crates/engine/src/*.rs; do
+for f in crates/*/src/**/*.rs; do
   n=$(awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")
   printf "%6d %s\n" "$n" "$f"
-  max=$FILE_MAX
-  [ "$f" = crates/engine/src/db.rs ] && max=$DB_RS_MAX
+  max=${ratchet[$f]:-$FILE_MAX}
   [ "$n" -le "$max" ] || { echo "$f has $n non-test lines, above its ratchet of $max"; over=1; }
 done
 [ "$over" -eq 0 ] || exit 1

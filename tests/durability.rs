@@ -568,6 +568,76 @@ fn wal_bit_flip_at_any_offset_recovers_a_consistent_prefix_or_fails_loudly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_log_torn_inside_a_statement_reopens_to_none_of_it() {
+    // A write transaction is one WAL frame, so a crash that tears the log
+    // anywhere in a statement's bytes loses all of the statement, and one
+    // that tears nothing keeps all of it: never the leading rows of a
+    // multi-row INSERT or of an `insert_rows` batch, and never an UPDATE's
+    // delete without its reinsert (which would lose the row). Checked by
+    // the row count, by lookups through the ordered index and by the
+    // updated rows' values.
+    let dir = scratch_dir("torn-statements");
+    let opts = DurabilityOptions::default();
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, opts).unwrap();
+    db.execute("CREATE TABLE t (id BIGINT, name TEXT)").unwrap();
+    db.create_ordered_index("t", "name").unwrap();
+    db.execute("INSERT INTO t VALUES (0, 'seed'), (1, 'seed')").unwrap();
+    let state = |db: &Arc<SpatialDb>| {
+        let scalar = |sql: &str| db.execute(sql).unwrap().scalar().unwrap().to_string();
+        let names = db.execute("SELECT name FROM t WHERE id >= 10 AND id < 18 ORDER BY id");
+        let names: Vec<String> = names.unwrap().rows.iter().map(|r| r[0].to_string()).collect();
+        let named = ["multi", "batch", "updated"]
+            .map(|n| scalar(&format!("SELECT COUNT(*) FROM t WHERE name = '{n}'")));
+        (scalar("SELECT COUNT(*) FROM t"), named, names)
+    };
+    let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() as usize;
+    let statements: [(&str, &dyn Fn()); 3] = [
+        ("a multi-row INSERT", &|| {
+            let values: Vec<String> = (10..18).map(|i| format!("({i}, 'multi')")).collect();
+            db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+        }),
+        ("a 1,024-row insert_rows", &|| {
+            let rows = (100..1124).map(|i| vec![Value::Int(i), Value::Text("batch".into())]);
+            db.insert_rows("t", rows).unwrap();
+        }),
+        ("a multi-row UPDATE", &|| {
+            db.execute("UPDATE t SET name = 'updated' WHERE name = 'multi'").unwrap();
+        }),
+    ];
+    // (statement, log length before it, after it, state before, after)
+    let mut steps = Vec::new();
+    for (what, run) in statements {
+        let (start, before) = (wal_len(), state(&db));
+        run();
+        steps.push((what, start, wal_len(), before, state(&db)));
+    }
+    let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    drop(db);
+
+    let copy = scratch_dir("torn-statements-copy");
+    for (what, start, end, before, after) in steps {
+        assert!(before != after, "{what} changed nothing");
+        let step = ((end - start) / 40).max(sweep_step());
+        let cuts = (start..end).step_by(step).chain([end - 1, end]);
+        for cut in cuts {
+            // The log as a crash at `cut` leaves it, through a failpoint.
+            let torn = apply_failpoint(&wal[..end], Failpoint::Truncate { offset: cut as u64 });
+            std::fs::remove_dir_all(&copy).ok();
+            std::fs::create_dir_all(&copy).unwrap();
+            std::fs::write(copy.join(SNAPSHOT_FILE), &snapshot).unwrap();
+            std::fs::write(copy.join(WAL_FILE), &torn).unwrap();
+            let reopened = SpatialDb::open_durable(&copy, EngineProfile::ExactRtree, opts)
+                .unwrap_or_else(|e| panic!("{what}, cut at {cut}: {e}"));
+            let want = if cut == end { &after } else { &before };
+            assert_eq!(&state(&reopened), want, "{what}, cut at {cut} of {start}..{end}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Durable lifecycle
 // ---------------------------------------------------------------------------

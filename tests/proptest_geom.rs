@@ -14,7 +14,7 @@ use jackpine::geom::{
     wkb, wkt, Coord, Envelope, Geometry, GeometryCollection, LineString, MultiLineString,
     MultiPoint, MultiPolygon, Point, Polygon, Ring,
 };
-use jackpine::storage::{DataType, Field, Value};
+use jackpine::storage::{DataType, Field, StorageError, Value};
 
 // ----- serialization roundtrips ------------------------------------
 
@@ -215,8 +215,16 @@ fn a_tuple_column_reads_as_its_decoded_value() {
                 .collect();
             let tuple = Value::encode_row(&row);
             let decoded = Value::decode_row(&tuple).unwrap();
-            for (c, want) in decoded.iter().enumerate() {
-                let field = Field::of(&tuple, c).unwrap().expect("within the row");
+            // One walk over every column, and one past the last.
+            let every: Vec<usize> = (0..=cols.len()).collect();
+            let mut fields = Vec::new();
+            Field::of(&tuple, &every, |c, f| {
+                fields.push((c, f));
+                Ok::<(), StorageError>(())
+            })
+            .unwrap();
+            assert_eq!(fields.len(), cols.len(), "{table}: the column past the last was visited");
+            for ((c, field), want) in fields.into_iter().zip(&decoded) {
                 let got = match field {
                     Field::Null => Value::Null,
                     Field::Int(i) => Value::Int(i),
@@ -228,10 +236,9 @@ fn a_tuple_column_reads_as_its_decoded_value() {
                 let mbr = field.mbr().unwrap().map(|q| q.map(f64::to_bits));
                 assert_eq!(mbr, want.mbr().map(|q| q.map(f64::to_bits)), "{table} column {c}");
             }
-            assert_eq!(Field::of(&tuple, cols.len()).unwrap(), None, "past the last column");
             for cut in 0..tuple.len() {
-                let short = (0..cols.len()).any(|c| Field::of(&tuple[..cut], c).is_err());
-                assert!(short, "{table}: a {cut}-byte prefix read as a whole row");
+                let short = Field::of(&tuple[..cut], &every, |_, _| Ok::<(), StorageError>(()));
+                assert!(short.is_err(), "{table}: a {cut}-byte prefix read as a whole row");
             }
         }
     }

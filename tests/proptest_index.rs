@@ -48,13 +48,6 @@ fn rtree_window_matches_brute_force() {
         let mut got = bulk.window(&window);
         got.sort_unstable();
         assert_eq!(&got, &brute_window(&items, &window));
-        // And the parallel bulk load, at several worker counts.
-        for workers in [2usize, 4] {
-            let par = RTree::bulk_load_parallel(RTreeConfig::default(), items.clone(), workers);
-            let mut got = par.window(&window);
-            got.sort_unstable();
-            assert_eq!(&got, &brute_window(&items, &window));
-        }
     }
 }
 
