@@ -4,8 +4,7 @@
 //! ```text
 //! repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W]
 //!       [--csv DIR] [--persist DIR] [--wal on|off] [--trace]
-//!       [--metrics-json FILE] [--trace-export FILE] [--top-queries K]
-//!       [--prom FILE] [--slow-ms N] [--pool-mb N] <experiment>...
+//!       [--pool-mb N] <experiment>...
 //! experiments: t1 t2 t3 f1..f9 all
 //! ```
 //!
@@ -22,18 +21,12 @@
 //! keeps the snapshot but detaches the log (snapshot-only durability).
 //! Both knobs are recorded under every report header.
 //!
-//! `--trace` prints an EXPLAIN ANALYZE-style trace (per-stage timings
-//! plus engine counters) for every micro-benchmark query on the
-//! exact-rtree engine. `--metrics-json FILE` writes each engine's final
-//! metrics snapshot as one versioned JSON object keyed by engine name.
+//! `--trace` prints an EXPLAIN ANALYZE-style trace (per-stage timings,
+//! the unaccounted remainder, engine counters) for every
+//! micro-benchmark query on the exact-rtree engine. Everything else the
+//! engines record is SQL: the `jp_*` system tables (`jp_metrics`,
+//! `jp_stat_statements`, `jp_buffer_pool`, ...).
 //!
-//! `--trace-export FILE` runs the micro suites traced on the exact-rtree
-//! engine and writes the traces as Chrome trace-event JSON (loadable in
-//! `chrome://tracing` or Perfetto): one span per query with its stage
-//! spans nested, and a separate lane marking morsel-parallel sections.
-//!
-//! `--top-queries K` prints the top K statement shapes by execution
-//! count from the flight recorder's fingerprint table after the run.
 //! `--reps` defaults to 10 timed repetitions after one warmup; `--quick`
 //! drops to a single repetition for smoke runs (CI tier 1), where
 //! confidence intervals are not needed.
@@ -43,12 +36,7 @@
 //! the default). `f2`'s cold repetitions then fault every page back in
 //! from the backing store.
 //!
-//! `--prom FILE` writes every engine's final metrics in the Prometheus
-//! text-exposition format (one file, series labeled `engine="..."`) —
-//! the scrape surface, lintable with the `prom-lint` binary. `--slow-ms
-//! N` sets the slow-query log threshold to N milliseconds on every
-//! engine before the run (0 retains every query), so `jp_slow_queries`
-//! and the slow log capture at the chosen sensitivity.
+//! An unknown flag or experiment prints the usage line and exits 2.
 
 use jackpine_bench::{all_engines, dataset, engine_with_data, DEFAULT_SCALE};
 use jackpine_core::driver::{CacheMode, Driver};
@@ -72,11 +60,6 @@ struct Options {
     persist_dir: Option<String>,
     wal: bool,
     trace: bool,
-    metrics_json: Option<String>,
-    trace_export: Option<String>,
-    top_queries: Option<usize>,
-    prom: Option<String>,
-    slow_ms: Option<u64>,
     pool_mb: Option<usize>,
     experiments: Vec<String>,
 }
@@ -91,11 +74,6 @@ fn parse_args() -> Options {
         persist_dir: None,
         wal: true,
         trace: false,
-        metrics_json: None,
-        trace_export: None,
-        top_queries: None,
-        prom: None,
-        slow_ms: None,
         pool_mb: None,
         experiments: Vec::new(),
     };
@@ -117,13 +95,6 @@ fn parse_args() -> Options {
                 }
             }
             "--trace" => opts.trace = true,
-            "--metrics-json" => opts.metrics_json = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace-export" => opts.trace_export = Some(args.next().unwrap_or_else(|| usage())),
-            "--top-queries" => {
-                opts.top_queries = Some(expect_num(args.next(), "--top-queries") as usize)
-            }
-            "--prom" => opts.prom = Some(args.next().unwrap_or_else(|| usage())),
-            "--slow-ms" => opts.slow_ms = Some(expect_num(args.next(), "--slow-ms") as u64),
             "--pool-mb" => opts.pool_mb = Some(expect_num(args.next(), "--pool-mb") as usize),
             "--help" | "-h" => {
                 usage();
@@ -155,9 +126,7 @@ fn expect_num(v: Option<String>, flag: &str) -> f64 {
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W] [--csv DIR] \
-         [--persist DIR] [--wal on|off] [--trace] [--metrics-json FILE] \
-         [--trace-export FILE] [--top-queries K] [--prom FILE] [--slow-ms N] [--pool-mb N] \
-         <t1|t2|t3|f1..f9|all>..."
+         [--persist DIR] [--wal on|off] [--trace] [--pool-mb N] <t1|t2|t3|f1..f9|all>..."
     );
     std::process::exit(2)
 }
@@ -176,9 +145,6 @@ fn main() {
     let engines = all_engines(&data);
     for e in &engines {
         e.set_workers(opts.workers);
-        if let Some(ms) = opts.slow_ms {
-            e.slow_log().set_threshold(std::time::Duration::from_millis(ms));
-        }
         if let Some(mb) = opts.pool_mb {
             e.set_pool_bytes(mb * 1024 * 1024);
         }
@@ -278,43 +244,8 @@ fn main() {
         trace_report(&data, &engines);
     }
 
-    if let Some(path) = &opts.trace_export {
-        trace_export(&data, &engines, path);
-    }
-
     for t in &tables {
         println!("{}", t.render());
-    }
-
-    if let Some(k) = opts.top_queries {
-        top_queries_report(&engines, k);
-    }
-
-    if let Some(path) = &opts.metrics_json {
-        let mut json = format!(
-            "{{\n  \"schema_version\": {},\n  \"engines\": {{\n",
-            jackpine_obs::METRICS_JSON_SCHEMA_VERSION
-        );
-        for (i, e) in engines.iter().enumerate() {
-            json.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                e.name(),
-                SpatialDb::metrics_snapshot(e).to_json(),
-                if i + 1 < engines.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  }\n}\n");
-        std::fs::write(path, json).expect("write metrics json");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &opts.prom {
-        let snaps: Vec<(String, jackpine_obs::MetricsSnapshot)> =
-            engines.iter().map(|e| (e.name(), SpatialDb::metrics_snapshot(e))).collect();
-        let pairs: Vec<(&str, &jackpine_obs::MetricsSnapshot)> =
-            snaps.iter().map(|(n, s)| (n.as_str(), s)).collect();
-        std::fs::write(path, jackpine_obs::prometheus_text(&pairs)).expect("write prometheus text");
-        eprintln!("wrote {path}");
     }
 
     if let Some(dir) = &opts.csv_dir {
@@ -634,71 +565,6 @@ fn trace_report(data: &TigerDataset, engines: &[Arc<SpatialDb>]) {
             }
             Err(err) => println!("[{}] {}: error: {err}", q.id, q.name),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// --trace-export: Chrome trace-event JSON of the micro suites
-// ---------------------------------------------------------------------------
-
-/// Runs the topological and analysis micro suites traced on the
-/// exact-rtree engine and writes the traces as Chrome trace-event JSON:
-/// one "X" span per query (named by query id) with its stage spans
-/// nested, plus a worker lane marking morsel-parallel sections.
-fn trace_export(data: &TigerDataset, engines: &[Arc<SpatialDb>], path: &str) {
-    let db = engines
-        .iter()
-        .find(|e| e.profile() == EngineProfile::ExactRtree)
-        .expect("exact-rtree engine present");
-    let topo = topo_suite(data);
-    let analysis = analysis_suite(data);
-    let mut traced: Vec<(String, jackpine_obs::QueryTrace)> = Vec::new();
-    for q in topo.iter().chain(analysis.iter()) {
-        match db.execute_traced(&q.sql) {
-            Ok((_, trace)) => traced.push((q.id.to_string(), trace)),
-            Err(err) => eprintln!("warning: trace-export {}: {err}", q.id),
-        }
-    }
-    let pairs: Vec<(&str, &jackpine_obs::QueryTrace)> =
-        traced.iter().map(|(id, t)| (id.as_str(), t)).collect();
-    let json = jackpine_obs::chrome_trace_json(&pairs);
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path} ({} query spans)", pairs.len());
-}
-
-// ---------------------------------------------------------------------------
-// --top-queries: fingerprint stats from the flight recorder
-// ---------------------------------------------------------------------------
-
-/// Prints the top `k` statement shapes by execution count, per engine,
-/// from the always-on fingerprint stats table.
-fn top_queries_report(engines: &[Arc<SpatialDb>], k: usize) {
-    for e in engines {
-        let top = SpatialDb::query_stats(e, k);
-        if top.is_empty() {
-            continue;
-        }
-        let mut t = Table::new(
-            format!("Top {k} queries by executions ({})", e.name()),
-            &["fingerprint", "execs", "errs", "mean ms", "p95 ms", "rows", "statement shape"],
-        );
-        for s in &top {
-            let mut shape = s.normalized.clone();
-            if shape.len() > 60 {
-                shape.truncate(57);
-                shape.push_str("...");
-            }
-            t.push_row(vec![
-                format!("{:016x}", s.digest),
-                s.executions().to_string(),
-                s.errors.to_string(),
-                fmt_ms(s.mean_ms()),
-                fmt_ms(s.p95_ms()),
-                s.rows.to_string(),
-                shape,
-            ]);
-        }
-        println!("{}", t.render());
     }
 }
 

@@ -16,7 +16,6 @@
 //! | `jp_flight_recorder` | retained trace | the flight-recorder ring |
 //! | `jp_slow_queries` | retained slow trace | the slow-query log |
 //! | `jp_metrics` | counter/gauge/histogram | the metrics registry |
-//! | `jp_metrics_history` | (sample, metric) pair | the history ring |
 //! | `jp_sessions` | in-flight statement | the session registry |
 //! | `jp_snapshots` | pinned generation | the MVCC snapshot registry |
 //! | `jp_wal` | engine (single row) | WAL + group-commit state |
@@ -26,14 +25,14 @@
 //! read-only by construction: DML never resolves through the SQL
 //! catalog-provider path, and `CREATE TABLE` rejects the `jp_` prefix.
 //!
-//! The four rings and tables a completed statement lands in are one
+//! The three rings and tables a completed statement lands in are one
 //! [`Introspection`] sink, fed by one [`SpatialDb::record`] call per
 //! statement.
 
 use crate::SpatialDb;
 use jackpine_obs::{
-    FingerprintStats, FlightRecorder, MetricsHistory, MetricsSnapshot, QueryStatsTable, QueryTrace,
-    SlowQueryLog, Stage,
+    FingerprintStats, FlightRecorder, MetricsSnapshot, QueryStatsTable, QueryTrace, SlowQueryLog,
+    Stage,
 };
 use jackpine_sqlmini::provider::TableProvider;
 use jackpine_sqlmini::virt::VirtualTable;
@@ -52,10 +51,6 @@ const SLOW_LOG_CAPACITY: usize = 64;
 const SLOW_QUERY_THRESHOLD: Duration = Duration::from_millis(100);
 /// Distinct statement shapes tracked by the fingerprint stats table.
 const QUERY_STATS_CAPACITY: usize = 512;
-/// Metrics snapshots retained by the `jp_metrics_history` ring.
-const METRICS_HISTORY_CAPACITY: usize = 64;
-/// Default minimum interval between metrics-history points.
-const METRICS_HISTORY_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Where completed statements are recorded.
 pub(crate) struct Introspection {
@@ -65,9 +60,6 @@ pub(crate) struct Introspection {
     slow_log: SlowQueryLog,
     /// Per-fingerprint rolling statistics (`pg_stat_statements`-style).
     query_stats: QueryStatsTable,
-    /// Time-series ring of whole-engine metrics snapshots sampled at a
-    /// configurable minimum interval.
-    history: MetricsHistory,
 }
 
 impl Default for Introspection {
@@ -76,7 +68,6 @@ impl Default for Introspection {
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY, SLOW_QUERY_THRESHOLD),
             query_stats: QueryStatsTable::new(QUERY_STATS_CAPACITY),
-            history: MetricsHistory::new(METRICS_HISTORY_CAPACITY, METRICS_HISTORY_INTERVAL),
         }
     }
 }
@@ -84,8 +75,8 @@ impl Default for Introspection {
 impl SpatialDb {
     /// Records one completed statement: its fingerprint's stats; for a
     /// success, its trace — `total` and the counter delta since `before`
-    /// — in the flight recorder and, if slow enough, the slow-query log;
-    /// then a metrics-history point when one is due. A failed statement
+    /// — in the flight recorder and, if slow enough, the slow-query log.
+    /// A failed statement
     /// has no meaningful delta or row count: it shows in the error
     /// column of its fingerprint instead of the trace rings.
     pub(crate) fn record(
@@ -107,16 +98,13 @@ impl SpatialDb {
             }
             Err(_) => sink.query_stats.record(fingerprint, shape, total, 0, true),
         }
-        // Rate-limited inside: on the fast path a clock read and one
-        // short lock.
-        sink.history.maybe_record(|| self.metrics_snapshot());
     }
 
     /// A point-in-time copy of every engine counter, gauge and
     /// histogram. The gauges are refreshed from engine state first: the
     /// vacuum backlog, the number of distinct pinned snapshot
-    /// generations, the age of the oldest pin, and the buffer pool's
-    /// frame occupancy and lifetime counters.
+    /// generations and the age of the oldest pin. The buffer pool's
+    /// levels and counters are [`SpatialDb::pool_stats`] (`jp_buffer_pool`).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let m = &self.metrics;
         m.pending_reclaim_rows.set(self.txn.pending_reclaim_len() as u64);
@@ -124,30 +112,7 @@ impl SpatialDb {
         m.active_snapshots.set(pins.len() as u64);
         let oldest = pins.iter().map(|(.., age)| *age).max().unwrap_or_default();
         m.oldest_snapshot_age_us.set(oldest.as_micros().min(u64::MAX as u128) as u64);
-        let pool = self.catalog.pool().stats();
-        m.pool_capacity_frames.set(pool.capacity_frames);
-        m.pool_resident_frames.set(pool.resident_frames);
-        m.pool_pinned_frames.set(pool.pinned_frames);
-        m.pool_decoded_rows.set(pool.decoded_rows);
-        m.pool_pin_hits.set(pool.pin_hits);
-        m.pool_cold_pins.set(pool.cold_pins);
-        m.pool_evictions.set(pool.evictions);
-        m.pool_dirty_writebacks.set(pool.dirty_writebacks);
         m.snapshot()
-    }
-
-    /// Prometheus text-exposition rendering of the current metrics
-    /// (gauges refreshed), with every series labeled by the engine
-    /// profile name. The output passes
-    /// [`jackpine_obs::lint_prometheus_text`].
-    pub fn prometheus_text(&self) -> String {
-        jackpine_obs::prometheus_text(&[(self.profile().name(), &self.metrics_snapshot())])
-    }
-
-    /// Sets the minimum interval between metrics-history points.
-    /// `Duration::ZERO` samples after every recorded statement.
-    pub fn set_metrics_history_interval(&self, interval: Duration) {
-        self.introspection.history.set_interval(interval);
     }
 
     /// The flight recorder: the last completed traces, oldest first.
@@ -186,7 +151,6 @@ pub(crate) fn provider(
         "jp_flight_recorder" => trace_ring(db.flight_recorder().recent()),
         "jp_slow_queries" => trace_ring(db.slow_log().recent()),
         "jp_metrics" => metrics(&db.metrics_snapshot()),
-        "jp_metrics_history" => metrics_history(db),
         "jp_sessions" => sessions(db),
         "jp_snapshots" => snapshots(db),
         "jp_wal" => wal(db),
@@ -333,30 +297,6 @@ fn histogram_row(name: &str, h: &jackpine_obs::HistogramSnapshot) -> Row {
     ]
 }
 
-/// `jp_metrics_history`: the retained time series, flattened to one row
-/// per (sample, counter-or-gauge) pair, oldest sample first.
-fn metrics_history(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
-    let schema = cols(&[
-        ("seq", DataType::Int),
-        ("age_ms", DataType::Float),
-        ("name", DataType::Text),
-        ("kind", DataType::Text),
-        ("value", DataType::Int),
-    ])?;
-    let mut rows: Vec<Row> = Vec::new();
-    for point in db.introspection.history.recent() {
-        let age = ms(point.at.elapsed());
-        let snap = &point.snapshot;
-        for (kind, series) in [("counter", &snap.counters), ("gauge", &snap.gauges)] {
-            for (name, v) in series {
-                let (name, kind) = (Value::Text(name.to_string()), Value::Text(kind.to_string()));
-                rows.push(vec![int(point.seq), age.clone(), name, kind, int(*v)]);
-            }
-        }
-    }
-    VirtualTable::new(schema, rows)
-}
-
 /// `jp_sessions`: in-flight statements. The introspection query itself
 /// appears — it registered before its own planning resolved this table.
 fn sessions(db: &Arc<SpatialDb>) -> jackpine_sqlmini::Result<VirtualTable> {
@@ -483,7 +423,6 @@ mod tests {
             "jp_flight_recorder",
             "jp_slow_queries",
             "jp_metrics",
-            "jp_metrics_history",
             "jp_sessions",
             "jp_snapshots",
             "jp_wal",

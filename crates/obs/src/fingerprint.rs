@@ -92,8 +92,10 @@ impl QueryStatsTable {
     /// Longest normalized text retained per fingerprint.
     pub const NORMALIZED_TEXT_CAP: usize = 512;
 
-    /// A table tracking at most `capacity` fingerprints.
+    /// A table tracking at most `capacity` fingerprints; `capacity` must
+    /// be non-zero.
     pub fn new(capacity: usize) -> QueryStatsTable {
+        assert!(capacity > 0, "a query stats table needs a non-zero capacity");
         QueryStatsTable { capacity, inner: Mutex::new(HashMap::new()) }
     }
 
@@ -104,9 +106,6 @@ impl QueryStatsTable {
     /// Records one execution of the statement shape `normalized` (whose
     /// digest the caller already computed, typically once per statement).
     pub fn record(&self, digest: u64, normalized: &str, total: Duration, rows: u64, error: bool) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut map = self.lock();
         if !map.contains_key(&digest) && map.len() >= self.capacity {
             // Evict the least-executed entry (ties broken by digest so

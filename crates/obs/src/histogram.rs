@@ -149,9 +149,8 @@ impl HistogramSnapshot {
 }
 
 /// Largest value that lands in bucket `b` (`u64::MAX` for the last
-/// bucket). Public so exporters can render bucket boundaries — e.g. the
-/// Prometheus `le` labels — without re-deriving the log2 layout.
-pub fn bucket_upper_bound(b: usize) -> u64 {
+/// bucket).
+fn bucket_upper_bound(b: usize) -> u64 {
     if b == 0 {
         0
     } else if b >= BUCKETS - 1 {

@@ -17,44 +17,36 @@
 //!   subsystem records into, with canonical counter ordering, snapshot
 //!   deltas, and a split between deterministic and scheduling-dependent
 //!   counters that the test harness relies on.
+//! * [`Gauge`] — point-in-time levels (pinned snapshots, vacuum backlog).
 //! * [`QueryTrace`] — per-query view (stage timings + counter delta),
-//!   rendered as `EXPLAIN ANALYZE`-style text or JSON.
+//!   rendered as `EXPLAIN ANALYZE`-style text with an explicit
+//!   `unaccounted` remainder.
 //! * [`FlightRecorder`] / [`SlowQueryLog`] — the always-on retrospective
 //!   ring of completed traces and its threshold-gated slow-query view.
 //! * [`QueryStatsTable`] / [`FingerprintStats`] — per-fingerprint
 //!   rolling statistics (`pg_stat_statements`-style), keyed by the
 //!   stable [`digest`] of a normalized statement.
-//! * [`Gauge`] / [`MetricsHistory`] — point-in-time levels (pinned
-//!   snapshots, vacuum backlog) and a retrospective ring of whole-engine
-//!   snapshots sampled at a configurable interval.
-//! * [`chrome_trace_json`] — Chrome trace-event (Perfetto-loadable)
-//!   export of a trace sequence.
-//! * [`prometheus_text`] / [`lint_prometheus_text`] — `/metrics`-style
-//!   text exposition of a snapshot (counters, gauges, log2 histograms as
-//!   cumulative `_bucket` series) and the strict lint the CI gate runs
-//!   over it.
+//!
+//! The engine serves all of it as SQL through its `jp_*` system tables;
+//! this crate renders nothing but the `EXPLAIN ANALYZE` text.
 
 #![forbid(unsafe_code)]
 
 mod counter;
-mod export;
 mod fingerprint;
 mod gauge;
 mod histogram;
-mod history;
 mod metrics;
 mod ring;
 mod trace;
 
 pub use counter::Counter;
-pub use export::{chrome_trace_json, lint_prometheus_text, prometheus_text};
 pub use fingerprint::{digest, FingerprintStats, QueryStatsTable};
 pub use gauge::Gauge;
-pub use histogram::{bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
-pub use history::{HistoryPoint, MetricsHistory};
+pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{
     EngineMetrics, MetricsSnapshot, Stage, TxnSite, DETERMINISTIC_COUNTERS, GAUGES,
-    METRICS_JSON_SCHEMA_VERSION, SCHEDULING_COUNTERS, WAIT_HISTOGRAMS,
+    SCHEDULING_COUNTERS, WAIT_HISTOGRAMS,
 };
 pub use ring::{FlightRecorder, SlowQueryLog};
 pub use trace::QueryTrace;

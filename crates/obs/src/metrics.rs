@@ -47,7 +47,7 @@ impl Stage {
         Stage::Materialize,
     ];
 
-    /// Stable snake_case name used in snapshots and JSON.
+    /// Stable snake_case name used in snapshots and `jp_*` columns.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
@@ -86,7 +86,7 @@ impl TxnSite {
     pub const ALL: [TxnSite; 5] =
         [TxnSite::Insert, TxnSite::Delete, TxnSite::Update, TxnSite::Ddl, TxnSite::Checkpoint];
 
-    /// Stable wait-histogram name used in snapshots and JSON.
+    /// Stable wait-histogram name used in snapshots and `jp_metrics`.
     pub fn wait_name(self) -> &'static str {
         match self {
             TxnSite::Insert => "txn_wait_insert_ns",
@@ -135,23 +135,9 @@ pub const SCHEDULING_COUNTERS: [&str; 9] = [
 
 /// Canonical gauge names, in snapshot order. Gauges report current
 /// levels (not cumulative events) and are refreshed by the engine at
-/// snapshot points, so delta arithmetic never applies to them. The
-/// `pool_*` entries mirror the buffer pool's state and lifetime
-/// counters (mirrored as gauges because the pool owns the live values
-/// and the engine copies them at snapshot points).
-pub const GAUGES: [&str; 11] = [
-    "active_snapshots",
-    "pending_reclaim_rows",
-    "oldest_snapshot_age_us",
-    "pool_capacity_frames",
-    "pool_resident_frames",
-    "pool_pinned_frames",
-    "pool_decoded_rows",
-    "pool_pin_hits",
-    "pool_cold_pins",
-    "pool_evictions",
-    "pool_dirty_writebacks",
-];
+/// snapshot points, so delta arithmetic never applies to them.
+pub const GAUGES: [&str; 3] =
+    ["active_snapshots", "pending_reclaim_rows", "oldest_snapshot_age_us"];
 
 /// Canonical wait-histogram names, in snapshot order: the per-site
 /// writer-lock waits, then the commit-pipeline follower wait, then the
@@ -242,23 +228,6 @@ pub struct EngineMetrics {
     /// Age in microseconds of the oldest still-pinned snapshot; zero
     /// when nothing is pinned.
     pub oldest_snapshot_age_us: Gauge,
-    /// Buffer-pool frame budget (0 = unbounded).
-    pub pool_capacity_frames: Gauge,
-    /// Frames currently resident in the buffer pool.
-    pub pool_resident_frames: Gauge,
-    /// Frames currently pinned (refcount > 0).
-    pub pool_pinned_frames: Gauge,
-    /// Rows currently decoded in resident frames.
-    pub pool_decoded_rows: Gauge,
-    /// Lifetime pins satisfied by a resident frame.
-    pub pool_pin_hits: Gauge,
-    /// Lifetime pins that had to materialize a frame (page-store read
-    /// or fresh page).
-    pub pool_cold_pins: Gauge,
-    /// Lifetime frames evicted to make room.
-    pub pool_evictions: Gauge,
-    /// Lifetime dirty frames written back to their page store.
-    pub pool_dirty_writebacks: Gauge,
     /// Self-time per stage, nanoseconds (indexed by `Stage`).
     stage_ns: [Histogram; 6],
     /// Writer txn-lock wait per site, nanoseconds (indexed by `TxnSite`).
@@ -294,14 +263,6 @@ impl EngineMetrics {
             "active_snapshots" => &self.active_snapshots,
             "pending_reclaim_rows" => &self.pending_reclaim_rows,
             "oldest_snapshot_age_us" => &self.oldest_snapshot_age_us,
-            "pool_capacity_frames" => &self.pool_capacity_frames,
-            "pool_resident_frames" => &self.pool_resident_frames,
-            "pool_pinned_frames" => &self.pool_pinned_frames,
-            "pool_decoded_rows" => &self.pool_decoded_rows,
-            "pool_pin_hits" => &self.pool_pin_hits,
-            "pool_cold_pins" => &self.pool_cold_pins,
-            "pool_evictions" => &self.pool_evictions,
-            "pool_dirty_writebacks" => &self.pool_dirty_writebacks,
             other => panic!("unknown gauge {other:?}"),
         }
     }
@@ -353,7 +314,7 @@ impl EngineMetrics {
     /// snapshots twice per query — skipping the seven wait histograms
     /// (each a 64-bucket copy) keeps the always-on recording cost inside
     /// the 2% overhead budget; wait states are engine-level series
-    /// (`jp_metrics`, Prometheus), not per-query deltas.
+    /// (`jp_metrics`), not per-query deltas.
     pub fn query_snapshot(&self) -> MetricsSnapshot {
         let mut counters =
             Vec::with_capacity(DETERMINISTIC_COUNTERS.len() + SCHEDULING_COUNTERS.len());
@@ -370,11 +331,6 @@ impl EngineMetrics {
         }
     }
 }
-
-/// `schema_version` of the envelope `repro --metrics-json` wraps around
-/// one [`MetricsSnapshot::to_json`] object per engine; bump it when that
-/// object's shape changes.
-pub const METRICS_JSON_SCHEMA_VERSION: u64 = 2;
 
 /// A point-in-time copy of an [`EngineMetrics`], used both as the
 /// machine-readable API surface and as the subtrahend for per-query
@@ -472,59 +428,6 @@ impl MetricsSnapshot {
             commit_wait_us: self.commit_wait_us.delta_since(&earlier.commit_wait_us),
         }
     }
-
-    /// Serialises the snapshot as a single JSON object (hand-rolled:
-    /// the workspace is zero-dependency). Counter names are emitted in
-    /// canonical order; stage histograms report count/sum/max.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"stages\":{");
-        for (i, (stage, h)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum_ns\":{},\"max_ns\":{}}}",
-                stage.name(),
-                h.count,
-                h.sum,
-                h.max
-            ));
-        }
-        out.push_str(&format!(
-            "}},\"morsel_wait_ns\":{{\"count\":{},\"sum_ns\":{},\"max_ns\":{}}}",
-            self.morsel_wait_ns.count, self.morsel_wait_ns.sum, self.morsel_wait_ns.max
-        ));
-        out.push_str(&format!(
-            ",\"commit_wait_us\":{{\"count\":{},\"sum_us\":{},\"max_us\":{}}}",
-            self.commit_wait_us.count, self.commit_wait_us.sum, self.commit_wait_us.max
-        ));
-        out.push_str(",\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"waits\":{");
-        for (i, (name, h)) in self.waits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{}}}",
-                h.count, h.sum, h.max
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -562,16 +465,6 @@ mod tests {
         let refine = &snap.stages[Stage::Refine as usize].1;
         assert_eq!(refine.count, 1);
         assert_eq!(refine.sum, 1500);
-    }
-
-    #[test]
-    fn json_shape() {
-        let m = EngineMetrics::new();
-        m.queries.incr();
-        let json = m.snapshot().to_json();
-        assert!(json.starts_with("{\"counters\":{\"queries\":1,"));
-        assert!(json.contains("\"stages\":{\"parse\":"));
-        assert!(json.ends_with("}}"));
     }
 
     #[test]
@@ -651,18 +544,5 @@ mod tests {
         assert_eq!(snap.wait("txn_wait_delete_ns").sum, 1000);
         assert_eq!(snap.wait("txn_wait_insert_ns").count, 0);
         assert_eq!(snap.wait("snapshot_pin_ns").max, 900);
-    }
-
-    #[test]
-    fn json_carries_gauges_and_waits() {
-        let m = EngineMetrics::new();
-        m.oldest_snapshot_age_us.set(77);
-        m.record_txn_wait(TxnSite::Update, Duration::from_nanos(5));
-        let json = m.snapshot().to_json();
-        assert!(json.contains("\"gauges\":{\"active_snapshots\":0,"));
-        assert!(json.contains("\"oldest_snapshot_age_us\":77"));
-        assert!(json.contains("\"waits\":{\"txn_wait_insert_ns\":"));
-        assert!(json.contains("\"txn_wait_update_ns\":{\"count\":1,\"sum\":5,\"max\":5}"));
-        assert!(json.ends_with("}}"));
     }
 }

@@ -9,7 +9,7 @@
 //! critical sections. Traces are never torn — a reader either sees a
 //! whole `Arc<QueryTrace>` or nothing.
 
-use crate::trace::QueryTrace;
+use crate::trace::{duration_ns, QueryTrace};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -22,8 +22,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A fixed-capacity ring buffer of completed query traces, oldest
-/// evicted first. Capacity 0 disables recording entirely (every push is
-/// a no-op), which is the ablation/off switch.
+/// evicted first.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -33,8 +32,10 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `capacity` traces.
+    /// A recorder holding at most `capacity` traces; `capacity` must be
+    /// non-zero (recording has no off switch).
     pub fn new(capacity: usize) -> FlightRecorder {
+        assert!(capacity > 0, "a flight recorder needs a non-zero capacity");
         FlightRecorder {
             capacity,
             buf: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
@@ -60,9 +61,6 @@ impl FlightRecorder {
 
     /// Records one completed trace, evicting the oldest beyond capacity.
     pub fn push(&self, trace: Arc<QueryTrace>) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut buf = lock(&self.buf);
         if buf.len() == self.capacity {
             buf.pop_front();
@@ -154,10 +152,6 @@ impl SlowQueryLog {
     }
 }
 
-fn duration_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,14 +185,6 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert!(r.is_empty());
         assert_eq!(r.evicted(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_disables_recording() {
-        let r = FlightRecorder::new(0);
-        r.push(trace("a", Duration::ZERO));
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! engine snapshots [`EngineMetrics`](crate::EngineMetrics) before and
 //! after a statement and hands the delta here, together with the SQL
 //! text and wall-clock total. The trace renders as `EXPLAIN ANALYZE`-
-//! style text and serialises to JSON for the harness.
+//! style text, which names the wall time no stage accounts for.
 
 use crate::metrics::MetricsSnapshot;
 use std::time::Duration;
@@ -45,8 +45,21 @@ impl QueryTrace {
         self.delta.counter(name)
     }
 
+    /// Wall time charged to no stage: `total` minus the stage self-times
+    /// minus the commit wait, zero when those exceed `total` (stage
+    /// times summed across parallel workers overlap in wall time).
+    pub fn unaccounted(&self) -> Duration {
+        Duration::from_nanos(duration_ns(self.total).saturating_sub(self.accounted_ns()))
+    }
+
+    /// Stage self-times plus commit wait, nanoseconds.
+    fn accounted_ns(&self) -> u64 {
+        let stages = self.delta.stages.iter().fold(0u64, |sum, (_, h)| sum.saturating_add(h.sum));
+        stages.saturating_add(self.delta.commit_wait_us.sum.saturating_mul(1_000))
+    }
+
     /// `EXPLAIN ANALYZE`-style rendering: one line per stage the query
-    /// entered, then each non-zero counter.
+    /// entered, the unaccounted remainder, then each non-zero counter.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -67,6 +80,18 @@ impl QueryTrace {
                 if h.count == 1 { "" } else { "s" }
             ));
         }
+        let (total_ns, accounted_ns) = (duration_ns(self.total), self.accounted_ns());
+        let unaccounted_ns = total_ns.saturating_sub(accounted_ns);
+        let share = if accounted_ns > total_ns {
+            "stages overlap".to_string()
+        } else {
+            format!("{:.1} % of total", 100.0 * unaccounted_ns as f64 / total_ns.max(1) as f64)
+        };
+        out.push_str(&format!(
+            "  {:<18} {:>10.3} ms  ({share})\n",
+            "unaccounted",
+            unaccounted_ns as f64 / 1e6
+        ));
         // Index probe stats get a dedicated summary line so the SQL
         // surface (EXPLAIN ANALYZE) exposes the same detail as the
         // ProbeStats API: how many probes ran, how much of the tree they
@@ -134,36 +159,11 @@ impl QueryTrace {
         }
         out
     }
-
-    /// JSON form: SQL, totals, and the full metrics delta.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sql\":{},\"total_ns\":{},\"rows\":{},\"delta\":{}}}",
-            json_string(&self.sql),
-            self.total.as_nanos(),
-            self.rows,
-            self.delta.to_json()
-        )
-    }
 }
 
-/// Minimal JSON string escaping (the workspace is zero-dependency).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A duration in nanoseconds, saturating at `u64::MAX`.
+pub(crate) fn duration_ns(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
@@ -224,19 +224,22 @@ mod tests {
         // Read-only statements (no commits) keep the line out entirely.
         let quiet = sample_trace().render();
         assert!(!quiet.contains("group commit:"), "{quiet}");
+        // The commit wait is accounted: 1 ms - 120 us = 880 us.
+        assert_eq!(t.unaccounted(), Duration::from_micros(880));
     }
 
     #[test]
-    fn json_escapes_sql() {
-        let m = EngineMetrics::new();
-        let t = QueryTrace::new(
-            "SELECT \"x\"\nFROM t",
-            Duration::ZERO,
-            0,
-            m.snapshot().delta_since(&m.snapshot()),
-        );
-        let json = t.to_json();
-        assert!(json.contains("\\\"x\\\""));
-        assert!(json.contains("\\n"));
+    fn unaccounted_is_total_minus_stages() {
+        // 1 ms total, 10 us parse + 250 us refine.
+        let t = sample_trace();
+        assert_eq!(t.unaccounted(), Duration::from_micros(740));
+        let text = t.render();
+        assert!(text.contains("unaccounted             0.740 ms  (74.0 % of total)"), "{text}");
+
+        // Stage times summed across workers can exceed the wall time.
+        let overlapped = QueryTrace { total: Duration::from_micros(100), ..sample_trace() };
+        assert_eq!(overlapped.unaccounted(), Duration::ZERO);
+        let text = overlapped.render();
+        assert!(text.contains("unaccounted             0.000 ms  (stages overlap)"), "{text}");
     }
 }

@@ -12,6 +12,7 @@ use jackpine::engine::{EngineProfile, SpatialDb};
 use jackpine::obs::{Stage, DETERMINISTIC_COUNTERS, SCHEDULING_COUNTERS};
 use jackpine::storage::Value;
 use std::sync::Arc;
+use std::time::Duration;
 
 const SCALE: f64 = 0.02;
 
@@ -81,8 +82,10 @@ fn counter_names_are_golden() {
 
 /// Every topological micro query (one per DE-9IM predicate family) must
 /// produce a well-formed trace: exactly one statement, stages reported
-/// in pipeline order starting with parse/plan, and candidate counts that
-/// never undershoot hit counts.
+/// in pipeline order starting with parse/plan, candidate counts that
+/// never undershoot hit counts, and — at one worker, where stages never
+/// overlap — an `unaccounted` remainder that closes the stage sums to
+/// the statement's total.
 #[test]
 fn golden_traces_for_every_predicate_family() {
     let (data, db) = loaded_db();
@@ -90,6 +93,22 @@ fn golden_traces_for_every_predicate_family() {
         let (result, trace) = db.execute_traced(&q.sql).expect(q.id);
         assert_eq!(trace.counter("queries"), 1, "{}: one statement, one query", q.id);
         assert_eq!(trace.rows, result.rows.len(), "{}: trace row count", q.id);
+
+        let stage_ns: u64 = Stage::ALL.iter().map(|s| trace.stage_ns(s.name())).sum();
+        assert_eq!(trace.delta.commit_wait_us.sum, 0, "{}: a SELECT commits nothing", q.id);
+        assert_eq!(
+            trace.unaccounted() + Duration::from_nanos(stage_ns),
+            trace.total,
+            "{}: stages plus unaccounted must be the total",
+            q.id
+        );
+        let text = trace.render();
+        assert!(
+            text.lines()
+                .any(|l| l.trim_start().starts_with("unaccounted") && l.ends_with("% of total)")),
+            "{}: EXPLAIN ANALYZE text lacks the unaccounted line:\n{text}",
+            q.id
+        );
 
         let stages = trace.stage_names();
         assert!(
@@ -227,6 +246,7 @@ fn explain_analyze_renders_trace() {
     let text: String = r.rows.iter().map(|row| row[0].to_string() + "\n").collect();
     assert!(text.contains("total:"), "analyze output was:\n{text}");
     assert!(text.contains("stage plan"), "analyze output was:\n{text}");
+    assert!(text.contains("unaccounted"), "analyze output was:\n{text}");
     assert!(text.contains("counter index_probes"), "analyze output was:\n{text}");
     assert!(text.contains("index probes:"), "probe summary missing:\n{text}");
     assert!(text.contains("nodes visited"), "probe summary missing:\n{text}");

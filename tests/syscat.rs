@@ -6,7 +6,7 @@
 //! shapes and counts — never about timings.
 
 use jackpine::engine::{EngineProfile, SpatialDb};
-use jackpine::obs::{lint_prometheus_text, DETERMINISTIC_COUNTERS, GAUGES, SCHEDULING_COUNTERS};
+use jackpine::obs::{DETERMINISTIC_COUNTERS, GAUGES, SCHEDULING_COUNTERS};
 use jackpine::storage::Value;
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +76,6 @@ fn system_table_schemas_are_golden() {
             ],
         ),
         ("jp_metrics", &["name", "kind", "value", "count", "sum", "max", "p50", "p99"]),
-        ("jp_metrics_history", &["seq", "age_ms", "name", "kind", "value"]),
         ("jp_sessions", &["session_id", "statement", "elapsed_ms"]),
         ("jp_snapshots", &["generation", "readers", "age_ms"]),
         (
@@ -242,20 +241,6 @@ fn snapshots_table_is_empty_when_idle() {
     assert_eq!(count(&db, "SELECT COUNT(*) FROM jp_snapshots"), 0);
 }
 
-/// `jp_metrics_history`: nothing retained until the sampling interval
-/// allows it; with a zero interval every statement leaves a sample.
-#[test]
-fn metrics_history_accumulates_at_zero_interval() {
-    let db = tiny_db();
-    db.set_metrics_history_interval(Duration::ZERO);
-    db.execute("SELECT COUNT(*) FROM pts").unwrap();
-    db.execute("SELECT COUNT(*) FROM pts WHERE id = 1").unwrap();
-    let rows = count(&db, "SELECT COUNT(*) FROM jp_metrics_history");
-    assert!(rows > 0, "zero-interval history retained nothing");
-    let gauges = count(&db, "SELECT COUNT(*) FROM jp_metrics_history WHERE kind = 'gauge'");
-    assert!(gauges > 0, "history points carry gauge levels");
-}
-
 /// `jp_wal` reflects durability state: detached shows NULLs, attached
 /// shows the live generation and append counters.
 #[test]
@@ -340,20 +325,4 @@ fn create_table_rejects_the_jp_prefix() {
     assert!(format!("{err}").contains("reserved"), "unexpected error: {err}");
     // Unknown jp_ names in FROM still give the ordinary not-found error.
     assert!(db.execute("SELECT * FROM jp_no_such_table").is_err());
-}
-
-/// The engine surfaces Prometheus text, and the export lints clean —
-/// the same check `prom-lint` runs over `repro --prom` output in CI.
-#[test]
-fn connector_prometheus_text_lints_clean() {
-    let db = tiny_db();
-    let text = db.prometheus_text();
-    assert!(text.contains("# TYPE jackpine_queries_total counter"), "{text}");
-    assert!(text.contains("jackpine_txn_wait_insert_ns_count"), "wait histograms export");
-    assert!(text.contains("# TYPE jackpine_active_snapshots gauge"), "gauges export");
-    assert!(text.contains("# TYPE jackpine_pool_capacity_frames gauge"), "pool gauges export");
-    assert!(text.contains("jackpine_pool_cold_pins"), "pool counters surface as gauges");
-    assert!(text.contains("# TYPE jackpine_pool_decoded_rows gauge"), "the pool's levels too");
-    let errors = lint_prometheus_text(&text);
-    assert!(errors.is_empty(), "engine export must lint clean: {errors:?}");
 }
