@@ -208,7 +208,7 @@ impl SpatialDb {
             WalRecord::InsertAt { table, id, row } => {
                 let tuple = Value::encode_row(&row);
                 self.table(&table)?.heap.place_tuple(&tuple, row, id, 0)?;
-                self.index_tuple(&table.to_ascii_lowercase(), id, &tuple, true)
+                self.index_tuples(&table.to_ascii_lowercase(), [(id, &tuple[..])], true)
             }
             // A missing row means the record's effect is already there:
             // recovery stays idempotent.

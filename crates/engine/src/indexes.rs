@@ -7,7 +7,7 @@
 //! bytes — by one heap scan for all of a `CREATE INDEX` batch's indexes
 //! ([`SpatialDb::create_indexes`]), or while a snapshot's rows go by on
 //! open — and then kept in step, off the same bytes, by the write
-//! transaction, its rollback and vacuum ([`SpatialDb::index_tuple`]).
+//! transaction, its rollback and vacuum ([`SpatialDb::index_tuples`]).
 //! Under a bounded pool an R-tree's leaves page through the pool
 //! ([`PoolLeafPager`]), attached in one place.
 
@@ -180,33 +180,35 @@ impl SpatialDb {
         Ok(())
     }
 
-    /// Adds the entries of the row at `id`, stored as `tuple`, to every
-    /// index on the table keyed `key` (its lowercased name) when
-    /// `present`, or removes them — read off the bytes as
-    /// [`IndexSeeds::add`] reads them, so what a rollback or a vacuum
-    /// strips is what the insert put there. An error leaves the entries
-    /// of the columns before the one that failed applied.
-    pub(crate) fn index_tuple(
+    /// Adds the entries of each `(id, tuple)` of `rows` — the row at `id`,
+    /// stored as `tuple` — to every index on the table keyed `key` (its
+    /// lowercased name) when `present`, or removes them, all under one
+    /// lock: read off the bytes as [`IndexSeeds::add`] reads them, so what
+    /// a rollback or a vacuum strips is what the insert put there. An
+    /// error leaves the rows before the one that failed applied, and of
+    /// that row the columns before the one that failed.
+    pub(crate) fn index_tuples<'t>(
         &self,
         key: &str,
-        id: RowId,
-        tuple: &[u8],
+        rows: impl IntoIterator<Item = (RowId, &'t [u8])>,
         present: bool,
     ) -> crate::Result<()> {
         let mut indexes = self.indexes.write();
         let Some(ti) = indexes.get_mut(key) else { return Ok(()) };
-        for (col, idx) in ti.spatial.iter_mut() {
-            match tuple_field(tuple, *col)?.map_or(Ok(None), |f| f.envelope())? {
-                Some(env) if present => idx.insert(env, id),
-                Some(env) => idx.remove(&env, id),
-                None => {}
+        for (id, tuple) in rows {
+            for (col, idx) in ti.spatial.iter_mut() {
+                match tuple_field(tuple, *col)?.map_or(Ok(None), |f| f.envelope())? {
+                    Some(env) if present => idx.insert(env, id),
+                    Some(env) => idx.remove(&env, id),
+                    None => {}
+                }
             }
-        }
-        for (col, idx) in ti.ordered.iter_mut() {
-            match tuple_field(tuple, *col)?.and_then(Key::from_field) {
-                Some(k) if present => idx.insert(k, id),
-                Some(k) => drop(idx.remove(&k, |v| *v == id)),
-                None => {}
+            for (col, idx) in ti.ordered.iter_mut() {
+                match tuple_field(tuple, *col)?.and_then(Key::from_field) {
+                    Some(k) if present => idx.insert(k, id),
+                    Some(k) => drop(idx.remove(&k, |v| *v == id)),
+                    None => {}
+                }
             }
         }
         Ok(())

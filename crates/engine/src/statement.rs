@@ -409,7 +409,7 @@ impl SpatialDb {
                 for (col, e) in &replacement {
                     new[*col] = exec::eval(e, old, mode)?;
                 }
-                txn.insert(new)?;
+                txn.insert([new])?;
             }
         }
         txn.commit()?;

@@ -12,9 +12,13 @@
 //! 2. [`WriteTxn::insert`] and [`WriteTxn::kill`] apply to heap and
 //!    indexes stamped `gen` — which no reader is pinned at yet, so none
 //!    sees them — and remember what they did as ids and the bytes they
-//!    wrote: an inserted row is encoded once, and that tuple goes to the
-//!    heap, the indexes and (as the tail of its record, in place) the
-//!    log. No `Row` is kept.
+//!    wrote. `insert` takes a batch of rows whose values are lent
+//!    ([`Lend`]), not built for it: each row is checked and encoded
+//!    straight into the staging buffer (with a log, as the tail of its
+//!    record), and each page's worth of rows is applied as one run — the
+//!    heap appends it with one take of its append lock and of each tail
+//!    frame, the indexes take it under one lock — while the log keeps the
+//!    same bytes in place. No `Row` is kept.
 //! 3. [`WriteTxn::commit`] stages those records as one WAL frame, with
 //!    one write, queues the deaths for reclaim, publishes `gen` with one
 //!    store, settles, releases the writer lock and *only then* waits for
@@ -38,7 +42,7 @@ use crate::Result;
 use jackpine_obs::{EngineMetrics, TxnSite};
 use jackpine_sqlmini::provider::SnapshotHandle;
 use jackpine_storage::sync::Mutex;
-use jackpine_storage::{Row, RowId, StorageError, Table, Value};
+use jackpine_storage::{Lend, Row, RowId, StorageError, Table, Value, PAGE_SIZE};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,16 +190,19 @@ impl Drop for SnapshotGuard {
 impl SpatialDb {
     /// Inserts `rows` into `table` programmatically, maintaining any
     /// indexes, as one write transaction: readers, the log and a snapshot
-    /// cut see all of them or none. Each row is encoded as it arrives and
-    /// dropped, so an open batch holds its rows' bytes, not the rows.
-    /// Returns their ids, in order.
-    pub fn insert_rows(
+    /// cut see all of them or none. A row is any slice of values the
+    /// engine can borrow: a [`Row`], or an array of
+    /// [`ValueRef`](jackpine_storage::ValueRef)s a producer lends from its
+    /// own records. Each is encoded as it arrives and let go, so an open
+    /// batch holds its rows' bytes, not the rows. Returns their ids, in
+    /// order.
+    pub fn insert_rows<V: Lend>(
         &self,
         table: &str,
-        rows: impl IntoIterator<Item = Row>,
+        rows: impl IntoIterator<Item = impl AsRef<[V]>>,
     ) -> Result<Vec<RowId>> {
         let mut txn = WriteTxn::begin(self, TxnSite::Insert, table)?;
-        let ids = rows.into_iter().map(|row| txn.insert(row)).collect::<Result<_>>()?;
+        let ids = txn.insert(rows)?;
         txn.commit()?;
         Ok(ids)
     }
@@ -245,7 +252,7 @@ impl SpatialDb {
             tuple.extend_from_slice(bytes);
             Ok::<(), StorageError>(())
         }) {
-            Ok(()) => self.index_tuple(&t.name.to_ascii_lowercase(), id, &tuple, false),
+            Ok(()) => self.index_tuples(&t.name.to_ascii_lowercase(), [(id, &tuple[..])], false),
             Err(StorageError::RowNotFound { .. }) => Ok(()),
             Err(e) => Err(e.into()),
         }
@@ -312,23 +319,59 @@ impl<'a> WriteTxn<'a> {
         &self.table
     }
 
-    /// Inserts `row`, born at this transaction's generation. The row is
-    /// checked, encoded once and dropped: heap, indexes and log all take
-    /// the same bytes.
-    pub(crate) fn insert(&mut self, row: Row) -> Result<RowId> {
-        self.table.schema().check_row(&row)?;
-        let tuple = Value::encode_row(&row);
-        drop(row);
-        let id = self.table.heap.insert_tuple(&tuple, self.gen)?;
-        if self.durability.is_some() {
-            wal::put_insert_at(&mut self.staged, self.name, id, &tuple);
-        } else {
-            self.staged.extend_from_slice(&tuple);
+    /// Inserts `rows`, born at this transaction's generation, and returns
+    /// their ids in order. Each row is checked and encoded straight into
+    /// `staged` — with a log, as the tail of its record, whose id is
+    /// filled in once the heap has placed the row — and nothing else is
+    /// built. Every page's worth of staged rows is applied as one run
+    /// ([`WriteTxn::apply`]). A row that does not fit the schema fails
+    /// the call with the runs before it applied; after any error the
+    /// transaction is only fit to be dropped.
+    pub(crate) fn insert<V: Lend>(
+        &mut self,
+        rows: impl IntoIterator<Item = impl AsRef<[V]>>,
+    ) -> Result<Vec<RowId>> {
+        let (mut ids, mut run) = (Vec::new(), Vec::new());
+        for row in rows {
+            let row = row.as_ref();
+            self.table.schema().check_row(row)?;
+            if self.durability.is_some() {
+                wal::put_insert_at(&mut self.staged, self.name, RowId { page: 0, slot: 0 }, &[]);
+            }
+            let start = self.staged.len();
+            Value::encode_row_into(row, &mut self.staged);
+            run.push(start..self.staged.len());
+            if self.staged.len() - run[0].start >= PAGE_SIZE {
+                self.apply(&mut run, &mut ids)?;
+            }
         }
-        let end = self.staged.len();
-        self.applied.push(Applied::Insert { id, tuple: end - tuple.len()..end });
-        self.db.index_tuple(&self.key, id, &tuple, true)?;
-        Ok(id)
+        self.apply(&mut run, &mut ids)?;
+        Ok(ids)
+    }
+
+    /// Applies the staged tuples `run` and empties it: the heap appends
+    /// them with one take of its append lock and of each tail frame
+    /// ([`HeapFile::insert_tuples`]), their ids go into their records and
+    /// onto `ids`, and their index entries go in under one lock — all off
+    /// the same bytes.
+    ///
+    /// [`HeapFile::insert_tuples`]: jackpine_storage::HeapFile::insert_tuples
+    fn apply(&mut self, run: &mut Vec<Range<usize>>, ids: &mut Vec<RowId>) -> Result<()> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let placed = self.table.heap.insert_tuples(&self.staged, run, self.gen)?;
+        for (&id, tuple) in placed.iter().zip(run.iter()) {
+            if self.durability.is_some() {
+                wal::set_insert_id(&mut self.staged, tuple.start, id);
+            }
+            self.applied.push(Applied::Insert { id, tuple: tuple.clone() });
+        }
+        let tuples = placed.iter().zip(run.iter()).map(|(&id, t)| (id, &self.staged[t.clone()]));
+        self.db.index_tuples(&self.key, tuples, true)?;
+        ids.extend(placed);
+        run.clear();
+        Ok(())
     }
 
     /// Marks the row at `id` dead at this transaction's generation. Its
@@ -383,15 +426,75 @@ impl Drop for WriteTxn<'_> {
                     // page may be evicted by now, and a read-back that
                     // failed here would have nowhere to go. The insert
                     // read these bytes the same way, so this can only
-                    // fail where the insert's own `index_tuple` did —
+                    // fail where the insert's own `index_tuples` did —
                     // having removed every entry that one added.
-                    let _ = self.db.index_tuple(&self.key, id, &self.staged[tuple], false);
+                    let rows = [(id, &self.staged[tuple])];
+                    let _ = self.db.index_tuples(&self.key, rows, false);
                     self.table.heap.delete(id);
                 }
                 Applied::Kill(id) => {
                     self.table.heap.revive(id);
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{EngineProfile, SpatialDb};
+    use jackpine_storage::{Lend, Row, RowId, StorageError, Value, ValueRef};
+    use std::sync::Arc;
+
+    /// The stored bytes of `ids`, in order.
+    fn stored(db: &SpatialDb, table: &str, ids: &[RowId]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let heap = &db.table(table).unwrap().heap;
+        heap.scan_tuples(ids, |_, bytes| {
+            out.push(bytes.to_vec());
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn insert_rows_stores_exactly_the_encoded_rows_owned_or_lent() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        for t in ["owned", "lent"] {
+            db.execute(&format!("CREATE TABLE {t} (i BIGINT, f DOUBLE, s TEXT, g GEOMETRY)"))
+                .unwrap();
+            db.create_spatial_index(t, "g").unwrap();
+            db.create_ordered_index(t, "s").unwrap();
+        }
+        let g = |wkt: &str| Value::Geom(jackpine_geom::wkt::parse(wkt).unwrap());
+        let holes = "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2), \
+                     (6 6, 8 6, 8 8, 6 8, 6 6))";
+        let full =
+            vec![Value::Int(-7), Value::Float(0.1 + 0.2), Value::Text("Oak St".into()), g(holes)];
+        let mut rows: Vec<Row> = (0..full.len())
+            .map(|col| {
+                let mut row = full.clone();
+                row[col] = Value::Null;
+                row
+            })
+            .collect();
+        rows.push(full.clone());
+        rows.push(vec![Value::Null; 4]);
+        for empty in ["POINT EMPTY", "LINESTRING EMPTY", "GEOMETRYCOLLECTION EMPTY"] {
+            rows.push(vec![Value::Int(1), Value::Int(2), Value::Text(String::new()), g(empty)]);
+        }
+        let want: Vec<Vec<u8>> = rows.iter().map(|r| Value::encode_row(r)).collect();
+
+        let ids = db.insert_rows("owned", rows.clone()).unwrap();
+        assert!(stored(&db, "owned", &ids) == want, "owned rows stored other bytes");
+        let lent: Vec<Vec<ValueRef<'_>>> =
+            rows.iter().map(|r| r.iter().map(Lend::lend).collect()).collect();
+        let ids = db.insert_rows("lent", &lent).unwrap();
+        assert!(stored(&db, "lent", &ids) == want, "lent rows stored other bytes");
+        for t in ["owned", "lent"] {
+            let hit = db.execute(&format!("SELECT COUNT(*) FROM {t} WHERE s = 'Oak St'")).unwrap();
+            assert_eq!(hit.scalar().unwrap().as_i64(), Some(4), "{t}: ordered index entries");
         }
     }
 }

@@ -155,6 +155,16 @@ pub(crate) fn put_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[
     buf.put_slice(tuple);
 }
 
+/// Writes `id` into the [`WalRecord::InsertAt`] record in `buf` whose
+/// tuple starts at `buf[tuple_at]`: a write transaction stages a batch's
+/// records before the heap places their rows, so [`put_insert_at`] left a
+/// zero id there, laid out as `put_row_id` lays it out.
+pub(crate) fn set_insert_id(buf: &mut [u8], tuple_at: usize, id: RowId) {
+    let (page, slot) = buf[tuple_at - 8..tuple_at].split_at_mut(4);
+    page.copy_from_slice(&id.page.to_le_bytes());
+    slot.copy_from_slice(&u32::from(id.slot).to_le_bytes());
+}
+
 /// The [`WalRecord::DeleteId`] payload encoder.
 pub(crate) fn put_delete_id(buf: &mut Vec<u8>, table: &str, id: RowId) {
     buf.put_u8(KIND_DELETE_ID);

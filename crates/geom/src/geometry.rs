@@ -2,6 +2,7 @@ use crate::{
     Envelope, GeometryCollection, LineString, MultiLineString, MultiPoint, MultiPolygon, Point,
     Polygon,
 };
+use std::fmt;
 
 /// The topological dimension of a geometry or of an intersection-matrix
 /// cell, following the DE-9IM convention.
@@ -119,6 +120,57 @@ pub enum Geometry {
 // Every decoded row and result row holds its geometries by value: 32 is
 // the widest payload (a 24-byte `Polygon`) plus the discriminant.
 const _: () = assert!(size_of::<Geometry>() == 32);
+
+/// A geometry borrowed where it lies: a record's own point, linestring or
+/// polygon, or a whole [`Geometry`] — what [`crate::wkb::encode_into`]
+/// writes without a `Geometry` being built to hold it. Debug-prints as
+/// the `Geometry` it stands for.
+#[derive(Clone, Copy)]
+pub enum GeometryRef<'a> {
+    /// A single position.
+    Point(&'a Point),
+    /// A polyline.
+    LineString(&'a LineString),
+    /// A surface with optional holes.
+    Polygon(&'a Polygon),
+    /// Any geometry.
+    Geometry(&'a Geometry),
+}
+
+impl<'a> From<&'a Point> for GeometryRef<'a> {
+    fn from(p: &'a Point) -> Self {
+        GeometryRef::Point(p)
+    }
+}
+
+impl<'a> From<&'a LineString> for GeometryRef<'a> {
+    fn from(l: &'a LineString) -> Self {
+        GeometryRef::LineString(l)
+    }
+}
+
+impl<'a> From<&'a Polygon> for GeometryRef<'a> {
+    fn from(p: &'a Polygon) -> Self {
+        GeometryRef::Polygon(p)
+    }
+}
+
+impl<'a> From<&'a Geometry> for GeometryRef<'a> {
+    fn from(g: &'a Geometry) -> Self {
+        GeometryRef::Geometry(g)
+    }
+}
+
+impl fmt::Debug for GeometryRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            GeometryRef::Point(p) => f.debug_tuple("Point").field(p).finish(),
+            GeometryRef::LineString(l) => f.debug_tuple("LineString").field(l).finish(),
+            GeometryRef::Polygon(p) => f.debug_tuple("Polygon").field(p).finish(),
+            GeometryRef::Geometry(g) => fmt::Debug::fmt(g, f),
+        }
+    }
+}
 
 impl Geometry {
     /// The type discriminant.

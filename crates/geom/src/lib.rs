@@ -38,7 +38,7 @@ pub mod wkt;
 pub use coord::Coord;
 pub use envelope::Envelope;
 pub use error::GeomError;
-pub use geometry::{Dimension, Geometry, GeometryType};
+pub use geometry::{Dimension, Geometry, GeometryRef, GeometryType};
 pub use linestring::LineString;
 pub use multi::{GeometryCollection, MultiLineString, MultiPoint, MultiPolygon};
 pub use point::Point;

@@ -8,8 +8,8 @@
 use crate::codec::{PutBytes, TakeBytes};
 use crate::polygon::Ring;
 use crate::{
-    Coord, Envelope, GeomError, Geometry, GeometryCollection, GeometryType, LineString,
-    MultiLineString, MultiPoint, MultiPolygon, Point, Polygon, Result,
+    Coord, Envelope, GeomError, Geometry, GeometryCollection, GeometryRef, GeometryType,
+    LineString, MultiLineString, MultiPoint, MultiPolygon, Point, Polygon, Result,
 };
 
 /// Encodes a geometry as little-endian WKB.
@@ -54,50 +54,57 @@ pub fn estimate_size(g: &Geometry) -> usize {
 // Encoding (always little-endian)
 // ---------------------------------------------------------------------------
 
-/// Appends the little-endian WKB of `g` to `buf`: [`encode`] into a buffer
-/// the caller owns, so a geometry inside a larger record is written in
-/// place.
-pub fn encode_into(g: &Geometry, buf: &mut Vec<u8>) {
-    put_header(g.geometry_type().wkb_code(), buf);
+/// Appends the little-endian WKB of `g` — a [`Geometry`], or a point,
+/// linestring or polygon borrowed where it lies ([`GeometryRef`]) — to
+/// `buf`: [`encode`] into a buffer the caller owns, so a geometry inside a
+/// larger record is written in place and nothing is built to hold it.
+pub fn encode_into<'a>(g: impl Into<GeometryRef<'a>>, buf: &mut Vec<u8>) {
+    put_geometry(g.into(), buf);
+}
+
+/// [`encode_into`]: members of a multi-geometry are written where they
+/// are, as the borrowed geometries they are, never cloned into a
+/// `Geometry` of their own.
+fn put_geometry(g: GeometryRef<'_>, buf: &mut Vec<u8>) {
     match g {
-        Geometry::Point(p) => match p.coord() {
-            Some(c) => put_coord(c, buf),
-            None => {
-                buf.put_f64_le(f64::NAN);
-                buf.put_f64_le(f64::NAN);
+        GeometryRef::Point(p) => {
+            put_header(GeometryType::Point.wkb_code(), buf);
+            match p.coord() {
+                Some(c) => put_coord(c, buf),
+                None => {
+                    buf.put_f64_le(f64::NAN);
+                    buf.put_f64_le(f64::NAN);
+                }
             }
+        }
+        GeometryRef::LineString(l) => {
+            put_header(GeometryType::LineString.wkb_code(), buf);
+            put_coord_seq(l.coords(), buf);
+        }
+        GeometryRef::Polygon(p) => {
+            put_header(GeometryType::Polygon.wkb_code(), buf);
+            put_polygon_body(p, buf);
+        }
+        GeometryRef::Geometry(g) => match g {
+            Geometry::Point(p) => put_geometry(p.into(), buf),
+            Geometry::LineString(l) => put_geometry(l.into(), buf),
+            Geometry::Polygon(p) => put_geometry(p.into(), buf),
+            Geometry::MultiPoint(m) => put_members(g, &m.0, buf),
+            Geometry::MultiLineString(m) => put_members(g, &m.0, buf),
+            Geometry::MultiPolygon(m) => put_members(g, &m.0, buf),
+            Geometry::GeometryCollection(c) => put_members(g, &c.0, buf),
         },
-        Geometry::LineString(l) => put_coord_seq(l.coords(), buf),
-        Geometry::Polygon(p) => put_polygon_body(p, buf),
-        Geometry::MultiPoint(m) => {
-            buf.put_u32_le(m.0.len() as u32);
-            for p in &m.0 {
-                encode_into(&Geometry::Point(*p), buf);
-            }
-        }
-        // Members are written where they are, not cloned into a
-        // `Geometry` of their own.
-        Geometry::MultiLineString(m) => {
-            buf.put_u32_le(m.0.len() as u32);
-            for l in &m.0 {
-                put_header(GeometryType::LineString.wkb_code(), buf);
-                put_coord_seq(l.coords(), buf);
-            }
-        }
-        Geometry::MultiPolygon(m) => {
-            buf.put_u32_le(m.0.len() as u32);
-            for p in &m.0 {
-                put_header(GeometryType::Polygon.wkb_code(), buf);
-                put_polygon_body(p, buf);
-            }
-        }
-        Geometry::GeometryCollection(c) => {
-            buf.put_u32_le(c.0.len() as u32);
-            for g in &c.0 {
-                encode_into(g, buf);
-            }
-        }
     }
+}
+
+/// A multi-geometry or collection `g` whose members are `members`.
+fn put_members<'a, T>(g: &Geometry, members: &'a [T], buf: &mut Vec<u8>)
+where
+    &'a T: Into<GeometryRef<'a>>,
+{
+    put_header(g.geometry_type().wkb_code(), buf);
+    buf.put_u32_le(members.len() as u32);
+    members.iter().for_each(|m| put_geometry(m.into(), buf));
 }
 
 /// A geometry's byte-order mark (little-endian) and type code.

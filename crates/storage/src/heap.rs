@@ -39,17 +39,18 @@
 //!
 //! Page table (lock-free) → frame lock → visibility metadata. The
 //! append path holds a frame's **write** guard while publishing the
-//! row's visibility entry, so the meta lock nests *inside* frame locks.
-//! Readers must therefore never hold the meta lock while touching a
-//! page: scan paths first collect physically-present ids under one
-//! frame lock at a time, drop it, and only then consult the meta table
-//! — any row whose bytes they observed has its entry published by the
-//! time the frame's guard was released.
+//! entries of the rows it put there, so the meta lock nests *inside*
+//! frame locks. Readers must therefore never hold the meta lock while
+//! touching a page: scan paths first collect physically-present ids
+//! under one frame lock at a time, drop it, and only then consult the
+//! meta table — any row whose bytes they observed has its entry
+//! published by the time the frame's guard was released.
 
 use crate::pool::{BufferPool, PageFile, PageRead, PageWrite};
 use crate::sync::{Mutex, RwLock};
 use crate::{DataType, Result, Row, Schema, StorageError, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -184,11 +185,6 @@ impl HeapFile {
         self.read(page).unwrap_or_else(|e| panic!("heap: {e}"))
     }
 
-    /// [`HeapFile::write`] under the policy of [`HeapFile::page`].
-    fn page_mut(&self, page: u32) -> PageWrite<'_> {
-        self.write(page).unwrap_or_else(|e| panic!("heap: {e}"))
-    }
-
     /// The row schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -211,45 +207,74 @@ impl HeapFile {
     }
 
     /// Validates and appends a row born at generation `born` (`0` =
-    /// visible since the beginning); returns its id. The row is
-    /// invisible to snapshot readers pinned before `born` and becomes
-    /// visible to later snapshots once the owning transaction publishes
-    /// that generation. Only its bytes are stored: the slot is decoded
-    /// when a read first asks for it.
+    /// visible since the beginning), which snapshots pinned before `born`
+    /// do not see; returns its id. Only its bytes are stored: the slot is
+    /// decoded when a read first asks for it.
     pub fn insert_at(&self, row: &Row, born: u64) -> Result<RowId> {
         self.schema.check_row(row)?;
         self.insert_tuple(&Value::encode_row(row), born)
     }
 
-    /// [`HeapFile::insert_at`] for a caller that already holds the row's
-    /// stored form: `bytes` must be [`Value::encode_row`] of a row that
-    /// passed [`Schema::check_row`], and go into the slot as they are. A
-    /// write transaction encodes each row once and hands the same bytes
-    /// to the heap, the indexes and the log.
+    /// [`HeapFile::insert_tuples`] of one tuple, `bytes`.
     pub fn insert_tuple(&self, bytes: &[u8], born: u64) -> Result<RowId> {
+        let mut id = [RowId { page: 0, slot: 0 }];
+        self.append(bytes, std::slice::from_ref(&(0..bytes.len())), born, &mut id)?;
+        Ok(id[0])
+    }
+
+    /// [`HeapFile::insert_at`] of a batch in stored form: the tuples
+    /// `staged[r]`, `r` in `tuples` — each [`Value::encode_row`] of a row
+    /// that passed [`Schema::check_row`] — go into slots as they are, in
+    /// order; returns their ids. One take of the append lock, and of each
+    /// tail frame per run of tuples; an error leaves none of them behind.
+    pub fn insert_tuples(
+        &self,
+        staged: &[u8],
+        tuples: &[Range<usize>],
+        born: u64,
+    ) -> Result<Vec<RowId>> {
+        let mut ids = vec![RowId { page: 0, slot: 0 }; tuples.len()];
+        self.append(staged, tuples, born, &mut ids)?;
+        Ok(ids)
+    }
+
+    /// The one append loop: [`HeapFile::insert_tuples`] into `ids`, so
+    /// that one tuple allocates nothing.
+    fn append(
+        &self,
+        staged: &[u8],
+        tuples: &[Range<usize>],
+        born: u64,
+        ids: &mut [RowId],
+    ) -> Result<()> {
+        if tuples.is_empty() {
+            return Ok(());
+        }
         let _append = self.append.lock();
-        let mut target = self.npages.load(Ordering::Relaxed).saturating_sub(1);
-        let mut page = self.write(target)?;
-        if !page.fits(bytes.len()) {
-            drop(page);
+        let (mut target, mut placed) = (self.npages.load(Ordering::Relaxed).saturating_sub(1), 0);
+        loop {
+            let undo = |_: &_| ids[..placed].iter().for_each(|&id| _ = self.delete(id));
+            let mut frame = self.write(target).inspect_err(undo)?;
+            let run = placed;
+            while let Some(r) = tuples.get(placed).filter(|r| frame.fits(r.len())) {
+                ids[placed] = RowId { page: target, slot: frame.insert(&staged[r.clone()]) };
+                placed += 1;
+            }
+            if born > 0 && placed > run {
+                // Published under the frame's write guard (frames before
+                // meta): a scan sees the run's bytes only after it drops,
+                // with the entries that hide them from older snapshots.
+                self.meta.write().extend(ids[run..placed].iter().map(|&id| (id, (born, LIVE))));
+            }
+            drop(frame);
+            self.row_count.fetch_add((placed - run) as u64, Ordering::Relaxed);
+            if placed == tuples.len() {
+                return Ok(());
+            }
+            // An empty page takes any tuple (an oversized one gets its own).
             target += 1;
             self.npages.store(target + 1, Ordering::Relaxed);
-            page = self.write(target)?;
         }
-        let slot = page.insert(bytes);
-        let id = RowId { page: target, slot };
-        if born > 0 {
-            // Publish the visibility entry while still holding the
-            // frame's write guard (lock order: frames before meta): a
-            // concurrent scan can only observe the new bytes after
-            // this guard drops, by which time the entry gating them
-            // is in place — an unpublished row can never leak into
-            // an older snapshot.
-            self.meta.write().insert(id, (born, LIVE));
-        }
-        drop(page);
-        self.row_count.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
     }
 
     /// Writes a row into a *specific* slot — WAL replay and snapshot
@@ -298,13 +323,11 @@ impl HeapFile {
             return false;
         }
         let mut meta = self.meta.write();
-        match meta.get_mut(&id) {
-            Some((_, d)) if *d != LIVE => return false, // already deleted
-            Some((_, d)) => *d = died,
-            None => {
-                meta.insert(id, (0, died));
-            }
+        let (_, d) = meta.entry(id).or_insert((0, LIVE));
+        if *d != LIVE {
+            return false; // already deleted
         }
+        *d = died;
         drop(meta);
         self.row_count.fetch_sub(1, Ordering::Relaxed);
         true
@@ -353,12 +376,14 @@ impl HeapFile {
     }
 
     /// The rest of [`HeapFile::reclaim`]: slot, entry, closing bracket.
-    fn finish_reclaim(&self, id: RowId) {
-        if id.page < self.npages.load(Ordering::Relaxed) {
-            self.page_mut(id.page).delete(id.slot);
-        }
+    /// Returns whether the slot held a row; panics where
+    /// [`HeapFile::page`] would.
+    fn finish_reclaim(&self, id: RowId) -> bool {
+        let deleted = id.page < self.npages.load(Ordering::Relaxed)
+            && self.write(id.page).unwrap_or_else(|e| panic!("heap: {e}")).delete(id.slot);
         self.meta.write().remove(&id);
         self.reclaims_finished.fetch_add(1, Ordering::SeqCst);
+        deleted
     }
 
     /// The count of finished removals, to capture *before* collecting
@@ -501,25 +526,23 @@ impl HeapFile {
     /// and vacuum). Returns whether it existed. Snapshot-aware deletes
     /// go through [`HeapFile::mark_deleted`] instead.
     pub fn delete(&self, id: RowId) -> bool {
-        if id.page >= self.npages.load(Ordering::Relaxed) {
-            return false;
-        }
-        // Bracketed by the same epoch counters as reclaim: rollback
-        // paths physically remove rows while lock-free readers may be
-        // mid-sweep, and the epoch check is what keeps them honest.
+        // A reclaim that counts the row: rollback paths physically remove
+        // rows while lock-free readers may be mid-sweep, and the epoch
+        // check is what keeps them honest.
         self.begin_removal();
-        let deleted = self.page_mut(id.page).delete(id.slot);
+        let deleted = self.finish_reclaim(id);
         if deleted {
-            self.meta.write().remove(&id);
             self.row_count.fetch_sub(1, Ordering::Relaxed);
         }
-        self.reclaims_finished.fetch_add(1, Ordering::SeqCst);
         deleted
     }
 
-    /// Every physically-present row id, in storage order, collected
-    /// one page at a time with no other lock held.
-    fn present_ids(&self) -> Vec<RowId> {
+    /// Every physically-present row id, in storage order, collected one
+    /// page at a time with no other lock held: logically-deleted rows
+    /// awaiting reclaim included. Index builds use this so rows still
+    /// visible to an older pinned snapshot remain probe-able through the
+    /// new index.
+    pub fn row_ids_any(&self) -> Vec<RowId> {
         let npages = self.npages.load(Ordering::Relaxed);
         let mut out = Vec::with_capacity(self.len());
         for p in 0..npages {
@@ -528,9 +551,17 @@ impl HeapFile {
         out
     }
 
-    /// All currently-live row ids (latest committed state), in storage
-    /// order. Excludes logically-deleted rows awaiting reclaim.
+    /// All currently-live row ids (latest state, a writer's own rows
+    /// included), in storage order. Excludes logically-deleted rows
+    /// awaiting reclaim: every death is at a generation below `LIVE - 1`.
     pub fn row_ids(&self) -> Vec<RowId> {
+        self.row_ids_visible(LIVE - 1)
+    }
+
+    /// Row ids visible to a snapshot pinned at generation `gen`, in
+    /// storage order: `born <= gen && died > gen`, plus every
+    /// metadata-free row.
+    pub fn row_ids_visible(&self, gen: u64) -> Vec<RowId> {
         // Collect physical ids first, then filter under one meta read:
         // the meta lock is never held while touching a page. Any row
         // *written* mid-sweep whose bytes we observed has its entry
@@ -541,31 +572,7 @@ impl HeapFile {
         // check reports an overlapping reclaim (rare: vacuum only).
         loop {
             let epoch = self.reclaim_epoch();
-            let present = self.present_ids();
-            let meta = self.meta.read();
-            let out = if meta.is_empty() {
-                present // settled heap: every present row is live
-            } else {
-                present
-                    .into_iter()
-                    .filter(|id| !matches!(meta.get(id), Some((_, died)) if *died != LIVE))
-                    .collect()
-            };
-            drop(meta);
-            if !self.reclaim_overlapped(epoch) {
-                return out;
-            }
-        }
-    }
-
-    /// Row ids visible to a snapshot pinned at generation `gen`, in
-    /// storage order: `born <= gen && died > gen`, plus every
-    /// metadata-free row. Retries on an overlapping reclaim, exactly
-    /// like [`HeapFile::row_ids`].
-    pub fn row_ids_visible(&self, gen: u64) -> Vec<RowId> {
-        loop {
-            let epoch = self.reclaim_epoch();
-            let present = self.present_ids();
+            let present = self.row_ids_any();
             let meta = self.meta.read();
             let out = if meta.is_empty() {
                 present // settled heap: visible at every generation
@@ -582,13 +589,6 @@ impl HeapFile {
                 return out;
             }
         }
-    }
-
-    /// Every physically-present row id, including logically-deleted rows
-    /// awaiting reclaim. Index builds use this so rows still visible to
-    /// an older pinned snapshot remain probe-able through the new index.
-    pub fn row_ids_any(&self) -> Vec<RowId> {
-        self.present_ids()
     }
 
     /// Raw tuple scan: calls `visit` with the stored bytes — exactly
@@ -1088,6 +1088,52 @@ mod tests {
         h.retain_visible(&mut ids, 5, epoch);
         assert_eq!(ids, vec![], "a reclaimed row passed for settled-visible");
         assert!(h.reclaim_overlapped(epoch));
+    }
+
+    #[test]
+    fn a_batch_append_equals_one_append_per_tuple() {
+        let (batch, single) = (heap(), heap());
+        // One row ahead, so the batch starts on a page holding one.
+        for h in [&batch, &single] {
+            h.insert(vec![Value::Int(-1), Value::Text("w".repeat(2000))]).unwrap();
+        }
+        // Rows of 1.5-2.6 KiB, and one larger than a page in the middle.
+        let mut staged = vec![0xEE; 3]; // tuples need not start at 0
+        let tuples: Vec<Range<usize>> = (0..12)
+            .map(|i| {
+                let len = if i == 7 { 3 * crate::page::PAGE_SIZE } else { 1500 + 100 * i };
+                let start = staged.len();
+                let row = [Value::Int(i as i64), Value::Text("v".repeat(len))];
+                Value::encode_row_into(&row, &mut staged);
+                start..staged.len()
+            })
+            .collect();
+        let ids = batch.insert_tuples(&staged, &tuples, 5).unwrap();
+        let one: Vec<RowId> =
+            tuples.iter().map(|r| single.insert_tuple(&staged[r.clone()], 5).unwrap()).collect();
+        assert_eq!(ids, one);
+        assert_eq!(batch.page_count(), single.page_count());
+        let pages: std::collections::BTreeSet<u32> = ids.iter().map(|id| id.page).collect();
+        assert!(pages.len() >= 3, "the run crosses two page boundaries: {pages:?}");
+        assert_eq!((batch.len(), batch.meta_len()), (13, 12), "one entry per row born at 5");
+        assert_eq!(batch.row_ids_visible(4).len(), 1, "unseen before their generation");
+        assert_eq!(batch.row_ids_visible(5), single.row_ids_visible(5));
+        let mut stored = Vec::new();
+        batch
+            .scan_tuples(&ids, |_, bytes| {
+                stored.push(bytes.to_vec());
+                Ok::<(), StorageError>(())
+            })
+            .unwrap();
+        let want: Vec<Vec<u8>> = tuples.iter().map(|r| staged[r.clone()].to_vec()).collect();
+        assert!(stored == want, "the slots hold the staged bytes");
+
+        batch.settle(5);
+        assert_eq!(batch.meta_len(), 0, "settled");
+        batch.insert_tuples(&staged, &tuples[..2], 0).unwrap();
+        assert_eq!((batch.len(), batch.meta_len()), (15, 0), "born 0: no entries");
+        assert_eq!(batch.insert_tuples(&staged, &[], 9).unwrap(), vec![]);
+        assert_eq!(batch.len(), 15);
     }
 
     #[test]

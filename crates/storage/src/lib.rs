@@ -40,7 +40,7 @@ pub use heap::{HeapFile, HeapStats, RowId};
 pub use page::PAGE_SIZE;
 pub use pool::{BufferPool, PageStore, PinnedPage, PoolStats};
 pub use schema::{ColumnDef, DataType, Schema};
-pub use value::{Field, Row, Value};
+pub use value::{Field, Lend, Row, Value, ValueRef};
 
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -122,12 +122,16 @@ impl Page {
         Ok(())
     }
 
-    /// Serializes the page for the buffer pool's backing store:
+    /// Serializes the page for the buffer pool's backing store, after
+    /// `headroom` zero bytes for the caller to fill (a page store puts its
+    /// own prefix there and writes prefix and image with one call):
     /// `slot count u32 | (offset u32, len u32)* | data len u32 | data`,
     /// all little-endian.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub fn to_bytes_after(&self, headroom: usize) -> Vec<u8> {
         let tuples = self.tuples();
-        let mut out = Vec::with_capacity(8 + self.slots.len() * SLOT_BYTES + tuples.len());
+        let size = headroom + 8 + self.slots.len() * SLOT_BYTES + tuples.len();
+        let mut out = Vec::with_capacity(size);
+        out.resize(headroom, 0);
         out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
         for &(off, len) in &self.slots {
             out.extend_from_slice(&off.to_le_bytes());
@@ -138,8 +142,9 @@ impl Page {
         out
     }
 
-    /// Deserializes a page written by [`Page::to_bytes`], keeping the
-    /// image as the page's buffer rather than copying the tuples out.
+    /// Deserializes a page image written by [`Page::to_bytes_after`] (past
+    /// its headroom), keeping the image as the page's buffer rather than
+    /// copying the tuples out.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the bytes are truncated or a slot
@@ -211,13 +216,13 @@ mod tests {
         let s1 = p.insert(b"beta");
         p.insert(b"gamma");
         p.delete(s1);
-        let img = p.to_bytes();
+        let img = p.to_bytes_after(0);
         let q = Page::from_bytes(img.clone()).unwrap();
         assert_eq!(q.slot_count(), 3);
         assert_eq!(q.get(0).unwrap(), b"alpha");
         assert!(q.get(1).is_err(), "tombstone survives the roundtrip");
         assert_eq!(q.get(2).unwrap(), b"gamma");
-        assert_eq!(q.to_bytes(), img, "re-serialization is byte-identical");
+        assert_eq!(q.to_bytes_after(0), img, "re-serialization is byte-identical");
     }
 
     #[test]

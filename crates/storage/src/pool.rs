@@ -74,8 +74,10 @@ pub trait PageStore: Send + Sync + fmt::Debug {
     /// Reads the serialized image of `page`; `None` if none was ever
     /// written. An image that was written and cannot be read is an error.
     fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>>;
-    /// Writes (or overwrites) the serialized image of `page`.
-    fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()>;
+    /// Writes (or overwrites) the serialized image of `page`: `framed`
+    /// past its first 4 bytes, which a store may fill with a prefix of
+    /// its own so that prefix and image go out in one write.
+    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()>;
     /// Re-opens any OS handles — the cold-run switch, so a cold rep
     /// pays the open() as a real disk-backed restart would.
     fn reopen(&self);
@@ -92,8 +94,8 @@ impl PageStore for MemStore {
         Ok(self.pages.lock().get(&page).cloned())
     }
 
-    fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()> {
-        self.pages.lock().insert(page, bytes.to_vec());
+    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
+        self.pages.lock().insert(page, framed[4..].to_vec());
         Ok(())
     }
 
@@ -158,8 +160,8 @@ impl PageStore for FileStore {
         })
     }
 
-    fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()> {
-        let len = bytes.len() as u32;
+    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
+        let len = (framed.len() - 4) as u32;
         let mut dir = self.dir.lock();
         let (off, cap) = match dir.get(&page) {
             Some(&(off, cap, _)) if cap >= len + 4 => (off, cap),
@@ -167,15 +169,13 @@ impl PageStore for FileStore {
         };
         dir.insert(page, (off, cap, len));
         drop(dir);
-        self.with_file(|file| {
-            file.write_all_at(&len.to_le_bytes(), off)?;
-            file.write_all_at(bytes, off + 4)
-        })
+        // The length goes into the headroom: one `pwrite` a page.
+        framed[..4].copy_from_slice(&len.to_le_bytes());
+        self.with_file(|file| file.write_all_at(framed, off))
     }
 
     fn reopen(&self) {
-        // Drop the handle; the next access re-opens the file, so a cold
-        // rep pays the open() syscall like a real restart.
+        // The next access re-opens the file: a cold rep pays the open().
         *self.file.write() = None;
     }
 }
@@ -678,7 +678,7 @@ impl BufferPool {
     /// Writes `frame` to its file's store; it stays dirty if that fails.
     fn write_back(&self, file: &PageFile, page: u32, frame: &mut Frame) -> io::Result<()> {
         let store = file.store.get_or_init(|| self.new_store(file));
-        store.write_page(page, &frame.page.to_bytes())?;
+        store.write_page(page, &mut frame.page.to_bytes_after(4))?;
         frame.dirty = false;
         self.dirty_writebacks.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1060,9 +1060,9 @@ mod tests {
             self.pages.read_page(page)
         }
 
-        fn write_page(&self, page: u32, bytes: &[u8]) -> io::Result<()> {
+        fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
             injected(&self.fail_writes)?;
-            self.pages.write_page(page, bytes)
+            self.pages.write_page(page, framed)
         }
 
         fn reopen(&self) {}
@@ -1071,7 +1071,34 @@ mod tests {
     fn image(text: &[u8]) -> Vec<u8> {
         let mut page = Page::new();
         page.insert(text);
-        page.to_bytes()
+        page.to_bytes_after(4)
+    }
+
+    #[test]
+    fn a_file_store_extent_is_the_length_then_the_image() {
+        let dir = std::env::temp_dir().join(format!("jackpine-extents-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pages.jkpg");
+        let store = FileStore::create(path.clone()).unwrap();
+        // What the file held when the length and the image were two writes.
+        let extent = |framed: &[u8]| {
+            let len = (framed.len() - 4) as u32;
+            [&len.to_le_bytes()[..], &framed[4..]].concat()
+        };
+        let (a, b, c) = (image(b"first image"), image(b"second"), image(b"3"));
+        store.write_page(3, &mut a.clone()).unwrap();
+        store.write_page(5, &mut b.clone()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), [extent(&a), extent(&b)].concat());
+        // A smaller image overwrites its extent in place.
+        store.write_page(3, &mut c.clone()).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(raw.len(), extent(&a).len() + extent(&b).len());
+        assert_eq!(raw[..extent(&c).len()], extent(&c)[..]);
+        assert_eq!(store.read_page(3).unwrap().as_deref(), Some(&c[4..]));
+        assert_eq!(store.read_page(5).unwrap().as_deref(), Some(&b[4..]));
+        drop(store);
+        assert!(!path.exists(), "scratch file removed with its store");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1079,8 +1106,8 @@ mod tests {
         const A: u32 = 7;
         const B: u32 = 8;
         let store = GatedStore::new(A);
-        store.pages.write_page(A, &image(b"a")).unwrap();
-        store.pages.write_page(B, &image(b"b")).unwrap();
+        store.pages.write_page(A, &mut image(b"a")).unwrap();
+        store.pages.write_page(B, &mut image(b"b")).unwrap();
         let pool = BufferPool::new();
         let file = pool.open("gated", Some(Box::new(store.clone())));
         assert_eq!(first_tuple(&pool, file.id, B), b"b");

@@ -1,6 +1,6 @@
 //! Table schemas and type checking.
 
-use crate::{Result, StorageError, Value};
+use crate::{Lend, Result, StorageError, ValueRef};
 
 /// SQL column types supported by the engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,8 +84,9 @@ impl Schema {
     }
 
     /// Validates a row against the schema (arity and value types; NULL is
-    /// accepted for any column).
-    pub fn check_row(&self, row: &[Value]) -> Result<()> {
+    /// accepted for any column), whichever form its values are lent in:
+    /// the one check, of [`Value`](crate::Value) rows and lent ones alike.
+    pub fn check_row<V: Lend>(&self, row: &[V]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(StorageError::SchemaMismatch(format!(
                 "expected {} values, got {}",
@@ -94,13 +95,14 @@ impl Schema {
             )));
         }
         for (v, col) in row.iter().zip(&self.columns) {
+            let v = v.lend();
             let ok = match (v, col.ty) {
-                (Value::Null, _) => true,
-                (Value::Int(_), DataType::Int) => true,
-                (Value::Float(_), DataType::Float) => true,
-                (Value::Int(_), DataType::Float) => true, // widening accepted
-                (Value::Text(_), DataType::Text) => true,
-                (Value::Geom(_), DataType::Geometry) => true,
+                (ValueRef::Null, _) => true,
+                (ValueRef::Int(_), DataType::Int) => true,
+                (ValueRef::Float(_), DataType::Float) => true,
+                (ValueRef::Int(_), DataType::Float) => true, // widening accepted
+                (ValueRef::Text(_), DataType::Text) => true,
+                (ValueRef::Geom(_), DataType::Geometry) => true,
                 _ => false,
             };
             if !ok {
@@ -118,6 +120,8 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
+    use jackpine_geom::{wkt, Geometry, GeometryRef};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -162,5 +166,65 @@ mod tests {
     fn int_widens_to_float() {
         let s = Schema::new(vec![ColumnDef::new("v", DataType::Float)]).unwrap();
         assert!(s.check_row(&[Value::Int(3)]).is_ok());
+    }
+
+    /// The check as it was before rows were lent: over `Value`s only.
+    fn value_verdict(s: &Schema, row: &[Value]) -> bool {
+        row.len() == s.arity()
+            && row.iter().zip(s.columns()).all(|(v, c)| {
+                matches!(
+                    (v, c.ty),
+                    (Value::Null, _)
+                        | (Value::Int(_), DataType::Int | DataType::Float)
+                        | (Value::Float(_), DataType::Float)
+                        | (Value::Text(_), DataType::Text)
+                        | (Value::Geom(_), DataType::Geometry)
+                )
+            })
+    }
+
+    #[test]
+    fn a_lent_row_gets_the_verdict_and_the_message_of_its_values() {
+        let s = Schema::new(vec![
+            ColumnDef::new("i", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+            ColumnDef::new("t", DataType::Text),
+            ColumnDef::new("g", DataType::Geometry),
+        ])
+        .unwrap();
+        let g = wkt::parse("POLYGON ((0 0, 4 0, 4 4, 0 0))").unwrap();
+        let fits = vec![Value::Int(1), Value::Float(0.5), Value::Text("x".into()), Value::Geom(g)];
+        let kinds = [Value::Null, Value::Int(7), Value::Float(2.5), Value::Text("y".into())];
+        // Wrong arity, short and long; then every kind in every column of
+        // a row that fits: each type mismatch, NULL in each column, and an
+        // integer into the DOUBLE column.
+        let mut cases = vec![vec![], fits[..3].to_vec(), [&fits[..], &[Value::Null]].concat()];
+        for col in 0..fits.len() {
+            for v in kinds.iter().chain([&fits[3]]) {
+                let mut row = fits.clone();
+                row[col] = v.clone();
+                cases.push(row);
+            }
+        }
+        let mut accepted = 0;
+        for row in &cases {
+            let lent: Vec<ValueRef<'_>> = row.iter().map(Lend::lend).collect();
+            let verdict = s.check_row(row);
+            assert_eq!(verdict.is_ok(), value_verdict(&s, row), "{row:?}");
+            assert_eq!(s.check_row(&lent), verdict, "{row:?}");
+            accepted += usize::from(verdict.is_ok());
+        }
+        // The fitting row once per column, NULL in each, and 7 as a DOUBLE.
+        assert_eq!(accepted, 4 + 4 + 1);
+        // A borrowed polygon reads in a message as the geometry it is.
+        let Value::Geom(Geometry::Polygon(p)) = &fits[3] else { unreachable!() };
+        let borrowed = [Value::Int(1), Value::Float(0.5), Value::Text("x".into())];
+        let mut lent: Vec<ValueRef<'_>> = borrowed.iter().map(Lend::lend).collect();
+        lent.insert(0, ValueRef::Geom(GeometryRef::Polygon(p)));
+        let mut owned = borrowed.to_vec();
+        owned.insert(0, fits[3].clone());
+        assert_eq!(s.check_row(&lent[..3]), s.check_row(&owned[..3]));
+        assert_eq!(s.check_row(&lent), s.check_row(&owned));
+        assert!(s.check_row(&owned).unwrap_err().to_string().contains("Polygon"));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::{Result, StorageError};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
-use jackpine_geom::{wkb, Envelope, Geometry};
+use jackpine_geom::{wkb, Envelope, Geometry, GeometryRef};
 use std::fmt;
 
 /// A single SQL value.
@@ -26,6 +26,83 @@ const _: () = assert!(size_of::<Value>() == 32);
 
 /// A tuple of values, ordered per the table schema.
 pub type Row = Vec<Value>;
+
+/// A value lent to the engine, borrowed where it lies: what a [`Value`]
+/// holds, with nothing built to hold it. [`Schema::check_row`] checks
+/// rows of these and [`ValueRef::encode`] stores them; a producer that
+/// lends a row as `[ValueRef; N]` inserts it without cloning a field.
+///
+/// [`Schema::check_row`]: crate::Schema::check_row
+#[derive(Clone, Copy, Debug)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Text(&'a str),
+    /// Spatial value.
+    Geom(GeometryRef<'a>),
+}
+
+/// A column value the engine can borrow to check and encode: a
+/// [`Value`], or a [`ValueRef`] as a producer lends it.
+pub trait Lend {
+    /// The value, borrowed.
+    fn lend(&self) -> ValueRef<'_>;
+}
+
+impl Lend for Value {
+    fn lend(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Geom(g) => ValueRef::Geom(g.into()),
+        }
+    }
+}
+
+impl Lend for ValueRef<'_> {
+    fn lend(&self) -> ValueRef<'_> {
+        *self
+    }
+}
+
+impl ValueRef<'_> {
+    /// Serializes the value into `buf` (tag byte + payload): the one
+    /// value encoder, of stored rows and of log records alike.
+    pub fn encode(self, buf: &mut Vec<u8>) {
+        match self {
+            ValueRef::Null => buf.put_u8(0),
+            ValueRef::Int(i) => {
+                buf.put_u8(1);
+                buf.put_i64_le(i);
+            }
+            ValueRef::Float(f) => {
+                buf.put_u8(2);
+                buf.put_f64_le(f);
+            }
+            ValueRef::Text(s) => {
+                buf.put_u8(3);
+                buf.put_u32_le(s.len() as u32);
+                buf.put_slice(s.as_bytes());
+            }
+            ValueRef::Geom(g) => {
+                // Straight into `buf`: its length is patched in after.
+                buf.put_u8(4);
+                let at = buf.len();
+                buf.put_u32_le(0);
+                wkb::encode_into(g, buf);
+                let len = (buf.len() - at - 4) as u32;
+                buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            }
+        }
+    }
+}
 
 impl Value {
     /// `true` for SQL NULL.
@@ -76,37 +153,13 @@ impl Value {
         self.as_geom().map(|g| quad(&g.envelope()))
     }
 
-    /// Serializes the value into `buf` (tag byte + payload).
+    /// Serializes the value into `buf`: [`ValueRef::encode`] of it.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Value::Null => buf.put_u8(0),
-            Value::Int(i) => {
-                buf.put_u8(1);
-                buf.put_i64_le(*i);
-            }
-            Value::Float(f) => {
-                buf.put_u8(2);
-                buf.put_f64_le(*f);
-            }
-            Value::Text(s) => {
-                buf.put_u8(3);
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
-            }
-            Value::Geom(g) => {
-                // Straight into `buf`: its length is patched in after.
-                buf.put_u8(4);
-                let at = buf.len();
-                buf.put_u32_le(0);
-                wkb::encode_into(g, buf);
-                let len = (buf.len() - at - 4) as u32;
-                buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-            }
-        }
+        self.lend().encode(buf);
     }
 
-    /// About how many bytes [`Value::encode`] writes: exact but for a
-    /// geometry, which counts [`wkb::estimate_size`].
+    /// About how many bytes [`Value::encode`] writes of this value:
+    /// exact but for a geometry, which counts [`wkb::estimate_size`].
     fn encoded_size(&self) -> usize {
         match self {
             Value::Null => 1,
@@ -157,11 +210,18 @@ impl Value {
     /// Serializes a whole row.
     pub fn encode_row(row: &[Value]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(2 + row.iter().map(Value::encoded_size).sum::<usize>());
+        Value::encode_row_into(row, &mut buf);
+        buf
+    }
+
+    /// [`Value::encode_row`] of `row`, whichever form its values are lent
+    /// in, appended to `buf`: a write transaction encodes each row
+    /// straight into the buffer it stages, with nothing built in between.
+    pub fn encode_row_into<V: Lend>(row: &[V], buf: &mut Vec<u8>) {
         buf.put_u16_le(row.len() as u16);
         for v in row {
-            v.encode(&mut buf);
+            v.lend().encode(buf);
         }
-        buf
     }
 
     /// Decodes a whole row.
@@ -261,7 +321,7 @@ impl<'a> Field<'a> {
     }
 }
 
-/// The encoded value at the front of `data` ([`Value::encode`]) as its
+/// The encoded value at the front of `data` ([`ValueRef::encode`]) as its
 /// tag, its payload (a string's or geometry's without the length) and
 /// the bytes after it — plain slice splits, checked, nothing read.
 fn split_value(data: &[u8]) -> Result<(u8, &[u8], &[u8])> {

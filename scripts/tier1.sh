@@ -34,6 +34,13 @@ for f in crates/*/src/**/*.rs; do
 done
 [ "$over" -eq 0 ] || exit 1
 
+echo "== the loader lends its records' fields: no .clone() in dataset.rs outside its tests"
+if awk '/#\[cfg\(test\)\]/{exit} /\.clone\(\)/{print FILENAME ":" FNR ": " $0; found=1} END{exit !found}' \
+  crates/core/src/dataset.rs; then
+  echo "crates/core/src/dataset.rs clones in its non-test code"
+  exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
