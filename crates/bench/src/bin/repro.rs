@@ -34,7 +34,8 @@
 //! `--pool-mb N` bounds every engine's buffer pool at N MiB (rows page
 //! out through pinned frames, R-tree leaves demand-load; 0 = unbounded,
 //! the default). `f2`'s cold repetitions then fault every page back in
-//! from the backing store.
+//! from the backing store, and `t3` adds the time that bounding a
+//! freshly loaded engine's pool takes (its R-tree leaves spill).
 //!
 //! An unknown flag or experiment prints the usage line and exits 2.
 
@@ -140,7 +141,9 @@ fn main() {
     println!("Jackpine reproduction harness");
     println!("scale = {}, reps = {}, sessions = {}\n", opts.scale, opts.reps, opts.sessions);
 
+    let started = std::time::Instant::now();
     let data = dataset(opts.scale);
+    let generate_ms = started.elapsed().as_secs_f64() * 1e3;
     eprintln!("dataset generated: {} rows; loading engines...", data.total_rows());
     let engines = all_engines(&data);
     for e in &engines {
@@ -178,7 +181,7 @@ fn main() {
         tables.push(t2_features(&engines));
     }
     if want("t3") {
-        tables.push(t3_load_times(&data));
+        tables.push(t3_load_times(&data, generate_ms, opts.pool_mb));
     }
     if want("f1") {
         tables.push(micro_table(
@@ -291,21 +294,32 @@ fn t1_inventory(data: &TigerDataset, scale: f64) -> Table {
 // T3: data load and index build times
 // ---------------------------------------------------------------------------
 
-fn t3_load_times(data: &TigerDataset) -> Table {
+/// The set-up split per engine: generating the dataset (once, shared),
+/// loading it, indexing it and, with `--pool-mb`, bounding the loaded
+/// engine's pool, which spills its R-tree leaves.
+fn t3_load_times(data: &TigerDataset, generate_ms: f64, pool_mb: Option<usize>) -> Table {
     use jackpine_core::load_dataset;
-    let mut t = Table::new(
-        "T3  Data load and index build times",
-        &["engine", "rows", "load ms", "index ms"],
-    );
+    let mut headers = vec!["engine", "rows", "generate ms", "load ms", "index ms"];
+    if pool_mb.is_some() {
+        headers.push("attach ms");
+    }
+    let mut t = Table::new("T3  Data load and index build times", &headers);
     for profile in EngineProfile::ALL {
         let db = Arc::new(SpatialDb::new(profile));
         let summary = load_dataset(&db, data).expect("load succeeds");
-        t.push_row(vec![
+        let mut row = vec![
             profile.name().to_string(),
             summary.total_rows().to_string(),
+            fmt_ms(generate_ms),
             fmt_ms(summary.load_time.as_secs_f64() * 1e3),
             fmt_ms(summary.index_time.as_secs_f64() * 1e3),
-        ]);
+        ];
+        if let Some(mb) = pool_mb {
+            let started = std::time::Instant::now();
+            db.set_pool_bytes(mb * 1024 * 1024);
+            row.push(fmt_ms(started.elapsed().as_secs_f64() * 1e3));
+        }
+        t.push_row(row);
         eprint!(".");
     }
     eprintln!();

@@ -233,7 +233,7 @@ fn gen_roads(seed: u64, vlines: &[Vec<Coord>], hlines: &[Vec<Coord>], scale: f64
     let mut rng = rng_for(seed, 2);
     let grid = vlines.len() - 1;
     let per_county = ((20_000.0 * scale) / (grid * grid) as f64).ceil() as usize;
-    let mut roads = Vec::new();
+    let mut roads = Vec::with_capacity(per_county * grid * grid);
     let mut id = 1i64;
     for j in 0..grid {
         for i in 0..grid {
@@ -278,11 +278,8 @@ fn gen_roads(seed: u64, vlines: &[Vec<Coord>], hlines: &[Vec<Coord>], scale: f64
                 let dir = names::DIRECTIONS[rng.gen_range(0..names::DIRECTIONS.len())];
                 let base = names::STREET_NAMES[rng.gen_range(0..names::STREET_NAMES.len())];
                 let ty = names::STREET_TYPES[rng.gen_range(0..names::STREET_TYPES.len())];
-                let name = if dir.is_empty() {
-                    format!("{base} {ty}")
-                } else {
-                    format!("{dir} {base} {ty}")
-                };
+                let name =
+                    if dir.is_empty() { [base, ty].join(" ") } else { [dir, base, ty].join(" ") };
                 let block = rng.gen_range(1..90i64);
                 roads.push(Road {
                     id,
@@ -348,7 +345,7 @@ fn gen_arealm(seed: u64, scale: f64) -> Vec<AreaLandmark> {
         let stem = names::STREET_NAMES[rng.gen_range(0..names::STREET_NAMES.len())];
         out.push(AreaLandmark {
             id,
-            name: format!("{stem} {kind}"),
+            name: [stem, kind].join(" "),
             category: code.to_string(),
             geom: blob(&mut rng, center, radius, verts),
         });
@@ -367,7 +364,7 @@ fn gen_pointlm(seed: u64, scale: f64) -> Vec<PointLandmark> {
         let stem = names::STREET_NAMES[rng.gen_range(0..names::STREET_NAMES.len())];
         out.push(PointLandmark {
             id,
-            name: format!("{stem} {kind}"),
+            name: [stem, kind].join(" "),
             category: code.to_string(),
             geom: Point::from_coord(c).expect("extent coordinates are finite"),
         });
@@ -383,7 +380,7 @@ fn gen_areawater(seed: u64, scale: f64) -> Vec<AreaWater> {
 
     let river_count = ((4.0 * scale.sqrt()).ceil() as usize).clamp(2, 8);
     for r in 0..river_count {
-        let name = format!("{} RIVER", names::RIVER_NAMES[r % names::RIVER_NAMES.len()]);
+        let name = [names::RIVER_NAMES[r % names::RIVER_NAMES.len()], "RIVER"].join(" ");
         let width = rng.gen_range(0.01..0.04);
         // Random-walk centreline west→east.
         let mut y = rng.gen_range(EXTENT.min_y + 1.0..EXTENT.max_y - 1.0);
@@ -580,5 +577,26 @@ mod tests {
         for p in d.pointlm.iter().take(50) {
             assert!(!p.name.is_empty());
         }
+    }
+
+    /// Every record of a scale-0.2 dataset, each field by its `Debug`
+    /// form (exact for `f64`), folded into one FNV-1a: generation is
+    /// pinned to the byte, names included.
+    #[test]
+    fn every_record_is_the_one_pinned() {
+        let d = TigerDataset::generate(&TigerConfig { seed: 7, scale: 0.2 });
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |record: &dyn std::fmt::Debug| {
+            for b in format!("{record:?}").bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        d.counties.iter().for_each(|r| fold(r));
+        d.roads.iter().for_each(|r| fold(r));
+        d.arealm.iter().for_each(|r| fold(r));
+        d.pointlm.iter().for_each(|r| fold(r));
+        d.areawater.iter().for_each(|r| fold(r));
+        println!("dataset: {} records, FNV-1a {hash:016x}", d.total_rows());
+        assert_eq!((d.total_rows(), hash), (5278, 0xda8b_aa1b_63c4_25a7));
     }
 }

@@ -34,28 +34,53 @@ enum SpatialIdx {
     Grid(GridIndex<RowId>),
 }
 
-/// [`LeafPager`] backed by the engine's shared buffer pool: each R-tree
-/// leaf serializes into slot 0 of its own pool page, so spilled leaves
-/// compete for frames with heap pages under one capacity budget (and
-/// show up in the same pin/eviction counters).
+/// [`LeafPager`] backed by the engine's shared buffer pool. Leaves are
+/// packed into the pages of the index's own pool file in the order they
+/// are written: each goes into the last page while it fits and starts a
+/// new one when it does not. A tree spills in node-id order, which for a
+/// bulk-loaded tree is STR order, so a page holds a run of neighbouring
+/// leaves (about 13 at the default fan-out). Spilled leaves compete for
+/// frames with heap pages under one capacity budget, and show up in the
+/// same pin/eviction counters.
 #[derive(Debug)]
 struct PoolLeafPager {
     pool: Arc<BufferPool>,
     file: u64,
+    /// Where each leaf went, and how many pages are started.
+    dir: RwLock<LeafDirectory>,
+}
+
+#[derive(Debug, Default)]
+struct LeafDirectory {
+    /// `(page, slot)` by leaf id; `None` for an id never written.
+    at: Vec<Option<(u32, u16)>>,
+    /// Pages started; the last of them is being filled.
+    pages: u32,
 }
 
 impl LeafPager for PoolLeafPager {
     fn write(&self, leaf: u64, bytes: &[u8]) {
-        let pin = self.pool.pin(self.file, leaf as u32);
-        let mut guard = pin.write();
-        guard.clear();
-        guard.insert(bytes);
+        let mut dir = self.dir.write();
+        let mut page = dir.pages.saturating_sub(1);
+        let mut pin = self.pool.pin(self.file, page);
+        if !pin.read().fits(bytes.len()) {
+            page += 1;
+            pin = self.pool.pin(self.file, page);
+        }
+        let slot = pin.write().insert(bytes);
+        dir.pages = page + 1;
+        let leaf = leaf as usize;
+        if dir.at.len() <= leaf {
+            dir.at.resize(leaf + 1, None);
+        }
+        dir.at[leaf] = Some((page, slot));
     }
 
     fn read(&self, leaf: u64) -> Option<Vec<u8>> {
-        let pin = self.pool.pin(self.file, leaf as u32);
+        let (page, slot) = (*self.dir.read().at.get(leaf as usize)?)?;
+        let pin = self.pool.pin(self.file, page);
         let guard = pin.read();
-        guard.get(0).ok().map(|b| b.to_vec())
+        guard.get(slot).ok().map(<[u8]>::to_vec)
     }
 }
 
@@ -65,14 +90,18 @@ impl Drop for PoolLeafPager {
     }
 }
 
-/// Pages `tree`'s leaves out through `pool`, attaching its pager — the
-/// pool page file of `table`'s column `col` — on first use. Inner nodes
-/// stay resident; leaf probes pin pool pages and show up in the pool's
-/// hit/miss counters.
+/// Pages `tree`'s leaves out through `pool`. Inner nodes stay resident;
+/// leaf probes pin pool pages and show up in the pool's hit/miss
+/// counters. A tree with no leaf spilled — never spilled, or faulted
+/// back in by a write since — is written into a new, empty pool file of
+/// `table`'s column `col`, and the file of its previous spill goes with
+/// the pager it replaces. A tree whose leaves are spilled already keeps
+/// them where they are.
 fn spill_through_pool(tree: &mut RTree<RowId>, pool: &Arc<BufferPool>, table: &str, col: usize) {
-    if !tree.has_pager() {
+    if tree.spilled_leaves() == 0 {
         let file = pool.register(&format!("idx-{}-{col}", table.to_ascii_lowercase()));
-        tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file }));
+        let dir = RwLock::new(LeafDirectory::default());
+        tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file, dir }));
     }
     tree.spill_leaves();
 }
@@ -736,5 +765,125 @@ mod tests {
         assert_eq!(db.ddl_gen.load(Ordering::SeqCst), stamp);
         assert_eq!(answers(&db, "t"), before);
         drop(t);
+    }
+}
+
+#[cfg(test)]
+mod out_of_core_tests {
+    use super::*;
+    use crate::EngineProfile;
+    use jackpine_geom::wkt;
+    use jackpine_sqlmini::ResultSet;
+    use jackpine_storage::PAGE_SIZE;
+    use std::path::{Path, PathBuf};
+
+    /// Points `from..from + n` on a 50-wide lattice; the ones from 3,000
+    /// on sit between the first 3,000, so inserting them splits leaves.
+    fn points(from: usize, n: usize) -> Vec<Row> {
+        (from..from + n)
+            .map(|i| {
+                let off = if i >= 3000 { 0.5 } else { 0.0 };
+                let (x, y) = ((i % 50) as f64 + off, ((i / 50) % 60) as f64 + off);
+                let g = wkt::parse(&format!("POINT ({x} {y})")).unwrap();
+                vec![Value::Int(i as i64), Value::Geom(g)]
+            })
+            .collect()
+    }
+
+    /// 3,000 indexed points; pages spill into `spill` when it is given.
+    fn engine(spill: Option<&Path>) -> Arc<SpatialDb> {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE t (id BIGINT, geom GEOMETRY)").unwrap();
+        db.table("t").unwrap().heap.pool().set_spill_dir(spill.map(Path::to_path_buf));
+        db.insert_rows("t", points(0, 3000)).unwrap();
+        db.create_spatial_index("t", "geom").unwrap();
+        db
+    }
+
+    fn spill_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("jackpine-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The names of the index leaf files in `dir`.
+    fn leaf_files(dir: &Path) -> Vec<String> {
+        let names = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name());
+        names.map(|n| n.to_string_lossy().into_owned()).filter(|n| n.starts_with("idx-")).collect()
+    }
+
+    fn spilled(db: &SpatialDb) -> usize {
+        match &db.indexes.read()["t"].spatial[&1] {
+            SpatialIdx::Rtree(tree) => tree.spilled_leaves(),
+            SpatialIdx::Grid(_) => unreachable!("an R-tree profile"),
+        }
+    }
+
+    /// Windows, nearest neighbours and a count.
+    fn answers(db: &Arc<SpatialDb>) -> Vec<ResultSet> {
+        [
+            "SELECT COUNT(*) FROM t",
+            "SELECT id FROM t WHERE ST_Intersects(geom, ST_MakeEnvelope(10, 10, 23, 31)) \
+             ORDER BY id",
+            "SELECT COUNT(*) FROM t WHERE ST_Intersects(geom, ST_MakeEnvelope(-1, -1, 99, 99))",
+            "SELECT id FROM t ORDER BY ST_Distance(geom, ST_GeomFromText('POINT (33.3 17.1)')) \
+             LIMIT 7",
+            "SELECT id FROM t ORDER BY ST_Distance(geom, ST_GeomFromText('POINT (0.2 58.9)')) \
+             LIMIT 3",
+        ]
+        .iter()
+        .map(|sql| db.execute(sql).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn a_respill_after_writes_rewrites_the_tree_and_answers_as_unbounded() {
+        let spill = spill_dir("respill");
+        let (db, twin) = (engine(Some(&spill)), engine(None));
+        db.set_pool_bytes(4 * PAGE_SIZE);
+        let leaves = spilled(&db);
+        assert!(leaves > 0);
+        let first = leaf_files(&spill);
+        assert_eq!(first.len(), 1, "four frames: the leaves were written back");
+        for d in [&db, &twin] {
+            d.insert_rows("t", points(3000, 600)).unwrap();
+        }
+        assert_eq!(spilled(&db), 0, "the writes faulted every leaf back");
+        db.set_pool_bytes(4 * PAGE_SIZE);
+        assert!(spilled(&db) > leaves, "the writes split leaves");
+        db.clear_caches();
+        let second = leaf_files(&spill);
+        assert_eq!(second.len(), 1, "one leaf file: {second:?}");
+        assert_ne!(first, second, "the previous spill's file is gone");
+        assert!(answers(&db) == answers(&twin), "the respilled tree answers otherwise");
+        drop(db);
+        std::fs::remove_dir_all(&spill).ok();
+    }
+
+    #[test]
+    fn spilling_twice_loses_no_leaf() {
+        let spill = spill_dir("spill-twice");
+        let (db, twin) = (engine(Some(&spill)), engine(None));
+        db.set_pool_bytes(4 * PAGE_SIZE);
+        let leaves = spilled(&db);
+        db.set_pool_bytes(4 * PAGE_SIZE);
+        assert_eq!(spilled(&db), leaves);
+        db.clear_caches();
+        assert!(answers(&db) == answers(&twin), "a leaf went missing");
+        drop(db);
+        std::fs::remove_dir_all(&spill).ok();
+    }
+
+    #[test]
+    fn a_bulk_loaded_tree_packs_eight_leaves_or_more_a_page() {
+        let db = engine(None);
+        let before = db.pool_stats();
+        db.set_pool_bytes(1 << 30);
+        let after = db.pool_stats();
+        assert_eq!(after.evictions, before.evictions, "everything fits");
+        let (leaves, pages) = (spilled(&db), after.resident_frames - before.resident_frames);
+        assert!(leaves >= 3000 / 16, "{leaves} leaves");
+        assert!(pages as usize <= leaves.div_ceil(8), "{leaves} leaves on {pages} pages");
     }
 }

@@ -497,4 +497,21 @@ mod tests {
             assert_eq!(hit.scalar().unwrap().as_i64(), Some(4), "{t}: ordered index entries");
         }
     }
+
+    #[test]
+    fn a_lent_non_ascii_text_is_found_by_sql_through_the_ordered_index() {
+        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+        db.execute("CREATE TABLE t (i BIGINT, s TEXT)").unwrap();
+        db.create_ordered_index("t", "s").unwrap();
+        db.insert_rows("t", [[ValueRef::Int(1), ValueRef::Text("ß·x")]]).unwrap();
+        db.execute("INSERT INTO t VALUES (2, 'ß·x')").unwrap();
+        let before = db.metrics_snapshot();
+        let hit = db.execute("SELECT i FROM t WHERE s = 'ß·x' ORDER BY i").unwrap();
+        let probes = db.metrics_snapshot().delta_since(&before).counter("index_probes");
+        assert_eq!(probes, 1, "the lookup goes through the ordered index");
+        let ids: Vec<_> = hit.rows.iter().map(|r| r[0].as_i64()).collect();
+        assert_eq!(ids, [Some(1), Some(2)], "both rows hold the same text");
+        let text = db.execute("SELECT s FROM t WHERE i = 2").unwrap();
+        assert_eq!(text.scalar(), Some(&Value::Text("ß·x".into())));
+    }
 }

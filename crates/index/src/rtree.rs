@@ -22,8 +22,8 @@ use jackpine_storage::RowId;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Backing store for spilled R-tree leaves — implemented by the engine
-/// on top of its buffer pool, one page per leaf.
+/// Backing store for spilled R-tree leaves, keyed by leaf id. The pager
+/// decides the layout; the engine's packs runs of leaves into pool pages.
 pub trait LeafPager: Send + Sync + std::fmt::Debug {
     /// Stores the serialized image of leaf `leaf`.
     fn write(&self, leaf: u64, bytes: &[u8]);
@@ -279,10 +279,10 @@ impl<T: Clone> RTree<T> {
         self.spilled.len()
     }
 
-    /// Serializes every leaf into the attached pager and drops the
-    /// resident entry vectors; inner nodes stay in memory. A no-op
-    /// without a pager, and for trees of height 0 (the root itself is
-    /// the only leaf — not worth paging).
+    /// Serializes every leaf into the attached pager in node-id order
+    /// (STR order after a bulk load) and drops the resident entry
+    /// vectors; inner nodes stay. A no-op without a pager, and for trees
+    /// of height 0 (the root is the only leaf — not worth paging).
     pub fn spill_leaves(&mut self)
     where
         T: LeafPayload,

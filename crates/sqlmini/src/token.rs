@@ -111,26 +111,21 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 i += 1;
                 let mut s = String::new();
                 loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(SqlError::Lex {
-                                position: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                    // Text runs up to the next quote, which is ASCII and so
+                    // ends it on a character boundary: copied as UTF-8.
+                    let Some(run) = bytes[i..].iter().position(|&b| b == b'\'') else {
+                        return Err(SqlError::Lex {
+                            position: start,
+                            message: "unterminated string literal".into(),
+                        });
+                    };
+                    s.push_str(&input[i..i + run]);
+                    i += run + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    i += 1;
                 }
                 out.push(Token { kind: TokenKind::StringLit(s), position: start });
             }
@@ -173,11 +168,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 });
                 i = j;
             }
-            other => {
+            _ => {
+                let other = input[i..].chars().next().unwrap_or_default();
                 return Err(SqlError::Lex {
                     position: start,
-                    message: format!("unexpected character '{}'", other as char),
-                })
+                    message: format!("unexpected character '{other}'"),
+                });
             }
         }
     }
@@ -225,6 +221,10 @@ mod tests {
         let k = kinds("name = 'O''Hara St'");
         assert!(matches!(&k[2], TokenKind::StringLit(s) if s == "O'Hara St"));
         assert!(tokenize("'unterminated").is_err());
+        // A literal is its UTF-8 text, escapes included.
+        let k = kinds("s = 'ß·x' OR s = 'l''été'");
+        assert!(matches!(&k[2], TokenKind::StringLit(s) if s == "ß·x"));
+        assert!(matches!(&k[6], TokenKind::StringLit(s) if s == "l'été"));
     }
 
     #[test]
@@ -257,5 +257,7 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(tokenize("SELECT #").is_err());
+        let err = tokenize("SELECT ß").unwrap_err().to_string();
+        assert!(err.contains("unexpected character 'ß'"), "{err}");
     }
 }
