@@ -67,11 +67,7 @@ impl CommitPipeline {
     /// batch leader runs it. Call with the session's frames already in
     /// the log file and **no WAL or engine locks held** — followers
     /// block until their leader's fsync completes.
-    pub fn commit(
-        &self,
-        sync: impl Fn() -> Result<()>,
-        metrics: Option<&EngineMetrics>,
-    ) -> Result<()> {
+    pub fn commit(&self, sync: impl Fn() -> Result<()>, metrics: &EngineMetrics) -> Result<()> {
         let start = Instant::now();
         // Time spent parked as a follower (leader fsync in flight),
         // separated out of `commit_wait_us` for the wait-state profiler.
@@ -108,10 +104,8 @@ impl CommitPipeline {
             match flushed {
                 Ok(()) => {
                     state.synced = state.synced.max(flush_upto);
-                    if let Some(m) = metrics {
-                        m.group_commit_batches.incr();
-                        m.group_commit_size.add(flush_upto - already_synced);
-                    }
+                    metrics.group_commit_batches.incr();
+                    metrics.group_commit_size.add(flush_upto - already_synced);
                     self.cv.notify_all();
                     break Ok(());
                 }
@@ -124,13 +118,12 @@ impl CommitPipeline {
             }
         };
         drop(state);
-        if let Some(m) = metrics {
-            if followed {
-                m.commit_follower_wait_us
-                    .record(follower_wait.as_micros().min(u64::MAX as u128) as u64);
-            }
-            m.commit_wait_us.record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        if followed {
+            metrics
+                .commit_follower_wait_us
+                .record(follower_wait.as_micros().min(u64::MAX as u128) as u64);
         }
+        metrics.commit_wait_us.record(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
         result
     }
 }
@@ -151,7 +144,7 @@ mod tests {
                 syncs.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             },
-            Some(&m),
+            &m,
         )
         .unwrap();
         assert_eq!(syncs.load(Ordering::SeqCst), 1);
@@ -180,7 +173,7 @@ mod tests {
                             syncs.fetch_add(1, Ordering::SeqCst);
                             Ok(())
                         },
-                        Some(&m),
+                        &m,
                     )
                     .unwrap();
                 });
@@ -209,7 +202,7 @@ mod tests {
                             release_rx.recv().unwrap();
                             Ok(())
                         },
-                        Some(&m),
+                        &m,
                     )
                     .unwrap();
                 });
@@ -221,7 +214,7 @@ mod tests {
             }
             {
                 let (p, m) = (p.clone(), m.clone());
-                s.spawn(move || p.commit(|| Ok(()), Some(&m)).unwrap());
+                s.spawn(move || p.commit(|| Ok(()), &m).unwrap());
             }
             // The follower holds the state lock from taking its ticket
             // until it parks on the condvar, so once we can observe
@@ -240,12 +233,13 @@ mod tests {
     #[test]
     fn fsync_failure_poisons_the_pipeline() {
         let p = CommitPipeline::new();
+        let m = EngineMetrics::new();
         let err = p
-            .commit(|| Err(EngineError::Persist("disk gone".into())), None)
+            .commit(|| Err(EngineError::Persist("disk gone".into())), &m)
             .expect_err("leader sees the failure");
         assert!(matches!(err, EngineError::Persist(_)));
         // Later commits refuse too: durability can no longer be promised.
-        let err = p.commit(|| Ok(()), None).expect_err("poisoned");
+        let err = p.commit(|| Ok(()), &m).expect_err("poisoned");
         assert!(format!("{err}").contains("fsync failed"));
     }
 }

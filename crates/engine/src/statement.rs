@@ -253,7 +253,7 @@ impl SpatialDb {
     fn execute_plan(self: &Arc<Self>, planned: &PlannedSelect) -> crate::Result<ResultSet> {
         let opts = exec::ExecOptions {
             workers: self.workers(),
-            metrics: Some(self.metrics.clone()),
+            metrics: self.metrics.clone(),
             prepared: self.prepared_cache.clone(),
             snapshot: Some(self.pin_snapshot_handle()),
         };

@@ -406,9 +406,7 @@ impl<'a> WriteTxn<'a> {
         self.table.heap.settle(txn.horizon().map_or(gen, |h| h.min(gen)));
         drop(self.writers.take());
         match self.durability.as_ref() {
-            Some(d) if d.wal.sync_enabled() => {
-                txn.pipeline.commit(|| d.wal.sync(), Some(&txn.metrics))
-            }
+            Some(d) if d.wal.sync_enabled() => txn.pipeline.commit(|| d.wal.sync(), &txn.metrics),
             _ => Ok(()),
         }
     }

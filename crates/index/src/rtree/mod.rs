@@ -16,99 +16,15 @@
 //! resident vectors; the engine re-spills on its next rebuild or pool
 //! reconfiguration.
 
+mod paging;
+mod split;
+
+pub use paging::{LeafPager, LeafPayload};
+
 use jackpine_geom::{Coord, Envelope};
-use jackpine_storage::sync::Mutex;
-use jackpine_storage::RowId;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
-
-/// Backing store for spilled R-tree leaves, keyed by leaf id. The pager
-/// decides the layout; the engine's packs runs of leaves into pool pages.
-pub trait LeafPager: Send + Sync + std::fmt::Debug {
-    /// Stores the serialized image of leaf `leaf`.
-    fn write(&self, leaf: u64, bytes: &[u8]);
-    /// Loads the serialized image of leaf `leaf`, if present.
-    fn read(&self, leaf: u64) -> Option<Vec<u8>>;
-}
-
-/// Payloads that can round-trip through a spilled leaf.
-pub trait LeafPayload: Sized {
-    /// Appends the serialized payload to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes one payload starting at `*pos`, advancing it.
-    fn decode(bytes: &[u8], pos: &mut usize) -> Option<Self>;
-}
-
-impl LeafPayload for RowId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.page.to_le_bytes());
-        out.extend_from_slice(&self.slot.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8], pos: &mut usize) -> Option<RowId> {
-        let page = u32::from_le_bytes(bytes.get(*pos..*pos + 4)?.try_into().ok()?);
-        let slot = u16::from_le_bytes(bytes.get(*pos + 4..*pos + 6)?.try_into().ok()?);
-        *pos += 6;
-        Some(RowId { page, slot })
-    }
-}
-
-impl LeafPayload for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-        let v = u64::from_le_bytes(bytes.get(*pos..*pos + 8)?.try_into().ok()?);
-        *pos += 8;
-        Some(v)
-    }
-}
-
-impl LeafPayload for usize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-
-    fn decode(bytes: &[u8], pos: &mut usize) -> Option<usize> {
-        u64::decode(bytes, pos).map(|v| v as usize)
-    }
-}
-
-/// Serializes a leaf's entries: `count u32 | (envelope 4×f64 | payload)*`.
-/// Envelope fields are stored as raw little-endian bits so `EMPTY`
-/// (inverted infinities) and NaN coordinates round-trip exactly.
-fn encode_leaf<T: LeafPayload>(entries: &[(Envelope, T)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + entries.len() * 40);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (env, value) in entries {
-        for f in [env.min_x, env.min_y, env.max_x, env.max_y] {
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        value.encode(&mut out);
-    }
-    out
-}
-
-/// Inverse of [`encode_leaf`].
-fn decode_leaf<T: LeafPayload>(bytes: &[u8]) -> Option<Vec<(Envelope, T)>> {
-    let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-    let mut pos = 4usize;
-    let mut out = Vec::with_capacity(count.min(bytes.len() / 40 + 1));
-    for _ in 0..count {
-        let mut f = [0.0f64; 4];
-        for slot in &mut f {
-            *slot = f64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-            pos += 8;
-        }
-        // Direct construction: Envelope::new normalizes bounds, which
-        // would corrupt the EMPTY sentinel.
-        let env = Envelope { min_x: f[0], min_y: f[1], max_x: f[2], max_y: f[3] };
-        let value = T::decode(bytes, &mut pos)?;
-        out.push((env, value));
-    }
-    Some(out)
-}
+use paging::Paging;
+use split::{pick_min_enlargement, pick_min_overlap, rstar_split_point, sort_by_center_distance};
+use std::collections::BinaryHeap;
 
 /// Tuning parameters for an [`RTree`].
 #[derive(Clone, Copy, Debug)]
@@ -142,36 +58,15 @@ impl<T> Node<T> {
         }
     }
     fn envelope(&self) -> Envelope {
-        let mut e = Envelope::EMPTY;
-        match self {
-            Node::Internal { entries } => {
-                for (env, _) in entries {
-                    e.expand_to_include(env);
-                }
-            }
-            Node::Leaf { entries } => {
-                for (env, _) in entries {
-                    e.expand_to_include(env);
-                }
-            }
+        fn union<E>(entries: &[(Envelope, E)]) -> Envelope {
+            entries.iter().fold(Envelope::EMPTY, |mut e, (env, _)| {
+                e.expand_to_include(env);
+                e
+            })
         }
-        e
-    }
-}
-
-/// Read access to one leaf's entries: a borrow when resident, a shared
-/// decoded image when the leaf is spilled.
-enum LeafRef<'a, T> {
-    Resident(&'a [(Envelope, T)]),
-    Loaded(Arc<Vec<(Envelope, T)>>),
-}
-
-impl<T> std::ops::Deref for LeafRef<'_, T> {
-    type Target = [(Envelope, T)];
-    fn deref(&self) -> &Self::Target {
         match self {
-            LeafRef::Resident(entries) => entries,
-            LeafRef::Loaded(entries) => entries.as_slice(),
+            Node::Internal { entries } => union(entries),
+            Node::Leaf { entries } => union(entries),
         }
     }
 }
@@ -183,43 +78,15 @@ impl<T> std::ops::Deref for LeafRef<'_, T> {
 /// STR bulk loading, window queries and best-first k-nearest-neighbour
 /// search. Leaves can spill to a [`LeafPager`] and load on demand; see
 /// the module docs.
+#[derive(Clone)]
 pub struct RTree<T: Clone> {
     nodes: Vec<Node<T>>,
     root: usize,
     height: usize, // leaf level = 0; root is at `height`
     len: usize,
     config: RTreeConfig,
-    /// Backing store for spilled leaves, when attached.
-    pager: Option<Arc<dyn LeafPager>>,
-    /// Node ids whose leaf entries currently live in the pager.
-    spilled: HashSet<usize>,
-    /// Decoder captured (monomorphized) at spill time, so query paths
-    /// need no `T: LeafPayload` bound.
-    decoder: Option<LeafDecoder<T>>,
-    /// Decoded-leaf cache: warm probes of a spilled leaf cost one
-    /// `Arc` clone; the benchmark's cold switch clears it.
-    leaf_cache: Mutex<HashMap<usize, Arc<LeafEntries<T>>>>,
-}
-
-/// The entries of one leaf.
-type LeafEntries<T> = Vec<(Envelope, T)>;
-/// Decodes a spilled leaf's page image.
-type LeafDecoder<T> = fn(&[u8]) -> Option<LeafEntries<T>>;
-
-impl<T: Clone> Clone for RTree<T> {
-    fn clone(&self) -> Self {
-        RTree {
-            nodes: self.nodes.clone(),
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            config: self.config,
-            pager: self.pager.clone(),
-            spilled: self.spilled.clone(),
-            decoder: self.decoder,
-            leaf_cache: Mutex::new(self.leaf_cache.lock().clone()),
-        }
-    }
+    /// Pager, spilled set, decoder and decoded-leaf cache.
+    paging: Paging<T>,
 }
 
 impl<T: Clone + std::fmt::Debug> std::fmt::Debug for RTree<T> {
@@ -228,7 +95,7 @@ impl<T: Clone + std::fmt::Debug> std::fmt::Debug for RTree<T> {
             .field("len", &self.len)
             .field("height", &self.height)
             .field("nodes", &self.nodes.len())
-            .field("spilled", &self.spilled.len())
+            .field("spilled", &self.spilled_leaves())
             .finish_non_exhaustive()
     }
 }
@@ -253,109 +120,7 @@ impl<T: Clone> RTree<T> {
             height: 0,
             len: 0,
             config,
-            pager: None,
-            spilled: HashSet::new(),
-            decoder: None,
-            leaf_cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Leaf spill / demand loading
-    // ------------------------------------------------------------------
-
-    /// Attaches the pager spilled leaves are written to and read from.
-    pub fn attach_pager(&mut self, pager: Arc<dyn LeafPager>) {
-        self.pager = Some(pager);
-    }
-
-    /// Whether a pager is attached.
-    pub fn has_pager(&self) -> bool {
-        self.pager.is_some()
-    }
-
-    /// Number of leaves currently spilled (diagnostics).
-    pub fn spilled_leaves(&self) -> usize {
-        self.spilled.len()
-    }
-
-    /// Serializes every leaf into the attached pager in node-id order
-    /// (STR order after a bulk load) and drops the resident entry
-    /// vectors; inner nodes stay. A no-op without a pager, and for trees
-    /// of height 0 (the root is the only leaf — not worth paging).
-    pub fn spill_leaves(&mut self)
-    where
-        T: LeafPayload,
-    {
-        let Some(pager) = self.pager.clone() else { return };
-        if self.height == 0 {
-            return;
-        }
-        self.decoder = Some(decode_leaf::<T>);
-        for (id, node) in self.nodes.iter_mut().enumerate() {
-            if let Node::Leaf { entries } = node {
-                if entries.is_empty() {
-                    continue;
-                }
-                let taken = std::mem::take(entries);
-                pager.write(id as u64, &encode_leaf(&taken));
-                self.spilled.insert(id);
-            }
-        }
-        self.leaf_cache.lock().clear();
-    }
-
-    /// Faults every spilled leaf back into the tree (mutations need
-    /// resident entry vectors). The pager stays attached so the engine
-    /// can re-spill later.
-    pub fn unspill(&mut self) {
-        if self.spilled.is_empty() {
-            return;
-        }
-        let mut ids: Vec<usize> = self.spilled.iter().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let loaded = self.load_leaf(id);
-            if let Node::Leaf { entries } = &mut self.nodes[id] {
-                *entries = loaded.as_ref().clone();
-            }
-        }
-        self.spilled.clear();
-        self.leaf_cache.lock().clear();
-    }
-
-    /// Drops the decoded-leaf cache — the cold-run switch for spilled
-    /// leaves: the next probe of each leaf re-reads through the pager.
-    pub fn clear_leaf_cache(&self) {
-        self.leaf_cache.lock().clear();
-    }
-
-    /// Loads a spilled leaf's entries through the decoded-leaf cache.
-    /// Panics on a missing or undecodable image: the pager is this
-    /// process's own buffer pool, so that is an invariant violation,
-    /// not user-visible corruption.
-    fn load_leaf(&self, node_id: usize) -> Arc<Vec<(Envelope, T)>> {
-        if let Some(hit) = self.leaf_cache.lock().get(&node_id) {
-            return hit.clone();
-        }
-        let pager = self.pager.as_ref().expect("spilled leaf without a pager");
-        let decoder = self.decoder.expect("spilled leaf without a decoder");
-        let bytes =
-            pager.read(node_id as u64).unwrap_or_else(|| panic!("leaf {node_id} lost by pager"));
-        let entries =
-            Arc::new(decoder(&bytes).unwrap_or_else(|| panic!("leaf {node_id} undecodable")));
-        self.leaf_cache.lock().insert(node_id, entries.clone());
-        entries
-    }
-
-    /// Read access to a leaf's entries, resident or spilled.
-    fn leaf_entries(&self, node_id: usize) -> LeafRef<'_, T> {
-        if self.spilled.contains(&node_id) {
-            return LeafRef::Loaded(self.load_leaf(node_id));
-        }
-        match &self.nodes[node_id] {
-            Node::Leaf { entries } => LeafRef::Resident(entries),
-            Node::Internal { .. } => unreachable!("leaf_entries on internal node"),
+            paging: Paging::default(),
         }
     }
 
@@ -423,7 +188,7 @@ impl<T: Clone> RTree<T> {
                 unreachable!("internal levels hold internal nodes");
             };
             let idx = if level == 1 {
-                self.pick_min_overlap(entries, env)
+                pick_min_overlap(entries, env)
             } else {
                 pick_min_enlargement(entries, env)
             };
@@ -432,33 +197,6 @@ impl<T: Clone> RTree<T> {
             path.push(node_id);
         }
         path
-    }
-
-    fn pick_min_overlap(&self, entries: &[(Envelope, usize)], env: Envelope) -> usize {
-        let mut best = 0;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for (i, (e, _)) in entries.iter().enumerate() {
-            let grown = e.union(&env);
-            let mut overlap_before = 0.0;
-            let mut overlap_after = 0.0;
-            for (j, (o, _)) in entries.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                if let Some(x) = e.intersection(o) {
-                    overlap_before += x.area();
-                }
-                if let Some(x) = grown.intersection(o) {
-                    overlap_after += x.area();
-                }
-            }
-            let key = (overlap_after - overlap_before, grown.area() - e.area(), e.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Recomputes the parent-entry envelopes along `path`, bottom-up.
@@ -497,11 +235,11 @@ impl<T: Clone> RTree<T> {
             let min = self.config.min_entries;
             let new_node = match &mut self.nodes[node_id] {
                 Node::Leaf { entries } => {
-                    let split_at = rstar_split_point(entries, min, |e| e.0);
+                    let split_at = rstar_split_point(entries, min);
                     Node::Leaf { entries: entries.split_off(split_at) }
                 }
                 Node::Internal { entries } => {
-                    let split_at = rstar_split_point(entries, min, |e| e.0);
+                    let split_at = rstar_split_point(entries, min);
                     Node::Internal { entries: entries.split_off(split_at) }
                 }
             };
@@ -549,11 +287,11 @@ impl<T: Clone> RTree<T> {
         let p = self.config.reinsert_count.min(self.nodes[node_id].len() / 2).max(1);
         let removed: Vec<(Envelope, Entry<T>)> = match &mut self.nodes[node_id] {
             Node::Leaf { entries } => {
-                sort_by_center_distance_leaf(entries, center);
+                sort_by_center_distance(entries, center);
                 entries.drain(entries.len() - p..).map(|(e, v)| (e, Entry::Leaf(v))).collect()
             }
             Node::Internal { entries } => {
-                sort_by_center_distance_node(entries, center);
+                sort_by_center_distance(entries, center);
                 entries.drain(entries.len() - p..).map(|(e, v)| (e, Entry::Node(v))).collect()
             }
         };
@@ -582,10 +320,7 @@ impl<T: Clone> RTree<T> {
             height: 0,
             len: items.len(),
             config,
-            pager: None,
-            spilled: HashSet::new(),
-            decoder: None,
-            leaf_cache: Mutex::new(HashMap::new()),
+            paging: Paging::default(),
         };
         let mut level_ids: Vec<usize> = Vec::new();
         str_pack(&mut items, cap, |entries| {
@@ -876,117 +611,12 @@ fn str_pack<E: Clone>(
     }
 }
 
-fn sort_by_center_distance_leaf<T>(entries: &mut [(Envelope, T)], center: Coord) {
-    entries.sort_by(|a, b| {
-        let da = a.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
-        let db = b.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
-        da.total_cmp(&db)
-    });
-}
-
-fn sort_by_center_distance_node(entries: &mut [(Envelope, usize)], center: Coord) {
-    entries.sort_by(|a, b| {
-        let da = a.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
-        let db = b.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
-        da.total_cmp(&db)
-    });
-}
-
-fn pick_min_enlargement(entries: &[(Envelope, usize)], env: Envelope) -> usize {
-    let mut best = 0;
-    let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for (i, (e, _)) in entries.iter().enumerate() {
-        let grown = e.union(&env);
-        let key = (grown.area() - e.area(), e.area());
-        if key < best_key {
-            best_key = key;
-            best = i;
-        }
-    }
-    best
-}
-
-/// Sorts `entries` in place along the better split axis and returns the
-/// index at which to split, following the R\*-tree margin/overlap rule.
-fn rstar_split_point<T>(
-    entries: &mut [(Envelope, T)],
-    min_entries: usize,
-    env_of: impl Fn(&(Envelope, T)) -> Envelope,
-) -> usize {
-    let total = entries.len();
-    let upper = total - min_entries;
-
-    // For each axis, compute the total margin over all valid distributions.
-    let mut best_axis = 0;
-    let mut best_margin = f64::INFINITY;
-    for axis in 0..2 {
-        sort_axis(entries, axis, &env_of);
-        let (prefix, suffix) = envelope_scans(entries, &env_of);
-        let mut margin_sum = 0.0;
-        for split in min_entries..=upper {
-            margin_sum += prefix[split - 1].margin() + suffix[split].margin();
-        }
-        if margin_sum < best_margin {
-            best_margin = margin_sum;
-            best_axis = axis;
-        }
-    }
-    sort_axis(entries, best_axis, &env_of);
-    let (prefix, suffix) = envelope_scans(entries, &env_of);
-    let mut best_split = min_entries;
-    let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for split in min_entries..=upper {
-        let left = prefix[split - 1];
-        let right = suffix[split];
-        let overlap = left.intersection(&right).map_or(0.0, |e| e.area());
-        let key = (overlap, left.area() + right.area());
-        if key < best_key {
-            best_key = key;
-            best_split = split;
-        }
-    }
-    best_split
-}
-
-fn sort_axis<T>(
-    entries: &mut [(Envelope, T)],
-    axis: usize,
-    env_of: &impl Fn(&(Envelope, T)) -> Envelope,
-) {
-    entries.sort_by(|a, b| {
-        let (ea, eb) = (env_of(a), env_of(b));
-        if axis == 0 {
-            ea.min_x.total_cmp(&eb.min_x).then(ea.max_x.total_cmp(&eb.max_x))
-        } else {
-            ea.min_y.total_cmp(&eb.min_y).then(ea.max_y.total_cmp(&eb.max_y))
-        }
-    });
-}
-
-/// Prefix/suffix running envelopes of a sorted entry list.
-fn envelope_scans<T>(
-    entries: &[(Envelope, T)],
-    env_of: &impl Fn(&(Envelope, T)) -> Envelope,
-) -> (Vec<Envelope>, Vec<Envelope>) {
-    let n = entries.len();
-    let mut prefix = vec![Envelope::EMPTY; n];
-    let mut acc = Envelope::EMPTY;
-    for (i, e) in entries.iter().enumerate() {
-        acc.expand_to_include(&env_of(e));
-        prefix[i] = acc;
-    }
-    let mut suffix = vec![Envelope::EMPTY; n];
-    let mut acc = Envelope::EMPTY;
-    for i in (0..n).rev() {
-        acc.expand_to_include(&env_of(&entries[i]));
-        suffix[i] = acc;
-    }
-    (prefix, suffix)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jackpine_storage::sync::Mutex;
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn pt_env(x: f64, y: f64) -> Envelope {
         Envelope::new(x, y, x, y)
@@ -1286,23 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_codec_roundtrip_preserves_payloads_and_empty_envelopes() {
-        let entries: Vec<(Envelope, RowId)> = vec![
-            (Envelope::new(1.0, 2.0, 3.0, 4.0), RowId { page: 0, slot: 0 }),
-            (Envelope::EMPTY, RowId { page: 7, slot: 3 }),
-            (Envelope::new(-5.5, -6.5, -1.0, 0.0), RowId { page: u32::MAX, slot: u16::MAX }),
-        ];
-        let bytes = encode_leaf(&entries);
-        let back = decode_leaf::<RowId>(&bytes).expect("decodes");
-        assert_eq!(back, entries);
-        // EMPTY must survive bit-exactly (Envelope::new would normalize it).
-        assert!(back[1].0.min_x.is_infinite() && back[1].0.max_x.is_infinite());
-        // Truncated images are rejected, not misread.
-        assert!(decode_leaf::<RowId>(&bytes[..bytes.len() - 1]).is_none());
-        assert!(decode_leaf::<RowId>(&[]).is_none());
-    }
-
-    #[test]
     fn spilled_tree_answers_queries_identically() {
         let items = cloud(2000);
         let mut t = RTree::bulk_load(RTreeConfig::default(), items.clone());
@@ -1318,7 +931,6 @@ mod tests {
         t.attach_pager(pager.clone());
         t.spill_leaves();
         assert!(t.spilled_leaves() > 0, "a 2000-entry tree has pageable leaves");
-        assert!(t.has_pager());
 
         // Cold probe: leaves come back through the pager.
         let mut got = t.window(&window);

@@ -1,11 +1,20 @@
 //! Binding and planning: turns a parsed `SELECT` into an executable plan
 //! tree, choosing index access paths the way the benchmarked systems do
 //! (filter on the spatial index, refine with the exact predicate).
+//!
+//! `bind` resolves names against the flat tuple layout and folds
+//! constants; `access` chooses each table's access path and recognizes
+//! index joins; this module assembles the tree.
+
+mod access;
+mod bind;
 
 use crate::ast::{BinOp, Expr, Select, SelectItem};
-use crate::functions::{is_indexable_predicate, FunctionMode};
+use crate::functions::FunctionMode;
 use crate::provider::{CatalogProvider, TableProvider};
 use crate::{Result, SqlError};
+use access::{choose_access, dwithin_distance, spatial_join_form};
+use bind::{bind, referenced_tables, BoundTable, Layout};
 use jackpine_storage::{DataType, Value};
 use std::sync::Arc;
 
@@ -218,179 +227,6 @@ pub enum PlanNode {
     },
 }
 
-/// One table's slice of the flat tuple layout.
-struct BoundTable {
-    alias: String,
-    provider: Arc<dyn TableProvider>,
-    offset: usize,
-    geometry_cols: Vec<usize>,
-}
-
-/// The flat layout: qualified column names in tuple order.
-struct Layout {
-    tables: Vec<BoundTable>,
-    columns: Vec<(String, String)>, // (alias, column)
-}
-
-impl Layout {
-    fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
-        let mut hit = None;
-        for (i, (alias, col)) in self.columns.iter().enumerate() {
-            let table_ok = table.is_none_or(|t| t.eq_ignore_ascii_case(alias));
-            if table_ok && col.eq_ignore_ascii_case(name) {
-                if hit.is_some() && table.is_none() {
-                    return Err(SqlError::Unresolved(format!("ambiguous column '{name}'")));
-                }
-                hit = Some(i);
-                if table.is_some() {
-                    break;
-                }
-            }
-        }
-        hit.ok_or_else(|| {
-            SqlError::Unresolved(match table {
-                Some(t) => format!("column '{t}.{name}'"),
-                None => format!("column '{name}'"),
-            })
-        })
-    }
-
-    /// Offsets covered by the table at `idx`.
-    fn table_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = self.tables[idx].offset;
-        let end = self.tables.get(idx + 1).map_or(self.columns.len(), |t| t.offset);
-        start..end
-    }
-}
-
-/// Binds `expr` against `layout`, folding constant subtrees.
-fn bind(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
-    let bound = bind_raw(expr, layout)?;
-    Ok(fold_constants(bound))
-}
-
-/// Evaluates constant subexpressions once at plan time, so per-row
-/// evaluation never re-parses WKT literals or re-buffers constant
-/// geometries. Folding uses exact semantics; it never folds function
-/// calls whose availability depends on the engine profile, so the
-/// MBR-only profile still reports its missing functions at run time.
-fn fold_constants(e: BoundExpr) -> BoundExpr {
-    // Only fold cheap, profile-independent constructors; predicate and
-    // analysis calls are left for the evaluator, where the engine profile
-    // decides their semantics and availability.
-    const FOLDABLE: [&str; 4] = ["ST_GEOMFROMTEXT", "ST_POINT", "ST_MAKEPOINT", "ST_MAKEENVELOPE"];
-    match e {
-        BoundExpr::Func { name, args } => {
-            let args: Vec<BoundExpr> = args.into_iter().map(fold_constants).collect();
-            let folded = BoundExpr::Func { name: name.clone(), args };
-            if FOLDABLE.contains(&name.to_ascii_uppercase().as_str()) && folded.is_constant() {
-                if let BoundExpr::Func { name, args } = &folded {
-                    let vals: Option<Vec<Value>> = args
-                        .iter()
-                        .map(|a| match a {
-                            BoundExpr::Literal(v) => Some(v.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(vals) = vals {
-                        if let Ok(v) = crate::functions::call(FunctionMode::Exact, name, &vals) {
-                            return BoundExpr::Literal(v);
-                        }
-                    }
-                }
-            }
-            folded
-        }
-        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-            op,
-            left: Box::new(fold_constants(*left)),
-            right: Box::new(fold_constants(*right)),
-        },
-        BoundExpr::Not(inner) => BoundExpr::Not(Box::new(fold_constants(*inner))),
-        BoundExpr::Neg(inner) => BoundExpr::Neg(Box::new(fold_constants(*inner))),
-        BoundExpr::Between { expr, lo, hi } => BoundExpr::Between {
-            expr: Box::new(fold_constants(*expr)),
-            lo: Box::new(fold_constants(*lo)),
-            hi: Box::new(fold_constants(*hi)),
-        },
-        BoundExpr::IsNull { expr, negated } => {
-            BoundExpr::IsNull { expr: Box::new(fold_constants(*expr)), negated }
-        }
-        other => other,
-    }
-}
-
-fn bind_raw(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
-    Ok(match expr {
-        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-        Expr::Column { table, name } => BoundExpr::Column(layout.resolve(table.as_deref(), name)?),
-        Expr::Func { name, args } => BoundExpr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| bind_raw(a, layout)).collect::<Result<_>>()?,
-        },
-        Expr::Star => return Err(SqlError::Type("'*' is only valid inside COUNT(*)".into())),
-        Expr::Binary { op, left, right } => BoundExpr::Binary {
-            op: *op,
-            left: Box::new(bind_raw(left, layout)?),
-            right: Box::new(bind_raw(right, layout)?),
-        },
-        Expr::Not(e) => BoundExpr::Not(Box::new(bind_raw(e, layout)?)),
-        Expr::Neg(e) => BoundExpr::Neg(Box::new(bind_raw(e, layout)?)),
-        Expr::Between { expr, lo, hi } => BoundExpr::Between {
-            expr: Box::new(bind_raw(expr, layout)?),
-            lo: Box::new(bind_raw(lo, layout)?),
-            hi: Box::new(bind_raw(hi, layout)?),
-        },
-        Expr::IsNull { expr, negated } => {
-            BoundExpr::IsNull { expr: Box::new(bind_raw(expr, layout)?), negated: *negated }
-        }
-    })
-}
-
-/// Aliases referenced by an (unbound) expression, resolved through the
-/// layout for unqualified names.
-fn referenced_tables(expr: &Expr, layout: &Layout, out: &mut Vec<usize>) -> Result<()> {
-    match expr {
-        Expr::Column { table, name } => {
-            let idx = layout.resolve(table.as_deref(), name)?;
-            let tbl = layout
-                .tables
-                .iter()
-                .position(|t| layout.table_range_of(t).contains(&idx))
-                .expect("offset always inside some table");
-            if !out.contains(&tbl) {
-                out.push(tbl);
-            }
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                referenced_tables(a, layout, out)?;
-            }
-        }
-        Expr::Binary { left, right, .. } => {
-            referenced_tables(left, layout, out)?;
-            referenced_tables(right, layout, out)?;
-        }
-        Expr::Not(e) | Expr::Neg(e) => referenced_tables(e, layout, out)?,
-        Expr::Between { expr, lo, hi } => {
-            referenced_tables(expr, layout, out)?;
-            referenced_tables(lo, layout, out)?;
-            referenced_tables(hi, layout, out)?;
-        }
-        Expr::IsNull { expr, .. } => referenced_tables(expr, layout, out)?,
-        Expr::Literal(_) | Expr::Star => {}
-    }
-    Ok(())
-}
-
-impl Layout {
-    fn table_range_of(&self, t: &BoundTable) -> std::ops::Range<usize> {
-        let idx =
-            self.tables.iter().position(|x| std::ptr::eq(x, t)).expect("table belongs to layout");
-        self.table_range(idx)
-    }
-}
-
 /// The planned form of a `SELECT`: the root node plus output labels.
 pub struct PlannedSelect {
     /// Root of the plan tree.
@@ -599,165 +435,6 @@ pub fn plan_select(
     }
 
     Ok(PlannedSelect { root, columns, mode: opts.mode })
-}
-
-/// Chooses the base access path for one table given its single-table
-/// filters.
-fn choose_access(
-    t_idx: usize,
-    t: &BoundTable,
-    filters: &[&Expr],
-    layout: &Layout,
-    opts: &PlanOptions,
-    select: &Select,
-) -> Result<PlanNode> {
-    // k-NN path: single table, ORDER BY ST_Distance(geom, const) LIMIT k,
-    // no other filters (refinement slack handles minor post-filtering).
-    if layout.tables.len() == 1 && select.order_by.len() == 1 && filters.is_empty() {
-        if let (Some(k), (Expr::Func { name, args }, true)) = (select.limit, &select.order_by[0]) {
-            if name.eq_ignore_ascii_case("ST_Distance") && args.len() == 2 {
-                for (col_side, const_side) in [(&args[0], &args[1]), (&args[1], &args[0])] {
-                    if let Some(col) = table_geometry_column(col_side, t_idx, t, layout)? {
-                        let c = bind(const_side, layout);
-                        if let Ok(c) = c {
-                            if c.is_constant() && opts.use_spatial_index {
-                                // Fetch extra candidates: the index ranks by
-                                // envelope distance, the final sort by exact
-                                // distance.
-                                let slack = (k * 3).max(k + 16);
-                                return Ok(PlanNode::KnnScan {
-                                    table: t.provider.clone(),
-                                    col,
-                                    query: c,
-                                    k: slack,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if opts.use_spatial_index {
-        for f in filters {
-            if let Expr::Func { name, args } = f {
-                if is_indexable_predicate(name) && args.len() >= 2 {
-                    for (col_side, const_side) in [(&args[0], &args[1]), (&args[1], &args[0])] {
-                        if let Some(col) = table_geometry_column(col_side, t_idx, t, layout)? {
-                            let bound_const = bind(const_side, layout);
-                            if let Ok(c) = bound_const {
-                                if c.is_constant() {
-                                    let expand = if name.eq_ignore_ascii_case("ST_DWithin") {
-                                        let d = bind(&args[2], layout)?;
-                                        if !d.is_constant() {
-                                            continue;
-                                        }
-                                        Some(d)
-                                    } else {
-                                        None
-                                    };
-                                    return Ok(PlanNode::SpatialIndexScan {
-                                        table: t.provider.clone(),
-                                        col,
-                                        query: c,
-                                        expand,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Ordered-index equality.
-    for f in filters {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = f {
-            for (col_side, const_side) in [(left, right), (right, left)] {
-                if let Expr::Column { table, name } = col_side.as_ref() {
-                    let idx = layout.resolve(table.as_deref(), name)?;
-                    if layout.table_range(t_idx).contains(&idx) {
-                        let key = bind(const_side, layout)?;
-                        if key.is_constant() {
-                            return Ok(PlanNode::OrderedIndexScan {
-                                table: t.provider.clone(),
-                                col: idx - t.offset,
-                                key,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    Ok(PlanNode::Scan { table: t.provider.clone() })
-}
-
-/// If `expr` is a column of table `t_idx`'s geometry, returns its
-/// table-local column index.
-fn table_geometry_column(
-    expr: &Expr,
-    t_idx: usize,
-    t: &BoundTable,
-    layout: &Layout,
-) -> Result<Option<usize>> {
-    if let Expr::Column { table, name } = expr {
-        // Unresolvable names are simply "not this table's column".
-        if let Ok(idx) = layout.resolve(table.as_deref(), name) {
-            if layout.table_range(t_idx).contains(&idx) {
-                let local = idx - t.offset;
-                if t.geometry_cols.contains(&local) {
-                    return Ok(Some(local));
-                }
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Recognizes `pred(expr-over-covered, right.geom)` (either argument
-/// order) as an index-join opportunity. Returns the probe expression and
-/// the right geometry column expression.
-fn spatial_join_form<'a>(
-    f: &'a Expr,
-    layout: &Layout,
-    covered: &[usize],
-    right_idx: usize,
-) -> Result<Option<(&'a Expr, &'a Expr)>> {
-    let Expr::Func { name, args } = f else {
-        return Ok(None);
-    };
-    if !is_indexable_predicate(name) || args.len() < 2 {
-        return Ok(None);
-    }
-    let right = &layout.tables[right_idx];
-    for (a, b) in [(&args[0], &args[1]), (&args[1], &args[0])] {
-        if table_geometry_column(b, right_idx, right, layout)?.is_some() {
-            // The other side must reference only covered tables.
-            let mut refs = Vec::new();
-            referenced_tables(a, layout, &mut refs)?;
-            if !refs.is_empty() && refs.iter().all(|r| covered.contains(r)) {
-                return Ok(Some((a, b)));
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Extracts the constant distance of an `ST_DWithin` join predicate.
-fn dwithin_distance(f: &Expr, layout: &Layout) -> Result<Option<BoundExpr>> {
-    if let Expr::Func { name, args } = f {
-        if name.eq_ignore_ascii_case("ST_DWithin") && args.len() == 3 {
-            let d = bind(&args[2], layout)?;
-            if d.is_constant() {
-                return Ok(Some(d));
-            }
-        }
-    }
-    Ok(None)
 }
 
 /// Builds the projection or aggregation stage.

@@ -58,8 +58,6 @@ pub struct PreparedCache {
     map: RwLock<HashMap<(usize, usize), Entry>>,
     /// Monotone hit/insert tick feeding the eviction stamps.
     tick: AtomicU64,
-    /// Entries evicted by capacity overflow (not by `clear`).
-    evicted: AtomicU64,
 }
 
 impl std::fmt::Debug for PreparedCache {
@@ -89,46 +87,34 @@ impl PreparedCache {
         self.map.read().is_empty()
     }
 
-    /// Entries evicted by capacity overflow over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The preparation of column `col` of the heap row behind `part`,
     /// building and caching it on first sight. `g` must be the geometry
-    /// stored at that column. Records hit/miss counters when metrics are
-    /// attached.
+    /// stored at that column. Records hits, misses and capacity
+    /// evictions in `metrics`.
     pub(crate) fn get_or_prepare(
         &self,
         part: &Arc<Row>,
         col: usize,
         g: &Geometry,
-        metrics: Option<&EngineMetrics>,
+        metrics: &EngineMetrics,
     ) -> Arc<PreparedGeometry> {
         let key = (Arc::as_ptr(part) as usize, col);
         if let Some(e) = self.map.read().get(&key) {
             e.last_hit.store(self.next_tick(), Ordering::Relaxed);
-            if let Some(m) = metrics {
-                m.prepared_cache_hits.incr();
-            }
+            metrics.prepared_cache_hits.incr();
             return e.prepared.clone();
         }
-        if let Some(m) = metrics {
-            m.prepared_cache_misses.incr();
-        }
+        metrics.prepared_cache_misses.incr();
         // Build outside any lock: preparation is the expensive part.
         let prepared = Arc::new(PreparedGeometry::new(g));
         let mut map = self.map.write();
         if map.len() >= PREPARED_CACHE_CAPACITY {
             let dropped = evict_coldest_quarter(&mut map, |e| e.last_hit.load(Ordering::Relaxed));
-            self.evicted.fetch_add(dropped, Ordering::Relaxed);
-            if let Some(m) = metrics {
-                m.prepared_cache_evictions.add(dropped);
-            }
+            metrics.prepared_cache_evictions.add(dropped);
         }
         let entry = map.entry(key).or_insert_with(|| Entry {
             _pin: Arc::clone(part),
@@ -168,8 +154,8 @@ mod tests {
         let m = EngineMetrics::new();
         let row = row_with_geom("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))");
         let Some(Value::Geom(g)) = row.get(1) else { panic!() };
-        let a = cache.get_or_prepare(&row, 1, g, Some(&m));
-        let b = cache.get_or_prepare(&row, 1, g, Some(&m));
+        let a = cache.get_or_prepare(&row, 1, g, &m);
+        let b = cache.get_or_prepare(&row, 1, g, &m);
         assert!(Arc::ptr_eq(&a, &b), "same row must reuse the preparation");
         assert_eq!(m.prepared_cache_hits.get(), 1);
         assert_eq!(m.prepared_cache_misses.get(), 1);
@@ -179,11 +165,12 @@ mod tests {
     #[test]
     fn distinct_rows_get_distinct_entries() {
         let cache = PreparedCache::new();
+        let m = EngineMetrics::new();
         let r1 = row_with_geom("POINT (1 1)");
         let r2 = row_with_geom("POINT (2 2)");
         for r in [&r1, &r2] {
             let Some(Value::Geom(g)) = r.get(1) else { panic!() };
-            cache.get_or_prepare(r, 1, g, None);
+            cache.get_or_prepare(r, 1, g, &m);
         }
         assert_eq!(cache.len(), 2);
         cache.clear();
@@ -193,12 +180,14 @@ mod tests {
     #[test]
     fn overflow_evicts_a_fraction_and_keeps_hot_entries() {
         let cache = PreparedCache::new();
+        // `fill` counts the set-up probes, `m` only the ones asserted on.
+        let fill = EngineMetrics::new();
         let m = EngineMetrics::new();
         let mut rows = Vec::new();
         for i in 0..PREPARED_CACHE_CAPACITY {
             let r = row_with_geom(&format!("POINT ({i} 0)"));
             let Some(Value::Geom(g)) = r.get(1) else { panic!() };
-            cache.get_or_prepare(&r, 1, g, None);
+            cache.get_or_prepare(&r, 1, g, &fill);
             rows.push(r); // keep the Arcs alive so keys stay distinct
         }
         assert_eq!(cache.len(), PREPARED_CACHE_CAPACITY);
@@ -206,21 +195,20 @@ mod tests {
         // Re-hit the first entry so its stamp beats every cold insert.
         let hot = &rows[0];
         let Some(Value::Geom(hot_g)) = hot.get(1) else { panic!() };
-        let hot_prep = cache.get_or_prepare(hot, 1, hot_g, None);
+        let hot_prep = cache.get_or_prepare(hot, 1, hot_g, &fill);
 
         // One more insert overflows the cache and triggers eviction.
         let extra = row_with_geom("POINT (-1 -1)");
         let Some(Value::Geom(g)) = extra.get(1) else { panic!() };
-        cache.get_or_prepare(&extra, 1, g, Some(&m));
+        cache.get_or_prepare(&extra, 1, g, &m);
 
         let evicted = PREPARED_CACHE_CAPACITY / 4;
         assert_eq!(cache.len(), PREPARED_CACHE_CAPACITY - evicted + 1);
-        assert_eq!(cache.evictions(), evicted as u64);
         assert_eq!(m.prepared_cache_evictions.get(), evicted as u64);
 
         // The hot entry survived: probing it again returns the same
         // preparation without a fresh miss.
-        let again = cache.get_or_prepare(hot, 1, hot_g, Some(&m));
+        let again = cache.get_or_prepare(hot, 1, hot_g, &m);
         assert!(Arc::ptr_eq(&hot_prep, &again), "hot entry must survive eviction");
         assert_eq!(m.prepared_cache_hits.get(), 1, "hot probe must hit");
         assert_eq!(m.prepared_cache_misses.get(), 1, "only the overflow insert missed");

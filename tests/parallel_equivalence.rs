@@ -7,6 +7,7 @@ use jackpine::bench::macrobench::{all_scenarios, ScenarioConfig};
 use jackpine::bench::micro::{analysis_suite, topo_suite};
 use jackpine::datagen::{TigerConfig, TigerDataset};
 use jackpine::engine::{EngineProfile, SpatialDb};
+use jackpine::sql::exec::MIN_PARALLEL_ROWS;
 use jackpine::sql::ResultSet;
 use std::sync::Arc;
 
@@ -150,4 +151,95 @@ fn datagen_row_counts_pinned_at_quarter_scale() {
     assert_eq!(data.pointlm.len(), 1000, "pointlm count drifted");
     assert_eq!(data.areawater.len(), 202, "areawater count drifted");
     assert_eq!(data.total_rows(), 6601);
+}
+
+/// Rows past the executor's serial cutoff, so key tuples and aggregate
+/// arguments are evaluated morsel-parallel: `id` ascending (the scan
+/// order), `one` the same for every row, `tie` in 7 runs of equal keys,
+/// `x` a float whose sum depends on the order it is added in, and
+/// `name` text; `x` and `name` are NULL here and there.
+fn parallel_sized_table() -> Arc<SpatialDb> {
+    use jackpine::storage::{ColumnDef, DataType, Value};
+    let n = 3 * MIN_PARALLEL_ROWS + 17;
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    let columns = [
+        ("id", DataType::Int),
+        ("one", DataType::Int),
+        ("tie", DataType::Int),
+        ("x", DataType::Float),
+        ("name", DataType::Text),
+    ];
+    db.create_table("t", columns.iter().map(|&(c, ty)| ColumnDef::new(c, ty)).collect()).unwrap();
+    let rows = (0..n).map(|i| {
+        let x = match i % 5 {
+            0 => Value::Null,
+            k => Value::Float((i as f64).sqrt() * 1e7 + 0.1 * k as f64),
+        };
+        let name =
+            if i % 11 == 0 { Value::Null } else { Value::Text(format!("n{}", i * 37 % 101)) };
+        vec![Value::Int(i as i64), Value::Int(1), Value::Int((i * 13 % 7) as i64), x, name]
+    });
+    db.insert_rows("t", rows.collect::<Vec<_>>()).unwrap();
+    db
+}
+
+/// A value with its float bits, so "equal" means bit for bit.
+fn bits(r: &ResultSet) -> Vec<Vec<String>> {
+    use jackpine::storage::Value;
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("float {:#x}", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    r.rows.iter().map(|row| row.iter().map(cell).collect()).collect()
+}
+
+#[test]
+fn a_global_aggregate_is_the_one_group_of_all_rows_bit_for_bit() {
+    let db = parallel_sized_table();
+    let aggs = "COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), COUNT(name), MIN(name), \
+                MAX(name)";
+    let global = format!("SELECT {aggs} FROM t");
+    let grouped = format!("SELECT {aggs} FROM t GROUP BY one");
+    db.set_workers(1);
+    let want = bits(&db.execute(&global).unwrap());
+    assert_eq!(want.len(), 1);
+    for workers in [1usize, 2, 7] {
+        db.set_workers(workers);
+        assert_eq!(bits(&db.execute(&global).unwrap()), want, "global, workers={workers}");
+        assert_eq!(bits(&db.execute(&grouped).unwrap()), want, "one group, workers={workers}");
+    }
+    // Over no rows the global aggregate is still one row; GROUP BY has
+    // no group to report.
+    let none = db.execute(&format!("SELECT {aggs} FROM t WHERE id < 0")).unwrap();
+    assert_eq!(bits(&none).len(), 1);
+    assert_eq!(none.rows[0][0], jackpine::storage::Value::Int(0));
+    assert_eq!(none.rows[0][2], jackpine::storage::Value::Null);
+    let no_group = db.execute(&format!("SELECT {aggs} FROM t WHERE id < 0 GROUP BY one")).unwrap();
+    assert!(no_group.is_empty());
+    db.set_workers(1);
+}
+
+#[test]
+fn order_by_with_tied_keys_keeps_input_order_at_every_worker_count() {
+    use jackpine::storage::Value;
+    let db = parallel_sized_table();
+    for dir in ["", " DESC"] {
+        let sql = format!("SELECT tie, id FROM t ORDER BY tie{dir}");
+        for workers in [1usize, 2, 7] {
+            db.set_workers(workers);
+            let r = db.execute(&sql).unwrap();
+            assert_eq!(r.len(), 3 * MIN_PARALLEL_ROWS + 17);
+            for pair in r.rows.windows(2) {
+                let [Value::Int(ta), Value::Int(ia)] = pair[0][..] else { panic!() };
+                let [Value::Int(tb), Value::Int(ib)] = pair[1][..] else { panic!() };
+                let in_order = if dir.is_empty() { ta <= tb } else { ta >= tb };
+                assert!(in_order, "ORDER BY tie{dir} out of order at workers={workers}");
+                if ta == tb {
+                    assert!(ia < ib, "tie {ta} lost input order at workers={workers}: {ia}, {ib}");
+                }
+            }
+        }
+        assert_equivalent(&db, "tied sort", &sql);
+    }
+    db.set_workers(1);
 }
