@@ -401,24 +401,15 @@ impl SpatialDb {
     /// Drops everything a cold run must not find warm. The buffer pool
     /// writes back its dirty frames, drops every unpinned one, and with
     /// them every row and quad decoded from a page (a frame that stays
-    /// pinned loses those too); spilled R-tree leaves lose their decoded
-    /// images — so the next probe of any page or leaf genuinely goes
-    /// back to the page store. Cached geometry preparations go as well:
-    /// they hold the decoded rows they were built from. So does the
+    /// pinned loses those too) — so the next probe of any page, or of a
+    /// spilled R-tree leaf (which lives only in its pool page), genuinely
+    /// goes back to the page store. Cached geometry preparations go as
+    /// well: they hold the decoded rows they were built from. So does the
     /// statement cache — a cold run that skipped it would still be warm
     /// where it counts for short queries.
     pub fn clear_caches(&self) {
         self.prepared_cache.clear();
         self.statements.clear();
-        let indexes = self.indexes.read();
-        for ti in indexes.values() {
-            for idx in ti.spatial.values() {
-                if let SpatialIdx::Rtree(tree) = idx {
-                    tree.clear_leaf_cache();
-                }
-            }
-        }
-        drop(indexes);
         self.catalog.pool().clear();
     }
 
@@ -859,6 +850,19 @@ mod out_of_core_tests {
         assert!(answers(&db) == answers(&twin), "the respilled tree answers otherwise");
         drop(db);
         std::fs::remove_dir_all(&spill).ok();
+    }
+
+    #[test]
+    fn a_spill_dir_that_is_a_file_fails_close_instead_of_keeping_pages_in_memory() {
+        let file = std::env::temp_dir().join(format!("jackpine-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let db = engine(Some(&file));
+        db.set_pool_bytes(4 * PAGE_SIZE);
+        assert_eq!(db.pool_stats().evictions, 0, "no page went anywhere");
+        let err = db.close().unwrap_err();
+        assert!(err.to_string().contains("pool flush"), "{err}");
+        drop(db);
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

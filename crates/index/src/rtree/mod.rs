@@ -7,10 +7,11 @@
 //! (backed by the engine's buffer pool): [`RTree::spill_leaves`]
 //! serializes each leaf as one blob and empties the in-tree vector,
 //! keeping only the internal levels resident — roughly `1/M` of the
-//! index. Queries load spilled leaves on demand through a decoded-leaf
-//! cache (an `Arc` per leaf, so warm probes cost one clone); the
-//! benchmark's cold switch drops that cache with
-//! [`RTree::clear_leaf_cache`], forcing re-reads through the pager.
+//! index. A spilled leaf lives only in the pager: every visit reads it
+//! back through [`LeafPager::read`] (under the engine, a pin of its
+//! pool page) and decodes it, and the decoded entries are dropped when
+//! the visit ends, so no memory outside the pager's budget grows with
+//! the leaves a workload touches.
 //! Mutations ([`RTree::insert`], [`RTree::remove`]) first fault every
 //! leaf back in ([`RTree::unspill`]) so the R\*-tree invariants work on
 //! resident vectors; the engine re-spills on its next rebuild or pool
@@ -85,7 +86,7 @@ pub struct RTree<T: Clone> {
     height: usize, // leaf level = 0; root is at `height`
     len: usize,
     config: RTreeConfig,
-    /// Pager, spilled set, decoder and decoded-leaf cache.
+    /// Pager, spilled set and decoder of the spilled leaves.
     paging: Paging<T>,
 }
 
@@ -504,20 +505,25 @@ impl<T: Clone> RTree<T> {
     /// [`RTree::nearest`] that also reports how many tree nodes the
     /// best-first search expanded and how many results it produced.
     pub fn nearest_probe(&self, query: Coord, k: usize) -> (Vec<(f64, T)>, crate::ProbeStats) {
-        #[derive(PartialEq)]
-        struct Cand {
+        /// A node to expand or an entry to emit; a leaf's entries carry
+        /// their payload, so a spilled leaf is read once per expansion.
+        struct Cand<T> {
             dist: f64,
-            node: Option<usize>, // None = leaf entry
-            entry: usize,
+            item: Entry<T>,
         }
-        impl Eq for Cand {}
-        impl Ord for Cand {
+        impl<T> PartialEq for Cand<T> {
+            fn eq(&self, other: &Self) -> bool {
+                self.dist.total_cmp(&other.dist).is_eq()
+            }
+        }
+        impl<T> Eq for Cand<T> {}
+        impl<T> Ord for Cand<T> {
             fn cmp(&self, other: &Self) -> std::cmp::Ordering {
                 // Reverse for a min-heap.
                 other.dist.total_cmp(&self.dist)
             }
         }
-        impl PartialOrd for Cand {
+        impl<T> PartialOrd for Cand<T> {
             fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
                 Some(self.cmp(other))
             }
@@ -528,42 +534,32 @@ impl<T: Clone> RTree<T> {
         if k == 0 || self.is_empty() {
             return (out, stats);
         }
-        let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
-        heap.push(Cand { dist: 0.0, node: Some(self.root), entry: 0 });
+        let mut heap: BinaryHeap<Cand<T>> = BinaryHeap::new();
+        heap.push(Cand { dist: 0.0, item: Entry::Node(self.root) });
         while let Some(c) = heap.pop() {
-            match c.node {
-                Some(node_id) => {
+            match c.item {
+                Entry::Node(node_id) => {
                     stats.nodes_visited += 1;
                     match &self.nodes[node_id] {
                         Node::Internal { entries } => {
                             for (e, child) in entries {
-                                heap.push(Cand {
-                                    dist: e.distance_to_coord(query),
-                                    node: Some(*child),
-                                    entry: 0,
-                                });
+                                let dist = e.distance_to_coord(query);
+                                heap.push(Cand { dist, item: Entry::Node(*child) });
                             }
                         }
                         Node::Leaf { .. } => {
-                            for (i, (e, _)) in self.leaf_entries(node_id).iter().enumerate() {
-                                heap.push(Cand {
-                                    dist: e.distance_to_coord(query),
-                                    node: None,
-                                    entry: i | (node_id << 32),
-                                });
+                            for (e, v) in self.leaf_entries(node_id).iter() {
+                                let dist = e.distance_to_coord(query);
+                                heap.push(Cand { dist, item: Entry::Leaf(v.clone()) });
                             }
                         }
                     }
                 }
-                None => {
-                    let node_id = c.entry >> 32;
-                    let i = c.entry & 0xFFFF_FFFF;
-                    if matches!(&self.nodes[node_id], Node::Leaf { .. }) {
-                        stats.candidates += 1;
-                        out.push((c.dist, self.leaf_entries(node_id)[i].1.clone()));
-                        if out.len() == k {
-                            break;
-                        }
+                Entry::Leaf(v) => {
+                    stats.candidates += 1;
+                    out.push((c.dist, v));
+                    if out.len() == k {
+                        break;
                     }
                 }
             }
@@ -938,17 +934,20 @@ mod tests {
         assert_eq!(got, want_window);
         assert!(pager.reads.load(std::sync::atomic::Ordering::Relaxed) > 0);
 
-        // Warm probe: cached decodes, same answers.
-        let reads_before = pager.reads.load(std::sync::atomic::Ordering::Relaxed);
-        let mut warm = t.window(&window);
-        warm.sort_unstable();
-        assert_eq!(warm, want_window);
-        assert_eq!(pager.reads.load(std::sync::atomic::Ordering::Relaxed), reads_before);
+        // A second probe reads the same leaves again: nothing of them
+        // was kept.
+        let reads = || pager.reads.load(std::sync::atomic::Ordering::Relaxed);
+        let cold_reads = reads();
+        let mut again = t.window(&window);
+        again.sort_unstable();
+        assert_eq!(again, want_window);
+        assert_eq!(reads(), 2 * cold_reads);
 
-        // Cold switch drops the decoded cache; answers still match.
-        t.clear_leaf_cache();
-        assert_eq!(t.nearest(Coord::new(500.0, 500.0), 25), want_knn);
-        assert!(pager.reads.load(std::sync::atomic::Ordering::Relaxed) > reads_before);
+        // k-NN reads each leaf it expands once, and answers the same.
+        let before = reads();
+        let (got_knn, stats) = t.nearest_probe(Coord::new(500.0, 500.0), 25);
+        assert_eq!(got_knn, want_knn);
+        assert!(reads() - before <= stats.nodes_visited, "one read per expanded leaf");
 
         // Clones share the pager and the spilled state.
         let c = t.clone();

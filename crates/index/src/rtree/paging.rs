@@ -1,11 +1,11 @@
 //! Spilled leaves: the pager a built tree writes its leaves to, the leaf
-//! codec, and the decoded-leaf cache queries read them back through.
+//! codec, and the one read path queries take back through the pager.
 
 use super::{Node, RTree};
 use jackpine_geom::Envelope;
-use jackpine_storage::sync::Mutex;
 use jackpine_storage::RowId;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Backing store for spilled R-tree leaves, keyed by leaf id. The pager
@@ -102,7 +102,8 @@ type LeafEntries<T> = Vec<(Envelope, T)>;
 type LeafDecoder<T> = fn(&[u8]) -> Option<LeafEntries<T>>;
 
 /// Everything a tree knows about its spilled leaves: one field of
-/// [`RTree`].
+/// [`RTree`]. A spilled leaf lives only in the pager: each visit reads
+/// and decodes it, and the decoded entries go when the visit ends.
 pub(super) struct Paging<T> {
     /// Backing store for spilled leaves, when attached.
     pager: Option<Arc<dyn LeafPager>>,
@@ -111,48 +112,18 @@ pub(super) struct Paging<T> {
     /// Decoder captured (monomorphized) at spill time, so query paths
     /// need no `T: LeafPayload` bound.
     decoder: Option<LeafDecoder<T>>,
-    /// Decoded-leaf cache: warm probes of a spilled leaf cost one
-    /// `Arc` clone; the benchmark's cold switch clears it.
-    cache: Mutex<HashMap<usize, Arc<LeafEntries<T>>>>,
 }
 
 impl<T> Default for Paging<T> {
     fn default() -> Self {
-        Paging {
-            pager: None,
-            spilled: HashSet::new(),
-            decoder: None,
-            cache: Mutex::new(HashMap::new()),
-        }
+        Paging { pager: None, spilled: HashSet::new(), decoder: None }
     }
 }
 
 /// Clones share the pager and the spilled state.
 impl<T> Clone for Paging<T> {
     fn clone(&self) -> Self {
-        Paging {
-            pager: self.pager.clone(),
-            spilled: self.spilled.clone(),
-            decoder: self.decoder,
-            cache: Mutex::new(self.cache.lock().clone()),
-        }
-    }
-}
-
-/// Read access to one leaf's entries: a borrow when resident, a shared
-/// decoded image when the leaf is spilled.
-pub(super) enum LeafRef<'a, T> {
-    Resident(&'a [(Envelope, T)]),
-    Loaded(Arc<Vec<(Envelope, T)>>),
-}
-
-impl<T> std::ops::Deref for LeafRef<'_, T> {
-    type Target = [(Envelope, T)];
-    fn deref(&self) -> &Self::Target {
-        match self {
-            LeafRef::Resident(entries) => entries,
-            LeafRef::Loaded(entries) => entries.as_slice(),
-        }
+        Paging { pager: self.pager.clone(), spilled: self.spilled.clone(), decoder: self.decoder }
     }
 }
 
@@ -190,7 +161,6 @@ impl<T: Clone> RTree<T> {
                 self.paging.spilled.insert(id);
             }
         }
-        self.paging.cache.lock().clear();
     }
 
     /// Faults every spilled leaf back into the tree (mutations need
@@ -205,44 +175,37 @@ impl<T: Clone> RTree<T> {
         for id in ids {
             let loaded = self.load_leaf(id);
             if let Node::Leaf { entries } = &mut self.nodes[id] {
-                *entries = loaded.as_ref().clone();
+                *entries = loaded;
             }
         }
         self.paging.spilled.clear();
-        self.paging.cache.lock().clear();
     }
 
-    /// Drops the decoded-leaf cache — the cold-run switch for spilled
-    /// leaves: the next probe of each leaf re-reads through the pager.
-    pub fn clear_leaf_cache(&self) {
-        self.paging.cache.lock().clear();
-    }
+    /// A no-op, kept for its callers (the benchmark package's leaf-fault
+    /// probe calls it): nothing of a spilled leaf outlives the visit that
+    /// read it, so every probe already reads through the pager.
+    pub fn clear_leaf_cache(&self) {}
 
-    /// Loads a spilled leaf's entries through the decoded-leaf cache.
+    /// Reads and decodes a spilled leaf's entries through the pager.
     /// Panics on a missing or undecodable image: the pager is this
     /// process's own buffer pool, so that is an invariant violation,
     /// not user-visible corruption.
-    fn load_leaf(&self, node_id: usize) -> Arc<Vec<(Envelope, T)>> {
-        if let Some(hit) = self.paging.cache.lock().get(&node_id) {
-            return hit.clone();
-        }
+    fn load_leaf(&self, node_id: usize) -> LeafEntries<T> {
         let pager = self.paging.pager.as_ref().expect("spilled leaf without a pager");
         let decoder = self.paging.decoder.expect("spilled leaf without a decoder");
         let bytes =
             pager.read(node_id as u64).unwrap_or_else(|| panic!("leaf {node_id} lost by pager"));
-        let entries =
-            Arc::new(decoder(&bytes).unwrap_or_else(|| panic!("leaf {node_id} undecodable")));
-        self.paging.cache.lock().insert(node_id, entries.clone());
-        entries
+        decoder(&bytes).unwrap_or_else(|| panic!("leaf {node_id} undecodable"))
     }
 
-    /// Read access to a leaf's entries, resident or spilled.
-    pub(super) fn leaf_entries(&self, node_id: usize) -> LeafRef<'_, T> {
+    /// Read access to a leaf's entries: a borrow when resident, the
+    /// visit's own decoded copy when the leaf is spilled.
+    pub(super) fn leaf_entries(&self, node_id: usize) -> Cow<'_, [(Envelope, T)]> {
         if self.paging.spilled.contains(&node_id) {
-            return LeafRef::Loaded(self.load_leaf(node_id));
+            return Cow::Owned(self.load_leaf(node_id));
         }
         match &self.nodes[node_id] {
-            Node::Leaf { entries } => LeafRef::Resident(entries),
+            Node::Leaf { entries } => Cow::Borrowed(entries),
             Node::Internal { .. } => unreachable!("leaf_entries on internal node"),
         }
     }

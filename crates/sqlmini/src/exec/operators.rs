@@ -9,6 +9,8 @@ use super::{ExecCtx, LazyRow, MAX_CAPACITY_HINT};
 use crate::plan::{AggExpr, AggOutput, BoundExpr, PlanNode};
 use crate::provider::TableProvider;
 use crate::{Result, SqlError};
+use jackpine_geom::algorithms as alg;
+use jackpine_geom::Geometry;
 use jackpine_obs::Stage;
 use jackpine_storage::{RowId, Value};
 use std::cmp::Ordering;
@@ -148,16 +150,57 @@ pub(super) fn access<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Option<
             let geom = g
                 .as_geom()
                 .ok_or_else(|| SqlError::Type("k-NN query expression must be a geometry".into()))?;
-            let center = geom
-                .envelope()
-                .center()
-                .ok_or_else(|| SqlError::Type("k-NN query geometry is empty".into()))?;
-            (table, ctx.stage_if_some(Stage::IndexProbe, || table.nearest(*col, center, *k)))
+            (table, knn_candidates(table, *col, geom, *k, ctx)?)
         }
         _ => return Ok(None),
     };
     let ids = probed.unwrap_or_else(|| table.row_ids());
     Ok(Some((table, ids)))
+}
+
+/// The rows `ORDER BY ST_Distance(col, query) LIMIT k` must sort to
+/// answer exactly as a full scan would, in two index probes. The first
+/// takes any k rows near `query` (the index's `nearest`, ranked by
+/// envelope distance) and fetches them: the farthest of them, at exact
+/// distance D, bounds the k-th smallest distance of the table. Every
+/// row at distance D or less has its envelope within D of `query`'s
+/// envelope, so the second probe, a window of that envelope grown by D
+/// (and by a margin far above the rounding error of a distance), holds
+/// every row the sort can keep. The ids are sorted, so the stable sort
+/// breaks ties in storage order as the scan does. `None` (read the
+/// whole table) without an index, with fewer than k indexed rows, for
+/// an empty `query`, or when a fetched row has no distance to it.
+fn knn_candidates(
+    table: &Arc<dyn TableProvider>,
+    col: usize,
+    query: &Geometry,
+    k: usize,
+    ctx: &ExecCtx,
+) -> Result<Option<Vec<RowId>>> {
+    let env = query.envelope();
+    let Some(centre) = env.center() else { return Ok(None) };
+    let Some(near) = ctx.stage_if_some(Stage::IndexProbe, || table.nearest(col, centre, k)) else {
+        return Ok(None);
+    };
+    if near.len() < k {
+        return Ok(None);
+    }
+    let mut reach = 0.0f64;
+    for row in table.fetch_many(&near)? {
+        let d = row.get(col).and_then(Value::as_geom).map(|g| alg::distance(g, query));
+        match d {
+            Some(d) if d.is_finite() => reach = reach.max(d),
+            _ => return Ok(None),
+        }
+    }
+    let scale =
+        [env.min_x, env.min_y, env.max_x, env.max_y].iter().fold(reach, |m, v| m.max(v.abs()));
+    let window = env.expanded_by(reach + scale * 1e-9);
+    let mut ids = ctx.stage_if_some(Stage::IndexProbe, || table.spatial_candidates(col, &window));
+    if let Some(ids) = &mut ids {
+        ids.sort_unstable();
+    }
+    Ok(ids)
 }
 
 /// Fetches `ids` from `table` as row handles, morsel-parallel, one

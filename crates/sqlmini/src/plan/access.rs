@@ -2,7 +2,7 @@
 //! sequential scan, and the index-join form of a join predicate.
 
 use super::bind::{bind, referenced_tables, BoundTable, Layout};
-use super::{BoundExpr, PlanNode, PlanOptions};
+use super::{aggregates, BoundExpr, PlanNode, PlanOptions};
 use crate::ast::{BinOp, Expr, Select};
 use crate::functions::is_indexable_predicate;
 use crate::Result;
@@ -18,8 +18,13 @@ pub(super) fn choose_access(
     select: &Select,
 ) -> Result<PlanNode> {
     // k-NN path: single table, ORDER BY ST_Distance(geom, const) LIMIT k,
-    // no other filters (refinement slack handles minor post-filtering).
-    if layout.tables.len() == 1 && select.order_by.len() == 1 && filters.is_empty() {
+    // no other filters and no aggregate (an aggregate would see only the
+    // candidates, not every row).
+    if layout.tables.len() == 1
+        && select.order_by.len() == 1
+        && filters.is_empty()
+        && !aggregates(select)
+    {
         if let (Some(k), (Expr::Func { name, args }, true)) = (select.limit, &select.order_by[0]) {
             if name.eq_ignore_ascii_case("ST_Distance") && args.len() == 2 {
                 for (col_side, const_side) in [(&args[0], &args[1]), (&args[1], &args[0])] {
@@ -27,15 +32,11 @@ pub(super) fn choose_access(
                         let c = bind(const_side, layout);
                         if let Ok(c) = c {
                             if c.is_constant() && opts.use_spatial_index {
-                                // Fetch extra candidates: the index ranks by
-                                // envelope distance, the final sort by exact
-                                // distance.
-                                let slack = (k * 3).max(k + 16);
                                 return Ok(PlanNode::KnnScan {
                                     table: t.provider.clone(),
                                     col,
                                     query: c,
-                                    k: slack,
+                                    k,
                                 });
                             }
                         }

@@ -164,7 +164,7 @@ pub enum PlanNode {
         col: usize,
         /// Constant query geometry expression.
         query: BoundExpr,
-        /// Number of candidates to fetch (includes refinement slack).
+        /// The statement's `LIMIT`: how many rows the exact sort keeps.
         k: usize,
     },
     /// Tuple filter.
@@ -437,23 +437,24 @@ pub fn plan_select(
     Ok(PlannedSelect { root, columns, mode: opts.mode })
 }
 
+/// Whether `select` aggregates: a `GROUP BY`, or an aggregate call in
+/// its projection list.
+fn aggregates(select: &Select) -> bool {
+    !select.group_by.is_empty()
+        || select.items.iter().any(|i| {
+            matches!(i, SelectItem::Expr { expr: Expr::Func { name, .. }, .. }
+                if ["COUNT", "SUM", "AVG", "MIN", "MAX"]
+                    .contains(&name.to_ascii_uppercase().as_str()))
+        })
+}
+
 /// Builds the projection or aggregation stage.
 fn plan_projection(
     input: PlanNode,
     select: &Select,
     layout: &Layout,
 ) -> Result<(PlanNode, Vec<String>)> {
-    let is_agg = |e: &Expr| {
-        matches!(e, Expr::Func { name, .. }
-            if ["COUNT", "SUM", "AVG", "MIN", "MAX"]
-                .contains(&name.to_ascii_uppercase().as_str()))
-    };
-    let any_agg = select.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => is_agg(expr),
-        SelectItem::Wildcard => false,
-    });
-
-    if any_agg || !select.group_by.is_empty() {
+    if aggregates(select) {
         let group_by: Vec<BoundExpr> =
             select.group_by.iter().map(|e| bind(e, layout)).collect::<Result<_>>()?;
         let mut outputs: Vec<(AggOutput, String)> = Vec::new();

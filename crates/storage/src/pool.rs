@@ -289,6 +289,7 @@ pub(crate) struct PageFile {
     /// What [`BufferPool::pin`] and [`BufferPool::unregister`] know this
     /// file by.
     pub(crate) id: u64,
+    /// `name-id`: the stem of its spill file, and its `Debug` form.
     name: String,
     store: OnceLock<Box<dyn PageStore>>,
     /// Radix tree over the bytes of a page number, most significant
@@ -300,7 +301,7 @@ pub(crate) struct PageFile {
 
 impl fmt::Debug for PageFile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PageFile({}-{})", self.name, self.id)
+        write!(f, "PageFile({})", self.name)
     }
 }
 
@@ -524,7 +525,7 @@ impl BufferPool {
         let mut files = self.files.write();
         let file = Arc::new(PageFile {
             id: files.len() as u64,
-            name: name.to_string(),
+            name: format!("{name}-{}", files.len()),
             store: store.map(OnceLock::from).unwrap_or_default(),
             pages: level(),
         });
@@ -661,23 +662,21 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Consults the spill directory when a file's store is first needed.
-    fn new_store(&self, file: &PageFile) -> Box<dyn PageStore> {
-        if let Some(dir) = self.spill_dir.lock().as_ref() {
-            // Scratch storage: degrade to memory if the disk path is
-            // unusable.
-            if let Ok(store) =
-                FileStore::create(dir.join(format!("{}-{}.jkpg", file.name, file.id)))
-            {
-                return Box::new(store);
-            }
-        }
-        Box::new(MemStore::default())
-    }
-
-    /// Writes `frame` to its file's store; it stays dirty if that fails.
+    /// Writes `frame` to its file's store, made by the file's first
+    /// write-back: a file in the spill directory if one is set, else
+    /// memory. The frame stays dirty if that fails, and a spill file that
+    /// cannot be created fails it too; the next write-back tries again.
     fn write_back(&self, file: &PageFile, page: u32, frame: &mut Frame) -> io::Result<()> {
-        let store = file.store.get_or_init(|| self.new_store(file));
+        // Made under the spill-directory lock, so a file's store is made once.
+        let unmade = file.store.get().is_none().then(|| self.spill_dir.lock());
+        if let Some(dir) = unmade.filter(|_| file.store.get().is_none()) {
+            let store: Box<dyn PageStore> = match dir.as_ref() {
+                Some(dir) => Box::new(FileStore::create(dir.join(format!("{}.jkpg", file.name)))?),
+                None => Box::<MemStore>::default(),
+            };
+            file.store.set(store).ok();
+        }
+        let store = file.store.get().expect("made above");
         store.write_page(page, &mut frame.page.to_bytes_after(4))?;
         frame.dirty = false;
         self.dirty_writebacks.fetch_add(1, Ordering::Relaxed);
@@ -911,6 +910,36 @@ mod tests {
             std::fs::read_dir(&dir).unwrap().next().is_none(),
             "FileStore drop removes its spill file"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_spill_file_that_cannot_be_created_fails_the_write_back() {
+        let tmp = std::env::temp_dir();
+        let not_a_dir = tmp.join(format!("jackpine-not-a-dir-{}", std::process::id()));
+        std::fs::write(&not_a_dir, b"a regular file").unwrap();
+        let pool = BufferPool::new();
+        pool.set_spill_dir(Some(not_a_dir.clone()));
+        pool.set_capacity_bytes(PAGE_SIZE);
+        let f = pool.register("t");
+        fill(&pool, f, 0, b"first");
+        // Evicting page 0 needs its store, which cannot be made: the
+        // frame stays, dirty, and nothing went to memory instead.
+        fill(&pool, f, 1, b"second");
+        let s = pool.stats();
+        assert_eq!((s.resident_frames, s.evictions, s.dirty_writebacks), (2, 0, 0), "{s:?}");
+        assert!(pool.flush().is_err(), "flush reports the store error");
+        // The store stayed unmade: the next write-back tries again.
+        let dir = tmp.join(format!("jackpine-retry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        pool.set_spill_dir(Some(dir.clone()));
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().dirty_writebacks, 2);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "the page file was made");
+        pool.clear();
+        assert_eq!(first_tuple(&pool, f, 0), b"first");
+        drop(pool);
+        std::fs::remove_file(&not_a_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 

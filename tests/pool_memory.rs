@@ -45,6 +45,7 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
     db.close().unwrap(); // settles the rows' visibility entries
     let heap_bytes = live() - base;
     db.create_spatial_index("pts", "geom").unwrap();
+    let rtree_bytes = live() - base - heap_bytes;
     db.create_ordered_index("pts", "id").unwrap();
     let index_bytes = live() - base - heap_bytes;
     let pages = table.heap.page_count() as usize;
@@ -65,14 +66,15 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
     let per_row = (live() - base - loaded) / ROWS as usize;
     assert!(per_row < 268, "{per_row} live bytes per decoded row");
 
-    // What the bound allows above the pre-load level: the indexes as
-    // they were when fully resident (spilled leaves come back through
-    // a decode cache of their own, outside the pool's budget), 32
-    // frames at four times their page — the page, and decoded rows at
+    // What the bound allows above the pre-load level: the indexes with
+    // the R-tree's leaves spilled — the ordered index, and of the R-tree
+    // its inner nodes and a directory entry a leaf, under a quarter of
+    // its resident bytes (a spilled leaf lives only in its pool page) —
+    // 32 frames at four times their page — the page, and decoded rows at
     // up to three times the bytes they were decoded from — and 2 MiB
     // for everything that is per engine or per statement text (plans,
     // traces, prepared constants), not per row.
-    let bound = index_bytes + FRAMES * 4 * PAGE_SIZE + 2 * MIB;
+    let bound = index_bytes - rtree_bytes * 3 / 4 + FRAMES * 4 * PAGE_SIZE + 2 * MIB;
     let check = |when: &str| {
         let pool = db.pool_stats();
         assert!(pool.resident_frames <= FRAMES as u64, "{when}: {pool:?}");
@@ -104,9 +106,29 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
         assert_eq!(db.execute(&by_id).unwrap().rows, vec![vec![Value::Int(i * 97)]]);
     }
     check("after index-probed lookups");
+
     let peak = PEAK.load(Ordering::Relaxed) - base;
     assert!(peak < bound, "the lookups peaked at {peak} bytes, bound {bound}");
     assert!(db.pool_stats().evictions > 2 * pages as u64, "two scans cycled the pool");
+
+    // A probe that visits every leaf leaves none of them behind: with
+    // the frames dropped, what stays live is its statement's plan and
+    // trace (a probe of one corner warmed the rest), well under the
+    // decoded leaves, which would be most of the R-tree's bytes.
+    let count_in = |x: i64, y: i64| {
+        let sql = format!(
+            "SELECT COUNT(*) FROM pts WHERE ST_Intersects(geom, ST_MakeEnvelope(-1, -1, {x}, {y}))"
+        );
+        db.execute(&sql).unwrap().scalar().and_then(Value::as_i64).unwrap()
+    };
+    assert_eq!(count_in(0, 0), 1);
+    table.heap.pool().clear();
+    let settled = live();
+    assert_eq!(count_in(200, 100), ROWS);
+    table.heap.pool().clear();
+    let left = live().saturating_sub(settled);
+    assert!(left < rtree_bytes / 4, "a probe of every leaf left {left} bytes behind");
+    check("after a probe of every leaf");
 
     drop(table);
     drop(db);

@@ -5,8 +5,10 @@ mod common;
 
 use common::{cases, test_rng};
 use jackpine::datagen::rng::Rng;
-use jackpine::geom::{Coord, Envelope};
+use jackpine::engine::{EngineProfile, SpatialDb};
+use jackpine::geom::{wkt, Coord, Envelope, Geometry, LineString, Polygon, Ring};
 use jackpine::index::{GridIndex, OrderedIndex, RTree, RTreeConfig};
+use std::sync::Arc;
 
 /// An arbitrary envelope in a bounded range.
 fn env(rng: &mut Rng) -> Envelope {
@@ -116,6 +118,56 @@ fn knn_orders_match_brute_force() {
         for (i, (d, _)) in got.iter().enumerate() {
             assert!((d - dists[i]).abs() < 1e-9, "grid k={i}: {d} vs brute {}", dists[i]);
         }
+    }
+}
+
+/// A line or a polygon in a crowded 100-wide square: long lines whose
+/// envelopes overlap, so envelope distance ranks them badly.
+fn crowded_line_or_polygon(rng: &mut Rng) -> Geometry {
+    let mut at = || Coord::new(rng.gen_range(-50.0..50.0f64), rng.gen_range(-50.0..50.0f64));
+    let centre = at();
+    if rng.gen_range(0..2usize) == 0 {
+        let mut pts = vec![centre];
+        for _ in 0..rng.gen_range(1..4usize) {
+            let last = *pts.last().unwrap();
+            let (dx, dy) = (rng.gen_range(-60.0..60.0f64), rng.gen_range(-60.0..60.0f64));
+            pts.push(Coord::new(last.x + dx + 0.001, last.y + dy + 0.001));
+        }
+        return Geometry::LineString(LineString::new(pts).unwrap());
+    }
+    let n = rng.gen_range(3..9usize);
+    let mut pts: Vec<Coord> = (0..n)
+        .map(|i| {
+            let (r, theta) =
+                (rng.gen_range(0.5..25.0f64), std::f64::consts::TAU * i as f64 / n as f64);
+            Coord::new(centre.x + r * theta.cos(), centre.y + r * theta.sin())
+        })
+        .collect();
+    pts.push(pts[0]);
+    Geometry::Polygon(Polygon::new(Ring::new(pts).unwrap(), Vec::new()))
+}
+
+#[test]
+fn knn_ids_match_the_index_off_plan_over_lines_and_polygons() {
+    let mut rng = test_rng("knn_ids_match_the_index_off_plan_over_lines_and_polygons");
+    for case in 0..cases(24) {
+        let profile = [EngineProfile::ExactRtree, EngineProfile::ExactGrid][case % 2];
+        let db = Arc::new(SpatialDb::new(profile));
+        db.execute("CREATE TABLE t (id BIGINT, geom GEOMETRY)").unwrap();
+        for i in 0..rng.gen_range(20..80usize) {
+            let g = wkt::write(&crowded_line_or_polygon(&mut rng));
+            db.execute(&format!("INSERT INTO t VALUES ({i}, ST_GeomFromText('{g}'))")).unwrap();
+        }
+        db.create_spatial_index("t", "geom").unwrap();
+        let query = wkt::write(&crowded_line_or_polygon(&mut rng));
+        let k = rng.gen_range(1..6usize);
+        let sql = format!(
+            "SELECT id FROM t ORDER BY ST_Distance(geom, ST_GeomFromText('{query}')) LIMIT {k}"
+        );
+        let on = db.execute(&sql).unwrap().rows;
+        db.set_use_spatial_index(false);
+        let off = db.execute(&sql).unwrap().rows;
+        assert_eq!(on, off, "{profile:?}: {sql}");
     }
 }
 

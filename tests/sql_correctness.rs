@@ -166,6 +166,91 @@ fn nearest_road_matches_brute_force() {
     assert_eq!(r.rows[0][0], Value::Int(want));
 }
 
+/// A table `t (id BIGINT, geom GEOMETRY)` holding `wkts` (row `i` has
+/// id `i`) under a spatial index, on `profile` at `workers`.
+fn geometry_table(profile: EngineProfile, workers: usize, wkts: &[String]) -> Arc<SpatialDb> {
+    let db = Arc::new(SpatialDb::new(profile));
+    db.set_workers(workers);
+    db.execute("CREATE TABLE t (id BIGINT, geom GEOMETRY)").unwrap();
+    for (i, w) in wkts.iter().enumerate() {
+        db.execute(&format!("INSERT INTO t VALUES ({i}, ST_GeomFromText('{w}'))")).unwrap();
+    }
+    db.create_spatial_index("t", "geom").unwrap();
+    db
+}
+
+/// `sql`'s rows with the spatial index off, after asserting that the
+/// index-on plan gives the same rows.
+fn as_without_the_index(db: &Arc<SpatialDb>, sql: &str) -> Vec<Vec<Value>> {
+    db.set_use_spatial_index(true);
+    let on = db.execute(sql).unwrap().rows;
+    db.set_use_spatial_index(false);
+    let off = db.execute(sql).unwrap().rows;
+    db.set_use_spatial_index(true);
+    assert_eq!(on, off, "index on vs off: {sql}");
+    on
+}
+
+fn explain(db: &Arc<SpatialDb>, sql: &str) -> String {
+    let r = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+    r.rows.iter().map(|row| row[0].to_string() + "\n").collect()
+}
+
+#[test]
+fn knn_is_exact_when_envelope_distance_misleads() {
+    // 17 long segments on x + y = -80: their envelopes hold the origin,
+    // the segments pass 56.57 from it. Row 17 is 1 from it, its
+    // envelope is not.
+    let mut wkts: Vec<String> = (0..17)
+        .map(|i| format!("LINESTRING ({} {}, {} {})", -100 - i, 20 + i, 20 + i, -100 - i))
+        .collect();
+    wkts.push("LINESTRING (1 0, 2 0)".into());
+    let sql = "SELECT id FROM t ORDER BY ST_Distance(geom, ST_GeomFromText('POINT (0 0)')) LIMIT 1";
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+        for workers in [1, 2] {
+            let db = geometry_table(profile, workers, &wkts);
+            assert!(explain(&db, sql).contains("KnnScan col=1 k=1\n"), "{}", explain(&db, sql));
+            assert_eq!(as_without_the_index(&db, sql), vec![vec![Value::Int(17)]], "{profile:?}");
+        }
+    }
+}
+
+#[test]
+fn knn_from_a_line_is_exact() {
+    // The line's envelope centre (50 0) is nearest the 40 points at
+    // distance 3; row 40 is 0.5 from the line but far from its centre.
+    let mut wkts: Vec<String> =
+        (0..40).map(|i| format!("POINT ({} 3)", 45.0 + 0.25 * i as f64)).collect();
+    wkts.push("POINT (100 0.5)".into());
+    let db = geometry_table(EngineProfile::ExactRtree, 1, &wkts);
+    let sql = "SELECT id FROM t \
+               ORDER BY ST_Distance(geom, ST_GeomFromText('LINESTRING (0 0, 100 0)')) LIMIT 1";
+    assert_eq!(as_without_the_index(&db, sql), vec![vec![Value::Int(40)]]);
+    // Ties keep storage order, as the scan's stable sort keeps them.
+    let sql = sql.replace("LIMIT 1", "LIMIT 4");
+    let want: Vec<_> = [40, 0, 1, 2].map(|i| vec![Value::Int(i)]).into();
+    assert_eq!(as_without_the_index(&db, &sql), want);
+}
+
+#[test]
+fn an_aggregate_ordered_by_distance_counts_every_row() {
+    let wkts: Vec<String> = (0..40).map(|i| format!("POINT ({i} {})", i % 7)).collect();
+    let db = geometry_table(EngineProfile::ExactRtree, 1, &wkts);
+    let sql = "SELECT COUNT(*) FROM t \
+               ORDER BY ST_Distance(geom, ST_GeomFromText('POINT (0 0)')) LIMIT 1";
+    assert!(!explain(&db, sql).contains("KnnScan"), "{}", explain(&db, sql));
+    assert_eq!(as_without_the_index(&db, sql), vec![vec![Value::Int(40)]]);
+}
+
+#[test]
+fn knn_from_an_empty_geometry_answers_as_without_the_index() {
+    let wkts: Vec<String> = (0..40).map(|i| format!("POINT ({i} {})", i % 7)).collect();
+    let db = geometry_table(EngineProfile::ExactRtree, 1, &wkts);
+    let sql = "SELECT id FROM t \
+               ORDER BY ST_Distance(geom, ST_GeomFromText('POINT EMPTY')) LIMIT 1";
+    assert_eq!(as_without_the_index(&db, sql), vec![vec![Value::Int(0)]]);
+}
+
 #[test]
 fn group_by_category_matches_brute_force() {
     let (data, db) = setup();
