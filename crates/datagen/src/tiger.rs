@@ -598,5 +598,18 @@ mod tests {
         d.areawater.iter().for_each(|r| fold(r));
         println!("dataset: {} records, FNV-1a {hash:016x}", d.total_rows());
         assert_eq!((d.total_rows(), hash), (5278, 0xda8b_aa1b_63c4_25a7));
+        // An empty geometry has a NULL distance, which the k-NN path
+        // never sees; no generated record has one.
+        let empty = d
+            .counties
+            .iter()
+            .map(County::geometry)
+            .chain(d.roads.iter().map(Road::geometry))
+            .chain(d.arealm.iter().map(AreaLandmark::geometry))
+            .chain(d.pointlm.iter().map(PointLandmark::geometry))
+            .chain(d.areawater.iter().map(AreaWater::geometry))
+            .filter(Geometry::is_empty)
+            .count();
+        assert_eq!(empty, 0, "records with an empty geometry");
     }
 }

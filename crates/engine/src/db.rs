@@ -14,7 +14,7 @@ use crate::syscat::Introspection;
 use crate::txn::{SnapshotGuard, Transactions};
 use crate::EngineProfile;
 use jackpine_obs::EngineMetrics;
-use jackpine_sqlmini::{PreparedCache, SqlError};
+use jackpine_sqlmini::SqlError;
 use jackpine_storage::sync::RwLock;
 use jackpine_storage::{Catalog, PoolStats, StorageError, Table};
 use std::collections::HashMap;
@@ -92,13 +92,6 @@ pub struct SpatialDb {
     /// Where completed statements are recorded: flight recorder,
     /// slow-query log, fingerprint stats, metrics history.
     pub(crate) introspection: Introspection,
-    /// Prepared-geometry cache shared with the executor's refine stage,
-    /// keyed by heap-row identity. Row slots are never reused and
-    /// entries pin the rows they were built from, so DML cannot
-    /// invalidate them — the cache survives INSERT/UPDATE/DELETE and is
-    /// only cleared on index/table drops (memory hygiene) and explicit
-    /// cold runs.
-    pub(crate) prepared_cache: Arc<PreparedCache>,
     /// Commit generation, writer lock, snapshot registry, reclaim queue
     /// and group commit: everything a write transaction goes through.
     pub(crate) txn: Arc<Transactions>,
@@ -124,7 +117,6 @@ impl SpatialDb {
             txn: Arc::new(Transactions::new(metrics.clone())),
             metrics,
             introspection: Introspection::default(),
-            prepared_cache: Arc::new(PreparedCache::new()),
             ddl_gen: AtomicU64::new(0),
             sessions: Sessions::default(),
         }
@@ -643,73 +635,6 @@ mod update_tests {
         let db = db();
         assert!(db.execute("UPDATE pois SET id = 'not a number'").is_err());
         assert!(db.execute("UPDATE pois SET missing = 1").is_err());
-    }
-}
-
-#[cfg(test)]
-mod prepared_cache_tests {
-    use super::*;
-
-    /// Overlapping unit-height rectangles along the x axis, spatially
-    /// indexed, so a self-join refines many polygon-polygon pairs.
-    fn db_with_polys() -> Arc<SpatialDb> {
-        let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
-        db.execute("CREATE TABLE lots (id BIGINT, geom GEOMETRY)").unwrap();
-        for i in 0..10 {
-            let x0 = i as f64;
-            let x1 = x0 + 1.5;
-            db.execute(&format!(
-                "INSERT INTO lots VALUES ({i}, ST_GeomFromText('POLYGON (({x0} 0, {x1} 0, \
-                 {x1} 1, {x0} 1, {x0} 0))'))"
-            ))
-            .unwrap();
-        }
-        db.create_spatial_index("lots", "geom").unwrap();
-        db.set_workers(1);
-        db
-    }
-
-    const JOIN: &str = "SELECT COUNT(*) FROM lots a, lots b WHERE ST_Intersects(a.geom, b.geom)";
-
-    #[test]
-    fn join_populates_cache() {
-        let db = db_with_polys();
-        db.execute(JOIN).unwrap();
-        assert!(!db.prepared_cache.is_empty(), "spatial join must populate the cache");
-        let m = db.metrics_snapshot();
-        assert!(m.counter("prepared_cache_hits") > 0, "inner geometries must be reused");
-    }
-
-    #[test]
-    fn dml_keeps_cache_index_drop_invalidates() {
-        let db = db_with_polys();
-        let populate = |db: &Arc<SpatialDb>| {
-            db.execute(JOIN).unwrap();
-            assert!(!db.prepared_cache.is_empty(), "query must repopulate the cache");
-        };
-
-        // Row ids are never reused, and UPDATE reinserts under a fresh
-        // id, so cached preparations stay valid across every DML shape
-        // — the cache must survive, not be wiped.
-        populate(&db);
-        let warm = db.prepared_cache.len();
-        db.execute("INSERT INTO lots VALUES (100, ST_GeomFromText('POINT (50 50)'))").unwrap();
-        assert_eq!(db.prepared_cache.len(), warm, "INSERT must not clear the cache");
-
-        db.execute("UPDATE lots SET geom = ST_Translate(geom, 20, 0) WHERE id = 100").unwrap();
-        assert_eq!(db.prepared_cache.len(), warm, "UPDATE must not clear the cache");
-
-        db.execute("DELETE FROM lots WHERE id = 100").unwrap();
-        assert_eq!(db.prepared_cache.len(), warm, "DELETE must not clear the cache");
-
-        // Results stay correct against the surviving cache.
-        populate(&db);
-
-        db.drop_spatial_index("lots", "geom").unwrap();
-        assert_eq!(db.prepared_cache.len(), 0, "index drop must invalidate");
-
-        // Still correct (and repopulating) without the index.
-        populate(&db);
     }
 }
 

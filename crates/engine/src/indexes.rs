@@ -394,7 +394,6 @@ impl SpatialDb {
             return Err(EngineError::Index(format!("no {kind} index on '{table}.{column}'")));
         }
         self.bump_ddl_gen();
-        self.prepared_cache.clear();
         self.checkpoint()
     }
 
@@ -403,12 +402,10 @@ impl SpatialDb {
     /// them every row and quad decoded from a page (a frame that stays
     /// pinned loses those too) — so the next probe of any page, or of a
     /// spilled R-tree leaf (which lives only in its pool page), genuinely
-    /// goes back to the page store. Cached geometry preparations go as
-    /// well: they hold the decoded rows they were built from. So does the
-    /// statement cache — a cold run that skipped it would still be warm
-    /// where it counts for short queries.
+    /// goes back to the page store. The statement cache goes as well — a
+    /// cold run that skipped it would still be warm where it counts for
+    /// short queries.
     pub fn clear_caches(&self) {
-        self.prepared_cache.clear();
         self.statements.clear();
         self.catalog.pool().clear();
     }

@@ -116,15 +116,15 @@ impl QueryTrace {
                 100.0 * rejects as f64 / (rejects + survivors) as f64
             ));
         }
-        // Prepared-geometry stats mirror the index-probe summary: cache
-        // effectiveness plus how many refine decisions short-circuited
-        // before a full DE-9IM matrix.
-        let prep_hits = self.counter("prepared_cache_hits");
-        let prep_misses = self.counter("prepared_cache_misses");
-        if prep_hits + prep_misses > 0 {
+        // Prepared-geometry stats mirror the index-probe summary: how
+        // many preparations the refine built and reused within a batch,
+        // plus how many refine decisions short-circuited before a full
+        // DE-9IM matrix.
+        let built = self.counter("prepared_cache_misses");
+        let reused = self.counter("prepared_cache_hits");
+        if built + reused > 0 {
             out.push_str(&format!(
-                "  prepared cache: {prep_hits} hits / {prep_misses} misses ({:.1}% hit rate), {} short-circuits\n",
-                100.0 * prep_hits as f64 / (prep_hits + prep_misses) as f64,
+                "  prepared geometries: {built} built, {reused} reused, {} short-circuits\n",
                 self.counter("refine_short_circuits")
             ));
         }

@@ -7,10 +7,9 @@ use super::{ExecCtx, LazyRow, TupleView};
 use crate::batch::{MbrColumn, MbrQuad, DEFAULT_BATCH_SIZE};
 use crate::functions::FunctionMode;
 use crate::plan::{BoundExpr, PlanNode};
-use crate::prepared::PreparedCache;
 use crate::Result;
 use jackpine_geom::Geometry;
-use jackpine_obs::{EngineMetrics, Stage};
+use jackpine_obs::Stage;
 use jackpine_storage::Value;
 use jackpine_topo::{PredicateKind, PreparedGeometry};
 use std::collections::HashMap;
@@ -123,54 +122,42 @@ impl GatherMemo {
     }
 }
 
-/// Chunk-local memo of the last resolved preparation per operand: one
-/// cache probe amortized across a run of identical row pointers — the
-/// batch-amortized prepared refine.
+/// Batch-local preparations keyed by physical row identity (the `Arc`
+/// pointer of the row part plus the column offset in it): a geometry
+/// that recurs within a batch, like an index join's inner row, is
+/// prepared once. Cleared at every batch boundary, so keying by pointer
+/// is sound (the batch borrows every row it keys) and, batch boundaries
+/// being fixed row positions, hits and misses depend on the statement
+/// alone.
 #[derive(Default)]
 struct PrepMemo {
-    last: Option<(usize, Arc<PreparedGeometry>)>,
+    map: HashMap<(usize, usize), Arc<PreparedGeometry>>,
+    hits: u64,
+    misses: u64,
 }
 
-fn resolve_prepared(
-    op: &VecOperand,
-    row: &LazyRow,
-    cache: &PreparedCache,
-    metrics: &EngineMetrics,
-    memo: &mut PrepMemo,
-) -> Option<Arc<PreparedGeometry>> {
-    let col = match op.col {
-        None => return op.const_prepared.clone(),
-        Some(c) => c,
-    };
-    match row.col_part(col) {
-        Some((part, off)) => {
-            let ptr = Arc::as_ptr(part) as usize;
-            if let Some((p, prepared)) = &memo.last {
-                if *p == ptr {
-                    // Counted as the cache hit a fresh probe would be,
-                    // so hit/miss totals do not depend on run lengths.
-                    metrics.prepared_cache_hits.incr();
-                    return Some(Arc::clone(prepared));
-                }
-            }
-            match &part[off] {
-                Value::Geom(g) => {
-                    let prepared = cache.get_or_prepare(part, off, g, metrics);
-                    memo.last = Some((ptr, Arc::clone(&prepared)));
-                    Some(prepared)
-                }
-                _ => None,
-            }
+impl PrepMemo {
+    /// The preparation of `op` in `row`: the constant's, the batch's
+    /// earlier one of the same row column (a hit), or a fresh one (a
+    /// miss). `None` for a non-geometry value.
+    fn resolve(&mut self, op: &VecOperand, row: &LazyRow) -> Option<Arc<PreparedGeometry>> {
+        let Some(col) = op.col else { return op.const_prepared.clone() };
+        let Some((part, off)) = row.col_part(col) else {
+            // Owned tuple: no stable identity to memo under.
+            let Some(Value::Geom(g)) = row.col(col) else { return None };
+            self.misses += 1;
+            return Some(Arc::new(PreparedGeometry::new(g)));
+        };
+        let Value::Geom(g) = &part[off] else { return None };
+        let key = (Arc::as_ptr(part) as usize, off);
+        if let Some(prepared) = self.map.get(&key) {
+            self.hits += 1;
+            return Some(Arc::clone(prepared));
         }
-        // Owned tuple: no stable identity to cache under, so prepare
-        // fresh. Still a miss — the work was done.
-        None => match row.col(col) {
-            Some(Value::Geom(g)) => {
-                metrics.prepared_cache_misses.incr();
-                Some(Arc::new(PreparedGeometry::new(g)))
-            }
-            _ => None,
-        },
+        self.misses += 1;
+        let prepared = Arc::new(PreparedGeometry::new(g));
+        self.map.insert(key, Arc::clone(&prepared));
+        Some(prepared)
     }
 }
 
@@ -264,7 +251,6 @@ pub(super) fn vectorized_filter(
     let b = bind(b);
 
     let metrics = &*ctx.metrics;
-    let cache = &*ctx.prepared;
     let bs = DEFAULT_BATCH_SIZE;
     let mode = ctx.mode;
     ctx.parallel_morsels_indexed(&rows, |base, chunk| {
@@ -276,8 +262,7 @@ pub(super) fn vectorized_filter(
         let mut sel: Vec<u32> = Vec::new();
         let mut gather_a = GatherMemo::default();
         let mut gather_b = GatherMemo::default();
-        let mut prep_a = PrepMemo::default();
-        let mut prep_b = PrepMemo::default();
+        let mut prep = PrepMemo::default();
         let mut rejects = 0u64;
         let mut survivors = 0u64;
         let mut short_circuits = 0u64;
@@ -288,6 +273,7 @@ pub(super) fn vectorized_filter(
         while offset < chunk.len() {
             let batch = &chunk[offset..(offset + bs).min(chunk.len())];
             batches += 1;
+            prep.map.clear();
 
             // Prefilter: columnar gather plus branch-free envelope test.
             let t0 = Instant::now();
@@ -332,12 +318,7 @@ pub(super) fn vectorized_filter(
                 let row = &batch[i];
                 let valid = a.valid_at(&col_a, i) && b.valid_at(&col_b, i);
                 let prepared =
-                    if valid {
-                        resolve_prepared(&a, row, cache, metrics, &mut prep_a)
-                            .zip(resolve_prepared(&b, row, cache, metrics, &mut prep_b))
-                    } else {
-                        None
-                    };
+                    if valid { prep.resolve(&a, row).zip(prep.resolve(&b, row)) } else { None };
                 keep[i] = match prepared {
                     Some((pa, pb)) => {
                         let outcome = jackpine_topo::evaluate(kind, &pa, &pb)?;
@@ -364,6 +345,8 @@ pub(super) fn vectorized_filter(
         metrics.prefilter_rejects.add(rejects);
         metrics.selvec_survivors.add(survivors);
         metrics.batches_dispatched.add(batches);
+        metrics.prepared_cache_hits.add(prep.hits);
+        metrics.prepared_cache_misses.add(prep.misses);
         // Each envelope reject is exactly the short-circuit `evaluate`
         // would have reported had the row reached it.
         metrics.refine_short_circuits.add(rejects + short_circuits);

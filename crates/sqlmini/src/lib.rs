@@ -25,7 +25,6 @@ pub mod fingerprint;
 pub mod functions;
 pub mod parser;
 pub mod plan;
-pub mod prepared;
 pub mod provider;
 pub mod token;
 pub mod virt;
@@ -34,7 +33,6 @@ pub use error::SqlError;
 pub use exec::ResultSet;
 pub use functions::FunctionMode;
 pub use plan::{plan_select, PlanNode, PlanOptions};
-pub use prepared::PreparedCache;
 
 /// Result alias for SQL operations.
 pub type Result<T> = std::result::Result<T, SqlError>;

@@ -24,11 +24,11 @@
 //!
 //! Backing stores are created lazily on first write-back: in memory by
 //! default, real page files once a caller names a directory with
-//! [`BufferPool::set_spill_dir`]. Spill files are scratch — crash
-//! durability is the WAL/snapshot's job — so a store that cannot be
-//! created on disk degrades to memory; a page that cannot be *read back*
-//! is an error ([`BufferPool::try_pin`]), and one that cannot be written
-//! back stays resident and dirty.
+//! [`BufferPool::set_spill_dir`]. Spill files are scratch (crash
+//! durability is the WAL/snapshot's job). A page that cannot be *read
+//! back* is an error ([`BufferPool::try_pin`]); a spill file that cannot
+//! be created fails the write-back as a failed write does: the frame stays
+//! resident and dirty, and [`BufferPool::flush`] reports the error.
 //!
 //! Counters (pin hits, cold pins, evictions, dirty write-backs) and
 //! levels (resident frames, decoded rows) surface in the `jp_buffer_pool`

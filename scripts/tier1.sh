@@ -18,7 +18,7 @@ echo "== non-test lines per workspace source file (lines before the first #[cfg(
 # below FILE_MAX so that nothing moves back into it.
 FILE_MAX=700
 declare -A ratchet=(
-  [crates/engine/src/db.rs]=209
+  [crates/engine/src/db.rs]=201
   [crates/storage/src/pool.rs]=812
   [crates/storage/src/heap.rs]=677
 )

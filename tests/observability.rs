@@ -55,6 +55,8 @@ fn counter_names_are_golden() {
             "refine_short_circuits",
             "prefilter_rejects",
             "selvec_survivors",
+            "prepared_cache_hits",
+            "prepared_cache_misses",
             "heap_rows_fetched",
             "wal_appends",
             "wal_fsyncs",
@@ -65,9 +67,6 @@ fn counter_names_are_golden() {
         [
             "plan_cache_hits",
             "plan_cache_misses",
-            "prepared_cache_hits",
-            "prepared_cache_misses",
-            "prepared_cache_evictions",
             "morsels_dispatched",
             "batches_dispatched",
             "group_commit_batches",

@@ -328,6 +328,10 @@ fn deterministic_counters_stable_across_batch_shapes() {
         "every vectorized candidate is either MBR-decided or refined"
     );
     assert!(reference.counter("prefilter_rejects") > 0, "corpus must exercise the prefilter");
+    assert!(
+        reference.counter("prepared_cache_hits") > 0,
+        "a join must reuse its inner preparations within a batch"
+    );
 
     let (rows, parallel) = run(false, 4);
     assert_eq!(ref_rows, rows, "results differ at workers=4");
