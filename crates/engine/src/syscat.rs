@@ -74,25 +74,27 @@ impl Default for Introspection {
 
 impl SpatialDb {
     /// Records one completed statement: its fingerprint's stats; for a
-    /// success, its trace — `total` and the counter delta since `before`
-    /// — in the flight recorder and, if slow enough, the slow-query log.
-    /// A failed statement
-    /// has no meaningful delta or row count: it shows in the error
-    /// column of its fingerprint instead of the trace rings.
+    /// success, its trace — `trace` was built before the statement ran,
+    /// with the counters as they stood, and gets `total`, the row count
+    /// and the delta since — in the flight recorder and, if slow enough,
+    /// the slow-query log. A failed statement has no meaningful delta
+    /// or row count: it shows in the error column of its fingerprint
+    /// instead of the trace rings.
     pub(crate) fn record(
         &self,
-        sql: &str,
         (fingerprint, shape): (u64, &str),
         total: Duration,
         result: &crate::Result<ResultSet>,
-        before: &MetricsSnapshot,
+        mut trace: Arc<QueryTrace>,
     ) {
         let sink = &self.introspection;
         match result {
             Ok(r) => {
                 sink.query_stats.record(fingerprint, shape, total, r.rows.len() as u64, false);
-                let delta = self.metrics.query_snapshot().delta_since(before);
-                let trace = Arc::new(QueryTrace::new(sql, total, r.rows.len(), delta));
+                let t = Arc::get_mut(&mut trace).expect("a statement's trace is unshared");
+                t.total = total;
+                t.rows = r.rows.len();
+                t.delta.rebase_to(&self.metrics.query_snapshot());
                 sink.recorder.push(trace.clone());
                 sink.slow_log.offer(&trace);
             }

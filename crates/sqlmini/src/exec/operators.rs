@@ -212,7 +212,7 @@ pub(super) fn fetch_rows(
     ctx: &ExecCtx,
 ) -> Result<Vec<LazyRow>> {
     ctx.parallel_morsels(ids, |chunk| {
-        Ok(table.fetch_many(chunk)?.into_iter().map(LazyRow::one).collect())
+        Ok(table.fetch_many(chunk)?.into_iter().map(LazyRow::One).collect())
     })
 }
 
