@@ -33,9 +33,11 @@
 //!
 //! `--pool-mb N` bounds every engine's buffer pool at N MiB (rows page
 //! out through pinned frames, R-tree leaves demand-load; 0 = unbounded,
-//! the default). `f2`'s cold repetitions then fault every page back in
-//! from the backing store, and `t3` adds the time that bounding a
-//! freshly loaded engine's pool takes (its R-tree leaves spill).
+//! the default). Evicted pages go to a spill file in the system temp
+//! directory, removed with its engine. `f2`'s cold repetitions then fault
+//! every page back in from that file, and `t3` adds the time that
+//! bounding a freshly loaded engine's pool takes (its R-tree leaves
+//! spill).
 //!
 //! An unknown flag or experiment prints the usage line and exits 2.
 

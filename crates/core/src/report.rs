@@ -26,12 +26,6 @@ impl Table {
         }
     }
 
-    /// Attaches a run-context note (shown in parentheses under the title).
-    pub fn with_context(mut self, context: impl Into<String>) -> Table {
-        self.context = context.into();
-        self
-    }
-
     /// Appends a row (padded/truncated to the header width).
     pub fn push_row(&mut self, cells: Vec<String>) {
         let mut cells = cells;
@@ -140,7 +134,8 @@ mod tests {
 
     #[test]
     fn context_line_under_title() {
-        let t = Table::new("Demo", &["a"]).with_context("workers=8");
+        let mut t = Table::new("Demo", &["a"]);
+        t.context = "workers=8".into();
         let s = t.render();
         assert!(s.contains("## Demo\n(workers=8)\n"));
         // CSV stays pure data.

@@ -17,7 +17,7 @@ use crate::txn::WriteTxn;
 use jackpine_obs::{digest, QueryTrace, Stage, TxnSite};
 use jackpine_sqlmini::ast::{Expr, Select, Statement};
 use jackpine_sqlmini::plan::{PlanOptions, PlannedSelect};
-use jackpine_sqlmini::{exec, parser, plan, FunctionMode, ResultSet, SqlError};
+use jackpine_sqlmini::{exec, parser, plan, ResultSet, SqlError};
 use jackpine_storage::sync::{Mutex, RwLock};
 use jackpine_storage::{ColumnDef, DataType, Row, RowId, StorageError, Value};
 use std::collections::HashMap;
@@ -351,12 +351,13 @@ impl SpatialDb {
                 // Evaluate every VALUES tuple up front, then apply the
                 // whole statement as one write transaction: a multi-row
                 // INSERT publishes all rows atomically or none.
+                // Bound with no columns in scope: a column reference fails.
                 let mode = self.profile().function_mode();
                 let mut staged: Vec<Row> = Vec::with_capacity(rows.len());
                 for exprs in rows {
                     let mut row = Vec::with_capacity(exprs.len());
                     for e in exprs {
-                        row.push(eval_const_expr(&e, mode)?);
+                        row.push(exec::eval(&plan::bind_columns(Vec::new(), &e)?, &[], mode)?);
                     }
                     staged.push(row);
                 }
@@ -441,32 +442,6 @@ fn parse_type(ty: &str) -> Option<DataType> {
         "GEOMETRY" => Some(DataType::Geometry),
         _ => None,
     }
-}
-
-/// Evaluates a column-free expression (INSERT values).
-fn eval_const_expr(e: &Expr, mode: FunctionMode) -> crate::Result<Value> {
-    Ok(match e {
-        Expr::Literal(v) => v.clone(),
-        Expr::Neg(inner) => match eval_const_expr(inner, mode)? {
-            Value::Int(i) => Value::Int(-i),
-            Value::Float(f) => Value::Float(-f),
-            other => {
-                return Err(EngineError::Sql(SqlError::Type(format!("cannot negate {other:?}"))))
-            }
-        },
-        Expr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_const_expr(a, mode)?);
-            }
-            jackpine_sqlmini::functions::call(mode, name, &vals)?
-        }
-        other => {
-            return Err(EngineError::Sql(SqlError::Type(format!(
-                "INSERT values must be constants, got {other:?}"
-            ))))
-        }
-    })
 }
 
 #[cfg(test)]

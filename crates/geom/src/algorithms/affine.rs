@@ -76,12 +76,6 @@ impl AffineTransform {
             f: self.d * other.c + self.e * other.f + self.f,
         }
     }
-
-    /// `true` when the transform flips orientation (negative determinant),
-    /// which matters because `Polygon` re-normalizes ring winding.
-    pub fn flips_orientation(&self) -> bool {
-        self.a * self.e - self.b * self.d < 0.0
-    }
 }
 
 /// Applies `t` to every coordinate of `g`, rebuilding the geometry.
@@ -179,7 +173,7 @@ mod tests {
     #[test]
     fn negative_scale_flips_but_stays_valid() {
         let t = AffineTransform::scaling(-1.0, 1.0, Coord::new(0.0, 0.0));
-        assert!(t.flips_orientation());
+        assert!(t.a * t.e - t.b * t.d < 0.0, "a negative determinant flips orientation");
         let g = affine(&sq(), &t).unwrap();
         assert_eq!(area(&g), 4.0); // Polygon::new renormalizes winding
     }

@@ -81,13 +81,6 @@ pub fn orient2d(a: Coord, b: Coord, c: Coord) -> Orientation {
     orient2d_exact(a, b, c)
 }
 
-/// Convenience: the raw (non-robust) determinant, useful where only a
-/// rough magnitude is needed (never for sign decisions).
-#[inline]
-pub fn orient2d_fast_det(a: Coord, b: Coord, c: Coord) -> f64 {
-    (a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x)
-}
-
 // ---------------------------------------------------------------------------
 // Exact expansion arithmetic (Shewchuk). An "expansion" is a sum of
 // non-overlapping f64 components ordered by increasing magnitude; its sign

@@ -31,6 +31,7 @@ mod heap;
 pub mod page;
 pub mod pool;
 mod schema;
+mod store;
 pub mod sync;
 mod value;
 
@@ -38,8 +39,9 @@ pub use catalog::{Catalog, Table, TableId};
 pub use error::StorageError;
 pub use heap::{HeapFile, HeapStats, RowId};
 pub use page::PAGE_SIZE;
-pub use pool::{BufferPool, PageStore, PinnedPage, PoolStats};
+pub use pool::{BufferPool, PinnedPage, PoolStats};
 pub use schema::{ColumnDef, DataType, Schema};
+pub use store::PageStore;
 pub use value::{Field, Lend, Row, Value, ValueRef};
 
 /// Result alias for storage operations.

@@ -22,26 +22,27 @@
 //! Lock order: page table (lock-free) → frame lock → clock ring; the
 //! sweep holds the ring and only *tries* frame locks.
 //!
-//! Backing stores are created lazily on first write-back: in memory by
-//! default, real page files once a caller names a directory with
-//! [`BufferPool::set_spill_dir`]. Spill files are scratch (crash
-//! durability is the WAL/snapshot's job). A page that cannot be *read
-//! back* is an error ([`BufferPool::try_pin`]); a spill file that cannot
-//! be created fails the write-back as a failed write does: the frame stays
-//! resident and dirty, and [`BufferPool::flush`] reports the error.
+//! A page that leaves the pool goes to its file's [`PageStore`], a spill
+//! file made on the file's first write-back: in the directory a caller
+//! named with [`BufferPool::set_spill_dir`], else in the system temp
+//! directory, under a name no other live pool can take. No second copy
+//! is kept in memory. A page that cannot be *read back* is an error
+//! ([`BufferPool::try_pin`]); a spill file that cannot be created fails
+//! the write-back as a failed write does: the frame stays resident and
+//! dirty, and [`BufferPool::flush`] reports the error.
 //!
 //! Counters (pin hits, cold pins, evictions, dirty write-backs) and
 //! levels (resident frames, decoded rows) surface in the `jp_buffer_pool`
 //! system-catalog table and the benchmark's cold/warm entries.
 
 use crate::page::{Page, PAGE_SIZE};
+use crate::store::{FileStore, PageStore, PoolTag};
 use crate::sync::{Mutex, RwLock};
 use crate::{Field, Result, Row, StorageError, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::ops::Deref;
-use std::os::unix::fs::FileExt as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLockReadGuard, RwLockWriteGuard};
@@ -66,124 +67,6 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Evicted or flushed frames whose bytes were written back.
     pub dirty_writebacks: u64,
-}
-
-/// Backing storage for one page file: where evicted pages go and where
-/// cold pins reload them from.
-pub trait PageStore: Send + Sync + fmt::Debug {
-    /// Reads the serialized image of `page`; `None` if none was ever
-    /// written. An image that was written and cannot be read is an error.
-    fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>>;
-    /// Writes (or overwrites) the serialized image of `page`: `framed`
-    /// past its first 4 bytes, which a store may fill with a prefix of
-    /// its own so that prefix and image go out in one write.
-    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()>;
-    /// Re-opens any OS handles — the cold-run switch, so a cold rep
-    /// pays the open() as a real disk-backed restart would.
-    fn reopen(&self);
-}
-
-/// In-memory backing store (the default when no spill dir is set).
-#[derive(Debug, Default)]
-struct MemStore {
-    pages: Mutex<HashMap<u32, Vec<u8>>>,
-}
-
-impl PageStore for MemStore {
-    fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.pages.lock().get(&page).cloned())
-    }
-
-    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
-        self.pages.lock().insert(page, framed[4..].to_vec());
-        Ok(())
-    }
-
-    fn reopen(&self) {}
-}
-
-/// A real page file on disk. Pages are written append-only with
-/// in-place overwrite when the new image fits the old extent; the
-/// directory of extents lives in memory (the file is scratch and dies
-/// with the pool — durability belongs to the WAL/snapshot).
-#[derive(Debug)]
-struct FileStore {
-    path: PathBuf,
-    /// Pages are read and written at their offsets (`pread`/`pwrite`), so
-    /// I/O shares the handle; only the lazy re-open after
-    /// [`PageStore::reopen`] takes this lock exclusively.
-    file: RwLock<Option<std::fs::File>>,
-    /// Page -> (offset, capacity, image length) of its extent, which
-    /// holds the length as a `u32` and then the image.
-    dir: Mutex<HashMap<u32, (u64, u32, u32)>>,
-    end: AtomicU64,
-}
-
-impl FileStore {
-    fn create(path: PathBuf) -> io::Result<FileStore> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(FileStore {
-            path,
-            file: RwLock::new(Some(file)),
-            dir: Mutex::new(HashMap::new()),
-            end: AtomicU64::new(0),
-        })
-    }
-
-    fn with_file<R>(&self, f: impl FnOnce(&std::fs::File) -> io::Result<R>) -> io::Result<R> {
-        loop {
-            if let Some(file) = self.file.read().as_ref() {
-                return f(file);
-            }
-            let mut slot = self.file.write();
-            if slot.is_none() {
-                // Lazy re-open after a cold switch.
-                *slot = Some(std::fs::OpenOptions::new().read(true).write(true).open(&self.path)?);
-            }
-        }
-    }
-}
-
-impl PageStore for FileStore {
-    fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>> {
-        let Some((off, _cap, len)) = self.dir.lock().get(&page).copied() else { return Ok(None) };
-        self.with_file(|file| {
-            // The directory knows the length: one read, past the prefix.
-            let mut buf = vec![0u8; len as usize];
-            file.read_exact_at(&mut buf, off + 4)?;
-            Ok(Some(buf))
-        })
-    }
-
-    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
-        let len = (framed.len() - 4) as u32;
-        let mut dir = self.dir.lock();
-        let (off, cap) = match dir.get(&page) {
-            Some(&(off, cap, _)) if cap >= len + 4 => (off, cap),
-            _ => (self.end.fetch_add(len as u64 + 4, Ordering::Relaxed), len + 4),
-        };
-        dir.insert(page, (off, cap, len));
-        drop(dir);
-        // The length goes into the headroom: one `pwrite` a page.
-        framed[..4].copy_from_slice(&len.to_le_bytes());
-        self.with_file(|file| file.write_all_at(framed, off))
-    }
-
-    fn reopen(&self) {
-        // The next access re-opens the file: a cold rep pays the open().
-        *self.file.write() = None;
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.path).ok();
-    }
 }
 
 /// MBR quad of one geometry column of a row (see [`Value::mbr`]).
@@ -499,6 +382,7 @@ pub struct BufferPool {
     /// Capacity in frames; 0 = unbounded.
     capacity: AtomicUsize,
     spill_dir: Mutex<Option<PathBuf>>,
+    tag: PoolTag,
     gauges: Arc<Gauges>,
     pin_hits: [HitCounter; 16],
     cold_pins: AtomicU64,
@@ -507,13 +391,15 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates an unbounded pool (in-memory stores).
+    /// Creates an unbounded pool whose spill files go to the system temp
+    /// directory.
     pub fn new() -> BufferPool {
         BufferPool::default()
     }
 
-    /// Registers a new page file, returning its id. `name` seeds the
-    /// spill file name; uniqueness comes from the id.
+    /// Registers a new page file, returning its id. Its spill file is
+    /// named `<name>-<id>.<pool tag>.jkpg`: unique by the id in the pool,
+    /// and by the tag among pools.
     pub fn register(&self, name: &str) -> u64 {
         self.open(name, None).id
     }
@@ -533,9 +419,9 @@ impl BufferPool {
         file
     }
 
-    /// Forgets a registered file: its frames, its store's images and its
-    /// spill file go as soon as the last handle to it does (at once for
-    /// a caller of [`BufferPool::register`]).
+    /// Forgets a registered file: its frames and its spill file go as
+    /// soon as the last handle to it does (at once for a caller of
+    /// [`BufferPool::register`]).
     pub fn unregister(&self, file: u64) {
         if let Some(slot) = self.files.write().get_mut(file as usize) {
             *slot = None;
@@ -663,18 +549,17 @@ impl BufferPool {
     }
 
     /// Writes `frame` to its file's store, made by the file's first
-    /// write-back: a file in the spill directory if one is set, else
-    /// memory. The frame stays dirty if that fails, and a spill file that
-    /// cannot be created fails it too; the next write-back tries again.
+    /// write-back: a file in the spill directory if one is set, else in
+    /// the temp directory. The frame stays dirty if that fails, and a
+    /// spill file that cannot be created fails it too; the next
+    /// write-back tries again.
     fn write_back(&self, file: &PageFile, page: u32, frame: &mut Frame) -> io::Result<()> {
         // Made under the spill-directory lock, so a file's store is made once.
         let unmade = file.store.get().is_none().then(|| self.spill_dir.lock());
         if let Some(dir) = unmade.filter(|_| file.store.get().is_none()) {
-            let store: Box<dyn PageStore> = match dir.as_ref() {
-                Some(dir) => Box::new(FileStore::create(dir.join(format!("{}.jkpg", file.name)))?),
-                None => Box::<MemStore>::default(),
-            };
-            file.store.set(store).ok();
+            let dir = dir.clone().unwrap_or_else(std::env::temp_dir);
+            let path = dir.join(format!("{}.{}.jkpg", file.name, self.tag.0));
+            file.store.set(Box::new(FileStore::create(path)?)).ok();
         }
         let store = file.store.get().expect("made above");
         store.write_page(page, &mut frame.page.to_bytes_after(4))?;
@@ -741,8 +626,9 @@ impl BufferPool {
         self.capacity.load(Ordering::Relaxed)
     }
 
-    /// Directory for real spill files. Applies to stores created after
-    /// the call (stores materialize on first write-back).
+    /// Directory for spill files; `None` (the default) is the system
+    /// temp directory. Applies to stores created after the call (stores
+    /// materialize on first write-back).
     pub fn set_spill_dir(&self, dir: Option<PathBuf>) {
         *self.spill_dir.lock() = dir;
     }
@@ -813,6 +699,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn fill(pool: &BufferPool, file: u64, page: u32, text: &[u8]) {
         let pin = pool.pin(file, page);
@@ -944,6 +831,28 @@ mod tests {
     }
 
     #[test]
+    fn with_no_spill_dir_evicted_pages_go_to_a_temp_file_that_goes_with_the_pool() {
+        let pool = BufferPool::new();
+        pool.set_capacity_bytes(PAGE_SIZE);
+        let ours = format!(".{}.jkpg", pool.tag.0);
+        let files_of_this_pool = || {
+            let names = std::fs::read_dir(std::env::temp_dir()).unwrap().flatten();
+            names.filter(|e| e.file_name().to_string_lossy().ends_with(&ours)).count()
+        };
+        let f = pool.register("t");
+        for p in 0..8u32 {
+            fill(&pool, f, p, format!("page-{p}").as_bytes());
+        }
+        assert!(pool.stats().evictions >= 7);
+        assert_eq!(files_of_this_pool(), 1, "one file in the temp directory for the one page file");
+        for p in 0..8u32 {
+            assert_eq!(first_tuple(&pool, f, p), format!("page-{p}").as_bytes());
+        }
+        drop(pool);
+        assert_eq!(files_of_this_pool(), 0, "the file goes with its store");
+    }
+
+    #[test]
     fn clock_gives_a_repinned_frame_its_second_chance() {
         let pool = BufferPool::new();
         pool.set_capacity_bytes(3 * PAGE_SIZE);
@@ -1044,11 +953,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A store whose reads of one page wait at two barriers, and whose
-    /// reads and writes can be made to fail.
+    /// An in-memory store whose reads of one page wait at two barriers,
+    /// and whose reads and writes can be made to fail.
     #[derive(Debug)]
     struct GatedStore {
-        pages: MemStore,
+        pages: Mutex<HashMap<u32, Vec<u8>>>,
         gated: u32,
         entered: std::sync::Barrier,
         release: std::sync::Barrier,
@@ -1060,7 +969,7 @@ mod tests {
     impl GatedStore {
         fn new(gated: u32) -> Arc<GatedStore> {
             Arc::new(GatedStore {
-                pages: MemStore::default(),
+                pages: Mutex::default(),
                 gated,
                 entered: std::sync::Barrier::new(2),
                 release: std::sync::Barrier::new(2),
@@ -1086,12 +995,13 @@ mod tests {
                 self.entered.wait();
                 self.release.wait();
             }
-            self.pages.read_page(page)
+            Ok(self.pages.lock().get(&page).cloned())
         }
 
         fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
             injected(&self.fail_writes)?;
-            self.pages.write_page(page, framed)
+            self.pages.lock().insert(page, framed[4..].to_vec());
+            Ok(())
         }
 
         fn reopen(&self) {}
@@ -1104,39 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn a_file_store_extent_is_the_length_then_the_image() {
-        let dir = std::env::temp_dir().join(format!("jackpine-extents-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.jkpg");
-        let store = FileStore::create(path.clone()).unwrap();
-        // What the file held when the length and the image were two writes.
-        let extent = |framed: &[u8]| {
-            let len = (framed.len() - 4) as u32;
-            [&len.to_le_bytes()[..], &framed[4..]].concat()
-        };
-        let (a, b, c) = (image(b"first image"), image(b"second"), image(b"3"));
-        store.write_page(3, &mut a.clone()).unwrap();
-        store.write_page(5, &mut b.clone()).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), [extent(&a), extent(&b)].concat());
-        // A smaller image overwrites its extent in place.
-        store.write_page(3, &mut c.clone()).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw.len(), extent(&a).len() + extent(&b).len());
-        assert_eq!(raw[..extent(&c).len()], extent(&c)[..]);
-        assert_eq!(store.read_page(3).unwrap().as_deref(), Some(&c[4..]));
-        assert_eq!(store.read_page(5).unwrap().as_deref(), Some(&b[4..]));
-        drop(store);
-        assert!(!path.exists(), "scratch file removed with its store");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn a_load_blocks_neither_hits_nor_a_second_load_of_its_page() {
         const A: u32 = 7;
         const B: u32 = 8;
         let store = GatedStore::new(A);
-        store.pages.write_page(A, &mut image(b"a")).unwrap();
-        store.pages.write_page(B, &mut image(b"b")).unwrap();
+        store.write_page(A, &mut image(b"a")).unwrap();
+        store.write_page(B, &mut image(b"b")).unwrap();
         let pool = BufferPool::new();
         let file = pool.open("gated", Some(Box::new(store.clone())));
         assert_eq!(first_tuple(&pool, file.id, B), b"b");

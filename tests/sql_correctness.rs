@@ -267,3 +267,12 @@ fn group_by_category_matches_brute_force() {
     let want: Vec<(String, i64)> = want.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     assert_eq!(got, want);
 }
+
+#[test]
+fn an_insert_whose_values_name_a_column_fails_and_inserts_no_row() {
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    db.execute("CREATE TABLE t (id BIGINT, name TEXT)").unwrap();
+    let err = db.execute("INSERT INTO t VALUES (1, 'a'), (2, id)").unwrap_err();
+    assert!(err.to_string().contains("column 'id'"), "{err}");
+    assert_eq!(scalar_i64(&db, "SELECT COUNT(*) FROM t"), 0);
+}
