@@ -34,12 +34,33 @@ enum SpatialIdx {
     Grid(GridIndex<RowId>),
 }
 
+/// A geometry column's spatial index, and how many of its entries have
+/// an empty envelope (a geometry with no points): no window meets them,
+/// and no nearest search ranks them among the rest.
+struct SpatialColumn {
+    idx: SpatialIdx,
+    empty: usize,
+}
+
+impl SpatialColumn {
+    fn insert(&mut self, env: Envelope, id: RowId) {
+        self.empty += usize::from(env.is_empty());
+        self.idx.insert(env, id);
+    }
+
+    fn remove(&mut self, env: &Envelope, id: RowId) {
+        if self.idx.remove(env, id) {
+            self.empty -= usize::from(env.is_empty());
+        }
+    }
+}
+
 /// [`LeafPager`] backed by the engine's shared buffer pool. Leaves are
 /// packed into the pages of the index's own pool file in the order they
 /// are written: each goes into the last page while it fits and starts a
 /// new one when it does not. A tree spills in node-id order, which for a
 /// bulk-loaded tree is STR order, so a page holds a run of neighbouring
-/// leaves (about 13 at the default fan-out). Spilled leaves compete for
+/// leaves (about 23 at the default fan-out). Spilled leaves compete for
 /// frames with heap pages under one capacity budget, and show up in the
 /// same pin/eviction counters.
 #[derive(Debug)]
@@ -133,10 +154,11 @@ impl SpatialIdx {
         (hits.into_iter().map(|(_, v)| v).collect(), stats)
     }
 
-    fn remove(&mut self, env: &Envelope, id: RowId) {
+    /// Removes the entry of row `id` under `env`; `false` if none.
+    fn remove(&mut self, env: &Envelope, id: RowId) -> bool {
         match self {
-            SpatialIdx::Rtree(t) => drop(t.remove(env, |v| *v == id)),
-            SpatialIdx::Grid(g) => drop(g.remove(env, |v| *v == id)),
+            SpatialIdx::Rtree(t) => t.remove(env, |v| *v == id).is_some(),
+            SpatialIdx::Grid(g) => g.remove(env, |v| *v == id).is_some(),
         }
     }
 }
@@ -180,7 +202,7 @@ fn tuple_field(tuple: &[u8], col: usize) -> crate::Result<Option<Field<'_>>> {
 /// Per-table index bookkeeping.
 #[derive(Default)]
 pub(crate) struct TableIndexes {
-    spatial: HashMap<usize, SpatialIdx>,
+    spatial: HashMap<usize, SpatialColumn>,
     ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
 }
 
@@ -334,8 +356,9 @@ impl SpatialDb {
         table: &str,
         col: usize,
         items: Vec<(Envelope, RowId)>,
-    ) -> SpatialIdx {
-        if self.profile().uses_grid_index() {
+    ) -> SpatialColumn {
+        let empty = items.iter().filter(|(e, _)| e.is_empty()).count();
+        let idx = if self.profile().uses_grid_index() {
             let mut extent = Envelope::EMPTY;
             for (e, _) in &items {
                 extent.expand_to_include(e);
@@ -355,7 +378,8 @@ impl SpatialDb {
                 spill_through_pool(&mut tree, pool, table, col);
             }
             SpatialIdx::Rtree(tree)
-        }
+        };
+        SpatialColumn { idx, empty }
     }
 
     /// Drops the spatial index on `table.column`. Errors if no such
@@ -421,8 +445,8 @@ impl SpatialDb {
         let bounded = pool.capacity_frames() != 0;
         let mut indexes = self.indexes.write();
         for (tname, ti) in indexes.iter_mut() {
-            for (col, idx) in ti.spatial.iter_mut() {
-                match idx {
+            for (col, sc) in ti.spatial.iter_mut() {
+                match &mut sc.idx {
                     SpatialIdx::Rtree(tree) if bounded => {
                         spill_through_pool(tree, pool, tname, *col)
                     }
@@ -529,7 +553,7 @@ impl TableProvider for DbTableAdapter {
         let epoch = self.table.heap.reclaim_epoch();
         let indexes = self.indexes.read();
         let ti = indexes.get(&self.key)?;
-        let (mut ids, stats) = ti.spatial.get(&col)?.window_probe(env);
+        let (mut ids, stats) = ti.spatial.get(&col)?.idx.window_probe(env);
         let m = &self.metrics;
         m.index_probes.incr();
         m.index_candidates.add(stats.candidates);
@@ -560,7 +584,14 @@ impl TableProvider for DbTableAdapter {
         let gen = self.gen();
         let indexes = self.indexes.read();
         let ti = indexes.get(&self.key)?;
-        let idx = ti.spatial.get(&col)?;
+        let sc = ti.spatial.get(&col)?;
+        // A row whose geometry is empty has a NULL distance, which sorts
+        // before every other; no nearest search ranks it, so the caller
+        // reads the whole table.
+        if sc.empty > 0 {
+            return None;
+        }
+        let idx = &sc.idx;
         let m = &self.metrics;
         // The index can surface rows this snapshot cannot see; when the
         // visible set comes up short of k, re-probe with a doubled
@@ -648,12 +679,12 @@ mod tests {
         let ti = &indexes[t];
         let everything = Envelope::new(-1e9, -1e9, 1e9, 1e9);
         let mut out = Vec::new();
-        for (col, idx) in &ti.spatial {
+        for (col, sc) in &ti.spatial {
             let mut seen = Vec::new();
             let visit = |e: &Envelope, v: &RowId| {
                 seen.push(([e.min_x, e.min_y, e.max_x, e.max_y].map(f64::to_bits), *v))
             };
-            let (stats, shape) = match idx {
+            let (stats, shape) = match &sc.idx {
                 SpatialIdx::Rtree(r) => (r.query_window_probe(&everything, visit), r.stats()),
                 SpatialIdx::Grid(g) => (g.query_window_probe(&everything, visit), g.stats()),
             };
@@ -802,7 +833,7 @@ mod out_of_core_tests {
     }
 
     fn spilled(db: &SpatialDb) -> usize {
-        match &db.indexes.read()["t"].spatial[&1] {
+        match &db.indexes.read()["t"].spatial[&1].idx {
             SpatialIdx::Rtree(tree) => tree.spilled_leaves(),
             SpatialIdx::Grid(_) => unreachable!("an R-tree profile"),
         }
@@ -874,6 +905,84 @@ mod out_of_core_tests {
         assert!(answers(&db) == answers(&twin), "a leaf went missing");
         drop(db);
         std::fs::remove_dir_all(&spill).ok();
+    }
+
+    /// Rows whose index key meets a window their geometry misses are
+    /// candidates, never answers. Row 3,000 is `POINT (0.1 5.5)`: 0.1 lies
+    /// between two float4 values, and its key reaches down to the lower
+    /// one, which is the window's east edge, 6e-9 short of the point.
+    #[test]
+    fn a_key_that_meets_a_window_its_geometry_misses_is_only_a_candidate() {
+        let edge = f64::from(0.1f32.next_down());
+        assert!(edge < 0.1 && 0.1 - edge < f64::from(f32::EPSILON) * 0.1);
+        let sql = format!(
+            "SELECT COUNT(*) FROM t WHERE ST_Intersects(geom, ST_MakeEnvelope(-1, 5, {edge}, 6))"
+        );
+        for profile in [EngineProfile::ExactRtree, EngineProfile::MbrOnly] {
+            let db = Arc::new(SpatialDb::new(profile));
+            db.execute("CREATE TABLE t (id BIGINT, geom GEOMETRY)").unwrap();
+            db.insert_rows("t", points(0, 3000)).unwrap();
+            let p = wkt::parse("POINT (0.1 5.5)").unwrap();
+            db.insert_rows("t", [vec![Value::Int(3000), Value::Geom(p)]]).unwrap();
+            db.create_spatial_index("t", "geom").unwrap();
+            db.set_use_spatial_index(false);
+            let off = db.execute(&sql).unwrap().rows;
+            // (0 5) and (0 6), the lattice points on the window's west edge.
+            assert_eq!(off, vec![vec![Value::Int(2)]], "{profile:?}");
+            db.set_use_spatial_index(true);
+            for bounded in [false, true] {
+                if bounded {
+                    db.set_pool_bytes(4 * PAGE_SIZE);
+                    assert!(spilled(&db) > 0, "{profile:?}: the leaves spilled");
+                    db.clear_caches();
+                }
+                let (on, trace) = db.execute_traced(&sql).unwrap();
+                assert_eq!(on.rows, off, "{profile:?}, bounded {bounded}");
+                assert_eq!(trace.counter("index_candidates"), 3, "{profile:?}, bounded {bounded}");
+            }
+        }
+    }
+
+    /// Inserts, updates and deletes on a tree whose leaves have spilled
+    /// (each write faults them back in) leave a tree that holds exactly
+    /// the live rows: every removal found its entry under the rounded key
+    /// its insert gave it. The lattice is shifted by a tenth, so no
+    /// coordinate is a float4 value.
+    #[test]
+    fn writes_after_a_spill_remove_exactly_what_they_inserted() {
+        let db = engine(None);
+        let t = db.table("t").unwrap();
+        let mut seen = t.heap.row_ids();
+        db.execute("UPDATE t SET geom = ST_Translate(geom, 0.1, 0.3)").unwrap();
+        seen.extend(t.heap.row_ids());
+        let writes = [
+            "DELETE FROM t WHERE id >= 1000 AND id < 1400",
+            "UPDATE t SET geom = ST_Translate(geom, 0.7, 0.9) WHERE id >= 2000 AND id < 2300",
+            "DELETE FROM t WHERE id >= 3100 AND id < 3150",
+        ];
+        db.set_pool_bytes(4 * PAGE_SIZE);
+        assert!(spilled(&db) > 0);
+        db.insert_rows("t", points(3000, 400)).unwrap();
+        assert_eq!(spilled(&db), 0, "the insert faulted the leaves back");
+        for sql in writes {
+            db.set_pool_bytes(4 * PAGE_SIZE);
+            assert!(spilled(&db) > 0);
+            seen.extend(t.heap.row_ids());
+            db.execute(sql).unwrap();
+            seen.extend(t.heap.row_ids());
+        }
+        // The next write vacuums: every dead version leaves the index.
+        db.insert_rows("t", points(3400, 1)).unwrap();
+        let mut live = t.heap.row_ids();
+        live.sort_unstable();
+        assert_eq!(live.len(), 3401 - 400 - 50);
+        let everything = Envelope::new(-1e9, -1e9, 1e9, 1e9);
+        let (mut probed, _) = db.indexes.read()["t"].spatial[&1].idx.window_probe(&everything);
+        probed.sort_unstable();
+        assert_eq!(probed, live, "one entry a live row");
+        let dead: Vec<RowId> =
+            seen.into_iter().filter(|id| live.binary_search(id).is_err()).collect();
+        assert!(dead.len() >= 3000 + 400 + 300 + 50, "{} dead versions", dead.len());
     }
 
     #[test]

@@ -206,6 +206,15 @@ impl<T: Clone> GridIndex<T> {
     /// by tombstoning it (cells keep the id; queries skip dead entries).
     /// Returns the removed payload, if any.
     pub fn remove(&mut self, env: &Envelope, pred: impl Fn(&T) -> bool) -> Option<T> {
+        if env.is_empty() {
+            // An empty envelope overlaps no cell: look through the entries.
+            let id = (0..self.entries.len()).find(|&id| {
+                let (e, v) = &self.entries[id];
+                e == env && !self.dead[id] && pred(v)
+            })?;
+            self.dead[id] = true;
+            return Some(self.entries[id].1.clone());
+        }
         for cell in self.cells_of(env) {
             for &id in &self.cells[cell] {
                 let (e, v) = &self.entries[id as usize];

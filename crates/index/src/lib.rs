@@ -11,8 +11,11 @@
 //! * [`OrderedIndex`] — a sorted attribute index used by the geocoding
 //!   macro scenario for street-name lookups.
 //!
-//! All spatial indexes are keyed by [`jackpine_geom::Envelope`] and store
-//! a caller-chosen payload (typically a row id).
+//! All spatial indexes take [`jackpine_geom::Envelope`]s and store a
+//! caller-chosen payload (typically a row id). The R-tree keeps each
+//! envelope as a [`BoxKey`], four `f32` bounds rounded outward, so its
+//! probes return a superset of the exact answer; the grid keeps the
+//! envelopes as given.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +26,7 @@ mod rtree;
 
 pub use grid::GridIndex;
 pub use ordered::OrderedIndex;
-pub use rtree::{LeafPager, LeafPayload, RTree, RTreeConfig};
+pub use rtree::{BoxKey, LeafPager, LeafPayload, RTree, RTreeConfig};
 
 /// Statistics shared by the spatial indexes, for the benchmark's
 /// instrumentation (index structure vs. probe cost).

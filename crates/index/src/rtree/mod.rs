@@ -16,10 +16,25 @@
 //! leaf back in ([`RTree::unspill`]) so the R\*-tree invariants work on
 //! resident vectors; the engine re-spills on its next rebuild or pool
 //! reconfiguration.
+//!
+//! # Float4 keys
+//!
+//! Every entry, leaf or inner, resident or spilled, is keyed by a
+//! [`BoxKey`]: its envelope in four `f32` bounds rounded outward. The
+//! API takes and gives [`Envelope`]s: [`RTree::bulk_load`] and
+//! [`RTree::insert`] round on the way in ([`RTree::bulk_load`] sorts on
+//! the exact envelopes first, so its leaves hold what they would hold
+//! unrounded); [`RTree::remove`] rounds its argument the same way and
+//! matches keys exactly; queries widen keys to `f64`, losing nothing.
+//! So a window probe returns a superset of the entries whose envelopes
+//! meet the window, and [`RTree::nearest`] ranks by a lower bound of the
+//! envelope distance.
 
+mod key;
 mod paging;
 mod split;
 
+pub use key::BoxKey;
 pub use paging::{LeafPager, LeafPayload};
 
 use jackpine_geom::{Coord, Envelope};
@@ -47,8 +62,8 @@ impl Default for RTreeConfig {
 
 #[derive(Clone, Debug)]
 enum Node<T> {
-    Internal { entries: Vec<(Envelope, usize)> },
-    Leaf { entries: Vec<(Envelope, T)> },
+    Internal { entries: Vec<(BoxKey, usize)> },
+    Leaf { entries: Vec<(BoxKey, T)> },
 }
 
 impl<T> Node<T> {
@@ -58,11 +73,12 @@ impl<T> Node<T> {
             Node::Leaf { entries } => entries.len(),
         }
     }
-    fn envelope(&self) -> Envelope {
-        fn union<E>(entries: &[(Envelope, E)]) -> Envelope {
-            entries.iter().fold(Envelope::EMPTY, |mut e, (env, _)| {
-                e.expand_to_include(env);
-                e
+    /// The union of the entries' keys.
+    fn key(&self) -> BoxKey {
+        fn union<E>(entries: &[(BoxKey, E)]) -> BoxKey {
+            entries.iter().fold(BoxKey::EMPTY, |mut k, (key, _)| {
+                k.expand_to_include(key);
+                k
             })
         }
         match self {
@@ -72,7 +88,7 @@ impl<T> Node<T> {
     }
 }
 
-/// An R\*-tree mapping envelopes to payloads.
+/// An R\*-tree mapping envelopes to payloads, keyed by [`BoxKey`]s.
 ///
 /// Payloads are `Clone` (row ids in practice). The tree supports one-at-a-
 /// time insertion with forced reinsert, deletion with tree condensation,
@@ -140,36 +156,38 @@ impl<T: Clone> RTree<T> {
         crate::IndexStats { height: self.height + 1, entries: self.len, nodes: self.nodes.len() }
     }
 
-    /// Bounding envelope of the whole tree.
+    /// Bounding envelope of the whole tree: the root's key, which
+    /// contains every envelope stored.
     pub fn envelope(&self) -> Envelope {
-        self.nodes[self.root].envelope()
+        self.nodes[self.root].key().envelope()
     }
 
     // ------------------------------------------------------------------
     // Insertion
     // ------------------------------------------------------------------
 
-    /// Inserts an entry. Faults any spilled leaves back in first:
-    /// structural mutation needs resident entry vectors.
+    /// Inserts an entry under the key of `env`. Faults any spilled
+    /// leaves back in first: structural mutation needs resident entry
+    /// vectors.
     pub fn insert(&mut self, env: Envelope, value: T) {
         self.unspill();
         let mut reinserted = vec![false; self.height + 1];
-        self.insert_entry(env, Entry::Leaf(value), 0, &mut reinserted);
+        self.insert_entry(BoxKey::outward(&env), Entry::Leaf(value), 0, &mut reinserted);
         self.len += 1;
     }
 
     fn insert_entry(
         &mut self,
-        env: Envelope,
+        key: BoxKey,
         entry: Entry<T>,
         level: usize,
         reinserted: &mut Vec<bool>,
     ) {
-        let path = self.choose_path(env, level);
+        let path = self.choose_path(key, level);
         let node_id = *path.last().expect("path never empty");
         match (&mut self.nodes[node_id], entry) {
-            (Node::Leaf { entries }, Entry::Leaf(v)) => entries.push((env, v)),
-            (Node::Internal { entries }, Entry::Node(child)) => entries.push((env, child)),
+            (Node::Leaf { entries }, Entry::Leaf(v)) => entries.push((key, v)),
+            (Node::Internal { entries }, Entry::Node(child)) => entries.push((key, child)),
             _ => unreachable!("level bookkeeping placed entry at wrong node kind"),
         }
         self.refresh_upward(&path);
@@ -179,7 +197,7 @@ impl<T: Clone> RTree<T> {
     /// Root-to-target path choosing, at each step, the child needing least
     /// enlargement (least overlap increase directly above the leaves, per
     /// the R\* heuristic).
-    fn choose_path(&self, env: Envelope, target_level: usize) -> Vec<usize> {
+    fn choose_path(&self, key: BoxKey, target_level: usize) -> Vec<usize> {
         let mut path = Vec::with_capacity(self.height + 1);
         let mut node_id = self.root;
         let mut level = self.height;
@@ -189,9 +207,9 @@ impl<T: Clone> RTree<T> {
                 unreachable!("internal levels hold internal nodes");
             };
             let idx = if level == 1 {
-                pick_min_overlap(entries, env)
+                pick_min_overlap(entries, key)
             } else {
-                pick_min_enlargement(entries, env)
+                pick_min_enlargement(entries, key)
             };
             node_id = entries[idx].1;
             level -= 1;
@@ -200,14 +218,14 @@ impl<T: Clone> RTree<T> {
         path
     }
 
-    /// Recomputes the parent-entry envelopes along `path`, bottom-up.
+    /// Recomputes the parent-entry keys along `path`, bottom-up.
     fn refresh_upward(&mut self, path: &[usize]) {
         for i in (1..path.len()).rev() {
             let child = path[i];
-            let env = self.nodes[child].envelope();
+            let key = self.nodes[child].key();
             if let Node::Internal { entries } = &mut self.nodes[path[i - 1]] {
                 if let Some(e) = entries.iter_mut().find(|(_, c)| *c == child) {
-                    e.0 = env;
+                    e.0 = key;
                 }
             }
         }
@@ -244,13 +262,13 @@ impl<T: Clone> RTree<T> {
                     Node::Internal { entries: entries.split_off(split_at) }
                 }
             };
-            let new_env = new_node.envelope();
-            let old_env = self.nodes[node_id].envelope();
+            let new_key = new_node.key();
+            let old_key = self.nodes[node_id].key();
             let new_id = self.nodes.len();
             self.nodes.push(new_node);
 
             if is_root {
-                let root = Node::Internal { entries: vec![(old_env, node_id), (new_env, new_id)] };
+                let root = Node::Internal { entries: vec![(old_key, node_id), (new_key, new_id)] };
                 self.root = self.nodes.len();
                 self.nodes.push(root);
                 self.height += 1;
@@ -262,9 +280,9 @@ impl<T: Clone> RTree<T> {
             let parent = path[path.len() - 2];
             if let Node::Internal { entries } = &mut self.nodes[parent] {
                 if let Some(e) = entries.iter_mut().find(|(_, c)| *c == node_id) {
-                    e.0 = old_env;
+                    e.0 = old_key;
                 }
-                entries.push((new_env, new_id));
+                entries.push((new_key, new_id));
             }
             path.pop();
             level += 1;
@@ -281,12 +299,12 @@ impl<T: Clone> RTree<T> {
         level: usize,
         reinserted: &mut Vec<bool>,
     ) {
-        let center = match self.nodes[node_id].envelope().center() {
+        let center = match self.nodes[node_id].key().envelope().center() {
             Some(c) => c,
             None => return,
         };
         let p = self.config.reinsert_count.min(self.nodes[node_id].len() / 2).max(1);
-        let removed: Vec<(Envelope, Entry<T>)> = match &mut self.nodes[node_id] {
+        let removed: Vec<(BoxKey, Entry<T>)> = match &mut self.nodes[node_id] {
             Node::Leaf { entries } => {
                 sort_by_center_distance(entries, center);
                 entries.drain(entries.len() - p..).map(|(e, v)| (e, Entry::Leaf(v))).collect()
@@ -297,8 +315,8 @@ impl<T: Clone> RTree<T> {
             }
         };
         self.refresh_upward(path);
-        for (env, entry) in removed {
-            self.insert_entry(env, entry, level, reinserted);
+        for (key, entry) in removed {
+            self.insert_entry(key, entry, level, reinserted);
         }
     }
 
@@ -309,7 +327,9 @@ impl<T: Clone> RTree<T> {
     /// Builds a tree from scratch with Sort-Tile-Recursive packing: each
     /// level is sorted by center x, tiled into vertical slices, each slice
     /// sorted by center y and packed into nodes of `max_entries`, until
-    /// one node remains.
+    /// one node remains. The leaf level sorts on the exact envelopes and
+    /// keys each entry as its leaf is packed; an upper level sorts on
+    /// its children's keys.
     pub fn bulk_load(config: RTreeConfig, mut items: Vec<(Envelope, T)>) -> RTree<T> {
         if items.is_empty() {
             return RTree::new(config);
@@ -324,19 +344,30 @@ impl<T: Clone> RTree<T> {
             paging: Paging::default(),
         };
         let mut level_ids: Vec<usize> = Vec::new();
-        str_pack(&mut items, cap, |entries| {
-            level_ids.push(tree.nodes.len());
-            tree.nodes.push(Node::Leaf { entries });
-        });
+        str_pack(
+            &mut items,
+            cap,
+            |(e, _)| *e,
+            |run| {
+                let entries = run.iter().map(|(e, v)| (BoxKey::outward(e), v.clone())).collect();
+                level_ids.push(tree.nodes.len());
+                tree.nodes.push(Node::Leaf { entries });
+            },
+        );
         while level_ids.len() > 1 {
             tree.height += 1;
-            let mut upper: Vec<(Envelope, usize)> =
-                level_ids.iter().map(|&id| (tree.nodes[id].envelope(), id)).collect();
+            let mut upper: Vec<(BoxKey, usize)> =
+                level_ids.iter().map(|&id| (tree.nodes[id].key(), id)).collect();
             level_ids.clear();
-            str_pack(&mut upper, cap, |entries| {
-                level_ids.push(tree.nodes.len());
-                tree.nodes.push(Node::Internal { entries });
-            });
+            str_pack(
+                &mut upper,
+                cap,
+                |(k, _)| k.envelope(),
+                |run| {
+                    level_ids.push(tree.nodes.len());
+                    tree.nodes.push(Node::Internal { entries: run.to_vec() });
+                },
+            );
         }
         tree.root = level_ids[0];
         tree
@@ -346,17 +377,19 @@ impl<T: Clone> RTree<T> {
     // Deletion
     // ------------------------------------------------------------------
 
-    /// Removes one entry matching `env` exactly for which `pred` returns
-    /// true. Returns the removed payload, if any. Underfull nodes are
+    /// Removes one entry for which `pred` returns true whose key is
+    /// exactly the key of `env` (the key [`RTree::insert`] gave it).
+    /// Returns the removed payload, if any. Underfull nodes are
     /// condensed by reinserting their entries, recursively up the tree.
     /// Faults any spilled leaves back in first.
     pub fn remove(&mut self, env: &Envelope, pred: impl Fn(&T) -> bool) -> Option<T> {
         self.unspill();
-        let path = self.find_leaf_path(self.root, env, &pred)?;
+        let key = BoxKey::outward(env);
+        let path = self.find_leaf_path(self.root, &key, &pred)?;
         let leaf = *path.last().expect("path never empty");
         let removed = match &mut self.nodes[leaf] {
             Node::Leaf { entries } => {
-                let pos = entries.iter().position(|(e, v)| e == env && pred(v))?;
+                let pos = entries.iter().position(|(k, v)| *k == key && pred(v))?;
                 Some(entries.swap_remove(pos).1)
             }
             Node::Internal { .. } => None,
@@ -385,7 +418,7 @@ impl<T: Clone> RTree<T> {
                 }
             }
             self.refresh_upward(&path);
-            let orphans: Vec<(Envelope, Entry<T>)> = match &mut self.nodes[node_id] {
+            let orphans: Vec<(BoxKey, Entry<T>)> = match &mut self.nodes[node_id] {
                 Node::Leaf { entries } => {
                     std::mem::take(entries).into_iter().map(|(e, v)| (e, Entry::Leaf(v))).collect()
                 }
@@ -393,9 +426,9 @@ impl<T: Clone> RTree<T> {
                     std::mem::take(entries).into_iter().map(|(e, c)| (e, Entry::Node(c))).collect()
                 }
             };
-            for (env, entry) in orphans {
+            for (key, entry) in orphans {
                 let mut reinserted = vec![false; self.height + 1];
-                self.insert_entry(env, entry, level, &mut reinserted);
+                self.insert_entry(key, entry, level, &mut reinserted);
             }
             level += 1;
         }
@@ -416,17 +449,17 @@ impl<T: Clone> RTree<T> {
     fn find_leaf_path(
         &self,
         node_id: usize,
-        env: &Envelope,
+        key: &BoxKey,
         pred: &impl Fn(&T) -> bool,
     ) -> Option<Vec<usize>> {
         match &self.nodes[node_id] {
             Node::Leaf { entries } => {
-                entries.iter().any(|(e, v)| e == env && pred(v)).then(|| vec![node_id])
+                entries.iter().any(|(k, v)| k == key && pred(v)).then(|| vec![node_id])
             }
             Node::Internal { entries } => {
-                for (e, child) in entries {
-                    if e.contains_envelope(env) {
-                        if let Some(mut path) = self.find_leaf_path(*child, env, pred) {
+                for (k, child) in entries {
+                    if k.contains(key) {
+                        if let Some(mut path) = self.find_leaf_path(*child, key, pred) {
                             path.insert(0, node_id);
                             return Some(path);
                         }
@@ -441,7 +474,9 @@ impl<T: Clone> RTree<T> {
     // Queries
     // ------------------------------------------------------------------
 
-    /// Calls `visit` for every entry whose envelope intersects `window`.
+    /// Calls `visit` for every entry whose key intersects `window`, with
+    /// the key as an envelope: every entry whose envelope intersects it,
+    /// and any whose key meets it only because it was rounded outward.
     pub fn query_window(&self, window: &Envelope, mut visit: impl FnMut(&Envelope, &T)) {
         let mut nodes_visited = 0u64;
         self.query_rec(self.root, window, &mut visit, &mut nodes_visited);
@@ -463,7 +498,7 @@ impl<T: Clone> RTree<T> {
         stats
     }
 
-    /// Collects the payloads of every entry intersecting `window`.
+    /// Collects the payloads of every entry whose key intersects `window`.
     pub fn window(&self, window: &Envelope) -> Vec<T> {
         let mut out = Vec::new();
         self.query_window(window, |_, v| out.push(v.clone()));
@@ -480,15 +515,15 @@ impl<T: Clone> RTree<T> {
         *nodes_visited += 1;
         match &self.nodes[node_id] {
             Node::Leaf { .. } => {
-                for (e, v) in self.leaf_entries(node_id).iter() {
-                    if e.intersects(window) {
-                        visit(e, v);
+                for (k, v) in self.leaf_entries(node_id).iter() {
+                    if k.intersects(window) {
+                        visit(&k.envelope(), v);
                     }
                 }
             }
             Node::Internal { entries } => {
-                for (e, child) in entries {
-                    if e.intersects(window) {
+                for (k, child) in entries {
+                    if k.intersects(window) {
                         self.query_rec(*child, window, visit, nodes_visited);
                     }
                 }
@@ -496,8 +531,9 @@ impl<T: Clone> RTree<T> {
         }
     }
 
-    /// Best-first k-nearest-neighbour search from `query`, by envelope
-    /// distance. Returns `(distance, payload)` pairs in ascending order.
+    /// Best-first k-nearest-neighbour search from `query`, by key
+    /// distance: a lower bound of the envelope distance. Returns
+    /// `(distance, payload)` pairs in ascending order.
     pub fn nearest(&self, query: Coord, k: usize) -> Vec<(f64, T)> {
         self.nearest_probe(query, k).0
     }
@@ -542,14 +578,14 @@ impl<T: Clone> RTree<T> {
                     stats.nodes_visited += 1;
                     match &self.nodes[node_id] {
                         Node::Internal { entries } => {
-                            for (e, child) in entries {
-                                let dist = e.distance_to_coord(query);
+                            for (k, child) in entries {
+                                let dist = k.distance_to_coord(query);
                                 heap.push(Cand { dist, item: Entry::Node(*child) });
                             }
                         }
                         Node::Leaf { .. } => {
-                            for (e, v) in self.leaf_entries(node_id).iter() {
-                                let dist = e.distance_to_coord(query);
+                            for (k, v) in self.leaf_entries(node_id).iter() {
+                                let dist = k.distance_to_coord(query);
                                 heap.push(Cand { dist, item: Entry::Leaf(v.clone()) });
                             }
                         }
@@ -588,21 +624,23 @@ fn total_order_key(f: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// One STR level: sorts `items` by center x, tiles them into about
-/// `sqrt(len / cap)` vertical slices, sorts each slice by center y and
-/// hands each run of `cap` to `pack`, in order. Both sorts are stable.
-fn str_pack<E: Clone>(
-    items: &mut [(Envelope, E)],
+/// One STR level: sorts `items` by the center x of their envelopes
+/// (`env`), tiles them into about `sqrt(len / cap)` vertical slices,
+/// sorts each slice by center y and hands each run of `cap` to `pack`,
+/// in order. Both sorts are stable.
+fn str_pack<I>(
+    items: &mut [I],
     cap: usize,
-    mut pack: impl FnMut(Vec<(Envelope, E)>),
+    env: impl Fn(&I) -> Envelope,
+    mut pack: impl FnMut(&[I]),
 ) {
     let slices = (items.len().div_ceil(cap) as f64).sqrt().ceil() as usize;
     let per_slice = items.len().div_ceil(slices);
-    items.sort_by_cached_key(|(e, _)| total_order_key(center_x(e)));
+    items.sort_by_cached_key(|i| total_order_key(center_x(&env(i))));
     for slice in items.chunks_mut(per_slice) {
-        slice.sort_by_cached_key(|(e, _)| total_order_key(center_y(e)));
+        slice.sort_by_cached_key(|i| total_order_key(center_y(&env(i))));
         for run in slice.chunks(cap) {
-            pack(run.to_vec());
+            pack(run);
         }
     }
 }
@@ -632,6 +670,26 @@ mod tests {
         out
     }
 
+    /// The entries of `items` whose envelopes (or, `keyed`, whose keys)
+    /// meet `window`, sorted.
+    fn brute_window(items: &[(Envelope, usize)], window: &Envelope, keyed: bool) -> Vec<usize> {
+        let bound = |e: &Envelope| if keyed { BoxKey::outward(e).envelope() } else { *e };
+        let mut want: Vec<usize> =
+            items.iter().filter(|(e, _)| window.intersects(&bound(e))).map(|(_, v)| *v).collect();
+        want.sort_unstable();
+        want
+    }
+
+    /// `tree`'s answer for `window` is brute force over the keys, and
+    /// holds brute force over the exact envelopes.
+    fn assert_window(tree: &RTree<usize>, items: &[(Envelope, usize)], window: &Envelope) {
+        let mut got = tree.window(window);
+        got.sort_unstable();
+        assert_eq!(got, brute_window(items, window, true), "window {window:?}");
+        let exact = brute_window(items, window, false);
+        assert!(exact.iter().all(|v| got.binary_search(v).is_ok()), "window {window:?}");
+    }
+
     #[test]
     fn insert_and_window_query() {
         let mut t: RTree<usize> = RTree::default();
@@ -640,39 +698,38 @@ mod tests {
         }
         assert_eq!(t.len(), 500);
         let window = Envelope::new(100.0, 100.0, 300.0, 300.0);
-        let mut got = t.window(&window);
-        got.sort_unstable();
-        // Compare against brute force.
-        let mut want: Vec<usize> =
-            cloud(500).into_iter().filter(|(e, _)| window.intersects(e)).map(|(_, v)| v).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert!(!want.is_empty());
+        assert_window(&t, &cloud(500), &window);
+        assert!(!t.window(&window).is_empty());
     }
 
     #[test]
     fn bulk_load_matches_brute_force() {
-        let items = cloud(2000);
+        let mut items = cloud(2000);
+        // 0.1 lies between two float4 values; its key reaches down to the
+        // lower one, which the last window's edge is.
+        items.push((pt_env(0.1, 0.5), 2000));
         let t = RTree::bulk_load(RTreeConfig::default(), items.clone());
-        assert_eq!(t.len(), 2000);
+        assert_eq!(t.len(), 2001);
+        let edge = Envelope::new(-1.0, 0.0, f64::from(0.1f32.next_down()), 1.0);
         for window in [
             Envelope::new(0.0, 0.0, 50.0, 50.0),
             Envelope::new(500.0, 500.0, 700.0, 900.0),
             Envelope::new(999.0, 999.0, 1000.0, 1000.0),
             Envelope::new(-10.0, -10.0, -5.0, -5.0),
+            edge,
         ] {
-            let mut got = t.window(&window);
-            got.sort_unstable();
-            let mut want: Vec<usize> =
-                items.iter().filter(|(e, _)| window.intersects(e)).map(|(_, v)| *v).collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "window {window:?}");
+            assert_window(&t, &items, &window);
         }
+        // The key meets the edge window; the envelope does not.
+        assert!(t.window(&edge).contains(&2000));
+        assert!(!brute_window(&items, &edge, false).contains(&2000));
     }
 
-    /// The STR build as it sorted before its keys: `sort_by` on
-    /// `total_cmp`, once per comparison — the reference `bulk_load` must
-    /// match node for node.
+    /// The STR build as it sorted before its sort keys: `sort_by` on
+    /// `total_cmp`, once per comparison, forming box keys as the tree
+    /// does (leaf entries keyed from their exact envelopes, each upper
+    /// entry the key of its child) — the reference `bulk_load` must match
+    /// node for node.
     fn bulk_load_by_comparator(mut items: Vec<(Envelope, usize)>) -> RTree<usize> {
         fn level<E: Clone>(items: &mut [(Envelope, E)], cap: usize) -> Vec<Vec<(Envelope, E)>> {
             let slices = (items.len().div_ceil(cap) as f64).sqrt().ceil() as usize;
@@ -690,17 +747,19 @@ mod tests {
         tree.len = items.len();
         let cap = tree.config.max_entries;
         let mut ids: Vec<usize> = Vec::new();
-        for entries in level(&mut items, cap) {
+        for run in level(&mut items, cap) {
             ids.push(tree.nodes.len());
+            let entries = run.into_iter().map(|(e, v)| (BoxKey::outward(&e), v)).collect();
             tree.nodes.push(Node::Leaf { entries });
         }
         while ids.len() > 1 {
             tree.height += 1;
             let mut upper: Vec<(Envelope, usize)> =
-                ids.iter().map(|&id| (tree.nodes[id].envelope(), id)).collect();
+                ids.iter().map(|&id| (tree.nodes[id].key().envelope(), id)).collect();
             ids.clear();
-            for entries in level(&mut upper, cap) {
+            for run in level(&mut upper, cap) {
                 ids.push(tree.nodes.len());
+                let entries = run.into_iter().map(|(_, id)| (tree.nodes[id].key(), id)).collect();
                 tree.nodes.push(Node::Internal { entries });
             }
         }
@@ -708,11 +767,9 @@ mod tests {
         tree
     }
 
-    /// A node as bits, so that NaN envelopes compare equal to themselves.
-    fn node_bits(node: &Node<usize>) -> (bool, Vec<([u64; 4], usize)>) {
-        let bits = |(e, v): &(Envelope, usize)| {
-            ([e.min_x, e.min_y, e.max_x, e.max_y].map(f64::to_bits), *v)
-        };
+    /// A node as bits, so that NaN keys compare equal to themselves.
+    fn node_bits(node: &Node<usize>) -> (bool, Vec<([u32; 4], usize)>) {
+        let bits = |(k, v): &(BoxKey, usize)| (k.bounds().map(f32::to_bits), *v);
         match node {
             Node::Leaf { entries } => (true, entries.iter().map(bits).collect()),
             Node::Internal { entries } => (false, entries.iter().map(bits).collect()),
@@ -782,7 +839,9 @@ mod tests {
         let q = Coord::new(500.0, 500.0);
         let got = t.nearest(q, 10);
         assert_eq!(got.len(), 10);
-        let mut dists: Vec<f64> = items.iter().map(|(e, _)| e.distance_to_coord(q)).collect();
+        // Ranked by the stored keys' distances.
+        let mut dists: Vec<f64> =
+            items.iter().map(|(e, _)| BoxKey::outward(e).distance_to_coord(q)).collect();
         dists.sort_by(f64::total_cmp);
         for (i, (d, _)) in got.iter().enumerate() {
             assert!((d - dists[i]).abs() < 1e-9, "k={i}: {d} vs {}", dists[i]);

@@ -1,8 +1,7 @@
 //! Spilled leaves: the pager a built tree writes its leaves to, the leaf
 //! codec, and the one read path queries take back through the pager.
 
-use super::{Node, RTree};
-use jackpine_geom::Envelope;
+use super::{BoxKey, Node, RTree};
 use jackpine_storage::RowId;
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -61,14 +60,14 @@ impl LeafPayload for usize {
     }
 }
 
-/// Serializes a leaf's entries: `count u32 | (envelope 4×f64 | payload)*`.
-/// Envelope fields are stored as raw little-endian bits so `EMPTY`
-/// (inverted infinities) and NaN coordinates round-trip exactly.
-fn encode_leaf<T: LeafPayload>(entries: &[(Envelope, T)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + entries.len() * 40);
+/// Serializes a leaf's entries: `count u32 | (key 4×f32 | payload)*`.
+/// Key bounds are stored as raw little-endian bits so `EMPTY` (inverted
+/// infinities) and NaN bounds round-trip exactly.
+fn encode_leaf<T: LeafPayload>(entries: &[(BoxKey, T)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + entries.len() * 24);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (env, value) in entries {
-        for f in [env.min_x, env.min_y, env.max_x, env.max_y] {
+    for (key, value) in entries {
+        for f in key.bounds() {
             out.extend_from_slice(&f.to_le_bytes());
         }
         value.encode(&mut out);
@@ -77,27 +76,24 @@ fn encode_leaf<T: LeafPayload>(entries: &[(Envelope, T)]) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_leaf`].
-fn decode_leaf<T: LeafPayload>(bytes: &[u8]) -> Option<Vec<(Envelope, T)>> {
+fn decode_leaf<T: LeafPayload>(bytes: &[u8]) -> Option<Vec<(BoxKey, T)>> {
     let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let mut pos = 4usize;
-    let mut out = Vec::with_capacity(count.min(bytes.len() / 40 + 1));
+    let mut out = Vec::with_capacity(count.min(bytes.len() / 16 + 1));
     for _ in 0..count {
-        let mut f = [0.0f64; 4];
+        let mut f = [0.0f32; 4];
         for slot in &mut f {
-            *slot = f64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-            pos += 8;
+            *slot = f32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?);
+            pos += 4;
         }
-        // Direct construction: Envelope::new normalizes bounds, which
-        // would corrupt the EMPTY sentinel.
-        let env = Envelope { min_x: f[0], min_y: f[1], max_x: f[2], max_y: f[3] };
         let value = T::decode(bytes, &mut pos)?;
-        out.push((env, value));
+        out.push((BoxKey::from_bounds(f), value));
     }
     Some(out)
 }
 
 /// The entries of one leaf.
-type LeafEntries<T> = Vec<(Envelope, T)>;
+type LeafEntries<T> = Vec<(BoxKey, T)>;
 /// Decodes a spilled leaf's page image.
 type LeafDecoder<T> = fn(&[u8]) -> Option<LeafEntries<T>>;
 
@@ -200,7 +196,7 @@ impl<T: Clone> RTree<T> {
 
     /// Read access to a leaf's entries: a borrow when resident, the
     /// visit's own decoded copy when the leaf is spilled.
-    pub(super) fn leaf_entries(&self, node_id: usize) -> Cow<'_, [(Envelope, T)]> {
+    pub(super) fn leaf_entries(&self, node_id: usize) -> Cow<'_, [(BoxKey, T)]> {
         if self.paging.spilled.contains(&node_id) {
             return Cow::Owned(self.load_leaf(node_id));
         }
@@ -214,19 +210,23 @@ impl<T: Clone> RTree<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jackpine_geom::Envelope;
 
     #[test]
-    fn leaf_codec_roundtrip_preserves_payloads_and_empty_envelopes() {
-        let entries: Vec<(Envelope, RowId)> = vec![
-            (Envelope::new(1.0, 2.0, 3.0, 4.0), RowId { page: 0, slot: 0 }),
-            (Envelope::EMPTY, RowId { page: 7, slot: 3 }),
-            (Envelope::new(-5.5, -6.5, -1.0, 0.0), RowId { page: u32::MAX, slot: u16::MAX }),
+    fn leaf_codec_roundtrip_preserves_payloads_and_empty_keys() {
+        let key = |x0, y0, x1, y1| BoxKey::outward(&Envelope::new(x0, y0, x1, y1));
+        let entries: Vec<(BoxKey, RowId)> = vec![
+            (key(1.0, 2.0, 3.0, 4.0), RowId { page: 0, slot: 0 }),
+            (BoxKey::EMPTY, RowId { page: 7, slot: 3 }),
+            (key(-5.5, -6.5, -1.0, 0.1), RowId { page: u32::MAX, slot: u16::MAX }),
         ];
         let bytes = encode_leaf(&entries);
+        // 16 key bytes and 6 payload bytes an entry.
+        assert_eq!(bytes.len(), 4 + 3 * 22);
         let back = decode_leaf::<RowId>(&bytes).expect("decodes");
         assert_eq!(back, entries);
-        // EMPTY must survive bit-exactly (Envelope::new would normalize it).
-        assert!(back[1].0.min_x.is_infinite() && back[1].0.max_x.is_infinite());
+        // EMPTY must survive bit-exactly.
+        assert!(back[1].0.is_empty() && back[1].0.envelope() == Envelope::EMPTY);
         // Truncated images are rejected, not misread.
         assert!(decode_leaf::<RowId>(&bytes[..bytes.len() - 1]).is_none());
         assert!(decode_leaf::<RowId>(&[]).is_none());

@@ -1,13 +1,17 @@
 //! The R\*-tree's insertion heuristics: choosing the subtree an entry
 //! goes down, the node split along the better axis, and the order of
-//! forced reinsertion.
+//! forced reinsertion. Each measures keys as the envelopes they widen
+//! to, which is exact.
 
+use super::BoxKey;
 use jackpine_geom::{Coord, Envelope};
 
-pub(super) fn pick_min_overlap(entries: &[(Envelope, usize)], env: Envelope) -> usize {
+pub(super) fn pick_min_overlap(entries: &[(BoxKey, usize)], key: BoxKey) -> usize {
+    let env = key.envelope();
     let mut best = 0;
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for (i, (e, _)) in entries.iter().enumerate() {
+    for (i, (k, _)) in entries.iter().enumerate() {
+        let e = k.envelope();
         let grown = e.union(&env);
         let mut overlap_before = 0.0;
         let mut overlap_after = 0.0;
@@ -15,6 +19,7 @@ pub(super) fn pick_min_overlap(entries: &[(Envelope, usize)], env: Envelope) -> 
             if i == j {
                 continue;
             }
+            let o = &o.envelope();
             if let Some(x) = e.intersection(o) {
                 overlap_before += x.area();
             }
@@ -31,18 +36,20 @@ pub(super) fn pick_min_overlap(entries: &[(Envelope, usize)], env: Envelope) -> 
     best
 }
 
-pub(super) fn sort_by_center_distance<T>(entries: &mut [(Envelope, T)], center: Coord) {
+pub(super) fn sort_by_center_distance<T>(entries: &mut [(BoxKey, T)], center: Coord) {
     entries.sort_by(|a, b| {
-        let da = a.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
-        let db = b.0.center().map_or(f64::INFINITY, |c| c.distance_sq(center));
+        let da = a.0.envelope().center().map_or(f64::INFINITY, |c| c.distance_sq(center));
+        let db = b.0.envelope().center().map_or(f64::INFINITY, |c| c.distance_sq(center));
         da.total_cmp(&db)
     });
 }
 
-pub(super) fn pick_min_enlargement(entries: &[(Envelope, usize)], env: Envelope) -> usize {
+pub(super) fn pick_min_enlargement(entries: &[(BoxKey, usize)], key: BoxKey) -> usize {
+    let env = key.envelope();
     let mut best = 0;
     let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for (i, (e, _)) in entries.iter().enumerate() {
+    for (i, (k, _)) in entries.iter().enumerate() {
+        let e = k.envelope();
         let grown = e.union(&env);
         let key = (grown.area() - e.area(), e.area());
         if key < best_key {
@@ -55,7 +62,7 @@ pub(super) fn pick_min_enlargement(entries: &[(Envelope, usize)], env: Envelope)
 
 /// Sorts `entries` in place along the better split axis and returns the
 /// index at which to split, following the R\*-tree margin/overlap rule.
-pub(super) fn rstar_split_point<T>(entries: &mut [(Envelope, T)], min_entries: usize) -> usize {
+pub(super) fn rstar_split_point<T>(entries: &mut [(BoxKey, T)], min_entries: usize) -> usize {
     let total = entries.len();
     let upper = total - min_entries;
 
@@ -91,29 +98,30 @@ pub(super) fn rstar_split_point<T>(entries: &mut [(Envelope, T)], min_entries: u
     best_split
 }
 
-fn sort_axis<T>(entries: &mut [(Envelope, T)], axis: usize) {
-    entries.sort_by(|(ea, _), (eb, _)| {
+fn sort_axis<T>(entries: &mut [(BoxKey, T)], axis: usize) {
+    entries.sort_by(|(ka, _), (kb, _)| {
+        let ([ax0, ay0, ax1, ay1], [bx0, by0, bx1, by1]) = (ka.bounds(), kb.bounds());
         if axis == 0 {
-            ea.min_x.total_cmp(&eb.min_x).then(ea.max_x.total_cmp(&eb.max_x))
+            ax0.total_cmp(&bx0).then(ax1.total_cmp(&bx1))
         } else {
-            ea.min_y.total_cmp(&eb.min_y).then(ea.max_y.total_cmp(&eb.max_y))
+            ay0.total_cmp(&by0).then(ay1.total_cmp(&by1))
         }
     });
 }
 
 /// Prefix/suffix running envelopes of a sorted entry list.
-fn envelope_scans<T>(entries: &[(Envelope, T)]) -> (Vec<Envelope>, Vec<Envelope>) {
+fn envelope_scans<T>(entries: &[(BoxKey, T)]) -> (Vec<Envelope>, Vec<Envelope>) {
     let n = entries.len();
     let mut prefix = vec![Envelope::EMPTY; n];
     let mut acc = Envelope::EMPTY;
-    for (i, (e, _)) in entries.iter().enumerate() {
-        acc.expand_to_include(e);
+    for (i, (k, _)) in entries.iter().enumerate() {
+        acc.expand_to_include(&k.envelope());
         prefix[i] = acc;
     }
     let mut suffix = vec![Envelope::EMPTY; n];
     let mut acc = Envelope::EMPTY;
     for i in (0..n).rev() {
-        acc.expand_to_include(&entries[i].0);
+        acc.expand_to_include(&entries[i].0.envelope());
         suffix[i] = acc;
     }
     (prefix, suffix)

@@ -48,8 +48,11 @@ pub trait TableProvider: Send + Sync {
     /// Rows whose column `col` equals `key`, served by an ordered index.
     fn ordered_candidates(&self, col: usize, key: &Value) -> Option<Vec<RowId>>;
 
-    /// The `k` rows nearest to `query` by envelope distance of column
-    /// `col`, served by a spatial index.
+    /// `k` rows near `query` by envelope distance of column `col` (an
+    /// index may rank by a lower bound of it), served by a spatial
+    /// index. `None` when no usable index exists, or when the index
+    /// cannot rank every row — it holds a row whose geometry is empty —
+    /// and the caller must read the whole table.
     fn nearest(&self, col: usize, query: Coord, k: usize) -> Option<Vec<RowId>>;
 
     /// Packed MBR quads (`[min_x, min_y, max_x, max_y]`, NaN bounds for

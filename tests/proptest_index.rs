@@ -7,7 +7,7 @@ use common::{cases, test_rng};
 use jackpine::datagen::rng::Rng;
 use jackpine::engine::{EngineProfile, SpatialDb};
 use jackpine::geom::{wkt, Coord, Envelope, Geometry, LineString, Polygon, Ring};
-use jackpine::index::{GridIndex, OrderedIndex, RTree, RTreeConfig};
+use jackpine::index::{BoxKey, GridIndex, OrderedIndex, RTree, RTreeConfig};
 use std::sync::Arc;
 
 /// An arbitrary envelope in a bounded range.
@@ -31,6 +31,20 @@ fn brute_window(items: &[(Envelope, usize)], w: &Envelope) -> Vec<usize> {
     v
 }
 
+/// The R-tree's own keys of `items`, as envelopes.
+fn keyed(items: &[(Envelope, usize)]) -> Vec<(Envelope, usize)> {
+    items.iter().map(|(e, i)| (BoxKey::outward(e).envelope(), *i)).collect()
+}
+
+/// An R-tree's window answer is brute force over its keys, and holds
+/// brute force over the exact envelopes.
+fn assert_rtree_window(t: &RTree<usize>, items: &[(Envelope, usize)], w: &Envelope) {
+    let mut got = t.window(w);
+    got.sort_unstable();
+    assert_eq!(got, brute_window(&keyed(items), w));
+    assert!(brute_window(items, w).iter().all(|i| got.binary_search(i).is_ok()));
+}
+
 #[test]
 fn rtree_window_matches_brute_force() {
     let mut rng = test_rng("rtree_window_matches_brute_force");
@@ -42,14 +56,74 @@ fn rtree_window_matches_brute_force() {
         for (e, v) in &items {
             t.insert(*e, *v);
         }
-        let mut got = t.window(&window);
-        got.sort_unstable();
-        assert_eq!(&got, &brute_window(&items, &window));
+        assert_rtree_window(&t, &items, &window);
         // Bulk-load path must agree too.
         let bulk = RTree::bulk_load(RTreeConfig::default(), items.clone());
-        let mut got = bulk.window(&window);
-        got.sort_unstable();
-        assert_eq!(&got, &brute_window(&items, &window));
+        assert_rtree_window(&bulk, &items, &window);
+    }
+}
+
+/// A bound from the awkward corners of `f64`: signed zeros, subnormals,
+/// magnitudes beyond `f32`, infinities, NaN, or an ordinary value.
+fn awkward_bound(rng: &mut Rng) -> f64 {
+    let tiny = f64::from_bits(rng.gen_range(1..1u64 << 52));
+    match rng.gen_range(0..9usize) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => tiny,
+        3 => -tiny,
+        4 => 1e300,
+        5 => -1e300,
+        6 => f64::NAN,
+        7 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)],
+        _ => rng.gen_range(-1e6..1e6f64),
+    }
+}
+
+/// An envelope whose bounds are `awkward_bound`s, unnormalized (so
+/// NaN stays where it is), or `EMPTY`.
+fn awkward_envelope(rng: &mut Rng) -> Envelope {
+    if rng.gen_range(0..10usize) == 0 {
+        return Envelope::EMPTY;
+    }
+    let [a, b, c, d] = [(); 4].map(|_| awkward_bound(rng));
+    let (min_x, max_x) = if a <= c { (a, c) } else { (c, a) };
+    let (min_y, max_y) = if b <= d { (b, d) } else { (d, b) };
+    Envelope { min_x, min_y, max_x, max_y }
+}
+
+#[test]
+fn every_key_contains_its_envelope() {
+    let mut rng = test_rng("every_key_contains_its_envelope");
+    for _ in 0..cases(4096) {
+        let e = awkward_envelope(&mut rng);
+        let k = BoxKey::outward(&e).envelope();
+        let exact = [e.min_x, e.min_y, e.max_x, e.max_y];
+        let key = [k.min_x, k.min_y, k.max_x, k.max_y];
+        for (i, (x, kx)) in exact.into_iter().zip(key).enumerate() {
+            if x.is_nan() {
+                assert!(kx.is_nan(), "{e:?} keyed as {k:?}");
+            } else if i < 2 {
+                assert!(kx <= x, "{e:?} keyed as {k:?}");
+            } else {
+                assert!(kx >= x, "{e:?} keyed as {k:?}");
+            }
+        }
+        assert!(e.is_empty() == k.is_empty(), "{e:?} keyed as {k:?}");
+        if !exact.iter().any(|x| x.is_nan()) {
+            assert!(k.contains_envelope(&e), "{e:?} keyed as {k:?}");
+        }
+    }
+    assert_eq!(BoxKey::outward(&Envelope::EMPTY), BoxKey::EMPTY);
+}
+
+#[test]
+fn rekeying_a_key_changes_nothing() {
+    let mut rng = test_rng("rekeying_a_key_changes_nothing");
+    let bits = |k: BoxKey| k.bounds().map(f32::to_bits);
+    for _ in 0..cases(4096) {
+        let k = BoxKey::outward(&awkward_envelope(&mut rng));
+        assert_eq!(bits(BoxKey::outward(&k.envelope())), bits(k), "{k:?}");
     }
 }
 
@@ -68,9 +142,7 @@ fn rtree_survives_deletions() {
             assert_eq!(t.remove(e, |x| x == v), Some(*v));
         }
         let remaining: Vec<(Envelope, usize)> = items.iter().skip(1).step_by(2).cloned().collect();
-        let mut got = t.window(&window);
-        got.sort_unstable();
-        assert_eq!(got, brute_window(&remaining, &window));
+        assert_rtree_window(&t, &remaining, &window);
         assert_eq!(t.len(), remaining.len());
     }
 }
@@ -102,13 +174,19 @@ fn knn_orders_match_brute_force() {
         let k = rng.gen_range(1..12usize);
         let t = RTree::bulk_load(RTreeConfig::default(), items.clone());
         let got = t.nearest(q, k);
-        let mut dists: Vec<f64> = items.iter().map(|(e, _)| e.distance_to_coord(q)).collect();
-        dists.sort_by(f64::total_cmp);
+        let sorted = |items: &[(Envelope, usize)]| {
+            let mut d: Vec<f64> = items.iter().map(|(e, _)| e.distance_to_coord(q)).collect();
+            d.sort_by(f64::total_cmp);
+            d
+        };
+        // The R-tree ranks its keys.
+        let keys = sorted(&keyed(&items));
         assert_eq!(got.len(), k.min(items.len()));
         for (i, (d, _)) in got.iter().enumerate() {
-            assert!((d - dists[i]).abs() < 1e-9, "k={i}: rtree {d} vs brute {}", dists[i]);
+            assert!((d - keys[i]).abs() < 1e-9, "k={i}: rtree {d} vs brute {}", keys[i]);
         }
-        // Grid kNN must agree on distances as well.
+        // The grid keeps exact envelopes, and ranks them.
+        let dists = sorted(&items);
         let extent = Envelope::new(-110.0, -110.0, 130.0, 130.0);
         let mut g: GridIndex<usize> = GridIndex::new(extent, 16, 16);
         for (e, v) in &items {

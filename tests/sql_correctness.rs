@@ -252,6 +252,40 @@ fn knn_from_an_empty_geometry_answers_as_without_the_index() {
 }
 
 #[test]
+fn knn_sees_rows_whose_geometry_is_empty() {
+    // An empty geometry's distance is NULL, which sorts first: the index
+    // holds such a row under an empty key, which no nearest search ranks.
+    let sql = "SELECT id FROM p ORDER BY ST_Distance(geom, ST_GeomFromText('POINT (0 0)')) LIMIT 2";
+    let rows = ["POINT (1 1)", "POINT (5 5)", "POINT EMPTY", "LINESTRING EMPTY"];
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+        for workers in [1, 2] {
+            let db = Arc::new(SpatialDb::new(profile));
+            db.set_workers(workers);
+            db.execute("CREATE TABLE p (id BIGINT, geom GEOMETRY)").unwrap();
+            for (i, w) in rows.iter().enumerate() {
+                let id = i + 1;
+                db.execute(&format!("INSERT INTO p VALUES ({id}, ST_GeomFromText('{w}'))"))
+                    .unwrap();
+            }
+            db.create_spatial_index("p", "geom").unwrap();
+            assert!(explain(&db, sql).contains("KnnScan"), "{}", explain(&db, sql));
+            let want: Vec<_> = [3, 4].map(|i| vec![Value::Int(i)]).into();
+            assert_eq!(as_without_the_index(&db, sql), want, "{profile:?}, workers {workers}");
+            let probes =
+                |db: &Arc<SpatialDb>| db.execute_traced(sql).unwrap().1.counter("index_probes");
+            assert_eq!(probes(&db), 0, "{profile:?}: the whole table is read");
+            // Once the empty rows are gone (the INSERT vacuums them out of
+            // the index), the index answers again.
+            db.execute("DELETE FROM p WHERE id >= 3").unwrap();
+            db.execute("INSERT INTO p VALUES (5, ST_GeomFromText('POINT (9 9)'))").unwrap();
+            let want: Vec<_> = [1, 2].map(|i| vec![Value::Int(i)]).into();
+            assert_eq!(as_without_the_index(&db, sql), want, "{profile:?}, workers {workers}");
+            assert_eq!(probes(&db), 2, "{profile:?}: nearest, then the window");
+        }
+    }
+}
+
+#[test]
 fn group_by_category_matches_brute_force() {
     let (data, db) = setup();
     let r = db
