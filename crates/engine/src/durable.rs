@@ -13,7 +13,8 @@
 //!   durability lock taken, a cut if one is due, then a fresh log at the
 //!   same generation installed — `open_durable` and `set_durability`.
 //!
-//! Lock order: `durability` → writer lock → `indexes` / heap locks.
+//! Lock order: `durability` → writer lock → the table registry → a
+//! table's `indexes` → its heap locks.
 //! Writers hold `durability`'s read side across apply + log, so an
 //! attach or a checkpoint (its write side) never cuts between a
 //! statement and its record, nor truncates staged-but-unsynced frames.
@@ -184,7 +185,7 @@ impl SpatialDb {
     /// Flushes dirty pool frames and reclaims what no snapshot needs.
     pub fn close(&self) -> Result<()> {
         self.vacuum(&self.txn.lock_writers(TxnSite::Checkpoint))?;
-        self.catalog.pool().flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
+        self.pool.flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
     }
 
     /// Applies one replayed WAL record. Replay runs before a WAL is
@@ -206,15 +207,15 @@ impl SpatialDb {
             // the row the log handed over (restore's rule), and the row is
             // encoded once for the slot and the index entries.
             WalRecord::InsertAt { table, id, row } => {
-                let tuple = Value::encode_row(&row);
-                self.table(&table)?.heap.place_tuple(&tuple, row, id, 0)?;
-                self.index_tuples(&table.to_ascii_lowercase(), [(id, &tuple[..])], true)
+                let (t, tuple) = (self.table(&table)?, Value::encode_row(&row));
+                t.heap.place_tuple(&tuple, row, id, 0)?;
+                t.index_tuples([(id, &tuple[..])], true)
             }
             // A missing row means the record's effect is already there:
             // recovery stays idempotent.
             WalRecord::DeleteId { table, id } => {
                 let t = self.table(&table)?;
-                self.remove_index_entries(&t, id)?;
+                t.remove_index_entries(id)?;
                 t.heap.delete(id);
                 Ok(())
             }

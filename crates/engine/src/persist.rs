@@ -71,10 +71,10 @@
 
 use crate::checksum::Crc32;
 use crate::seeds::IndexSeeds;
-use crate::{EngineError, EngineProfile, Result, SpatialDb};
+use crate::{EngineError, EngineProfile, Result, SpatialDb, Table};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_obs::TxnSite;
-use jackpine_storage::{ColumnDef, DataType, RowId, Table, Value};
+use jackpine_storage::{ColumnDef, DataType, RowId, Value};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -205,8 +205,7 @@ impl SpatialDb {
         // Fix every table's row set and size its block (slot directories
         // only): what is written below is then what is streamed.
         let mut blocks = Vec::new();
-        for name in self.table_names() {
-            let table = self.table(&name)?;
+        for table in self.tables.all() {
             let mut head: Vec<u8> = Vec::with_capacity(256);
             put_str(&mut head, &table.name);
             head.put_u32_le(table.schema().arity() as u32);
@@ -214,7 +213,7 @@ impl SpatialDb {
                 put_str(&mut head, &col.name);
                 head.put_u8(type_tag(col.ty));
             }
-            let (spatial_cols, ordered_cols) = self.index_definitions(&name);
+            let (spatial_cols, ordered_cols) = table.index_definitions();
             for cols in [spatial_cols, ordered_cols] {
                 head.put_u32_le(cols.len() as u32);
                 for c in cols {

@@ -19,7 +19,7 @@ use jackpine_sqlmini::ast::{Expr, Select, Statement};
 use jackpine_sqlmini::plan::{PlanOptions, PlannedSelect};
 use jackpine_sqlmini::{exec, parser, plan, ResultSet, SqlError};
 use jackpine_storage::sync::{Mutex, RwLock};
-use jackpine_storage::{ColumnDef, DataType, Row, RowId, StorageError, Value};
+use jackpine_storage::{ColumnDef, DataType, Row, RowId, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -302,17 +302,13 @@ impl SpatialDb {
             Statement::DropTable { name } => {
                 {
                     let _writers = self.txn.lock_writers(TxnSite::Ddl);
-                    let existed = self.catalog.drop_table(&name);
-                    if !existed {
-                        return Err(EngineError::Storage(StorageError::NoSuchTable(name)));
-                    }
-                    self.indexes.write().remove(&name.to_ascii_lowercase());
+                    self.tables.remove(&name)?;
                 }
-                // Readers pinned before the drop keep their Arc'd heap
-                // and finish against it; only the name is gone. Every
+                // Readers that looked the table up before the drop keep
+                // it and finish against it; only the name is gone. Every
                 // cached plan is stale after the bump, and one planned
-                // against this table would keep its heap, and the heap
-                // its pool frames, until its entry was evicted.
+                // against this table would keep it, and its heap its pool
+                // frames, until its entry was evicted.
                 self.bump_ddl_gen();
                 self.statements.clear();
                 self.checkpoint()?;

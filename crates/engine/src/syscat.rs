@@ -103,18 +103,20 @@ impl SpatialDb {
     }
 
     /// A point-in-time copy of every engine counter, gauge and
-    /// histogram. The gauges are refreshed from engine state first: the
-    /// vacuum backlog, the number of distinct pinned snapshot
-    /// generations and the age of the oldest pin. The buffer pool's
+    /// histogram. The gauges are computed from engine state as it is
+    /// read: the number of distinct pinned snapshot generations, the
+    /// vacuum backlog and the age of the oldest pin. The buffer pool's
     /// levels and counters are [`SpatialDb::pool_stats`] (`jp_buffer_pool`).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let m = &self.metrics;
-        m.pending_reclaim_rows.set(self.txn.pending_reclaim_len() as u64);
+        let mut snap = self.metrics.snapshot();
         let pins = self.txn.snapshot_pins();
-        m.active_snapshots.set(pins.len() as u64);
         let oldest = pins.iter().map(|(.., age)| *age).max().unwrap_or_default();
-        m.oldest_snapshot_age_us.set(oldest.as_micros().min(u64::MAX as u128) as u64);
-        m.snapshot()
+        snap.gauges = vec![
+            ("active_snapshots", pins.len() as u64),
+            ("pending_reclaim_rows", self.txn.pending_reclaim_len() as u64),
+            ("oldest_snapshot_age_us", oldest.as_micros().min(u64::MAX as u128) as u64),
+        ];
+        snap
     }
 
     /// The flight recorder: the last completed traces, oldest first.

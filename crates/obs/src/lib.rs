@@ -17,7 +17,6 @@
 //!   subsystem records into, with canonical counter ordering, snapshot
 //!   deltas, and a split between deterministic and scheduling-dependent
 //!   counters that the test harness relies on.
-//! * [`Gauge`] — point-in-time levels (pinned snapshots, vacuum backlog).
 //! * [`QueryTrace`] — per-query view (stage timings + counter delta),
 //!   rendered as `EXPLAIN ANALYZE`-style text with an explicit
 //!   `unaccounted` remainder.
@@ -34,7 +33,6 @@
 
 mod counter;
 mod fingerprint;
-mod gauge;
 mod histogram;
 mod metrics;
 mod ring;
@@ -42,7 +40,6 @@ mod trace;
 
 pub use counter::Counter;
 pub use fingerprint::{digest, FingerprintStats, QueryStatsTable};
-pub use gauge::Gauge;
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{
     EngineMetrics, MetricsSnapshot, Stage, TxnSite, DETERMINISTIC_COUNTERS, GAUGES,

@@ -13,7 +13,6 @@
 //!   stage timings, which legitimately vary run to run.
 
 use crate::counter::Counter;
-use crate::gauge::Gauge;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use std::time::Duration;
 
@@ -133,8 +132,10 @@ pub const SCHEDULING_COUNTERS: [&str; 6] = [
 ];
 
 /// Canonical gauge names, in snapshot order. Gauges report current
-/// levels (not cumulative events) and are refreshed by the engine at
-/// snapshot points, so delta arithmetic never applies to them.
+/// levels (not cumulative events) of engine state this registry does not
+/// hold: the engine computes them when a whole snapshot is read, and a
+/// per-statement snapshot carries none, so delta arithmetic never applies
+/// to them.
 pub const GAUGES: [&str; 3] =
     ["active_snapshots", "pending_reclaim_rows", "oldest_snapshot_age_us"];
 
@@ -217,14 +218,6 @@ pub struct EngineMetrics {
     /// reader of a generation releases it. Long pins are what hold back
     /// the vacuum horizon.
     pub snapshot_pin_ns: Histogram,
-    /// Currently pinned snapshot generations (distinct generations, not
-    /// reader counts).
-    pub active_snapshots: Gauge,
-    /// Rows awaiting reclamation by the next vacuum pass.
-    pub pending_reclaim_rows: Gauge,
-    /// Age in microseconds of the oldest still-pinned snapshot; zero
-    /// when nothing is pinned.
-    pub oldest_snapshot_age_us: Gauge,
     /// Self-time per stage, nanoseconds (indexed by `Stage`).
     stage_ns: [Histogram; 6],
     /// Writer txn-lock wait per site, nanoseconds (indexed by `TxnSite`).
@@ -255,15 +248,6 @@ impl EngineMetrics {
         self.snapshot_pin_ns.record(lived.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    fn gauge(&self, name: &str) -> &Gauge {
-        match name {
-            "active_snapshots" => &self.active_snapshots,
-            "pending_reclaim_rows" => &self.pending_reclaim_rows,
-            "oldest_snapshot_age_us" => &self.oldest_snapshot_age_us,
-            other => panic!("unknown gauge {other:?}"),
-        }
-    }
-
     fn counter(&self, name: &str) -> &Counter {
         match name {
             "queries" => &self.queries,
@@ -291,7 +275,8 @@ impl EngineMetrics {
     }
 
     /// A point-in-time copy of every counter and histogram, in canonical
-    /// order. Safe to call from any thread at any time.
+    /// order, with no gauge (the engine adds them). Safe to call from any
+    /// thread at any time.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut waits = Vec::with_capacity(WAIT_HISTOGRAMS.len());
         for site in TxnSite::ALL {
@@ -304,8 +289,8 @@ impl EngineMetrics {
         snap
     }
 
-    /// The per-query subset of [`Self::snapshot`]: counters, gauges and
-    /// the stage/scheduling histograms, *without* the engine-wide
+    /// The per-query subset of [`Self::snapshot`]: counters and the
+    /// stage/scheduling histograms, *without* the engine-wide
     /// wait-state histograms. This is what the recorded-statement path
     /// snapshots twice per query — skipping the seven wait histograms
     /// (each a 64-bucket copy) keeps the always-on recording cost inside
@@ -319,7 +304,7 @@ impl EngineMetrics {
         }
         MetricsSnapshot {
             counters,
-            gauges: GAUGES.iter().map(|name| (*name, self.gauge(name).get())).collect(),
+            gauges: Vec::new(),
             stages: Stage::ALL.map(|s| (s, self.stage_ns[s.index()].snapshot())),
             waits: Vec::new(),
             morsel_wait_ns: self.morsel_wait_ns.snapshot(),
@@ -336,9 +321,10 @@ pub struct MetricsSnapshot {
     /// `(name, value)` in canonical order: [`DETERMINISTIC_COUNTERS`]
     /// then [`SCHEDULING_COUNTERS`].
     pub counters: Vec<(&'static str, u64)>,
-    /// `(name, level)` point-in-time gauges in [`GAUGES`] order. Gauges
-    /// are levels, not event counts: `delta_since` carries the *later*
-    /// snapshot's values through unchanged.
+    /// `(name, level)` point-in-time gauges in [`GAUGES`] order, or none
+    /// (a per-statement snapshot). Gauges are levels, not event counts:
+    /// `delta_since` carries the *later* snapshot's values through
+    /// unchanged.
     pub gauges: Vec<(&'static str, u64)>,
     /// Per-stage self-time histograms in [`Stage::ALL`] order.
     pub stages: [(Stage, HistogramSnapshot); 6],
@@ -547,11 +533,17 @@ mod tests {
     #[test]
     fn gauges_are_levels_not_deltas() {
         let m = EngineMetrics::new();
-        m.pending_reclaim_rows.set(10);
-        let before = m.snapshot();
-        m.pending_reclaim_rows.set(4);
-        m.active_snapshots.set(2);
-        let delta = m.snapshot().delta_since(&before);
+        let levels = |backlog, pins| {
+            let mut snap = m.snapshot();
+            snap.gauges = vec![
+                ("active_snapshots", pins),
+                ("pending_reclaim_rows", backlog),
+                ("oldest_snapshot_age_us", 0),
+            ];
+            snap
+        };
+        let before = levels(10, 0);
+        let delta = levels(4, 2).delta_since(&before);
         // A shrinking backlog must read 4, not a saturated 0.
         assert_eq!(delta.gauge("pending_reclaim_rows"), 4);
         assert_eq!(delta.gauge("active_snapshots"), 2);

@@ -169,9 +169,9 @@ pub(super) fn access<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Option<
 /// every row the sort can keep. The ids are sorted, so the stable sort
 /// breaks ties in storage order as the scan does. `None` (read the
 /// whole table) without an index, when the index holds a row whose
-/// geometry is empty (its NULL distance sorts first), with fewer than k
-/// indexed rows, for an empty `query`, or when a fetched row has no
-/// distance to it.
+/// geometry is empty or NULL (its NULL distance sorts first), with fewer
+/// than k indexed rows, for an empty `query`, or when a fetched row has
+/// no distance to it.
 fn knn_candidates(
     table: &Arc<dyn TableProvider>,
     col: usize,

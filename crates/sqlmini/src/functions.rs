@@ -86,11 +86,15 @@ pub fn is_indexable_predicate(name: &str) -> bool {
 }
 
 /// Evaluates a (non-aggregate) function call on already-computed argument
-/// values.
+/// values. Every function is strict, as PostGIS's are: a NULL argument
+/// gives a NULL result.
 pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
     let upper = name.to_ascii_uppercase();
     if !mode.supports(&upper) {
         return Err(SqlError::UnsupportedFeature(name.to_string()));
+    }
+    if args.iter().any(Value::is_null) {
+        return Ok(Value::Null);
     }
     match upper.as_str() {
         // ----- constructors ------------------------------------------------
@@ -477,6 +481,23 @@ mod tests {
             call(FunctionMode::Exact, "ST_AsText", &[g]).unwrap(),
             Value::Text("POINT (1 2)".into())
         );
+    }
+
+    #[test]
+    fn a_null_argument_gives_a_null_result() {
+        let p = geom("POINT (1 2)");
+        for (name, args) in [
+            ("ST_Distance", vec![Value::Null, p.clone()]),
+            ("ST_Intersects", vec![p.clone(), Value::Null]),
+            ("ST_Buffer", vec![p.clone(), Value::Null]),
+            ("ST_Area", vec![Value::Null]),
+            ("ST_GeomFromText", vec![Value::Null]),
+        ] {
+            assert_eq!(call(FunctionMode::Exact, name, &args).unwrap(), Value::Null, "{name}");
+        }
+        // Availability is still the profile's to decide.
+        let err = call(FunctionMode::MbrOnly, "ST_Buffer", &[Value::Null, Value::Null]);
+        assert!(matches!(err, Err(SqlError::UnsupportedFeature(_))));
     }
 
     #[test]

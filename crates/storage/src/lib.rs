@@ -3,8 +3,7 @@
 //! Row storage for the Jackpine spatial engines: typed values with a
 //! compact binary codec ([`Value`]), table schemas ([`Schema`]), slotted
 //! pages ([`page::Page`]) in the frames of a buffer pool
-//! ([`BufferPool`]), heap files ([`HeapFile`]) and a catalog
-//! ([`Catalog`]).
+//! ([`BufferPool`]) and heap files ([`HeapFile`]).
 //!
 //! ## Cold vs. warm runs
 //!
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod catalog;
 mod error;
 mod heap;
 pub mod page;
@@ -35,7 +33,6 @@ mod store;
 pub mod sync;
 mod value;
 
-pub use catalog::{Catalog, Table, TableId};
 pub use error::StorageError;
 pub use heap::{HeapFile, HeapStats, RowId};
 pub use page::PAGE_SIZE;

@@ -367,9 +367,9 @@ impl Drop for PinnedPage {
 #[repr(align(64))]
 struct HitCounter(AtomicU64);
 
-/// The shared buffer pool. One per [`crate::Catalog`] (so per engine);
-/// every heap and demand-loaded index file in that engine pins pages
-/// through it, sharing one capacity budget.
+/// The shared buffer pool, one per engine: every heap and demand-loaded
+/// index file in that engine pins pages through it, sharing one capacity
+/// budget.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     /// Registered files by id; ids are never reused.

@@ -18,7 +18,7 @@ echo "== non-test lines per workspace source file (lines before the first #[cfg(
 # below FILE_MAX so that nothing moves back into it.
 FILE_MAX=700
 declare -A ratchet=(
-  [crates/engine/src/db.rs]=201
+  [crates/engine/src/db.rs]=196
   [crates/storage/src/heap.rs]=677
 )
 non_test_lines() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }

@@ -11,7 +11,7 @@
 //! * [`index`] — R\*-tree, grid and ordered indexes,
 //! * [`obs`] — the query-observability layer: engine counters, stage
 //!   histograms and per-query traces,
-//! * [`storage`] — slotted-page heaps, schemas and the catalog,
+//! * [`storage`] — slotted-page heaps behind one buffer pool, and schemas,
 //! * [`sql`] — the SQL front end (parser, planner, executor),
 //! * [`engine`] — the three benchmarked engine profiles behind the
 //!   [`engine::SpatialConnector`] portability trait,

@@ -286,6 +286,44 @@ fn knn_sees_rows_whose_geometry_is_empty() {
 }
 
 #[test]
+fn knn_sees_rows_whose_geometry_is_null() {
+    // A NULL geometry's distance is NULL as well, and sorts first: the
+    // index counts the row with the empty ones, so the whole table is
+    // read, whether the row was there when the index was built or came
+    // after it.
+    let sql = "SELECT id FROM p ORDER BY ST_Distance(geom, ST_GeomFromText('POINT (0 0)')) LIMIT 2";
+    let ids = |ids: [i64; 2]| -> Vec<Vec<Value>> { ids.map(|i| vec![Value::Int(i)]).into() };
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+        for workers in [1, 2] {
+            let db = Arc::new(SpatialDb::new(profile));
+            db.set_workers(workers);
+            db.execute("CREATE TABLE p (id BIGINT, geom GEOMETRY)").unwrap();
+            db.execute(
+                "INSERT INTO p VALUES (1, ST_GeomFromText('POINT (1 1)')), (2, NULL), \
+                 (3, ST_GeomFromText('POINT (5 5)'))",
+            )
+            .unwrap();
+            db.create_spatial_index("p", "geom").unwrap();
+            assert!(explain(&db, sql).contains("KnnScan"), "{}", explain(&db, sql));
+            let probes =
+                |db: &Arc<SpatialDb>| db.execute_traced(sql).unwrap().1.counter("index_probes");
+            let case = format!("{profile:?}, workers {workers}");
+            assert_eq!(as_without_the_index(&db, sql), ids([2, 1]), "{case}");
+            assert_eq!(probes(&db), 0, "{case}: the whole table is read");
+            // The INSERT vacuums row 2 out of the index and puts row 4 in.
+            db.execute("DELETE FROM p WHERE id = 2").unwrap();
+            db.execute("INSERT INTO p VALUES (4, NULL)").unwrap();
+            assert_eq!(as_without_the_index(&db, sql), ids([4, 1]), "{case}");
+            assert_eq!(probes(&db), 0, "{case}: the whole table is read");
+            db.execute("DELETE FROM p WHERE id = 4").unwrap();
+            db.execute("INSERT INTO p VALUES (5, ST_GeomFromText('POINT (9 9)'))").unwrap();
+            assert_eq!(as_without_the_index(&db, sql), ids([1, 3]), "{case}");
+            assert_eq!(probes(&db), 2, "{case}: nearest, then the window");
+        }
+    }
+}
+
+#[test]
 fn group_by_category_matches_brute_force() {
     let (data, db) = setup();
     let r = db

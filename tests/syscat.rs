@@ -139,6 +139,26 @@ fn metrics_table_covers_counters_and_gauges() {
     assert!(queries > 20, "tiny_db ran >20 statements, jp_metrics says {queries}");
 }
 
+/// The gauges are engine state computed as `jp_metrics` is read; a
+/// statement's trace carries none, so no stale level rides along in it.
+#[test]
+fn gauges_are_read_from_the_engine_and_traces_carry_none() {
+    let db = tiny_db();
+    let gauge =
+        |name: &str| count(&db, &format!("SELECT value FROM jp_metrics WHERE name = '{name}'"));
+    let pin = db.pin_snapshot_handle();
+    db.execute("DELETE FROM pts WHERE id < 3").unwrap();
+    assert_eq!((gauge("active_snapshots"), gauge("pending_reclaim_rows")), (1, 3));
+    drop(pin);
+    db.execute("INSERT INTO pts VALUES (20, ST_GeomFromText('POINT (20 20)'))").unwrap();
+    assert_eq!((gauge("active_snapshots"), gauge("pending_reclaim_rows")), (0, 0));
+    assert_eq!(gauge("oldest_snapshot_age_us"), 0);
+    let (_, traced) = db.execute_traced("SELECT COUNT(*) FROM pts").unwrap();
+    assert!(traced.delta.gauges.is_empty(), "{:?}", traced.delta.gauges);
+    let recent = db.flight_recorder().recent();
+    assert!(recent.iter().all(|t| t.delta.gauges.is_empty()), "a recorded trace has gauges");
+}
+
 /// Writer-lock wait histograms: every INSERT passes the insert txn-wait
 /// site, so its histogram count matches the statement count even when
 /// the lock was uncontended (zero wait is still a sample).
