@@ -42,7 +42,8 @@ pub struct FeatureRow {
 }
 
 impl FeatureRow {
-    /// Number of supported functions.
+    /// Number of supported functions: a hook for
+    /// `tests/benchmark_smoke.rs`.
     pub fn supported_count(&self) -> usize {
         self.support.iter().filter(|(_, s)| *s).count()
     }

@@ -75,3 +75,47 @@ pub fn flood_risk(data: &TigerDataset, config: &ScenarioConfig) -> Scenario {
     }
     Scenario { id: "M4", name: "Flood risk analysis", steps }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jackpine_datagen::TigerConfig;
+
+    /// M4 writes its flood zone into the SQL as shortest round-trip WKT,
+    /// so a change in any bit of a buffer changes the statements the
+    /// benchmark's `workloads.lock` pins. Every river of the seed-2011
+    /// dataset, buffered as M4 does (`quad_segs` 2) and as its in-database
+    /// step does (4): the FNV-1a of each zone's WKT is pinned.
+    #[test]
+    fn flood_zones_are_the_pinned_bits() {
+        let data = TigerDataset::generate(&TigerConfig { seed: 2011, scale: 2.0 });
+        let mut got = Vec::new();
+        for river in data.areawater.iter().filter(|w| w.name.ends_with("RIVER")) {
+            let river = Geometry::Polygon(river.geom.clone());
+            for quad_segs in [2, 4] {
+                let zone = buffer_with_segments(&river, FLOOD_DISTANCE, quad_segs).unwrap();
+                let hash = wkt::write(&zone).bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+                got.push(format!("{quad_segs}:{hash:016x}"));
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                "2:702456685ab88834",
+                "4:6276e84d077d66c3",
+                "2:f8d60d90abf98382",
+                "4:1389064094ec8e06",
+                "2:f565974fb4634b1d",
+                "4:75c65de72dd03ab3",
+                "2:865f78b5e9d79f5e",
+                "4:5e3f5da2be4ec055",
+                "2:15eb55f807ff5937",
+                "4:aa15201377663e3c",
+                "2:7a9ff42117d12b25",
+                "4:996e727f02045a4a"
+            ]
+        );
+    }
+}

@@ -149,12 +149,12 @@ impl SpatialDb {
         self.ddl_gen.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// The newest published commit generation (diagnostics and tests).
+    /// The newest commit generation: a hook for `durability.rs`, `interleaving.rs`.
     pub fn commit_generation(&self) -> u64 {
         self.txn.generation()
     }
 
-    /// Currently pinned reader snapshots (diagnostics and tests).
+    /// Currently pinned reader snapshots: a hook for `tests/interleaving.rs`.
     pub fn active_snapshot_count(&self) -> usize {
         self.txn.snapshot_pins().iter().map(|(_, readers, _)| readers).sum()
     }
@@ -183,7 +183,7 @@ impl SpatialDb {
         Ok(self.tables.get(name)?)
     }
 
-    /// Names of all tables, sorted.
+    /// Names of all tables, sorted: a hook for `tests/durability.rs`.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.all().iter().map(|t| t.name.clone()).collect()
     }

@@ -152,7 +152,8 @@ impl SpatialDb {
         self.save_gen(dir.join(SNAPSHOT_FILE), gen)
     }
 
-    /// The durability directory, when durability is attached.
+    /// The durability directory, when durability is attached: a hook for
+    /// `tests/durability.rs`.
     pub fn durability_dir(&self) -> Option<PathBuf> {
         self.durability.read().as_ref().map(|d| d.dir.clone())
     }
@@ -222,8 +223,9 @@ impl SpatialDb {
         }
     }
 
-    /// Test-only fault injection: makes every subsequent WAL append (and
-    /// staged frame write) fail, to exercise commit rollback.
+    /// Fault injection: makes every subsequent WAL append (and staged
+    /// frame write) fail, to exercise commit rollback. A hook for
+    /// `tests/durability.rs`.
     #[doc(hidden)]
     pub fn fail_wal_appends(&self, fail: bool) {
         if let Some(d) = self.durability.read().as_ref() {

@@ -104,9 +104,9 @@ impl<W: Write + Seek> Seek for FailpointFile<W> {
     }
 }
 
-/// Convenience for tests: the result of pushing `bytes` through a
-/// failpoint into an in-memory buffer — the exact content a real file
-/// would hold after the fault.
+/// The result of pushing `bytes` through a failpoint into an in-memory
+/// buffer — the exact content a real file would hold after the fault. A
+/// hook for the truncation and bit-flip sweeps of `tests/durability.rs`.
 pub fn apply_failpoint(bytes: &[u8], failpoint: Failpoint) -> Vec<u8> {
     let mut fp = FailpointFile::new(Vec::new(), failpoint);
     // A torn write errors part-way; whatever landed before the error is

@@ -352,7 +352,8 @@ impl SpatialDb {
 
     /// Drops the ordered index on `table.column`. Errors if no such
     /// index exists. Same invalidation rules as
-    /// [`SpatialDb::drop_spatial_index`].
+    /// [`SpatialDb::drop_spatial_index`]. A hook for the index churn of
+    /// `tests/concurrency.rs` and `tests/observability.rs`.
     pub fn drop_ordered_index(&self, table: &str, column: &str) -> crate::Result<()> {
         self.drop_index(table, column, false)
     }

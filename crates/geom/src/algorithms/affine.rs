@@ -64,18 +64,6 @@ impl AffineTransform {
     pub fn apply(&self, p: Coord) -> Coord {
         Coord::new(self.a * p.x + self.b * p.y + self.c, self.d * p.x + self.e * p.y + self.f)
     }
-
-    /// Composition: `self ∘ other` (apply `other` first).
-    pub fn compose(&self, other: &AffineTransform) -> AffineTransform {
-        AffineTransform {
-            a: self.a * other.a + self.b * other.d,
-            b: self.a * other.b + self.b * other.e,
-            c: self.a * other.c + self.b * other.f + self.c,
-            d: self.d * other.a + self.e * other.d,
-            e: self.d * other.b + self.e * other.e,
-            f: self.d * other.c + self.e * other.f + self.f,
-        }
-    }
 }
 
 /// Applies `t` to every coordinate of `g`, rebuilding the geometry.
@@ -146,6 +134,20 @@ mod tests {
     use super::*;
     use crate::algorithms::measures::area;
     use crate::wkt;
+
+    impl AffineTransform {
+        /// Composition: `self ∘ other` (apply `other` first).
+        fn compose(&self, other: &AffineTransform) -> AffineTransform {
+            AffineTransform {
+                a: self.a * other.a + self.b * other.d,
+                b: self.a * other.b + self.b * other.e,
+                c: self.a * other.c + self.b * other.f + self.c,
+                d: self.d * other.a + self.e * other.d,
+                e: self.d * other.b + self.e * other.e,
+                f: self.d * other.c + self.e * other.f + self.f,
+            }
+        }
+    }
 
     fn sq() -> Geometry {
         wkt::parse("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))").unwrap()

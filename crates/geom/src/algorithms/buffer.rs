@@ -7,8 +7,8 @@
 //! boundary (or, for negative distances, minus those capsules). All unions
 //! go through the overlay module, so the result is a proper polygon set.
 
-use super::clip::{difference, union};
-use crate::{Coord, GeomError, Geometry, GeometryCollection, LineString, Polygon, Result};
+use super::clip::{difference, union, BoolOp};
+use crate::{Coord, GeomError, Geometry, GeometryCollection, LineString, Point, Polygon, Result};
 
 /// Number of segments per quarter circle used to approximate arcs.
 /// Eight matches PostGIS's default `quad_segs`.
@@ -37,13 +37,13 @@ pub fn buffer_with_segments(g: &Geometry, distance: f64, quad_segs: usize) -> Re
     if distance == 0.0 {
         return Ok(match g {
             Geometry::Polygon(_) | Geometry::MultiPolygon(_) => g.clone(),
-            _ => Geometry::GeometryCollection(GeometryCollection(Vec::new())),
+            _ => empty(),
         });
     }
     if distance < 0.0 {
         return match g {
             Geometry::Polygon(_) | Geometry::MultiPolygon(_) => {
-                negative_polygon_buffer(g, -distance, quad_segs)
+                polygon_buffer(g, -distance, quad_segs, BoolOp::Difference)
             }
             _ => {
                 Err(GeomError::InvalidArgument("negative buffer requires an areal geometry".into()))
@@ -54,57 +54,66 @@ pub fn buffer_with_segments(g: &Geometry, distance: f64, quad_segs: usize) -> Re
     match g {
         Geometry::Point(p) => match p.coord() {
             Some(c) => Ok(Geometry::Polygon(circle_polygon(c, distance, quad_segs)?)),
-            None => Ok(Geometry::GeometryCollection(GeometryCollection(Vec::new()))),
+            None => Ok(empty()),
         },
         Geometry::MultiPoint(m) => {
-            let mut acc: Option<Geometry> = None;
-            for p in &m.0 {
-                if let Some(c) = p.coord() {
-                    let circle = Geometry::Polygon(circle_polygon(c, distance, quad_segs)?);
-                    acc = Some(match acc {
-                        None => circle,
-                        Some(a) => union(&a, &circle)?,
-                    });
-                }
-            }
-            Ok(acc.unwrap_or_else(|| Geometry::GeometryCollection(GeometryCollection(Vec::new()))))
+            let circles =
+                m.0.iter()
+                    .filter_map(Point::coord)
+                    .map(|c| Ok(Geometry::Polygon(circle_polygon(c, distance, quad_segs)?)));
+            Ok(fold_parts(None, circles, BoolOp::Union)?.unwrap_or_else(empty))
         }
         Geometry::LineString(l) => line_buffer(l, distance, quad_segs),
         Geometry::MultiLineString(m) => {
-            let mut acc: Option<Geometry> = None;
-            for l in &m.0 {
-                if l.is_empty() {
-                    continue;
-                }
-                let b = line_buffer(l, distance, quad_segs)?;
-                acc = Some(match acc {
-                    None => b,
-                    Some(a) => union(&a, &b)?,
-                });
-            }
-            Ok(acc.unwrap_or_else(|| Geometry::GeometryCollection(GeometryCollection(Vec::new()))))
+            let lines = m.0.iter().filter(|l| !l.is_empty());
+            let buffers = lines.map(|l| line_buffer(l, distance, quad_segs));
+            Ok(fold_parts(None, buffers, BoolOp::Union)?.unwrap_or_else(empty))
         }
         Geometry::Polygon(_) | Geometry::MultiPolygon(_) => {
-            positive_polygon_buffer(g, distance, quad_segs)
+            polygon_buffer(g, distance, quad_segs, BoolOp::Union)
         }
         Geometry::GeometryCollection(c) => {
-            let mut acc: Option<Geometry> = None;
-            for member in &c.0 {
-                if member.is_empty() {
-                    continue;
-                }
-                let b = buffer_with_segments(member, distance, quad_segs)?;
-                if b.is_empty() {
-                    continue;
-                }
-                acc = Some(match acc {
-                    None => b,
-                    Some(a) => union(&a, &b)?,
-                });
-            }
-            Ok(acc.unwrap_or_else(|| Geometry::GeometryCollection(GeometryCollection(Vec::new()))))
+            let members = c.0.iter().filter(|member| !member.is_empty());
+            let buffers = members
+                .map(|member| buffer_with_segments(member, distance, quad_segs))
+                .filter(|b| !matches!(b, Ok(b) if b.is_empty()));
+            Ok(fold_parts(None, buffers, BoolOp::Union)?.unwrap_or_else(empty))
         }
     }
+}
+
+/// The empty result of a buffer with nothing to buffer.
+fn empty() -> Geometry {
+    Geometry::GeometryCollection(GeometryCollection(Vec::new()))
+}
+
+/// The one fold every buffer is built by: `op` of the running result
+/// and each part in turn, left to right, starting from `seed` or else
+/// from the first part (`None` when there is neither). The order is
+/// the parts' order, so the output's bits are fixed by it. `op` is
+/// `Union` or `Difference`; a difference that leaves nothing ends the
+/// fold, as nothing is left to take from.
+fn fold_parts(
+    seed: Option<Geometry>,
+    parts: impl IntoIterator<Item = Result<Geometry>>,
+    op: BoolOp,
+) -> Result<Option<Geometry>> {
+    let mut acc = seed;
+    for part in parts {
+        let part = part?;
+        acc = Some(match (acc, op) {
+            (None, _) => part,
+            (Some(a), BoolOp::Difference) => {
+                let rest = difference(&a, &part)?;
+                if rest.is_empty() {
+                    return Ok(Some(rest));
+                }
+                rest
+            }
+            (Some(a), _) => union(&a, &part)?,
+        });
+    }
+    Ok(acc)
 }
 
 /// Emits the vertices of a CCW arc around `center` from `from` to `to`
@@ -194,51 +203,26 @@ fn capsule_polygon(a: Coord, b: Coord, radius: f64, quad_segs: usize) -> Result<
 }
 
 fn line_buffer(l: &LineString, distance: f64, quad_segs: usize) -> Result<Geometry> {
-    let mut acc: Option<Geometry> = None;
-    for (a, b) in l.segments() {
-        let cap = Geometry::Polygon(capsule_polygon(a, b, distance, quad_segs)?);
-        acc = Some(match acc {
-            None => cap,
-            Some(g) => union(&g, &cap)?,
-        });
-    }
-    acc.ok_or_else(|| GeomError::InvalidArgument("cannot buffer an empty linestring".into()))
+    let capsules = l.segments().map(|(a, b)| capsule(a, b, distance, quad_segs));
+    fold_parts(None, capsules, BoolOp::Union)?
+        .ok_or_else(|| GeomError::InvalidArgument("cannot buffer an empty linestring".into()))
 }
 
-fn positive_polygon_buffer(g: &Geometry, distance: f64, quad_segs: usize) -> Result<Geometry> {
-    // Union the polygon with capsules along every ring edge.
-    let mut acc = g.clone();
-    let polys: Vec<Polygon> = match g {
-        Geometry::Polygon(p) => vec![p.clone()],
-        Geometry::MultiPolygon(m) => m.0.clone(),
-        _ => unreachable!("caller checked arity"),
-    };
-    for p in &polys {
-        for (a, b) in p.rings().flat_map(|r| r.segments()) {
-            let cap = Geometry::Polygon(capsule_polygon(a, b, distance, quad_segs)?);
-            acc = union(&acc, &cap)?;
-        }
-    }
-    Ok(acc)
+fn capsule(a: Coord, b: Coord, distance: f64, quad_segs: usize) -> Result<Geometry> {
+    Ok(Geometry::Polygon(capsule_polygon(a, b, distance, quad_segs)?))
 }
 
-fn negative_polygon_buffer(g: &Geometry, distance: f64, quad_segs: usize) -> Result<Geometry> {
-    let mut acc = g.clone();
-    let polys: Vec<Polygon> = match g {
-        Geometry::Polygon(p) => vec![p.clone()],
-        Geometry::MultiPolygon(m) => m.0.clone(),
+/// The polygon folded with the capsules along every ring edge, in ring
+/// order: `Union` grows it, `Difference` shrinks it.
+fn polygon_buffer(g: &Geometry, distance: f64, quad_segs: usize, op: BoolOp) -> Result<Geometry> {
+    let polys = match g {
+        Geometry::Polygon(p) => std::slice::from_ref(p),
+        Geometry::MultiPolygon(m) => &m.0[..],
         _ => unreachable!("caller checked arity"),
     };
-    for p in &polys {
-        for (a, b) in p.rings().flat_map(|r| r.segments()) {
-            let cap = Geometry::Polygon(capsule_polygon(a, b, distance, quad_segs)?);
-            acc = difference(&acc, &cap)?;
-            if acc.is_empty() {
-                return Ok(acc);
-            }
-        }
-    }
-    Ok(acc)
+    let edges = polys.iter().flat_map(|p| p.rings().flat_map(|r| r.segments()));
+    let capsules = edges.map(|(a, b)| capsule(a, b, distance, quad_segs));
+    Ok(fold_parts(Some(g.clone()), capsules, op)?.expect("seeded fold"))
 }
 
 #[cfg(test)]

@@ -357,16 +357,10 @@ fn overlay_pair(a: &Polygon, b: &Polygon, op: BoolOp) -> Result<Vec<Polygon>> {
     let mut edges: Vec<DirEdge> = Vec::new();
     collect_selected_edges(a, b, op, /*reverse=*/ false, snap, &mut edges);
     let reverse_b = op == BoolOp::Difference;
-    collect_selected_edges(b, a, flip_for_b(op), reverse_b, snap, &mut edges);
+    collect_selected_edges(b, a, op, reverse_b, snap, &mut edges);
 
     let rings = stitch_rings(edges, snap)?;
     assemble_polygons(rings)
-}
-
-/// The classification op to apply to B's edges: identical except that for
-/// difference we keep B-edges *inside* A (they become hole boundaries).
-fn flip_for_b(op: BoolOp) -> BoolOp {
-    op
 }
 
 fn snap_epsilon(env: &Envelope) -> f64 {
@@ -487,15 +481,8 @@ fn shared_edge_keep(
     let other_left = locate_in_polygon(left_probe, other) == Location::Interior;
     match op {
         // Same side ⇒ the edge bounds both regions identically.
-        BoolOp::Intersection | BoolOp::Union => {
-            other_left && is_first_operand || {
-                // For union, edges whose left side is *outside* both operands
-                // also bound the result when interiors are on the same side;
-                // with interior-left convention, subject interior is left, so
-                // "same side" simply means other_left.
-                false
-            }
-        }
+        // With the interior on the left, "same side" means other_left.
+        BoolOp::Intersection | BoolOp::Union => other_left && is_first_operand,
         // Difference keeps A-boundary edges where B is on the right.
         BoolOp::Difference => is_first_operand && !other_left,
     }

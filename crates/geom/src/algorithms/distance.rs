@@ -22,11 +22,6 @@ pub fn distance(a: &Geometry, b: &Geometry) -> f64 {
     best
 }
 
-/// Distance from a coordinate to the closed segment `a b`.
-pub fn point_segment_distance(p: Coord, a: Coord, b: Coord) -> f64 {
-    point_segment_distance_sq(p, a, b).sqrt()
-}
-
 /// Squared distance from a coordinate to the closed segment `a b`.
 pub fn point_segment_distance_sq(p: Coord, a: Coord, b: Coord) -> f64 {
     let ab = b - a;
@@ -209,11 +204,11 @@ mod tests {
     fn point_segment_endpoints_and_projection() {
         let a = Coord::new(0.0, 0.0);
         let b = Coord::new(10.0, 0.0);
-        assert_eq!(point_segment_distance(Coord::new(5.0, 3.0), a, b), 3.0);
-        assert_eq!(point_segment_distance(Coord::new(-3.0, 4.0), a, b), 5.0);
-        assert_eq!(point_segment_distance(Coord::new(13.0, 4.0), a, b), 5.0);
+        assert_eq!(point_segment_distance_sq(Coord::new(5.0, 3.0), a, b), 9.0);
+        assert_eq!(point_segment_distance_sq(Coord::new(-3.0, 4.0), a, b), 25.0);
+        assert_eq!(point_segment_distance_sq(Coord::new(13.0, 4.0), a, b), 25.0);
         // degenerate segment
-        assert_eq!(point_segment_distance(Coord::new(3.0, 4.0), a, a), 5.0);
+        assert_eq!(point_segment_distance_sq(Coord::new(3.0, 4.0), a, a), 25.0);
     }
 
     #[test]

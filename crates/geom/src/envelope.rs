@@ -188,7 +188,8 @@ impl Envelope {
                 && other.max_y <= self.max_y)
     }
 
-    /// `true` when `c` lies strictly inside (not on the boundary).
+    /// `true` when `c` lies strictly inside (not on the boundary). A hook
+    /// for `tests/proptest_sql.rs`'s window-boundary cases.
     #[inline]
     pub fn contains_coord_strict(&self, c: Coord) -> bool {
         !self.is_empty()
@@ -225,7 +226,8 @@ impl Envelope {
         dx * dx + dy * dy
     }
 
-    /// Minimum distance between two envelopes (0 when they intersect).
+    /// Minimum distance between two envelopes (0 when they intersect). A
+    /// hook for `tests/proptest_geom.rs`, which bounds `distance` by it.
     pub fn distance_to_envelope(&self, other: &Envelope) -> f64 {
         if self.is_empty() || other.is_empty() {
             return f64::INFINITY;

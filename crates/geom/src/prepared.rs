@@ -21,8 +21,8 @@
 //! [`segment_intersection`](crate::algorithms::segment::segment_intersection)).
 //! A pair pruned by an index is pruned only when the exact predicate is
 //! *proven* to contribute nothing (see the per-prune comments), so every
-//! result is bit-identical to the unindexed path. The equivalence corpus
-//! in `tests/prepared_equivalence.rs` checks this end to end.
+//! result is bit-identical to the unindexed path. `tests/prepared_equivalence.rs`
+//! checks this end to end over the snapped corpus of `tests/common/shapes.rs`.
 
 use crate::algorithms::line_split::{split_line_core, LinePortion};
 use crate::algorithms::locate::Location;
@@ -155,11 +155,6 @@ impl ChainSet {
     /// Envelope of the whole polyline.
     pub fn envelope(&self) -> &Envelope {
         &self.env
-    }
-
-    /// Number of monotone chains.
-    pub fn num_chains(&self) -> usize {
-        self.chains.len()
     }
 
     /// Calls `f` with every edge whose envelope intersects `qenv` —
@@ -483,7 +478,7 @@ mod tests {
             .collect();
         let ring = Ring::from_xy(&pts).unwrap();
         let chains = ChainSet::new(ring.coords());
-        assert!(chains.num_chains() <= 5, "convex ring split into {}", chains.num_chains());
+        assert!(chains.chains.len() <= 5, "convex ring split into {}", chains.chains.len());
     }
 
     #[test]
@@ -579,7 +574,7 @@ mod tests {
     #[test]
     fn empty_and_degenerate_inputs() {
         let empty = ChainSet::new(&[]);
-        assert_eq!(empty.num_chains(), 0);
+        assert_eq!(empty.chains.len(), 0);
         let mut hits = 0;
         empty.for_candidate_edges(&Envelope::new(0.0, 0.0, 1.0, 1.0), &mut |_, _| hits += 1);
         assert_eq!(hits, 0);

@@ -54,7 +54,9 @@ impl<K: Ord + Clone, T: Clone> OrderedIndex<K, T> {
         self.len == 0
     }
 
-    /// Number of distinct keys.
+    /// Number of distinct keys: a hook for the engine's index-build
+    /// tests (`indexes::tests`), which compare grouped and one-by-one
+    /// builds.
     pub fn key_count(&self) -> usize {
         self.map.len()
     }

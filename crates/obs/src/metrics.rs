@@ -372,7 +372,7 @@ impl MetricsSnapshot {
 
     /// The worker-count-invariant subset, in canonical order. Two runs
     /// of the same statement sequence must produce equal vectors here
-    /// regardless of `workers`.
+    /// regardless of `workers`: a hook for `tests/equivalence.rs`.
     pub fn deterministic_counters(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().filter(|(n, _)| DETERMINISTIC_COUNTERS.contains(n)).copied().collect()
     }

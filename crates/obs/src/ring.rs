@@ -115,7 +115,8 @@ impl SlowQueryLog {
     }
 
     /// Sets the slow threshold. `Duration::ZERO` admits every query;
-    /// `Duration::MAX` effectively disables the log.
+    /// `Duration::MAX` effectively disables the log. A hook for
+    /// `tests/flight_recorder.rs` and `tests/syscat.rs`.
     pub fn set_threshold(&self, threshold: Duration) {
         self.threshold_ns.store(duration_ns(threshold), Ordering::Relaxed);
     }

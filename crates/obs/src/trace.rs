@@ -30,7 +30,8 @@ impl QueryTrace {
     }
 
     /// Names of the stages this query actually passed through, in
-    /// pipeline order — the golden-trace suite asserts on this.
+    /// pipeline order: a hook for the golden traces of
+    /// `tests/observability.rs`.
     pub fn stage_names(&self) -> Vec<&'static str> {
         self.delta.stages.iter().filter(|(_, h)| h.count > 0).map(|(s, _)| s.name()).collect()
     }

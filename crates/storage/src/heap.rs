@@ -416,11 +416,6 @@ impl HeapFile {
         }
     }
 
-    /// Visibility entries currently held (tests and diagnostics).
-    pub fn meta_len(&self) -> usize {
-        self.meta.read().len()
-    }
-
     /// Filters `ids` down to the rows visible at `gen`, preserving
     /// order, under one metadata lock take. `epoch` must have been
     /// captured via [`HeapFile::reclaim_epoch`] *before* the ids were
@@ -457,19 +452,6 @@ impl HeapFile {
     /// this to separate settled rows from concurrently-reclaimed ones.
     fn slot_present(&self, id: RowId) -> bool {
         id.page < self.npages.load(Ordering::Relaxed) && self.page(id.page).get(id.slot).is_ok()
-    }
-
-    /// Whether `id` is visible to a reader pinned at `gen`.
-    pub fn is_visible(&self, id: RowId, gen: u64) -> bool {
-        // Copy the entry out before touching pages: the meta lock must
-        // never be held while touching one (see the lock-order note
-        // above).
-        let entry = self.meta.read().get(&id).copied();
-        if let Some((born, died)) = entry {
-            return born <= gen && died > gen;
-        }
-        // No entry: visible at every generation, if physically present.
-        self.slot_present(id)
     }
 
     /// Fetches a row: its slot's decoded row if the frame has one,
@@ -679,6 +661,26 @@ impl Drop for HeapFile {
 mod tests {
     use super::*;
     use crate::{ColumnDef, DataType};
+
+    impl HeapFile {
+        /// Visibility entries currently held.
+        fn meta_len(&self) -> usize {
+            self.meta.read().len()
+        }
+
+        /// Whether `id` is visible to a reader pinned at `gen`.
+        fn is_visible(&self, id: RowId, gen: u64) -> bool {
+            // Copy the entry out before touching pages: the meta lock must
+            // never be held while touching one (see the lock-order note
+            // above).
+            let entry = self.meta.read().get(&id).copied();
+            if let Some((born, died)) = entry {
+                return born <= gen && died > gen;
+            }
+            // No entry: visible at every generation, if physically present.
+            self.slot_present(id)
+        }
+    }
 
     fn heap() -> HeapFile {
         let schema = Arc::new(

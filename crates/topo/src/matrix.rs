@@ -108,30 +108,6 @@ impl IntersectionMatrix {
         }
         Ok(true)
     }
-
-    /// Parses a matrix from its 9-character string form (digits and `F`).
-    ///
-    /// # Errors
-    /// [`TopoError::BadPattern`] on malformed input (note `T` and `*` are
-    /// pattern-only and not valid here).
-    pub fn from_string(s: &str) -> Result<IntersectionMatrix> {
-        let chars: Vec<char> = s.chars().collect();
-        if chars.len() != 9 {
-            return Err(TopoError::BadPattern(s.to_string()));
-        }
-        let mut m = IntersectionMatrix::empty();
-        for (i, &c) in chars.iter().enumerate() {
-            let dim = match c.to_ascii_uppercase() {
-                'F' => Dimension::Empty,
-                '0' => Dimension::Zero,
-                '1' => Dimension::One,
-                '2' => Dimension::Two,
-                _ => return Err(TopoError::BadPattern(s.to_string())),
-            };
-            m.cells[i / 3][i % 3] = dim;
-        }
-        Ok(m)
-    }
 }
 
 impl fmt::Display for IntersectionMatrix {
@@ -155,6 +131,32 @@ impl fmt::Debug for IntersectionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IntersectionMatrix {
+        /// Parses a matrix from its 9-character string form (digits and `F`).
+        ///
+        /// # Errors
+        /// [`TopoError::BadPattern`] on malformed input (note `T` and `*` are
+        /// pattern-only and not valid here).
+        fn from_string(s: &str) -> Result<IntersectionMatrix> {
+            let chars: Vec<char> = s.chars().collect();
+            if chars.len() != 9 {
+                return Err(TopoError::BadPattern(s.to_string()));
+            }
+            let mut m = IntersectionMatrix::empty();
+            for (i, &c) in chars.iter().enumerate() {
+                let dim = match c.to_ascii_uppercase() {
+                    'F' => Dimension::Empty,
+                    '0' => Dimension::Zero,
+                    '1' => Dimension::One,
+                    '2' => Dimension::Two,
+                    _ => return Err(TopoError::BadPattern(s.to_string())),
+                };
+                m.cells[i / 3][i % 3] = dim;
+            }
+            Ok(m)
+        }
+    }
 
     #[test]
     fn roundtrip_string() {

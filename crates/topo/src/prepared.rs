@@ -17,8 +17,8 @@
 //! envelope-intersecting segments, and every surviving pair still goes
 //! through the same exact predicates (`orient2d`-based segment tests,
 //! ray-cast location), so [`relate_prepared`] returns matrices
-//! **bit-identical** to [`crate::relate`]. The equivalence corpus in
-//! `tests/prepared_equivalence.rs` asserts exactly that.
+//! **bit-identical** to [`crate::relate`]. `tests/prepared_equivalence.rs`
+//! asserts exactly that over the snapped corpus of `tests/common/shapes.rs`.
 //!
 //! [`evaluate`] adds sound short-circuits on top (envelope rejects and
 //! shared-point accepts) that decide a named predicate without

@@ -5,6 +5,7 @@
 #![allow(dead_code)]
 
 pub mod alloc;
+pub mod shapes;
 
 use jackpine::datagen::rng::Rng;
 use jackpine::geom::{Coord, Geometry, LineString, Point, Polygon, Ring};

@@ -7,25 +7,7 @@ use jackpine::storage::Value;
 use std::sync::Arc;
 use std::thread;
 
-/// Deterministic xorshift64* — seeded sweeps must replay identically.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+mod common;
 
 fn seeded_db() -> Arc<SpatialDb> {
     let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -177,7 +159,6 @@ fn seeded_multi_session_sweep_holds_snapshot_invariants() {
     }
     db.create_spatial_index("sweep", "geom").unwrap();
 
-    const SEED: u64 = 0x5eed_cafe;
     const WRITERS: u64 = 3;
     const READERS: usize = 3;
     const ROUNDS: usize = 40;
@@ -186,11 +167,11 @@ fn seeded_multi_session_sweep_holds_snapshot_invariants() {
         for w in 0..WRITERS {
             let db = db.clone();
             s.spawn(move || {
-                let mut rng = Rng::new(SEED ^ (w + 1));
+                let mut rng = common::test_rng(&format!("sweep writer {w}"));
                 // Each writer owns a disjoint id range for batch churn.
                 let base = 1000 * (w + 1);
                 for round in 0..ROUNDS {
-                    match rng.below(3) {
+                    match rng.gen_range(0..3usize) {
                         0 => {
                             // Atomic whole-region flag flip.
                             db.execute("UPDATE sweep SET flag = 1 - flag WHERE id < 100")
@@ -243,9 +224,9 @@ fn seeded_multi_session_sweep_holds_snapshot_invariants() {
         for r in 0..READERS {
             let db = db.clone();
             s.spawn(move || {
-                let mut rng = Rng::new(SEED ^ (0x1000 + r as u64));
+                let mut rng = common::test_rng(&format!("sweep reader {r}"));
                 for _ in 0..ROUNDS * 2 {
-                    match rng.below(3) {
+                    match rng.gen_range(0..3usize) {
                         0 => {
                             let c = db
                                 .execute(

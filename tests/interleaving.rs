@@ -23,27 +23,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-/// Deterministic xorshift64* — the harness must replay identically for
-/// a given seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 fn int(v: &Value) -> i64 {
     match v {
         Value::Int(n) => *n,
@@ -86,10 +65,10 @@ fn run_interleaving(
         for w in 0..writers {
             let db = db.clone();
             handles.push(s.spawn(move || {
-                let mut rng = Rng::new(seed ^ (w + 1));
+                let mut rng = common::test_rng(&format!("{seed:x} writer {w}"));
                 let mut n = 0u64;
                 for round in 0..rounds {
-                    match rng.below(3) {
+                    match rng.gen_range(0..3usize) {
                         0 => {
                             // Whole-table flip: one UPDATE, all rows.
                             db.execute("UPDATE flip SET val = 1 - val").expect("flip");
@@ -111,7 +90,7 @@ fn run_interleaving(
                         _ => {
                             // Count-preserving UPDATE of one churn-free
                             // flip row (exercises delete+reinsert).
-                            let id = rng.below(FLIP_ROWS as u64);
+                            let id = rng.gen_range(0..FLIP_ROWS as u64);
                             db.execute(&format!("UPDATE flip SET id = {id} WHERE id = {id}"))
                                 .expect("touch");
                             n += 1;
@@ -124,13 +103,13 @@ fn run_interleaving(
         for r in 0..readers {
             let db = db.clone();
             s.spawn(move || {
-                let mut rng = Rng::new(seed ^ (0xbeef + r as u64));
+                let mut rng = common::test_rng(&format!("{seed:x} reader {r}"));
                 // Readers run until the writers finish, then one final
                 // sweep so the quiesced state is also checked.
                 loop {
                     let done = writers_done.load(Ordering::Acquire);
                     for _ in 0..8 {
-                        match rng.below(3) {
+                        match rng.gen_range(0..3usize) {
                             0 => {
                                 let c = db
                                     .execute("SELECT COUNT(*) FROM flip WHERE val = 0")

@@ -4,194 +4,25 @@
 //! the same truth value from `evaluate` as from the naive predicate
 //! behind the SQL layer's envelope prefilter.
 //!
-//! The corpus is seeded and grid-snapped: integer coordinates make
-//! shared edges, coincident vertices, corner contacts and exact
-//! equality common rather than measure-zero, which is where refine
-//! fast paths historically go wrong. Hand-picked boundary-touching and
-//! hole cases are pinned on top of the random sweep.
+//! The corpus is the snapped shape corpus of `tests/common/shapes.rs`,
+//! which `tests/equivalence.rs` also loads into the engine.
 
-use jackpine::geom::{wkt, Geometry};
-use jackpine::topo::{
-    contains, covered_by, covers, crosses, disjoint, equals, evaluate, intersects, overlaps,
-    relate, relate_prepared, touches, within, PredicateKind, PreparedGeometry,
-};
+mod common;
 
-/// Deterministic 64-bit LCG (same constants as the in-tree PRNG); no
-/// external rand crate in this workspace.
-struct Lcg(u64);
+use common::shapes::{self, ALL_KINDS};
+use jackpine::geom::Geometry;
+use jackpine::topo::{evaluate, relate, relate_prepared, PreparedGeometry};
 
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> i64 {
-        (self.next() % n) as i64
-    }
+fn corpus(name: &str) -> Vec<Geometry> {
+    shapes::corpus(&mut common::test_rng(name)).iter().map(|w| shapes::parse(w)).collect()
 }
-
-fn parse(text: &str) -> Geometry {
-    wkt::parse(text).unwrap_or_else(|e| panic!("corpus WKT {text:?}: {e}"))
-}
-
-/// Axis-aligned rectangle with integer corners on a small grid:
-/// touching, overlap and equality between two of these are common.
-fn rect(rng: &mut Lcg) -> Geometry {
-    let (x, y) = (rng.below(8), rng.below(8));
-    let (w, h) = (1 + rng.below(4), 1 + rng.below(4));
-    parse(&format!(
-        "POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))",
-        x + w,
-        x + w,
-        y + h,
-        y + h
-    ))
-}
-
-/// Rectangle with a rectangular hole strictly inside it. Large enough
-/// that other corpus members can fall inside the hole (exterior), on
-/// the hole's ring (boundary) or in the annulus (interior).
-fn donut(rng: &mut Lcg) -> Geometry {
-    let (x, y) = (rng.below(5), rng.below(5));
-    let (w, h) = (4 + rng.below(4), 4 + rng.below(4));
-    let (hx, hy) = (x + 1, y + 1);
-    let (hw, hh) = (1 + rng.below(w as u64 - 2), 1 + rng.below(h as u64 - 2));
-    parse(&format!(
-        "POLYGON (({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}), \
-         ({hx} {hy}, {} {hy}, {} {}, {hx} {}, {hx} {hy}))",
-        x + w,
-        x + w,
-        y + h,
-        y + h,
-        hx + hw,
-        hx + hw,
-        hy + hh,
-        hy + hh
-    ))
-}
-
-/// Non-rectilinear but always-valid triangle (slanted edges exercise
-/// the chain intersection kernels off the grid axes).
-fn triangle(rng: &mut Lcg) -> Geometry {
-    let (x, y) = (rng.below(8), rng.below(8));
-    let (a, b) = (2 + rng.below(3), 2 + rng.below(3));
-    parse(&format!("POLYGON (({x} {y}, {} {y}, {} {}, {x} {y}))", x + a, x + rng.below(3), y + b))
-}
-
-/// Grid random walk, 2–5 segments; revisiting grid points makes
-/// self-touching and collinear-overlap pairs likely.
-fn walk(rng: &mut Lcg) -> Geometry {
-    let (mut x, mut y) = (rng.below(8), rng.below(8));
-    let mut pts = vec![format!("{x} {y}")];
-    for _ in 0..2 + rng.below(4) {
-        match rng.below(4) {
-            0 => x += 1 + rng.below(2),
-            1 => x -= 1 + rng.below(2),
-            2 => y += 1 + rng.below(2),
-            _ => y -= 1 + rng.below(2),
-        }
-        pts.push(format!("{x} {y}"));
-    }
-    parse(&format!("LINESTRING ({})", pts.join(", ")))
-}
-
-fn point(rng: &mut Lcg) -> Geometry {
-    parse(&format!("POINT ({} {})", rng.below(10), rng.below(10)))
-}
-
-/// Hand-picked boundary-touching, hole and degenerate-contact cases:
-/// the configurations where a short-circuit that is merely *plausible*
-/// (rather than sound) would diverge from the naive answer.
-fn pinned_corpus() -> Vec<Geometry> {
-    [
-        // Two unit squares sharing a full edge, and a corner-only pair.
-        "POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))",
-        "POLYGON ((2 0, 4 0, 4 2, 2 2, 2 0))",
-        "POLYGON ((4 2, 6 2, 6 4, 4 4, 4 2))",
-        // Identical square (Equals must hold) and its expansion.
-        "POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))",
-        "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
-        // Donut whose hole exactly matches a corpus square: the square
-        // touches the donut only along the hole ring — the case that
-        // refutes "envelope overlap + vertex probe ⇒ interior overlap".
-        "POLYGON ((-1 -1, 3 -1, 3 3, -1 3, -1 -1), (0 0, 2 0, 2 2, 0 2, 0 0))",
-        // Square strictly inside that hole (disjoint despite nested
-        // envelopes).
-        "POLYGON ((0.5 0.5, 1.5 0.5, 1.5 1.5, 0.5 1.5, 0.5 0.5))",
-        // Line along a square's edge, line through its interior, line
-        // ending exactly on its boundary.
-        "LINESTRING (0 0, 2 0)",
-        "LINESTRING (-1 1, 3 1)",
-        "LINESTRING (2 2, 5 5)",
-        // Point on a boundary vertex, on an edge, in an interior.
-        "POINT (0 0)",
-        "POINT (1 0)",
-        "POINT (1 1)",
-        "MULTIPOINT ((0 0), (2 2), (9 9))",
-    ]
-    .iter()
-    .map(|w| parse(w))
-    .collect()
-}
-
-fn corpus(seed: u64) -> Vec<Geometry> {
-    let mut rng = Lcg(seed);
-    let mut all = pinned_corpus();
-    for _ in 0..6 {
-        all.push(rect(&mut rng));
-        all.push(triangle(&mut rng));
-        all.push(walk(&mut rng));
-        all.push(point(&mut rng));
-    }
-    for _ in 0..3 {
-        all.push(donut(&mut rng));
-    }
-    all
-}
-
-/// What the SQL layer computes without the fast path: the envelope
-/// prefilter (`envs_intersect && pred`, disjoint negated) around the
-/// naive predicate.
-fn naive_reference(kind: PredicateKind, a: &Geometry, b: &Geometry) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
-        return kind == PredicateKind::Disjoint;
-    }
-    let f = match kind {
-        PredicateKind::Equals => equals,
-        PredicateKind::Disjoint => disjoint,
-        PredicateKind::Intersects => intersects,
-        PredicateKind::Touches => touches,
-        PredicateKind::Crosses => crosses,
-        PredicateKind::Within => within,
-        PredicateKind::Contains => contains,
-        PredicateKind::Overlaps => overlaps,
-        PredicateKind::Covers => covers,
-        PredicateKind::CoveredBy => covered_by,
-    };
-    f(a, b).expect("naive predicate on corpus geometry")
-}
-
-const ALL_KINDS: [PredicateKind; 10] = [
-    PredicateKind::Equals,
-    PredicateKind::Disjoint,
-    PredicateKind::Intersects,
-    PredicateKind::Touches,
-    PredicateKind::Crosses,
-    PredicateKind::Within,
-    PredicateKind::Contains,
-    PredicateKind::Overlaps,
-    PredicateKind::Covers,
-    PredicateKind::CoveredBy,
-];
 
 /// Every ordered pair of the corpus: the prepared relate must produce
 /// the bit-identical DE-9IM matrix, and every named predicate evaluated
 /// over prepared operands must agree with the prefiltered naive answer.
 #[test]
 fn prepared_matches_naive_over_seeded_corpus() {
-    let geoms = corpus(0x9e3779b97f4a7c15);
+    let geoms = corpus("prepared_matches_naive_over_seeded_corpus");
     let prepared: Vec<PreparedGeometry> = geoms.iter().map(PreparedGeometry::new).collect();
     let mut relates = 0usize;
     let mut short_circuits = 0usize;
@@ -209,7 +40,8 @@ fn prepared_matches_naive_over_seeded_corpus() {
             for kind in ALL_KINDS {
                 let outcome = evaluate(kind, pa, pb)
                     .unwrap_or_else(|e| panic!("pair ({i}, {j}) {kind:?}: {e}"));
-                let expected = naive_reference(kind, ga, gb);
+                let expected =
+                    shapes::naive(kind, ga, gb).expect("naive predicate on corpus geometry");
                 assert_eq!(
                     outcome.value, expected,
                     "pair ({i}, {j}) {kind:?}: prepared {} != naive {expected}\n a = {ga:?}\n b = {gb:?}",
@@ -232,7 +64,7 @@ fn prepared_matches_naive_over_seeded_corpus() {
 /// fresh preparations each time.
 #[test]
 fn reused_preparation_is_stable() {
-    let geoms = corpus(0xdecafbad);
+    let geoms = corpus("reused_preparation_is_stable");
     let donut = PreparedGeometry::new(&geoms[5]);
     for g in &geoms {
         let fresh = relate_prepared(&PreparedGeometry::new(&geoms[5]), &PreparedGeometry::new(g))
