@@ -32,6 +32,11 @@
 //! no engine. A `NULL` geometry matches nothing, as every SQL function
 //! is strict.
 //!
+//! Each corpus runs in every configuration once, and each test checks
+//! a part of what it did: one configuration or group of them against
+//! the reference, one kind of shape statement in every configuration
+//! and against the oracle, or the counters.
+//!
 //! The rest is not pairwise: the global-aggregate and tied-key orders,
 //! mid-flight metric snapshots, the pool's resize, eviction and churn,
 //! the non-trivial answers guard, and the datagen row counts.
@@ -144,6 +149,10 @@ struct Run {
     counters: BTreeMap<&'static str, u64>,
     /// Batches the batch filter dispatched, over every statement.
     batches: u64,
+    /// Morsels dispatched to the workers, over every statement.
+    morsels: u64,
+    /// Pages the pool faulted in, over every statement.
+    cold_pins: u64,
 }
 
 impl Run {
@@ -178,8 +187,7 @@ fn generic_spelling(sql: &str) -> String {
     out + &sql[done..]
 }
 
-/// Puts `db` in `config` and runs every statement once. A bounded pool
-/// must fault pages in, and more than one worker split statements.
+/// Puts `db` in `config` and runs every statement once.
 fn run(db: &Arc<SpatialDb>, config: &Config, statements: &[Statement]) -> Run {
     db.set_workers(config.workers);
     db.set_pool_bytes(config.pool_bytes);
@@ -207,16 +215,8 @@ fn run(db: &Arc<SpatialDb>, config: &Config, statements: &[Statement]) -> Run {
         }
         answers.push(answer);
     }
-    if config.pool_bytes != 0 {
-        let cold_pins = db.pool_stats().cold_pins - pool_before.cold_pins;
-        assert!(cold_pins > 0, "{}: the bounded pool never faulted a page", config.name);
-    }
-    // With the index on, no TIGER statement at this scale has inputs
-    // long enough to split; with it off, every join's pairs do.
-    if config.workers > 1 && !config.index {
-        assert!(morsels > 0, "{}: no statement was split over the workers", config.name);
-    }
-    Run { answers, counters, batches }
+    let cold_pins = db.pool_stats().cold_pins - pool_before.cold_pins;
+    Run { answers, counters, batches, morsels, cold_pins }
 }
 
 /// Rows as text, sorted, floats at nine significant digits (the
@@ -254,79 +254,127 @@ fn assert_superset(label: &str, mbr: &ResultSet, exact: &ResultSet) -> bool {
     mbr.rows.len() > exact.rows.len()
 }
 
-/// Compares `got`, the answers of `config`, with the reference's `want`
-/// (see the module docs). Returns whether an `MbrOnly` answer held rows
-/// the exact one did not.
-fn compare(config: &Config, statements: &[Statement], want: &[Answer], got: &[Answer]) -> bool {
-    let mut strictly_larger = false;
-    for ((s, want), have) in statements.iter().zip(want).zip(got) {
-        let label = format!("{} ({}): {}", s.label, config.name, s.sql);
-        match config.profile {
-            EngineProfile::MbrOnly => {
-                if let (true, Ok(want)) = (s.monotone, want) {
-                    let have = have.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
-                    strictly_larger |= assert_superset(&label, have, want);
-                }
+/// Compares `have`, the answer of `config` to `s`, with the
+/// reference's `want` (see the module docs). Returns whether an
+/// `MbrOnly` answer held rows the exact one did not.
+fn compare(config: &Config, s: &Statement, want: &Answer, have: &Answer) -> bool {
+    let label = format!("{} ({}): {}", s.label, config.name, s.sql);
+    match config.profile {
+        EngineProfile::MbrOnly => {
+            if let (true, Ok(want)) = (s.monotone, want) {
+                let have = have.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
+                return assert_superset(&label, have, want);
             }
-            _ if !config.index => assert_eq!(want, have, "{label}"),
-            _ => assert_eq!(canonical(want), canonical(have), "{label}"),
         }
+        _ if !config.index => assert_eq!(want, have, "{label}"),
+        _ => assert_eq!(canonical(want), canonical(have), "{label}"),
     }
-    strictly_larger
+    false
 }
 
-/// Runs every configuration of [`LANES`] over `statements`, each lane
-/// on an engine made by `load`; checks the counters that tell the two
-/// refine paths apart; and compares every configuration with the
-/// reference. Configurations that share a profile, an index position
-/// and a spelling must report the deterministic counters of the first
-/// of them. Returns the reference's run and the batch filter's.
-fn check_matrix(
-    statements: &[Statement],
-    load: impl Fn(EngineProfile) -> Arc<SpatialDb> + Sync,
-) -> (Run, Run) {
-    let mut runs: Vec<(&Config, Run)> = std::thread::scope(|scope| {
-        let lanes = LANES.map(|lane| {
-            let load = &load;
-            scope.spawn(move || {
-                let db = load(lane[0].profile);
-                lane.iter().map(|config| (config, run(&db, config, statements))).collect::<Vec<_>>()
-            })
-        });
-        let joined = lanes.map(|lane| lane.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        joined.into_iter().flatten().collect()
-    });
-    let (reference, batch) = (&runs[0].1, &runs[1].1);
-    let mut strictly_larger = false;
-    for (config, got) in &runs[1..] {
-        strictly_larger |= compare(config, statements, &reference.answers, &got.answers);
-    }
-    assert!(strictly_larger, "at least one MbrOnly answer should show false positives");
+/// What every configuration of [`LANES`] did with one corpus. It runs
+/// once, and each test checks a part of it.
+struct Matrix {
+    statements: Vec<Statement>,
+    /// The reference's run first, then the batch filter's.
+    runs: Vec<(Config, Run)>,
+}
 
-    assert_eq!(reference.batches, 0, "the reference ran the batch filter");
-    for batch_only in ["prefilter_rejects", "prepared_cache_hits", "prepared_cache_misses"] {
-        assert_eq!(reference.counter(batch_only), 0, "the reference counted {batch_only}");
+impl Matrix {
+    /// Runs every configuration of [`LANES`] over `statements`, each lane
+    /// on an engine made by `load`.
+    fn run(
+        statements: Vec<Statement>,
+        load: impl Fn(EngineProfile) -> Arc<SpatialDb> + Sync,
+    ) -> Matrix {
+        let runs = std::thread::scope(|scope| {
+            let lanes = LANES.map(|lane| {
+                let (load, statements) = (&load, &statements);
+                scope.spawn(move || {
+                    let db = load(lane[0].profile);
+                    lane.iter().map(|c| (*c, run(&db, c, statements))).collect::<Vec<_>>()
+                })
+            });
+            let joined =
+                lanes.map(|lane| lane.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            joined.into_iter().flatten().collect()
+        });
+        Matrix { statements, runs }
     }
-    for shared in ["refine_candidates", "refine_hits"] {
-        assert_eq!(reference.counter(shared), batch.counter(shared), "{shared} differs");
+
+    fn reference(&self) -> &Run {
+        &self.runs[0].1
     }
-    assert!(batch.counter("prefilter_rejects") > 0, "the corpus must exercise the prefilter");
-    assert!(
-        batch.counter("prepared_cache_hits") > 0,
-        "a join must reuse its inner preparations within a batch"
-    );
-    let mut counters = BTreeMap::new();
-    for (config, got) in &runs[1..] {
-        let key = (config.profile.name(), config.index, config.generic);
-        let (first, want) = counters.entry(key).or_insert((config.name, &got.counters));
-        assert_eq!(
-            **want, got.counters,
-            "deterministic counters differ between {first} and {}",
-            config.name
+
+    fn batch(&self) -> &Run {
+        &self.runs[1].1
+    }
+
+    /// Compares every configuration `pick` selects with the reference,
+    /// over the statements whose position `keep` selects. A bounded pool
+    /// must have faulted pages in, and more than one worker split a
+    /// statement. Returns whether an `MbrOnly` answer held rows the exact
+    /// one did not.
+    fn check(&self, keep: impl Fn(usize) -> bool, pick: impl Fn(&Config) -> bool) -> bool {
+        let picked: Vec<_> = self.runs[1..].iter().filter(|(c, _)| pick(c)).collect();
+        assert!(!picked.is_empty(), "no configuration of the matrix was picked");
+        let mut strictly_larger = false;
+        for (config, got) in picked {
+            let name = config.name;
+            if config.pool_bytes != 0 {
+                assert!(got.cold_pins > 0, "{name}: the bounded pool never faulted a page");
+            }
+            // With the index on, no TIGER statement at this scale has
+            // inputs long enough to split; with it off, every join's
+            // pairs do.
+            if config.workers > 1 && !config.index {
+                assert!(got.morsels > 0, "{name}: no statement was split over the workers");
+            }
+            let answers = self.reference().answers.iter().zip(&got.answers);
+            for (i, (s, (want, have))) in self.statements.iter().zip(answers).enumerate() {
+                if keep(i) {
+                    strictly_larger |= compare(config, s, want, have);
+                }
+            }
+        }
+        strictly_larger
+    }
+
+    /// Configurations that share a profile, an index position and a
+    /// spelling report the deterministic counters of the first of them,
+    /// which moved at least one.
+    fn check_counter_groups(&self) {
+        let mut groups = BTreeMap::new();
+        for (config, got) in &self.runs[1..] {
+            let key = (config.profile.name(), config.index, config.generic);
+            let (first, want) = groups.entry(key).or_insert((config.name, &got.counters));
+            assert!(want.values().any(|&n| n > 0), "{first} moved no deterministic counter");
+            assert_eq!(
+                **want, got.counters,
+                "deterministic counters differ between {first} and {}",
+                config.name
+            );
+        }
+    }
+
+    /// The counters that tell the two refine paths apart: the reference
+    /// never runs the batch filter, both count the same refines, and the
+    /// batch filter prefilters and reuses its preparations.
+    fn check_refine_counters(&self) {
+        let (reference, batch) = (self.reference(), self.batch());
+        assert_eq!(reference.batches, 0, "the reference ran the batch filter");
+        for batch_only in ["prefilter_rejects", "prepared_cache_hits", "prepared_cache_misses"] {
+            assert_eq!(reference.counter(batch_only), 0, "the reference counted {batch_only}");
+        }
+        for shared in ["refine_candidates", "refine_hits"] {
+            assert_eq!(reference.counter(shared), batch.counter(shared), "{shared} differs");
+        }
+        assert!(batch.counter("prefilter_rejects") > 0, "the corpus must exercise the prefilter");
+        assert!(
+            batch.counter("prepared_cache_hits") > 0,
+            "a join must reuse its inner preparations within a batch"
         );
     }
-    let batch = runs.remove(1).1;
-    (runs.swap_remove(0).1, batch)
 }
 
 /// The TIGER extract the engine tests load, generated once.
@@ -346,22 +394,100 @@ fn tiger_db(profile: EngineProfile, data: &TigerDataset) -> Arc<SpatialDb> {
 /// T01–T19, A01–A12 and one session of every macro scenario, but for
 /// M4's in-database buffer: it reads no table, so no configuration can
 /// change its answer, and it is the slowest statement of all (its bits
-/// are pinned in `flood_risk.rs`).
-fn tiger_statements(data: &TigerDataset) -> Vec<Statement> {
+/// are pinned in `flood_risk.rs`). Also returns how many of them, the
+/// first, are micro queries.
+fn tiger_statements(data: &TigerDataset) -> (usize, Vec<Statement>) {
     let micro = topo_suite(data).into_iter().chain(analysis_suite(data));
     let mut all: Vec<Statement> = micro.map(|q| Statement::new(q.id, q.sql)).collect();
+    let micro = all.len();
     for scenario in all_scenarios(data, &ScenarioConfig { seed: 0xbead, sessions: 1 }) {
         for (label, sql) in scenario.steps.into_iter().filter(|(_, sql)| sql.contains(" FROM ")) {
             all.push(Statement::new(format!("{}/{label}", scenario.id), sql));
         }
     }
-    all
+    (micro, all)
+}
+
+/// The TIGER statements in every configuration, and how many of them
+/// are micro queries.
+fn tiger_matrix() -> &'static (usize, Matrix) {
+    static MATRIX: OnceLock<(usize, Matrix)> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        let data = tiger_data();
+        let (micro, statements) = tiger_statements(data);
+        (micro, Matrix::run(statements, |profile| tiger_db(profile, data)))
+    })
+}
+
+fn every(_: usize) -> bool {
+    true
+}
+
+/// The batch-filter spelling, on the micro and the macro statements.
+#[test]
+fn micro_suites_identical_across_paths() {
+    tiger_matrix().1.check(every, |c| c.name == BATCH.name);
 }
 
 #[test]
-fn tiger_statements_agree_in_every_configuration() {
-    let data = tiger_data();
-    check_matrix(&tiger_statements(data), |profile| tiger_db(profile, data));
+fn cold_runs_return_warm_answers() {
+    tiger_matrix().1.check(every, |c| c.name == COLD.name);
+}
+
+#[test]
+fn index_toggle_never_changes_answers() {
+    tiger_matrix().1.check(every, |c| c.profile == EngineProfile::ExactRtree && c.index);
+}
+
+/// `ExactGrid`, on the micro and the macro statements.
+#[test]
+fn exact_profiles_agree_on_every_micro_query() {
+    tiger_matrix().1.check(every, |c| c.profile == EngineProfile::ExactGrid);
+}
+
+#[test]
+fn micro_suites_identical_at_any_worker_count() {
+    let (micro, matrix) = tiger_matrix();
+    matrix.check(|i| i < *micro, |c| c.workers > 1);
+}
+
+#[test]
+fn macro_scenario_steps_identical_at_any_worker_count() {
+    let (micro, matrix) = tiger_matrix();
+    matrix.check(|i| i >= *micro, |c| c.workers > 1);
+}
+
+#[test]
+fn corpus_identical_across_pool_configs() {
+    tiger_matrix().1.check(every, |c| c.pool_bytes != 0);
+}
+
+#[test]
+fn mbr_profile_returns_supersets_on_monotone_predicates() {
+    for matrix in [&tiger_matrix().1, &shape_corpus().matrix] {
+        let strictly_larger = matrix.check(every, |c| c.profile == EngineProfile::MbrOnly);
+        assert!(strictly_larger, "at least one MbrOnly answer should show false positives");
+    }
+}
+
+#[test]
+fn deterministic_counters_equal_across_worker_counts() {
+    tiger_matrix().1.check_counter_groups();
+    shape_corpus().matrix.check_counter_groups();
+}
+
+#[test]
+fn deterministic_counters_stable_across_batch_shapes() {
+    tiger_matrix().1.check_refine_counters();
+    let batch = shape_corpus().matrix.batch();
+    // Every shape statement is a spatial filter: each candidate the
+    // batch filter sees is either decided on its MBR or refined.
+    assert_eq!(
+        batch.counter("prefilter_rejects") + batch.counter("selvec_survivors"),
+        batch.counter("refine_candidates"),
+        "every batch candidate is either MBR-decided or refined"
+    );
+    shape_corpus().matrix.check_refine_counters();
 }
 
 /// Constant probes of the shape corpus: a corner of the pinned cases, a
@@ -503,43 +629,91 @@ fn model_answers(rows: &[Option<String>], asks: &[Ask]) -> Vec<Result<Vec<String
     asks.iter().map(|ask| ask.oracle(&tables)).collect()
 }
 
-#[test]
-fn shape_corpus_agrees_in_every_configuration_and_with_the_oracle() {
-    let rows = shapes::shape_rows(&mut common::test_rng("shape corpus"));
-    let pairs = rows.len().pow(2);
-    assert!(
-        pairs > MIN_PARALLEL_ROWS && !pairs.is_multiple_of(1024),
-        "{pairs} pairs must split over workers and batch raggedly"
-    );
-    let asks = shape_asks();
-    let statements: Vec<Statement> = asks.iter().map(|a| a.statement()).collect();
-    // The model needs no engine, so it answers beside the matrix.
-    let (expected, (reference, batch)) = std::thread::scope(|scope| {
-        let model = scope.spawn(|| model_answers(&rows, &asks));
-        let runs = check_matrix(&statements, |profile| shape_db(profile, &rows));
-        (model.join().unwrap_or_else(|e| std::panic::resume_unwind(e)), runs)
-    });
-    // Every statement is a spatial filter: each candidate the batch
-    // filter sees is either decided on its MBR or refined.
-    assert_eq!(
-        batch.counter("prefilter_rejects") + batch.counter("selvec_survivors"),
-        batch.counter("refine_candidates"),
-        "every batch candidate is either MBR-decided or refined"
-    );
-    let (mut errors, mut nonempty) = (0, 0);
-    for ((want, s), answer) in expected.into_iter().zip(&statements).zip(&reference.answers) {
-        match want {
-            Ok(want) => {
-                nonempty += usize::from(!want.is_empty());
-                assert_eq!(canonical(answer).map_err(|_| ()), Ok(want), "{}: {}", s.label, s.sql);
-            }
-            Err(()) => {
-                errors += 1;
-                assert!(answer.is_err(), "{}: the poison row must be refined: {}", s.label, s.sql);
+/// The shape corpus: its asks, what every configuration did with them,
+/// and the oracle's answers.
+struct ShapeCorpus {
+    asks: Vec<Ask>,
+    matrix: Matrix,
+    oracle: Vec<Result<Vec<String>, ()>>,
+}
+
+fn shape_corpus() -> &'static ShapeCorpus {
+    static CORPUS: OnceLock<ShapeCorpus> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let rows = shapes::shape_rows(&mut common::test_rng("shape corpus"));
+        let pairs = rows.len().pow(2);
+        assert!(
+            pairs > MIN_PARALLEL_ROWS && !pairs.is_multiple_of(1024),
+            "{pairs} pairs must split over workers and batch raggedly"
+        );
+        let asks = shape_asks();
+        let statements = asks.iter().map(|a| a.statement()).collect();
+        // The model needs no engine, so it answers beside the matrix.
+        let (oracle, matrix) = std::thread::scope(|scope| {
+            let model = scope.spawn(|| model_answers(&rows, &asks));
+            let matrix = Matrix::run(statements, |profile| shape_db(profile, &rows));
+            (model.join().unwrap_or_else(|e| std::panic::resume_unwind(e)), matrix)
+        });
+        ShapeCorpus { asks, matrix, oracle }
+    })
+}
+
+impl ShapeCorpus {
+    /// Checks every configuration on the asks `keep` selects, and the
+    /// reference's answers to them against the oracle's. Returns how
+    /// many of those the oracle answers with the poison row's error.
+    fn check(&self, keep: impl Fn(&Ask) -> bool) -> usize {
+        self.matrix.check(|i| keep(&self.asks[i]), |_| true);
+        let mut errors = 0;
+        let answers = self.matrix.statements.iter().zip(&self.matrix.reference().answers);
+        for ((ask, want), (s, answer)) in self.asks.iter().zip(&self.oracle).zip(answers) {
+            match want {
+                _ if !keep(ask) => {}
+                Ok(want) => {
+                    let have = canonical(answer).map_err(|_| ());
+                    assert_eq!(have.as_ref(), Ok(want), "{}: {}", s.label, s.sql);
+                }
+                Err(()) => {
+                    errors += 1;
+                    assert!(
+                        answer.is_err(),
+                        "{}: the poison row must be refined: {}",
+                        s.label,
+                        s.sql
+                    );
+                }
             }
         }
+        errors
     }
-    assert!(errors > 0 && nonempty > asks.len() / 2, "{errors} errors, {nonempty} non-empty");
+}
+
+#[test]
+fn self_joins_identical_across_paths() {
+    shape_corpus().check(|ask| matches!(ask, Ask::Join { table: "shapes", .. }));
+}
+
+#[test]
+fn constant_filters_identical_across_paths() {
+    shape_corpus().check(|ask| matches!(ask, Ask::Filter { table: "shapes" | "field", .. }));
+}
+
+#[test]
+fn refine_errors_surface_identically() {
+    let poisoned = |ask: &Ask| {
+        matches!(ask, Ask::Join { table: "poisoned", .. } | Ask::Filter { table: "poisoned", .. })
+    };
+    assert!(shape_corpus().check(poisoned) > 0, "no statement reached the poison row");
+}
+
+/// Guard against a corpus whose answers check nothing: more than half
+/// the oracle's answers hold rows, and some are the poison row's error.
+#[test]
+fn shape_corpus_answers_are_non_trivial() {
+    let oracle = &shape_corpus().oracle;
+    let nonempty = oracle.iter().filter(|a| a.as_ref().is_ok_and(|rows| !rows.is_empty())).count();
+    let errors = oracle.iter().filter(|a| a.is_err()).count();
+    assert!(errors > 0 && nonempty > oracle.len() / 2, "{errors} errors, {nonempty} non-empty");
 }
 
 /// Rows past the executor's serial cutoff, so key tuples and aggregate
