@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W]
-//!       [--csv DIR] [--persist DIR] [--wal on|off] [--trace]
+//!       [--csv DIR] [--persist DIR] [--trace]
 //!       [--pool-mb N] <experiment>...
 //! experiments: t1 t2 t3 f1..f9 all
 //! ```
@@ -17,9 +17,9 @@
 //!
 //! `--persist DIR` runs every engine with crash-safe durability attached:
 //! an atomic snapshot plus write-ahead log under `DIR/<engine>/`, so the
-//! scenario insert traffic exercises the WAL append path. `--wal off`
-//! keeps the snapshot but detaches the log (snapshot-only durability).
-//! Both knobs are recorded under every report header.
+//! scenario insert traffic exercises the WAL append path. The directory
+//! is recorded under every report header. Nothing is reopened from it:
+//! `f2`'s cold repetitions drop the engines' caches in place.
 //!
 //! `--trace` prints an EXPLAIN ANALYZE-style trace (per-stage timings,
 //! the unaccounted remainder, engine counters) for every
@@ -61,7 +61,6 @@ struct Options {
     workers: usize,
     csv_dir: Option<String>,
     persist_dir: Option<String>,
-    wal: bool,
     trace: bool,
     pool_mb: Option<usize>,
     experiments: Vec<String>,
@@ -75,7 +74,6 @@ fn parse_args() -> Options {
         workers: 0,
         csv_dir: None,
         persist_dir: None,
-        wal: true,
         trace: false,
         pool_mb: None,
         experiments: Vec::new(),
@@ -90,13 +88,6 @@ fn parse_args() -> Options {
             "--workers" => opts.workers = expect_num(args.next(), "--workers") as usize,
             "--csv" => opts.csv_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--persist" => opts.persist_dir = Some(args.next().unwrap_or_else(|| usage())),
-            "--wal" => {
-                opts.wal = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
             "--trace" => opts.trace = true,
             "--pool-mb" => opts.pool_mb = Some(expect_num(args.next(), "--pool-mb") as usize),
             "--help" | "-h" => {
@@ -129,7 +120,7 @@ fn expect_num(v: Option<String>, flag: &str) -> f64 {
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale S] [--reps R] [--quick] [--sessions N] [--workers W] [--csv DIR] \
-         [--persist DIR] [--wal on|off] [--trace] [--pool-mb N] <t1|t2|t3|f1..f9|all>..."
+         [--persist DIR] [--trace] [--pool-mb N] <t1|t2|t3|f1..f9|all>..."
     );
     std::process::exit(2)
 }
@@ -157,22 +148,14 @@ fn main() {
     let workers = engines.first().map(|e| e.workers()).unwrap_or(1);
     println!("intra-query workers = {workers}\n");
 
-    // Crash-safe durability: snapshot (+ WAL unless --wal off) per engine.
+    // Crash-safe durability: snapshot + WAL per engine.
     if let Some(dir) = &opts.persist_dir {
         for e in &engines {
             let edir = std::path::Path::new(dir).join(e.name());
-            if opts.wal {
-                SpatialDb::set_durability(e, Some(&edir), DurabilityOptions::default())
-                    .expect("attach durability");
-            } else {
-                std::fs::create_dir_all(&edir).expect("create persist dir");
-                e.save(edir.join(jackpine_engine::SNAPSHOT_FILE)).expect("write snapshot");
-            }
+            SpatialDb::set_durability(e, Some(&edir), DurabilityOptions::default())
+                .expect("attach durability");
         }
-        println!(
-            "durability: snapshots under {dir}/<engine>/, WAL {}\n",
-            if opts.wal { "on" } else { "off" }
-        );
+        println!("durability: snapshot + WAL under {dir}/<engine>/\n");
     }
     let mut tables: Vec<Table> = Vec::new();
 
@@ -233,7 +216,7 @@ fn main() {
 
     // Record run context under every table header.
     let persist_note = match &opts.persist_dir {
-        Some(dir) => format!("persist={dir} wal={}", if opts.wal { "on" } else { "off" }),
+        Some(dir) => format!("persist={dir}"),
         None => "persist=off".to_string(),
     };
     let trace_note = if opts.trace { " trace=on" } else { "" };

@@ -1,5 +1,5 @@
 //! The `SpatialDb` facade: one engine profile over a registry of tables
-//! ([`crate::table`]), and the state every statement shares.
+//! ([`crate::catalog`]), and the state every statement shares.
 //!
 //! The engine's seams live beside it, each an `impl SpatialDb` of its
 //! own: DDL and the indexes ([`crate::indexes`]), the statement

@@ -156,6 +156,19 @@ impl SpatialDb {
     /// flight recorder, the slow-query log (if slow enough) and the
     /// fingerprint stats table.
     pub fn execute(self: &Arc<Self>, sql: &str) -> crate::Result<ResultSet> {
+        Ok(self.execute_traced(sql)?.0)
+    }
+
+    /// Runs one SQL statement and returns, beside the result, the trace
+    /// the flight recorder keeps for it: per-stage timings and the
+    /// engine-counter delta attributable to this statement. Concurrent
+    /// statements on the same instance bleed into each other's deltas —
+    /// trace under a single client connection, the way EXPLAIN ANALYZE
+    /// is used.
+    pub fn execute_traced(
+        self: &Arc<Self>,
+        sql: &str,
+    ) -> crate::Result<(ResultSet, Arc<QueryTrace>)> {
         let _session = self.sessions.register(sql);
         // The statement's trace is allocated before it runs, holding
         // the counters as they stand; the recorder keeps it. Built
@@ -167,33 +180,7 @@ impl SpatialDb {
         let (result, known, planned) = self.execute_unrecorded(sql);
         let total = t0.elapsed();
         let entry = self.statements.keep(sql, known, planned);
-        self.record((entry.fingerprint, &entry.shape), total, &result, trace);
-        result
-    }
-
-    /// Runs one SQL statement and returns the per-query trace alongside
-    /// the result: per-stage timings and the engine-counter delta
-    /// attributable to this statement. Concurrent statements on the same
-    /// instance bleed into each other's deltas — trace under a single
-    /// client connection, the way EXPLAIN ANALYZE is used.
-    pub fn execute_traced(self: &Arc<Self>, sql: &str) -> crate::Result<(ResultSet, QueryTrace)> {
-        self.traced(sql, || self.execute(sql))
-    }
-
-    /// Runs `run`, bracketed by metric snapshots: its result and its
-    /// trace, labeled `sql`.
-    fn traced(
-        &self,
-        sql: &str,
-        run: impl FnOnce() -> crate::Result<ResultSet>,
-    ) -> crate::Result<(ResultSet, QueryTrace)> {
-        let before = self.metrics.query_snapshot();
-        let t0 = Instant::now();
-        let result = run()?;
-        let total = t0.elapsed();
-        let delta = self.metrics.query_snapshot().delta_since(&before);
-        let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
-        Ok((result, trace))
+        self.record((entry.fingerprint, &entry.shape), total, result, trace)
     }
 
     /// The execution path itself, with no retrospective recording.
@@ -337,8 +324,14 @@ impl SpatialDb {
                     )));
                 }
                 // Execute the inner SELECT for real (planned fresh, so
-                // the plan stage is always exercised).
-                let (_, trace) = self.traced(sql, || self.execute_statement(*inner, sql))?;
+                // the plan stage is always exercised), bracketed by
+                // metric snapshots of its own.
+                let before = self.metrics.query_snapshot();
+                let t0 = Instant::now();
+                let result = self.execute_statement(*inner, sql)?;
+                let total = t0.elapsed();
+                let delta = self.metrics.query_snapshot().delta_since(&before);
+                let trace = QueryTrace::new(sql, total, result.rows.len(), delta);
                 let rows =
                     trace.render().lines().map(|l| vec![Value::Text(l.to_string())]).collect();
                 Ok(ResultSet { columns: vec!["analyze".into()], rows })

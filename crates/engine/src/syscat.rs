@@ -77,16 +77,16 @@ impl SpatialDb {
     /// success, its trace — `trace` was built before the statement ran,
     /// with the counters as they stood, and gets `total`, the row count
     /// and the delta since — in the flight recorder and, if slow enough,
-    /// the slow-query log. A failed statement has no meaningful delta
-    /// or row count: it shows in the error column of its fingerprint
-    /// instead of the trace rings.
+    /// the slow-query log. Returns the result with that trace. A failed
+    /// statement has no meaningful delta or row count: it shows in the
+    /// error column of its fingerprint instead of the trace rings.
     pub(crate) fn record(
         &self,
         (fingerprint, shape): (u64, &str),
         total: Duration,
-        result: &crate::Result<ResultSet>,
+        result: crate::Result<ResultSet>,
         mut trace: Arc<QueryTrace>,
-    ) {
+    ) -> crate::Result<(ResultSet, Arc<QueryTrace>)> {
         let sink = &self.introspection;
         match result {
             Ok(r) => {
@@ -97,8 +97,12 @@ impl SpatialDb {
                 t.delta.rebase_to(&self.metrics.query_snapshot());
                 sink.recorder.push(trace.clone());
                 sink.slow_log.offer(&trace);
+                Ok((r, trace))
             }
-            Err(_) => sink.query_stats.record(fingerprint, shape, total, 0, true),
+            Err(e) => {
+                sink.query_stats.record(fingerprint, shape, total, 0, true);
+                Err(e)
+            }
         }
     }
 
@@ -267,7 +271,6 @@ fn metrics(snap: &MetricsSnapshot) -> jackpine_sqlmini::Result<VirtualTable> {
     for (stage, h) in &snap.stages {
         rows.push(histogram_row(&format!("stage_{}_ns", stage.name()), h));
     }
-    rows.push(histogram_row("morsel_wait_ns", &snap.morsel_wait_ns));
     rows.push(histogram_row("commit_wait_us", &snap.commit_wait_us));
     for (name, h) in &snap.waits {
         rows.push(histogram_row(name, h));

@@ -21,6 +21,7 @@
 
 use super::locate::{locate_in_polygon, locate_in_ring, Location};
 use super::segment::{segment_intersection, SegmentIntersection};
+use super::tolerance::{param_on_segment, OVERLAP_TOL, PARAM_EPS};
 use crate::polygon::Ring;
 use crate::{
     Coord, Envelope, GeomError, Geometry, GeometryCollection, LineString, MultiLineString,
@@ -400,9 +401,9 @@ fn collect_selected_edges(
             for (r, s) in other.rings().flat_map(|rr| rr.segments()) {
                 match segment_intersection(p, q, r, s) {
                     SegmentIntersection::None => {}
-                    SegmentIntersection::Point(x) => cuts.push(param(p, q, x)),
+                    SegmentIntersection::Point(x) => cuts.push(param_on_segment(p, q, x)),
                     SegmentIntersection::Overlap(x, y) => {
-                        let (tx, ty) = (param(p, q, x), param(p, q, y));
+                        let (tx, ty) = (param_on_segment(p, q, x), param_on_segment(p, q, y));
                         cuts.push(tx);
                         cuts.push(ty);
                         overlaps.push((tx.min(ty), tx.max(ty)));
@@ -410,7 +411,7 @@ fn collect_selected_edges(
                 }
             }
             cuts.sort_by(f64::total_cmp);
-            cuts.dedup_by(|x, y| (*x - *y).abs() < 1e-12);
+            cuts.dedup_by(|x, y| (*x - *y).abs() < PARAM_EPS);
             for w in cuts.windows(2) {
                 let (t0, t1) = (w[0], w[1]);
                 let from = p.lerp(q, t0);
@@ -425,9 +426,8 @@ fn collect_selected_edges(
                 // midpoint: the midpoint of a diagonal edge is generally
                 // *not* exactly on the line through its endpoints, so the
                 // exact point-location would misclassify shared edges.
-                let tol = 1e-9;
                 let on_other_boundary =
-                    overlaps.iter().any(|&(a, b)| a <= t0 + tol && t1 <= b + tol);
+                    overlaps.iter().any(|&(a, b)| a <= t0 + OVERLAP_TOL && t1 <= b + OVERLAP_TOL);
                 let keep = if on_other_boundary {
                     shared_edge_keep(mid, from, to, other, op, is_first_operand, snap)
                 } else {
@@ -486,21 +486,6 @@ fn shared_edge_keep(
         // Difference keeps A-boundary edges where B is on the right.
         BoolOp::Difference => is_first_operand && !other_left,
     }
-}
-
-fn param(a: Coord, b: Coord, p: Coord) -> f64 {
-    let dx = (b.x - a.x).abs();
-    let dy = (b.y - a.y).abs();
-    let t = if dx >= dy {
-        if b.x == a.x {
-            0.0
-        } else {
-            (p.x - a.x) / (b.x - a.x)
-        }
-    } else {
-        (p.y - a.y) / (b.y - a.y)
-    };
-    t.clamp(0.0, 1.0)
 }
 
 /// Integer grid key used to merge nearly identical coordinates.

@@ -55,6 +55,21 @@ impl Envelope {
         self.min_x > self.max_x || self.min_y > self.max_y
     }
 
+    /// The envelope packed as `[min_x, min_y, max_x, max_y]`, the layout
+    /// the vectorized executor's columnar prefilter consumes. An empty
+    /// envelope packs as all-NaN, so the positive-form intersection test
+    /// (`a.min <= b.max && ...`) rejects it, like [`Envelope::intersects`]
+    /// does. The one encoder of that layout: every quad the prefilter
+    /// compares is made here.
+    #[inline]
+    pub fn quad(&self) -> [f64; 4] {
+        if self.is_empty() {
+            [f64::NAN; 4]
+        } else {
+            [self.min_x, self.min_y, self.max_x, self.max_y]
+        }
+    }
+
     /// Width of the envelope (0 for empty envelopes).
     #[inline]
     pub fn width(&self) -> f64 {

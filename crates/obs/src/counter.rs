@@ -1,63 +1,31 @@
 //! Lock-cheap event counters.
 //!
-//! A [`Counter`] is a monotonically increasing `u64` that many threads
-//! bump concurrently. A single shared `AtomicU64` would serialise every
-//! increment on one cache line, so the counter is *sharded*: each thread
-//! hashes to one of a small fixed number of cache-line-padded shards and
-//! only ever touches that shard. Reads sum the shards, which makes
-//! `get()` slightly stale under concurrent writers — fine for metrics,
-//! where snapshots are taken at quiescent points or treated as
-//! best-effort mid-flight.
+//! A [`Counter`] is a monotonically increasing `u64` that threads bump
+//! with one relaxed `fetch_add`. It is one atomic word on a cache line
+//! of its own, so two counters never false-share. It is not sharded:
+//! the engine adds once per statement, index probe, `fetch_many` call,
+//! refine chunk or morsel, not once per row it reads, so a worker adds
+//! every few microseconds at most (an index-nested-loop join, one probe
+//! per outer row, is the densest case), and a per-statement snapshot
+//! reads one word per counter.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of shards per counter. Must be a power of two. 16 covers the
-/// worker counts the morsel dispatcher uses in practice without making
-/// `get()` walks expensive.
-const SHARDS: usize = 16;
-
-/// One shard, padded to a cache line so neighbouring shards never
-/// false-share.
+/// A monotonically increasing event counter, alone on its cache line.
 #[repr(align(64))]
-#[derive(Default)]
-struct Shard(AtomicU64);
-
-/// Process-wide source of thread shard assignments: each thread takes
-/// the next slot round-robin the first time it touches any counter.
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
-}
-
-/// A sharded, monotonically increasing event counter.
-pub struct Counter {
-    shards: [Shard; SHARDS],
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Counter").field(&self.get()).finish()
-    }
-}
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A counter at zero.
     pub fn new() -> Self {
-        Counter { shards: std::array::from_fn(|_| Shard::default()) }
+        Counter(AtomicU64::new(0))
     }
 
-    /// Adds `n` events on the calling thread's shard.
+    /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        let shard = THREAD_SHARD.with(|s| *s);
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one event.
@@ -66,10 +34,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The total across all shards. Wrapping addition so a mid-flight
-    /// read can never panic, only be momentarily stale.
+    /// The count so far.
     pub fn get(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -90,6 +57,12 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 8000);
+    }
+
+    #[test]
+    fn a_counter_is_one_word_alone_on_a_cache_line() {
+        assert_eq!(std::mem::align_of::<Counter>(), 64);
+        assert_eq!(std::mem::size_of::<Counter>(), 64);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! A [`Histogram`] records `u64` samples (typically nanoseconds) into 64
 //! power-of-two buckets: bucket `b > 0` holds values `v` with
-//! `2^(b-1) <= v < 2^b`, bucket 0 holds exactly zero. Recording is one
-//! relaxed `fetch_add` plus a `fetch_max`, so it is safe on the query
-//! hot path; reading produces a [`HistogramSnapshot`] whose quantiles
-//! are bucket upper bounds (at most 2x the true value — plenty for
-//! attribution, never used for pass/fail timing assertions).
+//! `2^(b-1) <= v < 2^b`, bucket 0 holds exactly zero. Recording is
+//! three relaxed atomics (the bucket, the sum, the max), so it is safe on
+//! the query hot path. No count is kept: every sample lands in exactly
+//! one bucket, so the count is the buckets' sum. Reading produces a
+//! [`HistogramSnapshot`] whose quantiles are bucket upper bounds (at most
+//! 2x the true value — plenty for attribution, never used for pass/fail
+//! timing assertions).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,7 +18,6 @@ pub const BUCKETS: usize = 64;
 /// A concurrent log2-bucket histogram.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -49,7 +50,6 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -59,7 +59,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -68,9 +67,11 @@ impl Histogram {
     /// inconsistent by a few in-progress samples; they are never torn
     /// within one field.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            buckets,
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }

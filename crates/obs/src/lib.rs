@@ -4,13 +4,13 @@
 //! The crate is deliberately dependency-free and engine-agnostic: it
 //! knows about *stages* and *counters*, not about SQL or geometry, so it
 //! sits below every other crate in the workspace. Recording costs one
-//! relaxed atomic op per event (sharded to avoid cache-line contention),
+//! relaxed atomic op per counter event (three per histogram sample),
 //! which keeps always-on metrics under the 2% overhead budget documented
 //! in DESIGN.md.
 //!
 //! The surfaces, bottom-up:
 //!
-//! * [`Counter`] — sharded atomic event counter.
+//! * [`Counter`] — one atomic event-count word on its own cache line.
 //! * [`Histogram`] / [`HistogramSnapshot`] — fixed log2-bucket latency
 //!   histogram.
 //! * [`EngineMetrics`] / [`MetricsSnapshot`] — the named registry every

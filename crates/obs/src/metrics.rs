@@ -9,8 +9,9 @@
 //!   and hit counts, heap rows fetched, WAL appends). The parallel
 //!   equivalence suite asserts exact equality of these across worker
 //!   counts.
-//! * **scheduling-dependent** — morsel dispatch counts, queue waits and
-//!   stage timings, which legitimately vary run to run.
+//! * **scheduling-dependent** — plan-cache, morsel, batch and
+//!   group-commit counts, lock waits and stage timings, which
+//!   legitimately vary run to run.
 
 use crate::counter::Counter;
 use crate::histogram::{Histogram, HistogramSnapshot};
@@ -205,8 +206,6 @@ pub struct EngineMetrics {
     /// group_commit_batches` is the mean batch size, and the pipeline
     /// guarantees at most one fsync per batch.
     pub group_commit_size: Counter,
-    /// Nanoseconds from dispatch start to the start of each morsel.
-    pub morsel_wait_ns: Histogram,
     /// Microseconds each committing session waited for its group-commit
     /// batch to reach disk (queue wait + shared fsync).
     pub commit_wait_us: Histogram,
@@ -289,8 +288,8 @@ impl EngineMetrics {
         snap
     }
 
-    /// The per-query subset of [`Self::snapshot`]: counters and the
-    /// stage/scheduling histograms, *without* the engine-wide
+    /// The per-query subset of [`Self::snapshot`]: counters, the stage
+    /// histograms and the commit wait, *without* the engine-wide
     /// wait-state histograms. This is what the recorded-statement path
     /// snapshots twice per query — skipping the seven wait histograms
     /// (each a 64-bucket copy) keeps the always-on recording cost inside
@@ -307,7 +306,6 @@ impl EngineMetrics {
             gauges: Vec::new(),
             stages: Stage::ALL.map(|s| (s, self.stage_ns[s.index()].snapshot())),
             waits: Vec::new(),
-            morsel_wait_ns: self.morsel_wait_ns.snapshot(),
             commit_wait_us: self.commit_wait_us.snapshot(),
         }
     }
@@ -332,8 +330,6 @@ pub struct MetricsSnapshot {
     /// order: per-site txn-lock waits, commit follower waits, snapshot
     /// pin lifetimes.
     pub waits: Vec<(&'static str, HistogramSnapshot)>,
-    /// Morsel queue-wait histogram.
-    pub morsel_wait_ns: HistogramSnapshot,
     /// Group-commit wait histogram (microseconds per committed session).
     pub commit_wait_us: HistogramSnapshot,
 }
@@ -387,7 +383,6 @@ impl MetricsSnapshot {
         self.gauges.clone_from(&delta.gauges);
         self.stages = delta.stages;
         self.waits.clone_from(&delta.waits);
-        self.morsel_wait_ns = delta.morsel_wait_ns;
         self.commit_wait_us = delta.commit_wait_us;
     }
 
@@ -420,7 +415,6 @@ impl MetricsSnapshot {
                     None => (*name, h.clone()),
                 })
                 .collect(),
-            morsel_wait_ns: self.morsel_wait_ns.delta_since(&earlier.morsel_wait_ns),
             commit_wait_us: self.commit_wait_us.delta_since(&earlier.commit_wait_us),
         }
     }

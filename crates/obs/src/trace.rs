@@ -134,14 +134,6 @@ impl QueryTrace {
                 out.push_str(&format!("  counter {:<20} {v}\n", name));
             }
         }
-        if self.delta.morsel_wait_ns.count > 0 {
-            out.push_str(&format!(
-                "  morsel wait: {} claims, mean {:.3} ms, max {:.3} ms\n",
-                self.delta.morsel_wait_ns.count,
-                self.delta.morsel_wait_ns.mean() as f64 / 1e6,
-                self.delta.morsel_wait_ns.max as f64 / 1e6
-            ));
-        }
         // Group-commit stats for DML: how many fsync batches the
         // statement's commits rode, the mean batch size, and the
         // commit-wait distribution (quantiles are log2-bucket upper

@@ -219,20 +219,12 @@ impl ExecCtx {
         }
         let morsels: Vec<&[I]> = items.chunks(MORSEL_SIZE).collect();
         let n = self.workers.min(morsels.len());
-        let metrics = &*self.metrics;
-        let dispatch_start = Instant::now();
+        // Every morsel runs, an error in one or not.
+        self.metrics.morsels_dispatched.add(morsels.len() as u64);
         let share = |w: usize| -> Vec<(usize, Result<Vec<O>>)> {
             (w..morsels.len())
                 .step_by(n)
-                .map(|idx| {
-                    // Queue wait: how long this morsel sat between
-                    // dispatch start and the start of its run.
-                    metrics.morsels_dispatched.incr();
-                    metrics
-                        .morsel_wait_ns
-                        .record(dispatch_start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                    (idx, f(idx * MORSEL_SIZE, morsels[idx]))
-                })
+                .map(|idx| (idx, f(idx * MORSEL_SIZE, morsels[idx])))
                 .collect()
         };
         let mut results = std::thread::scope(|scope| {

@@ -161,17 +161,6 @@ impl PrepMemo {
     }
 }
 
-/// The packed quad of a geometry's envelope, NaN-encoded when empty —
-/// must agree exactly with [`Value::mbr`].
-fn quad_of(g: &Geometry) -> MbrQuad {
-    let e = g.envelope();
-    if e.is_empty() {
-        [f64::NAN; 4]
-    } else {
-        [e.min_x, e.min_y, e.max_x, e.max_y]
-    }
-}
-
 /// Scalar positive-form envelope test over packed quads; false against
 /// any NaN bound, like the columnar kernels.
 fn quads_intersect(a: MbrQuad, b: MbrQuad) -> bool {
@@ -241,7 +230,7 @@ pub(super) fn vectorized_filter(
             },
             ShapeOperand::Constant(g) => VecOperand {
                 col: None,
-                const_quad: Some(quad_of(&g)),
+                const_quad: Some(g.envelope().quad()),
                 const_prepared: Some(Arc::new(PreparedGeometry::new(&g))),
                 pregathered: None,
             },

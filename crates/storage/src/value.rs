@@ -143,14 +143,10 @@ impl Value {
         }
     }
 
-    /// The geometry's MBR as a packed `[min_x, min_y, max_x, max_y]`
-    /// quad, the layout the vectorized executor's columnar prefilter
-    /// consumes. Empty geometries encode as all-NaN so the positive-form
-    /// intersection test (`a.min <= b.max && ...`) rejects them, exactly
-    /// like `Envelope::intersects` on an empty envelope. `None` for
-    /// non-geometry values.
+    /// The geometry's MBR as a packed quad ([`Envelope::quad`]: all-NaN
+    /// for an empty geometry). `None` for non-geometry values.
     pub fn mbr(&self) -> Option<[f64; 4]> {
-        self.as_geom().map(|g| quad(&g.envelope()))
+        self.as_geom().map(|g| g.envelope().quad())
     }
 
     /// Serializes the value into `buf`: [`ValueRef::encode`] of it.
@@ -317,7 +313,7 @@ impl<'a> Field<'a> {
     /// [`Value::mbr`] of the value this field decodes to, from
     /// [`Field::envelope`].
     pub fn mbr(&self) -> Result<Option<[f64; 4]>> {
-        Ok(self.envelope()?.as_ref().map(quad))
+        Ok(self.envelope()?.as_ref().map(Envelope::quad))
     }
 }
 
@@ -340,15 +336,6 @@ fn split_value(data: &[u8]) -> Result<(u8, &[u8], &[u8])> {
     match rest.split_at_checked(width) {
         Some((body, rest)) => Ok((tag, body, rest)),
         None => Err(StorageError::Corrupt("length exceeds payload".into())),
-    }
-}
-
-/// The packed quad of an envelope (see [`Value::mbr`]).
-fn quad(e: &Envelope) -> [f64; 4] {
-    if e.is_empty() {
-        [f64::NAN; 4]
-    } else {
-        [e.min_x, e.min_y, e.max_x, e.max_y]
     }
 }
 

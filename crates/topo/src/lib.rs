@@ -14,7 +14,7 @@
 //! geometry-type pairs.
 //!
 //! Entry points:
-//! * [`relate`] — compute the full matrix,
+//! * [`relate()`] — compute the full matrix,
 //! * [`IntersectionMatrix::matches`] — test against a pattern such as
 //!   `"T*F**FFF*"`,
 //! * the named predicates in [`predicates`].

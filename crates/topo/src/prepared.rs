@@ -2,7 +2,7 @@
 //! DE-9IM evaluation against one geometry.
 //!
 //! A [`PreparedGeometry`] decomposes its geometry into a dimension
-//! family once (like [`crate::relate`] does per call) and builds the
+//! family once (like [`crate::relate()`] does per call) and builds the
 //! `jackpine_geom::prepared` indexes — monotone-chain envelope trees
 //! for every curve and y-slab edge bins for every ring — so that the
 //! spatial join's refine stage pays the preparation cost once per
@@ -17,7 +17,7 @@
 //! envelope-intersecting segments, and every surviving pair still goes
 //! through the same exact predicates (`orient2d`-based segment tests,
 //! ray-cast location), so [`relate_prepared`] returns matrices
-//! **bit-identical** to [`crate::relate`]. `tests/prepared_equivalence.rs`
+//! **bit-identical** to [`crate::relate()`]. `tests/prepared_equivalence.rs`
 //! asserts exactly that over the snapped corpus of `tests/common/shapes.rs`.
 //!
 //! [`evaluate`] adds sound short-circuits on top (envelope rejects and
@@ -145,7 +145,7 @@ impl PreparedShape {
 /// Construction never fails: geometries the relate machinery does not
 /// support (mixed-dimension collections) are remembered as such, and
 /// every entry point falls back to the naive path for them so errors
-/// are identical to [`crate::relate`]'s.
+/// are identical to [`crate::relate()`]'s.
 pub struct PreparedGeometry {
     geom: Geometry,
     env: Envelope,

@@ -64,7 +64,9 @@ echo "== cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo doc -D warnings (no intra-doc link left pointing at a deleted item)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+# Private items too: a module's own docs link mostly to private items,
+# and a link that rustdoc never renders is a link nothing checks.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-private-items
 
 echo "== cargo build --release"
 cargo build --release --offline

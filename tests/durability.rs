@@ -665,6 +665,84 @@ fn dml_is_durable_via_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A drop is durable: a dropped table, spatial index and ordered index
+/// stay dropped after a reopen, and a table created under the dropped
+/// name comes back with its own schema and row. Reopened from copies of
+/// the directory taken while the engine runs (crashes: one right after
+/// the DROP TABLE, one at the end) and after `close()`, on both index
+/// kinds.
+#[test]
+fn a_drop_stays_dropped_after_reopen() {
+    let copy_files = |from: &std::path::Path, to: &std::path::Path| {
+        for entry in std::fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    };
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+        let dir = scratch_dir(&format!("drop-reopen-{}", profile.name()));
+        let dropped = scratch_dir(&format!("drop-reopen-dropped-{}", profile.name()));
+        let crashed = scratch_dir(&format!("drop-reopen-crash-{}", profile.name()));
+        {
+            let db = SpatialDb::open_durable(&dir, profile, DurabilityOptions::default()).unwrap();
+            db.execute("CREATE TABLE a (id BIGINT, geom GEOMETRY)").unwrap();
+            for i in 0..10 {
+                db.execute(&format!(
+                    "INSERT INTO a VALUES ({i}, ST_GeomFromText('POINT ({i} {i})'))"
+                ))
+                .unwrap();
+            }
+            db.execute("CREATE TABLE b (k TEXT, v TEXT)").unwrap();
+            db.execute("INSERT INTO b VALUES ('x', '1'), ('y', '2')").unwrap();
+            db.create_spatial_index("a", "geom").unwrap();
+            db.create_ordered_index("a", "id").unwrap();
+
+            db.execute("DROP TABLE b").unwrap();
+            copy_files(&dir, &dropped);
+            db.drop_spatial_index("a", "geom").unwrap();
+            db.drop_ordered_index("a", "id").unwrap();
+            db.execute("CREATE TABLE b (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
+            db.execute("INSERT INTO b VALUES (7, 'seven', ST_GeomFromText('POINT (7 7)'))")
+                .unwrap();
+            copy_files(&dir, &crashed);
+            db.close().unwrap();
+        }
+        let reopen = |from: &std::path::Path, label: &str| {
+            let db = SpatialDb::open_durable(from, profile, DurabilityOptions::default())
+                .unwrap_or_else(|e| panic!("{label}: reopen failed: {e}"));
+            let count = db.execute("SELECT COUNT(*) FROM a").unwrap();
+            assert_eq!(count.scalar().unwrap().to_string(), "10", "{label}");
+            db
+        };
+
+        let label = format!("{} after a crash right after DROP TABLE", profile.name());
+        let db = reopen(&dropped, &label);
+        assert!(db.execute("SELECT * FROM b").is_err(), "{label}: the dropped table came back");
+
+        for (how, from) in [("crash", &crashed), ("close", &dir)] {
+            let label = format!("{} after {how}", profile.name());
+            let db = reopen(from, &label);
+            for sql in [
+                "SELECT COUNT(*) FROM a WHERE \
+                 ST_Intersects(geom, ST_GeomFromText('POLYGON ((0 0, 4.5 0, 4.5 4.5, 0 4.5, 0 0))'))",
+                "SELECT COUNT(*) FROM a WHERE id = 3",
+            ] {
+                let (r, trace) = db.execute_traced(sql).unwrap();
+                let want = if sql.contains("id = 3") { "1" } else { "5" };
+                assert_eq!(r.scalar().unwrap().to_string(), want, "{label}: {sql}");
+                assert_eq!(trace.counter("index_probes"), 0, "{label}: a dropped index probed");
+            }
+            let b = db.execute("SELECT * FROM b").unwrap();
+            assert_eq!(b.columns, ["id", "name", "geom"], "{label}");
+            assert_eq!(b.rows.len(), 1, "{label}");
+            assert_eq!(b.rows[0][1].to_string(), "seven", "{label}");
+        }
+        for d in [&dir, &dropped, &crashed] {
+            std::fs::remove_dir_all(d).ok();
+        }
+    }
+}
+
 #[test]
 fn stale_wal_surviving_a_checkpoint_crash_is_not_replayed() {
     // The checkpoint crash window: the new snapshot has been renamed

@@ -174,6 +174,30 @@ fn engine_records_statements_and_bounds_capacity() {
     assert_eq!(db.flight_recorder().recent().len(), 1);
 }
 
+/// `execute_traced` hands back the trace the flight recorder keeps for
+/// the statement, not a second measurement of it: the same total, rows,
+/// counters and stage times.
+#[test]
+fn execute_traced_returns_the_recorded_trace() {
+    let db = tiny_db();
+    db.create_spatial_index("pts", "geom").unwrap();
+    let sql = "SELECT id FROM pts WHERE \
+               ST_Intersects(geom, ST_GeomFromText('POLYGON ((0 0, 5 0, 5 5, 0 5, 0 0))'))";
+    let (result, traced) = db.execute_traced(sql).unwrap();
+    let recorded = db.flight_recorder().recent().last().cloned().unwrap();
+    assert_eq!(traced.sql, recorded.sql);
+    assert_eq!(traced.total, recorded.total);
+    assert_eq!(traced.rows, result.rows.len());
+    assert_eq!(traced.rows, recorded.rows);
+    assert_eq!(traced.delta.counters, recorded.delta.counters);
+    assert_eq!(traced.counter("queries"), 1);
+    assert_eq!(traced.counter("index_probes"), 1);
+    for stage in ["parse", "plan", "index_probe", "refine", "materialize"] {
+        assert_eq!(traced.stage_ns(stage), recorded.stage_ns(stage), "{stage}");
+    }
+    assert_eq!(traced.stage_names(), recorded.stage_names());
+}
+
 /// Concurrency at the engine level: sessions executing on a shared
 /// instance while a reader drains. Traces are never torn and the ring
 /// stays within capacity.
