@@ -2,11 +2,11 @@
 //! to a single file and one streaming reader that opens it again,
 //! rebuilding indexes.
 //!
-//! Format v4 (all little-endian):
+//! Format v5 (all little-endian):
 //!
 //! ```text
 //! header (33 bytes):
-//!   magic "JKPN" | version u32 = 4 | profile u8 | generation u64
+//!   magic "JKPN" | version u32 = 5 | profile u8 | generation u64
 //!   table count u32 | body len u64 | file crc32 u32
 //!   (the file crc covers profile..body-len plus the whole body)
 //! body, per table:
@@ -17,12 +17,18 @@
 //!   spatial-index column count u32 | column ids u32...
 //!   ordered-index column count u32 | column ids u32...
 //!   row count u64
-//!   per row: page u32 | slot u32 | u32 len + row bytes (the heap codec)
+//!   per page holding a saved row, pages ascending:
+//!     page u32 | the page's image (jackpine_storage::page)
+//! page image (every number an unsigned LEB128 varint):
+//!   slot count | dropped bytes (0) | per slot: tuple length (0 = none)
+//!   the saved rows' tuples (the heap codec), in slot order
 //! ```
 //!
-//! Each row carries its heap address (`RowId`) and reload places it back
-//! into its original slot, so row ids are **stable across recovery** —
-//! the property the WAL's `InsertAt`/`DeleteId` records rely on. Indexes
+//! A page's entry holds the rows of it that are saved, each in its slot;
+//! every other slot is a tombstone and none follows the last row. Reload
+//! puts each page back as one frame, so row ids are **stable across
+//! recovery** — the property the WAL's `InsertAt`/`DeleteId` records rely
+//! on — and a row costs its tuple and a length byte or two. Indexes
 //! are stored as *definitions* and rebuilt on open (bulk loads are fast
 //! and the format stays independent of index internals).
 //!
@@ -34,21 +40,25 @@
 //! their pending WAL `DeleteId` records at the same cut is harmless) and
 //! sizes every block from the pages' slot
 //! directories: each count and length is written in place and equals
-//! what is streamed, whatever inserts run beside it. Then it copies each
-//! tuple straight out of its pinned heap page — a page holds exactly
-//! `Value::encode_row`, so nothing is decoded, re-encoded or cached —
-//! through a fixed buffer into the sink, folding the bytes into the block
-//! checksum as they pass and each block's checksum into the file checksum
-//! where the block ends, so each byte is checksummed once. The file
+//! what is streamed, whatever inserts run beside it. Then it writes each
+//! page's image head and copies its tuples straight out of the pinned
+//! heap page — a page holds exactly `Value::encode_row`, so nothing is
+//! decoded, re-encoded or cached — through a fixed buffer into the sink,
+//! folding the bytes into the block checksum as they pass and each
+//! block's checksum into the file checksum where the block ends, so each
+//! byte is checksummed once. The file
 //! checksum sits in the header, in front of the bytes it covers: it alone
 //! is patched by a seek when the stream ends. Memory: the buffer plus the
 //! id lists (8 bytes a row).
 //!
 //! **The reader** ([`SpatialDb::open_from`]; `open` and `open_durable`
 //! go through it) mirrors it: a buffered stream, checksums folded as the
-//! bytes pass, each row decoded once and handed to the heap with the
-//! tuple bytes it came from. Memory: the buffer plus the largest
-//! row. Rows are thus parsed *before* their checksum is known. That is
+//! bytes pass, a page at a time. Each image is read into the one buffer
+//! that becomes the page; each of its rows is decoded once, checked and
+//! kept as its slot's decoded row; and the page goes into the heap as
+//! one frame ([`jackpine_storage::HeapFile::restore_page`]). Memory: the
+//! stream buffer plus the largest page. Rows are thus parsed *before*
+//! their checksum is known. That is
 //! safe because every length is checked against the bytes its block has
 //! left, buffers grow only as bytes arrive, counts clamp their
 //! `with_capacity`, nothing sweeps the heap before the block checksum
@@ -74,13 +84,14 @@ use crate::seeds::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb, Table};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_obs::TxnSite;
-use jackpine_storage::{ColumnDef, DataType, RowId, Value};
+use jackpine_storage::page::Page;
+use jackpine_storage::{ColumnDef, DataType, RowId};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"JKPN";
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 /// Profile + generation + table count + body len (the header bytes the
 /// file checksum covers).
 const META_LEN: usize = 1 + 8 + 4 + 8;
@@ -88,10 +99,11 @@ const META_LEN: usize = 1 + 8 + 4 + 8;
 const HEADER_LEN: usize = 4 + 4 + META_LEN + 4;
 /// Where the file crc sits.
 const CRC_OFFSET: usize = HEADER_LEN - 4;
-/// Per row in front of its tuple: page u32 + slot u32 + len u32.
-const ROW_HEAD_LEN: usize = 12;
+/// The fewest block bytes a saved row takes: its length byte and its
+/// tuple's two-byte column count.
+const MIN_ROW_LEN: u64 = 3;
 /// The writer's and the reader's stream buffer, and the step by which
-/// the reader's row buffer grows towards a length it read from the file.
+/// the reader's buffers grow towards a length read from the file.
 const BUF_LEN: usize = 64 * 1024;
 
 fn io_err(e: std::io::Error) -> EngineError {
@@ -143,6 +155,15 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// Puts the head of the entry of `run`'s page into `out`: the page number
+/// and the head of the image of the page holding only `run`'s rows.
+/// Returns the length of the tuples that complete the entry.
+fn entry_head(page: &Page, run: &[RowId], out: &mut Vec<u8>) -> Result<usize> {
+    out.clear();
+    out.put_u32_le(run[0].page);
+    Ok(page.put_head_of(run.iter().map(|id| id.slot), out)?)
+}
+
 /// One table as the writer fixed it before the first byte went out.
 struct Block {
     table: Arc<Table>,
@@ -150,7 +171,7 @@ struct Block {
     head: Vec<u8>,
     /// The rows that will be streamed, in storage order.
     ids: Vec<RowId>,
-    /// Encoded length of the whole block: head plus every framed row.
+    /// Encoded length of the whole block: head plus every page entry.
     len: u64,
 }
 
@@ -181,7 +202,7 @@ impl<W: Write> Sink<W> {
 
 impl SpatialDb {
     /// Serializes every table (schema, index definitions, rows) to the
-    /// complete format-v4 byte image, checksums included, at generation
+    /// complete format-v5 byte image, checksums included, at generation
     /// 0 (the standalone-snapshot generation; checkpoints stamp real
     /// ones). The in-memory sink of [`SpatialDb::snapshot_to`].
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
@@ -190,7 +211,7 @@ impl SpatialDb {
         Ok(image.into_inner())
     }
 
-    /// Streams the format-v4 image at generation 0 into `sink` — what
+    /// Streams the format-v5 image at generation 0 into `sink` — what
     /// [`SpatialDb::save`] does to its temp file, for callers (and fault
     /// injectors) that bring their own sink. The sink needs `Seek` for
     /// one patch: the file checksum in the header, written last. Holds
@@ -222,9 +243,10 @@ impl SpatialDb {
             }
             let ids = table.heap.row_ids();
             head.put_u64_le(ids.len() as u64);
-            let mut len = (head.len() + ROW_HEAD_LEN * ids.len()) as u64;
-            table.heap.scan_tuples(&ids, |_, tuple| {
-                len += tuple.len() as u64;
+            let (mut len, mut entry) = (head.len() as u64, Vec::new());
+            table.heap.scan_pages(&ids, |page, run| {
+                let tuples = entry_head(page, run, &mut entry)?;
+                len += (entry.len() + tuples) as u64;
                 Ok::<(), EngineError>(())
             })?;
             blocks.push(Block { table, head, ids, len });
@@ -245,19 +267,17 @@ impl SpatialDb {
         sink.framing(&meta)?;
         sink.out.write_all(&[0; 4]).map_err(io_err)?; // the file crc, patched below
 
+        let mut entry = Vec::new();
         for b in &blocks {
             let len = u32::try_from(b.len)
                 .map_err(|_| corrupt(&format!("table '{}' exceeds 4 GiB", b.table.name)))?;
             sink.framing(&len.to_le_bytes())?;
             sink.block_crc = Crc32::new();
             sink.block(&b.head)?;
-            b.table.heap.scan_tuples(&b.ids, |id, tuple| {
-                let mut row_head = [0u8; ROW_HEAD_LEN];
-                row_head[..4].copy_from_slice(&id.page.to_le_bytes());
-                row_head[4..8].copy_from_slice(&u32::from(id.slot).to_le_bytes());
-                row_head[8..].copy_from_slice(&(tuple.len() as u32).to_le_bytes());
-                sink.block(&row_head)?;
-                sink.block(tuple)
+            b.table.heap.scan_pages(&b.ids, |page, run| {
+                entry_head(page, run, &mut entry)?;
+                sink.block(&entry)?;
+                run.iter().try_for_each(|id| sink.block(page.get(id.slot)?))
             })?;
             let block_crc = sink.block_crc.finish();
             sink.file_crc.append(block_crc, b.len);
@@ -417,18 +437,18 @@ impl<R: Read> Source<R> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
-    /// Reads `len` bytes into `buf`, replacing its content. `len` comes
-    /// from the file and may be garbage: it is checked against what the
-    /// block has left, and the buffer grows a step at a time as bytes
-    /// actually arrive, so it can never outgrow the source.
-    fn bytes(&mut self, len: usize, buf: &mut Vec<u8>) -> Result<()> {
+    /// Appends `len` bytes to `buf`. `len` comes from the file and may
+    /// be garbage: it is checked against what the block has left, and
+    /// the buffer grows a step at a time as bytes actually arrive, so it
+    /// can never outgrow the source.
+    fn append(&mut self, len: usize, buf: &mut Vec<u8>) -> Result<()> {
         if len as u64 > self.left {
             return Err(corrupt("a field runs past the end of its block"));
         }
-        buf.clear();
-        while buf.len() < len {
+        let end = buf.len() + len;
+        while buf.len() < end {
             let at = buf.len();
-            buf.resize(len.min(at + BUF_LEN), 0);
+            buf.resize(end.min(at + BUF_LEN), 0);
             self.take(&mut buf[at..])?;
         }
         Ok(())
@@ -437,7 +457,7 @@ impl<R: Read> Source<R> {
     fn string(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
         let mut buf = Vec::new();
-        self.bytes(len, &mut buf)?;
+        self.append(len, &mut buf)?;
         String::from_utf8(buf).map_err(|_| corrupt("invalid UTF-8"))
     }
 
@@ -478,9 +498,6 @@ impl<R: Read> Source<R> {
             self.left = block_len;
             self.block_crc = Crc32::new();
             let (table, seeds) = self.load_table(&db)?;
-            if self.left != 0 {
-                return Err(corrupt("trailing bytes in table block"));
-            }
             let block_crc = self.block_crc.finish();
             self.file_crc.append(block_crc, block_len);
             self.left = after + 4;
@@ -506,9 +523,9 @@ impl<R: Read> Source<R> {
         Ok((db, generation))
     }
 
-    /// Parses one table block and loads it into `db`: each row is decoded
-    /// once and placed, with the tuple bytes it came from, back into its
-    /// slot, leaving its index entries in the seeds on the way — the
+    /// Parses one table block, to its end, and loads it into `db` a page
+    /// at a time: each page image goes back to its page number, and each
+    /// of its rows leaves its index entries in the seeds on the way — the
     /// caller bulk-builds the table's indexes from those once the block's
     /// checksum has matched, instead of scanning the heap once per index.
     fn load_table(&mut self, db: &Arc<SpatialDb>) -> Result<(Arc<Table>, IndexSeeds)> {
@@ -535,22 +552,25 @@ impl<R: Read> Source<R> {
             }
         }
         let nrows = u64::from_le_bytes(self.array()?);
-        // Clamp: a row needs its head, so a corrupt count cannot reserve
-        // more entries than the block could possibly hold rows.
-        let room = nrows.min(self.left / ROW_HEAD_LEN as u64) as usize;
+        // Clamp: a corrupt count cannot reserve more entries than the
+        // block could possibly hold rows.
+        let room = nrows.min(self.left / MIN_ROW_LEN) as usize;
         let mut seeds = IndexSeeds::new(&table, &index_cols[0], &index_cols[1], room)?;
-        let mut tuple = Vec::new();
-        for _ in 0..nrows {
-            let row_head: [u8; ROW_HEAD_LEN] = self.array()?;
-            let mut data: &[u8] = &row_head;
-            let page = data.get_u32_le();
-            let slot = u16::try_from(data.get_u32_le())
-                .map_err(|_| corrupt("row id slot out of range"))?;
-            let id = RowId { page, slot };
-            self.bytes(data.get_u32_le() as usize, &mut tuple)?;
-            let row = Value::decode_row(&tuple)?;
-            seeds.add(id, &tuple)?;
-            table.heap.place_tuple(&tuple, row, id, 0)?;
+        let (mut rows, mut last) = (0, None);
+        while self.left > 0 {
+            let no = self.u32()?;
+            if last.is_some_and(|last| no <= last) {
+                return Err(corrupt("page entries not strictly ascending"));
+            }
+            last = Some(no);
+            let page = Page::read_from(|buf, n| self.append(n, buf))?;
+            if page.iter().next().is_none() {
+                return Err(corrupt("a page entry without a row"));
+            }
+            rows += table.heap.restore_page(no, page, |id, tuple| seeds.add(id, tuple))? as u64;
+        }
+        if rows != nrows {
+            return Err(corrupt("row count does not match the pages"));
         }
         Ok((table, seeds))
     }
@@ -560,6 +580,7 @@ impl<R: Read> Source<R> {
 mod tests {
     use super::*;
     use crate::checksum::crc32;
+    use jackpine_storage::Value;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -666,12 +687,12 @@ mod tests {
     }
 
     #[test]
-    fn only_format_v4_opens() {
-        // The v1–v3 readers are gone: their version numbers, like any
+    fn only_format_v5_opens() {
+        // The v1–v4 readers are gone: their version numbers, like any
         // other, are a persistence error whatever follows the header.
         let image = SpatialDb::new(EngineProfile::ExactRtree).snapshot_bytes().unwrap();
         assert!(SpatialDb::open_from(&image[..]).is_ok());
-        for version in [0u32, 1, 2, 3, 5, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
             let mut other = image.clone();
             other[4..8].copy_from_slice(&version.to_le_bytes());
             match SpatialDb::open_from(&other[..]) {
@@ -733,7 +754,7 @@ mod tests {
         assert_eq!(SpatialDb::peek_snapshot_generation(&path), 0);
     }
 
-    /// A one-table v4 image around `block`, with both checksums right.
+    /// A one-table v5 image around `block`, with both checksums right.
     fn image_around(block: &[u8]) -> Vec<u8> {
         let mut body: Vec<u8> = Vec::new();
         body.put_u32_le(block.len() as u32);
@@ -756,11 +777,22 @@ mod tests {
         image
     }
 
+    /// Appends the entry of page `page` holding `rows`, each in its slot,
+    /// to a hand-built block.
+    fn page_entry(block: &mut Vec<u8>, page: u32, rows: &[(u16, &[Value])]) {
+        let mut image = Page::new();
+        for (slot, row) in rows {
+            image.place(*slot, &Value::encode_row(row)).unwrap();
+        }
+        block.put_u32_le(page);
+        block.put_slice(&image.to_bytes_after(0));
+    }
+
     #[test]
     fn corrupt_count_cannot_preallocate() {
         // Checksum-valid images claiming 4 billion columns, index
-        // columns, or rows of 4 GB must fail fast on the clamped paths,
-        // not allocate gigabytes first.
+        // columns or rows, a page of 2^64 slots, or a row of 4 GB must
+        // fail fast on the clamped paths, not allocate gigabytes first.
         let mut block: Vec<u8> = Vec::new();
         put_str(&mut block, "t");
         let mut absurd_columns = block.clone();
@@ -774,15 +806,23 @@ mod tests {
 
         block.put_u32_le(0); // no spatial indexes
         block.put_u32_le(0); // no ordered indexes
+        let mut absurd_rows = block.clone();
+        absurd_rows.put_u64_le(u64::MAX); // rows
+        page_entry(&mut absurd_rows, 0, &[(0, &[Value::Int(42)])]);
+        let mut absurd_slots = block.clone();
+        absurd_slots.put_u64_le(1);
+        absurd_slots.put_u32_le(0); // page
+        absurd_slots.put_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
         let mut absurd_row = block.clone();
-        absurd_row.put_u64_le(u64::MAX); // rows
+        absurd_row.put_u64_le(1);
         absurd_row.put_u32_le(0); // page
-        absurd_row.put_u32_le(0); // slot
-        absurd_row.put_u32_le(u32::MAX); // row length
+        absurd_row.put_slice(&[1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f]); // one 4 GiB tuple
 
         for (what, block) in [
             ("columns", absurd_columns),
             ("index columns", absurd_index_columns),
+            ("rows", absurd_rows),
+            ("slots", absurd_slots),
             ("row", absurd_row),
         ] {
             let err = SpatialDb::open_from(&image_around(&block)[..]).err().expect("must fail");
@@ -791,11 +831,7 @@ mod tests {
 
         // And the hand-built frame itself is sound: a good block opens.
         block.put_u64_le(1);
-        block.put_u32_le(0);
-        block.put_u32_le(0);
-        let row = Value::encode_row(&[Value::Int(42)]);
-        block.put_u32_le(row.len() as u32);
-        block.put_slice(&row);
+        page_entry(&mut block, 0, &[(0, &[Value::Int(42)])]);
         let db = SpatialDb::open_from(&image_around(&block)[..]).unwrap();
         assert_eq!(db.execute("SELECT id FROM t").unwrap().rows[0][0].to_string(), "42");
     }
@@ -804,39 +840,43 @@ mod tests {
     fn checksum_valid_nonsense_is_a_persistence_error() {
         // What the checksums cannot catch — a writer bug, a crafted file —
         // still comes back as Persist, not as a storage or SQL error: a
-        // row that does not fit its schema, a slot filled twice, a table
-        // named twice, an index on a column that cannot carry one.
+        // row that does not fit its schema, a page listed twice or out of
+        // order, slot lengths that sum past the image, pages that do not
+        // hold the row count, a page entry without a row, a table named
+        // twice, an index on a column that cannot carry one.
         let mut head: Vec<u8> = Vec::new();
         put_str(&mut head, "t");
         head.put_u32_le(1);
         put_str(&mut head, "id");
         head.put_u8(type_tag(DataType::Int));
-        let row_at = |block: &mut Vec<u8>, slot: u32, row: &[Value]| {
-            let bytes = Value::encode_row(row);
-            block.put_u32_le(0);
-            block.put_u32_le(slot);
-            block.put_u32_le(bytes.len() as u32);
-            block.put_slice(&bytes);
+        head.put_u32_le(0);
+        head.put_u32_le(0);
+        let rows = |n: u64, entries: &[(u32, u16, i64)]| {
+            let mut block = head.clone();
+            block.put_u64_le(n);
+            for &(page, slot, id) in entries {
+                page_entry(&mut block, page, &[(slot, &[Value::Int(id)])]);
+            }
+            block
         };
+        let good = rows(2, &[(0, 3, 1), (4, 0, 2)]);
+        let db = SpatialDb::open_from(&image_around(&good)[..]).unwrap();
+        assert_eq!(
+            db.execute("SELECT COUNT(*) FROM t").unwrap().scalar().unwrap().to_string(),
+            "2"
+        );
 
         let mut misfit = head.clone();
-        misfit.put_u32_le(0);
-        misfit.put_u32_le(0);
         misfit.put_u64_le(1);
-        row_at(&mut misfit, 0, &[Value::Text("not an int".into())]);
+        page_entry(&mut misfit, 0, &[(0, &[Value::Text("not an int".into())])]);
 
-        let mut twice = head.clone();
-        twice.put_u32_le(0);
-        twice.put_u32_le(0);
-        twice.put_u64_le(2);
-        row_at(&mut twice, 3, &[Value::Int(1)]);
-        row_at(&mut twice, 3, &[Value::Int(2)]);
+        // The one length byte of the last page's one row, three too many.
+        let mut past_the_image = good.clone();
+        let at = past_the_image.len() - Value::encode_row(&[Value::Int(2)]).len() - 1;
+        past_the_image[at] += 3;
 
-        let mut bad_index = head.clone();
-        bad_index.put_u32_le(1); // a spatial index...
-        bad_index.put_u32_le(0); // ...on the BIGINT column
-        bad_index.put_u32_le(0);
-        bad_index.put_u64_le(0);
+        let mut empty_page = rows(1, &[(0, 3, 1)]);
+        page_entry(&mut empty_page, 2, &[]);
 
         let mut reserved: Vec<u8> = Vec::new();
         put_str(&mut reserved, "jp_metrics");
@@ -845,13 +885,24 @@ mod tests {
         reserved.put_u32_le(0);
         reserved.put_u64_le(0);
 
+        let mut bad_index = head[..head.len() - 8].to_vec();
+        bad_index.put_u32_le(1); // a spatial index...
+        bad_index.put_u32_le(0); // ...on the BIGINT column
+        bad_index.put_u32_le(0);
+        bad_index.put_u64_le(0);
+
         for (what, block) in [
             ("misfit row", misfit),
-            ("slot filled twice", twice),
+            ("page listed twice", rows(2, &[(0, 3, 1), (0, 4, 2)])),
+            ("pages out of order", rows(2, &[(4, 0, 2), (0, 3, 1)])),
+            ("slot lengths past the image", past_the_image),
+            ("more rows than the pages hold", rows(3, &[(0, 3, 1), (4, 0, 2)])),
+            ("fewer rows than the pages hold", rows(1, &[(0, 3, 1), (4, 0, 2)])),
+            ("a page without a row", empty_page),
             ("index on a scalar", bad_index),
             ("reserved table name", reserved),
         ] {
-            let err = SpatialDb::open_from(&image_around(&block)[..]).err().expect("must fail");
+            let err = SpatialDb::open_from(&image_around(&block)[..]).err().expect(what);
             assert!(matches!(err, EngineError::Persist(_)), "{what}: got {err:?}");
         }
     }

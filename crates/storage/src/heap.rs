@@ -20,20 +20,13 @@
 //!
 //! # Row visibility (MVCC)
 //!
-//! Each row optionally carries a `(born, died)` generation pair in a
-//! side table. A reader pinned at generation `g` sees exactly the rows
-//! with `born <= g && died > g`; rows without an entry are visible at
-//! every generation. Writers stamp new rows with their commit
-//! generation ([`HeapFile::insert_at`]) and delete logically
-//! ([`HeapFile::mark_deleted`]) so concurrent snapshot readers keep
-//! seeing the old version until every snapshot that could need it is
-//! gone — at which point [`HeapFile::reclaim`] tombstones the bytes and
-//! [`HeapFile::settle`] prunes entries the visibility horizon has
-//! passed, restoring the metadata-free fast path. Slots are never
-//! reused by normal inserts (deletes tombstone, inserts append), so a
-//! `RowId` names one row version forever; only WAL replay and snapshot
-//! load ([`HeapFile::place_tuple`]) write to explicit slots, reproducing
-//! ids recorded on disk.
+//! Rows carry optional `(born, died)` generations in a side table
+//! ([`visibility`]), so snapshot readers keep seeing old versions until
+//! vacuum. Slots are never reused by normal inserts (deletes tombstone,
+//! inserts append), so a `RowId` names one row version forever; only
+//! WAL replay ([`HeapFile::place_tuple`]) and snapshot load
+//! ([`HeapFile::restore_page`]) write to explicit slots, reproducing ids
+//! recorded on disk.
 //!
 //! # Lock order
 //!
@@ -46,6 +39,7 @@
 //! meta table — any row whose bytes they observed has its entry
 //! published by the time the frame's guard was released.
 
+use crate::page::Page;
 use crate::pool::{BufferPool, PageFile, PageRead, PageWrite};
 use crate::sync::{Mutex, RwLock};
 use crate::{DataType, Result, Row, Schema, StorageError, Value};
@@ -53,6 +47,8 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod visibility;
 
 /// A stable row address: page number plus slot within the page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -277,12 +273,10 @@ impl HeapFile {
         }
     }
 
-    /// Writes a row into a *specific* slot — WAL replay and snapshot
-    /// load, which must reproduce `RowId`s recorded on disk exactly.
-    /// `bytes`, [`Value::encode_row`] of `row`, go into the slot as they
-    /// are, and `row` becomes the slot's decoded row: snapshot load keeps
-    /// the row its validation decoded anyway, and replay the row the log
-    /// handed it — the only decoded rows a write leaves behind.
+    /// Writes a row into a *specific* slot — WAL replay, which must
+    /// reproduce `RowId`s recorded in the log exactly. `bytes`,
+    /// [`Value::encode_row`] of `row`, go into the slot as they are, and
+    /// `row`, which the log handed over, becomes the slot's decoded row.
     /// Idempotent: re-placing the identical bytes at the same id is a
     /// no-op, so a crash between replay and checkpoint replays cleanly.
     ///
@@ -315,143 +309,42 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Logically deletes a row at generation `died`: snapshots pinned
-    /// before `died` keep seeing it; the bytes stay in place until
-    /// [`HeapFile::reclaim`]. Returns whether a live row existed.
-    pub fn mark_deleted(&self, id: RowId, died: u64) -> bool {
-        if !self.slot_present(id) {
-            return false;
-        }
-        let mut meta = self.meta.write();
-        let (_, d) = meta.entry(id).or_insert((0, LIVE));
-        if *d != LIVE {
-            return false; // already deleted
-        }
-        *d = died;
-        drop(meta);
-        self.row_count.fetch_sub(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Undoes a [`HeapFile::mark_deleted`] (transaction rollback):
-    /// the row becomes live again. Returns whether it was dead.
-    pub fn revive(&self, id: RowId) -> bool {
-        let mut meta = self.meta.write();
-        let revived = match meta.get_mut(&id) {
-            Some((born, d)) if *d != LIVE => {
-                if *born == 0 {
-                    meta.remove(&id);
-                } else {
-                    *d = LIVE;
-                }
-                true
-            }
-            _ => false,
-        };
-        drop(meta);
-        if revived {
-            self.row_count.fetch_add(1, Ordering::Relaxed);
-        }
-        revived
-    }
-
-    /// Physically tombstones a logically-deleted row once no snapshot
-    /// can see it (vacuum). The live-row count was already adjusted by
-    /// [`HeapFile::mark_deleted`].
+    /// Snapshot load's way in: `page`, read back from a snapshot, becomes
+    /// page `no` of this heap, which holds nothing there yet — one frame
+    /// lock, and the page count raised once. Each live tuple is decoded
+    /// and checked against the schema, `visit`ed with its id, and its row
+    /// kept as its slot's decoded row. Returns the rows restored.
     ///
-    /// Step order is a contract lock-free readers rely on: the epoch
-    /// counters bracket everything (see the field note), the slot goes
-    /// first — and its decoded row with it, under the same guard — and
-    /// the visibility entry last (so a metadata-free id whose reclaim
-    /// has finished is guaranteed to have lost its slot — see
-    /// [`HeapFile::retain_visible`]).
-    pub fn reclaim(&self, id: RowId) {
-        self.begin_removal();
-        self.finish_reclaim(id);
-    }
-
-    /// Opens a physical removal's bracket (see the field note).
-    fn begin_removal(&self) {
-        self.reclaims_started.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The rest of [`HeapFile::reclaim`]: slot, entry, closing bracket.
-    /// Returns whether the slot held a row; panics where
-    /// [`HeapFile::page`] would.
-    fn finish_reclaim(&self, id: RowId) -> bool {
-        let deleted = id.page < self.npages.load(Ordering::Relaxed)
-            && self.write(id.page).unwrap_or_else(|e| panic!("heap: {e}")).delete(id.slot);
-        self.meta.write().remove(&id);
-        self.reclaims_finished.fetch_add(1, Ordering::SeqCst);
-        deleted
-    }
-
-    /// The count of finished removals, to capture *before* collecting
-    /// row ids from an index probe or page sweep; pass it to
-    /// [`HeapFile::retain_visible`] so a vacuum overlapping the
-    /// collection is detected rather than misread.
-    pub fn reclaim_epoch(&self) -> u64 {
-        self.reclaims_finished.load(Ordering::SeqCst)
-    }
-
-    /// Whether a physical removal was in flight when `epoch` was
-    /// captured or has begun since: the removals started by now differ
-    /// from the removals that had finished then. When this is false, no
-    /// metadata entry can have been dropped since the capture, so a
-    /// metadata-free id observed since then is a settled always-visible
-    /// row — and a row fully reclaimed *before* the capture was removed
-    /// from every index first, so it cannot have been collected at all.
-    fn reclaim_overlapped(&self, epoch: u64) -> bool {
-        self.reclaims_started.load(Ordering::SeqCst) != epoch
-    }
-
-    /// Prunes visibility entries the horizon has passed: a row born at
-    /// or before `horizon` and never deleted is visible to every
-    /// remaining snapshot, so its entry can revert to the metadata-free
-    /// default. Keeps the common all-settled case on the fast path.
-    pub fn settle(&self, horizon: u64) {
-        let mut meta = self.meta.write();
-        if !meta.is_empty() {
-            meta.retain(|_, (born, died)| *born > horizon || *died != LIVE);
+    /// # Errors
+    /// `visit`'s, decode and schema errors, and [`StorageError::Corrupt`]
+    /// when page `no` holds slots already.
+    pub fn restore_page<E: From<StorageError>>(
+        &self,
+        no: u32,
+        page: Page,
+        mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
+        let mut rows = Vec::with_capacity(page.slot_count());
+        for (slot, tuple) in page.iter() {
+            let row = Value::decode_row(tuple)?;
+            self.schema.check_row(&row)?;
+            visit(RowId { page: no, slot }, tuple)?;
+            rows.push((slot, Arc::new(row)));
         }
-    }
-
-    /// Filters `ids` down to the rows visible at `gen`, preserving
-    /// order, under one metadata lock take. `epoch` must have been
-    /// captured via [`HeapFile::reclaim_epoch`] *before* the ids were
-    /// collected (index probe). A metadata-free id is normally a
-    /// settled always-visible row — but a vacuum racing the probe can
-    /// reclaim a dead row after the probe captured its id, dropping
-    /// the entry that recorded its death. The epoch re-check detects
-    /// exactly that overlap; only then does the rare second pass
-    /// verify survivors by physical presence ([`HeapFile::reclaim`]
-    /// drops a row's slot before its entry, so a reclaimed row that
-    /// lost its entry has verifiably lost its slot too). The common
-    /// settled case stays one is-empty check plus one atomic load.
-    pub fn retain_visible(&self, ids: &mut Vec<RowId>, gen: u64, epoch: u64) {
-        {
-            let meta = self.meta.read();
-            if !meta.is_empty() {
-                ids.retain(|id| match meta.get(id) {
-                    Some((born, died)) => *born <= gen && *died > gen,
-                    None => true,
-                });
-            }
+        let live = rows.len();
+        let corrupt = |what: &str| StorageError::Corrupt(format!("restore of page {no}: {what}"));
+        let npages = no.checked_add(1).ok_or_else(|| corrupt("no such page number"))?;
+        let _append = self.append.lock();
+        let mut frame = self.write(no)?;
+        if frame.slot_count() > 0 {
+            return Err(corrupt("the page holds slots").into());
         }
-        if self.reclaim_overlapped(epoch) {
-            // The presence checks run with no metadata lock held: the
-            // metadata lock is never held while touching a page (see
-            // the lock-order note above). Visible survivors are present by
-            // definition (a pinned reader's rows cannot be reclaimed),
-            // so this only ever drops concurrently-reclaimed ids.
-            ids.retain(|id| self.slot_present(*id));
-        }
-    }
-
-    /// Whether `id` physically holds row bytes right now. Readers use
-    /// this to separate settled rows from concurrently-reclaimed ones.
-    fn slot_present(&self, id: RowId) -> bool {
-        id.page < self.npages.load(Ordering::Relaxed) && self.page(id.page).get(id.slot).is_ok()
+        frame.replace(page);
+        rows.into_iter().for_each(|(slot, row)| frame.keep_row(slot, row));
+        drop(frame);
+        self.npages.fetch_max(npages, Ordering::Relaxed);
+        self.row_count.fetch_add(live as u64, Ordering::Relaxed);
+        Ok(live)
     }
 
     /// Fetches a row: its slot's decoded row if the frame has one,
@@ -504,103 +397,40 @@ impl HeapFile {
         Ok(out)
     }
 
-    /// Immediately and physically deletes a row (single-session paths
-    /// and vacuum). Returns whether it existed. Snapshot-aware deletes
-    /// go through [`HeapFile::mark_deleted`] instead.
-    pub fn delete(&self, id: RowId) -> bool {
-        // A reclaim that counts the row: rollback paths physically remove
-        // rows while lock-free readers may be mid-sweep, and the epoch
-        // check is what keeps them honest.
-        self.begin_removal();
-        let deleted = self.finish_reclaim(id);
-        if deleted {
-            self.row_count.fetch_sub(1, Ordering::Relaxed);
-        }
-        deleted
-    }
-
-    /// Every physically-present row id, in storage order, collected one
-    /// page at a time with no other lock held: logically-deleted rows
-    /// awaiting reclaim included. Index builds use this so rows still
-    /// visible to an older pinned snapshot remain probe-able through the
-    /// new index.
-    pub fn row_ids_any(&self) -> Vec<RowId> {
+    /// Raw page scan: calls `visit` with each page holding ids of `ids`,
+    /// which must be in storage order (as [`HeapFile::row_ids`] returns
+    /// them), and the run of ids on it. Each page is locked once per run
+    /// and `visit` runs under the lock. Stops at the first error:
+    /// `visit`'s, an unreadable page's, or a page past the last.
+    pub fn scan_pages<E: From<StorageError>>(
+        &self,
+        ids: &[RowId],
+        mut visit: impl FnMut(&Page, &[RowId]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         let npages = self.npages.load(Ordering::Relaxed);
-        let mut out = Vec::with_capacity(self.len());
-        for p in 0..npages {
-            out.extend(self.page(p).iter().map(|(slot, _)| RowId { page: p, slot }));
-        }
-        out
-    }
-
-    /// All currently-live row ids (latest state, a writer's own rows
-    /// included), in storage order. Excludes logically-deleted rows
-    /// awaiting reclaim: every death is at a generation below `LIVE - 1`.
-    pub fn row_ids(&self) -> Vec<RowId> {
-        self.row_ids_visible(LIVE - 1)
-    }
-
-    /// Row ids visible to a snapshot pinned at generation `gen`, in
-    /// storage order: `born <= gen && died > gen`, plus every
-    /// metadata-free row.
-    pub fn row_ids_visible(&self, gen: u64) -> Vec<RowId> {
-        // Collect physical ids first, then filter under one meta read:
-        // the meta lock is never held while touching a page. Any row
-        // *written* mid-sweep whose bytes we observed has its entry
-        // published (the writer publishes before releasing the frame's
-        // write guard), so the later meta read cannot miss it. A row
-        // *reclaimed* mid-sweep would be misread — its entry is gone
-        // by the time we filter — so the sweep retries when the epoch
-        // check reports an overlapping reclaim (rare: vacuum only).
-        loop {
-            let epoch = self.reclaim_epoch();
-            let present = self.row_ids_any();
-            let meta = self.meta.read();
-            let out = if meta.is_empty() {
-                present // settled heap: visible at every generation
-            } else {
-                present
-                    .into_iter()
-                    .filter(|id| {
-                        !matches!(meta.get(id), Some((born, died)) if *born > gen || *died <= gen)
-                    })
-                    .collect()
-            };
-            drop(meta);
-            if !self.reclaim_overlapped(epoch) {
-                return out;
+        for run in ids.chunk_by(|a, b| a.page == b.page) {
+            if run[0].page >= npages {
+                return Err(
+                    StorageError::RowNotFound { page: run[0].page, slot: run[0].slot }.into()
+                );
             }
+            visit(&*self.read(run[0].page)?, run)?;
         }
+        Ok(())
     }
 
-    /// Raw tuple scan: calls `visit` with the stored bytes — exactly
-    /// [`Value::encode_row`] of the row — of every id in `ids`, which
-    /// must be in storage order (as [`HeapFile::row_ids`] returns them).
-    /// Each page is locked once per run of ids on it and `visit` runs
-    /// under the lock; nothing is decoded and no decoded row is kept.
-    /// Stops at the first error: `visit`'s, an unreadable page's, or a
-    /// [`StorageError::RowNotFound`] for an id reclaimed since it was
-    /// collected.
+    /// Raw tuple scan: [`HeapFile::scan_pages`] with `visit` called on
+    /// the stored bytes — exactly [`Value::encode_row`] of the row — of
+    /// each id; nothing is decoded and no decoded row is kept. An id
+    /// reclaimed since it was collected is a [`StorageError::RowNotFound`].
     pub fn scan_tuples<E: From<StorageError>>(
         &self,
         ids: &[RowId],
         mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let npages = self.npages.load(Ordering::Relaxed);
-        for run in ids.chunk_by(|a, b| a.page == b.page) {
-            let page = run[0].page;
-            if page >= npages {
-                return Err(StorageError::RowNotFound { page, slot: run[0].slot }.into());
-            }
-            let guard = self.read(page)?;
-            for &id in run {
-                let bytes = guard
-                    .get(id.slot)
-                    .map_err(|_| StorageError::RowNotFound { page, slot: id.slot })?;
-                visit(id, bytes)?;
-            }
-        }
-        Ok(())
+        self.scan_pages(ids, |page, run| {
+            run.iter().try_for_each(|&id| visit(id, page.get(id.slot).map_err(|e| located(e, id))?))
+        })
     }
 
     /// MBR quad of `row[col]` (see [`Value::mbr`]), computed from the

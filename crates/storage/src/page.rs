@@ -1,8 +1,26 @@
 //! Slotted pages: the serialized resting place of rows.
 //!
-//! A page is a byte buffer with tuples packed from the front and a slot
-//! directory (offset, length) growing from the back, the classic heap-file
-//! layout. Deleted slots are tombstoned (length 0) so row ids stay stable.
+//! In memory a page is a byte buffer with tuples packed from the front
+//! and a slot directory of (offset, length) pairs, the classic heap-file
+//! layout. Deleted slots are tombstoned (length 0) so row ids stay
+//! stable, and [`Page::used`] charges each slot 8 bytes however the page
+//! was last stored, so a page takes the rows it always took.
+//!
+//! At rest — in a spill file, and in a snapshot block — a page is one
+//! compact image, every number in it an unsigned LEB128 varint:
+//!
+//! ```text
+//! slot count | dropped bytes | per slot: tuple length (0 = tombstone)
+//! then the live tuples, in slot order
+//! ```
+//!
+//! A tuple under 128 bytes pays one length byte and one under 16 KiB
+//! two, where the in-memory directory spends eight. Offsets are not
+//! stored: [`Page::from_bytes`] rebuilds them as prefix sums, so a tuple
+//! [`Page::place`]d out of slot order comes back in order. Nor are the
+//! bytes of tuples no slot holds any more (deleted, or refilled): the
+//! image counts them as `dropped bytes`, and `used()` goes on counting
+//! them.
 
 use crate::{Result, StorageError};
 
@@ -13,15 +31,59 @@ pub const PAGE_SIZE: usize = 8192;
 
 const SLOT_BYTES: usize = 8; // u32 offset + u32 length
 
+/// Slot numbers are `u16`: no page has more slots than this.
+const MAX_SLOTS: u64 = 1 << 16;
+
+fn corrupt(what: &str) -> StorageError {
+    StorageError::Corrupt(format!("page image: {what}"))
+}
+
+/// Appends `v` as an unsigned LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads an unsigned LEB128 varint a byte at a time from `next`: at most
+/// ten bytes, and none that overflows 64 bits.
+fn take_varint<E: From<StorageError>>(
+    mut next: impl FnMut() -> std::result::Result<u8, E>,
+) -> std::result::Result<u64, E> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = next()?;
+        let bits = u64::from(byte & 0x7f);
+        if shift == 63 && bits > 1 {
+            return Err(corrupt("varint overflows 64 bits").into());
+        }
+        v |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(corrupt("varint longer than ten bytes").into())
+}
+
+/// A length read from an image, which an in-memory slot can hold.
+fn length(v: u64) -> Result<u32> {
+    u32::try_from(v).map_err(|_| corrupt("length over 4 GiB"))
+}
+
 /// A slotted page.
 #[derive(Clone, Debug)]
 pub struct Page {
-    /// The tuples, from `base` on. A page read back from a store keeps
-    /// its whole image here and skips the directory in front of them.
+    /// The tuples, from `base` on. A page read back from an image keeps
+    /// the whole image here and skips the head in front of the tuples.
     data: Vec<u8>,
     base: usize,
     /// (offset, len) per slot; len == 0 marks a tombstone.
     slots: Vec<(u32, u32)>,
+    /// Bytes of tuples no slot held when the page was last read back,
+    /// which its image dropped and [`Page::used`] still counts.
+    dropped: usize,
 }
 
 impl Default for Page {
@@ -31,18 +93,31 @@ impl Default for Page {
 }
 
 impl Page {
-    /// Creates an empty page.
+    /// Creates an empty page. It allocates nothing until its first
+    /// tuple, so a page that restore replaces or that is only read
+    /// costs no buffer.
     pub fn new() -> Page {
-        Page { data: Vec::with_capacity(PAGE_SIZE), base: 0, slots: Vec::new() }
+        Page { data: Vec::new(), base: 0, slots: Vec::new(), dropped: 0 }
+    }
+
+    /// Appends `tuple` to the buffer and returns its offset; the first
+    /// tuple of a new page reserves the target page size at once.
+    fn push(&mut self, tuple: &[u8]) -> u32 {
+        if self.data.capacity() == 0 {
+            self.data.reserve_exact(PAGE_SIZE);
+        }
+        let offset = self.tuples().len() as u32;
+        self.data.extend_from_slice(tuple);
+        offset
     }
 
     fn tuples(&self) -> &[u8] {
         &self.data[self.base..]
     }
 
-    /// Bytes used by tuples plus slot directory.
+    /// Bytes used by tuples, live and dead, plus slot directory.
     pub fn used(&self) -> usize {
-        self.tuples().len() + self.slots.len() * SLOT_BYTES
+        self.tuples().len() + self.dropped + self.slots.len() * SLOT_BYTES
     }
 
     /// `true` when `tuple_len` more bytes (plus a slot) would overflow the
@@ -62,8 +137,7 @@ impl Page {
 
     /// Appends a tuple, returning its slot number.
     pub fn insert(&mut self, tuple: &[u8]) -> u16 {
-        let offset = self.tuples().len() as u32;
-        self.data.extend_from_slice(tuple);
+        let offset = self.push(tuple);
         self.slots.push((offset, tuple.len() as u32));
         (self.slots.len() - 1) as u16
     }
@@ -101,10 +175,10 @@ impl Page {
         )
     }
 
-    /// Writes a tuple into a *specific* slot — WAL replay and snapshot
-    /// load, where `RowId`s recorded on disk must be reproduced exactly.
-    /// Missing intermediate slots are padded with tombstones; a
-    /// tombstoned slot is refilled in place.
+    /// Writes a tuple into a *specific* slot — WAL replay, where `RowId`s
+    /// recorded on disk must be reproduced exactly. Missing intermediate
+    /// slots are padded with tombstones; a tombstoned slot is refilled in
+    /// place.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the slot already holds a live tuple.
@@ -116,66 +190,134 @@ impl Page {
         if self.slots[idx].1 > 0 {
             return Err(StorageError::Corrupt(format!("slot {slot} already occupied")));
         }
-        let offset = self.tuples().len() as u32;
-        self.data.extend_from_slice(tuple);
-        self.slots[idx] = (offset, tuple.len() as u32);
+        self.slots[idx] = (self.push(tuple), tuple.len() as u32);
         Ok(())
     }
 
-    /// Serializes the page for the buffer pool's backing store, after
-    /// `headroom` zero bytes for the caller to fill (a page store puts its
-    /// own prefix there and writes prefix and image with one call):
-    /// `slot count u32 | (offset u32, len u32)* | data len u32 | data`,
-    /// all little-endian.
+    /// The page's image (see the module docs), after `headroom` zero
+    /// bytes for the caller to fill: a page store puts its own prefix
+    /// there and writes prefix and image with one call.
     pub fn to_bytes_after(&self, headroom: usize) -> Vec<u8> {
-        let tuples = self.tuples();
-        let size = headroom + 8 + self.slots.len() * SLOT_BYTES + tuples.len();
-        let mut out = Vec::with_capacity(size);
+        let live: usize = self.slots.iter().map(|&(_, len)| len as usize).sum();
+        // Two numbers of at most ten bytes, and a length under 2 MiB
+        // takes at most three.
+        let mut out = Vec::with_capacity(headroom + 20 + 3 * self.slots.len() + live);
         out.resize(headroom, 0);
-        out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
-        for &(off, len) in &self.slots {
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
+        put_varint(&mut out, self.slots.len() as u64);
+        put_varint(&mut out, (self.dropped + self.tuples().len() - live) as u64);
+        for &(_, len) in &self.slots {
+            put_varint(&mut out, u64::from(len));
         }
-        out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
-        out.extend_from_slice(tuples);
+        for (_, tuple) in self.iter() {
+            out.extend_from_slice(tuple);
+        }
         out
     }
 
-    /// Deserializes a page image written by [`Page::to_bytes_after`] (past
-    /// its headroom), keeping the image as the page's buffer rather than
-    /// copying the tuples out.
+    /// Appends the head of the image this page would have if it held
+    /// only the tuples in `slots` (ascending): every other slot is a
+    /// tombstone, none follows the last of `slots`, and no byte is
+    /// dropped — what a snapshot stores of a page. Returns the length of
+    /// the tuples that complete the image: [`Page::get`] of each of
+    /// `slots`, in order.
     ///
     /// # Errors
-    /// [`StorageError::Corrupt`] when the bytes are truncated or a slot
-    /// points outside the data area.
-    pub fn from_bytes(mut bytes: Vec<u8>) -> Result<Page> {
-        let corrupt = || StorageError::Corrupt("page image truncated".into());
-        let take_u32 = |b: &[u8], at: usize| -> Result<u32> {
-            let raw: [u8; 4] = b.get(at..at + 4).ok_or_else(corrupt)?.try_into().unwrap();
-            Ok(u32::from_le_bytes(raw))
+    /// [`StorageError::RowNotFound`] for a slot that holds no tuple, and
+    /// [`StorageError::Corrupt`] when `slots` is not ascending.
+    pub fn put_head_of(
+        &self,
+        slots: impl Iterator<Item = u16> + Clone,
+        out: &mut Vec<u8>,
+    ) -> Result<usize> {
+        put_varint(out, slots.clone().last().map_or(0, |last| u64::from(last) + 1));
+        put_varint(out, 0);
+        let (mut next, mut tuples) = (0, 0);
+        for slot in slots {
+            let at = usize::from(slot);
+            let gap = at.checked_sub(next).ok_or_else(|| corrupt("slots out of order"))?;
+            out.resize(out.len() + gap, 0); // tombstones
+            let len = self.get(slot)?.len();
+            put_varint(out, len as u64);
+            tuples += len;
+            next = at + 1;
+        }
+        Ok(tuples)
+    }
+
+    /// Reads one image from a stream that needs no length for it:
+    /// `read(buf, n)` appends the stream's next `n` bytes to `buf`. The
+    /// head is read a byte at a time and the tuples with one call, so
+    /// a stream that bounds what it hands out bounds what this
+    /// allocates; the image is then checked as [`Page::from_bytes`]
+    /// checks it.
+    ///
+    /// # Errors
+    /// `read`'s, and [`StorageError::Corrupt`] as for
+    /// [`Page::from_bytes`].
+    pub fn read_from<E: From<StorageError>>(
+        mut read: impl FnMut(&mut Vec<u8>, usize) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Page, E> {
+        let mut image = Vec::new();
+        let mut varint = |image: &mut Vec<u8>| {
+            take_varint(|| {
+                read(image, 1)?;
+                Ok::<u8, E>(image[image.len() - 1])
+            })
         };
-        let nslots = take_u32(&bytes, 0)? as usize;
-        let mut slots = Vec::with_capacity(nslots.min(bytes.len() / SLOT_BYTES + 1));
-        let mut at = 4;
+        let nslots = varint(&mut image)?;
+        if nslots > MAX_SLOTS {
+            return Err(corrupt("more slots than a page has").into());
+        }
+        varint(&mut image)?; // dropped bytes
+        let mut tuples = 0;
         for _ in 0..nslots {
-            let off = take_u32(&bytes, at)?;
-            let len = take_u32(&bytes, at + 4)?;
-            slots.push((off, len));
-            at += SLOT_BYTES;
+            tuples += u64::from(length(varint(&mut image)?)?);
         }
-        let dlen = take_u32(&bytes, at)? as usize;
-        at += 4;
-        if bytes.len() - at < dlen {
-            return Err(corrupt());
+        let tuples =
+            usize::try_from(tuples).map_err(|_| corrupt("tuples past the address space"))?;
+        read(&mut image, tuples)?;
+        Ok(Page::from_bytes(image)?)
+    }
+
+    /// Reads a page back from its image (see [`Page::to_bytes_after`];
+    /// `bytes` start past the headroom and hold exactly the image),
+    /// keeping the image as the page's buffer rather than copying the
+    /// tuples out. Every count and length is checked against the bytes
+    /// present before anything is reserved.
+    ///
+    /// # Errors
+    /// [`StorageError::Corrupt`] when the bytes are truncated, the slot
+    /// lengths do not add up to the bytes after the head, or a number
+    /// is out of range.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Page> {
+        let mut at = 0;
+        let varint = |at: &mut usize| {
+            take_varint(|| {
+                let byte = *bytes.get(*at).ok_or_else(|| corrupt("truncated"))?;
+                *at += 1;
+                Ok::<u8, StorageError>(byte)
+            })
+        };
+        let nslots = varint(&mut at)?;
+        let dropped = length(varint(&mut at)?)? as usize;
+        // A length takes at least a byte.
+        if nslots > MAX_SLOTS || nslots > (bytes.len() - at) as u64 {
+            return Err(corrupt("more slots than the image holds"));
         }
-        bytes.truncate(at + dlen);
-        for &(off, len) in &slots {
-            if len > 0 && (off as usize + len as usize) > dlen {
-                return Err(StorageError::Corrupt("page slot out of bounds".into()));
+        let mut slots = Vec::with_capacity(nslots as usize);
+        let mut end = 0u64;
+        for _ in 0..nslots {
+            let len = length(varint(&mut at)?)?;
+            slots.push((length(end)?, len));
+            end += u64::from(len);
+            if end > (bytes.len() - at) as u64 {
+                return Err(corrupt("slot lengths sum past the image"));
             }
         }
-        Ok(Page { data: bytes, base: at, slots })
+        if end != (bytes.len() - at) as u64 {
+            return Err(corrupt("bytes after the last tuple"));
+        }
+        Ok(Page { data: bytes, base: at, slots, dropped })
     }
 }
 
@@ -217,26 +359,33 @@ mod tests {
         p.insert(b"gamma");
         p.delete(s1);
         let img = p.to_bytes_after(0);
+        // 3 slots, 4 dropped bytes, lengths 5 0 5, then the live tuples.
+        assert_eq!(img, [&[3, 4, 5, 0, 5][..], b"alpha", b"gamma"].concat());
         let q = Page::from_bytes(img.clone()).unwrap();
         assert_eq!(q.slot_count(), 3);
         assert_eq!(q.get(0).unwrap(), b"alpha");
         assert!(q.get(1).is_err(), "tombstone survives the roundtrip");
         assert_eq!(q.get(2).unwrap(), b"gamma");
+        assert_eq!(q.used(), p.used(), "the dropped bytes are still counted");
         assert_eq!(q.to_bytes_after(0), img, "re-serialization is byte-identical");
     }
 
     #[test]
     fn from_bytes_rejects_garbage() {
         assert!(Page::from_bytes(vec![]).is_err());
-        assert!(Page::from_bytes(vec![9, 0, 0, 0, 1]).is_err());
-        // Slot pointing past the data area.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&1u32.to_le_bytes()); // 1 slot
-        bad.extend_from_slice(&100u32.to_le_bytes()); // offset 100
-        bad.extend_from_slice(&8u32.to_le_bytes()); // len 8
-        bad.extend_from_slice(&2u32.to_le_bytes()); // data len 2
-        bad.extend_from_slice(b"xy");
-        assert!(Page::from_bytes(bad).is_err());
+        assert!(Page::from_bytes(vec![9, 0, 0, 0, 1]).is_err(), "9 slots in 3 bytes");
+        assert!(Page::from_bytes(vec![1, 0, 8, b'x', b'y']).is_err(), "8 bytes claimed, 2 held");
+        assert!(Page::from_bytes(vec![1, 0, 1, b'x', b'y']).is_err(), "a byte after the tuples");
+        assert!(Page::from_bytes(vec![0xff; 11]).is_err(), "an eleven-byte varint");
+        assert!(
+            Page::from_bytes(vec![0, 0x80, 0x80, 0x80, 0x80, 0x10]).is_err(),
+            "dropped > 4 GiB"
+        );
+        let mut many = Vec::new();
+        put_varint(&mut many, MAX_SLOTS + 1);
+        many.extend(std::iter::repeat_n(0, MAX_SLOTS as usize + 2));
+        assert!(Page::from_bytes(many).is_err(), "more slots than a u16 numbers");
+        assert!(Page::from_bytes(vec![0, 0]).unwrap().slot_count() == 0, "the empty page");
     }
 
     #[test]
@@ -263,5 +412,148 @@ mod tests {
         assert!(!p.fits(5000));
         p.insert(&vec![0u8; 4000]);
         assert!(!p.fits(500));
+    }
+
+    /// A xorshift draw below `n`, from a fixed seed.
+    fn draws() -> impl FnMut(u64) -> u64 {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        move |n| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n.max(1)
+        }
+    }
+
+    /// A page made by up to `ops` random inserts, deletes and refills of
+    /// tombstones (which leave offsets out of slot order) of tuples under
+    /// `max` bytes; now and then one over 64 KiB, and now and then
+    /// nothing at all.
+    fn random_page(next: &mut impl FnMut(u64) -> u64, ops: u64, max: u64) -> Page {
+        let mut p = Page::new();
+        for _ in 0..next(ops) {
+            let len = if next(60) == 0 { 70_000 } else { next(max) as usize };
+            let fill = next(256) as u8;
+            let tuple: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            match next(10) {
+                0..=5 => drop(p.insert(&tuple)),
+                6..=7 => drop(p.delete(next(p.slot_count() as u64) as u16)),
+                _ => drop(p.place(next(p.slot_count() as u64 + 3) as u16, &tuple)),
+            }
+        }
+        p
+    }
+
+    /// The same slots, the same tuples in them, the same room taken.
+    fn assert_same(p: &Page, q: &Page, what: &str) {
+        assert_eq!((q.slot_count(), q.used()), (p.slot_count(), p.used()), "{what}");
+        for slot in 0..=p.slot_count() as u16 {
+            assert_eq!(q.get(slot).ok(), p.get(slot).ok(), "{what}: slot {slot}");
+        }
+    }
+
+    /// A page read back from a damaged image: every slot in bounds, and
+    /// nothing reserved past the image's length.
+    fn assert_sound(page: &Page, image_len: usize) {
+        assert!(page.slots.capacity() <= image_len && page.data.len() == image_len);
+        let live: usize = page.iter().map(|(_, t)| t.len()).sum();
+        assert!(live <= image_len);
+        let _ = page.used();
+    }
+
+    /// Reads `image` through [`Page::read_from`], as a stream that ends
+    /// where the image ends; returns the page and the bytes left over.
+    fn read_stream(image: &[u8]) -> (Result<Page>, usize) {
+        let mut rest = image;
+        let page = Page::read_from(|buf: &mut Vec<u8>, n| {
+            let bytes = rest.get(..n).ok_or_else(|| corrupt("stream ended"))?;
+            buf.extend_from_slice(bytes);
+            rest = &rest[n..];
+            Ok::<(), StorageError>(())
+        });
+        (page, rest.len())
+    }
+
+    #[test]
+    fn a_page_round_trips_through_its_image() {
+        let mut next = draws();
+        let mut over_64k = 0;
+        for round in 0..400 {
+            let p = if round == 0 { Page::new() } else { random_page(&mut next, 48, 200) };
+            over_64k += usize::from(p.iter().any(|(_, t)| t.len() > 65_536));
+            let image = p.to_bytes_after(4);
+            let q = Page::from_bytes(image[4..].to_vec()).unwrap();
+            assert_same(&p, &q, &format!("round {round}"));
+            assert_eq!(q.to_bytes_after(4), image, "round {round}: re-serialized");
+            let (streamed, left) = read_stream(&image[4..]);
+            assert_same(&p, &streamed.unwrap(), &format!("round {round}: streamed"));
+            assert_eq!(left, 0);
+            // A page read back takes the inserts the page it was took.
+            let (mut p, mut q) = (p, q);
+            for len in [10, 500, 3000] {
+                assert_eq!(p.fits(len), q.fits(len), "round {round}");
+                assert_eq!(p.insert(&vec![7; len]), q.insert(&vec![7; len]));
+            }
+        }
+        assert!(over_64k > 5, "{over_64k} pages hold a tuple over 64 KiB");
+    }
+
+    #[test]
+    fn a_damaged_image_is_corrupt_or_in_bounds() {
+        // Every truncation and every single-bit flip of the images of
+        // small random pages (and a stride of them on large ones): an
+        // error, or a page with every slot in bounds. Never a panic.
+        let mut next = draws();
+        for round in 0..48 {
+            let (ops, max) = if round % 8 == 0 { (48, 200) } else { (24, 40) };
+            let image = random_page(&mut next, ops, max).to_bytes_after(0);
+            let step = image.len() / 1000 + 1;
+            for cut in (0..image.len()).step_by(step) {
+                assert!(Page::from_bytes(image[..cut].to_vec()).is_err(), "round {round}: {cut}");
+                assert!(read_stream(&image[..cut]).0.is_err(), "round {round}: stream {cut}");
+            }
+            for bit in (0..8 * image.len()).step_by(step) {
+                let mut flipped = image.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(page) = Page::from_bytes(flipped.clone()) {
+                    assert_sound(&page, image.len());
+                }
+                if let (Ok(page), left) = read_stream(&flipped) {
+                    assert_sound(&page, image.len() - left);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_image_of_some_slots_is_the_page_placed_from_them() {
+        // What a snapshot stores of a page: the listed tuples, every
+        // other slot a tombstone, none after the last listed one —
+        // exactly the page a slot-by-slot placement of them builds.
+        let mut next = draws();
+        for round in 0..200 {
+            let p = random_page(&mut next, 48, 200);
+            let listed: Vec<u16> =
+                p.iter().map(|(slot, _)| slot).filter(|_| next(4) != 0).collect();
+            let mut image = Vec::new();
+            let tuples = p.put_head_of(listed.iter().copied(), &mut image).unwrap();
+            for &slot in &listed {
+                image.extend_from_slice(p.get(slot).unwrap());
+            }
+            let mut placed = Page::new();
+            for &slot in &listed {
+                placed.place(slot, p.get(slot).unwrap()).unwrap();
+            }
+            let q = Page::from_bytes(image.clone()).unwrap();
+            assert_same(&placed, &q, &format!("round {round}"));
+            assert_eq!(tuples, q.tuples().len(), "round {round}");
+        }
+        let mut p = Page::new();
+        p.insert(b"a");
+        let gone = p.insert(b"b");
+        p.delete(gone);
+        assert!(p.put_head_of([gone].into_iter(), &mut Vec::new()).is_err(), "a tombstone");
+        p.insert(b"c");
+        assert!(p.put_head_of([2, 0].into_iter(), &mut Vec::new()).is_err(), "out of order");
     }
 }

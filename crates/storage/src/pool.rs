@@ -282,17 +282,18 @@ impl PageWrite<'_> {
         removed
     }
 
-    /// Empties the page: no slot, no tuple.
-    pub fn clear(&mut self) {
+    /// Replaces the page with `page` — restore's way in, for a page read
+    /// back from a snapshot — forgetting everything decoded.
+    pub(crate) fn replace(&mut self, page: Page) {
         let frame = self.frame();
-        frame.page = Page::new();
-        frame.dirty = true;
         frame.drop_decoded();
+        (frame.page, frame.dirty) = (page, true);
     }
 
-    /// Keeps `row` as the decoded form of `slot` — restore's way in, for
-    /// a row it decoded anyway. The caller vouches that the slot's bytes
-    /// are `Value::encode_row(&row)`.
+    /// Keeps `row` as the decoded form of `slot` — restore's and WAL
+    /// replay's way in, for a row they decoded or were handed anyway.
+    /// The caller vouches that the slot's bytes are
+    /// `Value::encode_row(&row)`.
     pub(crate) fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
         self.frame().keep_row(slot, row);
     }

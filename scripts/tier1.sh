@@ -19,7 +19,6 @@ echo "== non-test lines per workspace source file (lines before the first #[cfg(
 FILE_MAX=700
 declare -A ratchet=(
   [crates/engine/src/db.rs]=196
-  [crates/storage/src/heap.rs]=659
 )
 non_test_lines() { awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$1"; }
 shopt -s globstar
@@ -75,6 +74,14 @@ echo "== cargo test -q (workspace: every test binary, once)"
 cargo test -q --workspace --offline
 grep -q '#!\[forbid(unsafe_code)\]' crates/obs/src/lib.rs \
   || { echo "crates/obs must forbid unsafe_code"; exit 1; }
+
+echo "== snapshot fault sweeps over every byte and every bit (--features slow-tests)"
+# The default run sweeps every 7th offset of the sample image; this one
+# truncates it at every offset and flips each of its bits.
+sweep_start=$SECONDS
+cargo test -q --offline --features slow-tests --test durability -- \
+  every_strict_prefix_of_a_snapshot_is_rejected every_bit_flip_in_a_snapshot_is_rejected
+echo "snapshot fault sweeps: $((SECONDS - sweep_start)) s"
 
 echo "== suites that race writers, under contention (nproc + 1 busy loops, 0 failures)"
 # A race that needs a busy host never shows on a quiet one. interleaving

@@ -15,7 +15,7 @@ use jackpine::engine::wal::{wal_header, WalRecord};
 use jackpine::engine::{
     DurabilityOptions, EngineError, EngineProfile, SpatialDb, SNAPSHOT_FILE, WAL_FILE,
 };
-use jackpine::storage::{ColumnDef, DataType, RowId, Value};
+use jackpine::storage::{ColumnDef, DataType, HeapFile, RowId, StorageError, Value};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -211,9 +211,9 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
     // geometries and NULL texts, an empty table, one row too large for a
     // page, slots tombstoned by an earlier vacuum, rows deleted but
     // still awaiting vacuum behind a pinned snapshot, and both index
-    // kinds. Its image was recorded from the writer this one replaced
-    // (rows decoded, re-encoded and assembled in memory): the format
-    // did not move by a byte, and the file and the in-memory sink of the
+    // kinds. Its image is pinned: re-pinned when format v5 replaced v4
+    // (52,993 bytes), whose image restored the same rows at the same row
+    // ids on the same pages. The file and the in-memory sink of the
     // streaming writer are the same bytes.
     let mut rng = common::test_rng("pinned-image");
     let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -260,8 +260,8 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
     assert!(file == image, "save() and snapshot_bytes() wrote different images");
     assert_eq!(
         (image.len(), fnv64(&image)),
-        (52_993, 2_570_481_330_706_177_284),
-        "format v4 image moved"
+        (48_753, 8_262_140_861_152_534_416),
+        "format v5 image moved"
     );
     drop(reader);
 
@@ -282,6 +282,82 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
         restored.table("shapes").unwrap().heap.row_ids(),
         db.table("shapes").unwrap().heap.row_ids()
     );
+}
+
+/// A page as a restart must keep it: slot count, room used, and the
+/// tuple in each slot.
+type PageContent = (usize, usize, Vec<Option<Vec<u8>>>);
+
+/// Every page of `heap`, 0 to its page count.
+fn pages(heap: &HeapFile) -> Vec<PageContent> {
+    let each: Vec<RowId> = (0..heap.page_count()).map(|page| RowId { page, slot: 0 }).collect();
+    let mut out = Vec::new();
+    heap.scan_pages(&each, |page, _| {
+        let slots = 0..page.slot_count() as u16;
+        let tuples = slots.map(|slot| page.get(slot).ok().map(<[u8]>::to_vec)).collect();
+        out.push((page.slot_count(), page.used(), tuples));
+        Ok::<(), StorageError>(())
+    })
+    .unwrap();
+    out
+}
+
+#[test]
+fn a_restart_keeps_every_page_and_the_next_row_id() {
+    // Two tables with vacuumed deletes (tombstones and the bytes they
+    // left) and deletes still awaiting vacuum behind a pinned reader.
+    // After save + open every page must be the one a row-by-row
+    // placement of the saved rows builds — what restore built when it
+    // placed one row at a time — and the next INSERT must land where it
+    // lands on such a heap. In `t` the deletes spare the last page, so
+    // there the next INSERT lands where it lands without a restart too.
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    db.execute("CREATE TABLE t (id BIGINT, name TEXT)").unwrap();
+    db.execute("CREATE TABLE u (id BIGINT, name TEXT)").unwrap();
+    db.execute("CREATE TABLE z (id BIGINT)").unwrap();
+    let row = |i: i64| vec![Value::Int(i), Value::Text("n".repeat((i as usize * 37) % 150))];
+    db.insert_rows("t", (0..700).map(row)).unwrap();
+    db.insert_rows("u", (0..300).map(row)).unwrap();
+    let delete = |table: &str, ids: &mut dyn Iterator<Item = i64>| {
+        ids.for_each(|i| drop(db.execute(&format!("DELETE FROM {table} WHERE id = {i}")).unwrap()))
+    };
+    delete("t", &mut (3..500).step_by(7));
+    delete("u", &mut (0..300).step_by(5).chain(290..300));
+    db.insert_row("z", vec![Value::Int(0)]).unwrap();
+    assert_eq!(db.pending_reclaim_len(), 0, "the deletes were vacuumed");
+    let reader = db.pin_snapshot_handle();
+    delete("t", &mut (5..500).step_by(11));
+    delete("u", &mut (4..290).step_by(9));
+    assert!(db.pending_reclaim_len() > 50, "rows await vacuum while the reader is pinned");
+
+    let path = scratch("restart-pages.jkpn");
+    db.save(&path).unwrap();
+    let restored = SpatialDb::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    drop(reader);
+    for name in ["t", "u"] {
+        let (before, after) = (db.table(name).unwrap(), restored.table(name).unwrap());
+        let saved = before.heap.row_ids();
+        let placed = HeapFile::new(before.heap.schema().clone());
+        before
+            .heap
+            .scan_tuples(&saved, |id, tuple| {
+                placed.place_tuple(tuple, Value::decode_row(tuple)?, id, 0)
+            })
+            .unwrap();
+        assert!(pages(&before.heap) != pages(&placed), "{name}: nothing was dropped");
+        assert!(before.heap.page_count() > 3, "{name}: {} pages", before.heap.page_count());
+        assert_eq!(after.heap.page_count(), placed.page_count(), "{name}");
+        assert!(pages(&after.heap) == pages(&placed), "{name}: a page differs");
+        assert_eq!(after.heap.row_ids(), saved, "{name}");
+
+        let next = row(7_000);
+        let id = restored.insert_row(name, next.clone()).unwrap();
+        assert_eq!(id, placed.insert_tuple(&Value::encode_row(&next), 0).unwrap(), "{name}");
+        if name == "t" {
+            assert_eq!(id, db.insert_row(name, next).unwrap(), "t: no restart");
+        }
+    }
 }
 
 #[test]
