@@ -17,18 +17,20 @@
 //!   spatial-index column count u32 | column ids u32...
 //!   ordered-index column count u32 | column ids u32...
 //!   row count u64
-//!   per page holding a saved row, pages ascending:
+//!   per page of the heap, pages ascending from 0:
 //!     page u32 | the page's image (jackpine_storage::page)
 //! page image (every number an unsigned LEB128 varint):
-//!   slot count | dropped bytes (0) | per slot: tuple length (0 = none)
+//!   slot count | dropped bytes | per slot: tuple length (0 = none)
 //!   the saved rows' tuples (the heap codec), in slot order
 //! ```
 //!
-//! A page's entry holds the rows of it that are saved, each in its slot;
-//! every other slot is a tombstone and none follows the last row. Reload
-//! puts each page back as one frame, so row ids are **stable across
-//! recovery** — the property the WAL's `InsertAt`/`DeleteId` records rely
-//! on — and a row costs its tuple and a length byte or two. Indexes
+//! A page's entry holds the rows of it that are saved, each in its slot,
+//! and every slot the page has: the others are tombstones, and the bytes
+//! of rows not saved count as dropped. Reload puts each page back as one
+//! frame with the slots and the room of the page saved, so row ids are
+//! **stable across recovery** — the property the WAL's
+//! `InsertAt`/`DeleteId` records rely on — and so is the id the next
+//! insert takes; a row costs its tuple and a length byte or two. Indexes
 //! are stored as *definitions* and rebuilt on open (bulk loads are fast
 //! and the format stays independent of index internals).
 //!
@@ -155,13 +157,14 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Puts the head of the entry of `run`'s page into `out`: the page number
-/// and the head of the image of the page holding only `run`'s rows.
-/// Returns the length of the tuples that complete the entry.
-fn entry_head(page: &Page, run: &[RowId], out: &mut Vec<u8>) -> Result<usize> {
+/// Puts the head of the entry of page `no` into `out`: the page number
+/// and the head of the image of the page holding only `run`'s rows (its
+/// saved rows, in slot order). Returns the length of the tuples that
+/// complete the entry.
+fn entry_head(no: u32, page: &Page, run: &[RowId], out: &mut Vec<u8>) -> usize {
     out.clear();
-    out.put_u32_le(run[0].page);
-    Ok(page.put_head_of(run.iter().map(|id| id.slot), out)?)
+    out.put_u32_le(no);
+    page.put_head(run.iter().map(|id| id.slot), out)
 }
 
 /// One table as the writer fixed it before the first byte went out.
@@ -244,8 +247,8 @@ impl SpatialDb {
             let ids = table.heap.row_ids();
             head.put_u64_le(ids.len() as u64);
             let (mut len, mut entry) = (head.len() as u64, Vec::new());
-            table.heap.scan_pages(&ids, |page, run| {
-                let tuples = entry_head(page, run, &mut entry)?;
+            table.heap.scan_pages(&ids, |no, page, run| {
+                let tuples = entry_head(no, page, run, &mut entry);
                 len += (entry.len() + tuples) as u64;
                 Ok::<(), EngineError>(())
             })?;
@@ -274,8 +277,8 @@ impl SpatialDb {
             sink.framing(&len.to_le_bytes())?;
             sink.block_crc = Crc32::new();
             sink.block(&b.head)?;
-            b.table.heap.scan_pages(&b.ids, |page, run| {
-                entry_head(page, run, &mut entry)?;
+            b.table.heap.scan_pages(&b.ids, |no, page, run| {
+                entry_head(no, page, run, &mut entry);
                 sink.block(&entry)?;
                 run.iter().try_for_each(|id| sink.block(page.get(id.slot)?))
             })?;
@@ -564,9 +567,6 @@ impl<R: Read> Source<R> {
             }
             last = Some(no);
             let page = Page::read_from(|buf, n| self.append(n, buf))?;
-            if page.iter().next().is_none() {
-                return Err(corrupt("a page entry without a row"));
-            }
             rows += table.heap.restore_page(no, page, |id, tuple| seeds.add(id, tuple))? as u64;
         }
         if rows != nrows {
@@ -785,7 +785,7 @@ mod tests {
             image.place(*slot, &Value::encode_row(row)).unwrap();
         }
         block.put_u32_le(page);
-        block.put_slice(&image.to_bytes_after(0));
+        block.put_slice(&image.to_bytes());
     }
 
     #[test]
@@ -842,8 +842,8 @@ mod tests {
         // still comes back as Persist, not as a storage or SQL error: a
         // row that does not fit its schema, a page listed twice or out of
         // order, slot lengths that sum past the image, pages that do not
-        // hold the row count, a page entry without a row, a table named
-        // twice, an index on a column that cannot carry one.
+        // hold the row count, a table named twice, an index on a column
+        // that cannot carry one.
         let mut head: Vec<u8> = Vec::new();
         put_str(&mut head, "t");
         head.put_u32_le(1);
@@ -875,8 +875,11 @@ mod tests {
         let at = past_the_image.len() - Value::encode_row(&[Value::Int(2)]).len() - 1;
         past_the_image[at] += 3;
 
+        // A page entry without a row is a page whose rows all died.
         let mut empty_page = rows(1, &[(0, 3, 1)]);
         page_entry(&mut empty_page, 2, &[]);
+        let db = SpatialDb::open_from(&image_around(&empty_page)[..]).unwrap();
+        assert_eq!(db.table("t").unwrap().heap.page_count(), 3);
 
         let mut reserved: Vec<u8> = Vec::new();
         put_str(&mut reserved, "jp_metrics");
@@ -898,7 +901,6 @@ mod tests {
             ("slot lengths past the image", past_the_image),
             ("more rows than the pages hold", rows(3, &[(0, 3, 1), (4, 0, 2)])),
             ("fewer rows than the pages hold", rows(1, &[(0, 3, 1), (4, 0, 2)])),
-            ("a page without a row", empty_page),
             ("index on a scalar", bad_index),
             ("reserved table name", reserved),
         ] {

@@ -9,7 +9,9 @@
 //!    the other operand's boundary (robust classification via
 //!    [`segment_intersection`]),
 //! 2. classify each sub-edge by the location of its midpoint in the other
-//!    operand (interior / boundary / exterior),
+//!    operand (interior / boundary / exterior) — steps 1 and 2 are
+//!    `line_split::split_line_core`, the engine that splits a line by a
+//!    polygon, run over each ring,
 //! 3. select sub-edges according to the boolean operation, reversing where
 //!    the operation requires it (holes from `difference`),
 //! 4. stitch the selected directed edges into rings by angular walking and
@@ -19,9 +21,9 @@
 //! (counter-clockwise shells, clockwise holes), which makes the selection
 //! rules purely local.
 
+use super::line_split::{split_line_core, PortionClass};
 use super::locate::{locate_in_polygon, locate_in_ring, Location};
 use super::segment::{segment_intersection, SegmentIntersection};
-use super::tolerance::{param_on_segment, OVERLAP_TOL, PARAM_EPS};
 use crate::polygon::Ring;
 use crate::{
     Coord, Envelope, GeomError, Geometry, GeometryCollection, LineString, MultiLineString,
@@ -239,7 +241,7 @@ fn line_areal_intersection(lines: &Geometry, areal: &Geometry) -> Result<Geometr
     for l in &ls {
         for p in &polys {
             for portion in super::line_split::split_line_by_polygon(l, p) {
-                if portion.class != super::line_split::PortionClass::Outside {
+                if portion.class != PortionClass::Outside {
                     pieces.push(LineString::new(portion.coords)?);
                 }
             }
@@ -370,16 +372,19 @@ fn snap_epsilon(env: &Envelope) -> f64 {
 }
 
 /// Splits `subject`'s directed boundary at intersections with `other` and
-/// appends the sub-edges selected by `op` to `out`.
+/// appends the sub-edges selected by `op` to `out`. The cutting and the
+/// classification are [`split_line_core`]'s, run over each ring of
+/// `subject` with `other`'s edges and [`locate_in_polygon`]; what is left
+/// here is the selection rule.
 ///
-/// Selection rules (midpoint location in `other`):
-/// * `Intersection`: keep interior midpoints; shared-boundary edges kept
-///   from the first operand only, when both interiors are on the same side.
-/// * `Union`: keep exterior midpoints; shared-boundary edges kept from the
+/// Selection rules (class of the sub-edge against `other`):
+/// * `Intersection`: keep inside edges; shared-boundary edges kept from
+///   the first operand only, when both interiors are on the same side.
+/// * `Union`: keep outside edges; shared-boundary edges kept from the
 ///   first operand only, same-side rule.
-/// * `Difference`, subject = A: keep exterior midpoints; shared edges kept
+/// * `Difference`, subject = A: keep outside edges; shared edges kept
 ///   when interiors are on *opposite* sides.
-/// * `Difference`, subject = B (`reverse = true`): keep interior midpoints,
+/// * `Difference`, subject = B (`reverse = true`): keep inside edges,
 ///   reversed.
 fn collect_selected_edges(
     subject: &Polygon,
@@ -390,70 +395,44 @@ fn collect_selected_edges(
     out: &mut Vec<DirEdge>,
 ) {
     let is_first_operand = !reverse || op != BoolOp::Difference;
-    let mut cuts: Vec<f64> = Vec::new();
-    let mut overlaps: Vec<(f64, f64)> = Vec::new();
+    // Every ring's extent, not `other.envelope()` (the exterior's): a
+    // hole edge outside the shell must still cut.
+    let env = Envelope::from_coords(other.rings().flat_map(Ring::coords));
     for ring in subject.rings() {
-        for (p, q) in ring.segments() {
-            cuts.clear();
-            overlaps.clear();
-            cuts.push(0.0);
-            cuts.push(1.0);
-            for (r, s) in other.rings().flat_map(|rr| rr.segments()) {
-                match segment_intersection(p, q, r, s) {
-                    SegmentIntersection::None => {}
-                    SegmentIntersection::Point(x) => cuts.push(param_on_segment(p, q, x)),
-                    SegmentIntersection::Overlap(x, y) => {
-                        let (tx, ty) = (param_on_segment(p, q, x), param_on_segment(p, q, y));
-                        cuts.push(tx);
-                        cuts.push(ty);
-                        overlaps.push((tx.min(ty), tx.max(ty)));
-                    }
+        split_line_core(
+            ring.coords(),
+            &env,
+            |_seg_env, f| {
+                for (r, s) in other.rings().flat_map(Ring::segments) {
+                    f(r, s);
                 }
-            }
-            cuts.sort_by(f64::total_cmp);
-            cuts.dedup_by(|x, y| (*x - *y).abs() < PARAM_EPS);
-            for w in cuts.windows(2) {
-                let (t0, t1) = (w[0], w[1]);
-                let from = p.lerp(q, t0);
-                let to = p.lerp(q, t1);
+            },
+            |p| locate_in_polygon(p, other),
+            |class, from, to, mid| {
                 if from.close_to(to, snap) {
-                    continue;
+                    return;
                 }
-                let mid = p.lerp(q, (t0 + t1) * 0.5);
-                // A sub-edge inside a collinear-overlap interval runs along
-                // the other operand's boundary. This must be decided from
-                // the recorded intervals, not by locating the rounded
-                // midpoint: the midpoint of a diagonal edge is generally
-                // *not* exactly on the line through its endpoints, so the
-                // exact point-location would misclassify shared edges.
-                let on_other_boundary =
-                    overlaps.iter().any(|&(a, b)| a <= t0 + OVERLAP_TOL && t1 <= b + OVERLAP_TOL);
-                let keep = if on_other_boundary {
-                    shared_edge_keep(mid, from, to, other, op, is_first_operand, snap)
-                } else {
-                    match locate_in_polygon(mid, other) {
-                        Location::Interior => matches!(
-                            (op, reverse),
-                            (BoolOp::Intersection, _) | (BoolOp::Difference, true)
-                        ),
-                        Location::Exterior => matches!(
-                            (op, reverse),
-                            (BoolOp::Union, _) | (BoolOp::Difference, false)
-                        ),
-                        Location::Boundary => {
-                            shared_edge_keep(mid, from, to, other, op, is_first_operand, snap)
-                        }
+                let keep = match class {
+                    PortionClass::Inside => matches!(
+                        (op, reverse),
+                        (BoolOp::Intersection, _) | (BoolOp::Difference, true)
+                    ),
+                    PortionClass::Outside => {
+                        matches!((op, reverse), (BoolOp::Union, _) | (BoolOp::Difference, false))
+                    }
+                    PortionClass::OnBoundary => {
+                        shared_edge_keep(mid, from, to, other, op, is_first_operand, snap)
                     }
                 };
                 if keep {
-                    if reverse {
-                        out.push(DirEdge { from: to, to: from });
+                    out.push(if reverse {
+                        DirEdge { from: to, to: from }
                     } else {
-                        out.push(DirEdge { from, to });
-                    }
+                        DirEdge { from, to }
+                    });
                 }
-            }
-        }
+            },
+        );
     }
 }
 

@@ -45,8 +45,8 @@ impl LinePortion {
 /// is impossible — they merge — but a zero-length touch does not create a
 /// portion at all; use the portion endpoints to detect such touch points).
 pub fn split_line_by_polygon(line: &LineString, poly: &Polygon) -> Vec<LinePortion> {
-    split_line_core(
-        line,
+    split_line_merged(
+        line.coords(),
         &poly.envelope(),
         |_seg_env, f| {
             for (c, d) in poly.rings().flat_map(|r| r.segments()) {
@@ -57,28 +57,59 @@ pub fn split_line_by_polygon(line: &LineString, poly: &Polygon) -> Vec<LinePorti
     )
 }
 
-/// The shared splitting engine behind both the naive path (above) and the
-/// prepared-geometry path ([`crate::prepared`]).
+/// [`split_line_core`]'s pieces merged into maximal portions: a piece
+/// joins the previous portion when the class matches and the
+/// coordinates chain.
+pub(crate) fn split_line_merged(
+    run: &[Coord],
+    poly_env: &Envelope,
+    boundary_edges: impl FnMut(&Envelope, &mut dyn FnMut(Coord, Coord)),
+    locate: impl FnMut(Coord) -> Location,
+) -> Vec<LinePortion> {
+    let mut portions: Vec<LinePortion> = Vec::new();
+    split_line_core(run, poly_env, boundary_edges, locate, |class, p0, p1, _mid| {
+        match portions.last_mut() {
+            Some(last) if last.class == class && last.coords.last() == Some(&p0) => {
+                last.coords.push(p1)
+            }
+            _ => portions.push(LinePortion { class, coords: vec![p0, p1] }),
+        }
+    });
+    portions
+}
+
+/// The shared splitting engine behind both the naive path (above), the
+/// prepared-geometry path ([`crate::prepared`]) and the polygon overlay
+/// ([`super::clip`], which runs it over every ring of one operand).
+///
+/// Walks the segments of `run` and hands each classified piece to
+/// `piece` as `(class, from, to, mid)`, in order along the run: `mid` is
+/// the point the class was located at (the parametric midpoint; a piece
+/// on a collinear overlap is classified from the overlap instead).
+/// Pieces whose endpoints round to the same coordinate are skipped.
 ///
 /// `boundary_edges` must yield, for a query segment envelope, a superset
 /// of the polygon-boundary edges whose envelope intersects it (extra
 /// edges are harmless: envelope-disjoint pairs classify as
 /// [`SegmentIntersection::None`] under the exact predicates and
-/// contribute no cut). `locate` must implement the exact semantics of
-/// [`locate_in_polygon`]. Under those contracts the output is
-/// bit-identical regardless of the edge source — which is the guarantee
-/// the prepared fast path is built on.
+/// contribute no cut), and `poly_env` must hold every edge that can cut.
+/// `locate` must implement the exact semantics of [`locate_in_polygon`].
+/// Under those contracts the output is bit-identical regardless of the
+/// edge source or the order edges come in (cuts are sorted, then
+/// deduplicated) — which is the guarantee the prepared fast path is
+/// built on.
 pub(crate) fn split_line_core(
-    line: &LineString,
+    run: &[Coord],
     poly_env: &Envelope,
     mut boundary_edges: impl FnMut(&Envelope, &mut dyn FnMut(Coord, Coord)),
     mut locate: impl FnMut(Coord) -> Location,
-) -> Vec<LinePortion> {
-    let mut portions: Vec<LinePortion> = Vec::new();
+    mut piece: impl FnMut(PortionClass, Coord, Coord, Coord),
+) {
     let mut cut_params: Vec<f64> = Vec::new();
     let mut overlaps: Vec<(f64, f64)> = Vec::new();
 
-    for (a, b) in line.segments() {
+    for w in run.windows(2) {
+        let (a, b) = (w[0], w[1]);
         // Gather parametric cut positions on this segment, remembering the
         // collinear-overlap intervals separately: a piece inside such an
         // interval runs along the polygon boundary, and must be classified
@@ -108,42 +139,26 @@ pub(crate) fn split_line_core(
         // Classify each sub-piece.
         for w in cut_params.windows(2) {
             let (t0, t1) = (w[0], w[1]);
-            if t1 - t0 < PARAM_EPS {
-                continue;
-            }
             let p0 = a.lerp(b, t0);
             let p1 = a.lerp(b, t1);
             if p0 == p1 {
                 continue;
             }
+            let mid = a.lerp(b, (t0 + t1) * 0.5);
             let on_boundary =
                 overlaps.iter().any(|&(lo, hi)| lo <= t0 + OVERLAP_TOL && t1 <= hi + OVERLAP_TOL);
             let class = if on_boundary {
                 PortionClass::OnBoundary
             } else {
-                let mid = a.lerp(b, (t0 + t1) * 0.5);
                 match locate(mid) {
                     Location::Interior => PortionClass::Inside,
                     Location::Boundary => PortionClass::OnBoundary,
                     Location::Exterior => PortionClass::Outside,
                 }
             };
-            push_piece(&mut portions, class, p0, p1);
+            piece(class, p0, p1, mid);
         }
     }
-    portions
-}
-
-/// Appends a piece, merging with the previous portion when the class
-/// matches and the coordinates chain.
-fn push_piece(portions: &mut Vec<LinePortion>, class: PortionClass, p0: Coord, p1: Coord) {
-    if let Some(last) = portions.last_mut() {
-        if last.class == class && last.coords.last() == Some(&p0) {
-            last.coords.push(p1);
-            return;
-        }
-    }
-    portions.push(LinePortion { class, coords: vec![p0, p1] });
 }
 
 #[cfg(test)]

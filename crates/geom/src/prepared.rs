@@ -24,7 +24,7 @@
 //! result is bit-identical to the unindexed path. `tests/prepared_equivalence.rs`
 //! checks this end to end over the snapped corpus of `tests/common/shapes.rs`.
 
-use crate::algorithms::line_split::{split_line_core, LinePortion};
+use crate::algorithms::line_split::{split_line_merged, LinePortion};
 use crate::algorithms::locate::Location;
 use crate::algorithms::orientation::{orient2d, Orientation};
 use crate::algorithms::segment::point_on_segment;
@@ -419,8 +419,8 @@ impl PreparedPolygon {
     /// both run the same splitting core; this one feeds it indexed
     /// candidate edges and the indexed locator.
     pub fn split_line(&self, line: &LineString) -> Vec<LinePortion> {
-        split_line_core(
-            line,
+        split_line_merged(
+            line.coords(),
             &self.env,
             |seg_env, f| self.for_boundary_candidates(seg_env, f),
             |p| self.locate(p),

@@ -285,8 +285,8 @@ pub(super) fn vectorized_filter(
             sel.clear();
             for (i, &h) in hit.iter().enumerate() {
                 if a.valid_at(&col_a, i) & b.valid_at(&col_b, i) & !h {
-                    // Decided by the envelope gate alone; Disjoint is
-                    // the one predicate an env-disjoint pair satisfies.
+                    // Decided by the envelope gate alone, by
+                    // `topo::holds`'s envelope rule.
                     keep[i] = kind == PredicateKind::Disjoint;
                     rejects += 1;
                 } else {

@@ -15,6 +15,7 @@ use jackpine_geom::algorithms as alg;
 use jackpine_geom::{wkt, Envelope, Geometry, GeometryCollection, LineString, Point, Polygon};
 use jackpine_storage::Value;
 use jackpine_topo as topo;
+use jackpine_topo::PredicateKind;
 
 /// Spatial evaluation mode of an engine profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,19 +51,9 @@ const MBR_ONLY_MISSING: [&str; 16] = [
     "ST_ROTATE",
 ];
 
-/// The topological predicates (shared by planners and the feature matrix).
-pub const TOPO_PREDICATES: [&str; 10] = [
-    "ST_EQUALS",
-    "ST_DISJOINT",
-    "ST_INTERSECTS",
-    "ST_TOUCHES",
-    "ST_CROSSES",
-    "ST_WITHIN",
-    "ST_CONTAINS",
-    "ST_OVERLAPS",
-    "ST_COVERS",
-    "ST_COVEREDBY",
-];
+/// The topological predicates' SQL names (shared by planners and the
+/// feature matrix), as [`topo::predicates::SQL_NAMES`] spells them.
+pub use topo::predicates::SQL_NAMES as TOPO_PREDICATES;
 
 impl FunctionMode {
     /// Whether a function name is available in this mode.
@@ -80,7 +71,7 @@ impl FunctionMode {
 /// whose candidates an intersection-style index cannot narrow).
 pub fn is_indexable_predicate(name: &str) -> bool {
     let upper = name.to_ascii_uppercase();
-    (TOPO_PREDICATES.contains(&upper.as_str()) && upper != "ST_DISJOINT")
+    PredicateKind::from_sql_name(&upper).is_some_and(|kind| kind != PredicateKind::Disjoint)
         || upper == "ST_DWITHIN"
         || upper.starts_with("MBR") && upper != "MBRDISJOINT"
 }
@@ -293,17 +284,6 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
             Ok(bool_value(d <= num_arg(&upper, args, 2)?))
         }
 
-        // ----- topological predicates ---------------------------------------
-        "ST_EQUALS" | "ST_DISJOINT" | "ST_INTERSECTS" | "ST_TOUCHES" | "ST_CROSSES"
-        | "ST_WITHIN" | "ST_CONTAINS" | "ST_OVERLAPS" | "ST_COVERS" | "ST_COVEREDBY" => {
-            let a = geom_arg(&upper, args, 0)?;
-            let b = geom_arg(&upper, args, 1)?;
-            let v = match mode {
-                FunctionMode::Exact => exact_predicate(&upper, a, b)?,
-                FunctionMode::MbrOnly => mbr_predicate(&upper, &a.envelope(), &b.envelope()),
-            };
-            Ok(bool_value(v))
-        }
         "ST_RELATE" => {
             let a = geom_arg(&upper, args, 0)?;
             let b = geom_arg(&upper, args, 1)?;
@@ -324,8 +304,9 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
         | "MBROVERLAPS" | "MBRTOUCHES" => {
             let a = geom_arg(&upper, args, 0)?.envelope();
             let b = geom_arg(&upper, args, 1)?.envelope();
-            let name = upper.replace("MBR", "ST_");
-            Ok(bool_value(mbr_predicate(&name, &a, &b)))
+            let kind = PredicateKind::from_sql_name(&upper.replace("MBR", "ST_"))
+                .expect("each MBR function names a predicate");
+            Ok(bool_value(mbr_predicate(kind, &a, &b)))
         }
 
         // ----- scalar helpers ------------------------------------------------
@@ -334,55 +315,45 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
         "LOWER" => Ok(Value::Text(text_arg(&upper, args, 0)?.to_lowercase())),
         "CHAR_LENGTH" => Ok(Value::Int(text_arg(&upper, args, 0)?.chars().count() as i64)),
 
-        _ => Err(SqlError::Unresolved(format!("function {name}"))),
+        // ----- topological predicates ---------------------------------------
+        other => {
+            let kind = PredicateKind::from_sql_name(other)
+                .ok_or_else(|| SqlError::Unresolved(format!("function {name}")))?;
+            let a = geom_arg(&upper, args, 0)?;
+            let b = geom_arg(&upper, args, 1)?;
+            Ok(bool_value(match mode {
+                FunctionMode::Exact => topo::holds(kind, a, b)?,
+                FunctionMode::MbrOnly => mbr_predicate(kind, &a.envelope(), &b.envelope()),
+            }))
+        }
     }
-}
-
-/// Exact evaluation of a named predicate.
-fn exact_predicate(upper: &str, a: &Geometry, b: &Geometry) -> Result<bool> {
-    // Envelope pre-filter: every predicate except Disjoint implies
-    // envelope intersection, so a cheap reject avoids the full relate.
-    let envs_intersect = a.envelope().intersects(&b.envelope());
-    Ok(match upper {
-        "ST_EQUALS" => envs_intersect && topo::equals(a, b)?,
-        "ST_DISJOINT" => !envs_intersect || topo::disjoint(a, b)?,
-        "ST_INTERSECTS" => envs_intersect && topo::intersects(a, b)?,
-        "ST_TOUCHES" => envs_intersect && topo::touches(a, b)?,
-        "ST_CROSSES" => envs_intersect && topo::crosses(a, b)?,
-        "ST_WITHIN" => envs_intersect && topo::within(a, b)?,
-        "ST_CONTAINS" => envs_intersect && topo::contains(a, b)?,
-        "ST_OVERLAPS" => envs_intersect && topo::overlaps(a, b)?,
-        "ST_COVERS" => envs_intersect && topo::covers(a, b)?,
-        "ST_COVEREDBY" => envs_intersect && topo::covered_by(a, b)?,
-        other => return Err(SqlError::Unresolved(format!("predicate {other}"))),
-    })
 }
 
 /// MBR-approximate evaluation of a named predicate (the MySQL-era
 /// semantics: correct for rectangles, a superset/approximation for real
 /// shapes).
-fn mbr_predicate(upper: &str, a: &Envelope, b: &Envelope) -> bool {
-    match upper {
-        "ST_EQUALS" => a == b,
-        "ST_DISJOINT" => !a.intersects(b),
-        "ST_INTERSECTS" => a.intersects(b),
-        "ST_WITHIN" => b.contains_envelope(a),
-        "ST_CONTAINS" => a.contains_envelope(b),
-        "ST_TOUCHES" => {
+fn mbr_predicate(kind: PredicateKind, a: &Envelope, b: &Envelope) -> bool {
+    match kind {
+        PredicateKind::Equals => a == b,
+        PredicateKind::Disjoint => !a.intersects(b),
+        PredicateKind::Intersects => a.intersects(b),
+        PredicateKind::Within => b.contains_envelope(a),
+        PredicateKind::Contains => a.contains_envelope(b),
+        PredicateKind::Touches => {
             // Rectangles touch when they meet only along their boundary.
             match a.intersection(b) {
                 Some(i) => i.area() == 0.0,
                 None => false,
             }
         }
-        "ST_OVERLAPS" | "ST_CROSSES" => {
+        PredicateKind::Overlaps | PredicateKind::Crosses => {
             // Interiors intersect, neither contains the other.
             match a.intersection(b) {
                 Some(i) => i.area() > 0.0 && !a.contains_envelope(b) && !b.contains_envelope(a),
                 None => false,
             }
         }
-        _ => false,
+        PredicateKind::Covers | PredicateKind::CoveredBy => false,
     }
 }
 

@@ -397,15 +397,40 @@ impl HeapFile {
         Ok(out)
     }
 
-    /// Raw page scan: calls `visit` with each page holding ids of `ids`,
-    /// which must be in storage order (as [`HeapFile::row_ids`] returns
-    /// them), and the run of ids on it. Each page is locked once per run
-    /// and `visit` runs under the lock. Stops at the first error:
-    /// `visit`'s, an unreadable page's, or a page past the last.
+    /// Raw page scan: calls `visit` with every page below
+    /// [`HeapFile::page_count`], in order, its number and the run of
+    /// `ids` on it (empty when it holds none); `ids` must be in storage
+    /// order (as [`HeapFile::row_ids`] returns them). Each page is locked
+    /// once and `visit` runs under the lock. Stops at the first error:
+    /// `visit`'s, an unreadable page's, or an id past the last page.
     pub fn scan_pages<E: From<StorageError>>(
         &self,
         ids: &[RowId],
-        mut visit: impl FnMut(&Page, &[RowId]) -> std::result::Result<(), E>,
+        mut visit: impl FnMut(u32, &Page, &[RowId]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let mut rest = ids;
+        for no in 0..self.npages.load(Ordering::Relaxed) {
+            let (run, after) = rest.split_at(rest.partition_point(|id| id.page == no));
+            visit(no, &*self.read(no)?, run)?;
+            rest = after;
+        }
+        match rest.first() {
+            Some(&id) => Err(StorageError::RowNotFound { page: id.page, slot: id.slot }.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Raw tuple scan: calls `visit` with the stored bytes — exactly
+    /// [`Value::encode_row`] of the row — of each id of `ids`, in storage
+    /// order; nothing is decoded and no decoded row is kept. Each page
+    /// holding ids is locked once per run, and no other page is read.
+    /// Stops at the first error: `visit`'s, an unreadable page's, or an
+    /// id reclaimed since it was collected or past the last page (a
+    /// [`StorageError::RowNotFound`]).
+    pub fn scan_tuples<E: From<StorageError>>(
+        &self,
+        ids: &[RowId],
+        mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         let npages = self.npages.load(Ordering::Relaxed);
         for run in ids.chunk_by(|a, b| a.page == b.page) {
@@ -414,23 +439,11 @@ impl HeapFile {
                     StorageError::RowNotFound { page: run[0].page, slot: run[0].slot }.into()
                 );
             }
-            visit(&*self.read(run[0].page)?, run)?;
+            let page = self.read(run[0].page)?;
+            run.iter()
+                .try_for_each(|&id| visit(id, page.get(id.slot).map_err(|e| located(e, id))?))?;
         }
         Ok(())
-    }
-
-    /// Raw tuple scan: [`HeapFile::scan_pages`] with `visit` called on
-    /// the stored bytes — exactly [`Value::encode_row`] of the row — of
-    /// each id; nothing is decoded and no decoded row is kept. An id
-    /// reclaimed since it was collected is a [`StorageError::RowNotFound`].
-    pub fn scan_tuples<E: From<StorageError>>(
-        &self,
-        ids: &[RowId],
-        mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        self.scan_pages(ids, |page, run| {
-            run.iter().try_for_each(|&id| visit(id, page.get(id.slot).map_err(|e| located(e, id))?))
-        })
     }
 
     /// MBR quad of `row[col]` (see [`Value::mbr`]), computed from the

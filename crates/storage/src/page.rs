@@ -18,9 +18,9 @@
 //! two, where the in-memory directory spends eight. Offsets are not
 //! stored: [`Page::from_bytes`] rebuilds them as prefix sums, so a tuple
 //! [`Page::place`]d out of slot order comes back in order. Nor are the
-//! bytes of tuples no slot holds any more (deleted, or refilled): the
-//! image counts them as `dropped bytes`, and `used()` goes on counting
-//! them.
+//! bytes of tuples no slot holds any more (deleted, or refilled), or
+//! that a snapshot does not save ([`Page::put_head`]): the image counts
+//! them as `dropped bytes`, and `used()` goes on counting them.
 
 use crate::{Result, StorageError};
 
@@ -194,54 +194,44 @@ impl Page {
         Ok(())
     }
 
-    /// The page's image (see the module docs), after `headroom` zero
-    /// bytes for the caller to fill: a page store puts its own prefix
-    /// there and writes prefix and image with one call.
-    pub fn to_bytes_after(&self, headroom: usize) -> Vec<u8> {
-        let live: usize = self.slots.iter().map(|&(_, len)| len as usize).sum();
+    /// The page's image (see the module docs).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let live: usize = self.iter().map(|(_, tuple)| tuple.len()).sum();
         // Two numbers of at most ten bytes, and a length under 2 MiB
         // takes at most three.
-        let mut out = Vec::with_capacity(headroom + 20 + 3 * self.slots.len() + live);
-        out.resize(headroom, 0);
-        put_varint(&mut out, self.slots.len() as u64);
-        put_varint(&mut out, (self.dropped + self.tuples().len() - live) as u64);
-        for &(_, len) in &self.slots {
-            put_varint(&mut out, u64::from(len));
-        }
+        let mut out = Vec::with_capacity(20 + 3 * self.slots.len() + live);
+        self.put_head((0..self.slots.len()).map(|slot| slot as u16), &mut out);
         for (_, tuple) in self.iter() {
             out.extend_from_slice(tuple);
         }
         out
     }
 
-    /// Appends the head of the image this page would have if it held
-    /// only the tuples in `slots` (ascending): every other slot is a
-    /// tombstone, none follows the last of `slots`, and no byte is
-    /// dropped — what a snapshot stores of a page. Returns the length of
-    /// the tuples that complete the image: [`Page::get`] of each of
-    /// `slots`, in order.
-    ///
-    /// # Errors
-    /// [`StorageError::RowNotFound`] for a slot that holds no tuple, and
-    /// [`StorageError::Corrupt`] when `slots` is not ascending.
-    pub fn put_head_of(
-        &self,
-        slots: impl Iterator<Item = u16> + Clone,
-        out: &mut Vec<u8>,
-    ) -> Result<usize> {
-        put_varint(out, slots.clone().last().map_or(0, |last| u64::from(last) + 1));
-        put_varint(out, 0);
-        let (mut next, mut tuples) = (0, 0);
-        for slot in slots {
-            let at = usize::from(slot);
-            let gap = at.checked_sub(next).ok_or_else(|| corrupt("slots out of order"))?;
-            out.resize(out.len() + gap, 0); // tombstones
-            let len = self.get(slot)?.len();
-            put_varint(out, len as u64);
-            tuples += len;
-            next = at + 1;
+    /// Appends the head of the image of this page holding only the live
+    /// tuples of the slots in `keep` (ascending; a slot that holds no
+    /// tuple or does not ascend is passed over): every slot is there, the
+    /// others as tombstones whose bytes join the dropped bytes, so the
+    /// page read back has the slots and takes the room this one does. A
+    /// spill keeps every slot and a snapshot the rows it saves. Returns
+    /// the length of the tuples that complete the image: [`Page::get`] of
+    /// each kept slot, in slot order.
+    pub fn put_head(&self, keep: impl Iterator<Item = u16>, out: &mut Vec<u8>) -> usize {
+        put_varint(out, self.slots.len() as u64);
+        let (lengths, mut next, mut tuples) = (out.len(), 0, 0);
+        for at in keep.map(usize::from) {
+            if let Some(&(_, len)) = self.slots.get(at).filter(|s| at >= next && s.1 > 0) {
+                out.resize(out.len() + at - next, 0); // tombstones
+                put_varint(out, u64::from(len));
+                (next, tuples) = (at + 1, tuples + len as usize);
+            }
         }
-        Ok(tuples)
+        out.resize(out.len() + self.slots.len() - next, 0);
+        // The dropped bytes, known only now, go in front of the lengths.
+        let end = out.len();
+        put_varint(out, (self.dropped + self.tuples().len() - tuples) as u64);
+        let dropped = out.len() - end;
+        out[lengths..].rotate_right(dropped);
+        tuples
     }
 
     /// Reads one image from a stream that needs no length for it:
@@ -279,11 +269,10 @@ impl Page {
         Ok(Page::from_bytes(image)?)
     }
 
-    /// Reads a page back from its image (see [`Page::to_bytes_after`];
-    /// `bytes` start past the headroom and hold exactly the image),
-    /// keeping the image as the page's buffer rather than copying the
-    /// tuples out. Every count and length is checked against the bytes
-    /// present before anything is reserved.
+    /// Reads a page back from its image (see [`Page::to_bytes`]; `bytes`
+    /// hold exactly the image), keeping the image as the page's buffer
+    /// rather than copying the tuples out. Every count and length is
+    /// checked against the bytes present before anything is reserved.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the bytes are truncated, the slot
@@ -358,7 +347,7 @@ mod tests {
         let s1 = p.insert(b"beta");
         p.insert(b"gamma");
         p.delete(s1);
-        let img = p.to_bytes_after(0);
+        let img = p.to_bytes();
         // 3 slots, 4 dropped bytes, lengths 5 0 5, then the live tuples.
         assert_eq!(img, [&[3, 4, 5, 0, 5][..], b"alpha", b"gamma"].concat());
         let q = Page::from_bytes(img.clone()).unwrap();
@@ -367,7 +356,7 @@ mod tests {
         assert!(q.get(1).is_err(), "tombstone survives the roundtrip");
         assert_eq!(q.get(2).unwrap(), b"gamma");
         assert_eq!(q.used(), p.used(), "the dropped bytes are still counted");
-        assert_eq!(q.to_bytes_after(0), img, "re-serialization is byte-identical");
+        assert_eq!(q.to_bytes(), img, "re-serialization is byte-identical");
     }
 
     #[test]
@@ -481,11 +470,11 @@ mod tests {
         for round in 0..400 {
             let p = if round == 0 { Page::new() } else { random_page(&mut next, 48, 200) };
             over_64k += usize::from(p.iter().any(|(_, t)| t.len() > 65_536));
-            let image = p.to_bytes_after(4);
-            let q = Page::from_bytes(image[4..].to_vec()).unwrap();
+            let image = p.to_bytes();
+            let q = Page::from_bytes(image.clone()).unwrap();
             assert_same(&p, &q, &format!("round {round}"));
-            assert_eq!(q.to_bytes_after(4), image, "round {round}: re-serialized");
-            let (streamed, left) = read_stream(&image[4..]);
+            assert_eq!(q.to_bytes(), image, "round {round}: re-serialized");
+            let (streamed, left) = read_stream(&image);
             assert_same(&p, &streamed.unwrap(), &format!("round {round}: streamed"));
             assert_eq!(left, 0);
             // A page read back takes the inserts the page it was took.
@@ -506,7 +495,7 @@ mod tests {
         let mut next = draws();
         for round in 0..48 {
             let (ops, max) = if round % 8 == 0 { (48, 200) } else { (24, 40) };
-            let image = random_page(&mut next, ops, max).to_bytes_after(0);
+            let image = random_page(&mut next, ops, max).to_bytes();
             let step = image.len() / 1000 + 1;
             for cut in (0..image.len()).step_by(step) {
                 assert!(Page::from_bytes(image[..cut].to_vec()).is_err(), "round {round}: {cut}");
@@ -526,34 +515,31 @@ mod tests {
     }
 
     #[test]
-    fn the_image_of_some_slots_is_the_page_placed_from_them() {
-        // What a snapshot stores of a page: the listed tuples, every
-        // other slot a tombstone, none after the last listed one —
-        // exactly the page a slot-by-slot placement of them builds.
+    fn the_image_of_some_slots_keeps_every_slot_and_the_room() {
+        // What a snapshot stores of a page: the kept tuples, every other
+        // slot a tombstone whose bytes are dropped — a page with the
+        // slots of the one it was, taking the room it took, so that the
+        // next insert lands where it lands there.
         let mut next = draws();
         for round in 0..200 {
-            let p = random_page(&mut next, 48, 200);
-            let listed: Vec<u16> =
-                p.iter().map(|(slot, _)| slot).filter(|_| next(4) != 0).collect();
+            let mut p = random_page(&mut next, 48, 200);
+            let kept: Vec<u16> = p.iter().map(|(slot, _)| slot).filter(|_| next(4) != 0).collect();
             let mut image = Vec::new();
-            let tuples = p.put_head_of(listed.iter().copied(), &mut image).unwrap();
-            for &slot in &listed {
+            let tuples = p.put_head(kept.iter().copied(), &mut image);
+            for &slot in &kept {
                 image.extend_from_slice(p.get(slot).unwrap());
             }
-            let mut placed = Page::new();
-            for &slot in &listed {
-                placed.place(slot, p.get(slot).unwrap()).unwrap();
-            }
-            let q = Page::from_bytes(image.clone()).unwrap();
-            assert_same(&placed, &q, &format!("round {round}"));
+            let mut q = Page::from_bytes(image).unwrap();
+            assert_eq!((q.slot_count(), q.used()), (p.slot_count(), p.used()), "round {round}");
             assert_eq!(tuples, q.tuples().len(), "round {round}");
+            for slot in 0..=p.slot_count() as u16 {
+                let want = p.get(slot).ok().filter(|_| kept.contains(&slot));
+                assert_eq!(q.get(slot).ok(), want, "round {round}: slot {slot}");
+            }
+            for len in [10, 500, 3000] {
+                assert_eq!(p.fits(len), q.fits(len), "round {round}");
+                assert_eq!(p.insert(&vec![7; len]), q.insert(&vec![7; len]));
+            }
         }
-        let mut p = Page::new();
-        p.insert(b"a");
-        let gone = p.insert(b"b");
-        p.delete(gone);
-        assert!(p.put_head_of([gone].into_iter(), &mut Vec::new()).is_err(), "a tombstone");
-        p.insert(b"c");
-        assert!(p.put_head_of([2, 0].into_iter(), &mut Vec::new()).is_err(), "out of order");
     }
 }

@@ -563,7 +563,7 @@ impl BufferPool {
             file.store.set(Box::new(FileStore::create(path)?)).ok();
         }
         let store = file.store.get().expect("made above");
-        store.write_page(page, &mut frame.page.to_bytes_after(4))?;
+        store.write_page(page, &frame.page.to_bytes())?;
         frame.dirty = false;
         self.dirty_writebacks.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -999,9 +999,9 @@ mod tests {
             Ok(self.pages.lock().get(&page).cloned())
         }
 
-        fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
+        fn write_page(&self, page: u32, image: &[u8]) -> io::Result<()> {
             injected(&self.fail_writes)?;
-            self.pages.lock().insert(page, framed[4..].to_vec());
+            self.pages.lock().insert(page, image.to_vec());
             Ok(())
         }
 
@@ -1011,7 +1011,7 @@ mod tests {
     fn image(text: &[u8]) -> Vec<u8> {
         let mut page = Page::new();
         page.insert(text);
-        page.to_bytes_after(4)
+        page.to_bytes()
     }
 
     #[test]
@@ -1019,8 +1019,8 @@ mod tests {
         const A: u32 = 7;
         const B: u32 = 8;
         let store = GatedStore::new(A);
-        store.write_page(A, &mut image(b"a")).unwrap();
-        store.write_page(B, &mut image(b"b")).unwrap();
+        store.write_page(A, &image(b"a")).unwrap();
+        store.write_page(B, &image(b"b")).unwrap();
         let pool = BufferPool::new();
         let file = pool.open("gated", Some(Box::new(store.clone())));
         assert_eq!(first_tuple(&pool, file.id, B), b"b");

@@ -23,10 +23,8 @@ pub trait PageStore: Send + Sync + fmt::Debug {
     /// Reads the serialized image of `page`; `None` if none was ever
     /// written. An image that was written and cannot be read is an error.
     fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>>;
-    /// Writes (or overwrites) the serialized image of `page`: `framed`
-    /// past its first 4 bytes, which a store may fill with a prefix of
-    /// its own so that prefix and image go out in one write.
-    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()>;
+    /// Writes (or overwrites) the serialized image of `page`.
+    fn write_page(&self, page: u32, image: &[u8]) -> io::Result<()>;
     /// Re-opens any OS handles — the cold-run switch, so a cold rep
     /// pays the open() as a real disk-backed restart would.
     fn reopen(&self);
@@ -48,7 +46,8 @@ impl Default for PoolTag {
 /// A real page file on disk. Pages are written append-only with
 /// in-place overwrite when the new image fits the old extent; the
 /// directory of extents lives in memory (the file is scratch and dies
-/// with the pool — durability belongs to the WAL/snapshot).
+/// with the pool — durability belongs to the WAL/snapshot), so an
+/// extent holds the bare image, written with one `pwrite`.
 #[derive(Debug)]
 pub(crate) struct FileStore {
     path: PathBuf,
@@ -56,8 +55,7 @@ pub(crate) struct FileStore {
     /// I/O shares the handle; only the lazy re-open after
     /// [`PageStore::reopen`] takes this lock exclusively.
     file: RwLock<Option<std::fs::File>>,
-    /// Page -> (offset, capacity, image length) of its extent, which
-    /// holds the length as a `u32` and then the image.
+    /// Page -> (offset, capacity, image length) of its extent.
     dir: Mutex<HashMap<u32, (u64, u32, u32)>>,
     end: AtomicU64,
 }
@@ -96,25 +94,22 @@ impl PageStore for FileStore {
     fn read_page(&self, page: u32) -> io::Result<Option<Vec<u8>>> {
         let Some((off, _cap, len)) = self.dir.lock().get(&page).copied() else { return Ok(None) };
         self.with_file(|file| {
-            // The directory knows the length: one read, past the prefix.
             let mut buf = vec![0u8; len as usize];
-            file.read_exact_at(&mut buf, off + 4)?;
+            file.read_exact_at(&mut buf, off)?;
             Ok(Some(buf))
         })
     }
 
-    fn write_page(&self, page: u32, framed: &mut [u8]) -> io::Result<()> {
-        let len = (framed.len() - 4) as u32;
+    fn write_page(&self, page: u32, image: &[u8]) -> io::Result<()> {
+        let len = image.len() as u32;
         let mut dir = self.dir.lock();
         let (off, cap) = match dir.get(&page) {
-            Some(&(off, cap, _)) if cap >= len + 4 => (off, cap),
-            _ => (self.end.fetch_add(len as u64 + 4, Ordering::Relaxed), len + 4),
+            Some(&(off, cap, _)) if cap >= len => (off, cap),
+            _ => (self.end.fetch_add(u64::from(len), Ordering::Relaxed), len),
         };
         dir.insert(page, (off, cap, len));
         drop(dir);
-        // The length goes into the headroom: one `pwrite` a page.
-        framed[..4].copy_from_slice(&len.to_le_bytes());
-        self.with_file(|file| file.write_all_at(framed, off))
+        self.with_file(|file| file.write_all_at(image, off))
     }
 
     fn reopen(&self) {
@@ -137,31 +132,26 @@ mod tests {
     fn image(text: &[u8]) -> Vec<u8> {
         let mut page = Page::new();
         page.insert(text);
-        page.to_bytes_after(4)
+        page.to_bytes()
     }
 
     #[test]
-    fn a_file_store_extent_is_the_length_then_the_image() {
+    fn a_file_store_extent_is_the_bare_image() {
         let dir = std::env::temp_dir().join(format!("jackpine-extents-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pages.jkpg");
         let store = FileStore::create(path.clone()).unwrap();
-        // What the file held when the length and the image were two writes.
-        let extent = |framed: &[u8]| {
-            let len = (framed.len() - 4) as u32;
-            [&len.to_le_bytes()[..], &framed[4..]].concat()
-        };
         let (a, b, c) = (image(b"first image"), image(b"second"), image(b"3"));
-        store.write_page(3, &mut a.clone()).unwrap();
-        store.write_page(5, &mut b.clone()).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), [extent(&a), extent(&b)].concat());
+        store.write_page(3, &a).unwrap();
+        store.write_page(5, &b).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), [&a[..], &b[..]].concat());
         // A smaller image overwrites its extent in place.
-        store.write_page(3, &mut c.clone()).unwrap();
+        store.write_page(3, &c).unwrap();
         let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw.len(), extent(&a).len() + extent(&b).len());
-        assert_eq!(raw[..extent(&c).len()], extent(&c)[..]);
-        assert_eq!(store.read_page(3).unwrap().as_deref(), Some(&c[4..]));
-        assert_eq!(store.read_page(5).unwrap().as_deref(), Some(&b[4..]));
+        assert_eq!(raw.len(), a.len() + b.len());
+        assert_eq!(raw[..c.len()], c[..]);
+        assert_eq!(store.read_page(3).unwrap(), Some(c));
+        assert_eq!(store.read_page(5).unwrap(), Some(b));
         drop(store);
         assert!(!path.exists(), "scratch file removed with its store");
         std::fs::remove_dir_all(&dir).ok();

@@ -31,8 +31,8 @@ mod relate;
 pub use error::TopoError;
 pub use matrix::IntersectionMatrix;
 pub use predicates::{
-    contains, covered_by, covers, crosses, disjoint, equals, intersects, overlaps, touches, within,
-    PredicateKind,
+    contains, covered_by, covers, crosses, disjoint, equals, holds, intersects, overlaps, touches,
+    within, PredicateKind,
 };
 pub use prepared::{evaluate, relate_prepared, PredicateOutcome, PreparedGeometry};
 pub use relate::{interior_point, relate};

@@ -34,23 +34,63 @@ pub enum PredicateKind {
 }
 
 impl PredicateKind {
+    /// Every predicate, in the order of [`SQL_NAMES`].
+    pub const ALL: [PredicateKind; 10] = [
+        PredicateKind::Equals,
+        PredicateKind::Disjoint,
+        PredicateKind::Intersects,
+        PredicateKind::Touches,
+        PredicateKind::Crosses,
+        PredicateKind::Within,
+        PredicateKind::Contains,
+        PredicateKind::Overlaps,
+        PredicateKind::Covers,
+        PredicateKind::CoveredBy,
+    ];
+
     /// Map an upper-cased SQL function name (`ST_INTERSECTS`, …) to its
     /// predicate kind. Returns `None` for non-topological functions.
     pub fn from_sql_name(upper: &str) -> Option<PredicateKind> {
-        Some(match upper {
-            "ST_EQUALS" => PredicateKind::Equals,
-            "ST_DISJOINT" => PredicateKind::Disjoint,
-            "ST_INTERSECTS" => PredicateKind::Intersects,
-            "ST_TOUCHES" => PredicateKind::Touches,
-            "ST_CROSSES" => PredicateKind::Crosses,
-            "ST_WITHIN" => PredicateKind::Within,
-            "ST_CONTAINS" => PredicateKind::Contains,
-            "ST_OVERLAPS" => PredicateKind::Overlaps,
-            "ST_COVERS" => PredicateKind::Covers,
-            "ST_COVEREDBY" => PredicateKind::CoveredBy,
-            _ => return None,
-        })
+        SQL_NAMES.iter().position(|&name| name == upper).map(|i| PredicateKind::ALL[i])
     }
+}
+
+/// The upper-cased SQL name of each predicate of [`PredicateKind::ALL`],
+/// in its order: the one place the names are spelled.
+pub const SQL_NAMES: [&str; 10] = [
+    "ST_EQUALS",
+    "ST_DISJOINT",
+    "ST_INTERSECTS",
+    "ST_TOUCHES",
+    "ST_CROSSES",
+    "ST_WITHIN",
+    "ST_CONTAINS",
+    "ST_OVERLAPS",
+    "ST_COVERS",
+    "ST_COVEREDBY",
+];
+
+/// Evaluates `kind` naively, behind the envelope rule the SQL layer and
+/// [`crate::evaluate`] share: disjoint envelopes decide every predicate
+/// (only Disjoint is true) without touching the operands, unsupported
+/// ones included; otherwise the named predicate below decides.
+pub fn holds(kind: PredicateKind, a: &Geometry, b: &Geometry) -> Result<bool> {
+    if !a.envelope().intersects(&b.envelope()) {
+        return Ok(kind == PredicateKind::Disjoint);
+    }
+    let predicate = match kind {
+        PredicateKind::Equals => equals,
+        PredicateKind::Disjoint => disjoint,
+        PredicateKind::Intersects => intersects,
+        PredicateKind::Touches => touches,
+        PredicateKind::Crosses => crosses,
+        PredicateKind::Within => within,
+        PredicateKind::Contains => contains,
+        PredicateKind::Overlaps => overlaps,
+        PredicateKind::Covers => covers,
+        PredicateKind::CoveredBy => covered_by,
+    };
+    predicate(a, b)
 }
 
 /// Evaluate a named predicate against an already-computed DE-9IM matrix

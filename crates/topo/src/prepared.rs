@@ -223,12 +223,10 @@ pub struct PredicateOutcome {
 
 /// Evaluates a named predicate over prepared operands.
 ///
-/// Produces the same value (and the same errors) as running the naive
-/// predicate behind the SQL layer's envelope prefilter, i.e. as
-/// `a.env ∩ b.env ≠ ∅ && predicate(a, b)` (with disjoint negated): the
-/// unconditional envelope gate below mirrors that prefilter exactly,
-/// and every further short-circuit is a sound decision of the
-/// predicate itself.
+/// Produces the same value (and the same errors) as the naive
+/// [`holds`](crate::holds): the unconditional envelope gate below is
+/// its envelope rule, and every further short-circuit is a sound
+/// decision of the predicate itself.
 pub fn evaluate(
     kind: PredicateKind,
     a: &PreparedGeometry,
@@ -236,10 +234,7 @@ pub fn evaluate(
 ) -> Result<PredicateOutcome> {
     let sc = |value| Ok(PredicateOutcome { value, short_circuit: true });
 
-    // Mirror of the SQL layer's envelope prefilter: disjoint envelopes
-    // decide every predicate (only Disjoint is true) without touching
-    // the operands — including unsupported ones, exactly like the
-    // naive `envs_intersect && pred(..)` expression short-circuits.
+    // `holds`'s envelope rule.
     if !a.env.intersects(&b.env) {
         return sc(kind == PredicateKind::Disjoint);
     }

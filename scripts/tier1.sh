@@ -44,6 +44,16 @@ if awk '/#\[cfg\(test\)\]/{exit} /\.clone\(\)/{print FILENAME ":" FNR ": " $0; f
   exit 1
 fi
 
+echo "== the predicates' SQL names are spelled once: \"ST_CROSSES\" on one non-test line, in topo"
+crosses=$(for f in crates/*/src/**/*.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /"ST_CROSSES"/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ "$(echo "$crosses" | grep -c .)" -ne 1 ] || [[ "$crosses" != crates/topo/src/predicates.rs:* ]]; then
+  echo "\"ST_CROSSES\" must appear once outside tests, in crates/topo/src/predicates.rs; found:"
+  echo "$crosses"
+  exit 1
+fi
+
 echo "== the docs name what they mean, not a roadmap item (its numbers change at every re-anchor)"
 if grep -nE 'ROADMAP (item|[0-9])' DESIGN.md README.md; then
   echo "DESIGN.md or README.md points at a roadmap item: name the thing instead"

@@ -181,18 +181,7 @@ pub fn create_tables(db: &Arc<SpatialDb>, rows: &[Option<String>]) {
 }
 
 /// Every named predicate.
-pub const ALL_KINDS: [PredicateKind; 10] = [
-    PredicateKind::Equals,
-    PredicateKind::Disjoint,
-    PredicateKind::Intersects,
-    PredicateKind::Touches,
-    PredicateKind::Crosses,
-    PredicateKind::Within,
-    PredicateKind::Contains,
-    PredicateKind::Overlaps,
-    PredicateKind::Covers,
-    PredicateKind::CoveredBy,
-];
+pub const ALL_KINDS: [PredicateKind; 10] = PredicateKind::ALL;
 
 /// What the SQL layer computes without a fast path: the envelope test
 /// (`envelopes meet && pred`, its negation for disjoint) around the
