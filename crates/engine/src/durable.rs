@@ -2,22 +2,29 @@
 //!
 //! An engine with durability attached keeps two files in one directory:
 //! the atomic snapshot ([`SNAPSHOT_FILE`], in [`crate::persist`]'s
-//! format) and the log of every write since ([`WAL_FILE`]), both stamped
-//! with one generation. Two steps do all the work here:
+//! format), which holds every table and index, and the log of every row
+//! change since ([`WAL_FILE`]), both stamped with one generation. Three
+//! steps do all the work here:
 //!
-//! * **The cut** ([`SpatialDb::cut`]): the writer lock, a vacuum, then
-//!   the snapshot streamed at a new generation. Checkpoints, attaches and
-//!   the fold at the end of a replaying open all cut this way, so no
-//!   image holds half a statement or lists a table dropped beside it.
+//! * **The cut** ([`SpatialDb::cut`]): under the writer lock, a vacuum,
+//!   then the snapshot streamed at a new generation. Checkpoints,
+//!   attaches, schema changes and the fold at the end of a replaying open
+//!   all cut this way, so no image holds half a statement or lists a
+//!   table dropped beside it.
+//! * **The schema change** ([`SpatialDb::change_schema`]): CREATE TABLE,
+//!   CREATE INDEX, DROP TABLE and DROP INDEX, each applied and then cut
+//!   into the snapshot before any writer can log. The log never names a
+//!   table or an index it does not find in the snapshot it is cut
+//!   against.
 //! * **The attach** ([`SpatialDb::attach`]): the directory created, the
 //!   durability lock taken, a cut if one is due, then a fresh log at the
 //!   same generation installed — `open_durable` and `set_durability`.
 //!
 //! Lock order: `durability` → writer lock → the table registry → a
 //! table's `indexes` → its heap locks.
-//! Writers hold `durability`'s read side across apply + log, so an
-//! attach or a checkpoint (its write side) never cuts between a
-//! statement and its record, nor truncates staged-but-unsynced frames.
+//! Writers hold `durability`'s read side across apply + log, so a schema
+//! change, an attach or a checkpoint (its write side) never cuts between
+//! a statement and its record, nor truncates staged-but-unsynced frames.
 
 use crate::db::{EngineError, SpatialDb};
 use crate::wal::{Wal, WalRecord};
@@ -25,7 +32,7 @@ use crate::{EngineProfile, Result};
 use jackpine_obs::TxnSite;
 use jackpine_storage::Value;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// File name of the atomic snapshot inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.jkpn";
@@ -108,8 +115,9 @@ impl SpatialDb {
 
     /// Attaches durability to an already-loaded database: writes a
     /// snapshot under `dir` and opens a fresh WAL that every subsequent
-    /// `CREATE TABLE`, `INSERT` and `CREATE INDEX` appends to. `None`
-    /// detaches, returning the instance to purely in-memory operation.
+    /// `INSERT`, `UPDATE` and `DELETE` appends to (a schema change is cut
+    /// into the snapshot instead). `None` detaches, returning the
+    /// instance to purely in-memory operation.
     pub fn set_durability(&self, dir: Option<&Path>, opts: DurabilityOptions) -> Result<()> {
         let Some(dir) = dir else {
             *self.durability.write() = None;
@@ -133,7 +141,7 @@ impl SpatialDb {
             .map_err(|e| EngineError::Persist(format!("create durability dir: {e}")))?;
         let mut durability = self.durability.write();
         if cut {
-            self.cut(dir, gen)?;
+            self.cut(&self.txn.lock_writers(TxnSite::Checkpoint), dir, gen)?;
         }
         let mut wal = Wal::create(dir.join(WAL_FILE), opts.sync_each_append, gen)?;
         wal.set_metrics(self.metrics.clone());
@@ -141,15 +149,64 @@ impl SpatialDb {
         Ok(())
     }
 
-    /// The one snapshot cut: under the writer lock — no statement
-    /// mid-apply, no table or index dropping — vacuums, so the image
-    /// never re-persists a row no snapshot can see, then streams the
+    /// The one snapshot cut: under the caller's writer lock — no
+    /// statement mid-apply, no table or index dropping — vacuums, so the
+    /// image never re-persists a row no snapshot can see, then streams the
     /// snapshot stamped `gen` into `dir`. The caller holds the durability
     /// write lock, which already excludes committed-but-unsynced frames.
-    fn cut(&self, dir: &Path, gen: u64) -> Result<()> {
-        let writers = self.txn.lock_writers(TxnSite::Checkpoint);
-        self.vacuum(&writers)?;
+    fn cut(&self, writers: &MutexGuard<'_, ()>, dir: &Path, gen: u64) -> Result<()> {
+        self.vacuum(writers)?;
         self.save_gen(dir.join(SNAPSHOT_FILE), gen)
+    }
+
+    /// The step that ends a checkpoint and every schema change: cuts the
+    /// snapshot at the next generation, then restarts the log, empty, at
+    /// that generation. `on_failed_cut` runs when the cut fails, before its
+    /// error is returned; a failed restart of the log leaves the new
+    /// snapshot in place.
+    fn next_generation(
+        &self,
+        d: &mut DurabilityState,
+        writers: &MutexGuard<'_, ()>,
+        on_failed_cut: impl FnOnce(),
+    ) -> Result<()> {
+        let gen = d.generation + 1;
+        if let Err(e) = self.cut(writers, &d.dir, gen) {
+            on_failed_cut();
+            return Err(e);
+        }
+        d.wal.reset(gen)?;
+        d.generation = gen;
+        Ok(())
+    }
+
+    /// The one schema change — CREATE TABLE, CREATE INDEX, DROP TABLE,
+    /// DROP INDEX. Under the durability write lock, then the writer lock
+    /// (its wait charged to [`TxnSite::Ddl`]), `apply` makes the change and
+    /// cached plans are restaled; with durability attached the change is
+    /// then cut into the snapshot ([`SpatialDb::next_generation`]) before
+    /// any writer can log. When the cut fails, `undo` takes the change back
+    /// out under the same locks and the cut's error is returned; a drop
+    /// passes an `undo` that does nothing, so it stays applied in memory
+    /// while the snapshot on disk keeps the object. What `apply` returns is
+    /// handed back after the locks are released, so a dropped object is
+    /// freed outside them.
+    pub(crate) fn change_schema<T>(
+        &self,
+        apply: impl FnOnce() -> Result<T>,
+        undo: impl FnOnce(&T),
+    ) -> Result<T> {
+        let mut durability = self.durability.write();
+        let writers = self.txn.lock_writers(TxnSite::Ddl);
+        let changed = apply()?;
+        self.bump_ddl_gen();
+        if let Some(d) = durability.as_mut() {
+            self.next_generation(d, &writers, || {
+                undo(&changed);
+                self.bump_ddl_gen();
+            })?;
+        }
+        Ok(changed)
     }
 
     /// The durability directory, when durability is attached: a hook for
@@ -159,12 +216,8 @@ impl SpatialDb {
     }
 
     /// Folds all logged writes into a fresh atomic snapshot and truncates
-    /// the WAL. A no-op without attached durability.
-    ///
-    /// Runs automatically after `DROP TABLE` and index drops: drops have
-    /// no WAL record shape, so the snapshot is re-cut instead. (DML no
-    /// longer needs this — `INSERT`, `DELETE` and `UPDATE` all log
-    /// records and commit through the group pipeline.)
+    /// the WAL. A no-op without attached durability. Every schema change
+    /// ends with the same step (`SpatialDb::change_schema`).
     ///
     /// Crash-atomic: the new snapshot carries the next generation and
     /// replaces the old one atomically *before* the log is truncated to
@@ -175,10 +228,7 @@ impl SpatialDb {
     pub fn checkpoint(&self) -> Result<()> {
         let mut durability = self.durability.write();
         if let Some(d) = durability.as_mut() {
-            let gen = d.generation + 1;
-            self.cut(&d.dir, gen)?;
-            d.wal.reset(gen)?;
-            d.generation = gen;
+            self.next_generation(d, &self.txn.lock_writers(TxnSite::Checkpoint), || ())?;
         }
         Ok(())
     }
@@ -189,19 +239,13 @@ impl SpatialDb {
         self.pool.flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
     }
 
-    /// Applies one replayed WAL record. Replay runs before a WAL is
+    /// Redoes one replayed row change over the snapshot, which holds
+    /// every table and index the log names. Replay runs before a WAL is
     /// attached and before any concurrent session exists, so records
     /// apply through unlogged, generation-free paths (rows are reborn
     /// visible-everywhere; the snapshot that follows settles them).
     fn apply_wal_record(&self, rec: WalRecord) -> Result<()> {
         match rec {
-            WalRecord::CreateTable { name, columns } => self.create_table(&name, columns),
-            WalRecord::CreateSpatialIndex { table, column } => {
-                self.create_spatial_index(&table, &column)
-            }
-            WalRecord::CreateOrderedIndex { table, column } => {
-                self.create_ordered_index(&table, &column)
-            }
             // Back into the exact slot it was logged at, so later
             // `DeleteId` records (and index entries) address the right
             // row even among byte-identical duplicates; the slot keeps

@@ -1,5 +1,8 @@
 //! DDL and the indexes: tables, the indexes over them, and the adapters
-//! through which the planner and executor read both.
+//! through which the planner and executor read both. Each DDL entry
+//! point here, like DROP TABLE in [`crate::statement`], is one schema
+//! change (`SpatialDb::change_schema`): applied under the writer lock,
+//! then cut into the durable snapshot, never logged.
 //!
 //! Every [`Table`] holds its [`TableIndexes`]: its spatial indexes
 //! (R\*-tree or grid, by profile) and its ordered ones, keyed by column.
@@ -16,10 +19,9 @@ use crate::db::{EngineError, SpatialDb};
 use crate::seeds::{envelope_key, IndexSeeds, Seed};
 use crate::syscat;
 use crate::txn::Transactions;
-use crate::wal::WalRecord;
 use jackpine_geom::{Coord, Envelope};
 use jackpine_index::{GridIndex, LeafPager, OrderedIndex, ProbeStats, RTree, RTreeConfig};
-use jackpine_obs::{EngineMetrics, TxnSite};
+use jackpine_obs::EngineMetrics;
 use jackpine_sqlmini::provider::{CatalogProvider, SnapshotHandle, TableProvider};
 use jackpine_sqlmini::SqlError;
 use jackpine_storage::sync::RwLock;
@@ -206,7 +208,8 @@ pub(crate) struct TableIndexes {
 }
 
 impl SpatialDb {
-    /// Creates a table programmatically. Names with the `jp_` prefix are
+    /// Creates a table programmatically, a schema change
+    /// (`SpatialDb::change_schema`). Names with the `jp_` prefix are
     /// reserved for the system catalog.
     pub fn create_table(&self, name: &str, columns: Vec<ColumnDef>) -> crate::Result<()> {
         if syscat::is_system_table(name) {
@@ -214,18 +217,11 @@ impl SpatialDb {
                 "{name} (the jp_ prefix is reserved for the system catalog)"
             ))));
         }
-        // Held across apply + log so a concurrent checkpoint cannot cut
-        // its snapshot between the two (which would replay this create
-        // twice after a crash).
-        let durability = self.durability.read();
-        let _writers = self.txn.lock_writers(TxnSite::Ddl);
-        let logged = durability.as_ref().map(|_| columns.clone());
-        self.tables.create(name, Schema::new(columns)?, &self.pool)?;
-        self.bump_ddl_gen();
-        if let (Some(d), Some(columns)) = (durability.as_ref(), logged) {
-            d.wal.append(&WalRecord::CreateTable { name: name.to_string(), columns })?;
-        }
-        Ok(())
+        let schema = Schema::new(columns)?;
+        self.change_schema(
+            || Ok(self.tables.create(name, schema, &self.pool)?),
+            |()| drop(self.tables.remove(name)),
+        )
     }
 
     /// Builds a spatial index on a geometry column. Uses R\*-tree STR
@@ -241,36 +237,31 @@ impl SpatialDb {
 
     /// `CREATE INDEX` of a spatial index on each of the geometry columns
     /// `spatial` and an ordered one on each of the integer or text columns
-    /// `ordered` of `table`, all gathered by one heap scan, installed
-    /// together and logged as one transaction. On any error none of them
-    /// is installed.
+    /// `ordered` of `table`, all gathered by one heap scan and installed
+    /// together, one schema change (`SpatialDb::change_schema`). On any
+    /// error, the cut's included, none of them is installed.
     pub fn create_indexes(
         &self,
         table: &str,
         spatial: &[&str],
         ordered: &[&str],
     ) -> crate::Result<()> {
-        let durability = self.durability.read();
-        let _writers = self.txn.lock_writers(TxnSite::Ddl);
-        let t = self.table(table)?;
-        let cols = |names: &[&str]| -> crate::Result<Vec<usize>> {
-            Ok(names.iter().map(|c| t.schema().column_index(c)).collect::<Result<_, _>>()?)
+        let apply = || {
+            let t = self.table(table)?;
+            let cols = |names: &[&str]| -> crate::Result<Vec<usize>> {
+                Ok(names.iter().map(|c| t.schema().column_index(c)).collect::<Result<_, _>>()?)
+            };
+            let (spatial, ordered) = (cols(spatial)?, cols(ordered)?);
+            let seeds = self.scan_seeds(&t, &spatial, &ordered)?;
+            self.install_indexes(&t, seeds)?;
+            Ok((t, spatial, ordered))
         };
-        let seeds = self.scan_seeds(&t, &cols(spatial)?, &cols(ordered)?)?;
-        self.install_indexes(&t, seeds)?;
-        if let Some(d) = durability.as_ref() {
-            let mut records = Vec::new();
-            for c in spatial {
-                let (table, column) = (table.to_string(), c.to_string());
-                records.push(WalRecord::CreateSpatialIndex { table, column });
-            }
-            for c in ordered {
-                let (table, column) = (table.to_string(), c.to_string());
-                records.push(WalRecord::CreateOrderedIndex { table, column });
-            }
-            d.wal.append_txn(&records)?;
-        }
-        Ok(())
+        let installed = self.change_schema(apply, |(t, spatial, ordered)| {
+            let mut ti = t.indexes.write();
+            spatial.iter().for_each(|col| drop(ti.spatial.remove(col)));
+            ordered.iter().for_each(|col| drop(ti.ordered.remove(col)));
+        });
+        installed.map(drop)
     }
 
     /// Builds an index from each of `seeds` (the bulk path) and registers
@@ -307,8 +298,6 @@ impl SpatialDb {
         let mut ti = t.indexes.write();
         ti.spatial.extend(spatial);
         ti.ordered.extend(ordered);
-        drop(ti);
-        self.bump_ddl_gen();
         Ok(())
     }
 
@@ -342,10 +331,10 @@ impl SpatialDb {
         SpatialColumn { idx, empty }
     }
 
-    /// Drops the spatial index on `table.column`. Errors if no such
-    /// index exists. Invalidates cached plans and re-cuts the durable
-    /// snapshot, so recovery cannot resurrect the index from a logged
-    /// `CREATE INDEX` record.
+    /// Drops the spatial index on `table.column`, a schema change
+    /// (`SpatialDb::change_schema`): cached plans are restaled and the
+    /// durable snapshot re-cut without the index. Errors if no such index
+    /// exists.
     pub fn drop_spatial_index(&self, table: &str, column: &str) -> crate::Result<()> {
         self.drop_index(table, column, true)
     }
@@ -361,23 +350,22 @@ impl SpatialDb {
     /// `DROP INDEX` of either kind.
     fn drop_index(&self, table: &str, column: &str, spatial: bool) -> crate::Result<()> {
         // Both kinds' slots, so the index is freed after the locks are.
-        let removed = {
-            let _writers = self.txn.lock_writers(TxnSite::Ddl);
+        let apply = || {
             let t = self.table(table)?;
             let col = t.schema().column_index(column)?;
             let mut ti = t.indexes.write();
-            if spatial {
+            let removed = if spatial {
                 (ti.spatial.remove(&col), None)
             } else {
                 (None, ti.ordered.remove(&col))
+            };
+            if matches!(removed, (None, None)) {
+                let kind = if spatial { "spatial" } else { "ordered" };
+                return Err(EngineError::Index(format!("no {kind} index on '{table}.{column}'")));
             }
+            Ok(removed)
         };
-        if !matches!(removed, (Some(_), _) | (_, Some(_))) {
-            let kind = if spatial { "spatial" } else { "ordered" };
-            return Err(EngineError::Index(format!("no {kind} index on '{table}.{column}'")));
-        }
-        self.bump_ddl_gen();
-        self.checkpoint()
+        self.change_schema(apply, |_| ()).map(drop)
     }
 
     /// Drops everything a cold run must not find warm. The buffer pool

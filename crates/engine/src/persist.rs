@@ -35,8 +35,8 @@
 //! and the format stays independent of index internals).
 //!
 //! **The writer** ([`SpatialDb::snapshot_to`]; `save`, `snapshot_bytes`
-//! and [`crate::durable`]'s one snapshot cut — every checkpoint, attach
-//! and replaying open — all go through it) never holds the image. It
+//! and [`crate::durable`]'s one snapshot cut — every checkpoint, schema
+//! change, attach and replaying open — all go through it) never holds the image. It
 //! first fixes each table's row set (`HeapFile::row_ids`: latest
 //! committed state; rows awaiting vacuum are skipped, so truncating
 //! their pending WAL `DeleteId` records at the same cut is harmless) and
@@ -116,7 +116,7 @@ fn corrupt(msg: &str) -> EngineError {
     EngineError::Persist(format!("persistence: {msg}"))
 }
 
-pub(crate) fn type_tag(ty: DataType) -> u8 {
+fn type_tag(ty: DataType) -> u8 {
     match ty {
         DataType::Int => 0,
         DataType::Float => 1,
@@ -125,7 +125,7 @@ pub(crate) fn type_tag(ty: DataType) -> u8 {
     }
 }
 
-pub(crate) fn tag_type(tag: u8) -> Option<DataType> {
+fn tag_type(tag: u8) -> Option<DataType> {
     match tag {
         0 => Some(DataType::Int),
         1 => Some(DataType::Float),

@@ -287,18 +287,13 @@ impl SpatialDb {
                 Ok(affected(self.delete_or_update(&table, None, &filters)?))
             }
             Statement::DropTable { name } => {
-                {
-                    let _writers = self.txn.lock_writers(TxnSite::Ddl);
-                    self.tables.remove(&name)?;
-                }
                 // Readers that looked the table up before the drop keep
                 // it and finish against it; only the name is gone. Every
-                // cached plan is stale after the bump, and one planned
+                // cached plan is stale after the change, and one planned
                 // against this table would keep it, and its heap its pool
                 // frames, until its entry was evicted.
-                self.bump_ddl_gen();
+                self.change_schema(|| Ok(self.tables.remove(&name)?), |_| ())?;
                 self.statements.clear();
-                self.checkpoint()?;
                 Ok(affected(0))
             }
             Statement::Update { table, assignments, filters } => {

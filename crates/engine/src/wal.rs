@@ -1,7 +1,9 @@
-//! Append-only write-ahead log: every mutating operation since the last
-//! snapshot is recorded, one length- and checksum-framed frame per
-//! transaction, so [`crate::SpatialDb::open_durable`] can replay writes
-//! that a crash would otherwise lose.
+//! Append-only write-ahead log: every row change since the last snapshot
+//! is recorded, one length- and checksum-framed frame per transaction, so
+//! [`crate::SpatialDb::open_durable`] can redo writes that a crash would
+//! otherwise lose. The log carries row changes only: a schema change is
+//! cut into the snapshot (`SpatialDb::change_schema`), so every
+//! table a record names is in the snapshot the log is cut against.
 //!
 //! File layout (all little-endian):
 //!
@@ -29,21 +31,21 @@
 //! snapshot already contains.
 
 use crate::checksum::crc32;
-use crate::persist::{tag_type, type_tag};
 use crate::{EngineError, Result};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_storage::sync::Mutex;
-use jackpine_storage::{ColumnDef, Row, RowId, Value};
+use jackpine_storage::{Row, RowId, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 4] = b"JKWL";
 /// WAL format version, the only one read or written: one frame per
-/// transaction, rows logged by `RowId` ([`WalRecord::InsertAt`],
-/// [`WalRecord::DeleteId`]), against a snapshot that restores every row to
-/// its recorded slot.
-pub const WAL_VERSION: u32 = 5;
+/// transaction, holding row changes only — rows logged by `RowId`
+/// ([`WalRecord::InsertAt`], [`WalRecord::DeleteId`]) against a snapshot
+/// that holds the schema and restores every row to its recorded slot.
+/// Version 5 also logged CREATE TABLE and CREATE INDEX.
+pub const WAL_VERSION: u32 = 6;
 /// Bytes of file header before the first record frame.
 pub const WAL_HEADER_LEN: usize = 16;
 /// Bytes of framing (length + checksum) per frame, i.e. per transaction.
@@ -57,30 +59,9 @@ fn io_err(e: std::io::Error) -> EngineError {
     persist_err(format!("WAL I/O: {e}"))
 }
 
-/// One logged operation.
+/// One logged row change.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// `CREATE TABLE` with the full column list.
-    CreateTable {
-        /// Table name.
-        name: String,
-        /// Column definitions, in schema order.
-        columns: Vec<ColumnDef>,
-    },
-    /// `CREATE INDEX` (spatial) on one geometry column.
-    CreateSpatialIndex {
-        /// Indexed table.
-        table: String,
-        /// Indexed column name.
-        column: String,
-    },
-    /// `CREATE INDEX` (ordered) on one scalar column.
-    CreateOrderedIndex {
-        /// Indexed table.
-        table: String,
-        /// Indexed column name.
-        column: String,
-    },
     /// One logically deleted row, addressed by its `RowId`. Row ids are
     /// stable across recovery because snapshots record each row's id and
     /// reload restores rows to their original slots.
@@ -103,10 +84,8 @@ pub enum WalRecord {
     },
 }
 
-// 1 and 4 belonged to retired record kinds and are not reused.
-const KIND_CREATE_TABLE: u8 = 0;
-const KIND_SPATIAL_INDEX: u8 = 2;
-const KIND_ORDERED_INDEX: u8 = 3;
+// 0 to 4 belonged to retired record kinds (rows by value, and the schema
+// changes of version 5) and are not reused.
 const KIND_DELETE_ID: u8 = 5;
 const KIND_INSERT_AT: u8 = 6;
 
@@ -223,25 +202,6 @@ impl WalRecord {
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            WalRecord::CreateTable { name, columns } => {
-                buf.put_u8(KIND_CREATE_TABLE);
-                put_str(buf, name);
-                buf.put_u32_le(columns.len() as u32);
-                for col in columns {
-                    put_str(buf, &col.name);
-                    buf.put_u8(type_tag(col.ty));
-                }
-            }
-            WalRecord::CreateSpatialIndex { table, column } => {
-                buf.put_u8(KIND_SPATIAL_INDEX);
-                put_str(buf, table);
-                put_str(buf, column);
-            }
-            WalRecord::CreateOrderedIndex { table, column } => {
-                buf.put_u8(KIND_ORDERED_INDEX);
-                put_str(buf, table);
-                put_str(buf, column);
-            }
             WalRecord::DeleteId { table, id } => put_delete_id(buf, table, *id),
             WalRecord::InsertAt { table, id, row } => {
                 put_insert_at(buf, table, *id, &Value::encode_row(row))
@@ -265,36 +225,6 @@ impl WalRecord {
             return Err(persist_err("WAL: empty record"));
         }
         match data.get_u8() {
-            KIND_CREATE_TABLE => {
-                let name = get_str(data)?;
-                if data.remaining() < 4 {
-                    return Err(persist_err("WAL: truncated column count"));
-                }
-                let ncols = data.get_u32_le() as usize;
-                // A corrupt count cannot force a huge allocation: each
-                // column needs at least 5 bytes on the wire.
-                let mut columns = Vec::with_capacity(ncols.min(data.remaining() / 5 + 1));
-                for _ in 0..ncols {
-                    let cname = get_str(data)?;
-                    if data.remaining() < 1 {
-                        return Err(persist_err("WAL: truncated column type"));
-                    }
-                    let ty = tag_type(data.get_u8())
-                        .ok_or_else(|| persist_err("WAL: unknown type tag"))?;
-                    columns.push(ColumnDef::new(&cname, ty));
-                }
-                Ok(WalRecord::CreateTable { name, columns })
-            }
-            KIND_SPATIAL_INDEX => {
-                let table = get_str(data)?;
-                let column = get_str(data)?;
-                Ok(WalRecord::CreateSpatialIndex { table, column })
-            }
-            KIND_ORDERED_INDEX => {
-                let table = get_str(data)?;
-                let column = get_str(data)?;
-                Ok(WalRecord::CreateOrderedIndex { table, column })
-            }
             KIND_DELETE_ID => {
                 let table = get_str(data)?;
                 let id = get_row_id(data)?;
@@ -311,7 +241,9 @@ impl WalRecord {
     }
 
     /// The record as a complete on-disk frame, a transaction of one
-    /// record: `len | crc | payload`.
+    /// record: `len | crc | payload`. Write transactions stage their
+    /// frames in place; the readers of this one are the tests that build
+    /// logs by hand.
     pub fn frame(&self) -> Vec<u8> {
         transaction_frame(std::slice::from_ref(self))
     }
@@ -421,16 +353,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends `record` as a transaction of its own, fsynced when every
-    /// append is.
+    /// Appends `record` as a transaction of its own
+    /// ([`Wal::write_frames`]), fsynced when every append is. No engine
+    /// path appends a lone record; the readers of this one are the WAL
+    /// probe of `benchmark/src/layers.rs` and the tests.
     pub fn append(&self, record: &WalRecord) -> Result<()> {
-        self.append_txn(std::slice::from_ref(record))
-    }
-
-    /// Appends `records` as one transaction — [`Wal::write_frames`] —
-    /// fsynced when every append is.
-    pub(crate) fn append_txn(&self, records: &[WalRecord]) -> Result<()> {
-        self.write_frames(records)?;
+        self.write_frames(std::slice::from_ref(record))?;
         if self.sync {
             self.sync()?;
         }
@@ -438,10 +366,12 @@ impl Wal {
     }
 
     /// Appends `records` as one transaction frame with a single
-    /// `write_all` and **no fsync** — the commit pipeline's staging write.
-    /// A crash tears at most this frame, which replay then drops whole;
-    /// durability arrives with the next [`Wal::sync`]. Counts one
-    /// `wal_appends` per record.
+    /// `write_all` and **no fsync**. A crash tears at most this frame,
+    /// which replay then drops whole; durability arrives with the next
+    /// [`Wal::sync`]. Counts one `wal_appends` per record. Write
+    /// transactions stage their frame in place and write it through
+    /// `Wal::write_txn`; the readers of this one are the WAL probes of
+    /// `benchmark/src/layers.rs` and the tests.
     pub fn write_frames(&self, records: &[WalRecord]) -> Result<()> {
         if records.is_empty() {
             return Ok(());
@@ -587,7 +517,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jackpine_storage::DataType;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -596,14 +525,8 @@ mod tests {
     }
 
     fn sample_records() -> Vec<WalRecord> {
+        let point = jackpine_geom::wkt::parse("POINT (1 2)").unwrap();
         vec![
-            WalRecord::CreateTable {
-                name: "t".into(),
-                columns: vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("name", DataType::Text),
-                ],
-            },
             WalRecord::InsertAt {
                 table: "t".into(),
                 id: RowId { page: 0, slot: 0 },
@@ -614,8 +537,12 @@ mod tests {
                 id: RowId { page: 0, slot: 1 },
                 row: vec![Value::Int(8), Value::Null],
             },
-            WalRecord::CreateOrderedIndex { table: "t".into(), column: "name".into() },
-            WalRecord::CreateSpatialIndex { table: "t".into(), column: "geom".into() },
+            WalRecord::DeleteId { table: "t".into(), id: RowId { page: 0, slot: 0 } },
+            WalRecord::InsertAt {
+                table: "pts".into(),
+                id: RowId { page: 1, slot: 2 },
+                row: vec![Value::Float(0.5), Value::Geom(point)],
+            },
             WalRecord::InsertAt {
                 table: "t".into(),
                 id: RowId { page: 3, slot: 41 },
@@ -708,9 +635,10 @@ mod tests {
     #[test]
     fn retired_versions_are_refused_not_read_as_empty() {
         // Versions 2 and 3 logged rows by value, version 4 a frame per
-        // record; nothing reads them any more. A log stamped with one
-        // must stop recovery, not pass for a log with nothing in it.
-        for version in [2u32, 3, 4] {
+        // record, version 5 schema changes too; nothing reads them any
+        // more. A log stamped with one must stop recovery, not pass for a
+        // log with nothing in it.
+        for version in [2u32, 3, 4, 5] {
             let dir = std::env::temp_dir()
                 .join(format!("jackpine-wal-retired-v{version}-{}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
@@ -854,6 +782,35 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = Wal::replay(&path).expect_err("must fail, not silently drop");
         assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
+        // So is a record of a retired kind: version 5's CREATE TABLE (0),
+        // CREATE INDEX spatial (2) and ordered (3), laid out as it laid
+        // them out, behind a row record the log still holds.
+        let mut create_table = vec![0u8];
+        put_str(&mut create_table, "t");
+        create_table.put_u32_le(1);
+        put_str(&mut create_table, "id");
+        create_table.put_u8(0);
+        let mut retired = vec![create_table];
+        for kind in [2u8, 3] {
+            let mut index = vec![kind];
+            put_str(&mut index, "t");
+            put_str(&mut index, "id");
+            retired.push(index);
+        }
+        for payload in retired {
+            let mut bytes = wal_header(0);
+            bytes.put_slice(&sample_records()[0].frame());
+            bytes.put_u32_le(payload.len() as u32);
+            bytes.put_u32_le(crc32(&payload));
+            bytes.put_slice(&payload);
+            std::fs::write(&path, &bytes).unwrap();
+            match Wal::replay(&path).expect_err("a retired record kind") {
+                EngineError::Persist(m) => {
+                    assert!(m.contains(&format!("unknown record kind {}", payload[0])), "{m}")
+                }
+                other => panic!("kind {}: unexpected error {other:?}", payload[0]),
+            }
+        }
         // So is a payload that does not decode exactly to its end: a
         // record and a byte, or a record and a truncated second one.
         let two = [sample_records()[1].encode(), sample_records()[2].encode()].concat();

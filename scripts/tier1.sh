@@ -54,6 +54,19 @@ if [ "$(echo "$crosses" | grep -c .)" -ne 1 ] || [[ "$crosses" != crates/topo/sr
   exit 1
 fi
 
+echo "== one schema-change path: no .checkpoint() call or WalRecord::Create* outside durable.rs's non-test lines"
+# A schema change is cut into the snapshot by SpatialDb::change_schema;
+# the log holds row changes only, so nothing else re-cuts or logs one.
+ddl=$(for f in crates/*/src/**/*.rs; do
+  [ "$f" = crates/engine/src/durable.rs ] && continue
+  awk '/#\[cfg\(test\)\]/{exit} /\.checkpoint\(\)|WalRecord::Create/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$ddl" ]; then
+  echo "a schema change goes through SpatialDb::change_schema (durable.rs); found:"
+  echo "$ddl"
+  exit 1
+fi
+
 echo "== the docs name what they mean, not a roadmap item (its numbers change at every re-anchor)"
 if grep -nE 'ROADMAP (item|[0-9])' DESIGN.md README.md; then
   echo "DESIGN.md or README.md points at a roadmap item: name the thing instead"

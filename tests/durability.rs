@@ -496,22 +496,24 @@ fn wal_replay_recovers_writes_since_the_snapshot() {
         let db =
             SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
                 .unwrap();
+        // The schema is cut into the snapshot as it changes.
         db.execute("CREATE TABLE pts (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
+        db.create_spatial_index("pts", "geom").unwrap();
+        db.create_ordered_index("pts", "name").unwrap();
         for i in 0..25 {
             db.execute(&format!(
                 "INSERT INTO pts VALUES ({i}, 'n{i}', ST_GeomFromText('POINT ({i} 0)'))"
             ))
             .unwrap();
         }
-        db.create_spatial_index("pts", "geom").unwrap();
-        db.create_ordered_index("pts", "name").unwrap();
-        // No checkpoint, no explicit save: the WAL is the only record.
+        // No checkpoint, no explicit save: the WAL is the only record of
+        // the rows.
     }
     let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
         .unwrap();
     let r = db.execute("SELECT COUNT(*) FROM pts").unwrap();
     assert_eq!(r.scalar().unwrap().to_string(), "25");
-    // Index definitions came back through the log too.
+    // The replayed rows went into the snapshot's indexes too.
     let r = db
         .execute(
             "SELECT COUNT(*) FROM pts WHERE ST_DWithin(geom, \
@@ -524,76 +526,77 @@ fn wal_replay_recovers_writes_since_the_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Hand-built WAL image plus the end offset of every frame, so the
-/// sweeps can compute exactly which records survive a cut at offset `k`.
-fn wal_image(inserts: usize) -> (Vec<u8>, Vec<(usize, bool)>) {
-    let mut records: Vec<WalRecord> = vec![WalRecord::CreateTable {
-        name: "pts".into(),
-        columns: vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)],
-    }];
+/// A standalone snapshot image (generation 0) of `columns` as the empty
+/// table `name`, with an ordered index on each of `ordered`: what a
+/// hand-built log of rows sits beside.
+fn schema_image(name: &str, columns: Vec<ColumnDef>, ordered: &[&str]) -> Vec<u8> {
+    let db = SpatialDb::new(EngineProfile::ExactRtree);
+    db.create_table(name, columns).unwrap();
+    db.create_indexes(name, &[], ordered).unwrap();
+    let path = scratch(&format!("schema-image-{name}.jkpn"));
+    db.save(&path).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    image
+}
+
+/// A directory holding `snapshot` and the log `wal` beside it, emptied
+/// first.
+fn write_pair(dir: &std::path::Path, snapshot: &[u8], wal: &[u8]) {
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
+    std::fs::write(dir.join(WAL_FILE), wal).unwrap();
+}
+
+/// Hand-built WAL image of `inserts` one-row transactions into `pts`,
+/// the snapshot it is cut against (the empty table, an ordered index on
+/// `name`), and the end offset of every frame, so the sweeps can compute
+/// exactly which records survive a cut at offset `k`.
+fn wal_image(inserts: usize) -> (Vec<u8>, Vec<u8>, Vec<usize>) {
+    let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
+    let snapshot = schema_image("pts", columns, &["name"]);
+    // Generation 0: the generation of the standalone snapshot this log
+    // sits next to, so recovery accepts its records.
+    let mut bytes = wal_header(0);
+    let mut frames = Vec::new();
     for i in 0..inserts {
-        records.push(WalRecord::InsertAt {
+        let rec = WalRecord::InsertAt {
             table: "pts".into(),
             id: RowId { page: 0, slot: i as u16 },
             row: vec![Value::Int(i as i64), Value::Text(format!("n{i}"))],
-        });
-    }
-    records.push(WalRecord::CreateOrderedIndex { table: "pts".into(), column: "name".into() });
-
-    // Generation 0: the generation of the (absent) snapshot this log
-    // sits next to, so recovery accepts its records.
-    let mut bytes = wal_header(0);
-    // (frame end offset, is-an-insert) per record.
-    let mut frames = Vec::new();
-    for rec in &records {
+        };
         bytes.extend_from_slice(&rec.frame());
-        frames.push((bytes.len(), matches!(rec, WalRecord::InsertAt { .. })));
+        frames.push(bytes.len());
     }
-    (bytes, frames)
+    (snapshot, bytes, frames)
 }
 
 /// Rows expected after recovery from a log whose bytes are intact only
 /// up to (exclusive) `valid_up_to`.
-fn expected_rows(frames: &[(usize, bool)], valid_up_to: usize) -> (bool, usize) {
-    let mut has_table = false;
-    let mut rows = 0;
-    for (i, (end, is_insert)) in frames.iter().enumerate() {
-        if *end > valid_up_to {
-            break;
-        }
-        if i == 0 {
-            has_table = true;
-        }
-        if *is_insert {
-            rows += 1;
-        }
-    }
-    (has_table, rows)
+fn expected_rows(frames: &[usize], valid_up_to: usize) -> usize {
+    frames.iter().take_while(|&&end| end <= valid_up_to).count()
+}
+
+/// The recovered rows of `pts` agree with the intact prefix: its count,
+/// and the first row found through the snapshot's index on `name`.
+fn assert_prefix(db: &Arc<SpatialDb>, rows: usize, what: &str) {
+    let r = db.execute("SELECT COUNT(*) FROM pts").unwrap();
+    assert_eq!(r.scalar().unwrap().to_string(), rows.to_string(), "{what}: wrong prefix recovered");
+    let r = db.execute("SELECT COUNT(*) FROM pts WHERE name = 'n0'").unwrap();
+    assert_eq!(r.scalar().unwrap().to_string(), usize::from(rows > 0).to_string(), "{what}");
 }
 
 #[test]
 fn wal_append_killed_at_any_offset_recovers_a_consistent_prefix() {
     let dir = scratch_dir("wal-torn");
-    let (bytes, frames) = wal_image(common::cases(6));
+    let (snapshot, bytes, frames) = wal_image(common::cases(6));
     for cut in (0..bytes.len()).step_by(sweep_step()) {
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(WAL_FILE), &bytes[..cut]).unwrap();
-
+        write_pair(&dir, &snapshot, &bytes[..cut]);
         let db =
             SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
                 .unwrap_or_else(|e| panic!("cut at {cut}: recovery failed: {e}"));
-        let (has_table, rows) = expected_rows(&frames, cut);
-        if has_table {
-            let r = db.execute("SELECT COUNT(*) FROM pts").unwrap();
-            assert_eq!(
-                r.scalar().unwrap().to_string(),
-                rows.to_string(),
-                "cut at {cut}: wrong prefix recovered"
-            );
-        } else {
-            assert!(db.table_names().is_empty(), "cut at {cut}: phantom table");
-        }
+        assert_prefix(&db, expected_rows(&frames, cut), &format!("cut at {cut}"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -601,13 +604,11 @@ fn wal_append_killed_at_any_offset_recovers_a_consistent_prefix() {
 #[test]
 fn wal_bit_flip_at_any_offset_recovers_a_consistent_prefix_or_fails_loudly() {
     let dir = scratch_dir("wal-flip");
-    let (bytes, frames) = wal_image(common::cases(6));
+    let (snapshot, bytes, frames) = wal_image(common::cases(6));
     for offset in (0..bytes.len()).step_by(sweep_step()) {
         let bit = (offset % 8) as u8;
         let flipped = apply_failpoint(&bytes, Failpoint::BitFlip { offset: offset as u64, bit });
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(WAL_FILE), &flipped).unwrap();
+        write_pair(&dir, &snapshot, &flipped);
 
         let result =
             SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default());
@@ -619,17 +620,7 @@ fn wal_bit_flip_at_any_offset_recovers_a_consistent_prefix_or_fails_loudly() {
         let db = result.unwrap_or_else(|e| panic!("flip at {offset}: recovery failed: {e}"));
         // The flip lands inside exactly one frame; everything before it
         // must survive, nothing at or after it may.
-        let (has_table, rows) = expected_rows(&frames, offset);
-        if has_table {
-            let r = db.execute("SELECT COUNT(*) FROM pts").unwrap();
-            assert_eq!(
-                r.scalar().unwrap().to_string(),
-                rows.to_string(),
-                "flip at {offset}: wrong prefix recovered"
-            );
-        } else {
-            assert!(db.table_names().is_empty(), "flip at {offset}: phantom table");
-        }
+        assert_prefix(&db, expected_rows(&frames, offset), &format!("flip at {offset}"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -809,14 +800,158 @@ fn a_drop_stays_dropped_after_reopen() {
     }
 }
 
+/// The generation stamped in the snapshot file of `dir`.
+fn snapshot_generation(dir: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    u64::from_le_bytes(bytes[9..17].try_into().unwrap())
+}
+
+/// Copies the snapshot and the log of `from` into `to`: the directory a
+/// crash at this moment leaves.
+fn copy_pair(from: &std::path::Path, to: &std::path::Path) {
+    for f in [SNAPSHOT_FILE, WAL_FILE] {
+        std::fs::copy(from.join(f), to.join(f)).unwrap();
+    }
+}
+
+/// Regression: CREATE TABLE once logged its record after it had applied,
+/// so a failed log write returned an error but left the table in place.
+/// The next INSERT into it was logged, and the directory then failed to
+/// reopen with `no such table: t`. A schema change writes no record now:
+/// whatever the CREATE answered, a crash copy taken after the INSERT
+/// reopens, and holds `t` with its row exactly when the CREATE succeeded.
+#[test]
+fn a_create_table_beside_a_failing_log_reopens_as_it_answered() {
+    let dir = scratch_dir("create-log-fails");
+    let copy = scratch_dir("create-log-fails-copy");
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
+        .unwrap();
+    db.fail_wal_appends(true);
+    let created = db.execute("CREATE TABLE t (id BIGINT)");
+    db.fail_wal_appends(false);
+    let inserted = db.execute("INSERT INTO t VALUES (1)");
+    copy_pair(&dir, &copy);
+    let reopened =
+        SpatialDb::open_durable(&copy, EngineProfile::ExactRtree, DurabilityOptions::default())
+            .unwrap_or_else(|e| panic!("the crash copy does not reopen: {e}"));
+    match created {
+        Ok(_) => {
+            inserted.unwrap();
+            let r = reopened.execute("SELECT id FROM t").unwrap();
+            assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+        }
+        Err(e) => {
+            assert!(inserted.is_err(), "CREATE TABLE failed ({e}) but t took a row");
+            assert!(reopened.table_names().is_empty(), "CREATE TABLE failed ({e}) but t came back");
+        }
+    }
+    drop((db, reopened));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}
+
+/// A schema change whose snapshot cut fails: a create is taken back out
+/// and returns the cut's error, and a drop stays applied in memory while
+/// the snapshot on disk keeps the object. The cut is made to fail at its
+/// rename, by putting a non-empty directory where the snapshot file goes
+/// (a rename cannot replace one, whoever runs it).
+#[test]
+fn a_schema_change_whose_cut_fails_leaves_nothing_behind() {
+    let dir = scratch_dir("cut-fails");
+    let copy = scratch_dir("cut-fails-copy");
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
+        .unwrap();
+    db.execute("CREATE TABLE a (id BIGINT, geom GEOMETRY)").unwrap();
+    db.create_spatial_index("a", "geom").unwrap();
+    for i in 0..10 {
+        db.execute(&format!("INSERT INTO a VALUES ({i}, ST_GeomFromText('POINT ({i} {i})'))"))
+            .unwrap();
+    }
+    let window = "SELECT COUNT(*) FROM a WHERE \
+                  ST_Intersects(geom, ST_GeomFromText('POLYGON ((0 0, 4.5 0, 4.5 4.5, 0 4.5, 0 0))'))";
+    let probes = |db: &Arc<SpatialDb>| {
+        let (r, trace) = db.execute_traced(window).unwrap();
+        assert_eq!(r.scalar().unwrap().to_string(), "5");
+        trace.counter("index_probes")
+    };
+    assert!(probes(&db) > 0);
+
+    let snap = dir.join(SNAPSHOT_FILE);
+    let image = std::fs::read(&snap).unwrap();
+    std::fs::remove_file(&snap).unwrap();
+    std::fs::create_dir(&snap).unwrap();
+    std::fs::write(snap.join("keep"), b"x").unwrap();
+    let persist = |what: &str, result: Result<(), EngineError>| match result {
+        Err(EngineError::Persist(_)) => {}
+        other => panic!("{what}: expected the cut's error, got {other:?}"),
+    };
+
+    persist("CREATE TABLE", db.execute("CREATE TABLE b (id BIGINT)").map(drop));
+    assert_eq!(db.table_names(), ["a"], "the failed CREATE TABLE left its table");
+    persist("create_indexes", db.create_indexes("a", &[], &["id"]));
+    persist("DROP INDEX", db.drop_spatial_index("a", "geom"));
+    assert_eq!(probes(&db), 0, "a drop whose cut failed stays applied in memory");
+
+    std::fs::remove_dir_all(&snap).unwrap();
+    std::fs::write(&snap, &image).unwrap();
+    copy_pair(&dir, &copy);
+    let reopened =
+        SpatialDb::open_durable(&copy, EngineProfile::ExactRtree, DurabilityOptions::default())
+            .unwrap();
+    assert!(probes(&reopened) > 0, "the snapshot on disk still holds the dropped index");
+    assert_eq!(reopened.table_names(), ["a"]);
+    // Nothing of the failed creates is left: each succeeds now.
+    db.create_indexes("a", &[], &["id"]).unwrap();
+    db.execute("CREATE TABLE b (id BIGINT)").unwrap();
+    let r = db.execute("SELECT COUNT(*) FROM a WHERE id = 3").unwrap();
+    assert_eq!(r.scalar().unwrap().to_string(), "1");
+    drop((db, reopened));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}
+
+/// Every schema change is one cut: after CREATE TABLE, CREATE INDEX,
+/// DROP INDEX and DROP TABLE the log is a bare header at the snapshot's
+/// new generation, whatever rows it held before.
+#[test]
+fn every_schema_change_leaves_a_header_only_log_at_the_new_generation() {
+    let dir = scratch_dir("ddl-cuts");
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
+        .unwrap();
+    db.execute("CREATE TABLE logged (id BIGINT)").unwrap();
+    type Change<'a> = &'a dyn Fn() -> Result<(), EngineError>;
+    let changes: [(&str, Change); 4] = [
+        ("CREATE TABLE", &|| db.execute("CREATE TABLE t (id BIGINT, g GEOMETRY)").map(drop)),
+        ("CREATE INDEX", &|| db.create_indexes("t", &["g"], &["id"])),
+        ("DROP INDEX", &|| db.drop_ordered_index("t", "id")),
+        ("DROP TABLE", &|| db.execute("DROP TABLE t").map(drop)),
+    ];
+    for (what, change) in changes {
+        db.execute("INSERT INTO logged VALUES (1)").unwrap();
+        let before = snapshot_generation(&dir);
+        assert!(std::fs::read(dir.join(WAL_FILE)).unwrap() != wal_header(before), "{what}");
+        change().unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(snapshot_generation(&dir), before + 1, "{what}: the snapshot was not cut");
+        let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert!(log == wal_header(before + 1), "{what}: the log is not a bare header");
+    }
+    drop(db);
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
+        .unwrap();
+    assert_eq!(db.table_names(), ["logged"]);
+    let r = db.execute("SELECT COUNT(*) FROM logged").unwrap();
+    assert_eq!(r.scalar().unwrap().to_string(), "4");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stale_wal_surviving_a_checkpoint_crash_is_not_replayed() {
     // The checkpoint crash window: the new snapshot has been renamed
     // into place but the crash hits before the WAL is truncated, so a
     // stale log (whose records the snapshot already contains) survives
     // next to it. Recovery must open the snapshot and DISCARD the log —
-    // replaying it would hit CREATE TABLE conflicts or silently
-    // duplicate rows.
+    // replaying it would put its rows a second time into slots the
+    // snapshot already fills.
     let dir = scratch_dir("stale-wal");
     {
         let db =
@@ -826,7 +961,7 @@ fn stale_wal_surviving_a_checkpoint_crash_is_not_replayed() {
         for i in 0..8 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'x{i}')")).unwrap();
         }
-        // Save the WAL as it stands (create + 8 inserts), checkpoint,
+        // Save the WAL as it stands (8 inserts), checkpoint,
         // then put the stale copy back: byte-for-byte the post-crash
         // directory state.
         let stale = std::fs::read(dir.join(WAL_FILE)).unwrap();
@@ -862,7 +997,8 @@ fn a_clean_open_keeps_the_snapshot_and_a_replaying_open_recuts_it() {
     #[cfg(not(unix))]
     let inode = |_: &std::path::Path| 0u64;
 
-    // No snapshot yet: the first open cuts one (generation 1).
+    // No snapshot yet: the first open cuts one (generation 1), the
+    // CREATE TABLE the next and the checkpoint a third.
     let db = open();
     db.execute("CREATE TABLE t (id BIGINT, name TEXT)").unwrap();
     for i in 0..6 {
@@ -872,7 +1008,7 @@ fn a_clean_open_keeps_the_snapshot_and_a_replaying_open_recuts_it() {
     drop(db);
     let cut = std::fs::read(&snap).unwrap();
     let (cut_gen, cut_inode) = (generation(&cut), inode(&snap));
-    assert_eq!(cut_gen, 2);
+    assert_eq!(cut_gen, 3);
 
     // Nothing to fold, four ways: an empty log of the same generation, no
     // log, a torn log header, a stale log of another generation.
@@ -1166,14 +1302,8 @@ fn duplicate_rows_replay_deletes_by_row_id_not_bytes() {
     // Three byte-identical rows at slots 0..2, delete the middle one:
     // recovery must keep exactly slots 0 and 2.
     let dup = vec![Value::Int(7), Value::Text("dup".into())];
+    let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
     let records = vec![
-        WalRecord::CreateTable {
-            name: "t".into(),
-            columns: vec![
-                ColumnDef::new("id", DataType::Int),
-                ColumnDef::new("name", DataType::Text),
-            ],
-        },
         WalRecord::InsertAt { table: "t".into(), id: RowId { page: 0, slot: 0 }, row: dup.clone() },
         WalRecord::InsertAt { table: "t".into(), id: RowId { page: 0, slot: 1 }, row: dup.clone() },
         WalRecord::InsertAt { table: "t".into(), id: RowId { page: 0, slot: 2 }, row: dup.clone() },
@@ -1184,7 +1314,7 @@ fn duplicate_rows_replay_deletes_by_row_id_not_bytes() {
         bytes.extend_from_slice(&rec.frame());
     }
     let dir = scratch_dir("dup-delete");
-    std::fs::write(dir.join(WAL_FILE), &bytes).unwrap();
+    write_pair(&dir, &schema_image("t", columns, &[]), &bytes);
     let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
         .unwrap();
     let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
@@ -1230,13 +1360,12 @@ fn torn_or_flipped_wal_recovery_is_identical_through_a_tiny_pool() {
     };
     std::fs::remove_dir_all(&src).ok();
 
-    // Outer None: recovery refused the image (detected corruption).
-    // Inner None: recovered, but to a catalog without the table (an
-    // image ending before the CreateTable frame).
+    // None: recovery refused the image (detected corruption). The
+    // snapshot holds the table from its CREATE TABLE on, so every image
+    // that recovers has it.
     let open_image = |tag: &str, image: &[u8], pool_bytes: usize| {
         let dir = scratch_dir(&format!("pool-sweep-{tag}"));
-        std::fs::write(dir.join(SNAPSHOT_FILE), &snapshot).unwrap();
-        std::fs::write(dir.join(WAL_FILE), image).unwrap();
+        write_pair(&dir, &snapshot, image);
         let rows = match SpatialDb::open_durable(
             &dir,
             EngineProfile::ExactRtree,
@@ -1246,13 +1375,7 @@ fn torn_or_flipped_wal_recovery_is_identical_through_a_tiny_pool() {
             Ok(db) => {
                 db.set_pool_bytes(pool_bytes);
                 db.clear_caches();
-                let rows = if db.table_names().is_empty() {
-                    None
-                } else {
-                    Some(db.execute("SELECT id, pad FROM t ORDER BY id").unwrap())
-                };
-                drop(db);
-                Some(rows)
+                Some(db.execute("SELECT id, pad FROM t ORDER BY id").unwrap())
             }
         };
         std::fs::remove_dir_all(&dir).ok();
