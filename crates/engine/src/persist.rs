@@ -2,11 +2,11 @@
 //! to a single file and one streaming reader that opens it again,
 //! rebuilding indexes.
 //!
-//! Format v5 (all little-endian):
+//! Format v6 (all little-endian):
 //!
 //! ```text
 //! header (33 bytes):
-//!   magic "JKPN" | version u32 = 5 | profile u8 | generation u64
+//!   magic "JKPN" | version u32 = 6 | profile u8 | generation u64
 //!   table count u32 | body len u64 | file crc32 u32
 //!   (the file crc covers profile..body-len plus the whole body)
 //! body, per table:
@@ -20,49 +20,59 @@
 //!   per page of the heap, pages ascending from 0:
 //!     page u32 | the page's image (jackpine_storage::page)
 //! page image (every number an unsigned LEB128 varint):
-//!   slot count | dropped bytes | per slot: tuple length (0 = none)
-//!   the saved rows' tuples (the heap codec), in slot order
+//!   slot count | dropped bytes | per slot: compact tuple length (0 = none)
+//!   the saved rows' compact tuples (jackpine_storage::compact), in slot order
 //! ```
 //!
 //! A page's entry holds the rows of it that are saved, each in its slot,
 //! and every slot the page has: the others are tombstones, and the bytes
-//! of rows not saved count as dropped. Reload puts each page back as one
-//! frame with the slots and the room of the page saved, so row ids are
-//! **stable across recovery** — the property the WAL's
-//! `InsertAt`/`DeleteId` records rely on — and so is the id the next
-//! insert takes; a row costs its tuple and a length byte or two. Indexes
-//! are stored as *definitions* and rebuilt on open (bulk loads are fast
-//! and the format stays independent of index internals).
+//! of rows not saved count as dropped (in the heap's bytes). Each row is
+//! stored in the compact row codec, not as the heap holds it: varint
+//! integers and lengths, and geometries without their WKB headers and
+//! their rings' closing vertices, which expand back to the heap's bytes
+//! exactly. Reload puts each page back as one frame with the tuples, the
+//! slots and the room of the page saved, so row ids are **stable across
+//! recovery** — the property the WAL's `InsertAt`/`DeleteId` records
+//! rely on — and so is the id the next insert takes; a row costs its
+//! compact tuple and a length byte or two. Indexes are stored as
+//! *definitions* and rebuilt on open (bulk loads are fast and the format
+//! stays independent of index internals).
 //!
 //! **The writer** ([`SpatialDb::snapshot_to`]; `save`, `snapshot_bytes`
 //! and [`crate::durable`]'s one snapshot cut — every checkpoint, schema
-//! change, attach and replaying open — all go through it) never holds the image. It
-//! first fixes each table's row set (`HeapFile::row_ids`: latest
-//! committed state; rows awaiting vacuum are skipped, so truncating
-//! their pending WAL `DeleteId` records at the same cut is harmless) and
-//! sizes every block from the pages' slot
-//! directories: each count and length is written in place and equals
-//! what is streamed, whatever inserts run beside it. Then it writes each
-//! page's image head and copies its tuples straight out of the pinned
-//! heap page — a page holds exactly `Value::encode_row`, so nothing is
-//! decoded, re-encoded or cached — through a fixed buffer into the sink,
-//! folding the bytes into the block checksum as they pass and each
-//! block's checksum into the file checksum where the block ends, so each
-//! byte is checksummed once. The file
-//! checksum sits in the header, in front of the bytes it covers: it alone
-//! is patched by a seek when the stream ends. Memory: the buffer plus the
-//! id lists (8 bytes a row).
+//! change, attach and replaying open — all go through it) never holds
+//! the image. It first fixes each table's row set (`HeapFile::row_ids`:
+//! latest committed state; rows awaiting vacuum are skipped, so
+//! truncating their pending WAL `DeleteId` records at the same cut is
+//! harmless) and sizes every block from the pages it pins: the slot
+//! directories, and each saved row's compact length, taken by the
+//! codec's walk that counts and writes nothing. Each count and length
+//! is thus written in place and equals what is streamed, whatever
+//! inserts run beside it. Then it transcodes each page's saved tuples
+//! out of the pinned heap page into the compact form — nothing is
+//! decoded into values or cached — and writes the image head, with the
+//! lengths they were written at, and then the tuples, through a fixed
+//! buffer into the sink, folding the bytes into the block checksum as
+//! they pass and each block's checksum into the file checksum where the
+//! block ends, so each byte is checksummed once. The file checksum sits
+//! in the header, in front of the bytes it covers: it alone is patched
+//! by a seek when the stream ends. Memory: the buffer, one page's entry,
+//! and the id lists (8 bytes a row).
 //!
 //! **The reader** ([`SpatialDb::open_from`]; `open` and `open_durable`
 //! go through it) mirrors it: a buffered stream, checksums folded as the
-//! bytes pass, a page at a time. Each image is read into the one buffer
-//! that becomes the page; each of its rows is decoded once, checked and
-//! kept as its slot's decoded row; and the page goes into the heap as
-//! one frame ([`jackpine_storage::HeapFile::restore_page`]). Memory: the
-//! stream buffer plus the largest page. Rows are thus parsed *before*
-//! their checksum is known. That is
-//! safe because every length is checked against the bytes its block has
-//! left, buffers grow only as bytes arrive, counts clamp their
+//! bytes pass, a page at a time. Each image is read into one buffer,
+//! its compact tuples are walked once to count the heap bytes they stand
+//! for and then expanded into the one buffer that becomes the page (the
+//! slots and dropped bytes carried over); each of its rows is decoded
+//! once, checked and kept as its slot's decoded row; and the page goes
+//! into the heap as one frame
+//! ([`jackpine_storage::HeapFile::restore_page`]). Memory: the stream
+//! buffer plus the largest page, compact and expanded. Rows are thus
+//! parsed *before* their checksum is known. That is safe because every
+//! length and count is checked against the bytes its block or its tuple
+//! has left, buffers grow only as bytes arrive (an expanded page is
+//! reserved only once all its tuples have read), counts clamp their
 //! `with_capacity`, nothing sweeps the heap before the block checksum
 //! matched, every decode or placement error becomes
 //! [`EngineError::Persist`], and the half-built engine is dropped unless
@@ -86,6 +96,7 @@ use crate::seeds::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb, Table};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_obs::TxnSite;
+use jackpine_storage::compact::{compact_tuple, expand_tuple};
 use jackpine_storage::page::Page;
 use jackpine_storage::{ColumnDef, DataType, RowId};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -93,7 +104,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"JKPN";
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 /// Profile + generation + table count + body len (the header bytes the
 /// file checksum covers).
 const META_LEN: usize = 1 + 8 + 4 + 8;
@@ -102,8 +113,8 @@ const HEADER_LEN: usize = 4 + 4 + META_LEN + 4;
 /// Where the file crc sits.
 const CRC_OFFSET: usize = HEADER_LEN - 4;
 /// The fewest block bytes a saved row takes: its length byte and its
-/// tuple's two-byte column count.
-const MIN_ROW_LEN: u64 = 3;
+/// compact tuple's one-byte column count.
+const MIN_ROW_LEN: u64 = 2;
 /// The writer's and the reader's stream buffer, and the step by which
 /// the reader's buffers grow towards a length read from the file.
 const BUF_LEN: usize = 64 * 1024;
@@ -159,12 +170,35 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Puts the head of the entry of page `no` into `out`: the page number
 /// and the head of the image of the page holding only `run`'s rows (its
-/// saved rows, in slot order). Returns the length of the tuples that
-/// complete the entry.
-fn entry_head(no: u32, page: &Page, run: &[RowId], out: &mut Vec<u8>) -> usize {
+/// saved rows, in slot order), each `stored(tuple)` bytes long. Returns
+/// the length of the tuples that complete the entry.
+fn entry_head(
+    no: u32,
+    page: &Page,
+    run: &[RowId],
+    stored: impl FnMut(&[u8]) -> Result<usize>,
+    out: &mut Vec<u8>,
+) -> Result<usize> {
     out.clear();
     out.put_u32_le(no);
-    page.put_head(run.iter().map(|id| id.slot), out)
+    page.put_head(run.iter().map(|id| id.slot), stored, out)
+}
+
+/// The length of the compact form of the heap tuple `tuple`, by the
+/// codec's walk that writes nothing.
+fn compact_len(tuple: &[u8]) -> Result<usize> {
+    let mut len = 0;
+    compact_tuple(tuple, &mut len)?;
+    Ok(len)
+}
+
+/// The heap page that a page entry's image of compact tuples stands
+/// for: each tuple is walked once to count the bytes it expands to, and
+/// only then is the page's buffer reserved and each expanded into it.
+fn expand_page(image: &Page) -> Result<Page> {
+    let mut len = 0;
+    image.iter().try_for_each(|(_, tuple)| expand_tuple(tuple, &mut len))?;
+    image.map_tuples(len, |tuple, out| expand_tuple(tuple, out).map_err(EngineError::from))
 }
 
 /// One table as the writer fixed it before the first byte went out.
@@ -205,7 +239,7 @@ impl<W: Write> Sink<W> {
 
 impl SpatialDb {
     /// Serializes every table (schema, index definitions, rows) to the
-    /// complete format-v5 byte image, checksums included, at generation
+    /// complete format-v6 byte image, checksums included, at generation
     /// 0 (the standalone-snapshot generation; checkpoints stamp real
     /// ones). The in-memory sink of [`SpatialDb::snapshot_to`].
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
@@ -214,7 +248,7 @@ impl SpatialDb {
         Ok(image.into_inner())
     }
 
-    /// Streams the format-v5 image at generation 0 into `sink` — what
+    /// Streams the format-v6 image at generation 0 into `sink` — what
     /// [`SpatialDb::save`] does to its temp file, for callers (and fault
     /// injectors) that bring their own sink. The sink needs `Seek` for
     /// one patch: the file checksum in the header, written last. Holds
@@ -227,7 +261,8 @@ impl SpatialDb {
     /// [`SpatialDb::snapshot_to`] with an explicit generation stamp.
     fn snapshot_to_gen(&self, sink: impl Write + Seek, generation: u64) -> Result<()> {
         // Fix every table's row set and size its block (slot directories
-        // only): what is written below is then what is streamed.
+        // and compact lengths): what is written below is then what is
+        // streamed.
         let mut blocks = Vec::new();
         for table in self.tables.all() {
             let mut head: Vec<u8> = Vec::with_capacity(256);
@@ -248,7 +283,7 @@ impl SpatialDb {
             head.put_u64_le(ids.len() as u64);
             let (mut len, mut entry) = (head.len() as u64, Vec::new());
             table.heap.scan_pages(&ids, |no, page, run| {
-                let tuples = entry_head(no, page, run, &mut entry);
+                let tuples = entry_head(no, page, run, compact_len, &mut entry)?;
                 len += (entry.len() + tuples) as u64;
                 Ok::<(), EngineError>(())
             })?;
@@ -270,7 +305,8 @@ impl SpatialDb {
         sink.framing(&meta)?;
         sink.out.write_all(&[0; 4]).map_err(io_err)?; // the file crc, patched below
 
-        let mut entry = Vec::new();
+        // A page's entry head, its compact tuples, and their lengths.
+        let (mut entry, mut tuples, mut lens) = (Vec::new(), Vec::new(), Vec::new());
         for b in &blocks {
             let len = u32::try_from(b.len)
                 .map_err(|_| corrupt(&format!("table '{}' exceeds 4 GiB", b.table.name)))?;
@@ -278,9 +314,22 @@ impl SpatialDb {
             sink.block_crc = Crc32::new();
             sink.block(&b.head)?;
             b.table.heap.scan_pages(&b.ids, |no, page, run| {
-                entry_head(no, page, run, &mut entry);
+                tuples.clear();
+                lens.clear();
+                for id in run {
+                    let at = tuples.len();
+                    compact_tuple(page.get(id.slot)?, &mut tuples)?;
+                    lens.push(tuples.len() - at);
+                }
+                // The head takes the lengths the tuples were written at,
+                // which the sizing pass took by the same codec.
+                let mut lens = lens.iter();
+                let stored = |_: &[u8]| {
+                    lens.next().copied().ok_or_else(|| corrupt("a page changed in a cut"))
+                };
+                entry_head(no, page, run, stored, &mut entry)?;
                 sink.block(&entry)?;
-                run.iter().try_for_each(|id| sink.block(page.get(id.slot)?))
+                sink.block(&tuples)
             })?;
             let block_crc = sink.block_crc.finish();
             sink.file_crc.append(block_crc, b.len);
@@ -566,7 +615,7 @@ impl<R: Read> Source<R> {
                 return Err(corrupt("page entries not strictly ascending"));
             }
             last = Some(no);
-            let page = Page::read_from(|buf, n| self.append(n, buf))?;
+            let page = expand_page(&Page::read_from(|buf, n| self.append(n, buf))?)?;
             rows += table.heap.restore_page(no, page, |id, tuple| seeds.add(id, tuple))? as u64;
         }
         if rows != nrows {
@@ -687,12 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn only_format_v5_opens() {
-        // The v1–v4 readers are gone: their version numbers, like any
+    fn only_format_v6_opens() {
+        // The v1–v5 readers are gone: their version numbers, like any
         // other, are a persistence error whatever follows the header.
         let image = SpatialDb::new(EngineProfile::ExactRtree).snapshot_bytes().unwrap();
         assert!(SpatialDb::open_from(&image[..]).is_ok());
-        for version in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
             let mut other = image.clone();
             other[4..8].copy_from_slice(&version.to_le_bytes());
             match SpatialDb::open_from(&other[..]) {
@@ -754,7 +803,7 @@ mod tests {
         assert_eq!(SpatialDb::peek_snapshot_generation(&path), 0);
     }
 
-    /// A one-table v5 image around `block`, with both checksums right.
+    /// A one-table v6 image around `block`, with both checksums right.
     fn image_around(block: &[u8]) -> Vec<u8> {
         let mut body: Vec<u8> = Vec::new();
         body.put_u32_le(block.len() as u32);
@@ -777,12 +826,19 @@ mod tests {
         image
     }
 
+    /// The compact tuple a snapshot stores of `row`.
+    fn compact_row(row: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        compact_tuple(&Value::encode_row(row), &mut out).unwrap();
+        out
+    }
+
     /// Appends the entry of page `page` holding `rows`, each in its slot,
     /// to a hand-built block.
     fn page_entry(block: &mut Vec<u8>, page: u32, rows: &[(u16, &[Value])]) {
         let mut image = Page::new();
         for (slot, row) in rows {
-            image.place(*slot, &Value::encode_row(row)).unwrap();
+            image.place(*slot, &compact_row(row)).unwrap();
         }
         block.put_u32_le(page);
         block.put_slice(&image.to_bytes());
@@ -872,7 +928,7 @@ mod tests {
 
         // The one length byte of the last page's one row, three too many.
         let mut past_the_image = good.clone();
-        let at = past_the_image.len() - Value::encode_row(&[Value::Int(2)]).len() - 1;
+        let at = past_the_image.len() - compact_row(&[Value::Int(2)]).len() - 1;
         past_the_image[at] += 3;
 
         // A page entry without a row is a page whose rows all died.
@@ -907,6 +963,52 @@ mod tests {
             let err = SpatialDb::open_from(&image_around(&block)[..]).err().expect(what);
             assert!(matches!(err, EngineError::Persist(_)), "{what}: got {err:?}");
         }
+    }
+
+    #[test]
+    fn hostile_compact_rows_are_persistence_errors() {
+        // Checksum-valid blocks whose one page holds one compact tuple of
+        // a `(BIGINT, GEOMETRY)` row that the codec must refuse — a count
+        // or length of 2^62 would abort the test if anything reserved it.
+        let mut head: Vec<u8> = Vec::new();
+        put_str(&mut head, "t");
+        head.put_u32_le(2);
+        put_str(&mut head, "id");
+        head.put_u8(type_tag(DataType::Int));
+        put_str(&mut head, "g");
+        head.put_u8(type_tag(DataType::Geometry));
+        head.put_u32_le(0);
+        head.put_u32_le(0);
+        head.put_u64_le(1);
+        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
+        let point = compact_row(&[
+            Value::Int(7),
+            Value::Geom(jackpine_geom::wkt::parse("POINT (1 2)").unwrap()),
+        ]);
+        for (what, tuple) in [
+            ("a varint over ten bytes", [&[2, 1][..], &[0x80; 9], &[0x81, 0, 0]].concat()),
+            ("a count past the block", [&[2, 1, 2, 4, 2][..], &huge].concat()),
+            ("a length past the block", [&[2, 1, 2, 5][..], &huge].concat()),
+            ("a ring count past the block", [&[2, 1, 2, 4, 3][..], &huge].concat()),
+            ("an unknown tag", vec![2, 1, 2, 9]),
+            ("an unknown geometry type", vec![2, 1, 2, 4, 8]),
+            ("a truncated coordinate", point[..point.len() - 1].to_vec()),
+        ] {
+            let mut block = head.clone();
+            block.put_u32_le(0); // page
+            block.put_slice(&[1, 0, tuple.len() as u8]);
+            block.put_slice(&tuple);
+            match SpatialDb::open_from(&image_around(&block)[..]) {
+                Err(EngineError::Persist(m)) => {
+                    assert!(m.contains("compact row") || m.contains("varint"), "{what}: {m}")
+                }
+                other => panic!("{what}: {:?}", other.map(|_| ())),
+            }
+        }
+        let mut block = head.clone();
+        page_entry(&mut block, 0, &[(0, &[Value::Int(7), Value::Null])]);
+        let db = SpatialDb::open_from(&image_around(&block)[..]).unwrap();
+        assert_eq!(db.execute("SELECT id FROM t").unwrap().rows[0][0].to_string(), "7");
     }
 
     #[test]

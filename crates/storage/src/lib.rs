@@ -20,6 +20,20 @@
 //! the page store first. The engine's cold mode drops the frames
 //! ([`BufferPool::clear`]) between queries, so cold numbers genuinely
 //! include that work rather than a simulated sleep.
+//!
+//! ## Two encodings of a row
+//!
+//! * **The heap's** ([`Value::encode_row`]): a two-byte column count,
+//!   then per value a tag and a fixed-width integer or float, a text's
+//!   `u32` length and bytes, or a geometry's `u32` length and WKB. A
+//!   row is read from these bytes in place ([`Field`]), so they are
+//!   what a page holds in memory, in a spill file and in the write-ahead
+//!   log's insert records, which share them with the staging buffer.
+//! * **The snapshot's** ([`compact`]): varint counts, integers and
+//!   lengths, and geometries without their WKB headers or their rings'
+//!   closing vertices, about a quarter fewer bytes. It is written only
+//!   by the snapshot writer and expanded back to the heap's bytes, byte
+//!   for byte, by the snapshot reader before a page is restored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +53,7 @@ pub use page::PAGE_SIZE;
 pub use pool::{BufferPool, PinnedPage, PoolStats};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use store::PageStore;
-pub use value::{Field, Lend, Row, Value, ValueRef};
+pub use value::{compact, Field, Lend, Row, Value, ValueRef};
 
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;

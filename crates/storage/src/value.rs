@@ -1,4 +1,7 @@
-//! Typed SQL values and their page codec.
+//! Typed SQL values and their page codec: the heap's encoding of a row,
+//! and ([`compact`]) the snapshot's.
+
+pub mod compact;
 
 use crate::{Result, StorageError};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
@@ -320,6 +323,7 @@ impl<'a> Field<'a> {
 /// The encoded value at the front of `data` ([`ValueRef::encode`]) as its
 /// tag, its payload (a string's or geometry's without the length) and
 /// the bytes after it — plain slice splits, checked, nothing read.
+#[inline]
 fn split_value(data: &[u8]) -> Result<(u8, &[u8], &[u8])> {
     let Some((&tag, rest)) = data.split_first() else {
         return Err(StorageError::Corrupt("empty value payload".into()));

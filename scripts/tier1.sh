@@ -67,6 +67,22 @@ if [ -n "$ddl" ]; then
   exit 1
 fi
 
+echo "== the snapshot alone stores compact rows: compact_tuple/expand_tuple named only in storage's codec and persist.rs"
+# Spill files and the WAL keep the heap's bytes: a cold pin would have to
+# expand its whole page, and a WAL insert record shares its bytes with
+# the staging buffer. A change that moves either measures it first.
+codec=$(for f in crates/*/src/**/*.rs src/**/*.rs; do
+  case "$f" in
+    crates/storage/src/value/compact.rs | crates/engine/src/persist.rs) continue ;;
+  esac
+  awk '/#\[cfg\(test\)\]/{exit} /compact_tuple|expand_tuple/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$codec" ]; then
+  echo "the compact row codec is the snapshot's (crates/engine/src/persist.rs); found:"
+  echo "$codec"
+  exit 1
+fi
+
 echo "== the docs name what they mean, not a roadmap item (its numbers change at every re-anchor)"
 if grep -nE 'ROADMAP (item|[0-9])' DESIGN.md README.md; then
   echo "DESIGN.md or README.md points at a roadmap item: name the thing instead"

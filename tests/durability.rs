@@ -213,9 +213,11 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
     // still awaiting vacuum behind a pinned snapshot, and both index
     // kinds. Its image is pinned: re-pinned when format v5 replaced v4
     // (52,993 bytes), whose image restored the same rows at the same row
-    // ids on the same pages, and when each page entry began to keep
-    // every slot and the bytes of rows not saved (48,753 bytes), which
-    // restores the same rows at the same ids too. The file and the
+    // ids on the same pages, when each page entry began to keep every
+    // slot and the bytes of rows not saved (48,753 bytes), which restores
+    // the same rows at the same ids too, and when format v6 stored each
+    // row in the compact row codec (48,762 bytes in v5), which restores
+    // the same pages, tuples and next row ids. The file and the
     // in-memory sink of the streaming writer are the same bytes.
     let mut rng = common::test_rng("pinned-image");
     let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -262,8 +264,8 @@ fn streamed_image_is_the_materialised_one_byte_for_byte() {
     assert!(file == image, "save() and snapshot_bytes() wrote different images");
     assert_eq!(
         (image.len(), fnv64(&image)),
-        (48_762, 5_927_724_608_507_136_859),
-        "format v5 image moved"
+        (41_951, 5_979_348_732_905_875_428),
+        "format v6 image moved"
     );
     drop(reader);
 
