@@ -252,7 +252,7 @@ impl SpatialDb {
             // the row the log handed over (restore's rule), and the row is
             // encoded once for the slot and the index entries.
             WalRecord::InsertAt { table, id, row } => {
-                let (t, tuple) = (self.table(&table)?, Value::encode_row(&row));
+                let (t, tuple) = (self.table(&table)?, Value::store_row(&row));
                 t.heap.place_tuple(&tuple, row, id, 0)?;
                 t.index_tuples([(id, &tuple[..])], true)
             }

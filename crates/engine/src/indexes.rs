@@ -705,13 +705,13 @@ mod tests {
         }
     }
 
-    /// A tuple whose geometry has byte-order mark `mark`: its envelope
-    /// cannot be read.
+    /// A tuple whose geometry has type code `mark`, which no geometry
+    /// has: its envelope cannot be read.
     fn corrupt(mark: u8) -> Vec<u8> {
         let g = Value::Geom(wkt::parse("POINT (1 2)").unwrap());
-        let mut tuple = Value::encode_row(&[Value::Int(1), Value::Text("x".into()), g]);
-        // Row arity, the integer, the text, the geometry's tag and length.
-        tuple[2 + 9 + 6 + 5] = mark;
+        let mut tuple = Value::store_row(&[Value::Int(1), Value::Text("x".into()), g]);
+        // Row arity, the integer, the text, the geometry's tag.
+        tuple[1 + 2 + 3 + 1] = mark;
         tuple
     }
 
@@ -722,18 +722,21 @@ mod tests {
         // in an early run and one in the last; the first in id order is
         // the one reported.
         let last = table_of(&db, "last", MIN_PARALLEL_ROWS + 700);
-        last.heap.insert_tuple(&corrupt(7), 0).unwrap();
+        last.heap.insert_tuple(&corrupt(17), 0).unwrap();
         let both = table_of(&db, "both", 700);
-        both.heap.insert_tuple(&corrupt(8), 0).unwrap();
+        both.heap.insert_tuple(&corrupt(18), 0).unwrap();
         db.insert_rows("both", rows(MIN_PARALLEL_ROWS)).unwrap();
-        both.heap.insert_tuple(&corrupt(9), 0).unwrap();
-        for (table, mark) in [("last", 7), ("both", 8)] {
+        both.heap.insert_tuple(&corrupt(19), 0).unwrap();
+        for (table, mark) in [("last", 17), ("both", 18)] {
             let mut errors = Vec::new();
             for workers in [1, 2, 7] {
                 db.set_workers(workers);
                 let stamp = db.ddl_gen.load(Ordering::SeqCst);
                 let err = db.create_indexes(table, &["g"], &["name"]).unwrap_err();
-                assert!(err.to_string().contains(&format!("byte-order mark {mark}")), "{err}");
+                assert!(
+                    err.to_string().contains(&format!("unknown geometry type {mark}")),
+                    "{err}"
+                );
                 let defined = db.table(table).unwrap().index_definitions();
                 assert_eq!(defined, (vec![], vec![]), "{table}");
                 assert_eq!(db.ddl_gen.load(Ordering::SeqCst), stamp, "{table}: DDL stamp moved");

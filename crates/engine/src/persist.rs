@@ -2,11 +2,11 @@
 //! to a single file and one streaming reader that opens it again,
 //! rebuilding indexes.
 //!
-//! Format v6 (all little-endian):
+//! Format v7 (all little-endian):
 //!
 //! ```text
 //! header (33 bytes):
-//!   magic "JKPN" | version u32 = 6 | profile u8 | generation u64
+//!   magic "JKPN" | version u32 = 7 | profile u8 | generation u64
 //!   table count u32 | body len u64 | file crc32 u32
 //!   (the file crc covers profile..body-len plus the whole body)
 //! body, per table:
@@ -20,23 +20,23 @@
 //!   per page of the heap, pages ascending from 0:
 //!     page u32 | the page's image (jackpine_storage::page)
 //! page image (every number an unsigned LEB128 varint):
-//!   slot count | dropped bytes | per slot: compact tuple length (0 = none)
-//!   the saved rows' compact tuples (jackpine_storage::compact), in slot order
+//!   slot count | dropped bytes | per slot: tuple length (0 = none)
+//!   the saved rows' tuples, in slot order, as the heap holds them
 //! ```
 //!
-//! A page's entry holds the rows of it that are saved, each in its slot,
-//! and every slot the page has: the others are tombstones, and the bytes
-//! of rows not saved count as dropped (in the heap's bytes). Each row is
-//! stored in the compact row codec, not as the heap holds it: varint
-//! integers and lengths, and geometries without their WKB headers and
-//! their rings' closing vertices, which expand back to the heap's bytes
-//! exactly. Reload puts each page back as one frame with the tuples, the
-//! slots and the room of the page saved, so row ids are **stable across
+//! A page's entry is the heap page's own image — the one a spill file
+//! holds — with the rows of it that are saved, each in its slot, and
+//! every slot the page has: the others are tombstones, and the bytes of
+//! rows not saved count as dropped. Each tuple is copied as the heap
+//! stores it, in the stored row codec ([`jackpine_storage::compact`]),
+//! and read back as it was written: nothing is transcoded either way.
+//! Reload puts each page back as one frame with the tuples, the slots
+//! and the room of the page saved, so row ids are **stable across
 //! recovery** — the property the WAL's `InsertAt`/`DeleteId` records
 //! rely on — and so is the id the next insert takes; a row costs its
-//! compact tuple and a length byte or two. Indexes are stored as
-//! *definitions* and rebuilt on open (bulk loads are fast and the format
-//! stays independent of index internals).
+//! tuple and a length byte or two. Indexes are stored as *definitions*
+//! and rebuilt on open (bulk loads are fast and the format stays
+//! independent of index internals).
 //!
 //! **The writer** ([`SpatialDb::snapshot_to`]; `save`, `snapshot_bytes`
 //! and [`crate::durable`]'s one snapshot cut — every checkpoint, schema
@@ -44,41 +44,35 @@
 //! the image. It first fixes each table's row set (`HeapFile::row_ids`:
 //! latest committed state; rows awaiting vacuum are skipped, so
 //! truncating their pending WAL `DeleteId` records at the same cut is
-//! harmless) and sizes every block from the pages it pins: the slot
-//! directories, and each saved row's compact length, taken by the
-//! codec's walk that counts and writes nothing. Each count and length
-//! is thus written in place and equals what is streamed, whatever
-//! inserts run beside it. Then it transcodes each page's saved tuples
-//! out of the pinned heap page into the compact form — nothing is
-//! decoded into values or cached — and writes the image head, with the
-//! lengths they were written at, and then the tuples, through a fixed
-//! buffer into the sink, folding the bytes into the block checksum as
-//! they pass and each block's checksum into the file checksum where the
-//! block ends, so each byte is checksummed once. The file checksum sits
-//! in the header, in front of the bytes it covers: it alone is patched
-//! by a seek when the stream ends. Memory: the buffer, one page's entry,
-//! and the id lists (8 bytes a row).
+//! harmless) and sizes every block from the slot directories of the
+//! pages it pins, which hold every length the block has: no tuple is
+//! read. Each count and length is thus written in place and equals what
+//! is streamed, whatever inserts run beside it. Then it writes each
+//! page's entry head and its saved tuples, copied out of the pinned heap
+//! page — nothing is decoded or cached — through a fixed buffer into the
+//! sink, folding the bytes into the block checksum as they pass and each
+//! block's checksum into the file checksum where the block ends, so each
+//! byte is checksummed once. The file checksum sits in the header, in
+//! front of the bytes it covers: it alone is patched by a seek when the
+//! stream ends. Memory: the buffer, one page's entry head, and the id
+//! lists (8 bytes a row).
 //!
 //! **The reader** ([`SpatialDb::open_from`]; `open` and `open_durable`
 //! go through it) mirrors it: a buffered stream, checksums folded as the
-//! bytes pass, a page at a time. Each image is read into one buffer,
-//! its compact tuples are walked once to count the heap bytes they stand
-//! for and then expanded into the one buffer that becomes the page (the
-//! slots and dropped bytes carried over); each of its rows is decoded
-//! once, checked and kept as its slot's decoded row; and the page goes
-//! into the heap as one frame
-//! ([`jackpine_storage::HeapFile::restore_page`]). Memory: the stream
-//! buffer plus the largest page, compact and expanded. Rows are thus
-//! parsed *before* their checksum is known. That is safe because every
-//! length and count is checked against the bytes its block or its tuple
-//! has left, buffers grow only as bytes arrive (an expanded page is
-//! reserved only once all its tuples have read), counts clamp their
-//! `with_capacity`, nothing sweeps the heap before the block checksum
-//! matched, every decode or placement error becomes
-//! [`EngineError::Persist`], and the half-built engine is dropped unless
-//! every block checksum, the file checksum and the exact body length
-//! check out — truncation and bit rot never panic, never allocate
-//! gigabytes and never load a silently short table.
+//! bytes pass, a page at a time. Each image is read into the one buffer
+//! that becomes the page; each of its rows is decoded once, checked and
+//! kept as its slot's decoded row; and the page goes into the heap as one
+//! frame ([`jackpine_storage::HeapFile::restore_page`]). Memory: the
+//! stream buffer plus the largest page. Rows are thus parsed *before*
+//! their checksum is known. That is safe because every length and count
+//! is checked against the bytes its block or its tuple has left, buffers
+//! grow only as bytes arrive, counts clamp their `with_capacity`,
+//! nothing sweeps the heap before the block checksum matched, every
+//! decode or placement error becomes [`EngineError::Persist`], and the
+//! half-built engine is dropped unless every block checksum, the file
+//! checksum and the exact body length check out — truncation and bit rot
+//! never panic, never allocate gigabytes and never load a silently short
+//! table.
 //!
 //! * **Atomic replacement** — [`SpatialDb::save`] streams into a uniquely
 //!   named temp sibling, fsyncs it, renames it over the destination and
@@ -96,7 +90,6 @@ use crate::seeds::IndexSeeds;
 use crate::{EngineError, EngineProfile, Result, SpatialDb, Table};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_obs::TxnSite;
-use jackpine_storage::compact::{compact_tuple, expand_tuple};
 use jackpine_storage::page::Page;
 use jackpine_storage::{ColumnDef, DataType, RowId};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -104,7 +97,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"JKPN";
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 /// Profile + generation + table count + body len (the header bytes the
 /// file checksum covers).
 const META_LEN: usize = 1 + 8 + 4 + 8;
@@ -113,7 +106,7 @@ const HEADER_LEN: usize = 4 + 4 + META_LEN + 4;
 /// Where the file crc sits.
 const CRC_OFFSET: usize = HEADER_LEN - 4;
 /// The fewest block bytes a saved row takes: its length byte and its
-/// compact tuple's one-byte column count.
+/// tuple's one-byte column count.
 const MIN_ROW_LEN: u64 = 2;
 /// The writer's and the reader's stream buffer, and the step by which
 /// the reader's buffers grow towards a length read from the file.
@@ -170,35 +163,12 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Puts the head of the entry of page `no` into `out`: the page number
 /// and the head of the image of the page holding only `run`'s rows (its
-/// saved rows, in slot order), each `stored(tuple)` bytes long. Returns
-/// the length of the tuples that complete the entry.
-fn entry_head(
-    no: u32,
-    page: &Page,
-    run: &[RowId],
-    stored: impl FnMut(&[u8]) -> Result<usize>,
-    out: &mut Vec<u8>,
-) -> Result<usize> {
+/// saved rows, in slot order). Returns the length of the tuples that
+/// complete the entry.
+fn entry_head(no: u32, page: &Page, run: &[RowId], out: &mut Vec<u8>) -> usize {
     out.clear();
     out.put_u32_le(no);
-    page.put_head(run.iter().map(|id| id.slot), stored, out)
-}
-
-/// The length of the compact form of the heap tuple `tuple`, by the
-/// codec's walk that writes nothing.
-fn compact_len(tuple: &[u8]) -> Result<usize> {
-    let mut len = 0;
-    compact_tuple(tuple, &mut len)?;
-    Ok(len)
-}
-
-/// The heap page that a page entry's image of compact tuples stands
-/// for: each tuple is walked once to count the bytes it expands to, and
-/// only then is the page's buffer reserved and each expanded into it.
-fn expand_page(image: &Page) -> Result<Page> {
-    let mut len = 0;
-    image.iter().try_for_each(|(_, tuple)| expand_tuple(tuple, &mut len))?;
-    image.map_tuples(len, |tuple, out| expand_tuple(tuple, out).map_err(EngineError::from))
+    page.put_head(run.iter().map(|id| id.slot), out)
 }
 
 /// One table as the writer fixed it before the first byte went out.
@@ -239,7 +209,7 @@ impl<W: Write> Sink<W> {
 
 impl SpatialDb {
     /// Serializes every table (schema, index definitions, rows) to the
-    /// complete format-v6 byte image, checksums included, at generation
+    /// complete format-v7 byte image, checksums included, at generation
     /// 0 (the standalone-snapshot generation; checkpoints stamp real
     /// ones). The in-memory sink of [`SpatialDb::snapshot_to`].
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
@@ -248,7 +218,7 @@ impl SpatialDb {
         Ok(image.into_inner())
     }
 
-    /// Streams the format-v6 image at generation 0 into `sink` — what
+    /// Streams the format-v7 image at generation 0 into `sink` — what
     /// [`SpatialDb::save`] does to its temp file, for callers (and fault
     /// injectors) that bring their own sink. The sink needs `Seek` for
     /// one patch: the file checksum in the header, written last. Holds
@@ -260,9 +230,8 @@ impl SpatialDb {
 
     /// [`SpatialDb::snapshot_to`] with an explicit generation stamp.
     fn snapshot_to_gen(&self, sink: impl Write + Seek, generation: u64) -> Result<()> {
-        // Fix every table's row set and size its block (slot directories
-        // and compact lengths): what is written below is then what is
-        // streamed.
+        // Fix every table's row set and size its block from the slot
+        // directories: what is written below is then what is streamed.
         let mut blocks = Vec::new();
         for table in self.tables.all() {
             let mut head: Vec<u8> = Vec::with_capacity(256);
@@ -283,7 +252,7 @@ impl SpatialDb {
             head.put_u64_le(ids.len() as u64);
             let (mut len, mut entry) = (head.len() as u64, Vec::new());
             table.heap.scan_pages(&ids, |no, page, run| {
-                let tuples = entry_head(no, page, run, compact_len, &mut entry)?;
+                let tuples = entry_head(no, page, run, &mut entry);
                 len += (entry.len() + tuples) as u64;
                 Ok::<(), EngineError>(())
             })?;
@@ -305,8 +274,7 @@ impl SpatialDb {
         sink.framing(&meta)?;
         sink.out.write_all(&[0; 4]).map_err(io_err)?; // the file crc, patched below
 
-        // A page's entry head, its compact tuples, and their lengths.
-        let (mut entry, mut tuples, mut lens) = (Vec::new(), Vec::new(), Vec::new());
+        let mut entry = Vec::new();
         for b in &blocks {
             let len = u32::try_from(b.len)
                 .map_err(|_| corrupt(&format!("table '{}' exceeds 4 GiB", b.table.name)))?;
@@ -314,22 +282,9 @@ impl SpatialDb {
             sink.block_crc = Crc32::new();
             sink.block(&b.head)?;
             b.table.heap.scan_pages(&b.ids, |no, page, run| {
-                tuples.clear();
-                lens.clear();
-                for id in run {
-                    let at = tuples.len();
-                    compact_tuple(page.get(id.slot)?, &mut tuples)?;
-                    lens.push(tuples.len() - at);
-                }
-                // The head takes the lengths the tuples were written at,
-                // which the sizing pass took by the same codec.
-                let mut lens = lens.iter();
-                let stored = |_: &[u8]| {
-                    lens.next().copied().ok_or_else(|| corrupt("a page changed in a cut"))
-                };
-                entry_head(no, page, run, stored, &mut entry)?;
+                entry_head(no, page, run, &mut entry);
                 sink.block(&entry)?;
-                sink.block(&tuples)
+                run.iter().try_for_each(|id| sink.block(page.get(id.slot)?))
             })?;
             let block_crc = sink.block_crc.finish();
             sink.file_crc.append(block_crc, b.len);
@@ -615,7 +570,7 @@ impl<R: Read> Source<R> {
                 return Err(corrupt("page entries not strictly ascending"));
             }
             last = Some(no);
-            let page = expand_page(&Page::read_from(|buf, n| self.append(n, buf))?)?;
+            let page = Page::read_from(|buf, n| self.append(n, buf))?;
             rows += table.heap.restore_page(no, page, |id, tuple| seeds.add(id, tuple))? as u64;
         }
         if rows != nrows {
@@ -736,12 +691,12 @@ mod tests {
     }
 
     #[test]
-    fn only_format_v6_opens() {
-        // The v1–v5 readers are gone: their version numbers, like any
+    fn only_format_v7_opens() {
+        // The v1–v6 readers are gone: their version numbers, like any
         // other, are a persistence error whatever follows the header.
         let image = SpatialDb::new(EngineProfile::ExactRtree).snapshot_bytes().unwrap();
         assert!(SpatialDb::open_from(&image[..]).is_ok());
-        for version in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 8, u32::MAX] {
             let mut other = image.clone();
             other[4..8].copy_from_slice(&version.to_le_bytes());
             match SpatialDb::open_from(&other[..]) {
@@ -803,7 +758,7 @@ mod tests {
         assert_eq!(SpatialDb::peek_snapshot_generation(&path), 0);
     }
 
-    /// A one-table v6 image around `block`, with both checksums right.
+    /// A one-table v7 image around `block`, with both checksums right.
     fn image_around(block: &[u8]) -> Vec<u8> {
         let mut body: Vec<u8> = Vec::new();
         body.put_u32_le(block.len() as u32);
@@ -826,19 +781,12 @@ mod tests {
         image
     }
 
-    /// The compact tuple a snapshot stores of `row`.
-    fn compact_row(row: &[Value]) -> Vec<u8> {
-        let mut out = Vec::new();
-        compact_tuple(&Value::encode_row(row), &mut out).unwrap();
-        out
-    }
-
     /// Appends the entry of page `page` holding `rows`, each in its slot,
     /// to a hand-built block.
     fn page_entry(block: &mut Vec<u8>, page: u32, rows: &[(u16, &[Value])]) {
         let mut image = Page::new();
         for (slot, row) in rows {
-            image.place(*slot, &compact_row(row)).unwrap();
+            image.place(*slot, &Value::store_row(row)).unwrap();
         }
         block.put_u32_le(page);
         block.put_slice(&image.to_bytes());
@@ -928,7 +876,7 @@ mod tests {
 
         // The one length byte of the last page's one row, three too many.
         let mut past_the_image = good.clone();
-        let at = past_the_image.len() - compact_row(&[Value::Int(2)]).len() - 1;
+        let at = past_the_image.len() - Value::store_row(&[Value::Int(2)]).len() - 1;
         past_the_image[at] += 3;
 
         // A page entry without a row is a page whose rows all died.
@@ -967,7 +915,7 @@ mod tests {
 
     #[test]
     fn hostile_compact_rows_are_persistence_errors() {
-        // Checksum-valid blocks whose one page holds one compact tuple of
+        // Checksum-valid blocks whose one page holds one stored tuple of
         // a `(BIGINT, GEOMETRY)` row that the codec must refuse — a count
         // or length of 2^62 would abort the test if anything reserved it.
         let mut head: Vec<u8> = Vec::new();
@@ -981,7 +929,7 @@ mod tests {
         head.put_u32_le(0);
         head.put_u64_le(1);
         let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
-        let point = compact_row(&[
+        let point = Value::store_row(&[
             Value::Int(7),
             Value::Geom(jackpine_geom::wkt::parse("POINT (1 2)").unwrap()),
         ]);

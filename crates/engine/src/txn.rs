@@ -341,7 +341,7 @@ impl<'a> WriteTxn<'a> {
                 wal::put_insert_at(&mut self.staged, self.name, RowId { page: 0, slot: 0 }, &[]);
             }
             let start = self.staged.len();
-            Value::encode_row_into(row, &mut self.staged);
+            Value::store_row_into(row, &mut self.staged);
             run.push(start..self.staged.len());
             if self.staged.len() - run[0].start >= PAGE_SIZE {
                 self.apply(&mut run, &mut ids)?;
@@ -484,7 +484,7 @@ mod tests {
         for empty in ["POINT EMPTY", "LINESTRING EMPTY", "GEOMETRYCOLLECTION EMPTY"] {
             rows.push(vec![Value::Int(1), Value::Int(2), Value::Text(String::new()), g(empty)]);
         }
-        let want: Vec<Vec<u8>> = rows.iter().map(|r| Value::encode_row(r)).collect();
+        let want: Vec<Vec<u8>> = rows.iter().map(|r| Value::store_row(r)).collect();
 
         let ids = db.insert_rows("owned", rows.clone()).unwrap();
         assert!(stored(&db, "owned", &ids) == want, "owned rows stored other bytes");

@@ -21,7 +21,7 @@
 //! commit mark, so a torn write drops whole statements — never an
 //! UPDATE's delete without its reinsert, or half of a multi-row INSERT.
 //! A checksum-valid payload must decode exactly to its end. A frame of
-//! one record is byte for byte what version 4 wrote for that record.
+//! one record is framed as version 4 framed a record.
 //!
 //! The header's generation number ties the log to the snapshot it was
 //! cut against: a checkpoint writes the new snapshot (stamped with the
@@ -43,9 +43,12 @@ pub const WAL_MAGIC: &[u8; 4] = b"JKWL";
 /// WAL format version, the only one read or written: one frame per
 /// transaction, holding row changes only — rows logged by `RowId`
 /// ([`WalRecord::InsertAt`], [`WalRecord::DeleteId`]) against a snapshot
-/// that holds the schema and restores every row to its recorded slot.
-/// Version 5 also logged CREATE TABLE and CREATE INDEX.
-pub const WAL_VERSION: u32 = 6;
+/// that holds the schema and restores every row to its recorded slot —
+/// and each inserted row in the heap's stored form
+/// ([`jackpine_storage::compact`]), the very bytes its slot holds.
+/// Version 6 logged rows in the canonical form, and version 5 also
+/// logged CREATE TABLE and CREATE INDEX.
+pub const WAL_VERSION: u32 = 7;
 /// Bytes of file header before the first record frame.
 pub const WAL_HEADER_LEN: usize = 16;
 /// Bytes of framing (length + checksum) per frame, i.e. per transaction.
@@ -125,7 +128,7 @@ fn get_str(data: &mut &[u8]) -> Result<String> {
 }
 
 /// The one [`WalRecord::InsertAt`] payload encoder, given the row as it
-/// is stored (`tuple`, [`Value::encode_row`] of it): the record ends with
+/// is stored (`tuple`, [`Value::store_row`] of it): the record ends with
 /// exactly those bytes.
 pub(crate) fn put_insert_at(buf: &mut Vec<u8>, table: &str, id: RowId, tuple: &[u8]) {
     buf.put_u8(KIND_INSERT_AT);
@@ -176,22 +179,6 @@ fn transaction_frame(records: &[WalRecord]) -> Vec<u8> {
     buf
 }
 
-/// Reads a row laid out as [`Value::encode_row`] lays it out off the
-/// front of `data`, advancing past it: rows, like every record, delimit
-/// themselves.
-fn get_row(data: &mut &[u8]) -> Result<Row> {
-    if data.remaining() < 2 {
-        return Err(persist_err("WAL: truncated row header"));
-    }
-    let n = data.get_u16_le() as usize;
-    // Clamp: a value needs at least its tag byte.
-    let mut row = Vec::with_capacity(n.min(data.remaining()));
-    for _ in 0..n {
-        row.push(Value::decode(data)?);
-    }
-    Ok(row)
-}
-
 impl WalRecord {
     /// Serializes the record payload (no framing).
     pub fn encode(&self) -> Vec<u8> {
@@ -204,7 +191,7 @@ impl WalRecord {
         match self {
             WalRecord::DeleteId { table, id } => put_delete_id(buf, table, *id),
             WalRecord::InsertAt { table, id, row } => {
-                put_insert_at(buf, table, *id, &Value::encode_row(row))
+                put_insert_at(buf, table, *id, &Value::store_row(row))
             }
         }
     }
@@ -233,7 +220,8 @@ impl WalRecord {
             KIND_INSERT_AT => {
                 let table = get_str(data)?;
                 let id = get_row_id(data)?;
-                let row = get_row(data)?;
+                // A stored row delimits itself, as every record does.
+                let row = Value::take_row(data)?;
                 Ok(WalRecord::InsertAt { table, id, row })
             }
             other => Err(persist_err(format!("WAL: unknown record kind {other}"))),
@@ -635,10 +623,10 @@ mod tests {
     #[test]
     fn retired_versions_are_refused_not_read_as_empty() {
         // Versions 2 and 3 logged rows by value, version 4 a frame per
-        // record, version 5 schema changes too; nothing reads them any
-        // more. A log stamped with one must stop recovery, not pass for a
-        // log with nothing in it.
-        for version in [2u32, 3, 4, 5] {
+        // record, version 5 schema changes too, version 6 rows in the
+        // canonical form; nothing reads them any more. A log stamped with
+        // one must stop recovery, not pass for a log with nothing in it.
+        for version in [2u32, 3, 4, 5, 6] {
             let dir = std::env::temp_dir()
                 .join(format!("jackpine-wal-retired-v{version}-{}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
@@ -738,7 +726,7 @@ mod tests {
         // The encoder the transaction stages with, one record at a time.
         for (rec, (&id, row)) in want.iter().zip(ids.iter().zip(&rows)) {
             let mut buf = vec![0xAB];
-            put_insert_at(&mut buf, "Kinds", id, &Value::encode_row(row));
+            put_insert_at(&mut buf, "Kinds", id, &Value::store_row(row));
             assert_eq!(buf[1..], rec.encode()[..]);
             assert_eq!(&WalRecord::decode(&buf[1..]).unwrap(), rec);
         }

@@ -3,7 +3,9 @@
 //! Supports both byte orders on read (the leading byte-order mark decides)
 //! and emits little-endian on write, matching the behaviour of the systems
 //! Jackpine originally benchmarked. `POINT EMPTY` is encoded as a point
-//! with NaN coordinates, the de-facto convention.
+//! with NaN coordinates, the de-facto convention. A reader follows a
+//! geometry collection's members down at most [`MAX_NESTING`] levels, so
+//! hostile bytes cannot overflow the stack.
 
 use crate::codec::{PutBytes, TakeBytes};
 use crate::polygon::Ring;
@@ -19,13 +21,33 @@ pub fn encode(g: &Geometry) -> Vec<u8> {
     buf
 }
 
+/// How deep [`decode`] and [`envelope`] follow geometries nested in
+/// multi-geometries and collections: a member of a top-level collection
+/// is one deep. Deeper bytes are a [`GeomError::WkbDecode`].
+pub const MAX_NESTING: usize = 256;
+
 /// Decodes a WKB byte string (either endianness).
 pub fn decode(mut data: &[u8]) -> Result<Geometry> {
-    let g = decode_geometry(&mut data)?;
+    let g = decode_geometry(&mut data, 0)?;
     if !data.is_empty() {
         return Err(GeomError::WkbDecode(format!("{} trailing bytes", data.len())));
     }
     Ok(g)
+}
+
+/// How deep `g` nests as [`decode`] counts it: 0 for a point, a
+/// linestring, a polygon or an empty multi-geometry or collection, and
+/// one more than its deepest member otherwise. [`decode`] reads back
+/// what nests at most [`MAX_NESTING`] deep.
+pub fn nesting<'a>(g: impl Into<GeometryRef<'a>>) -> usize {
+    let GeometryRef::Geometry(g) = g.into() else { return 0 };
+    match g {
+        Geometry::MultiPoint(m) => usize::from(!m.0.is_empty()),
+        Geometry::MultiLineString(m) => usize::from(!m.0.is_empty()),
+        Geometry::MultiPolygon(m) => usize::from(!m.0.is_empty()),
+        Geometry::GeometryCollection(c) => c.0.iter().map(|m| 1 + nesting(m)).max().unwrap_or(0),
+        Geometry::Point(_) | Geometry::LineString(_) | Geometry::Polygon(_) => 0,
+    }
 }
 
 /// The envelope of a WKB geometry, read off its bytes without building
@@ -36,7 +58,7 @@ pub fn decode(mut data: &[u8]) -> Result<Geometry> {
 /// finite coordinates read, no trailing bytes); ring closure and vertex
 /// counts are not, since only decodable geometries are ever stored.
 pub fn envelope(mut data: &[u8]) -> Result<Envelope> {
-    let e = envelope_of(&mut data, None)?;
+    let e = envelope_of(&mut data, None, 0)?;
     if !data.is_empty() {
         return Err(GeomError::WkbDecode(format!("{} trailing bytes", data.len())));
     }
@@ -141,7 +163,9 @@ fn put_polygon_body(p: &Polygon, buf: &mut Vec<u8>) {
 /// attempting huge allocations.
 const MAX_ELEMENTS: u32 = 64 * 1024 * 1024;
 
-fn decode_geometry(data: &mut &[u8]) -> Result<Geometry> {
+/// The geometry at the front of `data`, `depth` deep.
+fn decode_geometry(data: &mut &[u8], depth: usize) -> Result<Geometry> {
+    nested(depth)?;
     if data.remaining() < 5 {
         return Err(GeomError::WkbDecode("truncated header".into()));
     }
@@ -166,7 +190,7 @@ fn decode_geometry(data: &mut &[u8]) -> Result<Geometry> {
             let n = get_count(data, little)?;
             let mut pts = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                match decode_geometry(data)? {
+                match decode_geometry(data, depth + 1)? {
                     Geometry::Point(p) => pts.push(p),
                     other => {
                         return Err(GeomError::WkbDecode(format!(
@@ -182,7 +206,7 @@ fn decode_geometry(data: &mut &[u8]) -> Result<Geometry> {
             let n = get_count(data, little)?;
             let mut ls = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                match decode_geometry(data)? {
+                match decode_geometry(data, depth + 1)? {
                     Geometry::LineString(l) => ls.push(l),
                     other => {
                         return Err(GeomError::WkbDecode(format!(
@@ -198,7 +222,7 @@ fn decode_geometry(data: &mut &[u8]) -> Result<Geometry> {
             let n = get_count(data, little)?;
             let mut ps = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                match decode_geometry(data)? {
+                match decode_geometry(data, depth + 1)? {
                     Geometry::Polygon(p) => ps.push(p),
                     other => {
                         return Err(GeomError::WkbDecode(format!(
@@ -214,12 +238,20 @@ fn decode_geometry(data: &mut &[u8]) -> Result<Geometry> {
             let n = get_count(data, little)?;
             let mut gs = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                gs.push(decode_geometry(data)?);
+                gs.push(decode_geometry(data, depth + 1)?);
             }
             Ok(Geometry::GeometryCollection(GeometryCollection(gs)))
         }
         other => Err(GeomError::WkbDecode(format!("unknown geometry code {other}"))),
     }
+}
+
+/// Refuses a geometry `depth` deep when that is past [`MAX_NESTING`].
+fn nested(depth: usize) -> Result<()> {
+    if depth > MAX_NESTING {
+        return Err(GeomError::WkbDecode(format!("geometries nested over {MAX_NESTING} deep")));
+    }
+    Ok(())
 }
 
 fn get_u32(data: &mut &[u8], little: bool) -> Result<u32> {
@@ -283,9 +315,11 @@ fn get_polygon_body(data: &mut &[u8], little: bool) -> Result<Polygon> {
 // Envelope walk (no allocation)
 // ---------------------------------------------------------------------------
 
-/// [`envelope`] of the geometry at the front of `data`, whose type code
-/// must be `member` when it is given (a multi-geometry's members).
-fn envelope_of(data: &mut &[u8], member: Option<u32>) -> Result<Envelope> {
+/// [`envelope`] of the geometry at the front of `data`, `depth` deep,
+/// whose type code must be `member` when it is given (a multi-geometry's
+/// members).
+fn envelope_of(data: &mut &[u8], member: Option<u32>, depth: usize) -> Result<Envelope> {
+    nested(depth)?;
     if data.remaining() < 5 {
         return Err(GeomError::WkbDecode("truncated header".into()));
     }
@@ -328,7 +362,7 @@ fn envelope_of(data: &mut &[u8], member: Option<u32>) -> Result<Envelope> {
             let n = get_count(data, little)?;
             let mut e = Envelope::EMPTY;
             for _ in 0..n {
-                e.expand_to_include(&envelope_of(data, member)?);
+                e.expand_to_include(&envelope_of(data, member, depth + 1)?);
             }
             Ok(e)
         }
@@ -432,6 +466,43 @@ mod tests {
         let mut bytes = encode(&g);
         bytes.push(0);
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn collections_nested_past_the_bound_are_an_error_not_an_overflow() {
+        // 100,000 collections, each holding the next: 900 KB whose
+        // recursion would overflow any thread's stack.
+        let depth = 100_000;
+        let mut deep = Vec::with_capacity(9 * depth + 21);
+        for _ in 0..depth {
+            put_header(GeometryType::GeometryCollection.wkb_code(), &mut deep);
+            deep.put_u32_le(1);
+        }
+        put_header(GeometryType::Point.wkb_code(), &mut deep);
+        put_coord(Coord::new(1.0, 2.0), &mut deep);
+        assert!(matches!(decode(&deep), Err(GeomError::WkbDecode(_))));
+        assert!(matches!(envelope(&deep), Err(GeomError::WkbDecode(_))));
+        // At the bound, both still read.
+        let mut g = wkt::parse("POINT (1 2)").unwrap();
+        for _ in 0..MAX_NESTING {
+            g = Geometry::GeometryCollection(GeometryCollection(vec![g]));
+        }
+        let bytes = encode(&g);
+        assert_eq!(decode(&bytes).unwrap(), g);
+        assert_eq!(envelope(&bytes).unwrap(), Envelope::new(1.0, 2.0, 1.0, 2.0));
+        assert_eq!(nesting(&g), MAX_NESTING);
+        let g = Geometry::GeometryCollection(GeometryCollection(vec![g]));
+        assert!(decode(&encode(&g)).is_err() && envelope(&encode(&g)).is_err(), "one past");
+        assert_eq!(nesting(&g), MAX_NESTING + 1);
+        for (text, depth) in [
+            ("POINT (1 2)", 0),
+            ("MULTIPOINT EMPTY", 0),
+            ("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))", 1),
+            ("GEOMETRYCOLLECTION EMPTY", 0),
+            ("GEOMETRYCOLLECTION (POINT (1 1), GEOMETRYCOLLECTION (MULTIPOINT ((1 1))))", 3),
+        ] {
+            assert_eq!(nesting(&wkt::parse(text).unwrap()), depth, "{text}");
+        }
     }
 
     #[test]

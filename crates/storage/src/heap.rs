@@ -208,7 +208,7 @@ impl HeapFile {
     /// decoded when a read first asks for it.
     pub fn insert_at(&self, row: &Row, born: u64) -> Result<RowId> {
         self.schema.check_row(row)?;
-        self.insert_tuple(&Value::encode_row(row), born)
+        self.insert_tuple(&Value::store_row(row), born)
     }
 
     /// [`HeapFile::insert_tuples`] of one tuple, `bytes`.
@@ -219,7 +219,7 @@ impl HeapFile {
     }
 
     /// [`HeapFile::insert_at`] of a batch in stored form: the tuples
-    /// `staged[r]`, `r` in `tuples` — each [`Value::encode_row`] of a row
+    /// `staged[r]`, `r` in `tuples` — each [`Value::store_row`] of a row
     /// that passed [`Schema::check_row`] — go into slots as they are, in
     /// order; returns their ids. One take of the append lock, and of each
     /// tail frame per run of tuples; an error leaves none of them behind.
@@ -275,7 +275,7 @@ impl HeapFile {
 
     /// Writes a row into a *specific* slot — WAL replay, which must
     /// reproduce `RowId`s recorded in the log exactly. `bytes`,
-    /// [`Value::encode_row`] of `row`, go into the slot as they are, and
+    /// [`Value::store_row`] of `row`, go into the slot as they are, and
     /// `row`, which the log handed over, becomes the slot's decoded row.
     /// Idempotent: re-placing the identical bytes at the same id is a
     /// no-op, so a crash between replay and checkpoint replays cleanly.
@@ -421,7 +421,7 @@ impl HeapFile {
     }
 
     /// Raw tuple scan: calls `visit` with the stored bytes — exactly
-    /// [`Value::encode_row`] of the row — of each id of `ids`, in storage
+    /// [`Value::store_row`] of the row — of each id of `ids`, in storage
     /// order; nothing is decoded and no decoded row is kept. Each page
     /// holding ids is locked once per run, and no other page is read.
     /// Stops at the first error: `visit`'s, an unreadable page's, or an
@@ -602,7 +602,7 @@ mod tests {
 
     /// Places `row` at `id` as replay does: encoded, bytes and row both.
     fn place(h: &HeapFile, row: Row, id: RowId) -> Result<()> {
-        h.place_tuple(&Value::encode_row(&row), row, id, 0)
+        h.place_tuple(&Value::store_row(&row), row, id, 0)
     }
 
     #[test]
@@ -662,7 +662,7 @@ mod tests {
         })
         .unwrap();
         let want: Vec<(RowId, Vec<u8>)> =
-            ids.iter().map(|&id| (id, Value::encode_row(&h.get(id).unwrap()))).collect();
+            ids.iter().map(|&id| (id, Value::store_row(&h.get(id).unwrap()))).collect();
         assert_eq!(h.stats().cache_misses, ids.len() as u64, "only the `get`s above decoded");
         assert_eq!(seen, want);
         assert_eq!(seen.len(), 11);
@@ -680,7 +680,7 @@ mod tests {
     fn place_tuple_stores_the_given_bytes_and_keeps_the_row() {
         let h = heap();
         let row = vec![Value::Int(7), Value::Text("seven".into())];
-        let bytes = Value::encode_row(&row);
+        let bytes = Value::store_row(&row);
         let id = RowId { page: 2, slot: 5 };
         h.place_tuple(&bytes, row.clone(), id, 0).unwrap();
         assert_eq!(*h.get(id).unwrap(), row);
@@ -812,9 +812,11 @@ mod tests {
     fn decoded_rows_leave_with_their_frame_and_with_their_heap() {
         let pool = Arc::new(BufferPool::new());
         let (a, b) = (geom_heap(pool.clone()), geom_heap(pool.clone()));
+        // Enough rows for three pages of 22-byte tuples.
+        const ROWS: u64 = 700;
         let point = geom("POINT (1 1)");
         let mut ids = Vec::new();
-        for i in 0..400 {
+        for i in 0..ROWS as i64 {
             ids.push(a.insert(vec![Value::Int(i), point.clone(), Value::Null]).unwrap());
             b.insert(vec![Value::Int(i), point.clone(), Value::Null]).unwrap();
         }
@@ -822,13 +824,16 @@ mod tests {
         assert_eq!(pool.stats().decoded_rows, 0, "inserts decode nothing");
         a.get_many(&ids).unwrap();
         b.get_many(&b.row_ids()).unwrap();
-        assert_eq!(pool.stats().decoded_rows, 800, "reads keep what they decoded");
+        assert_eq!(pool.stats().decoded_rows, 2 * ROWS, "reads keep what they decoded");
         let kept = Arc::clone(&a.get(ids[0]).unwrap());
 
         pool.set_capacity_bytes(crate::page::PAGE_SIZE);
         let s = pool.stats();
         assert_eq!(s.resident_frames, 1);
-        assert!(s.decoded_rows <= 400 / (u64::from(a.page_count()) - 1), "one frame's rows: {s:?}");
+        assert!(
+            s.decoded_rows <= ROWS / (u64::from(a.page_count()) - 1),
+            "one frame's rows: {s:?}"
+        );
         assert_eq!(kept[0], Value::Int(0), "a handle given out outlives the frame");
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(a.get(*id).unwrap()[0], Value::Int(i as i64));
@@ -837,11 +842,11 @@ mod tests {
         pool.set_capacity_bytes(0);
         a.row_ids().iter().for_each(|id| drop(a.get(*id).unwrap()));
         b.row_ids().iter().for_each(|id| drop(b.get(*id).unwrap()));
-        assert_eq!(pool.stats().decoded_rows, 800);
+        assert_eq!(pool.stats().decoded_rows, 2 * ROWS);
         let frames = pool.stats().resident_frames;
         drop(a);
         let s = pool.stats();
-        assert_eq!((s.decoded_rows, s.resident_frames), (400, frames / 2), "a's went with it");
+        assert_eq!((s.decoded_rows, s.resident_frames), (ROWS, frames / 2), "a's went with it");
     }
 
     #[test]
@@ -949,7 +954,7 @@ mod tests {
                 let len = if i == 7 { 3 * crate::page::PAGE_SIZE } else { 1500 + 100 * i };
                 let start = staged.len();
                 let row = [Value::Int(i as i64), Value::Text("v".repeat(len))];
-                Value::encode_row_into(&row, &mut staged);
+                Value::store_row_into(&row, &mut staged);
                 start..staged.len()
             })
             .collect();
@@ -979,6 +984,31 @@ mod tests {
         assert_eq!((batch.len(), batch.meta_len()), (15, 0), "born 0: no entries");
         assert_eq!(batch.insert_tuples(&staged, &[], 9).unwrap(), vec![]);
         assert_eq!(batch.len(), 15);
+    }
+
+    #[test]
+    fn a_geometry_nested_past_what_wkb_reads_is_refused_at_insert() {
+        // One that nests as deep as a WKB reader follows is stored (whole,
+        // as WKB) and read back; one deeper would be stored and never read
+        // back, so it is refused.
+        let nested = |depth| {
+            let mut g = jackpine_geom::wkt::parse("POINT (1 2)").unwrap();
+            for _ in 0..depth {
+                g = jackpine_geom::Geometry::GeometryCollection(jackpine_geom::GeometryCollection(
+                    vec![g],
+                ));
+            }
+            Value::Geom(g)
+        };
+        let h = geom_heap(Arc::new(BufferPool::new()));
+        let deep = vec![Value::Int(1), nested(jackpine_geom::wkb::MAX_NESTING), Value::Null];
+        let id = h.insert(deep.clone()).unwrap();
+        h.clear_cache();
+        assert!(*h.get(id).unwrap() == deep);
+        let deeper = vec![Value::Int(2), nested(jackpine_geom::wkb::MAX_NESTING + 1), Value::Null];
+        let refused = h.insert(deeper);
+        assert!(matches!(refused, Err(StorageError::SchemaMismatch(_))), "{refused:?}");
+        assert_eq!(h.len(), 1);
     }
 
     #[test]

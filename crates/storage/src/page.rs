@@ -14,11 +14,10 @@
 //! then the live tuples, in slot order
 //! ```
 //!
-//! A spill file stores the heap's tuples as they are. A snapshot stores
-//! each as the compact row codec ([`crate::compact`]) writes it, so its
-//! lengths are of those bytes ([`Page::put_head`]), and its reader
-//! expands them back into a heap page ([`Page::map_tuples`]); the
-//! dropped bytes count the heap's bytes either way.
+//! The tuples are the heap's own bytes ([`crate::compact`]'s stored
+//! rows), copied as they are: a spill file and a snapshot page entry
+//! hold the same image, and reading one back hands the page its tuples
+//! with nothing transcoded.
 //!
 //! A tuple under 128 bytes pays one length byte and one under 16 KiB
 //! two, where the in-memory directory spends eight. Offsets are not
@@ -29,7 +28,6 @@
 //! them as `dropped bytes`, and `used()` goes on counting them.
 
 use crate::{Result, StorageError};
-use std::convert::Infallible;
 
 /// Target page payload size in bytes. A tuple larger than this gets a
 /// dedicated oversized page (spatial rows with large polygons are common
@@ -207,8 +205,7 @@ impl Page {
         // Two numbers of at most ten bytes, and a length under 2 MiB
         // takes at most three.
         let mut out = Vec::with_capacity(20 + 3 * self.slots.len() + live);
-        let slots = (0..self.slots.len()).map(|slot| slot as u16);
-        let Ok(_) = self.put_head(slots, |tuple| Ok::<_, Infallible>(tuple.len()), &mut out);
+        self.put_head((0..self.slots.len()).map(|slot| slot as u16), &mut out);
         for (_, tuple) in self.iter() {
             out.extend_from_slice(tuple);
         }
@@ -217,30 +214,20 @@ impl Page {
 
     /// Appends the head of the image of this page holding only the live
     /// tuples of the slots in `keep` (ascending; a slot that holds no
-    /// tuple or does not ascend is passed over), each stored as
-    /// `stored(tuple)` bytes: every slot is there, the others as
-    /// tombstones whose bytes join the dropped bytes, so the page read
-    /// back has the slots and takes the room this one does. A spill keeps
-    /// every slot as it is and a snapshot the rows it saves, compacted.
-    /// Returns the length of the tuples that complete the image: the
-    /// stored form of each kept slot's tuple, in slot order.
-    ///
-    /// # Errors
-    /// `stored`'s, the first it returns.
-    pub fn put_head<E>(
-        &self,
-        keep: impl Iterator<Item = u16>,
-        mut stored: impl FnMut(&[u8]) -> std::result::Result<usize, E>,
-        out: &mut Vec<u8>,
-    ) -> std::result::Result<usize, E> {
+    /// tuple or does not ascend is passed over): every slot is there, the
+    /// others as tombstones whose bytes join the dropped bytes, so the
+    /// page read back has the slots and takes the room this one does. A
+    /// spill keeps every slot as it is and a snapshot the rows it saves.
+    /// Returns the length of the tuples that complete the image: each
+    /// kept slot's tuple, in slot order.
+    pub fn put_head(&self, keep: impl Iterator<Item = u16>, out: &mut Vec<u8>) -> usize {
         put_varint(|byte| out.push(byte), self.slots.len() as u64);
-        let (lengths, mut next, mut kept, mut tuples) = (out.len(), 0, 0, 0);
+        let (lengths, mut next, mut kept) = (out.len(), 0, 0);
         for at in keep.map(usize::from) {
-            if let Some(&(off, len)) = self.slots.get(at).filter(|s| at >= next && s.1 > 0) {
+            if let Some(&(_, len)) = self.slots.get(at).filter(|s| at >= next && s.1 > 0) {
                 out.resize(out.len() + at - next, 0); // tombstones
-                let stored = stored(&self.tuples()[off as usize..off as usize + len as usize])?;
-                put_varint(|byte| out.push(byte), stored as u64);
-                (next, kept, tuples) = (at + 1, kept + len as usize, tuples + stored);
+                put_varint(|byte| out.push(byte), u64::from(len));
+                (next, kept) = (at + 1, kept + len as usize);
             }
         }
         out.resize(out.len() + self.slots.len() - next, 0);
@@ -249,36 +236,7 @@ impl Page {
         put_varint(|byte| out.push(byte), (self.dropped + self.tuples().len() - kept) as u64);
         let dropped = out.len() - end;
         out[lengths..].rotate_right(dropped);
-        Ok(tuples)
-    }
-
-    /// This page with each live tuple replaced by the bytes `f` appends
-    /// for it to the new page's buffer, which starts with room for
-    /// `capacity` bytes: the same slots, tombstones and dropped bytes,
-    /// so a snapshot's page, read back as the compact tuples it stored,
-    /// becomes the heap page it was saved from.
-    ///
-    /// # Errors
-    /// `f`'s, the first it returns, and [`StorageError::Corrupt`] for a
-    /// tuple that `f` leaves empty or that ends past 4 GiB.
-    pub fn map_tuples<E: From<StorageError>>(
-        &self,
-        capacity: usize,
-        mut f: impl FnMut(&[u8], &mut Vec<u8>) -> std::result::Result<(), E>,
-    ) -> std::result::Result<Page, E> {
-        let mut data = Vec::with_capacity(capacity);
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for slot in 0..self.slots.len() as u16 {
-            let start = data.len();
-            if let Ok(tuple) = self.get(slot) {
-                f(tuple, &mut data)?;
-                if data.len() == start {
-                    return Err(corrupt("a live tuple maps to none").into());
-                }
-            }
-            slots.push((length(start as u64)?, length((data.len() - start) as u64)?));
-        }
-        Ok(Page { data, base: 0, slots, dropped: self.dropped })
+        kept
     }
 
     /// Reads one image from a stream that needs no length for it:
@@ -572,8 +530,7 @@ mod tests {
             let mut p = random_page(&mut next, 48, 200);
             let kept: Vec<u16> = p.iter().map(|(slot, _)| slot).filter(|_| next(4) != 0).collect();
             let mut image = Vec::new();
-            let stored = |tuple: &[u8]| Ok::<_, Infallible>(tuple.len());
-            let Ok(tuples) = p.put_head(kept.iter().copied(), stored, &mut image);
+            let tuples = p.put_head(kept.iter().copied(), &mut image);
             for &slot in &kept {
                 image.extend_from_slice(p.get(slot).unwrap());
             }

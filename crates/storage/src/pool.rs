@@ -293,7 +293,7 @@ impl PageWrite<'_> {
     /// Keeps `row` as the decoded form of `slot` — restore's and WAL
     /// replay's way in, for a row they decoded or were handed anyway.
     /// The caller vouches that the slot's bytes are
-    /// `Value::encode_row(&row)`.
+    /// `Value::store_row(&row)`.
     pub(crate) fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
         self.frame().keep_row(slot, row);
     }
@@ -1110,7 +1110,7 @@ mod tests {
             let (f, p) = (next(3) as usize, next(5) as u32);
             let slots = model.entry((f, p)).or_default();
             let text = Value::Text("x".repeat(next(600) as usize));
-            let tuple = Value::encode_row(&[Value::Int(step), text]);
+            let tuple = Value::store_row(&[Value::Int(step), text]);
             match next(16) {
                 0 => pool.clear(),
                 1 => {
@@ -1162,7 +1162,7 @@ mod tests {
                     assert_eq!(page.get(slot as u16).ok(), want.as_deref(), "step {step}");
                     if let Some(row) = page.row(slot as u16) {
                         decoded += 1;
-                        let bytes = Value::encode_row(row);
+                        let bytes = Value::store_row(row);
                         assert_eq!(
                             Some(&bytes),
                             want.as_ref(),

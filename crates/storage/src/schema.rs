@@ -1,6 +1,7 @@
 //! Table schemas and type checking.
 
 use crate::{Lend, Result, StorageError, ValueRef};
+use jackpine_geom::wkb;
 
 /// SQL column types supported by the engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,6 +103,15 @@ impl Schema {
                 (ValueRef::Float(_), DataType::Float) => true,
                 (ValueRef::Int(_), DataType::Float) => true, // widening accepted
                 (ValueRef::Text(_), DataType::Text) => true,
+                // Deeper than a WKB reader follows, it could be stored but
+                // never read back.
+                (ValueRef::Geom(g), DataType::Geometry) if wkb::nesting(g) > wkb::MAX_NESTING => {
+                    return Err(StorageError::SchemaMismatch(format!(
+                        "a geometry for column '{}' nests deeper than {} levels",
+                        col.name,
+                        wkb::MAX_NESTING
+                    )));
+                }
                 (ValueRef::Geom(_), DataType::Geometry) => true,
                 _ => false,
             };

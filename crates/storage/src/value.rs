@@ -1,10 +1,13 @@
-//! Typed SQL values and their page codec: the heap's encoding of a row,
-//! and ([`compact`]) the snapshot's.
+//! Typed SQL values and their two byte forms: the stored one
+//! ([`compact`]), which every page, log record and snapshot holds, and
+//! the canonical one ([`Value::encode_row`]), which results are digested
+//! and measured in.
 
 pub mod compact;
 
 use crate::{Result, StorageError};
-use jackpine_geom::codec::{PutBytes, TakeBytes};
+use compact::GeomBytes;
+use jackpine_geom::codec::PutBytes;
 use jackpine_geom::{wkb, Envelope, Geometry, GeometryRef};
 use std::fmt;
 
@@ -19,7 +22,7 @@ pub enum Value {
     Float(f64),
     /// UTF-8 string.
     Text(String),
-    /// Spatial value (stored as WKB on pages).
+    /// Spatial value.
     Geom(Geometry),
 }
 
@@ -32,8 +35,8 @@ pub type Row = Vec<Value>;
 
 /// A value lent to the engine, borrowed where it lies: what a [`Value`]
 /// holds, with nothing built to hold it. [`Schema::check_row`] checks
-/// rows of these and [`ValueRef::encode`] stores them; a producer that
-/// lends a row as `[ValueRef; N]` inserts it without cloning a field.
+/// rows of these and [`Value::store_row_into`] stores them; a producer
+/// that lends a row as `[ValueRef; N]` inserts it without cloning a field.
 ///
 /// [`Schema::check_row`]: crate::Schema::check_row
 #[derive(Clone, Copy, Debug)]
@@ -76,8 +79,9 @@ impl Lend for ValueRef<'_> {
 }
 
 impl ValueRef<'_> {
-    /// Serializes the value into `buf` (tag byte + payload): the one
-    /// value encoder, of stored rows and of log records alike.
+    /// Serializes the value into `buf` in the canonical form (tag byte +
+    /// payload: fixed-width numbers, a `u32` length before a text or a
+    /// geometry's WKB): what results are digested in. Nothing stores it.
     pub fn encode(self, buf: &mut Vec<u8>) {
         match self {
             ValueRef::Null => buf.put_u8(0),
@@ -168,79 +172,57 @@ impl Value {
         }
     }
 
-    /// Decodes one value from the front of `data`, advancing it.
-    pub fn decode(data: &mut &[u8]) -> Result<Value> {
-        if data.is_empty() {
-            return Err(StorageError::Corrupt("empty value payload".into()));
-        }
-        let tag = data.get_u8();
-        match tag {
-            0 => Ok(Value::Null),
-            1 => {
-                if data.remaining() < 8 {
-                    return Err(StorageError::Corrupt("truncated int".into()));
-                }
-                Ok(Value::Int(data.get_i64_le()))
-            }
-            2 => {
-                if data.remaining() < 8 {
-                    return Err(StorageError::Corrupt("truncated float".into()));
-                }
-                Ok(Value::Float(data.get_f64_le()))
-            }
-            3 => {
-                let len = get_len(data)?;
-                let s = std::str::from_utf8(&data[..len])
-                    .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?
-                    .to_string();
-                data.advance(len);
-                Ok(Value::Text(s))
-            }
-            4 => {
-                let len = get_len(data)?;
-                let g = wkb::decode(&data[..len])?;
-                data.advance(len);
-                Ok(Value::Geom(g))
-            }
-            t => Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
-        }
-    }
-
-    /// Serializes a whole row.
+    /// Serializes a whole row in the canonical form: a `u16` column
+    /// count, then [`Value::encode`] of each value.
     pub fn encode_row(row: &[Value]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(2 + row.iter().map(Value::encoded_size).sum::<usize>());
-        Value::encode_row_into(row, &mut buf);
+        buf.put_u16_le(row.len() as u16);
+        row.iter().for_each(|v| v.encode(&mut buf));
         buf
     }
 
-    /// [`Value::encode_row`] of `row`, whichever form its values are lent
-    /// in, appended to `buf`: a write transaction encodes each row
-    /// straight into the buffer it stages, with nothing built in between.
-    pub fn encode_row_into<V: Lend>(row: &[V], buf: &mut Vec<u8>) {
-        buf.put_u16_le(row.len() as u16);
-        for v in row {
-            v.lend().encode(buf);
-        }
+    /// The stored form of `row` ([`compact`]): the bytes a heap page
+    /// holds of it.
+    pub fn store_row(row: &[Value]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(row.iter().map(Value::encoded_size).sum());
+        Value::store_row_into(row, &mut buf);
+        buf
     }
 
-    /// Decodes a whole row.
+    /// [`Value::store_row`] of `row`, whichever form its values are lent
+    /// in, appended to `buf`: a write transaction and the loader encode
+    /// each row straight into the buffer they stage, with nothing built
+    /// in between.
+    pub fn store_row_into<V: Lend>(row: &[V], buf: &mut Vec<u8>) {
+        compact::put_row(row, buf);
+    }
+
+    /// Decodes a stored row ([`Value::store_row`]), which must be all of
+    /// `data`.
+    ///
+    /// # Errors
+    /// [`StorageError::Corrupt`] when `data` is not one whole stored row,
+    /// and the geometry error of a geometry that does not validate.
     pub fn decode_row(mut data: &[u8]) -> Result<Row> {
-        if data.remaining() < 2 {
-            return Err(StorageError::Corrupt("truncated row header".into()));
-        }
-        let n = data.get_u16_le() as usize;
-        // Clamp: a value needs at least its tag byte, so a corrupt count
-        // cannot pre-allocate more than the payload could hold.
-        let mut row = Vec::with_capacity(n.min(data.remaining()));
-        for _ in 0..n {
-            row.push(Value::decode(&mut data)?);
+        let row = Value::take_row(&mut data)?;
+        if !data.is_empty() {
+            return Err(StorageError::Corrupt("compact row: bytes after the last value".into()));
         }
         Ok(row)
     }
+
+    /// Decodes the stored row at the front of `data`, advancing past it:
+    /// a stored row delimits itself, so a log record ends with one.
+    ///
+    /// # Errors
+    /// As for [`Value::decode_row`].
+    pub fn take_row(data: &mut &[u8]) -> Result<Row> {
+        compact::take_row(data)
+    }
 }
 
-/// One column of an encoded row, borrowed from its bytes: what
-/// [`Value::decode`] would build, before anything is built.
+/// One column of a stored row, borrowed from its bytes: what
+/// [`Value::decode_row`] would build, before anything is built.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Field<'a> {
     /// SQL NULL.
@@ -251,17 +233,17 @@ pub enum Field<'a> {
     Float(f64),
     /// UTF-8 string.
     Text(&'a str),
-    /// A geometry's WKB.
-    Geom(&'a [u8]),
+    /// A geometry, as it is stored.
+    Geom(GeomBytes<'a>),
 }
 
 impl<'a> Field<'a> {
-    /// Columns `cols` of the encoded row `tuple` ([`Value::encode_row`]),
+    /// Columns `cols` of the stored row `tuple` ([`Value::store_row`]),
     /// each handed to `visit` with its position in `cols`, in one walk of
-    /// the row: the columns between are stepped over by their tags and
-    /// lengths, and nothing is decoded or allocated. A column past the
-    /// row's last is not visited. Stops at the first error, `visit`'s or
-    /// the walk's.
+    /// the row: the columns between are stepped over by their tags,
+    /// lengths and counts, and nothing is decoded or allocated. A column
+    /// past the row's last is not visited. Stops at the first error,
+    /// `visit`'s or the walk's.
     ///
     /// # Panics
     ///
@@ -269,48 +251,17 @@ impl<'a> Field<'a> {
     pub fn of<E: From<StorageError>>(
         tuple: &'a [u8],
         cols: &[usize],
-        mut visit: impl FnMut(usize, Field<'a>) -> std::result::Result<(), E>,
+        visit: impl FnMut(usize, Field<'a>) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let Some((arity, mut rest)) = tuple.split_first_chunk() else {
-            return Err(StorageError::Corrupt("truncated row header".into()).into());
-        };
-        let arity = u16::from_le_bytes(*arity) as usize;
-        // The number of the column `rest` starts at.
-        let mut next = 0;
-        for (i, &col) in cols.iter().enumerate() {
-            assert!(col >= next, "columns {cols:?} are not ascending");
-            if col >= arity {
-                break;
-            }
-            for _ in next..col {
-                rest = split_value(rest)?.2;
-            }
-            let (tag, body, after) = split_value(rest)?;
-            (rest, next) = (after, col + 1);
-            let number = || body.try_into().expect("split_value cuts numbers at 8 bytes");
-            visit(
-                i,
-                match tag {
-                    0 => Field::Null,
-                    1 => Field::Int(i64::from_le_bytes(number())),
-                    2 => Field::Float(f64::from_le_bytes(number())),
-                    3 => Field::Text(
-                        std::str::from_utf8(body)
-                            .map_err(|_| StorageError::Corrupt("invalid UTF-8".into()))?,
-                    ),
-                    _ => Field::Geom(body),
-                },
-            )?;
-        }
-        Ok(())
+        compact::fields(tuple, cols, visit)
     }
 
-    /// The envelope of a geometry field, read off its WKB by
-    /// [`wkb::envelope`] without decoding the geometry; `None` for any
-    /// other field.
+    /// The envelope of a geometry field, read off its bytes
+    /// ([`GeomBytes::envelope`]) without decoding the geometry; `None`
+    /// for any other field.
     pub fn envelope(&self) -> Result<Option<Envelope>> {
-        let Field::Geom(wkb) = self else { return Ok(None) };
-        Ok(Some(wkb::envelope(wkb)?))
+        let Field::Geom(g) = self else { return Ok(None) };
+        Ok(Some(g.envelope()?))
     }
 
     /// [`Value::mbr`] of the value this field decodes to, from
@@ -318,40 +269,6 @@ impl<'a> Field<'a> {
     pub fn mbr(&self) -> Result<Option<[f64; 4]>> {
         Ok(self.envelope()?.as_ref().map(Envelope::quad))
     }
-}
-
-/// The encoded value at the front of `data` ([`ValueRef::encode`]) as its
-/// tag, its payload (a string's or geometry's without the length) and
-/// the bytes after it — plain slice splits, checked, nothing read.
-#[inline]
-fn split_value(data: &[u8]) -> Result<(u8, &[u8], &[u8])> {
-    let Some((&tag, rest)) = data.split_first() else {
-        return Err(StorageError::Corrupt("empty value payload".into()));
-    };
-    let (width, rest) = match tag {
-        0 => (0, rest),
-        1 | 2 => (8, rest),
-        3 | 4 => match rest.split_first_chunk() {
-            Some((len, rest)) => (u32::from_le_bytes(*len) as usize, rest),
-            None => return Err(StorageError::Corrupt("truncated length".into())),
-        },
-        t => return Err(StorageError::Corrupt(format!("unknown value tag {t}"))),
-    };
-    match rest.split_at_checked(width) {
-        Some((body, rest)) => Ok((tag, body, rest)),
-        None => Err(StorageError::Corrupt("length exceeds payload".into())),
-    }
-}
-
-fn get_len(data: &mut &[u8]) -> Result<usize> {
-    if data.remaining() < 4 {
-        return Err(StorageError::Corrupt("truncated length".into()));
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() < len {
-        return Err(StorageError::Corrupt("length exceeds payload".into()));
-    }
-    Ok(len)
 }
 
 impl fmt::Display for Value {
@@ -375,7 +292,7 @@ mod tests {
     fn roundtrip_scalars() {
         let row =
             vec![Value::Null, Value::Int(-42), Value::Float(3.25), Value::Text("Oak St".into())];
-        let bytes = Value::encode_row(&row);
+        let bytes = Value::store_row(&row);
         assert_eq!(Value::decode_row(&bytes).unwrap(), row);
     }
 
@@ -383,7 +300,7 @@ mod tests {
     fn roundtrip_geometry() {
         let g = wkt::parse("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").unwrap();
         let row = vec![Value::Int(1), Value::Geom(g.clone())];
-        let bytes = Value::encode_row(&row);
+        let bytes = Value::store_row(&row);
         let back = Value::decode_row(&bytes).unwrap();
         assert_eq!(back[1].as_geom(), Some(&g));
     }
@@ -391,12 +308,13 @@ mod tests {
     #[test]
     fn corrupt_payloads_rejected() {
         assert!(Value::decode_row(&[]).is_err());
-        assert!(Value::decode_row(&[2, 0]).is_err()); // claims 2 values, none present
-        let mut bad = Value::encode_row(&[Value::Text("hello".into())]);
+        assert!(Value::decode_row(&[2, 0]).is_err()); // claims 2 values, holds one
+        let mut bad = Value::store_row(&[Value::Text("hello".into())]);
         bad.truncate(bad.len() - 2);
         assert!(Value::decode_row(&bad).is_err());
-        // Unknown tag.
-        assert!(Value::decode_row(&[1, 0, 99]).is_err());
+        // Unknown tag, and a byte after the row.
+        assert!(Value::decode_row(&[1, 99]).is_err());
+        assert!(Value::decode_row(&[1, 0, 0]).is_err());
         // The column cursor rejects what the decoder rejects, read or
         // stepped over.
         fn of(tuple: &[u8], col: usize) -> Result<Option<Field<'_>>> {
@@ -408,10 +326,10 @@ mod tests {
             Ok(got)
         }
         assert!(of(&[], 0).is_err());
-        assert!(of(&[1, 0, 99], 0).is_err());
-        assert!(of(&[2, 0, 99, 0], 1).is_err());
+        assert!(of(&[1, 99], 0).is_err());
+        assert!(of(&[2, 99, 0], 1).is_err());
         assert!(of(&bad, 0).is_err());
-        assert_eq!(of(&[1, 0, 0], 1), Ok(None), "past the last column");
+        assert_eq!(of(&[1, 0], 1), Ok(None), "past the last column");
     }
 
     #[test]
@@ -423,7 +341,7 @@ mod tests {
             Value::Float(0.5),
             Value::Geom(wkt::parse("POINT (1 2)").unwrap()),
         ];
-        let tuple = Value::encode_row(&row);
+        let tuple = Value::store_row(&row);
         let mut seen = Vec::new();
         Field::of(&tuple, &[0, 2, 3, 9], |i, f| {
             seen.push((i, f));

@@ -67,19 +67,26 @@ if [ -n "$ddl" ]; then
   exit 1
 fi
 
-echo "== the snapshot alone stores compact rows: compact_tuple/expand_tuple named only in storage's codec and persist.rs"
-# Spill files and the WAL keep the heap's bytes: a cold pin would have to
-# expand its whole page, and a WAL insert record shares its bytes with
-# the staging buffer. A change that moves either measures it first.
-codec=$(for f in crates/*/src/**/*.rs src/**/*.rs; do
-  case "$f" in
-    crates/storage/src/value/compact.rs | crates/engine/src/persist.rs) continue ;;
-  esac
-  awk '/#\[cfg\(test\)\]/{exit} /compact_tuple|expand_tuple/{print FILENAME ":" FNR ": " $0}' "$f"
+echo "== one stored row encoding: no transcoder, and no canonical bytes stored by the heap, the pool or the engine"
+# Pages, spill files, WAL insert records and snapshot page entries all
+# hold the stored codec's bytes (storage::compact), so nothing converts
+# between two stored forms; Value::encode_row is the canonical output
+# form (result digests, the benchmark's byte counts) and is never stored.
+transcoder=$(for f in crates/*/src/**/*.rs src/**/*.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /compact_tuple|expand_tuple|map_tuples/{print FILENAME ":" FNR ": " $0}' "$f"
 done)
-if [ -n "$codec" ]; then
-  echo "the compact row codec is the snapshot's (crates/engine/src/persist.rs); found:"
-  echo "$codec"
+if [ -n "$transcoder" ]; then
+  echo "a row has one stored encoding, so no transcoder is left; found:"
+  echo "$transcoder"
+  exit 1
+fi
+canonical=$(for f in crates/storage/src/heap*.rs crates/storage/src/heap/**/*.rs \
+  crates/storage/src/pool.rs crates/engine/src/**/*.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /Value::encode_row/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$canonical" ]; then
+  echo "the heap, the pool and the engine store Value::store_row's bytes, never the canonical form; found:"
+  echo "$canonical"
   exit 1
 fi
 

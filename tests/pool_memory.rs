@@ -49,7 +49,7 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
     db.create_ordered_index("pts", "id").unwrap();
     let index_bytes = live() - base - heap_bytes;
     let pages = table.heap.page_count() as usize;
-    let max_slots = (PAGE_SIZE / Value::encode_row(&row(0)).len()) as u64;
+    let max_slots = (PAGE_SIZE / Value::store_row(&row(0)).len()) as u64;
     assert!(pages > 8 * FRAMES, "the table must dwarf the bound: {pages} pages");
     // Fill on read, never on insert: neither the inserts nor the index
     // builds decoded a row, so what is live is the pages and the indexes.

@@ -213,7 +213,7 @@ fn a_tuple_column_reads_as_its_decoded_value() {
                     DataType::Geometry => Value::Geom(any_geometry(&mut rng, 0)),
                 })
                 .collect();
-            let tuple = Value::encode_row(&row);
+            let tuple = Value::store_row(&row);
             let decoded = Value::decode_row(&tuple).unwrap();
             // One walk over every column, and one past the last.
             let every: Vec<usize> = (0..=cols.len()).collect();
@@ -230,7 +230,7 @@ fn a_tuple_column_reads_as_its_decoded_value() {
                     Field::Int(i) => Value::Int(i),
                     Field::Float(f) => Value::Float(f),
                     Field::Text(s) => Value::Text(s.to_string()),
-                    Field::Geom(bytes) => Value::Geom(wkb::decode(bytes).unwrap()),
+                    Field::Geom(g) => Value::Geom(g.decode().unwrap()),
                 };
                 assert_eq!(&got, want, "{table} column {c}");
                 let mbr = field.mbr().unwrap().map(|q| q.map(f64::to_bits));
