@@ -73,19 +73,28 @@ mod tests {
         let conns: Vec<&dyn SpatialConnector> =
             dbs.iter().map(|d| d as &dyn SpatialConnector).collect();
         let m = feature_matrix(&conns);
-        assert_eq!(m.len(), 3);
-        let exact = &m[0];
-        let mbr = &m[1];
-        assert_eq!(exact.supported_count(), PROBED_FUNCTIONS.len());
-        assert!(mbr.supported_count() < PROBED_FUNCTIONS.len());
-        // The specific paper-era gaps.
-        let lookup = |row: &FeatureRow, f: &str| {
-            row.support.iter().find(|(n, _)| *n == f).map(|(_, s)| *s).unwrap()
+        assert_eq!(m[0].supported_count(), PROBED_FUNCTIONS.len());
+        // The T2 rows: the paper-era gaps of the MBR-only profile, and no
+        // other.
+        let missing = |row: &FeatureRow| -> Vec<&str> {
+            row.support.iter().filter(|(_, s)| !s).map(|(f, _)| *f).collect()
         };
-        assert!(!lookup(mbr, "ST_Buffer"));
-        assert!(!lookup(mbr, "ST_ConvexHull"));
-        assert!(!lookup(mbr, "ST_Union"));
-        assert!(lookup(mbr, "ST_Area"));
-        assert!(lookup(mbr, "ST_Intersects"));
+        let rows: Vec<(&str, Vec<&str>)> =
+            m.iter().map(|r| (r.engine.as_str(), missing(r))).collect();
+        let mbr_gaps = vec![
+            "ST_Relate",
+            "ST_Buffer",
+            "ST_ConvexHull",
+            "ST_Union",
+            "ST_Intersection",
+            "ST_Simplify",
+            "ST_DistanceSphere",
+            "ST_LengthSphere",
+            "ST_AreaSphere",
+        ];
+        assert_eq!(
+            rows,
+            vec![("exact-rtree", vec![]), ("mbr-only", mbr_gaps), ("exact-grid", vec![])]
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! client threads share one connector.
 
 use crate::{EngineProfile, Result, SpatialDb};
+use jackpine_sqlmini::functions::Func;
 use jackpine_sqlmini::ResultSet;
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ impl SpatialConnector for Arc<SpatialDb> {
     }
 
     fn supports_function(&self, function: &str) -> bool {
-        self.profile().function_mode().supports(function)
+        Func::from_name(function).is_some_and(|f| f.available_in(self.profile().function_mode()))
     }
 
     fn clear_caches(&self) {
@@ -72,6 +73,11 @@ mod tests {
         assert_eq!(conn.name(), "mbr-only");
         assert!(!conn.supports_function("ST_Buffer"));
         assert!(conn.supports_function("ST_Intersects"));
+        assert!(conn.supports_function("mbrIntersects"));
+        // A name no function has is supported by no profile.
+        for db in all_profiles() {
+            assert!(!(&db as &dyn SpatialConnector).supports_function("ST_NoSuch"));
+        }
         conn.execute("CREATE TABLE t (id BIGINT)").unwrap();
         conn.execute("INSERT INTO t VALUES (1)").unwrap();
         let r = conn.execute("SELECT COUNT(*) FROM t").unwrap();

@@ -325,6 +325,66 @@ mod tests {
     }
 
     #[test]
+    fn a_function_name_resolves_at_plan_time_and_availability_at_evaluation() {
+        for profile in EngineProfile::ALL {
+            let db = db(profile);
+            db.execute("CREATE TABLE empty (id BIGINT, geom GEOMETRY)").unwrap();
+            // An unknown name fails at plan time, over no rows too.
+            for (sql, name) in [
+                ("SELECT ST_NoSuch(geom) FROM empty", "ST_NoSuch"),
+                ("SELECT id FROM empty WHERE st_nosuch(geom, NULL) = 1", "st_nosuch"),
+                ("DELETE FROM empty WHERE ST_NoSuch(geom)", "ST_NoSuch"),
+            ] {
+                let err = db.execute(sql);
+                assert!(
+                    matches!(&err, Err(EngineError::Sql(SqlError::Unresolved(n)))
+                        if *n == format!("function {name}")),
+                    "{sql} on {profile:?}: {err:?}"
+                );
+            }
+            // A function the profile lacks fails only when a call runs.
+            let empty = db.execute("SELECT ST_Buffer(geom, 1.0) FROM empty").unwrap();
+            assert!(empty.rows.is_empty());
+            let rows = db.execute("SELECT ST_Buffer(geom, 1.0) FROM parcels");
+            match profile {
+                EngineProfile::MbrOnly => assert!(
+                    matches!(rows, Err(EngineError::Sql(SqlError::UnsupportedFeature(_)))),
+                    "{rows:?}"
+                ),
+                _ => assert_eq!(rows.unwrap().rows.len(), 4),
+            }
+        }
+    }
+
+    #[test]
+    fn a_dwithin_without_its_distance_is_a_type_error_with_the_index_on() {
+        let db = db(EngineProfile::ExactRtree);
+        db.create_spatial_index("parcels", "geom").unwrap();
+        for on in [true, false] {
+            db.set_use_spatial_index(on);
+            let err = db.execute("SELECT id FROM parcels WHERE ST_DWithin(geom, ST_Point(0, 0))");
+            assert!(
+                matches!(&err, Err(EngineError::Sql(SqlError::Type(m)))
+                    if m == "ST_DWITHIN: argument 2 must be numeric"),
+                "index {on}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wkt_nested_past_the_bound_is_an_error_not_an_abort() {
+        let depth = 100_000;
+        let wkt =
+            format!("{}POINT (1 2){}", "GEOMETRYCOLLECTION (".repeat(depth), ")".repeat(depth));
+        let err =
+            db(EngineProfile::ExactRtree).execute(&format!("SELECT ST_GeomFromText('{wkt}')"));
+        assert!(
+            matches!(&err, Err(EngineError::Sql(SqlError::Geometry(m))) if m.contains("nested over 256 deep")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn errors_surface() {
         let db = db(EngineProfile::ExactRtree);
         assert!(db.execute("SELECT * FROM nonexistent").is_err());

@@ -6,16 +6,19 @@
 //! produces canonical upper-case WKT with minimal float formatting.
 
 use crate::polygon::Ring;
+use crate::wkb::MAX_NESTING;
 use crate::{
     Coord, GeomError, Geometry, GeometryCollection, LineString, MultiLineString, MultiPoint,
     MultiPolygon, Point, Polygon, Result,
 };
 use std::fmt::Write as _;
 
-/// Parses a WKT string into a [`Geometry`].
+/// Parses a WKT string into a [`Geometry`]. Members nest at most
+/// [`MAX_NESTING`] deep, as [`crate::wkb::decode`] reads them; deeper text
+/// is a [`GeomError::WktParse`].
 pub fn parse(input: &str) -> Result<Geometry> {
     let mut p = Parser { input, pos: 0 };
-    let g = p.parse_geometry()?;
+    let g = p.parse_geometry(0)?;
     p.skip_ws();
     if p.pos != p.input.len() {
         return Err(p.err("trailing characters after geometry"));
@@ -283,7 +286,10 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    fn parse_geometry(&mut self) -> Result<Geometry> {
+    /// The geometry at the cursor, `depth` deep (a member of a top-level
+    /// multi-geometry or collection is one deep).
+    fn parse_geometry(&mut self, depth: usize) -> Result<Geometry> {
+        self.nested(depth)?;
         let kw = self.keyword()?;
         match kw.as_str() {
             "POINT" => {
@@ -312,6 +318,7 @@ impl<'a> Parser<'a> {
                 if self.try_keyword("EMPTY") {
                     return Ok(Geometry::MultiPoint(MultiPoint(Vec::new())));
                 }
+                self.nested(depth + 1)?;
                 self.eat(b'(')?;
                 let mut pts = vec![self.multipoint_member()?];
                 while self.try_eat(b',') {
@@ -324,6 +331,7 @@ impl<'a> Parser<'a> {
                 if self.try_keyword("EMPTY") {
                     return Ok(Geometry::MultiLineString(MultiLineString(Vec::new())));
                 }
+                self.nested(depth + 1)?;
                 self.eat(b'(')?;
                 let mut ls = vec![LineString::new(self.coord_seq()?)?];
                 while self.try_eat(b',') {
@@ -336,6 +344,7 @@ impl<'a> Parser<'a> {
                 if self.try_keyword("EMPTY") {
                     return Ok(Geometry::MultiPolygon(MultiPolygon(Vec::new())));
                 }
+                self.nested(depth + 1)?;
                 self.eat(b'(')?;
                 let mut ps = vec![self.polygon_body()?];
                 while self.try_eat(b',') {
@@ -349,15 +358,24 @@ impl<'a> Parser<'a> {
                     return Ok(Geometry::GeometryCollection(GeometryCollection(Vec::new())));
                 }
                 self.eat(b'(')?;
-                let mut gs = vec![self.parse_geometry()?];
+                let mut gs = vec![self.parse_geometry(depth + 1)?];
                 while self.try_eat(b',') {
-                    gs.push(self.parse_geometry()?);
+                    gs.push(self.parse_geometry(depth + 1)?);
                 }
                 self.eat(b')')?;
                 Ok(Geometry::GeometryCollection(GeometryCollection(gs)))
             }
             other => Err(self.err(&format!("unknown geometry keyword '{other}'"))),
         }
+    }
+
+    /// Refuses a geometry `depth` deep when that is past [`MAX_NESTING`],
+    /// before recursing: unbounded text would overflow the stack.
+    fn nested(&self, depth: usize) -> Result<()> {
+        if depth > MAX_NESTING {
+            return Err(self.err(&format!("geometries nested over {MAX_NESTING} deep")));
+        }
+        Ok(())
     }
 
     /// `(x y)` or bare `x y` (both appear in the wild) or `EMPTY`.
@@ -459,6 +477,26 @@ mod tests {
     #[test]
     fn nested_collection() {
         roundtrip("GEOMETRYCOLLECTION (GEOMETRYCOLLECTION (POINT (1 1)), POINT (2 2))");
+    }
+
+    #[test]
+    fn collections_nested_past_the_bound_are_an_error_not_an_overflow() {
+        let nest = |depth: usize, inner: &str| {
+            format!("{}{inner}{}", "GEOMETRYCOLLECTION (".repeat(depth), ")".repeat(depth))
+        };
+        // 2.1 MB whose recursion would overflow any thread's stack: refused
+        // where the 257th-deep geometry starts, 257 × 20 bytes in.
+        let deep = parse(&nest(100_000, "POINT (1 2)"));
+        assert!(matches!(deep, Err(GeomError::WktParse { position: 5_140, .. })), "{deep:?}");
+        // The bound is WKB's: what parses at it, WKB reads back.
+        let at = parse(&nest(MAX_NESTING, "POINT (1 2)")).unwrap();
+        assert_eq!(crate::wkb::nesting(&at), MAX_NESTING);
+        assert_eq!(crate::wkb::decode(&crate::wkb::encode(&at)).unwrap(), at);
+        assert!(parse(&nest(MAX_NESTING + 1, "POINT (1 2)")).is_err());
+        // A multi-geometry's members are one deeper, as WKB counts them.
+        assert!(parse(&nest(MAX_NESTING - 1, "MULTIPOINT ((1 2))")).is_ok());
+        assert!(parse(&nest(MAX_NESTING, "MULTIPOINT ((1 2))")).is_err());
+        assert!(parse(&nest(MAX_NESTING, "MULTIPOINT EMPTY")).is_ok());
     }
 
     #[test]

@@ -89,12 +89,12 @@ pub fn eval_view<R: TupleView + ?Sized>(
             .col(*i)
             .cloned()
             .ok_or_else(|| SqlError::Type(format!("column offset {i} out of range")))?,
-        BoundExpr::Func { name, args } => {
+        BoundExpr::Func { func, args } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
                 vals.push(eval_view(a, row, mode)?);
             }
-            functions::call(mode, name, &vals)?
+            functions::call(mode, *func, &vals)?
         }
         BoundExpr::Binary { op, left, right } => {
             let l = eval_view(left, row, mode)?;

@@ -5,7 +5,7 @@ use super::eval::{eval_const, eval_view, truthy};
 use super::operators::{access, fetch_rows, run};
 use super::{ExecCtx, LazyRow, TupleView};
 use crate::batch::{MbrColumn, MbrQuad, DEFAULT_BATCH_SIZE};
-use crate::functions::FunctionMode;
+use crate::functions::{Func, FunctionMode};
 use crate::plan::{BoundExpr, PlanNode};
 use crate::Result;
 use jackpine_geom::Geometry;
@@ -26,10 +26,9 @@ impl ExecCtx {
         if self.mode != FunctionMode::Exact {
             return None;
         }
-        let BoundExpr::Func { name, args } = predicate else {
+        let BoundExpr::Func { func: Func::Predicate(kind), args } = predicate else {
             return None;
         };
-        let kind = PredicateKind::from_sql_name(&name.to_ascii_uppercase())?;
         let [a, b] = args.as_slice() else {
             return None;
         };
@@ -46,7 +45,7 @@ impl ExecCtx {
                 _ => None,
             }
         };
-        Some(SpatialShape { kind, a: operand(a)?, b: operand(b)? })
+        Some(SpatialShape { kind: *kind, a: operand(a)?, b: operand(b)? })
     }
 }
 

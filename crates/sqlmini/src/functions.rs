@@ -1,5 +1,10 @@
 //! The spatial (and scalar) function registry.
 //!
+//! A call's name is resolved once, at bind, to a [`Func`]
+//! ([`Func::from_name`] is the one place a function name is
+//! case-folded); evaluation, availability and the planner's questions
+//! all go through that value.
+//!
 //! Two evaluation modes mirror the engines Jackpine compared:
 //!
 //! * [`FunctionMode::Exact`] — full exact geometry semantics and the full
@@ -26,116 +31,291 @@ pub enum FunctionMode {
     MbrOnly,
 }
 
-/// Functions absent from the MBR-only profile (the MySQL-era gaps that
-/// Jackpine's feature matrix reports).
-const MBR_ONLY_MISSING: [&str; 16] = [
-    "ST_BUFFER",
-    "ST_CONVEXHULL",
-    "ST_UNION",
-    "ST_INTERSECTION",
-    "ST_DIFFERENCE",
-    "ST_SIMPLIFY",
-    "ST_RELATE",
-    "ST_COVERS",
-    "ST_COVEREDBY",
-    "ST_DWITHIN",
-    // No geodetic support in the MySQL-era profile — one of the axes the
-    // paper's feature comparison calls out.
-    "ST_DISTANCESPHERE",
-    "ST_LENGTHSPHERE",
-    "ST_AREASPHERE",
-    // Affine geometry editing is likewise absent from the paper-era
-    // MySQL function set.
-    "ST_TRANSLATE",
-    "ST_SCALE",
-    "ST_ROTATE",
-];
-
 /// The topological predicates' SQL names (shared by planners and the
 /// feature matrix), as [`topo::predicates::SQL_NAMES`] spells them.
 pub use topo::predicates::SQL_NAMES as TOPO_PREDICATES;
 
-impl FunctionMode {
-    /// Whether a function name is available in this mode.
-    pub fn supports(self, name: &str) -> bool {
-        let upper = name.to_ascii_uppercase();
-        match self {
-            FunctionMode::Exact => true,
-            FunctionMode::MbrOnly => !MBR_ONLY_MISSING.contains(&upper.as_str()),
-        }
-    }
+/// A SQL function, resolved from its name at bind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Func {
+    /// A named topological predicate (`ST_Intersects`, …): exact or on
+    /// envelopes, as the profile's [`FunctionMode`] decides.
+    Predicate(PredicateKind),
+    /// An explicit MBR predicate, on envelopes in every mode: one of
+    /// `MBREquals`, `MBRDisjoint`, `MBRIntersects`, `MBRTouches`,
+    /// `MBRWithin`, `MBRContains` and `MBROverlaps`.
+    Mbr(PredicateKind),
+    /// `ST_GeomFromText(wkt)`
+    GeomFromText,
+    /// `ST_AsText(g)`
+    AsText,
+    /// `ST_Point(x, y)`
+    Point,
+    /// `ST_MakePoint(x, y)`, an alias of [`Func::Point`]
+    MakePoint,
+    /// `ST_MakeEnvelope(xmin, ymin, xmax, ymax)`
+    MakeEnvelope,
+    /// `ST_X(point)`
+    X,
+    /// `ST_Y(point)`
+    Y,
+    /// `ST_Area(g)`
+    Area,
+    /// `ST_Length(g)`
+    Length,
+    /// `ST_Perimeter(g)`, an alias of [`Func::Length`]
+    Perimeter,
+    /// `ST_Dimension(g)`
+    Dimension,
+    /// `ST_NumPoints(g)`
+    NumPoints,
+    /// `ST_NPoints(g)`, an alias of [`Func::NumPoints`]
+    NPoints,
+    /// `ST_GeometryType(g)`
+    GeometryType,
+    /// `ST_Envelope(g)`
+    Envelope,
+    /// `ST_Boundary(g)`
+    Boundary,
+    /// `ST_Centroid(g)`
+    Centroid,
+    /// `ST_Buffer(g, d [, quad_segs])`
+    Buffer,
+    /// `ST_ConvexHull(g)`
+    ConvexHull,
+    /// `ST_Simplify(g, tolerance)`
+    Simplify,
+    /// `ST_Union(a, b)`
+    Union,
+    /// `ST_Intersection(a, b)`
+    Intersection,
+    /// `ST_Difference(a, b)`
+    Difference,
+    /// `ST_IsEmpty(g)`
+    IsEmpty,
+    /// `ST_IsClosed(line)`
+    IsClosed,
+    /// `ST_StartPoint(line)`
+    StartPoint,
+    /// `ST_EndPoint(line)`
+    EndPoint,
+    /// `ST_NumGeometries(g)`
+    NumGeometries,
+    /// `ST_GeometryN(g, n)`, 1-based
+    GeometryN,
+    /// `ST_PointOnSurface(g)`
+    PointOnSurface,
+    /// `ST_AsBinary(g)`, as hex text
+    AsBinary,
+    /// `ST_GeomFromWKB(hex)`
+    GeomFromWkb,
+    /// `ST_Translate(g, dx, dy)`
+    Translate,
+    /// `ST_Scale(g, sx, sy)`
+    Scale,
+    /// `ST_Rotate(g, angle [, x0, y0])`
+    Rotate,
+    /// `ST_DistanceSphere(a, b)`
+    DistanceSphere,
+    /// `ST_LengthSphere(g)`
+    LengthSphere,
+    /// `ST_AreaSphere(g)`
+    AreaSphere,
+    /// `ST_Distance(a, b)`
+    Distance,
+    /// `ST_DWithin(a, b, d)`
+    DWithin,
+    /// `ST_Relate(a, b [, pattern])`
+    Relate,
+    /// `ABS(x)`
+    Abs,
+    /// `UPPER(s)`
+    Upper,
+    /// `LOWER(s)`
+    Lower,
+    /// `CHAR_LENGTH(s)`
+    CharLength,
 }
 
-/// `true` when `name` is a topological predicate the planner can serve
-/// with a spatial-index filter step (everything except `ST_Disjoint`,
-/// whose candidates an intersection-style index cannot narrow).
-pub fn is_indexable_predicate(name: &str) -> bool {
-    let upper = name.to_ascii_uppercase();
-    PredicateKind::from_sql_name(&upper).is_some_and(|kind| kind != PredicateKind::Disjoint)
-        || upper == "ST_DWITHIN"
-        || upper.starts_with("MBR") && upper != "MBRDISJOINT"
+/// The upper-cased SQL name of every [`Func`] but [`Func::Predicate`]
+/// (whose names [`topo::predicates::SQL_NAMES`] spells): the one place
+/// each is spelled.
+const NAMES: [(Func, &str); 52] = [
+    (Func::GeomFromText, "ST_GEOMFROMTEXT"),
+    (Func::AsText, "ST_ASTEXT"),
+    (Func::Point, "ST_POINT"),
+    (Func::MakePoint, "ST_MAKEPOINT"),
+    (Func::MakeEnvelope, "ST_MAKEENVELOPE"),
+    (Func::X, "ST_X"),
+    (Func::Y, "ST_Y"),
+    (Func::Area, "ST_AREA"),
+    (Func::Length, "ST_LENGTH"),
+    (Func::Perimeter, "ST_PERIMETER"),
+    (Func::Dimension, "ST_DIMENSION"),
+    (Func::NumPoints, "ST_NUMPOINTS"),
+    (Func::NPoints, "ST_NPOINTS"),
+    (Func::GeometryType, "ST_GEOMETRYTYPE"),
+    (Func::Envelope, "ST_ENVELOPE"),
+    (Func::Boundary, "ST_BOUNDARY"),
+    (Func::Centroid, "ST_CENTROID"),
+    (Func::Buffer, "ST_BUFFER"),
+    (Func::ConvexHull, "ST_CONVEXHULL"),
+    (Func::Simplify, "ST_SIMPLIFY"),
+    (Func::Union, "ST_UNION"),
+    (Func::Intersection, "ST_INTERSECTION"),
+    (Func::Difference, "ST_DIFFERENCE"),
+    (Func::IsEmpty, "ST_ISEMPTY"),
+    (Func::IsClosed, "ST_ISCLOSED"),
+    (Func::StartPoint, "ST_STARTPOINT"),
+    (Func::EndPoint, "ST_ENDPOINT"),
+    (Func::NumGeometries, "ST_NUMGEOMETRIES"),
+    (Func::GeometryN, "ST_GEOMETRYN"),
+    (Func::PointOnSurface, "ST_POINTONSURFACE"),
+    (Func::AsBinary, "ST_ASBINARY"),
+    (Func::GeomFromWkb, "ST_GEOMFROMWKB"),
+    (Func::Translate, "ST_TRANSLATE"),
+    (Func::Scale, "ST_SCALE"),
+    (Func::Rotate, "ST_ROTATE"),
+    (Func::DistanceSphere, "ST_DISTANCESPHERE"),
+    (Func::LengthSphere, "ST_LENGTHSPHERE"),
+    (Func::AreaSphere, "ST_AREASPHERE"),
+    (Func::Distance, "ST_DISTANCE"),
+    (Func::DWithin, "ST_DWITHIN"),
+    (Func::Relate, "ST_RELATE"),
+    (Func::Mbr(PredicateKind::Equals), "MBREQUALS"),
+    (Func::Mbr(PredicateKind::Disjoint), "MBRDISJOINT"),
+    (Func::Mbr(PredicateKind::Intersects), "MBRINTERSECTS"),
+    (Func::Mbr(PredicateKind::Touches), "MBRTOUCHES"),
+    (Func::Mbr(PredicateKind::Within), "MBRWITHIN"),
+    (Func::Mbr(PredicateKind::Contains), "MBRCONTAINS"),
+    (Func::Mbr(PredicateKind::Overlaps), "MBROVERLAPS"),
+    (Func::Abs, "ABS"),
+    (Func::Upper, "UPPER"),
+    (Func::Lower, "LOWER"),
+    (Func::CharLength, "CHAR_LENGTH"),
+];
+
+impl Func {
+    /// Resolves a SQL function name written in any case: the one place
+    /// a function name is case-folded. `None` for a name no function
+    /// has; the aggregates are the planner's, not functions.
+    pub fn from_name(name: &str) -> Option<Func> {
+        let upper = name.to_ascii_uppercase();
+        match PredicateKind::from_sql_name(&upper) {
+            Some(kind) => Some(Func::Predicate(kind)),
+            None => NAMES.iter().find(|(_, n)| *n == upper).map(|&(f, _)| f),
+        }
+    }
+
+    /// The upper-cased SQL name, as error texts spell it.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Func::Mbr`] of a kind no MBR function names (crosses,
+    /// covers, covered-by), which [`Func::from_name`] never returns.
+    pub fn name(self) -> &'static str {
+        match self {
+            Func::Predicate(kind) => kind.sql_name(),
+            _ => NAMES
+                .iter()
+                .find(|(f, _)| *f == self)
+                .map(|&(_, n)| n)
+                .expect("NAMES spells every function but the predicates"),
+        }
+    }
+
+    /// Whether the function is available in `mode`. The MBR-only profile
+    /// lacks the MySQL-era gaps that Jackpine's feature matrix reports:
+    /// the constructive functions, `ST_Relate`, `ST_Covers`,
+    /// `ST_CoveredBy` and `ST_DWithin`, geodetic measures (one of the
+    /// axes the paper's feature comparison calls out) and affine editing.
+    pub fn available_in(self, mode: FunctionMode) -> bool {
+        mode == FunctionMode::Exact
+            || !matches!(
+                self,
+                Func::Buffer
+                    | Func::ConvexHull
+                    | Func::Union
+                    | Func::Intersection
+                    | Func::Difference
+                    | Func::Simplify
+                    | Func::Relate
+                    | Func::Predicate(PredicateKind::Covers | PredicateKind::CoveredBy)
+                    | Func::DWithin
+                    | Func::DistanceSphere
+                    | Func::LengthSphere
+                    | Func::AreaSphere
+                    | Func::Translate
+                    | Func::Scale
+                    | Func::Rotate
+            )
+    }
+
+    /// Whether the planner can serve a call with a spatial-index filter
+    /// step: `ST_DWithin` and every predicate but disjointness, whose
+    /// candidates an intersection-style index cannot narrow.
+    pub(crate) fn is_index_filter(self) -> bool {
+        match self {
+            Func::Predicate(kind) | Func::Mbr(kind) => kind != PredicateKind::Disjoint,
+            Func::DWithin => true,
+            _ => false,
+        }
+    }
+
+    /// Whether a call with constant arguments is evaluated once, at bind:
+    /// the cheap constructors, whose answers no profile changes.
+    pub(crate) fn is_foldable(self) -> bool {
+        matches!(self, Func::GeomFromText | Func::Point | Func::MakePoint | Func::MakeEnvelope)
+    }
 }
 
 /// Evaluates a (non-aggregate) function call on already-computed argument
 /// values. Every function is strict, as PostGIS's are: a NULL argument
-/// gives a NULL result.
-pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
-    let upper = name.to_ascii_uppercase();
-    if !mode.supports(&upper) {
-        return Err(SqlError::UnsupportedFeature(name.to_string()));
+/// gives a NULL result. Availability is checked here, not at bind, so a
+/// function the profile lacks fails only when a call is evaluated.
+pub fn call(mode: FunctionMode, func: Func, args: &[Value]) -> Result<Value> {
+    if !func.available_in(mode) {
+        return Err(SqlError::UnsupportedFeature(func.name().to_string()));
     }
     if args.iter().any(Value::is_null) {
         return Ok(Value::Null);
     }
-    match upper.as_str() {
+    let geom = |i| geom_arg(func, args, i);
+    let num = |i| num_arg(func, args, i);
+    let text = |i| text_arg(func, args, i);
+    match func {
         // ----- constructors ------------------------------------------------
-        "ST_GEOMFROMTEXT" => {
-            let s = text_arg(&upper, args, 0)?;
-            Ok(Value::Geom(wkt::parse(s)?))
+        Func::GeomFromText => Ok(Value::Geom(wkt::parse(text(0)?)?)),
+        Func::AsText => Ok(Value::Text(wkt::write(geom(0)?))),
+        Func::Point | Func::MakePoint => {
+            Ok(Value::Geom(Geometry::Point(Point::new(num(0)?, num(1)?)?)))
         }
-        "ST_ASTEXT" => Ok(Value::Text(wkt::write(geom_arg(&upper, args, 0)?))),
-        "ST_POINT" | "ST_MAKEPOINT" => {
-            let x = num_arg(&upper, args, 0)?;
-            let y = num_arg(&upper, args, 1)?;
-            Ok(Value::Geom(Geometry::Point(Point::new(x, y)?)))
-        }
-        "ST_MAKEENVELOPE" => {
-            let e = Envelope::new(
-                num_arg(&upper, args, 0)?,
-                num_arg(&upper, args, 1)?,
-                num_arg(&upper, args, 2)?,
-                num_arg(&upper, args, 3)?,
-            );
+        Func::MakeEnvelope => {
+            let e = Envelope::new(num(0)?, num(1)?, num(2)?, num(3)?);
             Ok(Value::Geom(envelope_geometry(&e)))
         }
 
         // ----- accessors / measures ---------------------------------------
-        "ST_X" => point_component(&upper, args, |c| c.x),
-        "ST_Y" => point_component(&upper, args, |c| c.y),
-        "ST_AREA" => Ok(Value::Float(alg::area(geom_arg(&upper, args, 0)?))),
-        "ST_LENGTH" | "ST_PERIMETER" => Ok(Value::Float(alg::length(geom_arg(&upper, args, 0)?))),
-        "ST_DIMENSION" => Ok(Value::Int(geom_arg(&upper, args, 0)?.dimension().as_i32() as i64)),
-        "ST_NUMPOINTS" | "ST_NPOINTS" => {
-            Ok(Value::Int(geom_arg(&upper, args, 0)?.num_coords() as i64))
+        Func::X => point_component(func, args, |c| c.x),
+        Func::Y => point_component(func, args, |c| c.y),
+        Func::Area => Ok(Value::Float(alg::area(geom(0)?))),
+        Func::Length | Func::Perimeter => Ok(Value::Float(alg::length(geom(0)?))),
+        Func::Dimension => Ok(Value::Int(geom(0)?.dimension().as_i32() as i64)),
+        Func::NumPoints | Func::NPoints => Ok(Value::Int(geom(0)?.num_coords() as i64)),
+        Func::GeometryType => {
+            Ok(Value::Text(format!("ST_{}", geom(0)?.geometry_type().wkt_keyword())))
         }
-        "ST_GEOMETRYTYPE" => Ok(Value::Text(format!(
-            "ST_{}",
-            geom_arg(&upper, args, 0)?.geometry_type().wkt_keyword()
-        ))),
-        "ST_ENVELOPE" => Ok(Value::Geom(envelope_geometry(&geom_arg(&upper, args, 0)?.envelope()))),
-        "ST_BOUNDARY" => Ok(Value::Geom(geom_arg(&upper, args, 0)?.boundary())),
-        "ST_CENTROID" => {
-            let g = geom_arg(&upper, args, 0)?;
-            Ok(match alg::centroid(g) {
-                Some(c) => Value::Geom(Geometry::Point(Point::from_coord(c)?)),
-                None => Value::Geom(Geometry::GeometryCollection(GeometryCollection(vec![]))),
-            })
-        }
+        Func::Envelope => Ok(Value::Geom(envelope_geometry(&geom(0)?.envelope()))),
+        Func::Boundary => Ok(Value::Geom(geom(0)?.boundary())),
+        Func::Centroid => Ok(match alg::centroid(geom(0)?) {
+            Some(c) => Value::Geom(Geometry::Point(Point::from_coord(c)?)),
+            None => Value::Geom(Geometry::GeometryCollection(GeometryCollection(vec![]))),
+        }),
 
         // ----- constructive -------------------------------------------------
-        "ST_BUFFER" => {
-            let g = geom_arg(&upper, args, 0)?;
-            let d = num_arg(&upper, args, 1)?;
+        Func::Buffer => {
+            let g = geom(0)?;
+            let d = num(1)?;
             let quad = match args.get(2) {
                 Some(v) => {
                     v.as_f64().ok_or_else(|| SqlError::Type("quad_segs must be numeric".into()))?
@@ -145,43 +325,33 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
             };
             Ok(Value::Geom(alg::buffer::buffer_with_segments(g, d, quad)?))
         }
-        "ST_CONVEXHULL" => Ok(Value::Geom(alg::convex_hull(geom_arg(&upper, args, 0)?)?)),
-        "ST_SIMPLIFY" => {
-            Ok(Value::Geom(alg::simplify(geom_arg(&upper, args, 0)?, num_arg(&upper, args, 1)?)?))
-        }
-        "ST_UNION" => {
-            Ok(Value::Geom(alg::union(geom_arg(&upper, args, 0)?, geom_arg(&upper, args, 1)?)?))
-        }
-        "ST_INTERSECTION" => Ok(Value::Geom(alg::intersection(
-            geom_arg(&upper, args, 0)?,
-            geom_arg(&upper, args, 1)?,
-        )?)),
-        "ST_DIFFERENCE" => Ok(Value::Geom(alg::difference(
-            geom_arg(&upper, args, 0)?,
-            geom_arg(&upper, args, 1)?,
-        )?)),
+        Func::ConvexHull => Ok(Value::Geom(alg::convex_hull(geom(0)?)?)),
+        Func::Simplify => Ok(Value::Geom(alg::simplify(geom(0)?, num(1)?)?)),
+        Func::Union => Ok(Value::Geom(alg::union(geom(0)?, geom(1)?)?)),
+        Func::Intersection => Ok(Value::Geom(alg::intersection(geom(0)?, geom(1)?)?)),
+        Func::Difference => Ok(Value::Geom(alg::difference(geom(0)?, geom(1)?)?)),
 
         // ----- accessors (structural) -----------------------------------------
-        "ST_ISEMPTY" => Ok(bool_value(geom_arg(&upper, args, 0)?.is_empty())),
-        "ST_ISCLOSED" => match geom_arg(&upper, args, 0)? {
+        Func::IsEmpty => Ok(bool_value(geom(0)?.is_empty())),
+        Func::IsClosed => match geom(0)? {
             Geometry::LineString(l) => Ok(bool_value(l.is_closed())),
             Geometry::MultiLineString(m) => {
                 Ok(bool_value(!m.0.is_empty() && m.0.iter().all(LineString::is_closed)))
             }
-            _ => Err(SqlError::Type(format!("{upper}: argument must be a line"))),
+            _ => Err(SqlError::Type(format!("{}: argument must be a line", func.name()))),
         },
-        "ST_STARTPOINT" | "ST_ENDPOINT" => match geom_arg(&upper, args, 0)? {
+        Func::StartPoint | Func::EndPoint => match geom(0)? {
             Geometry::LineString(l) => {
-                let c = if upper == "ST_STARTPOINT" { l.start() } else { l.end() };
+                let c = if func == Func::StartPoint { l.start() } else { l.end() };
                 Ok(match c {
                     Some(c) => Value::Geom(Geometry::Point(Point::from_coord(c)?)),
                     None => Value::Null,
                 })
             }
-            _ => Err(SqlError::Type(format!("{upper}: argument must be a linestring"))),
+            _ => Err(SqlError::Type(format!("{}: argument must be a linestring", func.name()))),
         },
-        "ST_NUMGEOMETRIES" => {
-            let n = match geom_arg(&upper, args, 0)? {
+        Func::NumGeometries => {
+            let n = match geom(0)? {
                 Geometry::MultiPoint(m) => m.0.len(),
                 Geometry::MultiLineString(m) => m.0.len(),
                 Geometry::MultiPolygon(m) => m.0.len(),
@@ -190,13 +360,12 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
             };
             Ok(Value::Int(n as i64))
         }
-        "ST_GEOMETRYN" => {
-            let n = num_arg(&upper, args, 1)? as usize;
+        Func::GeometryN => {
+            let n = num(1)? as usize;
             if n < 1 {
                 return Err(SqlError::Type("ST_GeometryN index starts at 1".into()));
             }
-            let g = geom_arg(&upper, args, 0)?;
-            let member = match g {
+            let member = match geom(0)? {
                 Geometry::MultiPoint(m) => m.0.get(n - 1).copied().map(Geometry::Point),
                 Geometry::MultiLineString(m) => m.0.get(n - 1).cloned().map(Geometry::LineString),
                 Geometry::MultiPolygon(m) => m.0.get(n - 1).cloned().map(Geometry::Polygon),
@@ -206,7 +375,7 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
             };
             Ok(member.map(Value::Geom).unwrap_or(Value::Null))
         }
-        "ST_POINTONSURFACE" => match geom_arg(&upper, args, 0)? {
+        Func::PointOnSurface => match geom(0)? {
             Geometry::Polygon(p) => {
                 Ok(Value::Geom(Geometry::Point(Point::from_coord(topo::interior_point(p))?)))
             }
@@ -218,37 +387,26 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
             },
             Geometry::Point(p) => Ok(Value::Geom(Geometry::Point(*p))),
             other => Err(SqlError::Type(format!(
-                "{upper}: unsupported argument type {:?}",
+                "{}: unsupported argument type {:?}",
+                func.name(),
                 other.geometry_type()
             ))),
         },
 
         // ----- binary serialization ---------------------------------------------
-        "ST_ASBINARY" => {
-            let bytes = jackpine_geom::wkb::encode(geom_arg(&upper, args, 0)?);
-            Ok(Value::Text(hex_encode(&bytes)))
-        }
-        "ST_GEOMFROMWKB" => {
-            let hex = text_arg(&upper, args, 0)?;
+        Func::AsBinary => Ok(Value::Text(hex_encode(&jackpine_geom::wkb::encode(geom(0)?)))),
+        Func::GeomFromWkb => {
             let bytes =
-                hex_decode(hex).ok_or_else(|| SqlError::Type("malformed hex WKB".into()))?;
+                hex_decode(text(0)?).ok_or_else(|| SqlError::Type("malformed hex WKB".into()))?;
             Ok(Value::Geom(jackpine_geom::wkb::decode(&bytes)?))
         }
 
         // ----- affine editing --------------------------------------------------
-        "ST_TRANSLATE" => Ok(Value::Geom(alg::affine::translate(
-            geom_arg(&upper, args, 0)?,
-            num_arg(&upper, args, 1)?,
-            num_arg(&upper, args, 2)?,
-        )?)),
-        "ST_SCALE" => Ok(Value::Geom(alg::affine::scale(
-            geom_arg(&upper, args, 0)?,
-            num_arg(&upper, args, 1)?,
-            num_arg(&upper, args, 2)?,
-        )?)),
-        "ST_ROTATE" => {
-            let g = geom_arg(&upper, args, 0)?;
-            let angle = num_arg(&upper, args, 1)?;
+        Func::Translate => Ok(Value::Geom(alg::affine::translate(geom(0)?, num(1)?, num(2)?)?)),
+        Func::Scale => Ok(Value::Geom(alg::affine::scale(geom(0)?, num(1)?, num(2)?)?)),
+        Func::Rotate => {
+            let g = geom(0)?;
+            let angle = num(1)?;
             let origin = match (args.get(2), args.get(3)) {
                 (Some(x), Some(y)) => jackpine_geom::Coord::new(
                     x.as_f64()
@@ -262,32 +420,25 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
         }
 
         // ----- geodetic measures ---------------------------------------------
-        "ST_DISTANCESPHERE" => {
-            let d = alg::geodesic::distance_sphere(
-                geom_arg(&upper, args, 0)?,
-                geom_arg(&upper, args, 1)?,
-            );
+        Func::DistanceSphere => {
+            let d = alg::geodesic::distance_sphere(geom(0)?, geom(1)?);
             Ok(if d.is_finite() { Value::Float(d) } else { Value::Null })
         }
-        "ST_LENGTHSPHERE" => {
-            Ok(Value::Float(alg::geodesic::length_sphere(geom_arg(&upper, args, 0)?)))
-        }
-        "ST_AREASPHERE" => Ok(Value::Float(alg::geodesic::area_sphere(geom_arg(&upper, args, 0)?))),
+        Func::LengthSphere => Ok(Value::Float(alg::geodesic::length_sphere(geom(0)?))),
+        Func::AreaSphere => Ok(Value::Float(alg::geodesic::area_sphere(geom(0)?))),
 
         // ----- metric predicates -------------------------------------------
-        "ST_DISTANCE" => {
-            let d = alg::distance(geom_arg(&upper, args, 0)?, geom_arg(&upper, args, 1)?);
+        Func::Distance => {
+            let d = alg::distance(geom(0)?, geom(1)?);
             Ok(if d.is_finite() { Value::Float(d) } else { Value::Null })
         }
-        "ST_DWITHIN" => {
-            let d = alg::distance(geom_arg(&upper, args, 0)?, geom_arg(&upper, args, 1)?);
-            Ok(bool_value(d <= num_arg(&upper, args, 2)?))
+        Func::DWithin => {
+            let d = alg::distance(geom(0)?, geom(1)?);
+            Ok(bool_value(d <= num(2)?))
         }
 
-        "ST_RELATE" => {
-            let a = geom_arg(&upper, args, 0)?;
-            let b = geom_arg(&upper, args, 1)?;
-            let m = topo::relate(a, b)?;
+        Func::Relate => {
+            let m = topo::relate(geom(0)?, geom(1)?)?;
             match args.get(2) {
                 Some(p) => {
                     let pattern = p
@@ -299,33 +450,24 @@ pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
             }
         }
 
-        // ----- explicit MBR predicates (available in every mode) ------------
-        "MBRINTERSECTS" | "MBRCONTAINS" | "MBRWITHIN" | "MBREQUALS" | "MBRDISJOINT"
-        | "MBROVERLAPS" | "MBRTOUCHES" => {
-            let a = geom_arg(&upper, args, 0)?.envelope();
-            let b = geom_arg(&upper, args, 1)?.envelope();
-            let kind = PredicateKind::from_sql_name(&upper.replace("MBR", "ST_"))
-                .expect("each MBR function names a predicate");
-            Ok(bool_value(mbr_predicate(kind, &a, &b)))
-        }
-
-        // ----- scalar helpers ------------------------------------------------
-        "ABS" => Ok(Value::Float(num_arg(&upper, args, 0)?.abs())),
-        "UPPER" => Ok(Value::Text(text_arg(&upper, args, 0)?.to_uppercase())),
-        "LOWER" => Ok(Value::Text(text_arg(&upper, args, 0)?.to_lowercase())),
-        "CHAR_LENGTH" => Ok(Value::Int(text_arg(&upper, args, 0)?.chars().count() as i64)),
-
-        // ----- topological predicates ---------------------------------------
-        other => {
-            let kind = PredicateKind::from_sql_name(other)
-                .ok_or_else(|| SqlError::Unresolved(format!("function {name}")))?;
-            let a = geom_arg(&upper, args, 0)?;
-            let b = geom_arg(&upper, args, 1)?;
+        // ----- topological predicates -----------------------------------------
+        Func::Predicate(kind) => {
+            let (a, b) = (geom(0)?, geom(1)?);
             Ok(bool_value(match mode {
                 FunctionMode::Exact => topo::holds(kind, a, b)?,
                 FunctionMode::MbrOnly => mbr_predicate(kind, &a.envelope(), &b.envelope()),
             }))
         }
+        // ----- explicit MBR predicates (available in every mode) ------------
+        Func::Mbr(kind) => {
+            Ok(bool_value(mbr_predicate(kind, &geom(0)?.envelope(), &geom(1)?.envelope())))
+        }
+
+        // ----- scalar helpers ------------------------------------------------
+        Func::Abs => Ok(Value::Float(num(0)?.abs())),
+        Func::Upper => Ok(Value::Text(text(0)?.to_uppercase())),
+        Func::Lower => Ok(Value::Text(text(0)?.to_lowercase())),
+        Func::CharLength => Ok(Value::Int(text(0)?.chars().count() as i64)),
     }
 }
 
@@ -381,22 +523,22 @@ fn bool_value(b: bool) -> Value {
     Value::Int(i64::from(b))
 }
 
-fn geom_arg<'a>(fname: &str, args: &'a [Value], i: usize) -> Result<&'a Geometry> {
+fn geom_arg(func: Func, args: &[Value], i: usize) -> Result<&Geometry> {
     args.get(i)
         .and_then(Value::as_geom)
-        .ok_or_else(|| SqlError::Type(format!("{fname}: argument {i} must be a geometry")))
+        .ok_or_else(|| SqlError::Type(format!("{}: argument {i} must be a geometry", func.name())))
 }
 
-fn num_arg(fname: &str, args: &[Value], i: usize) -> Result<f64> {
+fn num_arg(func: Func, args: &[Value], i: usize) -> Result<f64> {
     args.get(i)
         .and_then(Value::as_f64)
-        .ok_or_else(|| SqlError::Type(format!("{fname}: argument {i} must be numeric")))
+        .ok_or_else(|| SqlError::Type(format!("{}: argument {i} must be numeric", func.name())))
 }
 
-fn text_arg<'a>(fname: &str, args: &'a [Value], i: usize) -> Result<&'a str> {
+fn text_arg(func: Func, args: &[Value], i: usize) -> Result<&str> {
     args.get(i)
         .and_then(Value::as_str)
-        .ok_or_else(|| SqlError::Type(format!("{fname}: argument {i} must be text")))
+        .ok_or_else(|| SqlError::Type(format!("{}: argument {i} must be text", func.name())))
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
@@ -415,16 +557,16 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 }
 
 fn point_component(
-    fname: &str,
+    func: Func,
     args: &[Value],
     f: impl Fn(jackpine_geom::Coord) -> f64,
 ) -> Result<Value> {
-    match geom_arg(fname, args, 0)? {
+    match geom_arg(func, args, 0)? {
         Geometry::Point(p) => Ok(match p.coord() {
             Some(c) => Value::Float(f(c)),
             None => Value::Null,
         }),
-        _ => Err(SqlError::Type(format!("{fname}: argument must be a point"))),
+        _ => Err(SqlError::Type(format!("{}: argument must be a point", func.name()))),
     }
 }
 
@@ -438,18 +580,18 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        let g = call(FunctionMode::Exact, "ST_GeomFromText", &[Value::Text("POINT (1 2)".into())])
+        let g = call(FunctionMode::Exact, Func::GeomFromText, &[Value::Text("POINT (1 2)".into())])
             .unwrap();
         assert_eq!(
-            call(FunctionMode::Exact, "ST_X", std::slice::from_ref(&g)).unwrap(),
+            call(FunctionMode::Exact, Func::X, std::slice::from_ref(&g)).unwrap(),
             Value::Float(1.0)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Y", std::slice::from_ref(&g)).unwrap(),
+            call(FunctionMode::Exact, Func::Y, std::slice::from_ref(&g)).unwrap(),
             Value::Float(2.0)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_AsText", &[g]).unwrap(),
+            call(FunctionMode::Exact, Func::AsText, &[g]).unwrap(),
             Value::Text("POINT (1 2)".into())
         );
     }
@@ -457,17 +599,17 @@ mod tests {
     #[test]
     fn a_null_argument_gives_a_null_result() {
         let p = geom("POINT (1 2)");
-        for (name, args) in [
-            ("ST_Distance", vec![Value::Null, p.clone()]),
-            ("ST_Intersects", vec![p.clone(), Value::Null]),
-            ("ST_Buffer", vec![p.clone(), Value::Null]),
-            ("ST_Area", vec![Value::Null]),
-            ("ST_GeomFromText", vec![Value::Null]),
+        for (func, args) in [
+            (Func::Distance, vec![Value::Null, p.clone()]),
+            (Func::Predicate(PredicateKind::Intersects), vec![p.clone(), Value::Null]),
+            (Func::Buffer, vec![p.clone(), Value::Null]),
+            (Func::Area, vec![Value::Null]),
+            (Func::GeomFromText, vec![Value::Null]),
         ] {
-            assert_eq!(call(FunctionMode::Exact, name, &args).unwrap(), Value::Null, "{name}");
+            assert_eq!(call(FunctionMode::Exact, func, &args).unwrap(), Value::Null, "{func:?}");
         }
         // Availability is still the profile's to decide.
-        let err = call(FunctionMode::MbrOnly, "ST_Buffer", &[Value::Null, Value::Null]);
+        let err = call(FunctionMode::MbrOnly, Func::Buffer, &[Value::Null, Value::Null]);
         assert!(matches!(err, Err(SqlError::UnsupportedFeature(_))));
     }
 
@@ -475,18 +617,18 @@ mod tests {
     fn measures() {
         let sq = geom("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))");
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Area", std::slice::from_ref(&sq)).unwrap(),
+            call(FunctionMode::Exact, Func::Area, std::slice::from_ref(&sq)).unwrap(),
             Value::Float(4.0)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Length", std::slice::from_ref(&sq)).unwrap(),
+            call(FunctionMode::Exact, Func::Length, std::slice::from_ref(&sq)).unwrap(),
             Value::Float(8.0)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Dimension", std::slice::from_ref(&sq)).unwrap(),
+            call(FunctionMode::Exact, Func::Dimension, std::slice::from_ref(&sq)).unwrap(),
             Value::Int(2)
         );
-        assert_eq!(call(FunctionMode::Exact, "ST_NumPoints", &[sq]).unwrap(), Value::Int(5));
+        assert_eq!(call(FunctionMode::Exact, Func::NumPoints, &[sq]).unwrap(), Value::Int(5));
     }
 
     #[test]
@@ -495,9 +637,15 @@ mod tests {
         // reality: the canonical Jackpine false-positive case.
         let line = geom("LINESTRING (0 0, 10 10)");
         let poly = geom("POLYGON ((8 0, 9 0, 9 1, 8 1, 8 0))");
-        let exact =
-            call(FunctionMode::Exact, "ST_Intersects", &[line.clone(), poly.clone()]).unwrap();
-        let mbr = call(FunctionMode::MbrOnly, "ST_Intersects", &[line, poly]).unwrap();
+        let exact = call(
+            FunctionMode::Exact,
+            Func::Predicate(PredicateKind::Intersects),
+            &[line.clone(), poly.clone()],
+        )
+        .unwrap();
+        let mbr =
+            call(FunctionMode::MbrOnly, Func::Predicate(PredicateKind::Intersects), &[line, poly])
+                .unwrap();
         assert_eq!(exact, Value::Int(0));
         assert_eq!(mbr, Value::Int(1)); // MBR false positive
     }
@@ -505,22 +653,22 @@ mod tests {
     #[test]
     fn mbr_mode_feature_gaps() {
         let sq = geom("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))");
-        let err = call(FunctionMode::MbrOnly, "ST_Buffer", &[sq.clone(), Value::Float(1.0)]);
+        let err = call(FunctionMode::MbrOnly, Func::Buffer, &[sq.clone(), Value::Float(1.0)]);
         assert!(matches!(err, Err(SqlError::UnsupportedFeature(_))));
-        assert!(FunctionMode::MbrOnly.supports("ST_Area"));
-        assert!(!FunctionMode::MbrOnly.supports("ST_ConvexHull"));
-        assert!(FunctionMode::Exact.supports("ST_ConvexHull"));
+        assert!(Func::Area.available_in(FunctionMode::MbrOnly));
+        assert!(!Func::ConvexHull.available_in(FunctionMode::MbrOnly));
+        assert!(Func::ConvexHull.available_in(FunctionMode::Exact));
         // Measures still work in MBR mode.
-        assert_eq!(call(FunctionMode::MbrOnly, "ST_Area", &[sq]).unwrap(), Value::Float(4.0));
+        assert_eq!(call(FunctionMode::MbrOnly, Func::Area, &[sq]).unwrap(), Value::Float(4.0));
     }
 
     #[test]
     fn relate_matrix_and_pattern() {
         let a = geom("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))");
         let b = geom("POLYGON ((1 1, 3 1, 3 3, 1 3, 1 1))");
-        let m = call(FunctionMode::Exact, "ST_Relate", &[a.clone(), b.clone()]).unwrap();
+        let m = call(FunctionMode::Exact, Func::Relate, &[a.clone(), b.clone()]).unwrap();
         assert_eq!(m, Value::Text("212101212".into()));
-        let hit = call(FunctionMode::Exact, "ST_Relate", &[a, b, Value::Text("T*T***T**".into())])
+        let hit = call(FunctionMode::Exact, Func::Relate, &[a, b, Value::Text("T*T***T**".into())])
             .unwrap();
         assert_eq!(hit, Value::Int(1));
     }
@@ -530,16 +678,16 @@ mod tests {
         let a = geom("POINT (0 0)");
         let b = geom("POINT (3 4)");
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Distance", &[a.clone(), b.clone()]).unwrap(),
+            call(FunctionMode::Exact, Func::Distance, &[a.clone(), b.clone()]).unwrap(),
             Value::Float(5.0)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_DWithin", &[a.clone(), b.clone(), Value::Float(5.0)])
+            call(FunctionMode::Exact, Func::DWithin, &[a.clone(), b.clone(), Value::Float(5.0)])
                 .unwrap(),
             Value::Int(1)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_DWithin", &[a, b, Value::Float(4.9)]).unwrap(),
+            call(FunctionMode::Exact, Func::DWithin, &[a, b, Value::Float(4.9)]).unwrap(),
             Value::Int(0)
         );
     }
@@ -548,27 +696,26 @@ mod tests {
     fn envelope_degeneracies() {
         let p = geom("POINT (1 2)");
         assert!(matches!(
-            call(FunctionMode::Exact, "ST_Envelope", &[p]).unwrap(),
+            call(FunctionMode::Exact, Func::Envelope, &[p]).unwrap(),
             Value::Geom(Geometry::Point(_))
         ));
         let l = geom("LINESTRING (0 0, 0 5)");
         assert!(matches!(
-            call(FunctionMode::Exact, "ST_Envelope", &[l]).unwrap(),
+            call(FunctionMode::Exact, Func::Envelope, &[l]).unwrap(),
             Value::Geom(Geometry::LineString(_))
         ));
         let sq = geom("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))");
         assert!(matches!(
-            call(FunctionMode::Exact, "ST_Envelope", &[sq]).unwrap(),
+            call(FunctionMode::Exact, Func::Envelope, &[sq]).unwrap(),
             Value::Geom(Geometry::Polygon(_))
         ));
     }
 
     #[test]
     fn type_errors() {
-        assert!(call(FunctionMode::Exact, "ST_Area", &[Value::Int(1)]).is_err());
-        assert!(call(FunctionMode::Exact, "ST_X", &[geom("LINESTRING (0 0, 1 1)")]).is_err());
-        assert!(call(FunctionMode::Exact, "NoSuchFn", &[]).is_err());
-        assert!(call(FunctionMode::Exact, "ST_GeomFromText", &[Value::Int(2)]).is_err());
+        assert!(call(FunctionMode::Exact, Func::Area, &[Value::Int(1)]).is_err());
+        assert!(call(FunctionMode::Exact, Func::X, &[geom("LINESTRING (0 0, 1 1)")]).is_err());
+        assert!(call(FunctionMode::Exact, Func::GeomFromText, &[Value::Int(2)]).is_err());
     }
 
     #[test]
@@ -576,18 +723,123 @@ mod tests {
         let line = geom("LINESTRING (0 0, 10 10)");
         let poly = geom("POLYGON ((8 0, 9 0, 9 1, 8 1, 8 0))");
         assert_eq!(
-            call(FunctionMode::Exact, "MBRIntersects", &[line, poly]).unwrap(),
+            call(FunctionMode::Exact, Func::Mbr(PredicateKind::Intersects), &[line, poly]).unwrap(),
             Value::Int(1)
         );
     }
 
+    /// Every name the registry accepted when it dispatched on the name
+    /// at each call.
+    const ACCEPTED: [&str; 62] = [
+        "ST_GEOMFROMTEXT",
+        "ST_ASTEXT",
+        "ST_POINT",
+        "ST_MAKEPOINT",
+        "ST_MAKEENVELOPE",
+        "ST_X",
+        "ST_Y",
+        "ST_AREA",
+        "ST_LENGTH",
+        "ST_PERIMETER",
+        "ST_DIMENSION",
+        "ST_NUMPOINTS",
+        "ST_NPOINTS",
+        "ST_GEOMETRYTYPE",
+        "ST_ENVELOPE",
+        "ST_BOUNDARY",
+        "ST_CENTROID",
+        "ST_BUFFER",
+        "ST_CONVEXHULL",
+        "ST_SIMPLIFY",
+        "ST_UNION",
+        "ST_INTERSECTION",
+        "ST_DIFFERENCE",
+        "ST_ISEMPTY",
+        "ST_ISCLOSED",
+        "ST_STARTPOINT",
+        "ST_ENDPOINT",
+        "ST_NUMGEOMETRIES",
+        "ST_GEOMETRYN",
+        "ST_POINTONSURFACE",
+        "ST_ASBINARY",
+        "ST_GEOMFROMWKB",
+        "ST_TRANSLATE",
+        "ST_SCALE",
+        "ST_ROTATE",
+        "ST_DISTANCESPHERE",
+        "ST_LENGTHSPHERE",
+        "ST_AREASPHERE",
+        "ST_DISTANCE",
+        "ST_DWITHIN",
+        "ST_RELATE",
+        "MBRINTERSECTS",
+        "MBRCONTAINS",
+        "MBRWITHIN",
+        "MBREQUALS",
+        "MBRDISJOINT",
+        "MBROVERLAPS",
+        "MBRTOUCHES",
+        "ABS",
+        "UPPER",
+        "LOWER",
+        "CHAR_LENGTH",
+        "ST_EQUALS",
+        "ST_DISJOINT",
+        "ST_INTERSECTS",
+        "ST_TOUCHES",
+        "ST_CROSSES",
+        "ST_WITHIN",
+        "ST_CONTAINS",
+        "ST_OVERLAPS",
+        "ST_COVERS",
+        "ST_COVEREDBY",
+    ];
+
+    #[test]
+    fn every_accepted_name_resolves_in_any_case_and_round_trips() {
+        for name in ACCEPTED {
+            let mixed: String = name
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if i % 2 == 1 { c.to_ascii_lowercase() } else { c })
+                .collect();
+            let func = Func::from_name(&mixed).unwrap_or_else(|| panic!("{mixed} resolves"));
+            assert_eq!(Func::from_name(&name.to_ascii_lowercase()), Some(func));
+            // Each name is its own function, aliases included, so an
+            // error text names the function as it was called.
+            assert_eq!(func.name(), name);
+            assert_eq!(Func::from_name(func.name()), Some(func));
+        }
+        for unknown in ["ST_NoSuch", "COUNT", "MBRCrosses", "MBRCovers", "ST_", ""] {
+            assert_eq!(Func::from_name(unknown), None, "{unknown}");
+        }
+    }
+
+    #[test]
+    fn an_alias_names_itself_in_its_errors() {
+        for (func, text) in [
+            (Func::Point, "ST_POINT: argument 0 must be numeric"),
+            (Func::MakePoint, "ST_MAKEPOINT: argument 0 must be numeric"),
+            (Func::Length, "ST_LENGTH: argument 0 must be a geometry"),
+            (Func::Perimeter, "ST_PERIMETER: argument 0 must be a geometry"),
+            (Func::NumPoints, "ST_NUMPOINTS: argument 0 must be a geometry"),
+            (Func::NPoints, "ST_NPOINTS: argument 0 must be a geometry"),
+        ] {
+            let err = call(FunctionMode::Exact, func, &[Value::Text("x".into()), Value::Int(1)]);
+            assert_eq!(err, Err(SqlError::Type(text.into())));
+        }
+    }
+
     #[test]
     fn indexable_predicates() {
-        assert!(is_indexable_predicate("ST_Intersects"));
-        assert!(is_indexable_predicate("st_contains"));
-        assert!(!is_indexable_predicate("ST_Disjoint"));
-        assert!(is_indexable_predicate("ST_DWithin"));
-        assert!(!is_indexable_predicate("ST_Area"));
+        let index_filter = |name| Func::from_name(name).is_some_and(Func::is_index_filter);
+        assert!(index_filter("ST_Intersects"));
+        assert!(index_filter("st_contains"));
+        assert!(!index_filter("ST_Disjoint"));
+        assert!(index_filter("ST_DWithin"));
+        assert!(index_filter("MBRWithin"));
+        assert!(!index_filter("MBRDisjoint"));
+        assert!(!index_filter("ST_Area"));
     }
 }
 
@@ -603,18 +855,21 @@ mod accessor_tests {
     fn structural_accessors() {
         let line = geom("LINESTRING (0 0, 1 0, 1 1)");
         assert_eq!(
-            call(FunctionMode::Exact, "ST_IsClosed", std::slice::from_ref(&line)).unwrap(),
+            call(FunctionMode::Exact, Func::IsClosed, std::slice::from_ref(&line)).unwrap(),
             Value::Int(0)
         );
         let ring = geom("LINESTRING (0 0, 1 0, 1 1, 0 0)");
-        assert_eq!(call(FunctionMode::Exact, "ST_IsClosed", &[ring]).unwrap(), Value::Int(1));
+        assert_eq!(call(FunctionMode::Exact, Func::IsClosed, &[ring]).unwrap(), Value::Int(1));
         assert_eq!(
-            call(FunctionMode::Exact, "ST_StartPoint", std::slice::from_ref(&line)).unwrap(),
+            call(FunctionMode::Exact, Func::StartPoint, std::slice::from_ref(&line)).unwrap(),
             geom("POINT (0 0)")
         );
-        assert_eq!(call(FunctionMode::Exact, "ST_EndPoint", &[line]).unwrap(), geom("POINT (1 1)"));
         assert_eq!(
-            call(FunctionMode::Exact, "ST_IsEmpty", &[geom("POINT EMPTY")]).unwrap(),
+            call(FunctionMode::Exact, Func::EndPoint, &[line]).unwrap(),
+            geom("POINT (1 1)")
+        );
+        assert_eq!(
+            call(FunctionMode::Exact, Func::IsEmpty, &[geom("POINT EMPTY")]).unwrap(),
             Value::Int(1)
         );
     }
@@ -623,25 +878,25 @@ mod accessor_tests {
     fn collection_accessors() {
         let mp = geom("MULTIPOINT ((0 0), (1 1), (2 2))");
         assert_eq!(
-            call(FunctionMode::Exact, "ST_NumGeometries", std::slice::from_ref(&mp)).unwrap(),
+            call(FunctionMode::Exact, Func::NumGeometries, std::slice::from_ref(&mp)).unwrap(),
             Value::Int(3)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_GeometryN", &[mp.clone(), Value::Int(2)]).unwrap(),
+            call(FunctionMode::Exact, Func::GeometryN, &[mp.clone(), Value::Int(2)]).unwrap(),
             geom("POINT (1 1)")
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_GeometryN", &[mp, Value::Int(9)]).unwrap(),
+            call(FunctionMode::Exact, Func::GeometryN, &[mp, Value::Int(9)]).unwrap(),
             Value::Null
         );
         // Single geometry behaves like a 1-element collection.
         let p = geom("POINT (5 5)");
         assert_eq!(
-            call(FunctionMode::Exact, "ST_NumGeometries", std::slice::from_ref(&p)).unwrap(),
+            call(FunctionMode::Exact, Func::NumGeometries, std::slice::from_ref(&p)).unwrap(),
             Value::Int(1)
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_GeometryN", &[p.clone(), Value::Int(1)]).unwrap(),
+            call(FunctionMode::Exact, Func::GeometryN, &[p.clone(), Value::Int(1)]).unwrap(),
             p
         );
     }
@@ -650,39 +905,40 @@ mod accessor_tests {
     fn point_on_surface_is_interior() {
         // A concave polygon whose envelope centre is OUTSIDE it.
         let u = geom("POLYGON ((0 0, 6 0, 6 6, 4 6, 4 2, 2 2, 2 6, 0 6, 0 0))");
-        let r = call(FunctionMode::Exact, "ST_PointOnSurface", std::slice::from_ref(&u)).unwrap();
-        let within = call(FunctionMode::Exact, "ST_Within", &[r, u]).unwrap();
+        let r = call(FunctionMode::Exact, Func::PointOnSurface, std::slice::from_ref(&u)).unwrap();
+        let within =
+            call(FunctionMode::Exact, Func::Predicate(PredicateKind::Within), &[r, u]).unwrap();
         assert_eq!(within, Value::Int(1));
     }
 
     #[test]
     fn wkb_hex_roundtrip() {
         let g = geom("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))");
-        let hexv = call(FunctionMode::Exact, "ST_AsBinary", std::slice::from_ref(&g)).unwrap();
+        let hexv = call(FunctionMode::Exact, Func::AsBinary, std::slice::from_ref(&g)).unwrap();
         let hex = hexv.as_str().unwrap().to_string();
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
-        let back = call(FunctionMode::Exact, "ST_GeomFromWKB", &[Value::Text(hex)]).unwrap();
+        let back = call(FunctionMode::Exact, Func::GeomFromWkb, &[Value::Text(hex)]).unwrap();
         assert_eq!(back, g);
         // Malformed input is an error, not a panic.
-        assert!(call(FunctionMode::Exact, "ST_GeomFromWKB", &[Value::Text("zz".into())]).is_err());
-        assert!(call(FunctionMode::Exact, "ST_GeomFromWKB", &[Value::Text("ABC".into())]).is_err());
+        assert!(call(FunctionMode::Exact, Func::GeomFromWkb, &[Value::Text("zz".into())]).is_err());
+        assert!(call(FunctionMode::Exact, Func::GeomFromWkb, &[Value::Text("ABC".into())]).is_err());
     }
 
     #[test]
     fn affine_functions_via_sql_registry() {
         let g = geom("POINT (1 2)");
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Translate", &[g.clone(), Value::Int(3), Value::Int(4)])
+            call(FunctionMode::Exact, Func::Translate, &[g.clone(), Value::Int(3), Value::Int(4)])
                 .unwrap(),
             geom("POINT (4 6)")
         );
         assert_eq!(
-            call(FunctionMode::Exact, "ST_Scale", &[g.clone(), Value::Int(2), Value::Int(3)])
+            call(FunctionMode::Exact, Func::Scale, &[g.clone(), Value::Int(2), Value::Int(3)])
                 .unwrap(),
             geom("POINT (2 6)")
         );
         // MBR-only profile lacks affine editing.
-        assert!(call(FunctionMode::MbrOnly, "ST_Translate", &[g, Value::Int(1), Value::Int(1)])
+        assert!(call(FunctionMode::MbrOnly, Func::Translate, &[g, Value::Int(1), Value::Int(1)])
             .is_err());
     }
 
@@ -690,9 +946,9 @@ mod accessor_tests {
     fn geodetic_functions_via_sql_registry() {
         let a = geom("POINT (0 0)");
         let b = geom("POINT (0 1)");
-        let d = call(FunctionMode::Exact, "ST_DistanceSphere", &[a.clone(), b]).unwrap();
+        let d = call(FunctionMode::Exact, Func::DistanceSphere, &[a.clone(), b]).unwrap();
         let m = d.as_f64().unwrap();
         assert!((m - 111_195.0).abs() < 300.0, "1 degree = {m} m");
-        assert!(call(FunctionMode::MbrOnly, "ST_DistanceSphere", &[a.clone(), a]).is_err());
+        assert!(call(FunctionMode::MbrOnly, Func::DistanceSphere, &[a.clone(), a]).is_err());
     }
 }

@@ -6,9 +6,11 @@
 //! ordered indexes.
 //!
 //! Pipeline: [`token`] → [`parser`] → bind/plan ([`plan`]) → execute
-//! ([`exec`]). Spatial semantics live in [`functions`]; the
-//! [`FunctionMode`] switch implements the MBR-only predicate semantics of
-//! the MySQL-era engine profile.
+//! ([`exec`]). Spatial semantics live in [`functions`]: each function
+//! name is resolved once, at bind, to a [`functions::Func`], which the
+//! planner and the evaluator dispatch on. The [`FunctionMode`] switch
+//! implements the MBR-only predicate semantics of the MySQL-era engine
+//! profile.
 //!
 //! The engine is storage-agnostic: it consumes tables through the
 //! [`provider::CatalogProvider`] / [`provider::TableProvider`] traits that

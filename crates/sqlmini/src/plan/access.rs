@@ -4,7 +4,7 @@
 use super::bind::{bind, referenced_tables, BoundTable, Layout};
 use super::{aggregates, BoundExpr, PlanNode, PlanOptions};
 use crate::ast::{BinOp, Expr, Select};
-use crate::functions::is_indexable_predicate;
+use crate::functions::Func;
 use crate::Result;
 
 /// Chooses the base access path for one table given its single-table
@@ -25,20 +25,21 @@ pub(super) fn choose_access(
         && filters.is_empty()
         && !aggregates(select)
     {
-        if let (Some(k), (Expr::Func { name, args }, true)) = (select.limit, &select.order_by[0]) {
-            if name.eq_ignore_ascii_case("ST_Distance") && args.len() == 2 {
-                for (col_side, const_side) in [(&args[0], &args[1]), (&args[1], &args[0])] {
-                    if let Some(col) = table_geometry_column(col_side, t_idx, t, layout)? {
-                        let c = bind(const_side, layout);
-                        if let Ok(c) = c {
-                            if c.is_constant() && opts.use_spatial_index {
-                                return Ok(PlanNode::KnnScan {
-                                    table: t.provider.clone(),
-                                    col,
-                                    query: c,
-                                    k,
-                                });
-                            }
+        let (key, ascending) = &select.order_by[0];
+        if let (Some(k), Some((Func::Distance, [a, b])), true) =
+            (select.limit, call_of(key), *ascending)
+        {
+            for (col_side, const_side) in [(a, b), (b, a)] {
+                if let Some(col) = table_geometry_column(col_side, t_idx, t, layout)? {
+                    let c = bind(const_side, layout);
+                    if let Ok(c) = c {
+                        if c.is_constant() && opts.use_spatial_index {
+                            return Ok(PlanNode::KnnScan {
+                                table: t.provider.clone(),
+                                col,
+                                query: c,
+                                k,
+                            });
                         }
                     }
                 }
@@ -48,19 +49,20 @@ pub(super) fn choose_access(
 
     if opts.use_spatial_index {
         for f in filters {
-            if let Expr::Func { name, args } = f {
-                if is_indexable_predicate(name) && args.len() >= 2 {
+            if let Some((func, args)) = call_of(f) {
+                if func.is_index_filter() && args.len() >= 2 {
                     for (col_side, const_side) in [(&args[0], &args[1]), (&args[1], &args[0])] {
                         if let Some(col) = table_geometry_column(col_side, t_idx, t, layout)? {
                             let bound_const = bind(const_side, layout);
                             if let Ok(c) = bound_const {
                                 if c.is_constant() {
-                                    let expand = if name.eq_ignore_ascii_case("ST_DWithin") {
-                                        let d = bind(&args[2], layout)?;
-                                        if !d.is_constant() {
-                                            continue;
+                                    let expand = if func == Func::DWithin {
+                                        // Without a constant distance the
+                                        // filter decides every row.
+                                        match args.get(2).map(|d| bind(d, layout)).transpose()? {
+                                            Some(d) if d.is_constant() => Some(d),
+                                            _ => continue,
                                         }
-                                        Some(d)
                                     } else {
                                         None
                                     };
@@ -134,10 +136,10 @@ pub(super) fn spatial_join_form<'a>(
     covered: &[usize],
     right_idx: usize,
 ) -> Result<Option<(&'a Expr, &'a Expr)>> {
-    let Expr::Func { name, args } = f else {
+    let Some((func, args)) = call_of(f) else {
         return Ok(None);
     };
-    if !is_indexable_predicate(name) || args.len() < 2 {
+    if !func.is_index_filter() || args.len() < 2 {
         return Ok(None);
     }
     let right = &layout.tables[right_idx];
@@ -156,13 +158,20 @@ pub(super) fn spatial_join_form<'a>(
 
 /// Extracts the constant distance of an `ST_DWithin` join predicate.
 pub(super) fn dwithin_distance(f: &Expr, layout: &Layout) -> Result<Option<BoundExpr>> {
-    if let Expr::Func { name, args } = f {
-        if name.eq_ignore_ascii_case("ST_DWithin") && args.len() == 3 {
-            let d = bind(&args[2], layout)?;
-            if d.is_constant() {
-                return Ok(Some(d));
-            }
+    if let Some((Func::DWithin, [_, _, d])) = call_of(f) {
+        let d = bind(d, layout)?;
+        if d.is_constant() {
+            return Ok(Some(d));
         }
     }
     Ok(None)
+}
+
+/// The function `e` calls and its arguments, when `e` is a call of a
+/// known function.
+fn call_of(e: &Expr) -> Option<(Func, &[Expr])> {
+    match e {
+        Expr::Func { name, args } => Some((Func::from_name(name)?, args)),
+        _ => None,
+    }
 }

@@ -1,10 +1,11 @@
 //! Name binding: the flat tuple layout of a `FROM` list, expressions
-//! bound against it with constant subtrees folded, and the tables an
+//! bound against it (column names to offsets, function names resolved
+//! once to a [`Func`]) with constant subtrees folded, and the tables an
 //! expression reads.
 
 use super::BoundExpr;
 use crate::ast::Expr;
-use crate::functions::FunctionMode;
+use crate::functions::{call, Func, FunctionMode};
 use crate::provider::TableProvider;
 use crate::{Result, SqlError};
 use jackpine_storage::Value;
@@ -61,35 +62,29 @@ pub(super) fn bind(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
 
 /// Evaluates constant subexpressions once at plan time, so per-row
 /// evaluation never re-parses WKT literals or re-buffers constant
-/// geometries. Folding uses exact semantics; it never folds function
-/// calls whose availability depends on the engine profile, so the
-/// MBR-only profile still reports its missing functions at run time.
+/// geometries. Function names were resolved once, at bind; folding
+/// evaluates only the cheap constructors ([`Func::is_foldable`]), with
+/// exact semantics. Predicate and analysis calls are left to the
+/// evaluator, where the engine profile decides their semantics and
+/// availability, so the MBR-only profile still reports its missing
+/// functions at run time.
 fn fold_constants(e: BoundExpr) -> BoundExpr {
-    // Only fold cheap, profile-independent constructors; predicate and
-    // analysis calls are left for the evaluator, where the engine profile
-    // decides their semantics and availability.
-    const FOLDABLE: [&str; 4] = ["ST_GEOMFROMTEXT", "ST_POINT", "ST_MAKEPOINT", "ST_MAKEENVELOPE"];
     match e {
-        BoundExpr::Func { name, args } => {
+        BoundExpr::Func { func, args } => {
             let args: Vec<BoundExpr> = args.into_iter().map(fold_constants).collect();
-            let folded = BoundExpr::Func { name: name.clone(), args };
-            if FOLDABLE.contains(&name.to_ascii_uppercase().as_str()) && folded.is_constant() {
-                if let BoundExpr::Func { name, args } = &folded {
-                    let vals: Option<Vec<Value>> = args
-                        .iter()
-                        .map(|a| match a {
-                            BoundExpr::Literal(v) => Some(v.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(vals) = vals {
-                        if let Ok(v) = crate::functions::call(FunctionMode::Exact, name, &vals) {
-                            return BoundExpr::Literal(v);
-                        }
-                    }
+            if func.is_foldable() {
+                let vals: Option<Vec<Value>> = args
+                    .iter()
+                    .map(|a| match a {
+                        BoundExpr::Literal(v) => Some(v.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(Ok(v)) = vals.map(|vals| call(FunctionMode::Exact, func, &vals)) {
+                    return BoundExpr::Literal(v);
                 }
             }
-            folded
+            BoundExpr::Func { func, args }
         }
         BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
             op,
@@ -114,10 +109,12 @@ fn bind_raw(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
     Ok(match expr {
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
         Expr::Column { table, name } => BoundExpr::Column(layout.resolve(table.as_deref(), name)?),
-        Expr::Func { name, args } => BoundExpr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| bind_raw(a, layout)).collect::<Result<_>>()?,
-        },
+        Expr::Func { name, args } => {
+            let args = args.iter().map(|a| bind_raw(a, layout)).collect::<Result<_>>()?;
+            let func = Func::from_name(name)
+                .ok_or_else(|| SqlError::Unresolved(format!("function {name}")))?;
+            BoundExpr::Func { func, args }
+        }
         Expr::Star => return Err(SqlError::Type("'*' is only valid inside COUNT(*)".into())),
         Expr::Binary { op, left, right } => BoundExpr::Binary {
             op: *op,

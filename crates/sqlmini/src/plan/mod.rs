@@ -2,15 +2,16 @@
 //! tree, choosing index access paths the way the benchmarked systems do
 //! (filter on the spatial index, refine with the exact predicate).
 //!
-//! `bind` resolves names against the flat tuple layout and folds
-//! constants; `access` chooses each table's access path and recognizes
-//! index joins; this module assembles the tree.
+//! `bind` resolves column names against the flat tuple layout and each
+//! function name, once, to a [`Func`], and folds constants; `access`
+//! chooses each table's access path and recognizes index joins; this
+//! module assembles the tree.
 
 mod access;
 mod bind;
 
 use crate::ast::{BinOp, Expr, Select, SelectItem};
-use crate::functions::FunctionMode;
+use crate::functions::{Func, FunctionMode};
 use crate::provider::{CatalogProvider, TableProvider};
 use crate::{Result, SqlError};
 use access::{choose_access, dwithin_distance, spatial_join_form};
@@ -43,8 +44,8 @@ pub enum BoundExpr {
     Column(usize),
     /// Function call.
     Func {
-        /// Function name.
-        name: String,
+        /// The function, resolved from its name at bind.
+        func: Func,
         /// Bound arguments.
         args: Vec<BoundExpr>,
     },
@@ -437,14 +438,22 @@ pub fn plan_select(
     Ok(PlannedSelect { root, columns, mode: opts.mode })
 }
 
+/// The aggregates' SQL names: calls the planner turns into an
+/// [`AggExpr`], never [`Func`]s.
+const AGGREGATES: [&str; 5] = ["COUNT", "SUM", "AVG", "MIN", "MAX"];
+
+/// The upper-cased name of the aggregate that `name` calls, if any.
+fn aggregate_name(name: &str) -> Option<&'static str> {
+    AGGREGATES.into_iter().find(|a| a.eq_ignore_ascii_case(name))
+}
+
 /// Whether `select` aggregates: a `GROUP BY`, or an aggregate call in
 /// its projection list.
 fn aggregates(select: &Select) -> bool {
     !select.group_by.is_empty()
         || select.items.iter().any(|i| {
             matches!(i, SelectItem::Expr { expr: Expr::Func { name, .. }, .. }
-                if ["COUNT", "SUM", "AVG", "MIN", "MAX"]
-                    .contains(&name.to_ascii_uppercase().as_str()))
+                if aggregate_name(name).is_some())
         })
 }
 
@@ -463,10 +472,9 @@ fn plan_projection(
                 return Err(SqlError::Type("cannot mix '*' with aggregates".into()));
             };
             if let Expr::Func { name, args } = expr {
-                let upper = name.to_ascii_uppercase();
-                if ["COUNT", "SUM", "AVG", "MIN", "MAX"].contains(&upper.as_str()) {
+                if let Some(upper) = aggregate_name(name) {
                     let label = alias.clone().unwrap_or_else(|| upper.to_lowercase());
-                    let agg = match (upper.as_str(), args.as_slice()) {
+                    let agg = match (upper, args.as_slice()) {
                         ("COUNT", [Expr::Star]) => AggExpr::CountStar,
                         ("COUNT", [a]) => AggExpr::Count(bind(a, layout)?),
                         ("SUM", [a]) => AggExpr::Sum(bind(a, layout)?),

@@ -53,6 +53,11 @@ impl PredicateKind {
     pub fn from_sql_name(upper: &str) -> Option<PredicateKind> {
         SQL_NAMES.iter().position(|&name| name == upper).map(|i| PredicateKind::ALL[i])
     }
+
+    /// The upper-cased SQL name of this predicate (`ST_INTERSECTS`, …).
+    pub fn sql_name(self) -> &'static str {
+        SQL_NAMES[self as usize]
+    }
 }
 
 /// The upper-cased SQL name of each predicate of [`PredicateKind::ALL`],

@@ -54,6 +54,20 @@ if [ "$(echo "$crosses" | grep -c .)" -ne 1 ] || [[ "$crosses" != crates/topo/sr
   exit 1
 fi
 
+echo "== SQL functions are resolved once, at bind: no function name on a non-test line of sqlmini outside functions.rs"
+# Func::from_name (crates/sqlmini/src/functions.rs) is the one place a
+# function name is case-folded; the binder stores the Func it returns,
+# and the planner and the executor ask that Func, never the name.
+names=$(for f in crates/sqlmini/src/**/*.rs; do
+  [ "$f" = crates/sqlmini/src/functions.rs ] && continue
+  awk '/#\[cfg\(test\)\]/{exit} /"ST_|"MBR|eq_ignore_ascii_case\("ST_/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$names" ]; then
+  echo "resolve a function name with Func::from_name and ask the Func; found:"
+  echo "$names"
+  exit 1
+fi
+
 echo "== one schema-change path: no .checkpoint() call or WalRecord::Create* outside durable.rs's non-test lines"
 # A schema change is cut into the snapshot by SpatialDb::change_schema;
 # the log holds row changes only, so nothing else re-cuts or logs one.

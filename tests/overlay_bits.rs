@@ -8,7 +8,7 @@ mod common;
 
 use common::shapes;
 use jackpine::geom::Geometry;
-use jackpine::sql::functions::{call, FunctionMode};
+use jackpine::sql::functions::{call, Func, FunctionMode};
 use jackpine::storage::Value;
 
 /// Folds `bytes` into the running FNV-1a `h`.
@@ -21,8 +21,9 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 fn digest(name: &str, calls: impl Iterator<Item = Vec<Value>>) -> String {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut n = 0;
+    let func = Func::from_name(name).expect("a function name");
     for args in calls {
-        let line = match call(FunctionMode::Exact, name, &args) {
+        let line = match call(FunctionMode::Exact, func, &args) {
             Ok(Value::Geom(g)) => jackpine::geom::wkt::write(&g),
             Ok(other) => panic!("{name} answered {other:?}"),
             Err(e) => format!("error: {e}"),
