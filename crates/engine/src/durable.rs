@@ -248,12 +248,12 @@ impl SpatialDb {
         match rec {
             // Back into the exact slot it was logged at, so later
             // `DeleteId` records (and index entries) address the right
-            // row even among byte-identical duplicates; the slot keeps
-            // the row the log handed over (restore's rule), and the row is
-            // encoded once for the slot and the index entries.
+            // row even among byte-identical duplicates. The row is encoded
+            // once for the slot and the index entries and then dropped: a
+            // frame keeps only what a read decoded.
             WalRecord::InsertAt { table, id, row } => {
                 let (t, tuple) = (self.table(&table)?, Value::store_row(&row));
-                t.heap.place_tuple(&tuple, row, id, 0)?;
+                t.heap.place_tuple(&tuple, &row, id, 0)?;
                 t.index_tuples([(id, &tuple[..])], true)
             }
             // A missing row means the record's effect is already there:

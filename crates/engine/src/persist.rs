@@ -17,8 +17,8 @@
 //!   spatial-index column count u32 | column ids u32...
 //!   ordered-index column count u32 | column ids u32...
 //!   row count u64
-//!   per page of the heap, pages ascending from 0:
-//!     page u32 | the page's image (jackpine_storage::page)
+//!   per page of the heap, every page in order from 0:
+//!     page u32 (entry n is page n) | the page's image (jackpine_storage::page)
 //! page image (every number an unsigned LEB128 varint):
 //!   slot count | dropped bytes | per slot: tuple length (0 = none)
 //!   the saved rows' tuples, in slot order, as the heap holds them
@@ -60,13 +60,17 @@
 //! **The reader** ([`SpatialDb::open_from`]; `open` and `open_durable`
 //! go through it) mirrors it: a buffered stream, checksums folded as the
 //! bytes pass, a page at a time. Each image is read into the one buffer
-//! that becomes the page; each of its rows is decoded once, checked and
-//! kept as its slot's decoded row; and the page goes into the heap as one
+//! that becomes the page; each of its tuples is checked in place against
+//! the schema and the geometry rules
+//! ([`jackpine_storage::Schema::check_tuple`]) and leaves its index
+//! entries in the seeds, with no row built or kept — a slot is decoded
+//! when a read first asks for it — and the page goes into the heap as one
 //! frame ([`jackpine_storage::HeapFile::restore_page`]). Memory: the
-//! stream buffer plus the largest page. Rows are thus parsed *before*
+//! stream buffer plus the largest page. Tuples are thus read *before*
 //! their checksum is known. That is safe because every length and count
 //! is checked against the bytes its block or its tuple has left, buffers
-//! grow only as bytes arrive, counts clamp their `with_capacity`,
+//! grow only as bytes arrive, counts clamp their `with_capacity`, page
+//! entry n must be page n (a crafted page number cannot stretch a heap),
 //! nothing sweeps the heap before the block checksum matched, every
 //! decode or placement error becomes [`EngineError::Persist`], and the
 //! half-built engine is dropped unless every block checksum, the file
@@ -563,13 +567,15 @@ impl<R: Read> Source<R> {
         // block could possibly hold rows.
         let room = nrows.min(self.left / MIN_ROW_LEN) as usize;
         let mut seeds = IndexSeeds::new(&table, &index_cols[0], &index_cols[1], room)?;
-        let (mut rows, mut last) = (0, None);
+        // The writer emits every page of the heap, so entry n is page n:
+        // a page number past the end would make the heap that long.
+        let (mut rows, mut next) = (0, 0);
         while self.left > 0 {
             let no = self.u32()?;
-            if last.is_some_and(|last| no <= last) {
-                return Err(corrupt("page entries not strictly ascending"));
+            if no != next {
+                return Err(corrupt(&format!("page entry {next} names page {no}")));
             }
-            last = Some(no);
+            next += 1;
             let page = Page::read_from(|buf, n| self.append(n, buf))?;
             rows += table.heap.restore_page(no, page, |id, tuple| seeds.add(id, tuple))? as u64;
         }
@@ -844,10 +850,10 @@ mod tests {
     fn checksum_valid_nonsense_is_a_persistence_error() {
         // What the checksums cannot catch — a writer bug, a crafted file —
         // still comes back as Persist, not as a storage or SQL error: a
-        // row that does not fit its schema, a page listed twice or out of
-        // order, slot lengths that sum past the image, pages that do not
-        // hold the row count, a table named twice, an index on a column
-        // that cannot carry one.
+        // row that does not fit its schema, a page listed twice, out of
+        // order or past the next (entry n is page n), slot lengths that
+        // sum past the image, pages that do not hold the row count, a
+        // table named twice, an index on a column that cannot carry one.
         let mut head: Vec<u8> = Vec::new();
         put_str(&mut head, "t");
         head.put_u32_le(1);
@@ -863,7 +869,7 @@ mod tests {
             }
             block
         };
-        let good = rows(2, &[(0, 3, 1), (4, 0, 2)]);
+        let good = rows(2, &[(0, 3, 1), (1, 0, 2)]);
         let db = SpatialDb::open_from(&image_around(&good)[..]).unwrap();
         assert_eq!(
             db.execute("SELECT COUNT(*) FROM t").unwrap().scalar().unwrap().to_string(),
@@ -881,9 +887,9 @@ mod tests {
 
         // A page entry without a row is a page whose rows all died.
         let mut empty_page = rows(1, &[(0, 3, 1)]);
-        page_entry(&mut empty_page, 2, &[]);
+        page_entry(&mut empty_page, 1, &[]);
         let db = SpatialDb::open_from(&image_around(&empty_page)[..]).unwrap();
-        assert_eq!(db.table("t").unwrap().heap.page_count(), 3);
+        assert_eq!(db.table("t").unwrap().heap.page_count(), 2);
 
         let mut reserved: Vec<u8> = Vec::new();
         put_str(&mut reserved, "jp_metrics");
@@ -901,10 +907,13 @@ mod tests {
         for (what, block) in [
             ("misfit row", misfit),
             ("page listed twice", rows(2, &[(0, 3, 1), (0, 4, 2)])),
-            ("pages out of order", rows(2, &[(4, 0, 2), (0, 3, 1)])),
+            ("pages out of order", rows(2, &[(1, 0, 2), (0, 3, 1)])),
+            ("a first page past page 0", rows(1, &[(1, 0, 2)])),
+            ("a page past the next", rows(2, &[(0, 3, 1), (2, 0, 2)])),
+            ("a page far past the end", rows(2, &[(0, 3, 1), (1_000_000, 0, 2)])),
             ("slot lengths past the image", past_the_image),
-            ("more rows than the pages hold", rows(3, &[(0, 3, 1), (4, 0, 2)])),
-            ("fewer rows than the pages hold", rows(1, &[(0, 3, 1), (4, 0, 2)])),
+            ("more rows than the pages hold", rows(3, &[(0, 3, 1), (1, 0, 2)])),
+            ("fewer rows than the pages hold", rows(1, &[(0, 3, 1), (1, 0, 2)])),
             ("index on a scalar", bad_index),
             ("reserved table name", reserved),
         ] {
@@ -913,11 +922,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hostile_compact_rows_are_persistence_errors() {
-        // Checksum-valid blocks whose one page holds one stored tuple of
-        // a `(BIGINT, GEOMETRY)` row that the codec must refuse — a count
-        // or length of 2^62 would abort the test if anything reserved it.
+    /// The head of a hand-built block of one `(id BIGINT, g GEOMETRY)`
+    /// table, `t`, of one row.
+    fn id_geom_head() -> Vec<u8> {
         let mut head: Vec<u8> = Vec::new();
         put_str(&mut head, "t");
         head.put_u32_le(2);
@@ -928,6 +935,25 @@ mod tests {
         head.put_u32_le(0);
         head.put_u32_le(0);
         head.put_u64_le(1);
+        head
+    }
+
+    /// An image of [`id_geom_head`]'s table whose page 0 holds `tuple`
+    /// alone, as it is.
+    fn image_of_tuple(tuple: &[u8]) -> Vec<u8> {
+        let mut block = id_geom_head();
+        block.put_u32_le(0); // page
+        block.put_slice(&[1, 0, tuple.len() as u8]);
+        block.put_slice(tuple);
+        image_around(&block)
+    }
+
+    #[test]
+    fn hostile_compact_rows_are_persistence_errors() {
+        // Checksum-valid blocks whose one page holds one stored tuple of
+        // a `(BIGINT, GEOMETRY)` row that the codec must refuse — a count
+        // or length of 2^62 would abort the test if anything reserved it.
+        let head = id_geom_head();
         let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
         let point = Value::store_row(&[
             Value::Int(7),
@@ -942,11 +968,7 @@ mod tests {
             ("an unknown geometry type", vec![2, 1, 2, 4, 8]),
             ("a truncated coordinate", point[..point.len() - 1].to_vec()),
         ] {
-            let mut block = head.clone();
-            block.put_u32_le(0); // page
-            block.put_slice(&[1, 0, tuple.len() as u8]);
-            block.put_slice(&tuple);
-            match SpatialDb::open_from(&image_around(&block)[..]) {
+            match SpatialDb::open_from(&image_of_tuple(&tuple)[..]) {
                 Err(EngineError::Persist(m)) => {
                     assert!(m.contains("compact row") || m.contains("varint"), "{what}: {m}")
                 }
@@ -957,6 +979,83 @@ mod tests {
         page_entry(&mut block, 0, &[(0, &[Value::Int(7), Value::Null])]);
         let db = SpatialDb::open_from(&image_around(&block)[..]).unwrap();
         assert_eq!(db.execute("SELECT id FROM t").unwrap().rows[0][0].to_string(), "7");
+    }
+
+    #[test]
+    fn hostile_geometries_are_persistence_errors() {
+        // Checksum-valid tuples of a `(BIGINT, GEOMETRY)` row whose bytes
+        // are sound but whose geometry no constructor would build: each
+        // is refused at open as decoding it would refuse it.
+        let xy = |pairs: &[(f64, f64)]| -> Vec<u8> {
+            pairs.iter().flat_map(|&(x, y)| [x.to_le_bytes(), y.to_le_bytes()]).flatten().collect()
+        };
+        // Arity 2, the integer 7, then a compact geometry (tag 4) or a
+        // WKB one (tag 5).
+        let row = |geom: &[u8]| [&[2, 1, 14][..], geom].concat();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let triangle = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)];
+        for (what, tuple) in [
+            ("a ring of 2 open vertices", row(&[&[4, 3, 1, 2][..], &xy(&triangle[..2])].concat())),
+            (
+                "consecutive duplicates in a line",
+                row(&[&[4, 2, 3][..], &xy(&[(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)])].concat()),
+            ),
+            (
+                "consecutive duplicates in a ring",
+                row(&[&[4, 3, 1, 4][..], &xy(&[(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (0.0, 4.0)])]
+                    .concat()),
+            ),
+            (
+                "a zero-area ring",
+                row(&[&[4, 3, 1, 3][..], &xy(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])].concat()),
+            ),
+            ("a NaN in a point", row(&[&[4, 1][..], &xy(&[(nan, 1.0)])].concat())),
+            ("an infinity in a point", row(&[&[4, 1][..], &xy(&[(1.0, inf)])].concat())),
+            ("a NaN in a line", row(&[&[4, 2, 2][..], &xy(&[(0.0, 0.0), (nan, 1.0)])].concat())),
+            (
+                "an infinity in a line",
+                row(&[&[4, 2, 2][..], &xy(&[(0.0, 0.0), (-inf, 1.0)])].concat()),
+            ),
+            (
+                "a NaN in a ring",
+                row(&[&[4, 3, 1, 3][..], &xy(&[(0.0, 0.0), (4.0, nan), (0.0, 4.0)])].concat()),
+            ),
+            (
+                "an infinity in a ring",
+                row(&[&[4, 3, 1, 3][..], &xy(&[(0.0, 0.0), (inf, 0.0), (0.0, 4.0)])].concat()),
+            ),
+            ("a 1-vertex line", row(&[&[4, 2, 1][..], &xy(&[(1.0, 1.0)])].concat())),
+            (
+                "a zero-area hole",
+                row(&[
+                    &[4, 3, 2, 3][..],
+                    &xy(&triangle),
+                    &[3],
+                    &xy(&[(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]),
+                ]
+                .concat()),
+            ),
+            (
+                "a multi-line member of 1 vertex",
+                row(&[&[4, 5, 2, 2][..], &xy(&[(0.0, 0.0), (1.0, 1.0)]), &[1], &xy(&[(2.0, 2.0)])]
+                    .concat()),
+            ),
+            ("an undecodable WKB", row(&[5, 5, 1, 3, 0, 0, 0])),
+        ] {
+            match SpatialDb::open_from(&image_of_tuple(&tuple)[..]) {
+                Err(EngineError::Persist(_)) => {}
+                other => panic!("{what}: {:?}", other.map(|_| ())),
+            }
+        }
+        // The same frame around sound geometries opens.
+        for sound in [
+            row(&[&[4, 3, 1, 3][..], &xy(&triangle)].concat()),
+            row(&[&[4, 1][..], &xy(&[(nan, nan)])].concat()), // POINT EMPTY
+            row(&[4, 2, 0]),                                  // LINESTRING EMPTY
+        ] {
+            let db = SpatialDb::open_from(&image_of_tuple(&sound)[..]).unwrap();
+            assert_eq!(db.execute("SELECT id FROM t").unwrap().rows[0][0].to_string(), "7");
+        }
     }
 
     #[test]

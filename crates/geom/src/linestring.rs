@@ -23,6 +23,16 @@ impl LineString {
     /// consecutive duplicates; [`GeomError::NonFiniteCoordinate`] for
     /// NaN/infinite components.
     pub fn new(coords: Vec<Coord>) -> Result<LineString> {
+        LineString::check(&coords)?;
+        Ok(LineString { coords })
+    }
+
+    /// Checks `coords` as [`LineString::new`] does, building nothing: the
+    /// one statement of a linestring's invariants.
+    ///
+    /// # Errors
+    /// As for [`LineString::new`].
+    pub fn check(coords: &[Coord]) -> Result<()> {
         if coords.len() == 1 {
             return Err(GeomError::InvalidGeometry(
                 "linestring needs at least 2 coordinates (or 0 for EMPTY)".into(),
@@ -38,7 +48,7 @@ impl LineString {
         if coords.iter().any(|c| !c.is_finite()) {
             return Err(GeomError::NonFiniteCoordinate);
         }
-        Ok(LineString { coords })
+        Ok(())
     }
 
     /// Builds a linestring from `(x, y)` pairs. Convenience for tests and

@@ -14,11 +14,7 @@ impl Point {
     /// Returns [`GeomError::NonFiniteCoordinate`] if either component is
     /// NaN or infinite.
     pub fn new(x: f64, y: f64) -> Result<Point> {
-        let c = Coord::new(x, y);
-        if !c.is_finite() {
-            return Err(GeomError::NonFiniteCoordinate);
-        }
-        Ok(Point(Some(c)))
+        Point::from_coord(Coord::new(x, y))
     }
 
     /// Creates the empty point (`POINT EMPTY`).
@@ -32,10 +28,19 @@ impl Point {
     /// # Errors
     /// Returns [`GeomError::NonFiniteCoordinate`] for non-finite input.
     pub fn from_coord(c: Coord) -> Result<Point> {
+        Point::check(c)?;
+        Ok(Point(Some(c)))
+    }
+
+    /// Checks `c` as [`Point::from_coord`] does, building nothing.
+    ///
+    /// # Errors
+    /// As for [`Point::from_coord`].
+    pub fn check(c: Coord) -> Result<()> {
         if !c.is_finite() {
             return Err(GeomError::NonFiniteCoordinate);
         }
-        Ok(Point(Some(c)))
+        Ok(())
     }
 
     /// The underlying coordinate, or `None` for the empty point.

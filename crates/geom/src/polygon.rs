@@ -20,6 +20,16 @@ impl Ring {
     /// # Errors
     /// [`GeomError::InvalidGeometry`] when any invariant is violated.
     pub fn new(coords: Vec<Coord>) -> Result<Ring> {
+        Ring::check(&coords)?;
+        Ok(Ring { coords: coords.into_boxed_slice() })
+    }
+
+    /// Checks `coords` as [`Ring::new`] does, building nothing: the one
+    /// statement of a ring's invariants.
+    ///
+    /// # Errors
+    /// As for [`Ring::new`].
+    pub fn check(coords: &[Coord]) -> Result<()> {
         if coords.len() < 4 {
             return Err(GeomError::InvalidGeometry(
                 "ring needs at least 4 coordinates (closed triangle)".into(),
@@ -38,11 +48,10 @@ impl Ring {
         if coords.iter().any(|c| !c.is_finite()) {
             return Err(GeomError::NonFiniteCoordinate);
         }
-        let ring = Ring { coords: coords.into_boxed_slice() };
-        if ring.signed_area() == 0.0 {
+        if signed_area(coords) == 0.0 {
             return Err(GeomError::InvalidGeometry("ring has zero area".into()));
         }
-        Ok(ring)
+        Ok(())
     }
 
     /// Builds a ring from `(x, y)` pairs, closing it automatically if the
@@ -74,11 +83,7 @@ impl Ring {
 
     /// Shoelace signed area: positive for counter-clockwise rings.
     pub fn signed_area(&self) -> f64 {
-        let mut acc = 0.0;
-        for (a, b) in self.segments() {
-            acc += a.cross(b);
-        }
-        acc * 0.5
+        signed_area(&self.coords)
     }
 
     /// Absolute enclosed area.
@@ -115,6 +120,16 @@ impl Ring {
         // Invariant: a valid ring is always a valid linestring.
         LineString::new(self.coords.to_vec()).expect("valid ring is a valid linestring")
     }
+}
+
+/// Shoelace signed area of the closed run `coords`: positive for a
+/// counter-clockwise one.
+fn signed_area(coords: &[Coord]) -> f64 {
+    let mut acc = 0.0;
+    for w in coords.windows(2) {
+        acc += w[0].cross(w[1]);
+    }
+    acc * 0.5
 }
 
 /// A polygon: one exterior ring and zero or more interior rings (holes).

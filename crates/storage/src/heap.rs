@@ -12,9 +12,10 @@
 //! decoded rows and MBR quads — [`HeapFile::get`] is "find the frame,
 //! read the slot", decoding on first use, and [`HeapFile::get_many`]
 //! does the same a page run at a time — so a row shares its page's
-//! fate: evicted with it, changed only under its lock. Only reads (and
-//! restore, which decodes to validate) fill it: an insert stores bytes,
-//! and quads are computed from the bytes. Readers clone the `Arc<Row>`
+//! fate: evicted with it, changed only under its lock. Only a read fills
+//! it: an insert, WAL replay and snapshot restore store bytes (restore
+//! checks each tuple in place, building nothing), and quads are computed
+//! from the bytes. Readers clone the `Arc<Row>`
 //! out while holding the frame, so nothing they keep can dangle into an
 //! evicted one.
 //!
@@ -275,16 +276,17 @@ impl HeapFile {
 
     /// Writes a row into a *specific* slot — WAL replay, which must
     /// reproduce `RowId`s recorded in the log exactly. `bytes`,
-    /// [`Value::store_row`] of `row`, go into the slot as they are, and
-    /// `row`, which the log handed over, becomes the slot's decoded row.
-    /// Idempotent: re-placing the identical bytes at the same id is a
-    /// no-op, so a crash between replay and checkpoint replays cleanly.
+    /// [`Value::store_row`] of `row`, go into the slot as they are; `row`
+    /// is checked against the schema and not kept: the slot is decoded
+    /// when a read first asks for it. Idempotent: re-placing the
+    /// identical bytes at the same id is a no-op, so a crash between
+    /// replay and checkpoint replays cleanly.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the slot holds a *different* live
     /// row; schema errors as for [`HeapFile::insert`].
-    pub fn place_tuple(&self, bytes: &[u8], row: Row, id: RowId, born: u64) -> Result<()> {
-        self.schema.check_row(&row)?;
+    pub fn place_tuple(&self, bytes: &[u8], row: &Row, id: RowId, born: u64) -> Result<()> {
+        self.schema.check_row(row)?;
         let _append = self.append.lock();
         if self.npages.load(Ordering::Relaxed) <= id.page {
             self.npages.store(id.page + 1, Ordering::Relaxed);
@@ -300,7 +302,6 @@ impl HeapFile {
             )));
         }
         page.place(id.slot, bytes)?;
-        page.keep_row(id.slot, Arc::new(row));
         if born > 0 {
             self.meta.write().insert(id, (born, LIVE));
         }
@@ -311,9 +312,10 @@ impl HeapFile {
 
     /// Snapshot load's way in: `page`, read back from a snapshot, becomes
     /// page `no` of this heap, which holds nothing there yet — one frame
-    /// lock, and the page count raised once. Each live tuple is decoded
-    /// and checked against the schema, `visit`ed with its id, and its row
-    /// kept as its slot's decoded row. Returns the rows restored.
+    /// lock, and the page count raised once. Each live tuple is checked
+    /// in place against the schema ([`Schema::check_tuple`]: nothing is
+    /// built) and `visit`ed with its id; no row is kept, so the slot is
+    /// decoded when a read first asks for it. Returns the rows restored.
     ///
     /// # Errors
     /// `visit`'s, decode and schema errors, and [`StorageError::Corrupt`]
@@ -324,14 +326,12 @@ impl HeapFile {
         page: Page,
         mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<usize, E> {
-        let mut rows = Vec::with_capacity(page.slot_count());
+        let (mut coords, mut live) = (Vec::new(), 0);
         for (slot, tuple) in page.iter() {
-            let row = Value::decode_row(tuple)?;
-            self.schema.check_row(&row)?;
+            self.schema.check_tuple(tuple, &mut coords)?;
             visit(RowId { page: no, slot }, tuple)?;
-            rows.push((slot, Arc::new(row)));
+            live += 1;
         }
-        let live = rows.len();
         let corrupt = |what: &str| StorageError::Corrupt(format!("restore of page {no}: {what}"));
         let npages = no.checked_add(1).ok_or_else(|| corrupt("no such page number"))?;
         let _append = self.append.lock();
@@ -340,7 +340,6 @@ impl HeapFile {
             return Err(corrupt("the page holds slots").into());
         }
         frame.replace(page);
-        rows.into_iter().for_each(|(slot, row)| frame.keep_row(slot, row));
         drop(frame);
         self.npages.fetch_max(npages, Ordering::Relaxed);
         self.row_count.fetch_add(live as u64, Ordering::Relaxed);
@@ -602,7 +601,7 @@ mod tests {
 
     /// Places `row` at `id` as replay does: encoded, bytes and row both.
     fn place(h: &HeapFile, row: Row, id: RowId) -> Result<()> {
-        h.place_tuple(&Value::store_row(&row), row, id, 0)
+        h.place_tuple(&Value::store_row(&row), &row, id, 0)
     }
 
     #[test]
@@ -677,14 +676,16 @@ mod tests {
     }
 
     #[test]
-    fn place_tuple_stores_the_given_bytes_and_keeps_the_row() {
+    fn place_tuple_stores_the_given_bytes_and_keeps_no_row() {
         let h = heap();
         let row = vec![Value::Int(7), Value::Text("seven".into())];
         let bytes = Value::store_row(&row);
         let id = RowId { page: 2, slot: 5 };
-        h.place_tuple(&bytes, row.clone(), id, 0).unwrap();
+        h.place_tuple(&bytes, &row, id, 0).unwrap();
+        assert_eq!(h.pool().stats().decoded_rows, 0, "placement keeps no row");
         assert_eq!(*h.get(id).unwrap(), row);
-        assert_eq!(h.stats().cache_misses, 0, "placement left the slot decoded");
+        assert_eq!(h.stats().cache_misses, 1, "the first read decodes the slot");
+        assert_eq!(h.pool().stats().decoded_rows, 1, "and keeps what it decoded");
         let mut stored = Vec::new();
         h.scan_tuples(&[id], |_, b| {
             stored = b.to_vec();
@@ -693,9 +694,9 @@ mod tests {
         .unwrap();
         assert_eq!(stored, bytes);
         // Idempotent for the same bytes; the row must fit the schema.
-        h.place_tuple(&bytes, row, id, 0).unwrap();
+        h.place_tuple(&bytes, &row, id, 0).unwrap();
         assert_eq!(h.len(), 1);
-        assert!(h.place_tuple(&bytes, vec![Value::Int(7)], id, 0).is_err());
+        assert!(h.place_tuple(&bytes, &vec![Value::Int(7)], id, 0).is_err());
     }
 
     #[test]

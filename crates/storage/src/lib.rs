@@ -9,11 +9,12 @@
 //!
 //! Rows are stored *serialized* in pages, in the stored row codec
 //! ([`compact`]). The pool frame that holds a page also holds the rows
-//! decoded from it — filled on read, never on insert: a row is decoded
-//! when a statement first reads it (a run of ids on one page at a time,
-//! [`HeapFile::get_many`]) or when restore had to decode it anyway, while
-//! loads, index builds, vacuum and MBR quads work from the tuple bytes
-//! ([`Field`]). So there is one cache with one budget: a fetch from a
+//! decoded from it — a row only when a read decoded it: a row is decoded
+//! and kept when a statement first reads it (a run of ids on one page at
+//! a time, [`HeapFile::get_many`]), while loads, WAL replay, snapshot
+//! restore (which checks each tuple in place, [`Schema::check_tuple`]),
+//! index builds, vacuum and MBR quads work from the tuple bytes
+//! ([`Field`]) and keep none. So there is one cache with one budget: a fetch from a
 //! resident, decoded slot costs a lock and a clone; one from a resident
 //! page pays the decode — the in-process analogue of detoasting in the
 //! systems Jackpine originally measured — and one from an evicted page

@@ -86,7 +86,8 @@ struct Gauges {
 struct Frame {
     page: Page,
     /// The row decoded from each slot's current bytes, indexed by slot:
-    /// kept by a read that decoded it, or by restore, never by an insert.
+    /// kept by a read that decoded it ([`PageWrite::decode`]), and by
+    /// nothing else — not an insert, WAL replay or snapshot restore.
     /// Grown to the slot directory's length when a row is first kept, so
     /// leaf files and never-read pages carry none.
     rows: Vec<Option<Arc<Row>>>,
@@ -288,14 +289,6 @@ impl PageWrite<'_> {
         let frame = self.frame();
         frame.drop_decoded();
         (frame.page, frame.dirty) = (page, true);
-    }
-
-    /// Keeps `row` as the decoded form of `slot` — restore's and WAL
-    /// replay's way in, for a row they decoded or were handed anyway.
-    /// The caller vouches that the slot's bytes are
-    /// `Value::store_row(&row)`.
-    pub(crate) fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
-        self.frame().keep_row(slot, row);
     }
 
     /// [`PageRead::row`].

@@ -1,7 +1,8 @@
 //! Table schemas and type checking.
 
+use crate::value::compact;
 use crate::{Lend, Result, StorageError, ValueRef};
-use jackpine_geom::wkb;
+use jackpine_geom::{wkb, Coord, GeometryRef};
 
 /// SQL column types supported by the engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,40 +89,83 @@ impl Schema {
     /// accepted for any column), whichever form its values are lent in:
     /// the one check, of [`Value`](crate::Value) rows and lent ones alike.
     pub fn check_row<V: Lend>(&self, row: &[V]) -> Result<()> {
-        if row.len() != self.columns.len() {
-            return Err(StorageError::SchemaMismatch(format!(
-                "expected {} values, got {}",
-                self.columns.len(),
-                row.len()
-            )));
-        }
+        self.check_arity(row.len())?;
         for (v, col) in row.iter().zip(&self.columns) {
             let v = v.lend();
-            let ok = match (v, col.ty) {
-                (ValueRef::Null, _) => true,
-                (ValueRef::Int(_), DataType::Int) => true,
-                (ValueRef::Float(_), DataType::Float) => true,
-                (ValueRef::Int(_), DataType::Float) => true, // widening accepted
-                (ValueRef::Text(_), DataType::Text) => true,
-                // Deeper than a WKB reader follows, it could be stored but
-                // never read back.
-                (ValueRef::Geom(g), DataType::Geometry) if wkb::nesting(g) > wkb::MAX_NESTING => {
-                    return Err(StorageError::SchemaMismatch(format!(
-                        "a geometry for column '{}' nests deeper than {} levels",
-                        col.name,
-                        wkb::MAX_NESTING
-                    )));
-                }
-                (ValueRef::Geom(_), DataType::Geometry) => true,
-                _ => false,
-            };
-            if !ok {
-                return Err(StorageError::SchemaMismatch(format!(
-                    "value {v:?} does not fit column '{}' of type {}",
-                    col.name,
-                    col.ty.sql_name()
-                )));
+            if !col.fits(v.data_type()) {
+                return Err(col.misfit(&format!("value {v:?}")));
             }
+            if let ValueRef::Geom(g) = v {
+                col.check_nesting(g)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks a stored row ([`Value::store_row`](crate::Value::store_row))
+    /// in place: `Ok` exactly when [`Value::decode_row`] of it would
+    /// succeed and its row pass [`Schema::check_row`], with nothing built
+    /// but a geometry stored whole as WKB, which is decoded and dropped.
+    /// Each line and ring is read into `coords`, a buffer the caller
+    /// reuses across calls, and checked by the rules that build it
+    /// ([`Point::check`], [`LineString::check`], [`Ring::check`]).
+    ///
+    /// [`Value::decode_row`]: crate::Value::decode_row
+    /// [`Point::check`]: jackpine_geom::Point::check
+    /// [`LineString::check`]: jackpine_geom::LineString::check
+    /// [`Ring::check`]: jackpine_geom::Ring::check
+    ///
+    /// # Errors
+    /// As for [`Value::decode_row`] and [`Schema::check_row`].
+    pub fn check_tuple(&self, tuple: &[u8], coords: &mut Vec<Coord>) -> Result<()> {
+        compact::check_row(tuple, self, coords)
+    }
+
+    /// Refuses a row of `n` values unless the schema has `n` columns.
+    #[inline]
+    pub(crate) fn check_arity(&self, n: usize) -> Result<()> {
+        if n != self.columns.len() {
+            return Err(StorageError::SchemaMismatch(format!(
+                "expected {} values, got {n}",
+                self.columns.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl ColumnDef {
+    /// Whether a value of type `ty` (`None` for NULL) fits this column:
+    /// NULL fits any, an integer widens into a float column, and any
+    /// other value needs the column's own type.
+    #[inline]
+    pub(crate) fn fits(&self, ty: Option<DataType>) -> bool {
+        match (ty, self.ty) {
+            (None, _) | (Some(DataType::Int), DataType::Float) => true,
+            (Some(ty), col) => ty == col,
+        }
+    }
+
+    /// The error for a value, `shown` so, that does not
+    /// [fit](ColumnDef::fits) this column.
+    #[cold]
+    pub(crate) fn misfit(&self, shown: &str) -> StorageError {
+        StorageError::SchemaMismatch(format!(
+            "{shown} does not fit column '{}' of type {}",
+            self.name,
+            self.ty.sql_name()
+        ))
+    }
+
+    /// Refuses a geometry nested deeper than a WKB reader follows: it
+    /// could be stored but never read back.
+    pub(crate) fn check_nesting(&self, g: GeometryRef<'_>) -> Result<()> {
+        if wkb::nesting(g) > wkb::MAX_NESTING {
+            return Err(StorageError::SchemaMismatch(format!(
+                "a geometry for column '{}' nests deeper than {} levels",
+                self.name,
+                wkb::MAX_NESTING
+            )));
         }
         Ok(())
     }

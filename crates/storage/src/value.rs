@@ -5,7 +5,7 @@
 
 pub mod compact;
 
-use crate::{Result, StorageError};
+use crate::{DataType, Result, StorageError};
 use compact::GeomBytes;
 use jackpine_geom::codec::PutBytes;
 use jackpine_geom::{wkb, Envelope, Geometry, GeometryRef};
@@ -79,6 +79,18 @@ impl Lend for ValueRef<'_> {
 }
 
 impl ValueRef<'_> {
+    /// The value's type; `None` for NULL.
+    #[inline]
+    pub(crate) fn data_type(&self) -> Option<DataType> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Int(_) => Some(DataType::Int),
+            ValueRef::Float(_) => Some(DataType::Float),
+            ValueRef::Text(_) => Some(DataType::Text),
+            ValueRef::Geom(_) => Some(DataType::Geometry),
+        }
+    }
+
     /// Serializes the value into `buf` in the canonical form (tag byte +
     /// payload: fixed-width numbers, a `u32` length before a text or a
     /// geometry's WKB): what results are digested in. Nothing stores it.
@@ -268,6 +280,17 @@ impl<'a> Field<'a> {
     /// [`Field::envelope`].
     pub fn mbr(&self) -> Result<Option<[f64; 4]>> {
         Ok(self.envelope()?.as_ref().map(Envelope::quad))
+    }
+
+    /// The type of the value this field decodes to; `None` for NULL.
+    pub(crate) fn data_type(&self) -> Option<DataType> {
+        match self {
+            Field::Null => None,
+            Field::Int(_) => Some(DataType::Int),
+            Field::Float(_) => Some(DataType::Float),
+            Field::Text(_) => Some(DataType::Text),
+            Field::Geom(_) => Some(DataType::Geometry),
+        }
     }
 }
 

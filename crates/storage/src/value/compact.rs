@@ -44,7 +44,7 @@
 
 use super::{Field, Lend, Row, Value, ValueRef};
 use crate::page::{put_varint, take_varint};
-use crate::{Result, StorageError};
+use crate::{Result, Schema, StorageError};
 use jackpine_geom::{
     wkb, Coord, Envelope, Geometry, GeometryCollection, GeometryRef, LineString, MultiLineString,
     MultiPoint, MultiPolygon, Point, Polygon, Ring,
@@ -272,6 +272,13 @@ fn coord(xy: &[u8]) -> Coord {
 /// The vertices of `raw`, and the first again when `closed`.
 fn vertices(raw: &[u8], closed: bool) -> Vec<Coord> {
     let mut out = Vec::with_capacity(raw.len() / COORD + usize::from(closed));
+    read_vertices(raw, closed, &mut out);
+    out
+}
+
+/// [`vertices`] of `raw`, read into `out` in place of what it held.
+fn read_vertices<'o>(raw: &[u8], closed: bool, out: &'o mut Vec<Coord>) -> &'o [Coord] {
+    out.clear();
     out.extend(raw.chunks_exact(COORD).map(coord));
     if closed {
         out.push(out[0]);
@@ -378,7 +385,7 @@ impl GeomBytes<'_> {
         if self.whole {
             return Ok(wkb::envelope(self.bytes)?);
         }
-        walk(&mut Reader(self.bytes), None, 0, true)
+        walk(&mut Reader(self.bytes), None, 0, &mut Visit::Fold)
     }
 
     /// The geometry.
@@ -394,12 +401,28 @@ impl GeomBytes<'_> {
     }
 }
 
+/// What [`walk`] does with the coordinates it steps over.
+enum Visit<'v> {
+    /// Passes them over unread.
+    Skip,
+    /// Folds them into the envelope it returns ([`GeomBytes::envelope`]).
+    Fold,
+    /// Reads each point, line and ring — into the buffer — and checks it
+    /// by the rules that build it: [`Point::check`],
+    /// [`LineString::check`], [`Ring::check`].
+    Check(&'v mut Vec<Coord>),
+}
+
 /// Steps `r` over the compact geometry at its front, `depth` deep, of
 /// type `member` when it is a multi-geometry's member: its counts are
-/// read and, when `fold`, its coordinates, into its envelope
-/// ([`GeomBytes::envelope`]); otherwise they are passed over unread and
-/// the envelope is empty.
-fn walk(r: &mut Reader<'_>, member: Option<u8>, depth: usize, fold: bool) -> Result<Envelope> {
+/// read, and its coordinates as `visit` says. The envelope is empty but
+/// when it folds them.
+fn walk(
+    r: &mut Reader<'_>,
+    member: Option<u8>,
+    depth: usize,
+    visit: &mut Visit<'_>,
+) -> Result<Envelope> {
     let code = match member {
         Some(kind) => kind,
         None => r.byte()?,
@@ -408,15 +431,20 @@ fn walk(r: &mut Reader<'_>, member: Option<u8>, depth: usize, fold: bool) -> Res
     match code {
         1 => {
             let c = coord(r.coords(1)?);
-            if fold && !(c.x.is_nan() && c.y.is_nan()) {
-                e = bounds([c])?;
+            let empty = c.x.is_nan() && c.y.is_nan();
+            match visit {
+                Visit::Fold if !empty => e = bounds([c])?,
+                Visit::Check(_) if !empty => Point::check(c)?,
+                _ => {}
             }
         }
         2 => {
             let n = r.count(COORD)?;
             let run = r.coords(n)?;
-            if fold {
-                e = bounds(run.chunks_exact(COORD).map(coord))?;
+            match visit {
+                Visit::Skip => {}
+                Visit::Fold => e = bounds(run.chunks_exact(COORD).map(coord))?,
+                Visit::Check(buf) => LineString::check(read_vertices(run, false, buf))?,
             }
         }
         3 => {
@@ -427,10 +455,14 @@ fn walk(r: &mut Reader<'_>, member: Option<u8>, depth: usize, fold: bool) -> Res
             for ring in 0..rings {
                 let n = r.ring()?;
                 let run = r.coords(n)?;
-                // The exterior's, its implied closing vertex last.
-                if fold && ring == 0 {
-                    let closing = coord(&run[..COORD]);
-                    e = bounds(run.chunks_exact(COORD).map(coord).chain([closing]))?;
+                match visit {
+                    // The exterior's, its implied closing vertex last.
+                    Visit::Fold if ring == 0 => {
+                        let closing = coord(&run[..COORD]);
+                        e = bounds(run.chunks_exact(COORD).map(coord).chain([closing]))?;
+                    }
+                    Visit::Check(buf) => Ring::check(read_vertices(run, true, buf))?,
+                    _ => {}
                 }
             }
         }
@@ -438,7 +470,7 @@ fn walk(r: &mut Reader<'_>, member: Option<u8>, depth: usize, fold: bool) -> Res
             let kind = (code != 7).then_some(code - 3);
             let min = if code == 4 { COORD } else { 1 };
             for _ in 0..r.members(min, depth)? {
-                e.expand_to_include(&walk(r, kind, depth + 1, fold)?);
+                e.expand_to_include(&walk(r, kind, depth + 1, visit)?);
             }
         }
         t => return Err(corrupt(&format!("unknown geometry type {t}"))),
@@ -459,9 +491,10 @@ fn bounds(coords: impl IntoIterator<Item = Coord>) -> Result<Envelope> {
     Ok(e)
 }
 
-/// Steps `r` over one value, or reads it as a field when `read`.
+/// Steps `r` over one value, or reads it as a field when `read`; a
+/// compact geometry is walked as `visit` says.
 #[inline]
-fn field<'a>(r: &mut Reader<'a>, read: bool) -> Result<Field<'a>> {
+fn field<'a>(r: &mut Reader<'a>, read: bool, visit: &mut Visit<'_>) -> Result<Field<'a>> {
     Ok(match r.byte()? {
         0 => Field::Null,
         1 => Field::Int(unzigzag(r.varint()?)),
@@ -470,7 +503,7 @@ fn field<'a>(r: &mut Reader<'a>, read: bool) -> Result<Field<'a>> {
         3 => Field::Text(r.sized().map(|_| "")?),
         4 => {
             let at = r.0;
-            walk(r, None, 0, false)?;
+            walk(r, None, 0, visit)?;
             Field::Geom(GeomBytes { bytes: &at[..at.len() - r.0.len()], whole: false })
         }
         5 => Field::Geom(GeomBytes { bytes: r.sized()?, whole: true }),
@@ -494,14 +527,42 @@ pub(super) fn fields<'a, E: From<StorageError>>(
             break;
         }
         for _ in next..col {
-            field(&mut r, false)?;
+            field(&mut r, false, &mut Visit::Skip)?;
         }
-        let f = field(&mut r, true)?;
+        let f = field(&mut r, true, &mut Visit::Skip)?;
         next = col + 1;
         visit(i, f)?;
     }
     Ok(())
 }
+
+/// [`Schema::check_tuple`]: one walk of the row, each value read as a
+/// field and each compact geometry checked as it is walked.
+pub(crate) fn check_row(tuple: &[u8], schema: &Schema, coords: &mut Vec<Coord>) -> Result<()> {
+    let mut r = Reader(tuple);
+    schema.check_arity(usize::from(r.arity()?))?;
+    let mut visit = Visit::Check(coords);
+    for col in schema.columns() {
+        let f = field(&mut r, true, &mut visit)?;
+        if !col.fits(f.data_type()) {
+            return Err(col.misfit(&match f {
+                Field::Geom(_) => "a geometry".into(),
+                f => format!("value {f:?}"),
+            }));
+        }
+        // A compact geometry nests at most `MAX_DEPTH` deep, within what
+        // a WKB reader follows; one stored whole is decoded to be sure.
+        if let Field::Geom(g @ GeomBytes { whole: true, .. }) = f {
+            col.check_nesting((&g.decode()?).into())?;
+        }
+    }
+    if !r.0.is_empty() {
+        return Err(corrupt("bytes after the last value"));
+    }
+    Ok(())
+}
+
+const _: () = assert!(MAX_DEPTH <= wkb::MAX_NESTING);
 
 #[cfg(test)]
 mod tests {

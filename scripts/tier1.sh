@@ -104,6 +104,20 @@ if [ -n "$canonical" ]; then
   exit 1
 fi
 
+echo "== a frame keeps a decoded row only when a read decoded it: no keep_row or decode_row in the heap's non-test lines"
+# PageWrite::decode (pool.rs), behind HeapFile::get and get_many, is the
+# one place a row is decoded and kept. An insert, WAL replay
+# (place_tuple) and snapshot restore (restore_page, which checks each
+# tuple in place with Schema::check_tuple) store bytes and keep no row.
+kept=$(for f in crates/storage/src/heap*.rs crates/storage/src/heap/**/*.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /keep_row|decode_row/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$kept" ]; then
+  echo "the heap keeps no row a read did not decode; found:"
+  echo "$kept"
+  exit 1
+fi
+
 echo "== the docs name what they mean, not a roadmap item (its numbers change at every re-anchor)"
 if grep -nE 'ROADMAP (item|[0-9])' DESIGN.md README.md; then
   echo "DESIGN.md or README.md points at a roadmap item: name the thing instead"

@@ -4,8 +4,9 @@
 //! corpus decodes from it to exactly the values it was stored from, and
 //! reads in place as it decodes. The canonical bytes those values encode
 //! to — what the benchmark digests results in and measures storage
-//! against — are pinned. The codec's malformed inputs are its unit
-//! tests.
+//! against — are pinned. The in-place check restore runs
+//! (`Schema::check_tuple`) gives decode's verdict on every stored tuple
+//! and on damaged ones. The codec's malformed inputs are its unit tests.
 
 use jackpine::bench::dataset::load_dataset;
 use jackpine::datagen::{TigerConfig, TigerDataset};
@@ -15,7 +16,7 @@ use jackpine::geom::{
     MultiPolygon, Point, Polygon, Ring,
 };
 use jackpine::storage::compact::MAX_DEPTH;
-use jackpine::storage::{Field, StorageError, Value};
+use jackpine::storage::{ColumnDef, DataType, Field, Schema, StorageError, Value};
 use std::sync::Arc;
 
 mod common;
@@ -198,4 +199,67 @@ fn the_codec_edges_round_trip() {
         assert_eq!(tuple[1], 5, "{whole:?}: stored whole");
         assert!(tuple.ends_with(&jackpine::geom::wkb::encode(&whole)), "the WKB, as it is");
     }
+}
+
+/// The in-place check's verdict on `tuple`, asserted to be decode's and
+/// then the schema check's.
+fn check_agrees(schema: &Schema, tuple: &[u8], coords: &mut Vec<Coord>) -> bool {
+    let checked = schema.check_tuple(tuple, coords);
+    let decoded = Value::decode_row(tuple).and_then(|row| schema.check_row(&row));
+    assert_eq!(checked.is_ok(), decoded.is_ok(), "{tuple:?}: {checked:?} vs {decoded:?}");
+    checked.is_ok()
+}
+
+#[test]
+fn the_in_place_check_agrees_with_decode() {
+    let mut coords = Vec::new();
+    // Every tuple of a TIGER load, under its table's schema.
+    let (_, db) = tiger_load();
+    let mut stored: Vec<(Arc<Schema>, Vec<u8>)> = Vec::new();
+    for name in db.table_names() {
+        let heap = &db.table(&name).unwrap().heap;
+        heap.scan_tuples(&heap.row_ids(), |_, tuple| {
+            assert!(check_agrees(heap.schema(), tuple, &mut coords), "{name}: refused");
+            stored.push((heap.schema().clone(), tuple.to_vec()));
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+    }
+    // Every geometry of the shape corpus, in a geometry column and, as a
+    // misfit, in a text one.
+    let schema = |ty| {
+        Arc::new(
+            Schema::new(vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("g", ty)])
+                .unwrap(),
+        )
+    };
+    let (fits, misfit) = (schema(DataType::Geometry), schema(DataType::Text));
+    for g in corpus("in-place-check") {
+        let tuple = Value::store_row(&[Value::Int(1), Value::Geom(g)]);
+        assert!(check_agrees(&fits, &tuple, &mut coords), "{tuple:?}: refused");
+        assert!(!check_agrees(&misfit, &tuple, &mut coords), "{tuple:?}: a misfit accepted");
+        stored.push((fits.clone(), tuple));
+    }
+    // Each single-byte change and each truncation of 200 of them.
+    let mut rng = common::test_rng("in-place-check");
+    let (mut accepted, mut refused) = (0, 0);
+    for _ in 0..200 {
+        let (schema, tuple) = &stored[rng.gen_range(0..stored.len())];
+        let mut damaged = tuple.clone();
+        for at in 0..tuple.len() {
+            for flip in [0x01, 0x10, 0x80, 0xff] {
+                damaged[at] ^= flip;
+                match check_agrees(schema, &damaged, &mut coords) {
+                    true => accepted += 1,
+                    false => refused += 1,
+                }
+                damaged[at] ^= flip;
+            }
+        }
+        for len in 0..tuple.len() {
+            assert!(!check_agrees(schema, &tuple[..len], &mut coords), "a truncation accepted");
+        }
+    }
+    // Most changes land in a coordinate, which any finite value fits.
+    assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
 }

@@ -2,8 +2,9 @@
 //!
 //! A counting `#[global_allocator]` measures the live heap. The writer
 //! may add its stream buffer and the tables' id lists to it, the reader
-//! its stream buffer and one row; a materialised image, on either side,
-//! is several times the bound. One test function in this file, so that
+//! its stream buffer and one page; a materialised image, on either side,
+//! is several times the bound. The opened engine holds the pages and no
+//! decoded row: restore checks each tuple in place and keeps nothing. One test function in this file, so that
 //! no other test's allocations are counted.
 
 use jackpine::engine::{DurabilityOptions, EngineProfile, SpatialDb, SNAPSHOT_FILE};
@@ -53,7 +54,8 @@ fn checkpoint_and_open_hold_no_image() {
     assert!(image_len >= 2 * MIB, "the image must dwarf the bound: {image_len} bytes");
 
     let (peak, retained, opened) = heap_of(|| SpatialDb::open(&image).unwrap());
-    assert!(retained > image_len, "the opened engine holds pages and decoded rows: {retained}");
+    assert!(retained > image_len, "the opened engine holds its pages: {retained}");
+    assert_eq!(opened.pool_stats().decoded_rows, 0, "restore keeps no decoded row");
     assert!(
         peak - retained < MIB,
         "open() of a {image_len}-byte image held {} transient bytes",

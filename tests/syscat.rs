@@ -325,6 +325,32 @@ fn buffer_pool_table_tracks_pool_state() {
     assert_eq!(r.rows[0][0], Value::Int(1), "and the bound holds between statements");
 }
 
+/// A reopened engine holds no decoded row: neither the snapshot restore
+/// nor the log replay keeps one, and a read decodes, and keeps, what it
+/// reads.
+#[test]
+fn a_reopened_engine_decodes_only_what_a_read_asks_for() {
+    let dir = std::env::temp_dir().join(format!("jackpine_syscat_reopen_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = jackpine::engine::DurabilityOptions::default;
+    let db = tiny_db();
+    SpatialDb::set_durability(&db, Some(&dir), opts()).unwrap();
+    // Rows in the snapshot the attach cut, and rows only in the log.
+    for i in 20..30 {
+        db.execute(&format!("INSERT INTO pts VALUES ({i}, ST_GeomFromText('POINT ({i} 0)'))"))
+            .unwrap();
+    }
+    drop(db);
+    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, opts()).unwrap();
+    let decoded = "SELECT decoded_rows FROM jp_buffer_pool";
+    assert_eq!(db.execute(decoded).unwrap().rows[0][0], Value::Int(0), "open decoded rows");
+    let all = db.execute("SELECT * FROM pts").unwrap();
+    assert_eq!(all.rows.len(), 30);
+    assert_eq!(db.execute(decoded).unwrap().rows[0][0], Value::Int(30), "a scan keeps its rows");
+    SpatialDb::set_durability(&db, None, opts()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// EXPLAIN ANALYZE works on introspection queries: the catalog resolves
 /// through the normal planner, so the analyze path needs no special case.
 #[test]
