@@ -588,13 +588,44 @@ impl TableProvider for DbTableAdapter {
         Some(Arc::new(DbTableAdapter { pinned: Some(snap.clone()), ..self.clone() }))
     }
 
-    fn fetch_mbrs(&self, col: usize, ids: &[RowId]) -> Option<Vec<Option<[f64; 4]>>> {
-        // Served from the quads kept in the rows' pool frames. Not
-        // counted as heap row fetches: the rows themselves were already
-        // fetched (and counted) by the scan feeding the filter. Any
-        // storage error falls back to the executor's row-walk gather,
-        // which surfaces errors through the normal fetch path.
-        self.table.heap.mbrs(col, ids).ok()
+    fn fetch_mbrs(
+        &self,
+        col: usize,
+        ids: &[RowId],
+    ) -> jackpine_sqlmini::Result<Option<Vec<Option<[f64; 4]>>>> {
+        // Served from the quads kept in the rows' pool frames, computed
+        // from the stored bytes where missing; no row is fetched.
+        Ok(Some(self.table.heap.mbrs(col, ids)?))
+    }
+
+    fn filter_ids(
+        &self,
+        ids: &[RowId],
+        cols: &[usize],
+        keep: &mut dyn FnMut(&[Value]) -> jackpine_sqlmini::Result<bool>,
+    ) -> jackpine_sqlmini::Result<Vec<RowId>> {
+        // A row a read decoded is handed over whole; any other is read
+        // off its stored bytes, `cols` alone, into one reused tuple.
+        let mut tuple = vec![Value::Null; self.table.schema().columns().len()];
+        let mut out = Vec::new();
+        self.table.heap.scan_stored(ids, |id, bytes, row| {
+            let kept = match row {
+                Some(row) => keep(row)?,
+                None => {
+                    cols.iter().for_each(|&c| tuple[c] = Value::Null);
+                    Field::of(bytes, cols, |k, f| {
+                        tuple[cols[k]] = f.value()?;
+                        Ok::<(), SqlError>(())
+                    })?;
+                    keep(&tuple)?
+                }
+            };
+            if kept {
+                out.push(id);
+            }
+            Ok::<(), SqlError>(())
+        })?;
+        Ok(out)
     }
 }
 

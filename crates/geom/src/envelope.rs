@@ -70,6 +70,17 @@ impl Envelope {
         }
     }
 
+    /// The envelope [`Envelope::quad`] packed: all-NaN is the empty
+    /// envelope.
+    #[inline]
+    pub fn from_quad(q: [f64; 4]) -> Envelope {
+        if q[0].is_nan() {
+            Envelope::EMPTY
+        } else {
+            Envelope { min_x: q[0], min_y: q[1], max_x: q[2], max_y: q[3] }
+        }
+    }
+
     /// Width of the envelope (0 for empty envelopes).
     #[inline]
     pub fn width(&self) -> f64 {

@@ -1,18 +1,21 @@
-//! The physical operators: one access path for every scan, one keyed
-//! sort for `Sort` and `GROUP BY`, one aggregate evaluator.
+//! The physical operators: one access path for every scan and the
+//! filters over it that the stored rows decide, one keyed sort for
+//! `Sort` and `GROUP BY`, one aggregate evaluator.
 
 use super::eval::{
     compare_values, dwithin_distance, eval_const, eval_view, probe_envelope, truthy,
 };
 use super::vectorized::vectorized_filter;
 use super::{ExecCtx, LazyRow, MAX_CAPACITY_HINT};
+use crate::functions::{mbr_predicate, FunctionMode};
 use crate::plan::{AggExpr, AggOutput, BoundExpr, PlanNode};
 use crate::provider::TableProvider;
 use crate::{Result, SqlError};
 use jackpine_geom::algorithms as alg;
-use jackpine_geom::Geometry;
+use jackpine_geom::{Envelope, Geometry};
 use jackpine_obs::Stage;
-use jackpine_storage::{RowId, Value};
+use jackpine_storage::{DataType, RowId, Schema, Value};
+use jackpine_topo::PredicateKind;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,6 +111,16 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
             })
         }
         PlanNode::Aggregate { input, group_by, outputs } => {
+            // COUNT(*) alone, ungrouped, over an access path: the count
+            // of the ids it keeps, with no row fetched.
+            let counts_only =
+                outputs.iter().all(|(o, _)| matches!(o, AggOutput::Agg(AggExpr::CountStar)));
+            if group_by.is_empty() && counts_only {
+                if let Some((_, ids)) = access(input, ctx)? {
+                    let n = Value::Int(ids.len() as i64);
+                    return Ok(vec![LazyRow::Owned(vec![n; outputs.len()])]);
+                }
+            }
             aggregate(run(input, ctx)?, group_by, outputs, ctx)
         }
         PlanNode::Sort { input, keys } => {
@@ -122,14 +135,18 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
     }
 }
 
-/// A scan's table and the row ids it reads.
+/// A scan's table and the row ids it and the filters over it keep.
 pub(super) type Access<'a> = (&'a Arc<dyn TableProvider>, Vec<RowId>);
 
-/// The one access path of every scan node: the table to read (its
+/// The one access path of every scan node, and of every filter over one
+/// that the stored rows decide ([`Stored`]): the table to read (its
 /// snapshot-pinned copy when the statement pinned one) and the row ids
-/// the scan yields. An index probe is timed as the `index_probe` stage;
-/// a table with no such index is read whole (`row_ids()`), with no
-/// stage recorded. `None` for every other node.
+/// kept, in the scan's order. An index probe is timed as the
+/// `index_probe` stage; a table with no such index is read whole
+/// (`row_ids()`), with no stage recorded. A filter is decided before
+/// any row is fetched, morsel by morsel, and timed as the `refine`
+/// stage, as the generic filter is. `None` for every other node — and
+/// then no work was done, so the caller runs the node instead.
 pub(super) fn access<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Option<Access<'a>>> {
     let mode = ctx.mode;
     let (table, probed) = match node {
@@ -152,10 +169,117 @@ pub(super) fn access<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Option<
                 .ok_or_else(|| SqlError::Type("k-NN query expression must be a geometry".into()))?;
             (table, knn_candidates(table, *col, geom, *k, ctx)?)
         }
+        PlanNode::Filter { input, predicate } => {
+            // Recognized before the input is read, so that `None` means
+            // nothing was done.
+            let Some(schema) = scanned_schema(input) else { return Ok(None) };
+            let Some(stored) = Stored::of(predicate, &schema, mode) else { return Ok(None) };
+            let Some((table, ids)) = access(input, ctx)? else { return Ok(None) };
+            let metrics = &*ctx.metrics;
+            let kept = ctx.parallel_morsels(&ids, |chunk| {
+                let t0 = Instant::now();
+                let kept = stored.retain(table, chunk, predicate, mode)?;
+                metrics.refine_candidates.add(chunk.len() as u64);
+                metrics.refine_hits.add(kept.len() as u64);
+                metrics.record_stage(Stage::Refine, t0.elapsed());
+                Ok(kept)
+            })?;
+            return Ok(Some((table, kept)));
+        }
         _ => return Ok(None),
     };
     let ids = probed.unwrap_or_else(|| table.row_ids());
     Ok(Some((table, ids)))
+}
+
+/// The schema of the table a scan node reads, through the filters over
+/// it; `None` when `node` is not such a chain.
+fn scanned_schema(node: &PlanNode) -> Option<Arc<Schema>> {
+    match node {
+        PlanNode::Scan { table }
+        | PlanNode::SpatialIndexScan { table, .. }
+        | PlanNode::OrderedIndexScan { table, .. }
+        | PlanNode::KnnScan { table, .. } => Some(table.schema()),
+        PlanNode::Filter { input, .. } => scanned_schema(input),
+        _ => None,
+    }
+}
+
+/// A filter over a scan that the stored rows decide, with no row
+/// fetched or decoded: what [`access`] applies itself.
+enum Stored {
+    /// `kind` of the envelopes of geometry column `col` and of a
+    /// constant geometry (the call's first argument when `col_first`),
+    /// decided on the quads the table keeps
+    /// ([`TableProvider::fetch_mbrs`]) exactly as the function decides
+    /// it on the decoded values: a NULL is no match.
+    Envelope { kind: PredicateKind, col: usize, constant: Envelope, col_first: bool },
+    /// A predicate that reads only the non-geometry columns `cols`
+    /// (ascending), evaluated over their stored values
+    /// ([`TableProvider::filter_ids`]).
+    Scalar(Vec<usize>),
+}
+
+impl Stored {
+    /// How the stored rows of a table of `schema` decide `predicate`,
+    /// if they do: anything that reads a geometry other than by its
+    /// envelope against a constant's is decided on fetched rows.
+    fn of(predicate: &BoundExpr, schema: &Schema, mode: FunctionMode) -> Option<Stored> {
+        let geometry =
+            |c: usize| schema.columns().get(c).is_some_and(|d| d.ty == DataType::Geometry);
+        if let BoundExpr::Func { func, args } = predicate {
+            if let (Some(kind), [a, b]) = (func.envelope_test(mode), args.as_slice()) {
+                let (col, e, col_first) = match (a, b) {
+                    (BoundExpr::Column(col), e) if geometry(*col) => (*col, e, true),
+                    (e, BoundExpr::Column(col)) if geometry(*col) => (*col, e, false),
+                    _ => return None,
+                };
+                // A constant that fails to evaluate, or is no geometry,
+                // is left to the generic path, which raises the error
+                // per row, or not at all over no rows.
+                let Some(Ok(Value::Geom(g))) = e.is_constant().then(|| eval_const(e, mode)) else {
+                    return None;
+                };
+                return Some(Stored::Envelope { kind, col, constant: g.envelope(), col_first });
+            }
+        }
+        let mut cols = Vec::new();
+        predicate.columns(&mut cols);
+        if cols.iter().any(|&c| c >= schema.columns().len() || geometry(c)) {
+            return None;
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        Some(Stored::Scalar(cols))
+    }
+
+    /// The ids of `ids` whose rows pass the filter, in input order.
+    /// Without stored quads an envelope test, like a scalar predicate,
+    /// evaluates `predicate` over the values the provider hands over.
+    fn retain(
+        &self,
+        table: &Arc<dyn TableProvider>,
+        ids: &[RowId],
+        predicate: &BoundExpr,
+        mode: FunctionMode,
+    ) -> Result<Vec<RowId>> {
+        let cols = match self {
+            Stored::Envelope { kind, col, constant, col_first } => {
+                if let Some(quads) = table.fetch_mbrs(*col, ids)? {
+                    let holds = |q: [f64; 4]| {
+                        let e = Envelope::from_quad(q);
+                        let (a, b) = if *col_first { (&e, constant) } else { (constant, &e) };
+                        mbr_predicate(*kind, a, b)
+                    };
+                    let kept = ids.iter().zip(quads).filter(|(_, q)| q.is_some_and(holds));
+                    return Ok(kept.map(|(id, _)| *id).collect());
+                }
+                std::slice::from_ref(col)
+            }
+            Stored::Scalar(cols) => cols,
+        };
+        table.filter_ids(ids, cols, &mut |row| Ok(truthy(&eval_view(predicate, row, mode)?)))
+    }
 }
 
 /// The rows `ORDER BY ST_Distance(col, query) LIMIT k` must sort to

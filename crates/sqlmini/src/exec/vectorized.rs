@@ -219,13 +219,16 @@ pub(super) fn vectorized_filter(
     };
 
     let SpatialShape { kind, a, b } = shape;
-    let bind = |op: ShapeOperand| -> VecOperand {
-        match op {
+    let bind = |op: ShapeOperand| -> Result<VecOperand> {
+        Ok(match op {
             ShapeOperand::Column(i) => VecOperand {
                 col: Some(i),
                 const_quad: None,
                 const_prepared: None,
-                pregathered: scanned.as_ref().and_then(|(t, ids)| t.fetch_mbrs(i, ids)),
+                pregathered: match &scanned {
+                    Some((t, ids)) => t.fetch_mbrs(i, ids)?,
+                    None => None,
+                },
             },
             ShapeOperand::Constant(g) => VecOperand {
                 col: None,
@@ -233,10 +236,10 @@ pub(super) fn vectorized_filter(
                 const_prepared: Some(Arc::new(PreparedGeometry::new(&g))),
                 pregathered: None,
             },
-        }
+        })
     };
-    let a = bind(a);
-    let b = bind(b);
+    let a = bind(a)?;
+    let b = bind(b)?;
 
     let metrics = &*ctx.metrics;
     let bs = DEFAULT_BATCH_SIZE;

@@ -262,6 +262,19 @@ impl Func {
         }
     }
 
+    /// The predicate a call decides on its two geometries' envelopes
+    /// alone in `mode` ([`mbr_predicate`]): an explicit MBR predicate in
+    /// every mode, and a named one the MBR-only profile has.
+    pub(crate) fn envelope_test(self, mode: FunctionMode) -> Option<PredicateKind> {
+        match self {
+            Func::Mbr(kind) => Some(kind),
+            Func::Predicate(kind) if mode == FunctionMode::MbrOnly && self.available_in(mode) => {
+                Some(kind)
+            }
+            _ => None,
+        }
+    }
+
     /// Whether a call with constant arguments is evaluated once, at bind:
     /// the cheap constructors, whose answers no profile changes.
     pub(crate) fn is_foldable(self) -> bool {
@@ -474,7 +487,7 @@ pub fn call(mode: FunctionMode, func: Func, args: &[Value]) -> Result<Value> {
 /// MBR-approximate evaluation of a named predicate (the MySQL-era
 /// semantics: correct for rectangles, a superset/approximation for real
 /// shapes).
-fn mbr_predicate(kind: PredicateKind, a: &Envelope, b: &Envelope) -> bool {
+pub(crate) fn mbr_predicate(kind: PredicateKind, a: &Envelope, b: &Envelope) -> bool {
     match kind {
         PredicateKind::Equals => a == b,
         PredicateKind::Disjoint => !a.intersects(b),

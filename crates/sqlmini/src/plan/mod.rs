@@ -96,6 +96,25 @@ impl BoundExpr {
             BoundExpr::IsNull { expr, .. } => expr.is_constant(),
         }
     }
+
+    /// Appends the offset of every column the expression reads to `out`.
+    pub(crate) fn columns(&self, out: &mut Vec<usize>) {
+        match self {
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Column(i) => out.push(*i),
+            BoundExpr::Func { args, .. } => args.iter().for_each(|a| a.columns(out)),
+            BoundExpr::Binary { left, right, .. } => {
+                left.columns(out);
+                right.columns(out);
+            }
+            BoundExpr::Not(e) | BoundExpr::Neg(e) | BoundExpr::IsNull { expr: e, .. } => {
+                e.columns(out)
+            }
+            BoundExpr::Between { expr, lo, hi } => {
+                [expr, lo, hi].into_iter().for_each(|e| e.columns(out))
+            }
+        }
+    }
 }
 
 /// One output column of a grouped aggregation.

@@ -57,12 +57,37 @@ pub trait TableProvider: Send + Sync {
 
     /// Packed MBR quads (`[min_x, min_y, max_x, max_y]`, NaN bounds for
     /// empty geometries, `None` per row for non-geometry values) of
-    /// column `col` for each id, in input order — the vectorized
-    /// filter's column-gather path. Implementations without a fast MBR
-    /// store return `None` and the executor computes envelopes from the
-    /// fetched rows instead.
-    fn fetch_mbrs(&self, _col: usize, _ids: &[RowId]) -> Option<Vec<Option<[f64; 4]>>> {
-        None
+    /// column `col` for each id, in input order — read off what the
+    /// table stores, without fetching a row: the executor's envelope
+    /// filter and the vectorized filter's column gather. `Ok(None)` (the
+    /// default) when the provider has no such store; the executor then
+    /// reads the envelopes off fetched rows.
+    fn fetch_mbrs(&self, _col: usize, _ids: &[RowId]) -> Result<Option<Vec<Option<[f64; 4]>>>> {
+        Ok(None)
+    }
+
+    /// The ids of `ids` whose row `keep` accepts, in input order; the
+    /// first error, the provider's or `keep`'s, wins. `keep` reads only
+    /// the columns `cols` (ascending) of the row it is handed, so a
+    /// provider that stores rows may hand it a tuple holding just those
+    /// columns, read where the row is stored, and every other column
+    /// NULL — fetching and decoding nothing. The default fetches the
+    /// rows ([`TableProvider::fetch_many`]) and hands each over whole.
+    fn filter_ids(
+        &self,
+        ids: &[RowId],
+        cols: &[usize],
+        keep: &mut dyn FnMut(&[Value]) -> Result<bool>,
+    ) -> Result<Vec<RowId>> {
+        let _ = cols;
+        let rows = self.fetch_many(ids)?;
+        let mut out = Vec::new();
+        for (&id, row) in ids.iter().zip(&rows) {
+            if keep(row)? {
+                out.push(id);
+            }
+        }
+        Ok(out)
     }
 
     /// A copy of this provider pinned to the statement snapshot `snap`:

@@ -388,8 +388,7 @@ impl HeapFile {
             drop(shared);
             let mut page = self.write(page)?;
             for &id in run {
-                let counter = if page.row(id.slot).is_some() { &self.hits } else { &self.misses };
-                counter.fetch_add(1, Ordering::Relaxed);
+                self.count_fetch(page.row(id.slot).is_some());
                 out.push(page.decode(id.slot).map_err(|e| located(e, id))?);
             }
         }
@@ -431,6 +430,20 @@ impl HeapFile {
         ids: &[RowId],
         mut visit: impl FnMut(RowId, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
+        self.scan_stored(ids, |id, tuple, _| visit(id, tuple))
+    }
+
+    /// [`HeapFile::scan_tuples`], with the row a read decoded from each
+    /// slot and its frame kept, when there is one: a caller that reads a
+    /// few columns takes them from that row and walks the bytes
+    /// ([`crate::Field::of`]) only where there is none. `ids` may come
+    /// in any order; each run of them on one page is read under one
+    /// shared lock. Nothing is decoded, kept or counted as a fetch.
+    pub fn scan_stored<E: From<StorageError>>(
+        &self,
+        ids: &[RowId],
+        mut visit: impl FnMut(RowId, &[u8], Option<&Arc<Row>>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         let npages = self.npages.load(Ordering::Relaxed);
         for run in ids.chunk_by(|a, b| a.page == b.page) {
             if run[0].page >= npages {
@@ -439,8 +452,9 @@ impl HeapFile {
                 );
             }
             let page = self.read(run[0].page)?;
-            run.iter()
-                .try_for_each(|&id| visit(id, page.get(id.slot).map_err(|e| located(e, id))?))?;
+            run.iter().try_for_each(|&id| {
+                visit(id, page.get(id.slot).map_err(|e| located(e, id))?, page.row(id.slot))
+            })?;
         }
         Ok(())
     }
@@ -449,32 +463,57 @@ impl HeapFile {
     /// slot's bytes and kept in its frame once computed; the row is not
     /// decoded. `None` when the column holds a non-geometry.
     pub fn mbr(&self, id: RowId, col: usize) -> Result<Option<[f64; 4]>> {
-        if id.page >= self.npages.load(Ordering::Relaxed) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::RowNotFound { page: id.page, slot: id.slot });
-        }
-        let k = self.geom_cols.iter().position(|&c| c == col);
-        let page = self.read(id.page)?;
-        if let (Some(k), Some(quads)) = (k, page.quads(id.slot)) {
-            return Ok(quads[k]);
-        }
-        // Counted like a fetch: a hit when the slot's row is decoded, a
-        // miss when the quads come from its bytes.
-        let counter = if page.row(id.slot).is_some() { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let Some(k) = k else {
-            page.get(id.slot).map_err(|e| located(e, id))?;
-            return Ok(None);
-        };
-        drop(page);
-        let mut page = self.write(id.page)?;
-        Ok(page.quads(id.slot, &self.geom_cols).map_err(|e| located(e, id))?[k])
+        Ok(self.mbrs(col, &[id])?[0])
     }
 
-    /// Batch MBR gather: one quad per id, in input order — the
-    /// vectorized executor's column-load path.
+    /// [`HeapFile::mbr`] of every id, in input order, a page run at a
+    /// time — the executor's envelope filter and the vectorized filter's
+    /// column gather. Each run of ids on one page is read under one
+    /// shared lock; when a slot of the run has no quads yet, the page's
+    /// exclusive lock is taken once and the run's missing quads are
+    /// computed from their bytes. A slot whose quads are computed is
+    /// counted like a fetch: a hit when its row is decoded, a miss
+    /// otherwise. The first error in input order is the one returned.
     pub fn mbrs(&self, col: usize, ids: &[RowId]) -> Result<Vec<Option<[f64; 4]>>> {
-        ids.iter().map(|&id| self.mbr(id, col)).collect()
+        let npages = self.npages.load(Ordering::Relaxed);
+        let k = self.geom_cols.iter().position(|&c| c == col);
+        let mut out = Vec::with_capacity(ids.len());
+        for run in ids.chunk_by(|a, b| a.page == b.page) {
+            let no = run[0].page;
+            if no >= npages {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return Err(StorageError::RowNotFound { page: no, slot: run[0].slot });
+            }
+            let page = self.read(no)?;
+            let Some(k) = k else {
+                // Not a geometry column: no quad, but the slot must hold a row.
+                for &id in run {
+                    self.count_fetch(page.row(id.slot).is_some());
+                    page.get(id.slot).map_err(|e| located(e, id))?;
+                    out.push(None);
+                }
+                continue;
+            };
+            if run.iter().all(|id| page.quads(id.slot).is_some()) {
+                out.extend(run.iter().filter_map(|id| page.quads(id.slot)).map(|q| q[k]));
+                continue;
+            }
+            drop(page);
+            let mut page = self.write(no)?;
+            for &id in run {
+                if !page.has_quads(id.slot) {
+                    self.count_fetch(page.row(id.slot).is_some());
+                }
+                out.push(page.quads(id.slot, &self.geom_cols).map_err(|e| located(e, id))?[k]);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Counts one read of a slot: a hit when its row is decoded.
+    fn count_fetch(&self, decoded: bool) {
+        let counter = if decoded { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops this heap's decoded rows and quads, keeping its frames —
@@ -807,6 +846,44 @@ mod tests {
         h.get(id).unwrap();
         assert_eq!(h.mbr(id, 0).unwrap(), None);
         assert_eq!(h.stats().cache_misses, misses + 1, "a decoded row's column reads as a hit");
+    }
+
+    #[test]
+    fn a_run_of_mbrs_equals_one_mbr_per_id_and_scan_stored_lends_kept_rows() {
+        let (many, one) =
+            (geom_heap(Arc::new(BufferPool::new())), geom_heap(Arc::new(BufferPool::new())));
+        let mut ids = Vec::new();
+        for i in 0..700i64 {
+            let g = if i % 5 == 0 { Value::Null } else { geom(&format!("POINT ({i} 1)")) };
+            ids.push(many.insert(vec![Value::Int(i), g.clone(), Value::Null]).unwrap());
+            one.insert(vec![Value::Int(i), g, Value::Null]).unwrap();
+        }
+        assert!(many.page_count() > 2);
+        // Out of storage order, repeated, and some rows decoded first.
+        let mut order: Vec<RowId> = ids.iter().rev().step_by(3).copied().collect();
+        order.extend(&ids[..40]);
+        for h in [&many, &one] {
+            h.get_many(&ids[10..20]).unwrap();
+        }
+        for col in [0, 1, 2] {
+            let want: Vec<_> = order.iter().map(|&id| one.mbr(id, col).unwrap()).collect();
+            assert_eq!(many.mbrs(col, &order).unwrap(), want, "column {col}");
+            let (s, t) = (many.stats(), one.stats());
+            assert_eq!((s.cache_hits, s.cache_misses), (t.cache_hits, t.cache_misses));
+        }
+        let gone = RowId { page: many.page_count(), slot: 0 };
+        assert!(many.mbrs(1, &[ids[0], gone]).is_err());
+
+        let mut seen = Vec::new();
+        many.scan_stored(&order, |id, tuple, row| {
+            seen.push((id, tuple.to_vec(), row.is_some()));
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        let stored = |id: &RowId| Value::store_row(&one.get(*id).unwrap());
+        let kept = |id: &RowId| ids[10..20].contains(id);
+        assert_eq!(seen, order.iter().map(|id| (*id, stored(id), kept(id))).collect::<Vec<_>>());
+        assert!(many.scan_stored(&[gone], |_, _, _| Ok::<(), StorageError>(())).is_err());
     }
 
     #[test]

@@ -296,6 +296,11 @@ impl PageWrite<'_> {
         resident(&self.0).rows.get(slot as usize)?.as_ref()
     }
 
+    /// Whether `slot`'s quads are computed ([`PageRead::quads`]).
+    pub(crate) fn has_quads(&self, slot: u16) -> bool {
+        resident(&self.0).quads.get(slot as usize).is_some_and(Option::is_some)
+    }
+
     /// The row in `slot`: the one kept there, or else decoded from the
     /// slot's bytes now and kept from now on.
     pub(crate) fn decode(&mut self, slot: u16) -> Result<Arc<Row>> {

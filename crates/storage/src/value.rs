@@ -282,6 +282,21 @@ impl<'a> Field<'a> {
         Ok(self.envelope()?.as_ref().map(Envelope::quad))
     }
 
+    /// The value this field decodes to: what [`Value::decode_row`]
+    /// builds of its column.
+    ///
+    /// # Errors
+    /// As for [`GeomBytes::decode`], for a geometry.
+    pub fn value(&self) -> Result<Value> {
+        Ok(match *self {
+            Field::Null => Value::Null,
+            Field::Int(i) => Value::Int(i),
+            Field::Float(f) => Value::Float(f),
+            Field::Text(s) => Value::Text(s.to_string()),
+            Field::Geom(g) => Value::Geom(g.decode()?),
+        })
+    }
+
     /// The type of the value this field decodes to; `None` for NULL.
     pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
@@ -380,6 +395,14 @@ mod tests {
         })
         .unwrap();
         assert_eq!(geom, Some(Envelope::new(1.0, 2.0, 1.0, 2.0)));
+        // Each field's value is the decoded row's.
+        let mut values = Vec::new();
+        Field::of(&tuple, &[0, 1, 2, 3, 4], |_, f| {
+            values.push(f.value()?);
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
+        assert_eq!(values, row);
     }
 
     /// [`Value::encode_row`] as it was before geometries were encoded in

@@ -118,6 +118,19 @@ if [ -n "$kept" ]; then
   exit 1
 fi
 
+echo "== a heap read's error is passed on: no .ok() after a heap. call on a non-test line of engine or sqlmini"
+# COUNT(*) over a filter the stored rows decide reads nothing but what
+# the filter reads, so a storage error turned into None there would be
+# a wrong count, not a fallback.
+swallowed=$(for f in crates/engine/src/**/*.rs crates/sqlmini/src/**/*.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /heap\..*\.ok\(\)/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$swallowed" ]; then
+  echo "return the heap's error instead of discarding it; found:"
+  echo "$swallowed"
+  exit 1
+fi
+
 echo "== the docs name what they mean, not a roadmap item (its numbers change at every re-anchor)"
 if grep -nE 'ROADMAP (item|[0-9])' DESIGN.md README.md; then
   echo "DESIGN.md or README.md points at a roadmap item: name the thing instead"

@@ -254,6 +254,51 @@ fn explain_analyze_renders_trace() {
     assert!(db.execute("EXPLAIN ANALYZE DELETE FROM pts").is_err());
 }
 
+/// The counters of an `EXPLAIN ANALYZE` text; a counter it does not
+/// list is zero.
+fn analyzed_counters(db: &Arc<SpatialDb>, sql: &str) -> (Vec<String>, impl Fn(&str) -> u64) {
+    let r = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let lines: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    let counters: Vec<(String, u64)> = lines
+        .iter()
+        .filter_map(|l| {
+            let mut words = l.split_whitespace();
+            (words.next() == Some("counter")).then_some(())?;
+            Some((words.next()?.to_string(), words.next()?.parse().ok()?))
+        })
+        .collect();
+    let get = move |name: &str| counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+    (lines, get)
+}
+
+/// Map browsing (M1) fetches no row: its `COUNT(*)` is decided on the
+/// envelopes the heap keeps, each index candidate a refine candidate.
+/// Geocoding (M2) fetches only the rows its address filter keeps.
+#[test]
+fn explain_analyze_counts_only_the_rows_a_statement_fetches() {
+    let (data, db) = loaded_db();
+    let config = ScenarioConfig { seed: 0xbead, sessions: 1 };
+    let scenarios = all_scenarios(&data, &config);
+    let steps = |id: &str| scenarios.iter().find(|s| s.id == id).unwrap().steps.clone();
+    let mut candidates = 0;
+    for (label, sql) in steps("M1") {
+        let (text, counter) = analyzed_counters(&db, &sql);
+        assert_eq!(counter("heap_rows_fetched"), 0, "{label}: {text:?}");
+        assert_eq!(counter("refine_candidates"), counter("index_candidates"), "{label}: {text:?}");
+        candidates += counter("index_candidates");
+    }
+    assert!(candidates > 0, "no window held a row");
+    let mut found = 0;
+    for (label, sql) in steps("M2") {
+        let rows = db.execute(&sql).unwrap().rows.len() as u64;
+        let (text, counter) = analyzed_counters(&db, &sql);
+        assert_eq!(counter("heap_rows_fetched"), rows, "{label}: {text:?}");
+        assert!(counter("refine_candidates") >= rows, "{label}: {text:?}");
+        found += rows;
+    }
+    assert!(found > 0, "no address was found");
+}
+
 /// WAL counters: with durability attached, every logged statement appends
 /// a record, visible in the per-query trace.
 #[test]

@@ -299,7 +299,8 @@ fn buffer_pool_table_tracks_pool_state() {
 
     db.set_pool_bytes(8 * 1024 * 1024);
     db.clear_caches();
-    db.execute("SELECT COUNT(*) FROM pts").unwrap();
+    // A projection reads every page (a COUNT(*) reads none).
+    db.execute("SELECT id FROM pts").unwrap();
     let r = db.execute("SELECT capacity_frames, cold_pins FROM jp_buffer_pool").unwrap();
     assert_eq!(r.rows[0][0], Value::Int(1024), "8 MiB of 8 KiB frames");
     let Value::Int(cold) = r.rows[0][1] else { panic!("cold_pins must be integer") };
@@ -323,6 +324,35 @@ fn buffer_pool_table_tracks_pool_state() {
     assert_eq!(count(&db, "SELECT COUNT(*) FROM pts WHERE id >= 0"), 20);
     let r = db.execute("SELECT resident_frames FROM jp_buffer_pool").unwrap();
     assert_eq!(r.rows[0][0], Value::Int(1), "and the bound holds between statements");
+}
+
+/// A statement decodes only the rows it returns: a map-browsing count
+/// (`COUNT(*)` under an envelope filter, through the spatial index) and
+/// a count under geocoding's address filter (text and integer
+/// comparisons, through the ordered index) decode none, and geocoding's
+/// projection decodes exactly the rows it returns.
+#[test]
+fn a_statement_decodes_only_the_rows_it_returns() {
+    let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
+    db.execute("CREATE TABLE roads (id BIGINT, name TEXT, zip BIGINT, geom GEOMETRY)").unwrap();
+    for i in 0..40 {
+        let line = format!("ST_GeomFromText('LINESTRING ({i} 0, {i} 5)')");
+        let name = format!("road {}", i % 4);
+        db.execute(&format!("INSERT INTO roads VALUES ({i}, '{name}', {}, {line})", i % 3))
+            .unwrap();
+    }
+    db.create_spatial_index("roads", "geom").unwrap();
+    db.create_ordered_index("roads", "name").unwrap();
+    let decoded = || count(&db, "SELECT decoded_rows FROM jp_buffer_pool");
+    let browse = "SELECT COUNT(*) FROM roads WHERE MBRIntersects(geom, \
+                  ST_MakeEnvelope(2.5, 1, 20.5, 2))";
+    assert_eq!(count(&db, browse), 18);
+    let address = "name = 'road 1' AND zip = 2 AND id >= 4 AND id <= 30";
+    assert_eq!(count(&db, &format!("SELECT COUNT(*) FROM roads WHERE {address}")), 3);
+    assert_eq!(decoded(), 0, "a count decodes no row");
+    let lookup = db.execute(&format!("SELECT id, name, geom FROM roads WHERE {address}")).unwrap();
+    assert_eq!(lookup.rows.len(), 3);
+    assert_eq!(decoded(), 3, "a projection decodes the rows it returns");
 }
 
 /// A reopened engine holds no decoded row: neither the snapshot restore
