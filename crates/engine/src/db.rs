@@ -26,7 +26,7 @@ use std::sync::Arc;
 pub enum EngineError {
     /// SQL front-end error.
     Sql(SqlError),
-    /// Storage error.
+    /// Storage error, one the SQL layer passed on included.
     Storage(StorageError),
     /// Index management error (bad column, wrong type, duplicate index).
     Index(String),
@@ -52,7 +52,10 @@ impl std::error::Error for EngineError {}
 
 impl From<SqlError> for EngineError {
     fn from(e: SqlError) -> Self {
-        EngineError::Sql(e)
+        match e {
+            SqlError::Storage(e) => EngineError::Storage(e),
+            e => EngineError::Sql(e),
+        }
     }
 }
 impl From<StorageError> for EngineError {
@@ -117,9 +120,8 @@ impl SpatialDb {
         }
     }
 
-    /// Sets the intra-query worker count. `0` restores the default
-    /// (available parallelism); `1` forces serial execution. Results are
-    /// bit-identical at any setting — only wall-clock changes.
+    /// Sets the intra-query worker count: `0` restores the default (available parallelism), `1`
+    /// forces serial execution. Results are bit-identical at any setting; only wall-clock changes.
     pub fn set_workers(&self, workers: usize) {
         let w = if workers == 0 { default_workers() } else { workers };
         self.workers.store(w, Ordering::Relaxed);
@@ -159,16 +161,14 @@ impl SpatialDb {
         self.txn.snapshot_pins().iter().map(|(_, readers, _)| readers).sum()
     }
 
-    /// Logically-deleted rows awaiting physical reclaim (diagnostics and
-    /// tests).
+    /// Logically-deleted rows awaiting physical reclaim: diagnostics and tests.
     pub fn pending_reclaim_len(&self) -> usize {
         self.txn.pending_reclaim_len()
     }
 
-    /// Pins the current commit generation for one statement; vacuum
-    /// never reclaims a row any live handle can still see. Readers never
-    /// take the writer lock — pinning is one short mutex on the refcount
-    /// map.
+    /// Pins the current commit generation for one statement; vacuum never reclaims a row any
+    /// live handle can still see. Readers never take the writer lock — pinning is one short
+    /// mutex on the refcount map.
     pub fn pin_snapshot_handle(self: &Arc<Self>) -> Arc<SnapshotGuard> {
         self.txn.pin()
     }
@@ -716,14 +716,15 @@ mod vectorized_tests {
     }
 
     #[test]
-    fn vectorized_filter_populates_batch_counters() {
+    fn spatial_filter_populates_prefilter_counters() {
         let db = db_with_polys();
         let before = db.metrics_snapshot();
         db.execute("SELECT COUNT(*) FROM lots a, lots b WHERE ST_Disjoint(a.geom, b.geom)")
             .unwrap();
         let delta = db.metrics_snapshot().delta_since(&before);
-        assert!(delta.counter("batches_dispatched") > 0, "vectorized path must run");
+        assert_eq!(delta.counter("refine_candidates"), 144, "the spatial loop sees every pair");
         assert!(delta.counter("prefilter_rejects") > 0, "disjoint pairs decided by MBR");
+        assert!(delta.counter("selvec_survivors") > 0, "meeting pairs refined");
         assert_eq!(
             delta.counter("prefilter_rejects") + delta.counter("selvec_survivors"),
             delta.counter("refine_candidates"),

@@ -56,11 +56,10 @@ impl Envelope {
     }
 
     /// The envelope packed as `[min_x, min_y, max_x, max_y]`, the layout
-    /// the vectorized executor's columnar prefilter consumes. An empty
-    /// envelope packs as all-NaN, so the positive-form intersection test
-    /// (`a.min <= b.max && ...`) rejects it, like [`Envelope::intersects`]
-    /// does. The one encoder of that layout: every quad the prefilter
-    /// compares is made here.
+    /// of the MBR quads a heap frame keeps beside its rows. An empty
+    /// envelope packs as all-NaN, which [`Envelope::from_quad`] reads
+    /// back as the empty envelope. The one encoder of that layout: every
+    /// stored quad is made here.
     #[inline]
     pub fn quad(&self) -> [f64; 4] {
         if self.is_empty() {

@@ -9,9 +9,9 @@
 //!   and hit counts, heap rows fetched, WAL appends). The parallel
 //!   equivalence suite asserts exact equality of these across worker
 //!   counts.
-//! * **scheduling-dependent** — plan-cache, morsel, batch and
-//!   group-commit counts, lock waits and stage timings, which
-//!   legitimately vary run to run.
+//! * **scheduling-dependent** — plan-cache, morsel and group-commit
+//!   counts, lock waits and stage timings, which legitimately vary run
+//!   to run.
 
 use crate::counter::Counter;
 use crate::histogram::{Histogram, HistogramSnapshot};
@@ -27,8 +27,8 @@ pub enum Stage {
     Plan,
     /// Spatial/ordered index window or nearest probe.
     IndexProbe,
-    /// Vectorized envelope prefilter over packed MBR columns (the
-    /// batch executor's branch-free reject pass before refinement).
+    /// The spatial filter's envelope rule over each row's two envelopes,
+    /// before refinement.
     Prefilter,
     /// Exact predicate refinement (DE-9IM and friends) over candidates.
     Refine,
@@ -123,11 +123,10 @@ pub const DETERMINISTIC_COUNTERS: [&str; 14] = [
 
 /// Counters whose value depends on scheduling (worker count, cache
 /// state), snapshot-ordered after the deterministic set.
-pub const SCHEDULING_COUNTERS: [&str; 6] = [
+pub const SCHEDULING_COUNTERS: [&str; 5] = [
     "plan_cache_hits",
     "plan_cache_misses",
     "morsels_dispatched",
-    "batches_dispatched",
     "group_commit_batches",
     "group_commit_size",
 ];
@@ -173,17 +172,18 @@ pub struct EngineMetrics {
     /// (envelope reject / shared-point accept) without a full DE-9IM
     /// matrix.
     pub refine_short_circuits: Counter,
-    /// Rows decided by the vectorized envelope prefilter (no refine
-    /// needed). Zero for filters the generic evaluator runs.
+    /// Rows of the spatial filter loop that the envelope rule decided
+    /// (two geometries whose envelopes do not meet), with no refine.
+    /// Zero for filters the generic evaluator runs.
     pub prefilter_rejects: Counter,
-    /// Selection-vector entries that survived the prefilter and entered
-    /// batch refinement. `prefilter_rejects + selvec_survivors ==
-    /// refine_candidates` on vectorized filters.
+    /// Rows of the spatial filter loop that the envelope rule left
+    /// undecided and the refine decided. `prefilter_rejects +
+    /// selvec_survivors == refine_candidates` on that loop's filters.
     pub selvec_survivors: Counter,
-    /// Geometry preparations the vectorized refine reused within a batch
-    /// (a row column already prepared for an earlier pair of the batch).
+    /// Geometry preparations the spatial filter's refine reused within a
+    /// run (a row column already prepared for an earlier row of the run).
     pub prepared_cache_hits: Counter,
-    /// Geometry preparations the vectorized refine built.
+    /// Geometry preparations the spatial filter's refine built.
     pub prepared_cache_misses: Counter,
     /// Heap rows fetched during scans and candidate lookups.
     pub heap_rows_fetched: Counter,
@@ -197,8 +197,6 @@ pub struct EngineMetrics {
     pub plan_cache_misses: Counter,
     /// Morsels run by parallel workers (serial execution runs none).
     pub morsels_dispatched: Counter,
-    /// Batches processed by the vectorized filter path.
-    pub batches_dispatched: Counter,
     /// Fsync batches flushed by the group-commit pipeline (one leader
     /// `sync_data` per batch).
     pub group_commit_batches: Counter,
@@ -266,7 +264,6 @@ impl EngineMetrics {
             "plan_cache_hits" => &self.plan_cache_hits,
             "plan_cache_misses" => &self.plan_cache_misses,
             "morsels_dispatched" => &self.morsels_dispatched,
-            "batches_dispatched" => &self.batches_dispatched,
             "group_commit_batches" => &self.group_commit_batches,
             "group_commit_size" => &self.group_commit_size,
             other => panic!("unknown counter {other:?}"),

@@ -105,9 +105,9 @@ impl QueryTrace {
                 self.counter("index_candidates")
             ));
         }
-        // Vectorized-filter stats: how much of the refine input the
-        // branch-free envelope prefilter decided outright, and how many
-        // selection-vector entries went on to exact refinement.
+        // Spatial-filter stats: how much of the refine input the
+        // envelope rule decided outright, and how many rows went on to
+        // exact refinement.
         let rejects = self.counter("prefilter_rejects");
         let survivors = self.counter("selvec_survivors");
         if rejects + survivors > 0 {
@@ -118,7 +118,7 @@ impl QueryTrace {
             ));
         }
         // Prepared-geometry stats mirror the index-probe summary: how
-        // many preparations the refine built and reused within a batch,
+        // many preparations the refine built and reused within a run,
         // plus how many refine decisions short-circuited before a full
         // DE-9IM matrix.
         let built = self.counter("prepared_cache_misses");

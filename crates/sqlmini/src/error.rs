@@ -1,3 +1,4 @@
+use jackpine_storage::StorageError;
 use std::fmt;
 
 /// Errors from SQL parsing, planning and execution.
@@ -24,8 +25,8 @@ pub enum SqlError {
     /// The function exists but is not supported by the active engine
     /// profile (Jackpine's feature-matrix rows).
     UnsupportedFeature(String),
-    /// Error bubbled up from the storage layer.
-    Storage(String),
+    /// Error bubbled up from the storage layer, as it was raised.
+    Storage(StorageError),
     /// Error bubbled up from geometry or topology computation.
     Geometry(String),
 }
@@ -52,9 +53,9 @@ impl fmt::Display for SqlError {
 
 impl std::error::Error for SqlError {}
 
-impl From<jackpine_storage::StorageError> for SqlError {
-    fn from(e: jackpine_storage::StorageError) -> Self {
-        SqlError::Storage(e.to_string())
+impl From<StorageError> for SqlError {
+    fn from(e: StorageError) -> Self {
+        SqlError::Storage(e)
     }
 }
 

@@ -46,34 +46,22 @@ pub(super) fn eval_const(e: &BoundExpr, mode: FunctionMode) -> Result<Value> {
     eval_view(e, &[][..], mode)
 }
 
-/// The envelope a spatial index scan probes with: the constant query
-/// geometry's, grown by the `ST_DWithin` distance when there is one.
-pub(super) fn probe_envelope(
-    query: &BoundExpr,
-    expand: &Option<BoundExpr>,
-    mode: FunctionMode,
-) -> Result<Envelope> {
-    let v = eval_const(query, mode)?;
-    let g = v
-        .as_geom()
-        .ok_or_else(|| SqlError::Type("spatial index probe must be a geometry".into()))?;
-    Ok(match dwithin_distance(expand, mode)? {
-        Some(d) => g.envelope().expanded_by(d),
-        None => g.envelope(),
-    })
-}
-
-/// The constant `ST_DWithin` distance a probe envelope grows by, if the
-/// probe has one.
-pub(super) fn dwithin_distance(
-    expand: &Option<BoundExpr>,
-    mode: FunctionMode,
-) -> Result<Option<f64>> {
-    let Some(e) = expand else { return Ok(None) };
-    let d = eval_const(e, mode)?
-        .as_f64()
-        .ok_or_else(|| SqlError::Type("DWithin distance must be numeric".into()))?;
-    Ok(Some(d))
+/// The envelope a spatial index probe reads with: the `query`
+/// geometry's, grown by the `ST_DWithin` distance `expand` when there is
+/// one. A `NULL` among them is the empty envelope, which meets no row:
+/// every function is strict, so the filter over the probe would keep
+/// none. `None` when either is of another type: the probe then reads
+/// every row, and the filter raises the function's own error, as it
+/// does over a scan.
+pub(super) fn probe_envelope(query: &Value, expand: Option<&Value>) -> Option<Envelope> {
+    if query.is_null() || expand.is_some_and(Value::is_null) {
+        return Some(Envelope::EMPTY);
+    }
+    let envelope = query.as_geom()?.envelope();
+    match expand {
+        Some(d) => Some(envelope.expanded_by(d.as_f64()?)),
+        None => Some(envelope),
+    }
 }
 
 /// Evaluates a bound expression over any tuple view (materialized slice

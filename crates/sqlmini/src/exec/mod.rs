@@ -18,8 +18,9 @@
 //! One job, one path: `row` holds the late-materialized rows, `eval`
 //! the expression evaluator, `operators` the operators (one access path
 //! for every scan, one keyed sort, one aggregate evaluator) and
-//! `vectorized` the batched spatial filter, which reads its input
-//! through the same access path.
+//! `vectorized` the one spatial filter loop, which reads its input
+//! through the same access path and decides a morsel-sized run of rows
+//! at a time: the envelope rule first, then a prepared refine.
 
 mod eval;
 mod operators;
@@ -29,7 +30,6 @@ mod vectorized;
 pub use eval::{compare_values, eval, eval_view, truthy};
 pub use row::{LazyRow, TupleView};
 
-use crate::batch::DEFAULT_BATCH_SIZE;
 use crate::functions::FunctionMode;
 use crate::plan::{PlanNode, PlannedSelect};
 use crate::provider::{SnapshotHandle, TableProvider};
@@ -40,10 +40,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Rows per morsel, the unit one worker runs at a time: exactly one filter
-/// batch, so batch boundaries are a pure function of row position —
-/// identical at every worker count.
-pub const MORSEL_SIZE: usize = DEFAULT_BATCH_SIZE;
+/// Rows per morsel, the unit one worker runs at a time, and per run of
+/// the spatial filter, whose memo is cleared at every run boundary: a
+/// pure function of row position, identical at every worker count.
+pub const MORSEL_SIZE: usize = 1024;
 
 /// Input rows at or below which dispatch stays serial, regardless of the
 /// worker setting: thread spawn plus result stitching costs more than
@@ -199,33 +199,15 @@ impl ExecCtx {
         I: Sync,
         O: Send,
     {
-        self.parallel_morsels_indexed(items, |_, chunk| f(chunk))
-    }
-
-    /// [`parallel_morsels`](Self::parallel_morsels), with the morsel's
-    /// global item offset passed to `f` — the vectorized filter uses it
-    /// to index pre-gathered MBR columns.
-    fn parallel_morsels_indexed<I, O>(
-        &self,
-        items: &[I],
-        f: impl Fn(usize, &[I]) -> Result<Vec<O>> + Sync,
-    ) -> Result<Vec<O>>
-    where
-        I: Sync,
-        O: Send,
-    {
         if self.workers <= 1 || items.len() <= MIN_PARALLEL_ROWS {
-            return f(0, items);
+            return f(items);
         }
         let morsels: Vec<&[I]> = items.chunks(MORSEL_SIZE).collect();
         let n = self.workers.min(morsels.len());
         // Every morsel runs, an error in one or not.
         self.metrics.morsels_dispatched.add(morsels.len() as u64);
         let share = |w: usize| -> Vec<(usize, Result<Vec<O>>)> {
-            (w..morsels.len())
-                .step_by(n)
-                .map(|idx| (idx, f(idx * MORSEL_SIZE, morsels[idx])))
-                .collect()
+            (w..morsels.len()).step_by(n).map(|idx| (idx, f(morsels[idx]))).collect()
         };
         let mut results = std::thread::scope(|scope| {
             let share = &share;

@@ -2,10 +2,8 @@
 //! filters over it that the stored rows decide, one keyed sort for
 //! `Sort` and `GROUP BY`, one aggregate evaluator.
 
-use super::eval::{
-    compare_values, dwithin_distance, eval_const, eval_view, probe_envelope, truthy,
-};
-use super::vectorized::vectorized_filter;
+use super::eval::{compare_values, eval_const, eval_view, probe_envelope, truthy};
+use super::vectorized::{spatial_filter, spatial_shape, Operand};
 use super::{ExecCtx, LazyRow, MAX_CAPACITY_HINT};
 use crate::functions::{mbr_predicate, FunctionMode};
 use crate::plan::{AggExpr, AggOutput, BoundExpr, PlanNode};
@@ -33,8 +31,8 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
         | PlanNode::OrderedIndexScan { .. }
         | PlanNode::KnnScan { .. } => unreachable!("every scan is read through `access`"),
         PlanNode::Filter { input, predicate } => {
-            if let Some(shape) = ctx.spatial_shape(predicate) {
-                return vectorized_filter(input, predicate, shape, ctx);
+            if let Some(shape) = spatial_shape(predicate, mode) {
+                return spatial_filter(input, predicate, shape, ctx);
             }
             // Not a recognized spatial shape: the generic evaluator
             // decides every row.
@@ -72,22 +70,20 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
         PlanNode::SpatialIndexJoin { left, right, right_col, probe, expand } => {
             let right = ctx.src(right);
             let l = run(left, ctx)?;
-            let expand_by = dwithin_distance(expand, mode)?.unwrap_or(0.0);
+            let expand = expand.as_ref().map(|d| eval_const(d, mode)).transpose()?;
             ctx.parallel_morsels(&l, |chunk| {
                 let t0 = Instant::now();
                 let mut out = Vec::new();
                 for lr in chunk {
                     let g = eval_view(probe, lr, mode)?;
-                    let Some(geom) = g.as_geom() else {
+                    if g.is_null() {
                         continue; // NULL geometry joins nothing
-                    };
-                    let env = geom.envelope().expanded_by(expand_by);
-                    let ids = match right.spatial_candidates(*right_col, &env) {
-                        Some(ids) => ids,
-                        // No index after all: degenerate to scanning the
-                        // right table for this probe.
-                        None => right.row_ids(),
-                    };
+                    }
+                    let probed = probe_envelope(&g, expand.as_ref())
+                        .and_then(|env| right.spatial_candidates(*right_col, &env));
+                    // No index after all, or no envelope to probe with:
+                    // degenerate to scanning the right table for this row.
+                    let ids = probed.unwrap_or_else(|| right.row_ids());
                     for row in right.fetch_many(&ids)? {
                         out.push(lr.join_handle(row));
                     }
@@ -153,8 +149,12 @@ pub(super) fn access<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Option<
         PlanNode::Scan { table } => (ctx.src(table), None),
         PlanNode::SpatialIndexScan { table, col, query, expand } => {
             let table = ctx.src(table);
-            let env = probe_envelope(query, expand, mode)?;
-            (table, ctx.stage_if_some(Stage::IndexProbe, || table.spatial_candidates(*col, &env)))
+            let query = eval_const(query, mode)?;
+            let expand = expand.as_ref().map(|d| eval_const(d, mode)).transpose()?;
+            let probed = probe_envelope(&query, expand.as_ref()).and_then(|env| {
+                ctx.stage_if_some(Stage::IndexProbe, || table.spatial_candidates(*col, &env))
+            });
+            (table, probed)
         }
         PlanNode::OrderedIndexScan { table, col, key } => {
             let table = ctx.src(table);
@@ -229,16 +229,12 @@ impl Stored {
             |c: usize| schema.columns().get(c).is_some_and(|d| d.ty == DataType::Geometry);
         if let BoundExpr::Func { func, args } = predicate {
             if let (Some(kind), [a, b]) = (func.envelope_test(mode), args.as_slice()) {
-                let (col, e, col_first) = match (a, b) {
-                    (BoundExpr::Column(col), e) if geometry(*col) => (*col, e, true),
-                    (e, BoundExpr::Column(col)) if geometry(*col) => (*col, e, false),
+                let (col, g, col_first) = match (Operand::of(a, mode)?, Operand::of(b, mode)?) {
+                    (Operand::Column(col), Operand::Constant(g)) if geometry(col) => (col, g, true),
+                    (Operand::Constant(g), Operand::Column(col)) if geometry(col) => {
+                        (col, g, false)
+                    }
                     _ => return None,
-                };
-                // A constant that fails to evaluate, or is no geometry,
-                // is left to the generic path, which raises the error
-                // per row, or not at all over no rows.
-                let Some(Ok(Value::Geom(g))) = e.is_constant().then(|| eval_const(e, mode)) else {
-                    return None;
                 };
                 return Some(Stored::Envelope { kind, col, constant: g.envelope(), col_first });
             }

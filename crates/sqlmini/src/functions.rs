@@ -196,6 +196,12 @@ const NAMES: [(Func, &str); 52] = [
 ];
 
 impl Func {
+    /// Every function, the named predicates first: the registry
+    /// [`Func::from_name`] resolves names in.
+    pub fn all() -> impl Iterator<Item = Func> {
+        PredicateKind::ALL.into_iter().map(Func::Predicate).chain(NAMES.iter().map(|&(f, _)| f))
+    }
+
     /// Resolves a SQL function name written in any case: the one place
     /// a function name is case-folded. `None` for a name no function
     /// has; the aggregates are the planner's, not functions.
@@ -252,11 +258,15 @@ impl Func {
     }
 
     /// Whether the planner can serve a call with a spatial-index filter
-    /// step: `ST_DWithin` and every predicate but disjointness, whose
-    /// candidates an intersection-style index cannot narrow.
-    pub(crate) fn is_index_filter(self) -> bool {
+    /// step: `ST_DWithin`, and every predicate the envelope rule
+    /// ([`PredicateKind::on_disjoint_envelopes`]) makes false for
+    /// geometries whose envelopes do not meet, which are the rows an
+    /// index skips.
+    pub fn is_index_filter(self) -> bool {
         match self {
-            Func::Predicate(kind) | Func::Mbr(kind) => kind != PredicateKind::Disjoint,
+            Func::Predicate(kind) | Func::Mbr(kind) => {
+                kind.on_disjoint_envelopes(&Envelope::EMPTY, &Envelope::EMPTY) == Some(false)
+            }
             Func::DWithin => true,
             _ => false,
         }
@@ -486,27 +496,27 @@ pub fn call(mode: FunctionMode, func: Func, args: &[Value]) -> Result<Value> {
 
 /// MBR-approximate evaluation of a named predicate (the MySQL-era
 /// semantics: correct for rectangles, a superset/approximation for real
-/// shapes).
+/// shapes), behind the envelope rule the exact predicates apply
+/// ([`PredicateKind::on_disjoint_envelopes`]): envelopes that do not
+/// meet, an empty one among them, satisfy Disjoint alone, so a scan
+/// answers as an index probe does.
 pub(crate) fn mbr_predicate(kind: PredicateKind, a: &Envelope, b: &Envelope) -> bool {
+    if let Some(value) = kind.on_disjoint_envelopes(a, b) {
+        return value;
+    }
     match kind {
         PredicateKind::Equals => a == b,
-        PredicateKind::Disjoint => !a.intersects(b),
-        PredicateKind::Intersects => a.intersects(b),
+        PredicateKind::Disjoint => false,
+        PredicateKind::Intersects => true,
         PredicateKind::Within => b.contains_envelope(a),
         PredicateKind::Contains => a.contains_envelope(b),
-        PredicateKind::Touches => {
-            // Rectangles touch when they meet only along their boundary.
-            match a.intersection(b) {
-                Some(i) => i.area() == 0.0,
-                None => false,
-            }
-        }
+        // Rectangles touch when they meet only along their boundary.
+        PredicateKind::Touches => a.intersection(b).is_some_and(|i| i.area() == 0.0),
+        // Interiors intersect, neither contains the other.
         PredicateKind::Overlaps | PredicateKind::Crosses => {
-            // Interiors intersect, neither contains the other.
-            match a.intersection(b) {
-                Some(i) => i.area() > 0.0 && !a.contains_envelope(b) && !b.contains_envelope(a),
-                None => false,
-            }
+            a.intersection(b).is_some_and(|i| i.area() > 0.0)
+                && !a.contains_envelope(b)
+                && !b.contains_envelope(a)
         }
         PredicateKind::Covers | PredicateKind::CoveredBy => false,
     }

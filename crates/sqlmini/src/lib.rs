@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod batch;
 mod error;
 pub mod exec;
 pub mod fingerprint;

@@ -4,7 +4,7 @@
 use super::bind::{bind, referenced_tables, BoundTable, Layout};
 use super::{aggregates, BoundExpr, PlanNode, PlanOptions};
 use crate::ast::{BinOp, Expr, Select};
-use crate::functions::Func;
+use crate::functions::{Func, FunctionMode};
 use crate::Result;
 
 /// Chooses the base access path for one table given its single-table
@@ -50,7 +50,7 @@ pub(super) fn choose_access(
     if opts.use_spatial_index {
         for f in filters {
             if let Some((func, args)) = call_of(f) {
-                if func.is_index_filter() && args.len() >= 2 {
+                if index_filter(func, opts.mode) && args.len() >= 2 {
                     for (col_side, const_side) in [(&args[0], &args[1]), (&args[1], &args[0])] {
                         if let Some(col) = table_geometry_column(col_side, t_idx, t, layout)? {
                             let bound_const = bind(const_side, layout);
@@ -135,11 +135,12 @@ pub(super) fn spatial_join_form<'a>(
     layout: &Layout,
     covered: &[usize],
     right_idx: usize,
+    mode: FunctionMode,
 ) -> Result<Option<(&'a Expr, &'a Expr)>> {
     let Some((func, args)) = call_of(f) else {
         return Ok(None);
     };
-    if !func.is_index_filter() || args.len() < 2 {
+    if !index_filter(func, mode) || args.len() < 2 {
         return Ok(None);
     }
     let right = &layout.tables[right_idx];
@@ -165,6 +166,14 @@ pub(super) fn dwithin_distance(f: &Expr, layout: &Layout) -> Result<Option<Bound
         }
     }
     Ok(None)
+}
+
+/// Whether a call of `func` may be served with a spatial-index filter
+/// step in `mode`. A function the profile lacks is planned as a scan:
+/// its call fails on the first row, where a probe that found no
+/// candidate would answer no rows.
+fn index_filter(func: Func, mode: FunctionMode) -> bool {
+    func.is_index_filter() && func.available_in(mode)
 }
 
 /// The function `e` calls and its arguments, when `e` is a call of a

@@ -343,7 +343,9 @@ pub fn plan_select(
                 if applied_multi[mi] {
                     continue;
                 }
-                if let Some((probe, right_col)) = spatial_join_form(f, &layout, &covered, t_idx)? {
+                if let Some((probe, right_col)) =
+                    spatial_join_form(f, &layout, &covered, t_idx, opts.mode)?
+                {
                     spatial_join = Some((mi, probe, right_col));
                     break;
                 }

@@ -55,13 +55,14 @@ pub trait TableProvider: Send + Sync {
     /// and the caller must read the whole table.
     fn nearest(&self, col: usize, query: Coord, k: usize) -> Option<Vec<RowId>>;
 
-    /// Packed MBR quads (`[min_x, min_y, max_x, max_y]`, NaN bounds for
-    /// empty geometries, `None` per row for non-geometry values) of
-    /// column `col` for each id, in input order — read off what the
-    /// table stores, without fetching a row: the executor's envelope
-    /// filter and the vectorized filter's column gather. `Ok(None)` (the
-    /// default) when the provider has no such store; the executor then
-    /// reads the envelopes off fetched rows.
+    /// Packed MBR quads ([`Envelope::quad`]: NaN bounds for empty
+    /// geometries; `None` per row for non-geometry values) of column
+    /// `col` for each id, in input order — read off what the table
+    /// stores, without fetching a row: the envelopes the access path's
+    /// envelope filter decides on, and those the spatial filter loop
+    /// passes through the envelope rule for a scanned table. `Ok(None)`
+    /// (the default) when the provider has no such store; the executor
+    /// then reads the envelopes off fetched rows.
     fn fetch_mbrs(&self, _col: usize, _ids: &[RowId]) -> Result<Option<Vec<Option<[f64; 4]>>>> {
         Ok(None)
     }

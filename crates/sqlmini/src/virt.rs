@@ -18,7 +18,7 @@
 use crate::provider::TableProvider;
 use crate::{Result, SqlError};
 use jackpine_geom::{Coord, Envelope};
-use jackpine_storage::{Row, RowId, Schema, Value};
+use jackpine_storage::{Row, RowId, Schema, StorageError, Value};
 use std::sync::Arc;
 
 /// A read-only table materialized from in-memory rows.
@@ -76,7 +76,7 @@ impl TableProvider for VirtualTable {
         self.rows
             .get(Self::index_of(id))
             .cloned()
-            .ok_or_else(|| SqlError::Storage(format!("virtual row {id:?} out of range")))
+            .ok_or(SqlError::Storage(StorageError::RowNotFound { page: id.page, slot: id.slot }))
     }
 
     fn spatial_candidates(&self, _col: usize, _env: &Envelope) -> Option<Vec<RowId>> {

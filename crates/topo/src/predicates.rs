@@ -4,7 +4,7 @@
 
 use crate::matrix::IntersectionMatrix;
 use crate::{relate, Result};
-use jackpine_geom::{Dimension, Geometry};
+use jackpine_geom::{Dimension, Envelope, Geometry};
 
 /// The ten named predicates, as data — so callers (the SQL layer, the
 /// prepared-geometry evaluator) can route a predicate by value instead
@@ -58,6 +58,19 @@ impl PredicateKind {
     pub fn sql_name(self) -> &'static str {
         SQL_NAMES[self as usize]
     }
+
+    /// The envelope rule, the one place it is written: when the
+    /// envelopes `a` and `b` of two geometries do not meet (an empty
+    /// envelope meets nothing), only Disjoint holds, whatever the
+    /// geometries are, so the answer is `Some` without looking at them.
+    /// `None` when the envelopes meet and the predicate itself decides.
+    /// [`holds`], [`crate::evaluate`], the SQL layer's envelope
+    /// predicates and its spatial filter apply it first; an index,
+    /// which returns no row whose envelope misses its window, serves
+    /// exactly the predicates it answers `false` for.
+    pub fn on_disjoint_envelopes(self, a: &Envelope, b: &Envelope) -> Option<bool> {
+        (!a.intersects(b)).then_some(self == PredicateKind::Disjoint)
+    }
 }
 
 /// The upper-cased SQL name of each predicate of [`PredicateKind::ALL`],
@@ -75,13 +88,13 @@ pub const SQL_NAMES: [&str; 10] = [
     "ST_COVEREDBY",
 ];
 
-/// Evaluates `kind` naively, behind the envelope rule the SQL layer and
-/// [`crate::evaluate`] share: disjoint envelopes decide every predicate
-/// (only Disjoint is true) without touching the operands, unsupported
-/// ones included; otherwise the named predicate below decides.
+/// Evaluates `kind` naively, behind the envelope rule
+/// ([`PredicateKind::on_disjoint_envelopes`]): disjoint envelopes decide
+/// every predicate without touching the operands, unsupported ones
+/// included; otherwise the named predicate below decides.
 pub fn holds(kind: PredicateKind, a: &Geometry, b: &Geometry) -> Result<bool> {
-    if !a.envelope().intersects(&b.envelope()) {
-        return Ok(kind == PredicateKind::Disjoint);
+    if let Some(value) = kind.on_disjoint_envelopes(&a.envelope(), &b.envelope()) {
+        return Ok(value);
     }
     let predicate = match kind {
         PredicateKind::Equals => equals,
@@ -217,6 +230,21 @@ mod tests {
     const SQ_FAR: &str = "POLYGON ((5 5, 6 5, 6 6, 5 6, 5 5))";
     const SQ_INNER: &str = "POLYGON ((0.5 0.5, 1.5 0.5, 1.5 1.5, 0.5 1.5, 0.5 0.5))";
     const SQ_EDGE: &str = "POLYGON ((2 0, 4 0, 4 2, 2 2, 2 0))";
+
+    #[test]
+    fn the_envelope_rule_decides_disjoint_envelopes_only() {
+        let (a, b) = (Envelope::new(0.0, 0.0, 1.0, 1.0), Envelope::new(2.0, 2.0, 3.0, 3.0));
+        let corner = Envelope::new(1.0, 1.0, 2.0, 2.0);
+        for kind in PredicateKind::ALL {
+            let apart = Some(kind == PredicateKind::Disjoint);
+            assert_eq!(kind.on_disjoint_envelopes(&a, &b), apart, "{kind:?}");
+            // An empty envelope meets nothing, itself included.
+            assert_eq!(kind.on_disjoint_envelopes(&a, &Envelope::EMPTY), apart, "{kind:?}");
+            assert_eq!(kind.on_disjoint_envelopes(&Envelope::EMPTY, &Envelope::EMPTY), apart);
+            // Touching corners meet: the predicate decides.
+            assert_eq!(kind.on_disjoint_envelopes(&a, &corner), None, "{kind:?}");
+        }
+    }
 
     #[test]
     fn equals_pred() {

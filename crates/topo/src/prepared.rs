@@ -224,9 +224,9 @@ pub struct PredicateOutcome {
 /// Evaluates a named predicate over prepared operands.
 ///
 /// Produces the same value (and the same errors) as the naive
-/// [`holds`](crate::holds): the unconditional envelope gate below is
-/// its envelope rule, and every further short-circuit is a sound
-/// decision of the predicate itself.
+/// [`holds`](crate::holds): both apply the envelope rule
+/// ([`PredicateKind::on_disjoint_envelopes`]) first, and every further
+/// short-circuit is a sound decision of the predicate itself.
 pub fn evaluate(
     kind: PredicateKind,
     a: &PreparedGeometry,
@@ -234,9 +234,8 @@ pub fn evaluate(
 ) -> Result<PredicateOutcome> {
     let sc = |value| Ok(PredicateOutcome { value, short_circuit: true });
 
-    // `holds`'s envelope rule.
-    if !a.env.intersects(&b.env) {
-        return sc(kind == PredicateKind::Disjoint);
+    if let Some(value) = kind.on_disjoint_envelopes(&a.env, &b.env) {
+        return sc(value);
     }
 
     // Further short-circuits need decomposed shapes; gate them on both

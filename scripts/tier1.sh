@@ -54,6 +54,20 @@ if [ "$(echo "$crosses" | grep -c .)" -ne 1 ] || [[ "$crosses" != crates/topo/sr
   exit 1
 fi
 
+echo "== the envelope rule is written once: \"== PredicateKind::Disjoint\" on one non-test line, in topo"
+# PredicateKind::on_disjoint_envelopes (crates/topo/src/predicates.rs)
+# spells it: topo::holds, topo::evaluate, the SQL layer's envelope
+# predicates, its spatial filter and Func::is_index_filter all ask it,
+# so a scan and an index probe cannot drift apart again.
+rule=$(for f in crates/*/src/**/*.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /== PredicateKind::Disjoint/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ "$(echo "$rule" | grep -c .)" -ne 1 ] || [[ "$rule" != crates/topo/src/* ]]; then
+  echo "the envelope rule must be spelled once outside tests, in crates/topo/src; found:"
+  echo "$rule"
+  exit 1
+fi
+
 echo "== SQL functions are resolved once, at bind: no function name on a non-test line of sqlmini outside functions.rs"
 # Func::from_name (crates/sqlmini/src/functions.rs) is the one place a
 # function name is case-folded; the binder stores the Func it returns,

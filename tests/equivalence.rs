@@ -7,11 +7,10 @@
 //! spelled `pred(a, b) = 1`. That spelling makes the predicate a
 //! comparison rather than a recognised spatial shape, so it plans as a
 //! `Filter` over the generic evaluator and naive `topo::relate` (no
-//! envelope prefilter, no prepared geometry, no batch: the counters pin
-//! that). The **matrix** ([`LANES`]) is the batch-filter spelling and,
-//! with it, workers {2, 4} × pool {8 MiB, 64 KiB} with the caches
-//! dropped, the caches dropped alone, the index on, `ExactGrid` and
-//! `MbrOnly`.
+//! spatial filter loop, no prepared geometry: the counters pin that).
+//! The **matrix** ([`LANES`]) is the spatial-filter spelling and, with
+//! it, workers {2, 4} × pool {8 MiB, 64 KiB} with the caches dropped,
+//! the caches dropped alone, the index on, `ExactGrid` and `MbrOnly`.
 //!
 //! Every configuration runs two corpora, each loaded once per engine:
 //! the TIGER micro and macro statements, and the snapped shape corpus of
@@ -25,7 +24,7 @@
 //! MBR evaluation can only add rows. Configurations that share a
 //! profile, an index position and a spelling report the same
 //! deterministic counters, and the counters that tell the generic and
-//! batch refine paths apart hold their identities.
+//! spatial-filter refine paths apart hold their identities.
 //!
 //! The shape corpus also has an independent oracle: a double loop over
 //! its geometries with `topo`'s predicates behind the envelope test, and
@@ -90,25 +89,25 @@ const REFERENCE: Config = Config {
     generic: true,
 };
 
-const BATCH: Config = Config { name: "batch filter", generic: false, ..REFERENCE };
+const SPATIAL: Config = Config { name: "spatial filter", generic: false, ..REFERENCE };
 
-const COLD: Config = Config { name: "cold", cold: true, ..BATCH };
+const COLD: Config = Config { name: "cold", cold: true, ..SPATIAL };
 
 /// Every configuration, by the engine that runs it: each lane loads its
 /// own engine and runs its configurations in order on a thread of its
-/// own. The reference and the batch filter come first. The pool lane
+/// own. The reference and the spatial filter come first. The pool lane
 /// goes unbounded → 8 MiB → eight frames → 8 MiB → eight frames, so the
 /// index leaves spill and respill.
 const LANES: [&[Config]; 4] = [
-    &[REFERENCE, BATCH, COLD, Config { name: "index on", index: true, ..BATCH }],
+    &[REFERENCE, SPATIAL, COLD, Config { name: "index on", index: true, ..SPATIAL }],
     &[
         Config { name: "workers 2, pool 8 MiB", workers: 2, pool_bytes: 8 * MIB, ..COLD },
         Config { name: "workers 2, pool 64 KiB", workers: 2, pool_bytes: TINY, ..COLD },
         Config { name: "workers 4, pool 8 MiB", workers: 4, pool_bytes: 8 * MIB, ..COLD },
         Config { name: "workers 4, pool 64 KiB", workers: 4, pool_bytes: TINY, ..COLD },
     ],
-    &[Config { name: "ExactGrid", profile: EngineProfile::ExactGrid, index: true, ..BATCH }],
-    &[Config { name: "MbrOnly", profile: EngineProfile::MbrOnly, index: true, ..BATCH }],
+    &[Config { name: "ExactGrid", profile: EngineProfile::ExactGrid, index: true, ..SPATIAL }],
+    &[Config { name: "MbrOnly", profile: EngineProfile::MbrOnly, index: true, ..SPATIAL }],
 ];
 
 /// One statement of a corpus.
@@ -147,8 +146,6 @@ struct Run {
     /// Deterministic counters summed over the statements that succeeded
     /// (an error stops each worker at a point that depends on timing).
     counters: BTreeMap<&'static str, u64>,
-    /// Batches the batch filter dispatched, over every statement.
-    batches: u64,
     /// Morsels dispatched to the workers, over every statement.
     morsels: u64,
     /// Pages the pool faulted in, over every statement.
@@ -197,7 +194,7 @@ fn run(db: &Arc<SpatialDb>, config: &Config, statements: &[Statement]) -> Run {
     }
     let pool_before = db.pool_stats();
     let mut counters = BTreeMap::new();
-    let (mut batches, mut morsels) = (0, 0);
+    let mut morsels = 0;
     let mut answers = Vec::with_capacity(statements.len());
     let mut before = db.metrics_snapshot();
     for s in statements {
@@ -206,7 +203,6 @@ fn run(db: &Arc<SpatialDb>, config: &Config, statements: &[Statement]) -> Run {
         let after = db.metrics_snapshot();
         let delta = after.delta_since(&before);
         before = after;
-        batches += delta.counter("batches_dispatched");
         morsels += delta.counter("morsels_dispatched");
         if answer.is_ok() {
             for (name, n) in delta.deterministic_counters() {
@@ -216,7 +212,7 @@ fn run(db: &Arc<SpatialDb>, config: &Config, statements: &[Statement]) -> Run {
         answers.push(answer);
     }
     let cold_pins = db.pool_stats().cold_pins - pool_before.cold_pins;
-    Run { answers, counters, batches, morsels, cold_pins }
+    Run { answers, counters, morsels, cold_pins }
 }
 
 /// Rows as text, sorted, floats at nine significant digits (the
@@ -276,7 +272,7 @@ fn compare(config: &Config, s: &Statement, want: &Answer, have: &Answer) -> bool
 /// once, and each test checks a part of it.
 struct Matrix {
     statements: Vec<Statement>,
-    /// The reference's run first, then the batch filter's.
+    /// The reference's run first, then the spatial filter's.
     runs: Vec<(Config, Run)>,
 }
 
@@ -306,7 +302,7 @@ impl Matrix {
         &self.runs[0].1
     }
 
-    fn batch(&self) -> &Run {
+    fn spatial(&self) -> &Run {
         &self.runs[1].1
     }
 
@@ -358,21 +354,27 @@ impl Matrix {
     }
 
     /// The counters that tell the two refine paths apart: the reference
-    /// never runs the batch filter, both count the same refines, and the
-    /// batch filter prefilters and reuses its preparations.
+    /// never runs the spatial filter loop (every row the loop sees is
+    /// counted a reject or a survivor), both count the same refines, and
+    /// the loop applies the envelope rule and reuses its preparations.
     fn check_refine_counters(&self) {
-        let (reference, batch) = (self.reference(), self.batch());
-        assert_eq!(reference.batches, 0, "the reference ran the batch filter");
-        for batch_only in ["prefilter_rejects", "prepared_cache_hits", "prepared_cache_misses"] {
-            assert_eq!(reference.counter(batch_only), 0, "the reference counted {batch_only}");
+        let (reference, spatial) = (self.reference(), self.spatial());
+        let loop_only = [
+            "prefilter_rejects",
+            "selvec_survivors",
+            "prepared_cache_hits",
+            "prepared_cache_misses",
+        ];
+        for name in loop_only {
+            assert_eq!(reference.counter(name), 0, "the reference counted {name}");
         }
         for shared in ["refine_candidates", "refine_hits"] {
-            assert_eq!(reference.counter(shared), batch.counter(shared), "{shared} differs");
+            assert_eq!(reference.counter(shared), spatial.counter(shared), "{shared} differs");
         }
-        assert!(batch.counter("prefilter_rejects") > 0, "the corpus must exercise the prefilter");
+        assert!(spatial.counter("prefilter_rejects") > 0, "the corpus must exercise the rule");
         assert!(
-            batch.counter("prepared_cache_hits") > 0,
-            "a join must reuse its inner preparations within a batch"
+            spatial.counter("prepared_cache_hits") > 0,
+            "a join must reuse its inner preparations within a run"
         );
     }
 }
@@ -423,10 +425,10 @@ fn every(_: usize) -> bool {
     true
 }
 
-/// The batch-filter spelling, on the micro and the macro statements.
+/// The spatial-filter spelling, on the micro and the macro statements.
 #[test]
 fn micro_suites_identical_across_paths() {
-    tiger_matrix().1.check(every, |c| c.name == BATCH.name);
+    tiger_matrix().1.check(every, |c| c.name == SPATIAL.name);
 }
 
 #[test]
@@ -479,13 +481,13 @@ fn deterministic_counters_equal_across_worker_counts() {
 #[test]
 fn deterministic_counters_stable_across_batch_shapes() {
     tiger_matrix().1.check_refine_counters();
-    let batch = shape_corpus().matrix.batch();
+    let spatial = shape_corpus().matrix.spatial();
     // Every shape statement is a spatial filter: each candidate the
-    // batch filter sees is either decided on its MBR or refined.
+    // loop sees is either decided by the envelope rule or refined.
     assert_eq!(
-        batch.counter("prefilter_rejects") + batch.counter("selvec_survivors"),
-        batch.counter("refine_candidates"),
-        "every batch candidate is either MBR-decided or refined"
+        spatial.counter("prefilter_rejects") + spatial.counter("selvec_survivors"),
+        spatial.counter("refine_candidates"),
+        "every candidate is either decided by the envelope rule or refined"
     );
     shape_corpus().matrix.check_refine_counters();
 }
@@ -573,7 +575,7 @@ impl Ask {
 }
 
 /// The shape corpus's statements: every named predicate as a self-join
-/// of `shapes` (4,225 ordered pairs: four whole 1,024-row batches and a
+/// of `shapes` (4,225 ordered pairs: four whole 1,024-row runs and a
 /// ragged tail, past the executor's serial cutoff) and as a filter of
 /// `shapes` against every probe; three filters of `field`, whose lattice
 /// spreads a filter over a scan across morsels; over `poisoned`,
@@ -644,7 +646,7 @@ fn shape_corpus() -> &'static ShapeCorpus {
         let pairs = rows.len().pow(2);
         assert!(
             pairs > MIN_PARALLEL_ROWS && !pairs.is_multiple_of(1024),
-            "{pairs} pairs must split over workers and batch raggedly"
+            "{pairs} pairs must split over workers and runs raggedly"
         );
         let asks = shape_asks();
         let statements = asks.iter().map(|a| a.statement()).collect();

@@ -1,0 +1,88 @@
+//! An index probe answers as a scan does. Every function the planner
+//! may serve with a spatial-index filter step (`Func::is_index_filter`),
+//! taken from the function registry so that a later index-eligible
+//! function is covered without a new line, is called in both argument
+//! orders against a window, the empty geometry, a point, `NULL` and a
+//! number (and `ST_DWithin` at a `NULL` distance too), over the shape
+//! corpus (its empty geometry and `NULL`s included) and over an empty
+//! table. Each statement must give the same rows, in any order, or the
+//! same error, with the spatial index on and off, in `ExactRtree`,
+//! `ExactGrid` and `MbrOnly`.
+
+mod common;
+
+use common::shapes;
+use jackpine::engine::{EngineProfile, SpatialDb};
+use jackpine::sql::functions::Func;
+use std::sync::Arc;
+
+/// The constants each function is called against.
+fn constants() -> [String; 5] {
+    [
+        "ST_MakeEnvelope(0, 0, 5, 5)".into(),
+        format!("ST_GeomFromText('{}')", shapes::EMPTY),
+        "ST_GeomFromText('POINT (3 4)')".into(),
+        "NULL".into(),
+        "5".into(),
+    ]
+}
+
+/// Every index-eligible function against every constant, both ways,
+/// over `table`.
+fn statements(table: &str) -> Vec<String> {
+    let mut all = Vec::new();
+    for f in Func::all().filter(|f| f.is_index_filter()) {
+        // `ST_DWithin` takes a distance after its two geometries.
+        let tails: &[&str] = if f == Func::DWithin { &[", 1.5", ", NULL"] } else { &[""] };
+        let name = f.name();
+        for c in constants() {
+            for tail in tails {
+                all.push(format!("SELECT id FROM {table} WHERE {name}(geom, {c}{tail})"));
+                all.push(format!("SELECT id FROM {table} WHERE {name}({c}, geom{tail})"));
+            }
+        }
+    }
+    all
+}
+
+#[test]
+fn an_index_probe_answers_as_a_scan_does() {
+    let statements = [statements("shapes"), statements("nothing")].concat();
+    assert!(statements.len() >= 2 * 16 * 10, "{} statements", statements.len());
+    let rows = shapes::shape_rows(&mut common::test_rng("index filters"));
+    let (mut differ, mut found, mut probed) = (Vec::new(), 0, 0);
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid, EngineProfile::MbrOnly] {
+        let db = Arc::new(SpatialDb::new(profile));
+        shapes::create_tables(&db, &rows);
+        db.execute("CREATE TABLE nothing (id BIGINT, geom GEOMETRY)").unwrap();
+        db.create_spatial_index("nothing", "geom").unwrap();
+        for sql in &statements {
+            let mut answer = |index: bool| {
+                db.set_use_spatial_index(index);
+                let (answer, probes) = match db.execute_traced(sql) {
+                    Ok((rs, trace)) => (Ok(rs), trace.counter("index_probes")),
+                    Err(e) => (Err(e.to_string()), 0),
+                };
+                probed += usize::from(index && probes > 0);
+                answer.map(|rs| {
+                    let mut ids: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
+                    ids.sort();
+                    ids
+                })
+            };
+            let (off, on) = (answer(false), answer(true));
+            found += off.as_ref().map_or(0, Vec::len);
+            if off != on {
+                differ.push(format!("{}: {sql}\n  off: {off:?}\n  on:  {on:?}", profile.name()));
+            }
+        }
+    }
+    assert!(
+        differ.is_empty(),
+        "{} statements answer differently with the index on:\n{}",
+        differ.len(),
+        differ.join("\n")
+    );
+    assert!(found > 0, "no statement found a row");
+    assert!(probed > statements.len(), "only {probed} statements probed the index");
+}

@@ -68,7 +68,6 @@ fn counter_names_are_golden() {
             "plan_cache_hits",
             "plan_cache_misses",
             "morsels_dispatched",
-            "batches_dispatched",
             "group_commit_batches",
             "group_commit_size",
         ]
@@ -142,9 +141,9 @@ fn golden_traces_for_every_predicate_family() {
             );
         }
 
-        // Vectorized-filter arithmetic: every row the prefilter decided
-        // plus every selection-vector survivor was a refine candidate.
-        // (Generic, non-vectorized filters add candidates without
+        // Spatial-filter arithmetic: every row the envelope rule decided
+        // plus every row it left to the refine was a refine candidate.
+        // (Filters the generic evaluator runs add candidates without
         // prefilter counts, hence `<=`.)
         assert!(
             trace.counter("prefilter_rejects") + trace.counter("selvec_survivors")
