@@ -514,9 +514,9 @@ impl TableProvider for DbTableAdapter {
         self.table.heap.get(id).map_err(SqlError::from)
     }
 
-    fn fetch_many(&self, ids: &[RowId]) -> jackpine_sqlmini::Result<Vec<Arc<Row>>> {
+    fn fetch_many(&self, ids: &[RowId], keep: bool) -> jackpine_sqlmini::Result<Vec<Arc<Row>>> {
         self.metrics.heap_rows_fetched.add(ids.len() as u64);
-        self.table.heap.get_many(ids).map_err(SqlError::from)
+        self.table.heap.get_many(ids, keep).map_err(SqlError::from)
     }
 
     fn spatial_candidates(&self, col: usize, env: &Envelope) -> Option<Vec<RowId>> {

@@ -15,11 +15,11 @@ use crate::indexes::DbCatalogAdapter;
 use crate::syscat;
 use crate::txn::WriteTxn;
 use jackpine_obs::{digest, QueryTrace, Stage, TxnSite};
-use jackpine_sqlmini::ast::{Expr, Select, Statement};
+use jackpine_sqlmini::ast::{Expr, Select, SelectItem, Statement, TableRef};
 use jackpine_sqlmini::plan::{PlanOptions, PlannedSelect};
 use jackpine_sqlmini::{exec, parser, plan, ResultSet, SqlError};
 use jackpine_storage::sync::{Mutex, RwLock};
-use jackpine_storage::{ColumnDef, DataType, Row, RowId, Value};
+use jackpine_storage::{ColumnDef, DataType, Row, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -357,8 +357,13 @@ impl SpatialDb {
     /// right-hand sides reading the old row — at the same generation, so
     /// readers observe the old row or the new one, never both and never
     /// neither. Returns the number of rows acted on.
+    ///
+    /// The rows are the ones `SELECT * FROM table WHERE filters` returns,
+    /// found the way it finds them ([`exec::matching_rows`]): its access
+    /// path and the filters the stored rows decide read no row, and an
+    /// UPDATE reads each of its rows once, keeping none.
     fn delete_or_update(
-        &self,
+        self: &Arc<Self>,
         table: &str,
         assignments: Option<&[(String, Expr)]>,
         filters: &[Expr],
@@ -366,13 +371,22 @@ impl SpatialDb {
         let mode = self.profile().function_mode();
         let site = if assignments.is_some() { TxnSite::Update } else { TxnSite::Delete };
         let mut txn = WriteTxn::begin(self, site, table)?;
+        // The writer lock keeps schema changes out, so the plan reads the
+        // transaction's table, live: only rows visible at the published
+        // generation qualify (one some pinned snapshot still sees but
+        // that is already dead stays dead).
+        let select = Select {
+            items: vec![SelectItem::Wildcard],
+            from: vec![TableRef { table: table.to_string(), alias: table.to_string() }],
+            filters: filters.to_vec(),
+            group_by: Vec::new(),
+            order_by: Vec::new(),
+            limit: None,
+        };
+        let planned = self.plan_select(&select)?;
         let schema = txn.table().schema().clone();
         let scope: Vec<(String, String)> =
             schema.columns().iter().map(|c| (table.to_string(), c.name.clone())).collect();
-        let filters: Vec<_> = filters
-            .iter()
-            .map(|f| plan::bind_columns(scope.clone(), f))
-            .collect::<std::result::Result<_, _>>()?;
         let replacement: Vec<(usize, _)> = assignments
             .unwrap_or_default()
             .iter()
@@ -380,37 +394,34 @@ impl SpatialDb {
             .collect::<crate::Result<_>>()?;
 
         // Victims first, so a WHERE that cannot be evaluated touches
-        // nothing. Only rows visible at the published generation qualify:
-        // one some pinned snapshot still sees but that is already dead
-        // stays dead.
-        let mut victims: Vec<(RowId, Arc<Row>)> = Vec::new();
-        for id in txn.table().heap.row_ids_visible(self.txn.generation()) {
-            let row = txn.table().heap.get(id)?;
-            let mut holds = true;
-            for p in &filters {
-                if !exec::truthy(&exec::eval(p, &row, mode)?) {
-                    holds = false;
-                    break;
-                }
-            }
-            if holds {
-                victims.push((id, row));
-            }
-        }
+        // nothing.
+        let opts = exec::ExecOptions {
+            workers: self.workers(),
+            metrics: self.metrics.clone(),
+            snapshot: None,
+        };
+        let victims = exec::matching_rows(&planned, &opts, assignments.is_some())?;
         // A replacement that cannot be computed, or does not fit the
         // schema, rolls back the pairs before it.
-        for (id, old) in &victims {
-            txn.kill(*id);
-            if assignments.is_some() {
-                let mut new: Row = old.as_ref().clone();
-                for (col, e) in &replacement {
-                    new[*col] = exec::eval(e, old, mode)?;
+        let acted = victims.len();
+        for (id, old) in victims {
+            txn.kill(id);
+            if let Some(old) = old {
+                let values = replacement
+                    .iter()
+                    .map(|(_, e)| exec::eval(e, &old, mode))
+                    .collect::<std::result::Result<Vec<_>, _>>()?;
+                // The old row is this statement's alone unless a read
+                // kept it: then it is copied, else its values are reused.
+                let mut new: Row = Arc::unwrap_or_clone(old);
+                for ((col, _), v) in replacement.iter().zip(values) {
+                    new[*col] = v;
                 }
                 txn.insert([new])?;
             }
         }
         txn.commit()?;
-        Ok(victims.len())
+        Ok(acted)
     }
 }
 

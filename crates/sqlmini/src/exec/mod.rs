@@ -12,8 +12,12 @@
 //! Rows flow between operators as [`LazyRow`]s — late materialization:
 //! scans pass `Arc`-counted handles to heap rows instead of deep-cloning
 //! values at every operator boundary, joins concatenate handle lists,
-//! and only `Project`/`Aggregate` outputs (and the final result set)
-//! materialize actual tuples.
+//! and only `Project`/`Aggregate` outputs materialize actual tuples,
+//! which move into the result set. A projection of plain columns
+//! straight off an access path reads rows that no frame keeps and moves
+//! their values out (see `operators` for the keep rule), and a DML
+//! statement finds its rows through the same access path
+//! ([`matching_rows`]).
 //!
 //! One job, one path: `row` holds the late-materialized rows, `eval`
 //! the expression evaluator, `operators` the operators (one access path
@@ -35,7 +39,7 @@ use crate::plan::{PlanNode, PlannedSelect};
 use crate::provider::{SnapshotHandle, TableProvider};
 use crate::Result;
 use jackpine_obs::{EngineMetrics, Stage};
-use jackpine_storage::Value;
+use jackpine_storage::{Row, RowId, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,19 +108,30 @@ pub struct ExecOptions {
 
 /// Executes a planned `SELECT` with explicit executor options.
 pub fn execute_with(plan: &PlannedSelect, opts: &ExecOptions) -> Result<ResultSet> {
-    let ctx = ExecCtx {
-        mode: plan.mode,
-        workers: opts.workers.max(1),
-        metrics: opts.metrics.clone(),
-        pins: build_pins(&plan.root, opts.snapshot.as_ref()),
-    };
+    let ctx = ExecCtx::new(plan, opts);
     let lazy = operators::run(&plan.root, &ctx)?;
-    // Final materialization: the only place surviving rows are deep-copied.
+    // Final materialization: a computed tuple moves into the result; a
+    // row of handles (none survives a projection) is deep-copied.
     let t0 = Instant::now();
-    let rows =
-        ctx.parallel_morsels(&lazy, |chunk| Ok(chunk.iter().map(LazyRow::materialize).collect()))?;
+    let rows = lazy.into_iter().map(LazyRow::into_values).collect();
     ctx.metrics.record_stage(Stage::Materialize, t0.elapsed());
     Ok(ResultSet { columns: plan.columns.clone(), rows })
+}
+
+/// The rows an `UPDATE` or `DELETE` of a table acts on, found as `plan`
+/// — the table's `SELECT *` under the statement's WHERE — finds them:
+/// through its access path (an index probe, the filters the stored rows
+/// decide), with every other filter decided over candidate rows that no
+/// frame keeps. Returns the ids in the scan's order, each with its row
+/// when `rows` is set (read without being kept, so the caller holds it
+/// alone unless a read kept it before), and the error `plan`'s SELECT
+/// would raise, if any.
+pub fn matching_rows(
+    plan: &PlannedSelect,
+    opts: &ExecOptions,
+    rows: bool,
+) -> Result<Vec<(RowId, Option<Arc<Row>>)>> {
+    operators::matching(&plan.root, &ExecCtx::new(plan, opts), rows)
 }
 
 struct ExecCtx {
@@ -159,6 +174,15 @@ fn build_pins(
 }
 
 impl ExecCtx {
+    fn new(plan: &PlannedSelect, opts: &ExecOptions) -> ExecCtx {
+        ExecCtx {
+            mode: plan.mode,
+            workers: opts.workers.max(1),
+            metrics: opts.metrics.clone(),
+            pins: build_pins(&plan.root, opts.snapshot.as_ref()),
+        }
+    }
+
     /// The provider to actually read from: the snapshot-pinned copy when
     /// the statement pinned one, otherwise `table` itself.
     fn src<'a>(&'a self, table: &'a Arc<dyn TableProvider>) -> &'a Arc<dyn TableProvider> {

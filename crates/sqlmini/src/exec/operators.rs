@@ -1,6 +1,14 @@
 //! The physical operators: one access path for every scan and the
-//! filters over it that the stored rows decide, one keyed sort for
-//! `Sort` and `GROUP BY`, one aggregate evaluator.
+//! filters over it that the stored rows decide, one filter over rows
+//! read, one keyed sort for `Sort` and `GROUP BY`, one aggregate
+//! evaluator — and the search a DML statement finds its rows with,
+//! through the same access path and filters.
+//!
+//! The keep rule: a row a statement evaluates (a filter, a join, an
+//! aggregate, a sort, a k-NN reach) is fetched into its frame's cache,
+//! where the next statement finds it decoded; a row it only passes on —
+//! a projection of plain columns straight off an access path, a DML
+//! statement's candidates and victims — is read without being kept.
 
 use super::eval::{compare_values, eval_const, eval_view, probe_envelope, truthy};
 use super::vectorized::{spatial_filter, spatial_shape, Operand};
@@ -12,7 +20,7 @@ use crate::{Result, SqlError};
 use jackpine_geom::algorithms as alg;
 use jackpine_geom::{Envelope, Geometry};
 use jackpine_obs::Stage;
-use jackpine_storage::{DataType, RowId, Schema, Value};
+use jackpine_storage::{DataType, Row, RowId, Schema, Value};
 use jackpine_topo::PredicateKind;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -20,7 +28,7 @@ use std::time::Instant;
 
 pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
     if let Some((table, ids)) = access(node, ctx)? {
-        return fetch_rows(table, &ids, ctx);
+        return fetch_rows(table, &ids, true, ctx);
     }
     let mode = ctx.mode;
     let metrics = &*ctx.metrics;
@@ -31,25 +39,16 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
         | PlanNode::OrderedIndexScan { .. }
         | PlanNode::KnnScan { .. } => unreachable!("every scan is read through `access`"),
         PlanNode::Filter { input, predicate } => {
-            if let Some(shape) = spatial_shape(predicate, mode) {
-                return spatial_filter(input, predicate, shape, ctx);
-            }
-            // Not a recognized spatial shape: the generic evaluator
-            // decides every row.
-            let rows = run(input, ctx)?;
-            ctx.parallel_morsels(&rows, |chunk| {
-                let t0 = Instant::now();
-                let mut out = Vec::with_capacity(chunk.len());
-                for row in chunk {
-                    if truthy(&eval_view(predicate, row, mode)?) {
-                        out.push(row.clone());
-                    }
-                }
-                metrics.refine_candidates.add(chunk.len() as u64);
-                metrics.refine_hits.add(out.len() as u64);
-                metrics.record_stage(Stage::Refine, t0.elapsed());
-                Ok(out)
-            })
+            // A filter directly on a scan reads its column operands'
+            // envelopes from the quads the table's frames keep.
+            let scanned = access(input, ctx)?;
+            let rows = match &scanned {
+                Some((table, ids)) => fetch_rows(table, ids, true, ctx)?,
+                None => run(input, ctx)?,
+            };
+            let scanned = scanned.as_ref().map(|(table, ids)| (*table, ids.as_slice()));
+            let kept = filter(predicate, &rows, scanned, ctx)?;
+            Ok(pick(rows, &kept))
         }
         PlanNode::NestedLoopJoin { left, right } => {
             let l = run(left, ctx)?;
@@ -84,7 +83,7 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                     // No index after all, or no envelope to probe with:
                     // degenerate to scanning the right table for this row.
                     let ids = probed.unwrap_or_else(|| right.row_ids());
-                    for row in right.fetch_many(&ids)? {
+                    for row in right.fetch_many(&ids, true)? {
                         out.push(lr.join_handle(row));
                     }
                 }
@@ -93,6 +92,26 @@ pub(super) fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
             })
         }
         PlanNode::Project { input, exprs } => {
+            // Plain columns straight off an access path pass the rows on:
+            // none is kept, and one read for this alone gives up its
+            // values to the result instead of having them cloned.
+            let plain: Option<Vec<usize>> = exprs
+                .iter()
+                .map(|(e, _)| match e {
+                    BoundExpr::Column(c) => Some(*c),
+                    _ => None,
+                })
+                .collect();
+            if let Some(cols) = plain {
+                if let Some((table, ids)) = access(input, ctx)? {
+                    return ctx.parallel_morsels(&ids, |chunk| {
+                        let rows = table.fetch_many(chunk, false)?;
+                        rows.into_iter()
+                            .map(|row| pass_on(row, &cols).map(LazyRow::Owned))
+                            .collect()
+                    });
+                }
+            }
             let rows = run(input, ctx)?;
             ctx.parallel_morsels(&rows, |chunk| {
                 let mut out = Vec::with_capacity(chunk.len());
@@ -175,16 +194,7 @@ pub(super) fn access<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Option<
             let Some(schema) = scanned_schema(input) else { return Ok(None) };
             let Some(stored) = Stored::of(predicate, &schema, mode) else { return Ok(None) };
             let Some((table, ids)) = access(input, ctx)? else { return Ok(None) };
-            let metrics = &*ctx.metrics;
-            let kept = ctx.parallel_morsels(&ids, |chunk| {
-                let t0 = Instant::now();
-                let kept = stored.retain(table, chunk, predicate, mode)?;
-                metrics.refine_candidates.add(chunk.len() as u64);
-                metrics.refine_hits.add(kept.len() as u64);
-                metrics.record_stage(Stage::Refine, t0.elapsed());
-                Ok(kept)
-            })?;
-            return Ok(Some((table, kept)));
+            return Ok(Some((table, stored.retain_all(table, &ids, predicate, ctx)?)));
         }
         _ => return Ok(None),
     };
@@ -249,6 +259,27 @@ impl Stored {
         Some(Stored::Scalar(cols))
     }
 
+    /// [`Stored::retain`] of `ids`, morsel by morsel, timed as the
+    /// `refine` stage and counted as refine candidates and hits, as the
+    /// generic filter is.
+    fn retain_all(
+        &self,
+        table: &Arc<dyn TableProvider>,
+        ids: &[RowId],
+        predicate: &BoundExpr,
+        ctx: &ExecCtx,
+    ) -> Result<Vec<RowId>> {
+        let metrics = &*ctx.metrics;
+        ctx.parallel_morsels(ids, |chunk| {
+            let t0 = Instant::now();
+            let kept = self.retain(table, chunk, predicate, ctx.mode)?;
+            metrics.refine_candidates.add(chunk.len() as u64);
+            metrics.refine_hits.add(kept.len() as u64);
+            metrics.record_stage(Stage::Refine, t0.elapsed());
+            Ok(kept)
+        })
+    }
+
     /// The ids of `ids` whose rows pass the filter, in input order.
     /// Without stored quads an envelope test, like a scalar predicate,
     /// evaluates `predicate` over the values the provider hands over.
@@ -308,7 +339,7 @@ fn knn_candidates(
         return Ok(None);
     }
     let mut reach = 0.0f64;
-    for row in table.fetch_many(&near)? {
+    for row in table.fetch_many(&near, true)? {
         let d = row.get(col).and_then(Value::as_geom).map(|g| alg::distance(g, query));
         match d {
             Some(d) if d.is_finite() => reach = reach.max(d),
@@ -326,16 +357,131 @@ fn knn_candidates(
 }
 
 /// Fetches `ids` from `table` as row handles, morsel-parallel, one
-/// [`TableProvider::fetch_many`] per morsel, without copying row values
-/// (the handles share the heap's `Arc<Row>`s).
-pub(super) fn fetch_rows(
+/// [`TableProvider::fetch_many`] per morsel (`keep` passed on), without
+/// copying row values (the handles share the heap's `Arc<Row>`s).
+fn fetch_rows(
     table: &Arc<dyn TableProvider>,
     ids: &[RowId],
+    keep: bool,
     ctx: &ExecCtx,
 ) -> Result<Vec<LazyRow>> {
     ctx.parallel_morsels(ids, |chunk| {
-        Ok(table.fetch_many(chunk)?.into_iter().map(LazyRow::One).collect())
+        Ok(table.fetch_many(chunk, keep)?.into_iter().map(LazyRow::One).collect())
     })
+}
+
+/// The values of columns `cols` of `row`, in order, for a projection
+/// that passes the row on: moved out of a row the caller holds alone
+/// (one no frame keeps), cloned out of a shared one.
+fn pass_on(row: Arc<Row>, cols: &[usize]) -> Result<Vec<Value>> {
+    if let Some(c) = cols.iter().find(|&&c| c >= row.len()) {
+        return Err(SqlError::Type(format!("column offset {c} out of range")));
+    }
+    Ok(match Arc::try_unwrap(row) {
+        Ok(values) if cols.iter().copied().eq(0..values.len()) => values,
+        Ok(mut values) => {
+            let mut out = Vec::with_capacity(cols.len());
+            for (k, &c) in cols.iter().enumerate() {
+                out.push(match cols[k + 1..].contains(&c) {
+                    true => values[c].clone(),
+                    false => std::mem::replace(&mut values[c], Value::Null),
+                });
+            }
+            out
+        }
+        Err(shared) => cols.iter().map(|&c| shared[c].clone()).collect(),
+    })
+}
+
+/// The positions in `rows` of the rows `predicate` holds for, ascending:
+/// decided by the spatial filter loop for a recognized shape, and row by
+/// row by the generic evaluator otherwise. `scanned`: see
+/// [`spatial_filter`].
+fn filter(
+    predicate: &BoundExpr,
+    rows: &[LazyRow],
+    scanned: Option<(&Arc<dyn TableProvider>, &[RowId])>,
+    ctx: &ExecCtx,
+) -> Result<Vec<usize>> {
+    if let Some(shape) = spatial_shape(predicate, ctx.mode) {
+        return spatial_filter(rows, scanned, predicate, shape, ctx);
+    }
+    let metrics = &*ctx.metrics;
+    ctx.parallel_morsels(rows, |chunk| {
+        let Some(first) = chunk.first() else { return Ok(Vec::new()) };
+        let at = rows.element_offset(first).expect("a morsel lies in the filter's input");
+        let t0 = Instant::now();
+        let mut out = Vec::new();
+        for (i, row) in chunk.iter().enumerate() {
+            if truthy(&eval_view(predicate, row, ctx.mode)?) {
+                out.push(at + i);
+            }
+        }
+        metrics.refine_candidates.add(chunk.len() as u64);
+        metrics.refine_hits.add(out.len() as u64);
+        metrics.record_stage(Stage::Refine, t0.elapsed());
+        Ok(out)
+    })
+}
+
+/// The items of `items` at `positions` (ascending), moved out in order.
+fn pick<T>(items: Vec<T>, positions: &[usize]) -> Vec<T> {
+    let mut wanted = positions.iter().copied().peekable();
+    let kept = items.into_iter().enumerate().filter(|(i, _)| wanted.next_if_eq(i).is_some());
+    kept.map(|(_, item)| item).collect()
+}
+
+/// The rows a DML statement acts on, found as the `SELECT *` of its
+/// table under its WHERE (`node`, the plan's root) finds them: the ids,
+/// in the scan's order, of the rows every filter keeps. The access path
+/// and the filters the stored rows decide pick the candidates, reading
+/// only the columns those filters use; any other filter is decided over
+/// the candidates' rows, read without being kept. With `rows`, each id
+/// comes with its row, read the same way, which the caller then holds
+/// alone unless a frame already kept it.
+pub(super) fn matching(
+    node: &PlanNode,
+    ctx: &ExecCtx,
+    rows: bool,
+) -> Result<Vec<(RowId, Option<Arc<Row>>)>> {
+    let (table, ids, read) = candidates(node, ctx)?;
+    let read = match read {
+        Some(read) => read,
+        None if rows => fetch_rows(table, &ids, false, ctx)?,
+        None => return Ok(ids.into_iter().map(|id| (id, None)).collect()),
+    };
+    let handle = |row: LazyRow| match row {
+        LazyRow::One(row) => row,
+        _ => unreachable!("a scan's row is one handle"),
+    };
+    Ok(ids.into_iter().zip(read).map(|(id, row)| (id, rows.then(|| handle(row)))).collect())
+}
+
+/// The table `node` reads, the ids of its rows the filters keep and,
+/// when a filter read them, those rows: what [`matching`] finds.
+type Candidates<'a> = (&'a Arc<dyn TableProvider>, Vec<RowId>, Option<Vec<LazyRow>>);
+
+fn candidates<'a>(node: &'a PlanNode, ctx: &'a ExecCtx) -> Result<Candidates<'a>> {
+    if let Some((table, ids)) = access(node, ctx)? {
+        return Ok((table, ids, None));
+    }
+    let (input, predicate) = match node {
+        PlanNode::Project { input, .. } => return candidates(input, ctx),
+        PlanNode::Filter { input, predicate } => (input, predicate),
+        _ => return Err(SqlError::Type("a write reads one table under its filters".into())),
+    };
+    let (table, ids, read) = candidates(input, ctx)?;
+    let read = match read {
+        Some(read) => read,
+        None => match Stored::of(predicate, &table.schema(), ctx.mode) {
+            Some(stored) => {
+                return Ok((table, stored.retain_all(table, &ids, predicate, ctx)?, None))
+            }
+            None => fetch_rows(table, &ids, false, ctx)?,
+        },
+    };
+    let kept = filter(predicate, &read, None, ctx)?;
+    Ok((table, pick(ids, &kept), Some(pick(read, &kept))))
 }
 
 /// The one keyed sort, for `Sort` and `GROUP BY`: each row's key tuple

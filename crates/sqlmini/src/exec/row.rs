@@ -82,6 +82,15 @@ impl LazyRow {
         None
     }
 
+    /// The row as a flat tuple: a computed one moved out, a row of
+    /// handles deep-copied.
+    pub(super) fn into_values(self) -> Vec<Value> {
+        match self {
+            LazyRow::Owned(vals) => vals,
+            handles => handles.materialize(),
+        }
+    }
+
     /// Deep-copies the row into a flat tuple.
     pub(super) fn materialize(&self) -> Vec<Value> {
         if let LazyRow::Owned(vals) = self {

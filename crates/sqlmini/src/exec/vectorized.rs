@@ -5,14 +5,14 @@
 //! geometries, through one memo a run.
 
 use super::eval::{eval_const, eval_view, truthy};
-use super::operators::{access, fetch_rows, run};
 use super::{ExecCtx, LazyRow, TupleView, MORSEL_SIZE};
 use crate::functions::{Func, FunctionMode};
-use crate::plan::{BoundExpr, PlanNode};
+use crate::plan::BoundExpr;
+use crate::provider::TableProvider;
 use crate::Result;
 use jackpine_geom::{Envelope, Geometry};
 use jackpine_obs::Stage;
-use jackpine_storage::Value;
+use jackpine_storage::{RowId, Value};
 use jackpine_topo::{PredicateKind, PreparedGeometry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -135,7 +135,8 @@ fn entry<'r, 'm>(
     Some((g, Some(map.entry(key).or_insert_with(|| (g.envelope(), None)))))
 }
 
-/// Executes `Filter(input, kind(a, b))`: the one spatial filter loop.
+/// Decides `kind(a, b)` over `rows`: the one spatial filter loop.
+/// Returns the positions in `rows` of the rows it keeps, ascending.
 ///
 /// Its answers are the generic evaluator's (`eval_view`) bit for bit.
 /// A row whose operands are both geometries with envelopes that do not
@@ -144,21 +145,19 @@ fn entry<'r, 'm>(
 /// error. Every other row is refined in ascending row order, so result
 /// rows, error choice and NULL semantics are those of evaluating the
 /// predicate row by row, at any worker count.
+///
+/// `scanned` is the table and ids `rows` were fetched from when they
+/// come straight off a scan: the column operands' envelopes are then
+/// read from the quads the table's frames keep.
 pub(super) fn spatial_filter(
-    input: &PlanNode,
+    rows: &[LazyRow],
+    scanned: Option<(&Arc<dyn TableProvider>, &[RowId])>,
     predicate: &BoundExpr,
     (kind, a, b): Shape,
     ctx: &ExecCtx,
-) -> Result<Vec<LazyRow>> {
-    // A filter directly on a table scan reads its column operands'
-    // envelopes from the quads the table's frames keep.
-    let scanned = access(input, ctx)?;
-    let rows = match &scanned {
-        Some((table, ids)) => fetch_rows(table, ids, ctx)?,
-        None => run(input, ctx)?,
-    };
+) -> Result<Vec<usize>> {
     let bind = |op: Operand| -> Result<Side> {
-        Ok(match (op, &scanned) {
+        Ok(match (op, scanned) {
             (Operand::Column(c), Some((table, ids))) => Side::Column(c, table.fetch_mbrs(c, ids)?),
             (Operand::Column(c), None) => Side::Column(c, None),
             (Operand::Constant(g), _) => Side::Constant(Arc::new(PreparedGeometry::new(&g))),
@@ -167,7 +166,7 @@ pub(super) fn spatial_filter(
     let (a, b) = (bind(a)?, bind(b)?);
 
     let (metrics, mode) = (&*ctx.metrics, ctx.mode);
-    ctx.parallel_morsels(&rows, |chunk| {
+    ctx.parallel_morsels(rows, |chunk| {
         let (mut out, mut memo) = (Vec::with_capacity(chunk.len()), Memo::default());
         let (mut keep, mut undecided) = (Vec::new(), Vec::new());
         let (mut rejects, mut short_circuits) = (0u64, 0u64);
@@ -212,7 +211,7 @@ pub(super) fn spatial_filter(
                 };
             }
             refine_time += t1.elapsed();
-            out.extend(run.iter().zip(&keep).filter(|(_, &k)| k).map(|(row, _)| row.clone()));
+            out.extend(keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| at + i));
         }
         metrics.refine_candidates.add(chunk.len() as u64);
         metrics.refine_hits.add(out.len() as u64);

@@ -35,8 +35,13 @@ pub trait TableProvider: Send + Sync {
     /// Fetches every row of `ids`, in input order; the first error wins.
     /// The executor calls this once per morsel (and once per join
     /// probe), so a paged provider can read a run of ids on one page
-    /// under one lock and decode the run's rows back to back.
-    fn fetch_many(&self, ids: &[RowId]) -> Result<Vec<Arc<Row>>> {
+    /// under one lock and decode the run's rows back to back. `keep`
+    /// says whether the rows will be evaluated: a provider that caches
+    /// decoded rows keeps those it decodes only then, and hands a row
+    /// that is only passed on — into a result, or to a DML statement —
+    /// over as the caller's alone. The default fetches each row.
+    fn fetch_many(&self, ids: &[RowId], keep: bool) -> Result<Vec<Arc<Row>>> {
+        let _ = keep;
         ids.iter().map(|&id| self.fetch(id)).collect()
     }
 
@@ -73,7 +78,8 @@ pub trait TableProvider: Send + Sync {
     /// provider that stores rows may hand it a tuple holding just those
     /// columns, read where the row is stored, and every other column
     /// NULL — fetching and decoding nothing. The default fetches the
-    /// rows ([`TableProvider::fetch_many`]) and hands each over whole.
+    /// rows, keeping none ([`TableProvider::fetch_many`]), and hands each
+    /// over whole.
     fn filter_ids(
         &self,
         ids: &[RowId],
@@ -81,7 +87,7 @@ pub trait TableProvider: Send + Sync {
         keep: &mut dyn FnMut(&[Value]) -> Result<bool>,
     ) -> Result<Vec<RowId>> {
         let _ = cols;
-        let rows = self.fetch_many(ids)?;
+        let rows = self.fetch_many(ids, false)?;
         let mut out = Vec::new();
         for (&id, row) in ids.iter().zip(&rows) {
             if keep(row)? {

@@ -360,17 +360,21 @@ impl HeapFile {
         if !known {
             return Err(StorageError::RowNotFound { page: id.page, slot: id.slot });
         }
-        self.write(id.page)?.decode(id.slot).map_err(|e| located(e, id))
+        Ok(self.write(id.page)?.decode(id.slot).map_err(|e| located(e, id))?.0)
     }
 
     /// [`HeapFile::get`] of every id, in input order, a page run at a
     /// time: each run of consecutive ids on one page takes that page's
     /// lock once — shared when every row of the run is decoded, exclusive
     /// otherwise, and then the run's missing rows are decoded back to
-    /// back. Hits and misses are counted per row, exactly as that many
-    /// `get`s would count them, up to and including the first error in
-    /// input order, which is the one returned.
-    pub fn get_many(&self, ids: &[RowId]) -> Result<Vec<Arc<Row>>> {
+    /// back. Without `keep`, a row no frame keeps is decoded under the
+    /// shared lock and handed over alone, kept by no frame — the read of
+    /// a caller that passes the row on and evaluates nothing over it.
+    /// Hits and misses are counted per row, a hit when a frame kept the
+    /// row (with `keep`, exactly as that many `get`s would count them),
+    /// up to and including the first error in input order, which is the
+    /// one returned.
+    pub fn get_many(&self, ids: &[RowId], keep: bool) -> Result<Vec<Arc<Row>>> {
         let npages = self.npages.load(Ordering::Relaxed);
         let mut out = Vec::with_capacity(ids.len());
         for run in ids.chunk_by(|a, b| a.page == b.page) {
@@ -380,19 +384,26 @@ impl HeapFile {
                 return Err(StorageError::RowNotFound { page, slot: run[0].slot });
             }
             let shared = self.read(page)?;
-            if run.iter().all(|id| shared.row(id.slot).is_some()) {
-                out.extend(run.iter().filter_map(|id| shared.row(id.slot).cloned()));
-                self.hits.fetch_add(run.len() as u64, Ordering::Relaxed);
+            if !keep || run.iter().all(|id| shared.row(id.slot).is_some()) {
+                for &id in run {
+                    out.push(self.counted(id, shared.decode(id.slot))?);
+                }
                 continue;
             }
             drop(shared);
             let mut page = self.write(page)?;
             for &id in run {
-                self.count_fetch(page.row(id.slot).is_some());
-                out.push(page.decode(id.slot).map_err(|e| located(e, id))?);
+                out.push(self.counted(id, page.decode(id.slot))?);
             }
         }
         Ok(out)
+    }
+
+    /// The row of one read of `id`, counted: a hit when a frame kept it.
+    /// A read that failed decoded nothing that was kept, so it is a miss.
+    fn counted(&self, id: RowId, read: Result<(Arc<Row>, bool)>) -> Result<Arc<Row>> {
+        self.count_fetch(read.as_ref().is_ok_and(|(_, kept)| *kept));
+        Ok(read.map_err(|e| located(e, id))?.0)
     }
 
     /// Raw page scan: calls `visit` with every page below
@@ -501,10 +512,15 @@ impl HeapFile {
             drop(page);
             let mut page = self.write(no)?;
             for &id in run {
-                if !page.has_quads(id.slot) {
-                    self.count_fetch(page.row(id.slot).is_some());
+                // Quads that fail to compute were read from the bytes.
+                let (quads, computed) = page
+                    .quads(id.slot, &self.geom_cols)
+                    .inspect_err(|_| self.count_fetch(false))
+                    .map_err(|e| located(e, id))?;
+                if let Some(kept) = computed {
+                    self.count_fetch(kept);
                 }
-                out.push(page.quads(id.slot, &self.geom_cols).map_err(|e| located(e, id))?[k]);
+                out.push(quads[k]);
             }
         }
         Ok(out)
@@ -788,7 +804,7 @@ mod tests {
             vec![],
         ];
         for ids in cases {
-            let got = many.get_many(&ids);
+            let got = many.get_many(&ids, true);
             let want: Result<Vec<Arc<Row>>> = ids.iter().map(|&id| one.get(id)).collect();
             assert_eq!(got, want, "{ids:?}");
             let (s, t) = (many.stats(), one.stats());
@@ -796,6 +812,35 @@ mod tests {
             let (p, q) = (many.pool().stats(), one.pool().stats());
             assert_eq!(p.decoded_rows, q.decoded_rows, "{ids:?}");
         }
+    }
+
+    #[test]
+    fn an_unkept_read_returns_what_get_does_and_keeps_nothing() {
+        let h = heap();
+        let long = "w".repeat(900);
+        for i in 0..40 {
+            h.insert(vec![Value::Int(i), Value::Text(long.clone())]).unwrap();
+        }
+        let all = h.row_ids();
+        let kept = h.get(all[2]).unwrap(); // one row decoded and kept beforehand
+        let before = (h.stats(), h.pool().stats().decoded_rows);
+        let ids = vec![all[5], all[5], all[2], all[30], all[0]];
+        let got = h.get_many(&ids, false).unwrap();
+        let (after, decoded) = (h.stats(), h.pool().stats().decoded_rows);
+        assert_eq!(decoded, before.1, "an unkept read keeps no row");
+        assert_eq!(after.cache_hits - before.0.cache_hits, 1, "the kept row is a hit");
+        assert_eq!(after.cache_misses - before.0.cache_misses, 4, "each other read a miss");
+        assert!(Arc::ptr_eq(&got[2], &kept), "a kept row is handed over, not decoded again");
+        for (i, (id, row)) in ids.iter().zip(&got).enumerate() {
+            assert_eq!(row, &h.get(*id).unwrap());
+            if i != 2 {
+                assert_eq!(Arc::strong_count(row), 1, "a row decoded now is the caller's alone");
+            }
+        }
+        let beyond = RowId { page: h.page_count() + 1, slot: 0 };
+        let misses = h.stats().cache_misses;
+        assert!(h.get_many(&[all[1], beyond], false).is_err());
+        assert_eq!(h.stats().cache_misses, misses + 2, "counted up to the error");
     }
 
     fn geom_heap(pool: Arc<BufferPool>) -> HeapFile {
@@ -863,7 +908,7 @@ mod tests {
         let mut order: Vec<RowId> = ids.iter().rev().step_by(3).copied().collect();
         order.extend(&ids[..40]);
         for h in [&many, &one] {
-            h.get_many(&ids[10..20]).unwrap();
+            h.get_many(&ids[10..20], true).unwrap();
         }
         for col in [0, 1, 2] {
             let want: Vec<_> = order.iter().map(|&id| one.mbr(id, col).unwrap()).collect();
@@ -900,8 +945,8 @@ mod tests {
         }
         assert!(a.page_count() > 2);
         assert_eq!(pool.stats().decoded_rows, 0, "inserts decode nothing");
-        a.get_many(&ids).unwrap();
-        b.get_many(&b.row_ids()).unwrap();
+        a.get_many(&ids, true).unwrap();
+        b.get_many(&b.row_ids(), true).unwrap();
         assert_eq!(pool.stats().decoded_rows, 2 * ROWS, "reads keep what they decoded");
         let kept = Arc::clone(&a.get(ids[0]).unwrap());
 

@@ -116,6 +116,15 @@ impl Frame {
         (self.rows, self.quads) = (Vec::new(), Vec::new());
     }
 
+    /// The row in `slot` and whether this frame keeps it: the kept one,
+    /// or one decoded from the slot's bytes now, which nothing keeps.
+    fn decode(&self, slot: u16) -> Result<(Arc<Row>, bool)> {
+        match self.rows.get(slot as usize) {
+            Some(Some(row)) => Ok((row.clone(), true)),
+            _ => Ok((Arc::new(Value::decode_row(self.page.get(slot)?)?), false)),
+        }
+    }
+
     fn keep_row(&mut self, slot: u16, row: Arc<Row>) {
         let at = slot as usize;
         if self.rows.len() <= at {
@@ -233,6 +242,11 @@ impl PageRead<'_> {
     pub(crate) fn quads(&self, slot: u16) -> Option<&[Quad]> {
         resident(&self.0).quads.get(slot as usize)?.as_deref()
     }
+
+    /// [`Frame::decode`]: a read that only passes a row on keeps none.
+    pub(crate) fn decode(&self, slot: u16) -> Result<(Arc<Row>, bool)> {
+        resident(&self.0).decode(slot)
+    }
 }
 
 /// Exclusive access to a resident page, from [`PinnedPage::write`].
@@ -291,34 +305,22 @@ impl PageWrite<'_> {
         (frame.page, frame.dirty) = (page, true);
     }
 
-    /// [`PageRead::row`].
-    pub(crate) fn row(&self, slot: u16) -> Option<&Arc<Row>> {
-        resident(&self.0).rows.get(slot as usize)?.as_ref()
-    }
-
-    /// Whether `slot`'s quads are computed ([`PageRead::quads`]).
-    pub(crate) fn has_quads(&self, slot: u16) -> bool {
-        resident(&self.0).quads.get(slot as usize).is_some_and(Option::is_some)
-    }
-
-    /// The row in `slot`: the one kept there, or else decoded from the
-    /// slot's bytes now and kept from now on.
-    pub(crate) fn decode(&mut self, slot: u16) -> Result<Arc<Row>> {
+    /// [`PageRead::decode`], keeping a row decoded now from then on.
+    pub(crate) fn decode(&mut self, slot: u16) -> Result<(Arc<Row>, bool)> {
         let frame = self.frame();
-        if let Some(Some(row)) = frame.rows.get(slot as usize) {
-            return Ok(row.clone());
-        }
-        let row = Arc::new(Value::decode_row(frame.page.get(slot)?)?);
+        let (row, kept) = frame.decode(slot)?;
         frame.keep_row(slot, row.clone());
-        Ok(row)
+        Ok((row, kept))
     }
 
     /// The quads of columns `cols` of the tuple in `slot`, computed from
-    /// its bytes ([`Field::mbr`]) on first use — the row is not decoded.
-    pub(crate) fn quads(&mut self, slot: u16, cols: &[usize]) -> Result<&[Quad]> {
+    /// its bytes ([`Field::mbr`]) on first use without decoding the row,
+    /// and, when computed now, whether the frame keeps the row.
+    pub(crate) fn quads(&mut self, slot: u16, cols: &[usize]) -> Result<(&[Quad], Option<bool>)> {
         let frame = self.frame();
         let at = slot as usize;
-        if frame.quads.get(at).is_none_or(Option::is_none) {
+        let computed = frame.quads.get(at).is_none_or(Option::is_none);
+        if computed {
             let tuple = frame.page.get(slot)?;
             let mut quads = vec![None; cols.len()];
             Field::of(tuple, cols, |k, f| f.mbr().map(|q| quads[k] = q))?;
@@ -327,7 +329,8 @@ impl PageWrite<'_> {
             }
             frame.quads[at] = Some(quads.into());
         }
-        Ok(frame.quads[at].as_deref().expect("computed above"))
+        let kept = computed.then(|| frame.rows.get(at).is_some_and(Option::is_some));
+        Ok((frame.quads[at].as_deref().expect("computed above"), kept))
     }
 }
 
@@ -1147,7 +1150,7 @@ mod tests {
                     let _pin = (step % 2 == 1).then(|| pool.pin(files[f].id, p));
                     let row = pool.write(&files[f], p).unwrap().decode(slot);
                     let want = slots[slot as usize].as_ref().map(|b| Value::decode_row(b).unwrap());
-                    assert_eq!(row.ok().map(|r| (*r).clone()), want);
+                    assert_eq!(row.ok().map(|(r, _)| (*r).clone()), want);
                 }
                 _ => {}
             }

@@ -119,8 +119,10 @@ if [ -n "$canonical" ]; then
 fi
 
 echo "== a frame keeps a decoded row only when a read decoded it: no keep_row or decode_row in the heap's non-test lines"
-# PageWrite::decode (pool.rs), behind HeapFile::get and get_many, is the
-# one place a row is decoded and kept. An insert, WAL replay
+# The pool's frame (pool.rs) is the one place a row is decoded: behind
+# HeapFile::get and get_many, PageWrite::decode keeps what it decodes
+# and PageRead::decode (get_many without keep) hands it over kept by
+# nothing. An insert, WAL replay
 # (place_tuple) and snapshot restore (restore_page, which checks each
 # tuple in place with Schema::check_tuple) store bytes and keep no row.
 kept=$(for f in crates/storage/src/heap*.rs crates/storage/src/heap/**/*.rs; do
@@ -142,6 +144,19 @@ done)
 if [ -n "$swallowed" ]; then
   echo "return the heap's error instead of discarding it; found:"
   echo "$swallowed"
+  exit 1
+fi
+
+echo "== one victim path: no row_ids_visible( or .heap.get( on a non-test line of statement.rs"
+# An UPDATE or DELETE finds its rows as the SELECT under its WHERE does
+# (exec::matching_rows: the access path, the filters the stored rows
+# decide, the rest over rows read without being kept), never by
+# decoding every visible row of its table.
+victims=$(awk '/#\[cfg\(test\)\]/{exit} /row_ids_visible\(|\.heap\.get\(/{print FILENAME ":" FNR ": " $0}' \
+  crates/engine/src/statement.rs)
+if [ -n "$victims" ]; then
+  echo "a write finds its rows through exec::matching_rows; found:"
+  echo "$victims"
   exit 1
 fi
 

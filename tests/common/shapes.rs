@@ -12,6 +12,7 @@
 use jackpine::datagen::rng::Rng;
 use jackpine::engine::SpatialDb;
 use jackpine::geom::{wkt, Geometry, Point};
+use jackpine::sql::functions::Func;
 use jackpine::storage::Value;
 use jackpine::topo::{
     contains, covered_by, covers, crosses, disjoint, equals, intersects, overlaps, touches, within,
@@ -182,6 +183,39 @@ pub fn create_tables(db: &Arc<SpatialDb>, rows: &[Option<String>]) {
 
 /// Every named predicate.
 pub const ALL_KINDS: [PredicateKind; 10] = PredicateKind::ALL;
+
+/// What each index-eligible function is called against: a window, the
+/// empty geometry, a point, `NULL` and a number.
+fn index_filter_constants() -> [String; 5] {
+    [
+        "ST_MakeEnvelope(0, 0, 5, 5)".into(),
+        format!("ST_GeomFromText('{EMPTY}')"),
+        "ST_GeomFromText('POINT (3 4)')".into(),
+        "NULL".into(),
+        "5".into(),
+    ]
+}
+
+/// Every function the planner may serve with a spatial-index filter
+/// step (`Func::is_index_filter`), taken from the function registry so
+/// that a later index-eligible function is covered without a new line,
+/// called on column `geom` against each constant in both argument
+/// orders (`ST_DWithin` at a distance of 1.5 and of `NULL`).
+pub fn index_filter_predicates() -> Vec<String> {
+    let mut all = Vec::new();
+    for f in Func::all().filter(|f| f.is_index_filter()) {
+        // `ST_DWithin` takes a distance after its two geometries.
+        let tails: &[&str] = if f == Func::DWithin { &[", 1.5", ", NULL"] } else { &[""] };
+        let name = f.name();
+        for c in index_filter_constants() {
+            for tail in tails {
+                all.push(format!("{name}(geom, {c}{tail})"));
+                all.push(format!("{name}({c}, geom{tail})"));
+            }
+        }
+    }
+    all
+}
 
 /// What the SQL layer computes without a fast path: the envelope test
 /// (`envelopes meet && pred`, its negation for disjoint) around the

@@ -13,36 +13,13 @@ mod common;
 
 use common::shapes;
 use jackpine::engine::{EngineProfile, SpatialDb};
-use jackpine::sql::functions::Func;
 use std::sync::Arc;
-
-/// The constants each function is called against.
-fn constants() -> [String; 5] {
-    [
-        "ST_MakeEnvelope(0, 0, 5, 5)".into(),
-        format!("ST_GeomFromText('{}')", shapes::EMPTY),
-        "ST_GeomFromText('POINT (3 4)')".into(),
-        "NULL".into(),
-        "5".into(),
-    ]
-}
 
 /// Every index-eligible function against every constant, both ways,
 /// over `table`.
 fn statements(table: &str) -> Vec<String> {
-    let mut all = Vec::new();
-    for f in Func::all().filter(|f| f.is_index_filter()) {
-        // `ST_DWithin` takes a distance after its two geometries.
-        let tails: &[&str] = if f == Func::DWithin { &[", 1.5", ", NULL"] } else { &[""] };
-        let name = f.name();
-        for c in constants() {
-            for tail in tails {
-                all.push(format!("SELECT id FROM {table} WHERE {name}(geom, {c}{tail})"));
-                all.push(format!("SELECT id FROM {table} WHERE {name}({c}, geom{tail})"));
-            }
-        }
-    }
-    all
+    let predicates = shapes::index_filter_predicates();
+    predicates.iter().map(|p| format!("SELECT id FROM {table} WHERE {p}")).collect()
 }
 
 #[test]

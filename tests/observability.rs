@@ -298,6 +298,32 @@ fn explain_analyze_counts_only_the_rows_a_statement_fetches() {
     assert!(found > 0, "no address was found");
 }
 
+/// A write's reads are counted as fetches: an `UPDATE` fetches each row
+/// it replaces, once; a `DELETE` whose WHERE the stored ids decide
+/// fetches none; and one whose WHERE reads geometries fetches each
+/// candidate the index probe found, once.
+#[test]
+fn dml_counts_the_rows_it_reads() {
+    let db = tiny_db();
+    let fetched = |sql: &str| {
+        let (rs, trace) = db.execute_traced(sql).unwrap();
+        (
+            rs.scalar().cloned(),
+            trace.counter("heap_rows_fetched"),
+            trace.counter("index_candidates"),
+        )
+    };
+    let (n, rows, _) = fetched("UPDATE pts SET id = id + 100 WHERE id >= 10 AND id < 15");
+    assert_eq!((n, rows), (Some(Value::Int(5)), 5), "an UPDATE fetches the rows it replaces");
+    let (n, rows, _) = fetched("DELETE FROM pts WHERE id < 5");
+    assert_eq!((n, rows), (Some(Value::Int(5)), 0), "a DELETE on stored ids fetches nothing");
+    let window = "ST_Intersects(geom, ST_MakeEnvelope(19.5, 19.5, 24.5, 24.5))";
+    let (n, rows, candidates) = fetched(&format!("DELETE FROM pts WHERE {window}"));
+    assert_eq!(n, Some(Value::Int(5)));
+    assert!(candidates >= 5, "the delete probed the index: {candidates} candidates");
+    assert_eq!(rows, candidates, "a DELETE fetches each candidate it refines, once");
+}
+
 /// WAL counters: with durability attached, every logged statement appends
 /// a record, visible in the per-query trace.
 #[test]

@@ -57,9 +57,13 @@ fn a_bounded_pool_bounds_pages_and_decoded_rows() {
     let loaded = live() - base;
     let pages_only = pages * PAGE_SIZE + index_bytes + 2 * MIB;
     assert!(loaded < pages_only, "{loaded} bytes live after the load, bound {pages_only}");
-    // A projection fetches, and so decodes, every row the filter keeps
-    // (a COUNT(*) would fetch none).
-    let scan = || db.execute("SELECT id FROM pts WHERE id >= 0").unwrap().rows.len();
+    // An aggregate evaluates, and so decodes and keeps, every row the
+    // filter keeps (a COUNT(*) would fetch none, and a projection of
+    // plain columns would keep none).
+    let scan = || {
+        let count = db.execute("SELECT COUNT(id) FROM pts WHERE id >= 0").unwrap();
+        count.scalar().and_then(Value::as_i64).unwrap() as usize
+    };
     assert_eq!(scan(), ROWS as usize);
     assert_eq!(db.pool_stats().decoded_rows, ROWS as u64, "a scan keeps what it decoded");
     // What one decoded row costs: its `Arc<Row>` (40 B), three value

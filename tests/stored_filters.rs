@@ -14,6 +14,10 @@
 //! oracle's rows in its order, or its error.
 //!
 //! A storage error under such a filter is returned, not a count.
+//!
+//! An `UPDATE` or `DELETE` finds its rows as the `SELECT` under the same
+//! WHERE does, so each acts on exactly the rows that `SELECT` returns, or
+//! fails as it does and changes nothing.
 
 mod common;
 
@@ -45,10 +49,17 @@ const MBR_FUNCTIONS: [&str; 7] = [
 /// mixes integers, floats and `NULL`s in one column; `tag` is text or
 /// `NULL`; `k` is a small key with an ordered index.
 fn table(profile: EngineProfile) -> Arc<SpatialDb> {
+    let db = table_of(profile, usize::MAX);
+    assert!(db.table("s").unwrap().heap.len() > MIN_PARALLEL_ROWS);
+    db
+}
+
+/// [`table`] with only the first `lattice` points of the lattice.
+fn table_of(profile: EngineProfile, lattice: usize) -> Arc<SpatialDb> {
     let mut rng = common::test_rng("stored filters");
     let shapes = shapes::shape_rows(&mut rng).into_iter().map(|w| w.as_deref().map(shapes::parse));
-    let geoms: Vec<Option<Geometry>> = shapes.chain(shapes::lattice().map(Some)).collect();
-    assert!(geoms.len() > MIN_PARALLEL_ROWS);
+    let points = shapes::lattice().take(lattice).map(Some);
+    let geoms: Vec<Option<Geometry>> = shapes.chain(points).collect();
     let rows: Vec<Vec<Value>> = geoms
         .into_iter()
         .enumerate()
@@ -304,4 +315,119 @@ fn an_unreadable_page_under_a_count_is_a_storage_error() {
     }
     drop(db);
     std::fs::remove_dir_all(&spill).ok();
+}
+
+/// The WHERE of every statement above and every index-eligible function
+/// call of `index_filters.rs`, each once, in order.
+fn predicates() -> Vec<String> {
+    let clauses = statements().into_iter().filter_map(|sql| {
+        let (_, rest) = sql.split_once(" WHERE ")?;
+        let rest = rest.split(" GROUP BY ").next()?;
+        Some(rest.split(" ORDER BY ").next()?.to_string())
+    });
+    let mut all: Vec<String> = Vec::new();
+    for p in clauses.chain(shapes::index_filter_predicates()) {
+        if !all.contains(&p) {
+            all.push(p);
+        }
+    }
+    all
+}
+
+/// The sorted `id`s a statement returns, or its error's text.
+fn ids(db: &Arc<SpatialDb>, sql: &str) -> Result<Vec<i64>, String> {
+    let rs = db.execute(sql).map_err(|e| e.to_string())?;
+    let mut ids: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// `DELETE FROM s WHERE p` removes exactly the ids `SELECT id FROM s
+/// WHERE p` returns, and `UPDATE s SET tag = '<unique>' WHERE p` renames
+/// exactly them; where the `SELECT` fails, each fails with its text and
+/// changes nothing. Every predicate runs on a fresh engine opened from
+/// one snapshot image, in each profile, with the index on and off, at
+/// one and two workers: first the UPDATE, then the DELETE on what the
+/// UPDATE left, each against the `SELECT` run just before it. The
+/// image holds the shape corpus and the first 100 lattice points: a
+/// write costs a row insert or two a row it acts on, and over the whole
+/// lattice the matrix takes minutes. (The statements above split
+/// filters over the full lattice at two workers; a write reads through
+/// the same filters.)
+#[test]
+fn dml_acts_on_the_rows_select_returns() {
+    let predicates = predicates();
+    assert!(predicates.len() > 400, "{} predicates", predicates.len());
+    let profiles = [EngineProfile::ExactRtree, EngineProfile::ExactGrid, EngineProfile::MbrOnly];
+    std::thread::scope(|scope| {
+        for profile in profiles {
+            let predicates = &predicates;
+            scope.spawn(move || {
+                let image = table_of(profile, 100).snapshot_bytes().unwrap();
+                let (mut acted, mut failed) = (0, 0);
+                for index in [false, true] {
+                    for workers in [1, 2] {
+                        let config =
+                            format!("{} at {workers} workers, index {index}", profile.name());
+                        for (k, p) in predicates.iter().enumerate() {
+                            let db = SpatialDb::open_from(&image[..]).unwrap();
+                            db.set_use_spatial_index(index);
+                            db.set_workers(workers);
+                            let select = format!("SELECT id FROM s WHERE {p}");
+                            let tag = format!("dml{k}");
+                            let renamed = format!("SELECT id FROM s WHERE tag = '{tag}'");
+
+                            let want = ids(&db, &select);
+                            let generation = db.commit_generation();
+                            let update = format!("UPDATE s SET tag = '{tag}' WHERE {p}");
+                            match (&want, ids(&db, &update)) {
+                                (Ok(want), Ok(n)) => {
+                                    assert_eq!(n, [want.len() as i64], "{config}: {update}");
+                                    assert_eq!(
+                                        &ids(&db, &renamed).unwrap(),
+                                        want,
+                                        "{config}: {update}"
+                                    );
+                                    acted += want.len();
+                                }
+                                (Err(want), Err(have)) => {
+                                    assert_eq!(&have, want, "{config}: {update}");
+                                    assert_eq!(
+                                        db.commit_generation(),
+                                        generation,
+                                        "{config}: {update}"
+                                    );
+                                    failed += 1;
+                                }
+                                (want, have) => panic!("{config}: {update}: {want:?} / {have:?}"),
+                            }
+
+                            let want = ids(&db, &select);
+                            let before = ids(&db, "SELECT id FROM s").unwrap();
+                            let delete = format!("DELETE FROM s WHERE {p}");
+                            let have = ids(&db, &delete);
+                            let after = ids(&db, "SELECT id FROM s").unwrap();
+                            let removed: Vec<i64> = before
+                                .iter()
+                                .copied()
+                                .filter(|id| after.binary_search(id).is_err())
+                                .collect();
+                            match (&want, have) {
+                                (Ok(want), Ok(n)) => {
+                                    assert_eq!(n, [want.len() as i64], "{config}: {delete}");
+                                    assert_eq!(&removed, want, "{config}: {delete}");
+                                }
+                                (Err(want), Err(have)) => {
+                                    assert_eq!(&have, want, "{config}: {delete}");
+                                    assert_eq!(before, after, "{config}: {delete}");
+                                }
+                                (want, have) => panic!("{config}: {delete}: {want:?} / {have:?}"),
+                            }
+                        }
+                    }
+                }
+                assert!(acted > 20_000 && failed >= 4 * 10, "{acted} rows, {failed} failures");
+            });
+        }
+    });
 }

@@ -299,16 +299,20 @@ fn buffer_pool_table_tracks_pool_state() {
 
     db.set_pool_bytes(8 * 1024 * 1024);
     db.clear_caches();
-    // A projection reads every page (a COUNT(*) reads none).
+    // A projection reads every page (a COUNT(*) reads none), and keeps
+    // none of the rows it only passes on.
     db.execute("SELECT id FROM pts").unwrap();
-    let r = db.execute("SELECT capacity_frames, cold_pins FROM jp_buffer_pool").unwrap();
+    let r = db.execute("SELECT capacity_frames, cold_pins, decoded_rows FROM jp_buffer_pool");
+    let r = r.unwrap();
     assert_eq!(r.rows[0][0], Value::Int(1024), "8 MiB of 8 KiB frames");
     let Value::Int(cold) = r.rows[0][1] else { panic!("cold_pins must be integer") };
     assert!(cold > 0, "the cold scan faulted pages in");
+    assert_eq!(r.rows[0][2], Value::Int(0), "a projection of plain columns keeps no row");
 
-    // Decoded rows live in frames: a fetch decodes some, and dropping
-    // the frames drops every one of them.
-    db.execute("SELECT id FROM pts WHERE id >= 0").unwrap();
+    // Decoded rows live in frames: a read that evaluates its rows (an
+    // aggregate here) decodes and keeps some, and dropping the frames
+    // drops every one of them.
+    db.execute("SELECT MAX(id) FROM pts WHERE id >= 0").unwrap();
     let decoded = "SELECT decoded_rows, resident_frames FROM jp_buffer_pool";
     let r = db.execute(decoded).unwrap();
     assert!(matches!(r.rows[0][0], Value::Int(n) if n > 0), "the scan decoded rows: {r:?}");
@@ -330,7 +334,8 @@ fn buffer_pool_table_tracks_pool_state() {
 /// (`COUNT(*)` under an envelope filter, through the spatial index) and
 /// a count under geocoding's address filter (text and integer
 /// comparisons, through the ordered index) decode none, and geocoding's
-/// projection decodes exactly the rows it returns.
+/// projection decodes exactly the rows it returns — and, passing them
+/// on, keeps none of them.
 #[test]
 fn a_statement_decodes_only_the_rows_it_returns() {
     let db = Arc::new(SpatialDb::new(EngineProfile::ExactRtree));
@@ -350,14 +355,19 @@ fn a_statement_decodes_only_the_rows_it_returns() {
     let address = "name = 'road 1' AND zip = 2 AND id >= 4 AND id <= 30";
     assert_eq!(count(&db, &format!("SELECT COUNT(*) FROM roads WHERE {address}")), 3);
     assert_eq!(decoded(), 0, "a count decodes no row");
-    let lookup = db.execute(&format!("SELECT id, name, geom FROM roads WHERE {address}")).unwrap();
+    let misses = || db.table("roads").unwrap().heap.stats().cache_misses;
+    let before = misses();
+    let lookup = format!("SELECT id, name, geom FROM roads WHERE {address}");
+    let (lookup, trace) = db.execute_traced(&lookup).unwrap();
     assert_eq!(lookup.rows.len(), 3);
-    assert_eq!(decoded(), 3, "a projection decodes the rows it returns");
+    assert_eq!(trace.counter("heap_rows_fetched"), 3, "a projection fetches the rows it returns");
+    assert_eq!(misses() - before, 3, "and decodes each of them");
+    assert_eq!(decoded(), 0, "and keeps none: it only passes them on");
 }
 
 /// A reopened engine holds no decoded row: neither the snapshot restore
-/// nor the log replay keeps one, and a read decodes, and keeps, what it
-/// reads.
+/// nor the log replay keeps one, a read that passes rows on keeps none,
+/// and a read that evaluates rows decodes, and keeps, what it reads.
 #[test]
 fn a_reopened_engine_decodes_only_what_a_read_asks_for() {
     let dir = std::env::temp_dir().join(format!("jackpine_syscat_reopen_{}", std::process::id()));
@@ -376,6 +386,9 @@ fn a_reopened_engine_decodes_only_what_a_read_asks_for() {
     assert_eq!(db.execute(decoded).unwrap().rows[0][0], Value::Int(0), "open decoded rows");
     let all = db.execute("SELECT * FROM pts").unwrap();
     assert_eq!(all.rows.len(), 30);
+    assert_eq!(db.execute(decoded).unwrap().rows[0][0], Value::Int(0), "SELECT * keeps none");
+    let counted = db.execute("SELECT COUNT(geom) FROM pts").unwrap();
+    assert_eq!(counted.scalar(), Some(&Value::Int(30)));
     assert_eq!(db.execute(decoded).unwrap().rows[0][0], Value::Int(30), "a scan keeps its rows");
     SpatialDb::set_durability(&db, None, opts()).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
