@@ -27,10 +27,9 @@
 //! a statement and its record, nor truncates staged-but-unsynced frames.
 
 use crate::db::{EngineError, SpatialDb};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{Logged, Wal};
 use crate::{EngineProfile, Result};
 use jackpine_obs::TxnSite;
-use jackpine_storage::Value;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, MutexGuard};
 
@@ -92,8 +91,15 @@ impl SpatialDb {
         } else {
             (Arc::new(SpatialDb::new(profile)), 0)
         };
-        let replay = Wal::replay(dir.join(WAL_FILE))?;
-        let fold = replay.generation == snap_gen && !replay.records.is_empty();
+        // A checksum-valid record that does not apply (a tuple that does
+        // not check, a slot taken) is corruption, as in a snapshot.
+        let replay = Wal::replay(dir.join(WAL_FILE), snap_gen, |rec| {
+            db.apply_wal_record(rec).map_err(|e| match e {
+                EngineError::Persist(_) => e,
+                other => EngineError::Persist(format!("WAL: unreplayable record: {other}")),
+            })
+        })?;
+        let fold = replay.records > 0;
         // Checkpoint: replayed writes become part of a snapshot at the
         // next generation, which lands before the fresh log, so a crash
         // between the two leaves a stale log whose generation no longer
@@ -104,11 +110,6 @@ impl SpatialDb {
         // fold".
         let cut = fold || !had_snapshot;
         let gen = if cut { snap_gen.max(replay.generation) + 1 } else { snap_gen };
-        if fold {
-            for rec in replay.records {
-                db.apply_wal_record(rec)?;
-            }
-        }
         db.attach(dir, opts, gen, cut)?;
         Ok(db)
     }
@@ -244,22 +245,22 @@ impl SpatialDb {
     /// attached and before any concurrent session exists, so records
     /// apply through unlogged, generation-free paths (rows are reborn
     /// visible-everywhere; the snapshot that follows settles them).
-    fn apply_wal_record(&self, rec: WalRecord) -> Result<()> {
+    fn apply_wal_record(&self, rec: Logged<'_>) -> Result<()> {
         match rec {
             // Back into the exact slot it was logged at, so later
             // `DeleteId` records (and index entries) address the right
-            // row even among byte-identical duplicates. The row is encoded
-            // once for the slot and the index entries and then dropped: a
-            // frame keeps only what a read decoded.
-            WalRecord::InsertAt { table, id, row } => {
-                let (t, tuple) = (self.table(&table)?, Value::store_row(&row));
-                t.heap.place_tuple(&tuple, &row, id, 0)?;
-                t.index_tuples([(id, &tuple[..])], true)
+            // row even among byte-identical duplicates. The slot and the
+            // index entries take the log's bytes, checked in place: no row
+            // is built, and a frame keeps only what a read decoded.
+            Logged::InsertAt { table, id, tuple } => {
+                let t = self.table(table)?;
+                t.heap.place_tuple(tuple, id, 0)?;
+                t.index_tuples([(id, tuple)], true)
             }
             // A missing row means the record's effect is already there:
             // recovery stays idempotent.
-            WalRecord::DeleteId { table, id } => {
-                let t = self.table(&table)?;
+            Logged::DeleteId { table, id } => {
+                let t = self.table(table)?;
                 t.remove_index_entries(id)?;
                 t.heap.delete(id);
                 Ok(())

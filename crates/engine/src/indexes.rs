@@ -16,7 +16,7 @@
 
 use crate::catalog::Table;
 use crate::db::{EngineError, SpatialDb};
-use crate::seeds::{envelope_key, IndexSeeds, Seed};
+use crate::seeds::{Groups, IndexSeeds, Seed};
 use crate::syscat;
 use crate::txn::Transactions;
 use jackpine_geom::{Coord, Envelope};
@@ -179,25 +179,6 @@ impl Key {
             _ => None,
         }
     }
-
-    /// [`Key::from_value`] of a column still in its tuple's bytes.
-    fn from_field(f: Field<'_>) -> Option<Key> {
-        match f {
-            Field::Int(i) => Some(Key::Int(i)),
-            Field::Text(s) => Some(Key::Text(s.to_string())),
-            _ => None,
-        }
-    }
-}
-
-/// Column `col` of an encoded row, `None` past its last.
-fn tuple_field(tuple: &[u8], col: usize) -> crate::Result<Option<Field<'_>>> {
-    let mut field = None;
-    Field::of(tuple, &[col], |_, f| {
-        field = Some(f);
-        Ok::<(), EngineError>(())
-    })?;
-    Ok(field)
 }
 
 /// Per-table index bookkeeping.
@@ -205,6 +186,47 @@ fn tuple_field(tuple: &[u8], col: usize) -> crate::Result<Option<Field<'_>>> {
 pub(crate) struct TableIndexes {
     spatial: HashMap<usize, SpatialColumn>,
     ordered: HashMap<usize, OrderedIndex<Key, RowId>>,
+}
+
+impl TableIndexes {
+    /// Adds the entries `seeds` hold, gathered for these indexes, when
+    /// `present`, or removes them: each index's in the order its rows
+    /// came, as one insert or removal a row would.
+    fn apply(&mut self, seeds: IndexSeeds, present: bool) {
+        let missing = "seeds are gathered for the indexes there are";
+        for (col, seed) in seeds.cols.iter().zip(seeds.seeds) {
+            match seed {
+                Seed::Spatial(items) => {
+                    let idx = self.spatial.get_mut(col).expect(missing);
+                    for (env, id) in items {
+                        if present {
+                            idx.insert(env, id)
+                        } else {
+                            idx.remove(&env, id)
+                        }
+                    }
+                }
+                Seed::Ordered(ints, texts) => {
+                    let idx = self.ordered.get_mut(col).expect(missing);
+                    for (key, ids) in key_groups(ints, texts) {
+                        for id in ids {
+                            if present {
+                                idx.insert(key.clone(), id);
+                            } else {
+                                idx.remove(&key, |v| *v == id);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An ordered index's seed as its entries grouped by key.
+fn key_groups(ints: Groups<i64>, texts: Groups<String>) -> impl Iterator<Item = (Key, Vec<RowId>)> {
+    let ints = ints.into_iter().map(|(k, ids)| (Key::Int(k), ids));
+    ints.chain(texts.into_iter().map(|(k, ids)| (Key::Text(k), ids)))
 }
 
 impl SpatialDb {
@@ -289,9 +311,7 @@ impl SpatialDb {
                     spatial.push((col, self.build_spatial_index(&t.name, col, items)))
                 }
                 Seed::Ordered(ints, texts) => {
-                    let ints = ints.into_iter().map(|(k, ids)| (Key::Int(k), ids));
-                    let texts = texts.into_iter().map(|(k, ids)| (Key::Text(k), ids));
-                    ordered.push((col, OrderedIndex::from_groups(ints.chain(texts))));
+                    ordered.push((col, OrderedIndex::from_groups(key_groups(ints, texts))))
                 }
             }
         }
@@ -406,33 +426,28 @@ impl SpatialDb {
 impl Table {
     /// Adds the entries of each `(id, tuple)` of `rows` — the row at `id`,
     /// stored as `tuple` — to every index on this table when `present`,
-    /// or removes them, all under one lock: read off the bytes as
-    /// [`IndexSeeds::add`] reads them, so what a rollback or a vacuum
-    /// strips is what the insert put there. An error leaves the rows
-    /// before the one that failed applied, and of that row the columns
-    /// before the one that failed.
+    /// or removes them, all under one lock. They are gathered first, by
+    /// the one walk a tuple that gathers a `CREATE INDEX`'s or a
+    /// restore's ([`IndexSeeds::add`]), so what a rollback or a vacuum
+    /// strips is what the insert put there, and an error leaves the
+    /// indexes as they were. A table without an index reads nothing.
     pub(crate) fn index_tuples<'t>(
         &self,
         rows: impl IntoIterator<Item = (RowId, &'t [u8])>,
         present: bool,
     ) -> crate::Result<()> {
         let ti = &mut *self.indexes.write();
-        for (id, tuple) in rows {
-            for (col, idx) in ti.spatial.iter_mut() {
-                match tuple_field(tuple, *col)?.map_or(Ok(None), envelope_key)? {
-                    Some(env) if present => idx.insert(env, id),
-                    Some(env) => idx.remove(&env, id),
-                    None => {}
-                }
-            }
-            for (col, idx) in ti.ordered.iter_mut() {
-                match tuple_field(tuple, *col)?.and_then(Key::from_field) {
-                    Some(k) if present => idx.insert(k, id),
-                    Some(k) => drop(idx.remove(&k, |v| *v == id)),
-                    None => {}
-                }
-            }
+        if ti.spatial.is_empty() && ti.ordered.is_empty() {
+            return Ok(());
         }
+        let (spatial, ordered): (Vec<_>, Vec<_>) =
+            (ti.spatial.keys().copied().collect(), ti.ordered.keys().copied().collect());
+        let rows = rows.into_iter();
+        let mut seeds = IndexSeeds::new(self, &spatial, &ordered, rows.size_hint().0)?;
+        for (id, tuple) in rows {
+            seeds.add(id, tuple)?;
+        }
+        ti.apply(seeds, present);
         Ok(())
     }
 
@@ -691,8 +706,7 @@ mod tests {
             out.push(format!("spatial {col}: {shape:?} {stats:?} {seen:?}"));
         }
         for (col, idx) in &ti.ordered {
-            let all = idx.range(&Key::Int(i64::MIN), &Key::Text("\u{10FFFF}".into()));
-            out.push(format!("ordered {col}: {} keys {all:?}", idx.key_count()));
+            out.push(format!("ordered {col}: {} keys {idx:?}", idx.key_count()));
         }
         out.sort();
         out
@@ -746,6 +760,11 @@ mod tests {
         tuple
     }
 
+    /// Appends `tuple` to `t`'s heap as it is, past every check.
+    fn append_raw(t: &Table, tuple: &[u8]) {
+        t.heap.insert_tuples(tuple, std::slice::from_ref(&(0..tuple.len())), 0).unwrap();
+    }
+
     #[test]
     fn a_failed_split_scan_installs_nothing() {
         let db = SpatialDb::new(EngineProfile::ExactRtree);
@@ -753,11 +772,11 @@ mod tests {
         // in an early run and one in the last; the first in id order is
         // the one reported.
         let last = table_of(&db, "last", MIN_PARALLEL_ROWS + 700);
-        last.heap.insert_tuple(&corrupt(17), 0).unwrap();
+        append_raw(&last, &corrupt(17));
         let both = table_of(&db, "both", 700);
-        both.heap.insert_tuple(&corrupt(18), 0).unwrap();
+        append_raw(&both, &corrupt(18));
         db.insert_rows("both", rows(MIN_PARALLEL_ROWS)).unwrap();
-        both.heap.insert_tuple(&corrupt(19), 0).unwrap();
+        append_raw(&both, &corrupt(19));
         for (table, mark) in [("last", 17), ("both", 18)] {
             let mut errors = Vec::new();
             for workers in [1, 2, 7] {

@@ -22,7 +22,7 @@ pub(crate) type Groups<K> = HashMap<K, Vec<RowId>>;
 /// geometry's envelope, or the empty one for a NULL. So the index counts
 /// the rows no nearest search can rank, NULL and empty alike, and finds
 /// each again on removal.
-pub(crate) fn envelope_key(f: Field<'_>) -> crate::Result<Option<Envelope>> {
+fn envelope_key(f: Field<'_>) -> crate::Result<Option<Envelope>> {
     match f {
         Field::Null => Ok(Some(Envelope::EMPTY)),
         f => Ok(f.envelope()?),

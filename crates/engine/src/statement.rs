@@ -400,13 +400,13 @@ impl SpatialDb {
             metrics: self.metrics.clone(),
             snapshot: None,
         };
-        let victims = exec::matching_rows(&planned, &opts, assignments.is_some())?;
-        // A replacement that cannot be computed, or does not fit the
-        // schema, rolls back the pairs before it.
-        let acted = victims.len();
-        for (id, old) in victims {
-            txn.kill(id);
-            if let Some(old) = old {
+        let mut victims = exec::matching_rows(&planned, &opts, assignments.is_some())?;
+        // Every replacement before any change, so one that cannot be
+        // computed touches nothing; then the kills, and the replacements as
+        // one batch, inserted a page-sized run at a time as `insert_rows`' are.
+        let mut replacements = Vec::new();
+        for (_, old) in &mut victims {
+            if let Some(old) = old.take() {
                 let values = replacement
                     .iter()
                     .map(|(_, e)| exec::eval(e, &old, mode))
@@ -417,11 +417,13 @@ impl SpatialDb {
                 for ((col, _), v) in replacement.iter().zip(values) {
                     new[*col] = v;
                 }
-                txn.insert([new])?;
+                replacements.push(new);
             }
         }
+        victims.iter().for_each(|&(id, _)| txn.kill(id));
+        txn.insert(replacements)?;
         txn.commit()?;
-        Ok(acted)
+        Ok(victims.len())
     }
 }
 

@@ -427,7 +427,7 @@ impl Drop for WriteTxn<'_> {
                     // failed here would have nowhere to go. The insert
                     // read these bytes the same way, so this can only
                     // fail where the insert's own `index_tuples` did —
-                    // having removed every entry that one added.
+                    // which added nothing of that run.
                     let rows = [(id, &self.staged[tuple])];
                     let _ = self.table.index_tuples(rows, false);
                     self.table.heap.delete(id);

@@ -20,8 +20,11 @@
 //! use, with the transaction as the unit: the frame's checksum is its
 //! commit mark, so a torn write drops whole statements — never an
 //! UPDATE's delete without its reinsert, or half of a multi-row INSERT.
-//! A checksum-valid payload must decode exactly to its end. A frame of
-//! one record is framed as version 4 framed a record.
+//! A checksum-valid payload must split into records exactly to its end.
+//! A frame of one record is framed as version 4 framed a record.
+//! Replay reads the log a frame at a time and builds nothing: a record is
+//! a view of its frame's bytes (`Logged`), an insert's row the stored
+//! tuple it ends with.
 //!
 //! The header's generation number ties the log to the snapshot it was
 //! cut against: a checkpoint writes the new snapshot (stamped with the
@@ -35,7 +38,7 @@ use crate::{EngineError, Result};
 use jackpine_geom::codec::{PutBytes, TakeBytes};
 use jackpine_storage::sync::Mutex;
 use jackpine_storage::{Row, RowId, Value};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// WAL file magic.
@@ -62,7 +65,8 @@ fn io_err(e: std::io::Error) -> EngineError {
     persist_err(format!("WAL I/O: {e}"))
 }
 
-/// One logged row change.
+/// One row change to log, as tests and the benchmark's WAL probes build
+/// it; replay reads it back as a `Logged`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     /// One logically deleted row, addressed by its `RowId`. Row ids are
@@ -112,19 +116,15 @@ fn get_row_id(data: &mut &[u8]) -> Result<RowId> {
     Ok(RowId { page, slot })
 }
 
-fn get_str(data: &mut &[u8]) -> Result<String> {
+fn get_str<'a>(data: &mut &'a [u8]) -> Result<&'a str> {
     if data.remaining() < 4 {
         return Err(persist_err("WAL: truncated string length"));
     }
     let len = data.get_u32_le() as usize;
-    if data.remaining() < len {
-        return Err(persist_err("WAL: truncated string payload"));
-    }
-    let s = std::str::from_utf8(&data[..len])
-        .map_err(|_| persist_err("WAL: invalid UTF-8"))?
-        .to_string();
-    data.advance(len);
-    Ok(s)
+    let (s, rest) =
+        data.split_at_checked(len).ok_or_else(|| persist_err("WAL: truncated string payload"))?;
+    *data = rest;
+    std::str::from_utf8(s).map_err(|_| persist_err("WAL: invalid UTF-8"))
 }
 
 /// The one [`WalRecord::InsertAt`] payload encoder, given the row as it
@@ -196,44 +196,41 @@ impl WalRecord {
         }
     }
 
-    /// Decodes one record payload produced by [`WalRecord::encode`], which
-    /// must end where the record does.
-    pub fn decode(mut data: &[u8]) -> Result<WalRecord> {
-        let rec = WalRecord::decode_next(&mut data)?;
-        if !data.is_empty() {
-            return Err(persist_err(format!("WAL: {} bytes after the record", data.len())));
-        }
-        Ok(rec)
-    }
-
-    /// Decodes the record at the front of `data`, advancing past it.
-    fn decode_next(data: &mut &[u8]) -> Result<WalRecord> {
-        if data.remaining() < 1 {
-            return Err(persist_err("WAL: empty record"));
-        }
-        match data.get_u8() {
-            KIND_DELETE_ID => {
-                let table = get_str(data)?;
-                let id = get_row_id(data)?;
-                Ok(WalRecord::DeleteId { table, id })
-            }
-            KIND_INSERT_AT => {
-                let table = get_str(data)?;
-                let id = get_row_id(data)?;
-                // A stored row delimits itself, as every record does.
-                let row = Value::take_row(data)?;
-                Ok(WalRecord::InsertAt { table, id, row })
-            }
-            other => Err(persist_err(format!("WAL: unknown record kind {other}"))),
-        }
-    }
-
     /// The record as a complete on-disk frame, a transaction of one
     /// record: `len | crc | payload`. Write transactions stage their
     /// frames in place; the readers of this one are the tests that build
     /// logs by hand.
     pub fn frame(&self) -> Vec<u8> {
         transaction_frame(std::slice::from_ref(self))
+    }
+}
+
+/// One logged row change as replay reads it: a view of the log's bytes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Logged<'a> {
+    /// A [`WalRecord::DeleteId`]: the table and the row's id.
+    DeleteId { table: &'a str, id: RowId },
+    /// A [`WalRecord::InsertAt`]: the table, the row's id and the row as
+    /// it is stored ([`Value::store_row`]), unchecked.
+    InsertAt { table: &'a str, id: RowId, tuple: &'a [u8] },
+}
+
+impl<'a> Logged<'a> {
+    /// Reads the record at the front of `data`, advancing past it. An
+    /// insert's tuple is split off by the codec's skip walk
+    /// ([`Value::split_tuple`]): a stored row delimits itself.
+    fn take(data: &mut &'a [u8]) -> Result<Logged<'a>> {
+        if data.remaining() < 1 {
+            return Err(persist_err("WAL: empty record"));
+        }
+        match data.get_u8() {
+            KIND_DELETE_ID => Ok(Logged::DeleteId { table: get_str(data)?, id: get_row_id(data)? }),
+            KIND_INSERT_AT => {
+                let (table, id) = (get_str(data)?, get_row_id(data)?);
+                Ok(Logged::InsertAt { table, id, tuple: Value::split_tuple(data)? })
+            }
+            other => Err(persist_err(format!("WAL: unknown record kind {other}"))),
+        }
     }
 }
 
@@ -261,18 +258,16 @@ fn header_generation(head: &[u8; WAL_HEADER_LEN]) -> Result<u64> {
     Ok(data.get_u64_le())
 }
 
-/// What a replay recovered.
+/// What a replay found.
 #[derive(Debug)]
-pub struct Replay {
-    /// Every record of every intact frame, in append order.
-    pub records: Vec<WalRecord>,
-    /// Bytes of torn or corrupt tail that were ignored (0 for a clean log).
-    pub ignored_tail: usize,
+pub(crate) struct Replay {
     /// The generation of the snapshot this log was cut against (0 when
-    /// the file was missing or its header torn — `records` is empty in
+    /// the file was missing or its header torn — there are no records in
     /// both cases). A log is replayable only over the snapshot whose
     /// generation matches.
-    pub generation: u64,
+    pub(crate) generation: u64,
+    /// The records applied.
+    pub(crate) records: usize,
 }
 
 /// An open, appendable write-ahead log.
@@ -430,75 +425,81 @@ impl Wal {
         header_generation(&head).unwrap_or(0)
     }
 
-    /// Scans the log at `path`, returning the records of every intact
-    /// frame, the log's generation, and the size of any ignored torn
-    /// tail. A missing file replays to nothing, and so does a strict
-    /// prefix of a valid header (a crash while [`Wal::create`] was
-    /// writing it). Header bytes that could *not* have come from a torn
-    /// header write — wrong magic or version — are rejected: that is
-    /// corruption of the log head, which no crash during create or
-    /// append can produce.
-    pub fn replay(path: impl AsRef<Path>) -> Result<Replay> {
-        let raw = match std::fs::read(path.as_ref()) {
-            Ok(b) => b,
+    /// Replays the log at `path` over the snapshot of generation `over`:
+    /// each record of every intact frame, in append order, is handed to
+    /// `apply` as a view of the frame's bytes, read a frame at a time, so
+    /// one frame is held and nothing is decoded. A log of another
+    /// generation is stale (its records are in the snapshot already) and
+    /// is not read past its header. A torn or corrupt tail is ignored. A
+    /// missing file replays to nothing, and so does a strict prefix of a
+    /// valid header (a crash while [`Wal::create`] was writing it).
+    /// Header bytes that could *not* have come from a torn header write —
+    /// wrong magic or version — are rejected: that is corruption of the
+    /// log head, which no crash during create or append can produce.
+    pub(crate) fn replay(
+        path: impl AsRef<Path>,
+        over: u64,
+        mut apply: impl FnMut(Logged<'_>) -> Result<()>,
+    ) -> Result<Replay> {
+        let file = match std::fs::File::open(path.as_ref()) {
+            Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Replay { records: Vec::new(), ignored_tail: 0, generation: 0 })
+                return Ok(Replay { generation: 0, records: 0 })
             }
             Err(e) => return Err(io_err(e)),
         };
-        let mut data: &[u8] = &raw;
-        let Some((head, body)) = data.split_first_chunk::<WAL_HEADER_LEN>() else {
+        // Its `limit` is the bytes not yet read: no length field can make
+        // a read go past them.
+        let len = file.metadata().map_err(io_err)?.len();
+        let mut log = std::io::BufReader::new(file).take(len);
+        let mut head = [0u8; WAL_HEADER_LEN];
+        if len < WAL_HEADER_LEN as u64 {
             // Short header: torn create if it is a prefix of a valid
             // header (the generation bytes, 8.., may hold any value),
             // corruption otherwise.
-            let fixed = wal_header(0);
-            let n = data.remaining().min(8);
-            if data[..n] != fixed[..n] {
+            let n = (len as usize).min(8);
+            log.read_exact(&mut head[..n]).map_err(io_err)?;
+            if head[..n] != wal_header(0)[..n] {
                 return Err(persist_err("WAL: bad header"));
             }
-            return Ok(Replay {
-                records: Vec::new(),
-                ignored_tail: data.remaining(),
-                generation: 0,
-            });
-        };
-        let generation = header_generation(head)?;
-        data = body;
-        let mut records = Vec::new();
-        while data.remaining() >= FRAME_OVERHEAD {
-            let tail = data.remaining();
-            let mut peek = data;
-            let len = peek.get_u32_le() as usize;
-            let want_crc = peek.get_u32_le();
-            if peek.remaining() < len {
-                // Torn frame: the append was cut off mid-payload.
-                return Ok(Replay { records, ignored_tail: tail, generation });
+            return Ok(Replay { generation: 0, records: 0 });
+        }
+        log.read_exact(&mut head).map_err(io_err)?;
+        let mut replay = Replay { generation: header_generation(&head)?, records: 0 };
+        let (mut frame_head, mut frame) = ([0u8; FRAME_OVERHEAD], Vec::new());
+        while replay.generation == over && log.limit() >= FRAME_OVERHEAD as u64 {
+            log.read_exact(&mut frame_head).map_err(io_err)?;
+            let (len, crc) = frame_head.split_at(4);
+            let len = u32::from_le_bytes(len.try_into().expect("four bytes"));
+            // A torn frame (the append was cut off mid-payload), or bit
+            // rot or a torn length field: nothing from here on can be
+            // trusted.
+            if u64::from(len) > log.limit() {
+                break;
             }
-            if crc32(&peek[..len]) != want_crc {
-                // Bit rot or a torn length field; nothing past this
-                // point can be trusted.
-                return Ok(Replay { records, ignored_tail: tail, generation });
+            frame.resize(len as usize, 0);
+            log.read_exact(&mut frame).map_err(io_err)?;
+            if crc32(&frame).to_le_bytes() != crc {
+                break;
             }
             // The checksum passed, so these are the bytes that were
-            // appended — if they do not parse, exactly to the frame's
-            // end, that is a format bug or version skew, not a torn
-            // write. Silently dropping this transaction (and every
+            // appended — if they do not split into records, exactly to
+            // the frame's end, that is a format bug or version skew, not
+            // a torn write. Silently dropping this transaction (and every
             // committed one behind it) would be data loss, so fail
             // loudly instead.
-            let (mut payload, rest) = peek.split_at(len);
+            let mut payload = &frame[..];
             loop {
-                let rec = WalRecord::decode_next(&mut payload).map_err(|e| {
+                apply(Logged::take(&mut payload).map_err(|e| {
                     persist_err(format!("WAL: checksum-valid record failed to decode: {e}"))
-                })?;
-                records.push(rec);
+                })?)?;
+                replay.records += 1;
                 if payload.is_empty() {
                     break;
                 }
             }
-            data = rest;
         }
-        let ignored_tail = data.remaining();
-        Ok(Replay { records, ignored_tail, generation })
+        Ok(replay)
     }
 }
 
@@ -540,11 +541,38 @@ mod tests {
         ]
     }
 
+    /// The record `rec` reads back as, built up as the encoder's type:
+    /// an insert's tuple decoded.
+    fn owned(rec: Logged<'_>) -> WalRecord {
+        match rec {
+            Logged::DeleteId { table, id } => WalRecord::DeleteId { table: table.into(), id },
+            Logged::InsertAt { table, id, tuple } => WalRecord::InsertAt {
+                table: table.into(),
+                id,
+                row: Value::decode_row(tuple).unwrap(),
+            },
+        }
+    }
+
+    /// Replays the log at `path` over its own generation: what replay
+    /// found, and every record it applied, built up by [`owned`].
+    fn replayed(path: &Path) -> Result<(Replay, Vec<WalRecord>)> {
+        let mut records = Vec::new();
+        let replay = Wal::replay(path, Wal::peek_generation(path), |rec| {
+            records.push(owned(rec));
+            Ok(())
+        })?;
+        assert_eq!(replay.records, records.len());
+        Ok((replay, records))
+    }
+
     #[test]
     fn record_roundtrip() {
         for rec in sample_records() {
-            let bytes = rec.encode();
-            assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
+            let bytes = [rec.encode(), b"next".to_vec()].concat();
+            let mut data = &bytes[..];
+            assert_eq!(owned(Logged::take(&mut data).unwrap()), rec);
+            assert_eq!(data, b"next", "a record ends where its encoding does");
         }
     }
 
@@ -556,10 +584,13 @@ mod tests {
             wal.append(&rec).unwrap();
         }
         drop(wal);
-        let replay = Wal::replay(&path).unwrap();
+        let (replay, records) = replayed(&path).unwrap();
+        // Over a snapshot of another generation the log is stale: its
+        // records are not read.
+        let stale = Wal::replay(&path, 8, |rec| panic!("applied {rec:?}")).unwrap();
+        assert_eq!((stale.generation, stale.records), (7, 0));
         std::fs::remove_file(&path).ok();
-        assert_eq!(replay.records, sample_records());
-        assert_eq!(replay.ignored_tail, 0);
+        assert_eq!(records, sample_records());
         assert_eq!(replay.generation, 7);
     }
 
@@ -576,10 +607,9 @@ mod tests {
         // Cut mid-way through the last record's frame.
         let cut = full.len() - 3;
         std::fs::write(&path, &full[..cut]).unwrap();
-        let replay = Wal::replay(&path).unwrap();
+        let (_, records) = replayed(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(replay.records, recs[..recs.len() - 1]);
-        assert!(replay.ignored_tail > 0);
+        assert_eq!(records, recs[..recs.len() - 1]);
     }
 
     #[test]
@@ -590,8 +620,8 @@ mod tests {
         wal.reset(2).unwrap();
         wal.append(&sample_records()[3]).unwrap();
         drop(wal);
-        let replay = Wal::replay(&path).unwrap();
-        assert_eq!(replay.records, vec![sample_records()[3].clone()]);
+        let (replay, records) = replayed(&path).unwrap();
+        assert_eq!(records, vec![sample_records()[3].clone()]);
         assert_eq!(replay.generation, 2);
         assert_eq!(Wal::peek_generation(&path), 2);
         std::fs::remove_file(&path).ok();
@@ -601,9 +631,9 @@ mod tests {
     fn bad_head_is_rejected() {
         let path = temp_path("badhead");
         std::fs::write(&path, b"NOPE\x01\x00\x00\x00").unwrap();
-        assert!(Wal::replay(&path).is_err());
+        assert!(replayed(&path).is_err());
         std::fs::write(&path, b"JKWL\x63\x00\x00\x00").unwrap();
-        assert!(Wal::replay(&path).is_err());
+        assert!(replayed(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -614,8 +644,8 @@ mod tests {
         let head = wal_header(0x0102_0304_0506_0708);
         for cut in 0..head.len() {
             std::fs::write(&path, &head[..cut]).unwrap();
-            let replay = Wal::replay(&path).unwrap();
-            assert!(replay.records.is_empty(), "cut at {cut}");
+            let (replay, _) = replayed(&path).unwrap();
+            assert_eq!((replay.generation, replay.records), (0, 0), "cut at {cut}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -645,7 +675,7 @@ mod tests {
                 }
                 other => panic!("v{version}: unexpected error {other:?}"),
             };
-            refused(Wal::replay(&path).expect_err("replay"));
+            refused(replayed(&path).expect_err("replay"));
             assert_eq!(Wal::peek_generation(&path), 0);
             let opts = crate::DurabilityOptions::default();
             match crate::SpatialDb::open_durable(&dir, crate::EngineProfile::ExactRtree, opts) {
@@ -666,10 +696,9 @@ mod tests {
         wal.write_frames(&[]).unwrap(); // no-op
         wal.sync().unwrap();
         drop(wal);
-        let replay = Wal::replay(&path).unwrap();
+        let (_, records) = replayed(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(replay.records, recs);
-        assert_eq!(replay.ignored_tail, 0);
+        assert_eq!(records, recs);
     }
 
     #[test]
@@ -721,14 +750,14 @@ mod tests {
         let (batch, delete) = want.split_at(rows.len());
         let framed = [transaction_frame(batch), transaction_frame(delete)].concat();
         assert!(staged == framed, "staged frames differ from the records' own");
-        let replay = Wal::replay(&path).unwrap();
-        assert_eq!(replay.records[replay.records.len() - want.len()..], want[..]);
+        let (_, replay) = replayed(&path).unwrap();
+        assert_eq!(replay[replay.len() - want.len()..], want[..]);
         // The encoder the transaction stages with, one record at a time.
         for (rec, (&id, row)) in want.iter().zip(ids.iter().zip(&rows)) {
             let mut buf = vec![0xAB];
             put_insert_at(&mut buf, "Kinds", id, &Value::store_row(row));
             assert_eq!(buf[1..], rec.encode()[..]);
-            assert_eq!(&WalRecord::decode(&buf[1..]).unwrap(), rec);
+            assert_eq!(&owned(Logged::take(&mut &buf[1..]).unwrap()), rec);
         }
         // A transaction of one record is framed as version 4 framed a
         // record: `len | crc | payload`.
@@ -751,10 +780,11 @@ mod tests {
         wal.set_fail_appends(false);
         wal.append(&recs[1]).unwrap();
         drop(wal);
-        let replay = Wal::replay(&path).unwrap();
+        let (_, records) = replayed(&path).unwrap();
+        assert_eq!(records, recs[..2]);
+        let written = [wal_header(1), recs[0].frame(), recs[1].frame()].concat();
+        assert!(std::fs::read(&path).unwrap() == written, "failed appends wrote nothing");
         std::fs::remove_file(&path).ok();
-        assert_eq!(replay.records, recs[..2]);
-        assert_eq!(replay.ignored_tail, 0, "failed appends wrote nothing");
     }
 
     #[test]
@@ -768,7 +798,7 @@ mod tests {
         bytes.put_u32_le(crc32(&payload));
         bytes.put_slice(&payload);
         std::fs::write(&path, &bytes).unwrap();
-        let err = Wal::replay(&path).expect_err("must fail, not silently drop");
+        let err = replayed(&path).expect_err("must fail, not silently drop");
         assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
         // So is a record of a retired kind: version 5's CREATE TABLE (0),
         // CREATE INDEX spatial (2) and ordered (3), laid out as it laid
@@ -792,7 +822,7 @@ mod tests {
             bytes.put_u32_le(crc32(&payload));
             bytes.put_slice(&payload);
             std::fs::write(&path, &bytes).unwrap();
-            match Wal::replay(&path).expect_err("a retired record kind") {
+            match replayed(&path).expect_err("a retired record kind") {
                 EngineError::Persist(m) => {
                     assert!(m.contains(&format!("unknown record kind {}", payload[0])), "{m}")
                 }
@@ -809,7 +839,7 @@ mod tests {
             bytes.put_u32_le(crc32(payload));
             bytes.put_slice(payload);
             std::fs::write(&path, &bytes).unwrap();
-            let err = Wal::replay(&path).expect_err("a payload with bytes left over");
+            let err = replayed(&path).expect_err("a payload with bytes left over");
             assert!(matches!(err, EngineError::Persist(_)), "got {err:?}");
         }
         std::fs::remove_file(&path).ok();

@@ -2,10 +2,8 @@
 //! street-name and zip-code access paths in the geocoding scenarios.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
-/// A sorted multimap from keys to payloads with exact, range and (for
-/// string keys) prefix lookups.
+/// A sorted multimap from keys to payloads with exact lookups.
 #[derive(Clone, Debug)]
 pub struct OrderedIndex<K: Ord + Clone, T: Clone> {
     map: BTreeMap<K, Vec<T>>,
@@ -83,31 +81,6 @@ impl<K: Ord + Clone, T: Clone> OrderedIndex<K, T> {
     pub fn get(&self, key: &K) -> &[T] {
         self.map.get(key).map_or(&[], Vec::as_slice)
     }
-
-    /// Payloads for keys in `[lo, hi]` (inclusive), in key order.
-    pub fn range(&self, lo: &K, hi: &K) -> Vec<T> {
-        let mut out = Vec::new();
-        for (_, bucket) in
-            self.map.range((Bound::Included(lo.clone()), Bound::Included(hi.clone())))
-        {
-            out.extend(bucket.iter().cloned());
-        }
-        out
-    }
-}
-
-impl<T: Clone> OrderedIndex<String, T> {
-    /// Payloads for every key starting with `prefix`, in key order.
-    pub fn prefix(&self, prefix: &str) -> Vec<T> {
-        let mut out = Vec::new();
-        for (k, bucket) in self.map.range(prefix.to_string()..) {
-            if !k.starts_with(prefix) {
-                break;
-            }
-            out.extend(bucket.iter().cloned());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -126,31 +99,6 @@ mod tests {
         hits.sort_unstable();
         assert_eq!(hits, vec![1, 2]);
         assert!(idx.get(&"PINE RD".to_string()).is_empty());
-    }
-
-    #[test]
-    fn range_scan() {
-        let mut idx: OrderedIndex<i64, char> = OrderedIndex::new();
-        for (k, v) in [(10, 'a'), (20, 'b'), (30, 'c'), (40, 'd')] {
-            idx.insert(k, v);
-        }
-        assert_eq!(idx.range(&15, &35), vec!['b', 'c']);
-        assert_eq!(idx.range(&10, &10), vec!['a']);
-        assert_eq!(idx.range(&50, &60), Vec::<char>::new());
-    }
-
-    #[test]
-    fn prefix_scan() {
-        let mut idx: OrderedIndex<String, usize> = OrderedIndex::new();
-        idx.insert("OAK ST".into(), 1);
-        idx.insert("OAKWOOD DR".into(), 2);
-        idx.insert("ELM AVE".into(), 3);
-        idx.insert("OAL".into(), 4);
-        let mut hits = idx.prefix("OAK");
-        hits.sort_unstable();
-        assert_eq!(hits, vec![1, 2]);
-        assert_eq!(idx.prefix("Z"), Vec::<usize>::new());
-        assert_eq!(idx.prefix("").len(), 4);
     }
 
     #[test]
@@ -178,14 +126,6 @@ mod tests {
             assert_eq!(grouped.len(), one_by_one.len(), "{distinct} keys");
             assert_eq!(grouped.key_count(), one_by_one.key_count(), "{distinct} keys");
             assert_eq!(grouped.map, one_by_one.map, "keys and per-key payload order");
-            for (lo, hi) in [("K0000", "K9999"), ("K0003", "K0003"), ("K0100", "K0250"), ("Z", "Z")]
-            {
-                let (lo, hi) = (lo.to_string(), hi.to_string());
-                assert_eq!(grouped.range(&lo, &hi), one_by_one.range(&lo, &hi));
-            }
-            for prefix in ["", "K", "K00", "K001", "K4", "X"] {
-                assert_eq!(grouped.prefix(prefix), one_by_one.prefix(prefix), "{prefix:?}");
-            }
         }
         // A key given twice is joined in order; an empty group adds
         // nothing, not an empty bucket.
@@ -198,7 +138,7 @@ mod tests {
         assert_eq!((joined.len(), joined.key_count()), (4, 2));
         assert_eq!(joined.get(&5), &['a', 'b', 'd']);
         assert!(joined.get(&2).is_empty());
-        assert_eq!(joined.range(&0, &9), vec!['c', 'a', 'b', 'd']);
+        assert_eq!(joined.get(&1), &['c']);
     }
 
     #[test]

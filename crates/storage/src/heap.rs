@@ -198,32 +198,22 @@ impl HeapFile {
     }
 
     /// Validates and appends a row visible at every generation; returns
-    /// its id.
+    /// its id. Only its bytes are stored: the slot is decoded when a read
+    /// first asks for it.
     pub fn insert(&self, row: Row) -> Result<RowId> {
-        self.insert_at(&row, 0)
-    }
-
-    /// Validates and appends a row born at generation `born` (`0` =
-    /// visible since the beginning), which snapshots pinned before `born`
-    /// do not see; returns its id. Only its bytes are stored: the slot is
-    /// decoded when a read first asks for it.
-    pub fn insert_at(&self, row: &Row, born: u64) -> Result<RowId> {
-        self.schema.check_row(row)?;
-        self.insert_tuple(&Value::store_row(row), born)
-    }
-
-    /// [`HeapFile::insert_tuples`] of one tuple, `bytes`.
-    pub fn insert_tuple(&self, bytes: &[u8], born: u64) -> Result<RowId> {
+        self.schema.check_row(&row)?;
+        let bytes = Value::store_row(&row);
         let mut id = [RowId { page: 0, slot: 0 }];
-        self.append(bytes, std::slice::from_ref(&(0..bytes.len())), born, &mut id)?;
+        self.append(&bytes, std::slice::from_ref(&(0..bytes.len())), 0, &mut id)?;
         Ok(id[0])
     }
 
-    /// [`HeapFile::insert_at`] of a batch in stored form: the tuples
-    /// `staged[r]`, `r` in `tuples` — each [`Value::store_row`] of a row
-    /// that passed [`Schema::check_row`] — go into slots as they are, in
-    /// order; returns their ids. One take of the append lock, and of each
-    /// tail frame per run of tuples; an error leaves none of them behind.
+    /// Appends a batch in stored form, born at generation `born`, which
+    /// snapshots pinned before it do not see (`0`: visible to all): the
+    /// tuples `staged[r]`, `r` in `tuples` — each [`Value::store_row`] of
+    /// a row that passed [`Schema::check_row`] — go into slots as they
+    /// are, in order; returns their ids. One take of the append lock, and
+    /// of each tail frame per run of tuples; an error leaves none behind.
     pub fn insert_tuples(
         &self,
         staged: &[u8],
@@ -236,7 +226,7 @@ impl HeapFile {
     }
 
     /// The one append loop: [`HeapFile::insert_tuples`] into `ids`, so
-    /// that one tuple allocates nothing.
+    /// that [`HeapFile::insert`] allocates no id list.
     fn append(
         &self,
         staged: &[u8],
@@ -274,19 +264,20 @@ impl HeapFile {
         }
     }
 
-    /// Writes a row into a *specific* slot — WAL replay, which must
-    /// reproduce `RowId`s recorded in the log exactly. `bytes`,
-    /// [`Value::store_row`] of `row`, go into the slot as they are; `row`
-    /// is checked against the schema and not kept: the slot is decoded
-    /// when a read first asks for it. Idempotent: re-placing the
-    /// identical bytes at the same id is a no-op, so a crash between
-    /// replay and checkpoint replays cleanly.
+    /// Writes a stored row into a *specific* slot — WAL replay, which
+    /// must reproduce `RowId`s recorded in the log exactly. `bytes` are
+    /// checked in place against the schema ([`Schema::check_tuple`], as
+    /// [`HeapFile::restore_page`] checks a snapshot's) and go into the
+    /// slot as they are: nothing is built, and the slot is decoded when a
+    /// read first asks for it. Idempotent: re-placing the identical bytes
+    /// at the same id is a no-op, so a crash between replay and
+    /// checkpoint replays cleanly.
     ///
     /// # Errors
     /// [`StorageError::Corrupt`] when the slot holds a *different* live
-    /// row; schema errors as for [`HeapFile::insert`].
-    pub fn place_tuple(&self, bytes: &[u8], row: &Row, id: RowId, born: u64) -> Result<()> {
-        self.schema.check_row(row)?;
+    /// row; decode and schema errors as for [`Schema::check_tuple`].
+    pub fn place_tuple(&self, bytes: &[u8], id: RowId, born: u64) -> Result<()> {
+        self.schema.check_tuple(bytes, &mut Vec::new())?;
         let _append = self.append.lock();
         if self.npages.load(Ordering::Relaxed) <= id.page {
             self.npages.store(id.page + 1, Ordering::Relaxed);
@@ -470,16 +461,12 @@ impl HeapFile {
         Ok(())
     }
 
-    /// MBR quad of `row[col]` (see [`Value::mbr`]), computed from the
-    /// slot's bytes and kept in its frame once computed; the row is not
-    /// decoded. `None` when the column holds a non-geometry.
-    pub fn mbr(&self, id: RowId, col: usize) -> Result<Option<[f64; 4]>> {
-        Ok(self.mbrs(col, &[id])?[0])
-    }
-
-    /// [`HeapFile::mbr`] of every id, in input order, a page run at a
-    /// time — the executor's envelope filter and the vectorized filter's
-    /// column gather. Each run of ids on one page is read under one
+    /// The MBR quad of column `col` (see [`Value::mbr`]) of every id, in
+    /// input order, computed from the slots' bytes and kept in their
+    /// frames once computed, a page run at a time; no row is decoded.
+    /// `None` for a column that holds a non-geometry. The executor's
+    /// envelope filter and the vectorized filter's column gather read
+    /// these. Each run of ids on one page is read under one
     /// shared lock; when a slot of the run has no quads yet, the page's
     /// exclusive lock is taken once and the run's missing quads are
     /// computed from their bytes. A slot whose quads are computed is
@@ -654,9 +641,21 @@ mod tests {
         }
     }
 
-    /// Places `row` at `id` as replay does: encoded, bytes and row both.
+    /// Places `row` at `id` as replay does: its stored bytes.
     fn place(h: &HeapFile, row: Row, id: RowId) -> Result<()> {
-        h.place_tuple(&Value::store_row(&row), &row, id, 0)
+        h.place_tuple(&Value::store_row(&row), id, 0)
+    }
+
+    /// Inserts `row` born at generation `born`, as a write transaction
+    /// does: a run of one stored tuple.
+    fn insert_born(h: &HeapFile, row: Row, born: u64) -> RowId {
+        let bytes = Value::store_row(&row);
+        h.insert_tuples(&bytes, std::slice::from_ref(&(0..bytes.len())), born).unwrap()[0]
+    }
+
+    /// The MBR quad of column `col` of the row at `id`.
+    fn mbr(h: &HeapFile, id: RowId, col: usize) -> Result<Option<[f64; 4]>> {
+        Ok(h.mbrs(col, &[id])?[0])
     }
 
     #[test]
@@ -736,7 +735,7 @@ mod tests {
         let row = vec![Value::Int(7), Value::Text("seven".into())];
         let bytes = Value::store_row(&row);
         let id = RowId { page: 2, slot: 5 };
-        h.place_tuple(&bytes, &row, id, 0).unwrap();
+        h.place_tuple(&bytes, id, 0).unwrap();
         assert_eq!(h.pool().stats().decoded_rows, 0, "placement keeps no row");
         assert_eq!(*h.get(id).unwrap(), row);
         assert_eq!(h.stats().cache_misses, 1, "the first read decodes the slot");
@@ -749,9 +748,14 @@ mod tests {
         .unwrap();
         assert_eq!(stored, bytes);
         // Idempotent for the same bytes; the row must fit the schema.
-        h.place_tuple(&bytes, &row, id, 0).unwrap();
+        h.place_tuple(&bytes, id, 0).unwrap();
         assert_eq!(h.len(), 1);
-        assert!(h.place_tuple(&bytes, &vec![Value::Int(7)], id, 0).is_err());
+        // Checked in place as a snapshot's tuples are: a row of the wrong
+        // arity, or bytes that are no row, go nowhere.
+        let other = RowId { page: 2, slot: 6 };
+        assert!(h.place_tuple(&Value::store_row(&[Value::Int(7)]), other, 0).is_err());
+        assert!(h.place_tuple(&bytes[..bytes.len() - 1], other, 0).is_err());
+        assert_eq!(h.len(), 1);
     }
 
     #[test]
@@ -864,32 +868,32 @@ mod tests {
         let h = geom_heap(Arc::new(BufferPool::new()));
         let id = h.insert(vec![Value::Int(1), geom("LINESTRING (0 0, 4 2)"), Value::Null]).unwrap();
 
-        assert_eq!(h.mbr(id, 1).unwrap(), Some([0.0, 0.0, 4.0, 2.0]));
-        assert_eq!(h.mbr(id, 0).unwrap(), None, "non-geometry column has no MBR");
-        assert_eq!(h.mbr(id, 2).unwrap(), None, "nor has a NULL geometry");
+        assert_eq!(mbr(&h, id, 1).unwrap(), Some([0.0, 0.0, 4.0, 2.0]));
+        assert_eq!(mbr(&h, id, 0).unwrap(), None, "non-geometry column has no MBR");
+        assert_eq!(mbr(&h, id, 2).unwrap(), None, "nor has a NULL geometry");
         // Batch accessor agrees with the scalar one and preserves order.
         assert_eq!(h.mbrs(1, &[id, id]).unwrap(), vec![Some([0.0, 0.0, 4.0, 2.0]); 2]);
 
         // Delete, then put another row into the very slot (as replay
         // does): neither the old row nor its quads may be served.
         assert!(h.delete(id));
-        assert!(h.mbr(id, 1).is_err());
+        assert!(mbr(&h, id, 1).is_err());
         place(&h, vec![Value::Int(2), geom("POINT (9 9)"), geom("POINT (1 2)")], id).unwrap();
         assert_eq!(h.get(id).unwrap()[0], Value::Int(2));
-        assert_eq!(h.mbr(id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
-        assert_eq!(h.mbr(id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
+        assert_eq!(mbr(&h, id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
+        assert_eq!(mbr(&h, id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
 
         // clear_cache drops quads too (cold-run switch), and the value
         // is recomputed identically from page bytes — which is all the
         // quads need: the row stays undecoded.
         h.clear_cache();
         assert_eq!(h.pool().stats().decoded_rows, 0);
-        assert_eq!(h.mbr(id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
-        assert_eq!(h.mbr(id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
+        assert_eq!(mbr(&h, id, 1).unwrap(), Some([9.0, 9.0, 9.0, 9.0]));
+        assert_eq!(mbr(&h, id, 2).unwrap(), Some([1.0, 2.0, 1.0, 2.0]));
         assert_eq!(h.pool().stats().decoded_rows, 0, "quads come from the bytes");
         let misses = h.stats().cache_misses;
         h.get(id).unwrap();
-        assert_eq!(h.mbr(id, 0).unwrap(), None);
+        assert_eq!(mbr(&h, id, 0).unwrap(), None);
         assert_eq!(h.stats().cache_misses, misses + 1, "a decoded row's column reads as a hit");
     }
 
@@ -911,7 +915,7 @@ mod tests {
             h.get_many(&ids[10..20], true).unwrap();
         }
         for col in [0, 1, 2] {
-            let want: Vec<_> = order.iter().map(|&id| one.mbr(id, col).unwrap()).collect();
+            let want: Vec<_> = order.iter().map(|&id| mbr(&one, id, col).unwrap()).collect();
             assert_eq!(many.mbrs(col, &order).unwrap(), want, "column {col}");
             let (s, t) = (many.stats(), one.stats());
             assert_eq!((s.cache_hits, s.cache_misses), (t.cache_hits, t.cache_misses));
@@ -976,7 +980,7 @@ mod tests {
     fn visibility_generations_gate_readers() {
         let h = heap();
         let a = h.insert(vec![Value::Int(1), Value::Null]).unwrap(); // born 0
-        let b = h.insert_at(&vec![Value::Int(2), Value::Null], 5).unwrap();
+        let b = insert_born(&h, vec![Value::Int(2), Value::Null], 5);
         assert_eq!(h.len(), 2, "len counts latest state, not a snapshot");
 
         // A snapshot pinned before b's birth sees only a.
@@ -1016,7 +1020,7 @@ mod tests {
     fn revive_rolls_back_logical_delete() {
         let h = heap();
         let a = h.insert(vec![Value::Int(1), Value::Null]).unwrap();
-        let b = h.insert_at(&vec![Value::Int(2), Value::Null], 3).unwrap();
+        let b = insert_born(&h, vec![Value::Int(2), Value::Null], 3);
         assert!(h.mark_deleted(a, 9));
         assert!(h.mark_deleted(b, 9));
         assert_eq!(h.len(), 0);
@@ -1034,8 +1038,8 @@ mod tests {
     #[test]
     fn settle_keeps_unreachable_births_and_pending_deletes() {
         let h = heap();
-        let a = h.insert_at(&vec![Value::Int(1), Value::Null], 4).unwrap();
-        let b = h.insert_at(&vec![Value::Int(2), Value::Null], 8).unwrap();
+        let a = insert_born(&h, vec![Value::Int(1), Value::Null], 4);
+        let b = insert_born(&h, vec![Value::Int(2), Value::Null], 8);
         assert!(h.mark_deleted(a, 9));
         h.settle(8);
         // a is logically deleted (must keep its entry until reclaim);
@@ -1082,8 +1086,10 @@ mod tests {
             })
             .collect();
         let ids = batch.insert_tuples(&staged, &tuples, 5).unwrap();
-        let one: Vec<RowId> =
-            tuples.iter().map(|r| single.insert_tuple(&staged[r.clone()], 5).unwrap()).collect();
+        let one: Vec<RowId> = tuples
+            .iter()
+            .map(|r| single.insert_tuples(&staged, std::slice::from_ref(r), 5).unwrap()[0])
+            .collect();
         assert_eq!(ids, one);
         assert_eq!(batch.page_count(), single.page_count());
         let pages: std::collections::BTreeSet<u32> = ids.iter().map(|id| id.page).collect();

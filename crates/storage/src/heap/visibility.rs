@@ -5,7 +5,7 @@
 //! side table. A reader pinned at generation `g` sees exactly the rows
 //! with `born <= g && died > g`; rows without an entry are visible at
 //! every generation. Writers stamp new rows with their commit
-//! generation ([`HeapFile::insert_at`]) and delete logically
+//! generation ([`HeapFile::insert_tuples`]) and delete logically
 //! ([`HeapFile::mark_deleted`]) so concurrent snapshot readers keep
 //! seeing the old version until every snapshot that could need it is
 //! gone — at which point [`HeapFile::reclaim`] tombstones the bytes and

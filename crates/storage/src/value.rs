@@ -216,20 +216,22 @@ impl Value {
     /// [`StorageError::Corrupt`] when `data` is not one whole stored row,
     /// and the geometry error of a geometry that does not validate.
     pub fn decode_row(mut data: &[u8]) -> Result<Row> {
-        let row = Value::take_row(&mut data)?;
+        let row = compact::take_row(&mut data)?;
         if !data.is_empty() {
             return Err(StorageError::Corrupt("compact row: bytes after the last value".into()));
         }
         Ok(row)
     }
 
-    /// Decodes the stored row at the front of `data`, advancing past it:
-    /// a stored row delimits itself, so a log record ends with one.
+    /// The stored row at the front of `data`, split off it by stepping
+    /// over its values' tags, lengths and counts as [`Field::of`] steps
+    /// over a column: nothing is decoded or checked.
     ///
     /// # Errors
-    /// As for [`Value::decode_row`].
-    pub fn take_row(data: &mut &[u8]) -> Result<Row> {
-        compact::take_row(data)
+    /// [`StorageError::Corrupt`] when `data` does not start with a whole
+    /// row's tags, lengths and counts.
+    pub fn split_tuple<'a>(data: &mut &'a [u8]) -> Result<&'a [u8]> {
+        compact::split_row(data)
     }
 }
 

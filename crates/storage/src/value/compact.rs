@@ -536,6 +536,17 @@ pub(super) fn fields<'a, E: From<StorageError>>(
     Ok(())
 }
 
+/// [`Value::split_tuple`].
+pub(super) fn split_row<'a>(data: &mut &'a [u8]) -> Result<&'a [u8]> {
+    let mut r = Reader(data);
+    for _ in 0..r.arity()? {
+        field(&mut r, false, &mut Visit::Skip)?;
+    }
+    let (tuple, rest) = data.split_at(data.len() - r.0.len());
+    *data = rest;
+    Ok(tuple)
+}
+
 /// [`Schema::check_tuple`]: one walk of the row, each value read as a
 /// field and each compact geometry checked as it is walked.
 pub(crate) fn check_row(tuple: &[u8], schema: &Schema, coords: &mut Vec<Coord>) -> Result<()> {
@@ -582,6 +593,11 @@ mod tests {
             Ok::<(), StorageError>(())
         })
         .unwrap();
+        // Split off what follows it, as a log record's tail is.
+        let logged = [&tuple[..], b"next"].concat();
+        let mut rest = &logged[..];
+        assert_eq!(Value::split_tuple(&mut rest).unwrap(), &tuple[..], "{row:?}: split");
+        assert_eq!(rest, b"next");
         tuple
     }
 
@@ -691,6 +707,8 @@ mod tests {
             if what != "bytes after the row" {
                 let read = Field::of(&tuple, &[0, 1], |_, f| f.mbr().map(drop));
                 assert!(matches!(read, Err(StorageError::Corrupt(_))), "{what}: read {read:?}");
+                let split = Value::split_tuple(&mut &tuple[..]);
+                assert!(matches!(split, Err(StorageError::Corrupt(_))), "{what}: split {split:?}");
             }
         }
         // Nested past the depth.

@@ -134,6 +134,28 @@ if [ -n "$kept" ]; then
   exit 1
 fi
 
+echo "== a stored tuple is read one way on the way in: no store_row( in durable.rs, no take_row( in engine, envelope_key in seeds.rs alone"
+# WAL replay hands the log's bytes to HeapFile::place_tuple, which checks
+# them in place with Schema::check_tuple as snapshot restore does, so
+# nothing decodes a logged row or encodes it again; and every index entry
+# comes off IndexSeeds::add's one walk of a tuple, so the key a spatial
+# index holds a geometry under is spelled in seeds.rs alone.
+twice=$(
+  awk '/#\[cfg\(test\)\]/{exit} /store_row\(/{print FILENAME ":" FNR ": " $0}' crates/engine/src/durable.rs
+  for f in crates/engine/src/**/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} /take_row\(/{print FILENAME ":" FNR ": " $0}' "$f"
+  done
+  for f in crates/*/src/**/*.rs; do
+    [ "$f" = crates/engine/src/seeds.rs ] && continue
+    awk '/#\[cfg\(test\)\]/{exit} /(^|[^A-Za-z0-9_])envelope_key([^A-Za-z0-9_]|$)/{print FILENAME ":" FNR ": " $0}' "$f"
+  done
+)
+if [ -n "$twice" ]; then
+  echo "replay places the log's bytes as they are, and index entries come off IndexSeeds::add; found:"
+  echo "$twice"
+  exit 1
+fi
+
 echo "== a heap read's error is passed on: no .ok() after a heap. call on a non-test line of engine or sqlmini"
 # COUNT(*) over a filter the stored rows decide reads nothing but what
 # the filter reads, so a storage error turned into None there would be

@@ -630,6 +630,72 @@ fn wal_bit_flip_at_any_offset_recovers_a_consistent_prefix_or_fails_loudly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) a bit at a
+/// time: a log frame's checksum, for frames built by hand.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |mut crc, &b| {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+        crc
+    })
+}
+
+/// `payload` framed as the log frames a transaction: `len | crc | payload`.
+fn frame_of(payload: &[u8]) -> Vec<u8> {
+    [&(payload.len() as u32).to_le_bytes()[..], &crc32(payload).to_le_bytes(), payload].concat()
+}
+
+#[test]
+fn a_logged_tuple_that_does_not_check_fails_the_open() {
+    // Checksum-valid logs whose one insert steps over as a stored row
+    // does — its tags, lengths and counts are whole, so replay splits it
+    // off its record — but whose tuple no table takes: a line of one
+    // vertex, which building it refuses, and a row that does not fit the
+    // table's schema. Replay checks the log's bytes in place as restore
+    // checks a snapshot's: the open is a persistence error, no engine is
+    // returned, and the log is left as it is.
+    let dir = scratch_dir("unchecked-tuple");
+    let columns =
+        vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("g", DataType::Geometry)];
+    let snapshot = schema_image("t", columns, &[]);
+    let line = jackpine::geom::wkt::parse("LINESTRING (0 0, 1 1)").unwrap();
+    let id = RowId { page: 0, slot: 0 };
+    let record = |row| WalRecord::InsertAt { table: "t".into(), id, row };
+    let sound = record(vec![Value::Int(7), Value::Geom(line)]);
+    assert_eq!(frame_of(&sound.encode()), sound.frame(), "frames are built as the log builds them");
+    // The tuple ends the record: the line's count (2), then its two
+    // vertices. One vertex: the count 1 and the first vertex alone.
+    let mut one_vertex = sound.encode();
+    let count_at = one_vertex.len() - 2 * 16 - 1;
+    assert_eq!(one_vertex[count_at], 2);
+    one_vertex[count_at] = 1;
+    one_vertex.truncate(one_vertex.len() - 16);
+    let misfit = record(vec![Value::Text("seven".into()), Value::Null]).encode();
+
+    let open = || SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, Default::default());
+    for (what, payload) in [("a line of one vertex", one_vertex), ("a misfit row", misfit)] {
+        let log = [wal_header(0), frame_of(&payload)].concat();
+        write_pair(&dir, &snapshot, &log);
+        match open() {
+            Err(EngineError::Persist(_)) => {}
+            Err(other) => panic!("{what}: unexpected error {other:?}"),
+            Ok(_) => panic!("{what}: opened"),
+        }
+        assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), log, "{what}: the log is kept");
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), snapshot, "{what}");
+    }
+    // The same log around the sound row replays it.
+    write_pair(&dir, &snapshot, &[wal_header(0), sound.frame()].concat());
+    let db = open().unwrap();
+    assert_eq!(db.pool_stats().decoded_rows, 0, "replay keeps no row");
+    let r = db.execute("SELECT id, ST_NumPoints(g) FROM t").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(7), Value::Int(2)]]);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_log_torn_inside_a_statement_reopens_to_none_of_it() {
     // A write transaction is one WAL frame, so a crash that tears the log

@@ -1,13 +1,17 @@
-//! Checkpoint and restart stream: neither ever holds the image.
+//! Checkpoint and restart stream: neither ever holds the image, and
+//! replay holds one log frame at a time.
 //!
 //! A counting `#[global_allocator]` measures the live heap. The writer
 //! may add its stream buffer and the tables' id lists to it, the reader
 //! its stream buffer and one page; a materialised image, on either side,
 //! is several times the bound. The opened engine holds the pages and no
-//! decoded row: restore checks each tuple in place and keeps nothing. One test function in this file, so that
-//! no other test's allocations are counted.
+//! decoded row: restore checks each tuple in place and keeps nothing.
+//! Replay reads the log a frame at a time and places its tuples as they
+//! are, so it holds one frame: a log's worth of decoded rows would break
+//! the bound. One test function in this file, so that no other test's
+//! allocations are counted.
 
-use jackpine::engine::{DurabilityOptions, EngineProfile, SpatialDb, SNAPSHOT_FILE};
+use jackpine::engine::{DurabilityOptions, EngineProfile, SpatialDb, SNAPSHOT_FILE, WAL_FILE};
 use jackpine::storage::Value;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -80,4 +84,52 @@ fn checkpoint_and_open_hold_no_image() {
 
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
+
+    // The log case: the table and its indexes are in a nearly empty
+    // snapshot, the rows only in the log, which a crash copy replays.
+    let logged = dir.with_extension("log");
+    let crashed = dir.with_extension("crashed");
+    for d in [&logged, &crashed] {
+        std::fs::remove_dir_all(d).ok();
+    }
+    let db =
+        SpatialDb::open_durable(&logged, EngineProfile::ExactRtree, Default::default()).unwrap();
+    db.execute("CREATE TABLE pts (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
+    db.create_spatial_index("pts", "geom").unwrap();
+    db.create_ordered_index("pts", "id").unwrap();
+    for i in 0..15_000i64 {
+        let geom = jackpine::geom::wkt::parse(&format!("POINT ({} {})", i % 200, i / 200)).unwrap();
+        db.insert_row("pts", vec![Value::Int(i), Value::Text(pad.clone()), Value::Geom(geom)])
+            .unwrap();
+    }
+    std::fs::create_dir_all(&crashed).unwrap();
+    for file in [SNAPSHOT_FILE, WAL_FILE] {
+        std::fs::copy(logged.join(file), crashed.join(file)).unwrap();
+    }
+    drop(db);
+    let log_len = std::fs::metadata(crashed.join(WAL_FILE)).unwrap().len() as usize;
+    let snapshot_len = std::fs::metadata(crashed.join(SNAPSHOT_FILE)).unwrap().len() as usize;
+    assert!(log_len >= 2 * MIB && snapshot_len < 4096, "log {log_len}, snapshot {snapshot_len}");
+
+    let (peak, retained, opened) = heap_of(|| {
+        SpatialDb::open_durable(&crashed, EngineProfile::ExactRtree, Default::default()).unwrap()
+    });
+    assert_eq!(opened.pool_stats().decoded_rows, 0, "replay keeps no decoded row");
+    println!(
+        "open_durable of a {log_len}-byte log: {} transient, {retained} retained",
+        peak - retained
+    );
+    // A MiB, as for open() above: well inside 1.25 x the log's length
+    // + 1 MiB, which would let replay hold the log once.
+    assert!(
+        peak - retained < MIB,
+        "open_durable() of a {log_len}-byte log held {} transient bytes ({retained} retained)",
+        peak - retained
+    );
+    let count = opened.execute("SELECT COUNT(*) FROM pts WHERE id >= 14990").unwrap();
+    assert_eq!(count.scalar().unwrap().to_string(), "10");
+    drop(opened);
+    for d in [&logged, &crashed] {
+        std::fs::remove_dir_all(d).ok();
+    }
 }
