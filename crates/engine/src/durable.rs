@@ -93,8 +93,8 @@ impl SpatialDb {
         };
         // A checksum-valid record that does not apply (a tuple that does
         // not check, a slot taken) is corruption, as in a snapshot.
-        let replay = Wal::replay(dir.join(WAL_FILE), snap_gen, |rec| {
-            db.apply_wal_record(rec).map_err(|e| match e {
+        let replay = Wal::replay(dir.join(WAL_FILE), snap_gen, |records| {
+            db.apply_wal_frame(records).map_err(|e| match e {
                 EngineError::Persist(_) => e,
                 other => EngineError::Persist(format!("WAL: unreplayable record: {other}")),
             })
@@ -240,32 +240,33 @@ impl SpatialDb {
         self.pool.flush().map_err(|e| EngineError::Persist(format!("pool flush: {e}")))
     }
 
-    /// Redoes one replayed row change over the snapshot, which holds
-    /// every table and index the log names. Replay runs before a WAL is
+    /// Redoes one replayed frame over the snapshot, which holds every
+    /// table and index the log names, a run at a time: each maximal run
+    /// of records of one kind on one table. Replay runs before a WAL is
     /// attached and before any concurrent session exists, so records
     /// apply through unlogged, generation-free paths (rows are reborn
     /// visible-everywhere; the snapshot that follows settles them).
-    fn apply_wal_record(&self, rec: Logged<'_>) -> Result<()> {
-        match rec {
-            // Back into the exact slot it was logged at, so later
-            // `DeleteId` records (and index entries) address the right
-            // row even among byte-identical duplicates. The slot and the
-            // index entries take the log's bytes, checked in place: no row
-            // is built, and a frame keeps only what a read decoded.
-            Logged::InsertAt { table, id, tuple } => {
-                let t = self.table(table)?;
-                t.heap.place_tuple(tuple, id, 0)?;
-                t.index_tuples([(id, tuple)], true)
-            }
-            // A missing row means the record's effect is already there:
-            // recovery stays idempotent.
-            Logged::DeleteId { table, id } => {
-                let t = self.table(table)?;
-                t.remove_index_entries(id)?;
-                t.heap.delete(id);
-                Ok(())
+    pub(crate) fn apply_wal_frame<'a>(&self, records: &[Logged<'a>]) -> Result<()> {
+        let kind = |rec: &Logged<'a>| (rec.table, rec.tuple.is_some());
+        for run in records.chunk_by(|a, b| kind(a) == kind(b)) {
+            let t = self.table(run[0].table)?;
+            if run[0].tuple.is_some() {
+                // Back into the exact slots they were logged at, so later
+                // `DeleteId` records (and index entries) address the right
+                // rows even among byte-identical duplicates, off the log's
+                // bytes checked in place: no row is built.
+                let placed = run.iter().filter_map(|rec| Some((rec.id, rec.tuple?)));
+                placed.clone().try_for_each(|(id, tuple)| t.heap.place_tuple(tuple, id, 0))?;
+                t.index_tuples(placed, true)?;
+            } else {
+                // A missing row means the record's effect is already
+                // there: recovery stays idempotent.
+                let dead: Vec<_> = run.iter().map(|rec| rec.id).collect();
+                t.unindex(&dead)?;
+                dead.into_iter().for_each(|id| _ = t.heap.delete(id));
             }
         }
+        Ok(())
     }
 
     /// Fault injection: makes every subsequent WAL append (and staged

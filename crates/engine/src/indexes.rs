@@ -808,6 +808,155 @@ mod tests {
         assert_eq!(answers(&db, "t"), before);
         drop(t);
     }
+
+    /// What each index answers on `t1` and `t2`, and their rows in
+    /// storage order.
+    fn state(db: &Arc<SpatialDb>) -> Vec<String> {
+        let mut out = Vec::new();
+        for t in ["t1", "t2"] {
+            out.extend(answers(db, t));
+            let rows = db.execute(&format!("SELECT id, name FROM {t}")).unwrap().rows;
+            out.push(format!("{t}: {rows:?}"));
+        }
+        out
+    }
+
+    /// `t1` and `t2`, 1,000 rows each, `id` unique, a spatial index on
+    /// `g` and an ordered one on `name`, behind a pool of `pool` bytes
+    /// (`0`: unbounded).
+    fn two_tables(db: &Arc<SpatialDb>, pool: usize) {
+        for t in ["t1", "t2"] {
+            let columns =
+                [("id", DataType::Int), ("name", DataType::Text), ("g", DataType::Geometry)];
+            db.create_table(t, columns.iter().map(|&(c, ty)| ColumnDef::new(c, ty)).collect())
+                .unwrap();
+            let rows = rows(1000).into_iter().enumerate().map(|(i, mut row)| {
+                row[0] = Value::Int(i as i64);
+                row
+            });
+            db.insert_rows(t, rows).unwrap();
+            db.create_indexes(t, &["g"], &["name"]).unwrap();
+        }
+        db.set_pool_bytes(pool);
+    }
+
+    /// The statements both sides of the vacuum comparison run, as
+    /// `(sql, first id, end id)`: one statement over ids `first..end`,
+    /// or one statement a row.
+    const STATEMENTS: [(&str, i64, i64); 4] = [
+        ("DELETE FROM t1", 100, 400),
+        ("DELETE FROM t1", 500, 560),
+        ("UPDATE t2 SET name = 'renamed'", 100, 150),
+        ("DELETE FROM t1", 700, 740),
+    ];
+
+    /// Reclaims what no snapshot of `db` sees.
+    fn vacuum(db: &SpatialDb) {
+        db.vacuum(&db.txn.lock_writers(jackpine_obs::TxnSite::Checkpoint)).unwrap();
+    }
+
+    /// A statement's deaths leave every index as one run: vacuumed, and
+    /// replayed. Each index must end as the same rows leaving one at a
+    /// time leave it (one DELETE a row, one frame a record): the same
+    /// entries, the same tree shape and probe counts, the same groups.
+    #[test]
+    fn a_run_leaves_each_index_as_its_rows_one_at_a_time_would() {
+        use crate::durable::{DurabilityOptions, SNAPSHOT_FILE, WAL_FILE};
+        use crate::wal::{Logged, Wal, WalRecord};
+        let configs = [
+            (EngineProfile::ExactRtree, 0),
+            (EngineProfile::ExactGrid, 0),
+            (EngineProfile::ExactRtree, 2 * jackpine_storage::PAGE_SIZE),
+        ];
+        for (n, (profile, pool)) in configs.into_iter().enumerate() {
+            let what = format!("{profile} pool={pool}");
+            // Vacuum. `runs` runs each statement once over its range of
+            // ids, `rows` once a row. The first deletes 300 rows, which
+            // `runs`' next vacuum meets as one run and `rows`' as one-row
+            // runs, one a statement. Then a pinned snapshot holds back a
+            // DELETE on t1, an UPDATE on t2 and a DELETE on t1, and one
+            // vacuum meets three entries across two tables.
+            let (runs, rows) =
+                (Arc::new(SpatialDb::new(profile)), Arc::new(SpatialDb::new(profile)));
+            let run = |&(sql, first, end): &(&str, i64, i64)| {
+                runs.execute(&format!("{sql} WHERE id >= {first} AND id < {end}")).unwrap();
+                for id in first..end {
+                    rows.execute(&format!("{sql} WHERE id = {id}")).unwrap();
+                }
+            };
+            two_tables(&runs, pool);
+            two_tables(&rows, pool);
+            run(&STATEMENTS[0]);
+            assert_eq!(runs.pending_reclaim_len(), 300, "{what}");
+            vacuum(&runs);
+            vacuum(&rows);
+            let pins = (runs.pin_snapshot_handle(), rows.pin_snapshot_handle());
+            STATEMENTS[1..].iter().for_each(run);
+            let held = (runs.pending_reclaim_len(), rows.pending_reclaim_len());
+            assert_eq!(held, (150, 150), "{what}: the pin holds the deaths back");
+            drop(pins);
+            vacuum(&runs);
+            vacuum(&rows);
+            assert_eq!(runs.pending_reclaim_len() + rows.pending_reclaim_len(), 0, "{what}");
+            assert_eq!(state(&runs), state(&rows), "{what}: vacuumed");
+
+            // Replay. A durable engine runs the same statements and one
+            // INSERT over a snapshot of the two tables; its log's records
+            // are replayed over that snapshot as one frame, and as one
+            // frame each.
+            let dir =
+                std::env::temp_dir().join(format!("jackpine-runs-{n}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let live =
+                SpatialDb::open_durable(&dir, profile, DurabilityOptions::default()).unwrap();
+            two_tables(&live, pool);
+            live.checkpoint().unwrap();
+            for &(sql, first, end) in &STATEMENTS {
+                live.execute(&format!("{sql} WHERE id >= {first} AND id < {end}")).unwrap();
+            }
+            live.insert_rows("t1", super::tests::rows(40)).unwrap();
+            let log = dir.join(WAL_FILE);
+            let gen = Wal::peek_generation(&log);
+            let mut records = Vec::new();
+            let owned = |rec: &Logged<'_>| {
+                let (table, id) = (rec.table.into(), rec.id);
+                match rec.tuple {
+                    None => WalRecord::DeleteId { table, id },
+                    Some(t) => {
+                        WalRecord::InsertAt { table, id, row: Value::decode_row(t).unwrap() }
+                    }
+                }
+            };
+            Wal::replay(&log, gen, |frame| {
+                records.extend(frame.iter().map(owned));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(records.len(), 300 + 60 + 2 * 50 + 40 + 40, "{what}");
+            let replayed = |one_frame: bool| {
+                let log = dir.join(format!("replayed-{one_frame}.jkwl"));
+                let wal = Wal::create(&log, false, gen).unwrap();
+                if one_frame {
+                    wal.write_frames(&records).unwrap();
+                } else {
+                    records.iter().for_each(|rec| wal.append(rec).unwrap());
+                }
+                let (db, at) = SpatialDb::open_gen(dir.join(SNAPSHOT_FILE)).unwrap();
+                db.set_pool_bytes(pool);
+                let replay = Wal::replay(&log, at, |frame| db.apply_wal_frame(frame)).unwrap();
+                assert_eq!(replay.records, records.len(), "{what}");
+                db
+            };
+            let (one, each) = (replayed(true), replayed(false));
+            assert_eq!(state(&one), state(&each), "{what}: replayed");
+            let select = |db: &Arc<SpatialDb>| {
+                ["t1", "t2"].map(|t| db.execute(&format!("SELECT id, name FROM {t}")).unwrap().rows)
+            };
+            assert_eq!(select(&one), select(&live), "{what}: the replay answers as the engine did");
+            drop((live, one, each));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -420,7 +420,7 @@ impl SpatialDb {
                 replacements.push(new);
             }
         }
-        victims.iter().for_each(|&(id, _)| txn.kill(id));
+        txn.kill(victims.iter().map(|&(id, _)| id));
         txn.insert(replacements)?;
         txn.commit()?;
         Ok(victims.len())

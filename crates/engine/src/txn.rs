@@ -11,25 +11,24 @@
 //!    and fixes `gen = commit_gen + 1`.
 //! 2. [`WriteTxn::insert`] and [`WriteTxn::kill`] apply to heap and
 //!    indexes stamped `gen` — which no reader is pinned at yet, so none
-//!    sees them — and remember what they did as ids and the bytes they
-//!    wrote. `insert` takes a batch of rows whose values are lent
-//!    ([`Lend`]), not built for it: each row is checked and encoded
-//!    straight into the staging buffer (with a log, as the tail of its
-//!    record), and each page's worth of rows is applied as one run — the
-//!    heap appends it with one take of its append lock and of each tail
-//!    frame, the indexes take it under one lock — while the log keeps the
-//!    same bytes in place. No `Row` is kept.
+//!    sees them — and remember the ids inserted, with the bytes they
+//!    wrote, and the ids killed. `insert` takes a batch of rows whose
+//!    values are lent ([`Lend`]): each is checked and encoded straight
+//!    into the staging buffer (with a log, as the tail of its record),
+//!    and each page's worth is applied as one run — the heap appends it
+//!    with one take of its append lock and of each tail frame, the
+//!    indexes take it under one lock — while the log keeps the same bytes
+//!    in place. No `Row` is kept. `kill` takes a statement's victims.
 //! 3. [`WriteTxn::commit`] stages those records as one WAL frame, with
-//!    one write, queues the deaths for reclaim, publishes `gen` with one
-//!    store, settles, releases the writer lock and *only then* waits for
-//!    the group fsync (followers park behind their batch leader; a
-//!    parked writer lock would serialise them), the durability guard
-//!    still held, so no checkpoint truncates staged-but-unsynced frames.
+//!    one write, queues the kills as one entry for reclaim, publishes
+//!    `gen` with one store, settles, releases the writer lock and *only
+//!    then* waits for the group fsync (followers park behind their batch
+//!    leader; a parked writer lock would serialise them), the durability
+//!    guard still held, so no checkpoint truncates staged-but-unsynced frames.
 //! 4. Dropping an uncommitted `WriteTxn` — any `?` on the way there —
-//!    undoes what was applied, newest first, *before* the writer lock is
-//!    released: the next writer never finds half a statement. An
-//!    inserted row's index entries come off the transaction's own copy
-//!    of its bytes, never off a page a bounded pool may have evicted.
+//!    undoes what was applied *before* the writer lock is released (the
+//!    next writer never finds half a statement): the inserts leave as one
+//!    run, newest first, off the transaction's own copy of their bytes.
 //!
 //! Lock order: `durability` (read) → writer lock → `snapshots` /
 //! `pending_reclaim` / the table registry → a table's `indexes` → its
@@ -60,14 +59,14 @@ struct SnapshotEntry {
     first_pinned: Instant,
 }
 
-/// A logically-deleted row whose physical storage (heap bytes + index
-/// entries) survives until no snapshot can see it. The queue does not
-/// keep its table alive: a dropped table's heap is freed at the drop,
-/// and its deaths go with it.
-struct PendingReclaim {
+/// One statement's logically-deleted rows, whose physical storage (heap
+/// bytes + index entries) survives until no snapshot can see them. The
+/// queue does not keep its table alive: a dropped table's heap is freed
+/// at the drop, and its deaths go with it.
+struct Deaths {
     table: Weak<Table>,
-    id: RowId,
     died: u64,
+    ids: Vec<RowId>,
 }
 
 /// The engine's transaction state (see the module note). Behind an `Arc`
@@ -86,7 +85,7 @@ pub(crate) struct Transactions {
     snapshots: Mutex<HashMap<u64, SnapshotEntry>>,
     /// Drained by [`SpatialDb::vacuum`] at the head of every write
     /// transaction, checkpoint and close.
-    pending_reclaim: Mutex<Vec<PendingReclaim>>,
+    pending_reclaim: Mutex<Vec<Deaths>>,
     /// Batches WAL fsyncs across sessions.
     pipeline: CommitPipeline,
     metrics: Arc<EngineMetrics>,
@@ -122,7 +121,7 @@ impl Transactions {
 
     /// Logically-deleted rows awaiting physical reclaim.
     pub(crate) fn pending_reclaim_len(&self) -> usize {
-        self.pending_reclaim.lock().len()
+        self.pending_reclaim.lock().iter().map(|d| d.ids.len()).sum()
     }
 
     /// Pins the current commit generation until the guard drops.
@@ -218,10 +217,10 @@ impl SpatialDb {
     }
 
     /// Physically reclaims the logically-deleted rows no snapshot can
-    /// see: index entries first, then the heap bytes — probe-side
-    /// visibility filtering depends on that order. `_writers` is the
-    /// proof the writer lock is held. A row that cannot be read keeps
-    /// its queue entry, and everything behind it theirs.
+    /// see, a statement's as one run: index entries first, then the heap
+    /// bytes — probe-side visibility filtering depends on that order.
+    /// `_writers` is the proof the writer lock is held. A row that cannot
+    /// be read keeps its whole entry queued, and everything behind it.
     pub(crate) fn vacuum(&self, _writers: &MutexGuard<'_, ()>) -> Result<()> {
         let mut pending = self.txn.pending_reclaim.lock();
         if pending.is_empty() {
@@ -232,13 +231,13 @@ impl SpatialDb {
         // generation, which is >= every recorded death.
         let horizon = self.txn.horizon().unwrap_or(u64::MAX);
         let mut result = Ok(());
-        pending.retain(|pr| {
-            if pr.died > horizon || result.is_err() {
+        pending.retain(|d| {
+            if d.died > horizon || result.is_err() {
                 return true;
             }
-            // A dropped table is gone with its heap; so is the death.
-            let Some(t) = pr.table.upgrade() else { return false };
-            result = t.remove_index_entries(pr.id).map(|()| t.heap.reclaim(pr.id));
+            // A dropped table is gone with its heap; so are its deaths.
+            let Some(t) = d.table.upgrade() else { return false };
+            result = t.unindex(&d.ids).map(|()| d.ids.iter().for_each(|&id| t.heap.reclaim(id)));
             result.is_err()
         });
         result
@@ -246,30 +245,28 @@ impl SpatialDb {
 }
 
 impl Table {
-    /// Strips the index entries of the row at `id`, taken off its tuple
-    /// bytes — a dead row is not decoded. The bytes are copied out so
-    /// that no page lock is held while the index lock is taken. Only a
-    /// row that is not there counts as already done; a row that cannot
-    /// be read is an error, not a row without entries.
-    pub(crate) fn remove_index_entries(&self, id: RowId) -> Result<()> {
-        let mut tuple = Vec::new();
-        match self.heap.scan_tuples(&[id], |_, bytes| {
-            tuple.extend_from_slice(bytes);
-            Ok::<(), StorageError>(())
-        }) {
-            Ok(()) => self.index_tuples([(id, &tuple[..])], false),
-            Err(StorageError::RowNotFound { .. }) => Ok(()),
-            Err(e) => Err(e.into()),
+    /// Strips the index entries of the rows at `ids` as one run, off
+    /// their tuple bytes, copied by one scan into one buffer so that no
+    /// page lock is held while the index lock is taken. Only a row that is
+    /// not there counts as already done; a row that cannot be read is an
+    /// error, not a row without entries, and no entry of the run is stripped.
+    pub(crate) fn unindex(&self, ids: &[RowId]) -> Result<()> {
+        let (mut bytes, mut run, mut rest) = (Vec::new(), Vec::new(), ids);
+        loop {
+            let read = run.len();
+            match self.heap.scan_tuples(rest, |id, tuple| {
+                run.push((id, bytes.len()..bytes.len() + tuple.len()));
+                bytes.extend_from_slice(tuple);
+                Ok::<(), StorageError>(())
+            }) {
+                Ok(()) => break,
+                // The scan stops at the missing row, after the rows read.
+                Err(StorageError::RowNotFound { .. }) => rest = &rest[run.len() - read + 1..],
+                Err(e) => return Err(e.into()),
+            }
         }
+        self.index_tuples(run.into_iter().map(|(id, t)| (id, &bytes[t])), false)
     }
-}
-
-/// One change a [`WriteTxn`] applied, as its rollback undoes it.
-enum Applied {
-    /// A row inserted at `id`, its tuple bytes at `staged[tuple]`.
-    Insert { id: RowId, tuple: Range<usize> },
-    /// The row at this id marked dead.
-    Kill(RowId),
 }
 
 /// One mutating statement on one table (see the module note).
@@ -287,8 +284,12 @@ pub(crate) struct WriteTxn<'a> {
     /// per applied change, each insert's tuple the tail of its record;
     /// without one, each insert's tuple.
     staged: Vec<u8>,
-    /// What was applied, in order: what `drop` undoes.
-    applied: Vec<Applied>,
+    /// The rows inserted, in order, each with its tuple's place in
+    /// `staged`, the first `indexed` of them with their index entries in.
+    inserted: Vec<(RowId, Range<usize>)>,
+    indexed: usize,
+    /// The rows killed, in order, none of them a row of `inserted`.
+    killed: Vec<RowId>,
 }
 
 impl<'a> WriteTxn<'a> {
@@ -312,7 +313,9 @@ impl<'a> WriteTxn<'a> {
             table,
             gen: db.txn.generation() + 1,
             staged,
-            applied: Vec::new(),
+            inserted: Vec::new(),
+            indexed: 0,
+            killed: Vec::new(),
         })
     }
 
@@ -367,24 +370,28 @@ impl<'a> WriteTxn<'a> {
             if self.durability.is_some() {
                 wal::set_insert_id(&mut self.staged, tuple.start, id);
             }
-            self.applied.push(Applied::Insert { id, tuple: tuple.clone() });
+            self.inserted.push((id, tuple.clone()));
         }
         let tuples = placed.iter().zip(run.iter()).map(|(&id, t)| (id, &self.staged[t.clone()]));
         self.table.index_tuples(tuples, true)?;
+        self.indexed = self.inserted.len();
         ids.extend(placed);
         run.clear();
         Ok(())
     }
 
-    /// Marks the row at `id` dead at this transaction's generation. Its
-    /// bytes and index entries stay for the snapshots that still see it,
-    /// until vacuum.
-    pub(crate) fn kill(&mut self, id: RowId) {
-        self.table.heap.mark_deleted(id, self.gen);
-        if self.durability.is_some() {
-            wal::put_delete_id(&mut self.staged, self.name, id);
+    /// Marks the statement's victims `ids` — rows that were there before
+    /// it, never ones it inserted — dead at this transaction's generation.
+    /// Their bytes and index entries stay for the snapshots that still see
+    /// them, until vacuum.
+    pub(crate) fn kill(&mut self, ids: impl IntoIterator<Item = RowId>) {
+        for id in ids {
+            self.table.heap.mark_deleted(id, self.gen);
+            if self.durability.is_some() {
+                wal::put_delete_id(&mut self.staged, self.name, id);
+            }
+            self.killed.push(id);
         }
-        self.applied.push(Applied::Kill(id));
     }
 
     /// Logs, publishes, and makes durable what was applied. A log write
@@ -393,14 +400,13 @@ impl<'a> WriteTxn<'a> {
     pub(crate) fn commit(mut self) -> Result<()> {
         let txn = &self.db.txn;
         if let Some(d) = self.durability.as_ref() {
-            d.wal.write_txn(&mut self.staged, self.applied.len() as u64)?;
+            d.wal.write_txn(&mut self.staged, (self.inserted.len() + self.killed.len()) as u64)?;
         }
-        let (gen, table) = (self.gen, Arc::downgrade(&self.table));
-        let deaths = std::mem::take(&mut self.applied).into_iter().filter_map(|a| match a {
-            Applied::Kill(id) => Some(PendingReclaim { table: table.clone(), id, died: gen }),
-            Applied::Insert { .. } => None,
-        });
-        txn.pending_reclaim.lock().extend(deaths);
+        let (gen, ids) = (self.gen, std::mem::take(&mut self.killed));
+        if !ids.is_empty() {
+            let deaths = Deaths { table: Arc::downgrade(&self.table), died: gen, ids };
+            txn.pending_reclaim.lock().push(deaths);
+        }
         txn.commit_gen.store(gen, Ordering::Release);
         // Settle: prune the visibility metadata just published when no
         // older snapshot still needs it — keeps the metadata-free fast
@@ -416,27 +422,18 @@ impl<'a> WriteTxn<'a> {
 
 impl Drop for WriteTxn<'_> {
     /// Rollback: nothing applied was published, so no reader saw it;
-    /// undone newest first, the writer lock (a field) still held.
+    /// undone with the writer lock (a field) still held.
     fn drop(&mut self) {
-        for change in std::mem::take(&mut self.applied).into_iter().rev() {
-            match change {
-                Applied::Insert { id, tuple } => {
-                    // The entries come off the transaction's own copy of
-                    // the row, never its page: under a bounded pool the
-                    // page may be evicted by now, and a read-back that
-                    // failed here would have nowhere to go. The insert
-                    // read these bytes the same way, so this can only
-                    // fail where the insert's own `index_tuples` did —
-                    // which added nothing of that run.
-                    let rows = [(id, &self.staged[tuple])];
-                    let _ = self.table.index_tuples(rows, false);
-                    self.table.heap.delete(id);
-                }
-                Applied::Kill(id) => {
-                    self.table.heap.revive(id);
-                }
-            }
-        }
+        // Committed (the lock released): nothing to undo. Else index entries
+        // before heap slots, off the rows' bytes in `staged`, never their
+        // pages, which a bounded pool may have evicted. Only rows whose
+        // entries went in are read, as the insert read them.
+        let Some(_held) = &self.writers else { return };
+        let (staged, heap) = (&self.staged, &self.table.heap);
+        let rows = self.inserted[..self.indexed].iter().rev();
+        let _ = self.table.index_tuples(rows.map(|(id, t)| (*id, &staged[t.clone()])), false);
+        self.inserted.iter().rev().for_each(|&(id, _)| _ = heap.delete(id));
+        self.killed.iter().rev().for_each(|&id| _ = heap.revive(id));
     }
 }
 

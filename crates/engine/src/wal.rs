@@ -205,14 +205,14 @@ impl WalRecord {
     }
 }
 
-/// One logged row change as replay reads it: a view of the log's bytes.
+/// One logged row change as replay reads it, a view of the log's bytes:
+/// a [`WalRecord::InsertAt`] has its row as stored ([`Value::store_row`]),
+/// unchecked, in `tuple`; a [`WalRecord::DeleteId`] has none.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum Logged<'a> {
-    /// A [`WalRecord::DeleteId`]: the table and the row's id.
-    DeleteId { table: &'a str, id: RowId },
-    /// A [`WalRecord::InsertAt`]: the table, the row's id and the row as
-    /// it is stored ([`Value::store_row`]), unchecked.
-    InsertAt { table: &'a str, id: RowId, tuple: &'a [u8] },
+pub(crate) struct Logged<'a> {
+    pub(crate) table: &'a str,
+    pub(crate) id: RowId,
+    pub(crate) tuple: Option<&'a [u8]>,
 }
 
 impl<'a> Logged<'a> {
@@ -223,14 +223,14 @@ impl<'a> Logged<'a> {
         if data.remaining() < 1 {
             return Err(persist_err("WAL: empty record"));
         }
-        match data.get_u8() {
-            KIND_DELETE_ID => Ok(Logged::DeleteId { table: get_str(data)?, id: get_row_id(data)? }),
-            KIND_INSERT_AT => {
-                let (table, id) = (get_str(data)?, get_row_id(data)?);
-                Ok(Logged::InsertAt { table, id, tuple: Value::split_tuple(data)? })
-            }
-            other => Err(persist_err(format!("WAL: unknown record kind {other}"))),
-        }
+        let insert = match data.get_u8() {
+            KIND_DELETE_ID => false,
+            KIND_INSERT_AT => true,
+            other => return Err(persist_err(format!("WAL: unknown record kind {other}"))),
+        };
+        let (table, id) = (get_str(data)?, get_row_id(data)?);
+        let tuple = if insert { Some(Value::split_tuple(data)?) } else { None };
+        Ok(Logged { table, id, tuple })
     }
 }
 
@@ -426,9 +426,9 @@ impl Wal {
     }
 
     /// Replays the log at `path` over the snapshot of generation `over`:
-    /// each record of every intact frame, in append order, is handed to
-    /// `apply` as a view of the frame's bytes, read a frame at a time, so
-    /// one frame is held and nothing is decoded. A log of another
+    /// the records of every intact frame, in append order, are handed to
+    /// `apply` a frame at a time, as views of the frame's bytes, so one
+    /// frame is held and nothing is decoded. A log of another
     /// generation is stale (its records are in the snapshot already) and
     /// is not read past its header. A torn or corrupt tail is ignored. A
     /// missing file replays to nothing, and so does a strict prefix of a
@@ -439,7 +439,7 @@ impl Wal {
     pub(crate) fn replay(
         path: impl AsRef<Path>,
         over: u64,
-        mut apply: impl FnMut(Logged<'_>) -> Result<()>,
+        mut apply: impl FnMut(&[Logged<'_>]) -> Result<()>,
     ) -> Result<Replay> {
         let file = match std::fs::File::open(path.as_ref()) {
             Ok(f) => f,
@@ -488,16 +488,17 @@ impl Wal {
             // a torn write. Silently dropping this transaction (and every
             // committed one behind it) would be data loss, so fail
             // loudly instead.
-            let mut payload = &frame[..];
+            let (mut payload, mut records) = (&frame[..], Vec::new());
             loop {
-                apply(Logged::take(&mut payload).map_err(|e| {
+                records.push(Logged::take(&mut payload).map_err(|e| {
                     persist_err(format!("WAL: checksum-valid record failed to decode: {e}"))
-                })?)?;
-                replay.records += 1;
+                })?);
                 if payload.is_empty() {
                     break;
                 }
             }
+            apply(&records)?;
+            replay.records += records.len();
         }
         Ok(replay)
     }
@@ -544,13 +545,12 @@ mod tests {
     /// The record `rec` reads back as, built up as the encoder's type:
     /// an insert's tuple decoded.
     fn owned(rec: Logged<'_>) -> WalRecord {
-        match rec {
-            Logged::DeleteId { table, id } => WalRecord::DeleteId { table: table.into(), id },
-            Logged::InsertAt { table, id, tuple } => WalRecord::InsertAt {
-                table: table.into(),
-                id,
-                row: Value::decode_row(tuple).unwrap(),
-            },
+        let (table, id) = (rec.table.into(), rec.id);
+        match rec.tuple {
+            None => WalRecord::DeleteId { table, id },
+            Some(tuple) => {
+                WalRecord::InsertAt { table, id, row: Value::decode_row(tuple).unwrap() }
+            }
         }
     }
 
@@ -558,8 +558,8 @@ mod tests {
     /// found, and every record it applied, built up by [`owned`].
     fn replayed(path: &Path) -> Result<(Replay, Vec<WalRecord>)> {
         let mut records = Vec::new();
-        let replay = Wal::replay(path, Wal::peek_generation(path), |rec| {
-            records.push(owned(rec));
+        let replay = Wal::replay(path, Wal::peek_generation(path), |frame| {
+            records.extend(frame.iter().copied().map(owned));
             Ok(())
         })?;
         assert_eq!(replay.records, records.len());
@@ -587,7 +587,7 @@ mod tests {
         let (replay, records) = replayed(&path).unwrap();
         // Over a snapshot of another generation the log is stale: its
         // records are not read.
-        let stale = Wal::replay(&path, 8, |rec| panic!("applied {rec:?}")).unwrap();
+        let stale = Wal::replay(&path, 8, |frame| panic!("applied {frame:?}")).unwrap();
         assert_eq!((stale.generation, stale.records), (7, 0));
         std::fs::remove_file(&path).ok();
         assert_eq!(records, sample_records());

@@ -182,6 +182,21 @@ if [ -n "$victims" ]; then
   exit 1
 fi
 
+echo "== one way out of the indexes: no remove_index_entries or [(id, on a non-test line of txn.rs or durable.rs"
+# A statement's deaths leave the indexes as one run through
+# Table::index_tuples, as its rows went in: vacuum takes a queued
+# statement's ids whole (Table::unindex), replay a frame's run of
+# records, rollback the transaction's inserts. Nothing hands the indexes
+# one row at a time.
+one_row=$(for f in crates/engine/src/txn.rs crates/engine/src/durable.rs; do
+  awk '/#\[cfg\(test\)\]/{exit} /remove_index_entries|\[\(id,/{print FILENAME ":" FNR ": " $0}' "$f"
+done)
+if [ -n "$one_row" ]; then
+  echo "index entries leave as a run, through Table::unindex or Table::index_tuples; found:"
+  echo "$one_row"
+  exit 1
+fi
+
 echo "== the docs name what they mean, not a roadmap item (its numbers change at every re-anchor)"
 if grep -nE 'ROADMAP (item|[0-9])' DESIGN.md README.md; then
   echo "DESIGN.md or README.md points at a roadmap item: name the thing instead"

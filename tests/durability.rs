@@ -1333,35 +1333,66 @@ fn wal_append_failure_leaves_no_phantom_rows() {
 fn delete_and_update_replay_from_wal() {
     // DeleteId records replay across a reopen that recovers from the
     // WAL (no clean shutdown checkpoint): the victim is addressed by
-    // row id, which v4 snapshots keep stable across restarts.
-    let dir = scratch_dir("delete-replay");
-    {
-        let db =
-            SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
-                .unwrap();
-        db.execute("CREATE TABLE t (id BIGINT, name TEXT)").unwrap();
+    // row id, which snapshots keep stable across restarts. Two of the
+    // statements find their rows through an index, and every read below
+    // goes through one: a reopened index that kept a dead row's entry, or
+    // lost a live one's, answers otherwise than the engine that crashed.
+    for profile in [EngineProfile::ExactRtree, EngineProfile::ExactGrid] {
+        let dir = scratch_dir("delete-replay");
+        let db = SpatialDb::open_durable(&dir, profile, DurabilityOptions::default()).unwrap();
+        db.execute("CREATE TABLE t (id BIGINT, name TEXT, geom GEOMETRY)").unwrap();
+        db.create_spatial_index("t", "geom").unwrap();
+        db.create_ordered_index("t", "name").unwrap();
         for i in 0..6 {
-            db.execute(&format!("INSERT INTO t VALUES ({i}, 'x{i}')")).unwrap();
+            db.execute(&format!(
+                "INSERT INTO t VALUES ({i}, 'x{i}', ST_GeomFromText('POINT ({i} {i})'))"
+            ))
+            .unwrap();
         }
-        db.execute("DELETE FROM t WHERE id >= 4").unwrap();
-        db.execute("UPDATE t SET name = 'updated' WHERE id = 0").unwrap();
-        // No drop-time checkpoint path: leak the handle so recovery must
-        // come from the log alone? The engine checkpoints on detach, so
-        // instead copy the durable dir mid-flight.
+        let window = |lo: f64, hi: f64| format!("ST_MakeEnvelope({lo}, {lo}, {hi}, {hi})");
+        for sql in [
+            "DELETE FROM t WHERE id >= 4".to_string(),
+            "UPDATE t SET name = 'updated' WHERE id = 0".to_string(),
+            "DELETE FROM t WHERE name = 'x2'".to_string(),
+            format!("UPDATE t SET name = 'moved' WHERE ST_Intersects(geom, {})", window(0.5, 1.5)),
+        ] {
+            db.execute(&sql).unwrap();
+        }
+        // The engine checkpoints on detach, so copy the durable dir
+        // mid-flight: recovery must come from the log alone.
         let copy = scratch_dir("delete-replay-copy");
         for f in [SNAPSHOT_FILE, WAL_FILE] {
             std::fs::copy(dir.join(f), copy.join(f)).unwrap();
         }
-        let db2 =
-            SpatialDb::open_durable(&copy, EngineProfile::ExactRtree, DurabilityOptions::default())
-                .unwrap();
+        let db2 = SpatialDb::open_durable(&copy, profile, DurabilityOptions::default()).unwrap();
         let r = db2.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.scalar().unwrap().to_string(), "4", "replayed deletes");
+        assert_eq!(r.scalar().unwrap().to_string(), "3", "{profile}: replayed deletes");
         let r = db2.execute("SELECT name FROM t WHERE id = 0").unwrap();
-        assert_eq!(r.rows[0][0], Value::Text("updated".into()), "replayed update pair");
+        assert_eq!(r.rows[0][0], Value::Text("updated".into()), "{profile}: replayed update pair");
+        let reads = [
+            "SELECT id FROM t WHERE name = 'updated'".to_string(),
+            "SELECT id FROM t WHERE name = 'moved'".to_string(),
+            "SELECT id FROM t WHERE name = 'x1'".to_string(),
+            "SELECT id FROM t WHERE name = 'x2'".to_string(),
+            "SELECT id FROM t WHERE name = 'x3'".to_string(),
+            "SELECT id FROM t WHERE name = 'x4'".to_string(),
+            format!(
+                "SELECT id, name FROM t WHERE ST_Intersects(geom, {}) ORDER BY id",
+                window(-1.0, 9.0)
+            ),
+            format!("SELECT id, name FROM t WHERE ST_Intersects(geom, {})", window(1.5, 4.5)),
+        ];
+        for sql in &reads {
+            let before = db2.metrics_snapshot();
+            let reopened = db2.execute(sql).unwrap().rows;
+            let probes = db2.metrics_snapshot().delta_since(&before).counter("index_probes");
+            assert_eq!(probes, 1, "{profile}: {sql} goes through an index");
+            assert_eq!(reopened, db.execute(sql).unwrap().rows, "{profile}: {sql}");
+        }
+        drop((db, db2));
         std::fs::remove_dir_all(&copy).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -1371,32 +1402,50 @@ fn duplicate_rows_replay_deletes_by_row_id_not_bytes() {
     // row, so with duplicate rows a crash could resurrect the deleted
     // copy and kill a survivor. v4 logs DeleteId/InsertAt by row id.
     // Three byte-identical rows at slots 0..2, delete the middle one:
-    // recovery must keep exactly slots 0 and 2.
+    // recovery must keep exactly slots 0 and 2 — with the four records
+    // a frame each, and all in one frame. A third log adds, to that one
+    // frame, deletes of a slot that holds nothing, on a page that has
+    // rows and on one past them: each is a delete already done, so the
+    // open succeeds and the records around them apply.
     let dup = vec![Value::Int(7), Value::Text("dup".into())];
     let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
-    let records = vec![
-        WalRecord::InsertAt { table: "t".into(), id: RowId { page: 0, slot: 0 }, row: dup.clone() },
-        WalRecord::InsertAt { table: "t".into(), id: RowId { page: 0, slot: 1 }, row: dup.clone() },
-        WalRecord::InsertAt { table: "t".into(), id: RowId { page: 0, slot: 2 }, row: dup.clone() },
-        WalRecord::DeleteId { table: "t".into(), id: RowId { page: 0, slot: 1 } },
-    ];
-    let mut bytes = wal_header(0);
+    let at = |page, slot| RowId { page, slot };
+    let insert =
+        |slot| WalRecord::InsertAt { table: "t".into(), id: at(0, slot), row: dup.clone() };
+    let delete = |id| WalRecord::DeleteId { table: "t".into(), id };
+    let records = vec![insert(0), insert(1), insert(2), delete(at(0, 1))];
+    let with_empty_slots =
+        vec![insert(0), insert(1), insert(2), delete(at(0, 7)), delete(at(0, 1)), delete(at(3, 0))];
+    let one_frame = |records: &[WalRecord]| {
+        let payload: Vec<u8> = records.iter().flat_map(WalRecord::encode).collect();
+        [wal_header(0), frame_of(&payload)].concat()
+    };
+    let mut a_frame_each = wal_header(0);
     for rec in &records {
-        bytes.extend_from_slice(&rec.frame());
+        a_frame_each.extend_from_slice(&rec.frame());
     }
     let dir = scratch_dir("dup-delete");
-    write_pair(&dir, &schema_image("t", columns, &[]), &bytes);
-    let db = SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
-        .unwrap();
-    let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
-    assert_eq!(r.scalar().unwrap().to_string(), "2", "exactly one duplicate was deleted");
-    let mut survivors = db.table("t").unwrap().heap.row_ids();
-    survivors.sort_unstable_by_key(|id| (id.page, id.slot));
-    assert_eq!(
-        survivors,
-        vec![RowId { page: 0, slot: 0 }, RowId { page: 0, slot: 2 }],
-        "replay must delete the logged row id, not the first byte match"
-    );
+    for (what, log) in [
+        ("a frame each", a_frame_each),
+        ("one frame", one_frame(&records)),
+        ("one frame, empty slots", one_frame(&with_empty_slots)),
+    ] {
+        write_pair(&dir, &schema_image("t", columns.clone(), &["name"]), &log);
+        let db =
+            SpatialDb::open_durable(&dir, EngineProfile::ExactRtree, DurabilityOptions::default())
+                .unwrap();
+        let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(r.scalar().unwrap().to_string(), "2", "{what}: one duplicate was deleted");
+        let r = db.execute("SELECT COUNT(*) FROM t WHERE name = 'dup'").unwrap();
+        assert_eq!(r.scalar().unwrap().to_string(), "2", "{what}: the index lost one entry");
+        let mut survivors = db.table("t").unwrap().heap.row_ids();
+        survivors.sort_unstable_by_key(|id| (id.page, id.slot));
+        assert_eq!(
+            survivors,
+            vec![at(0, 0), at(0, 2)],
+            "{what}: replay must delete the logged row id, not the first byte match"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
